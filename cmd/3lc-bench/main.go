@@ -597,13 +597,14 @@ func codecBench(w *os.File, iters int) []benchRecord {
 		})
 	}
 
-	// Dispatched kernel tiers: the fused ternary encode and the LUT
-	// decode-add sweep at 1M elements on every tier this CPU/build can run,
-	// against the memcpy roofline for scale. Record names match
-	// internal/kernel's tier benchmarks.
+	// Dispatched kernel tiers: the four dispatched sweeps at 1M elements
+	// on every tier this CPU/build can run, against the memcpy roofline
+	// for scale — accumulate+|max| (compress pass 1), the fused ternary
+	// encode (pass 2), the LUT decode-add on a dense and on a 0.998-zero
+	// wire, and the fused SGD sweep. Record names and inputs match
+	// internal/kernel's tier benchmarks (tierbench_test.go).
 	{
 		orig := kernel.ActiveTier()
-		feats := simd.Detect()
 		snapshot := make([]float32, n)
 		m := float64(kernel.AccumulateMaxAbs(snapshot, in.Data())) * 1.75
 		buf := make([]float32, n)
@@ -611,12 +612,52 @@ func codecBench(w *os.File, iters int) []benchRecord {
 		dst := make([]float32, n)
 		cp := measure(iters, func() { copy(dst, snapshot) })
 		gbs := func(d time.Duration) float64 { return float64(4*n) / d.Seconds() / 1e9 }
-		fmt.Fprintf(w, "\nKernel tiers at %d elements (auto tier %s, AVX2=%v, asm=%v; memcpy roofline %.1f GB/s):\n",
-			n, orig, feats.AVX2, simd.HasAsm, gbs(cp))
-		fmt.Fprintf(w, "  %-8s %14s %7s %18s %7s\n", "tier", "encode ns/op", "GB/s", "decode-add ns/op", "GB/s")
+
+		// Decode-add inputs, quantized at s = 1.00: uniform on [-1, 1)
+		// (97 % literal groups: the literal cores decide) and 0.2 %
+		// non-zero elements (the zero fraction bench/ measures on lan-3lc:
+		// a walk over run markers and isolated literals).
+		drng := tensor.NewRNG(4)
+		dense, sparse := make([]float32, n), make([]float32, n)
+		for i := range dense {
+			dense[i] = float32(drng.Uint64()%(1<<24))/(1<<23) - 1
+			if r := drng.Uint64() % 1000; r < 2 {
+				sparse[i] = float32(r)*2 - 1
+			}
+		}
+		type decIn struct {
+			name string
+			wire []byte
+			m    float32
+		}
+		var decIns []decIn
+		for _, d := range []struct {
+			name string
+			data []float32
+		}{{"dense", dense}, {"sparse", sparse}} {
+			resid := make([]float32, n)
+			dm := float64(kernel.AccumulateMaxAbs(resid, d.data))
+			decIns = append(decIns, decIn{d.name, kernel.EncodeTernary(resid, dm, true, nil), float32(dm)})
+		}
+
+		// Fused SGD sweep streams.
+		sgdW, sgdG := make([]float32, n), make([]float32, n)
+		for i := range sgdW {
+			sgdW[i] = 5 * in.Data()[i]
+			sgdG[i] = in.Data()[n-1-i]
+		}
+		sgdV, sgdAcc := make([]float32, n), make([]float32, n)
+
+		fmt.Fprintf(w, "\nKernel tiers at %d elements (auto tier %s, AVX2=%v, asm=%v; memcpy roofline %.1f GB/s), ns/op:\n",
+			n, orig, simd.Detect().AVX2, simd.HasAsm, gbs(cp))
+		fmt.Fprintf(w, "  %-8s %12s %10s %14s %15s %10s\n", "tier", "accumulate", "encode", "dec-add dense", "dec-add sparse", "sgd step")
+		rec := func(name string, d time.Duration) {
+			records = append(records, benchRecord{Name: name, Iterations: int64(iters), NsPerOp: float64(d.Nanoseconds()), BytesPerOp: -1, AllocsPerOp: -1})
+		}
 		var wire []byte
 		for _, tier := range kernel.AvailableTiers() {
 			kernel.SetTier(tier)
+			accum := measure(iters, func() { kernel.AccumulateMaxAbs(acc, in.Data()) })
 			// The encode consumes its buffer (it leaves the residual
 			// behind), so each call restores from the snapshot and times
 			// only the encode itself.
@@ -635,16 +676,21 @@ func codecBench(w *os.File, iters int) []benchRecord {
 					encBest = d
 				}
 			}
-			dec := measure(iters, func() {
-				if err := kernel.DecodeTernaryAdd(wire, true, float32(m), acc); err != nil {
-					panic(err)
-				}
-			})
-			fmt.Fprintf(w, "  %-8s %14d %7.1f %18d %7.1f\n",
-				tier, encBest.Nanoseconds(), gbs(encBest), dec.Nanoseconds(), gbs(dec))
-			records = append(records,
-				benchRecord{Name: "EncodeTernaryKernel/" + tier.String() + "/1M", Iterations: int64(iters), NsPerOp: float64(encBest.Nanoseconds()), BytesPerOp: -1, AllocsPerOp: -1},
-				benchRecord{Name: "DecodeAddKernel/" + tier.String() + "/1M", Iterations: int64(iters), NsPerOp: float64(dec.Nanoseconds()), BytesPerOp: -1, AllocsPerOp: -1})
+			var dec [2]time.Duration
+			for k, d := range decIns {
+				dec[k] = measure(iters, func() {
+					if err := kernel.DecodeTernaryAdd(d.wire, true, d.m, dst); err != nil {
+						panic(err)
+					}
+				})
+				rec("DecodeAddKernel/"+tier.String()+"/"+d.name, dec[k])
+			}
+			sgd := measure(iters, func() { kernel.FusedSGDStep(sgdW, sgdV, sgdG, sgdAcc, 0.5, 1e-4, 0.9, 0.0004) })
+			fmt.Fprintf(w, "  %-8s %12d %10d %14d %15d %10d\n",
+				tier, accum.Nanoseconds(), encBest.Nanoseconds(), dec[0].Nanoseconds(), dec[1].Nanoseconds(), sgd.Nanoseconds())
+			rec("AccumulateMaxAbsKernel/"+tier.String()+"/1M", accum)
+			rec("EncodeTernaryKernel/"+tier.String()+"/1M", encBest)
+			rec("FusedSGDStepKernel/"+tier.String()+"/1M", sgd)
 		}
 		kernel.SetTier(orig)
 	}

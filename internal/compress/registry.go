@@ -55,7 +55,8 @@ func RegisteredSchemes() []Scheme {
 // malformed payload must be rejected BEFORE any element of dst is
 // modified — validate-then-accumulate, never partially apply. The
 // accumulated result must be bit-identical to decoding into scratch and
-// adding the scratch element-wise.
+// adding the scratch element-wise, for every dst free of −0 (see
+// DecompressAddInto for the one corner a zero-run skip leaves).
 type AddDecodeFunc func(payload []byte, dst *tensor.Tensor, workers int) error
 
 // addDecoders is the decode-accumulate dispatch table. Schemes without a
@@ -120,6 +121,15 @@ func DecompressInto(wire []byte, dst *tensor.Tensor) error {
 // zeros — an explicit += 0 sweep, because x + 0 is not the identity on
 // negative zeros and the staged composition performs the adds. On error
 // dst is unchanged (see AddDecodeFunc).
+//
+// One documented corner of the bit-identity: the ternary add-decoders
+// skip zero runs (kernel.DecodeTernaryAdd) rather than add m·0 through
+// them. x + (−0) = x always and x + (+0) = x except (−0) + (+0) = +0, so
+// the skip differs from decode-then-add only where dst holds −0 under a
+// +0 run: dst keeps −0, the staged add yields +0 — equal under ==, one
+// sign bit apart. Neither production destination is affected: gradient
+// sums never hold −0 (ps.Job.decodeAdd) and a weight tensor only one it
+// started with. Non-finite scales still propagate NaN through runs.
 //
 //3lc:noalloc
 //3lc:decode

@@ -16,7 +16,17 @@ import (
 // no bounds check and the vector tiers' 16-byte row loads stay in bounds.
 var ternLUT [256][encode.GroupSize]int8
 
+// zreGroups maps a zero-run-encoded wire byte to the number of quartic
+// groups it expands to: 1 for a literal, 2..14 for a run marker.
+var zreGroups [256]uint8
+
 func init() {
+	for b := range zreGroups {
+		zreGroups[b] = 1
+		if b > encode.MaxQuartic {
+			zreGroups[b] = uint8(b - encode.RunBase + 2)
+		}
+	}
 	for b := 0; b <= encode.MaxQuartic; b++ {
 		v := byte(b)
 		ternLUT[b][4] = int8(v%3) - 1
@@ -102,6 +112,41 @@ func DecodeTernary(body []byte, zre bool, m float32, dst []float32) error {
 	return decodeSmall(body, zre, m, gTotal, dst)
 }
 
+// zeroRunStretch measures the maximal stretch of consecutive zero-run
+// markers starting at body[off] (itself a marker): the number of groups
+// the stretch expands to and the offset of the first byte after it, each
+// marker checked against the gTotal − gi groups still missing. Decode-set
+// coalesces the stretch into one write — long zero stretches are chains of
+// 14-group markers, and one clear over the chain beats one per marker.
+//
+//3lc:noalloc
+//3lc:decode
+func zeroRunStretch(body []byte, off, gi, gTotal int) (groups, next int, err error) {
+	for next = off; next < len(body) && body[next] > encode.MaxQuartic; next++ {
+		groups += int(zreGroups[body[next]])
+		if gi+groups > gTotal {
+			return 0, 0, fmt.Errorf("kernel: zero run at offset %d expands past %d groups", next, gTotal)
+		}
+	}
+	return groups, next, nil
+}
+
+// setZeroRun writes a decoded zero run, dst[i] = m·0. When m·0 has the
+// bit pattern of +0 — every scale a real encoder emits — that is one
+// clear; a negative scale must still write −0 and a non-finite one NaN,
+// exactly what the staged multiply produces, so those keep the fill.
+//
+//3lc:noalloc
+func setZeroRun(dst []float32, zero float32) {
+	if math.Float32bits(zero) == 0 {
+		clear(dst)
+		return
+	}
+	for i := range dst {
+		dst[i] = zero
+	}
+}
+
 // decodeScaled is the scalar-tier ScaledLUT decode loop.
 //
 //3lc:noalloc
@@ -110,23 +155,20 @@ func decodeScaled(body []byte, zre bool, tab *scaledTab, gTotal int, dst []float
 	n := len(dst)
 	zero := tab[encode.ZeroGroupByte][0] // m·0, NaN-propagating like the staged multiply
 	gi, w := 0, 0
-	for off, b := range body {
+	for off := 0; off < len(body); {
+		b := body[off]
 		if b > encode.MaxQuartic {
 			if !zre {
 				return fmt.Errorf("kernel: invalid quartic byte %d at offset %d", b, off)
 			}
-			k := int(b) - encode.RunBase + 2
-			if gi+k > gTotal {
-				return fmt.Errorf("kernel: zero run at offset %d expands past %d groups", off, gTotal)
+			k, next, err := zeroRunStretch(body, off, gi, gTotal)
+			if err != nil {
+				return err
 			}
 			gi += k
-			end := w + k*encode.GroupSize
-			if end > n {
-				end = n
-			}
-			for ; w < end; w++ {
-				dst[w] = zero
-			}
+			end := min(w+k*encode.GroupSize, n)
+			setZeroRun(dst[w:end], zero)
+			w, off = end, next
 			continue
 		}
 		if gi >= gTotal {
@@ -146,6 +188,7 @@ func decodeScaled(body []byte, zre bool, tab *scaledTab, gTotal int, dst []float
 				dst[w] = row[k]
 			}
 		}
+		off++
 	}
 	if gi != gTotal {
 		return fmt.Errorf("kernel: payload expands to %d groups, want %d", gi, gTotal)
@@ -162,23 +205,20 @@ func decodeSmall(body []byte, zre bool, m float32, gTotal int, dst []float32) er
 	n := len(dst)
 	zero := m * float32(0)
 	gi, w := 0, 0
-	for off, b := range body {
+	for off := 0; off < len(body); {
+		b := body[off]
 		if b > encode.MaxQuartic {
 			if !zre {
 				return fmt.Errorf("kernel: invalid quartic byte %d at offset %d", b, off)
 			}
-			k := int(b) - encode.RunBase + 2
-			if gi+k > gTotal {
-				return fmt.Errorf("kernel: zero run at offset %d expands past %d groups", off, gTotal)
+			k, next, err := zeroRunStretch(body, off, gi, gTotal)
+			if err != nil {
+				return err
 			}
 			gi += k
-			end := w + k*encode.GroupSize
-			if end > n {
-				end = n
-			}
-			for ; w < end; w++ {
-				dst[w] = zero
-			}
+			end := min(w+k*encode.GroupSize, n)
+			setZeroRun(dst[w:end], zero)
+			w, off = end, next
 			continue
 		}
 		if gi >= gTotal {
@@ -198,6 +238,7 @@ func decodeSmall(body []byte, zre bool, m float32, gTotal int, dst []float32) er
 				dst[w] = m * float32(row[k])
 			}
 		}
+		off++
 	}
 	if gi != gTotal {
 		return fmt.Errorf("kernel: payload expands to %d groups, want %d", gi, gTotal)

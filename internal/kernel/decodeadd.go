@@ -16,13 +16,30 @@ import (
 // two into a single LUT-driven pass that streams wire bytes and
 // accumulates dst[i] += M·q_i directly into the aggregation buffer — no
 // intermediate float tensor exists, and per payload the aggregate side
-// touches tensor memory exactly once.
+// makes one pass over the wire bytes and the non-zero groups.
 //
 // Unlike DecodeTernary, whose destination is unspecified on error, the
 // decode-ADD kernels mutate live aggregation state, so a malformed
 // payload must not corrupt the sum: every payload is fully validated by a
 // wire-byte scan (a few percent of tensor size; not a tensor-memory pass)
 // before the first element of dst is touched. On error dst is unchanged.
+//
+// Zero runs skip memory. A run marker stands for k groups of m·0, and for
+// every finite scale m·0 is ±0, whose addition leaves dst as it is:
+// x + (−0) = x for every x, and x + (+0) = x for every x except −0, where
+// (−0) + (+0) = +0. So a run only advances the write cursor, and the sweep
+// reads and writes the non-zero groups alone — at the zero fractions 3LC
+// runs at (0.998 on the end-to-end benchmark) that is the difference
+// between streaming the whole tensor and touching a few cache lines. The
+// skip is bit-identical to the dense add unless dst holds −0 under a
+// +0 run, where dst keeps −0 and the dense add would have produced +0
+// (the two compare == and differ in the sign bit only). The production
+// destinations rule that corner out or bound it: a gradient sum never
+// holds −0 (see ps.Job), a worker weight can only keep a −0 it was
+// initialised or restored with, until its first non-zero update. A
+// non-finite scale (±Inf, NaN: only an untrusted wire carries one) makes
+// m·0 NaN, which must reach every element of the run, so that case alone
+// keeps the dense fill.
 
 // scanTernaryBody validates a ternary wire body against the group count a
 // destination of gTotal groups requires, touching only the wire bytes:
@@ -43,7 +60,20 @@ func scanTernaryBody(body []byte, zre bool, gTotal int) error {
 		}
 		return nil
 	}
+	// Every byte expands to at least one group, so the running group count
+	// strictly increases and the payload is valid exactly when it ends on
+	// gTotal: a run overrunning the end, or any byte after the last group,
+	// pushes the total past it. Summing through a table validates without
+	// a branch per byte (literals and markers alternate unpredictably on
+	// real wires); the walk below reruns only to name the offending offset.
 	gi := 0
+	for _, b := range body {
+		gi += int(zreGroups[b])
+	}
+	if gi == gTotal {
+		return nil
+	}
+	gi = 0
 	for off, b := range body {
 		if b > encode.MaxQuartic {
 			k := int(b) - encode.RunBase + 2
@@ -66,12 +96,14 @@ func scanTernaryBody(body []byte, zre bool, gTotal int) error {
 
 // DecodeTernaryAdd decodes a ternary wire body — quartic bytes, zero-run
 // encoded when zre is set — and accumulates it into dst in a single fused
-// pass: dst[i] += m·q_i. The additions are the exact float32 operations
+// pass: dst[i] += m·q_i. Literal groups take the exact float32 additions
 // the staged composition (DecodeTernary into scratch, then dst += scratch)
-// performs element by element, so the resulting sums are bit-identical to
-// the staged decode-then-add for any payload, including non-finite scales.
-// The payload is validated before accumulation begins; on error dst is
-// unchanged.
+// performs element by element; zero runs are skipped when m·0 is ±0 and
+// filled when it is NaN, so the resulting sums are bit-identical to the
+// staged decode-then-add for any payload, including non-finite scales,
+// provided dst holds no −0 under a run (see the file comment above:
+// there dst keeps its −0 where the staged add yields +0). The payload is
+// validated before accumulation begins; on error dst is unchanged.
 //
 //3lc:noalloc
 //3lc:decode
@@ -105,20 +137,19 @@ func addValidated(body []byte, m float32, dst []float32) {
 // with off = skip = 0. This is the scalar tier; addScaledSpanVec is the
 // dispatched unrolled form.
 func addScaledSpan(body []byte, tab *scaledTab, dst []float32, lo, hi, off, skip int) {
-	zero := tab[encode.ZeroGroupByte][0] // m·0, NaN-propagating like the staged multiply
+	zero := tab[encode.ZeroGroupByte][0] // m·0: ±0, or NaN for a non-finite scale
+	fill := zero != zero
 	w := lo
 	for ; w < hi; off++ {
 		b := body[off]
 		if b > encode.MaxQuartic {
 			k := int(b) - encode.RunBase + 2 - skip
 			skip = 0
-			end := w + k*encode.GroupSize
-			if end > hi {
-				end = hi
+			end := min(w+k*encode.GroupSize, hi)
+			if fill {
+				addFill(dst[w:end], zero)
 			}
-			for ; w < end; w++ {
-				dst[w] += zero
-			}
+			w = end
 			continue
 		}
 		skip = 0
@@ -143,19 +174,18 @@ func addScaledSpan(body []byte, tab *scaledTab, dst []float32, lo, hi, off, skip
 // scaled by an inline multiply, the same single pass.
 func addSmallSpan(body []byte, m float32, dst []float32, lo, hi, off, skip int) {
 	zero := m * float32(0)
+	fill := zero != zero
 	w := lo
 	for ; w < hi; off++ {
 		b := body[off]
 		if b > encode.MaxQuartic {
 			k := int(b) - encode.RunBase + 2 - skip
 			skip = 0
-			end := w + k*encode.GroupSize
-			if end > hi {
-				end = hi
+			end := min(w+k*encode.GroupSize, hi)
+			if fill {
+				addFill(dst[w:end], zero)
 			}
-			for ; w < end; w++ {
-				dst[w] += zero
-			}
+			w = end
 			continue
 		}
 		skip = 0
@@ -175,50 +205,12 @@ func addSmallSpan(body []byte, m float32, dst []float32, lo, hi, off, skip int) 
 	}
 }
 
-// DecodeTernaryAddScaled is the scale-into variant for weighted
-// accumulation: dst[i] += alpha·(m·q_i), the exact operations of decoding
-// into scratch and then dst.AXPY(alpha, scratch). Like DecodeTernaryAdd
-// it validates before mutating; on error dst is unchanged.
-//
-//3lc:noalloc
-//3lc:decode
-func DecodeTernaryAddScaled(body []byte, zre bool, m, alpha float32, dst []float32) error {
-	n := len(dst)
-	if err := scanTernaryBody(body, zre, encode.QuarticEncodedLen(n)); err != nil {
-		return err
+// addFill is the dense zero-run add, dst[i] += v, kept for the one case
+// the skip cannot cover: v = m·0 = NaN under a non-finite scale.
+func addFill(dst []float32, v float32) {
+	for i := range dst {
+		dst[i] += v
 	}
-	notePass("lut-decode-add-scaled", n)
-	zero := alpha * (m * float32(0))
-	w := 0
-	for off := 0; w < n; off++ {
-		//3lc:allow nopanic scanTernaryBody validated every byte of body against n upfront
-		b := body[off]
-		if b > encode.MaxQuartic {
-			k := int(b) - encode.RunBase + 2
-			end := w + k*encode.GroupSize
-			if end > n {
-				end = n
-			}
-			for ; w < end; w++ {
-				dst[w] += zero
-			}
-			continue
-		}
-		row := &ternLUT[b]
-		if w+encode.GroupSize <= n {
-			dst[w] += alpha * (m * float32(row[0]))
-			dst[w+1] += alpha * (m * float32(row[1]))
-			dst[w+2] += alpha * (m * float32(row[2]))
-			dst[w+3] += alpha * (m * float32(row[3]))
-			dst[w+4] += alpha * (m * float32(row[4]))
-			w += encode.GroupSize
-		} else {
-			for k := 0; w < n; k, w = k+1, w+1 {
-				dst[w] += alpha * (m * float32(row[k]))
-			}
-		}
-	}
-	return nil
 }
 
 // TernaryWire is one worker's ternary payload for the batched

@@ -112,33 +112,6 @@ func TestDecodeTernaryAddParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestDecodeTernaryAddScaled pins the scale-into variant against the
-// decode-then-AXPY composition.
-func TestDecodeTernaryAddScaled(t *testing.T) {
-	for _, n := range []int{640, 1 << 13} {
-		body, m := mkTernaryWire(uint64(n)+17, n, 0.01, 1.75, true)
-		for _, alpha := range []float32{0.25, 1.0 / 3.0, -1, float32(math.NaN())} {
-			tmp := make([]float32, n)
-			if err := DecodeTernary(body, true, m, tmp); err != nil {
-				t.Fatal(err)
-			}
-			want := make([]float32, n)
-			got := make([]float32, n)
-			fillRand(tensor.FromSlice(want, n), 3, 1)
-			copy(got, want)
-			for i := range want {
-				want[i] += alpha * tmp[i]
-			}
-			if err := DecodeTernaryAddScaled(body, true, m, alpha, got); err != nil {
-				t.Fatal(err)
-			}
-			if i, ok := bitsEqual(got, want); !ok {
-				t.Fatalf("n=%d alpha=%v: differs at %d", n, alpha, i)
-			}
-		}
-	}
-}
-
 // TestDecodeTernaryAddRejectsMalformed feeds the malformed shapes the
 // scan must catch and asserts the accumulator is never touched — the
 // decode-ADD contract is stronger than decode-into's "unspecified on
@@ -182,8 +155,8 @@ func TestDecodeTernaryAddRejectsMalformed(t *testing.T) {
 
 // TestDecodeAddPassCount extends the pass-count invariant to aggregation:
 // fused decode+add is exactly ONE sweep of tensor memory per payload (the
-// validation pre-scan walks wire bytes only), serial, parallel, and
-// scaled forms alike.
+// validation pre-scan walks wire bytes only), serial and parallel forms
+// alike.
 func TestDecodeAddPassCount(t *testing.T) {
 	var passes []string
 	PassHook = func(name string, elems int) { passes = append(passes, name) }
@@ -208,14 +181,6 @@ func TestDecodeAddPassCount(t *testing.T) {
 	}
 	if len(passes) != len(wires) {
 		t.Fatalf("parallel decode-add of %d payloads made %d passes, want one per payload", len(wires), len(passes))
-	}
-
-	passes = nil
-	if err := DecodeTernaryAddScaled(body, true, m, 0.5, dst); err != nil {
-		t.Fatal(err)
-	}
-	if len(passes) != 1 {
-		t.Fatalf("scaled decode-add made %d passes, want 1", len(passes))
 	}
 }
 

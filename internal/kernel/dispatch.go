@@ -10,9 +10,9 @@ import (
 
 // CPU-feature-dispatched kernel registry.
 //
-// The three hot inner loops — the fused accumulate+|max| reduction, the
-// ternary quantize→pack encode, and the LUT decode-add — exist in up to
-// three implementations ("tiers"):
+// The hot inner loops — the fused accumulate+|max| reduction, the ternary
+// quantize→pack encode, the LUT decode-add, and the fused SGD sweep —
+// exist in up to three implementations ("tiers"):
 //
 //	scalar  the portable loops in this package, the reference tier
 //	vec     explicitly unrolled pure-Go cores (package simd): 8-chain
@@ -21,8 +21,9 @@ import (
 //	        scalar quantize loop is the fastest pure-Go formulation
 //	        (every unrolled rewrite measured slower), so only asm
 //	        accelerates encode.
-//	asm     vec, plus AVX2 amd64 assembly for the byte-level
-//	        quantize/pack and LUT-row loops. Requires AVX2.
+//	asm     vec, plus AVX2 amd64 assembly for the accumulate+|max|
+//	        reduction, the byte-level quantize/pack and LUT-row loops,
+//	        and the fused SGD sweep. Requires AVX2.
 //
 // The tier is chosen once at init — asm when the CPU supports it, else
 // vec — and can be pinned with THREELC_KERNEL=scalar|vec|asm (malformed
@@ -36,6 +37,7 @@ var (
 	// Dispatched cores. The scalar tier binds the loops defined in this
 	// package; SetTier swaps them as a set so a tier is always coherent.
 	accMaxCore   func(buf, in []float32) float32
+	sgdStepCore  func(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32
 	maxAbsCore   func(data []float32) float32
 	addSpanCore  func(body []byte, tab *scaledTab, dst []float32, lo, hi, off, skip int)
 	decodeCore   func(body []byte, zre bool, tab *scaledTab, gTotal int, dst []float32) error
@@ -114,6 +116,7 @@ func SetTier(t Tier) {
 	switch t {
 	case TierScalar:
 		accMaxCore = accMaxAbsRange
+		sgdStepCore = fusedSGDStepRange
 		maxAbsCore = maxAbsRange
 		addSpanCore = addScaledSpan
 		decodeCore = decodeScaled
@@ -122,6 +125,7 @@ func SetTier(t Tier) {
 		packBlocksFn = nil
 	case TierVec:
 		accMaxCore = simd.AccMaxAbs
+		sgdStepCore = fusedSGDStepRange
 		maxAbsCore = simd.MaxAbs
 		addSpanCore = addScaledSpanVec
 		decodeCore = decodeScaledVec
@@ -132,7 +136,8 @@ func SetTier(t Tier) {
 		if !simd.HasAsm || !simd.Detect().AVX2 {
 			panic("kernel: asm tier unavailable on this CPU/build")
 		}
-		accMaxCore = simd.AccMaxAbs
+		accMaxCore = simd.AccMaxAbsAsm
+		sgdStepCore = simd.FusedSGDStepAsm
 		maxAbsCore = simd.MaxAbs
 		addSpanCore = addScaledSpanVec
 		decodeCore = decodeScaledVec

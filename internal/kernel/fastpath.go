@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"threelc/internal/encode"
-	"threelc/internal/kernel/simd"
 )
 
 // Vectorized-tier forms of the decode loops and the packed encode path.
@@ -13,92 +12,109 @@ import (
 // paths only regroup WHICH loop processes each wire byte, never the
 // per-element operations or their order.
 
-// addScaledSpanVec is the vec/asm-tier addScaledSpan: maximal stretches
-// of literal bytes go through the dispatched unrolled literal core, runs
-// through the unrolled fill, and only partial tail groups fall back to
-// the per-element loop. Same contract as addScaledSpan.
+// litCoreAfter is how many consecutive literal groups the vec/asm decode
+// loops apply inline before handing the rest of the stretch to the
+// dispatched literal core. The call into the core costs more than a few
+// rows' adds, and on the wires 3LC actually produces — isolated literal
+// groups between zero runs — nearly every stretch is that short (calling
+// the core for each measured ~40 % slower than the scalar tier there); a
+// stretch that has already run this long is likely a dense region, where
+// the core's unrolled rows win.
+const litCoreAfter = 3
+
+// addScaledSpanVec is the vec/asm-tier addScaledSpan: the first
+// litCoreAfter literal bytes of a stretch (and partial tail groups) take
+// the inline row apply, the rest of a longer stretch the dispatched
+// unrolled literal core, and runs are skipped (filled only under a
+// non-finite scale). Same contract as addScaledSpan.
 func addScaledSpanVec(body []byte, tab *scaledTab, dst []float32, lo, hi, off, skip int) {
-	zero := tab[encode.ZeroGroupByte][0] // m·0, NaN-propagating like the staged multiply
+	zero := tab[encode.ZeroGroupByte][0] // m·0: ±0, or NaN for a non-finite scale
+	fill := zero != zero
 	lits := litsAddCore
-	w := lo
+	w, inline := lo, 0
 	for w < hi {
 		b := body[off]
 		if b > encode.MaxQuartic {
 			k := int(b) - encode.RunBase + 2 - skip
 			skip = 0
-			end := w + k*encode.GroupSize
-			if end > hi {
-				end = hi
+			end := min(w+k*encode.GroupSize, hi)
+			if fill {
+				addFill(dst[w:end], zero)
 			}
-			simd.AddFill(dst[w:end], zero)
 			w = end
 			off++
+			inline = 0
 			continue
 		}
 		skip = 0
-		if lim := hi - w; lim >= encode.GroupSize {
+		if lim := hi - w; inline >= litCoreAfter && lim >= encode.GroupSize {
 			lim -= lim % encode.GroupSize
-			nb := lits(tab, body[off:], dst[w:w+lim])
-			if nb > 0 {
-				off += nb
-				w += nb * encode.GroupSize
-				continue
-			}
+			nb := lits(tab, body[off:], dst[w:w+lim]) // >= 1: body[off] is a literal with a full group of room
+			off += nb
+			w += nb * encode.GroupSize
+			continue
 		}
-		// Partial tail group (hi is the tensor end mid-group).
+		inline++
 		row := &tab[b]
-		for k := 0; w < hi; k, w = k+1, w+1 {
-			dst[w] += row[k]
+		if w+encode.GroupSize <= hi {
+			d := dst[w : w+encode.GroupSize : w+encode.GroupSize]
+			d[0] += row[0]
+			d[1] += row[1]
+			d[2] += row[2]
+			d[3] += row[3]
+			d[4] += row[4]
+			w += encode.GroupSize
+		} else {
+			// Partial tail group (hi is the tensor end mid-group).
+			for k := 0; w < hi; k, w = k+1, w+1 {
+				dst[w] += row[k]
+			}
 		}
 		off++
 	}
 }
 
 // decodeScaledVec is the vec/asm-tier decodeScaled: identical validation
-// semantics, with literal stretches through the dispatched set-literal
-// core and runs through the unrolled fill.
+// semantics and run handling, with long literal stretches through the
+// dispatched set-literal core (see litCoreAfter).
 func decodeScaledVec(body []byte, zre bool, tab *scaledTab, gTotal int, dst []float32) error {
 	n := len(dst)
 	zero := tab[encode.ZeroGroupByte][0]
 	lits := litsSetCore
-	gi, w, off := 0, 0, 0
+	gi, w, off, inline := 0, 0, 0, 0
 	for off < len(body) {
 		b := body[off]
 		if b > encode.MaxQuartic {
 			if !zre {
 				return fmt.Errorf("kernel: invalid quartic byte %d at offset %d", b, off)
 			}
-			k := int(b) - encode.RunBase + 2
-			if gi+k > gTotal {
-				return fmt.Errorf("kernel: zero run at offset %d expands past %d groups", off, gTotal)
+			k, next, err := zeroRunStretch(body, off, gi, gTotal)
+			if err != nil {
+				return err
 			}
 			gi += k
-			end := w + k*encode.GroupSize
-			if end > n {
-				end = n
-			}
-			simd.SetFill(dst[w:end], zero)
-			w = end
-			off++
+			end := min(w+k*encode.GroupSize, n)
+			setZeroRun(dst[w:end], zero)
+			w, off = end, next
+			inline = 0
 			continue
 		}
 		if gi >= gTotal {
 			return fmt.Errorf("kernel: payload longer than %d groups", gTotal)
 		}
-		if lim := n - w; lim >= encode.GroupSize {
+		if lim := n - w; inline >= litCoreAfter && lim >= encode.GroupSize {
 			lim -= lim % encode.GroupSize
 			// Every byte the literal core consumes is a valid literal
 			// producing one full in-bounds group, so the per-byte checks
 			// above are preserved: lim/GroupSize never exceeds the groups
 			// remaining to gTotal.
-			nb := lits(tab, body[off:], dst[w:w+lim])
-			if nb > 0 {
-				off += nb
-				gi += nb
-				w += nb * encode.GroupSize
-				continue
-			}
+			nb := lits(tab, body[off:], dst[w:w+lim]) // >= 1: body[off] is a literal with a full group of room
+			off += nb
+			gi += nb
+			w += nb * encode.GroupSize
+			continue
 		}
+		inline++
 		gi++
 		row := &tab[b]
 		if w+encode.GroupSize <= n {

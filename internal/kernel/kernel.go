@@ -28,17 +28,27 @@
 // stitch-up) that produce byte-identical output to the serial kernels for
 // any worker count. Scheduling is pass-count aware: see PassWorkers.
 //
-// The inner loops behind the three kernels are dispatched through a
+// The aggregation side adds a fourth kernel, DecodeTernaryAdd (dst += M·q
+// in one pass over the wire bytes and the non-zero groups: zero runs skip
+// memory, see decodeadd.go), and the parameter server's optimizer a fifth,
+// FusedSGDStep (average → momentum → weight → delta → accumulate+|max| in
+// one sweep, absorbing the pull's pass 1).
+//
+// The inner loops behind these kernels are dispatched through a
 // CPU-feature-selected registry (see dispatch.go) with up to three tiers
 // per core:
 //
 //	core                  scalar              vec                     asm (AVX2)
-//	accumulate+|max|      range loop          8-chain unrolled        = vec
+//	accumulate+|max|      range loop          8-chain unrolled        32-float blocks,
+//	                                                                  4 VMAXPS chains
 //	|max| reduction       range loop          8-chain unrolled        = vec
 //	ternary quantize/pack cmov quantize loop  = scalar (fastest       32-elem AVX2
 //	                                          pure-Go formulation)    quantize+pack blocks
-//	LUT decode-add/set    byte-at-a-time      4-byte-unrolled rows,   AVX2 gather rows,
-//	                      row apply           vectorized literals     asm literal loops
+//	LUT decode-add/set    byte-at-a-time      + 4-byte-unrolled rows  + AVX row loads
+//	                      row apply           for long literal        for long literal
+//	                                          stretches               stretches
+//	fused SGD sweep       range loop          = scalar                8-float mul/add/sub
+//	                                                                  (never FMA)
 //
 // The tier is picked once at init from CPUID (asm when AVX2 is present,
 // else vec) and can be pinned with THREELC_KERNEL=scalar|vec|asm; every

@@ -13,6 +13,12 @@ func addScaledLiteralsAsm(tab *[256][5]float32, body *byte, n int, dst *float32)
 //go:noescape
 func setScaledLiteralsAsm(tab *[256][5]float32, body *byte, n int, dst *float32) int
 
+//go:noescape
+func accMaxAbsAsm(buf, in *float32, n int) float32
+
+//go:noescape
+func fusedSGDStepAsm(w, v, gs, acc *float32, n int, gscale, wd, mom, lr float32) float32
+
 // QuantPackBlocks runs the AVX2 fused quantize→residual→quartic-pack over
 // blocks of 8 quartic groups (40 elements): for each element of buf it
 // computes the ternary digit against ±tpos, subtracts the selected
@@ -58,4 +64,41 @@ func SetScaledLiteralsAsm(tab *[256][5]float32, body []byte, dst []float32) int 
 		return 0
 	}
 	return setScaledLiteralsAsm(tab, &body[0], n, &dst[0])
+}
+
+// AccMaxAbsAsm is the AVX2 form of AccMaxAbs: buf[i] += in[i] with the
+// max|buf| reduction fused into the same sweep, any length (scalar tail
+// inside the core). buf must be at least as long as in. Bit-identical to
+// the scalar kernel by the same argument as AccMaxAbs — candidates are
+// non-negative after the sign mask and NaN never wins (the running max is
+// VMAXPS's second source) — so the lane split cannot change the result.
+// Requires AVX2; callers gate on Detect().AVX2.
+//
+//3lc:noalloc
+func AccMaxAbsAsm(buf, in []float32) float32 {
+	n := len(in)
+	if n == 0 {
+		return 0
+	}
+	_ = buf[n-1]
+	return accMaxAbsAsm(&buf[0], &in[0], n)
+}
+
+// FusedSGDStepAsm is the AVX2 core behind kernel.FusedSGDStep: the fused
+// average → momentum → weight → delta → accumulate+|max| sweep over one
+// tensor, any length (scalar tail inside the core). Every element goes
+// through the scalar reference's exact sequence of separately rounded
+// multiplies, adds and subtracts (no FMA), so weights, velocity and the
+// accumulator are bit-identical to it up to NaN payloads, and the returned
+// max|acc| exactly. w, gs and acc must be at least as long as v. Requires
+// AVX2; callers gate on Detect().AVX2.
+//
+//3lc:noalloc
+func FusedSGDStepAsm(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32 {
+	n := len(v)
+	if n == 0 {
+		return 0
+	}
+	_, _, _ = w[n-1], gs[n-1], acc[n-1]
+	return fusedSGDStepAsm(&w[0], &v[0], &gs[0], &acc[0], n, gscale, wd, mom, lr)
 }

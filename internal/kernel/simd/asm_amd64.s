@@ -228,3 +228,194 @@ setloop:
 setdone:
 	MOVQ DX, ret+32(FP)
 	RET
+
+// func accMaxAbsAsm(buf, in *float32, n int) float32
+//
+// Compress pass 1: buf[i] += in[i] with max|buf| reduced in the same
+// sweep, 32 floats per iteration over four independent max chains (so the
+// loop streams at load/store rate instead of serializing on VMAXPS
+// latency), then 8 at a time, then a scalar tail. buf is operand 1 of
+// every add, like the literal cores. |s| is the sign-bit mask
+// (Y15 = 0x7fffffff per lane). The running max is always the SECOND
+// source of VMAXPS/VMAXSS, which return the second source whenever either
+// operand is NaN: a NaN candidate loses exactly like Go's `a > m`, and the
+// max (seeded +0, fed non-negative candidates) is never NaN itself, so any
+// lane split reduces to the same bits as the scalar loop.
+TEXT ·accMaxAbsAsm(SB), NOSPLIT, $0-28
+	MOVQ buf+0(FP), DI
+	MOVQ in+8(FP), SI
+	MOVQ n+16(FP), CX
+	VPCMPEQD Y15, Y15, Y15
+	VPSRLD $1, Y15, Y15
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+
+accmax32:
+	CMPQ CX, $32
+	JL accmax8
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	VADDPS (SI), Y0, Y0
+	VADDPS 32(SI), Y1, Y1
+	VADDPS 64(SI), Y2, Y2
+	VADDPS 96(SI), Y3, Y3
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VANDPS Y15, Y0, Y0
+	VANDPS Y15, Y1, Y1
+	VANDPS Y15, Y2, Y2
+	VANDPS Y15, Y3, Y3
+	VMAXPS Y8, Y0, Y8
+	VMAXPS Y9, Y1, Y9
+	VMAXPS Y10, Y2, Y10
+	VMAXPS Y11, Y3, Y11
+	ADDQ $128, DI
+	ADDQ $128, SI
+	SUBQ $32, CX
+	JMP accmax32
+
+accmax8:
+	CMPQ CX, $8
+	JL accmaxreduce
+	VMOVUPS (DI), Y0
+	VADDPS (SI), Y0, Y0
+	VMOVUPS Y0, (DI)
+	VANDPS Y15, Y0, Y0
+	VMAXPS Y8, Y0, Y8
+	ADDQ $32, DI
+	ADDQ $32, SI
+	SUBQ $8, CX
+	JMP accmax8
+
+accmaxreduce:
+	VMAXPS Y9, Y8, Y8
+	VMAXPS Y11, Y10, Y10
+	VMAXPS Y10, Y8, Y8
+	VEXTRACTF128 $1, Y8, X9
+	VMAXPS X9, X8, X8
+	VPSHUFD $0x4E, X8, X9
+	VMAXPS X9, X8, X8
+	VPSHUFD $0xB1, X8, X9
+	VMAXPS X9, X8, X8          // lane 0 = max of all lanes
+
+accmaxtail:
+	TESTQ CX, CX
+	JZ accmaxdone
+	VMOVSS (DI), X0
+	VADDSS (SI), X0, X0
+	VMOVSS X0, (DI)
+	VANDPS X15, X0, X0
+	VMAXSS X8, X0, X8
+	ADDQ $4, DI
+	ADDQ $4, SI
+	DECQ CX
+	JMP accmaxtail
+
+accmaxdone:
+	VMOVSS X8, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func fusedSGDStepAsm(w, v, gs, acc *float32, n int, gscale, wd, mom, lr float32) float32
+//
+// The parameter server's fused optimizer sweep, 8 elements per iteration
+// then a scalar tail, each element exactly the scalar reference's
+// sequence of individually rounded float32 operations (separate multiply,
+// add and subtract — never FMA, whose single rounding would change bits):
+//
+//	g   = gs·gscale + wd·old      old = w
+//	vv  = mom·v + g               v   = vv
+//	nw  = old − lr·vv             w   = nw
+//	sum = acc + (nw − old)        acc = sum
+//	m   = max(m, |sum|)
+//
+// Constants: Y12=gscale Y13=wd Y14=mom Y15=lr Y11=abs mask, Y10 = running
+// max (second VMAXPS source; see accMaxAbsAsm for why NaN loses).
+TEXT ·fusedSGDStepAsm(SB), NOSPLIT, $0-60
+	MOVQ w+0(FP), R8
+	MOVQ v+8(FP), R9
+	MOVQ gs+16(FP), R10
+	MOVQ acc+24(FP), R11
+	MOVQ n+32(FP), CX
+	VBROADCASTSS gscale+40(FP), Y12
+	VBROADCASTSS wd+44(FP), Y13
+	VBROADCASTSS mom+48(FP), Y14
+	VBROADCASTSS lr+52(FP), Y15
+	VPCMPEQD Y11, Y11, Y11
+	VPSRLD $1, Y11, Y11
+	VXORPS Y10, Y10, Y10
+
+sgd8:
+	CMPQ CX, $8
+	JL sgdreduce
+	VMOVUPS (R8), Y0           // old
+	VMOVUPS (R10), Y1
+	VMULPS Y12, Y1, Y1         // gs*gscale
+	VMULPS Y0, Y13, Y2         // wd*old
+	VADDPS Y2, Y1, Y1          // g
+	VMOVUPS (R9), Y3
+	VMULPS Y3, Y14, Y3         // mom*v
+	VADDPS Y1, Y3, Y3          // vv
+	VMOVUPS Y3, (R9)
+	VMULPS Y3, Y15, Y4         // lr*vv
+	VSUBPS Y4, Y0, Y5          // nw = old - lr*vv
+	VMOVUPS Y5, (R8)
+	VSUBPS Y0, Y5, Y5          // nw - old
+	VMOVUPS (R11), Y6
+	VADDPS Y5, Y6, Y6          // sum = acc + (nw - old)
+	VMOVUPS Y6, (R11)
+	VANDPS Y11, Y6, Y6
+	VMAXPS Y10, Y6, Y10
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $32, R10
+	ADDQ $32, R11
+	SUBQ $8, CX
+	JMP sgd8
+
+sgdreduce:
+	VEXTRACTF128 $1, Y10, X9
+	VMAXPS X9, X10, X10
+	VPSHUFD $0x4E, X10, X9
+	VMAXPS X9, X10, X10
+	VPSHUFD $0xB1, X10, X9
+	VMAXPS X9, X10, X10        // lane 0 = max of all lanes
+
+sgdtail:
+	TESTQ CX, CX
+	JZ sgddone
+	VMOVSS (R8), X0
+	VMOVSS (R10), X1
+	VMULSS X12, X1, X1
+	VMULSS X0, X13, X2
+	VADDSS X2, X1, X1
+	VMOVSS (R9), X3
+	VMULSS X3, X14, X3
+	VADDSS X1, X3, X3
+	VMOVSS X3, (R9)
+	VMULSS X3, X15, X4
+	VSUBSS X4, X0, X5
+	VMOVSS X5, (R8)
+	VSUBSS X0, X5, X5
+	VMOVSS (R11), X6
+	VADDSS X5, X6, X6
+	VMOVSS X6, (R11)
+	VANDPS X11, X6, X6
+	VMAXSS X10, X6, X10
+	ADDQ $4, R8
+	ADDQ $4, R9
+	ADDQ $4, R10
+	ADDQ $4, R11
+	DECQ CX
+	JMP sgdtail
+
+sgddone:
+	VMOVSS X10, ret+56(FP)
+	VZEROUPPER
+	RET

@@ -78,3 +78,123 @@ func TestScaledLiteralsAsmMatchesScalar(t *testing.T) {
 		testLiteralForms(t, "asm-set", m, SetScaledLiteralsAsm, refSetLiterals)
 	}
 }
+
+// tailLengths are the sizes the asm-vs-scalar sweeps cover: every length
+// 0–100 (all block/tail splits of the 32- and 8-wide loops) plus 1M ± 7.
+func tailLengths() []int {
+	ns := []int{1<<20 - 7, 1 << 20, 1<<20 + 7}
+	for n := 0; n <= 100; n++ {
+		ns = append(ns, n)
+	}
+	return ns
+}
+
+// TestAccMaxAbsAsmMatchesScalar pins the AVX2 accumulate+|max| core
+// against the scalar loop: bit-equal buffers (up to NaN payload) and a
+// bit-equal maximum over every tail length, with the slices offset by one
+// element so no load is 32-byte aligned, and inputs seeded with NaN, ±Inf,
+// −0 and denormals. A NaN candidate must never win the max.
+func TestAccMaxAbsAsmMatchesScalar(t *testing.T) {
+	if !Detect().AVX2 {
+		t.Skip("no AVX2")
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range tailLengths() {
+		bufBack := make([]float32, n+1)
+		inBack := make([]float32, n+1)
+		buf, in := bufBack[1:], inBack[1:]
+		fillMixed(rng, buf)
+		fillMixed(rng, in)
+		refBuf := append([]float32(nil), buf...)
+		want := refAccMaxAbs(refBuf, in)
+		got := AccMaxAbsAsm(buf, in)
+		if got != got {
+			t.Fatalf("n=%d: NaN won the max", n)
+		}
+		if math.Float32bits(want) != math.Float32bits(got) {
+			t.Fatalf("n=%d: max %x != scalar %x", n, math.Float32bits(got), math.Float32bits(want))
+		}
+		for i := range buf {
+			if !eqf(buf[i], refBuf[i]) {
+				t.Fatalf("n=%d: buf[%d] %x != scalar %x", n, i, math.Float32bits(buf[i]), math.Float32bits(refBuf[i]))
+			}
+		}
+	}
+	// All-NaN input: the max stays at its +0 seed.
+	buf := make([]float32, 41)
+	in := make([]float32, 41)
+	for i := range in {
+		in[i] = float32(math.NaN())
+	}
+	if got := AccMaxAbsAsm(buf, in); math.Float32bits(got) != 0 {
+		t.Fatalf("all-NaN input: max = %x, want +0", math.Float32bits(got))
+	}
+}
+
+// refFusedSGDStep mirrors the scalar kernel core exactly.
+func refFusedSGDStep(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32 {
+	var m float32
+	for i := range v {
+		old := w[i]
+		g := gs[i]*gscale + wd*old
+		vv := mom*v[i] + g
+		v[i] = vv
+		nw := old - lr*vv
+		w[i] = nw
+		sum := acc[i] + (nw - old)
+		acc[i] = sum
+		a := math.Float32frombits(math.Float32bits(sum) &^ (1 << 31))
+		if a > m {
+			m = a
+		}
+	}
+	return m
+}
+
+// TestFusedSGDStepAsmMatchesScalar is the same sweep for the AVX2 SGD
+// core: all four streams bit-equal to the scalar loop (up to NaN payload)
+// and the returned max|acc| bit-equal, over every tail length, unaligned
+// slices, nasty inputs, and coefficient sets including the gscale = 1
+// identity and non-finite rates.
+func TestFusedSGDStepAsmMatchesScalar(t *testing.T) {
+	if !Detect().AVX2 {
+		t.Skip("no AVX2")
+	}
+	rng := rand.New(rand.NewSource(12))
+	coeffs := [][4]float32{
+		{0.5, 1e-4, 0.9, 0.04},
+		{1, 1e-4, 0.9, 0.0004},
+		{1.0 / 3.0, 0, 0, 1},
+		{0.5, float32(math.Inf(1)), 0.9, float32(math.NaN())},
+	}
+	for ci, c := range coeffs {
+		for _, n := range tailLengths() {
+			if n > 100 && ci > 0 {
+				continue // the 1M sweep once is enough
+			}
+			var got, want [4][]float32
+			for s := range got {
+				back := make([]float32, n+1)
+				got[s] = back[1:]
+				fillMixed(rng, got[s])
+				want[s] = append([]float32(nil), got[s]...)
+			}
+			wantM := refFusedSGDStep(want[0], want[1], want[2], want[3], c[0], c[1], c[2], c[3])
+			gotM := FusedSGDStepAsm(got[0], got[1], got[2], got[3], c[0], c[1], c[2], c[3])
+			if gotM != gotM {
+				t.Fatalf("coeffs %d n=%d: NaN won the max", ci, n)
+			}
+			if math.Float32bits(wantM) != math.Float32bits(gotM) {
+				t.Fatalf("coeffs %d n=%d: max %x != scalar %x", ci, n, math.Float32bits(gotM), math.Float32bits(wantM))
+			}
+			for s, name := range []string{"w", "v", "gs", "acc"} {
+				for i := range got[s] {
+					if !eqf(got[s][i], want[s][i]) {
+						t.Fatalf("coeffs %d n=%d: %s[%d] %x != scalar %x", ci, n, name, i,
+							math.Float32bits(got[s][i]), math.Float32bits(want[s][i]))
+					}
+				}
+			}
+		}
+	}
+}

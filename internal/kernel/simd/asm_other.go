@@ -18,3 +18,11 @@ func AddScaledLiteralsAsm(tab *[256][5]float32, body []byte, dst []float32) int 
 func SetScaledLiteralsAsm(tab *[256][5]float32, body []byte, dst []float32) int {
 	panic("simd: no assembly kernels on this architecture")
 }
+
+func AccMaxAbsAsm(buf, in []float32) float32 {
+	panic("simd: no assembly kernels on this architecture")
+}
+
+func FusedSGDStepAsm(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32 {
+	panic("simd: no assembly kernels on this architecture")
+}

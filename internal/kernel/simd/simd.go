@@ -3,9 +3,11 @@
 // roadmap): explicitly unrolled, branch-minimized Go forms of the three
 // hot inner loops — the fused accumulate+|max| reduction, the ternary
 // quantize→quartic-pack encode, and the 243-entry LUT decode-add — plus
-// amd64 assembly fast paths for the byte-level pack and LUT loops, where
-// pure Go cannot reach the instruction shapes the loops need (packed
-// compares, byte shuffles, 20-byte row copies).
+// amd64 AVX2 assembly fast paths where pure Go cannot reach the
+// instruction shapes the loops need: the byte-level pack and LUT loops
+// (packed compares, byte shuffles, 20-byte row copies), and the two
+// streaming float sweeps, accumulate+|max| and the parameter server's
+// fused SGD step (8-wide adds, sign-mask abs, a NaN-losing packed max).
 //
 // Every core is bit-identical to the scalar kernels in package kernel for
 // every input — including ±Inf, negative zero, and denormals — with one
@@ -25,7 +27,7 @@
 package simd
 
 // Features reports the CPU capabilities the kernel dispatch consults.
-// On amd64 it is populated from CPUID/XGETBV at Detect time; on other
+// On amd64 it is populated from CPUID/XGETBV at package init; on other
 // architectures every field is false and the dispatch stays on the
 // portable tiers.
 type Features struct {
@@ -36,9 +38,12 @@ type Features struct {
 	AVX2 bool
 }
 
-// Detect probes the CPU once and returns its feature report. It is cheap
-// enough to call repeatedly (two CPUID leaves and one XGETBV), but the
-// kernel package calls it once at init.
+var features = detect()
+
+// Detect returns the CPU feature report. The probe itself (two CPUID
+// leaves and one XGETBV) ran once at package init: CPUID traps to the
+// hypervisor on virtualised hosts, a VM exit per execution, so callers may
+// ask as often as they like but the instruction is never re-executed.
 func Detect() Features {
-	return detect()
+	return features
 }

@@ -197,32 +197,6 @@ func TestScaledLiteralsMatchScalar(t *testing.T) {
 	}
 }
 
-func TestFillsMatchScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, n := range []int{0, 1, 7, 8, 9, 100} {
-		for _, v := range []float32{0.5, float32(math.NaN()), float32(math.Inf(-1)), math.Float32frombits(0x80000000)} {
-			dst := make([]float32, n)
-			fillMixed(rng, dst)
-			ref := append([]float32(nil), dst...)
-			for i := range ref {
-				ref[i] += v
-			}
-			AddFill(dst, v)
-			for i := range dst {
-				if !eqf(dst[i], ref[i]) {
-					t.Fatalf("AddFill n=%d v=%v: dst[%d] %x != %x", n, v, i, math.Float32bits(dst[i]), math.Float32bits(ref[i]))
-				}
-			}
-			SetFill(dst, v)
-			for i := range dst {
-				if math.Float32bits(dst[i]) != math.Float32bits(v) {
-					t.Fatalf("SetFill n=%d v=%v: dst[%d] = %x", n, v, i, math.Float32bits(dst[i]))
-				}
-			}
-		}
-	}
-}
-
 func TestDetectDoesNotPanic(t *testing.T) {
 	f := Detect()
 	t.Logf("features: %+v, HasAsm=%v", f, HasAsm)

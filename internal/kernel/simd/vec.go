@@ -265,41 +265,3 @@ func SetScaledLiterals(tab *[256][5]float32, body []byte, dst []float32) int {
 	}
 	return nb
 }
-
-// AddFill does dst[i] += v, 8-wide unrolled (zero-run region fills).
-func AddFill(dst []float32, v float32) {
-	i := 0
-	for ; i+8 <= len(dst); i += 8 {
-		d := dst[i : i+8 : i+8]
-		d[0] += v
-		d[1] += v
-		d[2] += v
-		d[3] += v
-		d[4] += v
-		d[5] += v
-		d[6] += v
-		d[7] += v
-	}
-	for ; i < len(dst); i++ {
-		dst[i] += v
-	}
-}
-
-// SetFill does dst[i] = v, 8-wide unrolled.
-func SetFill(dst []float32, v float32) {
-	i := 0
-	for ; i+8 <= len(dst); i += 8 {
-		d := dst[i : i+8 : i+8]
-		d[0] = v
-		d[1] = v
-		d[2] = v
-		d[3] = v
-		d[4] = v
-		d[5] = v
-		d[6] = v
-		d[7] = v
-	}
-	for ; i < len(dst); i++ {
-		dst[i] = v
-	}
-}

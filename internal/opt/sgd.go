@@ -10,6 +10,7 @@ import (
 	"math"
 	"sort"
 
+	"threelc/internal/kernel"
 	"threelc/internal/nn"
 	"threelc/internal/tensor"
 )
@@ -182,6 +183,10 @@ func (o *SGD) ApplyWithDelta(params []*nn.Param, deltas []*tensor.Tensor) {
 // average → update → delta → accumulate-max chain touches each tensor
 // exactly once; weights, velocity, residuals, and reductions are
 // bit-identical to the staged sweeps. p.G is neither read nor written.
+//
+// The accumulate-folding sweep (accFor non-nil: every 3LC pull context) is
+// kernel.FusedSGDStep, dispatched per CPU tier; the delta-materializing
+// sweep that SchemeNone and non-accumulating codecs take stays here.
 func (o *SGD) ApplyFusedStep(params []*nn.Param, gradFor func(pi int) ([]float32, float32), deltas []*tensor.Tensor, accFor func(pi int) []float32, maxAbs []float32) {
 	if len(params) != len(deltas) {
 		panic("opt: delta count mismatch")
@@ -214,23 +219,7 @@ func (o *SGD) ApplyFusedStep(params []*nn.Param, gradFor func(pi int) ([]float32
 			}
 			continue
 		}
-		acc = acc[:len(vd)]
-		var m float32
-		for i := range vd {
-			old := wdta[i]
-			g := gs[i]*gscale + wd*old
-			vv := mom*vd[i] + g
-			vd[i] = vv
-			nw := old - lr*vv
-			wdta[i] = nw
-			sum := acc[i] + (nw - old)
-			acc[i] = sum
-			a := math.Float32frombits(math.Float32bits(sum) &^ (1 << 31))
-			if a > m {
-				m = a
-			}
-		}
-		maxAbs[pi] = m
+		maxAbs[pi] = kernel.FusedSGDStep(wdta, vd, gs, acc[:len(vd)], gscale, wd, mom, lr)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"threelc/internal/compress"
+	"threelc/internal/kernel"
+	"threelc/internal/nn"
 	"threelc/internal/tensor"
 )
 
@@ -141,6 +143,86 @@ func TestCompressGradsStreamMatches(t *testing.T) {
 			}
 			if string(got[i]) != string(want[i]) {
 				t.Fatalf("step %d: streamed wire %d differs from CompressGrads", step, i)
+			}
+		}
+	}
+}
+
+// TestGradSumNeverHoldsNegativeZero is the property the zero-run skip
+// rests on at the server: whatever wires arrive, in whatever order, a
+// gradient sum never holds −0 — so skipping a run is bit-identical to
+// adding m·0 through it (compress.DecompressAddInto). The step's first
+// accumulation is covered in both its forms (set, for a positive scale;
+// zero-then-add, for negative, zero and negative-zero scales and for raw
+// floats carrying −0), followed by repeated adds that include exact
+// cancellations (x + (−x)) and −0 operands, over stale buffers left by
+// earlier steps, on every kernel tier.
+func TestGradSumNeverHoldsNegativeZero(t *testing.T) {
+	orig := kernel.ActiveTier()
+	defer kernel.SetTier(orig)
+	negZero := math.Float32frombits(1 << 31)
+
+	cfg := testConfig(compress.SchemeThreeLC, compress.Options{Sparsity: 1.75, ZeroRun: true}, 2)
+	model := nn.NewMLP(64, []int{96}, 10, 1) // 6144-element weight: ScaledLUT path; the rest: small path
+	params := model.Params()
+
+	// Per tensor, the wire variants of one sparse gradient g: its 3LC wire
+	// (positive scale), the same wire with the scale negated, zeroed and
+	// set to −0 (hostile: nonzero digits under a zero scale decode to ±0),
+	// the wire of −g (cancels g exactly), and raw float32 g with −0 in
+	// every other zero slot.
+	variants := make([][][]byte, len(params))
+	rng := tensor.NewRNG(5)
+	for i, p := range params {
+		g := tensor.New(p.W.Shape()...)
+		neg := tensor.New(p.W.Shape()...)
+		raw := tensor.New(p.W.Shape()...)
+		for j := range g.Data() {
+			if rng.Uint64()%16 == 0 {
+				v := float32(rng.Uint64()%7) - 3
+				g.Data()[j], neg.Data()[j], raw.Data()[j] = v, -v, v
+			} else if j%2 == 0 {
+				raw.Data()[j] = negZero
+			}
+		}
+		opts := compress.Options{Sparsity: 1.75, ZeroRun: true}
+		pos := compress.New(compress.SchemeThreeLC, p.W.Shape(), opts).CompressInto(g, nil)
+		withScale := func(b1, b2, b3, b4 byte) []byte {
+			w := append([]byte(nil), pos...)
+			w[1], w[2], w[3], w[4] = b1, b2, b3, b4 // scale: wire bytes [1,5) little-endian
+			return w
+		}
+		variants[i] = [][]byte{
+			pos,
+			withScale(pos[1], pos[2], pos[3], pos[4]|0x80),
+			withScale(0, 0, 0, 0),
+			withScale(0, 0, 0, 0x80),
+			compress.New(compress.SchemeThreeLC, p.W.Shape(), opts).CompressInto(neg, nil),
+			compress.New(compress.SchemeNone, p.W.Shape(), compress.Options{}).CompressInto(raw, nil),
+		}
+	}
+
+	for _, tier := range kernel.AvailableTiers() {
+		kernel.SetTier(tier)
+		s := NewJob(model, cfg)
+		order := tensor.NewRNG(11)
+		for step := 0; step < 40; step++ {
+			s.BeginStep()
+			for push := 0; push < 2+step%4; push++ {
+				for i := range params {
+					v := int(order.Uint64() % uint64(len(variants[i])))
+					if step < len(variants[i]) && push == 0 {
+						v = step // every variant takes the first-accumulation slot once
+					}
+					if err := s.decodeAdd(i, variants[i][v]); err != nil {
+						t.Fatal(err)
+					}
+					for j, x := range s.gradSum[i].Data() {
+						if math.Float32bits(x) == 1<<31 {
+							t.Fatalf("tier %v step %d push %d: gradSum[%d][%d] is −0 after variant %d", tier, step, push, i, j, v)
+						}
+					}
+				}
 			}
 		}
 	}

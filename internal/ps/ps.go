@@ -481,6 +481,18 @@ func (s *Job) addPushOne(i int) {
 // registry path by default, the staged decode-then-add reference under
 // StagedAggregate. Both leave the accumulator bit-identical; a malformed
 // wire leaves it untouched either way.
+//
+// The fused path skips zero runs instead of adding m·0 through them,
+// which equals the dense add bit for bit as long as the sum holds no −0
+// (compress.DecompressAddInto). gradSum never does: a step's first
+// accumulation is either a set of M·q with M > 0, whose values are −M, +0
+// and +M, or a zero followed by an add, and +0 + x is −0 for no x; from
+// there a round-to-nearest add yields −0 only from (−0) + (−0) — x + (−x)
+// is +0 and float addition never underflows to a signed zero. The region
+// tier's sums are built the same way. (A worker weight, the other
+// decode-add destination, can only keep a −0 it was initialised or
+// restored with, until its first non-zero update, and stays ==-equal to
+// the dense result throughout.)
 func (s *Job) decodeAdd(i int, wire []byte) error {
 	if s.cfg.StagedAggregate {
 		if err := compress.DecompressInto(wire, s.decode[i]); err != nil {
