@@ -428,7 +428,7 @@ func codecBench(w *os.File, iters int) []benchRecord {
 			tweak(&cfg)
 		}
 		global := model()
-		server := ps.NewServer(global, cfg)
+		server := ps.NewJob(global, cfg)
 		m := model()
 		m.CopyParamsFrom(global)
 		worker := ps.NewWorker(0, m, cfg)
@@ -544,7 +544,7 @@ func codecBench(w *os.File, iters int) []benchRecord {
 			Parallelism:      1,
 			Optimizer:        opt.DefaultSGDConfig(4, 1000),
 		}
-		inner := ps.NewServer(model, cfg)
+		inner := ps.NewJob(model, cfg)
 		tier, err := region.NewTier(inner, model.Params(), region.Config{
 			Regions: 2, Workers: 4, Recompress: true,
 			Scheme:           compress.SchemeThreeLC,

@@ -329,7 +329,7 @@ func main() {
 		}
 		addrs[0] = ln.Addr().String()
 		fmt.Printf("parameter server listening on %s\n", ln.Addr())
-		server := transport.NewServer(ln, ps.NewServer(global, psCfg), *workers, *steps)
+		server := transport.NewServer(ln, ps.NewJob(global, psCfg), *workers, *steps)
 		if *netTimeout > 0 {
 			// The server's push read spans the whole BSP barrier (every
 			// worker's compute), so its read deadline is much wider than
@@ -1038,7 +1038,7 @@ func chaosWorkerSteps(worker *ps.Worker, trainSet *data.Dataset, w, steps, batch
 func chaosReferenceRun(build func() *nn.Model, psCfg ps.Config, trainSet *data.Dataset,
 	workers, steps, batch int) ([]float32, error) {
 	global := build()
-	srv := ps.NewServer(global, psCfg)
+	srv := ps.NewJob(global, psCfg)
 	ws := make([]*ps.Worker, workers)
 	rngs := make([]*tensor.RNG, workers)
 	for w := range ws {

@@ -40,7 +40,7 @@
 //
 //	worker:   compress tensor i+1 ──┐ (CompressGradsStream)
 //	wire:     tensor i in flight ───┤ (per-tensor push frames)
-//	server:   decode-add tensor i-1 ┘ (AddPushTensor, on frame arrival)
+//	server:   decode-add tensor i-1 ┘ (PushSession.Tensor, on frame arrival)
 //
 // In-process (train.Run), each accepted worker streams tensors into the
 // aggregator the moment they are compressed and the server ingests them
@@ -97,9 +97,12 @@
 //	                     with a consistent-hash fallback) and the async
 //	                     push/pull pipeline
 //	internal/transport   framed TCP transport (coalesced single-write
-//	                     frames, per-connection read scratch), plus the
-//	                     versioned shard-aware v2 framing and multiplexed
-//	                     per-shard connections
+//	                     frames, per-connection read scratch): one frame
+//	                     codec for the v1 and versioned shard-aware v2
+//	                     wire (tenant tag, entropy stage, CRC-32C
+//	                     trailer, in that order) and one BSP session
+//	                     engine behind the single-job, multi-tenant and
+//	                     legacy servers
 //	internal/train       distributed training driver + metrics
 //	internal/experiments per-table/figure reproduction harness
 //	internal/lint        3lc-lint analyzer suite enforcing the //3lc:

@@ -118,7 +118,11 @@ func measureShard(d train.Design, shards, workers, steps int) (ShardRow, error) 
 	round := func() error {
 		cl.BeginStep()
 		for w := 0; w < workers; w++ {
-			if _, err := cl.AddPush(w, wires[w]); err != nil {
+			push := cl.BeginPush(w)
+			if err := push.Set(wires[w]); err != nil {
+				return err
+			}
+			if err := push.End(); err != nil {
 				return err
 			}
 		}

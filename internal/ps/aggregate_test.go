@@ -13,14 +13,14 @@ import (
 
 // runPair drives `steps` full push/pull rounds on a 2-worker cluster with
 // the given config mutation, returning the final global parameter data.
-func runPair(t *testing.T, mut func(*Config), ingest func(t *testing.T, s *Server, workerID int, wires [][]byte)) [][]float32 {
+func runPair(t *testing.T, mut func(*Config), ingest func(t *testing.T, s *Job, workerID int, wires [][]byte)) [][]float32 {
 	t.Helper()
 	cfg := testConfig(compress.SchemeThreeLC, compress.Options{Sparsity: 1.75, ZeroRun: true}, 2)
 	if mut != nil {
 		mut(&cfg)
 	}
 	global := testModel(1)
-	server := NewServer(global, cfg)
+	server := NewJob(global, cfg)
 	workers := make([]*Worker, 2)
 	for id := range workers {
 		m := testModel(1)
@@ -56,7 +56,7 @@ func runPair(t *testing.T, mut func(*Config), ingest func(t *testing.T, s *Serve
 	return out
 }
 
-func ingestWhole(t *testing.T, s *Server, workerID int, wires [][]byte) {
+func ingestWhole(t *testing.T, s *Job, workerID int, wires [][]byte) {
 	t.Helper()
 	if _, err := s.AddPush(workerID, wires); err != nil {
 		t.Fatal(err)
@@ -74,18 +74,19 @@ func TestFusedAggregateMatchesStaged(t *testing.T) {
 }
 
 // TestAddPushTensorMatchesAddPush pins the per-tensor ingestion API
-// (AddPushTensor + EndPush, the overlapped-pipeline entry) against the
-// whole-set AddPush driver.
+// (a PushSession fed by Tensor, the overlapped-pipeline entry) against
+// the whole-set AddPush driver.
 func TestAddPushTensorMatchesAddPush(t *testing.T) {
 	whole := runPair(t, nil, ingestWhole)
-	perTensor := runPair(t, nil, func(t *testing.T, s *Server, workerID int, wires [][]byte) {
+	perTensor := runPair(t, nil, func(t *testing.T, s *Job, workerID int, wires [][]byte) {
 		t.Helper()
+		push := s.BeginPush(workerID)
 		for i, wire := range wires {
-			if err := s.AddPushTensor(workerID, i, wire); err != nil {
+			if err := push.Tensor(i, wire); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := s.EndPush(); err != nil {
+		if err := push.End(); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -23,11 +23,11 @@ func TestBatchedMatchesUnbatchedState(t *testing.T) {
 // wire a batched worker emits and every pull wire a batched server emits
 // must byte-match its unbatched twin, step after step.
 func TestBatchedWiresMatchUnbatched(t *testing.T) {
-	mk := func(smallTensorElems int) (*Server, *Worker) {
+	mk := func(smallTensorElems int) (*Job, *Worker) {
 		cfg := testConfig(compress.SchemeThreeLC, compress.Options{Sparsity: 1.5, ZeroRun: true}, 1)
 		cfg.SmallTensorElems = smallTensorElems
 		global := testModel(1)
-		server := NewServer(global, cfg)
+		server := NewJob(global, cfg)
 		m := testModel(1)
 		m.CopyParamsFrom(global)
 		return server, NewWorker(0, m, cfg)
@@ -55,7 +55,7 @@ func TestBatchedWiresMatchUnbatched(t *testing.T) {
 				t.Fatalf("step %d: batched push wire %d differs from unbatched", step, i)
 			}
 		}
-		for s, wires := range map[*Server][][]byte{bs: bWires, us: uWires} {
+		for s, wires := range map[*Job][][]byte{bs: bWires, us: uWires} {
 			s.BeginStep()
 			if _, err := s.AddPush(0, wires); err != nil {
 				t.Fatal(err)

@@ -32,11 +32,11 @@ func TestParallelFor(t *testing.T) {
 // byte the same push and pull wires as Parallelism 1, because every tensor
 // owns its context and its output slot.
 func TestParallelismMatchesSerial(t *testing.T) {
-	mkPair := func(par int) (*Server, *Worker) {
+	mkPair := func(par int) (*Job, *Worker) {
 		cfg := testConfig(compress.SchemeThreeLC, compress.Options{Sparsity: 1.5, ZeroRun: true}, 1)
 		cfg.Parallelism = par
 		global := testModel(1)
-		server := NewServer(global, cfg)
+		server := NewJob(global, cfg)
 		m := testModel(1)
 		m.CopyParamsFrom(global)
 		return server, NewWorker(0, m, cfg)
@@ -111,7 +111,7 @@ func BenchmarkSteadyStatePushPull(b *testing.B) {
 	cfg := testConfig(compress.SchemeThreeLC, compress.Options{Sparsity: 1.75, ZeroRun: true}, 1)
 	cfg.Parallelism = 1
 	global := benchModel(1)
-	server := NewServer(global, cfg)
+	server := NewJob(global, cfg)
 	m := benchModel(1)
 	m.CopyParamsFrom(global)
 	worker := NewWorker(0, m, cfg)
@@ -139,7 +139,7 @@ func BenchmarkSteadyStatePushPullStaged(b *testing.B) {
 	cfg.Parallelism = 1
 	cfg.StagedAggregate = true
 	global := benchModel(1)
-	server := NewServer(global, cfg)
+	server := NewJob(global, cfg)
 	m := benchModel(1)
 	m.CopyParamsFrom(global)
 	worker := NewWorker(0, m, cfg)
@@ -158,7 +158,7 @@ func BenchmarkSteadyStatePushPullStaged(b *testing.B) {
 	}
 }
 
-func steadyStep(b *testing.B, server *Server, worker *Worker) {
+func steadyStep(b *testing.B, server *Job, worker *Worker) {
 	b.Helper()
 	wires, _ := worker.CompressGrads()
 	server.BeginStep()

@@ -52,27 +52,21 @@
 // CompressGrads and FinishStep alias recycled buffers — valid until the
 // owner's next step.
 //
-// # Migrating from the single-job Server API
+// # Jobs, the job table, and push sessions
 //
-// The multi-tenant service split renamed the server-side types; every old
-// name remains as a deprecated alias or shim, so existing code compiles
-// unchanged. New code should use the new names:
-//
-//   - Server is now Job: one job's complete server-side state (codec
-//     contexts, error accumulation, optimizer slice, step counters, pull
-//     buffers, checkpoint state). `type Server = Job` is a deprecated
-//     alias; NewServer and NewSubServer forward to NewJob and NewSubJob.
+//   - Job is one job's complete server-side state (codec contexts, error
+//     accumulation, optimizer slice, step counters, pull buffers,
+//     checkpoint state).
 //   - Service is the tenant-keyed job table (tenant.ID -> *Job) that
 //     shared machinery — a shard executor serving many jobs — indexes
 //     into. Single-job callers never need it.
 //   - Push ingestion flows through one choke point: Job.BeginPush(worker)
-//     returns a PushSession whose Set (whole wire set), Tensor (one
-//     streamed tensor), and End subsume the three legacy entrypoints.
-//     AddPush(w, wires) is now BeginPush(w).Set(wires) followed by End();
-//     AddPushTensor(w, i, wire) is BeginPush(w).Tensor(i, wire); EndPush
-//     is PushSession.End. The legacy methods remain as thin shims over
-//     sessions with identical byte-level behavior.
+//     returns a PushSession fed by Set (whole wire set) or Tensor (one
+//     streamed tensor) and completed by End. AddPush(w, wires) is
+//     BeginPush(w).Set(wires) followed by End() in one call — the
+//     three-method surface (BeginStep / AddPush / FinishStep) the network
+//     front door drives.
 //
-// The BSP step surface (BeginStep / push ingestion / FinishStep) and all
-// wire, state, and determinism contracts are unchanged by the rename.
+// The wire, state, and determinism contracts are the same through
+// either ingestion surface.
 package ps

@@ -238,8 +238,6 @@ func (c Config) newContext(p *nn.Param, seed uint64, tensors int) compress.Compr
 // elsewhere and treat a Job as a value in a job table (ps.Service,
 // package shard) keyed by tenant, which is what lets many independent
 // jobs multiplex over one shard tier.
-//
-// Job was previously exported as Server; see the Deprecated aliases.
 type Job struct {
 	Model *nn.Model
 
@@ -408,12 +406,9 @@ func (s *Job) BeginStep() {
 	s.pushes = 0
 }
 
-// AddPush decode-accumulates one worker's gradient push and completes it
-// (no EndPush needed). It returns the decompression wall time.
-//
-// Deprecated: use BeginPush — Set on the session is this call, End is the
-// implicit completion. AddPush remains as a thin shim for existing
-// drivers.
+// AddPush decode-accumulates one worker's whole-set gradient push and
+// completes it — BeginPush, Set, End in one call, and the push method of
+// transport.StepServer. It returns the decompression wall time.
 func (s *Job) AddPush(workerID int, wires [][]byte) (time.Duration, error) {
 	d, err := s.ingestSet(workerID, wires)
 	if err != nil {
@@ -430,8 +425,7 @@ func (s *Job) AddPush(workerID int, wires [][]byte) (time.Duration, error) {
 // aggregation buffer, no intermediate decode tensor — unless
 // Config.StagedAggregate selects the staged decode-then-add reference.
 // NoCompress tensors (batch norm) are taken from worker 0 only. It does
-// NOT advance the push count — that is the session End (or the AddPush
-// shim).
+// NOT advance the push count — that is the session End (or AddPush).
 func (s *Job) ingestSet(workerID int, wires [][]byte) (time.Duration, error) {
 	if len(wires) != len(s.params) {
 		return 0, fmt.Errorf("ps: push has %d tensors, model has %d", len(wires), len(s.params))
@@ -508,14 +502,6 @@ func (s *Job) decodeAdd(i int, wire []byte) error {
 	return compress.DecompressAddInto(wire, s.gradSum[i], s.decPar)
 }
 
-// AddPushTensor decode-accumulates a single tensor of workerID's push.
-//
-// Deprecated: use BeginPush — Tensor on the session is this call. The
-// shim remains for existing per-tensor drivers.
-func (s *Job) AddPushTensor(workerID, i int, wire []byte) error {
-	return s.ingestTensor(workerID, i, wire)
-}
-
 // ingestTensor decode-accumulates a single tensor of workerID's push —
 // the per-tensor ingestion path behind the overlapped push/aggregate
 // pipeline: a driver can feed each tensor the moment its wire is
@@ -544,18 +530,6 @@ func (s *Job) ingestTensor(workerID, i int, wire []byte) error {
 // stream completeness).
 func (s *Job) NumTensors() int {
 	return len(s.params)
-}
-
-// EndPush marks one worker's per-tensor push (AddPushTensor) complete,
-// advancing the push count FinishStep's averaging divides by. AddPush
-// counts implicitly; per-tensor drivers must call EndPush themselves.
-// The error is always nil (the signature matches the sharded tier's
-// EndPush, whose enqueue can fail).
-//
-// Deprecated: use BeginPush — End on the session is this call.
-func (s *Job) EndPush() error {
-	s.endPush()
-	return nil
 }
 
 // endPush advances the push count FinishStep's averaging divides by.
@@ -841,7 +815,7 @@ func (w *Worker) applyTensor(i int, wire []byte) error {
 }
 
 // ApplyPullTensor decode-applies a single tensor of the shared pull — the
-// worker-side counterpart of Server.AddPushTensor, for transports that
+// worker-side counterpart of PushSession.Tensor, for transports that
 // stream per-tensor pull frames: the replica applies tensor i while
 // tensor i+1 is still in flight (double-buffered pull decode). Different
 // tensors may be applied concurrently.

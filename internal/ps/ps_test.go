@@ -29,7 +29,7 @@ func testConfig(scheme compress.Scheme, opts compress.Options, workers int) Conf
 
 // runStep pushes each worker's current gradients through the server and
 // applies the pull on every worker.
-func runStep(t *testing.T, server *Server, workers []*Worker) {
+func runStep(t *testing.T, server *Job, workers []*Worker) {
 	t.Helper()
 	server.BeginStep()
 	for _, w := range workers {
@@ -49,10 +49,10 @@ func runStep(t *testing.T, server *Server, workers []*Worker) {
 	}
 }
 
-func setup(scheme compress.Scheme, opts compress.Options, workers int) (*Server, []*Worker) {
+func setup(scheme compress.Scheme, opts compress.Options, workers int) (*Job, []*Worker) {
 	global := testModel(1)
 	cfg := testConfig(scheme, opts, workers)
-	server := NewServer(global, cfg)
+	server := NewJob(global, cfg)
 	var ws []*Worker
 	for i := 0; i < workers; i++ {
 		m := testModel(1)
@@ -174,7 +174,7 @@ func TestSmallTensorExemption(t *testing.T) {
 	cfg := testConfig(compress.SchemeThreeLC, compress.Options{Sparsity: 1, ZeroRun: true}, 1)
 	cfg.MinCompressElems = 1000 // everything is "small"
 	global := testModel(1)
-	server := NewServer(global, cfg)
+	server := NewJob(global, cfg)
 	m := testModel(1)
 	m.CopyParamsFrom(global)
 	w := NewWorker(0, m, cfg)

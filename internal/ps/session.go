@@ -1,8 +1,6 @@
-// PushSession: the single push choke point. The server side historically
-// grew three overlapping push entrypoints — the whole-set AddPush, the
-// per-tensor AddPushTensor/EndPush pair, and the streamed per-tensor
-// transport frames that land on the latter. A PushSession subsumes all
-// three behind one object: a driver opens a session per worker per step
+// PushSession: the single push choke point. A whole-set push, a push fed
+// tensor by tensor, and the transport's streamed per-tensor frames all
+// go through one object: a driver opens a session per worker per step
 // (BeginPush), feeds it either one whole set (Set) or tensors as they
 // materialize (Tensor), and completes it (End). Every push in the system
 // now flows through a session, which is what gives the multi-tenant
@@ -10,11 +8,7 @@
 // order tenant traffic.
 package ps
 
-import (
-	"time"
-
-	"threelc/internal/nn"
-)
+import "time"
 
 // PushSession ingests one worker's gradient push for one step. Obtain
 // one from Job.BeginPush (or the sharded tier's equivalent). Exactly one
@@ -26,7 +20,7 @@ import (
 // owning job's next BeginPush for the same worker — and a session's
 // methods must be called from the job's single aggregation driver
 // (different tensors of one session may still decode concurrently
-// underneath, exactly as AddPushTensor allowed).
+// underneath).
 type PushSession interface {
 	// Set ingests the worker's full wire set (one wire per model tensor).
 	Set(wires [][]byte) error
@@ -74,25 +68,4 @@ func (p *pushSession) Tensor(i int, wire []byte) error {
 func (p *pushSession) End() error {
 	p.j.endPush()
 	return nil
-}
-
-// Server is the pre-multi-tenant name of Job.
-//
-// Deprecated: use Job. The alias (and the NewServer/NewSubServer
-// constructors) keep existing callers and examples compiling; new code
-// should speak Job/Service, where one process hosts many jobs.
-type Server = Job
-
-// NewServer wraps the global model.
-//
-// Deprecated: use NewJob.
-func NewServer(model *nn.Model, cfg Config) *Job {
-	return NewJob(model, cfg)
-}
-
-// NewSubServer builds a job over a subset of a model's parameters.
-//
-// Deprecated: use NewSubJob.
-func NewSubServer(params []*nn.Param, globalIdx []int, cfg Config) *Job {
-	return NewSubJob(params, globalIdx, cfg)
 }

@@ -58,7 +58,7 @@ func runSchemeSteps(t *testing.T, s compress.Scheme, o compress.Options) [][]flo
 	cfg := testConfig(s, o, 2)
 	cfg.Parallelism = 2
 	global := testModel(1)
-	server := NewServer(global, cfg)
+	server := NewJob(global, cfg)
 	workers := make([]*Worker, 2)
 	for id := range workers {
 		m := testModel(1)

@@ -24,7 +24,7 @@ func benchTinyPushPull(b *testing.B, smallTensorElems int) {
 	cfg.Parallelism = 1
 	cfg.SmallTensorElems = smallTensorElems
 	global := tinyModel(1)
-	server := NewServer(global, cfg)
+	server := NewJob(global, cfg)
 	m := tinyModel(1)
 	m.CopyParamsFrom(global)
 	worker := NewWorker(0, m, cfg)

@@ -509,7 +509,7 @@ func BenchmarkHierarchicalPushPull(b *testing.B) {
 		Parallelism:      1,
 		Optimizer:        opt.DefaultSGDConfig(4, 1000),
 	}
-	inner := ps.NewServer(model, psCfg)
+	inner := ps.NewJob(model, psCfg)
 	cfg := Config{
 		Regions: 2, Workers: 4, Recompress: true,
 		Scheme:           compress.SchemeThreeLC,

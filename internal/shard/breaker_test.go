@@ -107,7 +107,7 @@ func TestBreakerFailsFastOnWedgedShard(t *testing.T) {
 	cl.BeginStep()
 	var firstErr error
 	for w := 0; w < 8 && firstErr == nil; w++ {
-		_, firstErr = cl.AddPush(0, wires)
+		firstErr = addPush(cl, 0, wires)
 	}
 	if firstErr == nil {
 		t.Fatal("wedged shard never exhausted the retry budget")
@@ -119,7 +119,7 @@ func TestBreakerFailsFastOnWedgedShard(t *testing.T) {
 	// The breaker (threshold 1) is now open: the next send must fail fast
 	// with ErrShardDown, not re-run the timeout ladder.
 	start := time.Now()
-	_, err := cl.AddPush(0, wires)
+	err := addPush(cl, 0, wires)
 	if !errors.Is(err, ErrShardDown) {
 		t.Fatalf("send after breaker opened: err = %v, want ErrShardDown", err)
 	}

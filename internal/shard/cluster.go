@@ -158,14 +158,13 @@ type result struct {
 
 // Cluster is a dedicated sharded parameter-server tier over one global
 // model: a single-tenant Service plus the JobHandle of its one job (the
-// default tenant), kept as one object so the classic driver shape —
-// BeginStep / AddPush / FinishStep, mirroring ps.Job — survives
-// unchanged. Shard s owns the tensors Assignment.Tensors(s), runs a ps
+// default tenant), kept as one object with the driver shape of ps.Job —
+// BeginStep / BeginPush / FinishStep. Shard s owns the tensors Assignment.Tensors(s), runs a ps
 // sub-job (with the zero-allocation codec pool) for them on its own
 // scheduler goroutine, and receives work through a bounded request
 // queue:
 //
-//   - BeginStep and AddPush are asynchronous: they enqueue per-shard
+//   - BeginStep and a push session's Set are asynchronous: they enqueue per-shard
 //     requests (splitting each worker's wire set by placement) and return
 //     without waiting for the shards to process them. Shards therefore
 //     decode worker w's push while the driver is still enqueuing worker
@@ -274,41 +273,11 @@ func (c *Cluster) NumShards() int { return c.h.asn.NumShards }
 func (c *Cluster) BeginStep() { c.h.BeginStep() }
 
 // BeginPush opens workerID's push session for the current step (the
-// PushSession choke point shared with ps.Job).
+// PushSession choke point shared with ps.Job). Set and Tensor enqueue
+// asynchronously — decode errors surface at FinishStep, their own errors
+// report enqueue failures (exhausted straggler retries) — and the wires
+// must stay valid until FinishStep returns: sub-requests alias them.
 func (c *Cluster) BeginPush(workerID int) ps.PushSession { return c.h.BeginPush(workerID) }
-
-// AddPush pushes one worker's full-model wire set.
-//
-// Deprecated: use BeginPush — Set then End on the session is this call.
-// The returned duration is always zero (decode time is accounted on the
-// FinishStep critical path); the error reports enqueue failures
-// (exhausted straggler retries). Decode errors surface at FinishStep.
-// The wires must stay valid until FinishStep returns: sub-requests alias
-// them.
-func (c *Cluster) AddPush(workerID int, wires [][]byte) (time.Duration, error) {
-	sess := c.h.BeginPush(workerID)
-	if err := sess.Set(wires); err != nil {
-		return 0, err
-	}
-	return 0, sess.End()
-}
-
-// AddPushTensor routes a single tensor of workerID's push to the shard
-// that owns it.
-//
-// Deprecated: use BeginPush — Tensor on the session is this call.
-func (c *Cluster) AddPushTensor(workerID, gi int, wire []byte) error {
-	return c.h.addPushTensor(workerID, gi, wire)
-}
-
-// EndPush marks the streaming worker's per-tensor push complete on every
-// shard.
-//
-// Deprecated: use BeginPush — End on the session is this call (and
-// carries the worker identity the multi-tenant tier wants).
-func (c *Cluster) EndPush() error {
-	return c.h.endPush(0)
-}
 
 // FinishStep is the step barrier: every shard drains the job's lane,
 // averages its gradients, applies its optimizer slice, and compresses

@@ -65,11 +65,20 @@ func mustCluster(t testing.TB, g *nn.Model, cfg ps.Config, sc Config) *Cluster {
 	return cl
 }
 
-// stepServer is the driver-facing surface shared by ps.Server and Cluster.
+// stepServer is the driver-facing surface shared by ps.Job and Cluster.
 type stepServer interface {
 	BeginStep()
-	AddPush(workerID int, wires [][]byte) (time.Duration, error)
+	BeginPush(workerID int) ps.PushSession
 	FinishStep() ([][]byte, time.Duration, error)
+}
+
+// addPush pushes one worker's whole wire set through a push session.
+func addPush(srv stepServer, workerID int, wires [][]byte) error {
+	push := srv.BeginPush(workerID)
+	if err := push.Set(wires); err != nil {
+		return err
+	}
+	return push.End()
 }
 
 // runPS drives `steps` BSP steps of a small MLP against srv-built servers
@@ -107,7 +116,7 @@ func runPS(t *testing.T, cfg ps.Config, steps, workers int,
 			wires[w], _ = wk.CompressGrads()
 		}
 		for w := range ws {
-			if _, err := srv.AddPush(w, wires[w]); err != nil {
+			if err := addPush(srv, w, wires[w]); err != nil {
 				t.Fatalf("step %d push %d: %v", step, w, err)
 			}
 		}
@@ -152,7 +161,7 @@ func TestShardedEquivalentToSinglePS(t *testing.T) {
 					Optimizer:        opt.DefaultSGDConfig(workers, steps),
 				}
 				singlePulls, singleW := runPS(t, cfg, steps, workers, func(g *nn.Model) stepServer {
-					return ps.NewServer(g, cfg)
+					return ps.NewJob(g, cfg)
 				})
 				var cl *Cluster
 				shardPulls, shardW := runPS(t, cfg, steps, workers, func(g *nn.Model) stepServer {
@@ -183,17 +192,23 @@ func TestShardedEquivalentToSinglePS(t *testing.T) {
 }
 
 // tensorStreamAdapter routes whole-set pushes through the per-tensor
-// ingestion API (AddPushTensor + EndPush), so the existing equivalence
+// ingestion API (a session fed by Tensor), so the existing equivalence
 // driver exercises the overlapped-pipeline entry points.
 type tensorStreamAdapter struct{ *Cluster }
 
-func (a tensorStreamAdapter) AddPush(workerID int, wires [][]byte) (time.Duration, error) {
+func (a tensorStreamAdapter) BeginPush(workerID int) ps.PushSession {
+	return perTensorSession{a.Cluster.BeginPush(workerID)}
+}
+
+type perTensorSession struct{ ps.PushSession }
+
+func (p perTensorSession) Set(wires [][]byte) error {
 	for gi, wire := range wires {
-		if err := a.Cluster.AddPushTensor(workerID, gi, wire); err != nil {
-			return 0, err
+		if err := p.Tensor(gi, wire); err != nil {
+			return err
 		}
 	}
-	return 0, a.Cluster.EndPush()
+	return nil
 }
 
 // TestClusterPerTensorPushEquivalent pins the per-tensor streamed
@@ -254,7 +269,7 @@ func TestClusterMoreShardsThanTensors(t *testing.T) {
 		Parallelism:      1,
 		Optimizer:        opt.DefaultSGDConfig(2, 3),
 	}
-	_, singleW := runPS(t, cfg, 3, 2, func(g *nn.Model) stepServer { return ps.NewServer(g, cfg) })
+	_, singleW := runPS(t, cfg, 3, 2, func(g *nn.Model) stepServer { return ps.NewJob(g, cfg) })
 	var cl *Cluster
 	_, shardW := runPS(t, cfg, 3, 2, func(g *nn.Model) stepServer {
 		cl = mustCluster(t, g, cfg, Config{Shards: 32})
@@ -280,7 +295,7 @@ func TestClusterStragglerRetryRecovers(t *testing.T) {
 		Parallelism:      1,
 		Optimizer:        opt.DefaultSGDConfig(3, 3),
 	}
-	_, singleW := runPS(t, cfg, 3, 3, func(g *nn.Model) stepServer { return ps.NewServer(g, cfg) })
+	_, singleW := runPS(t, cfg, 3, 3, func(g *nn.Model) stepServer { return ps.NewJob(g, cfg) })
 	var cl *Cluster
 	_, shardW := runPS(t, cfg, 3, 3, func(g *nn.Model) stepServer {
 		cl = mustCluster(t, g, cfg, Config{
@@ -341,7 +356,7 @@ func TestClusterStragglerExceedsRetryBudget(t *testing.T) {
 	cl.BeginStep()
 	var firstErr error
 	for w := 0; w < 4 && firstErr == nil; w++ {
-		_, firstErr = cl.AddPush(0, wires)
+		firstErr = addPush(cl, 0, wires)
 	}
 	if firstErr == nil {
 		_, _, firstErr = cl.FinishStep()
@@ -394,7 +409,7 @@ func TestClusterThroughputScalesWithShards(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			cl.BeginStep()
 			for w := 0; w < workers; w++ {
-				cl.AddPush(w, wires[w])
+				addPush(cl, w, wires[w])
 			}
 			if _, _, err := cl.FinishStep(); err != nil {
 				t.Fatal(err)
@@ -404,7 +419,7 @@ func TestClusterThroughputScalesWithShards(t *testing.T) {
 		for i := 0; i < steps; i++ {
 			cl.BeginStep()
 			for w := 0; w < workers; w++ {
-				cl.AddPush(w, wires[w])
+				addPush(cl, w, wires[w])
 			}
 			if _, _, err := cl.FinishStep(); err != nil {
 				t.Fatal(err)

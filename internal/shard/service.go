@@ -769,7 +769,7 @@ func (h *JobHandle) addPush(workerID int, wires [][]byte) error {
 		return fmt.Errorf("shard: push has %d tensors, model has %d", len(wires), h.param)
 	}
 	if !h.began {
-		return fmt.Errorf("shard: AddPush before BeginStep")
+		return fmt.Errorf("shard: push before BeginStep")
 	}
 	if h.quotaErr != nil {
 		return nil // the step already failed admission; FinishStep reports it
@@ -789,7 +789,7 @@ func (h *JobHandle) addPushTensor(workerID, gi int, wire []byte) error {
 		return fmt.Errorf("shard: push tensor index %d out of range (model has %d tensors)", gi, h.param)
 	}
 	if !h.began {
-		return fmt.Errorf("shard: AddPushTensor before BeginStep")
+		return fmt.Errorf("shard: push tensor before BeginStep")
 	}
 	if h.quotaErr != nil {
 		return nil
@@ -802,7 +802,7 @@ func (h *JobHandle) addPushTensor(workerID, gi int, wire []byte) error {
 // shard's sub-job advances the push count its averaging divides by).
 func (h *JobHandle) endPush(workerID int) error {
 	if !h.began {
-		return fmt.Errorf("shard: EndPush before BeginStep")
+		return fmt.Errorf("shard: push end before BeginStep")
 	}
 	if h.quotaErr != nil {
 		return nil

@@ -31,7 +31,7 @@ func stagedDropoutReference(t *testing.T, cfg Config) []uint32 {
 		Parallelism:      1,
 		Optimizer:        optCfg,
 	}
-	server := ps.NewServer(global, psCfg)
+	server := ps.NewJob(global, psCfg)
 	workers := make([]*ps.Worker, cfg.Workers)
 	rngs := make([]*tensor.RNG, cfg.Workers)
 	shards := make([][]int, cfg.Workers)

@@ -421,7 +421,7 @@ func Run(cfg Config) (*Result, error) {
 		defer cluster.Close()
 		server = cluster
 	default:
-		server = ps.NewServer(global, serverCfg)
+		server = ps.NewJob(global, serverCfg)
 	}
 
 	// Hierarchical topology: interpose the region tier between the

@@ -18,8 +18,10 @@ import (
 // recycled. The checksum variant adds CRC-32C cover on both directions;
 // the benchcheck gate holds it within tolerance of the plain wire at
 // 0 allocs/op, which is the whole point: integrity must be free enough
-// to leave on.
-func benchWirePushPull(b *testing.B, checksum bool) {
+// to leave on. The legacy variant is the v1 Dial client against
+// NewServer, the front door the lan-f32 benchmark workload and plain
+// `3lc-net` use.
+func benchWirePushPull(b *testing.B, checksum, legacy bool) {
 	cfg := ps.Config{
 		Scheme:           compress.SchemeThreeLC,
 		Opts:             compress.Options{Sparsity: 1.75, ZeroRun: true},
@@ -39,16 +41,20 @@ func benchWirePushPull(b *testing.B, checksum bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := NewShardServer(ln, subs[0], ShardServerConfig{
-		NumShards:      1,
-		Workers:        1,
-		Steps:          1 << 30, // outlives any b.N; the server dies with the client
-		AssignmentHash: asn.Hash(),
-	})
-	go srv.Serve()
-
-	cl, err := DialShardedConfig([]string{ln.Addr().String()}, 0, asn,
-		ShardClientConfig{Checksum: checksum})
+	const steps = 1 << 30 // outlives any b.N; the server dies with the client
+	var cl interface {
+		PushPull(step int, wires [][]byte) ([][]byte, error)
+		Close() error
+	}
+	if legacy {
+		go NewServer(ln, subs[0], 1, steps).Serve()
+		cl, err = Dial(ln.Addr().String(), 0)
+	} else {
+		go NewShardServer(ln, subs[0], ShardServerConfig{
+			NumShards: 1, Workers: 1, Steps: steps, AssignmentHash: asn.Hash(),
+		}).Serve()
+		cl, err = DialShardedConfig([]string{ln.Addr().String()}, 0, asn, ShardClientConfig{Checksum: checksum})
+	}
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -89,5 +95,6 @@ func benchWirePushPull(b *testing.B, checksum bool) {
 	b.StopTimer()
 }
 
-func BenchmarkSteadyStatePushPullWire(b *testing.B)         { benchWirePushPull(b, false) }
-func BenchmarkSteadyStatePushPullWireChecksum(b *testing.B) { benchWirePushPull(b, true) }
+func BenchmarkSteadyStatePushPullWire(b *testing.B)         { benchWirePushPull(b, false, false) }
+func BenchmarkSteadyStatePushPullWireChecksum(b *testing.B) { benchWirePushPull(b, true, false) }
+func BenchmarkSteadyStatePushPullWireLegacy(b *testing.B)   { benchWirePushPull(b, false, true) }

@@ -5,8 +5,10 @@
 // sets FlagChecksum on its hello header appends a 4-byte little-endian
 // CRC-32C (Castagnoli) over the frame type byte plus the entire frame
 // payload — shard header included — to every frame it sends on that
-// connection, and the server answers in kind. Once negotiated, the checksum is REQUIRED both ways: a frame
-// arriving without a valid trailer (including one whose flag bit itself
+// connection, and the server answers in kind. It is the codec's last
+// stage (frameCodec.appendFrame), so it covers the tenant tag and an
+// entropy-coded body exactly as they travel. Once negotiated, the
+// checksum is REQUIRED both ways: a frame arriving without a valid trailer (including one whose flag bit itself
 // was corrupted — the CRC covers the flag byte) is rejected, so a
 // flipped bit anywhere in a frame becomes a detected error the resilient
 // path can retry instead of silent model-state divergence. Clients that
@@ -68,15 +70,6 @@ func frameChecksum(t MsgType, payload []byte) uint32 {
 	return crc32.Update(typeCRC[byte(t)], castagnoli, payload)
 }
 
-// appendChecksum appends the CRC-32C trailer over (t, payload) to
-// payload. The caller is responsible for having set FlagChecksum in the
-// header already — the flag byte is under the checksum.
-func appendChecksum(t MsgType, payload []byte) []byte {
-	var b [checksumLen]byte
-	le.PutUint32(b[:], frameChecksum(t, payload))
-	return append(payload, b[:]...)
-}
-
 // verifyChecksum validates payload's CRC-32C trailer against the frame
 // type it arrived under and returns the payload with the trailer
 // stripped. The returned slice aliases payload.
@@ -89,24 +82,4 @@ func verifyChecksum(t MsgType, payload []byte) ([]byte, error) {
 		return nil, fmt.Errorf("transport: frame CRC-32C %#x != trailer %#x: %w", got, want, ErrChecksum)
 	}
 	return body, nil
-}
-
-// parseChecksummedFrame is the receive path for a connection that
-// negotiated FlagChecksum: verify and strip the trailer, parse the
-// header, and require the flag — every frame on such a connection must
-// carry both, so corruption anywhere (type and flag bits included)
-// surfaces as an error and never as a silently accepted body.
-func parseChecksummedFrame(t MsgType, payload []byte) (ShardHeader, []byte, error) {
-	body, err := verifyChecksum(t, payload)
-	if err != nil {
-		return ShardHeader{}, nil, err
-	}
-	h, rest, err := ParseShardHeader(body)
-	if err != nil {
-		return ShardHeader{}, nil, err
-	}
-	if h.Flags&FlagChecksum == 0 {
-		return ShardHeader{}, nil, fmt.Errorf("transport: unflagged frame on a checksummed connection")
-	}
-	return h, rest, nil
 }

@@ -1,19 +1,11 @@
 package transport
 
-import (
-	"bufio"
-	"fmt"
-	"net"
-)
+import "fmt"
 
-// Client is a worker-side connection to a transport.Server.
+// Client is a worker-side v1 connection to a transport.Server (or any
+// one-shard ShardServer).
 type Client struct {
-	id        int
-	conn      net.Conn
-	rw        *bufio.ReadWriter
-	fr        *FrameReader
-	to        Timeouts
-	pushBuf   []byte   // push payload, rebuilt in place each step
+	link
 	pullWires [][]byte // parsed pull set, slice headers recycled each step
 }
 
@@ -34,26 +26,8 @@ func DialTimeout(addr string, workerID int, to Timeouts) (*Client, error) {
 // DialTimeoutDialer is DialTimeout with a pluggable connection opener
 // (nil: plain TCP) — the chaos/fault-injection hook for the v1 client.
 func DialTimeoutDialer(addr string, workerID int, to Timeouts, d Dialer) (*Client, error) {
-	conn, err := d.dial(addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	c := &Client{
-		id:   workerID,
-		conn: conn,
-		to:   to,
-		rw:   bufio.NewReadWriter(bufio.NewReader(conn), bufio.NewWriter(conn)),
-	}
-	c.fr = NewFrameReader(c.rw)
-	var hello [4]byte
-	le.PutUint32(hello[:], uint32(workerID))
-	c.to.beforeWrite(conn)
-	if err := WriteFrame(c.rw, MsgHello, hello[:]); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if err := c.rw.Flush(); err != nil {
-		conn.Close()
+	c := &Client{link: link{to: to, fc: frameCodec{v1: true, worker: uint32(workerID)}}}
+	if err := c.open(d, addr, 0); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -64,42 +38,22 @@ func DialTimeoutDialer(addr string, workerID int, to Timeouts, d Dialer) (*Clien
 // The returned wires alias a connection-owned scratch buffer that is
 // recycled on the next PushPull call; consume (decompress) them before
 // pushing again, which the BSP step loop does naturally.
+//
+//3lc:noalloc
 func (c *Client) PushPull(step int, wires [][]byte) ([][]byte, error) {
-	payload := append(c.pushBuf[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-	le.PutUint32(payload, uint32(c.id))
-	le.PutUint32(payload[4:], uint32(step))
-	payload = AppendWireSet(payload, wires)
-	c.pushBuf = payload
-	c.to.beforeWrite(c.conn)
-	if err := WriteFrame(c.rw, MsgPush, payload); err != nil {
+	if err := c.send(frame{t: MsgPush, step: uint32(step), set: wires}); err != nil {
 		return nil, fmt.Errorf("transport: push step %d: %w", step, err)
 	}
-	if err := c.rw.Flush(); err != nil {
-		return nil, err
-	}
-
-	c.to.beforeRead(c.conn)
-	t, resp, err := c.fr.ReadFrame()
+	f, err := c.read(step, false)
 	if err != nil {
 		return nil, fmt.Errorf("transport: pull step %d: %w", step, err)
 	}
-	if t != MsgPull {
-		return nil, fmt.Errorf("transport: expected pull, got type %d", t)
+	if f.t != MsgPull {
+		return nil, fmt.Errorf("transport: expected pull, got type %d", f.t)
 	}
-	if len(resp) < 4 {
-		return nil, fmt.Errorf("transport: short pull header")
-	}
-	gotStep := int(le.Uint32(resp))
-	if gotStep != step {
-		return nil, fmt.Errorf("transport: pull for step %d during step %d", gotStep, step)
-	}
-	pull, _, err := ParseWireSetInto(c.pullWires, resp[4:])
-	if err != nil {
-		return nil, err
-	}
-	c.pullWires = pull
-	return pull, nil
+	c.pullWires, _, err = ParseWireSetInto(c.pullWires, f.body)
+	return c.pullWires, err
 }
 
 // Close terminates the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+func (c *Client) Close() error { return c.c.Close() }

@@ -1,0 +1,452 @@
+// The frame codec: everything a connection's hello negotiated, and the
+// two operations every endpoint — ShardServer, MuxShardServer,
+// ShardReplica, ShardClient, the v1 Client — puts frames on and takes
+// frames off the wire with. Stage order is fixed (see the package comment
+// in shard.go): header → tenant extension → body, entropy-coded when
+// negotiated and the frame is whole-set → CRC-32C trailer last, so the
+// checksum covers exactly what is on the wire.
+package transport
+
+import (
+	"fmt"
+
+	"threelc/internal/compress"
+	"threelc/internal/entropy"
+)
+
+// ShardWireVersion is the current sharded wire-format generation. The
+// version byte leads every shard header: an incompatible layout change
+// must bump it, and receivers reject versions (and flag bits) they do not
+// know instead of misparsing.
+const ShardWireVersion = 2
+
+// ShardHeaderLen is the encoded size of a ShardHeader's fixed part; a
+// header with flag extensions is longer (see FlagTenant).
+const ShardHeaderLen = 12
+
+// FlagTenant marks a header carrying the tenant extension: 8 extra bytes
+// — [4B LE tenant id][4B LE tenant epoch] — after the fixed part. An
+// untagged header (flag clear) addresses the default tenant at epoch
+// zero, which is how pre-multi-tenant clients keep working against a
+// tenant-aware endpoint unchanged.
+const FlagTenant byte = 1 << 0
+
+// shardTenantExtLen is the FlagTenant extension size.
+const shardTenantExtLen = 8
+
+// FlagEntropy marks a push or pull frame whose wire-set body passed
+// through the entropy second stage: the bytes after the header are
+// [1B stage id][coded wire-set], stage ids mirroring the codec's
+// SchemeEntropy wire (0 stored, 1 huffman, 2 lz). The stage is
+// negotiated in the v2 hello (a trailing stage byte after the placement
+// hash); a client that does not negotiate it emits and receives frames
+// byte-identical to the pre-entropy wire format, and one session serves
+// both kinds of client. Streamed per-tensor frames are exempt: their
+// payoff is overlap, not bytes, and coding tensor-sized fragments would
+// forfeit cross-tensor redundancy anyway.
+const FlagEntropy byte = 1 << 1
+
+// Entropy stage ids for FlagEntropy bodies (mirror the codec's
+// SchemeEntropy stage ids).
+const (
+	entropyBodyStored  = 0
+	entropyBodyHuffman = 1
+	entropyBodyLZ      = 2
+)
+
+// ShardHeader addresses one v2 frame: which shard, which worker, which
+// step — and, when the tenant flag is set, which job (tenant id + the
+// admission epoch that makes stale frames from a retired incarnation
+// rejectable). Hello frames reuse the layout with Step zero and append
+// the 4-byte placement hash after the header.
+type ShardHeader struct {
+	Version byte
+	Flags   byte
+	Shard   uint16
+	Worker  uint32
+	Step    uint32
+	Tenant  uint32 // FlagTenant extension; 0 = default tenant
+	Epoch   uint32 // FlagTenant extension; admission epoch
+}
+
+// AppendShardHeader appends h in wire order. A nonzero Tenant or Epoch
+// turns on FlagTenant and appends the extension, so single-tenant
+// callers emit byte-for-byte the pre-multi-tenant header.
+func AppendShardHeader(dst []byte, h ShardHeader) []byte {
+	if h.Tenant != 0 || h.Epoch != 0 {
+		h.Flags |= FlagTenant
+	}
+	var b [ShardHeaderLen + shardTenantExtLen]byte
+	b[0] = h.Version
+	b[1] = h.Flags
+	le.PutUint16(b[2:], h.Shard)
+	le.PutUint32(b[4:], h.Worker)
+	le.PutUint32(b[8:], h.Step)
+	if h.Flags&FlagTenant == 0 {
+		return append(dst, b[:ShardHeaderLen]...)
+	}
+	le.PutUint32(b[12:], h.Tenant)
+	le.PutUint32(b[16:], h.Epoch)
+	return append(dst, b[:]...)
+}
+
+// ParseShardHeader decodes and validates a shard header, returning the
+// remaining payload. Unknown versions and flag bits are errors — the
+// forward-compatibility contract that lets the layout evolve behind the
+// version byte. A header without FlagTenant parses with Tenant and Epoch
+// zero: the default tenant.
+func ParseShardHeader(src []byte) (ShardHeader, []byte, error) {
+	if len(src) < ShardHeaderLen {
+		return ShardHeader{}, nil, fmt.Errorf("transport: short shard header (%d bytes)", len(src))
+	}
+	h := ShardHeader{
+		Version: src[0],
+		Flags:   src[1],
+		Shard:   le.Uint16(src[2:]),
+		Worker:  le.Uint32(src[4:]),
+		Step:    le.Uint32(src[8:]),
+	}
+	if h.Version != ShardWireVersion {
+		return ShardHeader{}, nil, fmt.Errorf("transport: unsupported shard wire version %d (have %d)", h.Version, ShardWireVersion)
+	}
+	if h.Flags&^(FlagTenant|FlagEntropy|FlagChecksum|FlagResilient) != 0 {
+		return ShardHeader{}, nil, fmt.Errorf("transport: unknown shard header flags %#x", h.Flags)
+	}
+	rest := src[ShardHeaderLen:]
+	if h.Flags&FlagTenant != 0 {
+		if len(rest) < shardTenantExtLen {
+			return ShardHeader{}, nil, fmt.Errorf("transport: short tenant header extension (%d bytes)", len(rest))
+		}
+		h.Tenant = le.Uint32(rest)
+		h.Epoch = le.Uint32(rest[4:])
+		rest = rest[shardTenantExtLen:]
+	}
+	return h, rest, nil
+}
+
+// appendEntropyBody appends [stage id][coded raw] to dst, falling back
+// to the stored stage when coding would not beat raw (bounding the
+// stage's overhead at one byte per frame).
+func appendEntropyBody(dst []byte, algo compress.EntropyAlgo, raw []byte) []byte {
+	base := len(dst)
+	switch algo {
+	case compress.EntropyHuffman:
+		dst = append(dst, entropyBodyHuffman)
+		dst = entropy.HuffmanEncodeInto(dst, raw)
+	case compress.EntropyLZ:
+		dst = append(dst, entropyBodyLZ)
+		dst = entropy.LZEncodeInto(dst, raw)
+	default:
+		dst = append(dst, entropyBodyStored)
+		return append(dst, raw...)
+	}
+	if len(dst)-base-1 >= len(raw) {
+		dst = dst[:base]
+		dst = append(dst, entropyBodyStored)
+		dst = append(dst, raw...)
+	}
+	return dst
+}
+
+// parseEntropyBody recovers the raw body of a FlagEntropy frame, staging
+// coded bodies in *buf (recycled by the caller). The returned slice
+// aliases src (stored) or *buf (coded).
+func parseEntropyBody(src []byte, buf *[]byte) ([]byte, error) {
+	if len(src) < 1 {
+		return nil, fmt.Errorf("transport: entropy frame body missing stage id")
+	}
+	switch src[0] {
+	case entropyBodyStored:
+		return src[1:], nil
+	case entropyBodyHuffman:
+		b, err := entropy.HuffmanDecodeInto((*buf)[:0], src[1:])
+		if err != nil {
+			return nil, fmt.Errorf("transport: entropy frame body: %w", err)
+		}
+		*buf = b
+		return b, nil
+	case entropyBodyLZ:
+		b, err := entropy.LZDecodeInto((*buf)[:0], src[1:])
+		if err != nil {
+			return nil, fmt.Errorf("transport: entropy frame body: %w", err)
+		}
+		*buf = b
+		return b, nil
+	default:
+		return nil, fmt.Errorf("transport: unknown entropy stage id %d", src[0])
+	}
+}
+
+// frame is one message in codec terms: what a sender hands appendFrame
+// and what parseFrame hands a receiver. The frame type decides which
+// fields are on the wire: hello — arg (the placement hash); whole-set
+// push/pull — set; per-tensor push/pull — arg (the shard-local tensor
+// slot) and body (its wire); push-end and bye — the header alone. The v1
+// types (MsgHello/MsgPush/MsgPull) carry the same fields without a
+// header.
+type frame struct {
+	t      MsgType
+	worker uint32   // parse only: senders' ids are the codec's
+	step   uint32   // zero on hello and bye
+	arg    uint32   // placement hash (hello) or tensor slot (per-tensor)
+	set    [][]byte // append only: a whole-set body, serialized straight behind the header
+	body   []byte   // a tensor's wire; after parse, also a whole-set frame's decoded wire set
+	raw    []byte   // parse only: the payload as it arrived (what is counted and forwarded)
+}
+
+// wholeSet reports the v2 frame types whose body is a wire set — the
+// only bodies the entropy stage codes.
+func wholeSet(t MsgType) bool {
+	return t == MsgShardPush || t == MsgShardPull || t == MsgReplicaPush
+}
+
+func perTensor(t MsgType) bool { return t == MsgShardPushTensor || t == MsgShardPullTensor }
+
+// pushSide reports the frame types a worker sends after its hello; their
+// headers carry the worker's id, where pull-side headers carry zero.
+func pushSide(t MsgType) bool {
+	switch t {
+	case MsgPush, MsgShardPush, MsgShardPushTensor, MsgShardPushEnd, MsgReplicaPush, MsgShardBye:
+		return true
+	}
+	return false
+}
+
+// frameCodec is one connection's contract — what its hello negotiated —
+// plus the scratch the negotiated stages recycle. Both ends of a
+// connection hold an equal one; a connection that negotiates nothing
+// (the zero value but for its addressing) emits and accepts the
+// pre-extension v2 bytes exactly.
+type frameCodec struct {
+	v1        bool   // legacy layout: no header, [worker][step] push, [step] pull
+	upstream  bool   // a primary's forwarding link: pushes keep their original worker ids
+	shard     uint16 // addressing, fixed for the connection's lifetime
+	worker    uint32
+	tenant    uint32
+	epoch     uint32
+	entropy   compress.EntropyAlgo // whole-set bodies pass the entropy stage
+	checksum  bool                 // every frame, hello included, ends in a CRC-32C trailer
+	resilient bool                 // the client may re-dial and replay (implies checksum)
+
+	set []byte // a whole set staged for the entropy coder
+	ent []byte // a decoded entropy body
+}
+
+// variant indexes the distinct pull encodings a session may owe its
+// seats in one step: v1, or v2 under each entropy stage with and without
+// the trailer. Seats with equal variants receive identical pull bytes.
+func (fc *frameCodec) variant() int {
+	if fc.v1 {
+		return 0
+	}
+	k := 1 + 2*int(fc.entropy)
+	if fc.checksum {
+		k++
+	}
+	return k
+}
+
+const pullVariants = 1 + 2*3
+
+// mirrorable is the one place replication meets the codec: a replica
+// replays the primary's forwarded payloads verbatim into its own plain
+// parse, so a replicated shard — and a client configured to fail over to
+// one — carries only connections that negotiated nothing.
+func (fc *frameCodec) mirrorable() error {
+	what := ""
+	switch {
+	case fc.v1:
+		what = "the v1 layout"
+	case fc.checksum:
+		what = "frame checksums"
+	case fc.entropy != compress.EntropyOff:
+		what = "the wire entropy stage"
+	default:
+		return nil
+	}
+	return fmt.Errorf("transport: %s cannot be carried by a replicated shard (a replica replays plain v2 whole-set pushes)", what)
+}
+
+// streamable is the one place the per-tensor pipeline meets recovery: a
+// replay would need the whole tensor sequence staged, so the resilient
+// contract covers whole-set rounds only.
+func (fc *frameCodec) streamable() error {
+	if fc.resilient {
+		return fmt.Errorf("transport: worker %d: a resilient connection cannot stream per-tensor frames", fc.worker)
+	}
+	return nil
+}
+
+// appendFrame appends f's payload (what WriteFrame frames) to dst.
+//
+//3lc:noalloc
+func (fc *frameCodec) appendFrame(dst []byte, f frame) []byte {
+	if fc.v1 {
+		switch f.t {
+		case MsgHello:
+			return le.AppendUint32(dst, fc.worker)
+		case MsgPush:
+			dst = le.AppendUint32(dst, fc.worker)
+		}
+		return AppendWireSet(le.AppendUint32(dst, f.step), f.set)
+	}
+	start := len(dst)
+	h := ShardHeader{Version: ShardWireVersion, Shard: fc.shard, Step: f.step, Tenant: fc.tenant, Epoch: fc.epoch}
+	if pushSide(f.t) || f.t == MsgShardHello {
+		h.Worker = fc.worker
+	}
+	hello := f.t == MsgShardHello || f.t == MsgReplicaHello
+	coded := fc.entropy != compress.EntropyOff && wholeSet(f.t)
+	if fc.checksum {
+		h.Flags |= FlagChecksum
+	}
+	if fc.resilient && hello {
+		h.Flags |= FlagResilient
+	}
+	if coded {
+		h.Flags |= FlagEntropy
+	}
+	dst = AppendShardHeader(dst, h)
+	switch {
+	case coded:
+		fc.set = AppendWireSet(fc.set[:0], f.set)
+		dst = appendEntropyBody(dst, fc.entropy, fc.set)
+	case wholeSet(f.t):
+		dst = AppendWireSet(dst, f.set)
+	case hello:
+		dst = le.AppendUint32(dst, f.arg)
+		switch fc.entropy {
+		case compress.EntropyHuffman:
+			dst = append(dst, entropyBodyHuffman)
+		case compress.EntropyLZ:
+			dst = append(dst, entropyBodyLZ)
+		}
+	case perTensor(f.t):
+		dst = le.AppendUint32(dst, f.arg)
+		dst = append(dst, f.body...)
+	}
+	if fc.checksum {
+		dst = le.AppendUint32(dst, frameChecksum(f.t, dst[start:]))
+	}
+	return dst
+}
+
+// parseFrame is appendFrame's inverse and the single entry every
+// post-hello frame is validated through: trailer, flags against the
+// negotiated set, addressing (shard, tenant, epoch, and on push-side
+// frames the worker) and position. step is where the receiver stands;
+// with replay set, a push one step behind is let through (f.step tells
+// the caller) — the resilient and failover replays. Bye carries no step.
+// The returned body aliases payload or the codec's scratch.
+//
+//3lc:noalloc
+//3lc:decode
+func (fc *frameCodec) parseFrame(t MsgType, payload []byte, step int, replay bool) (frame, error) {
+	f := frame{t: t, raw: payload}
+	switch {
+	case fc.v1 && t == MsgPush && len(payload) >= 8:
+		f.worker, f.step, f.body = le.Uint32(payload), le.Uint32(payload[4:]), payload[8:]
+	case fc.v1 && t == MsgPull && len(payload) >= 4:
+		f.step, f.body = le.Uint32(payload), payload[4:]
+	case fc.v1 || !(wholeSet(t) || perTensor(t) || t == MsgShardPushEnd || t == MsgShardBye):
+		return f, fmt.Errorf("transport: unexpected type-%d frame of %d bytes (v1 connection: %v)", t, len(payload), fc.v1)
+	default:
+		if fc.checksum {
+			var err error
+			if payload, err = verifyChecksum(t, payload); err != nil {
+				return f, err
+			}
+		}
+		h, rest, err := ParseShardHeader(payload)
+		if err != nil {
+			return f, err
+		}
+		var want byte
+		if fc.checksum {
+			want |= FlagChecksum
+		}
+		if fc.entropy != compress.EntropyOff && wholeSet(t) {
+			want |= FlagEntropy
+		}
+		if got := h.Flags &^ FlagTenant; got != want {
+			return f, fmt.Errorf("transport: type-%d frame flags %#x on a connection that negotiated %#x", t, got, want)
+		}
+		if h.Shard != fc.shard || h.Tenant != fc.tenant || h.Epoch != fc.epoch {
+			return f, fmt.Errorf("transport: frame for shard %d tenant %d epoch %d on a connection to shard %d tenant %d epoch %d",
+				h.Shard, h.Tenant, h.Epoch, fc.shard, fc.tenant, fc.epoch)
+		}
+		f.worker, f.step = h.Worker, h.Step
+		switch {
+		case want&FlagEntropy != 0:
+			if rest, err = parseEntropyBody(rest, &fc.ent); err != nil {
+				return f, err
+			}
+		case perTensor(t):
+			if len(rest) < 4 {
+				return f, fmt.Errorf("transport: short per-tensor frame (%d bytes after header)", len(rest))
+			}
+			f.arg, rest = le.Uint32(rest), rest[4:]
+		case !wholeSet(t) && len(rest) != 0:
+			return f, fmt.Errorf("transport: type-%d frame carries %d trailing bytes", t, len(rest))
+		}
+		f.body = rest
+	}
+	if pushSide(t) && !fc.upstream && f.worker != fc.worker {
+		return f, fmt.Errorf("transport: push id %d on worker %d's connection", f.worker, fc.worker)
+	}
+	if t != MsgShardBye && int(f.step) != step && !(replay && pushSide(t) && int(f.step)+1 == step) {
+		return f, fmt.Errorf("transport: worker %d: type-%d frame for step %d during step %d (barrier violation)", f.worker, t, f.step, step)
+	}
+	return f, nil
+}
+
+// parseHello turns the first frame of a connection into the codec the
+// rest of it is held to, plus the placement hash the hello vouches for
+// (v1 hellos carry none). What the endpoint makes of the claimed
+// identity is ShardServerConfig.admit's business.
+//
+//3lc:decode
+func parseHello(t MsgType, payload []byte) (fc frameCodec, hash uint32, err error) {
+	switch t {
+	case MsgHello:
+		if len(payload) != 4 {
+			return fc, 0, fmt.Errorf("transport: bad v1 hello (%d bytes)", len(payload))
+		}
+		return frameCodec{v1: true, worker: le.Uint32(payload)}, 0, nil
+	case MsgShardHello, MsgReplicaHello:
+	default:
+		return fc, 0, fmt.Errorf("transport: expected hello, got type %d", t)
+	}
+	if len(payload) >= 2 && payload[1]&FlagChecksum != 0 {
+		// The hello itself carries the trailer, and the flag byte is under
+		// the CRC, so a hello whose flag bit (or anything else) flipped in
+		// flight fails here instead of negotiating a corrupted contract. A
+		// bit that flipped OFF leaves a 4-byte-longer tail the length check
+		// below rejects.
+		if payload, err = verifyChecksum(t, payload); err != nil {
+			return fc, 0, err
+		}
+		fc.checksum = true
+	}
+	h, rest, err := ParseShardHeader(payload)
+	if err != nil {
+		return fc, 0, err
+	}
+	if fc.resilient = h.Flags&FlagResilient != 0; fc.resilient && !fc.checksum {
+		return fc, 0, fmt.Errorf("transport: resilient hello without frame checksums (replay requires integrity)")
+	}
+	switch {
+	case len(rest) == 4:
+	case len(rest) == 5 && rest[4] == entropyBodyHuffman:
+		fc.entropy = compress.EntropyHuffman
+	case len(rest) == 5 && rest[4] == entropyBodyLZ:
+		fc.entropy = compress.EntropyLZ
+	case len(rest) == 5:
+		return fc, 0, fmt.Errorf("transport: hello requests unknown entropy stage %d", rest[4])
+	default:
+		return fc, 0, fmt.Errorf("transport: shard hello has %d trailing bytes, want 4 (5 with an entropy stage)", len(rest))
+	}
+	fc.upstream = t == MsgReplicaHello
+	fc.shard, fc.worker, fc.tenant, fc.epoch = h.Shard, h.Worker, h.Tenant, h.Epoch
+	return fc, le.Uint32(rest), nil
+}

@@ -10,18 +10,18 @@ import (
 	"threelc/internal/compress"
 	"threelc/internal/ps"
 	"threelc/internal/shard"
-	"threelc/internal/tenant"
 	"threelc/internal/tensor"
 )
 
 // TestEntropyShardTCPMatchesSinglePS runs a mixed tier over loopback TCP —
-// worker 0 negotiates the Huffman wire stage, worker 1 the LZ stage, and
-// worker 2 dials plain (a pre-entropy binary) — and checks the final
+// worker 0 negotiates the Huffman wire stage, worker 1 the LZ stage,
+// worker 2 dials plain (a pre-entropy binary), and worker 3 stacks the
+// CRC-32C trailer over Huffman-coded bodies — and checks the final
 // global state is bit-identical to the in-process single server. One
-// entropy-capable server tier must serve tagged and untagged clients in
-// the same step without the stage leaking into model state.
+// session must serve every combination in the same step without a stage
+// leaking into model state.
 func TestEntropyShardTCPMatchesSinglePS(t *testing.T) {
-	const workers, steps, shards = 3, 3, 2
+	const workers, steps, shards = 4, 3, 2
 	cfg := shardTestConfig(workers, steps)
 
 	global := buildShardModel()
@@ -46,13 +46,17 @@ func TestEntropyShardTCPMatchesSinglePS(t *testing.T) {
 		go func() { serveErr <- srv.Serve() }()
 	}
 
-	stages := []compress.EntropyAlgo{compress.EntropyHuffman, compress.EntropyLZ, compress.EntropyOff}
+	stages := []ShardClientConfig{
+		{Entropy: compress.EntropyHuffman},
+		{Entropy: compress.EntropyLZ},
+		{},
+		{Entropy: compress.EntropyHuffman, Checksum: true}, // checksum+huffman
+	}
 	done := make(chan struct{}, workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer func() { done <- struct{}{} }()
-			cl, err := DialShardedConfig(addrs, w, shard.ForModel(buildShardModel(), shards),
-				ShardClientConfig{Entropy: stages[w]})
+			cl, err := DialShardedConfig(addrs, w, shard.ForModel(buildShardModel(), shards), stages[w])
 			if err != nil {
 				t.Errorf("worker %d dial: %v", w, err)
 				return
@@ -261,10 +265,9 @@ func writeTestFrame(t *testing.T, buf *bytes.Buffer, typ MsgType, payload []byte
 
 // TestEntropyHelloRejections covers the negotiation error surface: an
 // unknown stage byte is refused at the hello, a replicated shard refuses
-// the stage outright (entropy frames are not forwarded to replicas), the
-// client constructor refuses the Entropy+Replicas combination, and the
-// multi-tenant mux endpoint (which speaks only the 4-byte hello rest)
-// refuses an entropy hello instead of silently downgrading it.
+// the stage outright (a replica replays plain payloads only), and the
+// client constructor refuses the Entropy+Replicas combination. (The mux
+// endpoint serves the stage: TestMuxShardServerChecksumPerWorker.)
 func TestEntropyHelloRejections(t *testing.T) {
 	cfg := shardTestConfig(1, 1)
 	global := buildShardModel()
@@ -352,33 +355,6 @@ func TestEntropyHelloRejections(t *testing.T) {
 		})
 		if err == nil || !strings.Contains(err.Error(), "entropy") {
 			t.Errorf("DialShardedConfig error = %v, want entropy/replica incompatibility", err)
-		}
-	})
-
-	t.Run("mux endpoint refuses entropy hello", func(t *testing.T) {
-		svc := shard.NewService(shard.Config{Shards: 1}, tenant.NewRegistry(1))
-		defer svc.Close()
-		h, err := svc.Admit(3, buildShardModel(), cfg, tenant.Limits{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go NewMuxShardServer(ln, svc, MuxShardServerConfig{Tenants: 1}).Serve()
-
-		hello := AppendShardHeader(nil, ShardHeader{
-			Version: ShardWireVersion,
-			Tenant:  3,
-			Epoch:   uint32(h.Tenant().Epoch),
-		})
-		var hb [4]byte
-		le.PutUint32(hb[:], shard.ForModel(buildShardModel(), 1).Hash())
-		hello = append(hello, hb[:]...)
-		hello = append(hello, byte(entropyBodyHuffman))
-		if err := dialHello(ln.Addr().String(), hello); err == nil {
-			t.Error("mux accepted an entropy hello; want rejection (trailing-bytes check)")
 		}
 	})
 }

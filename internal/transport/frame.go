@@ -52,19 +52,19 @@ var framePool = sync.Pool{
 	},
 }
 
-// maxPooledFrame caps the capacity returned to framePool: a frame can be
-// up to MaxFrameBytes (64 MiB), and pooling such a buffer would pin it
-// until the next GC pool drain. Oversized buffers are simply dropped.
+// maxPooledFrame caps what WriteFrame coalesces through framePool: a
+// frame can be up to MaxFrameBytes (64 MiB), and pooling such a buffer
+// would pin it until the next GC pool drain.
 const maxPooledFrame = 1 << 20
 
 // WriteFrame writes one framed message. The 4-byte length prefix, the type
-// byte, and the payload are coalesced into a single pooled buffer and
-// issued as ONE Write call — on an unbuffered net.Conn that is one syscall
-// and one TCP segment boundary instead of two, and on a bufio.Writer it
-// avoids the double copy-in. The length check is definitionally the one
-// ReadFrame enforces: the encoded length n = 1+len(payload) must satisfy
-// 0 < n <= MaxFrameBytes, so every frame WriteFrame accepts is a frame
-// ReadFrame accepts, and vice versa.
+// byte, and (up to maxPooledFrame) the payload are coalesced into a single
+// pooled buffer and issued as ONE Write call — on an unbuffered net.Conn
+// that is one syscall and one TCP segment boundary instead of two, and on
+// a bufio.Writer it avoids the double copy-in. The length check is
+// definitionally the one ReadFrame enforces: the encoded length
+// n = 1+len(payload) must satisfy 0 < n <= MaxFrameBytes, so every frame
+// WriteFrame accepts is a frame ReadFrame accepts, and vice versa.
 //
 //3lc:noalloc
 func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
@@ -72,38 +72,26 @@ func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 	if n > MaxFrameBytes {
 		return fmt.Errorf("transport: frame of %d bytes exceeds limit %d", n, MaxFrameBytes)
 	}
-	if 5+n > maxPooledFrame {
-		return writeFrameLarge(w, t, payload, n)
-	}
 	bp := framePool.Get().(*[]byte)
-	buf := (*bp)[:0]
 	// The header bytes are appended inline rather than staged in a local
 	// array: an array sliced into an io.Writer argument escapes, and one
 	// heap-allocated header per frame is exactly the per-step garbage the
 	// steady-state zero-alloc gate forbids.
-	buf = append(buf, byte(n), byte(n>>8), byte(n>>16), byte(n>>24), byte(t))
-	buf = append(buf, payload...)
+	buf := append((*bp)[:0], byte(n), byte(n>>8), byte(n>>16), byte(n>>24), byte(t))
+	// A frame too big to pool goes out as two writes, header then payload:
+	// copying a multi-MiB payload would cost more than it saves, a buffered
+	// writer still coalesces them and an unbuffered one streams them in two
+	// syscalls — negligible at this size.
+	large := 5+n > maxPooledFrame
+	if !large {
+		buf = append(buf, payload...)
+	}
 	_, err := w.Write(buf)
 	*bp = buf
 	framePool.Put(bp)
-	return err
-}
-
-// writeFrameLarge streams a frame too big to coalesce through the pool:
-// copying a multi-MiB payload would cost more than it saves (and the
-// buffer would be too big to pool), so the header and payload go out as
-// two writes, which a buffered writer still coalesces and an unbuffered
-// one streams in two syscalls — negligible at this size.
-//
-//3lc:noalloc
-func writeFrameLarge(w io.Writer, t MsgType, payload []byte, n int) error {
-	var hdr [5]byte
-	le.PutUint32(hdr[:4], uint32(n))
-	hdr[4] = byte(t)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	if large && err == nil {
+		_, err = w.Write(payload)
 	}
-	_, err := w.Write(payload)
 	return err
 }
 

@@ -5,35 +5,59 @@ import (
 	"testing"
 )
 
-// writeCounter counts Write calls to verify frame coalescing.
+// writeCounter counts Write calls to verify frame coalescing, keeping the
+// bytes only when asked to (the allocation row must not measure a
+// growing buffer).
 type writeCounter struct {
 	bytes.Buffer
-	calls int
+	calls   int
+	discard bool
 }
 
 func (w *writeCounter) Write(p []byte) (int, error) {
 	w.calls++
+	if w.discard {
+		return len(p), nil
+	}
 	return w.Buffer.Write(p)
 }
 
 // TestWriteFrameSingleWrite pins the coalescing behavior: one frame, one
 // Write call — on an unbuffered connection that is one syscall instead of
-// the former header+payload pair.
+// the former header+payload pair — up to the pooling cap, and above it
+// header and payload as two writes with nothing allocated: the header is
+// staged in the pooled buffer, not in a local array that escapes through
+// the io.Writer (every lan-f32 exchange frames two such payloads a step).
 func TestWriteFrameSingleWrite(t *testing.T) {
-	var w writeCounter
-	payload := make([]byte, 1000)
-	if err := WriteFrame(&w, MsgPush, payload); err != nil {
-		t.Fatal(err)
-	}
-	if w.calls != 1 {
-		t.Errorf("WriteFrame issued %d Write calls, want 1", w.calls)
-	}
-	typ, got, err := ReadFrame(&w.Buffer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != MsgPush || len(got) != len(payload) {
-		t.Errorf("round trip: type %d, %d bytes", typ, len(got))
+	for _, tc := range []struct {
+		name  string
+		size  int
+		calls int
+	}{
+		{"coalesced", 1000, 1},
+		{"large", 2 << 20, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var w writeCounter
+			payload := make([]byte, tc.size)
+			if err := WriteFrame(&w, MsgPush, payload); err != nil {
+				t.Fatal(err)
+			}
+			if w.calls != tc.calls {
+				t.Errorf("WriteFrame issued %d Write calls, want %d", w.calls, tc.calls)
+			}
+			typ, got, err := ReadFrame(&w.Buffer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if typ != MsgPush || len(got) != len(payload) {
+				t.Errorf("round trip: type %d, %d bytes", typ, len(got))
+			}
+			w.discard = true
+			if allocs := testing.AllocsPerRun(20, func() { WriteFrame(&w, MsgPush, payload) }); allocs != 0 {
+				t.Errorf("WriteFrame of %d bytes: %v allocs per frame, want 0", tc.size, allocs)
+			}
+		})
 	}
 }
 

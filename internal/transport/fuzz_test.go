@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"testing"
+
+	"threelc/internal/compress"
 )
 
 // FuzzParseWireSet feeds arbitrary bytes to the wire-set parser: it must
@@ -29,32 +31,95 @@ func FuzzParseWireSet(f *testing.F) {
 	})
 }
 
-// FuzzShardHeader checks the versioned shard header parser on arbitrary
-// input: no panics, and accepted headers round-trip byte-exactly — the
-// property that keeps the v2 wire format stable as it evolves behind the
-// version byte.
+// fuzzTypes are the frame types parseFrame takes on a v2 connection.
+var fuzzTypes = []MsgType{MsgShardPush, MsgShardPull, MsgShardPushTensor, MsgShardPushEnd,
+	MsgShardPullTensor, MsgReplicaPush, MsgShardBye}
+
+// fuzzCodec maps sub's low three bits to one subset of the negotiable
+// stages: tenant tag, entropy stage, checksum trailer.
+func fuzzCodec(sub byte) frameCodec {
+	fc := frameCodec{shard: 3, worker: 2}
+	if sub&1 != 0 {
+		fc.tenant, fc.epoch = 41, 6
+	}
+	if sub&2 != 0 {
+		fc.entropy = compress.EntropyHuffman
+	}
+	if sub&4 != 0 {
+		fc.checksum = true
+	}
+	return fc
+}
+
+// fuzzRoundTrip appends one well-formed frame at step 7 through the
+// sender's codec, parses it back through an equal receiving codec, checks
+// every field survived, and returns the payload that crossed.
+func fuzzRoundTrip(t *testing.T, sub byte, typ MsgType, body []byte) []byte {
+	t.Helper()
+	tx, rx := fuzzCodec(sub), fuzzCodec(sub)
+	wire := tx.appendFrame(nil, frame{t: typ, step: 7, arg: 11, body: body, set: [][]byte{body}})
+	f, err := rx.parseFrame(typ, wire, 7, false)
+	if err != nil {
+		t.Fatalf("subset %#x type %d: well-formed frame rejected: %v", sub, typ, err)
+	}
+	wantWorker := uint32(0) // pull-side headers carry no worker
+	if pushSide(typ) {
+		wantWorker = tx.worker
+	}
+	if f.worker != wantWorker {
+		t.Fatalf("subset %#x type %d: worker %d, want %d", sub, typ, f.worker, wantWorker)
+	}
+	switch {
+	case typ == MsgShardBye:
+	case f.step != 7:
+		t.Fatalf("subset %#x type %d: step %d, want 7", sub, typ, f.step)
+	case wholeSet(typ):
+		set, n, err := ParseWireSetInto(nil, f.body)
+		if err != nil || n != len(f.body) || len(set) != 1 || !bytes.Equal(set[0], body) {
+			t.Fatalf("subset %#x type %d: wire set did not round-trip (%v)", sub, typ, err)
+		}
+	case perTensor(typ):
+		if f.arg != 11 || !bytes.Equal(f.body, body) {
+			t.Fatalf("subset %#x type %d: slot %d body %x, want 11 %x", sub, typ, f.arg, f.body, body)
+		}
+	case len(f.body) != 0:
+		t.Fatalf("subset %#x type %d: bare frame parsed a %d-byte body", sub, typ, len(f.body))
+	}
+	return wire
+}
+
+// FuzzShardHeader drives the single parse entry, frameCodec.parseFrame,
+// and the hello parser with arbitrary bytes under every subset of the
+// negotiable stages: no panics, nothing accepted that the connection did
+// not negotiate — and append∘parse is the identity on every frame type,
+// the property that keeps the v2 wire format stable as it evolves behind
+// the version byte.
 func FuzzShardHeader(f *testing.F) {
-	f.Add(AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Shard: 3, Worker: 7, Step: 11}))
-	f.Add(AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Flags: FlagChecksum | FlagResilient, Worker: 1, Step: 2}))
-	f.Add(AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Tenant: 5, Epoch: 9}))
-	f.Add([]byte{ShardWireVersion, 0, 0, 0})
-	f.Add(bytes.Repeat([]byte{0xff}, ShardHeaderLen))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		h, rest, err := ParseShardHeader(data)
-		if err != nil {
-			return
+	for sub := byte(0); sub < 8; sub++ {
+		fc := fuzzCodec(sub)
+		f.Add(sub, byte(MsgShardPush), fc.appendFrame(nil, frame{t: MsgShardPush, step: 7, set: [][]byte{{1, 2, 3}, nil}}))
+		f.Add(sub, byte(MsgShardHello), fc.appendFrame(nil, frame{t: MsgShardHello, arg: 0xfeed}))
+	}
+	f.Add(byte(0), byte(MsgShardPushTensor), []byte{ShardWireVersion, 0, 0, 0})
+	f.Add(byte(1), byte(MsgShardPull), bytes.Repeat([]byte{0xff}, ShardHeaderLen))
+	f.Fuzz(func(t *testing.T, sub, typ byte, data []byte) {
+		fc := fuzzCodec(sub)
+		if fr, err := fc.parseFrame(MsgType(typ), data, 7, true); err == nil {
+			if pushSide(fr.t) && fr.worker != fc.worker {
+				t.Fatalf("accepted worker %d's push on worker %d's connection", fr.worker, fc.worker)
+			}
+			if fr.t != MsgShardBye && fr.step != 7 && !(pushSide(fr.t) && fr.step == 6) {
+				t.Fatalf("accepted a type-%d frame for step %d at step 7", fr.t, fr.step)
+			}
+			if h, _, err := ParseShardHeader(data); err != nil || (h.Flags&FlagChecksum != 0) != fc.checksum ||
+				h.Shard != fc.shard || h.Tenant != fc.tenant || h.Epoch != fc.epoch {
+				t.Fatalf("accepted header %+v (%v) on a connection that negotiated %+v", h, err, fc)
+			}
 		}
-		if h.Version != ShardWireVersion {
-			t.Fatalf("parser accepted version %d", h.Version)
+		if hc, _, err := parseHello(MsgType(typ), data); err == nil && hc.resilient && !hc.checksum {
+			t.Fatal("accepted a resilient hello without the checksum it requires")
 		}
-		if h.Flags&^(FlagTenant|FlagEntropy|FlagChecksum|FlagResilient) != 0 {
-			t.Fatalf("parser accepted unknown flags %#x", h.Flags)
-		}
-		consumed := len(data) - len(rest)
-		re := AppendShardHeader(nil, h)
-		if !bytes.Equal(re, data[:consumed]) {
-			t.Fatalf("header re-serialization differs: %x vs %x", re, data[:consumed])
-		}
+		fuzzRoundTrip(t, sub, fuzzTypes[int(typ)%len(fuzzTypes)], data)
 	})
 }
 
@@ -93,49 +158,35 @@ func FuzzFrameReader(f *testing.F) {
 	})
 }
 
-// FuzzChecksummedFrame is the wire-integrity gate: the checksummed-frame
-// parser must never panic on arbitrary bytes, must round-trip every
-// well-formed frame, and — the property the chaos soak leans on — must
-// reject EVERY single-bit corruption of a valid frame, type byte and
-// flag bits included. A corruption that parsed cleanly would aggregate
-// garbage into the model instead of triggering a replay.
+// FuzzChecksummedFrame is the wire-integrity gate on the same parse
+// entry: with the trailer negotiated — alone or over the tenant tag and
+// an entropy-coded body — every well-formed frame round-trips and, the
+// property the chaos soak leans on, EVERY single-bit corruption of one is
+// rejected, type byte and flag bits included. A corruption that parsed
+// cleanly would aggregate garbage into the model instead of triggering a
+// replay.
 func FuzzChecksummedFrame(f *testing.F) {
-	f.Add(byte(MsgShardPush), []byte("wire payload"), uint16(3))
-	f.Add(byte(MsgShardPull), []byte{}, uint16(0))
-	f.Add(byte(MsgShardHello), []byte{0xff, 0x00, 0xff}, uint16(97))
-	f.Fuzz(func(t *testing.T, typ byte, body []byte, bit uint16) {
-		// Arbitrary bytes: no panics, and anything accepted must carry the
-		// checksum flag (an unflagged frame on a checksummed connection is
-		// a protocol violation even when its trailer happens to verify).
-		if h, _, err := parseChecksummedFrame(MsgType(typ), body); err == nil {
-			if h.Flags&FlagChecksum == 0 {
-				t.Fatalf("accepted frame without FlagChecksum (flags %#x)", h.Flags)
-			}
-		}
-
-		// A well-formed frame round-trips exactly.
-		hdr := ShardHeader{Version: ShardWireVersion, Flags: FlagChecksum, Shard: 1, Worker: 2, Step: 7}
-		frame := appendChecksum(MsgType(typ), append(AppendShardHeader(nil, hdr), body...))
-		h, rest, err := parseChecksummedFrame(MsgType(typ), frame)
-		if err != nil {
-			t.Fatalf("well-formed checksummed frame rejected: %v", err)
-		}
-		if h != hdr || !bytes.Equal(rest, body) {
-			t.Fatalf("frame did not round-trip: header %+v body %x", h, rest)
-		}
+	for sub := byte(0); sub < 4; sub++ {
+		f.Add(sub, byte(sub), []byte("wire payload"), uint16(3+40*uint16(sub)))
+	}
+	f.Add(byte(0), byte(1), []byte{}, uint16(0))
+	f.Add(byte(3), byte(5), []byte{0xff, 0x00, 0xff}, uint16(97))
+	f.Fuzz(func(t *testing.T, sub, typ byte, body []byte, bit uint16) {
+		sub |= 4 // the trailer is what is under test; tag and stage vary
+		mt := fuzzTypes[int(typ)%len(fuzzTypes)]
+		wire := fuzzRoundTrip(t, sub, mt, body)
 
 		// Flip one bit anywhere in [type byte][frame]: never accepted.
-		n := uint16(8 * (1 + len(frame)))
-		bit %= n
-		typ2 := typ
-		frame2 := append([]byte(nil), frame...)
-		if bit < 8 {
-			typ2 ^= 1 << bit
+		n := 8 * (1 + len(wire))
+		at := int(bit) % n
+		if at < 8 {
+			mt ^= 1 << at
 		} else {
-			frame2[(bit-8)/8] ^= 1 << ((bit - 8) % 8)
+			wire[(at-8)/8] ^= 1 << ((at - 8) % 8)
 		}
-		if _, _, err := parseChecksummedFrame(MsgType(typ2), frame2); err == nil {
-			t.Fatalf("single-bit corruption at bit %d of %d was accepted", bit, n)
+		rx := fuzzCodec(sub)
+		if _, err := rx.parseFrame(mt, wire, 7, true); err == nil {
+			t.Fatalf("subset %#x: single-bit corruption at bit %d of %d was accepted", sub, at, n)
 		}
 	})
 }

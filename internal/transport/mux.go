@@ -1,29 +1,28 @@
 // MuxShardServer: one shard's multi-tenant transport endpoint. Where
 // ShardServer serves exactly one job, the mux fronts one shard of a
 // shared shard.Service: every admitted tenant's workers connect to the
-// SAME listener, are grouped by the tenant identity their hello carries
+// SAME listener, are routed by the tenant identity their hello carries
 // (FlagTenant extension; an untagged hello addresses the default
-// tenant), and each complete group is driven by its own BSP goroutine
-// against the tenant's shard.Port — so jobs step independently while the
-// shard's DRR scheduler multiplexes their decode work underneath.
+// tenant) to that tenant's session, and each fully seated session runs
+// on its own goroutine against the tenant's shard.Port — so jobs step
+// independently while the shard's DRR scheduler multiplexes their decode
+// work underneath.
 //
-// Group lifecycle: a tenant's group forms when Port.Workers()
-// connections have handshaked; it runs whole-set push/pull steps until
-// its workers close their connections (EOF at a step boundary), which is
+// Session lifecycle: a tenant's session starts when Port.Workers()
+// connections have handshaked; it runs push/pull steps until its
+// workers close their connections (EOF at a step boundary), which is
 // the job-complete signal — tenants need no pre-agreed step count.
 // Tenant identity is validated against the service registry at hello
 // time (unknown tenants and stale epochs are rejected) and against the
-// group's wire identity on every subsequent frame.
+// session's wire identity on every subsequent frame.
 package transport
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"sort"
 	"sync"
+	"time"
 
 	"threelc/internal/shard"
 	"threelc/internal/tenant"
@@ -33,7 +32,7 @@ import (
 type MuxShardServerConfig struct {
 	// Shard is this endpoint's shard id within the service tier.
 	Shard int
-	// Tenants is how many tenant groups Serve hosts before returning.
+	// Tenants is how many tenant sessions Serve hosts before returning.
 	// Zero means 1.
 	Tenants int
 	// Timeouts bounds each frame read and write, exactly as for
@@ -44,17 +43,14 @@ type MuxShardServerConfig struct {
 // MuxShardServer serves one shard of a multi-tenant shard.Service on a
 // listener shared by every tenant's workers.
 type MuxShardServer struct {
+	traffic
 	svc *shard.Service
 	cfg MuxShardServerConfig
 	ln  net.Listener
-
-	mu        sync.Mutex
-	pushBytes int64
-	pullBytes int64
 }
 
 // NewMuxShardServer wraps svc's shard cfg.Shard to serve cfg.Tenants
-// tenant groups on ln.
+// tenant sessions on ln.
 func NewMuxShardServer(ln net.Listener, svc *shard.Service, cfg MuxShardServerConfig) *MuxShardServer {
 	if cfg.Tenants < 1 {
 		cfg.Tenants = 1
@@ -62,311 +58,124 @@ func NewMuxShardServer(ln net.Listener, svc *shard.Service, cfg MuxShardServerCo
 	return &MuxShardServer{svc: svc, cfg: cfg, ln: ln}
 }
 
-// TrafficBytes reports the endpoint's total received (push) and sent
-// (pull) wire bytes across all tenants.
-func (s *MuxShardServer) TrafficBytes() (push, pull int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pushBytes, s.pullBytes
-}
-
-// muxConn is one handshaked worker connection of one tenant group.
-type muxConn struct {
-	worker   int
-	checksum bool // hello-negotiated CRC-32C frame trailers, both directions
-	c        net.Conn
-	rw       *bufio.ReadWriter
-	fr       *FrameReader
-	wires    [][]byte
-}
-
-// muxGroup accumulates one tenant's connections until the group is
-// complete.
-type muxGroup struct {
+// portAgg drives one tenant's lane (a shard.Port) as a session's
+// StepServer. The port addresses steps by wire number, counted here; a
+// refused Begin (step quota, saturated lane) fails the step's pushes.
+type portAgg struct {
 	port *shard.Port
-	// wireTenant/wireEpoch is the identity the group's frames carry on
-	// the wire: the admitted (id, epoch) for tagged clients, 0/0 for
-	// untagged ones. Every member — and every later frame — must match.
-	wireTenant uint32
-	wireEpoch  uint32
-	conns      []*muxConn
+	step int
+	err  error
 }
 
-// Serve accepts connections, forms tenant groups, and drives each
-// complete group's BSP step loop on its own goroutine until the group's
-// workers disconnect. It returns once cfg.Tenants groups have finished,
-// with their errors joined.
+func (p *portAgg) BeginStep() {
+	p.err = p.port.Begin(p.step)
+	p.step++
+}
+
+func (p *portAgg) AddPush(worker int, wires [][]byte) (time.Duration, error) {
+	if p.err != nil {
+		return 0, p.err
+	}
+	if err := p.port.Push(worker, wires); err != nil {
+		return 0, err
+	}
+	return 0, p.port.EndPush(worker)
+}
+
+func (p *portAgg) FinishStep() ([][]byte, time.Duration, error) {
+	if p.err != nil {
+		return nil, 0, p.err
+	}
+	return p.port.Finish()
+}
+
+// Serve accepts connections, routes each to its tenant's session, and
+// runs every fully seated session on its own goroutine until its workers
+// disconnect. It returns once cfg.Tenants sessions have finished — or
+// the listener fails, after the running ones finish — with their errors
+// joined.
 func (s *MuxShardServer) Serve() error {
-	groups := make(map[tenant.ID]*muxGroup)
-	errs := make([]error, s.cfg.Tenants)
+	forming := make(map[tenant.ID]*session)
+	errs := make([]error, s.cfg.Tenants+1)
 	var wg sync.WaitGroup
-	launched := 0
-	for launched < s.cfg.Tenants {
-		wc, g, err := s.accept(groups)
-		if err != nil {
-			// A malformed or unauthorized connection is that peer's
-			// problem, not the tier's: keep serving the tenants.
-			continue
-		}
-		g.conns = append(g.conns, wc)
-		if len(g.conns) < g.port.Workers() {
-			continue
-		}
-		delete(groups, g.port.Tenant().ID)
-		conns := g.conns
-		sort.Slice(conns, func(i, j int) bool { return conns[i].worker < conns[j].worker })
-		slot := launched
-		launched++
-		wg.Add(1)
-		go func(g *muxGroup) {
-			defer wg.Done()
-			errs[slot] = s.serveTenant(g)
-			for _, wc := range g.conns {
-				wc.c.Close()
+	for launched := 0; launched < s.cfg.Tenants; {
+		st, hash, err := acceptSeat(s.ln, s.cfg.Timeouts)
+		if errors.Is(err, errListener) {
+			errs[s.cfg.Tenants] = err
+			for _, g := range forming {
+				g.close()
 			}
-		}(g)
+			break
+		}
+		if err != nil {
+			// A malformed connection is that peer's problem, not the
+			// tier's: keep serving the tenants.
+			continue
+		}
+		id := tenant.ID(st.fc.tenant)
+		g, err := s.route(forming[id], st, hash)
+		if err != nil {
+			st.c.Close() // so is an unauthorized or misaddressed one
+			continue
+		}
+		forming[id] = g
+		g.seats[st.id] = st
+		full := true
+		for _, other := range g.seats {
+			full = full && other != nil
+		}
+		if !full {
+			continue
+		}
+		delete(forming, id)
+		wg.Add(1)
+		go func(slot int) {
+			defer wg.Done()
+			errs[slot] = g.run()
+			g.close()
+		}(launched)
+		launched++
 	}
 	wg.Wait()
 	return errors.Join(errs...)
 }
 
-// accept handshakes one connection: a v2 hello whose tenant identity
-// must resolve in the service registry (untagged = default tenant,
-// epoch unchecked — the pre-multi-tenant compatibility contract) and
-// whose placement hash must match that tenant's own placement.
-func (s *MuxShardServer) accept(groups map[tenant.ID]*muxGroup) (*muxConn, *muxGroup, error) {
-	c, err := s.ln.Accept()
-	if err != nil {
-		return nil, nil, err
-	}
-	fail := func(err error) (*muxConn, *muxGroup, error) {
-		c.Close()
-		return nil, nil, err
-	}
-	rw := newConnRW(c)
-	fr := NewFrameReader(rw)
-	s.cfg.Timeouts.beforeRead(c)
-	t, payload, err := fr.ReadFrame()
-	if err != nil {
-		return fail(fmt.Errorf("transport: mux shard %d hello: %w", s.cfg.Shard, err))
-	}
-	if t != MsgShardHello {
-		return fail(fmt.Errorf("transport: mux shard %d: expected hello, got type %d", s.cfg.Shard, t))
-	}
-	cksum := false
-	if len(payload) >= 2 && payload[1]&FlagChecksum != 0 {
-		// Per-worker checksum negotiation, exactly as on ShardServer: the
-		// hello carries (and is validated by) its own trailer.
-		if payload, err = verifyChecksum(MsgShardHello, payload); err != nil {
-			return fail(fmt.Errorf("transport: mux shard %d hello: %w", s.cfg.Shard, err))
-		}
-		cksum = true
-	}
-	h, rest, err := ParseShardHeader(payload)
-	if err != nil {
-		return fail(err)
-	}
-	if h.Flags&FlagResilient != 0 {
-		// A mux group's lifecycle is its connections: losing one ends the
-		// job, there is no seat to keep across reconnects.
-		return fail(fmt.Errorf("transport: mux shard %d: resilient clients are not multiplexed", s.cfg.Shard))
-	}
-	if int(h.Shard) != s.cfg.Shard {
-		return fail(fmt.Errorf("transport: hello for shard %d on shard %d", h.Shard, s.cfg.Shard))
-	}
-	if len(rest) != 4 {
-		return fail(fmt.Errorf("transport: shard hello has %d trailing bytes, want 4", len(rest)))
-	}
-	id := tenant.ID(h.Tenant)
-	if h.Flags&FlagTenant != 0 {
-		// Tagged hello: the epoch must be the live admission's.
-		if _, err := s.svc.Registry().Check(id, tenant.Epoch(h.Epoch)); err != nil {
-			return fail(fmt.Errorf("transport: mux shard %d: %w", s.cfg.Shard, err))
+// route resolves a handshaked connection's tenant identity in the
+// service registry (untagged = default tenant, epoch unchecked — the
+// pre-multi-tenant compatibility contract) and admits it to g, that
+// tenant's forming session — created here, with the hello's wire
+// identity as the one every member and every later frame must carry,
+// when the connection is the tenant's first.
+func (s *MuxShardServer) route(g *session, st *seat, hash uint32) (*session, error) {
+	id := tenant.ID(st.fc.tenant)
+	if st.fc.tenant != 0 || st.fc.epoch != 0 {
+		if _, err := s.svc.Registry().Check(id, tenant.Epoch(st.fc.epoch)); err != nil {
+			return nil, err
 		}
 	} else if _, err := s.svc.Registry().Get(tenant.Default); err != nil {
-		return fail(fmt.Errorf("transport: mux shard %d: %w", s.cfg.Shard, err))
+		return nil, err
 	}
-	g, ok := groups[id]
-	if !ok {
+	if g == nil {
 		port, ok := s.svc.Port(id, s.cfg.Shard)
 		if !ok {
-			return fail(fmt.Errorf("transport: mux shard %d: tenant %d has no job on this tier", s.cfg.Shard, id))
+			return nil, fmt.Errorf("transport: mux shard %d: tenant %d has no job on this tier", s.cfg.Shard, id)
 		}
-		g = &muxGroup{port: port, wireTenant: h.Tenant, wireEpoch: h.Epoch}
-		groups[id] = g
+		g = newSession(&portAgg{port: port}, ShardServerConfig{
+			Shard:          s.cfg.Shard,
+			NumShards:      s.svc.NumShards(),
+			Workers:        port.Workers(),
+			Steps:          -1,
+			AssignmentHash: port.Hash(),
+			Timeouts:       s.cfg.Timeouts,
+			Tenant:         st.fc.tenant,
+			Epoch:          st.fc.epoch,
+		}, nil, &s.traffic)
 	}
-	if h.Tenant != g.wireTenant || h.Epoch != g.wireEpoch {
-		return fail(fmt.Errorf("transport: mux shard %d: tenant %d hello epoch %d differs from group epoch %d",
-			s.cfg.Shard, h.Tenant, h.Epoch, g.wireEpoch))
+	if err := g.cfg.admit(&st.fc, hash, false); err != nil {
+		return nil, err
 	}
-	if hash := le.Uint32(rest); hash != g.port.Hash() {
-		return fail(fmt.Errorf("transport: tenant %d worker %d placement hash %#x != server %#x (divergent model layout)",
-			id, h.Worker, hash, g.port.Hash()))
+	if g.seats[st.id] != nil {
+		return nil, fmt.Errorf("transport: tenant %d: duplicate worker id %d", id, st.id)
 	}
-	w := int(h.Worker)
-	if w < 0 || w >= g.port.Workers() {
-		return fail(fmt.Errorf("transport: tenant %d: bad worker id %d", id, w))
-	}
-	for _, wc := range g.conns {
-		if wc.worker == w {
-			return fail(fmt.Errorf("transport: tenant %d: duplicate worker id %d", id, w))
-		}
-	}
-	return &muxConn{worker: w, checksum: cksum, c: c, rw: rw, fr: fr}, g, nil
-}
-
-// serveTenant drives one complete tenant group's BSP loop: per step,
-// read every worker's whole-set push in worker-id order into the
-// tenant's lane, hit the Finish barrier, broadcast the pull. A clean
-// EOF from worker 0 at the top of a step is the group's job-complete
-// signal.
-func (s *MuxShardServer) serveTenant(g *muxGroup) error {
-	id := g.port.Tenant().ID
-	var pullBuf, ckBuf []byte
-	for step := 0; ; step++ {
-		// Worker 0's frame is read before the step opens so a closed
-		// group ends the loop without charging a step.
-		h0, body0, eof, err := s.readMuxPush(g, g.conns[0], step)
-		if eof {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := g.port.Begin(step); err != nil {
-			return fmt.Errorf("transport: mux shard %d tenant %d step %d: %w", s.cfg.Shard, id, step, err)
-		}
-		wires, _, err := ParseWireSetInto(g.conns[0].wires, body0)
-		if err != nil {
-			return fmt.Errorf("transport: mux shard %d tenant %d worker %d: %w", s.cfg.Shard, id, h0.Worker, err)
-		}
-		g.conns[0].wires = wires
-		if err := g.port.Push(g.conns[0].worker, wires); err != nil {
-			return err
-		}
-		if err := g.port.EndPush(g.conns[0].worker); err != nil {
-			return err
-		}
-		for _, wc := range g.conns[1:] {
-			h, body, eof, err := s.readMuxPush(g, wc, step)
-			if eof {
-				return fmt.Errorf("transport: mux shard %d tenant %d: worker %d closed mid-step %d", s.cfg.Shard, id, wc.worker, step)
-			}
-			if err != nil {
-				return err
-			}
-			wires, _, err := ParseWireSetInto(wc.wires, body)
-			if err != nil {
-				return fmt.Errorf("transport: mux shard %d tenant %d worker %d: %w", s.cfg.Shard, id, h.Worker, err)
-			}
-			wc.wires = wires
-			if err := g.port.Push(wc.worker, wires); err != nil {
-				return err
-			}
-			if err := g.port.EndPush(wc.worker); err != nil {
-				return err
-			}
-		}
-		pull, _, err := g.port.Finish()
-		if err != nil {
-			return fmt.Errorf("transport: mux shard %d tenant %d step %d: %w", s.cfg.Shard, id, step, err)
-		}
-		// Two pull variants at most: the plain payload and — only when
-		// some member negotiated integrity — the checksummed one; each
-		// worker receives the generation its hello asked for.
-		anyPlain, anyCk := false, false
-		for _, wc := range g.conns {
-			if wc.checksum {
-				anyCk = true
-			} else {
-				anyPlain = true
-			}
-		}
-		if anyPlain {
-			pullBuf = AppendShardHeader(pullBuf[:0], ShardHeader{
-				Version: ShardWireVersion,
-				Shard:   uint16(s.cfg.Shard),
-				Step:    uint32(step),
-				Tenant:  g.wireTenant,
-				Epoch:   g.wireEpoch,
-			})
-			pullBuf = AppendWireSet(pullBuf, pull)
-		}
-		if anyCk {
-			ckBuf = AppendShardHeader(ckBuf[:0], ShardHeader{
-				Version: ShardWireVersion,
-				Flags:   FlagChecksum,
-				Shard:   uint16(s.cfg.Shard),
-				Step:    uint32(step),
-				Tenant:  g.wireTenant,
-				Epoch:   g.wireEpoch,
-			})
-			ckBuf = AppendWireSet(ckBuf, pull)
-			ckBuf = appendChecksum(MsgShardPull, ckBuf)
-		}
-		for _, wc := range g.conns {
-			out := pullBuf
-			if wc.checksum {
-				out = ckBuf
-			}
-			s.cfg.Timeouts.beforeWrite(wc.c)
-			if err := WriteFrame(wc.rw, MsgShardPull, out); err != nil {
-				return fmt.Errorf("transport: mux shard %d tenant %d step %d pull to worker %d: %w", s.cfg.Shard, id, step, wc.worker, err)
-			}
-			if err := wc.rw.Flush(); err != nil {
-				return fmt.Errorf("transport: mux shard %d tenant %d step %d flush to worker %d: %w", s.cfg.Shard, id, step, wc.worker, err)
-			}
-			s.mu.Lock()
-			s.pullBytes += int64(len(out))
-			s.mu.Unlock()
-		}
-	}
-}
-
-// readMuxPush reads and validates one worker's whole-set push frame for
-// the given step. A clean EOF before any frame bytes reports eof=true —
-// the worker closed at a step boundary.
-func (s *MuxShardServer) readMuxPush(g *muxGroup, wc *muxConn, step int) (ShardHeader, []byte, bool, error) {
-	id := g.port.Tenant().ID
-	s.cfg.Timeouts.beforeRead(wc.c)
-	t, payload, err := wc.fr.ReadFrame()
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return ShardHeader{}, nil, true, nil
-		}
-		return ShardHeader{}, nil, false, fmt.Errorf("transport: mux shard %d tenant %d step %d push from worker %d: %w",
-			s.cfg.Shard, id, step, wc.worker, err)
-	}
-	if t != MsgShardPush {
-		return ShardHeader{}, nil, false, fmt.Errorf("transport: mux shard %d tenant %d: expected whole-set push, got type %d (streamed pushes are not multiplexed)",
-			s.cfg.Shard, id, t)
-	}
-	var h ShardHeader
-	var body []byte
-	if wc.checksum {
-		h, body, err = parseChecksummedFrame(t, payload)
-	} else {
-		h, body, err = ParseShardHeader(payload)
-	}
-	if err != nil {
-		return ShardHeader{}, nil, false, err
-	}
-	if int(h.Shard) != s.cfg.Shard {
-		return ShardHeader{}, nil, false, fmt.Errorf("transport: push for shard %d on shard %d", h.Shard, s.cfg.Shard)
-	}
-	if h.Tenant != g.wireTenant || h.Epoch != g.wireEpoch {
-		return ShardHeader{}, nil, false, fmt.Errorf("transport: mux shard %d: push for tenant %d epoch %d on tenant %d epoch %d group",
-			s.cfg.Shard, h.Tenant, h.Epoch, g.wireTenant, g.wireEpoch)
-	}
-	if int(h.Worker) != wc.worker {
-		return ShardHeader{}, nil, false, fmt.Errorf("transport: push id %d on worker %d's connection", h.Worker, wc.worker)
-	}
-	if int(h.Step) != step {
-		return ShardHeader{}, nil, false, fmt.Errorf("transport: tenant %d worker %d pushed step %d during step %d (barrier violation)",
-			id, h.Worker, h.Step, step)
-	}
-	s.mu.Lock()
-	s.pushBytes += int64(len(payload))
-	s.mu.Unlock()
-	return h, body, false, nil
+	return g, nil
 }

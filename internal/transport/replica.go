@@ -22,7 +22,6 @@
 package transport
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -32,49 +31,37 @@ import (
 
 // ShardReplica serves one shard's replica endpoint.
 type ShardReplica struct {
-	ps  *ps.Server
+	traffic
+	ps  *ps.Job
 	cfg ShardServerConfig
 	ln  net.Listener
-
-	mu        sync.Mutex
-	pushBytes int64
-	pullBytes int64
 }
 
-// NewShardReplica wraps sub (a ps sub-server over this shard's tensors,
+// NewShardReplica wraps sub (a ps sub-job over this shard's tensors,
 // built from its OWN model replica — it must not share parameter tensors
-// with the primary's sub-server) to stand by for cfg.Workers workers and
+// with the primary's sub-job) to stand by for cfg.Workers workers and
 // cfg.Steps steps on ln.
-func NewShardReplica(ln net.Listener, sub *ps.Server, cfg ShardServerConfig) *ShardReplica {
+func NewShardReplica(ln net.Listener, sub *ps.Job, cfg ShardServerConfig) *ShardReplica {
 	if cfg.NumShards < 1 {
 		cfg.NumShards = 1
 	}
 	return &ShardReplica{ps: sub, cfg: cfg, ln: ln}
 }
 
-// TrafficBytes reports received push and sent pull wire bytes.
-func (r *ShardReplica) TrafficBytes() (push, pull int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.pushBytes, r.pullBytes
-}
-
 // repConn is one inbound connection: the primary's forwarding link or a
 // failed-over worker.
 type repConn struct {
-	c        net.Conn
-	rw       *bufio.ReadWriter
-	upstream bool
-	worker   int
+	link
 	lastPush int // step of the worker's most recent direct push
 	closed   bool
 }
 
-// repEvent is one frame (or connection failure) delivered to the serve
-// loop. Payloads are copied out of the reader's scratch: the loop may
-// buffer them across many subsequent frames.
+// repEvent is one connection's admitted hello, frame, or failure,
+// delivered to the serve loop. Payloads are copied out of the reader's
+// scratch: the loop may buffer them across many subsequent frames.
 type repEvent struct {
 	wc      *repConn
+	hello   bool
 	t       MsgType
 	payload []byte
 	err     error
@@ -115,12 +102,14 @@ func (r *ShardReplica) Serve() error {
 		}
 	}()
 
-	pending := make(map[int][]byte) // worker id -> current step's push payload
+	pending := make(map[int][]byte) // worker id -> current step's pushed wire set
 	var workers []*repConn          // failed-over worker connections
 	var upstream *repConn
 	var lastPull []byte // retained pull payload of the last finished step
 	finished := 0       // completed steps
 	var wires [][]byte  // wire-set parse scratch
+	// Everything a replica sends is the plain pull of its one job.
+	pullCodec := frameCodec{shard: uint16(r.cfg.Shard), tenant: r.cfg.Tenant, epoch: r.cfg.Epoch}
 
 	for finished < r.cfg.Steps {
 		ev := <-events
@@ -133,62 +122,46 @@ func (r *ShardReplica) Serve() error {
 			// closed): keep serving — the workers will fail over to us. A
 			// dead worker conn just drops out of the broadcast set.
 			ev.wc.closed = true
-			if ev.wc.upstream {
+			if ev.wc.fc.upstream {
 				upstream = nil
 			}
-		case ev.t == MsgReplicaHello:
+		case ev.hello && ev.wc.fc.upstream:
 			if upstream != nil {
 				return fmt.Errorf("transport: replica shard %d: second upstream connection", r.cfg.Shard)
 			}
 			upstream = ev.wc
-		case ev.t == MsgShardHello:
+		case ev.hello:
 			for _, wc := range workers {
-				if !wc.closed && wc.worker == ev.wc.worker {
-					return fmt.Errorf("transport: replica shard %d: duplicate worker %d", r.cfg.Shard, ev.wc.worker)
+				if !wc.closed && wc.fc.worker == ev.wc.fc.worker {
+					return fmt.Errorf("transport: replica shard %d: duplicate worker %d", r.cfg.Shard, ev.wc.fc.worker)
 				}
 			}
 			workers = append(workers, ev.wc)
-		case ev.t == MsgReplicaPush || ev.t == MsgShardPush:
-			h, _, err := ParseShardHeader(ev.payload)
+		case ev.t == MsgReplicaPush && ev.wc.fc.upstream, ev.t == MsgShardPush && !ev.wc.fc.upstream:
+			// Replay dedupe is keyed on (tenant, worker, step): the codec
+			// matched the tenant, a push one step behind is a replay, and
+			// the worker id completes the identity.
+			f, err := ev.wc.fc.parseFrame(ev.t, ev.payload, finished, true)
 			if err != nil {
-				return err
+				return fmt.Errorf("transport: replica shard %d: %w", r.cfg.Shard, err)
 			}
-			if int(h.Shard) != r.cfg.Shard {
-				return fmt.Errorf("transport: replica shard %d: push for shard %d", r.cfg.Shard, h.Shard)
-			}
-			if h.Tenant != r.cfg.Tenant || h.Epoch != r.cfg.Epoch {
-				return fmt.Errorf("transport: replica shard %d: push for tenant %d epoch %d on endpoint serving tenant %d epoch %d",
-					r.cfg.Shard, h.Tenant, h.Epoch, r.cfg.Tenant, r.cfg.Epoch)
-			}
-			w, step := int(h.Worker), int(h.Step)
-			if w < 0 || w >= r.cfg.Workers {
+			w, step := int(f.worker), int(f.step)
+			if w >= r.cfg.Workers {
 				return fmt.Errorf("transport: replica shard %d: bad worker id %d", r.cfg.Shard, w)
 			}
-			if !ev.wc.upstream {
+			if !ev.wc.fc.upstream {
 				ev.wc.lastPush = step
 			}
-			r.mu.Lock()
-			r.pushBytes += int64(len(ev.payload))
-			r.mu.Unlock()
-			switch {
-			case step == finished-1:
+			r.push.Add(int64(len(ev.payload)))
+			if step == finished {
+				if _, dup := pending[w]; !dup {
+					pending[w] = f.body
+				}
+			} else if !ev.wc.fc.upstream {
 				// Replay of a step this replica already completed: the
 				// primary died after the full step was forwarded. Nothing
 				// to apply — answer the worker from the retained pull.
-				if !ev.wc.upstream {
-					if err := r.sendPull(ev.wc, lastPull); err != nil {
-						ev.wc.closed = true
-					}
-				}
-			case step == finished:
-				// (tenant, worker, step) dedupe: the tenant matched above,
-				// step == finished here, so the worker id completes the
-				// identity.
-				if _, dup := pending[w]; !dup {
-					pending[w] = ev.payload
-				}
-			default:
-				return fmt.Errorf("transport: replica shard %d: push for step %d while at step %d", r.cfg.Shard, step, finished)
+				r.sendPull(ev.wc, lastPull)
 			}
 		default:
 			return fmt.Errorf("transport: replica shard %d: unexpected frame type %d", r.cfg.Shard, ev.t)
@@ -198,64 +171,42 @@ func (r *ShardReplica) Serve() error {
 			continue
 		}
 		// Full step: apply in worker-id order (float accumulation order is
-		// state), advance the sub-server, retain the pull, answer the
+		// state), advance the sub-job, retain the pull, answer the
 		// workers that pushed this step directly.
 		r.ps.BeginStep()
 		for id := 0; id < r.cfg.Workers; id++ {
-			_, body, err := ParseShardHeader(pending[id])
+			var err error
+			if wires, _, err = ParseWireSetInto(wires, pending[id]); err == nil {
+				_, err = r.ps.AddPush(id, wires)
+			}
 			if err != nil {
-				return err
-			}
-			var werr error
-			wires, _, werr = ParseWireSetInto(wires, body)
-			if werr != nil {
-				return fmt.Errorf("transport: replica shard %d worker %d: %w", r.cfg.Shard, id, werr)
-			}
-			if _, err := r.ps.AddPush(id, wires); err != nil {
-				return fmt.Errorf("transport: replica shard %d: %w", r.cfg.Shard, err)
+				return fmt.Errorf("transport: replica shard %d worker %d: %w", r.cfg.Shard, id, err)
 			}
 		}
 		pull, _, err := r.ps.FinishStep()
 		if err != nil {
 			return fmt.Errorf("transport: replica shard %d: %w", r.cfg.Shard, err)
 		}
-		lastPull = AppendShardHeader(lastPull[:0], ShardHeader{
-			Version: ShardWireVersion,
-			Shard:   uint16(r.cfg.Shard),
-			Step:    uint32(finished),
-			Tenant:  r.cfg.Tenant,
-			Epoch:   r.cfg.Epoch,
-		})
-		lastPull = AppendWireSet(lastPull, pull)
+		lastPull = pullCodec.appendFrame(lastPull[:0], frame{t: MsgShardPull, step: uint32(finished), set: pull})
 		for _, wc := range workers {
-			if wc.closed || wc.lastPush != finished {
-				continue
-			}
-			if err := r.sendPull(wc, lastPull); err != nil {
-				wc.closed = true
+			if !wc.closed && wc.lastPush == finished {
+				r.sendPull(wc, lastPull)
 			}
 		}
-		for id := range pending {
-			delete(pending, id)
-		}
+		clear(pending)
 		finished++
 	}
 	return nil
 }
 
-// sendPull writes one retained pull payload to a failed-over worker.
-func (r *ShardReplica) sendPull(wc *repConn, payload []byte) error {
-	r.cfg.Timeouts.beforeWrite(wc.c)
-	if err := WriteFrame(wc.rw, MsgShardPull, payload); err != nil {
-		return err
+// sendPull writes one retained pull payload to a failed-over worker; a
+// connection that cannot take it drops out of the broadcast set.
+func (r *ShardReplica) sendPull(wc *repConn, payload []byte) {
+	if err := wc.write(MsgShardPull, payload); err != nil {
+		wc.closed = true
+		return
 	}
-	if err := wc.rw.Flush(); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	r.pullBytes += int64(len(payload))
-	r.mu.Unlock()
-	return nil
+	r.pull.Add(int64(len(payload)))
 }
 
 // readConn handshakes one inbound connection and streams its frames to
@@ -269,61 +220,30 @@ func (r *ShardReplica) readConn(c net.Conn, events chan<- repEvent, done <-chan 
 			return false
 		}
 	}
-	rw := newConnRW(c)
-	fr := NewFrameReader(rw)
-	wc := &repConn{c: c, rw: rw}
+	wc := &repConn{link: link{to: r.cfg.Timeouts}, lastPush: -1}
+	wc.attach(c)
 	// Every read is deadline-armed (cfg.Timeouts.Read must exceed a step
 	// interval, the frame cadence of both the upstream forwarding link
 	// and failed-over workers): a silently dead peer surfaces as a
 	// timeout event instead of parking this reader forever.
-	r.cfg.Timeouts.beforeRead(c)
-	t, payload, err := fr.ReadFrame()
-	if err != nil {
-		send(repEvent{wc: wc, err: err})
-		return
-	}
-	switch t {
-	case MsgReplicaHello, MsgShardHello:
-		h, rest, err := ParseShardHeader(payload)
-		if err != nil {
-			send(repEvent{wc: wc, err: err})
-			return
+	for hello := true; ; hello = false {
+		wc.to.beforeRead(c)
+		t, payload, err := wc.fr.ReadFrame()
+		ev := repEvent{wc: wc, hello: hello, t: t, err: err}
+		switch {
+		case err != nil:
+		case hello:
+			var hash uint32
+			if wc.fc, hash, ev.err = parseHello(t, payload); ev.err == nil {
+				ev.err = r.cfg.admit(&wc.fc, hash, true)
+			}
+			if ev.err != nil {
+				ev.err = fmt.Errorf("transport: replica shard %d: %w", r.cfg.Shard, ev.err)
+			}
+		default:
+			ev.payload = append([]byte(nil), payload...)
 		}
-		if h.Flags&(FlagChecksum|FlagResilient) != 0 {
-			// The replay path stores and re-parses raw push payloads; it
-			// does not speak the checksummed wire. A checksummed hello
-			// would also fail the trailing-length check below, but reject
-			// it by name so the error says why.
-			send(repEvent{wc: wc, err: fmt.Errorf("transport: replica shard %d: checksummed/resilient clients are not replicated", r.cfg.Shard)})
-			return
-		}
-		if int(h.Shard) != r.cfg.Shard || len(rest) != 4 || le.Uint32(rest) != r.cfg.AssignmentHash {
-			send(repEvent{wc: wc, err: fmt.Errorf("transport: replica shard %d: bad hello (shard %d)", r.cfg.Shard, h.Shard)})
-			return
-		}
-		if h.Tenant != r.cfg.Tenant || h.Epoch != r.cfg.Epoch {
-			send(repEvent{wc: wc, err: fmt.Errorf("transport: replica shard %d: hello for tenant %d epoch %d on endpoint serving tenant %d epoch %d",
-				r.cfg.Shard, h.Tenant, h.Epoch, r.cfg.Tenant, r.cfg.Epoch)})
-			return
-		}
-		wc.upstream = t == MsgReplicaHello
-		wc.worker = int(h.Worker)
-		wc.lastPush = -1
-		if !send(repEvent{wc: wc, t: t}) {
-			return
-		}
-	default:
-		send(repEvent{wc: wc, err: fmt.Errorf("transport: replica shard %d: expected hello, got type %d", r.cfg.Shard, t)})
-		return
-	}
-	for {
-		r.cfg.Timeouts.beforeRead(c)
-		t, payload, err := fr.ReadFrame()
-		if err != nil {
-			send(repEvent{wc: wc, err: err})
-			return
-		}
-		if !send(repEvent{wc: wc, t: t, payload: append([]byte(nil), payload...)}) {
+		if !send(ev) || ev.err != nil {
 			return
 		}
 	}

@@ -1,170 +1,22 @@
 package transport
 
-import (
-	"bufio"
-	"fmt"
-	"net"
-	"sort"
-	"sync"
-	"time"
-)
-
-// StepServer is the aggregation surface Server drives each BSP step:
-// open the step, ingest one complete wire-set push per worker, close the
-// step and collect the shared pull. The flat parameter server (*ps.Job)
-// implements it directly; region.Tier implements it so a hierarchical
-// aggregator can sit behind the same front door.
-type StepServer interface {
-	BeginStep()
-	AddPush(workerID int, wires [][]byte) (time.Duration, error)
-	FinishStep() ([][]byte, time.Duration, error)
-}
+import "net"
 
 // Server drives a StepServer over real connections with BSP semantics:
 // every step it waits for a push from each connected worker, applies the
-// update, and broadcasts the shared pull.
-type Server struct {
-	ps       StepServer
-	workers  int
-	steps    int
-	listener net.Listener
-	to       Timeouts
-
-	mu        sync.Mutex
-	pushBytes int64
-	pullBytes int64
-}
+// update, and broadcasts the shared pull. It is the session engine's
+// degenerate case — a one-shard ShardServer whose aggregator is any
+// StepServer, serving v1 clients (Dial) with the v1 wire.
+type Server struct{ ShardServer }
 
 // NewServer wraps srv to serve `workers` workers for `steps` steps on ln.
 func NewServer(ln net.Listener, srv StepServer, workers, steps int) *Server {
-	return &Server{ps: srv, workers: workers, steps: steps, listener: ln}
+	return &Server{ShardServer{agg: srv, ln: ln,
+		cfg: ShardServerConfig{NumShards: 1, Workers: workers, Steps: steps}}}
 }
 
 // SetTimeouts bounds every per-worker frame read and write in the step
 // loop (call before Serve). A worker that dies mid-run then fails the
 // step with a net.Error timeout instead of blocking the barrier forever.
 // The read deadline must cover a full compute phase, not a round trip.
-func (s *Server) SetTimeouts(to Timeouts) { s.to = to }
-
-// TrafficBytes reports the total wire bytes received (pushes) and sent
-// (pulls, summed over workers).
-func (s *Server) TrafficBytes() (push, pull int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pushBytes, s.pullBytes
-}
-
-type workerConn struct {
-	id    int
-	rw    *bufio.ReadWriter
-	fr    *FrameReader // per-connection frame reader with recycled scratch
-	wires [][]byte     // parsed push set, slice headers recycled each step
-	c     net.Conn
-}
-
-// Serve accepts the configured number of workers, runs the step loop to
-// completion, and closes the connections. It returns the first error
-// encountered; nil means all steps completed.
-func (s *Server) Serve() error {
-	conns := make([]*workerConn, 0, s.workers)
-	defer func() {
-		for _, wc := range conns {
-			wc.c.Close()
-		}
-	}()
-
-	seen := make(map[int]bool)
-	for len(conns) < s.workers {
-		c, err := s.listener.Accept()
-		if err != nil {
-			return fmt.Errorf("transport: accept: %w", err)
-		}
-		rw := bufio.NewReadWriter(bufio.NewReader(c), bufio.NewWriter(c))
-		fr := NewFrameReader(rw)
-		// Deadline-armed like every step-loop read: a connection that
-		// never sends its hello must not stall the serial accept loop.
-		s.to.beforeRead(c)
-		t, payload, err := fr.ReadFrame()
-		if err != nil {
-			c.Close()
-			return fmt.Errorf("transport: hello: %w", err)
-		}
-		if t != MsgHello || len(payload) != 4 {
-			c.Close()
-			return fmt.Errorf("transport: expected hello, got type %d (%d bytes)", t, len(payload))
-		}
-		id := int(le.Uint32(payload))
-		if id < 0 || id >= s.workers || seen[id] {
-			c.Close()
-			return fmt.Errorf("transport: bad or duplicate worker id %d", id)
-		}
-		seen[id] = true
-		conns = append(conns, &workerConn{id: id, rw: rw, fr: fr, c: c})
-	}
-	// Service workers in id order, not accept order: float gradient
-	// accumulation is not associative, so a run-dependent push order would
-	// make the final model state differ in low bits run-to-run (and
-	// against the sharded tier, which orders by worker id).
-	sort.Slice(conns, func(i, j int) bool { return conns[i].id < conns[j].id })
-
-	var pullBuf []byte // pull payload, rebuilt in place each step
-	for step := 0; step < s.steps; step++ {
-		s.ps.BeginStep()
-		for _, wc := range conns {
-			// The payload aliases the connection's scratch; it is fully
-			// consumed (decoded into the ps server) before the next read.
-			s.to.beforeRead(wc.c)
-			t, payload, err := wc.fr.ReadFrame()
-			if err != nil {
-				return fmt.Errorf("transport: step %d push from worker %d: %w", step, wc.id, err)
-			}
-			if t != MsgPush {
-				return fmt.Errorf("transport: step %d: expected push, got type %d", step, t)
-			}
-			if len(payload) < 8 {
-				return fmt.Errorf("transport: step %d: short push header", step)
-			}
-			id := int(le.Uint32(payload))
-			gotStep := int(le.Uint32(payload[4:]))
-			if id != wc.id {
-				return fmt.Errorf("transport: push id %d on worker %d's connection", id, wc.id)
-			}
-			if gotStep != step {
-				return fmt.Errorf("transport: worker %d pushed step %d during step %d (barrier violation)", id, gotStep, step)
-			}
-			wires, _, err := ParseWireSetInto(wc.wires, payload[8:])
-			if err != nil {
-				return fmt.Errorf("transport: step %d worker %d: %w", step, id, err)
-			}
-			wc.wires = wires
-			if _, err := s.ps.AddPush(id, wires); err != nil {
-				return err
-			}
-			s.mu.Lock()
-			s.pushBytes += int64(len(payload))
-			s.mu.Unlock()
-		}
-
-		pull, _, err := s.ps.FinishStep()
-		if err != nil {
-			return err
-		}
-		pullBuf = append(pullBuf[:0], 0, 0, 0, 0)
-		le.PutUint32(pullBuf, uint32(step))
-		payload := AppendWireSet(pullBuf, pull)
-		pullBuf = payload
-		for _, wc := range conns {
-			s.to.beforeWrite(wc.c)
-			if err := WriteFrame(wc.rw, MsgPull, payload); err != nil {
-				return fmt.Errorf("transport: step %d pull to worker %d: %w", step, wc.id, err)
-			}
-			if err := wc.rw.Flush(); err != nil {
-				return fmt.Errorf("transport: step %d flush to worker %d: %w", step, wc.id, err)
-			}
-			s.mu.Lock()
-			s.pullBytes += int64(len(payload))
-			s.mu.Unlock()
-		}
-	}
-	return nil
-}
+func (s *Server) SetTimeouts(to Timeouts) { s.cfg.Timeouts = to }

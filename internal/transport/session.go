@@ -1,0 +1,593 @@
+// The session engine: one BSP loop over a table of worker seats, behind
+// every server in the package. ShardServer seats cfg.Workers connections
+// and runs it for cfg.Steps; NewServer is that with one shard;
+// MuxShardServer runs one per tenant, until the tenant's workers hang up.
+package transport
+
+import (
+	"bufio"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"sync/atomic"
+	"time"
+
+	"threelc/internal/ps"
+)
+
+// StepServer is the aggregation surface a session drives each BSP step:
+// open the step, ingest one complete wire-set push per worker, close the
+// step and collect the shared pull. The flat parameter server (*ps.Job)
+// implements it directly; region.Tier implements it so a hierarchical
+// aggregator can sit behind the same front door.
+type StepServer interface {
+	BeginStep()
+	AddPush(workerID int, wires [][]byte) (time.Duration, error)
+	FinishStep() ([][]byte, time.Duration, error)
+}
+
+// tensorPusher is what an aggregator may offer on top of StepServer: a
+// push fed tensor by tensor, decode-accumulated as frames land. A seat
+// may stream iff its session's aggregator offers it (*ps.Job does).
+type tensorPusher interface {
+	BeginPush(workerID int) ps.PushSession
+	NumTensors() int
+}
+
+// traffic counts an endpoint's payload bytes, pushes received and pulls
+// sent; sessions and the replica loop add to it from their own
+// goroutines while TrafficBytes reads.
+type traffic struct{ push, pull atomic.Int64 }
+
+// TrafficBytes reports the total wire bytes received (pushes) and sent
+// (pulls, summed over workers).
+func (t *traffic) TrafficBytes() (push, pull int64) { return t.push.Load(), t.pull.Load() }
+
+// link is one framed connection and the codec its hello negotiated — the
+// unit both ends of every transport connection are built from.
+type link struct {
+	c   net.Conn
+	rw  *bufio.ReadWriter
+	fr  *FrameReader
+	to  Timeouts
+	fc  frameCodec
+	out []byte // outgoing payload, rebuilt in place per frame
+}
+
+// attach points l at a fresh connection, keeping its codec and scratch.
+func (l *link) attach(c net.Conn) {
+	l.c = c
+	l.rw = bufio.NewReadWriter(bufio.NewReader(c), bufio.NewWriter(c))
+	l.fr = NewFrameReader(l.rw)
+}
+
+// open dials addr and sends the hello l's codec describes, vouching for
+// placement hash.
+func (l *link) open(d Dialer, addr string, hash uint32) error {
+	c, err := d.dial(addr)
+	if err != nil {
+		return fmt.Errorf("transport: dial %s: %w", addr, err)
+	}
+	l.attach(c)
+	hello := MsgShardHello
+	switch {
+	case l.fc.v1:
+		hello = MsgHello
+	case l.fc.upstream:
+		hello = MsgReplicaHello
+	}
+	if err := l.send(frame{t: hello, arg: hash}); err != nil {
+		c.Close()
+		return err
+	}
+	return nil
+}
+
+// send encodes f through the codec and writes it, flushed: frames are
+// the protocol's turn-taking, so none waits in the buffer.
+//
+//3lc:noalloc
+func (l *link) send(f frame) error {
+	l.out = l.fc.appendFrame(l.out[:0], f)
+	return l.write(f.t, l.out)
+}
+
+// write frames an already-encoded payload (a cached pull, a forwarded
+// push) and flushes it, under the write deadline.
+//
+//3lc:noalloc
+func (l *link) write(t MsgType, payload []byte) error {
+	l.to.beforeWrite(l.c)
+	if err := WriteFrame(l.rw, t, payload); err != nil {
+		return err
+	}
+	return l.rw.Flush()
+}
+
+// read receives one frame under the read deadline and parses it at step
+// (see frameCodec.parseFrame). The frame aliases the connection's
+// scratch and is valid until the next read.
+//
+//3lc:noalloc
+func (l *link) read(step int, replay bool) (frame, error) {
+	l.to.beforeRead(l.c)
+	t, payload, err := l.fr.ReadFrame()
+	if err != nil {
+		return frame{}, err
+	}
+	return l.fc.parseFrame(t, payload, step, replay)
+}
+
+// errListener tags accept failures of the listener itself (closed,
+// deadline), as opposed to a bad handshake on one accepted connection.
+// Serving tolerates the latter where it can — a corrupted hello is the
+// peer's problem and the worker behind it retries — but a listener
+// failure ends the endpoint.
+var errListener = errors.New("transport: listener failure")
+
+// seat is one worker's place in a session: its connection plus the
+// per-step push state.
+type seat struct {
+	link
+	id       int
+	wires    [][]byte // parsed push set, slice headers recycled each step
+	seen     []bool   // per-tensor received flags of one streamed push
+	streamed bool     // this step's push arrived as per-tensor frames
+}
+
+// acceptSeat takes one connection off ln and parses its hello, returning
+// the seat and the placement hash the hello vouches for. Listener
+// failures wrap errListener; handshake failures do not, and close the
+// connection. The hello read is deadline-armed: a connection that never
+// speaks must not stall the accept loop.
+func acceptSeat(ln net.Listener, to Timeouts) (*seat, uint32, error) {
+	c, err := ln.Accept()
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w: %w", errListener, err)
+	}
+	st := &seat{link: link{to: to}}
+	st.attach(c)
+	to.beforeRead(c)
+	t, payload, err := st.fr.ReadFrame()
+	var hash uint32
+	if err == nil {
+		st.fc, hash, err = parseHello(t, payload)
+	}
+	if err != nil {
+		c.Close()
+		return nil, 0, fmt.Errorf("transport: hello: %w", err)
+	}
+	st.id = int(st.fc.worker)
+	return st, hash, nil
+}
+
+// admit holds a parsed hello against the endpoint it arrived at. replica
+// says the endpoint IS a replica, the only kind that takes a primary's
+// upstream hello; it and a primary with a ReplicaAddr seat only what a
+// replica can replay.
+func (cfg *ShardServerConfig) admit(fc *frameCodec, hash uint32, replica bool) error {
+	switch {
+	case fc.v1 && (cfg.NumShards != 1 || cfg.Shard != 0):
+		return fmt.Errorf("transport: v1 hello on shard %d of %d (the v1 layout addresses a single-shard tier)", cfg.Shard, cfg.NumShards)
+	case int(fc.shard) != cfg.Shard:
+		return fmt.Errorf("transport: hello for shard %d on shard %d", fc.shard, cfg.Shard)
+	case fc.tenant != cfg.Tenant || fc.epoch != cfg.Epoch:
+		return fmt.Errorf("transport: shard %d: hello for tenant %d epoch %d on endpoint serving tenant %d epoch %d",
+			cfg.Shard, fc.tenant, fc.epoch, cfg.Tenant, cfg.Epoch)
+	case !fc.v1 && hash != cfg.AssignmentHash:
+		return fmt.Errorf("transport: worker %d placement hash %#x != server %#x (divergent model layout)",
+			fc.worker, hash, cfg.AssignmentHash)
+	case fc.upstream && !replica:
+		return fmt.Errorf("transport: shard %d: a primary's forwarding hello on a worker endpoint", cfg.Shard)
+	case !fc.upstream && int(fc.worker) >= cfg.Workers:
+		return fmt.Errorf("transport: bad worker id %d", fc.worker)
+	case fc.resilient && !cfg.Resilient:
+		// Also every EOF-terminated (mux) session: its lifecycle is its
+		// connections, there is no seat to keep across a reconnect.
+		return fmt.Errorf("transport: shard %d keeps no seat across reconnects: resilient client refused", cfg.Shard)
+	case replica || cfg.ReplicaAddr != "":
+		return fc.mirrorable()
+	}
+	return nil
+}
+
+// session is one job's BSP exchange on one shard: a seat per worker,
+// driven in worker-id order each step so gradient accumulation order —
+// and therefore the aggregator's state — is deterministic and matches
+// the in-process tier.
+type session struct {
+	cfg    ShardServerConfig
+	agg    StepServer
+	stream tensorPusher // nil: seats push whole sets only
+	ln     net.Listener // where a severed resilient seat's reconnect arrives
+	mirror *link        // primary→replica forwarding link (nil: unreplicated)
+	tr     *traffic
+
+	seats []*seat // indexed by worker id; nil while severed
+	// applied[w] is the last step whose push worker w's seat aggregated
+	// (-1 before the first): the dedupe identity for replayed pushes.
+	applied []int
+
+	// pull is the last finished step's (done) shared pull, valid until the
+	// aggregator's next FinishStep. pullBuf[k] is its encoding for codec
+	// variant k, built at most once per step (pullAt[k] == done) by the
+	// first seat that needs it — during the broadcast, or later, when a
+	// resilient seat that lost the broadcast replays its push.
+	pull    [][]byte
+	done    int
+	pullBuf [pullVariants][]byte
+	pullAt  [pullVariants]int
+}
+
+func newSession(agg StepServer, cfg ShardServerConfig, ln net.Listener, tr *traffic) *session {
+	s := &session{cfg: cfg, agg: agg, ln: ln, tr: tr, done: -1,
+		seats: make([]*seat, cfg.Workers), applied: make([]int, cfg.Workers)}
+	if cfg.ReplicaAddr == "" {
+		// The forwarding link mirrors whole-set payloads; a replicated
+		// session therefore offers its seats no per-tensor surface.
+		s.stream, _ = agg.(tensorPusher)
+	}
+	for i := range s.applied {
+		s.applied[i] = -1
+	}
+	for k := range s.pullAt {
+		s.pullAt[k] = -1
+	}
+	return s
+}
+
+// close hangs up on every seated worker and the replica.
+func (s *session) close() {
+	for _, st := range s.seats {
+		if st != nil {
+			st.c.Close()
+		}
+	}
+	if s.mirror != nil {
+		s.mirror.c.Close()
+	}
+}
+
+// accept seats one connection off the session's own listener.
+func (s *session) accept() (*seat, error) {
+	st, hash, err := acceptSeat(s.ln, s.cfg.Timeouts)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.cfg.admit(&st.fc, hash, false); err != nil {
+		st.c.Close()
+		return nil, err
+	}
+	return st, nil
+}
+
+// fill accepts until every seat is taken. A resilient session tolerates
+// bad handshakes (the worker behind one retries) and lets a worker's
+// reconnect supersede its earlier connection.
+func (s *session) fill() error {
+	for have := 0; have < len(s.seats); {
+		st, err := s.accept()
+		if err != nil {
+			if s.cfg.Resilient && !errors.Is(err, errListener) {
+				continue
+			}
+			return err
+		}
+		if old := s.seats[st.id]; old == nil {
+			have++
+		} else if s.cfg.Resilient {
+			old.c.Close()
+		} else {
+			st.c.Close()
+			return fmt.Errorf("transport: duplicate worker id %d", st.id)
+		}
+		s.seats[st.id] = st
+	}
+	return nil
+}
+
+// run drives the seated session for cfg.Steps BSP steps — or, when that
+// is negative, until worker 0 hangs up at a step boundary, the
+// job-complete signal of a session with no pre-agreed step count.
+func (s *session) run() error {
+	steps := s.cfg.Steps
+	for step := 0; steps < 0 || step < steps; step++ {
+		if s.cfg.KillAtStep > 0 && step == s.cfg.KillAtStep {
+			return ErrShardKilled
+		}
+		if steps < 0 {
+			// Looked for before the step opens, so a finished job ends the
+			// loop without charging the aggregator a step. Any other read
+			// failure is the push read's to report.
+			st := s.seats[0]
+			st.to.beforeRead(st.c)
+			if _, err := st.rw.Peek(1); errors.Is(err, io.EOF) {
+				return nil
+			}
+		}
+		s.agg.BeginStep()
+		for w := range s.seats {
+			if err := s.pushFrom(w, step); err != nil {
+				return err
+			}
+		}
+		pull, _, err := s.agg.FinishStep()
+		if err != nil {
+			return fmt.Errorf("transport: shard %d step %d: %w", s.cfg.Shard, step, err)
+		}
+		s.pull, s.done = pull, step
+		for w, st := range s.seats {
+			if st == nil {
+				continue // severed during this step; its replay is re-answered
+			}
+			if err := s.sendPull(st); err != nil && !s.sever(w) {
+				return err
+			}
+		}
+	}
+	if s.cfg.Resilient {
+		for w := range s.seats {
+			if err := s.settle(w); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// sever tears down seat w after a failure if the seat can recover
+// through reconnect-and-replay (resilient session, resilient
+// connection); it reports whether the failure was absorbed.
+func (s *session) sever(w int) bool {
+	st := s.seats[w]
+	if !s.cfg.Resilient || st == nil || !st.fc.resilient {
+		return false
+	}
+	st.c.Close()
+	s.seats[w] = nil
+	return true
+}
+
+// reacquireTimeout bounds one wait for a worker's reconnect (and the
+// per-worker settle after the last step): the configured read deadline
+// when set — it already must exceed a full step, which dominates any
+// client backoff — or 5s.
+func (s *session) reacquireTimeout() time.Duration {
+	if s.cfg.Timeouts.Read > 0 {
+		return s.cfg.Timeouts.Read
+	}
+	return 5 * time.Second
+}
+
+// reacquire accepts connections until worker w's seat is refilled,
+// replacing any other worker seats whose reconnects arrive first.
+// Handshake failures are tolerated; the wait for w is deadline-bounded
+// so a worker that never returns fails the step instead of wedging it.
+func (s *session) reacquire(w int) error {
+	type deadliner interface{ SetDeadline(time.Time) error }
+	if dl, ok := s.ln.(deadliner); ok {
+		dl.SetDeadline(time.Now().Add(s.reacquireTimeout()))
+		defer dl.SetDeadline(time.Time{})
+	}
+	for s.seats[w] == nil {
+		st, err := s.accept()
+		if errors.Is(err, errListener) {
+			if IsTimeout(err) {
+				return fmt.Errorf("transport: shard %d: worker %d did not reconnect within %v: %w",
+					s.cfg.Shard, w, s.reacquireTimeout(), err)
+			}
+			return err
+		}
+		if err != nil {
+			continue // malformed handshake: keep waiting for the worker
+		}
+		if !st.fc.resilient {
+			// Only resilient clients may (re)join mid-run: anything else
+			// is a stray peer, not a recovering seat.
+			st.c.Close()
+			continue
+		}
+		if old := s.seats[st.id]; old != nil {
+			old.c.Close()
+		}
+		s.seats[st.id] = st
+	}
+	return nil
+}
+
+// pushFrom drives worker w's seat through one step's push. Any failure
+// on a resilient seat severs it and waits for the worker's
+// reconnect-and-replay instead of failing the session.
+func (s *session) pushFrom(w, step int) error {
+	for {
+		if s.seats[w] == nil {
+			if err := s.reacquire(w); err != nil {
+				return err
+			}
+		}
+		if err := s.readPush(s.seats[w], step); err == nil || !s.sever(w) {
+			return err
+		}
+	}
+}
+
+// readPush consumes one seat's push for step into the aggregator: a
+// single whole-set frame (v2 or v1), or a stream of per-tensor frames.
+// On a resilient seat a replay of the PREVIOUS step's push — the worker
+// lost that step's pull and reconnected — is answered from the retained
+// pull and consumed without re-aggregating, the dedupe half of
+// at-most-once application, before reading on for the current push.
+//
+//3lc:noalloc
+func (s *session) readPush(st *seat, step int) error {
+	for {
+		f, err := st.read(step, st.fc.resilient && s.applied[st.id] == step-1)
+		if err != nil {
+			return fmt.Errorf("transport: shard %d step %d push from worker %d: %w", s.cfg.Shard, step, st.id, err)
+		}
+		n := len(f.raw)
+		switch f.t {
+		case MsgShardPush, MsgPush:
+			if int(f.step) != step {
+				if err := s.sendPull(st); err != nil {
+					return err
+				}
+				continue // the current step's push follows on this connection
+			}
+			st.streamed = false
+			if s.mirror != nil {
+				// Forwarded BEFORE it is decoded locally, so the replica is
+				// at least as informed as the primary at every instant: a
+				// push aggregated here but never forwarded would die with
+				// this process; the reverse is harmless, the worker replays
+				// on failover and the replica dedupes.
+				if err := s.mirror.write(MsgReplicaPush, f.raw); err != nil {
+					return fmt.Errorf("transport: shard %d forward to replica: %w", s.cfg.Shard, err)
+				}
+			}
+			if st.wires, _, err = ParseWireSetInto(st.wires, f.body); err == nil {
+				_, err = s.agg.AddPush(st.id, st.wires)
+			}
+		case MsgShardPushTensor, MsgShardPushEnd:
+			n, err = s.readStream(st, step, f)
+		default:
+			return fmt.Errorf("transport: shard %d step %d: expected push from worker %d, got type %d", s.cfg.Shard, step, st.id, f.t)
+		}
+		if err != nil {
+			return fmt.Errorf("transport: shard %d step %d worker %d: %w", s.cfg.Shard, step, st.id, err)
+		}
+		s.applied[st.id] = step
+		s.tr.push.Add(int64(n))
+		return nil
+	}
+}
+
+// readStream consumes a streamed push from its already-read first frame
+// to MsgShardPushEnd, returning the payload bytes received. Each tensor
+// wire aliases the connection's frame scratch and is decode-accumulated
+// before the next read — the session never stages the full wire set.
+// Workers must send every tensor of the shard (an empty wire for
+// non-transmitting schemes), in any order, each exactly once; duplicate
+// or missing slots are protocol errors, enforced here so a malformed
+// stream can never silently skew the aggregate.
+func (s *session) readStream(st *seat, step int, f frame) (int, error) {
+	if s.stream == nil {
+		return 0, fmt.Errorf("transport: per-tensor push to a seat that takes whole sets only (its aggregator has no per-tensor surface, or the shard mirrors to a replica)")
+	}
+	if err := st.fc.streamable(); err != nil {
+		return 0, err
+	}
+	want := s.stream.NumTensors()
+	if cap(st.seen) < want {
+		st.seen = make([]bool, want)
+	}
+	st.seen = st.seen[:want]
+	clear(st.seen)
+	push := s.stream.BeginPush(st.id)
+	n, tensors := len(f.raw), 0
+	for ; f.t == MsgShardPushTensor; tensors++ {
+		slot := int(f.arg)
+		if slot >= want || st.seen[slot] {
+			return 0, fmt.Errorf("transport: bad or duplicate push tensor slot %d", slot)
+		}
+		st.seen[slot] = true
+		if err := push.Tensor(slot, f.body); err != nil {
+			return 0, err
+		}
+		var err error
+		if f, err = st.read(step, false); err != nil {
+			return 0, fmt.Errorf("push stream: %w", err)
+		}
+		if f.t != MsgShardPushTensor && f.t != MsgShardPushEnd {
+			return 0, fmt.Errorf("transport: expected push tensor or end, got type %d", f.t)
+		}
+		n += len(f.raw)
+	}
+	if tensors != want {
+		return 0, fmt.Errorf("transport: streamed %d of %d tensors (incomplete push)", tensors, want)
+	}
+	st.streamed = true
+	return n, push.End()
+}
+
+// sendPull answers one seat with the pull of the last finished step: the
+// shared payload of its codec variant, or — to a seat that pushed
+// streamed — per-tensor frames, flushed one by one so the worker's
+// double-buffered decode starts on the first while the rest are written.
+//
+//3lc:noalloc
+func (s *session) sendPull(st *seat) error {
+	if s.done < 0 {
+		return fmt.Errorf("transport: shard %d: no finished step to answer worker %d from", s.cfg.Shard, st.id)
+	}
+	sent := 0
+	if st.streamed {
+		for k, wire := range s.pull {
+			if err := st.send(frame{t: MsgShardPullTensor, step: uint32(s.done), arg: uint32(k), body: wire}); err != nil {
+				return fmt.Errorf("transport: shard %d step %d pull tensor %d to worker %d: %w", s.cfg.Shard, s.done, k, st.id, err)
+			}
+			sent += len(st.out)
+		}
+	} else {
+		t, k := MsgShardPull, st.fc.variant()
+		if st.fc.v1 {
+			t = MsgPull
+		}
+		if s.pullAt[k] != s.done {
+			s.pullBuf[k] = st.fc.appendFrame(s.pullBuf[k][:0], frame{t: t, step: uint32(s.done), set: s.pull})
+			s.pullAt[k] = s.done
+		}
+		if err := st.write(t, s.pullBuf[k]); err != nil {
+			return fmt.Errorf("transport: shard %d step %d pull to worker %d: %w", s.cfg.Shard, s.done, st.id, err)
+		}
+		sent = len(s.pullBuf[k])
+	}
+	s.tr.pull.Add(int64(sent))
+	return nil
+}
+
+// settle is the resilient end-of-run for seat w: the worker must confirm
+// with MsgShardBye before its seat retires, and is replayed the final
+// pull if it reconnects for it. A seat whose worker neither confirms nor
+// reconnects within the reacquire window is presumed done — the only
+// frames a resilient client sends here are byes and replays, and a
+// client still missing its pull redials well within the window.
+func (s *session) settle(w int) error {
+	for tries := 0; tries <= 16; tries++ {
+		st := s.seats[w]
+		if st == nil {
+			if err := s.reacquire(w); err != nil {
+				if IsTimeout(err) {
+					return nil // no reconnect: the worker finished and went away
+				}
+				return err
+			}
+			continue
+		}
+		if !st.fc.resilient {
+			return nil
+		}
+		if s.cfg.Timeouts.Read == 0 {
+			st.c.SetReadDeadline(time.Now().Add(s.reacquireTimeout()))
+		}
+		// One past the last step: the only push that parses is a replay of
+		// the final one, and only from a seat that has it aggregated.
+		f, err := st.read(s.done+1, s.applied[w] == s.done)
+		switch {
+		case err != nil:
+			// EOF, reset, timeout or corruption: the worker is done (the
+			// reacquire above times out) or it is reconnecting.
+			s.sever(w)
+		case f.t == MsgShardBye:
+			return nil // positive confirmation: the final pull was applied
+		case f.t == MsgShardPush && int(f.step) == s.done:
+			if s.sendPull(st) != nil {
+				s.sever(w)
+			}
+		default:
+			return fmt.Errorf("transport: shard %d: unexpected type-%d frame from worker %d after the final step", s.cfg.Shard, f.t, w)
+		}
+	}
+	return fmt.Errorf("transport: shard %d: worker %d cannot settle its final pull", s.cfg.Shard, w)
+}

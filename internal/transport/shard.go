@@ -1,21 +1,32 @@
 // Sharded transport (wire format v2): workers hold one connection per
 // parameter-server shard and push/pull against all shards concurrently.
 // The v2 frames carry a versioned shard-aware header; the v1 frame types
-// (MsgHello/MsgPush/MsgPull) are untouched, so existing single-server
-// deployments keep working and a 1-shard ShardServer even accepts v1
-// clients (see ShardServerConfig.NumShards).
+// (MsgHello/MsgPush/MsgPull) are untouched and served by the same session
+// engine as its degenerate case — one shard, nothing negotiated.
 //
-//	shard header := [1B version=2][1B flags=0][2B LE shard][4B LE worker][4B LE step]
-//	hello2       := header (step field = 0) [4B LE assignment hash]
+//	shard header := [1B version=2][1B flags][2B LE shard][4B LE worker][4B LE step]
+//	hello2       := header (step = 0) [4B LE assignment hash]
 //	push2        := header [wire set]
-//	pull2        := header (worker field = 0) [wire set]
+//	pull2        := header (worker = 0) [wire set]
 //
-// With the entropy stage negotiated (hello2 grows a trailing stage byte,
-// see FlagEntropy), whole-set bodies are coded:
+// A hello negotiates per-connection stages on top of that; each is a flag
+// plus bytes the frame codec (codec.go) adds in this fixed order, and a
+// connection that negotiates none emits and accepts exactly the lines
+// above:
 //
-//	hello2e      := header (step field = 0) [4B LE assignment hash][1B algo]
-//	push2e       := header (FlagEntropy) [1B stage id][coded wire set]
-//	pull2e       := header (FlagEntropy, worker field = 0) [1B stage id][coded wire set]
+//  1. Tenant tag (FlagTenant): [4B LE tenant][4B LE epoch] directly after
+//     the header of every frame, naming the job and its admission epoch.
+//  2. Entropy stage (a trailing [1B stage] on the hello; FlagEntropy on
+//     the frames it codes): whole-set push/pull bodies become
+//     [1B stage id][coded wire set].
+//  3. CRC-32C trailer (FlagChecksum, checksum.go): [4B LE crc] ends every
+//     frame, hello included — last, so it covers what is on the wire,
+//     tag and coded body alike.
+//
+// FlagResilient (hello only, requires the trailer) adds no bytes: it
+// declares that the client may tear down and re-dial mid-run, replaying
+// the in-flight step's push; the session dedupes replays on the (worker,
+// step) identity and re-answers missed pulls from the retained pull.
 //
 // The streamed (per-tensor) frames overlap communication with codec work:
 // a worker that pushes MsgShardPushTensor frames sends each tensor the
@@ -26,24 +37,15 @@
 //
 //	pushT := header [4B LE shard-local tensor][tensor wire]
 //	pushE := header                                          (end of push)
-//	pullT := header (worker field = 0) [4B LE shard-local tensor][tensor wire]
+//	pullT := header (worker = 0) [4B LE shard-local tensor][tensor wire]
 //
 // Whole-set and streamed workers interoperate freely on one shard: the
-// mode is per worker per step, chosen by the first push frame.
-//
-// With frame integrity negotiated (FlagChecksum on the hello header, see
-// checksum.go), every frame on that connection — hello included — grows
-// a trailing [4B LE CRC-32C] over the whole payload, and a resilient
-// client (FlagResilient, requires the checksum) may additionally tear
-// down and re-dial its connection mid-run, replaying the in-flight
-// step's push; the server dedupes replays on the (worker, step) identity
-// and re-answers missed pulls from the retained last payload. A client
-// that negotiates neither emits and receives the wire byte-identically
-// to the pre-checksum format.
+// mode is per worker per step, chosen by the first push frame. Per-tensor
+// bodies skip the entropy stage; tag and trailer apply to them as to any
+// frame.
 package transport
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -51,7 +53,6 @@ import (
 	"time"
 
 	"threelc/internal/compress"
-	"threelc/internal/entropy"
 	"threelc/internal/ps"
 	"threelc/internal/shard"
 )
@@ -93,179 +94,14 @@ const (
 // KillAtStep fires — the demo/test hook that emulates a shard crash.
 var ErrShardKilled = errors.New("transport: shard killed at configured step")
 
-// ShardWireVersion is the current sharded wire-format generation. The
-// version byte leads every shard header: an incompatible layout change
-// must bump it, and receivers reject versions (and flag bits) they do not
-// know instead of misparsing.
-const ShardWireVersion = 2
-
-// ShardHeaderLen is the encoded size of a ShardHeader's fixed part; a
-// header with flag extensions is longer (see FlagTenant).
-const ShardHeaderLen = 12
-
-// FlagTenant marks a header carrying the tenant extension: 8 extra bytes
-// — [4B LE tenant id][4B LE tenant epoch] — after the fixed part. An
-// untagged header (flag clear) addresses the default tenant at epoch
-// zero, which is how pre-multi-tenant clients keep working against a
-// tenant-aware endpoint unchanged.
-const FlagTenant byte = 1 << 0
-
-// shardTenantExtLen is the FlagTenant extension size.
-const shardTenantExtLen = 8
-
-// FlagEntropy marks a push or pull frame whose wire-set body passed
-// through the entropy second stage: the bytes after the header are
-// [1B stage id][coded wire-set], stage ids mirroring the codec's
-// SchemeEntropy wire (0 stored, 1 huffman, 2 lz). The stage is
-// negotiated in the v2 hello (a trailing algo byte after the placement
-// hash); a client that does not negotiate it — including every
-// pre-entropy binary — emits and receives frames byte-identical to the
-// pre-entropy wire format, and an entropy-capable server serves both
-// kinds of client in the same tier. Streamed per-tensor frames are
-// exempt: their payoff is overlap, not bytes, and coding tensor-sized
-// fragments would forfeit cross-tensor redundancy anyway.
-const FlagEntropy byte = 1 << 1
-
-// Entropy stage ids for FlagEntropy bodies (mirror the codec's
-// SchemeEntropy stage ids).
-const (
-	entropyBodyStored  = 0
-	entropyBodyHuffman = 1
-	entropyBodyLZ      = 2
-)
-
-// ShardHeader addresses one v2 frame: which shard, which worker, which
-// step — and, when the tenant flag is set, which job (tenant id + the
-// admission epoch that makes stale frames from a retired incarnation
-// rejectable). Hello frames reuse the layout with Step zero and append
-// the 4-byte placement hash after the header.
-type ShardHeader struct {
-	Version byte
-	Flags   byte
-	Shard   uint16
-	Worker  uint32
-	Step    uint32
-	Tenant  uint32 // FlagTenant extension; 0 = default tenant
-	Epoch   uint32 // FlagTenant extension; admission epoch
-}
-
-// AppendShardHeader appends h in wire order. A nonzero Tenant or Epoch
-// turns on FlagTenant and appends the extension, so single-tenant
-// callers emit byte-for-byte the pre-multi-tenant header.
-func AppendShardHeader(dst []byte, h ShardHeader) []byte {
-	if h.Tenant != 0 || h.Epoch != 0 {
-		h.Flags |= FlagTenant
-	}
-	var b [ShardHeaderLen + shardTenantExtLen]byte
-	b[0] = h.Version
-	b[1] = h.Flags
-	le.PutUint16(b[2:], h.Shard)
-	le.PutUint32(b[4:], h.Worker)
-	le.PutUint32(b[8:], h.Step)
-	if h.Flags&FlagTenant == 0 {
-		return append(dst, b[:ShardHeaderLen]...)
-	}
-	le.PutUint32(b[12:], h.Tenant)
-	le.PutUint32(b[16:], h.Epoch)
-	return append(dst, b[:]...)
-}
-
-// ParseShardHeader decodes and validates a shard header, returning the
-// remaining payload. Unknown versions and flag bits are errors — the
-// forward-compatibility contract that lets the layout evolve behind the
-// version byte. A header without FlagTenant parses with Tenant and Epoch
-// zero: the default tenant.
-func ParseShardHeader(src []byte) (ShardHeader, []byte, error) {
-	if len(src) < ShardHeaderLen {
-		return ShardHeader{}, nil, fmt.Errorf("transport: short shard header (%d bytes)", len(src))
-	}
-	h := ShardHeader{
-		Version: src[0],
-		Flags:   src[1],
-		Shard:   le.Uint16(src[2:]),
-		Worker:  le.Uint32(src[4:]),
-		Step:    le.Uint32(src[8:]),
-	}
-	if h.Version != ShardWireVersion {
-		return ShardHeader{}, nil, fmt.Errorf("transport: unsupported shard wire version %d (have %d)", h.Version, ShardWireVersion)
-	}
-	if h.Flags&^(FlagTenant|FlagEntropy|FlagChecksum|FlagResilient) != 0 {
-		return ShardHeader{}, nil, fmt.Errorf("transport: unknown shard header flags %#x", h.Flags)
-	}
-	rest := src[ShardHeaderLen:]
-	if h.Flags&FlagTenant != 0 {
-		if len(rest) < shardTenantExtLen {
-			return ShardHeader{}, nil, fmt.Errorf("transport: short tenant header extension (%d bytes)", len(rest))
-		}
-		h.Tenant = le.Uint32(rest)
-		h.Epoch = le.Uint32(rest[4:])
-		rest = rest[shardTenantExtLen:]
-	}
-	return h, rest, nil
-}
-
-// appendEntropyBody appends [stage id][coded raw] to dst, falling back
-// to the stored stage when coding would not beat raw (bounding the
-// stage's overhead at one byte per frame).
-func appendEntropyBody(dst []byte, algo compress.EntropyAlgo, raw []byte) []byte {
-	base := len(dst)
-	switch algo {
-	case compress.EntropyHuffman:
-		dst = append(dst, entropyBodyHuffman)
-		dst = entropy.HuffmanEncodeInto(dst, raw)
-	case compress.EntropyLZ:
-		dst = append(dst, entropyBodyLZ)
-		dst = entropy.LZEncodeInto(dst, raw)
-	default:
-		dst = append(dst, entropyBodyStored)
-		return append(dst, raw...)
-	}
-	if len(dst)-base-1 >= len(raw) {
-		dst = dst[:base]
-		dst = append(dst, entropyBodyStored)
-		dst = append(dst, raw...)
-	}
-	return dst
-}
-
-// parseEntropyBody recovers the raw body of a FlagEntropy frame, staging
-// coded bodies in *buf (recycled by the caller). The returned slice
-// aliases src (stored) or *buf (coded).
-func parseEntropyBody(src []byte, buf *[]byte) ([]byte, error) {
-	if len(src) < 1 {
-		return nil, fmt.Errorf("transport: entropy frame body missing stage id")
-	}
-	switch src[0] {
-	case entropyBodyStored:
-		return src[1:], nil
-	case entropyBodyHuffman:
-		b, err := entropy.HuffmanDecodeInto((*buf)[:0], src[1:])
-		if err != nil {
-			return nil, fmt.Errorf("transport: entropy frame body: %w", err)
-		}
-		*buf = b
-		return b, nil
-	case entropyBodyLZ:
-		b, err := entropy.LZDecodeInto((*buf)[:0], src[1:])
-		if err != nil {
-			return nil, fmt.Errorf("transport: entropy frame body: %w", err)
-		}
-		*buf = b
-		return b, nil
-	default:
-		return nil, fmt.Errorf("transport: unknown entropy stage id %d", src[0])
-	}
-}
-
 // ShardServerConfig sizes one shard's transport endpoint.
 type ShardServerConfig struct {
 	// Shard is this server's shard id.
 	Shard int
 	// NumShards is the deployment's total shard count. When it is 1 (and
-	// Shard is 0), the server also accepts v1 clients: a legacy hello is
-	// treated as a v2 hello for shard 0 and the worker is answered with
-	// v1 pull frames. That keeps the old single-server wire format fully
-	// served by the new tier.
+	// Shard is 0), the server also accepts v1 clients: a legacy hello
+	// takes a seat like any other and its worker is answered with v1 pull
+	// frames.
 	NumShards int
 	// Workers is the number of workers to accept.
 	Workers int
@@ -282,11 +118,11 @@ type ShardServerConfig struct {
 	Timeouts Timeouts
 	// ReplicaAddr, when non-empty, names this shard's replica (a
 	// ShardReplica endpoint). The primary dials it at Serve start and
-	// forwards every validated whole-set push there BEFORE decoding it
-	// locally, so the replica replays the identical worker-id-ordered
-	// aggregation sequence and its sub-server state stays byte-identical
-	// to the primary's. Only v2 whole-set pushes are replicated; streamed
-	// and legacy-v1 pushes are rejected on a replicated shard.
+	// forwards every validated push there BEFORE decoding it locally, so
+	// the replica replays the identical worker-id-ordered aggregation
+	// sequence and its sub-server state stays byte-identical to the
+	// primary's. A replicated shard seats only connections that
+	// negotiated nothing and takes whole-set pushes only.
 	ReplicaAddr string
 	// KillAtStep, when > 0, makes Serve abort at the top of that step —
 	// the crash-injection hook behind `3lc-net -kill-shard` and the
@@ -309,871 +145,61 @@ type ShardServerConfig struct {
 	// longer abort Serve, a broken resilient connection is replaced by
 	// re-accepting the worker's reconnect, replayed pushes are deduped on
 	// the (worker, step) identity, and missed pulls are re-answered from
-	// the retained last payload. After the final step the server lingers
-	// until every resilient worker confirms with MsgShardBye (or its
-	// reconnect window lapses), so a worker whose final pull was
-	// corrupted can still recover it. Timeouts.Read bounds each
-	// reconnect wait (5s when zero) and must exceed the clients' worst-
-	// case retry backoff.
+	// the retained pull. After the final step the server lingers until
+	// every resilient worker confirms with MsgShardBye (or its reconnect
+	// window lapses), so a worker whose final pull was corrupted can
+	// still recover it. Timeouts.Read bounds each reconnect wait (5s when
+	// zero) and must exceed the clients' worst-case retry backoff.
 	Resilient bool
 	// Dialer overrides how the primary→replica forwarding link is opened
 	// (nil: plain TCP) — the chaos/fault-injection hook.
 	Dialer Dialer
 }
 
-// ShardServer drives one parameter-server shard (a ps sub-server, see
+// ShardServer drives one parameter-server shard (a ps sub-job, see
 // shard.SubServers) over real connections with BSP semantics.
 type ShardServer struct {
-	ps  *ps.Server
+	traffic
+	agg StepServer
 	cfg ShardServerConfig
 	ln  net.Listener
-
-	replicaConn net.Conn          // primary→replica forwarding link (nil: unreplicated)
-	replica     *bufio.ReadWriter // buffered writer over replicaConn
-
-	// applied[w] is the last step whose push worker w's seat has
-	// aggregated (-1 before the first), the dedupe identity for replayed
-	// pushes; ckBuf retains the latest checksummed pull payload so a
-	// resilient worker that missed it can be re-answered. Both are only
-	// used by the resilient path and only from the Serve goroutine.
-	applied []int
-	ckBuf   []byte
-
-	mu        sync.Mutex
-	pushBytes int64
-	pullBytes int64
 }
 
-// NewShardServer wraps sub (the ps sub-server owning this shard's
-// tensors) to serve cfg.Workers workers for cfg.Steps steps on ln.
-func NewShardServer(ln net.Listener, sub *ps.Server, cfg ShardServerConfig) *ShardServer {
+// NewShardServer wraps sub (the ps sub-job owning this shard's tensors)
+// to serve cfg.Workers workers for cfg.Steps steps on ln.
+func NewShardServer(ln net.Listener, sub *ps.Job, cfg ShardServerConfig) *ShardServer {
 	if cfg.NumShards < 1 {
 		cfg.NumShards = 1
 	}
-	return &ShardServer{ps: sub, cfg: cfg, ln: ln}
+	return &ShardServer{agg: sub, cfg: cfg, ln: ln}
 }
 
-// TrafficBytes reports the shard's total received (push) and sent (pull)
-// wire bytes.
-func (s *ShardServer) TrafficBytes() (push, pull int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pushBytes, s.pullBytes
-}
-
-// checkTenant rejects frames that do not carry this endpoint's job
-// identity (an untagged frame carries the default identity 0/0).
-func (s *ShardServer) checkTenant(h ShardHeader) error {
-	if h.Tenant != s.cfg.Tenant || h.Epoch != s.cfg.Epoch {
-		return fmt.Errorf("transport: shard %d: frame for tenant %d epoch %d on endpoint serving tenant %d epoch %d",
-			s.cfg.Shard, h.Tenant, h.Epoch, s.cfg.Tenant, s.cfg.Epoch)
-	}
-	return nil
-}
-
-type shardWorkerConn struct {
-	id        int
-	legacy    bool                 // v1 client: answer with v1 pull frames
-	streamed  bool                 // this step's push arrived as per-tensor frames
-	entropy   compress.EntropyAlgo // hello-negotiated entropy stage (off: pre-entropy wire)
-	checksum  bool                 // hello-negotiated CRC-32C frame trailers, both directions
-	resilient bool                 // hello-declared reconnect-and-replay client (implies checksum)
-	seen      []bool               // per-tensor received flags for one streamed push, recycled
-	rw        *bufio.ReadWriter
-	fr        *FrameReader
-	wires     [][]byte
-	entBuf    []byte // decoded entropy push bodies, recycled
-	c         net.Conn
-}
-
-// newConnRW pairs a connection's buffered reader and writer, exactly as
-// the v1 endpoints do.
-func newConnRW(c net.Conn) *bufio.ReadWriter {
-	return bufio.NewReadWriter(bufio.NewReader(c), bufio.NewWriter(c))
-}
-
-// Serve accepts the configured workers, runs the step loop, and closes
-// the connections. Workers are serviced in worker-id order each step, so
-// gradient accumulation order — and therefore the shard's state — is
-// deterministic and matches the in-process tier.
+// Serve seats the configured workers, runs their session for cfg.Steps
+// steps, and closes the connections.
 func (s *ShardServer) Serve() error {
-	conns := make([]*shardWorkerConn, s.cfg.Workers) // indexed by worker id
-	silentDeath := false
+	ss := newSession(s.agg, s.cfg, s.ln, &s.traffic)
+	silent := false
 	defer func() {
-		if silentDeath {
-			// Emulated silent crash: leave every socket established so the
-			// peers' read deadlines are the only failure detector.
-			return
-		}
-		for _, wc := range conns {
-			if wc != nil {
-				wc.c.Close()
-			}
-		}
-		if s.replicaConn != nil {
-			s.replicaConn.Close()
+		// An emulated silent crash leaves every socket established so the
+		// peers' read deadlines are the only failure detector.
+		if !silent {
+			ss.close()
 		}
 	}()
-
 	if s.cfg.ReplicaAddr != "" {
-		if err := s.dialReplica(); err != nil {
-			return err
+		ss.mirror = &link{to: s.cfg.Timeouts, fc: frameCodec{upstream: true,
+			shard: uint16(s.cfg.Shard), tenant: s.cfg.Tenant, epoch: s.cfg.Epoch}}
+		if err := ss.mirror.open(s.cfg.Dialer, s.cfg.ReplicaAddr, s.cfg.AssignmentHash); err != nil {
+			ss.mirror = nil
+			return fmt.Errorf("transport: shard %d replica link: %w", s.cfg.Shard, err)
 		}
 	}
-
-	s.applied = make([]int, s.cfg.Workers)
-	for i := range s.applied {
-		s.applied[i] = -1
-	}
-
-	for have := 0; have < s.cfg.Workers; {
-		wc, err := s.accept()
-		if err != nil {
-			if s.cfg.Resilient && !errors.Is(err, errListener) {
-				// A malformed or corrupted handshake is that peer's
-				// problem; the worker behind it will retry.
-				continue
-			}
-			return err
-		}
-		if old := conns[wc.id]; old != nil {
-			if !s.cfg.Resilient {
-				wc.c.Close()
-				return fmt.Errorf("transport: bad or duplicate worker id %d", wc.id)
-			}
-			old.c.Close() // superseded by the worker's reconnect: latest wins
-		} else {
-			have++
-		}
-		conns[wc.id] = wc
-	}
-
-	// The shared pull payload is serialized once per step per frame
-	// generation (v2 — plain, checksummed, or one coded payload per
-	// negotiated entropy stage — and v1 only when a legacy worker is
-	// connected) and broadcast to every worker, like the v1 server's
-	// per-step pullBuf. Workers that pushed streamed this step are
-	// answered with per-tensor pull frames instead, so their decode can
-	// start on tensor 0 while tensor 1 is still in flight. The
-	// checksummed payload lives on the server (s.ckBuf), NOT in this
-	// frame: it is retained across steps so a resilient worker that lost
-	// the broadcast can be re-answered during the next step's read phase.
-	var v2Buf, v1Buf, tBuf, setBuf []byte
-	var entBufs [3][]byte // per-stage coded pull payloads, indexed by EntropyAlgo
-	anyLegacy := false
-	for _, wc := range conns {
-		if wc.legacy {
-			anyLegacy = true
-		}
-	}
-	for step := 0; step < s.cfg.Steps; step++ {
-		if s.cfg.KillAtStep > 0 && step == s.cfg.KillAtStep {
-			silentDeath = s.cfg.KillSilent
-			return ErrShardKilled
-		}
-		s.ps.BeginStep()
-		for w := range conns {
-			if err := s.readPushFrom(conns, w, step); err != nil {
-				return err
-			}
-		}
-		pull, _, err := s.ps.FinishStep()
-		if err != nil {
-			return err
-		}
-		anyWhole, anyPlain := false, false
-		for _, wc := range conns {
-			if !wc.legacy && !wc.streamed {
-				anyWhole = true
-				if wc.entropy == compress.EntropyOff && !wc.checksum {
-					anyPlain = true
-				}
-			}
-		}
-		if anyWhole {
-			setBuf = AppendWireSet(setBuf[:0], pull)
-		}
-		if anyPlain {
-			v2Buf = AppendShardHeader(v2Buf[:0], ShardHeader{
-				Version: ShardWireVersion,
-				Shard:   uint16(s.cfg.Shard),
-				Step:    uint32(step),
-				Tenant:  s.cfg.Tenant,
-				Epoch:   s.cfg.Epoch,
-			})
-			v2Buf = append(v2Buf, setBuf...)
-		}
-		if anyLegacy {
-			v1Buf = append(v1Buf[:0], 0, 0, 0, 0)
-			le.PutUint32(v1Buf, uint32(step))
-			v1Buf = AppendWireSet(v1Buf, pull)
-		}
-		var entBuilt [3]bool
-		ckBuilt := false
-		for w := 0; w < len(conns); w++ {
-			wc := conns[w]
-			if wc == nil {
-				continue // severed during this step; replay re-answers it
-			}
-			if wc.streamed {
-				if err := s.writePullStream(wc, step, pull, &tBuf); err != nil {
-					if s.severResilient(conns, w, err) {
-						continue
-					}
-					return err
-				}
-				continue
-			}
-			t, payload := MsgShardPull, v2Buf
-			switch {
-			case wc.legacy:
-				t, payload = MsgPull, v1Buf
-			case wc.checksum:
-				if !ckBuilt {
-					s.ckBuf = AppendShardHeader(s.ckBuf[:0], ShardHeader{
-						Version: ShardWireVersion,
-						Flags:   FlagChecksum,
-						Shard:   uint16(s.cfg.Shard),
-						Step:    uint32(step),
-						Tenant:  s.cfg.Tenant,
-						Epoch:   s.cfg.Epoch,
-					})
-					s.ckBuf = append(s.ckBuf, setBuf...)
-					s.ckBuf = appendChecksum(MsgShardPull, s.ckBuf)
-					ckBuilt = true
-				}
-				payload = s.ckBuf
-			case wc.entropy != compress.EntropyOff:
-				a := wc.entropy
-				if !entBuilt[a] {
-					entBufs[a] = AppendShardHeader(entBufs[a][:0], ShardHeader{
-						Version: ShardWireVersion,
-						Flags:   FlagEntropy,
-						Shard:   uint16(s.cfg.Shard),
-						Step:    uint32(step),
-						Tenant:  s.cfg.Tenant,
-						Epoch:   s.cfg.Epoch,
-					})
-					entBufs[a] = appendEntropyBody(entBufs[a], a, setBuf)
-					entBuilt[a] = true
-				}
-				payload = entBufs[a]
-			}
-			s.cfg.Timeouts.beforeWrite(wc.c)
-			err := WriteFrame(wc.rw, t, payload)
-			if err == nil {
-				err = wc.rw.Flush()
-			}
-			if err != nil {
-				err = fmt.Errorf("transport: shard %d step %d pull to worker %d: %w", s.cfg.Shard, step, wc.id, err)
-				if s.severResilient(conns, w, err) {
-					continue // the worker reconnects and replays; see readPushFrom
-				}
-				return err
-			}
-			s.mu.Lock()
-			s.pullBytes += int64(len(payload))
-			s.mu.Unlock()
-		}
-	}
-	if s.cfg.Resilient {
-		return s.linger(conns)
-	}
-	return nil
-}
-
-// severResilient tears down conns[w] after err if the seat can recover
-// through reconnect-and-replay (resilient mode, resilient connection);
-// it reports whether the error was absorbed.
-func (s *ShardServer) severResilient(conns []*shardWorkerConn, w int, err error) bool {
-	wc := conns[w]
-	if !s.cfg.Resilient || wc == nil || !wc.resilient {
-		return false
-	}
-	wc.c.Close()
-	conns[w] = nil
-	return true
-}
-
-// reacquireTimeout bounds one wait for a worker's reconnect (and the
-// per-worker linger after the last step): the configured read deadline
-// when set — it already must exceed a full step, which dominates any
-// client backoff — or 5s.
-func (s *ShardServer) reacquireTimeout() time.Duration {
-	if s.cfg.Timeouts.Read > 0 {
-		return s.cfg.Timeouts.Read
-	}
-	return 5 * time.Second
-}
-
-// reacquire accepts connections until worker w's seat is refilled,
-// replacing any other worker seats whose reconnects arrive first.
-// Handshake failures are tolerated; the wait for w is deadline-bounded
-// so a worker that never returns fails the step instead of wedging it.
-func (s *ShardServer) reacquire(conns []*shardWorkerConn, w int) error {
-	type deadliner interface{ SetDeadline(time.Time) error }
-	dl, _ := s.ln.(deadliner)
-	if dl != nil {
-		dl.SetDeadline(time.Now().Add(s.reacquireTimeout()))
-		defer dl.SetDeadline(time.Time{})
-	}
-	for conns[w] == nil {
-		wc, err := s.accept()
-		if err != nil {
-			if errors.Is(err, errListener) {
-				if IsTimeout(err) {
-					return fmt.Errorf("transport: shard %d: worker %d did not reconnect within %v: %w",
-						s.cfg.Shard, w, s.reacquireTimeout(), err)
-				}
-				return err
-			}
-			continue // malformed handshake: keep waiting for the worker
-		}
-		if !wc.resilient {
-			// Only resilient clients may (re)join mid-run: anything else
-			// is a stray peer, not a recovering seat.
-			wc.c.Close()
-			continue
-		}
-		if old := conns[wc.id]; old != nil {
-			old.c.Close()
-		}
-		conns[wc.id] = wc
-	}
-	return nil
-}
-
-// readPushFrom drives worker w's seat through one step's push in
-// resilient terms: reacquire the seat if it is empty, consume the push,
-// and on any connection-level failure of a resilient seat, sever it and
-// wait for the worker's reconnect-and-replay instead of failing the
-// tier.
-func (s *ShardServer) readPushFrom(conns []*shardWorkerConn, w, step int) error {
-	for {
-		if conns[w] == nil {
-			if !s.cfg.Resilient {
-				return fmt.Errorf("transport: shard %d: worker %d has no connection", s.cfg.Shard, w)
-			}
-			if err := s.reacquire(conns, w); err != nil {
-				return err
-			}
-		}
-		err := s.readPush(conns[w], step)
-		if err == nil {
-			return nil
-		}
-		if !s.severResilient(conns, w, err) {
-			return err
-		}
-	}
-}
-
-// linger is the resilient end-of-run: every resilient worker must
-// confirm with MsgShardBye before its seat retires, replaying the final
-// pull to any worker that reconnects for it. A seat whose worker neither
-// confirms nor reconnects within the reacquire window is presumed done —
-// the only frames a resilient client sends here are byes and replays,
-// and a client still missing its pull redials well within the window.
-func (s *ShardServer) linger(conns []*shardWorkerConn) error {
-	lastStep := s.cfg.Steps - 1
-	for w := 0; w < len(conns); w++ {
-		for tries := 0; ; tries++ {
-			if tries > 16 {
-				return fmt.Errorf("transport: shard %d: worker %d cannot settle its final pull", s.cfg.Shard, w)
-			}
-			wc := conns[w]
-			if wc == nil {
-				if err := s.reacquire(conns, w); err != nil {
-					if IsTimeout(err) {
-						break // no reconnect: the worker finished and went away
-					}
-					return err
-				}
-				continue
-			}
-			if !wc.resilient {
-				break
-			}
-			s.cfg.Timeouts.beforeRead(wc.c)
-			if s.cfg.Timeouts.Read == 0 {
-				wc.c.SetReadDeadline(time.Now().Add(s.reacquireTimeout()))
-			}
-			t, payload, err := wc.fr.ReadFrame()
-			if err != nil {
-				// EOF, reset, or timeout: either the worker is done (we
-				// treat silence below as done) or it is reconnecting.
-				wc.c.Close()
-				conns[w] = nil
-				if err := s.reacquire(conns, w); err != nil {
-					if IsTimeout(err) {
-						break
-					}
-					return err
-				}
-				continue
-			}
-			body, err := verifyChecksum(t, payload)
-			if err != nil {
-				wc.c.Close()
-				conns[w] = nil
-				continue
-			}
-			h, _, err := ParseShardHeader(body)
-			if err != nil || int(h.Shard) != s.cfg.Shard || s.checkTenant(h) != nil || int(h.Worker) != w {
-				wc.c.Close()
-				conns[w] = nil
-				continue
-			}
-			switch {
-			case t == MsgShardBye:
-				// Positive confirmation: the final pull was applied.
-			case t == MsgShardPush && int(h.Step) == lastStep && s.applied[w] == lastStep:
-				// The worker missed the final pull: replay it and keep the
-				// seat open for its bye.
-				if err := s.resendRetained(wc); err != nil {
-					wc.c.Close()
-					conns[w] = nil
-				}
-				continue
-			default:
-				return fmt.Errorf("transport: shard %d: unexpected type-%d frame from worker %d after the final step", s.cfg.Shard, t, w)
-			}
-			break
-		}
-	}
-	return nil
-}
-
-// resendRetained re-answers one resilient worker with the retained
-// checksummed pull payload of the last finished step.
-func (s *ShardServer) resendRetained(wc *shardWorkerConn) error {
-	if len(s.ckBuf) == 0 {
-		return fmt.Errorf("transport: shard %d: no retained pull to replay to worker %d", s.cfg.Shard, wc.id)
-	}
-	s.cfg.Timeouts.beforeWrite(wc.c)
-	if err := WriteFrame(wc.rw, MsgShardPull, s.ckBuf); err != nil {
+	if err := ss.fill(); err != nil {
 		return err
 	}
-	if err := wc.rw.Flush(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.pullBytes += int64(len(s.ckBuf))
-	s.mu.Unlock()
-	return nil
-}
-
-// writePullStream answers one streamed worker with per-tensor pull
-// frames, flushing after each so the worker's double-buffered decode can
-// start on the first tensor while the rest are still being written.
-func (s *ShardServer) writePullStream(wc *shardWorkerConn, step int, pull [][]byte, tBuf *[]byte) error {
-	var flags byte
-	if wc.checksum {
-		flags |= FlagChecksum
-	}
-	sent := int64(0)
-	for k, wire := range pull {
-		b := AppendShardHeader((*tBuf)[:0], ShardHeader{
-			Version: ShardWireVersion,
-			Flags:   flags,
-			Shard:   uint16(s.cfg.Shard),
-			Step:    uint32(step),
-			Tenant:  s.cfg.Tenant,
-			Epoch:   s.cfg.Epoch,
-		})
-		var sb [4]byte
-		le.PutUint32(sb[:], uint32(k))
-		b = append(b, sb[:]...)
-		b = append(b, wire...)
-		if wc.checksum {
-			b = appendChecksum(MsgShardPullTensor, b)
-		}
-		*tBuf = b
-		s.cfg.Timeouts.beforeWrite(wc.c)
-		if err := WriteFrame(wc.rw, MsgShardPullTensor, b); err != nil {
-			return fmt.Errorf("transport: shard %d step %d pull tensor %d to worker %d: %w", s.cfg.Shard, step, k, wc.id, err)
-		}
-		if err := wc.rw.Flush(); err != nil {
-			return fmt.Errorf("transport: shard %d step %d flush to worker %d: %w", s.cfg.Shard, step, wc.id, err)
-		}
-		sent += int64(len(b))
-	}
-	s.mu.Lock()
-	s.pullBytes += sent
-	s.mu.Unlock()
-	return nil
-}
-
-// dialReplica opens the primary→replica forwarding link and identifies
-// this endpoint as the shard's primary.
-func (s *ShardServer) dialReplica() error {
-	conn, err := s.cfg.Dialer.dial(s.cfg.ReplicaAddr)
-	if err != nil {
-		return fmt.Errorf("transport: shard %d dial replica %s: %w", s.cfg.Shard, s.cfg.ReplicaAddr, err)
-	}
-	s.replicaConn = conn
-	s.replica = newConnRW(conn)
-	hello := AppendShardHeader(nil, ShardHeader{
-		Version: ShardWireVersion,
-		Shard:   uint16(s.cfg.Shard),
-		Tenant:  s.cfg.Tenant,
-		Epoch:   s.cfg.Epoch,
-	})
-	var hb [4]byte
-	le.PutUint32(hb[:], s.cfg.AssignmentHash)
-	hello = append(hello, hb[:]...)
-	s.cfg.Timeouts.beforeWrite(conn)
-	if err := WriteFrame(s.replica, MsgReplicaHello, hello); err != nil {
-		return fmt.Errorf("transport: shard %d replica hello: %w", s.cfg.Shard, err)
-	}
-	if err := s.replica.Flush(); err != nil {
-		return fmt.Errorf("transport: shard %d replica hello: %w", s.cfg.Shard, err)
-	}
-	return nil
-}
-
-// forwardPush relays one validated whole-set push payload to the replica
-// before it is decoded locally, keeping the replica at least as informed
-// as the primary at every instant (a push the primary aggregated but
-// never forwarded would be lost with it; the reverse is harmless, since
-// the worker replays on failover and the replica dedupes).
-func (s *ShardServer) forwardPush(payload []byte) error {
-	if s.replica == nil {
-		return nil
-	}
-	s.cfg.Timeouts.beforeWrite(s.replicaConn)
-	if err := WriteFrame(s.replica, MsgReplicaPush, payload); err != nil {
-		return fmt.Errorf("transport: shard %d forward to replica: %w", s.cfg.Shard, err)
-	}
-	if err := s.replica.Flush(); err != nil {
-		return fmt.Errorf("transport: shard %d forward to replica: %w", s.cfg.Shard, err)
-	}
-	return nil
-}
-
-// errListener tags accept failures of the listener itself (closed,
-// deadline), as opposed to a bad handshake on one accepted connection.
-// Resilient serving tolerates the latter — a corrupted hello is the
-// peer's problem and the worker behind it retries — but a listener
-// failure is fatal to the whole tier.
-var errListener = errors.New("transport: listener failure")
-
-// accept takes one connection off the listener and handshakes it (v2
-// hello, or v1 hello on a single-shard deployment). Listener-level
-// failures wrap errListener; handshake failures do not, and the
-// connection is closed before returning them.
-func (s *ShardServer) accept() (*shardWorkerConn, error) {
-	c, err := s.ln.Accept()
-	if err != nil {
-		return nil, fmt.Errorf("%w: shard %d: %w", errListener, s.cfg.Shard, err)
-	}
-	wc, err := s.handshake(c)
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	return wc, nil
-}
-
-// handshake validates one accepted connection's hello and builds its
-// worker seat.
-func (s *ShardServer) handshake(c net.Conn) (*shardWorkerConn, error) {
-	rw := newConnRW(c)
-	fr := NewFrameReader(rw)
-	// The hello read is deadline-armed too: a connection that never
-	// speaks (a prober, a wedged peer) must not block the accept loop —
-	// and with it the whole tier's startup — forever.
-	s.cfg.Timeouts.beforeRead(c)
-	t, payload, err := fr.ReadFrame()
-	if err != nil {
-		return nil, fmt.Errorf("transport: shard %d hello: %w", s.cfg.Shard, err)
-	}
-	var id int
-	var legacy, cksum, resil bool
-	var entAlgo compress.EntropyAlgo
-	switch t {
-	case MsgShardHello:
-		if len(payload) >= 2 && payload[1]&FlagChecksum != 0 {
-			// Checksum negotiation: the hello itself carries the trailer,
-			// and the flag byte is under the CRC, so a hello whose flag
-			// bit (or anything else) flipped in flight fails verification
-			// here instead of negotiating a corrupted contract. A flag bit
-			// that flipped OFF leaves a 4-byte-longer trailing section the
-			// length check below rejects.
-			if payload, err = verifyChecksum(MsgShardHello, payload); err != nil {
-				return nil, fmt.Errorf("transport: shard %d hello: %w", s.cfg.Shard, err)
-			}
-			cksum = true
-		}
-		h, rest, err := ParseShardHeader(payload)
-		if err != nil {
-			return nil, err
-		}
-		if int(h.Shard) != s.cfg.Shard {
-			return nil, fmt.Errorf("transport: hello for shard %d on shard %d", h.Shard, s.cfg.Shard)
-		}
-		if err := s.checkTenant(h); err != nil {
-			return nil, err
-		}
-		if h.Flags&FlagResilient != 0 {
-			if !cksum {
-				return nil, fmt.Errorf("transport: resilient hello without frame checksums (replay requires integrity)")
-			}
-			if !s.cfg.Resilient {
-				return nil, fmt.Errorf("transport: shard %d does not accept resilient clients", s.cfg.Shard)
-			}
-			resil = true
-		}
-		if cksum && s.cfg.ReplicaAddr != "" {
-			// The replica replays raw push payloads; it does not speak the
-			// checksummed wire. Resilience and replication are alternative
-			// recovery stories, not composable ones (yet).
-			return nil, fmt.Errorf("transport: shard %d: checksummed frames are not replicated (drop the checksum or the replica)", s.cfg.Shard)
-		}
-		if len(rest) != 4 && len(rest) != 5 {
-			return nil, fmt.Errorf("transport: shard hello has %d trailing bytes, want 4 (5 with an entropy stage)", len(rest))
-		}
-		if hash := le.Uint32(rest); hash != s.cfg.AssignmentHash {
-			return nil, fmt.Errorf("transport: worker %d placement hash %#x != server %#x (divergent model layout)",
-				h.Worker, hash, s.cfg.AssignmentHash)
-		}
-		if len(rest) == 5 {
-			// Entropy-stage negotiation: pushes from this worker may carry
-			// FlagEntropy bodies, and its whole-set pulls are coded with
-			// the negotiated stage.
-			if cksum {
-				// One body transform per connection: the entropy stage and
-				// the checksum trailer both rewrite the whole-set body
-				// path, and layering a CRC over a coded body would hide
-				// which stage a corruption hit. Codec-level entropy
-				// (SchemeEntropy) composes with checksums fine.
-				return nil, fmt.Errorf("transport: shard %d: wire entropy stage is incompatible with frame checksums", s.cfg.Shard)
-			}
-			switch rest[4] {
-			case entropyBodyHuffman:
-				entAlgo = compress.EntropyHuffman
-			case entropyBodyLZ:
-				entAlgo = compress.EntropyLZ
-			default:
-				return nil, fmt.Errorf("transport: hello requests unknown entropy stage %d", rest[4])
-			}
-			if s.cfg.ReplicaAddr != "" {
-				// The replica replays raw push payloads into its own
-				// wire-set parse; keep replicated shards on the plain
-				// format rather than teaching the replay path to decode.
-				return nil, fmt.Errorf("transport: shard %d: entropy frames are not replicated (drop the entropy stage or the replica)", s.cfg.Shard)
-			}
-		}
-		id = int(h.Worker)
-	case MsgHello:
-		if s.cfg.NumShards != 1 || s.cfg.Shard != 0 {
-			return nil, fmt.Errorf("transport: v1 hello on shard %d of %d (legacy clients need a single-shard tier)",
-				s.cfg.Shard, s.cfg.NumShards)
-		}
-		if len(payload) != 4 {
-			return nil, fmt.Errorf("transport: bad v1 hello (%d bytes)", len(payload))
-		}
-		id = int(le.Uint32(payload))
-		legacy = true
-	default:
-		return nil, fmt.Errorf("transport: expected hello, got type %d", t)
-	}
-	if id < 0 || id >= s.cfg.Workers {
-		return nil, fmt.Errorf("transport: bad worker id %d", id)
-	}
-	return &shardWorkerConn{id: id, legacy: legacy, entropy: entAlgo, checksum: cksum, resilient: resil, rw: rw, fr: fr, c: c}, nil
-}
-
-// readPush consumes one worker's push for the given step into the
-// shard's ps sub-server: a single whole-set frame, or — when the worker
-// streams — a sequence of per-tensor frames, each decode-accumulated the
-// moment it lands, terminated by MsgShardPushEnd. On a resilient seat a
-// replay of the PREVIOUS step's push (the worker lost that step's pull
-// and reconnected) is answered from the retained pull payload and
-// consumed without re-aggregating — the dedupe half of at-most-once
-// application — before reading on for the current step's push.
-func (s *ShardServer) readPush(wc *shardWorkerConn, step int) error {
-	for {
-		s.cfg.Timeouts.beforeRead(wc.c)
-		t, payload, err := wc.fr.ReadFrame()
-		if err != nil {
-			return fmt.Errorf("transport: shard %d step %d push from worker %d: %w", s.cfg.Shard, step, wc.id, err)
-		}
-		wc.streamed = false
-		var body []byte
-		var id, gotStep int
-		switch {
-		case (t == MsgShardPushTensor || t == MsgShardPushEnd) && !wc.legacy:
-			if s.replica != nil {
-				return fmt.Errorf("transport: shard %d: streamed pushes are not replicated (worker %d must push whole-set)", s.cfg.Shard, wc.id)
-			}
-			if wc.checksum {
-				if payload, err = verifyChecksum(t, payload); err != nil {
-					return fmt.Errorf("transport: shard %d step %d worker %d: %w", s.cfg.Shard, step, wc.id, err)
-				}
-			}
-			if wc.resilient {
-				// The replay/retained-pull machinery covers whole-set
-				// rounds only; a resilient worker never streams.
-				return fmt.Errorf("transport: shard %d: streamed pushes are not supported on a resilient connection (worker %d)", s.cfg.Shard, wc.id)
-			}
-			wc.streamed = true
-			return s.readPushStream(wc, step, t, payload)
-		case t == MsgShardPush && !wc.legacy:
-			var h ShardHeader
-			var rest []byte
-			if wc.checksum {
-				h, rest, err = parseChecksummedFrame(t, payload)
-			} else {
-				h, rest, err = ParseShardHeader(payload)
-			}
-			if err != nil {
-				return err
-			}
-			if int(h.Shard) != s.cfg.Shard {
-				return fmt.Errorf("transport: push for shard %d on shard %d", h.Shard, s.cfg.Shard)
-			}
-			if err := s.checkTenant(h); err != nil {
-				return err
-			}
-			if h.Flags&FlagEntropy != 0 {
-				if wc.checksum {
-					return fmt.Errorf("transport: shard %d: entropy push on a checksummed connection (worker %d)", s.cfg.Shard, wc.id)
-				}
-				if s.replica != nil {
-					return fmt.Errorf("transport: shard %d: entropy pushes are not replicated (worker %d must push plain)", s.cfg.Shard, wc.id)
-				}
-				rest, err = parseEntropyBody(rest, &wc.entBuf)
-				if err != nil {
-					return fmt.Errorf("transport: shard %d step %d worker %d: %w", s.cfg.Shard, step, wc.id, err)
-				}
-			}
-			id, gotStep, body = int(h.Worker), int(h.Step), rest
-		case t == MsgPush && wc.legacy:
-			if s.replica != nil {
-				return fmt.Errorf("transport: shard %d: legacy v1 pushes are not replicated", s.cfg.Shard)
-			}
-			if len(payload) < 8 {
-				return fmt.Errorf("transport: step %d: short v1 push header", step)
-			}
-			id, gotStep, body = int(le.Uint32(payload)), int(le.Uint32(payload[4:])), payload[8:]
-		default:
-			return fmt.Errorf("transport: step %d: expected push, got type %d", step, t)
-		}
-		if id != wc.id {
-			return fmt.Errorf("transport: push id %d on worker %d's connection", id, wc.id)
-		}
-		if gotStep != step {
-			if wc.resilient && gotStep == step-1 && s.applied[wc.id] == step-1 {
-				// Replay of an already-aggregated push: the worker never
-				// got that step's pull. Re-answer from the retained
-				// payload (do NOT re-aggregate) and keep reading — the
-				// current step's push follows on this same connection.
-				if err := s.resendRetained(wc); err != nil {
-					return err
-				}
-				continue
-			}
-			return fmt.Errorf("transport: worker %d pushed step %d during step %d (barrier violation)", id, gotStep, step)
-		}
-		if err := s.forwardPush(payload); err != nil {
-			return err
-		}
-		wires, _, err := ParseWireSetInto(wc.wires, body)
-		if err != nil {
-			return fmt.Errorf("transport: shard %d step %d worker %d: %w", s.cfg.Shard, step, id, err)
-		}
-		wc.wires = wires
-		if _, err := s.ps.AddPush(id, wires); err != nil {
-			return err
-		}
-		s.applied[wc.id] = step
-		s.mu.Lock()
-		s.pushBytes += int64(len(payload))
-		s.mu.Unlock()
-		return nil
-	}
-}
-
-// readPushStream consumes a streamed push: the already-read first frame
-// (t/payload) and every following frame until MsgShardPushEnd. Each
-// tensor wire aliases the connection's frame scratch and is consumed by
-// AddPushTensor before the next read — the server never stages the full
-// wire set. Workers must send every tensor of the shard (an empty wire
-// for non-transmitting schemes), in any order, each exactly once;
-// duplicate or missing slots are protocol errors, enforced here so a
-// malformed stream can never silently skew the aggregate (the same
-// validate-don't-trust stance the decode-add kernels take).
-func (s *ShardServer) readPushStream(wc *shardWorkerConn, step int, t MsgType, payload []byte) error {
-	want := s.ps.NumTensors()
-	if cap(wc.seen) < want {
-		wc.seen = make([]bool, want)
-	}
-	wc.seen = wc.seen[:want]
-	for i := range wc.seen {
-		wc.seen[i] = false
-	}
-	tensors := 0
-	received := int64(0)
-	for {
-		h, rest, err := ParseShardHeader(payload)
-		if err != nil {
-			return err
-		}
-		if int(h.Shard) != s.cfg.Shard {
-			return fmt.Errorf("transport: push for shard %d on shard %d", h.Shard, s.cfg.Shard)
-		}
-		if err := s.checkTenant(h); err != nil {
-			return err
-		}
-		if int(h.Worker) != wc.id {
-			return fmt.Errorf("transport: push id %d on worker %d's connection", h.Worker, wc.id)
-		}
-		if int(h.Step) != step {
-			return fmt.Errorf("transport: worker %d pushed step %d during step %d (barrier violation)", wc.id, h.Step, step)
-		}
-		received += int64(len(payload))
-		if t == MsgShardPushEnd {
-			if len(rest) != 0 {
-				return fmt.Errorf("transport: push end carries %d trailing bytes", len(rest))
-			}
-			if tensors != want {
-				return fmt.Errorf("transport: shard %d step %d worker %d streamed %d of %d tensors (incomplete push)",
-					s.cfg.Shard, step, wc.id, tensors, want)
-			}
-			_ = s.ps.EndPush() // always nil on a ps.Server
-			s.mu.Lock()
-			s.pushBytes += received
-			s.mu.Unlock()
-			return nil
-		}
-		if len(rest) < 4 {
-			return fmt.Errorf("transport: short push tensor frame (%d bytes after header)", len(rest))
-		}
-		slot := int(le.Uint32(rest))
-		if slot < 0 || slot >= want || wc.seen[slot] {
-			return fmt.Errorf("transport: shard %d step %d worker %d: bad or duplicate push tensor slot %d",
-				s.cfg.Shard, step, wc.id, slot)
-		}
-		wc.seen[slot] = true
-		tensors++
-		if err := s.ps.AddPushTensor(wc.id, slot, rest[4:]); err != nil {
-			return fmt.Errorf("transport: shard %d step %d worker %d: %w", s.cfg.Shard, step, wc.id, err)
-		}
-		s.cfg.Timeouts.beforeRead(wc.c)
-		t, payload, err = wc.fr.ReadFrame()
-		if err != nil {
-			return fmt.Errorf("transport: shard %d step %d push stream from worker %d: %w", s.cfg.Shard, step, wc.id, err)
-		}
-		if t != MsgShardPushTensor && t != MsgShardPushEnd {
-			return fmt.Errorf("transport: step %d: expected push tensor or end, got type %d", step, t)
-		}
-		if wc.checksum {
-			if payload, err = verifyChecksum(t, payload); err != nil {
-				return fmt.Errorf("transport: shard %d step %d worker %d: %w", s.cfg.Shard, step, wc.id, err)
-			}
-		}
-	}
+	err := ss.run()
+	silent = s.cfg.KillSilent && errors.Is(err, ErrShardKilled)
+	return err
 }
 
 // ShardClientConfig tunes a worker's sharded connections.
@@ -1185,7 +211,8 @@ type ShardClientConfig struct {
 	// the (worker, step) identity every push frame already carries, so a
 	// push the dead primary managed to forward is never double-counted.
 	// Subsequent steps use the replica directly. Failover applies to the
-	// whole-set PushPull path (streamed pushes are not replicated).
+	// whole-set PushPull path of a connection that negotiates nothing
+	// (see frameCodec.mirrorable).
 	Replicas []string
 	// Timeouts bounds each frame read/write. A read deadline is the
 	// failure detector for silently dead shards: without one, only
@@ -1200,23 +227,22 @@ type ShardClientConfig struct {
 	// whole-set push/pull bodies (see FlagEntropy): the hello advertises
 	// the stage, pushes are coded with it, and the server codes this
 	// worker's pulls the same way. Off emits the pre-entropy wire format
-	// byte-for-byte. Incompatible with Replicas (entropy frames are not
-	// replicated); streamed per-tensor frames are exempt and stay plain.
+	// byte-for-byte; streamed per-tensor frames stay uncoded.
 	Entropy compress.EntropyAlgo
 	// Checksum negotiates CRC-32C frame integrity (see FlagChecksum):
 	// every frame both ways — hello, pushes, pulls, streamed tensors —
-	// carries a trailing checksum, so corruption anywhere on the path
-	// surfaces as an error instead of silently skewing the aggregate.
-	// Incompatible with Replicas and with the wire Entropy stage.
+	// carries a trailing checksum over what is on the wire, so corruption
+	// anywhere on the path surfaces as an error instead of silently
+	// skewing the aggregate.
 	Checksum bool
 	// Resilient (implies Checksum) makes push/pull failures recoverable
 	// in place: on any error mid-round-trip the client backs off per
 	// Retry, re-dials the SAME shard address, re-handshakes with
 	// FlagResilient, and replays the in-flight step's push; the server
 	// (ShardServerConfig.Resilient) dedupes the replay and re-answers the
-	// missed pull from its retained payload. Whole-set rounds only
-	// (PushPullStream rejects a resilient client). At Close the client
-	// confirms with MsgShardBye so the server can retire its seat.
+	// missed pull from its retained pull. Whole-set rounds only (see
+	// frameCodec.streamable). At Close the client confirms with
+	// MsgShardBye so the server can retire its seat.
 	Resilient bool
 	// Retry is the resilient path's backoff schedule; the zero value is
 	// the retry.Policy default (4 attempts, 50ms base, 2s cap, 2x). Each
@@ -1231,7 +257,6 @@ type ShardClientConfig struct {
 // ShardClient is a worker's multiplexed view of the sharded tier: one
 // connection per shard, pushed to and pulled from concurrently.
 type ShardClient struct {
-	id    int
 	asn   shard.Assignment
 	ccfg  ShardClientConfig
 	idx   [][]int // per-shard global tensor indices, fixed at dial time
@@ -1243,24 +268,15 @@ type ShardClient struct {
 }
 
 type shardConn struct {
-	shard     int
+	link
 	addr      string      // primary address, the resilient reconnect target
 	policy    RetryPolicy // per-shard decorrelated backoff stream
-	c         net.Conn
-	rw        *bufio.ReadWriter
-	fr        *FrameReader
-	onReplica bool // failed over: this conn now points at the replica
-	pushBuf   []byte
+	onReplica bool        // failed over: this conn now points at the replica
 	pullWires [][]byte
 	// pullBufA/B are the two slots of the streamed pull's double buffer,
 	// retained across steps so the steady-state receive path stops
 	// allocating once the largest tensor wire has been seen.
 	pullBufA, pullBufB []byte
-	// setBuf/entBuf stage the entropy second stage when negotiated:
-	// setBuf holds the plain wire set before coding the push body, entBuf
-	// holds the decoded body of a FlagEntropy pull. Both recycle across
-	// steps.
-	setBuf, entBuf []byte
 }
 
 // DialSharded connects to every shard of the tier (addrs[s] is shard s's
@@ -1271,8 +287,8 @@ func DialSharded(addrs []string, workerID int, asn shard.Assignment) (*ShardClie
 	return DialShardedConfig(addrs, workerID, asn, ShardClientConfig{})
 }
 
-// DialShardedConfig is DialSharded with failover replicas and I/O
-// deadlines (see ShardClientConfig).
+// DialShardedConfig is DialSharded with failover replicas, negotiated
+// wire stages and I/O deadlines (see ShardClientConfig).
 func DialShardedConfig(addrs []string, workerID int, asn shard.Assignment, ccfg ShardClientConfig) (*ShardClient, error) {
 	if len(addrs) != asn.NumShards {
 		return nil, fmt.Errorf("transport: %d shard addresses for %d shards", len(addrs), asn.NumShards)
@@ -1280,30 +296,25 @@ func DialShardedConfig(addrs []string, workerID int, asn shard.Assignment, ccfg 
 	if ccfg.Replicas != nil && len(ccfg.Replicas) != asn.NumShards {
 		return nil, fmt.Errorf("transport: %d replica addresses for %d shards", len(ccfg.Replicas), asn.NumShards)
 	}
-	if ccfg.Entropy != compress.EntropyOff && ccfg.Replicas != nil {
-		return nil, fmt.Errorf("transport: entropy stage is incompatible with replica failover (entropy frames are not replicated)")
-	}
-	if ccfg.Resilient {
-		// Replay without integrity would retransmit the very corruption
-		// it is recovering from.
-		ccfg.Checksum = true
-	}
-	if ccfg.Checksum && ccfg.Replicas != nil {
-		return nil, fmt.Errorf("transport: frame checksums are incompatible with replica failover (checksummed frames are not replicated)")
-	}
-	if ccfg.Checksum && ccfg.Entropy != compress.EntropyOff {
-		return nil, fmt.Errorf("transport: frame checksums are incompatible with the wire entropy stage")
+	// Replay without integrity would retransmit the very corruption it is
+	// recovering from.
+	ccfg.Checksum = ccfg.Checksum || ccfg.Resilient
+	fc := frameCodec{worker: uint32(workerID), tenant: ccfg.Tenant, epoch: ccfg.Epoch,
+		entropy: ccfg.Entropy, checksum: ccfg.Checksum, resilient: ccfg.Resilient}
+	if ccfg.Replicas != nil {
+		if err := fc.mirrorable(); err != nil {
+			return nil, err
+		}
 	}
 	c := &ShardClient{
-		id:   workerID,
 		asn:  asn,
 		ccfg: ccfg,
 		idx:  make([][]int, asn.NumShards),
+		slot: make([]int, len(asn.ShardOf)),
 		pull: make([][]byte, len(asn.ShardOf)),
 		subs: make([][][]byte, asn.NumShards),
 		errs: make([]error, asn.NumShards),
 	}
-	c.slot = make([]int, len(asn.ShardOf))
 	for s := range c.idx {
 		c.idx[s] = asn.Tensors(s)
 		c.subs[s] = make([][]byte, len(c.idx[s]))
@@ -1312,79 +323,15 @@ func DialShardedConfig(addrs []string, workerID int, asn shard.Assignment, ccfg 
 		}
 	}
 	for s, addr := range addrs {
-		sc := &shardConn{shard: s, addr: addr, policy: ccfg.Retry.Stream(uint64(s))}
-		if err := c.connect(sc, addr); err != nil {
+		sc := &shardConn{link: link{to: ccfg.Timeouts, fc: fc}, addr: addr, policy: ccfg.Retry.Stream(uint64(s))}
+		sc.fc.shard = uint16(s)
+		if err := sc.open(ccfg.Dialer, addr, asn.Hash()); err != nil {
 			c.Close() // closes the successfully-dialed prefix only
 			return nil, err
 		}
 		c.conns = append(c.conns, sc)
 	}
 	return c, nil
-}
-
-// connect dials addr for sc's shard and performs the v2 hello handshake.
-// It is used both at dial time (primary) and during failover (replica).
-func (c *ShardClient) connect(sc *shardConn, addr string) error {
-	conn, err := c.ccfg.Dialer.dial(addr)
-	if err != nil {
-		return fmt.Errorf("transport: dial shard %d at %s: %w", sc.shard, addr, err)
-	}
-	sc.c = conn
-	sc.rw = newConnRW(conn)
-	sc.fr = NewFrameReader(sc.rw)
-	var flags byte
-	if c.ccfg.Checksum {
-		flags |= FlagChecksum
-	}
-	if c.ccfg.Resilient {
-		flags |= FlagResilient
-	}
-	hello := AppendShardHeader(sc.pushBuf[:0], ShardHeader{
-		Version: ShardWireVersion,
-		Flags:   flags,
-		Shard:   uint16(sc.shard),
-		Worker:  uint32(c.id),
-		Tenant:  c.ccfg.Tenant,
-		Epoch:   c.ccfg.Epoch,
-	})
-	var hb [4]byte
-	le.PutUint32(hb[:], c.asn.Hash())
-	hello = append(hello, hb[:]...)
-	switch c.ccfg.Entropy {
-	case compress.EntropyHuffman:
-		hello = append(hello, entropyBodyHuffman)
-	case compress.EntropyLZ:
-		hello = append(hello, entropyBodyLZ)
-	}
-	if c.ccfg.Checksum {
-		hello = appendChecksum(MsgShardHello, hello)
-	}
-	sc.pushBuf = hello
-	c.ccfg.Timeouts.beforeWrite(conn)
-	if err := WriteFrame(sc.rw, MsgShardHello, hello); err != nil {
-		conn.Close()
-		return err
-	}
-	if err := sc.rw.Flush(); err != nil {
-		conn.Close()
-		return err
-	}
-	return nil
-}
-
-// failover retargets sc at its shard's replica after `cause` broke the
-// primary connection, or returns cause when no failover is possible (no
-// replica configured, or already on the replica).
-func (c *ShardClient) failover(sc *shardConn, cause error) error {
-	if sc.onReplica || c.ccfg.Replicas == nil || c.ccfg.Replicas[sc.shard] == "" {
-		return cause
-	}
-	sc.c.Close()
-	if err := c.connect(sc, c.ccfg.Replicas[sc.shard]); err != nil {
-		return errors.Join(cause, err)
-	}
-	sc.onReplica = true
-	return nil
 }
 
 // PushPull splits the worker's full-model wire set by placement, pushes
@@ -1437,7 +384,7 @@ func (c *ShardClient) PushPull(step int, wires [][]byte) ([][]byte, error) {
 // recovers in place: back off per the shard's decorrelated retry stream,
 // re-dial the SAME address, re-handshake, and replay — the server kept
 // the seat, dedupes the replay, and re-answers the missed pull from its
-// retained payload. The attempt budget is the policy's; exhausting it
+// retained pull. The attempt budget is the policy's; exhausting it
 // surfaces the last error.
 func (c *ShardClient) pushPullShard(step, s int, sc *shardConn, wires [][]byte) error {
 	err := c.tryPushPull(step, s, sc, wires)
@@ -1445,16 +392,20 @@ func (c *ShardClient) pushPullShard(step, s int, sc *shardConn, wires [][]byte) 
 		return nil
 	}
 	if !c.ccfg.Resilient {
-		if ferr := c.failover(sc, err); ferr != nil {
-			return ferr
+		if sc.onReplica || c.ccfg.Replicas == nil || c.ccfg.Replicas[s] == "" {
+			return err
 		}
+		sc.c.Close()
+		if ferr := sc.open(c.ccfg.Dialer, c.ccfg.Replicas[s], c.asn.Hash()); ferr != nil {
+			return errors.Join(err, ferr)
+		}
+		sc.onReplica = true
 		return c.tryPushPull(step, s, sc, wires)
 	}
 	for attempt := 0; attempt+1 < sc.policy.Attempts(); attempt++ {
 		sc.c.Close()
 		time.Sleep(sc.policy.Backoff(attempt))
-		if derr := c.connect(sc, sc.addr); derr != nil {
-			err = derr
+		if err = sc.open(c.ccfg.Dialer, sc.addr, c.asn.Hash()); err != nil {
 			continue
 		}
 		if err = c.tryPushPull(step, s, sc, wires); err == nil {
@@ -1465,85 +416,25 @@ func (c *ShardClient) pushPullShard(step, s int, sc *shardConn, wires [][]byte) 
 }
 
 // tryPushPull is one push/pull attempt on the current connection.
+//
+//3lc:noalloc
 func (c *ShardClient) tryPushPull(step, s int, sc *shardConn, wires [][]byte) error {
 	sub := c.subs[s]
 	for k, gi := range c.idx[s] {
 		sub[k] = wires[gi]
 	}
-
-	var flags byte
-	if c.ccfg.Entropy != compress.EntropyOff {
-		flags |= FlagEntropy
-	}
-	if c.ccfg.Checksum {
-		flags |= FlagChecksum
-	}
-	payload := AppendShardHeader(sc.pushBuf[:0], ShardHeader{
-		Version: ShardWireVersion,
-		Flags:   flags,
-		Shard:   uint16(s),
-		Worker:  uint32(c.id),
-		Step:    uint32(step),
-		Tenant:  c.ccfg.Tenant,
-		Epoch:   c.ccfg.Epoch,
-	})
-	if c.ccfg.Entropy != compress.EntropyOff {
-		sc.setBuf = AppendWireSet(sc.setBuf[:0], sub)
-		payload = appendEntropyBody(payload, c.ccfg.Entropy, sc.setBuf)
-	} else {
-		payload = AppendWireSet(payload, sub)
-	}
-	if c.ccfg.Checksum {
-		payload = appendChecksum(MsgShardPush, payload)
-	}
-	sc.pushBuf = payload
-	c.ccfg.Timeouts.beforeWrite(sc.c)
-	if err := WriteFrame(sc.rw, MsgShardPush, payload); err != nil {
+	if err := sc.send(frame{t: MsgShardPush, step: uint32(step), set: sub}); err != nil {
 		return fmt.Errorf("transport: shard %d push step %d: %w", s, step, err)
 	}
-	if err := sc.rw.Flush(); err != nil {
-		return err
-	}
-
-	c.ccfg.Timeouts.beforeRead(sc.c)
-	t, resp, err := sc.fr.ReadFrame()
+	f, err := sc.read(step, false)
 	if err != nil {
 		return fmt.Errorf("transport: shard %d pull step %d: %w", s, step, err)
 	}
-	if t != MsgShardPull {
-		return fmt.Errorf("transport: shard %d: expected pull, got type %d", s, t)
+	if f.t != MsgShardPull {
+		return fmt.Errorf("transport: shard %d: expected pull, got type %d", s, f.t)
 	}
-	var h ShardHeader
-	var rest []byte
-	if c.ccfg.Checksum {
-		h, rest, err = parseChecksummedFrame(t, resp)
-	} else {
-		h, rest, err = ParseShardHeader(resp)
-	}
-	if err != nil {
-		return err
-	}
-	if int(h.Shard) != s || int(h.Step) != step {
-		return fmt.Errorf("transport: pull for shard %d step %d during shard %d step %d", h.Shard, h.Step, s, step)
-	}
-	if h.Tenant != c.ccfg.Tenant || h.Epoch != c.ccfg.Epoch {
-		return fmt.Errorf("transport: pull for tenant %d epoch %d on tenant %d epoch %d client", h.Tenant, h.Epoch, c.ccfg.Tenant, c.ccfg.Epoch)
-	}
-	if h.Flags&FlagEntropy != 0 {
-		if c.ccfg.Entropy == compress.EntropyOff {
-			return fmt.Errorf("transport: shard %d sent an entropy-coded pull to a plain client", s)
-		}
-		rest, err = parseEntropyBody(rest, &sc.entBuf)
-		if err != nil {
-			return fmt.Errorf("transport: shard %d pull step %d: %w", s, step, err)
-		}
-	}
-	pulls, _, err := ParseWireSetInto(sc.pullWires, rest)
-	if err != nil {
-		return err
-	}
-	sc.pullWires = pulls
-	return nil
+	sc.pullWires, _, err = ParseWireSetInto(sc.pullWires, f.body)
+	return err
 }
 
 // IndexedWire is one tensor's compressed wire tagged with its global
@@ -1568,10 +459,8 @@ type IndexedWire struct {
 // tensors (ps.Worker.ApplyPullTensor is); its wire argument is valid only
 // for the duration of the call.
 func (c *ShardClient) PushPullStream(step int, tensors <-chan IndexedWire, apply func(gi int, wire []byte) error) error {
-	if c.ccfg.Resilient {
-		// Mid-stream replay would need the whole tensor sequence staged;
-		// the resilient contract covers whole-set rounds only.
-		return fmt.Errorf("transport: streamed push/pull is not supported on a resilient client")
+	if err := c.conns[0].fc.streamable(); err != nil {
+		return err
 	}
 	chans := make([]chan IndexedWire, len(c.conns))
 	var wg sync.WaitGroup
@@ -1583,13 +472,11 @@ func (c *ShardClient) PushPullStream(step int, tensors <-chan IndexedWire, apply
 			c.errs[s] = c.streamShard(step, s, sc, ch, apply)
 		}(s, sc, chans[s])
 	}
+	var err error
 	for iw := range tensors {
 		if iw.I < 0 || iw.I >= len(c.slot) {
-			for _, ch := range chans {
-				close(ch)
-			}
-			wg.Wait()
-			return fmt.Errorf("transport: streamed tensor index %d out of range", iw.I)
+			err = fmt.Errorf("transport: streamed tensor index %d out of range", iw.I)
+			break
 		}
 		chans[c.asn.ShardOf[iw.I]] <- iw
 	}
@@ -1597,60 +484,27 @@ func (c *ShardClient) PushPullStream(step int, tensors <-chan IndexedWire, apply
 		close(ch)
 	}
 	wg.Wait()
-	for _, err := range c.errs {
-		if err != nil {
-			return err
+	for _, serr := range c.errs {
+		if err == nil {
+			err = serr
 		}
 	}
-	return nil
+	return err
 }
 
 // streamShard drives one shard connection through a streamed step:
 // per-tensor push frames as they arrive, the end-of-push marker, then the
 // double-buffered pull decode loop.
 func (c *ShardClient) streamShard(step, s int, sc *shardConn, ch <-chan IndexedWire, apply func(gi int, wire []byte) error) error {
-	hdr := ShardHeader{
-		Version: ShardWireVersion,
-		Shard:   uint16(s),
-		Worker:  uint32(c.id),
-		Step:    uint32(step),
-		Tenant:  c.ccfg.Tenant,
-		Epoch:   c.ccfg.Epoch,
-	}
-	if c.ccfg.Checksum {
-		hdr.Flags |= FlagChecksum
-	}
+	// Flushed per frame: the point of streaming is that the server sees
+	// tensor i before tensor i+1 exists.
 	for iw := range ch {
-		payload := AppendShardHeader(sc.pushBuf[:0], hdr)
-		var sb [4]byte
-		le.PutUint32(sb[:], uint32(c.slot[iw.I]))
-		payload = append(payload, sb[:]...)
-		payload = append(payload, iw.Wire...)
-		if c.ccfg.Checksum {
-			payload = appendChecksum(MsgShardPushTensor, payload)
-		}
-		sc.pushBuf = payload
-		c.ccfg.Timeouts.beforeWrite(sc.c)
-		if err := WriteFrame(sc.rw, MsgShardPushTensor, payload); err != nil {
+		if err := sc.send(frame{t: MsgShardPushTensor, step: uint32(step), arg: uint32(c.slot[iw.I]), body: iw.Wire}); err != nil {
 			return fmt.Errorf("transport: shard %d push tensor %d step %d: %w", s, iw.I, step, err)
 		}
-		// Flush per frame: the point of streaming is that the server sees
-		// tensor i before tensor i+1 exists.
-		if err := sc.rw.Flush(); err != nil {
-			return err
-		}
 	}
-	payload := AppendShardHeader(sc.pushBuf[:0], hdr)
-	if c.ccfg.Checksum {
-		payload = appendChecksum(MsgShardPushEnd, payload)
-	}
-	sc.pushBuf = payload
-	c.ccfg.Timeouts.beforeWrite(sc.c)
-	if err := WriteFrame(sc.rw, MsgShardPushEnd, payload); err != nil {
+	if err := sc.send(frame{t: MsgShardPushEnd, step: uint32(step)}); err != nil {
 		return fmt.Errorf("transport: shard %d push end step %d: %w", s, step, err)
-	}
-	if err := sc.rw.Flush(); err != nil {
-		return err
 	}
 
 	// Double-buffered pull decode: a reader goroutine copies each frame
@@ -1669,48 +523,22 @@ func (c *ShardClient) streamShard(step, s int, sc *shardConn, ch <-chan IndexedW
 		defer close(frames)
 		seen := make(map[int]bool, len(c.idx[s]))
 		for range c.idx[s] {
-			c.ccfg.Timeouts.beforeRead(sc.c)
-			t, resp, err := sc.fr.ReadFrame()
+			f, err := sc.read(step, false)
+			slot := int(f.arg)
+			switch {
+			case err != nil:
+			case f.t != MsgShardPullTensor:
+				err = fmt.Errorf("expected pull tensor, got type %d", f.t)
+			case slot >= len(c.idx[s]) || seen[slot]:
+				err = fmt.Errorf("bad or duplicate pull tensor slot %d", slot)
+			}
 			if err != nil {
 				frames <- pulled{err: fmt.Errorf("transport: shard %d pull step %d: %w", s, step, err)}
 				return
 			}
-			if t != MsgShardPullTensor {
-				frames <- pulled{err: fmt.Errorf("transport: shard %d: expected pull tensor, got type %d", s, t)}
-				return
-			}
-			var h ShardHeader
-			var rest []byte
-			if c.ccfg.Checksum {
-				h, rest, err = parseChecksummedFrame(t, resp)
-			} else {
-				h, rest, err = ParseShardHeader(resp)
-			}
-			if err != nil {
-				frames <- pulled{err: err}
-				return
-			}
-			if int(h.Shard) != s || int(h.Step) != step {
-				frames <- pulled{err: fmt.Errorf("transport: pull for shard %d step %d during shard %d step %d", h.Shard, h.Step, s, step)}
-				return
-			}
-			if h.Tenant != c.ccfg.Tenant || h.Epoch != c.ccfg.Epoch {
-				frames <- pulled{err: fmt.Errorf("transport: pull for tenant %d epoch %d on tenant %d epoch %d client", h.Tenant, h.Epoch, c.ccfg.Tenant, c.ccfg.Epoch)}
-				return
-			}
-			if len(rest) < 4 {
-				frames <- pulled{err: fmt.Errorf("transport: short pull tensor frame")}
-				return
-			}
-			slot := int(le.Uint32(rest))
-			if slot < 0 || slot >= len(c.idx[s]) || seen[slot] {
-				frames <- pulled{err: fmt.Errorf("transport: bad or duplicate pull tensor slot %d", slot)}
-				return
-			}
 			seen[slot] = true
 			buf := <-slots
-			buf = append(buf[:0], rest[4:]...)
-			frames <- pulled{gi: c.idx[s][slot], buf: buf}
+			frames <- pulled{gi: c.idx[s][slot], buf: append(buf[:0], f.body...)}
 		}
 	}()
 	var firstErr error
@@ -1722,9 +550,7 @@ func (c *ShardClient) streamShard(step, s int, sc *shardConn, ch <-chan IndexedW
 			continue
 		}
 		if firstErr == nil {
-			if err := apply(p.gi, p.buf); err != nil {
-				firstErr = err
-			}
+			firstErr = apply(p.gi, p.buf)
 		}
 		slots <- p.buf
 	}
@@ -1742,24 +568,8 @@ func (c *ShardClient) streamShard(step, s int, sc *shardConn, ch <-chan IndexedW
 func (c *ShardClient) Close() error {
 	var first error
 	for _, sc := range c.conns {
-		if sc.c == nil {
-			continue
-		}
 		if c.ccfg.Resilient {
-			bye := AppendShardHeader(sc.pushBuf[:0], ShardHeader{
-				Version: ShardWireVersion,
-				Flags:   FlagChecksum,
-				Shard:   uint16(sc.shard),
-				Worker:  uint32(c.id),
-				Tenant:  c.ccfg.Tenant,
-				Epoch:   c.ccfg.Epoch,
-			})
-			bye = appendChecksum(MsgShardBye, bye)
-			sc.pushBuf = bye
-			c.ccfg.Timeouts.beforeWrite(sc.c)
-			if WriteFrame(sc.rw, MsgShardBye, bye) == nil {
-				sc.rw.Flush()
-			}
+			_ = sc.send(frame{t: MsgShardBye}) // best-effort: the close below is what must happen
 		}
 		if err := sc.c.Close(); err != nil && first == nil {
 			first = err

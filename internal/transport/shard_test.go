@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"net"
 	"strings"
 	"testing"
@@ -25,6 +27,12 @@ func shardTestConfig(workers, steps int) ps.Config {
 }
 
 func buildShardModel() *nn.Model { return nn.NewMLP(12, []int{16, 10}, 4, 7) }
+
+// newConnRW pairs a raw test connection's buffered reader and writer, as
+// the endpoints do.
+func newConnRW(c net.Conn) *bufio.ReadWriter {
+	return bufio.NewReadWriter(bufio.NewReader(c), bufio.NewWriter(c))
+}
 
 // mustSubServers builds the per-shard sub-servers or fails the test; the
 // wire tests all run over assignments SubServers accepts by construction.
@@ -71,7 +79,7 @@ func driveWorker(t *testing.T, w int, steps int, cfg ps.Config,
 func referenceWeights(t *testing.T, workers, steps int) []float32 {
 	cfg := shardTestConfig(workers, steps)
 	global := buildShardModel()
-	srv := ps.NewServer(global, cfg)
+	srv := ps.NewJob(global, cfg)
 	ws := make([]*ps.Worker, workers)
 	rngs := make([]*tensor.RNG, workers)
 	for w := range ws {
@@ -401,6 +409,73 @@ func TestShardServerAcceptsLegacyV1Client(t *testing.T) {
 		if want[i] != got[i] {
 			t.Fatalf("weight %d differs via legacy client: %v vs %v", i, want[i], got[i])
 		}
+	}
+}
+
+// tapConn records every byte a connection reads and writes.
+type tapConn struct {
+	net.Conn
+	in, out *bytes.Buffer
+}
+
+func (c tapConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.in.Write(p[:n])
+	return n, err
+}
+
+func (c tapConn) Write(p []byte) (int, error) {
+	c.out.Write(p)
+	return c.Conn.Write(p)
+}
+
+// TestLegacyWireSameThroughBothFrontDoors pins the lan-f32 wire: a
+// 3-step raw-float32 v1 run puts identical bytes on the socket, both
+// directions, whether the front door is NewServer or a 1-shard
+// NewShardServer — the two are one session engine, and a v1 client must
+// not be able to tell.
+func TestLegacyWireSameThroughBothFrontDoors(t *testing.T) {
+	const steps = 3
+	cfg := shardTestConfig(1, steps)
+	cfg.Scheme, cfg.Opts = compress.SchemeNone, compress.Options{}
+	run := func(serve func(net.Listener, *ps.Job) func() error) (in, out []byte) {
+		global := buildShardModel()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		serveErr := make(chan error, 1)
+		srv := serve(ln, ps.NewJob(global, cfg))
+		go func() { serveErr <- srv() }()
+		var rx, tx bytes.Buffer
+		cl, err := DialTimeoutDialer(ln.Addr().String(), 0, Timeouts{}, func(addr string) (net.Conn, error) {
+			c, err := net.Dial("tcp", addr)
+			return tapConn{c, &rx, &tx}, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveWorker(t, 0, steps, cfg, global, cl.PushPull)
+		cl.Close()
+		if err := <-serveErr; err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+		return rx.Bytes(), tx.Bytes()
+	}
+	in1, out1 := run(func(ln net.Listener, job *ps.Job) func() error {
+		return NewServer(ln, job, 1, steps).Serve
+	})
+	in2, out2 := run(func(ln net.Listener, job *ps.Job) func() error {
+		return NewShardServer(ln, job, ShardServerConfig{NumShards: 1, Workers: 1, Steps: steps}).Serve
+	})
+	if len(out1) == 0 || len(in1) == 0 {
+		t.Fatal("tap recorded no traffic")
+	}
+	if !bytes.Equal(out1, out2) {
+		t.Errorf("client->server bytes differ: %d via NewServer, %d via NewShardServer", len(out1), len(out2))
+	}
+	if !bytes.Equal(in1, in2) {
+		t.Errorf("server->client bytes differ: %d via NewServer, %d via NewShardServer", len(in1), len(in2))
 	}
 }
 

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -89,7 +90,7 @@ func jobReference(t *testing.T, j muxJob, workers, steps int) []float32 {
 	t.Helper()
 	cfg := j.config(workers, steps)
 	global := j.build()
-	srv := ps.NewServer(global, cfg)
+	srv := ps.NewJob(global, cfg)
 	ws := make([]*ps.Worker, workers)
 	rngs := make([]*tensor.RNG, workers)
 	for w := range ws {
@@ -215,13 +216,13 @@ func TestMuxShardServerMultiTenantTCP(t *testing.T) {
 }
 
 // TestMuxShardServerChecksumPerWorker pins two properties of the
-// multiplexed tier's integrity negotiation: checksummed and plain
-// clients coexist on one mux endpoint (the flag is per-WORKER, carried
-// on each hello, not per-listener), and a resilient client is refused
-// outright — reconnect-and-replay seats are a dedicated-listener
-// feature, and silently accepting one would hand it a seat that cannot
-// be reacquired. Both jobs must still land bit-identical to their
-// single-PS references.
+// multiplexed tier's negotiation: checksummed, entropy-coded and plain
+// clients coexist on one mux endpoint — even inside one job — because
+// every stage is per-WORKER, carried on each hello, not per-listener;
+// and a resilient client is refused outright — reconnect-and-replay
+// seats are a dedicated-listener feature, and silently accepting one
+// would hand it a seat that cannot be reacquired. Both jobs must still
+// land bit-identical to their single-PS references.
 func TestMuxShardServerChecksumPerWorker(t *testing.T) {
 	const workers, steps, shards = 2, 3, 2
 	jobs := []muxJob{
@@ -295,6 +296,13 @@ func TestMuxShardServerChecksumPerWorker(t *testing.T) {
 			}
 			cfg := j.config(workers, steps)
 			runJobWorkers(t, j, cfg, globals[i], workers, steps, func(w int) (*ShardClient, error) {
+				ccfg := ccfg
+				if w == 1 {
+					// Each job's second worker also codes its bodies: job 0
+					// mixes plain with entropy, job 1 checksum with
+					// checksum-over-entropy.
+					ccfg.Entropy = compress.EntropyHuffman
+				}
 				return DialShardedConfig(addrs, w, shard.ForModel(j.build(), shards), ccfg)
 			})
 		}(i, j)
@@ -369,6 +377,44 @@ func TestMuxShardServerRejectsUnknownTenant(t *testing.T) {
 	})
 	if err := <-srvErr; err != nil {
 		t.Fatalf("mux serve: %v", err)
+	}
+}
+
+// TestMuxShardServerReturnsOnDeadListener is the regression test for the
+// mux accept loop treating a closed listener like a bad handshake and
+// retrying Accept forever: with the listener closed before the last
+// tenant's session forms, Serve must return, naming the listener failure.
+func TestMuxShardServerReturnsOnDeadListener(t *testing.T) {
+	j := muxJob{id: 4, tagged: true, scheme: compress.SchemeNone, mseed: 7}
+	svc := shard.NewService(shard.Config{Shards: 1}, tenant.NewRegistry(2))
+	defer svc.Close()
+	h, err := svc.Admit(j.id, j.build(), j.config(2, 1), tenant.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvErr := make(chan error, 1)
+	go func() { srvErr <- NewMuxShardServer(ln, svc, MuxShardServerConfig{Tenants: 1}).Serve() }()
+
+	// One of the tenant's two workers takes its seat; the session is still
+	// forming when the listener dies.
+	cl, err := DialShardedConfig([]string{ln.Addr().String()}, 0, shard.ForModel(j.build(), 1),
+		ShardClientConfig{Tenant: uint32(j.id), Epoch: uint32(h.Tenant().Epoch)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ln.Close()
+	select {
+	case err := <-srvErr:
+		if !errors.Is(err, errListener) {
+			t.Fatalf("Serve() = %v, want the listener failure", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve still running 10s after its listener closed")
 	}
 }
 

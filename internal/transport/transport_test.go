@@ -122,7 +122,7 @@ func TestTCPTrainingMatchesInProcess(t *testing.T) {
 
 	// Reference: in-process execution.
 	refGlobal := build()
-	refServer := ps.NewServer(refGlobal, psCfg)
+	refServer := ps.NewJob(refGlobal, psCfg)
 	refWorkers := make([]*ps.Worker, workers)
 	for w := 0; w < workers; w++ {
 		m := build()
@@ -155,7 +155,7 @@ func TestTCPTrainingMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	tcpGlobal := build()
-	tcpServer := NewServer(ln, ps.NewServer(tcpGlobal, psCfg), workers, steps)
+	tcpServer := NewServer(ln, ps.NewJob(tcpGlobal, psCfg), workers, steps)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- tcpServer.Serve() }()
 
@@ -280,7 +280,7 @@ func TestTCPAllCodecsMatchInProcess(t *testing.T) {
 
 			// In-process reference.
 			refGlobal := build()
-			refServer := ps.NewServer(refGlobal, psCfg)
+			refServer := ps.NewJob(refGlobal, psCfg)
 			refWorkers := make([]*ps.Worker, workers)
 			for w := 0; w < workers; w++ {
 				m := build()
@@ -313,7 +313,7 @@ func TestTCPAllCodecsMatchInProcess(t *testing.T) {
 				t.Fatal(err)
 			}
 			tcpGlobal := build()
-			tcpServer := NewServer(ln, ps.NewServer(tcpGlobal, psCfg), workers, steps)
+			tcpServer := NewServer(ln, ps.NewJob(tcpGlobal, psCfg), workers, steps)
 			serveErr := make(chan error, 1)
 			go func() { serveErr <- tcpServer.Serve() }()
 
@@ -374,7 +374,7 @@ func TestServerRejectsDuplicateWorkerID(t *testing.T) {
 	build := func() *nn.Model { return nn.NewMLP(4, []int{3}, 2, 1) }
 	psCfg := ps.Config{Scheme: compress.SchemeNone, Workers: 2, MinCompressElems: 4,
 		Optimizer: opt.DefaultSGDConfig(2, 1)}
-	srv := NewServer(ln, ps.NewServer(build(), psCfg), 2, 1)
+	srv := NewServer(ln, ps.NewJob(build(), psCfg), 2, 1)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve() }()
 
@@ -401,7 +401,7 @@ func TestClientStepMismatch(t *testing.T) {
 	build := func() *nn.Model { return nn.NewMLP(4, []int{3}, 2, 1) }
 	psCfg := ps.Config{Scheme: compress.SchemeNone, Workers: 1, MinCompressElems: 4,
 		Optimizer: opt.DefaultSGDConfig(1, 2)}
-	srv := NewServer(ln, ps.NewServer(build(), psCfg), 1, 2)
+	srv := NewServer(ln, ps.NewJob(build(), psCfg), 1, 2)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve() }()
 
