@@ -597,26 +597,28 @@ func codecBench(w *os.File, iters int) []benchRecord {
 		})
 	}
 
-	// Dispatched kernel tiers: the four dispatched sweeps at 1M elements
-	// on every tier this CPU/build can run, against the memcpy roofline
-	// for scale — accumulate+|max| (compress pass 1), the fused ternary
-	// encode (pass 2), the LUT decode-add on a dense and on a 0.998-zero
-	// wire, and the fused SGD sweep. Record names and inputs match
-	// internal/kernel's tier benchmarks (tierbench_test.go).
+	// Dispatched kernel tiers: the dispatched sweeps at 1M elements on
+	// every tier this CPU/build can run, each in ns per element beside the
+	// memcpy roofline it is held against — accumulate+|max| (compress pass
+	// 1), the fused ternary encode (pass 2) and the LUT decode-add, both on
+	// a dense and on a 0.998-zero input, and the fused SGD sweep. Record
+	// names and inputs match internal/kernel's tier benchmarks
+	// (tierbench_test.go).
 	{
 		orig := kernel.ActiveTier()
-		snapshot := make([]float32, n)
-		m := float64(kernel.AccumulateMaxAbs(snapshot, in.Data())) * 1.75
 		buf := make([]float32, n)
 		acc := make([]float32, n)
 		dst := make([]float32, n)
-		cp := measure(iters, func() { copy(dst, snapshot) })
-		gbs := func(d time.Duration) float64 { return float64(4*n) / d.Seconds() / 1e9 }
+		cp := measure(iters, func() { copy(dst, in.Data()) })
+		perElem := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(n) }
 
-		// Decode-add inputs, quantized at s = 1.00: uniform on [-1, 1)
-		// (97 % literal groups: the literal cores decide) and 0.2 %
-		// non-zero elements (the zero fraction bench/ measures on lan-3lc:
-		// a walk over run markers and isolated literals).
+		// Encode and decode-add inputs: uniform on [-1, 1) (half the
+		// digits non-zero, 97 % literal groups: quantize+pack and the
+		// literal cores decide) and 0.2 % non-zero elements (the zero
+		// fraction bench/ measures on lan-3lc: ~92 % of the 40-element
+		// blocks all-zero, a walk over run markers and isolated literals).
+		// Decode-add wires are quantized at s = 1.00; the encode runs dense
+		// at s = 1.00 and sparse at the s = 1.75 of the end-to-end runs.
 		drng := tensor.NewRNG(4)
 		dense, sparse := make([]float32, n), make([]float32, n)
 		for i := range dense {
@@ -625,19 +627,23 @@ func codecBench(w *os.File, iters int) []benchRecord {
 				sparse[i] = float32(r)*2 - 1
 			}
 		}
-		type decIn struct {
-			name string
-			wire []byte
-			m    float32
+		type tierIn struct {
+			name     string
+			snapshot []float32 // accumulated, not yet encoded
+			encM     float64
+			wire     []byte // decode-add input
+			decM     float32
 		}
-		var decIns []decIn
-		for _, d := range []struct {
+		var ins [2]tierIn
+		for k, d := range []struct {
 			name string
 			data []float32
-		}{{"dense", dense}, {"sparse", sparse}} {
-			resid := make([]float32, n)
-			dm := float64(kernel.AccumulateMaxAbs(resid, d.data))
-			decIns = append(decIns, decIn{d.name, kernel.EncodeTernary(resid, dm, true, nil), float32(dm)})
+			s    float64
+		}{{"dense", dense, 1}, {"sparse", sparse, 1.75}} {
+			snapshot := make([]float32, n)
+			dm := float64(kernel.AccumulateMaxAbs(snapshot, d.data))
+			resid := append([]float32(nil), snapshot...)
+			ins[k] = tierIn{d.name, snapshot, dm * d.s, kernel.EncodeTernary(resid, dm, true, nil), float32(dm)}
 		}
 
 		// Fused SGD sweep streams.
@@ -648,9 +654,10 @@ func codecBench(w *os.File, iters int) []benchRecord {
 		}
 		sgdV, sgdAcc := make([]float32, n), make([]float32, n)
 
-		fmt.Fprintf(w, "\nKernel tiers at %d elements (auto tier %s, AVX2=%v, asm=%v; memcpy roofline %.1f GB/s), ns/op:\n",
-			n, orig, simd.Detect().AVX2, simd.HasAsm, gbs(cp))
-		fmt.Fprintf(w, "  %-8s %12s %10s %14s %15s %10s\n", "tier", "accumulate", "encode", "dec-add dense", "dec-add sparse", "sgd step")
+		fmt.Fprintf(w, "\nKernel tiers at %d elements (auto tier %s, AVX2=%v, asm=%v), ns/elem:\n", n, orig, simd.Detect().AVX2, simd.HasAsm)
+		fmt.Fprintf(w, "  %-8s %11s %13s %14s %14s %15s %9s\n", "tier", "accumulate", "encode dense", "encode sparse", "dec-add dense", "dec-add sparse", "sgd step")
+		fmt.Fprintf(w, "  %-8s %11.2f  (%.1f GB/s copy, 4 B read + 4 B written per element; a read-only stream is about half)\n",
+			"memcpy", perElem(cp), float64(4*n)/cp.Seconds()/1e9)
 		rec := func(name string, d time.Duration) {
 			records = append(records, benchRecord{Name: name, Iterations: int64(iters), NsPerOp: float64(d.Nanoseconds()), BytesPerOp: -1, AllocsPerOp: -1})
 		}
@@ -658,38 +665,36 @@ func codecBench(w *os.File, iters int) []benchRecord {
 		for _, tier := range kernel.AvailableTiers() {
 			kernel.SetTier(tier)
 			accum := measure(iters, func() { kernel.AccumulateMaxAbs(acc, in.Data()) })
-			// The encode consumes its buffer (it leaves the residual
-			// behind), so each call restores from the snapshot and times
-			// only the encode itself.
-			copy(buf, snapshot)
-			wire = kernel.EncodeTernary(buf, m, true, wire[:0]) // converge wire capacity
-			encBest := time.Duration(1<<63 - 1)
-			for trial := 0; trial < 3; trial++ {
-				var total time.Duration
-				for i := 0; i < iters; i++ {
-					copy(buf, snapshot)
-					start := time.Now()
-					wire = kernel.EncodeTernary(buf, m, true, wire[:0])
-					total += time.Since(start)
+			var enc, dec [2]time.Duration
+			for k, d := range ins {
+				// The encode consumes its buffer (it leaves the residual
+				// behind), so each call restores from the snapshot and
+				// times only the encode itself.
+				copy(buf, d.snapshot)
+				wire = kernel.EncodeTernary(buf, d.encM, true, wire[:0]) // converge wire capacity
+				enc[k] = time.Duration(1<<63 - 1)
+				for trial := 0; trial < 3; trial++ {
+					var total time.Duration
+					for i := 0; i < iters; i++ {
+						copy(buf, d.snapshot)
+						start := time.Now()
+						wire = kernel.EncodeTernary(buf, d.encM, true, wire[:0])
+						total += time.Since(start)
+					}
+					enc[k] = min(enc[k], total/time.Duration(iters))
 				}
-				if d := total / time.Duration(iters); d < encBest {
-					encBest = d
-				}
-			}
-			var dec [2]time.Duration
-			for k, d := range decIns {
 				dec[k] = measure(iters, func() {
-					if err := kernel.DecodeTernaryAdd(d.wire, true, d.m, dst); err != nil {
+					if err := kernel.DecodeTernaryAdd(d.wire, true, d.decM, dst); err != nil {
 						panic(err)
 					}
 				})
+				rec("EncodeTernaryKernel/"+tier.String()+"/"+d.name, enc[k])
 				rec("DecodeAddKernel/"+tier.String()+"/"+d.name, dec[k])
 			}
 			sgd := measure(iters, func() { kernel.FusedSGDStep(sgdW, sgdV, sgdG, sgdAcc, 0.5, 1e-4, 0.9, 0.0004) })
-			fmt.Fprintf(w, "  %-8s %12d %10d %14d %15d %10d\n",
-				tier, accum.Nanoseconds(), encBest.Nanoseconds(), dec[0].Nanoseconds(), dec[1].Nanoseconds(), sgd.Nanoseconds())
+			fmt.Fprintf(w, "  %-8s %11.2f %13.2f %14.2f %14.2f %15.2f %9.2f\n",
+				tier, perElem(accum), perElem(enc[0]), perElem(enc[1]), perElem(dec[0]), perElem(dec[1]), perElem(sgd))
 			rec("AccumulateMaxAbsKernel/"+tier.String()+"/1M", accum)
-			rec("EncodeTernaryKernel/"+tier.String()+"/1M", encBest)
 			rec("FusedSGDStepKernel/"+tier.String()+"/1M", sgd)
 		}
 		kernel.SetTier(orig)

@@ -60,8 +60,8 @@
 // and the expanded tables are pooled with the last M cached. Both compress
 // passes shard across cores with byte-identical output (two-phase parallel
 // max reduction; group-aligned fused encode with a per-chunk zero-run
-// stitch-up), scheduled pass-count aware: each pass sizes its fan-out to
-// its own per-element cost (kernel.PassWorkers). The staged primitives in
+// stitch-up), scheduled work-proportionally: each pass sizes its fan-out
+// to the elements it sweeps (kernel.PassWorkers). The staged primitives in
 // internal/quant and internal/encode remain the bit-identical reference,
 // pinned by differential tests and FuzzFusedVsStaged. In steady state a
 // full push/pull codec round trip performs zero heap allocations (see the

@@ -127,9 +127,9 @@ type Options struct {
 	Entropy EntropyAlgo
 	// CodecParallelism caps the per-pass goroutine fan-out of the fused
 	// kernels for large tensors (>= kernel.ParallelThresholdElems). The
-	// fan-out is pass-count aware: each of the two fused compress passes
-	// asks kernel.PassWorkers for its own worker count, sized to that
-	// pass's per-element work, under this common cap. 0 means
+	// fan-out is work-proportional: each of the two fused compress passes
+	// asks kernel.PassWorkers for its own worker count, sized to the
+	// elements it sweeps, under this common cap. 0 means
 	// work-proportional up to GOMAXPROCS; 1 forces fully serial kernels
 	// (no goroutine spawns, the zero-allocation configuration). Callers
 	// that already fan out across tensors (package ps) pass their own

@@ -39,12 +39,11 @@ func (c *int8Compressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
 	if in.Len() != c.n {
 		panic("compress: input size mismatch")
 	}
-	w1 := kernel.PassWorkers(c.n, c.par, kernel.SpanReduce)
-	m := float64(kernel.MaxAbsParallel(in.Data(), w1))
+	w := kernel.PassWorkers(c.n, c.par)
+	m := float64(kernel.MaxAbsParallel(in.Data(), w))
 	dst = append(dst, byte(SchemeInt8))
 	dst = appendF32(dst, float32(m))
-	w2 := kernel.PassWorkers(c.n, c.par, kernel.SpanEncode)
-	return kernel.EncodeInt8Parallel(in.Data(), m, dst, w2)
+	return kernel.EncodeInt8Parallel(in.Data(), m, dst, w)
 }
 
 func decodeInt8(payload []byte, dst *tensor.Tensor) error {

@@ -64,7 +64,7 @@ func (c *oneBitCompressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
 	dst = appendF32(dst, mPos)
 	dst = appendF32(dst, mNeg)
 	dst = append(dst, c.bits...)
-	w := kernel.PassWorkers(c.n, c.par, kernel.SpanEncode)
+	w := kernel.PassWorkers(c.n, c.par)
 	kernel.OneBitResidualParallel(buf, c.bits, mPos, mNeg, w)
 	return dst
 }

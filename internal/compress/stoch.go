@@ -48,7 +48,7 @@ func (c *stochCompressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
 	if in.Len() != c.n {
 		panic("compress: input size mismatch")
 	}
-	w1 := kernel.PassWorkers(c.n, c.par, kernel.SpanReduce)
+	w1 := kernel.PassWorkers(c.n, c.par)
 	m := float64(kernel.MaxAbsParallel(in.Data(), w1))
 	dst = append(dst, byte(SchemeStoch3QE))
 	dst = appendF32(dst, float32(m))

@@ -104,7 +104,7 @@ func (c *threeLCCompressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
 		panic("compress: input size mismatch")
 	}
 	buf := c.acc.Buffer().Data()
-	w1 := kernel.PassWorkers(c.n, c.par, kernel.SpanReduce)
+	w1 := kernel.PassWorkers(c.n, c.par)
 	return c.encodeAccumulated(kernel.AccumulateMaxAbsParallel(buf, in.Data(), w1), dst)
 }
 
@@ -136,7 +136,7 @@ func (c *threeLCCompressor) encodeAccumulated(maxAbs float32, dst []byte) []byte
 	} else {
 		dst = append(dst, 0)
 	}
-	w2 := kernel.PassWorkers(c.n, c.par, kernel.SpanEncode)
+	w2 := kernel.PassWorkers(c.n, c.par)
 	if w2 > 1 {
 		dst, c.qbuf = kernel.EncodeTernaryParallel(buf, m, c.zeroRun, dst, w2, c.qbuf)
 	} else {

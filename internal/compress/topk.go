@@ -66,7 +66,7 @@ func (c *topKCompressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
 		panic("compress: input size mismatch")
 	}
 	buf := c.acc.Buffer().Data()
-	w := kernel.PassWorkers(c.n, c.par, kernel.SpanReduce)
+	w := kernel.PassWorkers(c.n, c.par)
 	kernel.AddParallel(buf, in.Data(), w)
 	thr := c.sp.Threshold(buf)
 	if c.sel.Mask == nil || c.sel.Mask.Len() != c.n {

@@ -22,8 +22,9 @@ import (
 //	        (every unrolled rewrite measured slower), so only asm
 //	        accelerates encode.
 //	asm     vec, plus AVX2 amd64 assembly for the accumulate+|max|
-//	        reduction, the byte-level quantize/pack and LUT-row loops,
-//	        and the fused SGD sweep. Requires AVX2.
+//	        reduction, the block-level quantize/pack (which skips
+//	        all-zero blocks) and LUT-row loops, and the fused SGD sweep.
+//	        Requires AVX2.
 //
 // The tier is chosen once at init — asm when the CPU supports it, else
 // vec — and can be pinned with THREELC_KERNEL=scalar|vec|asm (malformed

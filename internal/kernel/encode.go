@@ -20,7 +20,10 @@ import (
 // the wire (and used for the local dequantization) is float32(m), exactly
 // as in the staged quant.Quantize3Into/DequantizeInto pair, so wires and
 // residuals are bit-identical to the staged pipeline. m == 0 (an all-zero
-// buffer) quantizes everything to zero without touching buf at all.
+// buffer) quantizes everything to zero without touching buf at all; on the
+// asm tier the same holds block by block — 40 elements that all quantize
+// to zero are read, not rewritten (the residual v − M·0 is v), so the pass
+// costs what its output says: a read-only scan plus the non-zero blocks.
 //
 //3lc:noalloc
 func EncodeTernary(buf []float32, m float64, zeroRun bool, dst []byte) []byte {
@@ -43,13 +46,14 @@ func EncodeTernary(buf []float32, m float64, zeroRun bool, dst []byte) []byte {
 	out := dst[base : base+qlen]
 	if packBlocksFn != nil {
 		// Asm tier: pack every group to its absolute slot through the block
-		// core, then zero-run compact in place. Byte-identical to the inline
-		// ZRE loop below (zreCompact replays flushZeroRun's sequencing).
-		packRangeFast(buf, 0, n, tpos, &dq, out)
+		// core, then zero-run compact in place — the one-chunk case of the
+		// parallel encode. Byte-identical to the inline ZRE loop below.
 		if !zeroRun {
+			packRangeFast(buf, 0, n, tpos, &dq, out)
 			return dst[:base+qlen]
 		}
-		return dst[:base+zreCompact(out)]
+		one := [1]ternChunk{encodeTernaryChunkFast(buf, 0, n, tpos, &dq, out)}
+		return dst[:base+stitchChunks(out, one[:])]
 	}
 	w, run := 0, 0
 	i := 0
@@ -141,23 +145,30 @@ func EncodeTernaryParallel(buf []float32, m float64, zeroRun bool, dst []byte, w
 		}
 	})
 
-	// Serial stitch-up: pending carries the zero run open at the current
-	// chunk boundary; it is flushed exactly where the serial encoder would
-	// flush it (the next non-zero-group byte or end of stream).
+	return dst[:base+stitchChunks(outBuf, res[:used])], scratch
+}
+
+// stitchChunks is the serial stitch-up: it lays the chunks' middles end to
+// end in out, merging the zero runs that cross chunk boundaries, and
+// returns the stream length. pending carries the zero run open at the
+// current boundary; it is flushed exactly where the serial encoder would
+// flush it (the next non-zero-group byte or end of stream). A middle may
+// live in out itself at or after its destination (the serial asm tier
+// compacts in place): the flush of a chunk's leading run never reaches the
+// middle it precedes, and copy is a memmove.
+func stitchChunks(out []byte, chunks []ternChunk) int {
 	w, pending := 0, 0
-	for c := 0; c < used; c++ {
-		r := &res[c]
+	for c := range chunks {
+		r := &chunks[c]
 		pending += r.lead
 		if r.allZero {
 			continue
 		}
-		w = flushZeroRun(outBuf, w, pending)
-		copy(outBuf[w:], r.mid)
-		w += len(r.mid)
+		w = flushZeroRun(out, w, pending)
+		w += copy(out[w:], r.mid)
 		pending = r.trail
 	}
-	w = flushZeroRun(outBuf, w, pending)
-	return dst[:base+w], scratch
+	return flushZeroRun(out, w, pending)
 }
 
 // encodeTernaryChunk runs the fused quantize+pack+ZRE loop over buf[lo:hi],

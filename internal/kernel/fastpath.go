@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"threelc/internal/encode"
@@ -142,7 +143,9 @@ func decodeScaledVec(body []byte, zre bool, tab *scaledTab, gTotal int, dst []fl
 // routing whole 8-group blocks through the assembly core and the
 // remainder through the scalar group loops. Residual updates are
 // identical to the scalar path: the asm core performs the same compares
-// against ±tpos and the same v - dq[q] subtraction per element.
+// against ±tpos and the same v - dq[q] subtraction per element, except
+// that a block of 40 zero digits is not written back at all when dq[1] is
+// +0 (v - (+0) = v; see simd.QuantPackBlocks).
 func packRangeFast(buf []float32, lo, hi int, tpos float32, dq *dequantTab, out []byte) {
 	g := 0
 	if blocks := (hi - lo) / (8 * encode.GroupSize); blocks > 0 {
@@ -169,45 +172,69 @@ func quantPackRangeDispatch(buf []float32, lo, hi int, tpos float32, dq *dequant
 	quantPackRange(buf, lo, hi, tpos, dq, out)
 }
 
-// zreCompact zero-run encodes a packed quartic byte stream in place,
-// returning the compacted length. The write cursor never passes the read
-// cursor (runs only ever shrink), and the emission — runs of 2..14 as one
-// marker byte, chained greedily, lone zero groups literal — is exactly
-// the serial encoder's flushZeroRun sequencing, so compacting a packed
-// stream is byte-identical to encoding with inline ZRE.
-func zreCompact(out []byte) int {
-	w, run := 0, 0
-	for _, b := range out {
-		if b == encode.ZeroGroupByte {
-			run++
-			continue
-		}
-		w = flushZeroRun(out, w, run)
-		run = 0
-		out[w] = b
-		w++
-	}
-	return flushZeroRun(out, w, run)
-}
+// Word constants of compactChunk's walk: eight ZeroGroupBytes, and the
+// masks of the classic has-a-zero-byte test, (x-lo8) &^ x & hi8 != 0.
+const (
+	lo8         = 0x0101010101010101
+	hi8         = 0x8080808080808080
+	zeroGroups8 = lo8 * uint64(encode.ZeroGroupByte)
+)
 
-// compactChunk derives one chunk's parallel-encode contribution from its
-// packed (absolute-slot) region: leading/trailing zero-group counts for
-// the cross-chunk stitch-up, and the in-place zero-run compacted middle.
-// Matches encodeTernaryChunk's reporting exactly.
+// compactChunk zero-run encodes one packed (absolute-slot) region in
+// place and reports it the way encodeTernaryChunk does: the leading and
+// trailing zero groups as counts for the stitch-up (a region of nothing
+// else reports them all in lead), the middle — first through last
+// non-zero-group byte — compacted where it stands. The walk is
+// word-at-a-time at both extremes: a uint64 equal to zeroGroups8 adds 8 to
+// the run (so at the zero fractions 3LC produces the pass reads n/40 words,
+// not n/5 bytes), one without a ZeroGroupByte moves as 8 literals, and a
+// mixed word (or the sub-word tail) is walked byte by byte. The write
+// cursor never passes the read cursor (runs only ever shrink), and the
+// emission is flushZeroRun's, so the compacted stream is byte-identical to
+// encoding with inline ZRE.
 func compactChunk(region []byte) ternChunk {
-	lead := 0
-	for lead < len(region) && region[lead] == encode.ZeroGroupByte {
-		lead++
+	lead, w, run := -1, 0, 0
+	for r := 0; r < len(region); {
+		step := len(region) - r
+		if step >= 8 {
+			step = 8
+			x := binary.LittleEndian.Uint64(region[r:]) ^ zeroGroups8
+			if x == 0 {
+				run += 8
+				r += 8
+				continue
+			}
+			if (x-lo8)&^x&hi8 == 0 && lead >= 0 {
+				if run > 0 {
+					w = flushZeroRun(region, w, run)
+					run = 0
+				}
+				binary.LittleEndian.PutUint64(region[w:], x^zeroGroups8)
+				w += 8
+				r += 8
+				continue
+			}
+		}
+		for end := r + step; r < end; r++ {
+			b := region[r]
+			if b == encode.ZeroGroupByte {
+				run++
+				continue
+			}
+			if lead < 0 {
+				lead, w = r, r
+			} else if run > 0 {
+				w = flushZeroRun(region, w, run)
+			}
+			run = 0
+			region[w] = b
+			w++
+		}
 	}
-	if lead == len(region) {
-		return ternChunk{lead: lead, allZero: true}
+	if lead < 0 {
+		return ternChunk{lead: run, allZero: true}
 	}
-	trail := 0
-	for region[len(region)-1-trail] == encode.ZeroGroupByte {
-		trail++
-	}
-	mid := region[lead : len(region)-trail]
-	return ternChunk{lead: lead, trail: trail, mid: mid[:zreCompact(mid)]}
+	return ternChunk{lead: lead, trail: run, mid: region[lead:w]}
 }
 
 // encodeTernaryChunkFast is the asm-tier encodeTernaryChunk: pack the

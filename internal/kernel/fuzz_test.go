@@ -49,6 +49,18 @@ func FuzzFusedVsStaged(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(128), false)
 	f.Add(bytes.Repeat([]byte{0xff, 0xff, 0x7f, 0x7f}, 9), uint8(255), true) // large finite values
 	f.Add(bytes.Repeat([]byte{0, 0, 0xc0, 0x7f}, 7), uint8(17), true)        // NaNs
+	// The asm tier's all-zero-block skip: one spike (1.0) in 130 zeros, and
+	// a sparse tensor — a spike every 97 elements, signs alternating — whose
+	// 40-element blocks are mostly, not all, untouched.
+	spike := make([]byte, 4*131)
+	copy(spike[4*77:], []byte{0, 0, 0x80, 0x3f})
+	f.Add(spike, uint8(192), true)
+	sparse := make([]byte, 4*1003)
+	for i := 0; i < 1003; i += 97 {
+		copy(sparse[4*i:], []byte{0, 0, 0x80, 0x3f | byte(i&1)<<7})
+	}
+	f.Add(sparse, uint8(192), true)
+	f.Add(sparse, uint8(0), false)
 
 	f.Fuzz(func(t *testing.T, data []byte, sByte uint8, zre bool) {
 		n := len(data) / 4

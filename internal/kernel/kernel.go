@@ -6,12 +6,18 @@
 // reduction, quantize, local dequantize, residual update, quartic pack,
 // zero-run emit — so steady-state step time is memory-bandwidth bound.
 // This package collapses the per-element work so the whole compress side
-// touches tensor memory exactly twice and the decode side exactly once:
+// sweeps tensor memory exactly twice and the decode side exactly once:
 //
 //	pass 1  AccumulateMaxAbs    buf += in fused with the max|buf| reduction
+//	                            (reads both, writes buf)
 //	pass 2  EncodeTernary       quantize → local-dequantize → residual →
 //	                            quartic-pack → zero-run-emit in one loop
-//	                            that writes wire bytes directly
+//	                            that writes wire bytes directly; reads buf
+//	                            once and, on the asm tier, writes residuals
+//	                            back only into 40-element blocks that hold
+//	                            a non-zero digit (v − M·0 = v elsewhere), so
+//	                            at 3LC's zero fractions it is a read-only
+//	                            stream
 //	decode  DecodeTernary       ZRE-expand → quartic-unpack → scaled-apply
 //	                            in one LUT-driven loop streaming wire bytes
 //	                            straight into the destination floats
@@ -26,7 +32,7 @@
 // Both compress passes have chunked-parallel forms (two-phase parallel max
 // reduction; group-aligned parallel fused encode with a per-chunk zero-run
 // stitch-up) that produce byte-identical output to the serial kernels for
-// any worker count. Scheduling is pass-count aware: see PassWorkers.
+// any worker count. Scheduling is work-proportional: see PassWorkers.
 //
 // The aggregation side adds a fourth kernel, DecodeTernaryAdd (dst += M·q
 // in one pass over the wire bytes and the non-zero groups: zero runs skip
@@ -42,8 +48,12 @@
 //	accumulate+|max|      range loop          8-chain unrolled        32-float blocks,
 //	                                                                  4 VMAXPS chains
 //	|max| reduction       range loop          8-chain unrolled        = vec
-//	ternary quantize/pack cmov quantize loop  = scalar (fastest       32-elem AVX2
-//	                                          pure-Go formulation)    quantize+pack blocks
+//	ternary quantize/pack cmov quantize loop  = scalar (fastest       40-elem (8-group) AVX2
+//	                      with inline ZRE     pure-Go formulation)    blocks: read-only scan,
+//	                                                                  all-zero blocks skip the
+//	                                                                  quantize, residual write
+//	                                                                  and pack; then a word-at-
+//	                                                                  a-time zero-run compaction
 //	LUT decode-add/set    byte-at-a-time      + 4-byte-unrolled rows  + AVX row loads
 //	                      row apply           for long literal        for long literal
 //	                                          stretches               stretches
@@ -90,34 +100,34 @@ func noteSpawn() {
 	}
 }
 
-// Pass-count-aware parallel scheduling.
+// Work-proportional parallel scheduling.
 //
 // With the pipeline fused into two passes, each pass is a large fraction
 // of total step time, so the fan-out decision is made per pass rather than
-// per pipeline: a pass's goroutine count scales with the work *that pass*
-// performs per element. The reduction pass (accumulate + |max|) streams at
-// ~2 flops/element and only amortizes goroutine handoff at about twice the
-// span the quantize+pack pass (~12 flops/element plus the byte emit)
-// needs, so each pass class declares its own minimum span and callers ask
-// PassWorkers once per pass.
+// per pipeline: callers ask PassWorkers once per pass, and a pass gets a
+// goroutine only for every SpanElems elements it sweeps.
 const (
 	// ParallelThresholdElems is the tensor size below which every pass
 	// runs serially: under it, fan-out overhead outweighs any win.
 	ParallelThresholdElems = 1 << 18
-	// SpanReduce is the minimum number of elements per goroutine for the
-	// memory-bound reduction pass (pass 1).
-	SpanReduce = 1 << 17
-	// SpanEncode is the minimum number of elements per goroutine for the
-	// compute-bound fused quantize+pack pass (pass 2).
-	SpanEncode = 1 << 16
+	// SpanElems is the minimum number of elements per goroutine of a
+	// fanned-out pass. One number serves every pass: on the asm tier both
+	// compress passes stream at memory speed (~0.35 ns/element for the
+	// reduction, 0.4–0.9 for quantize+pack), so a 1<<16 span is 25–60 µs of
+	// work against a ~20 µs goroutine handoff. Measured on a 2-vCPU host,
+	// EncodeTernaryParallel with 2 workers against the serial kernel:
+	// 1<<16 per goroutine 19 → 40 µs (0.998-zero input) and 89 → 116 µs
+	// (dense); 1<<17 per goroutine 65 → 75 and 190 → 230 µs; 1<<19 per
+	// goroutine 352 → 353 and 835 → 578 µs.
+	SpanElems = 1 << 17
 )
 
 // PassWorkers returns the goroutine fan-out for one fused pass over n
 // elements: 1 below ParallelThresholdElems, otherwise GOMAXPROCS capped by
 // the caller's budget (budget <= 0 means no cap) and by work
-// proportionality (at least span elements per goroutine, so small passes
-// never over-spawn even under a generous budget).
-func PassWorkers(n, budget, span int) int {
+// proportionality (at least SpanElems elements per goroutine, so small
+// passes never over-spawn even under a generous budget).
+func PassWorkers(n, budget int) int {
 	if n < ParallelThresholdElems {
 		return 1
 	}
@@ -125,7 +135,7 @@ func PassWorkers(n, budget, span int) int {
 	if budget > 0 && w > budget {
 		w = budget
 	}
-	if m := n / span; w > m {
+	if m := n / SpanElems; w > m {
 		w = m
 	}
 	if w < 1 {

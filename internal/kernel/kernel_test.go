@@ -412,19 +412,16 @@ func TestPassCounts(t *testing.T) {
 // --- scheduling --------------------------------------------------------------
 
 func TestPassWorkers(t *testing.T) {
-	if w := PassWorkers(1000, 0, SpanEncode); w != 1 {
+	if w := PassWorkers(1000, 0); w != 1 {
 		t.Errorf("small tensor: %d workers, want 1", w)
 	}
-	if w := PassWorkers(1<<20, 1, SpanEncode); w != 1 {
+	if w := PassWorkers(1<<20, 1); w != 1 {
 		t.Errorf("budget 1: %d workers, want 1", w)
 	}
 	// Work proportionality: a pass never gets more workers than n/span.
 	n := ParallelThresholdElems
-	if w := PassWorkers(n, 1024, SpanReduce); w > n/SpanReduce {
+	if w := PassWorkers(n, 1024); w > n/SpanElems {
 		t.Errorf("reduce pass over-spawned: %d workers for %d elems", w, n)
-	}
-	if wR, wE := PassWorkers(n, 1024, SpanReduce), PassWorkers(n, 1024, SpanEncode); wR > wE {
-		t.Errorf("reduction pass (%d) should not out-fan the encode pass (%d) at equal n", wR, wE)
 	}
 }
 

@@ -21,15 +21,25 @@ func fusedSGDStepAsm(w, v, gs, acc *float32, n int, gscale, wd, mom, lr float32)
 
 // QuantPackBlocks runs the AVX2 fused quantize→residual→quartic-pack over
 // blocks of 8 quartic groups (40 elements): for each element of buf it
-// computes the ternary digit against ±tpos, subtracts the selected
-// dequantization level (dqNeg/dqZero/dqPos) in place, and writes one
-// packed quartic byte per group to out. buf must hold blocks*40 elements
-// and out blocks*8 bytes. Requires AVX2; callers gate on Detect().AVX2.
+// computes the ternary digit against ±tpos (tpos > 0 or NaN), subtracts the
+// selected dequantization level (dqNeg/dqZero/dqPos) in place, and writes
+// one packed quartic byte per group to out. buf must hold blocks*40
+// elements and out blocks*8 bytes. Requires AVX2; callers gate on
+// Detect().AVX2.
+//
+// A block whose 40 digits are all zero costs its loads and one 8-byte
+// store: with dqZero = +0 the residual v − (+0) is v for every v, −0
+// included, so nothing is written back (a signalling NaN is left
+// signalling where the subtraction would have quieted it — inside the
+// tier contract's "up to NaN payloads"). Any other dqZero — m·0 is NaN
+// under a non-finite scale — keeps the residual write on every block.
 //
 // Bit-identity with the scalar kernel: the digit compares use the ordered
 // predicates GE_OS/LE_OS (false on NaN, like Go's >= and <=), the
 // residual subtract keeps buf as operand 1 exactly as the compiled scalar
 // SUBSS does (so NaN payload selection matches), and the pack is integer.
+//
+//3lc:noalloc
 func QuantPackBlocks(buf []float32, out []byte, blocks int, tpos, dqNeg, dqZero, dqPos float32) {
 	if blocks <= 0 {
 		return

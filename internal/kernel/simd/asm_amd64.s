@@ -2,31 +2,68 @@
 
 // The ternary digit of v against threshold t>0 is
 //
-//	q = 1 - (v >= t) + (v <= -t)   with the compares as 0/-1 masks,
+//	q = 1 + (v >= t) - (v <= -t)   with the compares as 0/1,
 //
 // the selected dequantization level is dqPos/dqNeg/dqZero by the same
-// masks, and the packed quartic byte of digits d0..d4 is
+// compares, and the packed quartic byte of digits d0..d4 is
 // 81*d0 + 27*d1 + 9*d2 + 3*d3 + d4.
 //
-// The pack uses a multiply trick: loading 8 little-endian digit bytes as
-// a uint64 x and multiplying by
+// The pack uses a multiply trick: with 8 little-endian digit bytes as a
+// uint64 x, multiplying by
 //
 //	C = 81<<32 | 27<<24 | 9<<16 | 3<<8 | 1 = 0x511B090301
 //
 // makes byte 4 of x*C exactly 81*d0+27*d1+9*d2+3*d3+d4: every partial
 // product below byte 4 sums to < 256 for digits <= 2 (worst case 80), so
 // no carry reaches byte 4, and bytes beyond d4 only contribute to bytes
-// >= 5. One MOVQ/IMULQ/SHRQ/MOVB per group replaces 5 scalar multiplies.
+// >= 5. One IMULQ/SHRQ/MOVB per group replaces 5 scalar multiplies.
+
+// QUANT quantizes the 8 floats in V (loaded from off(SI)) with the ordered
+// predicates GE_OS ($13) and LE_OS ($2), false on NaN like Go's >= and <=.
+// The two 0/-1 masks are disjoint, so the level is a bitwise select,
+// dq = dqZero ^ (ge & (dqZero^dqPos)) ^ (le & (dqZero^dqNeg)), exact for
+// any bit patterns; the residual v - dq (v as operand 1) is stored back
+// and V is left holding the eight int32 values q-1 = le - ge.
+#define QUANT(off, V) \
+	VCMPPS $13, Y15, V, Y5; \
+	VCMPPS $2, Y14, V, Y6; \
+	VPAND Y11, Y5, Y7; \
+	VPAND Y13, Y6, Y8; \
+	VPXOR Y8, Y7, Y7; \
+	VPXOR Y12, Y7, Y7; \
+	VSUBPS Y7, V, Y7; \
+	VMOVUPS Y7, off(SI); \
+	VPSUBD Y5, Y6, V
+
+// EMIT folds the five digit bytes at the bottom of R into out byte g.
+#define EMIT(R, g) \
+	IMULQ R9, R; \
+	SHRQ $32, R; \
+	MOVB R, g(DI)
 
 // func quantPackBlocks(buf *float32, out *byte, blocks int, tpos, tneg, dqNeg, dqZero, dqPos float32)
 //
-// Register plan per 8-float vector:
-//	Y0 = v            Y1 = mask(v >= tpos)    Y2 = mask(v <= tneg)
-//	Y3 = digits       Y4 = dequant selection  Y5 = residual
-// Constants: Y15=tpos Y14=tneg Y13=dqNeg Y12=dqZero Y11=dqPos Y10=int32(1)
-// Digit bytes for one block (8 groups = 5 vectors) land in 40 stack
-// bytes; the combine loop folds each 5-byte run into one wire byte.
-TEXT ·quantPackBlocks(SB), NOSPLIT, $48-44
+// Constants: Y15=tpos Y14=tneg Y13=dqZero^dqNeg Y12=dqZero Y11=dqZero^dqPos
+// Y10=all ones Y9=0x7fffffff, R9=C, R10=eight ZeroGroupBytes, R8=bits of
+// dqZero.
+//
+// Each 40-element block (5 vectors Y0..Y4, 8 groups) is first scanned
+// read-only: |v| < tpos compared on the bit patterns as int32, which orders
+// non-negative floats like the floats themselves and puts every NaN above
+// +Inf. When it holds for all 40 lanes no compare of QUANT can fire (a NaN
+// v passes only against a NaN tpos, which fails every compare too), so all
+// digits are 1 and, dqZero being +0, every residual v - (+0) is v itself:
+// the block costs its loads and one 8-byte store of ZeroGroupBytes. The
+// scan is allowed to err towards the dense path, never the other way; a
+// dqZero that is not +0 bits (m*0 = NaN under a non-finite scale) sends
+// every block there.
+//
+// The dense path leaves the 40 values q-1 in Y0..Y4, packs them to signed
+// bytes in registers (per 128-bit lane: lane 0 gets elements 0..3 of each
+// vector, lane 1 elements 4..7; unpacking the lanes' dwords pairwise
+// restores element order), adds the 1 and moves the digit bytes 0..39 to
+// five GPRs; group g's window at byte 5g is a shift or a double shift away.
+TEXT ·quantPackBlocks(SB), NOSPLIT, $0-44
 	MOVQ buf+0(FP), SI
 	MOVQ out+8(FP), DI
 	MOVQ blocks+16(FP), CX
@@ -35,131 +72,86 @@ TEXT ·quantPackBlocks(SB), NOSPLIT, $48-44
 	VBROADCASTSS dqNeg+32(FP), Y13
 	VBROADCASTSS dqZero+36(FP), Y12
 	VBROADCASTSS dqPos+40(FP), Y11
+	VPXOR Y12, Y13, Y13
+	VPXOR Y12, Y11, Y11
 	VPCMPEQD Y10, Y10, Y10
-	VPSRLD $31, Y10, Y10
+	VPSRLD $1, Y10, Y9
+	MOVL dqZero+36(FP), R8
 	MOVQ $0x511B090301, R9
+	MOVQ $0x7979797979797979, R10
 
 blockloop:
-	TESTQ CX, CX
-	JZ done
-
-	// vector 0: elements 0..7 -> digit bytes 0..7 on the stack
 	VMOVUPS (SI), Y0
-	VCMPPS $13, Y15, Y0, Y1    // GE_OS: false on NaN, like Go >=
-	VCMPPS $2, Y14, Y0, Y2     // LE_OS
-	VPSUBD Y1, Y10, Y3
-	VPADDD Y2, Y3, Y3
-	VBLENDVPS Y1, Y11, Y12, Y4
-	VBLENDVPS Y2, Y13, Y4, Y4
-	VSUBPS Y4, Y0, Y5          // residual = v - dq[q], v as operand 1
-	VMOVUPS Y5, (SI)
-	VPACKSSDW Y3, Y3, Y6       // dwords -> words, per 128-bit lane
-	VPERMQ $0x08, Y6, Y6       // gather the two low-qword word runs
-	VPACKUSWB X6, X6, X6       // words -> bytes
-	VMOVQ X6, 0(SP)
+	VMOVUPS 32(SI), Y1
+	VMOVUPS 64(SI), Y2
+	VMOVUPS 96(SI), Y3
+	VMOVUPS 128(SI), Y4
+	VPAND Y9, Y0, Y5
+	VPAND Y9, Y1, Y6
+	VPMAXSD Y6, Y5, Y5
+	VPAND Y9, Y2, Y6
+	VPAND Y9, Y3, Y7
+	VPMAXSD Y7, Y6, Y6
+	VPAND Y9, Y4, Y7
+	VPMAXSD Y7, Y6, Y6
+	VPMAXSD Y6, Y5, Y5
+	VPCMPGTD Y5, Y15, Y5       // tpos > max|v| per lane, as int32
+	VMOVMSKPS Y5, AX
+	XORL $0xFF, AX             // lanes that may quantize non-zero
+	ORL R8, AX
+	JNZ dense
+	MOVQ R10, (DI)
 
-	// vector 1
-	VMOVUPS 32(SI), Y0
-	VCMPPS $13, Y15, Y0, Y1
-	VCMPPS $2, Y14, Y0, Y2
-	VPSUBD Y1, Y10, Y3
-	VPADDD Y2, Y3, Y3
-	VBLENDVPS Y1, Y11, Y12, Y4
-	VBLENDVPS Y2, Y13, Y4, Y4
-	VSUBPS Y4, Y0, Y5
-	VMOVUPS Y5, 32(SI)
-	VPACKSSDW Y3, Y3, Y6
-	VPERMQ $0x08, Y6, Y6
-	VPACKUSWB X6, X6, X6
-	VMOVQ X6, 8(SP)
-
-	// vector 2
-	VMOVUPS 64(SI), Y0
-	VCMPPS $13, Y15, Y0, Y1
-	VCMPPS $2, Y14, Y0, Y2
-	VPSUBD Y1, Y10, Y3
-	VPADDD Y2, Y3, Y3
-	VBLENDVPS Y1, Y11, Y12, Y4
-	VBLENDVPS Y2, Y13, Y4, Y4
-	VSUBPS Y4, Y0, Y5
-	VMOVUPS Y5, 64(SI)
-	VPACKSSDW Y3, Y3, Y6
-	VPERMQ $0x08, Y6, Y6
-	VPACKUSWB X6, X6, X6
-	VMOVQ X6, 16(SP)
-
-	// vector 3
-	VMOVUPS 96(SI), Y0
-	VCMPPS $13, Y15, Y0, Y1
-	VCMPPS $2, Y14, Y0, Y2
-	VPSUBD Y1, Y10, Y3
-	VPADDD Y2, Y3, Y3
-	VBLENDVPS Y1, Y11, Y12, Y4
-	VBLENDVPS Y2, Y13, Y4, Y4
-	VSUBPS Y4, Y0, Y5
-	VMOVUPS Y5, 96(SI)
-	VPACKSSDW Y3, Y3, Y6
-	VPERMQ $0x08, Y6, Y6
-	VPACKUSWB X6, X6, X6
-	VMOVQ X6, 24(SP)
-
-	// vector 4
-	VMOVUPS 128(SI), Y0
-	VCMPPS $13, Y15, Y0, Y1
-	VCMPPS $2, Y14, Y0, Y2
-	VPSUBD Y1, Y10, Y3
-	VPADDD Y2, Y3, Y3
-	VBLENDVPS Y1, Y11, Y12, Y4
-	VBLENDVPS Y2, Y13, Y4, Y4
-	VSUBPS Y4, Y0, Y5
-	VMOVUPS Y5, 128(SI)
-	VPACKSSDW Y3, Y3, Y6
-	VPERMQ $0x08, Y6, Y6
-	VPACKUSWB X6, X6, X6
-	VMOVQ X6, 32(SP)
-
-	// combine: groups g=0..7 read 8 digit bytes at 5g, emit byte 4 of x*C
-	MOVQ 0(SP), AX
-	IMULQ R9, AX
-	SHRQ $32, AX
-	MOVB AX, (DI)
-	MOVQ 5(SP), AX
-	IMULQ R9, AX
-	SHRQ $32, AX
-	MOVB AX, 1(DI)
-	MOVQ 10(SP), AX
-	IMULQ R9, AX
-	SHRQ $32, AX
-	MOVB AX, 2(DI)
-	MOVQ 15(SP), AX
-	IMULQ R9, AX
-	SHRQ $32, AX
-	MOVB AX, 3(DI)
-	MOVQ 20(SP), AX
-	IMULQ R9, AX
-	SHRQ $32, AX
-	MOVB AX, 4(DI)
-	MOVQ 25(SP), AX
-	IMULQ R9, AX
-	SHRQ $32, AX
-	MOVB AX, 5(DI)
-	MOVQ 30(SP), AX
-	IMULQ R9, AX
-	SHRQ $32, AX
-	MOVB AX, 6(DI)
-	MOVQ 35(SP), AX
-	IMULQ R9, AX
-	SHRQ $32, AX
-	MOVB AX, 7(DI)
-
+next:
 	ADDQ $160, SI
 	ADDQ $8, DI
 	DECQ CX
-	JMP blockloop
-
-done:
+	JNZ blockloop
 	VZEROUPPER
 	RET
+
+dense:
+	QUANT(0, Y0)
+	QUANT(32, Y1)
+	QUANT(64, Y2)
+	QUANT(96, Y3)
+	QUANT(128, Y4)
+	VPACKSSDW Y1, Y0, Y0
+	VPACKSSDW Y3, Y2, Y2
+	VPACKSSDW Y4, Y4, Y4
+	VPACKSSWB Y2, Y0, Y0       // lane 0: bytes 0-3 8-11 16-19 24-27, lane 1: 4-7 12-15 20-23 28-31
+	VPACKSSWB Y4, Y4, Y4       // lane 0: bytes 32-35, lane 1: 36-39
+	VPSUBB Y10, Y0, Y0         // - (-1): digits 0, 1, 2
+	VPSUBB Y10, Y4, Y4
+	VEXTRACTI128 $1, Y0, X1
+	VEXTRACTI128 $1, Y4, X5
+	VPUNPCKLDQ X1, X0, X2      // bytes 0-15
+	VPUNPCKHDQ X1, X0, X3      // bytes 16-31
+	VPUNPCKLDQ X5, X4, X4      // bytes 32-39
+	VMOVQ X2, AX
+	VPEXTRQ $1, X2, BX
+	VMOVQ X3, DX
+	VPEXTRQ $1, X3, R11
+	VMOVQ X4, R12
+	MOVQ AX, R13
+	EMIT(R13, 0)               // bytes 0-4
+	SHRQ $40, BX, AX           // bytes 5-12
+	EMIT(AX, 1)
+	MOVQ BX, AX
+	SHRQ $16, AX               // bytes 10-15
+	EMIT(AX, 2)
+	SHRQ $56, DX, BX           // bytes 15-22
+	EMIT(BX, 3)
+	SHRQ $32, R11, DX          // bytes 20-27
+	EMIT(DX, 4)
+	MOVQ R11, AX
+	SHRQ $8, AX                // bytes 25-31
+	EMIT(AX, 5)
+	SHRQ $48, R12, R11         // bytes 30-37
+	EMIT(R11, 6)
+	SHRQ $24, R12              // bytes 35-39
+	EMIT(R12, 7)
+	JMP next
 
 // func addScaledLiteralsAsm(tab *[256][5]float32, body *byte, n int, dst *float32) int
 //

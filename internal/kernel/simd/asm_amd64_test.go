@@ -69,6 +69,44 @@ func TestQuantPackBlocksMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestQuantPackBlocksSkipMatchesScalar drives the all-zero-block skip: most
+// blocks hold only values under the threshold (zeros of both signs,
+// denormals), every seventh gets one element on or across it or a NaN, and
+// the last case's NaN dqZero must keep the dense residual write everywhere.
+func TestQuantPackBlocksSkipMatchesScalar(t *testing.T) {
+	if !Detect().AVX2 {
+		t.Skip("no AVX2")
+	}
+	rng := rand.New(rand.NewSource(11))
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	quiet := []float32{0, math.Float32frombits(0x80000000), math.Float32frombits(1), -1e-20, 0.24}
+	spikes := []float32{0.25, -0.25, math.Nextafter32(0.25, 0), 7, inf, -inf, nan, math.Float32frombits(0xffc00123)}
+	for _, dq := range [][3]float32{{-0.5, 0, 0.5}, {-inf, nan, inf}} {
+		const blocks = 64
+		buf := make([]float32, blocks*40)
+		for i := range buf {
+			buf[i] = quiet[rng.Intn(len(quiet))]
+		}
+		for b := 0; b < blocks; b += 7 {
+			buf[b*40+rng.Intn(40)] = spikes[rng.Intn(len(spikes))]
+		}
+		refBuf := append([]float32(nil), buf...)
+		out, refOut := make([]byte, blocks*8), make([]byte, blocks*8)
+		refQuantPack(refBuf, refOut, blocks*8, 0.25, dq[0], dq[1], dq[2])
+		QuantPackBlocks(buf, out, blocks, 0.25, dq[0], dq[1], dq[2])
+		for g := range out {
+			if out[g] != refOut[g] {
+				t.Fatalf("dqZero=%v: byte %d = %d, want %d", dq[1], g, out[g], refOut[g])
+			}
+		}
+		for i := range buf {
+			if !eqf(buf[i], refBuf[i]) {
+				t.Fatalf("dqZero=%v: residual[%d] %x != %x", dq[1], i, math.Float32bits(buf[i]), math.Float32bits(refBuf[i]))
+			}
+		}
+	}
+}
+
 func TestScaledLiteralsAsmMatchesScalar(t *testing.T) {
 	if !Detect().AVX2 {
 		t.Skip("no AVX2")

@@ -64,7 +64,7 @@ func TestForEachChunkSpawnCounts(t *testing.T) {
 // spawns.
 func TestSmallTensorsSpawnNothing(t *testing.T) {
 	n := 1000 // << ParallelThresholdElems
-	w := PassWorkers(n, 0, SpanReduce)
+	w := PassWorkers(n, 0)
 	if w != 1 {
 		t.Fatalf("PassWorkers(%d) = %d, want 1", n, w)
 	}

@@ -9,39 +9,73 @@ import (
 // Tier-sweep benchmarks for the dispatched kernel registry: the same
 // workload on each available tier, so benchcheck can gate the vectorized
 // and assembly tiers against the scalar reference by name
-// (EncodeTernaryKernel/asm vs EncodeTernaryKernel/scalar, etc.). Serial
-// kernels: 0 allocs/op under -benchmem.
+// (EncodeTernaryKernel/asm/dense vs EncodeTernaryKernel/scalar/dense,
+// etc.). Serial kernels: 0 allocs/op under -benchmem.
+
+// encodeBenchInputs accumulates the two inputs of decodeAddBenchInputs at
+// n elements into fresh error buffers and returns each with its
+// quantization scale: dense at s = 1.00 (half the digits non-zero, no
+// 40-element block all-zero — the quantize, residual write and pack decide
+// the time), sparse at the s = 1.75 the end-to-end benchmark runs (0.998
+// zeros, ~92 % of the blocks all-zero — the encode is a read-only scan
+// plus the zero-run compaction).
+func encodeBenchInputs(n int) (dense, sparse []float32, mDense, mSparse float64) {
+	d, s := decodeAddBenchInputs(n)
+	dense, sparse = make([]float32, n), make([]float32, n)
+	mDense = float64(AccumulateMaxAbs(dense, d.Data()))
+	mSparse = float64(AccumulateMaxAbs(sparse, s.Data())) * 1.75
+	return dense, sparse, mDense, mSparse
+}
 
 // BenchmarkEncodeTernaryKernel measures the fused ternary
-// quantize→pack→zero-run encode pass at 1M elements per tier. The encode
-// consumes the accumulated buffer (it leaves the residual behind), so
-// each iteration restores the buffer from a snapshot outside the timer.
+// quantize→pack→zero-run encode pass per tier on both inputs of
+// encodeBenchInputs at 1M elements, reporting each wire's zero-element
+// fraction, plus one sparse-cold row on the dispatched tier: 1.85M elements
+// (the end-to-end benchmark's model) rotating through 8 buffers, 59 MB in
+// all, so the sparse number on record is not only the cache-resident one.
+// The encode consumes the accumulated buffer (it leaves the residual
+// behind), so each iteration first restores, outside the timer, the
+// elements the previous encode of that buffer changed — only those, so the
+// restore does not pull a cold buffer back into cache.
 func BenchmarkEncodeTernaryKernel(b *testing.B) {
 	const n = 1 << 20
+	const nCold, coldBufs = 1850000, 8
 	orig := ActiveTier()
 	defer SetTier(orig)
-	in := tensor.New(n)
-	fillRand(in, 1, 0.01)
-	snapshot := make([]float32, n)
-	m := float64(AccumulateMaxAbs(snapshot, in.Data())) * 1.75
-	buf := make([]float32, n)
+	dense, sparse, mDense, mSparse := encodeBenchInputs(n)
+	_, cold, _, mCold := encodeBenchInputs(nCold)
 	var wire []byte
-	for _, tier := range AvailableTiers() {
-		b.Run(tier.String()+"/1M", func(b *testing.B) {
-			SetTier(tier)
-			copy(buf, snapshot)
-			wire = EncodeTernary(buf, m, true, wire[:0]) // converge wire capacity
-			b.SetBytes(4 * int64(n))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				copy(buf, snapshot)
-				b.StartTimer()
-				wire = EncodeTernary(buf, m, true, wire[:0])
+	run := func(b *testing.B, snapshot []float32, m float64, bufs int) {
+		ring := make([][]float32, bufs)
+		for i := range ring {
+			ring[i] = append([]float32(nil), snapshot...)
+		}
+		wire = EncodeTernary(ring[0], m, true, wire[:0]) // converge wire capacity
+		var changed []int
+		for i, v := range ring[0] {
+			if v != snapshot[i] { // residual v − M·q with q != 0
+				changed = append(changed, i)
 			}
-		})
+		}
+		b.SetBytes(4 * int64(len(snapshot)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf := ring[i%bufs]
+			b.StopTimer()
+			for _, j := range changed {
+				buf[j] = snapshot[j]
+			}
+			b.StartTimer()
+			wire = EncodeTernary(buf, m, true, wire[:0])
+		}
+		b.ReportMetric(1-float64(len(changed))/float64(len(snapshot)), "zero-frac")
 	}
+	for _, tier := range AvailableTiers() {
+		b.Run(tier.String()+"/dense", func(b *testing.B) { SetTier(tier); run(b, dense, mDense, 1) })
+		b.Run(tier.String()+"/sparse", func(b *testing.B) { SetTier(tier); run(b, sparse, mSparse, 1) })
+	}
+	b.Run(orig.String()+"/sparse-cold", func(b *testing.B) { SetTier(orig); run(b, cold, mCold, coldBufs) })
 }
 
 // decodeAddBenchInputs builds the two decode-add workloads the tier

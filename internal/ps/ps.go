@@ -218,10 +218,10 @@ func (c Config) newContext(p *nn.Param, seed uint64, tensors int) compress.Compr
 	if o.CodecParallelism == 0 {
 		// Split the node's goroutine budget across the per-tensor pool and
 		// each context's fused kernels (kernelBudget). Below the
-		// per-context cap the scheduling is pass-count aware
+		// per-context cap the scheduling is work-proportional
 		// (kernel.PassWorkers): each of the two fused compress passes sizes
-		// its own fan-out to that pass's per-element work, so the cap set
-		// here is a ceiling, not a fixed spawn count. A single-tensor model
+		// its own fan-out to the elements it sweeps, so the cap set here
+		// is a ceiling, not a fixed spawn count. A single-tensor model
 		// gets full chunk parallelism; a many-tensor model gets serial
 		// kernels under a wide pool; Parallelism=1 means fully serial
 		// everywhere.

@@ -112,7 +112,7 @@ type Config struct {
 	SmallTensorElems int
 	// Parallelism bounds the per-node worker pool that compresses and
 	// decompresses layer tensors concurrently (see ps.Config.Parallelism).
-	// Within each tensor the budget is spent pass-count aware: the two
+	// Within each tensor the budget is spent work-proportionally: the two
 	// fused compress passes of internal/kernel each size their own
 	// goroutine fan-out under this cap (kernel.PassWorkers). Zero means
 	// GOMAXPROCS; 1 forces serial kernels, which the alloc-free
