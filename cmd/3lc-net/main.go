@@ -88,7 +88,7 @@ func main() {
 		batch      = flag.Int("batch", 16, "per-worker batch size")
 		addr       = flag.String("addr", "127.0.0.1:0", "listen address")
 		shards     = flag.Int("shards", 1, "parameter-server shard count; shard s listens on -addr's port + s (each shard gets its own listener; workers multiplex)")
-		stream     = flag.Bool("stream", false, "per-tensor streamed pipeline: push each tensor as its compressor finishes (the server decode-aggregates it on arrival) and decode-apply pulls double-buffered; implies the shard-tier transport even at -shards 1")
+		stream     = flag.Bool("stream", false, "per-tensor streamed pipeline: hand each tensor to its shard's connection as its compressor finishes (the server decode-aggregates it on arrival) and decode-apply each pulled tensor as it is read; frames are written when the compressor has nothing more ready, every 64 KiB and at the end of the push, not one by one; implies the shard-tier transport even at -shards 1")
 		tenants    = flag.Int("tenants", 1, "concurrent tenant jobs multiplexed over one shared shard tier; each tenant trains its own model with its own -workers workers")
 		replicas   = flag.Bool("replicas", false, "run one standby replica per shard (primary forwards pushes; workers fail over on primary death); implies the shard tier")
 		killShard  = flag.Int("kill-shard", -1, "crash this shard's primary mid-run (requires -replicas)")
@@ -389,8 +389,9 @@ func main() {
 				x, labels := trainSet.FlatBatch(idx, nil, nil)
 				worker.Model.TrainStep(x, labels)
 				if *stream {
-					// Overlapped pipeline: tensors enter the wire as their
-					// compressors finish; pulls decode-apply per frame.
+					// Overlapped pipeline: tensors are queued for the wire as
+					// their compressors finish and written when none is
+					// pending; pulls decode-apply per frame.
 					ch := make(chan transport.IndexedWire, params)
 					go func() {
 						worker.CompressGradsStream(func(i int, wire []byte) {

@@ -49,8 +49,12 @@
 // the serial driver. Over TCP, transport's streamed v2 frames
 // (MsgShardPushTensor) let a shard decode-accumulate each tensor as its
 // frame lands rather than after the full wire set, and pulls stream back
-// per tensor into a double-buffered decode on the worker
-// (ShardClient.PushPullStream). The staged decode-then-add aggregation
+// per tensor, each applied straight off the connection's frame scratch
+// (ShardClient.PushPullStream). Per-tensor frames are the unit of
+// decode-add, not of I/O: both ends queue them and write when the
+// producer has nothing more ready, when 64 KiB have gathered and when the
+// stream ends, so a producer ahead of the wire pays one write per shard,
+// not one per tensor. The staged decode-then-add aggregation
 // remains as the bit-identical reference behind ps.Config.StagedAggregate.
 //
 // Decode is driven by a 243-entry lookup table (quartic byte → 5 ternary

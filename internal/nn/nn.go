@@ -99,14 +99,28 @@ func (s *Sequential) Params() []*Param {
 	return ps
 }
 
-// Model is a network plus its loss head.
+// Model is a network plus its loss head. Its layers are fixed after
+// construction: Params caches what they report the first time it is asked.
 type Model struct {
 	Net  *Sequential
 	Loss *SoftmaxCrossEntropy
+
+	params []*Param // Net.Params(), built once
 }
 
-// Params returns the model's trainable parameters in a stable order.
-func (m *Model) Params() []*Param { return m.Net.Params() }
+// Params returns the model's trainable parameters in a stable order. The
+// slice is built on the first call and shared by every later one — every
+// TrainStep (ZeroGrad) and every driver asks each step, and rebuilding it
+// costs an allocation per layer — so callers must not modify it; its
+// capacity equals its length, so appending to it copies. The first call
+// must not race with another.
+func (m *Model) Params() []*Param {
+	if m.params == nil {
+		ps := m.Net.Params()
+		m.params = ps[:len(ps):len(ps)]
+	}
+	return m.params
+}
 
 // NumParams returns the total number of scalar parameters.
 func (m *Model) NumParams() int {

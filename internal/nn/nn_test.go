@@ -292,3 +292,24 @@ func TestSequentialBackwardOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestModelParamsBuiltOnce pins the cache: after the first call Params
+// allocates nothing — ZeroGrad and every driver ask once a step — returns
+// the same parameters in the same order, and leaves no spare capacity for
+// a caller's append to write into.
+func TestModelParamsBuiltOnce(t *testing.T) {
+	m := NewMLP(12, []int{16, 16, 16}, 4, 7)
+	want := m.Net.Params()
+	got := m.Params()
+	if len(got) != len(want) || cap(got) != len(got) {
+		t.Fatalf("Params: len %d cap %d, want len = cap = %d", len(got), cap(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Params()[%d] differs from the layers' own order", i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { m.Params(); m.ZeroGrad() }); allocs != 0 {
+		t.Errorf("Params + ZeroGrad: %v allocs per call after the first, want 0", allocs)
+	}
+}

@@ -816,9 +816,10 @@ func (w *Worker) applyTensor(i int, wire []byte) error {
 
 // ApplyPullTensor decode-applies a single tensor of the shared pull — the
 // worker-side counterpart of PushSession.Tensor, for transports that
-// stream per-tensor pull frames: the replica applies tensor i while
-// tensor i+1 is still in flight (double-buffered pull decode). Different
-// tensors may be applied concurrently.
+// stream per-tensor pull frames: the replica applies tensor i, straight
+// from the transport's receive scratch (wire need only stay valid for the
+// call), while tensor i+1 is still in flight or waiting in the socket's
+// buffer. Different tensors may be applied concurrently.
 func (w *Worker) ApplyPullTensor(i int, wire []byte) error {
 	if i < 0 || i >= len(w.params) {
 		return fmt.Errorf("ps: pull tensor index %d out of range (model has %d tensors)", i, len(w.params))

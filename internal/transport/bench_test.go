@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"sync"
 	"testing"
 
 	"threelc/internal/compress"
@@ -98,3 +99,68 @@ func benchWirePushPull(b *testing.B, checksum, legacy bool) {
 func BenchmarkSteadyStatePushPullWire(b *testing.B)         { benchWirePushPull(b, false, false) }
 func BenchmarkSteadyStatePushPullWireChecksum(b *testing.B) { benchWirePushPull(b, true, false) }
 func BenchmarkSteadyStatePushPullWireLegacy(b *testing.B)   { benchWirePushPull(b, false, true) }
+
+// BenchmarkStreamedPushPullWire is the per-tensor pipeline at the shape
+// of the benchmark's tiny-stream workload: a 258-tensor MLP (768 → 64×48
+// → 10), two workers streaming to two shards over loopback TCP, each step
+// CompressGradsStream → PushPullStream → ApplyPullTensor. Beside the time
+// it reports what the flush policy made of the step's 1 036 frames, from
+// counting connections on both ends: writes/op, and frames/write, which
+// CI floors — a frame per write is the cost this path used to pay. The
+// caller's per-step channel and the call's own set-up allocate by design
+// (see TestStreamedStepAllocsIndependentOfTensorCount), so the name stays
+// clear of the SteadyStatePushPull zero-allocs pattern.
+func BenchmarkStreamedPushPullWire(b *testing.B) {
+	const workers, shards = 2, 2
+	cfg := shardTestConfig(workers, 1024)
+	cfg.Opts.Sparsity, cfg.MinCompressElems = 1.75, 256
+	tier := newStreamTier(b, func() *nn.Model { return nn.NewMLP(768, repeat(64, 48), 10, 7) },
+		cfg, shards, ShardClientConfig{}, nil)
+	step := 0
+	roundTrip := func() {
+		var wg sync.WaitGroup
+		for w, cl := range tier.clients {
+			wk := tier.workers[w]
+			ch := make(chan IndexedWire, len(wk.Model.Params()))
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				wk.CompressGradsStream(func(i int, wire []byte) { ch <- IndexedWire{I: i, Wire: wire} })
+				close(ch)
+			}()
+			go func() {
+				defer wg.Done()
+				if err := cl.PushPullStream(step, ch, wk.ApplyPullTensor); err != nil {
+					b.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		step++
+	}
+	// Warm up buffer capacities on both ends of the wire.
+	for i := 0; i < 3; i++ {
+		roundTrip()
+	}
+	count := func() (total wrote) {
+		for w := range tier.clients {
+			for s := range tier.servers {
+				for _, c := range []*countConn{tier.conns[w][s], tier.servers[s].conn(w)} {
+					d := c.snap()
+					total.writes, total.frames = total.writes+d.writes, total.frames+d.frames
+				}
+			}
+		}
+		return total
+	}
+	before := count()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
+	}
+	b.StopTimer()
+	d := count().since(before)
+	b.ReportMetric(float64(d.writes)/float64(b.N), "writes/op")
+	b.ReportMetric(float64(d.frames)/float64(d.writes), "frames/write")
+}

@@ -191,7 +191,7 @@ type frame struct {
 	arg    uint32   // placement hash (hello) or tensor slot (per-tensor)
 	set    [][]byte // append only: a whole-set body, serialized straight behind the header
 	body   []byte   // a tensor's wire; after parse, also a whole-set frame's decoded wire set
-	raw    []byte   // parse only: the payload as it arrived (what is counted and forwarded)
+	raw    []byte   // the payload as it arrived (what is counted); on append, a payload to re-emit verbatim (a primary's forward)
 }
 
 // wholeSet reports the v2 frame types whose body is a wire set — the
@@ -277,10 +277,23 @@ func (fc *frameCodec) streamable() error {
 	return nil
 }
 
-// appendFrame appends f's payload (what WriteFrame frames) to dst.
+// appendFrame appends f to dst as it travels: prefix, then the payload
+// the connection negotiated. The result is ready to write as is, alone or
+// behind other frames — a link's queue, a session's cached pull.
 //
 //3lc:noalloc
-func (fc *frameCodec) appendFrame(dst []byte, f frame) []byte {
+func (fc *frameCodec) appendFrame(dst []byte, f frame) ([]byte, error) {
+	at := len(dst)
+	return endFrame(fc.appendPayload(beginFrame(dst, f.t), f), at)
+}
+
+// appendPayload appends what follows f's prefix.
+//
+//3lc:noalloc
+func (fc *frameCodec) appendPayload(dst []byte, f frame) []byte {
+	if f.raw != nil {
+		return append(dst, f.raw...)
+	}
 	if fc.v1 {
 		switch f.t {
 		case MsgHello:

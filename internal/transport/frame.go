@@ -15,10 +15,16 @@
 //	wire set := [4B LE tensor count]{[4B LE len][len bytes]}*
 //
 // A zero-length tensor entry encodes a nil wire (the local-steps scheme's
-// non-transmitting step). WriteFrame coalesces header and payload into one
-// buffered write (one syscall on an unbuffered conn), and FrameReader
-// reuses a per-connection scratch buffer so the receive path stops
-// allocating once the largest frame size has been seen.
+// non-transmitting step). A frame is the unit of parsing, not of I/O: a
+// connection (link, session.go) encodes each frame behind its own prefix
+// into one outgoing buffer and hands the socket whole flushes — one frame
+// when the frame is the protocol's turn (hello, whole-set push and pull),
+// a run of frames when they are a stream (per-tensor push and pull) — so
+// frames routinely straddle the reads of the receiving side. FrameReader
+// reassembles them over a buffered reader sized to one flush and reuses a
+// per-connection scratch buffer, so the receive path stops allocating
+// once the largest frame size has been seen. WriteFrame is the same
+// framing for any io.Writer: one frame, one Write.
 package transport
 
 import (
@@ -44,7 +50,37 @@ const MaxFrameBytes = 64 << 20
 
 var le = binary.LittleEndian
 
-// framePool recycles coalesced write buffers across WriteFrame calls.
+// frameHeaderLen is the frame prefix: payload length and type byte.
+const frameHeaderLen = 5
+
+// flushBytes is the size at which a link writes out the frames queued on
+// it without waiting for the end of their stream, and the size of its
+// read buffer, so that what one flush wrote one read drains.
+const flushBytes = 64 << 10
+
+// beginFrame reserves the prefix of a type-t frame at the end of dst; the
+// payload is appended behind it and endFrame closes the frame.
+func beginFrame(dst []byte, t MsgType) []byte {
+	return append(dst, 0, 0, 0, 0, byte(t))
+}
+
+// endFrame back-patches the length of the frame begun at dst[at] — the
+// one ReadFrame enforces: the encoded length n = 1+len(payload) must
+// satisfy 0 < n <= MaxFrameBytes, so every frame written is a frame
+// ReadFrame accepts, and vice versa. A frame over the limit is cut off
+// dst again.
+//
+//3lc:noalloc
+func endFrame(dst []byte, at int) ([]byte, error) {
+	n := len(dst) - at - 4
+	if n > MaxFrameBytes {
+		return dst[:at], fmt.Errorf("transport: frame of %d bytes exceeds limit %d", n, MaxFrameBytes)
+	}
+	le.PutUint32(dst[at:], uint32(n))
+	return dst, nil
+}
+
+// framePool recycles WriteFrame's coalescing buffers.
 var framePool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)
@@ -52,46 +88,25 @@ var framePool = sync.Pool{
 	},
 }
 
-// maxPooledFrame caps what WriteFrame coalesces through framePool: a
-// frame can be up to MaxFrameBytes (64 MiB), and pooling such a buffer
-// would pin it until the next GC pool drain.
-const maxPooledFrame = 1 << 20
-
-// WriteFrame writes one framed message. The 4-byte length prefix, the type
-// byte, and (up to maxPooledFrame) the payload are coalesced into a single
-// pooled buffer and issued as ONE Write call — on an unbuffered net.Conn
-// that is one syscall and one TCP segment boundary instead of two, and on
-// a bufio.Writer it avoids the double copy-in. The length check is
-// definitionally the one ReadFrame enforces: the encoded length
-// n = 1+len(payload) must satisfy 0 < n <= MaxFrameBytes, so every frame
-// WriteFrame accepts is a frame ReadFrame accepts, and vice versa.
+// WriteFrame writes one framed message to any writer — what tests and
+// probes frame with; connections queue frames on their link instead.
+// Prefix and payload are coalesced in a pooled buffer and issued as ONE
+// Write call whatever the size: on an unbuffered net.Conn that is one
+// syscall and one TCP segment boundary instead of two. The header bytes
+// are staged in the pooled buffer rather than a local array, which would
+// escape through the io.Writer and cost one allocation per frame.
 //
 //3lc:noalloc
 func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
-	n := 1 + len(payload)
-	if n > MaxFrameBytes {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit %d", n, MaxFrameBytes)
-	}
 	bp := framePool.Get().(*[]byte)
-	// The header bytes are appended inline rather than staged in a local
-	// array: an array sliced into an io.Writer argument escapes, and one
-	// heap-allocated header per frame is exactly the per-step garbage the
-	// steady-state zero-alloc gate forbids.
-	buf := append((*bp)[:0], byte(n), byte(n>>8), byte(n>>16), byte(n>>24), byte(t))
-	// A frame too big to pool goes out as two writes, header then payload:
-	// copying a multi-MiB payload would cost more than it saves, a buffered
-	// writer still coalesces them and an unbuffered one streams them in two
-	// syscalls — negligible at this size.
-	large := 5+n > maxPooledFrame
-	if !large {
-		buf = append(buf, payload...)
+	buf := beginFrame((*bp)[:0], t)
+	buf = append(buf, payload...)
+	buf, err := endFrame(buf, 0)
+	if err == nil {
+		_, err = w.Write(buf)
 	}
-	_, err := w.Write(buf)
 	*bp = buf
 	framePool.Put(bp)
-	if large && err == nil {
-		_, err = w.Write(payload)
-	}
 	return err
 }
 

@@ -23,11 +23,11 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 }
 
 // TestWriteFrameSingleWrite pins the coalescing behavior: one frame, one
-// Write call — on an unbuffered connection that is one syscall instead of
-// the former header+payload pair — up to the pooling cap, and above it
-// header and payload as two writes with nothing allocated: the header is
-// staged in the pooled buffer, not in a local array that escapes through
-// the io.Writer (every lan-f32 exchange frames two such payloads a step).
+// Write call at any size — on an unbuffered connection that is one syscall
+// instead of a header+payload pair — with nothing allocated: prefix and
+// payload are staged in the pooled buffer, not in a local array that
+// escapes through the io.Writer. (What a connection writes is the link's
+// business: TestLinkWritesPerFlush.)
 func TestWriteFrameSingleWrite(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -35,7 +35,7 @@ func TestWriteFrameSingleWrite(t *testing.T) {
 		calls int
 	}{
 		{"coalesced", 1000, 1},
-		{"large", 2 << 20, 2},
+		{"large", 2 << 20, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var w writeCounter

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"testing"
+	"testing/iotest"
 
 	"threelc/internal/compress"
 )
@@ -57,7 +58,8 @@ func fuzzCodec(sub byte) frameCodec {
 func fuzzRoundTrip(t *testing.T, sub byte, typ MsgType, body []byte) []byte {
 	t.Helper()
 	tx, rx := fuzzCodec(sub), fuzzCodec(sub)
-	wire := tx.appendFrame(nil, frame{t: typ, step: 7, arg: 11, body: body, set: [][]byte{body}})
+	fr := frame{t: typ, step: 7, arg: 11, body: body, set: [][]byte{body}}
+	wire := tx.appendPayload(nil, fr)
 	f, err := rx.parseFrame(typ, wire, 7, false)
 	if err != nil {
 		t.Fatalf("subset %#x type %d: well-formed frame rejected: %v", sub, typ, err)
@@ -85,6 +87,25 @@ func fuzzRoundTrip(t *testing.T, sub byte, typ MsgType, body []byte) []byte {
 	case len(f.body) != 0:
 		t.Fatalf("subset %#x type %d: bare frame parsed a %d-byte body", sub, typ, len(f.body))
 	}
+	// The same frame as a link flushes it — twice behind its own prefix,
+	// one coalesced write — cut into the smallest reads there are: the
+	// reader must hand back the payload that parsed above, both times.
+	run, err := tx.appendFrame(nil, fr)
+	if err == nil {
+		run, err = tx.appendFrame(run, fr)
+	}
+	if err != nil {
+		t.Fatalf("subset %#x type %d: appendFrame: %v", sub, typ, err)
+	}
+	types, payloads, err := readAll(iotest.OneByteReader(bytes.NewReader(run)))
+	if err != io.EOF || len(types) != 2 {
+		t.Fatalf("subset %#x type %d: coalesced pair read back as %d frames, then %v", sub, typ, len(types), err)
+	}
+	for k := range types {
+		if types[k] != typ || !bytes.Equal(payloads[k], wire) {
+			t.Fatalf("subset %#x type %d: frame %d of a coalesced pair differs from the frame alone", sub, typ, k)
+		}
+	}
 	return wire
 }
 
@@ -97,8 +118,8 @@ func fuzzRoundTrip(t *testing.T, sub byte, typ MsgType, body []byte) []byte {
 func FuzzShardHeader(f *testing.F) {
 	for sub := byte(0); sub < 8; sub++ {
 		fc := fuzzCodec(sub)
-		f.Add(sub, byte(MsgShardPush), fc.appendFrame(nil, frame{t: MsgShardPush, step: 7, set: [][]byte{{1, 2, 3}, nil}}))
-		f.Add(sub, byte(MsgShardHello), fc.appendFrame(nil, frame{t: MsgShardHello, arg: 0xfeed}))
+		f.Add(sub, byte(MsgShardPush), fc.appendPayload(nil, frame{t: MsgShardPush, step: 7, set: [][]byte{{1, 2, 3}, nil}}))
+		f.Add(sub, byte(MsgShardHello), fc.appendPayload(nil, frame{t: MsgShardHello, arg: 0xfeed}))
 	}
 	f.Add(byte(0), byte(MsgShardPushTensor), []byte{ShardWireVersion, 0, 0, 0})
 	f.Add(byte(1), byte(MsgShardPull), bytes.Repeat([]byte{0xff}, ShardHeaderLen))
@@ -124,9 +145,12 @@ func FuzzShardHeader(f *testing.F) {
 }
 
 // FuzzFrameReader streams arbitrary bytes through the length-prefixed
-// frame reader: no panics, no frame larger than the cap, and every
-// well-formed frame written by WriteFrame must read back intact when the
-// fuzzer happens to generate one (seeded explicitly).
+// frame reader: no panics, no frame larger than the cap, every
+// well-formed frame must round-trip through WriteFrame — and, since a
+// link writes runs of frames that straddle the receiver's reads, cutting
+// the stream into chunks (sized by the input's own bytes) must yield the
+// same frames and the same end as reading it whole. Seeded with coalesced
+// runs as both streaming ends flush them, plain and checksummed.
 func FuzzFrameReader(f *testing.F) {
 	var seed bytes.Buffer
 	_ = WriteFrame(&seed, MsgPush, []byte("hello world"))
@@ -134,16 +158,25 @@ func FuzzFrameReader(f *testing.F) {
 	f.Add(seed.Bytes())
 	f.Add([]byte{1, 0, 0, 0, byte(MsgHello)})
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 1, 2, 3})
+	for sub := byte(0); sub < 8; sub += 4 {
+		run, _ := coalescedRun(f, fuzzCodec(sub), 0, 1, 3, 100, 17, 300)
+		f.Add(run)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := NewFrameReader(bytes.NewReader(data))
+		var types []MsgType
+		var payloads [][]byte
+		var end error
 		for {
 			typ, payload, err := fr.ReadFrame()
 			if err != nil {
-				return // io.EOF, truncation, or bad length — all fine
+				end = err // io.EOF, truncation, or bad length — all fine
+				break
 			}
 			if 1+len(payload) > MaxFrameBytes {
 				t.Fatalf("frame of %d bytes exceeds cap", 1+len(payload))
 			}
+			types, payloads = append(types, typ), append(payloads, append([]byte(nil), payload...))
 			// A frame that read back must round-trip through WriteFrame.
 			var out bytes.Buffer
 			if err := WriteFrame(&out, typ, payload); err != nil {
@@ -153,6 +186,19 @@ func FuzzFrameReader(f *testing.F) {
 			typ2, payload2, err := rt.ReadFrame()
 			if err != nil || typ2 != typ || !bytes.Equal(payload2, payload) {
 				t.Fatalf("frame did not round-trip: %v", err)
+			}
+		}
+		at := 0
+		gotT, gotP, gotEnd := readAll(&chunkReader{data: data, next: func() int {
+			at++
+			return 1 + int(data[at%len(data)])*int(data[(at+1)%len(data)])
+		}})
+		if len(gotT) != len(types) || (gotEnd == io.EOF) != (end == io.EOF) {
+			t.Fatalf("chunked: %d frames then %v; whole: %d frames then %v", len(gotT), gotEnd, len(types), end)
+		}
+		for k := range gotT {
+			if gotT[k] != types[k] || !bytes.Equal(gotP[k], payloads[k]) {
+				t.Fatalf("chunked read of frame %d differs from the whole-buffer read", k)
 			}
 		}
 	})

@@ -105,7 +105,7 @@ func (r *ShardReplica) Serve() error {
 	pending := make(map[int][]byte) // worker id -> current step's pushed wire set
 	var workers []*repConn          // failed-over worker connections
 	var upstream *repConn
-	var lastPull []byte // retained pull payload of the last finished step
+	var lastPull []byte // retained pull frame of the last finished step
 	finished := 0       // completed steps
 	var wires [][]byte  // wire-set parse scratch
 	// Everything a replica sends is the plain pull of its one job.
@@ -187,7 +187,9 @@ func (r *ShardReplica) Serve() error {
 		if err != nil {
 			return fmt.Errorf("transport: replica shard %d: %w", r.cfg.Shard, err)
 		}
-		lastPull = pullCodec.appendFrame(lastPull[:0], frame{t: MsgShardPull, step: uint32(finished), set: pull})
+		if lastPull, err = pullCodec.appendFrame(lastPull[:0], frame{t: MsgShardPull, step: uint32(finished), set: pull}); err != nil {
+			return fmt.Errorf("transport: replica shard %d: %w", r.cfg.Shard, err)
+		}
 		for _, wc := range workers {
 			if !wc.closed && wc.lastPush == finished {
 				r.sendPull(wc, lastPull)
@@ -199,14 +201,14 @@ func (r *ShardReplica) Serve() error {
 	return nil
 }
 
-// sendPull writes one retained pull payload to a failed-over worker; a
+// sendPull writes the retained pull frame to a failed-over worker; a
 // connection that cannot take it drops out of the broadcast set.
-func (r *ShardReplica) sendPull(wc *repConn, payload []byte) {
-	if err := wc.write(MsgShardPull, payload); err != nil {
+func (r *ShardReplica) sendPull(wc *repConn, pull []byte) {
+	if err := wc.write(pull); err != nil {
 		wc.closed = true
 		return
 	}
-	r.pull.Add(int64(len(payload)))
+	r.pull.Add(int64(len(pull) - frameHeaderLen))
 }
 
 // readConn handshakes one inbound connection and streams its frames to

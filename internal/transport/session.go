@@ -45,21 +45,24 @@ type traffic struct{ push, pull atomic.Int64 }
 func (t *traffic) TrafficBytes() (push, pull int64) { return t.push.Load(), t.pull.Load() }
 
 // link is one framed connection and the codec its hello negotiated — the
-// unit both ends of every transport connection are built from.
+// unit both ends of every transport connection are built from. It owns
+// the package's write path: frames are queued, each behind its own
+// prefix, in out, and reach the socket a flush at a time.
 type link struct {
 	c   net.Conn
-	rw  *bufio.ReadWriter
+	br  *bufio.Reader // flushBytes deep: one read drains one flush
 	fr  *FrameReader
 	to  Timeouts
 	fc  frameCodec
-	out []byte // outgoing payload, rebuilt in place per frame
+	out []byte // frames queued since the last flush, recycled
 }
 
 // attach points l at a fresh connection, keeping its codec and scratch.
 func (l *link) attach(c net.Conn) {
 	l.c = c
-	l.rw = bufio.NewReadWriter(bufio.NewReader(c), bufio.NewWriter(c))
-	l.fr = NewFrameReader(l.rw)
+	l.br = bufio.NewReaderSize(c, flushBytes)
+	l.fr = NewFrameReader(l.br)
+	l.out = l.out[:0]
 }
 
 // open dials addr and sends the hello l's codec describes, vouching for
@@ -84,25 +87,53 @@ func (l *link) open(d Dialer, addr string, hash uint32) error {
 	return nil
 }
 
-// send encodes f through the codec and writes it, flushed: frames are
-// the protocol's turn-taking, so none waits in the buffer.
+// queue encodes f through the codec behind the frames already waiting.
+// Nothing reaches the socket before flush: a caller with more frames
+// coming (a per-tensor stream) pays one write for the run, and decides
+// itself when the peer must see what it has — flushBytes is the size
+// past which both streaming ends stop waiting.
+//
+//3lc:noalloc
+func (l *link) queue(f frame) error {
+	var err error
+	l.out, err = l.fc.appendFrame(l.out, f)
+	return err
+}
+
+// flush writes the queued frames.
+//
+//3lc:noalloc
+func (l *link) flush() error {
+	if len(l.out) == 0 {
+		return nil
+	}
+	err := l.write(l.out)
+	l.out = l.out[:0]
+	return err
+}
+
+// send queues f and flushes: a frame that is the protocol's turn-taking
+// (hello, whole-set push and pull, bye) goes out at once, as one Write.
 //
 //3lc:noalloc
 func (l *link) send(f frame) error {
-	l.out = l.fc.appendFrame(l.out[:0], f)
-	return l.write(f.t, l.out)
-}
-
-// write frames an already-encoded payload (a cached pull, a forwarded
-// push) and flushes it, under the write deadline.
-//
-//3lc:noalloc
-func (l *link) write(t MsgType, payload []byte) error {
-	l.to.beforeWrite(l.c)
-	if err := WriteFrame(l.rw, t, payload); err != nil {
+	if err := l.queue(f); err != nil {
 		return err
 	}
-	return l.rw.Flush()
+	return l.flush()
+}
+
+// write hands the socket p — whole frames, prefixes included: a flush, or
+// a pull some session encoded once for every seat of its variant — in one
+// Write, the only one in the package, under one write deadline: however
+// many frames p holds, a peer that stops reading fails it within
+// Timeouts.Write.
+//
+//3lc:noalloc
+func (l *link) write(p []byte) error {
+	l.to.beforeWrite(l.c)
+	_, err := l.c.Write(p)
+	return err
 }
 
 // read receives one frame under the read deadline and parses it at step
@@ -302,7 +333,7 @@ func (s *session) run() error {
 			// failure is the push read's to report.
 			st := s.seats[0]
 			st.to.beforeRead(st.c)
-			if _, err := st.rw.Peek(1); errors.Is(err, io.EOF) {
+			if _, err := st.br.Peek(1); errors.Is(err, io.EOF) {
 				return nil
 			}
 		}
@@ -442,7 +473,7 @@ func (s *session) readPush(st *seat, step int) error {
 				// push aggregated here but never forwarded would die with
 				// this process; the reverse is harmless, the worker replays
 				// on failover and the replica dedupes.
-				if err := s.mirror.write(MsgReplicaPush, f.raw); err != nil {
+				if err := s.mirror.send(frame{t: MsgReplicaPush, raw: f.raw}); err != nil {
 					return fmt.Errorf("transport: shard %d forward to replica: %w", s.cfg.Shard, err)
 				}
 			}
@@ -513,8 +544,11 @@ func (s *session) readStream(st *seat, step int, f frame) (int, error) {
 
 // sendPull answers one seat with the pull of the last finished step: the
 // shared payload of its codec variant, or — to a seat that pushed
-// streamed — per-tensor frames, flushed one by one so the worker's
-// double-buffered decode starts on the first while the rest are written.
+// streamed — per-tensor frames. Every one of them exists before the first
+// is sent, so they are queued behind one another and written when
+// flushBytes have gathered and at the end: the worker starts decoding
+// after the first flush, and a shard's pull costs a write per flushBytes,
+// not per tensor.
 //
 //3lc:noalloc
 func (s *session) sendPull(st *seat) error {
@@ -524,10 +558,18 @@ func (s *session) sendPull(st *seat) error {
 	sent := 0
 	if st.streamed {
 		for k, wire := range s.pull {
-			if err := st.send(frame{t: MsgShardPullTensor, step: uint32(s.done), arg: uint32(k), body: wire}); err != nil {
+			at := len(st.out)
+			err := st.queue(frame{t: MsgShardPullTensor, step: uint32(s.done), arg: uint32(k), body: wire})
+			sent += len(st.out) - at - frameHeaderLen
+			if err == nil && len(st.out) >= flushBytes {
+				err = st.flush()
+			}
+			if err != nil {
 				return fmt.Errorf("transport: shard %d step %d pull tensor %d to worker %d: %w", s.cfg.Shard, s.done, k, st.id, err)
 			}
-			sent += len(st.out)
+		}
+		if err := st.flush(); err != nil {
+			return fmt.Errorf("transport: shard %d step %d pull to worker %d: %w", s.cfg.Shard, s.done, st.id, err)
 		}
 	} else {
 		t, k := MsgShardPull, st.fc.variant()
@@ -535,13 +577,17 @@ func (s *session) sendPull(st *seat) error {
 			t = MsgPull
 		}
 		if s.pullAt[k] != s.done {
-			s.pullBuf[k] = st.fc.appendFrame(s.pullBuf[k][:0], frame{t: t, step: uint32(s.done), set: s.pull})
+			var err error
+			s.pullBuf[k], err = st.fc.appendFrame(s.pullBuf[k][:0], frame{t: t, step: uint32(s.done), set: s.pull})
+			if err != nil {
+				return fmt.Errorf("transport: shard %d step %d pull: %w", s.cfg.Shard, s.done, err)
+			}
 			s.pullAt[k] = s.done
 		}
-		if err := st.write(t, s.pullBuf[k]); err != nil {
+		if err := st.write(s.pullBuf[k]); err != nil {
 			return fmt.Errorf("transport: shard %d step %d pull to worker %d: %w", s.cfg.Shard, s.done, st.id, err)
 		}
-		sent = len(s.pullBuf[k])
+		sent = len(s.pullBuf[k]) - frameHeaderLen
 	}
 	s.tr.pull.Add(int64(sent))
 	return nil

@@ -29,15 +29,24 @@
 // step) identity and re-answers missed pulls from the retained pull.
 //
 // The streamed (per-tensor) frames overlap communication with codec work:
-// a worker that pushes MsgShardPushTensor frames sends each tensor the
-// moment its compressor finishes — the shard begins decode-accumulate on
-// tensor i while tensor i+1 is still compressing or in flight — and is
-// answered with per-tensor pull frames its decode loop applies while the
-// next frame is still being read (double-buffered pull decode):
+// a worker that pushes MsgShardPushTensor frames hands each tensor to its
+// shard's connection the moment its compressor finishes — the shard
+// decode-accumulates tensor i while tensor i+1 is still compressing or in
+// flight — and is answered with per-tensor pull frames it applies one by
+// one as they are read:
 //
 //	pushT := header [4B LE shard-local tensor][tensor wire]
 //	pushE := header                                          (end of push)
 //	pullT := header (worker = 0) [4B LE shard-local tensor][tensor wire]
+//
+// The frame is the unit of decode-add there, not of I/O. Both ends queue
+// per-tensor frames on their link and flush on three occasions only: the
+// producer has nothing more ready (so a producer slower than the wire
+// still gets tensor i out before tensor i+1 exists), flushBytes have
+// gathered, and the stream ends. A producer that is ahead of the wire —
+// a burst of batched small tensors, a single CPU — pays one write per
+// shard, not one per tensor; the server's pull, whose tensors all exist
+// before the first is sent, pays one per flushBytes.
 //
 // Whole-set and streamed workers interoperate freely on one shard: the
 // mode is per worker per step, chosen by the first push frame. Per-tensor
@@ -112,7 +121,7 @@ type ShardServerConfig struct {
 	// rejected so a worker with a divergent model layout fails fast
 	// instead of decoding tensors into the wrong slots.
 	AssignmentHash uint32
-	// Timeouts bounds each frame read and write in the step loop. The
+	// Timeouts bounds each frame read and each flush in the step loop. The
 	// read deadline must cover a full compute phase (a BSP push read
 	// spans the barrier, not a round trip); zero disables deadlines.
 	Timeouts Timeouts
@@ -214,7 +223,7 @@ type ShardClientConfig struct {
 	// whole-set PushPull path of a connection that negotiates nothing
 	// (see frameCodec.mirrorable).
 	Replicas []string
-	// Timeouts bounds each frame read/write. A read deadline is the
+	// Timeouts bounds each frame read and each flush. A read deadline is the
 	// failure detector for silently dead shards: without one, only
 	// connection-level errors (RST/EOF) trigger failover.
 	Timeouts Timeouts
@@ -265,6 +274,10 @@ type ShardClient struct {
 	pull  [][]byte // reassembled full-model pull set, recycled
 	subs  [][][]byte
 	errs  []error
+	// abandoned: this streamed step's tensors broke PushPullStream's
+	// contract, so no shard ends its push. Set before the shard channels
+	// close, read by streamShard after.
+	abandoned bool
 }
 
 type shardConn struct {
@@ -273,10 +286,10 @@ type shardConn struct {
 	policy    RetryPolicy // per-shard decorrelated backoff stream
 	onReplica bool        // failed over: this conn now points at the replica
 	pullWires [][]byte
-	// pullBufA/B are the two slots of the streamed pull's double buffer,
-	// retained across steps so the steady-state receive path stops
-	// allocating once the largest tensor wire has been seen.
-	pullBufA, pullBufB []byte
+	dirty     bool // streamed push: tensors routed here since the last flush mark
+	// seen[k] marks shard-local tensor k of a streamed step: pushed, while
+	// PushPullStream routes the caller's tensors; then, cleared, pulled.
+	seen []bool
 }
 
 // DialSharded connects to every shard of the tier (addrs[s] is shard s's
@@ -323,7 +336,8 @@ func DialShardedConfig(addrs []string, workerID int, asn shard.Assignment, ccfg 
 		}
 	}
 	for s, addr := range addrs {
-		sc := &shardConn{link: link{to: ccfg.Timeouts, fc: fc}, addr: addr, policy: ccfg.Retry.Stream(uint64(s))}
+		sc := &shardConn{link: link{to: ccfg.Timeouts, fc: fc}, addr: addr, policy: ccfg.Retry.Stream(uint64(s)),
+			seen: make([]bool, len(c.idx[s]))}
 		sc.fc.shard = uint16(s)
 		if err := sc.open(ccfg.Dialer, addr, asn.Hash()); err != nil {
 			c.Close() // closes the successfully-dialed prefix only
@@ -444,42 +458,87 @@ type IndexedWire struct {
 	Wire []byte
 }
 
+// flushMark is the tensor index PushPullStream sends down a shard's
+// channel when the caller's tensor channel has run empty: everything
+// routed so far is all there is for now, so the shard must not sit on it.
+const flushMark = -1
+
 // PushPullStream runs one step in streamed mode. Tensors arriving on
 // `tensors` (any order — typically straight from a concurrent compressor,
-// ps.Worker.CompressGradsStream) are framed and sent to their owning
-// shard immediately, so the servers decode-accumulate tensor i while
-// tensor i+1 is still compressing or in flight. The caller must send
-// every tensor exactly once (an empty Wire for non-transmitting schemes)
-// and close the channel; wires must stay valid until the call returns.
+// ps.Worker.CompressGradsStream) are framed onto their owning shard's
+// connection as they arrive, so the servers decode-accumulate tensor i
+// while tensor i+1 is still compressing or in flight. A shard's frames are
+// written when `tensors` runs empty, when flushBytes of them have
+// gathered and when the push ends (see the package comment): a tensor
+// never waits for one the producer has not made yet, and a producer that
+// is ahead pays one write per shard. The caller must send every tensor
+// exactly once (an empty Wire for non-transmitting schemes) and close the
+// channel; wires must stay valid until the call returns. An index out of
+// range or sent twice fails the call before anything of it is framed, and
+// whatever fails, the call receives from `tensors` until it is closed, so
+// a producer is never left blocked on it.
 //
 // The pull comes back as per-tensor frames: apply is invoked once per
-// tensor — concurrently across shards, and per shard overlapped with the
-// next frame's socket read through a two-slot buffer (double-buffered
-// pull decode). apply must be safe for concurrent calls on different
+// tensor — concurrently across shards, and per shard straight off the
+// connection's frame scratch while the kernel's receive buffer takes the
+// frames behind it. apply must be safe for concurrent calls on different
 // tensors (ps.Worker.ApplyPullTensor is); its wire argument is valid only
 // for the duration of the call.
 func (c *ShardClient) PushPullStream(step int, tensors <-chan IndexedWire, apply func(gi int, wire []byte) error) error {
-	if err := c.conns[0].fc.streamable(); err != nil {
+	err := c.conns[0].fc.streamable()
+	if err != nil {
+		for range tensors {
+		}
 		return err
 	}
 	chans := make([]chan IndexedWire, len(c.conns))
 	var wg sync.WaitGroup
 	for s, sc := range c.conns {
-		chans[s] = make(chan IndexedWire, len(c.idx[s]))
+		clear(sc.seen)
+		// Every tensor of the shard once, and at most one flush mark behind
+		// each: the router below never blocks on a shard.
+		chans[s] = make(chan IndexedWire, 2*len(c.idx[s]))
 		wg.Add(1)
 		go func(s int, sc *shardConn, ch <-chan IndexedWire) {
 			defer wg.Done()
 			c.errs[s] = c.streamShard(step, s, sc, ch, apply)
 		}(s, sc, chans[s])
 	}
-	var err error
-	for iw := range tensors {
-		if iw.I < 0 || iw.I >= len(c.slot) {
-			err = fmt.Errorf("transport: streamed tensor index %d out of range", iw.I)
+	for {
+		var iw IndexedWire
+		var ok bool
+		select {
+		case iw, ok = <-tensors:
+		default:
+			// The producer is behind: flush what each shard holds, then wait.
+			for s, sc := range c.conns {
+				if sc.dirty {
+					sc.dirty = false
+					chans[s] <- IndexedWire{I: flushMark}
+				}
+			}
+			iw, ok = <-tensors
+		}
+		if !ok {
 			break
 		}
-		chans[c.asn.ShardOf[iw.I]] <- iw
+		if err != nil {
+			continue // failed: only keeping the producer from blocking
+		}
+		if iw.I < 0 || iw.I >= len(c.slot) {
+			err = fmt.Errorf("transport: streamed tensor index %d out of range (placement has %d tensors)", iw.I, len(c.slot))
+			continue
+		}
+		s := c.asn.ShardOf[iw.I]
+		sc := c.conns[s]
+		if sc.seen[c.slot[iw.I]] {
+			err = fmt.Errorf("transport: tensor %d streamed twice in step %d", iw.I, step)
+			continue
+		}
+		sc.seen[c.slot[iw.I]], sc.dirty = true, true
+		chans[s] <- iw
 	}
+	c.abandoned = err != nil
 	for _, ch := range chans {
 		close(ch)
 	}
@@ -492,72 +551,55 @@ func (c *ShardClient) PushPullStream(step int, tensors <-chan IndexedWire, apply
 	return err
 }
 
-// streamShard drives one shard connection through a streamed step:
-// per-tensor push frames as they arrive, the end-of-push marker, then the
-// double-buffered pull decode loop.
+// streamShard drives one shard connection through a streamed step: the
+// push — per-tensor frames queued as they are routed here, flushed at
+// each flush mark, past flushBytes and behind the end-of-push marker —
+// then the pull, each tensor applied straight off the frame scratch. The
+// kernel's receive buffer is the second slot of that decode: the server
+// wrote the frames flushBytes at a time, so the next ones are already
+// there, or arriving, while this one is applied.
 func (c *ShardClient) streamShard(step, s int, sc *shardConn, ch <-chan IndexedWire, apply func(gi int, wire []byte) error) error {
-	// Flushed per frame: the point of streaming is that the server sees
-	// tensor i before tensor i+1 exists.
 	for iw := range ch {
-		if err := sc.send(frame{t: MsgShardPushTensor, step: uint32(step), arg: uint32(c.slot[iw.I]), body: iw.Wire}); err != nil {
-			return fmt.Errorf("transport: shard %d push tensor %d step %d: %w", s, iw.I, step, err)
+		var err error
+		if iw.I != flushMark {
+			err = sc.queue(frame{t: MsgShardPushTensor, step: uint32(step), arg: uint32(c.slot[iw.I]), body: iw.Wire})
 		}
+		if err == nil && (iw.I == flushMark || len(sc.out) >= flushBytes) {
+			err = sc.flush()
+		}
+		if err != nil {
+			return fmt.Errorf("transport: shard %d push step %d: %w", s, step, err)
+		}
+	}
+	if c.abandoned {
+		// The caller broke the stream's contract; the step cannot complete
+		// and the error is PushPullStream's to report.
+		return nil
 	}
 	if err := sc.send(frame{t: MsgShardPushEnd, step: uint32(step)}); err != nil {
 		return fmt.Errorf("transport: shard %d push end step %d: %w", s, step, err)
 	}
 
-	// Double-buffered pull decode: a reader goroutine copies each frame
-	// into one of two recycled slots while this goroutine decode-applies
-	// the previous one.
-	type pulled struct {
-		gi  int
-		buf []byte
-		err error
+	clear(sc.seen)
+	for range c.idx[s] {
+		f, err := sc.read(step, false)
+		slot := int(f.arg)
+		switch {
+		case err != nil:
+		case f.t != MsgShardPullTensor:
+			err = fmt.Errorf("expected pull tensor, got type %d", f.t)
+		case slot >= len(sc.seen) || sc.seen[slot]:
+			err = fmt.Errorf("bad or duplicate pull tensor slot %d", slot)
+		}
+		if err != nil {
+			return fmt.Errorf("transport: shard %d pull step %d: %w", s, step, err)
+		}
+		sc.seen[slot] = true
+		if err := apply(c.idx[s][slot], f.body); err != nil {
+			return err
+		}
 	}
-	slots := make(chan []byte, 2)
-	slots <- sc.pullBufA[:0]
-	slots <- sc.pullBufB[:0]
-	frames := make(chan pulled, 2)
-	go func() {
-		defer close(frames)
-		seen := make(map[int]bool, len(c.idx[s]))
-		for range c.idx[s] {
-			f, err := sc.read(step, false)
-			slot := int(f.arg)
-			switch {
-			case err != nil:
-			case f.t != MsgShardPullTensor:
-				err = fmt.Errorf("expected pull tensor, got type %d", f.t)
-			case slot >= len(c.idx[s]) || seen[slot]:
-				err = fmt.Errorf("bad or duplicate pull tensor slot %d", slot)
-			}
-			if err != nil {
-				frames <- pulled{err: fmt.Errorf("transport: shard %d pull step %d: %w", s, step, err)}
-				return
-			}
-			seen[slot] = true
-			buf := <-slots
-			frames <- pulled{gi: c.idx[s][slot], buf: append(buf[:0], f.body...)}
-		}
-	}()
-	var firstErr error
-	for p := range frames {
-		if p.err != nil {
-			if firstErr == nil {
-				firstErr = p.err
-			}
-			continue
-		}
-		if firstErr == nil {
-			firstErr = apply(p.gi, p.buf)
-		}
-		slots <- p.buf
-	}
-	// Both slots are back in the channel once frames closes; retain them
-	// (and their grown capacities) for the next step.
-	sc.pullBufA, sc.pullBufB = <-slots, <-slots
-	return firstErr
+	return nil
 }
 
 // Close terminates all shard connections. A resilient client first

@@ -221,13 +221,15 @@ func driveWorkerStream(t *testing.T, w int, steps int, cfg ps.Config, global *nn
 }
 
 // TestStreamedTCPMatchesSinglePS runs the per-tensor streamed pipeline —
-// worker 0 streams (push frames emitted while later tensors still
-// compress, pull frames decode-applied double-buffered), worker 1 stays
-// on the whole-set path — over a 2-shard TCP tier and checks the final
-// global state is bit-identical to the in-process single server. Mixing
-// the modes on one tier pins their interoperability.
+// worker 0 streams (push frames queued while later tensors still
+// compress, pull frames decode-applied off the frame scratch), worker 1
+// stays on the whole-set path, worker 2 streams under the CRC-32C
+// trailer (trailer × coalescing: every frame of a flush carries its own)
+// — over a 2-shard TCP tier and checks the final global state is
+// bit-identical to the in-process single server. Mixing the modes on one
+// tier pins their interoperability.
 func TestStreamedTCPMatchesSinglePS(t *testing.T) {
-	const workers, steps, shards = 2, 3, 2
+	const workers, steps, shards = 3, 3, 2
 	cfg := shardTestConfig(workers, steps)
 
 	global := buildShardModel()
@@ -256,13 +258,13 @@ func TestStreamedTCPMatchesSinglePS(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer func() { done <- struct{}{} }()
-			cl, err := DialSharded(addrs, w, shard.ForModel(buildShardModel(), shards))
+			cl, err := DialShardedConfig(addrs, w, shard.ForModel(buildShardModel(), shards), ShardClientConfig{Checksum: w == 2})
 			if err != nil {
 				t.Errorf("worker %d dial: %v", w, err)
 				return
 			}
 			defer cl.Close()
-			if w == 0 {
+			if w != 1 {
 				driveWorkerStream(t, w, steps, cfg, global, cl)
 			} else {
 				driveWorker(t, w, steps, cfg, global, cl.PushPull)

@@ -27,8 +27,9 @@ type RetryPolicy = retry.Policy
 // Read covers one frame receive. On the BSP protocol a pull read spans the
 // whole barrier — every worker's compute plus the server's update — so
 // Read must comfortably exceed a step time, not a network round trip.
-// Write covers one frame write + flush. Zero disables the respective
-// deadline (the previous behavior).
+// Write covers one flush — every frame queued on the connection since the
+// last, one write — so a stream of many frames gives a stalled peer one
+// deadline, not one per frame. Zero disables the respective deadline.
 type Timeouts struct {
 	Read  time.Duration
 	Write time.Duration
@@ -43,7 +44,7 @@ func (t Timeouts) beforeRead(c net.Conn) {
 }
 
 // beforeWrite arms (or clears) the connection's write deadline for one
-// frame write + flush.
+// flush.
 func (t Timeouts) beforeWrite(c net.Conn) {
 	if t.Write > 0 {
 		c.SetWriteDeadline(time.Now().Add(t.Write))
