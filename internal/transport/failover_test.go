@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"threelc/internal/ps"
 	"threelc/internal/shard"
+	"threelc/internal/tensor"
 )
 
 // runFailoverScenario runs a replicated 2-shard tier over loopback TCP,
@@ -149,6 +151,128 @@ func TestFailoverKilledShardMatchesSinglePS(t *testing.T) {
 
 func TestFailoverSilentDeathDetectedByDeadline(t *testing.T) {
 	runFailoverScenario(t, true)
+}
+
+// gateConn tells, each time its reader comes back for more, how many
+// bytes it has been given. A replica's reader posts a frame to the serve
+// loop before it reads on, so once it is back after n bytes the frames in
+// them are ahead of whatever is sent next, on any connection.
+type gateConn struct {
+	net.Conn
+	got  int64
+	back chan int64
+}
+
+func (c *gateConn) Read(p []byte) (int, error) {
+	c.back <- c.got
+	n, err := c.Conn.Read(p)
+	c.got += int64(n)
+	return n, err
+}
+
+func (c *gateConn) await(t *testing.T, n int64) {
+	t.Helper()
+	for {
+		select {
+		case got := <-c.back:
+			if got >= n {
+				return
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("the reader did not come back after %d bytes", n)
+		}
+	}
+}
+
+// gateListener hands out gateConns and announces them in accept order.
+type gateListener struct {
+	net.Listener
+	conns chan *gateConn
+}
+
+func (l gateListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	gc := &gateConn{Conn: c, back: make(chan int64, 16)}
+	l.conns <- gc
+	return gc, nil
+}
+
+// TestReplicaHoldsPushAheadOfForwards: a failed-over worker's push can
+// reach the replica's serve loop before the forwards of the steps before
+// it do — two connections, two reader goroutines, and a primary that
+// never waited for its replica (a rare failure of the failover suite
+// under -race, up to two steps apart). The push waits for them instead of
+// ending the replica on a barrier violation.
+func TestReplicaHoldsPushAheadOfForwards(t *testing.T) {
+	const steps = 3
+	cfg := shardTestConfig(1, steps)
+	model := buildShardModel()
+	asn := shard.ForModel(model, 1)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl := gateListener{ln, make(chan *gateConn, 2)}
+	to := Timeouts{Read: 10 * time.Second, Write: 10 * time.Second}
+	sub := mustSubServers(t, model, cfg, asn)[0]
+	repErr := make(chan error, 1)
+	go func() {
+		repErr <- NewShardReplica(gl, sub, ShardServerConfig{
+			NumShards: 1, Workers: 1, Steps: steps, AssignmentHash: asn.Hash(), Timeouts: to,
+		}).Serve()
+	}()
+	var sent *countConn // the connection dialed last
+	dial := Dialer(func(addr string) (net.Conn, error) {
+		c, err := net.Dial("tcp", addr)
+		sent = &countConn{Conn: c}
+		return sent, err
+	})
+
+	// The primary's forwarding link, its hello taken in...
+	up := &link{to: to, fc: frameCodec{upstream: true}}
+	if err := up.open(dial, ln.Addr().String(), asn.Hash()); err != nil {
+		t.Fatal(err)
+	}
+	defer up.c.Close()
+	(<-gl.conns).await(t, sent.bytes.Load())
+	// ...then the worker, failed over, with its push of the last step...
+	cl, err := DialShardedConfig([]string{ln.Addr().String()}, 0, asn, ShardClientConfig{Timeouts: to, Dialer: dial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	wk := ps.NewWorker(0, buildShardModel(), cfg)
+	wk.Model.TrainStep(tensor.New(6, 12), make([]int, 6))
+	wires, _ := wk.CompressGrads()
+	hello := sent.bytes.Load()
+	pulled := make(chan error, 1)
+	go func() {
+		_, err := cl.PushPull(steps-1, wires)
+		pulled <- err
+	}()
+	// ...and only then the forwards of its pushes of the steps before.
+	var fc frameCodec
+	for step := 0; step < steps-1; step++ {
+		push, err := fc.appendFrame(nil, frame{t: MsgShardPush, step: uint32(step), set: wires})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if step == 0 {
+			(<-gl.conns).await(t, hello+int64(len(push)))
+		}
+		if err := up.send(frame{t: MsgReplicaPush, raw: push[frameHeaderLen:]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-pulled; err != nil {
+		t.Errorf("push of step %d, sent ahead of the forwards of the steps before: %v", steps-1, err)
+	}
+	if err := <-repErr; err != nil {
+		t.Errorf("replica: %v", err)
+	}
 }
 
 // TestDialShardedUnreachableShardReturnsError: a dead shard address at

@@ -24,7 +24,7 @@
 // reassembles them over a buffered reader sized to one flush and reuses a
 // per-connection scratch buffer, so the receive path stops allocating
 // once the largest frame size has been seen. WriteFrame is the same
-// framing for any io.Writer: one frame, one Write.
+// framing for any io.Writer, outside a link.
 package transport
 
 import (
@@ -88,25 +88,40 @@ var framePool = sync.Pool{
 	},
 }
 
+// maxPooledFrame caps what WriteFrame coalesces through framePool: a
+// frame can be up to MaxFrameBytes (64 MiB), and pooling such a buffer
+// would pin it until the next GC pool drain.
+const maxPooledFrame = 1 << 20
+
 // WriteFrame writes one framed message to any writer — what tests and
 // probes frame with; connections queue frames on their link instead.
-// Prefix and payload are coalesced in a pooled buffer and issued as ONE
-// Write call whatever the size: on an unbuffered net.Conn that is one
-// syscall and one TCP segment boundary instead of two. The header bytes
-// are staged in the pooled buffer rather than a local array, which would
-// escape through the io.Writer and cost one allocation per frame.
+// Prefix and (up to maxPooledFrame) payload are coalesced in a pooled
+// buffer and issued as ONE Write call: on an unbuffered net.Conn that is
+// one syscall and one TCP segment boundary instead of two. The header
+// bytes are staged in the pooled buffer rather than a local array, which
+// would escape through the io.Writer and cost one allocation per frame.
+// The length is checked before anything is copied.
 //
 //3lc:noalloc
 func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
+	if n := 1 + len(payload); n > MaxFrameBytes {
+		return fmt.Errorf("transport: frame of %d bytes exceeds limit %d", n, MaxFrameBytes)
+	}
 	bp := framePool.Get().(*[]byte)
 	buf := beginFrame((*bp)[:0], t)
-	buf = append(buf, payload...)
-	buf, err := endFrame(buf, 0)
-	if err == nil {
-		_, err = w.Write(buf)
+	// A frame too big to pool goes out as two writes, prefix then payload:
+	// copying a multi-MiB payload would cost more than the second call.
+	large := frameHeaderLen+len(payload) > maxPooledFrame
+	if !large {
+		buf = append(buf, payload...)
 	}
+	le.PutUint32(buf, uint32(1+len(payload)))
+	_, err := w.Write(buf)
 	*bp = buf
 	framePool.Put(bp)
+	if large && err == nil {
+		_, err = w.Write(payload)
+	}
 	return err
 }
 

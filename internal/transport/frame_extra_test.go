@@ -22,12 +22,13 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 	return w.Buffer.Write(p)
 }
 
-// TestWriteFrameSingleWrite pins the coalescing behavior: one frame, one
-// Write call at any size — on an unbuffered connection that is one syscall
-// instead of a header+payload pair — with nothing allocated: prefix and
-// payload are staged in the pooled buffer, not in a local array that
-// escapes through the io.Writer. (What a connection writes is the link's
-// business: TestLinkWritesPerFlush.)
+// TestWriteFrameSingleWrite pins the coalescing behavior: a frame up to
+// maxPooledFrame is one Write call — on an unbuffered connection one
+// syscall instead of a header+payload pair — a larger one is prefix then
+// payload, uncopied, and neither allocates: the prefix is staged in the
+// pooled buffer, not in a local array that escapes through the io.Writer.
+// (What a connection writes is the link's business — one Write at any
+// size: TestLinkWritesPerFlush.)
 func TestWriteFrameSingleWrite(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -35,7 +36,7 @@ func TestWriteFrameSingleWrite(t *testing.T) {
 		calls int
 	}{
 		{"coalesced", 1000, 1},
-		{"large", 2 << 20, 1},
+		{"large", 2 << 20, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var w writeCounter

@@ -17,8 +17,10 @@
 // forwarding the last push and broadcasting pulls) is answered
 // immediately from the retained last pull, and a frame from another
 // tenant — or a stale epoch of this one — is rejected outright rather
-// than mistaken for a replay of a same-numbered worker's push. From then
-// on the replica serves the remaining steps exactly like a primary.
+// than mistaken for a replay of a same-numbered worker's push. A replay
+// that overtakes the primary's last forwards (nothing orders the two
+// connections) waits for the steps before it. From then on the replica
+// serves the remaining steps exactly like a primary.
 package transport
 
 import (
@@ -105,6 +107,15 @@ func (r *ShardReplica) Serve() error {
 	pending := make(map[int][]byte) // worker id -> current step's pushed wire set
 	var workers []*repConn          // failed-over worker connections
 	var upstream *repConn
+	// ahead holds worker pushes for a step after the current one: a worker
+	// that failed over can reach this loop before the forwards — or the
+	// hello — of the primary it left do (two connections, two readers, and
+	// a primary that never waited for its replica). At each step's end
+	// those held by then, ready of them, are taken up again. Once the
+	// upstream has come and gone nothing is in flight behind it, and a
+	// push ahead is the violation it looks like.
+	var ahead []repEvent
+	ready, gone := 0, false
 	var lastPull []byte // retained pull frame of the last finished step
 	finished := 0       // completed steps
 	var wires [][]byte  // wire-set parse scratch
@@ -112,7 +123,12 @@ func (r *ShardReplica) Serve() error {
 	pullCodec := frameCodec{shard: uint16(r.cfg.Shard), tenant: r.cfg.Tenant, epoch: r.cfg.Epoch}
 
 	for finished < r.cfg.Steps {
-		ev := <-events
+		var ev repEvent
+		if ready > 0 {
+			ev, ahead, ready = ahead[0], ahead[1:], ready-1
+		} else {
+			ev = <-events
+		}
 		switch {
 		case ev.err != nil:
 			if ev.wc == nil {
@@ -123,13 +139,13 @@ func (r *ShardReplica) Serve() error {
 			// dead worker conn just drops out of the broadcast set.
 			ev.wc.closed = true
 			if ev.wc.fc.upstream {
-				upstream = nil
+				upstream, gone = nil, true
 			}
 		case ev.hello && ev.wc.fc.upstream:
 			if upstream != nil {
 				return fmt.Errorf("transport: replica shard %d: second upstream connection", r.cfg.Shard)
 			}
-			upstream = ev.wc
+			upstream, gone = ev.wc, false
 		case ev.hello:
 			for _, wc := range workers {
 				if !wc.closed && wc.fc.worker == ev.wc.fc.worker {
@@ -142,6 +158,12 @@ func (r *ShardReplica) Serve() error {
 			// matched the tenant, a push one step behind is a replay, and
 			// the worker id completes the identity.
 			f, err := ev.wc.fc.parseFrame(ev.t, ev.payload, finished, true)
+			if err != nil && !gone && !ev.wc.fc.upstream {
+				if _, e := ev.wc.fc.parseFrame(ev.t, ev.payload, int(f.step), false); e == nil && int(f.step) > finished {
+					ahead = append(ahead, ev)
+					continue
+				}
+			}
 			if err != nil {
 				return fmt.Errorf("transport: replica shard %d: %w", r.cfg.Shard, err)
 			}
@@ -197,6 +219,7 @@ func (r *ShardReplica) Serve() error {
 		}
 		clear(pending)
 		finished++
+		ready = len(ahead)
 	}
 	return nil
 }

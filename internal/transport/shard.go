@@ -274,10 +274,6 @@ type ShardClient struct {
 	pull  [][]byte // reassembled full-model pull set, recycled
 	subs  [][][]byte
 	errs  []error
-	// abandoned: this streamed step's tensors broke PushPullStream's
-	// contract, so no shard ends its push. Set before the shard channels
-	// close, read by streamShard after.
-	abandoned bool
 }
 
 type shardConn struct {
@@ -492,6 +488,9 @@ func (c *ShardClient) PushPullStream(step int, tensors <-chan IndexedWire, apply
 		return err
 	}
 	chans := make([]chan IndexedWire, len(c.conns))
+	// abandoned: the tensors broke the contract above, so no shard ends its
+	// push. Set before the shard channels close, read by streamShard after.
+	var abandoned bool
 	var wg sync.WaitGroup
 	for s, sc := range c.conns {
 		clear(sc.seen)
@@ -501,7 +500,7 @@ func (c *ShardClient) PushPullStream(step int, tensors <-chan IndexedWire, apply
 		wg.Add(1)
 		go func(s int, sc *shardConn, ch <-chan IndexedWire) {
 			defer wg.Done()
-			c.errs[s] = c.streamShard(step, s, sc, ch, apply)
+			c.errs[s] = c.streamShard(step, s, sc, ch, &abandoned, apply)
 		}(s, sc, chans[s])
 	}
 	for {
@@ -538,7 +537,7 @@ func (c *ShardClient) PushPullStream(step int, tensors <-chan IndexedWire, apply
 		sc.seen[c.slot[iw.I]], sc.dirty = true, true
 		chans[s] <- iw
 	}
-	c.abandoned = err != nil
+	abandoned = err != nil
 	for _, ch := range chans {
 		close(ch)
 	}
@@ -558,7 +557,9 @@ func (c *ShardClient) PushPullStream(step int, tensors <-chan IndexedWire, apply
 // kernel's receive buffer is the second slot of that decode: the server
 // wrote the frames flushBytes at a time, so the next ones are already
 // there, or arriving, while this one is applied.
-func (c *ShardClient) streamShard(step, s int, sc *shardConn, ch <-chan IndexedWire, apply func(gi int, wire []byte) error) error {
+func (c *ShardClient) streamShard(step, s int, sc *shardConn, ch <-chan IndexedWire, abandoned *bool, apply func(gi int, wire []byte) error) error {
+	// However the step ends, nothing queued for it is left for the next.
+	defer func() { sc.out = sc.out[:0] }()
 	for iw := range ch {
 		var err error
 		if iw.I != flushMark {
@@ -571,7 +572,7 @@ func (c *ShardClient) streamShard(step, s int, sc *shardConn, ch <-chan IndexedW
 			return fmt.Errorf("transport: shard %d push step %d: %w", s, step, err)
 		}
 	}
-	if c.abandoned {
+	if *abandoned {
 		// The caller broke the stream's contract; the step cannot complete
 		// and the error is PushPullStream's to report.
 		return nil

@@ -366,16 +366,21 @@ func TestStreamedWriteDeadlinePerFlush(t *testing.T) {
 // or sent twice fails the call on the client, before any of it is framed
 // — the shards see the tensors sent ahead of it and nothing else, not
 // even an end of push — and the call still drains the channel, so a
-// producer blocked handing over its next tensor is released.
+// producer blocked handing over its next tensor is released. A producer
+// that is ahead (the channel filled before the call) has tensor 0 still
+// queued when the bad index arrives: it is dropped with the step, not
+// left on the link for the next one.
 func TestPushPullStreamEnforcesItsContract(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		bad     func(n int) int
+		ahead   bool
 		wantErr string
 	}{
-		{"out of range", func(n int) int { return n }, "out of range"},
-		{"negative", func(int) int { return -1 }, "out of range"},
-		{"repeated", func(int) int { return 0 }, "streamed twice"},
+		{"out of range", func(n int) int { return n }, false, "out of range"},
+		{"negative", func(int) int { return -1 }, false, "out of range"},
+		{"repeated", func(int) int { return 0 }, false, "streamed twice"},
+		{"repeated, producer ahead", func(int) int { return 0 }, true, "streamed twice"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tier := newStreamTier(t, buildShardModel, shardTestConfig(1, 1024), 2, ShardClientConfig{}, nil)
@@ -385,7 +390,10 @@ func TestPushPullStreamEnforcesItsContract(t *testing.T) {
 			for _, c := range tier.conns[0] {
 				before = append(before, c.snap())
 			}
-			ch := make(chan IndexedWire)
+			ch, want := make(chan IndexedWire), int64(1)
+			if tc.ahead {
+				ch, want = make(chan IndexedWire, len(wires)+1), 0
+			}
 			produced := make(chan struct{})
 			go func() {
 				defer close(produced)
@@ -396,6 +404,9 @@ func TestPushPullStreamEnforcesItsContract(t *testing.T) {
 					ch <- IndexedWire{I: i, Wire: wires[i]}
 				}
 			}()
+			if tc.ahead {
+				<-produced
+			}
 			err := cl.PushPullStream(0, ch, wk.ApplyPullTensor)
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("PushPullStream = %v, want an error containing %q", err, tc.wantErr)
@@ -409,8 +420,13 @@ func TestPushPullStreamEnforcesItsContract(t *testing.T) {
 			for s, c := range tier.conns[0] {
 				frames += c.snap().since(before[s]).frames
 			}
-			if frames != 1 {
-				t.Errorf("%d frames reached the wire, want 1 (tensor 0, sent before the bad index)", frames)
+			if frames != want {
+				t.Errorf("%d frames reached the wire, want %d (tensor 0, if flushed before the bad index)", frames, want)
+			}
+			for s, sc := range cl.conns {
+				if len(sc.out) != 0 {
+					t.Errorf("shard %d: %d bytes of the failed step still queued on the link", s, len(sc.out))
+				}
 			}
 		})
 	}
