@@ -601,9 +601,11 @@ func codecBench(w *os.File, iters int) []benchRecord {
 	// every tier this CPU/build can run, each in ns per element beside the
 	// memcpy roofline it is held against — accumulate+|max| (compress pass
 	// 1), the fused ternary encode (pass 2) and the LUT decode-add, both on
-	// a dense and on a 0.998-zero input, and the fused SGD sweep. Record
-	// names and inputs match internal/kernel's tier benchmarks
-	// (tierbench_test.go).
+	// a dense and on a 0.998-zero input, the fused SGD sweep in both forms,
+	// and the raw float32 put and add. Record names and inputs match
+	// internal/kernel's tier benchmarks (tierbench_test.go); like there, the
+	// last three columns rotate through 8 copies of their operands, because
+	// the raw tensors they stand for never sit in a cache.
 	{
 		orig := kernel.ActiveTier()
 		buf := make([]float32, n)
@@ -654,8 +656,22 @@ func codecBench(w *os.File, iters int) []benchRecord {
 		}
 		sgdV, sgdAcc := make([]float32, n), make([]float32, n)
 
+		// Cache-cold operands of the delta sweep and the raw cores.
+		const coldBufs = 8
+		var coldW, coldV, coldG, coldD [coldBufs][]float32
+		var coldWire [coldBufs][]byte
+		for k := 0; k < coldBufs; k++ {
+			coldW[k], coldG[k] = append([]float32(nil), sgdW...), append([]float32(nil), sgdG...)
+			coldV[k], coldD[k] = make([]float32, n), make([]float32, n)
+			coldWire[k] = kernel.AppendRaw([]byte{0}, in.Data()) // payload one scheme byte in
+		}
+		turn := 0
+		cold := func(fn func(k int)) time.Duration {
+			return measure(iters, func() { fn(turn % coldBufs); turn++ })
+		}
+
 		fmt.Fprintf(w, "\nKernel tiers at %d elements (auto tier %s, AVX2=%v, asm=%v), ns/elem:\n", n, orig, simd.Detect().AVX2, simd.HasAsm)
-		fmt.Fprintf(w, "  %-8s %11s %13s %14s %14s %15s %9s\n", "tier", "accumulate", "encode dense", "encode sparse", "dec-add dense", "dec-add sparse", "sgd step")
+		fmt.Fprintf(w, "  %-8s %11s %13s %14s %14s %15s %9s %10s %8s %8s\n", "tier", "accumulate", "encode dense", "encode sparse", "dec-add dense", "dec-add sparse", "sgd step", "sgd delta", "raw put", "raw add")
 		fmt.Fprintf(w, "  %-8s %11.2f  (%.1f GB/s copy, 4 B read + 4 B written per element; a read-only stream is about half)\n",
 			"memcpy", perElem(cp), float64(4*n)/cp.Seconds()/1e9)
 		rec := func(name string, d time.Duration) {
@@ -692,10 +708,17 @@ func codecBench(w *os.File, iters int) []benchRecord {
 				rec("DecodeAddKernel/"+tier.String()+"/"+d.name, dec[k])
 			}
 			sgd := measure(iters, func() { kernel.FusedSGDStep(sgdW, sgdV, sgdG, sgdAcc, 0.5, 1e-4, 0.9, 0.0004) })
-			fmt.Fprintf(w, "  %-8s %11.2f %13.2f %14.2f %14.2f %15.2f %9.2f\n",
-				tier, perElem(accum), perElem(enc[0]), perElem(enc[1]), perElem(dec[0]), perElem(dec[1]), perElem(sgd))
+			sgdDelta := cold(func(k int) { kernel.FusedSGDStepDelta(coldW[k], coldV[k], coldG[k], coldD[k], 0.5, 1e-4, 0.9, 0.0004) })
+			rawPut := cold(func(k int) { coldWire[k] = kernel.AppendRaw(coldWire[k][:1], coldG[k]) })
+			rawAdd := cold(func(k int) { kernel.RawAdd(coldD[k], coldWire[k][1:]) })
+			fmt.Fprintf(w, "  %-8s %11.2f %13.2f %14.2f %14.2f %15.2f %9.2f %10.2f %8.2f %8.2f\n",
+				tier, perElem(accum), perElem(enc[0]), perElem(enc[1]), perElem(dec[0]), perElem(dec[1]), perElem(sgd),
+				perElem(sgdDelta), perElem(rawPut), perElem(rawAdd))
 			rec("AccumulateMaxAbsKernel/"+tier.String()+"/1M", accum)
 			rec("FusedSGDStepKernel/"+tier.String()+"/1M", sgd)
+			rec("FusedSGDStepKernel/"+tier.String()+"/delta", sgdDelta)
+			rec("RawPutKernel/"+tier.String()+"/1M", rawPut)
+			rec("RawAddKernel/"+tier.String()+"/1M", rawAdd)
 		}
 		kernel.SetTier(orig)
 	}

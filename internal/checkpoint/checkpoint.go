@@ -25,44 +25,45 @@ import (
 	"math"
 	"os"
 
+	"threelc/internal/kernel"
 	"threelc/internal/nn"
 )
 
 var magic = [8]byte{'3', 'L', 'C', 'C', 'K', 'P', 'T', '1'}
 
+var le = binary.LittleEndian
+
+// floatChunk is how many float32 values Save and parse move per call of
+// the kernel's raw cores: one fixed 16 KiB buffer, whatever the tensor
+// size, also the scratch every integer field and float64 statistic is
+// formatted in — so a snapshot costs a handful of allocations, not one per
+// value (train.captureRunState saves every replica at a step boundary).
+const floatChunk = 4096
+
 // Save writes m's parameters and batch-norm statistics to w.
 func Save(w io.Writer, m *nn.Model) error {
+	// A bufio.Writer keeps its first error and refuses everything after
+	// it, so the writes below go unchecked and Flush reports the outcome.
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
+	buf := make([]byte, 0, 4*floatChunk)
+	bw.Write(magic[:])
 	params := m.Params()
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(params))); err != nil {
-		return err
-	}
+	bw.Write(le.AppendUint32(buf, uint32(len(params))))
 	for _, p := range params {
 		if len(p.Name) > 1<<16-1 {
 			return fmt.Errorf("checkpoint: parameter name %q too long", p.Name)
 		}
-		if err := binary.Write(bw, binary.LittleEndian, uint16(len(p.Name))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(p.Name); err != nil {
-			return err
-		}
+		bw.Write(le.AppendUint16(buf, uint16(len(p.Name))))
+		bw.WriteString(p.Name)
 		shape := p.W.Shape()
-		if err := bw.WriteByte(byte(len(shape))); err != nil {
-			return err
-		}
+		bw.WriteByte(byte(len(shape)))
 		for _, d := range shape {
-			if err := binary.Write(bw, binary.LittleEndian, uint32(d)); err != nil {
-				return err
-			}
+			bw.Write(le.AppendUint32(buf, uint32(d)))
 		}
-		for _, v := range p.W.Data() {
-			if err := binary.Write(bw, binary.LittleEndian, math.Float32bits(v)); err != nil {
-				return err
-			}
+		for data := p.W.Data(); len(data) > 0; {
+			k := min(len(data), floatChunk)
+			bw.Write(kernel.AppendRaw(buf, data[:k]))
+			data = data[k:]
 		}
 	}
 
@@ -73,21 +74,18 @@ func Save(w io.Writer, m *nn.Model) error {
 			stats = append(stats, [2][]float64{mean, variance})
 		}
 	})
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(stats))); err != nil {
-		return err
-	}
+	bw.Write(le.AppendUint32(buf, uint32(len(stats))))
 	for _, s := range stats {
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(s[0]))); err != nil {
-			return err
-		}
-		for _, v := range s[0] {
-			if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(v)); err != nil {
-				return err
-			}
-		}
-		for _, v := range s[1] {
-			if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(v)); err != nil {
-				return err
+		bw.Write(le.AppendUint32(buf, uint32(len(s[0]))))
+		for _, vals := range s {
+			for len(vals) > 0 {
+				k := min(len(vals), floatChunk/2)
+				b := buf
+				for _, v := range vals[:k] {
+					b = le.AppendUint64(b, math.Float64bits(v))
+				}
+				bw.Write(b)
+				vals = vals[k:]
 			}
 		}
 	}
@@ -140,15 +138,36 @@ func Load(r io.Reader, m *nn.Model) error {
 //3lc:decode
 func parse(r io.Reader, m *nn.Model) (staged [][]float32, bn [][2][]float64, err error) {
 	br := bufio.NewReader(r)
-	var gotMagic [8]byte
-	if _, err := io.ReadFull(br, gotMagic[:]); err != nil {
+	// The one scratch buffer behind every field: see floatChunk.
+	var buf [4 * floatChunk]byte
+	readU32 := func() (uint32, error) {
+		if _, err := io.ReadFull(br, buf[:4]); err != nil {
+			return 0, err
+		}
+		return le.Uint32(buf[:4]), nil
+	}
+	readF64s := func(dst []float64) error {
+		for len(dst) > 0 {
+			k := min(len(dst), floatChunk/2)
+			if _, err := io.ReadFull(br, buf[:8*k]); err != nil {
+				return err
+			}
+			for j := range dst[:k] {
+				dst[j] = math.Float64frombits(le.Uint64(buf[8*j:]))
+			}
+			dst = dst[k:]
+		}
+		return nil
+	}
+
+	if _, err := io.ReadFull(br, buf[:len(magic)]); err != nil {
 		return nil, nil, fmt.Errorf("checkpoint: reading magic: %w", err)
 	}
-	if gotMagic != magic {
+	if gotMagic := [8]byte(buf[:len(magic)]); gotMagic != magic {
 		return nil, nil, fmt.Errorf("checkpoint: bad magic %q", gotMagic)
 	}
-	var count uint32
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
+	count, err := readU32()
+	if err != nil {
 		return nil, nil, err
 	}
 	params := m.Params()
@@ -161,11 +180,10 @@ func parse(r io.Reader, m *nn.Model) (staged [][]float32, bn [][2][]float64, err
 	}
 	staged = make([][]float32, len(params))
 	for i := 0; i < int(count); i++ {
-		var nameLen uint16
-		if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
+		if _, err := io.ReadFull(br, buf[:2]); err != nil {
 			return nil, nil, err
 		}
-		nameBuf := make([]byte, nameLen)
+		nameBuf := make([]byte, le.Uint16(buf[:2]))
 		if _, err := io.ReadFull(br, nameBuf); err != nil {
 			return nil, nil, err
 		}
@@ -183,31 +201,30 @@ func parse(r io.Reader, m *nn.Model) (staged [][]float32, bn [][2][]float64, err
 			return nil, nil, err
 		}
 		n := 1
-		shape := make([]int, rank)
-		for d := range shape {
-			var dim uint32
-			if err := binary.Read(br, binary.LittleEndian, &dim); err != nil {
+		for d := 0; d < int(rank); d++ {
+			dim, err := readU32()
+			if err != nil {
 				return nil, nil, err
 			}
-			shape[d] = int(dim)
 			n *= int(dim)
 		}
 		if n != p.W.Len() {
 			return nil, nil, fmt.Errorf("checkpoint: parameter %q has %d elements, model wants %d", name, n, p.W.Len())
 		}
 		data := make([]float32, n)
-		for j := range data {
-			var bits uint32
-			if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
+		for rest := data; len(rest) > 0; {
+			k := min(len(rest), floatChunk)
+			if _, err := io.ReadFull(br, buf[:4*k]); err != nil {
 				return nil, nil, fmt.Errorf("checkpoint: parameter %q truncated: %w", name, err)
 			}
-			data[j] = math.Float32frombits(bits)
+			kernel.RawGet(rest[:k], buf[:4*k])
+			rest = rest[k:]
 		}
 		staged[pi] = data
 	}
 
-	var bnCount uint32
-	if err := binary.Read(br, binary.LittleEndian, &bnCount); err != nil {
+	bnCount, err := readU32()
+	if err != nil {
 		return nil, nil, err
 	}
 	var widths []int
@@ -221,8 +238,8 @@ func parse(r io.Reader, m *nn.Model) (staged [][]float32, bn [][2][]float64, err
 	}
 	bn = make([][2][]float64, 0, len(widths))
 	for _, want := range widths {
-		var width uint32
-		if err := binary.Read(br, binary.LittleEndian, &width); err != nil {
+		width, err := readU32()
+		if err != nil {
 			return nil, nil, err
 		}
 		if int(width) != want {
@@ -230,19 +247,11 @@ func parse(r io.Reader, m *nn.Model) (staged [][]float32, bn [][2][]float64, err
 		}
 		mean := make([]float64, want)
 		variance := make([]float64, want)
-		for j := range mean {
-			var bits uint64
-			if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-				return nil, nil, err
-			}
-			mean[j] = math.Float64frombits(bits)
+		if err := readF64s(mean); err != nil {
+			return nil, nil, err
 		}
-		for j := range variance {
-			var bits uint64
-			if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-				return nil, nil, err
-			}
-			variance[j] = math.Float64frombits(bits)
+		if err := readF64s(variance); err != nil {
+			return nil, nil, err
 		}
 		bn = append(bn, [2][]float64{mean, variance})
 	}

@@ -47,6 +47,7 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"threelc/internal/tensor"
 )
@@ -235,17 +236,13 @@ func New(s Scheme, shape []int, opt Options) Compressor {
 
 var le = binary.LittleEndian
 
-func putF32(dst []byte, v float32) {
-	le.PutUint32(dst, mathFloat32bits(v))
-}
-
 func getF32(src []byte) float32 {
-	return mathFloat32frombits(le.Uint32(src))
+	return math.Float32frombits(le.Uint32(src))
 }
 
 // appendF32 appends the 4-byte little-endian encoding of v to dst.
 func appendF32(dst []byte, v float32) []byte {
 	var b [4]byte
-	le.PutUint32(b[:], mathFloat32bits(v))
+	le.PutUint32(b[:], math.Float32bits(v))
 	return append(dst, b[:]...)
 }

@@ -194,3 +194,80 @@ func TestInt8FusedEncodeMatchesLegacy(t *testing.T) {
 		}
 	}
 }
+
+// TestDecompressFirstAddMatchesZeroThenAdd pins DecompressFirstAddInto's
+// contract for every codec: over a destination holding stale sums it
+// leaves, bit for bit, what zeroing the destination and DecompressAddInto
+// leave. The raw schemes are the ones that could tell the difference — a
+// float wire can carry −0 and a copy would keep its sign — so their inputs
+// get negative zeros planted in them.
+func TestDecompressFirstAddMatchesZeroThenAdd(t *testing.T) {
+	const n = 1031
+	negZero := float32(math.Copysign(0, -1))
+	for _, tc := range addTestCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := New(tc.s, []int{n}, tc.o)
+			for step := 0; step < 3; step++ {
+				in := randTensor(uint64(step)+71, n, 0.01)
+				for i := step; i < n; i += 7 {
+					in.Data()[i] = negZero
+				}
+				wire := ctx.CompressInto(in, nil)
+				want := randTensor(9, n, 1)
+				want.Zero()
+				if err := DecompressAddInto(wire, want, 1); err != nil {
+					t.Fatal(err)
+				}
+				got := randTensor(9, n, 1)
+				if err := DecompressFirstAddInto(wire, got, 1); err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range got.Data() {
+					if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
+						t.Fatalf("step %d: first add differs from zero-then-add at %d: %x vs %x",
+							step, i, math.Float32bits(v), math.Float32bits(want.Data()[i]))
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRawPayloadLengthRejected feeds both raw schemes a payload one byte
+// short and one float long through all three decoders: every one returns
+// an error, a set and an add leave their destination untouched, and a
+// first add leaves it zeroed — the staged state of a fresh sum whose first
+// accumulation was rejected.
+func TestRawPayloadLengthRejected(t *testing.T) {
+	const n = 45
+	good := New(SchemeNone, []int{n}, Options{}).CompressInto(randTensor(3, n, 0.01), nil)
+	for _, scheme := range []Scheme{SchemeNone, SchemeLocalSteps} {
+		for name, wire := range map[string][]byte{
+			"short": append([]byte{byte(scheme)}, good[1:len(good)-1]...),
+			"long":  append(append([]byte{byte(scheme)}, good[1:]...), 0, 0, 0, 0),
+		} {
+			stale := randTensor(5, n, 1)
+			for op, decode := range map[string]func(dst *tensor.Tensor) error{
+				"set": func(dst *tensor.Tensor) error { return DecompressInto(wire, dst) },
+				"add": func(dst *tensor.Tensor) error { return DecompressAddInto(wire, dst, 1) },
+			} {
+				dst := stale.Clone()
+				if err := decode(dst); err == nil {
+					t.Fatalf("%v %s payload: %s accepted it", scheme, name, op)
+				}
+				if !dst.Equal(stale) {
+					t.Fatalf("%v %s payload: rejected %s modified its destination", scheme, name, op)
+				}
+			}
+			dst := stale.Clone()
+			if err := DecompressFirstAddInto(wire, dst, 1); err == nil {
+				t.Fatalf("%v %s payload: first add accepted it", scheme, name)
+			}
+			for i, v := range dst.Data() {
+				if math.Float32bits(v) != 0 {
+					t.Fatalf("%v %s payload: rejected first add left %x at %d, want +0", scheme, name, math.Float32bits(v), i)
+				}
+			}
+		}
+	}
+}

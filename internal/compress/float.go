@@ -2,13 +2,10 @@ package compress
 
 import (
 	"fmt"
-	"math"
 
+	"threelc/internal/kernel"
 	"threelc/internal/tensor"
 )
-
-func mathFloat32bits(v float32) uint32     { return math.Float32bits(v) }
-func mathFloat32frombits(b uint32) float32 { return math.Float32frombits(b) }
 
 func init() {
 	RegisterDecoder(SchemeNone, decodeRaw)
@@ -16,7 +13,11 @@ func init() {
 }
 
 // noneCompressor is the "32-bit float" baseline: state changes are
-// transmitted verbatim as little-endian float32.
+// transmitted verbatim as little-endian float32. The bytes are moved by
+// the kernel package's dispatched raw cores (kernel.AppendRaw, RawGet,
+// RawAdd, RawFirstAdd) — one streaming pass each, so the baseline every
+// ratio is quoted against costs what its bytes cost; this file only frames
+// them and checks lengths.
 type noneCompressor struct {
 	shape []int
 	n     int
@@ -36,27 +37,23 @@ func (c *noneCompressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
 		panic("compress: input size mismatch")
 	}
 	dst = append(dst, byte(SchemeNone))
-	return appendRaw(dst, data)
+	return kernel.AppendRaw(dst, data)
 }
 
-// appendRaw appends data as little-endian float32 to dst.
-func appendRaw(dst []byte, data []float32) []byte {
-	off := len(dst)
-	dst = growBytes(dst, 4*len(data))
-	for i, v := range data {
-		putF32(dst[off+4*i:], v)
+// checkRawLen is the length check every raw decoder runs before it touches
+// its destination: a raw payload is exactly 4 bytes per element.
+func checkRawLen(payload []byte, n int) error {
+	if len(payload) != 4*n {
+		return fmt.Errorf("compress: raw payload %d bytes, want %d", len(payload), 4*n)
 	}
-	return dst
+	return nil
 }
 
 func decodeRaw(payload []byte, dst *tensor.Tensor) error {
-	d := dst.Data()
-	if len(payload) != 4*len(d) {
-		return fmt.Errorf("compress: raw payload %d bytes, want %d", len(payload), 4*len(d))
+	if err := checkRawLen(payload, dst.Len()); err != nil {
+		return err
 	}
-	for i := range d {
-		d[i] = getF32(payload[4*i:])
-	}
+	kernel.RawGet(dst.Data(), payload)
 	return nil
 }
 
@@ -64,12 +61,22 @@ func decodeRaw(payload []byte, dst *tensor.Tensor) error {
 // the exact add the staged decode-then-add performs, and the length check
 // rejects malformed payloads before dst is touched.
 func decodeRawAdd(payload []byte, dst *tensor.Tensor, _ int) error {
-	d := dst.Data()
-	if len(payload) != 4*len(d) {
-		return fmt.Errorf("compress: raw payload %d bytes, want %d", len(payload), 4*len(d))
+	if err := checkRawLen(payload, dst.Len()); err != nil {
+		return err
 	}
-	for i := range d {
-		d[i] += getF32(payload[4*i:])
+	kernel.RawAdd(dst.Data(), payload)
+	return nil
+}
+
+// decodeRawFirstAdd is the first accumulation of a fresh sum from a raw
+// payload, +0 + v per element: what zeroing dst and decodeRawAdd leave, in
+// one write-only pass over dst (kernel.RawFirstAdd). A malformed payload
+// is rejected with dst untouched; DecompressFirstAddInto owns the zeroing
+// its contract asks for on error.
+func decodeRawFirstAdd(payload []byte, dst *tensor.Tensor) error {
+	if err := checkRawLen(payload, dst.Len()); err != nil {
+		return err
 	}
+	kernel.RawFirstAdd(dst.Data(), payload)
 	return nil
 }

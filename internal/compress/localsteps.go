@@ -3,6 +3,7 @@ package compress
 import (
 	"fmt"
 
+	"threelc/internal/kernel"
 	"threelc/internal/quant"
 	"threelc/internal/tensor"
 )
@@ -62,7 +63,7 @@ func (c *localStepsCompressor) CompressInto(in *tensor.Tensor, dst []byte) []byt
 		return dst // accumulate only; nothing on the wire this step
 	}
 	dst = append(dst, byte(SchemeLocalSteps))
-	dst = appendRaw(dst, sum.Data())
+	dst = kernel.AppendRaw(dst, sum.Data())
 	// Everything accumulated was sent; clear the buffer.
 	c.acc.Reset()
 	return dst

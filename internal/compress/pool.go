@@ -12,19 +12,3 @@ import "sync"
 // of DecompressAddInto (schemes without a fused add-decoder), so even the
 // fallback aggregation path allocates nothing in steady state.
 var scratchPool = sync.Pool{New: func() any { return new([]float32) }}
-
-// growBytes extends b by n bytes and returns the enlarged slice, reusing
-// capacity when available. Unlike append(b, make([]byte, n)...) it never
-// allocates a temporary.
-func growBytes(b []byte, n int) []byte {
-	if cap(b)-len(b) < n {
-		// 1/8 headroom so buffers whose needed size fluctuates around a
-		// mean (zero-run output length varies step to step) converge to a
-		// stable capacity instead of reallocating on every new maximum.
-		want := len(b) + n
-		nb := make([]byte, len(b), want+want/8)
-		copy(nb, b)
-		b = nb
-	}
-	return b[:len(b)+n]
-}

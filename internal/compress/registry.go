@@ -152,26 +152,34 @@ func DecompressAddInto(wire []byte, dst *tensor.Tensor, workers int) error {
 
 // DecompressFirstAddInto decodes wire into dst as the FIRST accumulation
 // of a fresh gradient sum: bit-identical to zeroing dst and then
-// DecompressAddInto, but it skips both the zeroing sweep and the
-// read-modify-write when the wire provably decodes to no negative zeros —
-// then writing the decode over dst IS the zero-and-accumulate result
-// (x + 0 differs from x only at x = −0). Ternary wires with a
-// non-negative scale qualify: every decoded value is M·q with M >= +0,
-// so −0 (only M·(−1) with M = ±0, or negative M) cannot appear. Other
-// schemes (raw floats can carry −0 on the wire) zero and accumulate.
+// DecompressAddInto, but without the zeroing sweep and the
+// read-modify-write wherever one write-only pass over dst gives the same
+// bits. Two kinds of wire qualify. A ternary wire with a non-negative
+// scale provably decodes to no negative zeros — every value is M·q with
+// M >= +0, so −0 (only M·(−1) with M = ±0, or negative M) cannot appear —
+// and x + 0 differs from x only at x = −0, so writing the decode over dst
+// IS the zero-and-accumulate result. A raw float wire can carry −0, so it
+// is not copied but added to +0 element by element in registers
+// (kernel.RawFirstAdd: +0 + (−0) = +0, exactly as the staged add leaves
+// it). Everything else zeroes and accumulates.
 //
 // On error dst is zeroed — exactly the staged state of a fresh sum whose
 // first accumulation was rejected.
 func DecompressFirstAddInto(wire []byte, dst *tensor.Tensor, workers int) error {
-	if firstAddAsSet(wire) {
-		if err := DecompressInto(wire, dst); err != nil {
-			dst.Zero()
-			return err
-		}
-		return nil
+	var err error
+	switch {
+	case firstAddAsSet(wire):
+		err = DecompressInto(wire, dst)
+	case len(wire) > 0 && (Scheme(wire[0]) == SchemeNone || Scheme(wire[0]) == SchemeLocalSteps):
+		err = decodeRawFirstAdd(wire[1:], dst)
+	default:
+		dst.Zero()
+		return DecompressAddInto(wire, dst, workers)
 	}
-	dst.Zero()
-	return DecompressAddInto(wire, dst, workers)
+	if err != nil {
+		dst.Zero()
+	}
+	return err
 }
 
 // firstAddAsSet reports whether wire's decode provably contains no

@@ -3,6 +3,7 @@ package compress
 import (
 	"fmt"
 
+	"threelc/internal/kernel"
 	"threelc/internal/tensor"
 )
 
@@ -42,9 +43,7 @@ func restoreF32s(src []byte, dst []float32) ([]byte, error) {
 	if len(src) < need {
 		return nil, fmt.Errorf("compress: state blob truncated (%d of %d float bytes)", len(src), need)
 	}
-	for i := range dst {
-		dst[i] = getF32(src[4*i:])
-	}
+	kernel.RawGet(dst, src[:need])
 	return src[need:], nil
 }
 
@@ -73,7 +72,7 @@ func restoreRNGState(src []byte, r *tensor.RNG) ([]byte, error) {
 // 3LC: the error-accumulation buffer is the whole state (the |max| scale
 // is recomputed per step).
 func (c *threeLCCompressor) AppendState(dst []byte) []byte {
-	return appendRaw(dst, c.acc.Buffer().Data())
+	return kernel.AppendRaw(dst, c.acc.Buffer().Data())
 }
 
 func (c *threeLCCompressor) RestoreState(src []byte) error {
@@ -100,7 +99,7 @@ func (c *stochCompressor) RestoreState(src []byte) error {
 
 // MQE 1-bit: error-feedback buffer.
 func (c *oneBitCompressor) AppendState(dst []byte) []byte {
-	return appendRaw(dst, c.acc.Buffer().Data())
+	return kernel.AppendRaw(dst, c.acc.Buffer().Data())
 }
 
 func (c *oneBitCompressor) RestoreState(src []byte) error {
@@ -114,7 +113,7 @@ func (c *oneBitCompressor) RestoreState(src []byte) error {
 // Top-k sparsification: error-accumulation buffer plus the threshold-
 // sampling RNG stream.
 func (c *topKCompressor) AppendState(dst []byte) []byte {
-	dst = appendRaw(dst, c.acc.Buffer().Data())
+	dst = kernel.AppendRaw(dst, c.acc.Buffer().Data())
 	return appendRNGState(dst, c.sp.RNG())
 }
 
@@ -134,7 +133,7 @@ func (c *topKCompressor) RestoreState(src []byte) error {
 
 // Local steps: accumulated unsent changes plus the interval phase.
 func (c *localStepsCompressor) AppendState(dst []byte) []byte {
-	dst = appendRaw(dst, c.acc.Buffer().Data())
+	dst = kernel.AppendRaw(dst, c.acc.Buffer().Data())
 	return appendU64(dst, uint64(c.step))
 }
 
@@ -153,7 +152,7 @@ func (c *localStepsCompressor) RestoreState(src []byte) error {
 // Round-robin exchange: accumulated unsent partitions plus the cycle
 // position.
 func (c *roundRobinCompressor) AppendState(dst []byte) []byte {
-	dst = appendRaw(dst, c.acc.Buffer().Data())
+	dst = kernel.AppendRaw(dst, c.acc.Buffer().Data())
 	return appendU64(dst, uint64(c.rr.Step()))
 }
 

@@ -85,12 +85,7 @@ func (c *topKCompressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
 func appendSelection(dst []byte, scheme byte, sel *sparse.Selection) []byte {
 	dst = append(dst, scheme)
 	dst = append(dst, sel.Mask.Bytes()...)
-	off := len(dst)
-	dst = growBytes(dst, 4*len(sel.Values))
-	for i, v := range sel.Values {
-		putF32(dst[off+4*i:], v)
-	}
-	return dst
+	return kernel.AppendRaw(dst, sel.Values)
 }
 
 func decodeTopK(payload []byte, dst *tensor.Tensor) error {

@@ -11,8 +11,9 @@ import (
 // CPU-feature-dispatched kernel registry.
 //
 // The hot inner loops — the fused accumulate+|max| reduction, the ternary
-// quantize→pack encode, the LUT decode-add, and the fused SGD sweep —
-// exist in up to three implementations ("tiers"):
+// quantize→pack encode, the LUT decode-add, the fused SGD sweep in both its
+// forms, and the four raw float32 cores (put, get, add, first-add) — exist
+// in up to three implementations ("tiers"):
 //
 //	scalar  the portable loops in this package, the reference tier
 //	vec     explicitly unrolled pure-Go cores (package simd): 8-chain
@@ -20,11 +21,13 @@ import (
 //	        The encode pass stays on the scalar core: the cmov-based
 //	        scalar quantize loop is the fastest pure-Go formulation
 //	        (every unrolled rewrite measured slower), so only asm
-//	        accelerates encode.
+//	        accelerates encode; the SGD sweeps and the raw cores stay on
+//	        it too (dependent arithmetic and plain moves: nothing for an
+//	        unrolling to win).
 //	asm     vec, plus AVX2 amd64 assembly for the accumulate+|max|
 //	        reduction, the block-level quantize/pack (which skips
-//	        all-zero blocks) and LUT-row loops, and the fused SGD sweep.
-//	        Requires AVX2.
+//	        all-zero blocks) and LUT-row loops, the fused SGD sweeps and
+//	        the raw float32 cores. Requires AVX2.
 //
 // The tier is chosen once at init — asm when the CPU supports it, else
 // vec — and can be pinned with THREELC_KERNEL=scalar|vec|asm (malformed
@@ -39,12 +42,19 @@ var (
 	// package; SetTier swaps them as a set so a tier is always coherent.
 	accMaxCore   func(buf, in []float32) float32
 	sgdStepCore  func(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32
+	sgdDeltaCore func(w, v, gs, delta []float32, gscale, wd, mom, lr float32)
 	maxAbsCore   func(data []float32) float32
 	addSpanCore  func(body []byte, tab *scaledTab, dst []float32, lo, hi, off, skip int)
 	decodeCore   func(body []byte, zre bool, tab *scaledTab, gTotal int, dst []float32) error
 	litsAddCore  func(tab *scaledTab, body []byte, dst []float32) int
 	litsSetCore  func(tab *scaledTab, body []byte, dst []float32) int
 	packBlocksFn func(buf []float32, out []byte, blocks int, tpos, dqNeg, dqZero, dqPos float32)
+
+	// Raw float32 cores (raw.go): the byte side holds 4 bytes per float.
+	rawPutCore      func(dst []byte, src []float32)
+	rawGetCore      func(dst []float32, src []byte)
+	rawAddCore      func(dst []float32, src []byte)
+	rawFirstAddCore func(dst []float32, src []byte)
 )
 
 // scaledTab is the padded 256-row scaled LUT type shared with package
@@ -117,7 +127,9 @@ func SetTier(t Tier) {
 	switch t {
 	case TierScalar:
 		accMaxCore = accMaxAbsRange
-		sgdStepCore = fusedSGDStepRange
+		sgdStepCore, sgdDeltaCore = fusedSGDStepRange, fusedSGDStepDeltaRange
+		rawPutCore, rawGetCore = rawPutRange, rawGetRange
+		rawAddCore, rawFirstAddCore = rawAddRange, rawFirstAddRange
 		maxAbsCore = maxAbsRange
 		addSpanCore = addScaledSpan
 		decodeCore = decodeScaled
@@ -126,7 +138,9 @@ func SetTier(t Tier) {
 		packBlocksFn = nil
 	case TierVec:
 		accMaxCore = simd.AccMaxAbs
-		sgdStepCore = fusedSGDStepRange
+		sgdStepCore, sgdDeltaCore = fusedSGDStepRange, fusedSGDStepDeltaRange
+		rawPutCore, rawGetCore = rawPutRange, rawGetRange
+		rawAddCore, rawFirstAddCore = rawAddRange, rawFirstAddRange
 		maxAbsCore = simd.MaxAbs
 		addSpanCore = addScaledSpanVec
 		decodeCore = decodeScaledVec
@@ -138,7 +152,9 @@ func SetTier(t Tier) {
 			panic("kernel: asm tier unavailable on this CPU/build")
 		}
 		accMaxCore = simd.AccMaxAbsAsm
-		sgdStepCore = simd.FusedSGDStepAsm
+		sgdStepCore, sgdDeltaCore = simd.FusedSGDStepAsm, simd.FusedSGDStepDeltaAsm
+		rawPutCore, rawGetCore = simd.RawPutAsm, simd.RawGetAsm
+		rawAddCore, rawFirstAddCore = simd.RawAddAsm, simd.RawFirstAddAsm
 		maxAbsCore = simd.MaxAbs
 		addSpanCore = addScaledSpanVec
 		decodeCore = decodeScaledVec

@@ -211,54 +211,3 @@ func FuzzDecodeTernary(f *testing.F) {
 		})
 	})
 }
-
-// FuzzFusedSGDStep is the differential fuzz target behind the fused SGD
-// sweep's tier contract: for arbitrary stream contents (including NaN/Inf
-// bit patterns, −0 and denormals), arbitrary coefficient bit patterns and
-// every tail length the input allows, each tier must leave weights,
-// velocity and accumulator bit-identical to the scalar reference (up to
-// NaN payload class) and return the bit-identical max|acc|, which is
-// never NaN.
-func FuzzFusedSGDStep(f *testing.F) {
-	f.Add(bytes.Repeat([]byte{0, 0, 0x80, 0x3f}, 16), uint32(0x3f000000), uint32(0x38d1b717), uint32(0x3f666666), uint32(0x3d23d70a))
-	f.Add(bytes.Repeat([]byte{0, 0, 0xc0, 0x7f, 0, 0, 0, 0x80, 1, 0, 0, 0}, 11), uint32(0x3f800000), uint32(0), uint32(0), uint32(0x3f800000)) // NaN, −0, denormal
-	f.Add(bytes.Repeat([]byte{0xff, 0xff, 0x7f, 0x7f}, 37), uint32(0x7f800000), uint32(0xff800000), uint32(0x7fc00000), uint32(0x00000001))
-
-	f.Fuzz(func(t *testing.T, data []byte, gscaleBits, wdBits, momBits, lrBits uint32) {
-		n := len(data) / 16
-		if n > 1<<12 {
-			return
-		}
-		gscale, wd := math.Float32frombits(gscaleBits), math.Float32frombits(wdBits)
-		mom, lr := math.Float32frombits(momBits), math.Float32frombits(lrBits)
-		// Four interleaved streams so every byte of the input matters.
-		var src [4][]float32
-		for s := range src {
-			src[s] = make([]float32, n)
-			for i := range src[s] {
-				src[s][i] = math.Float32frombits(binary.LittleEndian.Uint32(data[16*i+4*s:]))
-			}
-		}
-		var ref [4][]float32
-		for s := range ref {
-			ref[s] = append([]float32(nil), src[s]...)
-		}
-		wantM := fusedSGDStepRange(ref[0], ref[1], ref[2], ref[3], gscale, wd, mom, lr)
-		tierSweep(func(tier Tier) {
-			var got [4][]float32
-			for s := range got {
-				got[s] = append([]float32(nil), src[s]...)
-			}
-			gotM := FusedSGDStep(got[0], got[1], got[2], got[3], gscale, wd, mom, lr)
-			if math.Float32bits(gotM) != math.Float32bits(wantM) {
-				t.Fatalf("tier %v n=%d: max|acc| %x != scalar %x", tier, n, math.Float32bits(gotM), math.Float32bits(wantM))
-			}
-			for s, name := range []string{"w", "v", "gs", "acc"} {
-				if i, ok := nanClassEqual(got[s], ref[s]); !ok {
-					t.Fatalf("tier %v n=%d: %s differs at %d: %x vs %x", tier, n, name, i,
-						math.Float32bits(got[s][i]), math.Float32bits(ref[s][i]))
-				}
-			}
-		})
-	})
-}

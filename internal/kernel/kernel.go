@@ -38,7 +38,11 @@
 // in one pass over the wire bytes and the non-zero groups: zero runs skip
 // memory, see decodeadd.go), and the parameter server's optimizer a fifth,
 // FusedSGDStep (average → momentum → weight → delta → accumulate+|max| in
-// one sweep, absorbing the pull's pass 1).
+// one sweep, absorbing the pull's pass 1; FusedSGDStepDelta stores the
+// delta where there is no accumulation buffer to fold it into). Tensors
+// that travel uncompressed — the float32 baseline, everything a 3LC run
+// exempts, state blobs and checkpoints — are moved by the four raw cores of
+// raw.go, one streaming pass each.
 //
 // The inner loops behind these kernels are dispatched through a
 // CPU-feature-selected registry (see dispatch.go) with up to three tiers
@@ -57,8 +61,10 @@
 //	LUT decode-add/set    byte-at-a-time      + 4-byte-unrolled rows  + AVX row loads
 //	                      row apply           for long literal        for long literal
 //	                                          stretches               stretches
-//	fused SGD sweep       range loop          = scalar                8-float mul/add/sub
-//	                                                                  (never FMA)
+//	fused SGD sweep,      range loop          = scalar                8-float mul/add/sub
+//	both forms                                                        (never FMA)
+//	raw float32 put/get/  byte-order loop     = scalar                32-float unaligned
+//	add/first-add                                                     moves and adds
 //
 // The tier is picked once at init from CPUID (asm when AVX2 is present,
 // else vec) and can be pinned with THREELC_KERNEL=scalar|vec|asm; every

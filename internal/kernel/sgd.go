@@ -7,17 +7,18 @@ import (
 
 // FusedSGDStep is the parameter server's fused optimizer sweep over one
 // tensor: average (the scale fused into the gradient read), momentum and
-// weight-decay update, weight write, model delta, and the delta's fold
-// into the pull compressor's error-accumulation buffer with its |max|
-// reduction — compress pass 1 of the pull, absorbed — in a single pass
-// over the four streams. Per element:
+// weight-decay update, weight write and model delta, in a single pass over
+// the four streams. Per element:
 //
 //	g   = gs[i]·gscale + wd·w[i]
 //	v[i] = mom·v[i] + g
 //	w[i] = w[i] − lr·v[i]
 //	acc[i] += w_new − w_old
 //
-// It returns max|acc| of the updated buffer. Every operation is a
+// The sweep has two forms that differ only in that last line. This one
+// folds the delta into the pull compressor's error-accumulation buffer and
+// returns max|acc| of the updated buffer — compress pass 1 of the pull,
+// absorbed. FusedSGDStepDelta stores it instead. Every operation is a
 // separately rounded float32 multiply, add or subtract (no tier fuses a
 // multiply-add), so w, v and acc are bit-identical across tiers up to NaN
 // payloads and the returned maximum exactly (NaN never wins it). All four
@@ -30,6 +31,21 @@ func FusedSGDStep(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32 
 	}
 	notePass("fused-sgd-step", len(v))
 	return sgdStepCore(w, v, gs, acc, gscale, wd, mom, lr)
+}
+
+// FusedSGDStepDelta is the delta-writing form of FusedSGDStep, for pull
+// contexts with no accumulation buffer to fold into (raw floats and the
+// non-accumulating codecs): the same sweep with delta[i] = w_new − w_old as
+// its last step. delta is only written; w and v come out bit-identical to
+// the accumulate form's. All four slices must have equal length.
+//
+//3lc:noalloc
+func FusedSGDStepDelta(w, v, gs, delta []float32, gscale, wd, mom, lr float32) {
+	if len(w) != len(v) || len(gs) != len(v) || len(delta) != len(v) {
+		panic(fmt.Sprintf("kernel: FusedSGDStepDelta length mismatch w=%d v=%d gs=%d delta=%d", len(w), len(v), len(gs), len(delta)))
+	}
+	notePass("fused-sgd-step", len(v))
+	sgdDeltaCore(w, v, gs, delta, gscale, wd, mom, lr)
 }
 
 // fusedSGDStepRange is the scalar reference core of FusedSGDStep (and
@@ -57,4 +73,21 @@ func fusedSGDStepRange(w, v, gs, acc []float32, gscale, wd, mom, lr float32) flo
 		}
 	}
 	return m
+}
+
+// fusedSGDStepDeltaRange is the scalar reference core of FusedSGDStepDelta
+// (and the vec tier's): fusedSGDStepRange with the delta stored.
+func fusedSGDStepDeltaRange(w, v, gs, delta []float32, gscale, wd, mom, lr float32) {
+	w = w[:len(v)]
+	gs = gs[:len(v)]
+	delta = delta[:len(v)]
+	for i := range v {
+		old := w[i]
+		g := gs[i]*gscale + wd*old
+		vv := mom*v[i] + g
+		v[i] = vv
+		nw := old - lr*vv
+		w[i] = nw
+		delta[i] = nw - old
+	}
 }

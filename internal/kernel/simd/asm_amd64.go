@@ -19,6 +19,21 @@ func accMaxAbsAsm(buf, in *float32, n int) float32
 //go:noescape
 func fusedSGDStepAsm(w, v, gs, acc *float32, n int, gscale, wd, mom, lr float32) float32
 
+//go:noescape
+func fusedSGDStepDeltaAsm(w, v, gs, delta *float32, n int, gscale, wd, mom, lr float32)
+
+//go:noescape
+func rawPutAsm(dst *byte, src *float32, n int)
+
+//go:noescape
+func rawGetAsm(dst *float32, src *byte, n int)
+
+//go:noescape
+func rawAddAsm(dst *float32, src *byte, n int)
+
+//go:noescape
+func rawFirstAddAsm(dst *float32, src *byte, n int)
+
 // QuantPackBlocks runs the AVX2 fused quantize→residual→quartic-pack over
 // blocks of 8 quartic groups (40 elements): for each element of buf it
 // computes the ternary digit against ±tpos (tpos > 0 or NaN), subtracts the
@@ -111,4 +126,84 @@ func FusedSGDStepAsm(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float
 	}
 	_, _, _ = w[n-1], gs[n-1], acc[n-1]
 	return fusedSGDStepAsm(&w[0], &v[0], &gs[0], &acc[0], n, gscale, wd, mom, lr)
+}
+
+// FusedSGDStepDeltaAsm is the delta-writing form of FusedSGDStepAsm: the
+// same per-element sequence through the weight write, then delta[i] =
+// w_new − w_old stored instead of folded into an accumulator. w, gs and
+// delta must be at least as long as v; delta is only written. Requires
+// AVX2; callers gate on Detect().AVX2.
+//
+//3lc:noalloc
+func FusedSGDStepDeltaAsm(w, v, gs, delta []float32, gscale, wd, mom, lr float32) {
+	n := len(v)
+	if n == 0 {
+		return
+	}
+	_, _, _ = w[n-1], gs[n-1], delta[n-1]
+	fusedSGDStepDeltaAsm(&w[0], &v[0], &gs[0], &delta[0], n, gscale, wd, mom, lr)
+}
+
+// The four raw float32 cores below carry tensors to and from their wire
+// form, little-endian IEEE-754 bytes: on amd64 that is the floats' own
+// memory, so each is accMaxAbsAsm's 32-floats-per-iteration loop minus the
+// max chain. The byte side is handed to the assembly as a *byte and only
+// ever touched by unaligned moves — a payload starts one scheme byte into
+// its wire and is never 4-aligned — which is also where the float/byte
+// reinterpretation lives: behind the stubs' typed pointers, with no
+// package unsafe anywhere. The byte side must hold at least 4·len(floats)
+// bytes. All require AVX2; callers gate on Detect().AVX2.
+
+// RawPutAsm writes src to dst as little-endian float32 bytes.
+//
+//3lc:noalloc
+func RawPutAsm(dst []byte, src []float32) {
+	n := len(src)
+	if n == 0 {
+		return
+	}
+	_ = dst[4*n-1]
+	rawPutAsm(&dst[0], &src[0], n)
+}
+
+// RawGetAsm is the inverse of RawPutAsm: dst[i] is the float32 whose
+// little-endian bytes are src[4i:4i+4], every bit pattern preserved.
+//
+//3lc:noalloc
+func RawGetAsm(dst []float32, src []byte) {
+	n := len(dst)
+	if n == 0 {
+		return
+	}
+	_ = src[4*n-1]
+	rawGetAsm(&dst[0], &src[0], n)
+}
+
+// RawAddAsm accumulates a raw payload: dst[i] += src[i], dst operand 1 of
+// every add like the other add cores, so results are bit-identical to the
+// scalar loop up to NaN payloads.
+//
+//3lc:noalloc
+func RawAddAsm(dst []float32, src []byte) {
+	n := len(dst)
+	if n == 0 {
+		return
+	}
+	_ = src[4*n-1]
+	rawAddAsm(&dst[0], &src[0], n)
+}
+
+// RawFirstAddAsm is the first accumulation into a fresh sum: dst[i] =
+// +0 + src[i], bit for bit what zeroing dst and then RawAddAsm leaves (a
+// −0 in src comes out +0, which is why it is an add and not a copy),
+// without the zeroing sweep and without reading dst.
+//
+//3lc:noalloc
+func RawFirstAddAsm(dst []float32, src []byte) {
+	n := len(dst)
+	if n == 0 {
+		return
+	}
+	_ = src[4*n-1]
+	rawFirstAddAsm(&dst[0], &src[0], n)
 }

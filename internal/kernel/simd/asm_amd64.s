@@ -314,21 +314,58 @@ accmaxdone:
 	VZEROUPPER
 	RET
 
-// func fusedSGDStepAsm(w, v, gs, acc *float32, n int, gscale, wd, mom, lr float32) float32
-//
-// The parameter server's fused optimizer sweep, 8 elements per iteration
-// then a scalar tail, each element exactly the scalar reference's
-// sequence of individually rounded float32 operations (separate multiply,
-// add and subtract — never FMA, whose single rounding would change bits):
+// SGDVEC and SGDONE are the shared body of the two fused SGD sweeps: 8
+// elements and 1 element of the scalar reference's sequence of individually
+// rounded float32 operations (separate multiply, add and subtract — never
+// FMA, whose single rounding would change bits):
 //
 //	g   = gs·gscale + wd·old      old = w
 //	vv  = mom·v + g               v   = vv
 //	nw  = old − lr·vv             w   = nw
+//
+// They load from (R8)=w, (R9)=v, (R10)=gs, store v and w back and leave the
+// model delta nw − old in Y5/X5. Constants: Y12=gscale Y13=wd Y14=mom
+// Y15=lr. What each sweep does with the delta is its own last step.
+#define SGDVEC \
+	VMOVUPS (R8), Y0; \
+	VMOVUPS (R10), Y1; \
+	VMULPS Y12, Y1, Y1; \
+	VMULPS Y0, Y13, Y2; \
+	VADDPS Y2, Y1, Y1; \
+	VMOVUPS (R9), Y3; \
+	VMULPS Y3, Y14, Y3; \
+	VADDPS Y1, Y3, Y3; \
+	VMOVUPS Y3, (R9); \
+	VMULPS Y3, Y15, Y4; \
+	VSUBPS Y4, Y0, Y5; \
+	VMOVUPS Y5, (R8); \
+	VSUBPS Y0, Y5, Y5
+
+#define SGDONE \
+	VMOVSS (R8), X0; \
+	VMOVSS (R10), X1; \
+	VMULSS X12, X1, X1; \
+	VMULSS X0, X13, X2; \
+	VADDSS X2, X1, X1; \
+	VMOVSS (R9), X3; \
+	VMULSS X3, X14, X3; \
+	VADDSS X1, X3, X3; \
+	VMOVSS X3, (R9); \
+	VMULSS X3, X15, X4; \
+	VSUBSS X4, X0, X5; \
+	VMOVSS X5, (R8); \
+	VSUBSS X0, X5, X5
+
+// func fusedSGDStepAsm(w, v, gs, acc *float32, n int, gscale, wd, mom, lr float32) float32
+//
+// The parameter server's fused optimizer sweep in its accumulate form, 8
+// elements per iteration then a scalar tail: SGDVEC / SGDONE, then
+//
 //	sum = acc + (nw − old)        acc = sum
 //	m   = max(m, |sum|)
 //
-// Constants: Y12=gscale Y13=wd Y14=mom Y15=lr Y11=abs mask, Y10 = running
-// max (second VMAXPS source; see accMaxAbsAsm for why NaN loses).
+// Y11 = abs mask, Y10 = running max (second VMAXPS source; see
+// accMaxAbsAsm for why NaN loses).
 TEXT ·fusedSGDStepAsm(SB), NOSPLIT, $0-60
 	MOVQ w+0(FP), R8
 	MOVQ v+8(FP), R9
@@ -346,19 +383,7 @@ TEXT ·fusedSGDStepAsm(SB), NOSPLIT, $0-60
 sgd8:
 	CMPQ CX, $8
 	JL sgdreduce
-	VMOVUPS (R8), Y0           // old
-	VMOVUPS (R10), Y1
-	VMULPS Y12, Y1, Y1         // gs*gscale
-	VMULPS Y0, Y13, Y2         // wd*old
-	VADDPS Y2, Y1, Y1          // g
-	VMOVUPS (R9), Y3
-	VMULPS Y3, Y14, Y3         // mom*v
-	VADDPS Y1, Y3, Y3          // vv
-	VMOVUPS Y3, (R9)
-	VMULPS Y3, Y15, Y4         // lr*vv
-	VSUBPS Y4, Y0, Y5          // nw = old - lr*vv
-	VMOVUPS Y5, (R8)
-	VSUBPS Y0, Y5, Y5          // nw - old
+	SGDVEC
 	VMOVUPS (R11), Y6
 	VADDPS Y5, Y6, Y6          // sum = acc + (nw - old)
 	VMOVUPS Y6, (R11)
@@ -382,19 +407,7 @@ sgdreduce:
 sgdtail:
 	TESTQ CX, CX
 	JZ sgddone
-	VMOVSS (R8), X0
-	VMOVSS (R10), X1
-	VMULSS X12, X1, X1
-	VMULSS X0, X13, X2
-	VADDSS X2, X1, X1
-	VMOVSS (R9), X3
-	VMULSS X3, X14, X3
-	VADDSS X1, X3, X3
-	VMOVSS X3, (R9)
-	VMULSS X3, X15, X4
-	VSUBSS X4, X0, X5
-	VMOVSS X5, (R8)
-	VSUBSS X0, X5, X5
+	SGDONE
 	VMOVSS (R11), X6
 	VADDSS X5, X6, X6
 	VMOVSS X6, (R11)
@@ -409,5 +422,217 @@ sgdtail:
 
 sgddone:
 	VMOVSS X10, ret+56(FP)
+	VZEROUPPER
+	RET
+
+// func fusedSGDStepDeltaAsm(w, v, gs, delta *float32, n int, gscale, wd, mom, lr float32)
+//
+// The delta-writing form of the same sweep, for pull contexts with no
+// accumulation buffer to fold into (raw floats and the non-accumulating
+// codecs): SGDVEC / SGDONE, then delta = nw − old. delta is only written.
+TEXT ·fusedSGDStepDeltaAsm(SB), NOSPLIT, $0-56
+	MOVQ w+0(FP), R8
+	MOVQ v+8(FP), R9
+	MOVQ gs+16(FP), R10
+	MOVQ delta+24(FP), R11
+	MOVQ n+32(FP), CX
+	VBROADCASTSS gscale+40(FP), Y12
+	VBROADCASTSS wd+44(FP), Y13
+	VBROADCASTSS mom+48(FP), Y14
+	VBROADCASTSS lr+52(FP), Y15
+
+sgddelta8:
+	CMPQ CX, $8
+	JL sgddeltatail
+	SGDVEC
+	VMOVUPS Y5, (R11)
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $32, R10
+	ADDQ $32, R11
+	SUBQ $8, CX
+	JMP sgddelta8
+
+sgddeltatail:
+	TESTQ CX, CX
+	JZ sgddeltadone
+	SGDONE
+	VMOVSS X5, (R11)
+	ADDQ $4, R8
+	ADDQ $4, R9
+	ADDQ $4, R10
+	ADDQ $4, R11
+	DECQ CX
+	JMP sgddeltatail
+
+sgddeltadone:
+	VZEROUPPER
+	RET
+
+// The four raw float32 cores move tensors to and from their wire form —
+// little-endian IEEE-754 bytes, which on amd64 are the floats' own memory —
+// 32 floats per iteration, then 8, then one at a time: accMaxAbsAsm's loop
+// without the max chain. The byte side is a *byte and every access to it is
+// VMOVUPS / a VEX memory operand / MOVL, none of which needs alignment: a
+// payload starts one scheme byte into its wire and is never 4-aligned.
+
+// func rawPutAsm(dst *byte, src *float32, n int)
+//
+// dst[4i:4i+4] = little-endian bits of src[i].
+TEXT ·rawPutAsm(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+
+rawput32:
+	CMPQ CX, $32
+	JL rawput8
+	VMOVUPS (SI), Y0
+	VMOVUPS 32(SI), Y1
+	VMOVUPS 64(SI), Y2
+	VMOVUPS 96(SI), Y3
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ $128, SI
+	ADDQ $128, DI
+	SUBQ $32, CX
+	JMP rawput32
+
+rawput8:
+	CMPQ CX, $8
+	JL rawputtail
+	VMOVUPS (SI), Y0
+	VMOVUPS Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JMP rawput8
+
+rawputtail:
+	TESTQ CX, CX
+	JZ rawputdone
+	MOVL (SI), AX
+	MOVL AX, (DI)
+	ADDQ $4, SI
+	ADDQ $4, DI
+	DECQ CX
+	JMP rawputtail
+
+rawputdone:
+	VZEROUPPER
+	RET
+
+// func rawGetAsm(dst *float32, src *byte, n int)
+//
+// dst[i] = float32 from the little-endian bits at src[4i:4i+4]: the same
+// move as rawPutAsm with the typed sides exchanged, and the same frame.
+TEXT ·rawGetAsm(SB), NOSPLIT, $0-24
+	JMP ·rawPutAsm(SB)
+
+// func rawAddAsm(dst *float32, src *byte, n int)
+//
+// dst[i] += src[i], dst operand 1 of every add like the other add cores.
+TEXT ·rawAddAsm(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+
+rawadd32:
+	CMPQ CX, $32
+	JL rawadd8
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	VADDPS (SI), Y0, Y0
+	VADDPS 32(SI), Y1, Y1
+	VADDPS 64(SI), Y2, Y2
+	VADDPS 96(SI), Y3, Y3
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, SI
+	SUBQ $32, CX
+	JMP rawadd32
+
+rawadd8:
+	CMPQ CX, $8
+	JL rawaddtail
+	VMOVUPS (DI), Y0
+	VADDPS (SI), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	SUBQ $8, CX
+	JMP rawadd8
+
+rawaddtail:
+	TESTQ CX, CX
+	JZ rawadddone
+	VMOVSS (DI), X0
+	VADDSS (SI), X0, X0
+	VMOVSS X0, (DI)
+	ADDQ $4, DI
+	ADDQ $4, SI
+	DECQ CX
+	JMP rawaddtail
+
+rawadddone:
+	VZEROUPPER
+	RET
+
+// func rawFirstAddAsm(dst *float32, src *byte, n int)
+//
+// dst[i] = +0 + src[i] (Y15 = +0 as operand 1): what zeroing dst and then
+// rawAddAsm leaves, bit for bit — a −0 on the wire becomes +0 and a
+// signalling NaN is quieted, which a copy would not do — without the
+// zeroing sweep and without reading dst.
+TEXT ·rawFirstAddAsm(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	VXORPS Y15, Y15, Y15
+
+rawfirst32:
+	CMPQ CX, $32
+	JL rawfirst8
+	VADDPS (SI), Y15, Y0
+	VADDPS 32(SI), Y15, Y1
+	VADDPS 64(SI), Y15, Y2
+	VADDPS 96(SI), Y15, Y3
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, SI
+	SUBQ $32, CX
+	JMP rawfirst32
+
+rawfirst8:
+	CMPQ CX, $8
+	JL rawfirsttail
+	VADDPS (SI), Y15, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	SUBQ $8, CX
+	JMP rawfirst8
+
+rawfirsttail:
+	TESTQ CX, CX
+	JZ rawfirstdone
+	VADDSS (SI), X15, X0
+	VMOVSS X0, (DI)
+	ADDQ $4, DI
+	ADDQ $4, SI
+	DECQ CX
+	JMP rawfirsttail
+
+rawfirstdone:
 	VZEROUPPER
 	RET

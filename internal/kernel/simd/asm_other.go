@@ -26,3 +26,23 @@ func AccMaxAbsAsm(buf, in []float32) float32 {
 func FusedSGDStepAsm(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32 {
 	panic("simd: no assembly kernels on this architecture")
 }
+
+func FusedSGDStepDeltaAsm(w, v, gs, delta []float32, gscale, wd, mom, lr float32) {
+	panic("simd: no assembly kernels on this architecture")
+}
+
+func RawPutAsm(dst []byte, src []float32) {
+	panic("simd: no assembly kernels on this architecture")
+}
+
+func RawGetAsm(dst []float32, src []byte) {
+	panic("simd: no assembly kernels on this architecture")
+}
+
+func RawAddAsm(dst []float32, src []byte) {
+	panic("simd: no assembly kernels on this architecture")
+}
+
+func RawFirstAddAsm(dst []float32, src []byte) {
+	panic("simd: no assembly kernels on this architecture")
+}

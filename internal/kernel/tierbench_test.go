@@ -39,7 +39,7 @@ func encodeBenchInputs(n int) (dense, sparse []float32, mDense, mSparse float64)
 // restore does not pull a cold buffer back into cache.
 func BenchmarkEncodeTernaryKernel(b *testing.B) {
 	const n = 1 << 20
-	const nCold, coldBufs = 1850000, 8
+	const nCold = 1850000
 	orig := ActiveTier()
 	defer SetTier(orig)
 	dense, sparse, mDense, mSparse := encodeBenchInputs(n)
@@ -174,9 +174,26 @@ func BenchmarkAccumulateMaxAbsKernel(b *testing.B) {
 	}
 }
 
+// coldBufs is how many copies of its operands each cache-cold row rotates
+// through: at 1M elements that is 32 MB a stream, so an operand has left
+// the core's caches long before its turn comes round again — the state the
+// end-to-end benchmark's 7.4 MB tensor sets are always in.
+const coldBufs = 8
+
+// coldRing returns coldBufs written copies of src.
+func coldRing[T any](src []T) [][]T {
+	ring := make([][]T, coldBufs)
+	for i := range ring {
+		ring[i] = append([]T(nil), src...)
+	}
+	return ring
+}
+
 // BenchmarkFusedSGDStepKernel measures the parameter server's fused
-// optimizer sweep (average, momentum update, delta, accumulate+|max|) at
-// 1M elements per tier.
+// optimizer sweep at 1M elements per tier in both forms: 1M is the
+// accumulate form (average, momentum update, delta folded into acc with
+// its |max|) on cache-resident streams, delta the delta-writing form
+// SchemeNone pulls take, cache-cold (coldRing) like the tensors it runs on.
 func BenchmarkFusedSGDStepKernel(b *testing.B) {
 	const n = 1 << 20
 	orig := ActiveTier()
@@ -186,6 +203,7 @@ func BenchmarkFusedSGDStepKernel(b *testing.B) {
 	fillRand(gs, 6, 0.01)
 	v := make([]float32, n)
 	acc := make([]float32, n)
+	ws, vs, gss, deltas := coldRing(w.Data()), coldRing(v), coldRing(gs.Data()), coldRing(acc)
 	for _, tier := range AvailableTiers() {
 		b.Run(tier.String()+"/1M", func(b *testing.B) {
 			SetTier(tier)
@@ -196,5 +214,84 @@ func BenchmarkFusedSGDStepKernel(b *testing.B) {
 				FusedSGDStep(w.Data(), v, gs.Data(), acc, 0.5, 1e-4, 0.9, 0.0004)
 			}
 		})
+		b.Run(tier.String()+"/delta", func(b *testing.B) {
+			SetTier(tier)
+			b.SetBytes(4 * int64(n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % coldBufs
+				FusedSGDStepDelta(ws[k], vs[k], gss[k], deltas[k], 0.5, 1e-4, 0.9, 0.0004)
+			}
+		})
 	}
+}
+
+// BenchmarkRawAddKernel measures the raw float32 decode-accumulate at 1M
+// elements per tier, cache-cold, with the payload one byte into its buffer
+// as on the wire. The accmax row is AccumulateMaxAbs on the dispatched tier
+// over the same rotation — the same traffic plus a max chain, the bound
+// the add is held to.
+func BenchmarkRawAddKernel(b *testing.B) {
+	const n = 1 << 20
+	orig := ActiveTier()
+	defer SetTier(orig)
+	in := tensor.New(n)
+	fillRand(in, 3, 0.01)
+	dsts, ins := coldRing(make([]float32, n)), coldRing(in.Data())
+	wires := coldRing(AppendRaw([]byte{0}, in.Data()))
+	for _, tier := range AvailableTiers() {
+		b.Run(tier.String()+"/1M", func(b *testing.B) {
+			SetTier(tier)
+			b.SetBytes(4 * int64(n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				RawAdd(dsts[i%coldBufs], wires[i%coldBufs][1:])
+			}
+		})
+	}
+	b.Run("accmax/1M", func(b *testing.B) {
+		SetTier(orig)
+		b.SetBytes(4 * int64(n))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			AccumulateMaxAbs(dsts[i%coldBufs], ins[i%coldBufs])
+		}
+	})
+}
+
+// BenchmarkRawPutKernel measures the raw float32 encode at 1M elements per
+// tier, cache-cold, behind a one-byte scheme prefix as in a wire. The copy
+// row is the built-in copy of the same bytes over the same rotation, from a
+// source that was written (an untouched one is the kernel's shared zero
+// page and reads twice as fast): the roofline a put is held to.
+func BenchmarkRawPutKernel(b *testing.B) {
+	const n = 1 << 20
+	orig := ActiveTier()
+	defer SetTier(orig)
+	in := tensor.New(n)
+	fillRand(in, 3, 0.01)
+	ins := coldRing(in.Data())
+	wires := coldRing(AppendRaw([]byte{0}, in.Data()))
+	for _, tier := range AvailableTiers() {
+		b.Run(tier.String()+"/1M", func(b *testing.B) {
+			SetTier(tier)
+			b.SetBytes(4 * int64(n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				wires[i%coldBufs] = AppendRaw(wires[i%coldBufs][:1], ins[i%coldBufs])
+			}
+		})
+	}
+	b.Run("copy/1M", func(b *testing.B) {
+		b.SetBytes(4 * int64(n))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(wires[i%coldBufs][1:], wires[(i+coldBufs/2)%coldBufs][1:])
+		}
+	})
 }

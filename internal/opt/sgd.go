@@ -184,9 +184,12 @@ func (o *SGD) ApplyWithDelta(params []*nn.Param, deltas []*tensor.Tensor) {
 // exactly once; weights, velocity, residuals, and reductions are
 // bit-identical to the staged sweeps. p.G is neither read nor written.
 //
-// The accumulate-folding sweep (accFor non-nil: every 3LC pull context) is
-// kernel.FusedSGDStep, dispatched per CPU tier; the delta-materializing
-// sweep that SchemeNone and non-accumulating codecs take stays here.
+// The arithmetic is kernel.FusedSGDStep, dispatched per CPU tier, in its
+// two forms: where accFor returns a buffer (every 3LC pull context) the
+// delta is folded into it and max|acc| lands in maxAbs[pi]; where it
+// returns nil (SchemeNone and the non-accumulating codecs) the delta is
+// stored in deltas[pi]. This function only resolves each parameter's
+// streams.
 func (o *SGD) ApplyFusedStep(params []*nn.Param, gradFor func(pi int) ([]float32, float32), deltas []*tensor.Tensor, accFor func(pi int) []float32, maxAbs []float32) {
 	if len(params) != len(deltas) {
 		panic("opt: delta count mismatch")
@@ -201,25 +204,15 @@ func (o *SGD) ApplyFusedStep(params []*nn.Param, gradFor func(pi int) ([]float32
 			v = tensor.New(p.W.Shape()...)
 			o.velocity[p.Name] = v
 		}
-		vd, wdta := v.Data(), p.W.Data()
-		wdta = wdta[:len(vd)]
+		vd := v.Data()
+		wdta := p.W.Data()[:len(vd)]
 		gs, gscale := gradFor(pi)
 		gs = gs[:len(vd)]
-		acc := accFor(pi)
-		if acc == nil {
-			dd := deltas[pi].Data()[:len(vd)]
-			for i := range vd {
-				old := wdta[i]
-				g := gs[i]*gscale + wd*old
-				vv := mom*vd[i] + g
-				vd[i] = vv
-				nw := old - lr*vv
-				wdta[i] = nw
-				dd[i] = nw - old
-			}
-			continue
+		if acc := accFor(pi); acc != nil {
+			maxAbs[pi] = kernel.FusedSGDStep(wdta, vd, gs, acc[:len(vd)], gscale, wd, mom, lr)
+		} else {
+			kernel.FusedSGDStepDelta(wdta, vd, gs, deltas[pi].Data()[:len(vd)], gscale, wd, mom, lr)
 		}
-		maxAbs[pi] = kernel.FusedSGDStep(wdta, vd, gs, acc[:len(vd)], gscale, wd, mom, lr)
 	}
 }
 
@@ -250,10 +243,7 @@ func (o *SGD) AppendState(dst []byte) []byte {
 		dst = append(dst, name...)
 		le.PutUint32(b4[:], uint32(len(v)))
 		dst = append(dst, b4[:]...)
-		for _, x := range v {
-			le.PutUint32(b4[:], math.Float32bits(x))
-			dst = append(dst, b4[:]...)
-		}
+		dst = kernel.AppendRaw(dst, v)
 	}
 	return dst
 }
@@ -291,10 +281,7 @@ func (o *SGD) RestoreState(src []byte) error {
 			return fmt.Errorf("opt: duplicate velocity entry %q", name)
 		}
 		t := tensor.New(n)
-		d := t.Data()
-		for j := range d {
-			d[j] = math.Float32frombits(le.Uint32(src[4*j:]))
-		}
+		kernel.RawGet(t.Data(), src[:4*n])
 		src = src[4*n:]
 		vel[name] = t
 	}

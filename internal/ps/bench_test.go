@@ -158,6 +158,56 @@ func BenchmarkSteadyStatePushPullStaged(b *testing.B) {
 	}
 }
 
+// BenchmarkSteadyStatePushPullF32 is the float32 baseline's round trip at
+// the end-to-end benchmark's scale: the 768-1024-1024-10 MLP (1.85M
+// parameters, 7.4 MB a tensor set) as SchemeNone between two workers and
+// the server, in process — two raw encodes, a first add and an add, the
+// delta-writing SGD sweep, one shared pull encode and two raw applies a
+// step, every one a kernel raw core.
+func BenchmarkSteadyStatePushPullF32(b *testing.B) {
+	cfg := testConfig(compress.SchemeNone, compress.Options{}, 2)
+	cfg.Parallelism = 1
+	global := nn.NewMLP(768, []int{1024, 1024}, 10, 1)
+	server := NewJob(global, cfg)
+	workers := make([]*Worker, cfg.Workers)
+	rng := tensor.NewRNG(31)
+	for id := range workers {
+		m := nn.NewMLP(768, []int{1024, 1024}, 10, 1)
+		m.CopyParamsFrom(global)
+		workers[id] = NewWorker(id, m, cfg)
+		for _, p := range m.Params() {
+			tensor.FillNormal(p.G, 0.01, rng)
+		}
+	}
+	step := func() {
+		server.BeginStep()
+		for id, w := range workers {
+			wires, _ := w.CompressGrads()
+			if _, err := server.AddPush(id, wires); err != nil {
+				b.Fatal(err)
+			}
+		}
+		pull, _, err := server.FinishStep()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, w := range workers {
+			if _, err := w.ApplyPull(pull); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 3; i++ {
+		step() // converge buffer capacities
+	}
+	b.SetBytes(4 * int64(global.NumParams()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
 func steadyStep(b *testing.B, server *Job, worker *Worker) {
 	b.Helper()
 	wires, _ := worker.CompressGrads()

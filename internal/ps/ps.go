@@ -389,10 +389,11 @@ func (s *Job) accBufFor(i int) []float32 {
 
 // BeginStep resets gradient aggregation for a new training step. The
 // fused path resets per-tensor dirty flags instead of sweeping the sum
-// buffers to zero: each tensor's first accumulation of the step either
-// decodes straight over the stale buffer (DecompressFirstAddInto, when
-// bit-safe) or zeroes it just-in-time. The staged reference keeps the
-// explicit zeroing sweep.
+// buffers to zero: each tensor's first accumulation of the step goes
+// through DecompressFirstAddInto, which writes over the stale buffer where
+// that is bit-safe (ternary wires decode over it, raw float wires are
+// added to +0 in registers) and zeroes it just-in-time otherwise. The
+// staged reference keeps the explicit zeroing sweep.
 func (s *Job) BeginStep() {
 	if s.cfg.StagedAggregate {
 		for _, g := range s.gradSum {
@@ -480,8 +481,9 @@ func (s *Job) addPushOne(i int) {
 // which equals the dense add bit for bit as long as the sum holds no −0
 // (compress.DecompressAddInto). gradSum never does: a step's first
 // accumulation is either a set of M·q with M > 0, whose values are −M, +0
-// and +M, or a zero followed by an add, and +0 + x is −0 for no x; from
-// there a round-to-nearest add yields −0 only from (−0) + (−0) — x + (−x)
+// and +M, or +0 + x per element (a zero followed by an add, or the raw
+// first add that forms the same sum in registers), which is −0 for no x;
+// from there a round-to-nearest add yields −0 only from (−0) + (−0) — x + (−x)
 // is +0 and float addition never underflows to a signed zero. The region
 // tier's sums are built the same way. (A worker weight, the other
 // decode-add destination, can only keep a −0 it was initialised or
