@@ -22,13 +22,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
 	"threelc/internal/compress"
-	"threelc/internal/encode"
 	"threelc/internal/entropy"
 	"threelc/internal/experiments"
 	"threelc/internal/kernel"
@@ -36,7 +34,6 @@ import (
 	"threelc/internal/nn"
 	"threelc/internal/opt"
 	"threelc/internal/ps"
-	"threelc/internal/quant"
 	"threelc/internal/region"
 	"threelc/internal/tensor"
 )
@@ -322,14 +319,13 @@ func writeBenchJSON(path string, records []benchRecord) error {
 // codecBench is a quick in-process measurement of the zero-allocation
 // compression pipeline: steady-state CompressInto throughput per scheme at
 // 1M elements, the staged-vs-fused kernel comparison, the fused
-// decode-accumulate vs decode-then-add aggregation comparison, the full
-// parameter-server push/pull round trip, and the chunked parallel
-// quartic-encode speedup. It is the CLI companion of the -benchmem
-// benchmarks (`go test -bench 'Fused|Staged|DecodeAdd|SteadyState'
-// -benchmem ./internal/...`), for eyeballing on a target machine without
-// the test harness; the returned records feed the -bench-out baseline,
-// with names matching the go-test benchmarks so cmd/benchcheck's
-// -baseline gate can compare them directly.
+// decode-accumulate vs decode-then-add aggregation comparison, and the
+// full parameter-server push/pull round trip. It is the CLI companion of
+// the -benchmem benchmarks (`go test -bench
+// 'Fused|Staged|DecodeAdd|SteadyState' -benchmem ./internal/...`), for
+// eyeballing on a target machine without the test harness; the returned
+// records feed the -bench-out baseline, with names matching the go-test
+// benchmarks so cmd/benchcheck's -baseline gate can compare them directly.
 func codecBench(w *os.File, iters int) []benchRecord {
 	const n = 1 << 20
 	if iters < 1 {
@@ -414,8 +410,8 @@ func codecBench(w *os.File, iters int) []benchRecord {
 	}
 
 	// mkStep builds one full push/pull round trip (the ps steady-state
-	// benchmark workload) over the given model maker and config tweak.
-	mkStep := func(model func() *nn.Model, tweak func(*ps.Config)) func() {
+	// benchmark workload) over the given model maker.
+	mkStep := func(model func() *nn.Model) func() {
 		cfg := ps.Config{
 			Scheme:           compress.SchemeThreeLC,
 			Opts:             compress.Options{Sparsity: 1.75, ZeroRun: true},
@@ -423,9 +419,6 @@ func codecBench(w *os.File, iters int) []benchRecord {
 			MinCompressElems: 8, // matches internal/ps's benchmark config
 			Parallelism:      1,
 			Optimizer:        opt.DefaultSGDConfig(1, 1000),
-		}
-		if tweak != nil {
-			tweak(&cfg)
 		}
 		global := model()
 		server := ps.NewJob(global, cfg)
@@ -454,25 +447,10 @@ func codecBench(w *os.File, iters int) []benchRecord {
 	benchModel := func() *nn.Model { return nn.NewMLP(784, []int{256}, 10, 1) }
 
 	// Full parameter-server round trip — the committed perf baseline the
-	// CI bench leg gates BenchmarkSteadyStatePushPull against.
-	{
-		fusedStep := measure(iters, mkStep(benchModel, nil))
-		stagedStep := measure(iters, mkStep(benchModel, func(c *ps.Config) { c.StagedAggregate = true }))
-		fmt.Fprintf(w, "\nSteady-state push/pull round trip (ps, MLP 784-256-10, serial codecs):\n")
-		fmt.Fprintf(w, "  staged aggregate %8d ns/op\n", stagedStep.Nanoseconds())
-		fmt.Fprintf(w, "  fused aggregate  %8d ns/op  (%.2fx)\n",
-			fusedStep.Nanoseconds(), float64(stagedStep)/float64(fusedStep))
-		records = append(records,
-			benchRecord{Name: "SteadyStatePushPull", Iterations: int64(iters), NsPerOp: float64(fusedStep.Nanoseconds()), BytesPerOp: -1, AllocsPerOp: -1},
-			benchRecord{Name: "SteadyStatePushPullStaged", Iterations: int64(iters), NsPerOp: float64(stagedStep.Nanoseconds()), BytesPerOp: -1, AllocsPerOp: -1})
-	}
-
-	// Small-tensor batching: the same round trip on a many-tiny-tensor
-	// model (100 hidden layers of width 8, ~200 tensors of at most 64
-	// elements) with the batched arena path on vs off. Wires and state are
-	// bit-identical either way; on a serial host the contract is parity
-	// (per-member kernel work dominates), with the batch collapsing ~200
-	// pool jobs per phase into one.
+	// CI bench leg gates BenchmarkSteadyStatePushPull against — and the
+	// same round trip on a many-tiny-tensor model (100 hidden layers of
+	// width 8, ~200 tensors of at most 64 elements), where the per-tensor
+	// cost rather than the kernels is what is measured.
 	{
 		tinyModel := func() *nn.Model {
 			hidden := make([]int, 100)
@@ -481,15 +459,14 @@ func codecBench(w *os.File, iters int) []benchRecord {
 			}
 			return nn.NewMLP(8, hidden, 3, 1)
 		}
-		batched := measure(iters, mkStep(tinyModel, nil))
-		unbatched := measure(iters, mkStep(tinyModel, func(c *ps.Config) { c.SmallTensorElems = -1 }))
-		fmt.Fprintf(w, "\nSmall-tensor batching (push/pull round trip, MLP 8-8x100-3, ~200 tiny tensors):\n")
-		fmt.Fprintf(w, "  per-tensor jobs  %8d ns/op\n", unbatched.Nanoseconds())
-		fmt.Fprintf(w, "  batched arena    %8d ns/op  (%.2fx)\n",
-			batched.Nanoseconds(), float64(unbatched)/float64(batched))
+		step := measure(iters, mkStep(benchModel))
+		tiny := measure(iters, mkStep(tinyModel))
+		fmt.Fprintf(w, "\nSteady-state push/pull round trip (ps, serial codecs):\n")
+		fmt.Fprintf(w, "  MLP 784-256-10                      %8d ns/op\n", step.Nanoseconds())
+		fmt.Fprintf(w, "  MLP 8-8x100-3 (~200 tiny tensors)   %8d ns/op\n", tiny.Nanoseconds())
 		records = append(records,
-			benchRecord{Name: "SteadyStatePushPullTiny", Iterations: int64(iters), NsPerOp: float64(batched.Nanoseconds()), BytesPerOp: -1, AllocsPerOp: -1},
-			benchRecord{Name: "SteadyStatePushPullTinyUnbatched", Iterations: int64(iters), NsPerOp: float64(unbatched.Nanoseconds()), BytesPerOp: -1, AllocsPerOp: -1})
+			benchRecord{Name: "SteadyStatePushPull", Iterations: int64(iters), NsPerOp: float64(step.Nanoseconds()), BytesPerOp: -1, AllocsPerOp: -1},
+			benchRecord{Name: "SteadyStatePushPullTiny", Iterations: int64(iters), NsPerOp: float64(tiny.Nanoseconds()), BytesPerOp: -1, AllocsPerOp: -1})
 	}
 
 	// Streaming entropy second stage over the 1M-element 3LC quartic wire
@@ -733,18 +710,6 @@ func codecBench(w *os.File, iters int) []benchRecord {
 			benchRecord{Name: "Staged/" + r.Name, Iterations: 3, NsPerOp: r.StagedNs, BytesPerOp: -1, AllocsPerOp: -1},
 			benchRecord{Name: "Fused/" + r.Name, Iterations: 3, NsPerOp: r.FusedNs, BytesPerOp: -1, AllocsPerOp: -1,
 				Extra: map[string]float64{"speedup": r.Speedup()}})
-	}
-
-	procs := runtime.GOMAXPROCS(0)
-	tv := quant.Quantize3(in, 1.75)
-	dst := make([]byte, encode.QuarticEncodedLen(n))
-	serial := measure(5, func() { encode.QuarticEncodeInto(tv.Q, dst) })
-	parallel := measure(5, func() { encode.QuarticEncodeParallel(tv.Q, dst, procs) })
-	fmt.Fprintf(w, "\nChunked parallel quartic encode (%d elements, GOMAXPROCS=%d):\n", n, procs)
-	fmt.Fprintf(w, "  serial   %8d ns/op\n", serial.Nanoseconds())
-	fmt.Fprintf(w, "  parallel %8d ns/op  (%.2fx)\n", parallel.Nanoseconds(), float64(serial)/float64(parallel))
-	if procs < 2 {
-		fmt.Fprintln(w, "  (single-CPU host: no speedup expected; output is byte-identical either way)")
 	}
 	return records
 }

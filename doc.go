@@ -54,8 +54,8 @@
 // decode-add, not of I/O: both ends queue them and write when the
 // producer has nothing more ready, when 64 KiB have gathered and when the
 // stream ends, so a producer ahead of the wire pays one write per shard,
-// not one per tensor. The staged decode-then-add aggregation
-// remains as the bit-identical reference behind ps.Config.StagedAggregate.
+// not one per tensor. The staged decode-then-add aggregation is the
+// bit-identical oracle internal/ps's tests hold this path to.
 //
 // Decode is driven by a 243-entry lookup table (quartic byte → 5 ternary
 // digits) expanded per wire scale M into byte → 5 scaled float32 values;
@@ -84,8 +84,8 @@
 //	internal/quant       3-value quantization with sparsity multiplication,
 //	                     error accumulation, and the quantization baselines
 //	                     (staged reference for the fused kernels)
-//	internal/encode      quartic + zero-run encoding on caller buffers,
-//	                     chunked parallel encode/decode (staged reference)
+//	internal/encode      quartic + zero-run encoding on caller buffers
+//	                     (staged reference)
 //	internal/sparse      top-k sparsification baselines
 //	internal/compress    the Compressor interface, append-style wire
 //	                     builders, and the decoder registry

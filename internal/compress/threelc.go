@@ -44,14 +44,6 @@ type threeLCCompressor struct {
 }
 
 func newThreeLCCompressor(shape []int, sparsity float64, zeroRun bool, par int) *threeLCCompressor {
-	return newThreeLCCompressorOver(shape, sparsity, zeroRun, par, nil)
-}
-
-// newThreeLCCompressorOver builds a context whose error-accumulation
-// buffer is the given (zeroed) tensor instead of a fresh allocation — the
-// member form used by TernaryBatch, whose members' buffers alias one
-// contiguous arena. acc == nil allocates normally.
-func newThreeLCCompressorOver(shape []int, sparsity float64, zeroRun bool, par int, acc *tensor.Tensor) *threeLCCompressor {
 	if sparsity < quant.MinSparsity || sparsity >= quant.MaxSparsity {
 		panic(fmt.Sprintf("compress: sparsity multiplier %v outside [1,2)", sparsity))
 	}
@@ -59,22 +51,14 @@ func newThreeLCCompressorOver(shape []int, sparsity float64, zeroRun bool, par i
 	for _, d := range shape {
 		n *= d
 	}
-	c := &threeLCCompressor{
+	return &threeLCCompressor{
 		shape:    append([]int(nil), shape...),
 		n:        n,
 		sparsity: sparsity,
 		zeroRun:  zeroRun,
 		par:      par,
+		acc:      quant.NewErrorAccumulator(shape...),
 	}
-	if acc != nil {
-		if acc.Len() != n {
-			panic(fmt.Sprintf("compress: accumulator tensor has %d elements, shape wants %d", acc.Len(), n))
-		}
-		c.acc = quant.NewErrorAccumulatorOver(acc)
-	} else {
-		c.acc = quant.NewErrorAccumulator(shape...)
-	}
-	return c
 }
 
 func (c *threeLCCompressor) Scheme() Scheme { return SchemeThreeLC }

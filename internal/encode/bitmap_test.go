@@ -65,3 +65,17 @@ func TestBitmapCountProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestBitmapReset(t *testing.T) {
+	m := NewBitmap(100)
+	for i := 0; i < 100; i += 3 {
+		m.Set(i)
+	}
+	m.Reset()
+	if m.Count() != 0 {
+		t.Errorf("Count after Reset = %d", m.Count())
+	}
+	if m.Len() != 100 {
+		t.Errorf("Len changed by Reset: %d", m.Len())
+	}
+}

@@ -8,11 +8,7 @@
 // caller-provided buffers — QuarticEncodeInto, QuarticDecodeInto,
 // QuarticDecodeScaledInto, ZeroRunEncodeAppend, ZeroRunDecodeInto — so a
 // steady-state compression pipeline can recycle its buffers across training
-// steps and keep the per-step allocation count at zero. Quartic encode and
-// decode are also available in chunked parallel form (QuarticEncodeParallel,
-// QuarticDecodeParallel, QuarticDecodeScaledParallel, built on Chunked),
-// which shards large tensors across goroutines at group-aligned boundaries
-// and produces byte-identical output to the serial functions.
+// steps and keep the per-step allocation count at zero.
 //
 // Like package quant, these staged transforms are the reference
 // implementation: the production ternary hot path runs internal/kernel's

@@ -16,6 +16,23 @@ func ternary(rng *tensor.RNG, n int) []int8 {
 	return q
 }
 
+// ternaryData is ~50% zeros, like a sparsified gradient.
+func ternaryData(seed uint64, n int) []int8 {
+	rng := tensor.NewRNG(seed)
+	q := make([]int8, n)
+	for i := range q {
+		switch rng.Intn(4) {
+		case 0:
+			q[i] = 1
+		case 1:
+			q[i] = -1
+		default:
+			q[i] = 0
+		}
+	}
+	return q
+}
+
 func TestQuarticZeroGroupByte(t *testing.T) {
 	// Five zeros must encode to byte 121 (§3.3 relies on this).
 	got := QuarticEncode([]int8{0, 0, 0, 0, 0})
@@ -142,5 +159,45 @@ func TestQuarticPaddingIsTernaryZero(t *testing.T) {
 	b := QuarticEncode([]int8{1})
 	if b[0] != 202 {
 		t.Errorf("padded group encodes to %d, want 202", b[0])
+	}
+}
+
+func TestQuarticDecodeScaledIntoMatchesDecode(t *testing.T) {
+	const n = 9999
+	q := ternaryData(3, n)
+	enc := QuarticEncode(q)
+	const scale = 0.125
+	dst := make([]float32, n)
+	if err := QuarticDecodeScaledInto(enc, dst, scale); err != nil {
+		t.Fatal(err)
+	}
+	for i := range dst {
+		if dst[i] != scale*float32(q[i]) {
+			t.Fatalf("value %d: %v, want %v", i, dst[i], scale*float32(q[i]))
+		}
+	}
+}
+
+func TestQuarticDecodeScaledIntoErrors(t *testing.T) {
+	if err := QuarticDecodeScaledInto([]byte{121}, make([]float32, 10), 1); err == nil {
+		t.Error("short input must error")
+	}
+	if err := QuarticDecodeScaledInto([]byte{250, 121}, make([]float32, 10), 1); err == nil {
+		t.Error("byte > MaxQuartic must error")
+	}
+}
+
+func BenchmarkQuarticDecodeScaled1M(b *testing.B) {
+	const n = 1 << 20
+	q := ternaryData(12, n)
+	enc := QuarticEncode(q)
+	dst := make([]float32, n)
+	b.SetBytes(int64(n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := QuarticDecodeScaledInto(enc, dst, 0.5); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

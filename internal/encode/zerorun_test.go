@@ -157,3 +157,28 @@ func TestZeroTensorEndToEndRatio(t *testing.T) {
 		t.Errorf("zero-tensor ratio = %.1f, want 280", ratio)
 	}
 }
+
+func TestZeroRunEncodeAppendReusesBuffer(t *testing.T) {
+	q := ternaryData(5, 10000)
+	enc := QuarticEncode(q)
+	want := ZeroRunEncode(enc)
+	buf := ZeroRunEncodeAppend(nil, enc)
+	if !bytes.Equal(buf, want) {
+		t.Fatal("append form differs from allocating form")
+	}
+	// Second call into the recycled buffer must not grow it and must give
+	// the same bytes.
+	buf2 := ZeroRunEncodeAppend(buf[:0], enc)
+	if &buf2[0] != &buf[0] {
+		t.Error("recycled buffer was reallocated despite sufficient capacity")
+	}
+	if !bytes.Equal(buf2, want) {
+		t.Fatal("recycled encode differs")
+	}
+	// Appending after a prefix preserves the prefix.
+	pre := append([]byte(nil), 0xAA, 0xBB)
+	out := ZeroRunEncodeAppend(pre, enc)
+	if out[0] != 0xAA || out[1] != 0xBB || !bytes.Equal(out[2:], want) {
+		t.Fatal("prefix not preserved")
+	}
+}

@@ -134,8 +134,8 @@ func addValidated(body []byte, m float32, dst []float32) {
 // through a prebuilt ScaledLUT: decoding starts at body[off], whose first
 // skip groups belong to the preceding span (skip is non-zero only when a
 // zero run straddles a span boundary). Serial callers pass the full range
-// with off = skip = 0. This is the scalar tier; addScaledSpanVec is the
-// dispatched unrolled form.
+// with off = skip = 0. This is the scalar tier; addScaledSpanLits is the
+// asm tier's form.
 func addScaledSpan(body []byte, tab *scaledTab, dst []float32, lo, hi, off, skip int) {
 	zero := tab[encode.ZeroGroupByte][0] // m·0: ±0, or NaN for a non-finite scale
 	fill := zero != zero

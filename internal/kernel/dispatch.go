@@ -13,28 +13,21 @@ import (
 // The hot inner loops — the fused accumulate+|max| reduction, the ternary
 // quantize→pack encode, the LUT decode-add, the fused SGD sweep in both its
 // forms, and the four raw float32 cores (put, get, add, first-add) — exist
-// in up to three implementations ("tiers"):
+// in two implementations ("tiers"):
 //
-//	scalar  the portable loops in this package, the reference tier
-//	vec     explicitly unrolled pure-Go cores (package simd): 8-chain
-//	        reductions, 4-byte-unrolled LUT literal loops. Runs anywhere.
-//	        The encode pass stays on the scalar core: the cmov-based
-//	        scalar quantize loop is the fastest pure-Go formulation
-//	        (every unrolled rewrite measured slower), so only asm
-//	        accelerates encode; the SGD sweeps and the raw cores stay on
-//	        it too (dependent arithmetic and plain moves: nothing for an
-//	        unrolling to win).
-//	asm     vec, plus AVX2 amd64 assembly for the accumulate+|max|
+//	scalar  the portable loops in this package: the reference every test
+//	        compares against, and the tier that runs where asm cannot.
+//	asm     AVX2 amd64 assembly (package simd) for the accumulate+|max|
 //	        reduction, the block-level quantize/pack (which skips
-//	        all-zero blocks) and LUT-row loops, the fused SGD sweeps and
-//	        the raw float32 cores. Requires AVX2.
+//	        all-zero blocks) and the LUT rows of long literal stretches,
+//	        the fused SGD sweeps and the raw float32 cores. Requires AVX2.
 //
 // The tier is chosen once at init — asm when the CPU supports it, else
-// vec — and can be pinned with THREELC_KERNEL=scalar|vec|asm (malformed
-// or unavailable values fail fast with a panic, so CI legs can't silently
-// test the wrong tier). Every tier produces byte-identical wires for
-// every input, and float outputs bit-identical up to NaN payloads (see
-// package simd); the fuzz oracles sweep all available tiers.
+// scalar — and can be pinned with THREELC_KERNEL=scalar|asm (malformed or
+// unavailable values fail fast with a panic, so CI legs can't silently
+// test the wrong tier). Both tiers produce byte-identical wires for every
+// input, and float outputs bit-identical up to NaN payloads (see package
+// simd); the fuzz oracles sweep every available tier.
 var (
 	activeTier Tier
 
@@ -43,11 +36,8 @@ var (
 	accMaxCore   func(buf, in []float32) float32
 	sgdStepCore  func(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32
 	sgdDeltaCore func(w, v, gs, delta []float32, gscale, wd, mom, lr float32)
-	maxAbsCore   func(data []float32) float32
 	addSpanCore  func(body []byte, tab *scaledTab, dst []float32, lo, hi, off, skip int)
 	decodeCore   func(body []byte, zre bool, tab *scaledTab, gTotal int, dst []float32) error
-	litsAddCore  func(tab *scaledTab, body []byte, dst []float32) int
-	litsSetCore  func(tab *scaledTab, body []byte, dst []float32) int
 	packBlocksFn func(buf []float32, out []byte, blocks int, tpos, dqNeg, dqZero, dqPos float32)
 
 	// Raw float32 cores (raw.go): the byte side holds 4 bytes per float.
@@ -68,7 +58,6 @@ type Tier int
 
 const (
 	TierScalar Tier = iota
-	TierVec
 	TierAsm
 )
 
@@ -76,8 +65,6 @@ func (t Tier) String() string {
 	switch t {
 	case TierScalar:
 		return "scalar"
-	case TierVec:
-		return "vec"
 	case TierAsm:
 		return "asm"
 	}
@@ -97,18 +84,16 @@ func selectTier(f simd.Features, env string) (Tier, error) {
 		if asmOK {
 			return TierAsm, nil
 		}
-		return TierVec, nil
+		return TierScalar, nil
 	case "scalar":
 		return TierScalar, nil
-	case "vec":
-		return TierVec, nil
 	case "asm":
 		if !asmOK {
 			return 0, fmt.Errorf("kernel: %s=asm but CPU/build lacks AVX2 assembly support", kernelEnv)
 		}
 		return TierAsm, nil
 	}
-	return 0, fmt.Errorf("kernel: invalid %s=%q (want scalar, vec, or asm)", kernelEnv, env)
+	return 0, fmt.Errorf("kernel: invalid %s=%q (want scalar or asm)", kernelEnv, env)
 }
 
 func init() {
@@ -130,22 +115,8 @@ func SetTier(t Tier) {
 		sgdStepCore, sgdDeltaCore = fusedSGDStepRange, fusedSGDStepDeltaRange
 		rawPutCore, rawGetCore = rawPutRange, rawGetRange
 		rawAddCore, rawFirstAddCore = rawAddRange, rawFirstAddRange
-		maxAbsCore = maxAbsRange
 		addSpanCore = addScaledSpan
 		decodeCore = decodeScaled
-		litsAddCore = nil
-		litsSetCore = nil
-		packBlocksFn = nil
-	case TierVec:
-		accMaxCore = simd.AccMaxAbs
-		sgdStepCore, sgdDeltaCore = fusedSGDStepRange, fusedSGDStepDeltaRange
-		rawPutCore, rawGetCore = rawPutRange, rawGetRange
-		rawAddCore, rawFirstAddCore = rawAddRange, rawFirstAddRange
-		maxAbsCore = simd.MaxAbs
-		addSpanCore = addScaledSpanVec
-		decodeCore = decodeScaledVec
-		litsAddCore = simd.AddScaledLiterals
-		litsSetCore = simd.SetScaledLiterals
 		packBlocksFn = nil
 	case TierAsm:
 		if !simd.HasAsm || !simd.Detect().AVX2 {
@@ -155,11 +126,8 @@ func SetTier(t Tier) {
 		sgdStepCore, sgdDeltaCore = simd.FusedSGDStepAsm, simd.FusedSGDStepDeltaAsm
 		rawPutCore, rawGetCore = simd.RawPutAsm, simd.RawGetAsm
 		rawAddCore, rawFirstAddCore = simd.RawAddAsm, simd.RawFirstAddAsm
-		maxAbsCore = simd.MaxAbs
-		addSpanCore = addScaledSpanVec
-		decodeCore = decodeScaledVec
-		litsAddCore = simd.AddScaledLiteralsAsm
-		litsSetCore = simd.SetScaledLiteralsAsm
+		addSpanCore = addScaledSpanLits
+		decodeCore = decodeScaledLits
 		packBlocksFn = simd.QuantPackBlocks
 	default:
 		panic(fmt.Sprintf("kernel: unknown tier %v", t))
@@ -173,7 +141,7 @@ func ActiveTier() Tier { return activeTier }
 // AvailableTiers lists the tiers this CPU/build can run, in ascending
 // order. Tests and benchmarks sweep it.
 func AvailableTiers() []Tier {
-	tiers := []Tier{TierScalar, TierVec}
+	tiers := []Tier{TierScalar}
 	if simd.HasAsm && simd.Detect().AVX2 {
 		tiers = append(tiers, TierAsm)
 	}

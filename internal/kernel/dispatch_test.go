@@ -21,10 +21,10 @@ func TestSelectTier(t *testing.T) {
 		wantErr bool
 	}{
 		{"auto picks asm on AVX2", avx2, "", TierAsm, false},
-		{"auto falls back to vec without AVX2", noAVX2, "", TierVec, false},
+		{"auto falls back to scalar without AVX2", noAVX2, "", TierScalar, false},
 		{"scalar pin on AVX2", avx2, "scalar", TierScalar, false},
 		{"scalar pin without AVX2", noAVX2, "scalar", TierScalar, false},
-		{"vec pin without AVX2", noAVX2, "vec", TierVec, false},
+		{"vec pin errors", noAVX2, "vec", 0, true},
 		{"asm pin on AVX2", avx2, "asm", TierAsm, false},
 		{"asm pin without AVX2 errors", noAVX2, "asm", 0, true},
 		{"malformed pin errors", avx2, "avx512", 0, true},

@@ -5,33 +5,33 @@ import (
 	"fmt"
 
 	"threelc/internal/encode"
+	"threelc/internal/kernel/simd"
 )
 
-// Vectorized-tier forms of the decode loops and the packed encode path.
-// Each mirrors its scalar counterpart byte-for-byte on the wire and
+// Asm-tier forms of the decode loops and the packed encode path. Each
+// mirrors its scalar counterpart byte-for-byte on the wire and
 // bit-for-bit on floats (up to NaN payloads, see package simd): the fast
 // paths only regroup WHICH loop processes each wire byte, never the
 // per-element operations or their order.
 
-// litCoreAfter is how many consecutive literal groups the vec/asm decode
+// litCoreAfter is how many consecutive literal groups the asm-tier decode
 // loops apply inline before handing the rest of the stretch to the
-// dispatched literal core. The call into the core costs more than a few
+// assembly literal core. The call into the core costs more than a few
 // rows' adds, and on the wires 3LC actually produces — isolated literal
 // groups between zero runs — nearly every stretch is that short (calling
 // the core for each measured ~40 % slower than the scalar tier there); a
 // stretch that has already run this long is likely a dense region, where
-// the core's unrolled rows win.
+// the core's vector row loads win.
 const litCoreAfter = 3
 
-// addScaledSpanVec is the vec/asm-tier addScaledSpan: the first
+// addScaledSpanLits is the asm-tier addScaledSpan: the first
 // litCoreAfter literal bytes of a stretch (and partial tail groups) take
-// the inline row apply, the rest of a longer stretch the dispatched
-// unrolled literal core, and runs are skipped (filled only under a
-// non-finite scale). Same contract as addScaledSpan.
-func addScaledSpanVec(body []byte, tab *scaledTab, dst []float32, lo, hi, off, skip int) {
+// the inline row apply, the rest of a longer stretch the assembly
+// literal core, and runs are skipped (filled only under a non-finite
+// scale). Same contract as addScaledSpan.
+func addScaledSpanLits(body []byte, tab *scaledTab, dst []float32, lo, hi, off, skip int) {
 	zero := tab[encode.ZeroGroupByte][0] // m·0: ±0, or NaN for a non-finite scale
 	fill := zero != zero
-	lits := litsAddCore
 	w, inline := lo, 0
 	for w < hi {
 		b := body[off]
@@ -50,7 +50,7 @@ func addScaledSpanVec(body []byte, tab *scaledTab, dst []float32, lo, hi, off, s
 		skip = 0
 		if lim := hi - w; inline >= litCoreAfter && lim >= encode.GroupSize {
 			lim -= lim % encode.GroupSize
-			nb := lits(tab, body[off:], dst[w:w+lim]) // >= 1: body[off] is a literal with a full group of room
+			nb := simd.AddScaledLiteralsAsm(tab, body[off:], dst[w:w+lim]) // >= 1: body[off] is a literal with a full group of room
 			off += nb
 			w += nb * encode.GroupSize
 			continue
@@ -75,13 +75,12 @@ func addScaledSpanVec(body []byte, tab *scaledTab, dst []float32, lo, hi, off, s
 	}
 }
 
-// decodeScaledVec is the vec/asm-tier decodeScaled: identical validation
+// decodeScaledLits is the asm-tier decodeScaled: identical validation
 // semantics and run handling, with long literal stretches through the
-// dispatched set-literal core (see litCoreAfter).
-func decodeScaledVec(body []byte, zre bool, tab *scaledTab, gTotal int, dst []float32) error {
+// assembly set-literal core (see litCoreAfter).
+func decodeScaledLits(body []byte, zre bool, tab *scaledTab, gTotal int, dst []float32) error {
 	n := len(dst)
 	zero := tab[encode.ZeroGroupByte][0]
-	lits := litsSetCore
 	gi, w, off, inline := 0, 0, 0, 0
 	for off < len(body) {
 		b := body[off]
@@ -109,7 +108,7 @@ func decodeScaledVec(body []byte, zre bool, tab *scaledTab, gTotal int, dst []fl
 			// producing one full in-bounds group, so the per-byte checks
 			// above are preserved: lim/GroupSize never exceeds the groups
 			// remaining to gTotal.
-			nb := lits(tab, body[off:], dst[w:w+lim]) // >= 1: body[off] is a literal with a full group of room
+			nb := simd.SetScaledLiteralsAsm(tab, body[off:], dst[w:w+lim]) // >= 1: body[off] is a literal with a full group of room
 			off += nb
 			gi += nb
 			w += nb * encode.GroupSize

@@ -45,31 +45,27 @@
 // raw.go, one streaming pass each.
 //
 // The inner loops behind these kernels are dispatched through a
-// CPU-feature-selected registry (see dispatch.go) with up to three tiers
-// per core:
+// CPU-feature-selected registry (see dispatch.go) with two tiers per core:
 //
-//	core                  scalar              vec                     asm (AVX2)
-//	accumulate+|max|      range loop          8-chain unrolled        32-float blocks,
-//	                                                                  4 VMAXPS chains
-//	|max| reduction       range loop          8-chain unrolled        = vec
-//	ternary quantize/pack cmov quantize loop  = scalar (fastest       40-elem (8-group) AVX2
-//	                      with inline ZRE     pure-Go formulation)    blocks: read-only scan,
-//	                                                                  all-zero blocks skip the
-//	                                                                  quantize, residual write
-//	                                                                  and pack; then a word-at-
-//	                                                                  a-time zero-run compaction
-//	LUT decode-add/set    byte-at-a-time      + 4-byte-unrolled rows  + AVX row loads
-//	                      row apply           for long literal        for long literal
-//	                                          stretches               stretches
-//	fused SGD sweep,      range loop          = scalar                8-float mul/add/sub
-//	both forms                                                        (never FMA)
-//	raw float32 put/get/  byte-order loop     = scalar                32-float unaligned
-//	add/first-add                                                     moves and adds
+//	core                  scalar              asm (AVX2)
+//	accumulate+|max|      range loop          32-float blocks, 4 VMAXPS chains
+//	ternary quantize/pack cmov quantize loop  40-elem (8-group) AVX2 blocks:
+//	                      with inline ZRE     read-only scan, all-zero blocks
+//	                                          skip the quantize, residual write
+//	                                          and pack; then a word-at-a-time
+//	                                          zero-run compaction
+//	LUT decode-add/set    byte-at-a-time      + AVX row loads for long literal
+//	                      row apply           stretches
+//	fused SGD sweep,      range loop          8-float mul/add/sub (never FMA)
+//	both forms
+//	raw float32 put/get/  byte-order loop     32-float unaligned moves and adds
+//	add/first-add
 //
-// The tier is picked once at init from CPUID (asm when AVX2 is present,
-// else vec) and can be pinned with THREELC_KERNEL=scalar|vec|asm; every
-// tier emits byte-identical wires, so the choice is invisible outside
-// timing.
+// The plain |max| reduction (int8 / stochastic / 1-bit only, off every 3LC
+// and raw path) is one range loop on both tiers. The tier is picked once at
+// init from CPUID (asm when AVX2 is present, else scalar) and can be pinned
+// with THREELC_KERNEL=scalar|asm; both tiers emit byte-identical wires, so
+// the choice is invisible outside timing.
 package kernel
 
 import (
@@ -156,9 +152,8 @@ func PassWorkers(n, budget int) int {
 // goroutine with zero spawns; with k spans, k-1 goroutines are spawned and
 // the caller runs the final span itself instead of idling in Wait (one
 // fewer handoff per fan-out, and tiny tensors never pay a spawn at all).
-// Unlike encode.Chunked it hands fn the chunk index, which the two-phase
-// reductions and the zero-run stitch-up need to address per-chunk result
-// slots.
+// fn gets the chunk index, which the two-phase reductions and the zero-run
+// stitch-up need to address per-chunk result slots.
 func forEachChunk(n, align, workers int, fn func(idx, lo, hi int)) int {
 	if n <= 0 {
 		return 0
@@ -270,7 +265,7 @@ func AccumulateMaxAbsParallel(buf, in []float32, workers int) float32 {
 // reduction with.
 func MaxAbs(data []float32) float32 {
 	notePass("maxabs", len(data))
-	return maxAbsCore(data)
+	return maxAbsRange(data)
 }
 
 // MaxAbsParallel is the two-phase chunked form of MaxAbs, bit-identical
@@ -278,11 +273,11 @@ func MaxAbs(data []float32) float32 {
 func MaxAbsParallel(data []float32, workers int) float32 {
 	notePass("maxabs", len(data))
 	if workers <= 1 || len(data) == 0 {
-		return maxAbsCore(data)
+		return maxAbsRange(data)
 	}
 	maxes := make([]float32, workers)
 	used := forEachChunk(len(data), 1, workers, func(idx, lo, hi int) {
-		maxes[idx] = maxAbsCore(data[lo:hi])
+		maxes[idx] = maxAbsRange(data[lo:hi])
 	})
 	var m float32
 	for _, v := range maxes[:used] {

@@ -10,10 +10,9 @@ import (
 // form of the "32-bit float" baseline, of every tensor the 3LC runs exempt
 // from compression, and of every float section in a state blob or
 // checkpoint. Four dispatched cores move them — put, get, add and
-// first-add — and this file's loops are their scalar reference (the vec
-// tier binds them too: a copy has nothing to unroll); the asm tier's are
-// accMaxAbsAsm's streaming loop minus the max chain. Every tier leaves
-// bit-identical bytes and floats, up to NaN payloads on the two adds.
+// first-add — and this file's loops are their scalar reference; the asm
+// tier's are accMaxAbsAsm's streaming loop minus the max chain. Both tiers
+// leave bit-identical bytes and floats, up to NaN payloads on the two adds.
 //
 // The byte side of every kernel is exactly 4 bytes per float; a mismatch
 // is a caller bug and panics. Decoders check payload lengths — untrusted

@@ -48,9 +48,7 @@ func FusedSGDStepDelta(w, v, gs, delta []float32, gscale, wd, mom, lr float32) {
 	sgdDeltaCore(w, v, gs, delta, gscale, wd, mom, lr)
 }
 
-// fusedSGDStepRange is the scalar reference core of FusedSGDStep (and
-// the vec tier's: the loop is seven streams of dependent arithmetic, and
-// no pure-Go unrolling measured faster).
+// fusedSGDStepRange is the scalar reference core of FusedSGDStep.
 func fusedSGDStepRange(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32 {
 	// Reslice to a common length so the compiler drops the per-index
 	// bounds checks in the loop.
@@ -75,8 +73,8 @@ func fusedSGDStepRange(w, v, gs, acc []float32, gscale, wd, mom, lr float32) flo
 	return m
 }
 
-// fusedSGDStepDeltaRange is the scalar reference core of FusedSGDStepDelta
-// (and the vec tier's): fusedSGDStepRange with the delta stored.
+// fusedSGDStepDeltaRange is the scalar reference core of FusedSGDStepDelta:
+// fusedSGDStepRange with the delta stored.
 func fusedSGDStepDeltaRange(w, v, gs, delta []float32, gscale, wd, mom, lr float32) {
 	w = w[:len(v)]
 	gs = gs[:len(v)]

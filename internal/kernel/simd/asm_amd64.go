@@ -64,10 +64,15 @@ func QuantPackBlocks(buf []float32, out []byte, blocks int, tpos, dqNeg, dqZero,
 	quantPackBlocks(&buf[0], &out[0], blocks, tpos, -tpos, dqNeg, dqZero, dqPos)
 }
 
-// AddScaledLiteralsAsm is the AVX LUT-row form of AddScaledLiterals: one
-// 16-byte + 4-byte row load and add per literal byte. Same contract and
-// bit-identity as the Go form (dst is operand 1 of every add). Requires
-// AVX; callers gate on Detect().AVX2.
+// AddScaledLiteralsAsm consumes a run of literal quartic bytes from body,
+// accumulating row tab[b] into dst for each — one 16-byte + 4-byte row load
+// and add per byte — and returns the number of bytes consumed. It stops at
+// the first zero-run marker byte (> 242, encode.MaxQuartic) or when body or
+// full groups of dst run out; the caller handles markers, partial tail
+// groups, and resumes. Each consumed byte k does dst[5k+j] += tab[b][j] in
+// index order with dst as operand 1 of every add, so the result is
+// bit-identical to the scalar per-byte loop. Requires AVX; callers gate on
+// Detect().AVX2.
 func AddScaledLiteralsAsm(tab *[256][5]float32, body []byte, dst []float32) int {
 	n := len(body)
 	if g := len(dst) / 5; n > g {
@@ -79,7 +84,8 @@ func AddScaledLiteralsAsm(tab *[256][5]float32, body []byte, dst []float32) int 
 	return addScaledLiteralsAsm(tab, &body[0], n, &dst[0])
 }
 
-// SetScaledLiteralsAsm is the write form of AddScaledLiteralsAsm.
+// SetScaledLiteralsAsm is the write (first-decode) form of
+// AddScaledLiteralsAsm: dst[5k+j] = tab[b][j] instead of +=.
 func SetScaledLiteralsAsm(tab *[256][5]float32, body []byte, dst []float32) int {
 	n := len(body)
 	if g := len(dst) / 5; n > g {
@@ -91,13 +97,13 @@ func SetScaledLiteralsAsm(tab *[256][5]float32, body []byte, dst []float32) int 
 	return setScaledLiteralsAsm(tab, &body[0], n, &dst[0])
 }
 
-// AccMaxAbsAsm is the AVX2 form of AccMaxAbs: buf[i] += in[i] with the
+// AccMaxAbsAsm is the AVX2 accumulate+|max| core: buf[i] += in[i] with the
 // max|buf| reduction fused into the same sweep, any length (scalar tail
 // inside the core). buf must be at least as long as in. Bit-identical to
-// the scalar kernel by the same argument as AccMaxAbs — candidates are
-// non-negative after the sign mask and NaN never wins (the running max is
-// VMAXPS's second source) — so the lane split cannot change the result.
-// Requires AVX2; callers gate on Detect().AVX2.
+// the scalar kernel: after the sign mask every candidate is non-negative
+// (or NaN, which never wins — the running max is VMAXPS's second source),
+// so the max reduction is exactly associative and the lane split cannot
+// change the result. Requires AVX2; callers gate on Detect().AVX2.
 //
 //3lc:noalloc
 func AccMaxAbsAsm(buf, in []float32) float32 {

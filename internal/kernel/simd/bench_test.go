@@ -5,21 +5,6 @@ import (
 	"testing"
 )
 
-func BenchmarkAccMaxAbs1M(b *testing.B) {
-	n := 1 << 20
-	buf := make([]float32, n)
-	in := make([]float32, n)
-	rng := rand.New(rand.NewSource(1))
-	for i := range in {
-		in[i] = float32(rng.NormFloat64())
-	}
-	b.SetBytes(int64(12 * n)) // read buf+in, write buf
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AccMaxAbs(buf, in)
-	}
-}
-
 func BenchmarkQuantPackBlocks1M(b *testing.B) {
 	if !Detect().AVX2 {
 		b.Skip("no AVX2")
@@ -39,7 +24,10 @@ func BenchmarkQuantPackBlocks1M(b *testing.B) {
 	}
 }
 
-func BenchmarkAddScaledLiterals1M(b *testing.B) {
+func BenchmarkAddScaledLiteralsAsm1M(b *testing.B) {
+	if !Detect().AVX2 {
+		b.Skip("no AVX2")
+	}
 	n := 1 << 20
 	body := make([]byte, n/5)
 	rng := rand.New(rand.NewSource(1))
@@ -49,18 +37,8 @@ func BenchmarkAddScaledLiterals1M(b *testing.B) {
 	dst := make([]float32, n)
 	tab := buildLUT(1.5)
 	b.SetBytes(int64(8 * n))
-	b.Run("go", func(b *testing.B) {
-		b.SetBytes(int64(8 * n))
-		for i := 0; i < b.N; i++ {
-			AddScaledLiterals(tab, body, dst)
-		}
-	})
-	if HasAsm && Detect().AVX2 {
-		b.Run("asm", func(b *testing.B) {
-			b.SetBytes(int64(8 * n))
-			for i := 0; i < b.N; i++ {
-				AddScaledLiteralsAsm(tab, body, dst)
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		AddScaledLiteralsAsm(tab, body, dst)
 	}
 }

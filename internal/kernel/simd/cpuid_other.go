@@ -3,7 +3,7 @@
 package simd
 
 // detect on non-amd64 architectures reports no vector features: the
-// kernel dispatch stays on the portable scalar/vec tiers.
+// kernel dispatch stays on the portable scalar tier.
 func detect() Features {
 	return Features{}
 }

@@ -1,13 +1,10 @@
-// Package simd holds the hand-vectorized cores behind the kernel
-// package's CPU-feature-dispatched registry (kernel dispatch, PR 6 of the
-// roadmap): explicitly unrolled, branch-minimized Go forms of the three
-// hot inner loops — the fused accumulate+|max| reduction, the ternary
-// quantize→quartic-pack encode, and the 243-entry LUT decode-add — plus
-// amd64 AVX2 assembly fast paths where pure Go cannot reach the
-// instruction shapes the loops need: the byte-level pack and LUT loops
-// (packed compares, byte shuffles, 20-byte row copies), and the two
-// streaming float sweeps, accumulate+|max| and the parameter server's
-// fused SGD step (8-wide adds, sign-mask abs, a NaN-losing packed max).
+// Package simd holds the amd64 AVX2 assembly cores behind the kernel
+// package's CPU-feature-dispatched registry — the instruction shapes pure
+// Go cannot reach: the byte-level pack and LUT loops (packed compares,
+// byte shuffles, 20-byte row copies), the streaming float sweeps,
+// accumulate+|max| and the parameter server's fused SGD step (8-wide adds,
+// sign-mask abs, a NaN-losing packed max), and the raw float32 moves and
+// adds — plus the CPU feature probe that gates them.
 //
 // Every core is bit-identical to the scalar kernels in package kernel for
 // every input — including ±Inf, negative zero, and denormals — with one
@@ -17,9 +14,9 @@
 // shaped code bodies (SSA canonicalization commutes float adds), so the
 // payload may differ between tiers. NaN-ness itself is exact, a NaN slot
 // always quantizes to the zero digit, and wire bytes therefore remain
-// byte-identical for every input on every tier; only the payload bits of
-// floats that are NaN on all tiers can vary. The kernel package's
-// differential fuzz oracles sweep all tiers under exactly this relation.
+// byte-identical for every input on both tiers; only the payload bits of
+// floats that are NaN on both tiers can vary. The kernel package's
+// differential fuzz oracles sweep the tiers under exactly this relation.
 //
 // This package has no dispatch logic of its own: it exposes raw cores and
 // the Features report, and package kernel decides which core runs
@@ -29,7 +26,7 @@ package simd
 // Features reports the CPU capabilities the kernel dispatch consults.
 // On amd64 it is populated from CPUID/XGETBV at package init; on other
 // architectures every field is false and the dispatch stays on the
-// portable tiers.
+// scalar tier.
 type Features struct {
 	// AVX2 is true when the CPU and OS support 256-bit AVX2 integer and
 	// float vectors (CPUID leaf 7 AVX2, leaf 1 AVX+OSXSAVE, and XCR0

@@ -7,8 +7,8 @@ import (
 )
 
 // Tier-sweep benchmarks for the dispatched kernel registry: the same
-// workload on each available tier, so benchcheck can gate the vectorized
-// and assembly tiers against the scalar reference by name
+// workload on each available tier, so benchcheck can gate the assembly
+// tier against the scalar reference by name
 // (EncodeTernaryKernel/asm/dense vs EncodeTernaryKernel/scalar/dense,
 // etc.). Serial kernels: 0 allocs/op under -benchmem.
 

@@ -292,14 +292,3 @@ func (o *SGD) RestoreState(src []byte) error {
 	o.velocity = vel
 	return nil
 }
-
-// ApplyDelta applies a precomputed model delta to params: w += delta[i].
-// The parameter server uses this on workers when applying pulled deltas.
-func ApplyDelta(params []*nn.Param, deltas []*tensor.Tensor) {
-	if len(params) != len(deltas) {
-		panic("opt: delta count mismatch")
-	}
-	for i, p := range params {
-		p.W.Add(deltas[i])
-	}
-}

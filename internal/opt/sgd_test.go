@@ -89,24 +89,6 @@ func TestApplyWeightDecay(t *testing.T) {
 	}
 }
 
-func TestApplyDelta(t *testing.T) {
-	p := &nn.Param{Name: "w", W: tensor.FromSlice([]float32{1, 2}, 2), G: tensor.New(2)}
-	d := tensor.FromSlice([]float32{0.5, -0.5}, 2)
-	ApplyDelta([]*nn.Param{p}, []*tensor.Tensor{d})
-	if p.W.Data()[0] != 1.5 || p.W.Data()[1] != 1.5 {
-		t.Errorf("ApplyDelta result %v", p.W)
-	}
-}
-
-func TestApplyDeltaMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ApplyDelta([]*nn.Param{}, []*tensor.Tensor{tensor.New(1)})
-}
-
 func TestVelocityIsPerParameter(t *testing.T) {
 	cfg := SGDConfig{BaseLR: 1, FinalLR: 1, Momentum: 0.9, Workers: 1, TotalSteps: 1}
 	o := NewSGD(cfg)

@@ -4,27 +4,36 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"threelc/internal/compress"
 	"threelc/internal/kernel"
 	"threelc/internal/nn"
+	"threelc/internal/opt"
 	"threelc/internal/tensor"
 )
 
-// runPair drives `steps` full push/pull rounds on a 2-worker cluster with
-// the given config mutation, returning the final global parameter data.
-func runPair(t *testing.T, mut func(*Config), ingest func(t *testing.T, s *Job, workerID int, wires [][]byte)) [][]float32 {
+// aggregator is the server side runPair drives: the Job, the Job fed
+// tensor by tensor, or the staged oracle.
+type aggregator interface {
+	BeginStep()
+	AddPush(workerID int, wires [][]byte) (time.Duration, error)
+	FinishStep() ([][]byte, time.Duration, error)
+}
+
+func fusedJob(m *nn.Model, cfg Config) aggregator { return NewJob(m, cfg) }
+
+// runPair drives four full push/pull rounds on a 2-worker cluster whose
+// server is built by mk and whose workers apply the pull through apply,
+// returning the final global parameter data and worker 1's replica.
+func runPair(t *testing.T, cfg Config, mk func(*nn.Model, Config) aggregator, apply func(*Worker, [][]byte) (time.Duration, error)) (global, replica [][]float32) {
 	t.Helper()
-	cfg := testConfig(compress.SchemeThreeLC, compress.Options{Sparsity: 1.75, ZeroRun: true}, 2)
-	if mut != nil {
-		mut(&cfg)
-	}
-	global := testModel(1)
-	server := NewJob(global, cfg)
+	model := testModel(1)
+	server := mk(model, cfg)
 	workers := make([]*Worker, 2)
 	for id := range workers {
 		m := testModel(1)
-		m.CopyParamsFrom(global)
+		m.CopyParamsFrom(model)
 		workers[id] = NewWorker(id, m, cfg)
 	}
 	rng := tensor.NewRNG(77)
@@ -37,59 +46,149 @@ func runPair(t *testing.T, mut func(*Config), ingest func(t *testing.T, s *Job, 
 		for _, w := range workers {
 			w.Model.TrainStep(x, labels)
 			wires, _ := w.CompressGrads()
-			ingest(t, server, w.ID, wires)
+			if _, err := server.AddPush(w.ID, wires); err != nil {
+				t.Fatal(err)
+			}
 		}
 		pull, _, err := server.FinishStep()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range workers {
-			if _, err := w.ApplyPull(pull); err != nil {
+			if _, err := apply(w, pull); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	var out [][]float32
-	for _, p := range global.Params() {
-		out = append(out, append([]float32(nil), p.W.Data()...))
+	snapshot := func(m *nn.Model) (out [][]float32) {
+		for _, p := range m.Params() {
+			out = append(out, append([]float32(nil), p.W.Data()...))
+		}
+		return out
 	}
-	return out
+	return snapshot(model), snapshot(workers[1].Model)
 }
 
-func ingestWhole(t *testing.T, s *Job, workerID int, wires [][]byte) {
-	t.Helper()
-	if _, err := s.AddPush(workerID, wires); err != nil {
-		t.Fatal(err)
-	}
+// stagedJob is the reference the fused Job is held to, one separate sweep
+// per stage and no kernel of this package's hot path: every push is decoded
+// into scratch and then added to a sum zeroed at the start of the step, the
+// sum is averaged into p.G, opt.ApplyWithDelta updates the model and
+// materializes the delta, and the pull contexts (Job's, seed for seed) run
+// their whole CompressInto over it.
+type stagedJob struct {
+	params  []*nn.Param
+	sgd     *opt.SGD
+	pullCtx []compress.Compressor
+	sum     []*tensor.Tensor
+	delta   []*tensor.Tensor
+	pushes  int
 }
 
-// TestFusedAggregateMatchesStaged pins the fused decode-accumulate server
-// (and fused worker apply) against the staged decode-then-add reference:
-// after several training steps the global model state must be
-// bit-identical.
+func newStagedJob(m *nn.Model, cfg Config) aggregator {
+	s := &stagedJob{params: m.Params(), sgd: opt.NewSGD(cfg.Optimizer)}
+	for i, p := range s.params {
+		s.pullCtx = append(s.pullCtx, cfg.newContext(p, 0x5345525645520000+uint64(i), len(s.params))) // newJob's seed
+		s.sum = append(s.sum, tensor.New(p.W.Shape()...))
+		s.delta = append(s.delta, tensor.New(p.W.Shape()...))
+	}
+	return s
+}
+
+// decodeThenAdd is the staged accumulation: decode the wire into a scratch
+// tensor, then add it to dst in a separate sweep.
+func decodeThenAdd(wire []byte, dst *tensor.Tensor) error {
+	scratch := tensor.New(dst.Shape()...)
+	if err := compress.DecompressInto(wire, scratch); err != nil {
+		return err
+	}
+	dst.Add(scratch)
+	return nil
+}
+
+func (s *stagedJob) BeginStep() {
+	for _, g := range s.sum {
+		g.Zero()
+	}
+	s.pushes = 0
+}
+
+func (s *stagedJob) AddPush(workerID int, wires [][]byte) (time.Duration, error) {
+	for i, p := range s.params {
+		if p.NoCompress && workerID != 0 {
+			continue
+		}
+		if err := decodeThenAdd(wires[i], s.sum[i]); err != nil {
+			return 0, err
+		}
+	}
+	s.pushes++
+	return 0, nil
+}
+
+func (s *stagedJob) FinishStep() ([][]byte, time.Duration, error) {
+	for i, p := range s.params {
+		if !p.NoCompress { // a NoCompress tensor has one owner: its gradient is used as is
+			s.sum[i].Scale(1 / float32(s.pushes))
+		}
+		p.G.CopyFrom(s.sum[i])
+	}
+	s.sgd.ApplyWithDelta(s.params, s.delta)
+	pull := make([][]byte, len(s.params))
+	for i, ctx := range s.pullCtx {
+		pull[i] = ctx.CompressInto(s.delta[i], nil)
+	}
+	return pull, 0, nil
+}
+
+// stagedApplyPull is the worker half of the reference.
+func stagedApplyPull(w *Worker, wires [][]byte) (time.Duration, error) {
+	for i, p := range w.Model.Params() {
+		if err := decodeThenAdd(wires[i], p.W); err != nil {
+			return 0, err
+		}
+	}
+	return 0, nil
+}
+
+// TestFusedAggregateMatchesStaged pins the fused server (first-add /
+// decode-accumulate, the one SGD sweep in both its forms, encode-only pull)
+// and the fused worker apply against the staged reference above, for every
+// design of the tier matrix: after several training steps the global model
+// and a worker's replica must be bit-identical.
 func TestFusedAggregateMatchesStaged(t *testing.T) {
-	fused := runPair(t, nil, ingestWhole)
-	staged := runPair(t, func(c *Config) { c.StagedAggregate = true }, ingestWhole)
-	assertSameState(t, fused, staged, "staged")
+	for _, d := range designs {
+		t.Run(d.name, func(t *testing.T) {
+			cfg := testConfig(d.s, d.o, 2)
+			global, replica := runPair(t, cfg, fusedJob, (*Worker).ApplyPull)
+			wantGlobal, wantReplica := runPair(t, cfg, newStagedJob, stagedApplyPull)
+			assertSameState(t, global, wantGlobal, "staged global")
+			assertSameState(t, replica, wantReplica, "staged replica")
+		})
+	}
+}
+
+// perTensorJob feeds a Job's pushes through the per-tensor session API.
+type perTensorJob struct{ *Job }
+
+func (j perTensorJob) AddPush(workerID int, wires [][]byte) (time.Duration, error) {
+	push := j.BeginPush(workerID)
+	for i, wire := range wires {
+		if err := push.Tensor(i, wire); err != nil {
+			return 0, err
+		}
+	}
+	return 0, push.End()
 }
 
 // TestAddPushTensorMatchesAddPush pins the per-tensor ingestion API
 // (a PushSession fed by Tensor, the overlapped-pipeline entry) against
 // the whole-set AddPush driver.
 func TestAddPushTensorMatchesAddPush(t *testing.T) {
-	whole := runPair(t, nil, ingestWhole)
-	perTensor := runPair(t, nil, func(t *testing.T, s *Job, workerID int, wires [][]byte) {
-		t.Helper()
-		push := s.BeginPush(workerID)
-		for i, wire := range wires {
-			if err := push.Tensor(i, wire); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := push.End(); err != nil {
-			t.Fatal(err)
-		}
-	})
+	cfg := testConfig(compress.SchemeThreeLC, compress.Options{Sparsity: 1.75, ZeroRun: true}, 2)
+	whole, _ := runPair(t, cfg, fusedJob, (*Worker).ApplyPull)
+	perTensor, _ := runPair(t, cfg, func(m *nn.Model, cfg Config) aggregator {
+		return perTensorJob{NewJob(m, cfg)}
+	}, (*Worker).ApplyPull)
 	assertSameState(t, perTensor, whole, "whole-set")
 }
 

@@ -101,18 +101,29 @@ func benchModel(seed uint64) *nn.Model {
 	return nn.NewMLP(784, []int{256}, 10, seed)
 }
 
-// BenchmarkSteadyStatePushPull measures one full codec round trip of the
+// tinyModel is the many-tiny-tensor workload: ~200 tensors of at most 64
+// elements (100 hidden layers of width 8), where per-tensor dispatch
+// overhead rivals the kernel work itself.
+func tinyModel(seed uint64) *nn.Model {
+	hidden := make([]int, 100)
+	for i := range hidden {
+		hidden[i] = 8
+	}
+	return nn.NewMLP(8, hidden, 3, seed)
+}
+
+// benchSteadyStatePushPull measures one full codec round trip of the
 // parameter-server hot path — worker compress, server decode+aggregate,
 // server update+shared-pull compress, worker apply — with all buffers
-// recycled. Run with -benchmem: the serial configuration must show ~0
-// allocs/op (the parallel pool's goroutine spawns are the only allocs
+// recycled, in the serial configuration: it must show 0 allocs/op under
+// -benchmem (the parallel pool's goroutine spawns are the only allocs
 // otherwise).
-func BenchmarkSteadyStatePushPull(b *testing.B) {
+func benchSteadyStatePushPull(b *testing.B, model func(seed uint64) *nn.Model) {
 	cfg := testConfig(compress.SchemeThreeLC, compress.Options{Sparsity: 1.75, ZeroRun: true}, 1)
 	cfg.Parallelism = 1
-	global := benchModel(1)
+	global := model(1)
 	server := NewJob(global, cfg)
-	m := benchModel(1)
+	m := model(1)
 	m.CopyParamsFrom(global)
 	worker := NewWorker(0, m, cfg)
 
@@ -131,32 +142,11 @@ func BenchmarkSteadyStatePushPull(b *testing.B) {
 	}
 }
 
-// BenchmarkSteadyStatePushPullStaged is the same round trip through the
-// staged decode-then-add reference (Config.StagedAggregate): the
-// aggregation baseline the fused decode-accumulate is gated against.
-func BenchmarkSteadyStatePushPullStaged(b *testing.B) {
-	cfg := testConfig(compress.SchemeThreeLC, compress.Options{Sparsity: 1.75, ZeroRun: true}, 1)
-	cfg.Parallelism = 1
-	cfg.StagedAggregate = true
-	global := benchModel(1)
-	server := NewJob(global, cfg)
-	m := benchModel(1)
-	m.CopyParamsFrom(global)
-	worker := NewWorker(0, m, cfg)
+func BenchmarkSteadyStatePushPull(b *testing.B) { benchSteadyStatePushPull(b, benchModel) }
 
-	rng := tensor.NewRNG(31)
-	for _, p := range worker.Model.Params() {
-		tensor.FillNormal(p.G, 0.01, rng)
-	}
-	for i := 0; i < 3; i++ {
-		steadyStep(b, server, worker)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		steadyStep(b, server, worker)
-	}
-}
+// BenchmarkSteadyStatePushPullTiny is the round trip where the per-tensor
+// cost, not the kernels, is what is measured.
+func BenchmarkSteadyStatePushPullTiny(b *testing.B) { benchSteadyStatePushPull(b, tinyModel) }
 
 // BenchmarkSteadyStatePushPullF32 is the float32 baseline's round trip at
 // the end-to-end benchmark's scale: the 768-1024-1024-10 MLP (1.85M

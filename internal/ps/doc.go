@@ -40,8 +40,8 @@
 // compressor's error-accumulation buffer with its |max| reduction
 // (opt.ApplyFusedStep + compress.PreAccumulator), so compress pass 1
 // never runs as its own sweep. The staged decode-then-add / materialized
-// delta pipeline remains behind Config.StagedAggregate as the
-// bit-identical reference.
+// delta pipeline is the bit-identical reference the package's tests hold
+// this path to (TestFusedAggregateMatchesStaged); no configuration runs it.
 //
 // Pushes can be ingested per tensor (PushSession.Tensor) so drivers
 // overlap aggregation with compression and transport: the server

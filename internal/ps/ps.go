@@ -31,99 +31,9 @@ type Config struct {
 	// per-tensor fan-out is safe). Zero means GOMAXPROCS; 1 forces the
 	// serial path.
 	Parallelism int
-	// StagedAggregate routes the decode-accumulate hot paths — server-side
-	// push aggregation and worker-side pull apply — through the staged
-	// decode-then-add reference (decode into scratch, then a separate add
-	// sweep) instead of the fused single-pass kernels. The two are
-	// bit-identical for every codec (pinned by differential tests); the
-	// staged path remains as the reference implementation and the
-	// benchmark baseline. It also disables small-tensor batching (the
-	// reference configuration keeps every per-tensor stage separate).
-	StagedAggregate bool
-	// SmallTensorElems coalesces a node's compressed 3LC tensors with
-	// fewer elements than this into one batched compression unit
-	// (compress.TernaryBatch): their error-accumulation buffers share a
-	// contiguous arena and each push/pull runs them as a single pool job
-	// with serial kernels and a shared wire arena, eliminating per-tensor
-	// dispatch, pool scheduling, and wire bookkeeping on a model's long
-	// tail of bias/scale vectors. Wires and state are bit-identical to
-	// unbatched contexts. Zero means DefaultSmallTensorElems; negative
-	// disables batching. Only SchemeThreeLC tensors batch (other schemes
-	// and exempt tensors keep per-tensor contexts), and batching engages
-	// only when at least two tensors qualify.
-	SmallTensorElems int
 	// Optimizer configures the server-side SGD.
 	Optimizer opt.SGDConfig
 }
-
-// DefaultSmallTensorElems is the batching threshold Config.SmallTensorElems
-// selects when zero: tensors this size compress in a few microseconds, so
-// per-tensor pool dispatch is a measurable fraction of their cost.
-const DefaultSmallTensorElems = 4096
-
-// batchThreshold resolves the small-tensor batching threshold: 0 means
-// batching is disabled (negative setting, or the staged reference
-// configuration).
-func (c Config) batchThreshold() int {
-	if c.SmallTensorElems < 0 || c.StagedAggregate {
-		return 0
-	}
-	if c.SmallTensorElems == 0 {
-		return DefaultSmallTensorElems
-	}
-	return c.SmallTensorElems
-}
-
-// batchEligible reports whether tensor p joins the node's ternary batch:
-// a compressed 3LC tensor below the batching threshold. The entropy
-// second stage opts out — TernaryBatch members emit into a shared wire
-// arena without the wrapper, and WAN configurations care about bytes,
-// not tiny-tensor dispatch overhead.
-func (c Config) batchEligible(p *nn.Param) bool {
-	thr := c.batchThreshold()
-	return thr > 0 && c.Scheme == compress.SchemeThreeLC &&
-		c.Opts.Entropy == compress.EntropyOff &&
-		c.shouldCompress(p) && p.W.Len() < thr
-}
-
-// buildBatch partitions a node's tensors into the coalesced tiny-tensor
-// batch and the per-tensor job list. It returns the batch (nil when
-// fewer than two tensors qualify — one tiny tensor gains nothing from an
-// arena), the model indices of its members in member order, and the pool
-// job list: one entry per unbatched tensor holding its model index, plus
-// a single batchJob sentinel covering every member. Job order does not
-// affect bytes (the pool is dynamic and per-tensor state is
-// independent); the batch job leads so the longest job starts first.
-func (c Config) buildBatch(params []*nn.Param) (batch *compress.TernaryBatch, batchIdx, jobs []int) {
-	var shapes [][]int
-	for i, p := range params {
-		if c.batchEligible(p) {
-			batchIdx = append(batchIdx, i)
-			shapes = append(shapes, p.W.Shape())
-		}
-	}
-	if len(batchIdx) < 2 {
-		jobs = make([]int, len(params))
-		for i := range jobs {
-			jobs[i] = i
-		}
-		return nil, nil, jobs
-	}
-	jobs = append(jobs, batchJob)
-	inBatch := make(map[int]bool, len(batchIdx))
-	for _, i := range batchIdx {
-		inBatch[i] = true
-	}
-	for i := range params {
-		if !inBatch[i] {
-			jobs = append(jobs, i)
-		}
-	}
-	return compress.NewTernaryBatch(shapes, c.Opts), batchIdx, jobs
-}
-
-// batchJob is the job-list sentinel for the coalesced tiny-tensor batch.
-const batchJob = -1
 
 // kernelBudget splits the node's goroutine budget between the two levels
 // of fan-out: the per-tensor pool takes min(par, tensors) workers and
@@ -247,21 +157,13 @@ type Job struct {
 	pullCtx   []compress.Compressor
 	gradSum   []*tensor.Tensor
 	delta     []*tensor.Tensor
-	decode    []*tensor.Tensor          // staged-reference decode scratch (StagedAggregate only)
 	pullWires [][]byte                  // per-tensor pull wire buffers, recycled across steps
 	errs      []error                   // per-tensor error slots for parallel decode, recycled
 	decPar    int                       // per-tensor kernel fan-out for fused decode-add
-	dirty     []bool                    // per-tensor: gradSum holds this step's data (fused path)
+	dirty     []bool                    // per-tensor: gradSum holds this step's data
 	preAcc    []compress.PreAccumulator // pull contexts with a fusable accumulate pass (nil slots otherwise)
 	accMax    []float32                 // per-tensor max|acc| from the fused optimizer sweep
 	pushes    int
-
-	// Small-tensor batching (Config.SmallTensorElems): tiny 3LC pull
-	// contexts coalesced over one arena, run as a single pool job.
-	batch    *compress.TernaryBatch
-	batchIdx []int     // model indices of batch members, in member order
-	jobs     []int     // pool job list: model index, or batchJob sentinel
-	batchMax []float32 // argument slot: accMax gathered in member order
 
 	// Bound once at construction so the parallelFor call sites pass a
 	// stored func value instead of a closure literal — closure allocation
@@ -312,32 +214,15 @@ func newJob(params []*nn.Param, globalIdx []int, cfg Config) *Job {
 		optimizer: opt.NewSGD(cfg.Optimizer),
 		params:    params,
 	}
-	s.batch, s.batchIdx, s.jobs = cfg.buildBatch(params)
-	member := 0
 	for i, p := range params {
 		gi := i
 		if globalIdx != nil {
 			gi = globalIdx[i]
 		}
-		if member < len(s.batchIdx) && s.batchIdx[member] == i {
-			// Batched tiny tensor: the context is the batch's member, so
-			// per-tensor decode, checkpointing (state.go walks pullCtx),
-			// and any direct CompressInto work unchanged — only the
-			// pull-pack job routes through the coalesced encode.
-			s.pullCtx = append(s.pullCtx, s.batch.Member(member))
-			member++
-		} else {
-			s.pullCtx = append(s.pullCtx, cfg.newContext(p, 0x5345525645520000+uint64(gi), len(s.params))) // "SERVER"
-		}
+		s.pullCtx = append(s.pullCtx, cfg.newContext(p, 0x5345525645520000+uint64(gi), len(s.params))) // "SERVER"
 		s.gradSum = append(s.gradSum, tensor.New(p.W.Shape()...))
 		s.delta = append(s.delta, tensor.New(p.W.Shape()...))
-		if cfg.StagedAggregate {
-			// The fused decode-accumulate needs no per-tensor decode
-			// scratch; only the staged reference path does.
-			s.decode = append(s.decode, tensor.New(p.W.Shape()...))
-		}
 	}
-	s.batchMax = make([]float32, len(s.batchIdx))
 	s.decPar = cfg.kernelBudget(len(s.params))
 	s.dirty = make([]bool, len(s.params))
 	s.pullWires = make([][]byte, len(s.params))
@@ -349,8 +234,8 @@ func newJob(params []*nn.Param, globalIdx []int, cfg Config) *Job {
 			s.preAcc[i] = pa
 		}
 	}
-	s.addPushFn = s.addPushJob
-	s.pullPackFn = s.pullPackJob
+	s.addPushFn = s.addPushOne
+	s.pullPackFn = s.pullPackOne
 	s.accForFn = s.accBufFor
 	s.gradForFn = s.gradBufFor
 	workers := cfg.Workers
@@ -378,31 +263,23 @@ func (s *Job) gradBufFor(i int) ([]float32, float32) {
 
 // accBufFor hands the optimizer the pull context's error-accumulation
 // buffer for tensors whose compress pass 1 can absorb the delta write
-// (compress.PreAccumulator); nil keeps the materialized-delta path. The
-// staged reference configuration keeps every pass separate.
+// (compress.PreAccumulator); nil keeps the materialized-delta path.
 func (s *Job) accBufFor(i int) []float32 {
-	if s.cfg.StagedAggregate || s.preAcc[i] == nil {
+	if s.preAcc[i] == nil {
 		return nil
 	}
 	return s.preAcc[i].AccData()
 }
 
-// BeginStep resets gradient aggregation for a new training step. The
-// fused path resets per-tensor dirty flags instead of sweeping the sum
-// buffers to zero: each tensor's first accumulation of the step goes
-// through DecompressFirstAddInto, which writes over the stale buffer where
-// that is bit-safe (ternary wires decode over it, raw float wires are
-// added to +0 in registers) and zeroes it just-in-time otherwise. The
-// staged reference keeps the explicit zeroing sweep.
+// BeginStep resets gradient aggregation for a new training step. It
+// resets per-tensor dirty flags instead of sweeping the sum buffers to
+// zero: each tensor's first accumulation of the step goes through
+// DecompressFirstAddInto, which writes over the stale buffer where that is
+// bit-safe (ternary wires decode over it, raw float wires are added to +0
+// in registers) and zeroes it just-in-time otherwise.
 func (s *Job) BeginStep() {
-	if s.cfg.StagedAggregate {
-		for _, g := range s.gradSum {
-			g.Zero()
-		}
-	} else {
-		for i := range s.dirty {
-			s.dirty[i] = false
-		}
+	for i := range s.dirty {
+		s.dirty[i] = false
 	}
 	s.pushes = 0
 }
@@ -423,17 +300,16 @@ func (s *Job) AddPush(workerID int, wires [][]byte) (time.Duration, error) {
 // across layer tensors (each tensor owns its gradient-sum buffer, so
 // per-tensor parallelism is safe). Each tensor runs the fused
 // decode-accumulate — one LUT-driven pass that adds M·q straight into the
-// aggregation buffer, no intermediate decode tensor — unless
-// Config.StagedAggregate selects the staged decode-then-add reference.
-// NoCompress tensors (batch norm) are taken from worker 0 only. It does
-// NOT advance the push count — that is the session End (or AddPush).
+// aggregation buffer, no intermediate decode tensor. NoCompress tensors
+// (batch norm) are taken from worker 0 only. It does NOT advance the push
+// count — that is the session End (or AddPush).
 func (s *Job) ingestSet(workerID int, wires [][]byte) (time.Duration, error) {
 	if len(wires) != len(s.params) {
 		return 0, fmt.Errorf("ps: push has %d tensors, model has %d", len(wires), len(s.params))
 	}
 	start := time.Now()
 	s.pushWorkerID, s.pushSrc = workerID, wires
-	parallelFor(len(s.jobs), s.cfg.parallelism(), s.addPushFn)
+	parallelFor(len(s.params), s.cfg.parallelism(), s.addPushFn)
 	s.pushSrc = nil
 	for _, err := range s.errs {
 		if err != nil {
@@ -441,22 +317,6 @@ func (s *Job) ingestSet(workerID int, wires [][]byte) (time.Duration, error) {
 		}
 	}
 	return time.Since(start), nil
-}
-
-// addPushJob runs pool job j of the push staged in pushWorkerID/pushSrc:
-// one tensor, or — for the batch job — every batched tiny tensor back to
-// back on this goroutine (their individual decodes cost less than a pool
-// hand-off; per-tensor decode-add semantics are unchanged, so the
-// aggregate stays bit-identical to unbatched).
-func (s *Job) addPushJob(j int) {
-	i := s.jobs[j]
-	if i != batchJob {
-		s.addPushOne(i)
-		return
-	}
-	for _, bi := range s.batchIdx {
-		s.addPushOne(bi)
-	}
 }
 
 // addPushOne decode-accumulates tensor i of the push staged in
@@ -472,10 +332,9 @@ func (s *Job) addPushOne(i int) {
 	}
 }
 
-// decodeAdd accumulates one wire into gradSum[i]: the fused single-pass
-// registry path by default, the staged decode-then-add reference under
-// StagedAggregate. Both leave the accumulator bit-identical; a malformed
-// wire leaves it untouched either way.
+// decodeAdd accumulates one wire into gradSum[i] through the fused
+// single-pass registry path; a malformed wire leaves the accumulator
+// untouched.
 //
 // The fused path skips zero runs instead of adding m·0 through them,
 // which equals the dense add bit for bit as long as the sum holds no −0
@@ -490,13 +349,6 @@ func (s *Job) addPushOne(i int) {
 // restored with, until its first non-zero update, and stays ==-equal to
 // the dense result throughout.)
 func (s *Job) decodeAdd(i int, wire []byte) error {
-	if s.cfg.StagedAggregate {
-		if err := compress.DecompressInto(wire, s.decode[i]); err != nil {
-			return err
-		}
-		s.gradSum[i].Add(s.decode[i])
-		return nil
-	}
 	if !s.dirty[i] {
 		s.dirty[i] = true
 		return compress.DecompressFirstAddInto(wire, s.gradSum[i], s.decPar)
@@ -550,75 +402,37 @@ func (s *Job) FinishStep() ([][]byte, time.Duration, error) {
 		return nil, 0, fmt.Errorf("ps: FinishStep with no pushes")
 	}
 	s.inv = 1 / float32(s.pushes)
-	if s.cfg.StagedAggregate {
-		// Staged reference: materialize the averaged gradient in p.G, run
-		// the optimizer against it, materialize delta tensors, and let the
-		// pull contexts run their own accumulate pass.
-		for i, p := range s.params {
-			if p.NoCompress {
-				// Single designated owner: gradient used as-is.
-				p.G.CopyFrom(s.gradSum[i])
-				continue
-			}
-			s.gradSum[i].Scale(s.inv)
-			p.G.CopyFrom(s.gradSum[i])
+	for i := range s.params {
+		if !s.dirty[i] {
+			// Defensive: a tensor that received no push this step must
+			// average as zero even though BeginStep skipped the up-front
+			// zeroing sweep. (Every driver pushes every tensor — worker 0
+			// is never dropped — so this is unreachable in practice.)
+			s.gradSum[i].Zero()
 		}
-		s.optimizer.ApplyWithDelta(s.params, s.delta)
-	} else {
-		for i := range s.params {
-			if !s.dirty[i] {
-				// Defensive: a tensor that received no push this step must
-				// average as zero even though the fused path skipped the
-				// up-front zeroing sweep. (Every driver pushes every
-				// tensor — worker 0 is never dropped — so this is
-				// unreachable in practice.)
-				s.gradSum[i].Zero()
-			}
-		}
-		// One fused sweep per tensor: average (scale fused into the read),
-		// momentum update, delta, and — for 3LC pull contexts — the
-		// delta fold into the compressor's error-accumulation buffer with
-		// its |max| reduction. Bit-identical to the staged average →
-		// Apply → delta = W - prevW → AccumulateMaxAbs sequence; the
-		// averaged gradient is not materialized (p.G is untouched).
-		s.optimizer.ApplyFusedStep(s.params, s.gradForFn, s.delta, s.accForFn, s.accMax)
 	}
+	// One fused sweep per tensor: average (scale fused into the read),
+	// momentum update, delta, and — for 3LC pull contexts — the delta fold
+	// into the compressor's error-accumulation buffer with its |max|
+	// reduction. Bit-identical to the staged average → Apply → delta =
+	// W - prevW → AccumulateMaxAbs sequence (TestFusedAggregateMatchesStaged);
+	// the averaged gradient is not materialized (p.G is untouched).
+	s.optimizer.ApplyFusedStep(s.params, s.gradForFn, s.delta, s.accForFn, s.accMax)
 
 	// Shared pull compression: one wire per tensor for all workers, built
 	// once into recycled per-tensor buffers (§3, Figure 2b) by the bounded
 	// worker pool. The returned slices are valid until the next FinishStep
 	// call; callers that retain pulls across steps must copy them.
 	start := time.Now()
-	parallelFor(len(s.jobs), s.cfg.parallelism(), s.pullPackFn)
+	parallelFor(len(s.params), s.cfg.parallelism(), s.pullPackFn)
 	return s.pullWires, time.Since(start), nil
-}
-
-// pullPackJob runs pull-compression pool job j: one tensor, or — for the
-// batch job — the coalesced encode of every batched tiny tensor. The
-// fused optimizer sweep already folded each member's delta into the
-// shared arena (members' AccData slices tile it) and reduced accMax, so
-// the batch runs encode-only, one contiguous sweep emitting every
-// member's wire into the shared wire arena.
-func (s *Job) pullPackJob(j int) {
-	i := s.jobs[j]
-	if i != batchJob {
-		s.pullPackOne(i)
-		return
-	}
-	for k, bi := range s.batchIdx {
-		s.batchMax[k] = s.accMax[bi]
-	}
-	wires := s.batch.EncodePreAccumulated(s.batchMax)
-	for k, bi := range s.batchIdx {
-		s.pullWires[bi] = wires[k]
-	}
 }
 
 // pullPackOne compresses model-delta tensor i into its recycled buffer:
 // encode-only for contexts whose accumulate pass the optimizer sweep
 // already absorbed, the full CompressInto otherwise.
 func (s *Job) pullPackOne(i int) {
-	if pa := s.preAcc[i]; pa != nil && !s.cfg.StagedAggregate {
+	if pa := s.preAcc[i]; pa != nil {
 		s.pullWires[i] = pa.CompressPreAccumulated(s.accMax[i], s.pullWires[i][:0])
 		return
 	}
@@ -640,50 +454,31 @@ type Worker struct {
 	cfg       Config
 	params    []*nn.Param
 	pushCtx   []compress.Compressor
-	scratch   []*tensor.Tensor // staged-reference decode scratch (StagedAggregate only)
-	pushWires [][]byte         // per-tensor push wire buffers, recycled across steps
-	errs      []error          // per-tensor error slots for parallel decode, recycled
-	decPar    int              // per-tensor kernel fan-out for fused decode-add
-
-	// Small-tensor batching, mirroring Server: tiny 3LC push contexts
-	// coalesced over one arena, run as a single pool job.
-	batch    *compress.TernaryBatch
-	batchIdx []int
-	jobs     []int
+	pushWires [][]byte // per-tensor push wire buffers, recycled across steps
+	errs      []error  // per-tensor error slots for parallel decode, recycled
+	decPar    int      // per-tensor kernel fan-out for fused decode-add
 
 	// Bound method values + argument slots, mirroring Server (see there).
-	compressFn   func(j int)
-	applyFn      func(j int)
-	batchGradFn  func(k int) []float32
+	compressFn   func(i int)
+	applyFn      func(i int)
 	pullSrc      [][]byte
 	streamEmitFn func(i int, wire []byte) // argument slot for CompressGradsStream
-	streamFn     func(j int)
+	streamFn     func(i int)
 }
 
 // NewWorker wraps a local model replica (which must start identical to the
 // server's global model).
 func NewWorker(id int, model *nn.Model, cfg Config) *Worker {
 	w := &Worker{ID: id, Model: model, cfg: cfg, params: model.Params()}
-	w.batch, w.batchIdx, w.jobs = cfg.buildBatch(w.params)
-	member := 0
 	for i, p := range w.params {
-		if member < len(w.batchIdx) && w.batchIdx[member] == i {
-			w.pushCtx = append(w.pushCtx, w.batch.Member(member))
-			member++
-		} else {
-			w.pushCtx = append(w.pushCtx, cfg.newContext(p, 0x574f524b00000000+uint64(id)<<16+uint64(i), len(w.params))) // "WORK"
-		}
-		if cfg.StagedAggregate {
-			w.scratch = append(w.scratch, tensor.New(p.W.Shape()...))
-		}
+		w.pushCtx = append(w.pushCtx, cfg.newContext(p, 0x574f524b00000000+uint64(id)<<16+uint64(i), len(w.params))) // "WORK"
 	}
 	w.decPar = cfg.kernelBudget(len(w.params))
 	w.pushWires = make([][]byte, len(w.params))
 	w.errs = make([]error, len(w.params))
-	w.compressFn = w.compressJob
-	w.applyFn = w.applyJob
-	w.batchGradFn = w.batchGrad
-	w.streamFn = w.streamJob
+	w.compressFn = w.compressOne
+	w.applyFn = w.applyOne
+	w.streamFn = w.streamOne
 	return w
 }
 
@@ -696,29 +491,8 @@ func NewWorker(id int, model *nn.Model, cfg Config) *Worker {
 // next CompressGrads call on this worker.
 func (w *Worker) CompressGrads() ([][]byte, time.Duration) {
 	start := time.Now()
-	parallelFor(len(w.jobs), w.cfg.parallelism(), w.compressFn)
+	parallelFor(len(w.params), w.cfg.parallelism(), w.compressFn)
 	return w.pushWires, time.Since(start)
-}
-
-// compressJob runs compression pool job j: one tensor, or — for the
-// batch job — the coalesced CompressAll over every batched tiny tensor
-// (one arena-order sweep of their error state, one shared wire arena, no
-// per-tensor dispatch).
-func (w *Worker) compressJob(j int) {
-	i := w.jobs[j]
-	if i != batchJob {
-		w.compressOne(i)
-		return
-	}
-	wires := w.batch.CompressAll(w.batchGradFn)
-	for k, bi := range w.batchIdx {
-		w.pushWires[bi] = wires[k]
-	}
-}
-
-// batchGrad hands CompressAll batch member k's gradient data.
-func (w *Worker) batchGrad(k int) []float32 {
-	return w.params[w.batchIdx[k]].G.Data()
 }
 
 // compressOne compresses gradient tensor i into its recycled buffer.
@@ -738,27 +512,15 @@ func (w *Worker) compressOne(i int) {
 func (w *Worker) CompressGradsStream(emit func(i int, wire []byte)) ([][]byte, time.Duration) {
 	start := time.Now()
 	w.streamEmitFn = emit
-	parallelFor(len(w.jobs), w.cfg.parallelism(), w.streamFn)
+	parallelFor(len(w.params), w.cfg.parallelism(), w.streamFn)
 	w.streamEmitFn = nil
 	return w.pushWires, time.Since(start)
 }
 
-// streamJob is compressJob plus per-tensor emission: batched tiny
-// tensors are emitted member by member the moment the coalesced encode
-// finishes (their wires materialize together, so there is nothing
-// earlier to overlap with).
-func (w *Worker) streamJob(j int) {
-	i := w.jobs[j]
-	if i != batchJob {
-		w.compressOne(i)
-		w.streamEmitFn(i, w.pushWires[i])
-		return
-	}
-	wires := w.batch.CompressAll(w.batchGradFn)
-	for k, bi := range w.batchIdx {
-		w.pushWires[bi] = wires[k]
-		w.streamEmitFn(bi, wires[k])
-	}
+// streamOne is compressOne plus the emission of tensor i's wire.
+func (w *Worker) streamOne(i int) {
+	w.compressOne(i)
+	w.streamEmitFn(i, w.pushWires[i])
 }
 
 // ApplyPull decompresses the shared model-delta wires and applies them to
@@ -770,7 +532,7 @@ func (w *Worker) ApplyPull(wires [][]byte) (time.Duration, error) {
 	}
 	start := time.Now()
 	w.pullSrc = wires
-	parallelFor(len(w.jobs), w.cfg.parallelism(), w.applyFn)
+	parallelFor(len(w.params), w.cfg.parallelism(), w.applyFn)
 	w.pullSrc = nil
 	for _, err := range w.errs {
 		if err != nil {
@@ -780,22 +542,9 @@ func (w *Worker) ApplyPull(wires [][]byte) (time.Duration, error) {
 	return time.Since(start), nil
 }
 
-// applyJob runs pull-apply pool job j: one tensor, or every batched tiny
-// tensor back to back (per-tensor decode-add semantics unchanged).
-func (w *Worker) applyJob(j int) {
-	i := w.jobs[j]
-	if i != batchJob {
-		w.applyOne(i)
-		return
-	}
-	for _, bi := range w.batchIdx {
-		w.applyOne(bi)
-	}
-}
-
 // applyOne decode-applies pull tensor i of the staged wire set to the
 // replica: the fused decode-accumulate adds M·q straight into the weight
-// tensor in one pass (the staged decode-then-add under StagedAggregate).
+// tensor in one pass.
 func (w *Worker) applyOne(i int) {
 	w.errs[i] = w.applyTensor(i, w.pullSrc[i])
 }
@@ -803,13 +552,6 @@ func (w *Worker) applyOne(i int) {
 // applyTensor decode-applies one pull wire into weight tensor i.
 func (w *Worker) applyTensor(i int, wire []byte) error {
 	p := w.params[i]
-	if w.cfg.StagedAggregate {
-		if err := compress.DecompressInto(wire, w.scratch[i]); err != nil {
-			return fmt.Errorf("ps: pull tensor %q: %w", p.Name, err)
-		}
-		p.W.Add(w.scratch[i])
-		return nil
-	}
 	if err := compress.DecompressAddInto(wire, p.W, w.decPar); err != nil {
 		return fmt.Errorf("ps: pull tensor %q: %w", p.Name, err)
 	}

@@ -21,15 +21,6 @@ func NewErrorAccumulator(shape ...int) *ErrorAccumulator {
 	return &ErrorAccumulator{buf: tensor.New(shape...)}
 }
 
-// NewErrorAccumulatorOver wraps an existing (zeroed) tensor as the
-// accumulation buffer instead of allocating one. Callers that coalesce
-// many small tensors' error state into one contiguous arena
-// (compress.TernaryBatch) hand each member a slice-backed tensor so the
-// batched accumulate sweep walks adjacent memory.
-func NewErrorAccumulatorOver(buf *tensor.Tensor) *ErrorAccumulator {
-	return &ErrorAccumulator{buf: buf}
-}
-
 // Accumulate adds in to the buffer and returns the buffered sum
 // (input + accumulated error). The returned tensor aliases the internal
 // buffer; callers must not retain it past the following Residual call.

@@ -105,11 +105,6 @@ type Config struct {
 	Net netsim.Params
 	// MinCompressElems exempts small tensors (paper behavior). Zero means 256.
 	MinCompressElems int
-	// SmallTensorElems coalesces compressed 3LC tensors below this many
-	// elements into one batched compression unit per node (see
-	// ps.Config.SmallTensorElems). Zero means the ps default; negative
-	// disables batching.
-	SmallTensorElems int
 	// Parallelism bounds the per-node worker pool that compresses and
 	// decompresses layer tensors concurrently (see ps.Config.Parallelism).
 	// Within each tensor the budget is spent work-proportionally: the two
@@ -377,7 +372,6 @@ func Run(cfg Config) (*Result, error) {
 		Opts:             cfg.Design.Opts,
 		Workers:          cfg.Workers,
 		MinCompressElems: cfg.MinCompressElems,
-		SmallTensorElems: cfg.SmallTensorElems,
 		Parallelism:      workerParallelism,
 		Optimizer:        optCfg,
 	}

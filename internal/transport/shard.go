@@ -44,7 +44,7 @@
 // producer has nothing more ready (so a producer slower than the wire
 // still gets tensor i out before tensor i+1 exists), flushBytes have
 // gathered, and the stream ends. A producer that is ahead of the wire —
-// a burst of batched small tensors, a single CPU — pays one write per
+// a burst of small tensors, a single CPU — pays one write per
 // shard, not one per tensor; the server's pull, whose tensors all exist
 // before the first is sent, pays one per flushBytes.
 //
