@@ -47,12 +47,13 @@
 // contexts) and every worker holds one multiplexed connection per shard,
 // pushing and pulling against all of them concurrently.
 //
-// With -replicas every shard gets a standby (transport.ShardReplica) fed
-// by primary push forwarding; -kill-shard S -kill-step K then crashes
-// shard S's primary at step K mid-run. Workers detect the death (read
-// deadline or EOF), reconnect to the replica, replay the in-flight push
-// (deduplicated on the per-step push identity), and finish the run — with
-// final model state byte-identical to an unkilled run.
+// With -replicas every shard gets a standby, a second transport.ShardServer
+// over its own model clone that every worker sends its pushes to ahead of
+// the primary's copy; -kill-shard S -kill-step K then crashes shard S's
+// primary at step K. Workers detect the death (read deadline or EOF),
+// claim the standby by replaying the in-flight push on the connection they
+// already hold (deduplicated on the per-step push identity), and finish
+// the run — with final model state byte-identical to an unkilled run.
 package main
 
 import (
@@ -90,7 +91,7 @@ func main() {
 		shards     = flag.Int("shards", 1, "parameter-server shard count; shard s listens on -addr's port + s (each shard gets its own listener; workers multiplex)")
 		stream     = flag.Bool("stream", false, "per-tensor streamed pipeline: hand each tensor to its shard's connection as its compressor finishes (the server decode-aggregates it on arrival) and decode-apply each pulled tensor as it is read; frames are written when the compressor has nothing more ready, every 64 KiB and at the end of the push, not one by one; implies the shard-tier transport even at -shards 1")
 		tenants    = flag.Int("tenants", 1, "concurrent tenant jobs multiplexed over one shared shard tier; each tenant trains its own model with its own -workers workers")
-		replicas   = flag.Bool("replicas", false, "run one standby replica per shard (primary forwards pushes; workers fail over on primary death); implies the shard tier")
+		replicas   = flag.Bool("replicas", false, "run one standby per shard (workers send it a copy of every push and fail over to it on primary death); implies the shard tier")
 		killShard  = flag.Int("kill-shard", -1, "crash this shard's primary mid-run (requires -replicas)")
 		killStep   = flag.Int("kill-step", -1, "step at which -kill-shard fires (default steps/2)")
 		netTimeout = flag.Duration("net-timeout", 0, "per-frame read/write deadline on worker connections (failure detector for dead shards); 0 disables, except with -replicas where it defaults to 10s")
@@ -238,7 +239,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "3lc-net:", err)
 			os.Exit(1)
 		}
-		var reps []*transport.ShardReplica
+		var srvs []*transport.ShardServer
 		if *replicas {
 			// Standby tier: one replica per shard over its OWN model clone
 			// (replicated state must not alias the primary's tensors).
@@ -251,7 +252,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, "3lc-net:", err)
 				os.Exit(1)
 			}
-			reps = make([]*transport.ShardReplica, *shards)
 			for s := 0; s < *shards; s++ {
 				port := "0"
 				if basePort != 0 {
@@ -264,7 +264,7 @@ func main() {
 				}
 				raddrs[s] = rln.Addr().String()
 				fmt.Printf("replica shard %d/%d standing by on %s\n", s, *shards, rln.Addr())
-				reps[s] = transport.NewShardReplica(rln, repSubs[s], transport.ShardServerConfig{
+				rep := transport.NewShardServer(rln, repSubs[s], transport.ShardServerConfig{
 					Shard:          s,
 					NumShards:      *shards,
 					Workers:        *workers,
@@ -272,10 +272,10 @@ func main() {
 					AssignmentHash: asn.Hash(),
 					Timeouts:       timeouts,
 				})
-				go func(s int) { repErr <- reps[s].Serve() }(s)
+				srvs = append(srvs, rep)
+				go func() { repErr <- rep.Serve() }()
 			}
 		}
-		srvs := make([]*transport.ShardServer, *shards)
 		for s := 0; s < *shards; s++ {
 			port := "0"
 			if basePort != 0 {
@@ -297,25 +297,20 @@ func main() {
 				AssignmentHash: asn.Hash(),
 			}
 			if *replicas {
-				scfg.ReplicaAddr = raddrs[s]
 				scfg.Timeouts = transport.Timeouts{Read: 5 * time.Minute, Write: *netTimeout}
 			}
 			if s == *killShard {
 				scfg.KillAtStep = *killStep
 				fmt.Printf("shard %d primary will be killed at step %d\n", s, *killStep)
 			}
-			srvs[s] = transport.NewShardServer(ln, subs[s], scfg)
-			go func(s int) { serveErr <- srvs[s].Serve() }(s)
+			srv := transport.NewShardServer(ln, subs[s], scfg)
+			srvs = append(srvs, srv)
+			go func() { serveErr <- srv.Serve() }()
 		}
 		trafficFn = func() (int64, int64) {
 			var push, pull int64
-			for _, srv := range srvs {
+			for _, srv := range srvs { // primaries and standbys alike
 				p, q := srv.TrafficBytes()
-				push += p
-				pull += q
-			}
-			for _, rep := range reps {
-				p, q := rep.TrafficBytes()
 				push += p
 				pull += q
 			}
@@ -425,7 +420,7 @@ func main() {
 			continue
 		}
 		if *killShard >= 0 && errors.Is(err, transport.ErrShardKilled) {
-			continue // the injected crash — the replica takes over
+			continue // the injected crash — the standby takes over
 		}
 		fmt.Fprintln(os.Stderr, "3lc-net server:", err)
 		os.Exit(1)

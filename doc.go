@@ -147,12 +147,12 @@
 // dropout-tolerance argument, pinned bit-identical to a staged reference
 // driver. On the wire, every endpoint takes read/write deadlines
 // (transport.Timeouts) so a dead peer surfaces as a net.Error timeout
-// instead of a hang, and each shard can run a standby replica
-// (transport.ShardReplica) fed by primary push forwarding: when a primary
-// dies — abruptly or silently — workers reconnect to the replica and
-// replay the in-flight push, deduplicated on the (worker, step) identity
-// every push frame carries, with the surviving tier's model state
-// byte-identical to the single-PS reference.
+// instead of a hang, and each shard can run a standby — a second
+// transport.ShardServer every worker sends its pushes to first: when a
+// primary dies — abruptly or silently — workers replay the in-flight push
+// on the standby connection they hold, deduplicated on the (worker, step)
+// identity every push frame carries, with the surviving tier's model
+// state byte-identical to the single-PS reference.
 //
 // Binaries: cmd/3lc-bench (regenerate every table and figure, plus the
 // `-exp codec` pipeline micro-benchmark and the `-exp shard` shard-

@@ -14,17 +14,12 @@ import (
 // WithEntropy wraps any base codec so its wire messages pass through a
 // Huffman or LZ stage after zero-run encoding.
 //
-// Wire format (self-describing, like every scheme):
-//
-//	[SchemeEntropy][1B stage id][stage body]
-//	stage id := 0  stored   — body is the inner wire message verbatim
-//	          | 1  huffman  — body is entropy.HuffmanEncode(inner wire)
-//	          | 2  lz       — body is entropy.LZEncode(inner wire)
-//
-// The encoder codes optimistically and falls back to stored when the
-// coded body would not beat the raw inner wire, so the stage's overhead
-// is bounded at 2 bytes per message. Nesting is rejected: an inner wire
-// that itself starts with SchemeEntropy fails to decode.
+// Wire format (self-describing, like every scheme): [SchemeEntropy], then
+// the inner wire message as a staged body (entropy.AppendStage: a stage id
+// and the coded bytes, or the inner wire verbatim when coding would not
+// beat it), so the stage's overhead is bounded at 2 bytes per message.
+// Nesting is rejected: an inner wire that itself starts with
+// SchemeEntropy fails to decode.
 //
 // The stage preserves the repo's steady-state zero-allocation contract:
 // the inner wire is staged in a context-owned recycled buffer, the
@@ -34,11 +29,12 @@ import (
 // EntropyAlgo selects the optional entropy second stage of a codec.
 type EntropyAlgo uint8
 
-// Entropy stage selectors for Options.Entropy.
+// Entropy stage selectors for Options.Entropy: the stage ids of package
+// entropy, off being the stage that stores.
 const (
-	EntropyOff EntropyAlgo = iota
-	EntropyHuffman
-	EntropyLZ
+	EntropyOff     = EntropyAlgo(entropy.StageStored)
+	EntropyHuffman = EntropyAlgo(entropy.StageHuffman)
+	EntropyLZ      = EntropyAlgo(entropy.StageLZ)
 )
 
 // String names the stage for design tables and wire diagnostics.
@@ -68,13 +64,6 @@ func ParseEntropyAlgo(s string) (EntropyAlgo, error) {
 		return EntropyOff, fmt.Errorf("compress: unknown entropy stage %q (want off|huffman|lz)", s)
 	}
 }
-
-// Stage ids on the wire (the byte after SchemeEntropy).
-const (
-	entropyWireStored  = 0
-	entropyWireHuffman = 1
-	entropyWireLZ      = 2
-)
 
 // WithEntropy wraps c so every wire message passes through the entropy
 // second stage. The wrapper forwards c's optional capabilities — a
@@ -171,29 +160,9 @@ func entropyPreAccumulated(e *entropyCompressor, pa PreAccumulator, maxAbs float
 	return appendEntropyWire(dst, e.algo, e.buf)
 }
 
-// appendEntropyWire appends [SchemeEntropy][stage id][body] for inner,
-// coding with algo and falling back to stored when coding does not beat
-// the raw inner wire.
+// appendEntropyWire appends [SchemeEntropy] and inner as a staged body.
 func appendEntropyWire(dst []byte, algo EntropyAlgo, inner []byte) []byte {
-	base := len(dst)
-	dst = append(dst, byte(SchemeEntropy), entropyWireStored)
-	mark := len(dst)
-	switch algo {
-	case EntropyHuffman:
-		dst = entropy.HuffmanEncodeInto(dst, inner)
-		dst[base+1] = entropyWireHuffman
-	case EntropyLZ:
-		dst = entropy.LZEncodeInto(dst, inner)
-		dst[base+1] = entropyWireLZ
-	default:
-		panic(fmt.Sprintf("compress: unknown entropy stage %d", algo))
-	}
-	if len(dst)-mark >= len(inner) {
-		dst = dst[:mark]
-		dst[base+1] = entropyWireStored
-		dst = append(dst, inner...)
-	}
-	return dst
+	return entropy.AppendStage(append(dst, byte(SchemeEntropy)), byte(algo), inner)
 }
 
 // entropyBufPool stages decoded inner wires so the decode path allocates
@@ -205,28 +174,9 @@ var entropyBufPool = sync.Pool{New: func() any { return new([]byte) }}
 // in *buf. The returned slice aliases either payload (stored) or *buf
 // (coded); callers must not retain it past the pooled buffer's return.
 func entropyInner(payload []byte, buf *[]byte) ([]byte, error) {
-	if len(payload) < 1 {
-		return nil, fmt.Errorf("compress: entropy payload missing stage id")
-	}
-	stage, body := payload[0], payload[1:]
-	var inner []byte
-	switch stage {
-	case entropyWireStored:
-		inner = body
-	case entropyWireHuffman:
-		b, err := entropy.HuffmanDecodeInto((*buf)[:0], body)
-		if err != nil {
-			return nil, err
-		}
-		*buf, inner = b, b
-	case entropyWireLZ:
-		b, err := entropy.LZDecodeInto((*buf)[:0], body)
-		if err != nil {
-			return nil, err
-		}
-		*buf, inner = b, b
-	default:
-		return nil, fmt.Errorf("compress: unknown entropy stage id %d", stage)
+	inner, err := entropy.ParseStage(payload, buf)
+	if err != nil {
+		return nil, fmt.Errorf("compress: entropy payload: %w", err)
 	}
 	if len(inner) > 0 && Scheme(inner[0]) == SchemeEntropy {
 		return nil, fmt.Errorf("compress: nested entropy stage rejected")

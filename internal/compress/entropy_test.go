@@ -133,7 +133,7 @@ func TestEntropyAddPathMatchesDecodeThenAdd(t *testing.T) {
 // TestEntropyNestedRejected: an inner wire that itself claims
 // SchemeEntropy must fail to decode, and WithEntropy refuses to stack.
 func TestEntropyNestedRejected(t *testing.T) {
-	inner := []byte{byte(SchemeEntropy), entropyWireStored, 1, 2, 3}
+	inner := []byte{byte(SchemeEntropy), byte(EntropyOff), 1, 2, 3}
 	wire := appendEntropyWire(nil, EntropyLZ, inner)
 	if err := DecompressInto(wire, tensor.New(4)); err == nil {
 		t.Fatal("nested entropy wire accepted")
@@ -160,7 +160,7 @@ func TestEntropyStoredFallback(t *testing.T) {
 	if len(ww) > len(pw)+2 {
 		t.Fatalf("entropy overhead on incompressible wire: %d vs %d bytes", len(ww), len(pw))
 	}
-	if ww[1] != entropyWireStored {
+	if ww[1] != byte(EntropyOff) {
 		t.Fatalf("stage id %d, want stored", ww[1])
 	}
 	out, err := Decompress(ww, []int{n})

@@ -52,14 +52,12 @@
 // CompressGrads and FinishStep alias recycled buffers — valid until the
 // owner's next step.
 //
-// # Jobs, the job table, and push sessions
+// # Jobs and push sessions
 //
 //   - Job is one job's complete server-side state (codec contexts, error
 //     accumulation, optimizer slice, step counters, pull buffers,
-//     checkpoint state).
-//   - Service is the tenant-keyed job table (tenant.ID -> *Job) that
-//     shared machinery — a shard executor serving many jobs — indexes
-//     into. Single-job callers never need it.
+//     checkpoint state). Shared machinery — a shard executor serving
+//     many jobs — keeps one per tenant lane (package shard).
 //   - Push ingestion flows through one choke point: Job.BeginPush(worker)
 //     returns a PushSession fed by Set (whole wire set) or Tensor (one
 //     streamed tensor) and completed by End. AddPush(w, wires) is

@@ -365,21 +365,11 @@ func (t *Tier) FinishStep() ([][]byte, time.Duration, error) {
 // reduction is measured. (Recompress-mode push wires are already
 // entropy-wrapped by their contexts and bypass this.)
 func (t *Tier) wanLinkBytes(raw []byte) int {
-	if len(raw) == 0 {
-		return 0
-	}
-	switch t.cfg.Entropy {
-	case compress.EntropyHuffman:
-		t.scratch = entropy.HuffmanEncodeInto(t.scratch[:0], raw)
-	case compress.EntropyLZ:
-		t.scratch = entropy.LZEncodeInto(t.scratch[:0], raw)
-	default:
+	if len(raw) == 0 || t.cfg.Entropy == compress.EntropyOff {
 		return len(raw)
 	}
-	if len(t.scratch) < len(raw) {
-		return 1 + len(t.scratch)
-	}
-	return 1 + len(raw)
+	t.scratch = entropy.AppendStage(t.scratch[:0], byte(t.cfg.Entropy), raw)
+	return len(t.scratch)
 }
 
 // WANBytes reports the bytes each region moved across the inter-region

@@ -140,7 +140,7 @@ func TestStragglerBackoffDeterministic(t *testing.T) {
 		Parallelism:      1,
 		Optimizer:        opt.DefaultSGDConfig(2, 1),
 	}
-	mk := func(c Config) *Cluster {
+	mk := func(c Config) *JobHandle {
 		return mustCluster(t, nn.NewMLP(12, []int{16, 10}, 4, 7), cfg, c)
 	}
 
@@ -154,18 +154,18 @@ func TestStragglerBackoffDeterministic(t *testing.T) {
 
 	for sh := 0; sh < 2; sh++ {
 		for attempt := 0; attempt < 4; attempt++ {
-			da := a.Handle().pols[sh].Backoff(attempt)
-			if db := b.Handle().pols[sh].Backoff(attempt); da != db {
+			da := a.pols[sh].Backoff(attempt)
+			if db := b.pols[sh].Backoff(attempt); da != db {
 				t.Fatalf("shard %d attempt %d: same seed gave %v vs %v", sh, attempt, da, db)
 			}
-			if dc := diffSeed.Handle().pols[sh].Backoff(attempt); da == dc {
+			if dc := diffSeed.pols[sh].Backoff(attempt); da == dc {
 				t.Errorf("shard %d attempt %d: seeds 42 and 43 both gave %v", sh, attempt, da)
 			}
 		}
 	}
 	// Distinct shards must not back off in lockstep.
-	if a.Handle().pols[0].Backoff(0) == a.Handle().pols[1].Backoff(0) &&
-		a.Handle().pols[0].Backoff(1) == a.Handle().pols[1].Backoff(1) {
+	if a.pols[0].Backoff(0) == a.pols[1].Backoff(0) &&
+		a.pols[0].Backoff(1) == a.pols[1].Backoff(1) {
 		t.Error("shard lanes 0 and 1 share a jitter stream: backoffs are in lockstep")
 	}
 
@@ -173,7 +173,7 @@ func TestStragglerBackoffDeterministic(t *testing.T) {
 	plain := mk(Config{Shards: 1, Timeout: 10 * time.Millisecond, Retries: 3, RetryJitter: -1})
 	defer plain.Close()
 	for attempt, want := range []time.Duration{10, 20, 40, 80} {
-		if got := plain.Handle().pols[0].Backoff(attempt); got != want*time.Millisecond {
+		if got := plain.pols[0].Backoff(attempt); got != want*time.Millisecond {
 			t.Fatalf("attempt %d: backoff = %v, want %v", attempt, got, want*time.Millisecond)
 		}
 	}

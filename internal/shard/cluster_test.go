@@ -54,9 +54,8 @@ func TestAllCodecsCoverRegistry(t *testing.T) {
 	}
 }
 
-// mustCluster builds a cluster or fails the test; the equivalence tests
-// all run over placements that NewCluster accepts by construction.
-func mustCluster(t testing.TB, g *nn.Model, cfg ps.Config, sc Config) *Cluster {
+// mustCluster builds a dedicated tier or fails the test.
+func mustCluster(t testing.TB, g *nn.Model, cfg ps.Config, sc Config) *JobHandle {
 	t.Helper()
 	cl, err := NewCluster(g, cfg, sc)
 	if err != nil {
@@ -65,7 +64,7 @@ func mustCluster(t testing.TB, g *nn.Model, cfg ps.Config, sc Config) *Cluster {
 	return cl
 }
 
-// stepServer is the driver-facing surface shared by ps.Job and Cluster.
+// stepServer is the driver-facing surface shared by ps.Job and JobHandle.
 type stepServer interface {
 	BeginStep()
 	BeginPush(workerID int) ps.PushSession
@@ -163,7 +162,7 @@ func TestShardedEquivalentToSinglePS(t *testing.T) {
 				singlePulls, singleW := runPS(t, cfg, steps, workers, func(g *nn.Model) stepServer {
 					return ps.NewJob(g, cfg)
 				})
-				var cl *Cluster
+				var cl *JobHandle
 				shardPulls, shardW := runPS(t, cfg, steps, workers, func(g *nn.Model) stepServer {
 					cl = mustCluster(t, g, cfg, Config{Shards: shards})
 					return cl
@@ -194,10 +193,10 @@ func TestShardedEquivalentToSinglePS(t *testing.T) {
 // tensorStreamAdapter routes whole-set pushes through the per-tensor
 // ingestion API (a session fed by Tensor), so the existing equivalence
 // driver exercises the overlapped-pipeline entry points.
-type tensorStreamAdapter struct{ *Cluster }
+type tensorStreamAdapter struct{ *JobHandle }
 
 func (a tensorStreamAdapter) BeginPush(workerID int) ps.PushSession {
-	return perTensorSession{a.Cluster.BeginPush(workerID)}
+	return perTensorSession{a.JobHandle.BeginPush(workerID)}
 }
 
 type perTensorSession struct{ ps.PushSession }
@@ -228,13 +227,13 @@ func TestClusterPerTensorPushEquivalent(t *testing.T) {
 					Parallelism:      1,
 					Optimizer:        opt.DefaultSGDConfig(workers, steps),
 				}
-				var wholeCl *Cluster
+				var wholeCl *JobHandle
 				wholePulls, wholeW := runPS(t, cfg, steps, workers, func(g *nn.Model) stepServer {
 					wholeCl = mustCluster(t, g, cfg, Config{Shards: shards})
 					return wholeCl
 				})
 				defer wholeCl.Close()
-				var streamCl *Cluster
+				var streamCl *JobHandle
 				streamPulls, streamW := runPS(t, cfg, steps, workers, func(g *nn.Model) stepServer {
 					streamCl = mustCluster(t, g, cfg, Config{Shards: shards})
 					return tensorStreamAdapter{streamCl}
@@ -270,7 +269,7 @@ func TestClusterMoreShardsThanTensors(t *testing.T) {
 		Optimizer:        opt.DefaultSGDConfig(2, 3),
 	}
 	_, singleW := runPS(t, cfg, 3, 2, func(g *nn.Model) stepServer { return ps.NewJob(g, cfg) })
-	var cl *Cluster
+	var cl *JobHandle
 	_, shardW := runPS(t, cfg, 3, 2, func(g *nn.Model) stepServer {
 		cl = mustCluster(t, g, cfg, Config{Shards: 32})
 		return cl
@@ -296,7 +295,7 @@ func TestClusterStragglerRetryRecovers(t *testing.T) {
 		Optimizer:        opt.DefaultSGDConfig(3, 3),
 	}
 	_, singleW := runPS(t, cfg, 3, 3, func(g *nn.Model) stepServer { return ps.NewJob(g, cfg) })
-	var cl *Cluster
+	var cl *JobHandle
 	_, shardW := runPS(t, cfg, 3, 3, func(g *nn.Model) stepServer {
 		cl = mustCluster(t, g, cfg, Config{
 			Shards:     2,

@@ -1,12 +1,12 @@
 // Multi-tenant shard tier: many independent training jobs multiplexed
 // over one shared set of shard executors.
 //
-// The split of responsibilities follows the ps.Job / ps.Service API:
-// every piece of per-job state (codec contexts, error accumulation,
-// momentum, step counters, pull buffers, checkpoint state) lives in the
-// per-shard ps.Job sub-jobs owned by a JobHandle, while the shards
-// themselves — snode — are stateless-per-job executors: a job table
-// (ps.Service) plus a scheduler over per-tenant request queues.
+// The split of responsibilities follows ps.Job: every piece of per-job
+// state (codec contexts, error accumulation, momentum, step counters,
+// pull buffers, checkpoint state) lives in the per-shard ps.Job sub-jobs
+// owned by a JobHandle, while the shards themselves — snode — are
+// stateless-per-job executors: a scheduler over per-tenant request
+// queues, each holding its tenant's sub-job.
 //
 // Scheduling is deficit round-robin (DRR) over the tenants with queued
 // work: each sweep a tenant's lane earns its quantum (tenant.Limits.
@@ -70,7 +70,6 @@ func NewService(cfg Config, reg *tenant.Registry) *Service {
 	for i := 0; i < cfg.Shards; i++ {
 		n := &snode{
 			id:   i,
-			jobs: ps.NewService(),
 			slow: cfg.SlowShard,
 			brk:  breaker{threshold: cfg.breakerThreshold(), cooldown: cfg.breakerCooldown()},
 			work: make(chan struct{}, 1),
@@ -89,9 +88,9 @@ func (s *Service) Registry() *tenant.Registry { return s.reg }
 func (s *Service) NumShards() int { return s.cfg.Shards }
 
 // Admit registers a new job: tenant id drives model under psCfg, bounded
-// by limits. The job's tensors are placed across the tier's shards with
-// the same size-balanced packing a dedicated Cluster would use, and each
-// shard gains a ps sub-job plus a scheduler lane for the tenant.
+// by limits. The job's tensors are placed across the tier's shards by
+// ForModel's size-balanced packing, and each shard gains a ps sub-job plus
+// a scheduler lane for the tenant.
 // Admission fails with tenant.ErrAdmitLimit / tenant.ErrDuplicate per
 // the registry.
 func (s *Service) Admit(id tenant.ID, model *nn.Model, psCfg ps.Config, limits tenant.Limits) (*JobHandle, error) {
@@ -100,11 +99,7 @@ func (s *Service) Admit(id tenant.ID, model *nn.Model, psCfg ps.Config, limits t
 		return nil, err
 	}
 	params := model.Params()
-	asn := defaultAssignment(params, s.cfg)
-	if err := asn.Validate(len(params)); err != nil {
-		s.reg.Retire(id)
-		return nil, err
-	}
+	asn := ForModel(model, s.cfg.Shards)
 
 	depth := limits.MaxOutstanding
 	if depth <= 0 {
@@ -113,10 +108,6 @@ func (s *Service) Admit(id tenant.ID, model *nn.Model, psCfg ps.Config, limits t
 	quantum := limits.Quantum
 	if quantum <= 0 {
 		quantum = DefaultQuantum
-	}
-	window := s.cfg.Window
-	if window <= 0 || window > s.cfg.Shards {
-		window = s.cfg.Shards
 	}
 
 	h := &JobHandle{
@@ -128,7 +119,6 @@ func (s *Service) Admit(id tenant.ID, model *nn.Model, psCfg ps.Config, limits t
 		idxs:    make([][]int, s.cfg.Shards),
 		local:   make([]int, len(params)),
 		pull:    make([][]byte, len(params)),
-		sem:     make(chan struct{}, window),
 		dones:   make([]chan result, s.cfg.Shards),
 		errs:    make([]error, s.cfg.Shards),
 	}
@@ -178,19 +168,9 @@ func (s *Service) Admit(id tenant.ID, model *nn.Model, psCfg ps.Config, limits t
 		for k, gi := range idx {
 			sub[k] = params[gi]
 		}
-		job := ps.NewSubJob(sub, idx, psCfg)
-		if err := n.jobs.Put(id, job); err != nil {
-			// Unreachable while the registry gates admission, but unwind
-			// cleanly rather than leave a half-admitted job.
-			for _, m := range s.nodes[:sh] {
-				m.removeTenant(id)
-			}
-			s.reg.Retire(id)
-			return nil, err
-		}
 		q := &tq{
 			ten:     ten,
-			job:     job,
+			job:     ps.NewSubJob(sub, idx, psCfg),
 			reqs:    make(chan request, depth),
 			quantum: quantum,
 		}
@@ -246,12 +226,10 @@ func (s *Service) Close() {
 	}
 }
 
-// snode is one shard executor: a tenant-keyed job table plus the DRR
-// scheduler goroutine over the tenants' request lanes. It owns no
-// per-job state beyond the table entries.
+// snode is one shard executor: the DRR scheduler goroutine over the
+// tenants' request lanes. It owns no per-job state beyond the lanes.
 type snode struct {
 	id   int
-	jobs *ps.Service // shard-local sub-jobs keyed by tenant
 	slow func(shard, step int)
 	brk  breaker // shared failure detector: a shard is down for every tenant or none
 
@@ -315,7 +293,6 @@ func (n *snode) addTenant(q *tq) {
 // removeTenant drops id's lane (step-boundary only: the lane's queue
 // must be empty).
 func (n *snode) removeTenant(id tenant.ID) {
-	n.jobs.Remove(id)
 	n.mu.Lock()
 	for i, q := range n.tqs {
 		if q.ten.ID == id {
@@ -607,13 +584,36 @@ func (p *Port) Finish() ([][]byte, time.Duration, error) {
 	return r.pulls, r.dur, r.err
 }
 
-// JobHandle is one admitted job's driver: the same BSP step surface a
-// dedicated Cluster (or a single ps.Job) exposes, routed through the
-// shared tier's per-tenant lanes. Like them, a handle's driver methods
-// are not safe for concurrent use; the concurrency lives behind the
-// lanes.
+// JobHandle is one admitted job's driver, with the driver shape of ps.Job
+// — BeginStep / BeginPush / FinishStep — routed through the tier's
+// per-tenant lanes. Shard s owns the tensors Assignment.Tensors(s), runs a
+// ps sub-job (with the zero-allocation codec pool) for them on its own
+// scheduler goroutine, and receives work through a bounded request queue:
+//
+//   - BeginStep and a push session's Set are asynchronous: they enqueue
+//     per-shard requests (splitting each worker's wire set by placement)
+//     and return without waiting for the shards to process them. Shards
+//     therefore decode worker w's push while the driver is still enqueuing
+//     worker w+1's — the push pipeline.
+//   - FinishStep is the step barrier: it waits for every shard to drain
+//     the job's lane, apply its optimizer slice, and compress its pull
+//     wires, then reassembles the shards' pulls into the full-model wire
+//     set.
+//
+// Determinism: pushes are enqueued in worker order and each shard
+// services a tenant's lane FIFO, so per-tensor gradient accumulation
+// happens in exactly the order the single server uses — the sharded
+// model state is byte-identical to the single-PS state for every codec
+// (the equivalence tests pin this). The straggler retry in send() only
+// re-attempts enqueues that did NOT succeed, so every request reaches
+// its shard at most once and in driver order; retries can delay a step
+// but never reorder or duplicate work within it.
+//
+// Like ps.Job, a handle's driver methods are not safe for concurrent use;
+// the concurrency lives behind the lanes.
 type JobHandle struct {
 	svc     *Service
+	owns    bool // svc is this job's own (NewCluster): Close stops it
 	ten     *tenant.Tenant
 	asn     Assignment
 	param   int            // full-model tensor count
@@ -622,9 +622,8 @@ type JobHandle struct {
 	local   []int          // global tensor index -> shard-local index
 	tqs     []*tq          // this job's lane on each shard
 	pols    []retry.Policy // per-shard straggler backoff, decorrelated per (tenant, shard)
-	sem     chan struct{}
-	dones   []chan result // recycled FinishStep barrier channels
-	errs    []error       // recycled broadcast per-shard error scratch
+	dones   []chan result  // recycled FinishStep barrier channels
+	errs    []error        // recycled broadcast per-shard error scratch
 
 	// Persistent request builders (see Admit) and the driver-owned fields
 	// they read.
@@ -647,6 +646,15 @@ func (h *JobHandle) Assignment() Assignment { return h.asn }
 
 // Workers returns the job's configured worker count.
 func (h *JobHandle) Workers() int { return h.workers }
+
+// Close stops the shard goroutines of a dedicated tier (NewCluster), after
+// which the handle must not be used. A job admitted to a shared Service
+// does not own it: Retire the job there instead.
+func (h *JobHandle) Close() {
+	if h.owns {
+		h.svc.Close()
+	}
+}
 
 // send enqueues req on the job's lane at shard sh with the straggler
 // timeout+retry policy: each timed wait follows the lane's retry.Policy
@@ -690,10 +698,10 @@ func (h *JobHandle) send(sh int, req request) error {
 	}
 }
 
-// broadcast sends one request per shard (built by mk) with at most the
-// in-flight window's sends outstanding, collecting the first error. The
-// single-shard tier skips the goroutine fan-out entirely — the
-// multiplexing layer costs one channel send when only one lane exists.
+// broadcast sends one request per shard (built by mk), all shards at
+// once, collecting the errors. The single-shard tier skips the goroutine
+// fan-out entirely — the multiplexing layer costs one channel send when
+// only one lane exists.
 func (h *JobHandle) broadcast(mk func(sh int) request) error {
 	if len(h.tqs) == 1 {
 		h.errs[0] = h.send(0, mk(0))
@@ -701,10 +709,9 @@ func (h *JobHandle) broadcast(mk func(sh int) request) error {
 	}
 	var wg sync.WaitGroup
 	for sh := range h.tqs {
-		h.sem <- struct{}{}
 		wg.Add(1)
 		go func(sh int) {
-			defer func() { <-h.sem; wg.Done() }()
+			defer wg.Done()
 			h.errs[sh] = h.send(sh, mk(sh))
 		}(sh)
 	}
@@ -759,11 +766,11 @@ func (se *handleSession) End() error {
 }
 
 // addPush splits one worker's full-model wire set by placement and
-// enqueues the per-shard sub-pushes, pipelined across shards under the
-// in-flight window. It returns as soon as every lane has accepted its
-// sub-request — decode work overlaps with the caller's next push. The
-// wires must stay valid until FinishStep returns: sub-requests alias
-// them. Decode errors surface at FinishStep.
+// enqueues the per-shard sub-pushes, pipelined across shards. It returns
+// as soon as every lane has accepted its sub-request — decode work
+// overlaps with the caller's next push. The wires must stay valid until
+// FinishStep returns: sub-requests alias them. Decode errors surface at
+// FinishStep.
 func (h *JobHandle) addPush(workerID int, wires [][]byte) error {
 	if len(wires) != h.param {
 		return fmt.Errorf("shard: push has %d tensors, model has %d", len(wires), h.param)

@@ -18,8 +18,8 @@ import (
 )
 
 // sessionDriver is the step surface the multi-tenant tests drive — it is
-// satisfied by both *JobHandle (a job on a shared Service) and *Cluster
-// (a dedicated tier), which is exactly the equivalence under test.
+// satisfied by *JobHandle, on a shared Service and as a dedicated tier
+// alike, which is exactly the equivalence under test.
 type sessionDriver interface {
 	BeginStep()
 	BeginPush(workerID int) ps.PushSession

@@ -27,8 +27,8 @@ import (
 )
 
 // stepServer is the driver-facing surface shared by the single parameter
-// server (ps.Job), the dedicated sharded tier (shard.Cluster), and a
-// job's handle on a shared multi-tenant tier (shard.JobHandle). The
+// server (ps.Job) and a job's handle on a shard tier (shard.JobHandle),
+// dedicated (shard.NewCluster) or shared and multi-tenant. The
 // driver ingests pushes through per-worker PushSessions, feeding tensors
 // as they compress — which is what lets the aggregation overlap the
 // compute/compress phase.

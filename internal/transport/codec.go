@@ -1,10 +1,10 @@
 // The frame codec: everything a connection's hello negotiated, and the
 // two operations every endpoint — ShardServer, MuxShardServer,
-// ShardReplica, ShardClient, the v1 Client — puts frames on and takes
-// frames off the wire with. Stage order is fixed (see the package comment
-// in shard.go): header → tenant extension → body, entropy-coded when
-// negotiated and the frame is whole-set → CRC-32C trailer last, so the
-// checksum covers exactly what is on the wire.
+// ShardClient, the v1 Client — puts frames on and takes frames off the
+// wire with. Stage order is fixed (see the package comment in shard.go):
+// header → tenant extension → body, entropy-coded when negotiated and the
+// frame is whole-set → CRC-32C trailer last, so the checksum covers
+// exactly what is on the wire.
 package transport
 
 import (
@@ -35,9 +35,8 @@ const FlagTenant byte = 1 << 0
 const shardTenantExtLen = 8
 
 // FlagEntropy marks a push or pull frame whose wire-set body passed
-// through the entropy second stage: the bytes after the header are
-// [1B stage id][coded wire-set], stage ids mirroring the codec's
-// SchemeEntropy wire (0 stored, 1 huffman, 2 lz). The stage is
+// through the entropy second stage: the bytes after the header are the
+// wire set as a staged body (entropy.AppendStage). The stage is
 // negotiated in the v2 hello (a trailing stage byte after the placement
 // hash); a client that does not negotiate it emits and receives frames
 // byte-identical to the pre-entropy wire format, and one session serves
@@ -45,14 +44,6 @@ const shardTenantExtLen = 8
 // payoff is overlap, not bytes, and coding tensor-sized fragments would
 // forfeit cross-tensor redundancy anyway.
 const FlagEntropy byte = 1 << 1
-
-// Entropy stage ids for FlagEntropy bodies (mirror the codec's
-// SchemeEntropy stage ids).
-const (
-	entropyBodyStored  = 0
-	entropyBodyHuffman = 1
-	entropyBodyLZ      = 2
-)
 
 // ShardHeader addresses one v2 frame: which shard, which worker, which
 // step — and, when the tenant flag is set, which job (tenant id + the
@@ -109,7 +100,7 @@ func ParseShardHeader(src []byte) (ShardHeader, []byte, error) {
 	if h.Version != ShardWireVersion {
 		return ShardHeader{}, nil, fmt.Errorf("transport: unsupported shard wire version %d (have %d)", h.Version, ShardWireVersion)
 	}
-	if h.Flags&^(FlagTenant|FlagEntropy|FlagChecksum|FlagResilient) != 0 {
+	if h.Flags&^(FlagTenant|FlagEntropy|FlagChecksum|FlagResilient|FlagStandby) != 0 {
 		return ShardHeader{}, nil, fmt.Errorf("transport: unknown shard header flags %#x", h.Flags)
 	}
 	rest := src[ShardHeaderLen:]
@@ -122,59 +113,6 @@ func ParseShardHeader(src []byte) (ShardHeader, []byte, error) {
 		rest = rest[shardTenantExtLen:]
 	}
 	return h, rest, nil
-}
-
-// appendEntropyBody appends [stage id][coded raw] to dst, falling back
-// to the stored stage when coding would not beat raw (bounding the
-// stage's overhead at one byte per frame).
-func appendEntropyBody(dst []byte, algo compress.EntropyAlgo, raw []byte) []byte {
-	base := len(dst)
-	switch algo {
-	case compress.EntropyHuffman:
-		dst = append(dst, entropyBodyHuffman)
-		dst = entropy.HuffmanEncodeInto(dst, raw)
-	case compress.EntropyLZ:
-		dst = append(dst, entropyBodyLZ)
-		dst = entropy.LZEncodeInto(dst, raw)
-	default:
-		dst = append(dst, entropyBodyStored)
-		return append(dst, raw...)
-	}
-	if len(dst)-base-1 >= len(raw) {
-		dst = dst[:base]
-		dst = append(dst, entropyBodyStored)
-		dst = append(dst, raw...)
-	}
-	return dst
-}
-
-// parseEntropyBody recovers the raw body of a FlagEntropy frame, staging
-// coded bodies in *buf (recycled by the caller). The returned slice
-// aliases src (stored) or *buf (coded).
-func parseEntropyBody(src []byte, buf *[]byte) ([]byte, error) {
-	if len(src) < 1 {
-		return nil, fmt.Errorf("transport: entropy frame body missing stage id")
-	}
-	switch src[0] {
-	case entropyBodyStored:
-		return src[1:], nil
-	case entropyBodyHuffman:
-		b, err := entropy.HuffmanDecodeInto((*buf)[:0], src[1:])
-		if err != nil {
-			return nil, fmt.Errorf("transport: entropy frame body: %w", err)
-		}
-		*buf = b
-		return b, nil
-	case entropyBodyLZ:
-		b, err := entropy.LZDecodeInto((*buf)[:0], src[1:])
-		if err != nil {
-			return nil, fmt.Errorf("transport: entropy frame body: %w", err)
-		}
-		*buf = b
-		return b, nil
-	default:
-		return nil, fmt.Errorf("transport: unknown entropy stage id %d", src[0])
-	}
 }
 
 // frame is one message in codec terms: what a sender hands appendFrame
@@ -191,13 +129,13 @@ type frame struct {
 	arg    uint32   // placement hash (hello) or tensor slot (per-tensor)
 	set    [][]byte // append only: a whole-set body, serialized straight behind the header
 	body   []byte   // a tensor's wire; after parse, also a whole-set frame's decoded wire set
-	raw    []byte   // the payload as it arrived (what is counted); on append, a payload to re-emit verbatim (a primary's forward)
+	raw    []byte   // parse only: the payload as it arrived (what is counted)
 }
 
 // wholeSet reports the v2 frame types whose body is a wire set — the
 // only bodies the entropy stage codes.
 func wholeSet(t MsgType) bool {
-	return t == MsgShardPush || t == MsgShardPull || t == MsgReplicaPush
+	return t == MsgShardPush || t == MsgShardPull
 }
 
 func perTensor(t MsgType) bool { return t == MsgShardPushTensor || t == MsgShardPullTensor }
@@ -206,7 +144,7 @@ func perTensor(t MsgType) bool { return t == MsgShardPushTensor || t == MsgShard
 // headers carry the worker's id, where pull-side headers carry zero.
 func pushSide(t MsgType) bool {
 	switch t {
-	case MsgPush, MsgShardPush, MsgShardPushTensor, MsgShardPushEnd, MsgReplicaPush, MsgShardBye:
+	case MsgPush, MsgShardPush, MsgShardPushTensor, MsgShardPushEnd, MsgShardBye:
 		return true
 	}
 	return false
@@ -219,7 +157,6 @@ func pushSide(t MsgType) bool {
 // pre-extension v2 bytes exactly.
 type frameCodec struct {
 	v1        bool   // legacy layout: no header, [worker][step] push, [step] pull
-	upstream  bool   // a primary's forwarding link: pushes keep their original worker ids
 	shard     uint16 // addressing, fixed for the connection's lifetime
 	worker    uint32
 	tenant    uint32
@@ -227,6 +164,7 @@ type frameCodec struct {
 	entropy   compress.EntropyAlgo // whole-set bodies pass the entropy stage
 	checksum  bool                 // every frame, hello included, ends in a CRC-32C trailer
 	resilient bool                 // the client may re-dial and replay (implies checksum)
+	standby   bool                 // the worker's second copy: pushes aggregated, pulls withheld until it replays one
 
 	set []byte // a whole set staged for the entropy coder
 	ent []byte // a decoded entropy body
@@ -248,31 +186,13 @@ func (fc *frameCodec) variant() int {
 
 const pullVariants = 1 + 2*3
 
-// mirrorable is the one place replication meets the codec: a replica
-// replays the primary's forwarded payloads verbatim into its own plain
-// parse, so a replicated shard — and a client configured to fail over to
-// one — carries only connections that negotiated nothing.
-func (fc *frameCodec) mirrorable() error {
-	what := ""
-	switch {
-	case fc.v1:
-		what = "the v1 layout"
-	case fc.checksum:
-		what = "frame checksums"
-	case fc.entropy != compress.EntropyOff:
-		what = "the wire entropy stage"
-	default:
-		return nil
-	}
-	return fmt.Errorf("transport: %s cannot be carried by a replicated shard (a replica replays plain v2 whole-set pushes)", what)
-}
-
 // streamable is the one place the per-tensor pipeline meets recovery: a
-// replay would need the whole tensor sequence staged, so the resilient
-// contract covers whole-set rounds only.
+// replay — a resilient redial's or a standby claim's — would need the
+// whole tensor sequence staged, so both contracts cover whole-set rounds
+// only.
 func (fc *frameCodec) streamable() error {
-	if fc.resilient {
-		return fmt.Errorf("transport: worker %d: a resilient connection cannot stream per-tensor frames", fc.worker)
+	if fc.resilient || fc.standby {
+		return fmt.Errorf("transport: worker %d: a resilient or standby connection cannot stream per-tensor frames", fc.worker)
 	}
 	return nil
 }
@@ -291,9 +211,6 @@ func (fc *frameCodec) appendFrame(dst []byte, f frame) ([]byte, error) {
 //
 //3lc:noalloc
 func (fc *frameCodec) appendPayload(dst []byte, f frame) []byte {
-	if f.raw != nil {
-		return append(dst, f.raw...)
-	}
 	if fc.v1 {
 		switch f.t {
 		case MsgHello:
@@ -305,16 +222,19 @@ func (fc *frameCodec) appendPayload(dst []byte, f frame) []byte {
 	}
 	start := len(dst)
 	h := ShardHeader{Version: ShardWireVersion, Shard: fc.shard, Step: f.step, Tenant: fc.tenant, Epoch: fc.epoch}
-	if pushSide(f.t) || f.t == MsgShardHello {
+	hello := f.t == MsgShardHello
+	if pushSide(f.t) || hello {
 		h.Worker = fc.worker
 	}
-	hello := f.t == MsgShardHello || f.t == MsgReplicaHello
 	coded := fc.entropy != compress.EntropyOff && wholeSet(f.t)
 	if fc.checksum {
 		h.Flags |= FlagChecksum
 	}
 	if fc.resilient && hello {
 		h.Flags |= FlagResilient
+	}
+	if fc.standby && hello {
+		h.Flags |= FlagStandby
 	}
 	if coded {
 		h.Flags |= FlagEntropy
@@ -323,16 +243,13 @@ func (fc *frameCodec) appendPayload(dst []byte, f frame) []byte {
 	switch {
 	case coded:
 		fc.set = AppendWireSet(fc.set[:0], f.set)
-		dst = appendEntropyBody(dst, fc.entropy, fc.set)
+		dst = entropy.AppendStage(dst, byte(fc.entropy), fc.set)
 	case wholeSet(f.t):
 		dst = AppendWireSet(dst, f.set)
 	case hello:
 		dst = le.AppendUint32(dst, f.arg)
-		switch fc.entropy {
-		case compress.EntropyHuffman:
-			dst = append(dst, entropyBodyHuffman)
-		case compress.EntropyLZ:
-			dst = append(dst, entropyBodyLZ)
+		if fc.entropy != compress.EntropyOff {
+			dst = append(dst, byte(fc.entropy))
 		}
 	case perTensor(f.t):
 		dst = le.AppendUint32(dst, f.arg)
@@ -349,7 +266,8 @@ func (fc *frameCodec) appendPayload(dst []byte, f frame) []byte {
 // negotiated set, addressing (shard, tenant, epoch, and on push-side
 // frames the worker) and position. step is where the receiver stands;
 // with replay set, a push one step behind is let through (f.step tells
-// the caller) — the resilient and failover replays. Bye carries no step.
+// the caller) — a resilient redial's replay or a standby's claim. Bye
+// carries no step.
 // The returned body aliases payload or the codec's scratch.
 //
 //3lc:noalloc
@@ -391,8 +309,8 @@ func (fc *frameCodec) parseFrame(t MsgType, payload []byte, step int, replay boo
 		f.worker, f.step = h.Worker, h.Step
 		switch {
 		case want&FlagEntropy != 0:
-			if rest, err = parseEntropyBody(rest, &fc.ent); err != nil {
-				return f, err
+			if rest, err = entropy.ParseStage(rest, &fc.ent); err != nil {
+				return f, fmt.Errorf("transport: entropy frame body: %w", err)
 			}
 		case perTensor(t):
 			if len(rest) < 4 {
@@ -404,7 +322,7 @@ func (fc *frameCodec) parseFrame(t MsgType, payload []byte, step int, replay boo
 		}
 		f.body = rest
 	}
-	if pushSide(t) && !fc.upstream && f.worker != fc.worker {
+	if pushSide(t) && f.worker != fc.worker {
 		return f, fmt.Errorf("transport: push id %d on worker %d's connection", f.worker, fc.worker)
 	}
 	if t != MsgShardBye && int(f.step) != step && !(replay && pushSide(t) && int(f.step)+1 == step) {
@@ -426,7 +344,7 @@ func parseHello(t MsgType, payload []byte) (fc frameCodec, hash uint32, err erro
 			return fc, 0, fmt.Errorf("transport: bad v1 hello (%d bytes)", len(payload))
 		}
 		return frameCodec{v1: true, worker: le.Uint32(payload)}, 0, nil
-	case MsgShardHello, MsgReplicaHello:
+	case MsgShardHello:
 	default:
 		return fc, 0, fmt.Errorf("transport: expected hello, got type %d", t)
 	}
@@ -450,16 +368,14 @@ func parseHello(t MsgType, payload []byte) (fc frameCodec, hash uint32, err erro
 	}
 	switch {
 	case len(rest) == 4:
-	case len(rest) == 5 && rest[4] == entropyBodyHuffman:
-		fc.entropy = compress.EntropyHuffman
-	case len(rest) == 5 && rest[4] == entropyBodyLZ:
-		fc.entropy = compress.EntropyLZ
+	case len(rest) == 5 && (rest[4] == entropy.StageHuffman || rest[4] == entropy.StageLZ):
+		fc.entropy = compress.EntropyAlgo(rest[4])
 	case len(rest) == 5:
 		return fc, 0, fmt.Errorf("transport: hello requests unknown entropy stage %d", rest[4])
 	default:
 		return fc, 0, fmt.Errorf("transport: shard hello has %d trailing bytes, want 4 (5 with an entropy stage)", len(rest))
 	}
-	fc.upstream = t == MsgReplicaHello
+	fc.standby = h.Flags&FlagStandby != 0
 	fc.shard, fc.worker, fc.tenant, fc.epoch = h.Shard, h.Worker, h.Tenant, h.Epoch
 	return fc, le.Uint32(rest), nil
 }

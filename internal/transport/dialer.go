@@ -7,9 +7,8 @@ package transport
 import "net"
 
 // Dialer opens one transport connection to addr. A nil Dialer means
-// net.Dial("tcp", addr). ShardClientConfig.Dialer, DialTimeoutDialer
-// (the v1 client), and ShardServerConfig.Dialer (the primary→replica
-// link) all accept one; chaos.Injector.Dial satisfies the signature.
+// net.Dial("tcp", addr). ShardClientConfig.Dialer and DialTimeoutDialer
+// (the v1 client) accept one; chaos.Injector.Dial satisfies the signature.
 type Dialer func(addr string) (net.Conn, error)
 
 // dial applies the hook, defaulting to plain TCP.

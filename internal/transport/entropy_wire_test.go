@@ -314,92 +314,4 @@ func TestEntropyHelloRejections(t *testing.T) {
 			t.Errorf("server error = %v, want unknown entropy stage rejection", err)
 		}
 	})
-
-	t.Run("replicated shard refuses stage", func(t *testing.T) {
-		rln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rsubs := mustSubServers(t, buildShardModel(), cfg, asn)
-		go NewShardReplica(rln, rsubs[0], ShardServerConfig{
-			Workers: 1, Steps: 1, AssignmentHash: asn.Hash(),
-		}).Serve() // torn down when the primary's deferred cleanup closes its conn
-
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		subs := mustSubServers(t, buildShardModel(), cfg, asn)
-		srv := NewShardServer(ln, subs[0], ShardServerConfig{
-			NumShards: 1, Workers: 1, Steps: 1, AssignmentHash: asn.Hash(),
-			ReplicaAddr: rln.Addr().String(),
-		})
-		serveErr := make(chan error, 1)
-		go func() { serveErr <- srv.Serve() }()
-		hello := AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion})
-		var hb [4]byte
-		le.PutUint32(hb[:], asn.Hash())
-		hello = append(hello, hb[:]...)
-		if err := dialHello(ln.Addr().String(), append(hello, byte(entropyBodyHuffman))); err == nil {
-			t.Error("entropy hello on a replicated shard was accepted")
-		}
-		if err := <-serveErr; err == nil || !strings.Contains(err.Error(), "replicated") {
-			t.Errorf("server error = %v, want replication rejection", err)
-		}
-	})
-
-	t.Run("client refuses entropy with replicas", func(t *testing.T) {
-		_, err := DialShardedConfig([]string{"127.0.0.1:1"}, 0, asn, ShardClientConfig{
-			Entropy:  compress.EntropyHuffman,
-			Replicas: []string{"127.0.0.1:2"},
-		})
-		if err == nil || !strings.Contains(err.Error(), "entropy") {
-			t.Errorf("DialShardedConfig error = %v, want entropy/replica incompatibility", err)
-		}
-	})
-}
-
-// TestEntropyBodyHelpers unit-tests the frame body coder: coded bodies
-// round-trip, incompressible bodies fall back to the stored stage within
-// the documented one-byte overhead, and corrupt bodies error cleanly.
-func TestEntropyBodyHelpers(t *testing.T) {
-	skewed := bytes.Repeat([]byte{0, 0, 0, 1, 0, 0, 2, 0}, 512)
-	var noise []byte
-	rng := tensor.NewRNG(42)
-	for i := 0; i < 1024; i++ {
-		noise = append(noise, byte(rng.Uint64()))
-	}
-
-	for _, algo := range []compress.EntropyAlgo{compress.EntropyHuffman, compress.EntropyLZ} {
-		body := appendEntropyBody(nil, algo, skewed)
-		if len(body) >= len(skewed)+1 {
-			t.Errorf("%v: skewed body did not compress (%d >= %d)", algo, len(body), len(skewed)+1)
-		}
-		var buf []byte
-		raw, err := parseEntropyBody(body, &buf)
-		if err != nil {
-			t.Fatalf("%v: parse: %v", algo, err)
-		}
-		if !bytes.Equal(raw, skewed) {
-			t.Fatalf("%v: body round trip mismatch", algo)
-		}
-
-		stored := appendEntropyBody(nil, algo, noise)
-		if len(stored) != len(noise)+1 || stored[0] != entropyBodyStored {
-			t.Errorf("%v: incompressible body not stored (len %d, stage %d)", algo, len(stored), stored[0])
-		}
-	}
-
-	if _, err := parseEntropyBody(nil, new([]byte)); err == nil {
-		t.Error("empty entropy body parsed")
-	}
-	if _, err := parseEntropyBody([]byte{9, 1, 2}, new([]byte)); err == nil {
-		t.Error("unknown stage id parsed")
-	}
-	if _, err := parseEntropyBody([]byte{entropyBodyHuffman, 0xff, 0x01}, new([]byte)); err == nil {
-		t.Error("corrupt huffman body parsed")
-	}
-	if _, err := parseEntropyBody([]byte{entropyBodyLZ, 0xff, 0xff, 0xff, 0xff}, new([]byte)); err == nil {
-		t.Error("corrupt lz body parsed")
-	}
 }

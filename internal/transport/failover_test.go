@@ -2,276 +2,212 @@ package transport
 
 import (
 	"errors"
+	"fmt"
+	"io"
 	"net"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
-	"threelc/internal/ps"
+	"threelc/internal/compress"
+	"threelc/internal/nn"
 	"threelc/internal/shard"
-	"threelc/internal/tensor"
 )
 
-// runFailoverScenario runs a replicated 2-shard tier over loopback TCP,
-// kills shard 0's primary at killStep (abruptly or silently), lets the
-// workers fail over to the replica, and checks the surviving tier's model
-// state is bit-identical to the in-process single-PS reference.
-func runFailoverScenario(t *testing.T, silent bool) {
-	const workers, steps, shards, killStep = 2, 6, 2, 3
+// failover is one scenario on a 2-shard tier over loopback TCP, a standby
+// ShardServer beside every primary: shard 0 loses its primary (or, with
+// standbyDies, its standby) at the top of killStep, abruptly or silently.
+type failover struct {
+	killStep    int
+	silent      bool
+	standbyDies bool
+	ccfg        ShardClientConfig // what the workers negotiate
+}
+
+// holdListener keeps what it accepted reachable. A silently killed server
+// drops its sockets without closing them, and a collected socket is closed
+// by its finalizer: an EOF where the scenario wants silence.
+type holdListener struct {
+	net.Listener
+	held []net.Conn
+}
+
+func (l *holdListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	l.held = append(l.held, c)
+	return c, err
+}
+
+// run drives the scenario and checks that the tier left serving — the
+// standbys after a primary's death, the primaries after a standby's —
+// holds the in-process single-PS reference state bit for bit.
+func (f failover) run(t *testing.T) {
+	const workers, steps, shards = 2, 6, 2
 	cfg := shardTestConfig(workers, steps)
 	// Server-side deadlines stay wide: a BSP push read legitimately spans
 	// the barrier, which includes another worker's 1s failover detection.
 	to := Timeouts{Read: 30 * time.Second, Write: 10 * time.Second}
-	clientTo := to
-	if silent {
+	f.ccfg.Timeouts = to
+	if f.silent {
 		// A silently dead primary is only detectable through the CLIENT's
 		// read deadline; keep it short so the test converges quickly.
-		clientTo.Read = time.Second
+		f.ccfg.Timeouts.Read = time.Second
 	}
 
-	global := buildShardModel()
-	asn := shard.ForModel(global, shards)
-	subs := mustSubServers(t, global, cfg, asn)
-	// The replicas run their own sub-servers over their OWN model replica:
+	// The standbys run their own sub-servers over their OWN model replica:
 	// replicated state must never alias the primary's tensors.
-	replicaModel := buildShardModel()
-	replicaModel.CopyParamsFrom(global)
-	repSubs := mustSubServers(t, replicaModel, cfg, asn)
-
-	listen := func() (net.Listener, string) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ln, ln.Addr().String()
+	models := [2]*nn.Model{buildShardModel(), buildShardModel()}
+	models[1].CopyParamsFrom(models[0])
+	asn := shard.ForModel(models[0], shards)
+	var addrs [2][]string // primaries, standbys
+	errs := [2]chan error{make(chan error, shards), make(chan error, shards)}
+	dying := 0
+	if f.standbyDies {
+		dying = 1
 	}
-	addrs := make([]string, shards)
-	raddrs := make([]string, shards)
-	repErr := make(chan error, shards)
-	primErr := make(chan error, shards)
-	for s := 0; s < shards; s++ {
-		rln, raddr := listen()
-		raddrs[s] = raddr
-		go func(s int) {
-			repErr <- NewShardReplica(rln, repSubs[s], ShardServerConfig{
-				Shard:          s,
-				NumShards:      shards,
-				Workers:        workers,
-				Steps:          steps,
-				AssignmentHash: asn.Hash(),
-				Timeouts:       to,
-			}).Serve()
-		}(s)
-	}
-	for s := 0; s < shards; s++ {
-		ln, addr := listen()
-		addrs[s] = addr
-		scfg := ShardServerConfig{
-			Shard:          s,
-			NumShards:      shards,
-			Workers:        workers,
-			Steps:          steps,
-			AssignmentHash: asn.Hash(),
-			Timeouts:       to,
-			ReplicaAddr:    raddrs[s],
+	for tier, model := range models {
+		for s, sub := range mustSubServers(t, model, cfg, asn) {
+			tcp, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ln := &holdListener{Listener: tcp}
+			defer runtime.KeepAlive(ln)
+			addrs[tier] = append(addrs[tier], tcp.Addr().String())
+			scfg := ShardServerConfig{Shard: s, NumShards: shards, Workers: workers, Steps: steps,
+				AssignmentHash: asn.Hash(), Timeouts: to, Tenant: f.ccfg.Tenant, Epoch: f.ccfg.Epoch,
+				Resilient: f.ccfg.Resilient}
+			if s == 0 && tier == dying {
+				scfg.KillAtStep, scfg.KillSilent = f.killStep, f.silent
+			}
+			srv := NewShardServer(ln, sub, scfg)
+			go func(tier int) { errs[tier] <- srv.Serve() }(tier)
 		}
-		if s == 0 {
-			scfg.KillAtStep = killStep
-			scfg.KillSilent = silent
-		}
-		srv := NewShardServer(ln, subs[s], scfg)
-		go func() { primErr <- srv.Serve() }()
 	}
+	f.ccfg.Replicas = addrs[1]
 
 	done := make(chan struct{}, workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer func() { done <- struct{}{} }()
-			cl, err := DialShardedConfig(addrs, w, shard.ForModel(buildShardModel(), shards),
-				ShardClientConfig{Replicas: raddrs, Timeouts: clientTo})
+			cl, err := DialShardedConfig(addrs[0], w, shard.ForModel(buildShardModel(), shards), f.ccfg)
 			if err != nil {
 				t.Errorf("worker %d dial: %v", w, err)
 				return
 			}
 			defer cl.Close()
-			driveWorker(t, w, steps, cfg, global, cl.PushPull)
+			driveWorker(t, w, steps, cfg, models[0], cl.PushPull)
 		}(w)
 	}
 	for w := 0; w < workers; w++ {
 		<-done
 	}
-	killed, alive := 0, 0
-	for s := 0; s < shards; s++ {
-		switch err := <-primErr; {
-		case err == nil:
-			alive++
-		case errors.Is(err, ErrShardKilled):
-			killed++
-		default:
-			t.Fatalf("primary serve: %v", err)
+	for tier, name := range [2]string{"primary", "standby"} {
+		killed := 0
+		for s := 0; s < shards; s++ {
+			if err := <-errs[tier]; errors.Is(err, ErrShardKilled) {
+				killed++
+			} else if err != nil {
+				t.Fatalf("%s serve: %v", name, err)
+			}
 		}
-	}
-	if killed != 1 || alive != 1 {
-		t.Fatalf("expected 1 killed + 1 surviving primary, got %d + %d", killed, alive)
-	}
-	for s := 0; s < shards; s++ {
-		if err := <-repErr; err != nil {
-			t.Fatalf("replica serve: %v", err)
+		want := 0
+		if tier == dying {
+			want = 1
+		}
+		if killed != want {
+			t.Fatalf("%d %s endpoints killed, want %d", killed, name, want)
 		}
 	}
 
-	// The replica tier — which took over shard 0 mid-run and followed
-	// shard 1 by forwarding — must hold the single-PS reference state
-	// bit-for-bit for EVERY tensor.
+	// The surviving tier — which served shard 0 alone from killStep on — must
+	// hold the single-PS reference state bit-for-bit for EVERY tensor...
 	want := referenceWeights(t, workers, steps)
-	var rep []float32
-	for _, p := range replicaModel.Params() {
-		rep = append(rep, p.W.Data()...)
+	var got []float32
+	for _, p := range models[1-dying].Params() {
+		got = append(got, p.W.Data()...)
 	}
 	for i := range want {
-		if want[i] != rep[i] {
-			t.Fatalf("replica weight %d differs from single-PS reference: %v != %v", i, rep[i], want[i])
+		if want[i] != got[i] {
+			t.Fatalf("surviving tier's weight %d differs from single-PS reference: %v != %v", i, got[i], want[i])
 		}
 	}
-	// The surviving primary's slice (shard 1 lives in `global`) must agree
-	// too — replication never disturbed the primary path.
-	gp := global.Params()
+	// ...and shard 1, which lost nothing, the same on both tiers.
 	for _, gi := range asn.Tensors(1) {
-		a, b := gp[gi].W.Data(), replicaModel.Params()[gi].W.Data()
+		a, b := models[0].Params()[gi].W.Data(), models[1].Params()[gi].W.Data()
 		for j := range a {
 			if a[j] != b[j] {
-				t.Fatalf("surviving shard tensor %d diverges between primary and replica", gi)
+				t.Fatalf("shard 1 tensor %d diverges between primary and standby", gi)
 			}
 		}
 	}
 }
 
-func TestFailoverKilledShardMatchesSinglePS(t *testing.T) {
-	runFailoverScenario(t, false)
-}
-
-func TestFailoverSilentDeathDetectedByDeadline(t *testing.T) {
-	runFailoverScenario(t, true)
-}
-
-// gateConn tells, each time its reader comes back for more, how many
-// bytes it has been given. A replica's reader posts a frame to the serve
-// loop before it reads on, so once it is back after n bytes the frames in
-// them are ahead of whatever is sent next, on any connection.
-type gateConn struct {
-	net.Conn
-	got  int64
-	back chan int64
-}
-
-func (c *gateConn) Read(p []byte) (int, error) {
-	c.back <- c.got
-	n, err := c.Conn.Read(p)
-	c.got += int64(n)
-	return n, err
-}
-
-func (c *gateConn) await(t *testing.T, n int64) {
-	t.Helper()
-	for {
-		select {
-		case got := <-c.back:
-			if got >= n {
-				return
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("the reader did not come back after %d bytes", n)
+// runFailoverMatrix kills shard 0's primary mid-run and at the top of the
+// last step — the standby is claimed while it settles — under everything a
+// connection can negotiate.
+func runFailoverMatrix(t *testing.T, silent bool) {
+	for name, ccfg := range map[string]ShardClientConfig{
+		"plain":       {},
+		"checksum":    {Checksum: true},
+		"huffman":     {Entropy: compress.EntropyHuffman},
+		"checksum+lz": {Checksum: true, Entropy: compress.EntropyLZ},
+		"tenant":      {Tenant: 7, Epoch: 3},
+		"resilient":   {Resilient: true},
+	} {
+		for _, killStep := range []int{3, 5} {
+			t.Run(fmt.Sprintf("%s/kill=%d", name, killStep), func(t *testing.T) {
+				t.Parallel()
+				failover{killStep: killStep, silent: silent, ccfg: ccfg}.run(t)
+			})
 		}
 	}
 }
 
-// gateListener hands out gateConns and announces them in accept order.
-type gateListener struct {
-	net.Listener
-	conns chan *gateConn
+func TestFailoverKilledShardMatchesSinglePS(t *testing.T) { runFailoverMatrix(t, false) }
+
+func TestFailoverSilentDeathDetectedByDeadline(t *testing.T) { runFailoverMatrix(t, true) }
+
+// TestStandbyDeathLeavesPrimaryServing: replication must not add a fault.
+// A standby that dies mid-run is dropped by its workers and the primaries
+// finish the run alone.
+func TestStandbyDeathLeavesPrimaryServing(t *testing.T) {
+	failover{killStep: 3, standbyDies: true}.run(t)
 }
 
-func (l gateListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
+// TestStandbyRefusals: what a standby seat cannot do is refused where it
+// is asked for. A session that ends when its workers hang up (the mux's)
+// has no place to wait for a claim after the last step; a claim replays
+// one whole-set push, so neither a standby's connection nor a client that
+// holds one streams per-tensor frames.
+func TestStandbyRefusals(t *testing.T) {
+	mux := ShardServerConfig{NumShards: 1, Workers: 1, Steps: -1}
+	if err := mux.admit(&frameCodec{standby: true}, 0); err == nil || !strings.Contains(err.Error(), "standby") {
+		t.Errorf("standby hello on a session with no step count: %v, want a refusal", err)
 	}
-	gc := &gateConn{Conn: c, back: make(chan int64, 16)}
-	l.conns <- gc
-	return gc, nil
-}
-
-// TestReplicaHoldsPushAheadOfForwards: a failed-over worker's push can
-// reach the replica's serve loop before the forwards of the steps before
-// it do — two connections, two reader goroutines, and a primary that
-// never waited for its replica (a rare failure of the failover suite
-// under -race, up to two steps apart). The push waits for them instead of
-// ending the replica on a barrier violation.
-func TestReplicaHoldsPushAheadOfForwards(t *testing.T) {
-	const steps = 3
-	cfg := shardTestConfig(1, steps)
-	model := buildShardModel()
-	asn := shard.ForModel(model, 1)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	if err := (&frameCodec{standby: true}).streamable(); err == nil {
+		t.Error("a standby's connection may stream")
 	}
-	gl := gateListener{ln, make(chan *gateConn, 2)}
-	to := Timeouts{Read: 10 * time.Second, Write: 10 * time.Second}
-	sub := mustSubServers(t, model, cfg, asn)[0]
-	repErr := make(chan error, 1)
-	go func() {
-		repErr <- NewShardReplica(gl, sub, ShardServerConfig{
-			NumShards: 1, Workers: 1, Steps: steps, AssignmentHash: asn.Hash(), Timeouts: to,
-		}).Serve()
-	}()
-	var sent *countConn // the connection dialed last
-	dial := Dialer(func(addr string) (net.Conn, error) {
-		c, err := net.Dial("tcp", addr)
-		sent = &countConn{Conn: c}
-		return sent, err
-	})
-
-	// The primary's forwarding link, its hello taken in...
-	up := &link{to: to, fc: frameCodec{upstream: true}}
-	if err := up.open(dial, ln.Addr().String(), asn.Hash()); err != nil {
-		t.Fatal(err)
+	dial := func(string) (net.Conn, error) {
+		near, far := net.Pipe()
+		go io.Copy(io.Discard, far) // takes the hello; ends when the client closes
+		return near, nil
 	}
-	defer up.c.Close()
-	(<-gl.conns).await(t, sent.bytes.Load())
-	// ...then the worker, failed over, with its push of the last step...
-	cl, err := DialShardedConfig([]string{ln.Addr().String()}, 0, asn, ShardClientConfig{Timeouts: to, Dialer: dial})
+	cl, err := DialShardedConfig([]string{"primary"}, 0, shard.ForModel(buildShardModel(), 1),
+		ShardClientConfig{Replicas: []string{"standby"}, Dialer: dial})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	wk := ps.NewWorker(0, buildShardModel(), cfg)
-	wk.Model.TrainStep(tensor.New(6, 12), make([]int, 6))
-	wires, _ := wk.CompressGrads()
-	hello := sent.bytes.Load()
-	pulled := make(chan error, 1)
-	go func() {
-		_, err := cl.PushPull(steps-1, wires)
-		pulled <- err
-	}()
-	// ...and only then the forwards of its pushes of the steps before.
-	var fc frameCodec
-	for step := 0; step < steps-1; step++ {
-		push, err := fc.appendFrame(nil, frame{t: MsgShardPush, step: uint32(step), set: wires})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if step == 0 {
-			(<-gl.conns).await(t, hello+int64(len(push)))
-		}
-		if err := up.send(frame{t: MsgReplicaPush, raw: push[frameHeaderLen:]}); err != nil {
-			t.Fatal(err)
-		}
+	ch := make(chan IndexedWire, 1)
+	ch <- IndexedWire{}
+	close(ch)
+	if err := cl.PushPullStream(0, ch, nil); err == nil || !strings.Contains(err.Error(), "standbys") {
+		t.Errorf("PushPullStream on a client with standbys: %v, want a refusal", err)
 	}
-	if err := <-pulled; err != nil {
-		t.Errorf("push of step %d, sent ahead of the forwards of the steps before: %v", steps-1, err)
-	}
-	if err := <-repErr; err != nil {
-		t.Errorf("replica: %v", err)
+	if len(ch) != 0 {
+		t.Error("the refused call left the producer's tensors on the channel")
 	}
 }
 

@@ -135,3 +135,20 @@ func TestParseWireSetIntoReuse(t *testing.T) {
 		t.Fatalf("stale scratch leaked: %v", dec2)
 	}
 }
+
+// TestRetiredTypeBytesStayReserved: type bytes 10 and 11 belonged to the
+// primary→replica forwarding link and are not handed out again — a peer
+// of that generation must be refused, not misread — so the bye keeps 12.
+func TestRetiredTypeBytesStayReserved(t *testing.T) {
+	if MsgShardPullTensor != 9 || MsgShardBye != 12 {
+		t.Fatalf("MsgShardPullTensor = %d, MsgShardBye = %d, want 9 and 12", MsgShardPullTensor, MsgShardBye)
+	}
+	for _, typ := range []MsgType{10, 11} {
+		if _, _, err := parseHello(typ, nil); err == nil {
+			t.Errorf("type-%d frame taken as a hello", typ)
+		}
+		if _, err := (&frameCodec{}).parseFrame(typ, AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion}), 0, true); err == nil {
+			t.Errorf("type-%d frame parsed", typ)
+		}
+	}
+}

@@ -34,7 +34,7 @@ func FuzzParseWireSet(f *testing.F) {
 
 // fuzzTypes are the frame types parseFrame takes on a v2 connection.
 var fuzzTypes = []MsgType{MsgShardPush, MsgShardPull, MsgShardPushTensor, MsgShardPushEnd,
-	MsgShardPullTensor, MsgReplicaPush, MsgShardBye}
+	MsgShardPullTensor, MsgShardBye}
 
 // fuzzCodec maps sub's low three bits to one subset of the negotiable
 // stages: tenant tag, entropy stage, checksum trailer.
@@ -120,6 +120,8 @@ func FuzzShardHeader(f *testing.F) {
 		fc := fuzzCodec(sub)
 		f.Add(sub, byte(MsgShardPush), fc.appendPayload(nil, frame{t: MsgShardPush, step: 7, set: [][]byte{{1, 2, 3}, nil}}))
 		f.Add(sub, byte(MsgShardHello), fc.appendPayload(nil, frame{t: MsgShardHello, arg: 0xfeed}))
+		fc.standby = true
+		f.Add(sub, byte(MsgShardHello), fc.appendPayload(nil, frame{t: MsgShardHello, arg: 0xfeed}))
 	}
 	f.Add(byte(0), byte(MsgShardPushTensor), []byte{ShardWireVersion, 0, 0, 0})
 	f.Add(byte(1), byte(MsgShardPull), bytes.Repeat([]byte{0xff}, ShardHeaderLen))
@@ -133,6 +135,7 @@ func FuzzShardHeader(f *testing.F) {
 				t.Fatalf("accepted a type-%d frame for step %d at step 7", fr.t, fr.step)
 			}
 			if h, _, err := ParseShardHeader(data); err != nil || (h.Flags&FlagChecksum != 0) != fc.checksum ||
+				h.Flags&(FlagResilient|FlagStandby) != 0 || // hello-only
 				h.Shard != fc.shard || h.Tenant != fc.tenant || h.Epoch != fc.epoch {
 				t.Fatalf("accepted header %+v (%v) on a connection that negotiated %+v", h, err, fc)
 			}
@@ -233,6 +236,21 @@ func FuzzChecksummedFrame(f *testing.F) {
 		rx := fuzzCodec(sub)
 		if _, err := rx.parseFrame(mt, wire, 7, true); err == nil {
 			t.Fatalf("subset %#x: single-bit corruption at bit %d of %d was accepted", sub, at, n)
+		}
+
+		// The hello that opens a standby's connection under the same stages
+		// parses back to the codec that sent it, and no single-bit corruption
+		// of it negotiates anything.
+		tx := fuzzCodec(sub)
+		tx.standby = true
+		hello := tx.appendPayload(nil, frame{t: MsgShardHello, arg: 0xfeed})
+		hc, hash, err := parseHello(MsgShardHello, hello)
+		if err != nil || !hc.standby || hash != 0xfeed || hc.variant() != tx.variant() || hc.tenant != tx.tenant {
+			t.Fatalf("subset %#x: standby hello parsed back as %+v, hash %#x (%v)", sub, hc, hash, err)
+		}
+		hello[int(bit)%len(hello)] ^= 1 << (bit % 8)
+		if _, _, err := parseHello(MsgShardHello, hello); err == nil {
+			t.Fatalf("subset %#x: corrupted standby hello (byte %d) was accepted", sub, int(bit)%len(hello))
 		}
 	})
 }

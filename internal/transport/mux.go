@@ -171,7 +171,7 @@ func (s *MuxShardServer) route(g *session, st *seat, hash uint32) (*session, err
 			Epoch:          st.fc.epoch,
 		}, nil, &s.traffic)
 	}
-	if err := g.cfg.admit(&st.fc, hash, false); err != nil {
+	if err := g.cfg.admit(&st.fc, hash); err != nil {
 		return nil, err
 	}
 	if g.seats[st.id] != nil {

@@ -36,8 +36,8 @@ type tensorPusher interface {
 }
 
 // traffic counts an endpoint's payload bytes, pushes received and pulls
-// sent; sessions and the replica loop add to it from their own
-// goroutines while TrafficBytes reads.
+// sent; sessions add to it from their own goroutines while TrafficBytes
+// reads.
 type traffic struct{ push, pull atomic.Int64 }
 
 // TrafficBytes reports the total wire bytes received (pushes) and sent
@@ -74,11 +74,8 @@ func (l *link) open(d Dialer, addr string, hash uint32) error {
 	}
 	l.attach(c)
 	hello := MsgShardHello
-	switch {
-	case l.fc.v1:
+	if l.fc.v1 {
 		hello = MsgHello
-	case l.fc.upstream:
-		hello = MsgReplicaHello
 	}
 	if err := l.send(frame{t: hello, arg: hash}); err != nil {
 		c.Close()
@@ -165,6 +162,10 @@ type seat struct {
 	wires    [][]byte // parsed push set, slice headers recycled each step
 	seen     []bool   // per-tensor received flags of one streamed push
 	streamed bool     // this step's push arrived as per-tensor frames
+	// shadow: a standby seat (FlagStandby hello) its worker has not claimed.
+	// Its pushes are aggregated, its pulls withheld; the replay of its last
+	// push — the worker lost the primary — clears it.
+	shadow bool
 }
 
 // acceptSeat takes one connection off ln and parses its hello, returning
@@ -189,15 +190,12 @@ func acceptSeat(ln net.Listener, to Timeouts) (*seat, uint32, error) {
 		c.Close()
 		return nil, 0, fmt.Errorf("transport: hello: %w", err)
 	}
-	st.id = int(st.fc.worker)
+	st.id, st.shadow = int(st.fc.worker), st.fc.standby
 	return st, hash, nil
 }
 
-// admit holds a parsed hello against the endpoint it arrived at. replica
-// says the endpoint IS a replica, the only kind that takes a primary's
-// upstream hello; it and a primary with a ReplicaAddr seat only what a
-// replica can replay.
-func (cfg *ShardServerConfig) admit(fc *frameCodec, hash uint32, replica bool) error {
+// admit holds a parsed hello against the endpoint it arrived at.
+func (cfg *ShardServerConfig) admit(fc *frameCodec, hash uint32) error {
 	switch {
 	case fc.v1 && (cfg.NumShards != 1 || cfg.Shard != 0):
 		return fmt.Errorf("transport: v1 hello on shard %d of %d (the v1 layout addresses a single-shard tier)", cfg.Shard, cfg.NumShards)
@@ -209,16 +207,16 @@ func (cfg *ShardServerConfig) admit(fc *frameCodec, hash uint32, replica bool) e
 	case !fc.v1 && hash != cfg.AssignmentHash:
 		return fmt.Errorf("transport: worker %d placement hash %#x != server %#x (divergent model layout)",
 			fc.worker, hash, cfg.AssignmentHash)
-	case fc.upstream && !replica:
-		return fmt.Errorf("transport: shard %d: a primary's forwarding hello on a worker endpoint", cfg.Shard)
-	case !fc.upstream && int(fc.worker) >= cfg.Workers:
+	case int(fc.worker) >= cfg.Workers:
 		return fmt.Errorf("transport: bad worker id %d", fc.worker)
 	case fc.resilient && !cfg.Resilient:
 		// Also every EOF-terminated (mux) session: its lifecycle is its
 		// connections, there is no seat to keep across a reconnect.
 		return fmt.Errorf("transport: shard %d keeps no seat across reconnects: resilient client refused", cfg.Shard)
-	case replica || cfg.ReplicaAddr != "":
-		return fc.mirrorable()
+	case fc.standby && cfg.Steps < 0:
+		// A claim may come after the last step; a session that ends with its
+		// connections has no such place to wait for it.
+		return fmt.Errorf("transport: shard %d runs until its workers hang up: standby seat refused", cfg.Shard)
 	}
 	return nil
 }
@@ -232,7 +230,6 @@ type session struct {
 	agg    StepServer
 	stream tensorPusher // nil: seats push whole sets only
 	ln     net.Listener // where a severed resilient seat's reconnect arrives
-	mirror *link        // primary→replica forwarding link (nil: unreplicated)
 	tr     *traffic
 
 	seats []*seat // indexed by worker id; nil while severed
@@ -254,11 +251,7 @@ type session struct {
 func newSession(agg StepServer, cfg ShardServerConfig, ln net.Listener, tr *traffic) *session {
 	s := &session{cfg: cfg, agg: agg, ln: ln, tr: tr, done: -1,
 		seats: make([]*seat, cfg.Workers), applied: make([]int, cfg.Workers)}
-	if cfg.ReplicaAddr == "" {
-		// The forwarding link mirrors whole-set payloads; a replicated
-		// session therefore offers its seats no per-tensor surface.
-		s.stream, _ = agg.(tensorPusher)
-	}
+	s.stream, _ = agg.(tensorPusher)
 	for i := range s.applied {
 		s.applied[i] = -1
 	}
@@ -268,15 +261,12 @@ func newSession(agg StepServer, cfg ShardServerConfig, ln net.Listener, tr *traf
 	return s
 }
 
-// close hangs up on every seated worker and the replica.
+// close hangs up on every seated worker.
 func (s *session) close() {
 	for _, st := range s.seats {
 		if st != nil {
 			st.c.Close()
 		}
-	}
-	if s.mirror != nil {
-		s.mirror.c.Close()
 	}
 }
 
@@ -286,7 +276,7 @@ func (s *session) accept() (*seat, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.cfg.admit(&st.fc, hash, false); err != nil {
+	if err := s.cfg.admit(&st.fc, hash); err != nil {
 		st.c.Close()
 		return nil, err
 	}
@@ -349,19 +339,17 @@ func (s *session) run() error {
 		}
 		s.pull, s.done = pull, step
 		for w, st := range s.seats {
-			if st == nil {
-				continue // severed during this step; its replay is re-answered
+			if st == nil || st.shadow {
+				continue // severed during this step, or unclaimed: a replay is re-answered
 			}
 			if err := s.sendPull(st); err != nil && !s.sever(w) {
 				return err
 			}
 		}
 	}
-	if s.cfg.Resilient {
-		for w := range s.seats {
-			if err := s.settle(w); err != nil {
-				return err
-			}
+	for w := range s.seats {
+		if err := s.settle(w); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -445,15 +433,16 @@ func (s *session) pushFrom(w, step int) error {
 
 // readPush consumes one seat's push for step into the aggregator: a
 // single whole-set frame (v2 or v1), or a stream of per-tensor frames.
-// On a resilient seat a replay of the PREVIOUS step's push — the worker
-// lost that step's pull and reconnected — is answered from the retained
-// pull and consumed without re-aggregating, the dedupe half of
+// On a resilient or shadow seat a replay of the PREVIOUS step's push —
+// the worker lost that step's pull and reconnected, or lost the primary
+// that owed it and is claiming this standby seat — is answered from the
+// retained pull and consumed without re-aggregating, the dedupe half of
 // at-most-once application, before reading on for the current push.
 //
 //3lc:noalloc
 func (s *session) readPush(st *seat, step int) error {
 	for {
-		f, err := st.read(step, st.fc.resilient && s.applied[st.id] == step-1)
+		f, err := st.read(step, (st.fc.resilient || st.shadow) && s.applied[st.id] == step-1)
 		if err != nil {
 			return fmt.Errorf("transport: shard %d step %d push from worker %d: %w", s.cfg.Shard, step, st.id, err)
 		}
@@ -461,22 +450,13 @@ func (s *session) readPush(st *seat, step int) error {
 		switch f.t {
 		case MsgShardPush, MsgPush:
 			if int(f.step) != step {
+				st.shadow = false
 				if err := s.sendPull(st); err != nil {
 					return err
 				}
 				continue // the current step's push follows on this connection
 			}
 			st.streamed = false
-			if s.mirror != nil {
-				// Forwarded BEFORE it is decoded locally, so the replica is
-				// at least as informed as the primary at every instant: a
-				// push aggregated here but never forwarded would die with
-				// this process; the reverse is harmless, the worker replays
-				// on failover and the replica dedupes.
-				if err := s.mirror.send(frame{t: MsgReplicaPush, raw: f.raw}); err != nil {
-					return fmt.Errorf("transport: shard %d forward to replica: %w", s.cfg.Shard, err)
-				}
-			}
 			if st.wires, _, err = ParseWireSetInto(st.wires, f.body); err == nil {
 				_, err = s.agg.AddPush(st.id, st.wires)
 			}
@@ -504,7 +484,7 @@ func (s *session) readPush(st *seat, step int) error {
 // stream can never silently skew the aggregate.
 func (s *session) readStream(st *seat, step int, f frame) (int, error) {
 	if s.stream == nil {
-		return 0, fmt.Errorf("transport: per-tensor push to a seat that takes whole sets only (its aggregator has no per-tensor surface, or the shard mirrors to a replica)")
+		return 0, fmt.Errorf("transport: per-tensor push to a seat that takes whole sets only (its aggregator has no per-tensor surface)")
 	}
 	if err := st.fc.streamable(); err != nil {
 		return 0, err
@@ -593,12 +573,14 @@ func (s *session) sendPull(st *seat) error {
 	return nil
 }
 
-// settle is the resilient end-of-run for seat w: the worker must confirm
-// with MsgShardBye before its seat retires, and is replayed the final
-// pull if it reconnects for it. A seat whose worker neither confirms nor
-// reconnects within the reacquire window is presumed done — the only
-// frames a resilient client sends here are byes and replays, and a
-// client still missing its pull redials well within the window.
+// settle is the end-of-run for a seat that may still be owed the final
+// pull. A resilient worker must confirm with MsgShardBye before its seat
+// retires, and is replayed the final pull if it reconnects for it; one
+// that neither confirms nor reconnects within the reacquire window is
+// presumed done — the only frames a resilient client sends here are byes
+// and replays, and a client still missing its pull redials well within
+// the window. A shadow seat's worker may yet claim it — the primary died
+// holding the last step — until it says bye or hangs up.
 func (s *session) settle(w int) error {
 	for tries := 0; tries <= 16; tries++ {
 		st := s.seats[w]
@@ -611,7 +593,7 @@ func (s *session) settle(w int) error {
 			}
 			continue
 		}
-		if !st.fc.resilient {
+		if !st.fc.resilient && !st.shadow {
 			return nil
 		}
 		if s.cfg.Timeouts.Read == 0 {
@@ -623,13 +605,17 @@ func (s *session) settle(w int) error {
 		switch {
 		case err != nil:
 			// EOF, reset, timeout or corruption: the worker is done (the
-			// reacquire above times out) or it is reconnecting.
-			s.sever(w)
+			// reacquire above times out) or it is reconnecting — which only
+			// a resilient one does.
+			if !s.sever(w) {
+				return nil
+			}
 		case f.t == MsgShardBye:
 			return nil // positive confirmation: the final pull was applied
 		case f.t == MsgShardPush && int(f.step) == s.done:
-			if s.sendPull(st) != nil {
-				s.sever(w)
+			st.shadow = false
+			if err := s.sendPull(st); err != nil && !s.sever(w) {
+				return err
 			}
 		default:
 			return fmt.Errorf("transport: shard %d: unexpected type-%d frame from worker %d after the final step", s.cfg.Shard, f.t, w)

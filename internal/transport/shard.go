@@ -23,10 +23,15 @@
 //     frame, hello included — last, so it covers what is on the wire,
 //     tag and coded body alike.
 //
-// FlagResilient (hello only, requires the trailer) adds no bytes: it
+// Two hello-only flags add no bytes. FlagResilient (requires the trailer)
 // declares that the client may tear down and re-dial mid-run, replaying
 // the in-flight step's push; the session dedupes replays on the (worker,
 // step) identity and re-answers missed pulls from the retained pull.
+// FlagStandby opens a worker's second connection for a shard, to a
+// ShardServer that stands by over its own copy of the sub-job: the worker
+// sends it every whole-set push ahead of the primary's copy, the session
+// aggregates them and withholds the pulls, and a worker that loses the
+// primary claims its seat with that same replay.
 //
 // The streamed (per-tensor) frames overlap communication with codec work:
 // a worker that pushes MsgShardPushTensor frames hands each tensor to its
@@ -81,15 +86,11 @@ const (
 	// MsgShardPullTensor carries one tensor of the shared pull, same
 	// layout as MsgShardPushTensor; sent to workers that pushed streamed.
 	MsgShardPullTensor
-	// MsgReplicaHello opens a primary→replica forwarding connection:
-	// header (worker and step zero) + the 4-byte placement hash, exactly
-	// like a worker hello but identifying the peer as the primary.
-	MsgReplicaHello
-	// MsgReplicaPush forwards one worker's whole-set push to the replica.
-	// The payload is the worker's original MsgShardPush payload verbatim —
-	// shard header (with the worker's id and step, the dedupe identity)
-	// plus wire set.
-	MsgReplicaPush
+	// Type bytes 10 and 11 are retired (a primary's forwarding link to its
+	// replica, before workers sent the standby their pushes themselves) and
+	// stay reserved.
+	_
+	_
 	// MsgShardBye is a resilient client's positive end-of-run signal
 	// (header + checksum trailer, no body): after applying the final
 	// step's pull it tells the server its seat can be retired. A plain
@@ -125,14 +126,6 @@ type ShardServerConfig struct {
 	// read deadline must cover a full compute phase (a BSP push read
 	// spans the barrier, not a round trip); zero disables deadlines.
 	Timeouts Timeouts
-	// ReplicaAddr, when non-empty, names this shard's replica (a
-	// ShardReplica endpoint). The primary dials it at Serve start and
-	// forwards every validated push there BEFORE decoding it locally, so
-	// the replica replays the identical worker-id-ordered aggregation
-	// sequence and its sub-server state stays byte-identical to the
-	// primary's. A replicated shard seats only connections that
-	// negotiated nothing and takes whole-set pushes only.
-	ReplicaAddr string
 	// KillAtStep, when > 0, makes Serve abort at the top of that step —
 	// the crash-injection hook behind `3lc-net -kill-shard` and the
 	// failover tests. The abrupt default closes every connection (peers
@@ -160,9 +153,6 @@ type ShardServerConfig struct {
 	// still recover it. Timeouts.Read bounds each reconnect wait (5s when
 	// zero) and must exceed the clients' worst-case retry backoff.
 	Resilient bool
-	// Dialer overrides how the primary→replica forwarding link is opened
-	// (nil: plain TCP) — the chaos/fault-injection hook.
-	Dialer Dialer
 }
 
 // ShardServer drives one parameter-server shard (a ps sub-job, see
@@ -175,7 +165,10 @@ type ShardServer struct {
 }
 
 // NewShardServer wraps sub (the ps sub-job owning this shard's tensors)
-// to serve cfg.Workers workers for cfg.Steps steps on ln.
+// to serve cfg.Workers workers for cfg.Steps steps on ln. A shard's
+// standby is one more of these, at the address the workers hold in
+// ShardClientConfig.Replicas, over a sub-job of its OWN model replica — it
+// must not share parameter tensors with the primary's.
 func NewShardServer(ln net.Listener, sub *ps.Job, cfg ShardServerConfig) *ShardServer {
 	if cfg.NumShards < 1 {
 		cfg.NumShards = 1
@@ -195,14 +188,6 @@ func (s *ShardServer) Serve() error {
 			ss.close()
 		}
 	}()
-	if s.cfg.ReplicaAddr != "" {
-		ss.mirror = &link{to: s.cfg.Timeouts, fc: frameCodec{upstream: true,
-			shard: uint16(s.cfg.Shard), tenant: s.cfg.Tenant, epoch: s.cfg.Epoch}}
-		if err := ss.mirror.open(s.cfg.Dialer, s.cfg.ReplicaAddr, s.cfg.AssignmentHash); err != nil {
-			ss.mirror = nil
-			return fmt.Errorf("transport: shard %d replica link: %w", s.cfg.Shard, err)
-		}
-	}
 	if err := ss.fill(); err != nil {
 		return err
 	}
@@ -213,15 +198,18 @@ func (s *ShardServer) Serve() error {
 
 // ShardClientConfig tunes a worker's sharded connections.
 type ShardClientConfig struct {
-	// Replicas[s], when non-empty, is shard s's replica address. On a
-	// push/pull failure against the primary — connection error, EOF, or a
-	// read-deadline timeout — the client dials the replica, re-handshakes,
-	// and REPLAYS the in-flight step's push; the replica deduplicates on
-	// the (worker, step) identity every push frame already carries, so a
-	// push the dead primary managed to forward is never double-counted.
-	// Subsequent steps use the replica directly. Failover applies to the
-	// whole-set PushPull path of a connection that negotiates nothing
-	// (see frameCodec.mirrorable).
+	// Replicas[s], when non-empty, is shard s's standby address: a second
+	// ShardServer the client dials at start with a FlagStandby hello and
+	// sends every whole-set push to, ahead of the primary's copy — so the
+	// standby is at least as informed as the primary at every instant, at
+	// the cost of this worker's push egress doubled. On a push/pull failure
+	// against the primary — connection error, EOF, or a read-deadline
+	// timeout — the client claims the standby by REPLAYING the in-flight
+	// step's push on the connection it already holds; the standby dedupes
+	// it on the (worker, step) identity, answers from its retained pull
+	// and serves the remaining steps. A standby that dies first is dropped
+	// and the run carries on unreplicated. Whole-set rounds only: a client
+	// with Replicas refuses PushPullStream.
 	Replicas []string
 	// Timeouts bounds each frame read and each flush. A read deadline is the
 	// failure detector for silently dead shards: without one, only
@@ -249,9 +237,11 @@ type ShardClientConfig struct {
 	// Retry, re-dials the SAME shard address, re-handshakes with
 	// FlagResilient, and replays the in-flight step's push; the server
 	// (ShardServerConfig.Resilient) dedupes the replay and re-answers the
-	// missed pull from its retained pull. Whole-set rounds only (see
-	// frameCodec.streamable). At Close the client confirms with
-	// MsgShardBye so the server can retire its seat.
+	// missed pull from its retained pull. With Replicas the standby is
+	// claimed first, and it is the standby's address that is re-dialed
+	// from then on. Whole-set rounds only (see frameCodec.streamable). At
+	// Close the client confirms with MsgShardBye so the server can retire
+	// its seat.
 	Resilient bool
 	// Retry is the resilient path's backoff schedule; the zero value is
 	// the retry.Policy default (4 attempts, 50ms base, 2s cap, 2x). Each
@@ -278,9 +268,9 @@ type ShardClient struct {
 
 type shardConn struct {
 	link
-	addr      string      // primary address, the resilient reconnect target
+	addr      string      // the resilient reconnect target: the primary, or a claimed standby
 	policy    RetryPolicy // per-shard decorrelated backoff stream
-	onReplica bool        // failed over: this conn now points at the replica
+	standby   *link       // second connection, sent every push first; nil: none, dead, or claimed
 	pullWires [][]byte
 	dirty     bool // streamed push: tensors routed here since the last flush mark
 	// seen[k] marks shard-local tensor k of a streamed step: pushed, while
@@ -296,8 +286,8 @@ func DialSharded(addrs []string, workerID int, asn shard.Assignment) (*ShardClie
 	return DialShardedConfig(addrs, workerID, asn, ShardClientConfig{})
 }
 
-// DialShardedConfig is DialSharded with failover replicas, negotiated
-// wire stages and I/O deadlines (see ShardClientConfig).
+// DialShardedConfig is DialSharded with standbys to fail over to,
+// negotiated wire stages and I/O deadlines (see ShardClientConfig).
 func DialShardedConfig(addrs []string, workerID int, asn shard.Assignment, ccfg ShardClientConfig) (*ShardClient, error) {
 	if len(addrs) != asn.NumShards {
 		return nil, fmt.Errorf("transport: %d shard addresses for %d shards", len(addrs), asn.NumShards)
@@ -310,11 +300,6 @@ func DialShardedConfig(addrs []string, workerID int, asn shard.Assignment, ccfg 
 	ccfg.Checksum = ccfg.Checksum || ccfg.Resilient
 	fc := frameCodec{worker: uint32(workerID), tenant: ccfg.Tenant, epoch: ccfg.Epoch,
 		entropy: ccfg.Entropy, checksum: ccfg.Checksum, resilient: ccfg.Resilient}
-	if ccfg.Replicas != nil {
-		if err := fc.mirrorable(); err != nil {
-			return nil, err
-		}
-	}
 	c := &ShardClient{
 		asn:  asn,
 		ccfg: ccfg,
@@ -335,11 +320,21 @@ func DialShardedConfig(addrs []string, workerID int, asn shard.Assignment, ccfg 
 		sc := &shardConn{link: link{to: ccfg.Timeouts, fc: fc}, addr: addr, policy: ccfg.Retry.Stream(uint64(s)),
 			seen: make([]bool, len(c.idx[s]))}
 		sc.fc.shard = uint16(s)
-		if err := sc.open(ccfg.Dialer, addr, asn.Hash()); err != nil {
-			c.Close() // closes the successfully-dialed prefix only
+		err := sc.open(ccfg.Dialer, addr, asn.Hash())
+		if err == nil {
+			c.conns = append(c.conns, sc)
+			if ccfg.Replicas != nil && ccfg.Replicas[s] != "" {
+				sb := &link{to: ccfg.Timeouts, fc: sc.fc}
+				sb.fc.standby = true
+				if err = sb.open(ccfg.Dialer, ccfg.Replicas[s], asn.Hash()); err == nil {
+					sc.standby = sb
+				}
+			}
+		}
+		if err != nil {
+			c.Close() // closes what was dialed
 			return nil, err
 		}
-		c.conns = append(c.conns, sc)
 	}
 	return c, nil
 }
@@ -386,31 +381,25 @@ func (c *ShardClient) PushPull(step int, wires [][]byte) ([][]byte, error) {
 	return c.pull, nil
 }
 
-// pushPullShard runs one shard's round trip of one step. Recovery is one
-// of two stories. A replicated client fails over: reconnect to the
-// shard's replica, re-handshake, REPLAY this step's push (the replica
-// dedupes on the (worker, step) identity primary forwarding already
-// delivered, so the push applies exactly once). A resilient client
-// recovers in place: back off per the shard's decorrelated retry stream,
-// re-dial the SAME address, re-handshake, and replay — the server kept
-// the seat, dedupes the replay, and re-answers the missed pull from its
-// retained pull. The attempt budget is the policy's; exhausting it
-// surfaces the last error.
+// pushPullShard runs one shard's round trip of one step, and recovers it
+// when it fails: a client that holds the shard's standby claims it — the
+// primary's connection is dropped for the standby's, and this step's push
+// REPLAYED there — and a resilient client backs off per the shard's
+// decorrelated retry stream, re-dials the address it was last served at,
+// re-handshakes, and replays. Either replay meets one protocol: the server
+// kept the seat, dedupes on the (worker, step) identity and re-answers the
+// missed pull from its retained pull. The attempt budget is the policy's;
+// exhausting it surfaces the last error.
 func (c *ShardClient) pushPullShard(step, s int, sc *shardConn, wires [][]byte) error {
 	err := c.tryPushPull(step, s, sc, wires)
-	if err == nil {
-		return nil
-	}
-	if !c.ccfg.Resilient {
-		if sc.onReplica || c.ccfg.Replicas == nil || c.ccfg.Replicas[s] == "" {
-			return err
-		}
+	if err != nil && sc.standby != nil {
 		sc.c.Close()
-		if ferr := sc.open(c.ccfg.Dialer, c.ccfg.Replicas[s], c.asn.Hash()); ferr != nil {
-			return errors.Join(err, ferr)
-		}
-		sc.onReplica = true
-		return c.tryPushPull(step, s, sc, wires)
+		sc.link, sc.addr, sc.standby = *sc.standby, c.ccfg.Replicas[s], nil
+		sc.fc.standby = false // a later redial takes the seat outright
+		err = c.tryPushPull(step, s, sc, wires)
+	}
+	if err == nil || !c.ccfg.Resilient {
+		return err
 	}
 	for attempt := 0; attempt+1 < sc.policy.Attempts(); attempt++ {
 		sc.c.Close()
@@ -425,7 +414,10 @@ func (c *ShardClient) pushPullShard(step, s int, sc *shardConn, wires [][]byte) 
 	return fmt.Errorf("transport: shard %d step %d: retry budget exhausted: %w", s, step, err)
 }
 
-// tryPushPull is one push/pull attempt on the current connection.
+// tryPushPull is one push/pull attempt on the current connection. The push
+// is encoded once; a held standby is written the same bytes first, so it
+// is never behind the primary, and one that cannot take them is dropped —
+// its death must not stop the run.
 //
 //3lc:noalloc
 func (c *ShardClient) tryPushPull(step, s int, sc *shardConn, wires [][]byte) error {
@@ -433,7 +425,15 @@ func (c *ShardClient) tryPushPull(step, s int, sc *shardConn, wires [][]byte) er
 	for k, gi := range c.idx[s] {
 		sub[k] = wires[gi]
 	}
-	if err := sc.send(frame{t: MsgShardPush, step: uint32(step), set: sub}); err != nil {
+	err := sc.queue(frame{t: MsgShardPush, step: uint32(step), set: sub})
+	if err == nil {
+		if sb := sc.standby; sb != nil && sb.write(sc.out) != nil {
+			sb.c.Close()
+			sc.standby = nil
+		}
+		err = sc.flush()
+	}
+	if err != nil {
 		return fmt.Errorf("transport: shard %d push step %d: %w", s, step, err)
 	}
 	f, err := sc.read(step, false)
@@ -482,6 +482,9 @@ const flushMark = -1
 // for the duration of the call.
 func (c *ShardClient) PushPullStream(step int, tensors <-chan IndexedWire, apply func(gi int, wire []byte) error) error {
 	err := c.conns[0].fc.streamable()
+	if err == nil && c.ccfg.Replicas != nil {
+		err = fmt.Errorf("transport: worker %d: a client with standbys cannot stream per-tensor frames (a claim replays one whole-set push)", c.conns[0].fc.worker)
+	}
 	if err != nil {
 		for range tensors {
 		}
@@ -603,19 +606,24 @@ func (c *ShardClient) streamShard(step, s int, sc *shardConn, ch <-chan IndexedW
 	return nil
 }
 
-// Close terminates all shard connections. A resilient client first
-// confirms each shard with MsgShardBye (best-effort): a bare close is
-// ambiguous to a resilient server — it cannot tell a finished worker
+// Close terminates all shard connections, standbys included. A resilient
+// client first confirms each with MsgShardBye (best-effort): a bare close
+// is ambiguous to a resilient server — it cannot tell a finished worker
 // from one about to reconnect — so the bye lets it retire the seat
 // immediately instead of holding it open for the reacquire window.
 func (c *ShardClient) Close() error {
 	var first error
 	for _, sc := range c.conns {
-		if c.ccfg.Resilient {
-			_ = sc.send(frame{t: MsgShardBye}) // best-effort: the close below is what must happen
-		}
-		if err := sc.c.Close(); err != nil && first == nil {
-			first = err
+		for _, l := range []*link{&sc.link, sc.standby} {
+			if l == nil {
+				continue
+			}
+			if c.ccfg.Resilient {
+				_ = l.send(frame{t: MsgShardBye}) // best-effort: the close below is what must happen
+			}
+			if err := l.c.Close(); err != nil && first == nil {
+				first = err
+			}
 		}
 	}
 	return first

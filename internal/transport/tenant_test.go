@@ -419,9 +419,10 @@ func TestMuxShardServerReturnsOnDeadListener(t *testing.T) {
 }
 
 // TestReplicaRejectsCrossTenantPush is the regression test for the
-// straggler dedupe identity: replay deduplication is keyed on (tenant,
-// worker, step), so a push from ANOTHER tenant that happens to carry the
-// same worker and step numbers must be rejected outright — under the old
+// straggler dedupe identity, on the seat whose pushes are replayed by
+// design — a standby's: replay deduplication is keyed on (tenant, worker,
+// step), so a push from ANOTHER tenant that happens to carry the same
+// worker and step numbers must be rejected outright — under the old
 // (worker, step) identity it would have been silently deduplicated or,
 // worse, applied into the wrong job's state.
 func TestReplicaRejectsCrossTenantPush(t *testing.T) {
@@ -438,7 +439,7 @@ func TestReplicaRejectsCrossTenantPush(t *testing.T) {
 	}
 	srvErr := make(chan error, 1)
 	go func() {
-		srvErr <- NewShardReplica(ln, subs[0], ShardServerConfig{
+		srvErr <- NewShardServer(ln, subs[0], ShardServerConfig{
 			Workers:        1,
 			Steps:          1,
 			AssignmentHash: asn.Hash(),
@@ -455,9 +456,9 @@ func TestReplicaRejectsCrossTenantPush(t *testing.T) {
 	defer c.Close()
 	rw := bufio.NewReadWriter(bufio.NewReader(c), bufio.NewWriter(c))
 
-	// Handshake with the replica's own job identity...
+	// Take the standby seat under the endpoint's own job identity...
 	hello := AppendShardHeader(nil, ShardHeader{
-		Version: ShardWireVersion, Tenant: tenID, Epoch: tenEpoch,
+		Version: ShardWireVersion, Flags: FlagStandby, Tenant: tenID, Epoch: tenEpoch,
 	})
 	var hb [4]byte
 	le.PutUint32(hb[:], asn.Hash())
@@ -483,7 +484,7 @@ func TestReplicaRejectsCrossTenantPush(t *testing.T) {
 
 	err = <-srvErr
 	if err == nil {
-		t.Fatal("replica accepted a push from another tenant")
+		t.Fatal("standby accepted a push from another tenant")
 	}
 	if !strings.Contains(err.Error(), "tenant") {
 		t.Fatalf("rejection does not name the tenant mismatch: %v", err)
