@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (§5), plus micro-benchmarks of each pipeline stage and ablation benches
-// for the design choices DESIGN.md calls out.
+// for the paper's design choices.
 //
 // Table/figure benches run a miniature experiment suite (3 workers, small
 // MLP) per iteration and report the headline quantities as custom metrics;
@@ -252,7 +252,7 @@ func BenchmarkFigure9(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (design choices from DESIGN.md) ----------------------
+// --- Ablation benches (the paper's design choices) -------------------------
 
 // BenchmarkAblationQuarticVs2Bit compares quartic encoding against the
 // 2-bit packing TernGrad uses; the paper claims a 20% size saving (§3.2).

@@ -63,6 +63,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -77,6 +78,7 @@ import (
 	"threelc/internal/shard"
 	"threelc/internal/tenant"
 	"threelc/internal/tensor"
+	"threelc/internal/train"
 	"threelc/internal/transport"
 )
 
@@ -160,7 +162,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "3lc-net:", err)
 			os.Exit(2)
 		}
-		runHierarchical(*regions, *shards, *workers, *steps, *batch, *addr,
+		runHierarchical(*regions, *shards, *workers, *steps, *batch, listenAt(*addr),
 			scheme, opts, algo, psCfg, build, trainSet, testSet, *netTimeout)
 		return
 	}
@@ -169,7 +171,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "3lc-net: -tenants is incompatible with -stream, -replicas, and -kill-shard")
 			os.Exit(2)
 		}
-		runMultiTenant(*tenants, *shards, *workers, *steps, *batch, *addr, scheme, opts, *netTimeout)
+		runMultiTenant(*tenants, *shards, *workers, *steps, *batch, listenAt(*addr), scheme, opts, *netTimeout)
 		return
 	}
 	if *replicas && *stream {
@@ -199,239 +201,104 @@ func main() {
 	useShardTier := *shards > 1 || *stream || *replicas
 	global := build()
 	timeouts := transport.Timeouts{Read: *netTimeout, Write: *netTimeout}
+	listen := listenAt(*addr)
 
 	// trafficFn reports (push, pull) bytes summed over the server tier.
 	var trafficFn func() (int64, int64)
-	addrs := make([]string, *shards)
-	raddrs := make([]string, *shards)
+	var primaries, standbys shardTier
 	var replicaModel *nn.Model
-	var replicaAsn shard.Assignment
-	serveErr := make(chan error, *shards)
-	repErr := make(chan error, *shards)
+	asn := shard.ForModel(global, *shards)
 	if useShardTier {
 		// One listener per shard; workers hold one multiplexed connection
-		// to each. Shard s binds -addr's port + s (kernel-assigned ports
-		// when the requested port is 0).
-		host, portStr, err := net.SplitHostPort(*addr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "3lc-net: bad -addr %q: %v\n", *addr, err)
-			os.Exit(1)
-		}
-		if host == "" {
-			host = "127.0.0.1"
-		}
-		basePort, err := strconv.Atoi(portStr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "3lc-net: bad -addr port %q: %v\n", portStr, err)
-			os.Exit(1)
-		}
-		asn := shard.ForModel(global, *shards)
-		// Split the codec-pool budget across the concurrently-serving
-		// shards so the tier as a whole stays within GOMAXPROCS (the same
-		// division train.Run's sharded branch applies).
-		shardCfg := psCfg
-		shardCfg.Parallelism = runtime.GOMAXPROCS(0) / *shards
-		if shardCfg.Parallelism < 1 {
-			shardCfg.Parallelism = 1
-		}
-		subs, err := shard.SubServers(global, shardCfg, asn)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "3lc-net:", err)
-			os.Exit(1)
-		}
-		var srvs []*transport.ShardServer
+		// to each. Shard s binds -addr's port + s.
+		base := transport.ShardServerConfig{Workers: *workers, Steps: *steps}
+		shardCfg := splitParallelism(psCfg, *shards)
+		var err error
 		if *replicas {
 			// Standby tier: one replica per shard over its OWN model clone
 			// (replicated state must not alias the primary's tensors).
 			// Replica s binds -addr's port + shards + s.
 			replicaModel = build()
 			replicaModel.CopyParamsFrom(global)
-			replicaAsn = asn
-			repSubs, err := shard.SubServers(replicaModel, shardCfg, asn)
+			base.Timeouts = timeouts
+			standbys, err = startShardTier(replicaModel, asn, shardCfg, base, func(s int, _ *transport.ShardServerConfig) net.Listener {
+				ln := listen(*shards + s)
+				fmt.Printf("replica shard %d/%d standing by on %s\n", s, *shards, ln.Addr())
+				return ln
+			})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "3lc-net:", err)
 				os.Exit(1)
 			}
-			for s := 0; s < *shards; s++ {
-				port := "0"
-				if basePort != 0 {
-					port = strconv.Itoa(basePort + *shards + s)
-				}
-				rln, err := net.Listen("tcp", net.JoinHostPort(host, port))
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "3lc-net:", err)
-					os.Exit(1)
-				}
-				raddrs[s] = rln.Addr().String()
-				fmt.Printf("replica shard %d/%d standing by on %s\n", s, *shards, rln.Addr())
-				rep := transport.NewShardServer(rln, repSubs[s], transport.ShardServerConfig{
-					Shard:          s,
-					NumShards:      *shards,
-					Workers:        *workers,
-					Steps:          *steps,
-					AssignmentHash: asn.Hash(),
-					Timeouts:       timeouts,
-				})
-				srvs = append(srvs, rep)
-				go func() { repErr <- rep.Serve() }()
-			}
+			base.Timeouts = transport.Timeouts{Read: 5 * time.Minute, Write: *netTimeout}
 		}
-		for s := 0; s < *shards; s++ {
-			port := "0"
-			if basePort != 0 {
-				port = strconv.Itoa(basePort + s)
-			}
-			ln, err := net.Listen("tcp", net.JoinHostPort(host, port))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "3lc-net:", err)
-				os.Exit(1)
-			}
-			addrs[s] = ln.Addr().String()
+		primaries, err = startShardTier(global, asn, shardCfg, base, func(s int, scfg *transport.ShardServerConfig) net.Listener {
+			ln := listen(s)
 			fmt.Printf("parameter-server shard %d/%d listening on %s (%d tensors)\n",
 				s, *shards, ln.Addr(), len(asn.Tensors(s)))
-			scfg := transport.ShardServerConfig{
-				Shard:          s,
-				NumShards:      *shards,
-				Workers:        *workers,
-				Steps:          *steps,
-				AssignmentHash: asn.Hash(),
-			}
-			if *replicas {
-				scfg.Timeouts = transport.Timeouts{Read: 5 * time.Minute, Write: *netTimeout}
-			}
 			if s == *killShard {
 				scfg.KillAtStep = *killStep
 				fmt.Printf("shard %d primary will be killed at step %d\n", s, *killStep)
 			}
-			srv := transport.NewShardServer(ln, subs[s], scfg)
-			srvs = append(srvs, srv)
-			go func() { serveErr <- srv.Serve() }()
-		}
-		trafficFn = func() (int64, int64) {
-			var push, pull int64
-			for _, srv := range srvs { // primaries and standbys alike
-				p, q := srv.TrafficBytes()
-				push += p
-				pull += q
-			}
-			return push, pull
-		}
-	} else {
-		ln, err := net.Listen("tcp", *addr)
+			return ln
+		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "3lc-net:", err)
 			os.Exit(1)
 		}
-		addrs[0] = ln.Addr().String()
-		fmt.Printf("parameter server listening on %s\n", ln.Addr())
-		server := transport.NewServer(ln, ps.NewJob(global, psCfg), *workers, *steps)
-		if *netTimeout > 0 {
-			// The server's push read spans the whole BSP barrier (every
-			// worker's compute), so its read deadline is much wider than
-			// the per-frame worker deadline.
-			server.SetTimeouts(transport.Timeouts{Read: 5 * time.Minute, Write: *netTimeout})
+		trafficFn = func() (int64, int64) { // primaries and standbys alike
+			return sumTraffic(slices.Concat(primaries.srvs, standbys.srvs))
 		}
-		go func() { serveErr <- server.Serve() }()
-		trafficFn = server.TrafficBytes
+	} else {
+		// The plain front door: a tier of one, dialed by v1 clients.
+		ln := listen(0)
+		fmt.Printf("parameter server listening on %s\n", ln.Addr())
+		primaries = shardTier{addrs: []string{ln.Addr().String()}, errs: make(chan error, 1)}
+		trafficFn = startFrontDoor(ln, ps.NewJob(global, psCfg), *workers, *steps, *netTimeout, primaries.errs).TrafficBytes
 	}
 
 	start := time.Now()
-	var wg sync.WaitGroup
-	var firstWorker *ps.Worker
-	var mu sync.Mutex
-	for w := 0; w < *workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			m := build()
-			m.CopyParamsFrom(global)
-			worker := ps.NewWorker(w, m, psCfg)
-			if w == 0 {
-				mu.Lock()
-				firstWorker = worker
-				mu.Unlock()
-			}
-			var client interface {
-				PushPull(step int, wires [][]byte) ([][]byte, error)
-				Close() error
-			}
-			var shardClient *transport.ShardClient
-			var err error
-			if useShardTier {
-				// Each worker derives the placement from its own replica;
-				// the handshake hash certifies it matches the server tier.
-				ccfg := transport.ShardClientConfig{Timeouts: timeouts}
-				if *replicas {
-					ccfg.Replicas = raddrs
-				}
-				shardClient, err = transport.DialShardedConfig(addrs, w, shard.ForModel(m, *shards), ccfg)
-				client = shardClient
-			} else {
-				client, err = transport.DialTimeout(addrs[0], w, timeouts)
-			}
+	chief := eachWorker(*workers, build, global, psCfg, func(w int, worker *ps.Worker) {
+		var exchange func(step int) error
+		if useShardTier {
+			// Each worker derives the placement from its own replica;
+			// the handshake hash certifies it matches the server tier.
+			sc, err := transport.DialShardedConfig(primaries.addrs, w, shard.ForModel(worker.Model, *shards),
+				transport.ShardClientConfig{Timeouts: timeouts, Replicas: standbys.addrs})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "3lc-net worker:", err)
 				os.Exit(1)
 			}
-			defer client.Close()
-			params := len(m.Params())
-			rng := tensor.NewRNG(uint64(w)*977 + 3)
-			for s := 0; s < *steps; s++ {
-				idx := make([]int, *batch)
-				for i := range idx {
-					idx[i] = rng.Intn(trainSet.Len())
-				}
-				x, labels := trainSet.FlatBatch(idx, nil, nil)
-				worker.Model.TrainStep(x, labels)
-				if *stream {
-					// Overlapped pipeline: tensors are queued for the wire as
-					// their compressors finish and written when none is
-					// pending; pulls decode-apply per frame.
-					ch := make(chan transport.IndexedWire, params)
-					go func() {
-						worker.CompressGradsStream(func(i int, wire []byte) {
-							ch <- transport.IndexedWire{I: i, Wire: wire}
-						})
-						close(ch)
-					}()
-					if err := shardClient.PushPullStream(s, ch, worker.ApplyPullTensor); err != nil {
-						fmt.Fprintln(os.Stderr, "3lc-net worker:", err)
-						os.Exit(1)
-					}
-					continue
-				}
-				wires, _ := worker.CompressGrads()
-				pull, err := client.PushPull(s, wires)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "3lc-net worker:", err)
-					os.Exit(1)
-				}
-				if _, err := worker.ApplyPull(pull); err != nil {
-					fmt.Fprintln(os.Stderr, "3lc-net worker:", err)
-					os.Exit(1)
-				}
+			defer sc.Close()
+			exchange = wholeSet(worker, sc.PushPull)
+			if *stream {
+				exchange = streamed(worker, sc)
 			}
-		}(w)
+		} else {
+			c, err := transport.DialTimeout(primaries.addrs[0], w, timeouts)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "3lc-net worker:", err)
+				os.Exit(1)
+			}
+			defer c.Close()
+			exchange = wholeSet(worker, c.PushPull)
+		}
+		if err := workerSteps(worker, trainSet, batchRNG(0, w), *steps, *batch, exchange); err != nil {
+			fmt.Fprintln(os.Stderr, "3lc-net worker:", err)
+			os.Exit(1)
+		}
+	})
+	var killed error
+	if *killShard >= 0 {
+		killed = transport.ErrShardKilled // the injected crash — the standby takes over
 	}
-	wg.Wait()
-	for s := 0; s < *shards; s++ {
-		err := <-serveErr
-		if err == nil {
-			continue
-		}
-		if *killShard >= 0 && errors.Is(err, transport.ErrShardKilled) {
-			continue // the injected crash — the standby takes over
-		}
+	if err := drain(primaries.errs, len(primaries.addrs), killed); err != nil {
 		fmt.Fprintln(os.Stderr, "3lc-net server:", err)
 		os.Exit(1)
 	}
-	if *replicas {
-		for s := 0; s < *shards; s++ {
-			if err := <-repErr; err != nil {
-				fmt.Fprintln(os.Stderr, "3lc-net replica:", err)
-				os.Exit(1)
-			}
-		}
+	if err := drain(standbys.errs, len(standbys.addrs), nil); err != nil {
+		fmt.Fprintln(os.Stderr, "3lc-net replica:", err)
+		os.Exit(1)
 	}
 	elapsed := time.Since(start)
 
@@ -439,33 +306,221 @@ func main() {
 		// The killed shard's authoritative state lives on its replica:
 		// graft it into the global model before evaluating.
 		gp, rp := global.Params(), replicaModel.Params()
-		for _, gi := range replicaAsn.Tensors(*killShard) {
+		for _, gi := range asn.Tensors(*killShard) {
 			gp[gi].W.CopyFrom(rp[gi].W)
 		}
 		fmt.Printf("shard %d primary killed at step %d; replica served the remaining steps\n",
 			*killShard, *killStep)
 	}
 
-	nn.CopyBatchNormStats(global, firstWorker.Model)
-	correct := 0
-	idx := make([]int, testSet.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	x, labels := testSet.FlatBatch(idx, nil, nil)
-	for i, p := range global.Predict(x) {
-		if p == labels[i] {
-			correct++
-		}
-	}
-
 	push, pull := trafficFn()
 	fmt.Printf("completed %d steps x %d workers over TCP in %v\n", *steps, *workers, elapsed.Round(time.Millisecond))
-	fmt.Printf("test accuracy:    %.2f%%\n", 100*float64(correct)/float64(testSet.Len()))
+	fmt.Printf("test accuracy:    %.2f%%\n", testAccuracy(global, chief, testSet))
 	fmt.Printf("push bytes:       %d (received by server)\n", push)
 	fmt.Printf("pull bytes:       %d (sent to workers)\n", pull)
 	raw := int64(global.NumParams()) * 4 * int64(*steps) * int64(*workers)
 	fmt.Printf("raw equivalent:   %d bytes each way; push compression %.1fx\n", raw, float64(raw)/float64(push))
+}
+
+// listenAt parses a listen address once and returns listen(offset), which
+// binds the address's port + offset (a kernel-assigned port when the
+// address's port is 0; loopback when it names no host). A bad address or a
+// port that cannot be bound is fatal.
+func listenAt(addr string) func(offset int) net.Listener {
+	host, portStr, err := net.SplitHostPort(addr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "3lc-net: bad -addr %q: %v\n", addr, err)
+		os.Exit(1)
+	}
+	if host == "" {
+		host = "127.0.0.1"
+	}
+	basePort, err := strconv.Atoi(portStr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "3lc-net: bad -addr port %q: %v\n", portStr, err)
+		os.Exit(1)
+	}
+	return func(offset int) net.Listener {
+		port := "0"
+		if basePort != 0 {
+			port = strconv.Itoa(basePort + offset)
+		}
+		ln, err := net.Listen("tcp", net.JoinHostPort(host, port))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "3lc-net:", err)
+			os.Exit(1)
+		}
+		return ln
+	}
+}
+
+// splitParallelism divides the codec-pool budget across the shards that
+// serve concurrently, so the tier as a whole stays within GOMAXPROCS (the
+// same division train.Run's sharded branch applies).
+func splitParallelism(cfg ps.Config, shards int) ps.Config {
+	cfg.Parallelism = max(runtime.GOMAXPROCS(0)/shards, 1)
+	return cfg
+}
+
+// shardTier is a serving set of shard servers: where each listens, the
+// servers (for their byte counters) and the channel that receives each
+// one's Serve result.
+type shardTier struct {
+	addrs []string
+	srvs  []*transport.ShardServer
+	errs  chan error
+}
+
+// startShardTier serves model from one transport.ShardServer per shard of
+// asn, each over its own sub-job under cfg. open returns shard s's
+// listener — wrapped and announced as the mode wants — and may adjust that
+// shard's copy of base, whose Shard, NumShards and AssignmentHash are
+// filled in here.
+func startShardTier(model *nn.Model, asn shard.Assignment, cfg ps.Config, base transport.ShardServerConfig,
+	open func(s int, scfg *transport.ShardServerConfig) net.Listener) (shardTier, error) {
+	subs, err := shard.SubServers(model, cfg, asn)
+	if err != nil {
+		return shardTier{}, err
+	}
+	t := shardTier{errs: make(chan error, len(subs))}
+	base.NumShards, base.AssignmentHash = len(subs), asn.Hash()
+	for s, sub := range subs {
+		scfg := base
+		scfg.Shard = s
+		ln := open(s, &scfg)
+		srv := transport.NewShardServer(ln, sub, scfg)
+		t.addrs = append(t.addrs, ln.Addr().String())
+		t.srvs = append(t.srvs, srv)
+		go func() { t.errs <- srv.Serve() }()
+	}
+	return t, nil
+}
+
+// startFrontDoor serves job to `workers` plain (v1) clients on ln, sending
+// the Serve result to errs. The server's push read spans the whole BSP
+// barrier (every worker's compute), so its read deadline is much wider
+// than the per-frame worker deadline.
+func startFrontDoor(ln net.Listener, job transport.StepServer, workers, steps int, netTimeout time.Duration, errs chan<- error) *transport.Server {
+	srv := transport.NewServer(ln, job, workers, steps)
+	if netTimeout > 0 {
+		srv.SetTimeouts(transport.Timeouts{Read: 5 * time.Minute, Write: netTimeout})
+	}
+	go func() { errs <- srv.Serve() }()
+	return srv
+}
+
+// drain collects n Serve results from errs and returns the first failure
+// that is not `ignore`.
+func drain(errs <-chan error, n int, ignore error) error {
+	for ; n > 0; n-- {
+		if err := <-errs; err != nil && !errors.Is(err, ignore) {
+			return err
+		}
+	}
+	return nil
+}
+
+// sumTraffic totals (push, pull) bytes over a set of servers.
+func sumTraffic[S interface{ TrafficBytes() (int64, int64) }](srvs []S) (push, pull int64) {
+	for _, srv := range srvs {
+		p, q := srv.TrafficBytes()
+		push += p
+		pull += q
+	}
+	return push, pull
+}
+
+// newWorker is worker w over its own clone of global.
+func newWorker(w int, build func() *nn.Model, global *nn.Model, cfg ps.Config) *ps.Worker {
+	m := build()
+	m.CopyParamsFrom(global)
+	return ps.NewWorker(w, m, cfg)
+}
+
+// eachWorker runs body for n workers over clones of global, each in its
+// own goroutine, and returns worker 0 — the designated batch-norm owner
+// (§5.2) — once all have finished.
+func eachWorker(n int, build func() *nn.Model, global *nn.Model, cfg ps.Config, body func(w int, worker *ps.Worker)) *ps.Worker {
+	ws := make([]*ps.Worker, n)
+	var wg sync.WaitGroup
+	for w := range ws {
+		ws[w] = newWorker(w, build, global, cfg)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body(w, ws[w])
+		}()
+	}
+	wg.Wait()
+	return ws[0]
+}
+
+// batchRNG is the batch sampler of tenant t's worker w. It derives from
+// the ids alone, so the chaos soak's clean reference and its faulted TCP
+// run train on identical data.
+func batchRNG(t, w int) *tensor.RNG {
+	return tensor.NewRNG(uint64(t)*7919 + uint64(w)*977 + 3)
+}
+
+// trainBatch draws one batch and runs the forward and backward pass.
+func trainBatch(worker *ps.Worker, trainSet *data.Dataset, rng *tensor.RNG, batch int) {
+	idx := make([]int, batch)
+	for i := range idx {
+		idx[i] = rng.Intn(trainSet.Len())
+	}
+	x, labels := trainSet.FlatBatch(idx, nil, nil)
+	worker.Model.TrainStep(x, labels)
+}
+
+// workerSteps drives one worker's BSP loop: train on a batch, then
+// exchange — compress, push, pull and apply in the form the connection
+// takes (wholeSet or streamed).
+func workerSteps(worker *ps.Worker, trainSet *data.Dataset, rng *tensor.RNG, steps, batch int, exchange func(step int) error) error {
+	for s := 0; s < steps; s++ {
+		trainBatch(worker, trainSet, rng, batch)
+		if err := exchange(s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// wholeSet is the exchange that pushes the step's whole wire set in one
+// round trip and applies the pulled set when it has all arrived.
+func wholeSet(worker *ps.Worker, pushPull func(step int, wires [][]byte) ([][]byte, error)) func(step int) error {
+	return func(step int) error {
+		wires, _ := worker.CompressGrads()
+		pull, err := pushPull(step, wires)
+		if err != nil {
+			return err
+		}
+		_, err = worker.ApplyPull(pull)
+		return err
+	}
+}
+
+// streamed is the overlapped exchange: tensors are queued for the wire as
+// their compressors finish and written when none is pending; pulls
+// decode-apply per frame.
+func streamed(worker *ps.Worker, sc *transport.ShardClient) func(step int) error {
+	params := len(worker.Model.Params())
+	return func(step int) error {
+		ch := make(chan transport.IndexedWire, params)
+		go func() {
+			worker.CompressGradsStream(func(i int, wire []byte) {
+				ch <- transport.IndexedWire{I: i, Wire: wire}
+			})
+			close(ch)
+		}()
+		return sc.PushPullStream(step, ch, worker.ApplyPullTensor)
+	}
+}
+
+// testAccuracy is global's top-1 test accuracy in percent. Batch-norm
+// running statistics live on the chief worker; they are synced first.
+func testAccuracy(global *nn.Model, chief *ps.Worker, testSet *data.Dataset) float64 {
+	nn.CopyBatchNormStats(global, chief.Model)
+	return 100 * train.Evaluate(global, testSet, testSet.Len(), true)
 }
 
 // wanClient adapts one inter-region connection (a transport.ShardClient
@@ -527,69 +582,30 @@ func (s wanSession) End() error { return nil }
 // residual stream per step and forwards it, on a connection with the
 // transport entropy stage enabled, to the global shard tier — which sees
 // R region pushes per step instead of W worker pushes.
-func runHierarchical(regions, shards, workers, steps, batch int, addr string,
+func runHierarchical(regions, shards, workers, steps, batch int, listen func(offset int) net.Listener,
 	scheme compress.Scheme, opts compress.Options, wanAlgo compress.EntropyAlgo,
 	psCfg ps.Config, build func() *nn.Model, trainSet, testSet *data.Dataset,
 	netTimeout time.Duration) {
 	wpr := workers / regions
-	host, portStr, err := net.SplitHostPort(addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "3lc-net: bad -addr %q: %v\n", addr, err)
-		os.Exit(1)
-	}
-	if host == "" {
-		host = "127.0.0.1"
-	}
-	basePort, err := strconv.Atoi(portStr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "3lc-net: bad -addr port %q: %v\n", portStr, err)
-		os.Exit(1)
-	}
 	timeouts := transport.Timeouts{Read: netTimeout, Write: netTimeout}
-	listen := func(port int) net.Listener {
-		p := "0"
-		if basePort != 0 {
-			p = strconv.Itoa(port)
-		}
-		ln, err := net.Listen("tcp", net.JoinHostPort(host, p))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "3lc-net:", err)
-			os.Exit(1)
-		}
-		return ln
-	}
 
 	// Global tier: the shard-tier transport (it speaks the v2 header the
-	// entropy stage rides on), sized for one push per region.
+	// entropy stage rides on), sized for one push per region. Shard s
+	// binds -addr's port + s.
 	global := build()
 	asn := shard.ForModel(global, shards)
-	globalCfg := psCfg
+	globalCfg := splitParallelism(psCfg, shards)
 	globalCfg.Workers = regions
-	globalCfg.Parallelism = runtime.GOMAXPROCS(0) / shards
-	if globalCfg.Parallelism < 1 {
-		globalCfg.Parallelism = 1
-	}
-	subs, err := shard.SubServers(global, globalCfg, asn)
+	tier, err := startShardTier(global, asn, globalCfg, transport.ShardServerConfig{Workers: regions, Steps: steps},
+		func(s int, _ *transport.ShardServerConfig) net.Listener {
+			ln := listen(s)
+			fmt.Printf("global shard %d/%d listening on %s (%d tensors)\n",
+				s, shards, ln.Addr(), len(asn.Tensors(s)))
+			return ln
+		})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "3lc-net:", err)
 		os.Exit(1)
-	}
-	addrs := make([]string, shards)
-	srvs := make([]*transport.ShardServer, shards)
-	serveErr := make(chan error, shards)
-	for s := 0; s < shards; s++ {
-		ln := listen(basePort + s)
-		addrs[s] = ln.Addr().String()
-		fmt.Printf("global shard %d/%d listening on %s (%d tensors)\n",
-			s, shards, ln.Addr(), len(asn.Tensors(s)))
-		srvs[s] = transport.NewShardServer(ln, subs[s], transport.ShardServerConfig{
-			Shard:          s,
-			NumShards:      shards,
-			Workers:        regions,
-			Steps:          steps,
-			AssignmentHash: asn.Hash(),
-		})
-		go func(s int) { serveErr <- srvs[s].Serve() }(s)
 	}
 
 	// Region aggregators: each dials the global tier as "worker r" with
@@ -603,7 +619,7 @@ func runHierarchical(regions, shards, workers, steps, batch int, addr string,
 	clients := make([]*transport.ShardClient, regions)
 	regionErr := make(chan error, regions)
 	for r := 0; r < regions; r++ {
-		sc, err := transport.DialShardedConfig(addrs, r, asn, transport.ShardClientConfig{
+		sc, err := transport.DialShardedConfig(tier.addrs, r, asn, transport.ShardClientConfig{
 			Timeouts: timeouts,
 			Entropy:  wanAlgo,
 		})
@@ -612,7 +628,7 @@ func runHierarchical(regions, shards, workers, steps, batch int, addr string,
 			os.Exit(1)
 		}
 		clients[r] = sc
-		tier, err := region.NewTier(&wanClient{sc: sc}, global.Params(), region.Config{
+		agg, err := region.NewTier(&wanClient{sc: sc}, global.Params(), region.Config{
 			Regions:          1,
 			Workers:          wpr,
 			Recompress:       true,
@@ -625,108 +641,46 @@ func runHierarchical(regions, shards, workers, steps, batch int, addr string,
 			fmt.Fprintln(os.Stderr, "3lc-net region:", err)
 			os.Exit(1)
 		}
-		ln := listen(basePort + shards + r)
+		ln := listen(shards + r)
 		regionAddrs[r] = ln.Addr().String()
 		fmt.Printf("region %d/%d aggregator listening on %s (%d local workers, wan entropy %s)\n",
 			r, regions, ln.Addr(), wpr, wanAlgo)
-		fronts[r] = transport.NewServer(ln, tier, wpr, steps)
-		if netTimeout > 0 {
-			fronts[r].SetTimeouts(transport.Timeouts{Read: 5 * time.Minute, Write: netTimeout})
-		}
-		go func(r int) { regionErr <- fronts[r].Serve() }(r)
+		fronts[r] = startFrontDoor(ln, agg, wpr, steps, netTimeout, regionErr)
 	}
 
 	start := time.Now()
-	var wg sync.WaitGroup
-	var firstWorker *ps.Worker
-	var mu sync.Mutex
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			m := build()
-			m.CopyParamsFrom(global)
-			worker := ps.NewWorker(w, m, psCfg)
-			if w == 0 {
-				mu.Lock()
-				firstWorker = worker
-				mu.Unlock()
-			}
-			// Workers speak only to their region's aggregator, identified
-			// by their LOCAL id within the region.
-			client, err := transport.DialTimeout(regionAddrs[w/wpr], w%wpr, timeouts)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "3lc-net worker:", err)
-				os.Exit(1)
-			}
-			defer client.Close()
-			rng := tensor.NewRNG(uint64(w)*977 + 3)
-			for s := 0; s < steps; s++ {
-				idx := make([]int, batch)
-				for i := range idx {
-					idx[i] = rng.Intn(trainSet.Len())
-				}
-				x, labels := trainSet.FlatBatch(idx, nil, nil)
-				worker.Model.TrainStep(x, labels)
-				wires, _ := worker.CompressGrads()
-				pull, err := client.PushPull(s, wires)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "3lc-net worker:", err)
-					os.Exit(1)
-				}
-				if _, err := worker.ApplyPull(pull); err != nil {
-					fmt.Fprintln(os.Stderr, "3lc-net worker:", err)
-					os.Exit(1)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for r := 0; r < regions; r++ {
-		if err := <-regionErr; err != nil {
-			fmt.Fprintln(os.Stderr, "3lc-net region:", err)
+	chief := eachWorker(workers, build, global, psCfg, func(w int, worker *ps.Worker) {
+		// Workers speak only to their region's aggregator, identified
+		// by their LOCAL id within the region.
+		client, err := transport.DialTimeout(regionAddrs[w/wpr], w%wpr, timeouts)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "3lc-net worker:", err)
 			os.Exit(1)
 		}
-	}
-	for s := 0; s < shards; s++ {
-		if err := <-serveErr; err != nil {
-			fmt.Fprintln(os.Stderr, "3lc-net server:", err)
+		defer client.Close()
+		if err := workerSteps(worker, trainSet, batchRNG(0, w), steps, batch, wholeSet(worker, client.PushPull)); err != nil {
+			fmt.Fprintln(os.Stderr, "3lc-net worker:", err)
 			os.Exit(1)
 		}
+	})
+	if err := drain(regionErr, regions, nil); err != nil {
+		fmt.Fprintln(os.Stderr, "3lc-net region:", err)
+		os.Exit(1)
+	}
+	if err := drain(tier.errs, shards, nil); err != nil {
+		fmt.Fprintln(os.Stderr, "3lc-net server:", err)
+		os.Exit(1)
 	}
 	for _, sc := range clients {
 		sc.Close()
 	}
 	elapsed := time.Since(start)
 
-	nn.CopyBatchNormStats(global, firstWorker.Model)
-	correct := 0
-	idx := make([]int, testSet.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	x, labels := testSet.FlatBatch(idx, nil, nil)
-	for i, p := range global.Predict(x) {
-		if p == labels[i] {
-			correct++
-		}
-	}
-
-	var localPush, localPull int64
-	for _, f := range fronts {
-		p, q := f.TrafficBytes()
-		localPush += p
-		localPull += q
-	}
-	var wanPush, wanPull int64
-	for _, srv := range srvs {
-		p, q := srv.TrafficBytes()
-		wanPush += p
-		wanPull += q
-	}
+	localPush, localPull := sumTraffic(fronts)
+	wanPush, wanPull := sumTraffic(tier.srvs)
 	fmt.Printf("completed %d steps x %d workers in %d regions over TCP in %v\n",
 		steps, workers, regions, elapsed.Round(time.Millisecond))
-	fmt.Printf("test accuracy:      %.2f%%\n", 100*float64(correct)/float64(testSet.Len()))
+	fmt.Printf("test accuracy:      %.2f%%\n", testAccuracy(global, chief, testSet))
 	fmt.Printf("local-leg bytes:    push %d, pull %d (workers <-> region aggregators)\n", localPush, localPull)
 	fmt.Printf("inter-region bytes: push %d, pull %d (aggregators <-> global tier, entropy %s)\n", wanPush, wanPull, wanAlgo)
 	// In a flat topology every worker wire crosses the slow link — the
@@ -741,21 +695,8 @@ func runHierarchical(regions, shards, workers, steps, batch int, addr string,
 // its own worker connections tagged with the admitted (tenant, epoch)
 // identity; each shard runs a single multiplexed listener whose DRR
 // scheduler fair-shares the aggregation loop across the jobs.
-func runMultiTenant(tenants, shards, workers, steps, batch int, addr string,
+func runMultiTenant(tenants, shards, workers, steps, batch int, listen func(offset int) net.Listener,
 	scheme compress.Scheme, opts compress.Options, netTimeout time.Duration) {
-	host, portStr, err := net.SplitHostPort(addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "3lc-net: bad -addr %q: %v\n", addr, err)
-		os.Exit(1)
-	}
-	if host == "" {
-		host = "127.0.0.1"
-	}
-	basePort, err := strconv.Atoi(portStr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "3lc-net: bad -addr port %q: %v\n", portStr, err)
-		os.Exit(1)
-	}
 	timeouts := transport.Timeouts{Read: netTimeout, Write: netTimeout}
 
 	svc := shard.NewService(shard.Config{Shards: shards}, tenant.NewRegistry(tenants))
@@ -804,18 +745,11 @@ func runMultiTenant(tenants, shards, workers, steps, batch int, addr string,
 	}
 
 	// One multiplexed listener per shard, shared by every tenant's workers.
+	// Shard s binds -addr's port + s.
 	addrs := make([]string, shards)
 	serveErr := make(chan error, shards)
 	for s := 0; s < shards; s++ {
-		port := "0"
-		if basePort != 0 {
-			port = strconv.Itoa(basePort + s)
-		}
-		ln, err := net.Listen("tcp", net.JoinHostPort(host, port))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "3lc-net:", err)
-			os.Exit(1)
-		}
+		ln := listen(s)
 		addrs[s] = ln.Addr().String()
 		fmt.Printf("multi-tenant shard %d/%d listening on %s (%d tenants)\n", s, shards, ln.Addr(), tenants)
 		mux := transport.NewMuxShardServer(ln, svc, transport.MuxShardServerConfig{
@@ -828,19 +762,13 @@ func runMultiTenant(tenants, shards, workers, steps, batch int, addr string,
 
 	start := time.Now()
 	var wg sync.WaitGroup
-	firstWorkers := make([]*ps.Worker, tenants)
+	chiefs := make([]*ps.Worker, tenants)
 	for t, j := range jobs {
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(t int, j *job, w int) {
-				defer wg.Done()
-				m := j.build()
-				m.CopyParamsFrom(j.global)
-				worker := ps.NewWorker(w, m, j.psCfg)
-				if w == 0 {
-					firstWorkers[t] = worker
-				}
-				cl, err := transport.DialShardedConfig(addrs, w, shard.ForModel(m, shards), transport.ShardClientConfig{
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			chiefs[t] = eachWorker(workers, j.build, j.global, j.psCfg, func(w int, worker *ps.Worker) {
+				cl, err := transport.DialShardedConfig(addrs, w, shard.ForModel(worker.Model, shards), transport.ShardClientConfig{
 					Timeouts: timeouts,
 					Tenant:   uint32(j.id),
 					Epoch:    uint32(j.epoch),
@@ -850,34 +778,17 @@ func runMultiTenant(tenants, shards, workers, steps, batch int, addr string,
 					os.Exit(1)
 				}
 				defer cl.Close()
-				rng := tensor.NewRNG(uint64(t)*7919 + uint64(w)*977 + 3)
-				for s := 0; s < steps; s++ {
-					idx := make([]int, batch)
-					for i := range idx {
-						idx[i] = rng.Intn(j.trainSet.Len())
-					}
-					x, labels := j.trainSet.FlatBatch(idx, nil, nil)
-					worker.Model.TrainStep(x, labels)
-					wires, _ := worker.CompressGrads()
-					pull, err := cl.PushPull(s, wires)
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "3lc-net tenant %d worker %d: %v\n", j.id, w, err)
-						os.Exit(1)
-					}
-					if _, err := worker.ApplyPull(pull); err != nil {
-						fmt.Fprintf(os.Stderr, "3lc-net tenant %d worker %d: %v\n", j.id, w, err)
-						os.Exit(1)
-					}
+				if err := workerSteps(worker, j.trainSet, batchRNG(t, w), steps, batch, wholeSet(worker, cl.PushPull)); err != nil {
+					fmt.Fprintf(os.Stderr, "3lc-net tenant %d worker %d: %v\n", j.id, w, err)
+					os.Exit(1)
 				}
-			}(t, j, w)
-		}
+			})
+		}()
 	}
 	wg.Wait()
-	for s := 0; s < shards; s++ {
-		if err := <-serveErr; err != nil {
-			fmt.Fprintln(os.Stderr, "3lc-net server:", err)
-			os.Exit(1)
-		}
+	if err := drain(serveErr, shards, nil); err != nil {
+		fmt.Fprintln(os.Stderr, "3lc-net server:", err)
+		os.Exit(1)
 	}
 	elapsed := time.Since(start)
 
@@ -890,23 +801,11 @@ func runMultiTenant(tenants, shards, workers, steps, batch int, addr string,
 			fmt.Fprintln(os.Stderr, "3lc-net retire:", err)
 			os.Exit(1)
 		}
-		nn.CopyBatchNormStats(j.global, firstWorkers[t].Model)
-		correct := 0
-		idx := make([]int, j.testSet.Len())
-		for i := range idx {
-			idx[i] = i
-		}
-		x, labels := j.testSet.FlatBatch(idx, nil, nil)
-		for i, p := range j.global.Predict(x) {
-			if p == labels[i] {
-				correct++
-			}
-		}
 		snap := ten.Stats.Snapshot()
 		totPush += snap.PushBytes
 		totPull += snap.PullBytes
 		fmt.Printf("tenant %-3d  acc %5.1f%%  steps %d  push %d B  pull %d B  queue-wait %v\n",
-			j.id, 100*float64(correct)/float64(j.testSet.Len()), snap.Steps,
+			j.id, testAccuracy(j.global, chiefs[t], j.testSet), snap.Steps,
 			snap.PushBytes, snap.PullBytes, time.Duration(snap.QueueWaitNs).Round(time.Microsecond))
 	}
 	fmt.Printf("tier totals:      push %d B, pull %d B across %d tenants\n", totPush, totPull, tenants)
@@ -1004,31 +903,6 @@ func runChaosSoak(seed uint64, shards, workers, steps, batch int) {
 	fmt.Println("chaos soak PASSED: every codec bit-identical under injected faults")
 }
 
-// chaosWorkerSteps drives one worker's BSP loop for the soak. The batch
-// RNG derives from the worker id alone, so the clean reference and the
-// faulted TCP run train on identical data.
-func chaosWorkerSteps(worker *ps.Worker, trainSet *data.Dataset, w, steps, batch int,
-	pushPull func(step int, wires [][]byte) ([][]byte, error)) error {
-	rng := tensor.NewRNG(uint64(w)*977 + 3)
-	for s := 0; s < steps; s++ {
-		idx := make([]int, batch)
-		for i := range idx {
-			idx[i] = rng.Intn(trainSet.Len())
-		}
-		x, labels := trainSet.FlatBatch(idx, nil, nil)
-		worker.Model.TrainStep(x, labels)
-		wires, _ := worker.CompressGrads()
-		pull, err := pushPull(s, wires)
-		if err != nil {
-			return err
-		}
-		if _, err := worker.ApplyPull(pull); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // chaosReferenceRun trains the soak workload on an in-process single
 // server — no sockets, no faults — and returns the final global weights.
 func chaosReferenceRun(build func() *nn.Model, psCfg ps.Config, trainSet *data.Dataset,
@@ -1038,20 +912,13 @@ func chaosReferenceRun(build func() *nn.Model, psCfg ps.Config, trainSet *data.D
 	ws := make([]*ps.Worker, workers)
 	rngs := make([]*tensor.RNG, workers)
 	for w := range ws {
-		m := build()
-		m.CopyParamsFrom(global)
-		ws[w] = ps.NewWorker(w, m, psCfg)
-		rngs[w] = tensor.NewRNG(uint64(w)*977 + 3)
+		ws[w] = newWorker(w, build, global, psCfg)
+		rngs[w] = batchRNG(0, w)
 	}
 	for s := 0; s < steps; s++ {
 		srv.BeginStep()
 		for w, wk := range ws {
-			idx := make([]int, batch)
-			for i := range idx {
-				idx[i] = rngs[w].Intn(trainSet.Len())
-			}
-			x, labels := trainSet.FlatBatch(idx, nil, nil)
-			wk.Model.TrainStep(x, labels)
+			trainBatch(wk, trainSet, rngs[w], batch)
 			wires, _ := wk.CompressGrads()
 			if _, err := srv.AddPush(w, wires); err != nil {
 				return nil, err
@@ -1077,33 +944,16 @@ func chaosReferenceRun(build func() *nn.Model, psCfg ps.Config, trainSet *data.D
 func chaosTCPRun(inj *chaos.Injector, seed uint64, build func() *nn.Model, psCfg ps.Config,
 	trainSet *data.Dataset, shards, workers, steps, batch int) ([]float32, error) {
 	global := build()
-	asn := shard.ForModel(global, shards)
-	subs, err := shard.SubServers(global, psCfg, asn)
-	if err != nil {
-		return nil, err
-	}
 	// The read deadline is the failure detector for stalled connections;
 	// it also bounds each resilient reacquire wait on the server, so it
 	// must exceed the client's worst-case single backoff (250ms cap).
 	timeouts := transport.Timeouts{Read: 2 * time.Second, Write: 2 * time.Second}
-	addrs := make([]string, shards)
-	serveErr := make(chan error, shards)
-	for s := 0; s < shards; s++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		addrs[s] = ln.Addr().String()
-		srv := transport.NewShardServer(inj.WrapListener(ln), subs[s], transport.ShardServerConfig{
-			Shard:          s,
-			NumShards:      shards,
-			Workers:        workers,
-			Steps:          steps,
-			AssignmentHash: asn.Hash(),
-			Timeouts:       timeouts,
-			Resilient:      true,
-		})
-		go func() { serveErr <- srv.Serve() }()
+	listen := listenAt("127.0.0.1:0")
+	tier, err := startShardTier(global, shard.ForModel(global, shards), psCfg,
+		transport.ShardServerConfig{Workers: workers, Steps: steps, Timeouts: timeouts, Resilient: true},
+		func(s int, _ *transport.ShardServerConfig) net.Listener { return inj.WrapListener(listen(s)) })
+	if err != nil {
+		return nil, err
 	}
 
 	retryPol := transport.RetryPolicy{
@@ -1117,15 +967,13 @@ func chaosTCPRun(inj *chaos.Injector, seed uint64, build func() *nn.Model, psCfg
 	workerErr := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
-			m := build()
-			m.CopyParamsFrom(global)
-			worker := ps.NewWorker(w, m, psCfg)
+			worker := newWorker(w, build, global, psCfg)
 			// The initial handshake crosses injected connections too; dial
 			// failures are part of the schedule, so budget retries for them.
 			var cl *transport.ShardClient
 			var err error
 			for attempt := 0; ; attempt++ {
-				cl, err = transport.DialShardedConfig(addrs, w, shard.ForModel(m, shards), transport.ShardClientConfig{
+				cl, err = transport.DialShardedConfig(tier.addrs, w, shard.ForModel(worker.Model, shards), transport.ShardClientConfig{
 					Timeouts:  timeouts,
 					Checksum:  true,
 					Resilient: true,
@@ -1142,18 +990,14 @@ func chaosTCPRun(inj *chaos.Injector, seed uint64, build func() *nn.Model, psCfg
 				time.Sleep(retryPol.Stream(uint64(w)).Backoff(attempt))
 			}
 			defer cl.Close()
-			workerErr <- chaosWorkerSteps(worker, trainSet, w, steps, batch, cl.PushPull)
+			workerErr <- workerSteps(worker, trainSet, batchRNG(0, w), steps, batch, wholeSet(worker, cl.PushPull))
 		}(w)
 	}
-	for w := 0; w < workers; w++ {
-		if err := <-workerErr; err != nil {
-			return nil, err
-		}
+	if err := drain(workerErr, workers, nil); err != nil {
+		return nil, err
 	}
-	for s := 0; s < shards; s++ {
-		if err := <-serveErr; err != nil {
-			return nil, fmt.Errorf("shard serve: %w", err)
-		}
+	if err := drain(tier.errs, shards, nil); err != nil {
+		return nil, fmt.Errorf("shard serve: %w", err)
 	}
 	return flatWeights(global), nil
 }

@@ -274,12 +274,11 @@ func bestNsPerOp(benches []Benchmark, pat string) (float64, error) {
 	return best, nil
 }
 
-// CanonicalName normalizes a benchmark name for cross-source comparison:
-// it strips the "Benchmark" prefix and the "-N" GOMAXPROCS suffix and
-// maps underscores back to spaces (go test encodes sub-benchmark spaces
-// as underscores), so the go-test line "BenchmarkCompressInto/3LC_(s=1.75)-8"
-// and the 3lc-bench baseline entry "CompressInto/3LC (s=1.75)" compare
-// equal.
+// CanonicalName strips the "Benchmark" prefix and the "-N" GOMAXPROCS
+// suffix, so a baseline recorded at one GOMAXPROCS compares with a run at
+// another (or at 1, where go test prints no suffix):
+// "BenchmarkDecodeAdd/1M-2", "BenchmarkDecodeAdd/1M-8" and
+// "BenchmarkDecodeAdd/1M" are all "DecodeAdd/1M".
 func CanonicalName(name string) string {
 	name = strings.TrimPrefix(name, "Benchmark")
 	if i := strings.LastIndex(name, "-"); i > 0 {
@@ -287,7 +286,7 @@ func CanonicalName(name string) string {
 			name = name[:i]
 		}
 	}
-	return strings.ReplaceAll(name, "_", " ")
+	return name
 }
 
 // CheckBaseline compares the parsed benchmarks against a committed

@@ -133,11 +133,10 @@ func TestCheckSpeedup(t *testing.T) {
 func TestCanonicalName(t *testing.T) {
 	for _, tc := range []struct{ in, want string }{
 		{"BenchmarkSteadyStatePushPull-8", "SteadyStatePushPull"},
-		{"BenchmarkCompressInto/3LC_(s=1.75)-16", "CompressInto/3LC (s=1.75)"},
-		{"SteadyStatePushPull", "SteadyStatePushPull"},
-		{"CompressInto/3LC (s=1.75)", "CompressInto/3LC (s=1.75)"},
+		{"BenchmarkSteadyStatePushPull", "SteadyStatePushPull"},
+		{"BenchmarkCompressInto/3LC_(s=1.75)-16", "CompressInto/3LC_(s=1.75)"},
 		{"BenchmarkDecodeAdd/1M-4", "DecodeAdd/1M"},
-		{"DecodeAdd/1M", "DecodeAdd/1M"},
+		{"BenchmarkEntropyStage/huffman-encode", "EntropyStage/huffman-encode"},
 	} {
 		if got := CanonicalName(tc.in); got != tc.want {
 			t.Errorf("CanonicalName(%q) = %q, want %q", tc.in, got, tc.want)
@@ -146,23 +145,34 @@ func TestCanonicalName(t *testing.T) {
 }
 
 func TestCheckBaseline(t *testing.T) {
+	// The baseline is a benchcheck -out report of the same go-test suites,
+	// recorded at GOMAXPROCS 2; the current run is at 4 and, for one row,
+	// at 1 (no suffix).
 	cur, _, err := Parse(strings.NewReader(
-		"BenchmarkSteadyStatePushPull-8  100  2000000 ns/op  0 B/op  0 allocs/op\n" +
-			"BenchmarkDecodeAdd/1M-8  100  500000 ns/op\n"))
+		"BenchmarkSteadyStatePushPull-4  100  2000000 ns/op  0 B/op  0 allocs/op\n" +
+			"BenchmarkSteadyStatePushPullTiny-4  100  9000000 ns/op  0 B/op  0 allocs/op\n" +
+			"BenchmarkSteadyStatePushPullF32-4  100  9000000 ns/op  0 B/op  0 allocs/op\n" +
+			"BenchmarkDecodeAdd/1M  100  500000 ns/op\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := []Benchmark{
-		{Name: "SteadyStatePushPull", NsPerOp: 1800000},
-		{Name: "DecodeAdd/1M", NsPerOp: 450000},
-		{Name: "CompressInto/3LC (s=1.75)", NsPerOp: 1},
+		{Name: "BenchmarkSteadyStatePushPull-2", NsPerOp: 1800000},
+		{Name: "BenchmarkSteadyStatePushPullTiny-2", NsPerOp: 1000000},
+		{Name: "BenchmarkSteadyStatePushPullF32-2", NsPerOp: 1000000},
+		{Name: "BenchmarkDecodeAdd/1M-2", NsPerOp: 450000},
+		{Name: "BenchmarkCompressInto/3LC_(s=1.75)-2", NsPerOp: 1},
 	}
-	// Within a 25% tolerance: 2.0ms vs 1.8ms baseline passes.
-	if v := CheckBaseline(cur, base, "SteadyStatePushPull|DecodeAdd", 0.25); len(v) != 0 {
+	// Within a 25% tolerance: 2.0ms vs 1.8ms baseline passes, and the
+	// anchored pattern does not pick up the 9x slower ...Tiny / ...F32.
+	if v := CheckBaseline(cur, base, "^SteadyStatePushPull$|DecodeAdd", 0.25); len(v) != 0 {
 		t.Errorf("in-tolerance run reported violations: %v", v)
 	}
+	if v := CheckBaseline(cur, base, "SteadyStatePushPull", 0.25); len(v) != 2 {
+		t.Errorf("unanchored pattern should also gate Tiny and F32: %v", v)
+	}
 	// A tight tolerance catches the 11% slowdown.
-	v := CheckBaseline(cur, base, "SteadyStatePushPull", 0.05)
+	v := CheckBaseline(cur, base, "^SteadyStatePushPull$", 0.05)
 	if len(v) != 1 || !strings.Contains(v[0], "regresses past baseline") {
 		t.Errorf("regression not caught: %v", v)
 	}

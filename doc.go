@@ -155,8 +155,8 @@
 // state byte-identical to the single-PS reference.
 //
 // Binaries: cmd/3lc-bench (regenerate every table and figure, plus the
-// `-exp codec` pipeline micro-benchmark and the `-exp shard` shard-
-// scaling sweep), cmd/3lc-train (single training run, with `-state`
+// `-exp shard` shard-scaling and `-exp wan` hierarchy sweeps; the
+// per-layer benchmarks are `bash scripts/layerbench.sh`), cmd/3lc-train (single training run, with `-state`
 // full-state checkpointing and `-resume`), cmd/3lc-net (training over
 // real TCP, with `-replicas`/`-kill-shard` failover demo),
 // cmd/3lc-compress (codec demo), cmd/3lc-ckpt (checkpoint inspection,

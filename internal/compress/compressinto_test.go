@@ -188,6 +188,7 @@ func BenchmarkCompressIntoAllSchemes(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				buf = ctx.CompressInto(in, buf[:0])
 			}
+			b.ReportMetric(float64(len(buf))*8/n, "bits/elem")
 		})
 	}
 }

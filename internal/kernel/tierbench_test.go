@@ -79,8 +79,8 @@ func BenchmarkEncodeTernaryKernel(b *testing.B) {
 }
 
 // decodeAddBenchInputs builds the two decode-add workloads the tier
-// benchmarks (and 3lc-bench -exp codec) run at n elements, as gradients to
-// be accumulated and quantized at s = 1.00:
+// benchmarks run at n elements, as gradients to be accumulated and
+// quantized at s = 1.00:
 //
 //	dense   uniform on [−1, 1): half the elements quantize to ±1 and 97 %
 //	        of the quartic groups are literal, in long stretches — the

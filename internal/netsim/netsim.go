@@ -62,13 +62,6 @@ type Params struct {
 	// WANLatencySec is the one-way inter-region latency (tens of
 	// milliseconds across sites, vs the local network's microseconds).
 	WANLatencySec float64
-
-	// LossRate is the per-packet loss probability on every link, the
-	// simulator's counterpart of the chaos layer's injected faults. Lost
-	// packets are retransmitted, so transfers see the standard first-order
-	// amplification: wire time scales by 1/(1-LossRate). Must be in
-	// [0, 1); zero (the default) models a lossless fabric.
-	LossRate float64
 }
 
 // DefaultParams returns a 10-worker cluster at the given bandwidth with
@@ -96,19 +89,6 @@ func (p *Params) Calibrate(modelBytes int, refBandwidth, ratio float64) {
 	ref.BandwidthBps = refBandwidth
 	comm := ref.commTime(uniform(p.Workers, modelBytes), uniform(p.Workers, modelBytes))
 	p.ComputeSec = comm / ratio
-}
-
-// lossFactor is the retransmission amplification of every byte on a
-// lossy link: each packet must be sent 1/(1-LossRate) times on average
-// before it gets through.
-func (p Params) lossFactor() float64 {
-	if p.LossRate == 0 {
-		return 1
-	}
-	if p.LossRate < 0 || p.LossRate >= 1 {
-		panic(fmt.Sprintf("netsim: LossRate %v outside [0, 1)", p.LossRate))
-	}
-	return 1 / (1 - p.LossRate)
 }
 
 func uniform(n, v int) []int {
@@ -155,7 +135,7 @@ func (p Params) commTime(pushBytes, pullBytes []int) float64 {
 	if maxWorker > bytesOnWire {
 		bytesOnWire = maxWorker
 	}
-	return bytesOnWire*8*p.lossFactor()/p.BandwidthBps + 2*p.LatencySec
+	return bytesOnWire*8/p.BandwidthBps + 2*p.LatencySec
 }
 
 // StepTime returns the virtual duration of one training step.
@@ -200,7 +180,7 @@ func (p Params) WANTime(wanPush, wanPull []int) float64 {
 			worst = b
 		}
 	}
-	return worst*8*p.lossFactor()/p.WANBandwidthBps + 2*p.WANLatencySec
+	return worst*8/p.WANBandwidthBps + 2*p.WANLatencySec
 }
 
 // Clock accumulates virtual time across steps.

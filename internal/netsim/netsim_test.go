@@ -231,37 +231,3 @@ func TestWANTimeRegionCountValidation(t *testing.T) {
 	}()
 	p.WANTime([]int{1, 2}, []int{1, 2})
 }
-
-func TestLossRateAmplifiesWireTime(t *testing.T) {
-	p := DefaultParams(Mbps10)
-	p.Workers = 10
-	p.LatencySec = 0
-	clean := p.commTime(uniformBytes(10, 1000), uniformBytes(10, 1000))
-	p.LossRate = 0.5 // every packet sent twice on average
-	got := p.commTime(uniformBytes(10, 1000), uniformBytes(10, 1000))
-	if math.Abs(got-2*clean) > 1e-9 {
-		t.Errorf("commTime at 50%% loss = %v, want %v (2x the lossless time)", got, 2*clean)
-	}
-
-	p.Regions = 2
-	p.WANBandwidthBps = Mbps10
-	p.WANLatencySec = 0
-	wan := p.WANTime(uniformBytes(2, 1000), uniformBytes(2, 1000))
-	p.LossRate = 0
-	cleanWAN := p.WANTime(uniformBytes(2, 1000), uniformBytes(2, 1000))
-	if math.Abs(wan-2*cleanWAN) > 1e-9 {
-		t.Errorf("WANTime at 50%% loss = %v, want %v", wan, 2*cleanWAN)
-	}
-}
-
-func TestLossRateValidation(t *testing.T) {
-	p := DefaultParams(Mbps10)
-	p.Workers = 1
-	p.LossRate = 1
-	defer func() {
-		if recover() == nil {
-			t.Error("LossRate = 1 must panic (infinite retransmission)")
-		}
-	}()
-	p.commTime(uniformBytes(1, 10), uniformBytes(1, 10))
-}

@@ -109,6 +109,16 @@ func runResumeCase(t *testing.T, cfg Config) {
 				sr.Step, sr.PushBytes, sr.PullBytes, want.PushBytes, want.PullBytes)
 		}
 	}
+	// A resumed Result totals only the steps it ran, so its ratio is the
+	// uninterrupted run's over that same segment.
+	seg := Result{CompressibleElems: refRes.CompressibleElems, Steps: steps - 6}
+	for _, sr := range refRes.StepRecords[6:] {
+		seg.CompPushBytes += sr.CompPushBytes
+		seg.CompPullBytes += sr.CompPullBytes
+	}
+	if want := seg.CompressionRatio(); resRes.CompressionRatio() != want {
+		t.Errorf("resumed compression ratio %v != %v over the uninterrupted run's steps 6..%d", resRes.CompressionRatio(), want, steps-1)
+	}
 	if math.Float64bits(resRes.FinalLoss) != math.Float64bits(refRes.FinalLoss) {
 		t.Errorf("final loss %v != uninterrupted %v", resRes.FinalLoss, refRes.FinalLoss)
 	}

@@ -249,7 +249,9 @@ type Result struct {
 	// single in-process server).
 	Shards int
 	// Regions is the hierarchical region count (1 = flat topology).
-	Regions  int
+	Regions int
+	// Steps is how many steps this run executed and every total below
+	// covers: cfg.Steps, less the steps a ResumeFrom checkpoint had done.
 	Steps    int
 	NumParam int
 	// CompressibleElems is the element count of tensors subject to
@@ -582,6 +584,7 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("train: resume: %w", err)
 		}
+		res.Steps = cfg.Steps - startStep
 	}
 	ckpt := ckptWriter{path: cfg.CheckpointPath}
 	defer ckpt.wait() // join any in-flight write on early error returns
@@ -970,7 +973,7 @@ func Run(cfg Config) (*Result, error) {
 	res.TotalVirtualSec = clock.Seconds()
 	res.PerStepSec = clock.PerStep()
 	res.Net = net
-	res.RawBytes = int64(numParam) * 4 * int64(cfg.Steps) * int64(cfg.Workers) * 2
+	res.RawBytes = int64(numParam) * 4 * int64(res.Steps) * int64(cfg.Workers) * 2
 	return res, nil
 }
 

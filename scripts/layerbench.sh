@@ -1,0 +1,66 @@
+#!/usr/bin/env bash
+# The layer ruler: every per-layer `go test -bench` suite the CI bench job
+# gates, in one place, printed to stdout. CI runs it through benchcheck
+# with the gates in .github/workflows/ci.yml; a developer refreshes the
+# committed baseline with the same lines:
+#
+#   bash scripts/layerbench.sh | go run ./cmd/benchcheck -out BENCH_local.json
+#
+# No arguments, no environment variables of its own (GOMAXPROCS,
+# THREELC_KERNEL and GOAMD64 mean what they mean to `go test`).
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# -benchtime raised from the original 5-20x so ns/op is stable
+# enough for the speedup and baseline-tolerance gates.
+go test -run='^$' -bench 'CompressInto|DecompressInto' -benchtime 30x -benchmem ./internal/compress/
+# Streaming entropy second stage over a 1M-element 3LC quartic
+# wire: encoders report the achieved ratio (raw/coded) as a
+# custom metric, floored by the gate.
+go test -run='^$' -bench EntropyStage -benchtime 50x -benchmem ./internal/entropy/
+# Hierarchical two-level aggregation: 4 workers fused into 2
+# regions' re-encoded streams per step, steady-state zero-alloc.
+go test -run='^$' -bench HierarchicalPushPull -benchtime 50x -benchmem ./internal/region/
+# SteadyStatePushPull also matches ...Tiny (the same round trip
+# over ~200 tensors of at most 64 elements, where the per-tensor
+# cost is what is measured) and ...F32, the float32 baseline's
+# round trip at the end-to-end model's size (two workers, every
+# pass a raw kernel core).
+go test -run='^$' -bench SteadyStatePushPull -benchtime 100x -benchmem ./internal/ps/
+# The multi-tenant tier driving the same workload through a
+# 1-shard service JobHandle: lane hop + DRR + quota accounting.
+go test -run='^$' -bench TenantServicePushPull -benchtime 100x -benchmem ./internal/shard/
+# The same steady-state round trip over a real loopback TCP
+# connection, plain vs CRC-32C checksummed: frame integrity must
+# hold 0 allocs/op at parity with the bare wire (gated), so
+# it is cheap enough to leave on everywhere. ...WireLegacy is the
+# v1 Dial client against NewServer — the plain `3lc-net` and
+# lan-f32 front door — through the same session engine.
+go test -run='^$' -bench 'SteadyStatePushPullWire' -benchtime 100x -benchmem ./internal/transport/
+# The per-tensor streamed exchange at the tiny-stream shape (258
+# tensors, 2 workers, 2 shards): reports writes/op and
+# frames/write from counting connections; the gate's floor holds
+# the flush policy (a frame per write is 1, coalesced ~129).
+# Outside the zero-allocs pattern by name: the caller's per-step
+# channel is part of the API.
+go test -run='^$' -bench 'StreamedPushPullWire' -benchtime 100x -benchmem ./internal/transport/
+# Fused kernels under -cpu 1,4: the serial kernels must stay
+# zero-alloc at every GOMAXPROCS, and the staged-vs-fused ratios
+# (compress, decompress, and decode-accumulate) are gated.
+go test -run='^$' -bench 'FusedCompress/|FusedDecompress/|StagedCompress/|StagedDecompress/|DecodeAdd/|DecodeThenAdd/' -benchtime 20x -cpu 1,4 -benchmem ./internal/kernel/
+# Kernel dispatch tiers: the same encode / decode-add /
+# accumulate / fused-SGD sweep / raw float32 put and add on every
+# available tier, gated against the scalar reference
+# (assumes an AVX2-capable runner, which every GitHub-hosted x86
+# runner is). Encode and decode-add run on a dense input
+# (quantize+pack / literal cores decide; both gated) and on a
+# 0.998-zero one (encode: the read-only block scan, gated at 3x;
+# decode-add: the marker walk every tier shares, reported), plus
+# one cache-cold sparse encode row on the dispatched tier
+# (reported). The raw rows and the SGD sweep's delta row are
+# cache-cold too, with an accumulate+|max| and a built-in copy
+# over the same rotation beside them (reported).
+go test -run='^$' -bench 'EncodeTernaryKernel|DecodeAddKernel|AccumulateMaxAbsKernel|FusedSGDStepKernel|RawAddKernel|RawPutKernel' -benchtime 20x -benchmem ./internal/kernel/
+# One snapshot of the end-to-end model: what a periodic
+# checkpoint stalls a step boundary by, per replica.
+go test -run='^$' -bench CheckpointSave -benchtime 50x -benchmem ./internal/checkpoint/
