@@ -42,8 +42,8 @@ func main() {
 	)
 	flag.Parse()
 
-	writeCSV := func(name string, emit func(w *os.File) error) error {
-		if *csvDir == "" {
+	writeCSV := func(name string, emit func(w io.Writer) error) error {
+		if *csvDir == "" || emit == nil {
 			return nil
 		}
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
@@ -71,6 +71,7 @@ func main() {
 	suite := experiments.NewSuite(opt)
 
 	run := func(name string) error {
+		var csv func(w io.Writer) error // nil: the experiment has no CSV form
 		switch name {
 		case "table1":
 			rows, err := experiments.Table1(suite)
@@ -78,22 +79,14 @@ func main() {
 				return err
 			}
 			experiments.PrintTable1(os.Stdout, rows)
-			if err := writeCSV("table1.csv", func(w *os.File) error {
-				return experiments.WriteTable1CSV(w, rows)
-			}); err != nil {
-				return err
-			}
+			csv = func(w io.Writer) error { return experiments.WriteTable1CSV(w, rows) }
 		case "table2":
 			rows, err := experiments.Table2(suite)
 			if err != nil {
 				return err
 			}
 			experiments.PrintTable2(os.Stdout, rows)
-			if err := writeCSV("table2.csv", func(w *os.File) error {
-				return experiments.WriteTable2CSV(w, rows)
-			}); err != nil {
-				return err
-			}
+			csv = func(w io.Writer) error { return experiments.WriteTable2CSV(w, rows) }
 		case "arch":
 			rows := experiments.ArchitectureContrast(16)
 			experiments.PrintArchitectureContrast(os.Stdout, rows)
@@ -102,120 +95,62 @@ func main() {
 			if err != nil {
 				return err
 			}
-			var progress io.Writer
-			if !*quiet {
-				progress = os.Stderr
-			}
-			w := 2
-			if *workers > 0 {
-				w = *workers
-			}
-			st := 6
-			if *steps > 0 {
-				st = *steps
-			}
-			rows, err := experiments.ShardScaling(experiments.ShardScalingDesigns(), counts, w, st, progress)
+			// The sweeps have their own defaults for an unset -workers / -steps.
+			rows, err := experiments.ShardScaling(experiments.ShardScalingDesigns(), counts, *workers, *steps, opt.Progress)
 			if err != nil {
 				return err
 			}
 			experiments.PrintShardScaling(os.Stdout, rows)
-			if err := writeCSV("shard.csv", func(w *os.File) error {
-				return experiments.WriteShardScalingCSV(w, rows)
-			}); err != nil {
-				return err
-			}
+			csv = func(w io.Writer) error { return experiments.WriteShardScalingCSV(w, rows) }
 		case "wan":
-			var progress io.Writer
-			if !*quiet {
-				progress = os.Stderr
-			}
-			w, st := 4, 12
-			if *workers > 0 {
-				w = *workers
-			}
-			if *steps > 0 {
-				st = *steps
-			}
 			bw, lat := *wanMbps*1e6, *wanLatMs*1e-3
-			rows, err := experiments.WANSweep(experiments.WANDesigns(), experiments.WANTopologies(*regions), w, st, bw, lat, progress)
+			rows, err := experiments.WANSweep(experiments.WANDesigns(), experiments.WANTopologies(*regions), *workers, *steps, bw, lat, opt.Progress)
 			if err != nil {
 				return err
 			}
 			experiments.PrintWANSweep(os.Stdout, rows, bw, lat)
-			if err := writeCSV("wan.csv", func(w *os.File) error {
-				return experiments.WriteWANSweepCSV(w, rows)
-			}); err != nil {
-				return err
-			}
+			csv = func(w io.Writer) error { return experiments.WriteWANSweepCSV(w, rows) }
 		case "gradstats":
 			rows, err := experiments.GradientStatistics(suite, 1.0, 25)
 			if err != nil {
 				return err
 			}
 			experiments.PrintGradStats(os.Stdout, rows, 1.0)
-		case "fig4", "fig5", "fig6":
-			var curves []experiments.Curve
-			var err error
-			var title string
-			switch name {
-			case "fig4":
-				curves, err = experiments.Figure4(suite)
-				title = "Figure 4: Training time and test accuracy using 25/50/75/100% of standard training steps @ 10 Mbps"
-			case "fig5":
-				curves, err = experiments.Figure5(suite)
-				title = "Figure 5: Training time and test accuracy using 25/50/75/100% of standard training steps @ 100 Mbps"
-			case "fig6":
-				curves, err = experiments.Figure6(suite)
-				title = "Figure 6: Training time and test accuracy using 25/50/75/100% of standard training steps @ 1 Gbps"
-			}
+		case "fig4", "fig5", "fig6", "fig8":
+			fig := map[string]struct {
+				curves func(*experiments.Suite) ([]experiments.Curve, error)
+				title  string
+			}{
+				"fig4": {experiments.Figure4, "Figure 4: Training time and test accuracy using 25/50/75/100% of standard training steps @ 10 Mbps"},
+				"fig5": {experiments.Figure5, "Figure 5: Training time and test accuracy using 25/50/75/100% of standard training steps @ 100 Mbps"},
+				"fig6": {experiments.Figure6, "Figure 6: Training time and test accuracy using 25/50/75/100% of standard training steps @ 1 Gbps"},
+				"fig8": {experiments.Figure8, "Figure 8: Training time and test accuracy with a varied sparsity multiplier (s) @ 10 Mbps"},
+			}[name]
+			curves, err := fig.curves(suite)
 			if err != nil {
 				return err
 			}
-			experiments.PrintCurves(os.Stdout, title, curves)
-			if err := writeCSV(name+".csv", func(w *os.File) error {
-				return experiments.WriteCurvesCSV(w, curves)
-			}); err != nil {
-				return err
-			}
+			experiments.PrintCurves(os.Stdout, fig.title, curves)
+			csv = func(w io.Writer) error { return experiments.WriteCurvesCSV(w, curves) }
 		case "fig7":
 			series, err := experiments.Figure7(suite)
 			if err != nil {
 				return err
 			}
 			experiments.PrintFigure7(os.Stdout, series, *every)
-			if err := writeCSV("fig7.csv", func(w *os.File) error {
-				return experiments.WriteSeriesCSV(w, series)
-			}); err != nil {
-				return err
-			}
-		case "fig8":
-			curves, err := experiments.Figure8(suite)
-			if err != nil {
-				return err
-			}
-			experiments.PrintCurves(os.Stdout,
-				"Figure 8: Training time and test accuracy with a varied sparsity multiplier (s) @ 10 Mbps", curves)
-			if err := writeCSV("fig8.csv", func(w *os.File) error {
-				return experiments.WriteCurvesCSV(w, curves)
-			}); err != nil {
-				return err
-			}
+			csv = func(w io.Writer) error { return experiments.WriteSeriesCSV(w, series) }
 		case "fig9":
 			series, err := experiments.Figure9(suite)
 			if err != nil {
 				return err
 			}
 			experiments.PrintFigure9(os.Stdout, series, *every)
-			if err := writeCSV("fig9.csv", func(w *os.File) error {
-				return experiments.WriteBitsCSV(w, series)
-			}); err != nil {
-				return err
-			}
+			csv = func(w io.Writer) error { return experiments.WriteBitsCSV(w, series) }
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}
 		fmt.Println()
-		return nil
+		return writeCSV(name+".csv", csv)
 	}
 
 	var names []string

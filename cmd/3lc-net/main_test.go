@@ -1,0 +1,214 @@
+package main
+
+import (
+	"math"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"threelc/internal/nn"
+	"threelc/internal/ps"
+	"threelc/internal/train"
+)
+
+// testOptions are the flag defaults main registers, at test scale: three
+// workers, so a seat out of order changes a sum (a + b + c in another order
+// rounds differently; with two it would not).
+func testOptions() options {
+	return options{
+		designName: "3lc", sparsity: 1.0, addr: "127.0.0.1:0", wanEntropy: "huffman",
+		workers: 3, steps: 6, batch: 8,
+		shards: 1, tenants: 1, regions: 1, killShard: -1, killStep: -1,
+	}
+}
+
+func TestCheckRefusesFlagCombinations(t *testing.T) {
+	cases := []struct {
+		name string
+		set  func(o *options)
+		want string // substring of the refusal; "" = accepted
+	}{
+		{"defaults", func(o *options) {}, ""},
+		{"shards stream", func(o *options) { o.shards, o.stream = 2, true }, ""},
+		{"failover", func(o *options) { o.shards, o.replicas, o.killShard = 2, true, 0 }, ""},
+		{"unknown design", func(o *options) { o.designName = "float16" }, "unknown design"},
+		{"kill without replicas", func(o *options) { o.killShard = 0 }, "-kill-shard needs -replicas"},
+		{"kill out of range", func(o *options) { o.replicas, o.killShard = true, 1 }, "out of range"},
+		{"kill step at 0", func(o *options) { o.replicas, o.killShard, o.killStep = true, 0, 0 }, "-kill-step 0 must be in [1, steps)"},
+		{"kill step past the end", func(o *options) { o.replicas, o.killShard, o.killStep = true, 0, 6 }, "-kill-step 6 must be in [1, steps)"},
+		{"replicas stream", func(o *options) { o.replicas, o.stream = true, true }, "not replicated"},
+		{"regions uneven", func(o *options) { o.regions = 2 }, "-workers 3 must divide evenly into -regions 2"},
+		{"regions stream", func(o *options) { o.regions, o.workers, o.stream = 2, 4, true }, "-regions is incompatible"},
+		{"regions bad entropy", func(o *options) { o.regions, o.workers, o.wanEntropy = 2, 4, "zstd" }, "zstd"},
+		{"tenants replicas", func(o *options) { o.tenants, o.replicas = 2, true }, "-tenants is incompatible"},
+		{"chaos stream", func(o *options) { o.chaosSoak, o.stream = true, true }, "-chaos is incompatible"},
+		{"chaos tenants", func(o *options) { o.chaosSoak, o.tenants = true, 2 }, "-chaos is incompatible"},
+		{"chaos ignores design", func(o *options) { o.chaosSoak, o.designName = true, "float16" }, ""},
+	}
+	for _, c := range cases {
+		o := testOptions()
+		c.set(&o)
+		err := o.check()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: got %v, want a refusal containing %q", c.name, err, c.want)
+		}
+	}
+
+	o := testOptions()
+	o.shards, o.replicas, o.killShard = 0, true, 0
+	if err := o.check(); err != nil {
+		t.Fatal(err)
+	}
+	if o.shards != 1 || o.killStep != o.steps/2 || o.netTimeout != 10*time.Second {
+		t.Errorf("defaults: shards %d, kill step %d, net timeout %v; want 1, %d, 10s", o.shards, o.killStep, o.netTimeout, o.steps/2)
+	}
+}
+
+// trajectory is what two runs of one job must agree on bit for bit.
+type trajectory struct {
+	losses  []uint64
+	weights []uint32
+}
+
+func trajectoryOf(res *train.Result, global *nn.Model) trajectory {
+	var tr trajectory
+	for _, sr := range res.StepRecords {
+		tr.losses = append(tr.losses, math.Float64bits(sr.Loss))
+	}
+	for _, p := range global.Params() {
+		for _, v := range p.W.Data() {
+			tr.weights = append(tr.weights, math.Float32bits(v))
+		}
+	}
+	return tr
+}
+
+// TestDialedTiersMatchInProcess is the oracle the one-driver design makes
+// possible: the same train.Config, run by the same train.Run, over
+// loopback listeners — the v1 front door, two shards whole-set, two shards
+// streamed, two shards with standbys and shard 0's primary killed mid-run —
+// ends with the global weights and per-step losses of the in-process run,
+// bit for bit, for 3LC and for float32. A dialed tier that sent a seat's
+// push under another seat, dropped one or sent one twice would change a
+// gradient sum (or hang the servers' barrier) and with it every later bit.
+func TestDialedTiersMatchInProcess(t *testing.T) {
+	topologies := []struct {
+		name string
+		set  func(o *options)
+	}{
+		{"v1 front door", func(o *options) {}},
+		{"2 shards", func(o *options) { o.shards = 2 }},
+		{"2 shards streamed", func(o *options) { o.shards, o.stream = 2, true }},
+		{"2 shards, standbys, primary 0 killed", func(o *options) { o.shards, o.replicas, o.killShard = 2, true, 0 }},
+	}
+	for _, design := range []string{"3lc", "float32"} {
+		o := testOptions()
+		o.designName = design
+		if err := o.check(); err != nil {
+			t.Fatal(err)
+		}
+		cfg := o.job(o.design, 1000, 300, 1)
+		cfg.RecordSteps = true
+		var global *nn.Model
+		cfg.Tier = func(g *nn.Model, psCfg ps.Config) (ps.Tier, error) {
+			global = g
+			return ps.NewJob(g, psCfg), nil
+		}
+		res, err := train.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := trajectoryOf(res, global)
+
+		for _, topo := range topologies {
+			t.Run(design+"/"+topo.name, func(t *testing.T) {
+				o := testOptions()
+				o.designName = design
+				topo.set(&o)
+				if err := o.check(); err != nil {
+					t.Fatal(err)
+				}
+				cfg, f, err := o.flat()
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.RecordSteps = true
+				res, err := train.Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := f.drain(); err != nil {
+					t.Fatal(err)
+				}
+				got := trajectoryOf(res, f.global)
+				if !slices.Equal(got.losses, want.losses) {
+					t.Errorf("per-step losses differ from the in-process run")
+				}
+				if !slices.Equal(got.weights, want.weights) {
+					t.Errorf("final global weights differ from the in-process run")
+				}
+				if res.WallSec <= 0 || res.TotalVirtualSec <= 0 {
+					t.Errorf("clocks: wall %v s, virtual %v s; want both measured", res.WallSec, res.TotalVirtualSec)
+				}
+				if res.Shards != o.shards {
+					t.Errorf("Result.Shards = %d, want %d", res.Shards, o.shards)
+				}
+				if push, _, copies := f.traffic(); push == 0 || (copies > 0) != o.replicas {
+					t.Errorf("traffic: push %d, standby copies %d (replicas %v)", push, copies, o.replicas)
+				}
+			})
+		}
+	}
+}
+
+// TestDialedTierRefusals: what a dialed tier cannot do is an error from
+// Run's set-up — not a hang on the servers' barrier, not a checkpoint that
+// silently leaves the servers' state out.
+func TestDialedTierRefusals(t *testing.T) {
+	refusals := []struct {
+		name string
+		set  func(cfg *train.Config)
+		want string
+	}{
+		{"checkpoint", func(cfg *train.Config) {
+			cfg.CheckpointPath, cfg.CheckpointEvery = filepath.Join(t.TempDir(), "ckpt"), 2
+		}, "holds no state"},
+		{"resume", func(cfg *train.Config) { cfg.ResumeFrom = filepath.Join(t.TempDir(), "ckpt") }, "holds no state"},
+		{"dropouts", func(cfg *train.Config) { cfg.Dropouts = []train.Dropout{{Worker: 1, From: 1, To: 3}} }, "wait for every seat"},
+		{"backup workers", func(cfg *train.Config) { cfg.BackupWorkers = 1 }, "wait for every seat"},
+		{"seat count", func(cfg *train.Config) { cfg.Workers, cfg.Net.Workers = 2, 2 }, "3 seats"},
+	}
+	for _, r := range refusals {
+		for _, shards := range []int{1, 2} {
+			o := testOptions()
+			o.shards = shards
+			if err := o.check(); err != nil {
+				t.Fatal(err)
+			}
+			cfg, f, err := o.flat()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.set(&cfg)
+			done := make(chan error, 1)
+			go func() {
+				_, err := train.Run(cfg)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), r.want) {
+					t.Errorf("%s over %d shard(s): got %v, want a refusal containing %q", r.name, shards, err, r.want)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatalf("%s over %d shard(s): Run hangs instead of refusing", r.name, shards)
+			}
+			f.drain() // the refused run hung up on its servers; their complaint is not the test's
+		}
+	}
+}

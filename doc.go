@@ -42,14 +42,18 @@
 //	wire:     tensor i in flight ───┤ (per-tensor push frames)
 //	server:   decode-add tensor i-1 ┘ (PushSession.Tensor, on frame arrival)
 //
-// In-process (train.Run), each accepted worker streams tensors into the
-// aggregator the moment they are compressed and the server ingests them
-// during other workers' compute; per-tensor ingestion stays in strict
-// worker order, so the sums — and all results — are byte-identical to
-// the serial driver. Over TCP, transport's streamed v2 frames
-// (MsgShardPushTensor) let a shard decode-accumulate each tensor as its
-// frame lands rather than after the full wire set, and pulls stream back
-// per tensor, each applied straight off the connection's frame scratch
+// There is one BSP step driver, train.Run, written against one seam,
+// ps.Tier (BeginStep / BeginPush / FinishStep + the checkpoint pair), which
+// ps.Job, shard.JobHandle, region.Tier and transport.DialedTier implement;
+// cmd/3lc-net is flags → listeners → train.Run with a Tier hook that dials
+// them. Each accepted worker feeds its tensors to its push session the
+// moment they are compressed. In front of an in-process tier a
+// worker-order gate ingests them during the other workers' compute, in
+// strict worker order per tensor, so the sums — and all results — are
+// byte-identical to the serial driver. Over TCP the session engine orders
+// by seat: streamed v2 frames (MsgShardPushTensor) let a shard
+// decode-accumulate each tensor as its frame lands rather than after the
+// full wire set, and pulls stream back per tensor
 // (ShardClient.PushPullStream). Per-tensor frames are the unit of
 // decode-add, not of I/O: both ends queue them and write when the
 // producer has nothing more ready, when 64 KiB have gathered and when the
@@ -107,7 +111,9 @@
 //	                     trailer, in that order) and one BSP session
 //	                     engine behind the single-job, multi-tenant and
 //	                     legacy servers
-//	internal/train       distributed training driver + metrics
+//	internal/train       the one BSP step driver (any ps.Tier, in-process
+//	                     or dialed) + metrics: virtual time from netsim,
+//	                     wall time from the clock
 //	internal/experiments per-table/figure reproduction harness
 //	internal/lint        3lc-lint analyzer suite enforcing the //3lc:
 //	                     source contracts (noalloc, nopanic, poolsafe,
@@ -124,8 +130,9 @@
 // (shard.Assign: size-balanced LPT packing, consistent-hash ring when
 // sizes are unknown) and the sharded tier's model state stays
 // byte-identical to the single server's for every codec. train.Config's
-// Shards knob routes a simulated run through the tier; transport's
-// ShardServer/ShardClient run it over real sockets.
+// Shards knob routes an in-process run through the tier; transport's
+// ShardServer/ShardClient run it over real sockets, and a
+// transport.DialedTier over the clients puts train.Run on them.
 //
 // Fault tolerance. The per-endpoint error-accumulation state that makes
 // 3LC correct (unsent changes are retried at later steps) is exactly what
@@ -157,8 +164,9 @@
 // Binaries: cmd/3lc-bench (regenerate every table and figure, plus the
 // `-exp shard` shard-scaling and `-exp wan` hierarchy sweeps; the
 // per-layer benchmarks are `bash scripts/layerbench.sh`), cmd/3lc-train (single training run, with `-state`
-// full-state checkpointing and `-resume`), cmd/3lc-net (training over
-// real TCP, with `-replicas`/`-kill-shard` failover demo),
+// full-state checkpointing and `-resume`), cmd/3lc-net (the same driver
+// over real TCP: sharded, streamed, multi-tenant, hierarchical, chaos
+// soak, `-replicas`/`-kill-shard` failover demo),
 // cmd/3lc-compress (codec demo), cmd/3lc-ckpt (checkpoint inspection,
 // evaluation, and resume), cmd/benchcheck (CI benchmark parser/gate),
 // and cmd/3lc-lint (the //3lc: contract checker; run it as

@@ -9,10 +9,7 @@ import (
 	"fmt"
 
 	"threelc/internal/compress"
-	"threelc/internal/data"
 	"threelc/internal/netsim"
-	"threelc/internal/nn"
-	"threelc/internal/opt"
 	"threelc/internal/train"
 )
 
@@ -20,27 +17,10 @@ func main() {
 	const workers = 10
 	const steps = 150
 
-	dcfg := data.DefaultConfig()
-	in := dcfg.C * dcfg.H * dcfg.W
-
 	runDesign := func(d train.Design) *train.Result {
-		optCfg := opt.TunedSGDConfig(workers, steps)
-		cfg := train.Config{
-			Design:         d,
-			Workers:        workers,
-			BatchPerWorker: 32,
-			Steps:          steps,
-			Data:           dcfg,
-			BuildModel:     func() *nn.Model { return nn.NewMLP(in, []int{48}, dcfg.Classes, 1) },
-			FlatInput:      true,
-			Net:            netsim.DefaultParams(netsim.Mbps10),
-			Optimizer:      &optCfg,
-			EvalEvery:      50,
-			RecordSteps:    true,
-			Seed:           1,
-		}
-		cfg.Net.Workers = workers
-		res, err := train.Run(cfg)
+		// 3lc-train's configuration: the MLP, the tuned SGD schedule.
+		res, err := train.Run(train.CLIConfig(train.CLIOptions{Design: d, Workers: workers, Steps: steps,
+			Batch: 32, Bandwidth: netsim.Mbps10, EvalEvery: 50, Seed: 1}))
 		if err != nil {
 			panic(err)
 		}

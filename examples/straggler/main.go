@@ -11,10 +11,7 @@ import (
 	"fmt"
 
 	"threelc/internal/compress"
-	"threelc/internal/data"
 	"threelc/internal/netsim"
-	"threelc/internal/nn"
-	"threelc/internal/opt"
 	"threelc/internal/train"
 )
 
@@ -23,28 +20,10 @@ func main() {
 	const steps = 120
 	const jitter = 0.6 // heavy-tailed compute time variation
 
-	dcfg := data.DefaultConfig()
-	in := dcfg.C * dcfg.H * dcfg.W
-
 	run := func(d train.Design, backup int) *train.Result {
-		optCfg := opt.TunedSGDConfig(workers, steps)
-		cfg := train.Config{
-			Design:           d,
-			Workers:          workers,
-			BatchPerWorker:   32,
-			Steps:            steps,
-			Data:             dcfg,
-			BuildModel:       func() *nn.Model { return nn.NewMLP(in, []int{48}, dcfg.Classes, 1) },
-			FlatInput:        true,
-			Net:              netsim.DefaultParams(netsim.Mbps10),
-			Optimizer:        &optCfg,
-			RecordSteps:      true,
-			Seed:             1,
-			BackupWorkers:    backup,
-			ComputeJitterStd: jitter,
-		}
-		cfg.Net.Workers = workers
-		res, err := train.Run(cfg)
+		// 3lc-train's configuration (-backup, -jitter): the MLP, the tuned SGD schedule.
+		res, err := train.Run(train.CLIConfig(train.CLIOptions{Design: d, Workers: workers, Steps: steps,
+			Batch: 32, Bandwidth: netsim.Mbps10, Backup: backup, Jitter: jitter, Seed: 1}))
 		if err != nil {
 			panic(err)
 		}

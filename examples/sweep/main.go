@@ -10,19 +10,13 @@ import (
 	"fmt"
 
 	"threelc/internal/compress"
-	"threelc/internal/data"
 	"threelc/internal/netsim"
-	"threelc/internal/nn"
-	"threelc/internal/opt"
 	"threelc/internal/train"
 )
 
 func main() {
 	const workers = 10
 	const steps = 150
-
-	dcfg := data.DefaultConfig()
-	in := dcfg.C * dcfg.H * dcfg.W
 
 	fmt.Printf("%-10s %10s %14s %12s %12s\n", "s", "ratio", "bits/change", "accuracy", "time@10Mbps")
 	for _, cfgRow := range []struct {
@@ -37,26 +31,14 @@ func main() {
 		{"1.75", 1.75, true},
 		{"1.90", 1.90, true},
 	} {
-		optCfg := opt.TunedSGDConfig(workers, steps)
-		cfg := train.Config{
-			Design: train.Design{
-				Name:   fmt.Sprintf("3LC (s=%.2f)", cfgRow.s),
-				Scheme: compress.SchemeThreeLC,
-				Opts:   compress.Options{Sparsity: cfgRow.s, ZeroRun: cfgRow.zre},
-			},
-			Workers:        workers,
-			BatchPerWorker: 32,
-			Steps:          steps,
-			Data:           dcfg,
-			BuildModel:     func() *nn.Model { return nn.NewMLP(in, []int{48}, dcfg.Classes, 1) },
-			FlatInput:      true,
-			Net:            netsim.DefaultParams(netsim.Mbps10),
-			Optimizer:      &optCfg,
-			RecordSteps:    true,
-			Seed:           1,
+		design := train.Design{
+			Name:   fmt.Sprintf("3LC (s=%.2f)", cfgRow.s),
+			Scheme: compress.SchemeThreeLC,
+			Opts:   compress.Options{Sparsity: cfgRow.s, ZeroRun: cfgRow.zre},
 		}
-		cfg.Net.Workers = workers
-		res, err := train.Run(cfg)
+		// 3lc-train's configuration: the MLP, the tuned SGD schedule.
+		res, err := train.Run(train.CLIConfig(train.CLIOptions{Design: design, Workers: workers, Steps: steps,
+			Batch: 32, Bandwidth: netsim.Mbps10, Seed: 1}))
 		if err != nil {
 			panic(err)
 		}

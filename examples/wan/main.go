@@ -14,10 +14,7 @@ import (
 	"fmt"
 
 	"threelc/internal/compress"
-	"threelc/internal/data"
 	"threelc/internal/netsim"
-	"threelc/internal/nn"
-	"threelc/internal/opt"
 	"threelc/internal/train"
 )
 
@@ -25,8 +22,11 @@ func main() {
 	const workers = 10
 	const steps = 100
 
-	dcfg := data.DefaultConfig()
-	in := dcfg.C * dcfg.H * dcfg.W
+	// Every run is 3lc-train's configuration: the MLP, the tuned SGD schedule.
+	job := func(d train.Design) train.Config {
+		return train.CLIConfig(train.CLIOptions{Design: d, Workers: workers, Steps: steps,
+			Batch: 32, Bandwidth: netsim.Mbps10, Seed: 1})
+	}
 
 	designs := []train.Design{
 		{Name: "32-bit float", Scheme: compress.SchemeNone},
@@ -46,22 +46,7 @@ func main() {
 	fmt.Println()
 
 	for _, d := range designs {
-		optCfg := opt.TunedSGDConfig(workers, steps)
-		cfg := train.Config{
-			Design:         d,
-			Workers:        workers,
-			BatchPerWorker: 32,
-			Steps:          steps,
-			Data:           dcfg,
-			BuildModel:     func() *nn.Model { return nn.NewMLP(in, []int{48}, dcfg.Classes, 1) },
-			FlatInput:      true,
-			Net:            netsim.DefaultParams(netsim.Mbps10),
-			Optimizer:      &optCfg,
-			RecordSteps:    true,
-			Seed:           1,
-		}
-		cfg.Net.Workers = workers
-		res, err := train.Run(cfg)
+		res, err := train.Run(job(d))
 		if err != nil {
 			panic(err)
 		}
@@ -101,7 +86,6 @@ func main() {
 	}
 	hierDesigns := []train.Design{designs[1], designs[3]} // 8-bit int, 3LC s=1.00
 
-	elems := nn.NewMLP(in, []int{48}, dcfg.Classes, 1).NumParams()
 	fmt.Printf("\n%d regions over a %.0f Mbps WAN link (%d workers, measured bytes):\n\n",
 		regions, wanBW/1e6, workers)
 	fmt.Printf("%-20s %-18s %12s", "design", "topology", "WAN bits/elem")
@@ -111,23 +95,8 @@ func main() {
 	fmt.Println()
 	for _, d := range hierDesigns {
 		for _, tp := range topos {
-			optCfg := opt.TunedSGDConfig(workers, steps)
-			cfg := train.Config{
-				Design:           d,
-				Workers:          workers,
-				BatchPerWorker:   32,
-				Steps:            steps,
-				Data:             dcfg,
-				BuildModel:       func() *nn.Model { return nn.NewMLP(in, []int{48}, dcfg.Classes, 1) },
-				FlatInput:        true,
-				Net:              netsim.DefaultParams(netsim.Mbps10),
-				Optimizer:        &optCfg,
-				Seed:             1,
-				Regions:          regions,
-				RegionRecompress: tp.recompress,
-				RegionEntropy:    tp.entropy,
-			}
-			cfg.Net.Workers = workers
+			cfg := job(d)
+			cfg.Regions, cfg.RegionRecompress, cfg.RegionEntropy = regions, tp.recompress, tp.entropy
 			cfg.Net.WANBandwidthBps = wanBW
 			cfg.Net.WANLatencySec = baseLat
 			res, err := train.Run(cfg)
@@ -136,7 +105,7 @@ func main() {
 			}
 			// Inter-region traffic per step per model element, push+pull
 			// summed over regions.
-			bitsPerElem := float64(res.TotalWANBytes) * 8 / float64(steps) / float64(elems)
+			bitsPerElem := float64(res.TotalWANBytes) * 8 / float64(steps) / float64(res.NumParam)
 			fmt.Printf("%-20s %-18s %13.2f", d.Name, tp.name, bitsPerElem)
 			for _, rtt := range rtts {
 				// One WAN round trip per step: swap the costed RTT for the

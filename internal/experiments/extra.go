@@ -5,9 +5,7 @@ import (
 	"io"
 	"time"
 
-	"threelc/internal/netsim"
 	"threelc/internal/nn"
-	"threelc/internal/opt"
 	"threelc/internal/stats"
 	"threelc/internal/tensor"
 	"threelc/internal/train"
@@ -110,48 +108,35 @@ func GradientStatistics(s *Suite, sparsity float64, every int) ([]GradStatsRow, 
 		every = 1
 	}
 	steps := s.Opt.StandardSteps
-	optCfg := opt.TunedSGDConfig(s.Opt.Workers, steps)
 	sampled := make(map[int]GradStatsRow)
 
-	cfg := train.Config{
-		Design:         ThreeLC(sparsity),
-		Workers:        s.Opt.Workers,
-		BatchPerWorker: s.Opt.BatchPerWorker,
-		Steps:          steps,
-		Data:           s.Opt.Data,
-		BuildModel:     s.buildModel(),
-		FlatInput:      !s.Opt.UseResNet,
-		Net:            netsim.DefaultParams(netsim.Gbps1),
-		Optimizer:      &optCfg,
-		RecordSteps:    true,
-		Seed:           s.Opt.Seed,
-		OnGradients: func(step int, params []*nn.Param) {
-			if step%every != 0 {
-				return
+	cfg := s.config(ThreeLC(sparsity), steps)
+	cfg.Augment, cfg.EvalEvery = false, 0
+	cfg.OnGradients = func(step int, params []*nn.Param) {
+		if step%every != 0 {
+			return
+		}
+		// Analyze the largest compressible tensor (dominates traffic).
+		var biggest *nn.Param
+		for _, p := range params {
+			if p.NoCompress {
+				continue
 			}
-			// Analyze the largest compressible tensor (dominates traffic).
-			var biggest *nn.Param
-			for _, p := range params {
-				if p.NoCompress {
-					continue
-				}
-				if biggest == nil || p.W.Len() > biggest.W.Len() {
-					biggest = p
-				}
+			if biggest == nil || p.W.Len() > biggest.W.Len() {
+				biggest = p
 			}
-			if biggest == nil {
-				return
-			}
-			z := stats.QuantSparsity(biggest.G, sparsity)
-			sampled[step] = GradStatsRow{
-				Step:              step,
-				Summary:           stats.Summarize(biggest.G),
-				QuantZeroFrac:     z,
-				PredictedZRERatio: stats.ZeroRunRatioEstimate(z),
-			}
-		},
+		}
+		if biggest == nil {
+			return
+		}
+		z := stats.QuantSparsity(biggest.G, sparsity)
+		sampled[step] = GradStatsRow{
+			Step:              step,
+			Summary:           stats.Summarize(biggest.G),
+			QuantZeroFrac:     z,
+			PredictedZRERatio: stats.ZeroRunRatioEstimate(z),
+		}
 	}
-	cfg.Net.Workers = s.Opt.Workers
 	r, err := train.Run(cfg)
 	if err != nil {
 		return nil, err

@@ -97,7 +97,7 @@ func measureShard(d train.Design, shards, workers, steps int) (ShardRow, error) 
 	global := shardScalingModel()
 	cl, err := shard.NewCluster(global, cfg, shard.Config{Shards: shards})
 	if err != nil {
-		panic(err) // experiment harness over a default placement: cannot fail
+		return ShardRow{}, err
 	}
 	defer cl.Close()
 

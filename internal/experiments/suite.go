@@ -99,18 +99,8 @@ func (s *Suite) buildModel() func() *nn.Model {
 	}
 }
 
-// Run executes (or returns the cached result of) one training run for the
-// design at the given step count. All runs record per-step series so that
-// training time can be recomputed at any bandwidth.
-func (s *Suite) Run(design train.Design, steps int) (*train.Result, error) {
-	key := fmt.Sprintf("%s|%d", design.Name, steps)
-	s.mu.Lock()
-	if r, ok := s.cache[key]; ok {
-		s.mu.Unlock()
-		return r, nil
-	}
-	s.mu.Unlock()
-
+// config is the suite's training run of design for steps steps.
+func (s *Suite) config(design train.Design, steps int) train.Config {
 	optCfg := opt.TunedSGDConfig(s.Opt.Workers, steps)
 	cfg := train.Config{
 		Design:         design,
@@ -128,7 +118,22 @@ func (s *Suite) Run(design train.Design, steps int) (*train.Result, error) {
 		Seed:           s.Opt.Seed,
 	}
 	cfg.Net.Workers = s.Opt.Workers
-	r, err := train.Run(cfg)
+	return cfg
+}
+
+// Run executes (or returns the cached result of) one training run for the
+// design at the given step count. All runs record per-step series so that
+// training time can be recomputed at any bandwidth.
+func (s *Suite) Run(design train.Design, steps int) (*train.Result, error) {
+	key := fmt.Sprintf("%s|%d", design.Name, steps)
+	s.mu.Lock()
+	if r, ok := s.cache[key]; ok {
+		s.mu.Unlock()
+		return r, nil
+	}
+	s.mu.Unlock()
+
+	r, err := train.Run(s.config(design, steps))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s @ %d steps: %w", design.Name, steps, err)
 	}

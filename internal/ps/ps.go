@@ -59,6 +59,14 @@ func (c Config) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// SplitAcross returns c with its codec budget divided among n nodes that
+// serve concurrently — the shards of one tier — so the tier as a whole
+// stays within the budget of one.
+func (c Config) SplitAcross(n int) Config {
+	c.Parallelism = max(c.parallelism()/n, 1)
+	return c
+}
+
 // spawnHook, when non-nil, is called once per goroutine parallelFor
 // spawns — the scheduling test double for the caller-runs-too pool shape.
 // Production code must leave it nil.

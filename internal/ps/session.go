@@ -1,20 +1,44 @@
-// PushSession: the single push choke point. A whole-set push, a push fed
-// tensor by tensor, and the transport's streamed per-tensor frames all
-// go through one object: a driver opens a session per worker per step
-// (BeginPush), feeds it either one whole set (Set) or tensors as they
-// materialize (Tensor), and completes it (End). Every push in the system
-// now flows through a session, which is what gives the multi-tenant
-// shard scheduler (package shard) a single place to meter, charge, and
-// order tenant traffic.
+// PushSession and Tier: the aggregation surface a step driver speaks. A
+// driver opens a session per worker per step (BeginPush), feeds it one
+// whole set (Set) or tensors as they materialize (Tensor), and completes it
+// (End). train.Run, the transport's streamed per-tensor frames, the shard
+// scheduler's lanes and the region tier push through sessions. Two
+// whole-set entry points do not open one: Job.AddPush — BeginPush, Set and
+// End in a single call, the push method of transport.StepServer that a
+// session engine drives for whole-set frames — and shard.Port.Push, the mux
+// endpoint's lane enqueue (the lane's scheduler opens the session behind
+// the queue).
 package ps
 
 import "time"
 
+// Tier is the surface one BSP step driver drives, whatever aggregates
+// behind it: *Job (one server), shard.JobHandle (a job's lanes on a shard
+// tier, dedicated or shared), region.Tier (regional aggregators in front
+// of either) and transport.DialedTier (connections to servers elsewhere)
+// implement it, and train.Run is written against nothing else. A step is
+// BeginStep, one BeginPush session per pushing worker, then FinishStep,
+// which averages what was pushed, applies the optimizer and returns the
+// shared pull — aliasing tier-owned buffers, valid until the next
+// FinishStep — with the tier's codec wall time. The in-process tiers are
+// driven by one goroutine, in worker order (see PushSession); a dialed tier
+// takes every seat's push concurrently.
+type Tier interface {
+	BeginStep()
+	BeginPush(worker int) PushSession
+	FinishStep() ([][]byte, time.Duration, error)
+	// AppendState / RestoreState capture the tier's mutable training state
+	// (optimizer, pull contexts) for full-state checkpoints; both are
+	// step-boundary operations.
+	AppendState(dst []byte) []byte
+	RestoreState(src []byte) error
+}
+
 // PushSession ingests one worker's gradient push for one step. Obtain
-// one from Job.BeginPush (or the sharded tier's equivalent). Exactly one
-// of Set (whole-set) or a series of Tensor calls (per-tensor, any tensor
-// order, each tensor exactly once) feeds the push; End completes it,
-// advancing the push count the step's averaging divides by.
+// one from a Tier's BeginPush. Exactly one of Set (whole-set) or a series
+// of Tensor calls (per-tensor, any tensor order, each tensor exactly
+// once) feeds the push; End completes it, advancing the push count the
+// step's averaging divides by.
 //
 // Sessions are recycled per (job, worker) — they are valid until the
 // owning job's next BeginPush for the same worker — and a session's
@@ -32,6 +56,8 @@ type PushSession interface {
 	// End completes the push. Required after Set and Tensor alike.
 	End() error
 }
+
+var _ Tier = (*Job)(nil)
 
 // pushSession is Job's recycled PushSession implementation; one lives in
 // Job.sessions per worker id, so BeginPush allocates nothing in steady

@@ -25,9 +25,10 @@
 //     error-accumulation buffer retries what the re-quantization drops,
 //     exactly the paper's §3.1 argument applied at the aggregator.
 //
-// The Tier presents the same step-server surface the training driver
-// already speaks (BeginStep / per-worker push sessions / FinishStep), so
-// hierarchical topologies drop into package train unchanged.
+// A Tier is a ps.Tier over a ps.Tier: train.Run drives it like any other
+// (Config.Regions interposes one in front of the run's server), and the
+// inner tier it forwards to may be in-process or dialed — 3lc-net's
+// regional aggregators forward over a one-seat transport.DialedTier.
 package region
 
 import (
@@ -41,16 +42,6 @@ import (
 	"threelc/internal/ps"
 	"threelc/internal/tensor"
 )
-
-// Server is the global tier a region tier forwards to: the step-server
-// surface of ps.Job and the sharded equivalents.
-type Server interface {
-	BeginStep()
-	BeginPush(workerID int) ps.PushSession
-	FinishStep() ([][]byte, time.Duration, error)
-	AppendState(dst []byte) []byte
-	RestoreState(src []byte) error
-}
 
 // Config shapes a region tier.
 type Config struct {
@@ -94,7 +85,7 @@ func RegionOf(worker, workers, regions int) int {
 // concurrently-produced tensors but are themselves opened and completed
 // in worker order), then FinishStep.
 type Tier struct {
-	inner Server
+	inner ps.Tier
 	cfg   Config
 
 	params []*nn.Param
@@ -123,7 +114,7 @@ type Tier struct {
 // tensor set (shapes and compression exemptions) — typically
 // model.Params() of the global replica; the tier allocates its own
 // aggregation buffers and never writes through params.
-func NewTier(inner Server, params []*nn.Param, cfg Config) (*Tier, error) {
+func NewTier(inner ps.Tier, params []*nn.Param, cfg Config) (*Tier, error) {
 	if cfg.Regions < 1 {
 		return nil, fmt.Errorf("region: Regions %d must be >= 1", cfg.Regions)
 	}
@@ -179,6 +170,8 @@ func NewTier(inner Server, params []*nn.Param, cfg Config) (*Tier, error) {
 	}
 	return t, nil
 }
+
+var _ ps.Tier = (*Tier)(nil)
 
 // BeginStep starts a step on the inner tier and resets per-step region
 // state.
@@ -333,7 +326,7 @@ func (t *Tier) FinishStep() ([][]byte, time.Duration, error) {
 			if err := sess.End(); err != nil {
 				return nil, 0, err
 			}
-			t.wanPush[r] = wireSetBytes(t.setBufs[r])
+			t.wanPush[r] = ps.WireBytes(t.setBufs[r]) + 4*len(t.setBufs[r]) // framed, as on the link
 		}
 	} else {
 		for r := range t.bundles {
@@ -471,18 +464,5 @@ func (t *Tier) RestoreState(src []byte) error {
 // bundled inter-region stream uses, matching the transport's wire-set
 // element layout.
 func appendFramed(dst, wire []byte) []byte {
-	var b4 [4]byte
-	binary.LittleEndian.PutUint32(b4[:], uint32(len(wire)))
-	dst = append(dst, b4[:]...)
-	return append(dst, wire...)
-}
-
-// wireSetBytes is the framed size of a wire set on the inter-region
-// link.
-func wireSetBytes(wires [][]byte) int {
-	n := 0
-	for _, w := range wires {
-		n += 4 + len(w)
-	}
-	return n
+	return append(binary.LittleEndian.AppendUint32(dst, uint32(len(wire))), wire...)
 }

@@ -638,6 +638,8 @@ type JobHandle struct {
 	sessions []handleSession
 }
 
+var _ ps.Tier = (*JobHandle)(nil)
+
 // Tenant returns the job's admitted identity (stats, limits, epoch).
 func (h *JobHandle) Tenant() *tenant.Tenant { return h.ten }
 
@@ -647,13 +649,18 @@ func (h *JobHandle) Assignment() Assignment { return h.asn }
 // Workers returns the job's configured worker count.
 func (h *JobHandle) Workers() int { return h.workers }
 
+// NumShards returns the shard count of the tier the job runs on.
+func (h *JobHandle) NumShards() int { return h.asn.NumShards }
+
 // Close stops the shard goroutines of a dedicated tier (NewCluster), after
 // which the handle must not be used. A job admitted to a shared Service
-// does not own it: Retire the job there instead.
-func (h *JobHandle) Close() {
+// does not own it: Retire the job there instead. The error is always nil;
+// the signature is io.Closer's, which is how train.Run disposes of a tier.
+func (h *JobHandle) Close() error {
 	if h.owns {
 		h.svc.Close()
 	}
+	return nil
 }
 
 // send enqueues req on the job's lane at shard sh with the straggler

@@ -1,0 +1,672 @@
+package train
+
+import (
+	"fmt"
+	"io"
+	"math"
+	"runtime"
+	"sort"
+	"sync"
+	"time"
+
+	"threelc/internal/checkpoint"
+	"threelc/internal/compress"
+	"threelc/internal/data"
+	"threelc/internal/netsim"
+	"threelc/internal/nn"
+	"threelc/internal/opt"
+	"threelc/internal/ps"
+	"threelc/internal/region"
+	"threelc/internal/shard"
+	"threelc/internal/tensor"
+)
+
+// run is one Run call's state: what set-up builds and the steps mutate.
+type run struct {
+	cfg               Config
+	res               *Result
+	trainSet, testSet *data.Dataset
+	augment           func(src, dst *tensor.Tensor, r *tensor.RNG)
+
+	global  *nn.Model
+	tier    ps.Tier      // what the steps drive: a dialed tier as is, any other behind inOrder
+	closer  io.Closer    // the built tier, if it wants closing
+	regions *region.Tier // the interposed region tier, for its WAN byte counts
+
+	workers      []*ps.Worker
+	rngs         []*tensor.RNG // per-worker batch samplers
+	shards       [][]int       // per-worker slice of the training set
+	compressible []bool        // per tensor: subject to the codec
+
+	net         netsim.Params
+	clock       netsim.Clock
+	jitter      *tensor.RNG
+	pullHistory [][][]byte   // ring of recent pull wire sets (SSP emulation)
+	missed      [][][][]byte // per worker: the sets it replays on rejoin
+
+	outs      []workerOut
+	ckpt      ckptWriter
+	startStep int
+}
+
+// workerOut is what one worker's goroutines leave behind in a step.
+type workerOut struct {
+	wires    [][]byte
+	loss     float64
+	compDur  time.Duration
+	applyDur time.Duration
+}
+
+// dialed is what a tier over connections (transport.DialedTier) has and an
+// in-process tier lacks; see Config.Tier for what Run concludes from it.
+type dialed interface{ Seats() int }
+
+// validate refuses what no tier can run.
+func (cfg *Config) validate() error {
+	switch {
+	case cfg.Workers < 1:
+		return fmt.Errorf("train: need at least 1 worker, got %d", cfg.Workers)
+	case cfg.BuildModel == nil:
+		return fmt.Errorf("train: BuildModel is required")
+	case cfg.Shards < 0:
+		return fmt.Errorf("train: Shards %d must be >= 0", cfg.Shards)
+	case cfg.Shards > 1 && cfg.Tier != nil:
+		return fmt.Errorf("train: Shards and Tier are mutually exclusive (the hook's tier has its own shard count)")
+	case cfg.Regions > 1 && (cfg.Shards > 1 || cfg.Tier != nil):
+		return fmt.Errorf("train: Regions requires the single in-process server (no Shards/Tier)")
+	case cfg.Regions > 1 && (len(cfg.Dropouts) > 0 || cfg.BackupWorkers > 0):
+		return fmt.Errorf("train: Regions cannot be combined with Dropouts or BackupWorkers")
+	case cfg.Net.Workers != 0 && cfg.Net.Workers != cfg.Workers:
+		return fmt.Errorf("train: netsim has %d workers, run has %d", cfg.Net.Workers, cfg.Workers)
+	case cfg.BackupWorkers < 0 || cfg.BackupWorkers >= cfg.Workers:
+		return fmt.Errorf("train: BackupWorkers %d must be in [0, workers)", cfg.BackupWorkers)
+	case cfg.Staleness < 0:
+		return fmt.Errorf("train: Staleness %d must be >= 0", cfg.Staleness)
+	case len(cfg.Dropouts) > 0 && cfg.Staleness > 0:
+		// A worker with SSP delay d applies the pull from d steps ago; the
+		// rejoin replay of the fresh per-step sets would double-apply the
+		// last d of them and never apply the d sets before the dropout.
+		return fmt.Errorf("train: Dropouts cannot be combined with Staleness > 0")
+	}
+	for _, d := range cfg.Dropouts {
+		if d.Worker <= 0 || d.Worker >= cfg.Workers {
+			return fmt.Errorf("train: dropout worker %d must be in [1, workers) — the chief cannot drop", d.Worker)
+		}
+		if d.From < 0 || d.To <= d.From {
+			return fmt.Errorf("train: dropout interval [%d, %d) invalid", d.From, d.To)
+		}
+	}
+	return nil
+}
+
+// newRun is the set-up: data, models, tier, workers, the virtual cluster
+// and, under ResumeFrom, the restored state. On an error it has released
+// what it built.
+func newRun(cfg Config) (_ *run, err error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if cfg.MinCompressElems == 0 {
+		cfg.MinCompressElems = 256
+	}
+	r := &run{
+		cfg:    cfg,
+		outs:   make([]workerOut, cfg.Workers),
+		missed: make([][][][]byte, cfg.Workers),
+		jitter: tensor.NewRNG(cfg.Seed ^ 0x4a49545445520000), // "JITTER"
+		ckpt:   ckptWriter{path: cfg.CheckpointPath},
+	}
+	defer func() {
+		if err != nil {
+			r.close()
+		}
+	}()
+	r.trainSet, r.testSet = data.Synthetic(cfg.Data)
+	if cfg.Augment {
+		r.augment = data.Augment
+	}
+	r.global = cfg.BuildModel()
+
+	optCfg := opt.DefaultSGDConfig(cfg.Workers, cfg.Steps)
+	if cfg.Optimizer != nil {
+		optCfg = *cfg.Optimizer
+		optCfg.Workers = cfg.Workers
+		optCfg.TotalSteps = cfg.Steps
+	}
+	psCfg := ps.Config{
+		Scheme:           cfg.Design.Scheme,
+		Opts:             cfg.Design.Opts,
+		Workers:          cfg.Workers,
+		MinCompressElems: cfg.MinCompressElems,
+		Parallelism:      cfg.Parallelism,
+		Optimizer:        optCfg,
+	}
+	if psCfg.Parallelism == 0 {
+		// All workers run their codec phases on concurrent goroutines, so
+		// per-node fan-out multiplies by cfg.Workers; divide the cores among
+		// them instead of letting every node claim GOMAXPROCS.
+		psCfg.Parallelism = max(runtime.GOMAXPROCS(0)/cfg.Workers, 1)
+	}
+	// The server's decode/aggregate and pull-compress phases run alone —
+	// every worker goroutine is parked at the BSP barrier — so the server
+	// keeps the full budget; dividing by Workers would idle cores on the
+	// measured codec critical path.
+	serverCfg := psCfg
+	serverCfg.Parallelism = cfg.Parallelism
+	tierShards, err := r.buildTier(serverCfg)
+	if err != nil {
+		return nil, err
+	}
+
+	r.workers = make([]*ps.Worker, cfg.Workers)
+	r.rngs = make([]*tensor.RNG, cfg.Workers)
+	r.shards = make([][]int, cfg.Workers)
+	for w := 0; w < cfg.Workers; w++ {
+		m := cfg.BuildModel()
+		m.CopyParamsFrom(r.global)
+		r.workers[w] = ps.NewWorker(w, m, psCfg)
+		r.rngs[w] = tensor.NewRNG(cfg.Seed + 1000*uint64(w) + 7)
+		for i := w; i < r.trainSet.Len(); i += cfg.Workers {
+			r.shards[w] = append(r.shards[w], i)
+		}
+		if len(r.shards[w]) == 0 {
+			return nil, fmt.Errorf("train: worker %d has an empty shard (%d examples, %d workers)",
+				w, r.trainSet.Len(), cfg.Workers)
+		}
+	}
+
+	// Traffic bookkeeping.
+	params := r.global.Params()
+	numParam := r.global.NumParams()
+	compElems := 0
+	r.compressible = make([]bool, len(params))
+	for i, p := range params {
+		if cfg.Design.Scheme != compress.SchemeNone && !p.NoCompress && p.W.Len() >= cfg.MinCompressElems {
+			r.compressible[i] = true
+			compElems += p.W.Len()
+		}
+	}
+
+	r.net = cfg.Net
+	r.net.Workers = cfg.Workers
+	if r.net.ComputeSec == 0 {
+		r.net.Calibrate(numParam*4, netsim.Gbps1, 1.5)
+	}
+	// Sharding divides aggregate push/pull traffic across the shard NICs.
+	// Applied after Calibrate so the compute-to-communication calibration
+	// stays anchored to the paper's single-server regime.
+	if tierShards > 1 && r.net.Servers <= 1 {
+		r.net.Servers = tierShards
+	}
+	if cfg.Regions > 1 {
+		r.net.Regions = cfg.Regions
+		if r.net.WANBandwidthBps == 0 {
+			// Default WAN regime: 100 Mbps inter-region links at 20 ms
+			// one-way latency, far below the local star's bandwidth.
+			r.net.WANBandwidthBps = netsim.Mbps100
+			r.net.WANLatencySec = 20e-3
+		}
+	}
+
+	r.res = &Result{
+		Design:            cfg.Design,
+		Workers:           cfg.Workers,
+		Shards:            tierShards,
+		Regions:           max(cfg.Regions, 1),
+		Steps:             cfg.Steps,
+		NumParam:          numParam,
+		CompressibleElems: compElems,
+	}
+	if cfg.ResumeFrom != "" {
+		st, err := checkpoint.LoadStateFile(cfg.ResumeFrom)
+		if err != nil {
+			return nil, fmt.Errorf("train: resume: %w", err)
+		}
+		if r.startStep, err = r.restore(st); err != nil {
+			return nil, fmt.Errorf("train: resume: %w", err)
+		}
+		r.res.Steps = cfg.Steps - r.startStep
+	}
+	return r, nil
+}
+
+// buildTier builds the run's tier — the hook's, or by Shards — interposes
+// the region tier, and puts every in-process tier behind the worker-order
+// gate. It returns the tier's shard count.
+func (r *run) buildTier(serverCfg ps.Config) (int, error) {
+	cfg := &r.cfg
+	build := cfg.Tier
+	if build == nil {
+		build = func(global *nn.Model, scfg ps.Config) (ps.Tier, error) {
+			if cfg.Shards <= 1 {
+				return ps.NewJob(global, scfg), nil
+			}
+			cl, err := shard.NewCluster(global, scfg.SplitAcross(cfg.Shards), shard.Config{Shards: cfg.Shards})
+			if err != nil {
+				return nil, fmt.Errorf("train: build shard tier: %w", err)
+			}
+			return cl, nil
+		}
+	}
+	tier, err := build(r.global, serverCfg)
+	if err != nil {
+		return 0, err
+	}
+	r.closer, _ = tier.(io.Closer)
+	shards := 1
+	if s, ok := tier.(interface{ NumShards() int }); ok {
+		shards = s.NumShards()
+	}
+	if d, ok := tier.(dialed); ok {
+		switch {
+		case d.Seats() != cfg.Workers:
+			return 0, fmt.Errorf("train: the dialed tier has %d seats, the run has %d workers", d.Seats(), cfg.Workers)
+		case cfg.CheckpointPath != "" || cfg.ResumeFrom != "":
+			return 0, fmt.Errorf("train: a dialed tier holds no state: CheckpointPath and ResumeFrom need an in-process tier")
+		case len(cfg.Dropouts) > 0 || cfg.BackupWorkers > 0:
+			return 0, fmt.Errorf("train: a dialed tier's servers wait for every seat each step: Dropouts and BackupWorkers need an in-process tier")
+		}
+		r.tier = tier
+		return shards, nil
+	}
+	if cfg.Regions > 1 {
+		// Hierarchical topology: interpose the region tier between the
+		// per-worker sessions and the global server.
+		r.regions, err = region.NewTier(tier, r.global.Params(), region.Config{
+			Regions:          cfg.Regions,
+			Workers:          cfg.Workers,
+			Recompress:       cfg.RegionRecompress,
+			Entropy:          cfg.RegionEntropy,
+			Scheme:           cfg.Design.Scheme,
+			Opts:             cfg.Design.Opts,
+			MinCompressElems: cfg.MinCompressElems,
+			Parallelism:      cfg.Parallelism,
+		})
+		if err != nil {
+			return 0, err
+		}
+		tier = r.regions
+	}
+	r.tier = &inOrder{Tier: tier, tensors: len(r.global.Params())}
+	return shards, nil
+}
+
+// close joins any in-flight checkpoint write and closes the tier.
+func (r *run) close() {
+	r.ckpt.wait() // its error was reported by finish, or an earlier one is being returned
+	if r.closer != nil {
+		r.closer.Close() // nothing left to do about a failed close
+	}
+}
+
+// stepPlan says who takes part in a step. An active worker is present (not
+// in a Dropout interval): it computes, compresses and pulls. An accepted
+// worker's push is also aggregated; computeMult scales the step's virtual
+// compute time to the slowest accepted worker's.
+type stepPlan struct {
+	active, accepted []bool
+	nActive          int
+	computeMult      float64
+}
+
+// plan draws the step's straggler model. Under plain BSP the barrier waits
+// for the slowest worker; with backup workers (§2.1) the step advances
+// once Workers-BackupWorkers pushes arrive and the stragglers' updates are
+// discarded. The chief (worker 0, batch-norm owner) is never dropped. The
+// jitter RNG is independent of the compute phase, so drawing up front
+// changes no result.
+func (r *run) plan(step int) stepPlan {
+	cfg := &r.cfg
+	p := stepPlan{active: make([]bool, cfg.Workers), accepted: make([]bool, cfg.Workers), computeMult: 1}
+	for w := range p.active {
+		if !r.down(w, step) {
+			p.active[w] = true
+			p.nActive++
+		}
+	}
+	if cfg.ComputeJitterStd <= 0 {
+		copy(p.accepted, p.active)
+		// No jitter: dropping is arbitrary; keep the first active workers
+		// for determinism.
+		dropped := 0
+		for w := cfg.Workers - 1; w > 0 && dropped < cfg.BackupWorkers; w-- {
+			if p.accepted[w] {
+				p.accepted[w] = false
+				dropped++
+			}
+		}
+		return p
+	}
+	// Multipliers are drawn for every worker — absent ones included — so
+	// the jitter stream stays aligned with the no-dropout run and with
+	// checkpoint/resume.
+	mults := make([]float64, cfg.Workers)
+	for w := range mults {
+		sd := cfg.ComputeJitterStd
+		mults[w] = math.Exp(sd*r.jitter.Norm() - 0.5*sd*sd)
+	}
+	need := max(p.nActive-cfg.BackupWorkers, 1)
+	order := make([]int, cfg.Workers)
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return mults[order[a]] < mults[order[b]] })
+	p.accepted[0] = true
+	p.computeMult = mults[0]
+	count := 1
+	for _, w := range order {
+		if w == 0 || !p.active[w] || count >= need {
+			continue
+		}
+		p.accepted[w] = true
+		count++
+		p.computeMult = max(p.computeMult, mults[w])
+	}
+	return p
+}
+
+// down tells whether worker w is absent at step.
+func (r *run) down(w, step int) bool {
+	for _, d := range r.cfg.Dropouts {
+		if d.Worker == w && step >= d.From && step < d.To {
+			return true
+		}
+	}
+	return false
+}
+
+// computePush is the step's first half: every active worker trains on a
+// batch and compresses, every accepted one feeding its tensors to its push
+// session as they are compressed, while the tier's FinishStep, on this
+// goroutine, returns the shared pull once the sessions have ended. They
+// are opened here, in worker order, before any worker starts: the order an
+// in-process tier's gate (inOrder) aggregates in; a dialed tier takes the
+// pushes as they come. Dropped workers still compress — their
+// error-accumulation contexts must advance — but open no session.
+func (r *run) computePush(step int, p stepPlan) ([][]byte, time.Duration, error) {
+	r.tier.BeginStep()
+	sessions := make([]ps.PushSession, r.cfg.Workers)
+	for w := range sessions {
+		if p.accepted[w] {
+			sessions[w] = r.tier.BeginPush(w)
+		}
+	}
+	clear(r.outs)
+	wait := r.goActive(p, func(w int) error { return r.workerPush(step, w, sessions[w]) })
+	pull, serverDur, err := r.tier.FinishStep()
+	// A worker's own failure explains whatever the tier made of its push.
+	if werr := wait(); werr != nil {
+		return nil, 0, werr
+	}
+	return pull, serverDur, err
+}
+
+// goActive starts fn(w) on its own goroutine for every active worker and
+// returns the wait that joins them and reports the first failure.
+func (r *run) goActive(p stepPlan, fn func(w int) error) (wait func() error) {
+	errs := make([]error, len(r.workers))
+	var wg sync.WaitGroup
+	for w := range r.workers {
+		if p.active[w] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[w] = fn(w)
+			}()
+		}
+	}
+	return func() error {
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// workerPush is worker w's half of computePush; push is nil for a worker
+// whose update the step discards. However it ends, an opened session is
+// ended: the tier's FinishStep waits for that.
+func (r *run) workerPush(step, w int, push ps.PushSession) (err error) {
+	wk, out := r.workers[w], &r.outs[w]
+	if push != nil {
+		defer func() {
+			if e := push.End(); err == nil {
+				err = e
+			}
+		}()
+	}
+	// Rejoin catch-up: a worker returning from a dropout first replays, in
+	// order, the shared pulls it missed, bringing its replica to the exact
+	// state an always-present replica holds at this step. Its push contexts
+	// were frozen while away, so the pre-dropout residual folds into this
+	// step's push.
+	for _, ws := range r.missed[w] {
+		if _, err := wk.ApplyPull(ws); err != nil {
+			return fmt.Errorf("train: worker %d rejoin catch-up: %w", w, err)
+		}
+	}
+	r.missed[w] = nil
+	idx := make([]int, r.cfg.BatchPerWorker)
+	for i := range idx {
+		idx[i] = r.shards[w][r.rngs[w].Intn(len(r.shards[w]))]
+	}
+	batch := r.trainSet.Batch
+	if r.cfg.FlatInput {
+		batch = r.trainSet.FlatBatch
+	}
+	out.loss = wk.Model.TrainStep(batch(idx, r.augment, r.rngs[w]))
+	if w == 0 && r.cfg.OnGradients != nil {
+		r.cfg.OnGradients(step, wk.Model.Params())
+	}
+	if push == nil {
+		out.wires, out.compDur = wk.CompressGrads()
+		return nil
+	}
+	// emit runs on the compressor pool's goroutines.
+	var once sync.Once
+	out.wires, out.compDur = wk.CompressGradsStream(func(i int, wire []byte) {
+		if e := push.Tensor(i, wire); e != nil {
+			once.Do(func() { err = e })
+		}
+	})
+	return err
+}
+
+// applyPull is the step's second half: the active workers decompress and
+// apply the shared pull, in parallel. Under stale-synchronous emulation
+// each worker applies the pull from `delay_w` steps ago instead of the
+// fresh one. FinishStep's wires alias tier-owned buffers that are
+// overwritten next step, so retaining history (Staleness > 0) or a set an
+// absent worker will replay requires a deep copy; the synchronous path
+// uses the fresh wires directly and stays allocation-free.
+func (r *run) applyPull(step int, p stepPlan, pull [][]byte) error {
+	cfg := &r.cfg
+	if cfg.Staleness > 0 {
+		r.pullHistory = append(r.pullHistory, copyWires(pull))
+	} else {
+		r.pullHistory = append(r.pullHistory[:0], pull)
+	}
+	err := r.goActive(p, func(w int) (err error) {
+		idx := len(r.pullHistory) - 1 - w%(cfg.Staleness+1) // the worker's SSP delay
+		if idx < 0 {
+			return nil // worker has no pull to apply yet
+		}
+		// A wire that fails to decode — a corrupted shared pull — must kill
+		// the step, not the process: elastic recovery (dropout, resume)
+		// lives above this error path.
+		if r.outs[w].applyDur, err = r.workers[w].ApplyPull(r.pullHistory[idx]); err != nil {
+			return fmt.Errorf("train: worker %d pull apply: %w", w, err)
+		}
+		return nil
+	})()
+	if err != nil {
+		return err
+	}
+	// Retain the shared pull for workers that are away and will rejoin:
+	// their replicas replay these sets, in order, at the rejoin step. All
+	// of a step's absentees share one deep copy (applies are read-only);
+	// workers that never return retain nothing.
+	var missedCopy [][]byte
+	for w := range r.workers {
+		if p.active[w] {
+			continue
+		}
+		back := step + 1 // when the absent worker next computes
+		for back < cfg.Steps && r.down(w, back) {
+			back++
+		}
+		if back >= cfg.Steps {
+			continue
+		}
+		if missedCopy == nil {
+			missedCopy = copyWires(pull)
+		}
+		r.missed[w] = append(r.missed[w], missedCopy)
+	}
+	if drop := len(r.pullHistory) - (cfg.Staleness + 1); drop > 0 {
+		r.pullHistory = r.pullHistory[drop:]
+	}
+	return nil
+}
+
+// copyWires deep-copies a wire set, nil wires staying nil.
+func copyWires(wires [][]byte) [][]byte {
+	cp := make([][]byte, len(wires))
+	for i, w := range wires {
+		if w != nil {
+			cp[i] = append([]byte(nil), w...)
+		}
+	}
+	return cp
+}
+
+// record books the finished step: its bytes, its codec critical path, its
+// virtual duration, its loss, and — every EvalEvery steps — an evaluation.
+func (r *run) record(step int, p stepPlan, pull [][]byte, serverDur time.Duration) {
+	cfg, res := &r.cfg, r.res
+	pushBytes := make([]int, cfg.Workers)
+	var compPush float64
+	nAccepted := 0
+	for w := range r.workers {
+		if !p.accepted[w] {
+			continue
+		}
+		nAccepted++
+		pushBytes[w] = ps.WireBytes(r.outs[w].wires)
+		for i, wire := range r.outs[w].wires {
+			if r.compressible[i] {
+				compPush += float64(len(wire))
+			}
+		}
+	}
+	compPush /= float64(nAccepted)
+
+	pullPerWorker := ps.WireBytes(pull)
+	pullBytes := make([]int, cfg.Workers)
+	var compPull float64
+	for i, wire := range pull {
+		if r.compressible[i] {
+			compPull += float64(len(wire))
+		}
+	}
+	for w := range pullBytes {
+		if p.active[w] {
+			pullBytes[w] = pullPerWorker
+		}
+	}
+
+	// Codec critical path: slowest worker compress + the tier's decode of
+	// all pushes and pull compress (zero over a dialed tier, whose servers
+	// spend it out of sight) + slowest worker apply.
+	var maxComp, maxApply time.Duration
+	var meanLoss float64
+	for w := range r.outs {
+		maxComp = max(maxComp, r.outs[w].compDur)
+		maxApply = max(maxApply, r.outs[w].applyDur)
+		if p.active[w] {
+			meanLoss += r.outs[w].loss
+		}
+	}
+	meanLoss /= float64(p.nActive)
+	codec := (maxComp + serverDur + maxApply).Seconds()
+	netStep := r.net
+	netStep.ComputeSec *= p.computeMult
+	dt := netStep.StepTime(pushBytes, pullBytes, codec)
+	var wanBytes int
+	var wanSec float64
+	if r.regions != nil {
+		// The WAN leg starts only after regional aggregation, so it adds
+		// to the step un-overlapped (see netsim.WANTime).
+		wanPush, wanPull := r.regions.WANBytes()
+		wanSec = netStep.WANTime(wanPush, wanPull)
+		dt += wanSec
+		wanBytes = sum(wanPush) + sum(wanPull)
+	}
+	r.clock.Advance(dt)
+
+	sr := StepRecord{Step: step, Loss: meanLoss, PushBytes: sum(pushBytes), PullBytes: sum(pullBytes),
+		CompPushBytes: compPush, CompPullBytes: compPull, CodecSec: codec, ComputeMult: p.computeMult,
+		VirtualSec: dt, WANBytes: wanBytes, WANSec: wanSec}
+	res.TotalPushBytes += int64(sr.PushBytes)
+	res.TotalPullBytes += int64(sr.PullBytes)
+	res.TotalWANBytes += int64(wanBytes)
+	res.CompPushBytes += compPush
+	res.CompPullBytes += compPull
+	res.CodecSec += codec
+	res.FinalLoss = meanLoss
+	if cfg.RecordSteps {
+		res.StepRecords = append(res.StepRecords, sr)
+	}
+	if cfg.EvalEvery > 0 && (step+1)%cfg.EvalEvery == 0 {
+		res.Evals = append(res.Evals, EvalRecord{Step: step + 1, Accuracy: r.evaluate()})
+	}
+}
+
+// evaluate is the global model's test accuracy. Batch-norm running
+// statistics live on the designated worker (worker 0, §5.2); they are
+// synced to the global model first.
+func (r *run) evaluate() float64 {
+	nn.CopyBatchNormStats(r.global, r.workers[0].Model)
+	return Evaluate(r.global, r.testSet, 100, r.cfg.FlatInput)
+}
+
+// checkpoint ends the step: the periodic full-state snapshot is serialized
+// at the step boundary (AppendState/checkpoint.Save copy every buffer they
+// touch) and handed to a background writer, so the file I/O overlaps the
+// following steps' compute. Then OnStep has its say.
+func (r *run) checkpoint(step int) error {
+	cfg := &r.cfg
+	if cfg.CheckpointPath != "" && cfg.CheckpointEvery > 0 && (step+1)%cfg.CheckpointEvery == 0 {
+		st, err := r.capture(step + 1)
+		if err != nil {
+			return err
+		}
+		if err := r.ckpt.write(st); err != nil {
+			return fmt.Errorf("train: checkpoint write: %w", err)
+		}
+	}
+	if cfg.OnStep != nil {
+		return cfg.OnStep(step)
+	}
+	return nil
+}
+
+// finish joins the last checkpoint write, evaluates, and totals the clocks.
+func (r *run) finish() (*Result, error) {
+	if err := r.ckpt.wait(); err != nil {
+		return nil, fmt.Errorf("train: checkpoint write: %w", err)
+	}
+	cfg, res := &r.cfg, r.res
+	res.FinalAccuracy = r.evaluate()
+	if cfg.EvalEvery > 0 && (len(res.Evals) == 0 || res.Evals[len(res.Evals)-1].Step != cfg.Steps) {
+		res.Evals = append(res.Evals, EvalRecord{Step: cfg.Steps, Accuracy: res.FinalAccuracy})
+	}
+	res.TotalVirtualSec = r.clock.Seconds()
+	res.PerStepSec = r.clock.PerStep()
+	res.Net = r.net
+	res.RawBytes = int64(res.NumParam) * 4 * int64(res.Steps) * int64(cfg.Workers) * 2
+	return res, nil
+}

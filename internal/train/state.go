@@ -20,11 +20,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 
 	"threelc/internal/checkpoint"
 	"threelc/internal/compress"
-	"threelc/internal/nn"
-	"threelc/internal/ps"
 	"threelc/internal/tensor"
 )
 
@@ -61,27 +61,11 @@ func (cw *ckptWriter) wait() error {
 
 // --- serialization helpers --------------------------------------------------
 
-func appendU32(dst []byte, v uint32) []byte {
-	var b [4]byte
-	tle.PutUint32(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func appendU64v(dst []byte, v uint64) []byte {
-	var b [8]byte
-	tle.PutUint64(b[:], v)
-	return append(dst, b[:]...)
-}
-
 func readU32(src []byte) (uint32, []byte, error) {
 	if len(src) < 4 {
 		return 0, nil, fmt.Errorf("train: state blob truncated")
 	}
 	return tle.Uint32(src), src[4:], nil
-}
-
-func appendRNG(dst []byte, r *tensor.RNG) []byte {
-	return r.AppendState(dst)
 }
 
 func readRNG(src []byte, r *tensor.RNG) ([]byte, error) {
@@ -97,11 +81,11 @@ func readRNG(src []byte, r *tensor.RNG) ([]byte, error) {
 // appendWireSets serializes a list of pull wire sets (deep copies, since
 // the snapshot outlives the buffers they came from).
 func appendWireSets(dst []byte, sets [][][]byte) []byte {
-	dst = appendU32(dst, uint32(len(sets)))
+	dst = tle.AppendUint32(dst, uint32(len(sets)))
 	for _, set := range sets {
-		dst = appendU32(dst, uint32(len(set)))
+		dst = tle.AppendUint32(dst, uint32(len(set)))
 		for _, w := range set {
-			dst = appendU32(dst, uint32(len(w)))
+			dst = tle.AppendUint32(dst, uint32(len(w)))
 			dst = append(dst, w...)
 		}
 	}
@@ -147,43 +131,13 @@ func readWireSets(src []byte) ([][][]byte, []byte, error) {
 
 // --- capture ----------------------------------------------------------------
 
-// captureRunState assembles a full-state snapshot at the boundary after
-// `step` completed steps. Every payload is freshly serialized (copied), so
-// the snapshot is immutable once built and safe to write asynchronously.
-func captureRunState(cfg *Config, step int, global *nn.Model, server stepServer,
-	workers []*ps.Worker, rngs []*tensor.RNG, jitter *tensor.RNG,
-	pullHistory [][][]byte, missed [][][][]byte) (*checkpoint.State, error) {
-
+// capture assembles a full-state snapshot at the boundary after `step`
+// completed steps. Every payload is freshly serialized (copied), so the
+// snapshot is immutable once built and safe to write asynchronously.
+func (r *run) capture(step int) (*checkpoint.State, error) {
+	cfg, global, workers := &r.cfg, r.global, r.workers
 	st := checkpoint.NewState()
-
-	meta := appendU32(nil, trainStateVersion)
-	meta = appendU64v(meta, uint64(step))
-	meta = appendU32(meta, uint32(cfg.Workers))
-	meta = appendU32(meta, uint32(max(cfg.Shards, 1)))
-	meta = append(meta, byte(cfg.Design.Scheme))
-	meta = appendU32(meta, uint32(cfg.Steps))
-	meta = appendU32(meta, uint32(cfg.Staleness))
-	meta = appendU64v(meta, cfg.Seed)
-	meta = appendU32(meta, uint32(cfg.BackupWorkers))
-	meta = appendU32(meta, uint32(cfg.BatchPerWorker))
-	meta = appendU64v(meta, math.Float64bits(cfg.Design.Opts.Sparsity))
-	meta = appendU64v(meta, math.Float64bits(cfg.Design.Opts.Fraction))
-	meta = appendU32(meta, uint32(cfg.Design.Opts.Interval))
-	meta = appendU32(meta, uint32(cfg.Design.Opts.Parts))
-	if cfg.Design.Opts.ZeroRun {
-		meta = append(meta, 1)
-	} else {
-		meta = append(meta, 0)
-	}
-	meta = appendU64v(meta, cfg.Design.Opts.Seed)
-	meta = appendU64v(meta, math.Float64bits(cfg.ComputeJitterStd))
-	meta = appendU32(meta, uint32(len(cfg.Dropouts)))
-	for _, d := range cfg.Dropouts {
-		meta = appendU32(meta, uint32(d.Worker))
-		meta = appendU32(meta, uint32(d.From))
-		meta = appendU32(meta, uint32(d.To))
-	}
-	st.Add("meta", meta)
+	st.Add("meta", cfg.stateInfo(step).appendMeta(nil))
 
 	var buf bytes.Buffer
 	if err := checkpoint.Save(&buf, global); err != nil {
@@ -198,30 +152,23 @@ func captureRunState(cfg *Config, step int, global *nn.Model, server stepServer,
 		st.Add(fmt.Sprintf("model/worker/%d", w), append([]byte(nil), buf.Bytes()...))
 	}
 
-	st.Add("server", server.AppendState(nil))
+	st.Add("server", r.tier.AppendState(nil))
 	for w, wk := range workers {
 		st.Add(fmt.Sprintf("worker/%d", w), wk.AppendState(nil))
 	}
 
-	rng := appendRNG(nil, jitter)
-	for _, r := range rngs {
-		rng = appendRNG(rng, r)
+	rng := r.jitter.AppendState(nil)
+	for _, wr := range r.rngs {
+		rng = wr.AppendState(rng)
 	}
 	st.Add("rng", rng)
 
 	if cfg.Staleness > 0 {
-		st.Add("pullhist", appendWireSets(nil, pullHistory))
+		st.Add("pullhist", appendWireSets(nil, r.pullHistory))
 	}
-	anyMissed := false
-	for _, m := range missed {
-		if len(m) > 0 {
-			anyMissed = true
-			break
-		}
-	}
-	if anyMissed {
-		blob := appendU32(nil, uint32(len(missed)))
-		for _, m := range missed {
+	if slices.ContainsFunc(r.missed, func(m [][][]byte) bool { return len(m) > 0 }) {
+		blob := tle.AppendUint32(nil, uint32(len(r.missed)))
+		for _, m := range r.missed {
 			blob = appendWireSets(blob, m)
 		}
 		st.Add("missed", blob)
@@ -259,6 +206,59 @@ type StateInfo struct {
 	// ComputeJitterStd and Dropouts likewise alter the step sequence.
 	ComputeJitterStd float64
 	Dropouts         []Dropout
+}
+
+// stateInfo is the fingerprint of a snapshot of this configuration at step.
+func (cfg *Config) stateInfo(step int) StateInfo {
+	opts := cfg.Design.Opts
+	opts.CodecParallelism = 0 // fan-out never changes bytes
+	return StateInfo{
+		Step:             step,
+		Workers:          cfg.Workers,
+		Shards:           max(cfg.Shards, 1),
+		Scheme:           cfg.Design.Scheme,
+		Steps:            cfg.Steps,
+		Staleness:        cfg.Staleness,
+		Seed:             cfg.Seed,
+		BackupWorkers:    cfg.BackupWorkers,
+		BatchPerWorker:   cfg.BatchPerWorker,
+		Opts:             opts,
+		ComputeJitterStd: cfg.ComputeJitterStd,
+		Dropouts:         append([]Dropout(nil), cfg.Dropouts...),
+	}
+}
+
+// appendMeta serializes the fingerprint as the meta section ReadStateInfo
+// decodes.
+func (info StateInfo) appendMeta(meta []byte) []byte {
+	meta = tle.AppendUint32(meta, trainStateVersion)
+	meta = tle.AppendUint64(meta, uint64(info.Step))
+	meta = tle.AppendUint32(meta, uint32(info.Workers))
+	meta = tle.AppendUint32(meta, uint32(info.Shards))
+	meta = append(meta, byte(info.Scheme))
+	meta = tle.AppendUint32(meta, uint32(info.Steps))
+	meta = tle.AppendUint32(meta, uint32(info.Staleness))
+	meta = tle.AppendUint64(meta, info.Seed)
+	meta = tle.AppendUint32(meta, uint32(info.BackupWorkers))
+	meta = tle.AppendUint32(meta, uint32(info.BatchPerWorker))
+	meta = tle.AppendUint64(meta, math.Float64bits(info.Opts.Sparsity))
+	meta = tle.AppendUint64(meta, math.Float64bits(info.Opts.Fraction))
+	meta = tle.AppendUint32(meta, uint32(info.Opts.Interval))
+	meta = tle.AppendUint32(meta, uint32(info.Opts.Parts))
+	if info.Opts.ZeroRun {
+		meta = append(meta, 1)
+	} else {
+		meta = append(meta, 0)
+	}
+	meta = tle.AppendUint64(meta, info.Opts.Seed)
+	meta = tle.AppendUint64(meta, math.Float64bits(info.ComputeJitterStd))
+	meta = tle.AppendUint32(meta, uint32(len(info.Dropouts)))
+	for _, d := range info.Dropouts {
+		meta = tle.AppendUint32(meta, uint32(d.Worker))
+		meta = tle.AppendUint32(meta, uint32(d.From))
+		meta = tle.AppendUint32(meta, uint32(d.To))
+	}
+	return meta
 }
 
 // ReadStateInfo decodes the meta section of a full-state checkpoint.
@@ -309,66 +309,20 @@ func ReadStateInfo(st *checkpoint.State) (StateInfo, error) {
 	return info, nil
 }
 
-// restoreRunState rebuilds the run's full mutable state from a snapshot
-// and returns the step to continue from. The configuration fingerprint
-// must match the snapshot's; anything else is an error, never a silent
+// restore rebuilds the run's full mutable state from a snapshot and
+// returns the step to continue from. The configuration fingerprint must
+// match the snapshot's; anything else is an error, never a silent
 // divergence.
-func restoreRunState(st *checkpoint.State, cfg *Config, global *nn.Model, server stepServer,
-	workers []*ps.Worker, rngs []*tensor.RNG, jitter *tensor.RNG,
-	pullHistory *[][][]byte, missed [][][][]byte) (int, error) {
-
+func (r *run) restore(st *checkpoint.State) (int, error) {
+	cfg, global, workers, missed := &r.cfg, r.global, r.workers, r.missed
 	info, err := ReadStateInfo(st)
 	if err != nil {
 		return 0, err
 	}
 	step := info.Step
-	check := func(name string, got, want uint64) error {
-		if got != want {
-			return fmt.Errorf("train: checkpoint %s %d does not match run configuration %d", name, got, want)
-		}
-		return nil
-	}
-	if err := check("workers", uint64(info.Workers), uint64(cfg.Workers)); err != nil {
-		return 0, err
-	}
-	if err := check("shards", uint64(info.Shards), uint64(max(cfg.Shards, 1))); err != nil {
-		return 0, err
-	}
-	if err := check("scheme", uint64(info.Scheme), uint64(cfg.Design.Scheme)); err != nil {
-		return 0, err
-	}
-	if err := check("steps", uint64(info.Steps), uint64(cfg.Steps)); err != nil {
-		return 0, err
-	}
-	if err := check("staleness", uint64(info.Staleness), uint64(cfg.Staleness)); err != nil {
-		return 0, err
-	}
-	if err := check("seed", info.Seed, cfg.Seed); err != nil {
-		return 0, err
-	}
-	if err := check("backup workers", uint64(info.BackupWorkers), uint64(cfg.BackupWorkers)); err != nil {
-		return 0, err
-	}
-	if err := check("batch size", uint64(info.BatchPerWorker), uint64(cfg.BatchPerWorker)); err != nil {
-		return 0, err
-	}
-	// The remaining knobs also change the trajectory; a mismatch on any
-	// of them must be an error, never a silent divergence.
-	wantOpts, gotOpts := cfg.Design.Opts, info.Opts
-	wantOpts.CodecParallelism, gotOpts.CodecParallelism = 0, 0 // fan-out never changes bytes
-	if gotOpts != wantOpts {
-		return 0, fmt.Errorf("train: checkpoint codec options %+v do not match run configuration %+v", gotOpts, wantOpts)
-	}
-	if math.Float64bits(info.ComputeJitterStd) != math.Float64bits(cfg.ComputeJitterStd) {
-		return 0, fmt.Errorf("train: checkpoint jitter std %v does not match run configuration %v", info.ComputeJitterStd, cfg.ComputeJitterStd)
-	}
-	if len(info.Dropouts) != len(cfg.Dropouts) {
-		return 0, fmt.Errorf("train: checkpoint has %d dropouts, run configuration has %d", len(info.Dropouts), len(cfg.Dropouts))
-	}
-	for i, d := range info.Dropouts {
-		if d != cfg.Dropouts[i] {
-			return 0, fmt.Errorf("train: checkpoint dropout %d (%+v) does not match run configuration (%+v)", i, d, cfg.Dropouts[i])
-		}
+	// Every fingerprinted knob changes the trajectory.
+	if want := cfg.stateInfo(step); !reflect.DeepEqual(info, want) {
+		return 0, fmt.Errorf("train: checkpoint configuration %+v does not match the run's %+v", info, want)
 	}
 	if step <= 0 || step > cfg.Steps {
 		return 0, fmt.Errorf("train: checkpoint step %d outside (0, %d]", step, cfg.Steps)
@@ -393,7 +347,7 @@ func restoreRunState(st *checkpoint.State, cfg *Config, global *nn.Model, server
 	if sec, err = section(st, "server"); err != nil {
 		return 0, err
 	}
-	if err := server.RestoreState(sec); err != nil {
+	if err := r.tier.RestoreState(sec); err != nil {
 		return 0, err
 	}
 	for w, wk := range workers {
@@ -408,11 +362,11 @@ func restoreRunState(st *checkpoint.State, cfg *Config, global *nn.Model, server
 	if sec, err = section(st, "rng"); err != nil {
 		return 0, err
 	}
-	if sec, err = readRNG(sec, jitter); err != nil {
+	if sec, err = readRNG(sec, r.jitter); err != nil {
 		return 0, err
 	}
-	for _, r := range rngs {
-		if sec, err = readRNG(sec, r); err != nil {
+	for _, wr := range r.rngs {
+		if sec, err = readRNG(sec, wr); err != nil {
 			return 0, err
 		}
 	}
@@ -431,7 +385,7 @@ func restoreRunState(st *checkpoint.State, cfg *Config, global *nn.Model, server
 		if len(rest) != 0 {
 			return 0, fmt.Errorf("train: %d trailing pull-history bytes", len(rest))
 		}
-		*pullHistory = hist
+		r.pullHistory = hist
 	}
 
 	if sec, ok := st.Section("missed"); ok {

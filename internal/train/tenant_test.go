@@ -8,6 +8,7 @@ import (
 	"threelc/internal/compress"
 	"threelc/internal/data"
 	"threelc/internal/nn"
+	"threelc/internal/ps"
 	"threelc/internal/shard"
 	"threelc/internal/tenant"
 )
@@ -38,6 +39,16 @@ func tenantRunConfig(id int) Config {
 		RecordSteps:      true,
 		Seed:             uint64(11 + id),
 	}
+}
+
+// runOnService runs cfg as tenant id of the shared tier svc: the Tier hook
+// admits the job under limits, and it is retired when the run returns.
+func runOnService(cfg Config, svc *shard.Service, id tenant.ID, limits tenant.Limits) (*Result, error) {
+	cfg.Tier = func(global *nn.Model, psCfg ps.Config) (ps.Tier, error) {
+		return svc.Admit(id, global, psCfg, limits)
+	}
+	defer svc.Retire(id)
+	return Run(cfg)
 }
 
 // requireIdentical asserts two runs took bit-identical trajectories.
@@ -88,10 +99,7 @@ func TestTrainTenantsShareTierBitIdentical(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cfg := tenantRunConfig(i)
-			cfg.Service = svc
-			cfg.Tenant = tenant.ID(i + 1)
-			shared[i], errs[i] = Run(cfg)
+			shared[i], errs[i] = runOnService(tenantRunConfig(i), svc, tenant.ID(i+1), tenant.Limits{})
 		}(i)
 	}
 	wg.Wait()
@@ -129,10 +137,7 @@ func TestTrainManyTenantsComplete(t *testing.T) {
 			cfg := tenantRunConfig(i)
 			cfg.Steps = 2
 			cfg.RecordSteps = false
-			cfg.Service = svc
-			cfg.Tenant = tenant.ID(i + 1)
-			cfg.TenantLimits = tenant.Limits{MaxSteps: 8, MaxOutstanding: 16}
-			results[i], errs[i] = Run(cfg)
+			results[i], errs[i] = runOnService(cfg, svc, tenant.ID(i+1), tenant.Limits{MaxSteps: 8, MaxOutstanding: 16})
 		}(i)
 	}
 	wg.Wait()
@@ -151,16 +156,14 @@ func TestTrainManyTenantsComplete(t *testing.T) {
 }
 
 // TestTrainServiceConfigValidation pins the driver's tenancy plumbing:
-// Shards and Service are mutually exclusive, and a quota-limited tenant
-// surfaces tenant.ErrQuota from Run.
+// Shards and a Tier hook (here: a shared Service) are mutually exclusive.
 func TestTrainServiceConfigValidation(t *testing.T) {
 	svc := shard.NewService(shard.Config{Shards: 2}, nil)
 	defer svc.Close()
 
 	cfg := tenantRunConfig(0)
-	cfg.Service = svc
 	cfg.Shards = 2
-	if _, err := Run(cfg); err == nil {
+	if _, err := runOnService(cfg, svc, tenant.Default, tenant.Limits{}); err == nil {
 		t.Fatal("Run accepted both Shards and Service")
 	}
 }

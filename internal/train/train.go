@@ -1,47 +1,27 @@
-// Package train drives distributed training runs: it wires the data
-// pipeline, the worker/server runtime of package ps, and the virtual
-// network of package netsim into a single measured experiment, producing
-// the traffic, time, loss, and accuracy records the paper's tables and
-// figures are built from.
+// Package train is the one BSP step driver: Run wires the data pipeline
+// and the workers of package ps to an aggregation tier — any ps.Tier, in
+// this process or dialed over sockets — and produces the traffic, time,
+// loss, and accuracy records the paper's tables and figures are built
+// from. Every elastic feature (dropouts, backup workers, staleness,
+// checkpoint / resume, regions) lives here once; cmd/3lc-net, the
+// experiments and the examples are configurations of it.
+//
+// A Result carries two clocks. TotalVirtualSec, PerStepSec and TimeAt are
+// VIRTUAL: package netsim's model applied to the exact wire bytes each
+// step moved. WallSec is MEASURED: the wall clock of the step loop, which
+// over a dialed tier includes the real sockets.
 package train
 
 import (
-	"fmt"
-	"math"
-	"runtime"
-	"sort"
-	"sync"
 	"time"
 
-	"threelc/internal/checkpoint"
 	"threelc/internal/compress"
 	"threelc/internal/data"
 	"threelc/internal/netsim"
 	"threelc/internal/nn"
 	"threelc/internal/opt"
 	"threelc/internal/ps"
-	"threelc/internal/region"
-	"threelc/internal/shard"
-	"threelc/internal/tenant"
-	"threelc/internal/tensor"
 )
-
-// stepServer is the driver-facing surface shared by the single parameter
-// server (ps.Job) and a job's handle on a shard tier (shard.JobHandle),
-// dedicated (shard.NewCluster) or shared and multi-tenant. The
-// driver ingests pushes through per-worker PushSessions, feeding tensors
-// as they compress — which is what lets the aggregation overlap the
-// compute/compress phase.
-type stepServer interface {
-	BeginStep()
-	BeginPush(workerID int) ps.PushSession
-	FinishStep() ([][]byte, time.Duration, error)
-	// AppendState / RestoreState capture the server tier's mutable
-	// training state (optimizer + pull contexts) for full-state
-	// checkpoints; both are step-boundary operations.
-	AppendState(dst []byte) []byte
-	RestoreState(src []byte) error
-}
 
 // Design names one traffic-reduction configuration from §5.1.
 type Design struct {
@@ -65,6 +45,8 @@ type Config struct {
 	// critical path (shards decode concurrently) and the virtual network
 	// model (aggregate traffic divides across Shards server NICs,
 	// netsim.Params.Servers). Zero or 1 keeps the single in-process server.
+	// Shards selects among the tiers Run builds itself, so it is mutually
+	// exclusive with Tier (whose tier reports its own shard count).
 	Shards int
 	// Regions enables hierarchical two-level aggregation (package
 	// region): workers are grouped into this many regions, each region's
@@ -75,7 +57,7 @@ type Config struct {
 	// topology. The default exact mode forwards worker wires verbatim, so
 	// model state is bit-identical to the flat run for every codec;
 	// RegionRecompress trades that for fewer WAN streams. Requires the
-	// single in-process server (no Shards/Service) and no elastic
+	// single in-process server (no Shards/Tier) and no elastic
 	// features (Dropouts, BackupWorkers).
 	Regions int
 	// RegionRecompress switches the regional aggregators to fused
@@ -186,20 +168,24 @@ type Config struct {
 	// an arbitrary step.
 	OnStep func(step int) error
 
-	// Service, when non-nil, runs this job over a shared multi-tenant
-	// shard tier (shard.Service) instead of a dedicated server: the run
-	// is admitted as Tenant under TenantLimits at start and retired when
-	// it returns. Many Runs may share one Service concurrently — each
-	// job's aggregation stays bit-identical to a solo run because the
-	// tier's fairness reorders only BETWEEN tenants. Mutually exclusive
-	// with Shards > 1 (the shared tier's shard count is the Service's).
-	Service *shard.Service
-	// Tenant is the job's identity on the shared Service. The default
-	// zero value is the default tenant, so single-job runs need no id.
-	Tenant tenant.ID
-	// TenantLimits bounds the job on the shared Service (outstanding
-	// budget, step/byte quotas, DRR quantum). Zero means unlimited.
-	TenantLimits tenant.Limits
+	// Tier, when non-nil, builds the aggregation tier the run drives, in
+	// place of the ps.NewJob / shard.NewCluster (by Shards) Run builds
+	// itself. It is called once, with the run's global model and the server
+	// half of the run's ps.Config, and may return any ps.Tier: a job
+	// admitted to a shared multi-tenant shard.Service (many Runs may share
+	// one — the tier's fairness reorders only BETWEEN tenants, so each stays
+	// bit-identical to a solo run), or a transport.DialedTier over listeners
+	// the hook started, which is how cmd/3lc-net runs this driver over real
+	// sockets. Run asks three optional things of what it gets back:
+	// Close() error — the tier is closed when Run returns; NumShards() int —
+	// how many server NICs the model is spread over (Result.Shards,
+	// netsim.Params.Servers; 1 when absent); and Seats() int — the tier is
+	// dialed: one seat per worker, fed with no worker-order gate. It holds
+	// no state and its servers wait for every seat, so CheckpointPath,
+	// ResumeFrom, Dropouts and BackupWorkers are refused, and FinalAccuracy
+	// / Evals read the global model the hook was handed, so its servers
+	// must aggregate into that.
+	Tier func(global *nn.Model, cfg ps.Config) (ps.Tier, error)
 
 	// Seed controls data sampling; model init comes from BuildModel.
 	Seed uint64
@@ -231,8 +217,10 @@ type StepRecord struct {
 	// VirtualSec is the step's simulated duration.
 	VirtualSec float64
 	// WANBytes totals the step's inter-region traffic across all regions
-	// and both directions (hierarchical topologies only).
+	// and both directions (hierarchical topologies only); WANSec is the
+	// part of VirtualSec that leg took (netsim.WANTime, un-overlapped).
 	WANBytes int
+	WANSec   float64
 }
 
 // EvalRecord is a test-accuracy measurement during training.
@@ -261,8 +249,12 @@ type Result struct {
 	FinalAccuracy float64
 	FinalLoss     float64
 
+	// TotalVirtualSec and PerStepSec are the netsim clock: modelled time
+	// for the bytes the run moved. WallSec is the measured wall clock of
+	// the step loop — over a dialed tier, real socket time.
 	TotalVirtualSec float64
 	PerStepSec      float64
+	WallSec         float64
 
 	TotalPushBytes int64
 	TotalPullBytes int64
@@ -308,7 +300,8 @@ func (r *Result) TimeAt(bandwidthBps float64) float64 {
 		if sr.ComputeMult > 0 {
 			step.ComputeSec *= sr.ComputeMult
 		}
-		total += step.StepTime(push, pull, sr.CodecSec)
+		// The inter-region leg has its own bandwidth, which stays the run's.
+		total += step.StepTime(push, pull, sr.CodecSec) + sr.WANSec
 	}
 	return total
 }
@@ -334,647 +327,32 @@ func (r *Result) BitsPerChange() float64 {
 	return 32 / ratio
 }
 
-// Run executes the configured training run.
+// Run executes the configured training run: set-up (newRun), then for each
+// step the plan, the compute-and-push phase, the pull phase, the record and
+// the checkpoint, then the final evaluation (finish).
 func Run(cfg Config) (*Result, error) {
-	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("train: need at least 1 worker, got %d", cfg.Workers)
+	r, err := newRun(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.BuildModel == nil {
-		return nil, fmt.Errorf("train: BuildModel is required")
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("train: Shards %d must be >= 0", cfg.Shards)
-	}
-	if cfg.MinCompressElems == 0 {
-		cfg.MinCompressElems = 256
-	}
-
-	trainSet, testSet := data.Synthetic(cfg.Data)
-
-	global := cfg.BuildModel()
-	optCfg := opt.DefaultSGDConfig(cfg.Workers, cfg.Steps)
-	if cfg.Optimizer != nil {
-		optCfg = *cfg.Optimizer
-		optCfg.Workers = cfg.Workers
-		optCfg.TotalSteps = cfg.Steps
-	}
-	workerParallelism := cfg.Parallelism
-	if workerParallelism == 0 {
-		// All simulated workers run their codec phases on concurrent
-		// goroutines, so per-node fan-out multiplies by cfg.Workers;
-		// divide the cores among them instead of letting every node claim
-		// GOMAXPROCS.
-		workerParallelism = runtime.GOMAXPROCS(0) / cfg.Workers
-		if workerParallelism < 1 {
-			workerParallelism = 1
+	defer r.close()
+	start := time.Now()
+	for step := r.startStep; step < r.cfg.Steps; step++ {
+		p := r.plan(step)
+		pull, serverDur, err := r.computePush(step, p)
+		if err == nil {
+			err = r.applyPull(step, p, pull)
 		}
-	}
-	psCfg := ps.Config{
-		Scheme:           cfg.Design.Scheme,
-		Opts:             cfg.Design.Opts,
-		Workers:          cfg.Workers,
-		MinCompressElems: cfg.MinCompressElems,
-		Parallelism:      workerParallelism,
-		Optimizer:        optCfg,
-	}
-	// The server's decode/aggregate and pull-compress phases run alone —
-	// every worker goroutine is parked at the BSP barrier — so the server
-	// keeps the full budget; dividing by Workers would idle cores on the
-	// measured codec critical path.
-	serverCfg := psCfg
-	serverCfg.Parallelism = cfg.Parallelism
-	// shardSplit divides the server budget across `shards` PS nodes so
-	// the tier as a whole stays within it.
-	shardSplit := func(shards int) ps.Config {
-		scfg := serverCfg
-		par := scfg.Parallelism
-		if par == 0 {
-			par = runtime.GOMAXPROCS(0)
-		}
-		scfg.Parallelism = par / shards
-		if scfg.Parallelism < 1 {
-			scfg.Parallelism = 1
-		}
-		return scfg
-	}
-	var server stepServer
-	switch {
-	case cfg.Service != nil:
-		if cfg.Shards > 1 {
-			return nil, fmt.Errorf("train: Shards and Service are mutually exclusive (the shared tier's shard count is the Service's)")
-		}
-		h, err := cfg.Service.Admit(cfg.Tenant, global, shardSplit(cfg.Service.NumShards()), cfg.TenantLimits)
-		if err != nil {
-			return nil, fmt.Errorf("train: admit tenant %d: %w", cfg.Tenant, err)
-		}
-		defer cfg.Service.Retire(cfg.Tenant)
-		server = h
-	case cfg.Shards > 1:
-		cluster, err := shard.NewCluster(global, shardSplit(cfg.Shards), shard.Config{Shards: cfg.Shards})
-		if err != nil {
-			return nil, fmt.Errorf("train: build shard tier: %w", err)
-		}
-		defer cluster.Close()
-		server = cluster
-	default:
-		server = ps.NewJob(global, serverCfg)
-	}
-
-	// Hierarchical topology: interpose the region tier between the
-	// driver's per-worker sessions and the global server.
-	var tier *region.Tier
-	if cfg.Regions > 1 {
-		if cfg.Shards > 1 || cfg.Service != nil {
-			return nil, fmt.Errorf("train: Regions requires the single in-process server (no Shards/Service)")
-		}
-		if len(cfg.Dropouts) > 0 || cfg.BackupWorkers > 0 {
-			return nil, fmt.Errorf("train: Regions cannot be combined with Dropouts or BackupWorkers")
-		}
-		var err error
-		tier, err = region.NewTier(server, global.Params(), region.Config{
-			Regions:          cfg.Regions,
-			Workers:          cfg.Workers,
-			Recompress:       cfg.RegionRecompress,
-			Entropy:          cfg.RegionEntropy,
-			Scheme:           cfg.Design.Scheme,
-			Opts:             cfg.Design.Opts,
-			MinCompressElems: cfg.MinCompressElems,
-			Parallelism:      cfg.Parallelism,
-		})
 		if err != nil {
 			return nil, err
 		}
-		server = tier
-	}
-
-	workers := make([]*ps.Worker, cfg.Workers)
-	rngs := make([]*tensor.RNG, cfg.Workers)
-	shards := make([][]int, cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		m := cfg.BuildModel()
-		m.CopyParamsFrom(global)
-		workers[w] = ps.NewWorker(w, m, psCfg)
-		rngs[w] = tensor.NewRNG(cfg.Seed + 1000*uint64(w) + 7)
-		for i := w; i < trainSet.Len(); i += cfg.Workers {
-			shards[w] = append(shards[w], i)
-		}
-		if len(shards[w]) == 0 {
-			return nil, fmt.Errorf("train: worker %d has an empty shard (%d examples, %d workers)",
-				w, trainSet.Len(), cfg.Workers)
-		}
-	}
-
-	// Traffic bookkeeping.
-	params := global.Params()
-	numParam := global.NumParams()
-	compElems := 0
-	compressible := make([]bool, len(params))
-	for i, p := range params {
-		if cfg.Design.Scheme != compress.SchemeNone && !p.NoCompress && p.W.Len() >= cfg.MinCompressElems {
-			compressible[i] = true
-			compElems += p.W.Len()
-		}
-	}
-
-	net := cfg.Net
-	if net.Workers == 0 {
-		net.Workers = cfg.Workers
-	}
-	if net.Workers != cfg.Workers {
-		return nil, fmt.Errorf("train: netsim has %d workers, run has %d", net.Workers, cfg.Workers)
-	}
-	if net.ComputeSec == 0 {
-		net.Calibrate(numParam*4, netsim.Gbps1, 1.5)
-	}
-	// Sharding divides aggregate push/pull traffic across the shard NICs.
-	// Applied after Calibrate so the compute-to-communication calibration
-	// stays anchored to the paper's single-server regime.
-	tierShards := cfg.Shards
-	if cfg.Service != nil {
-		tierShards = cfg.Service.NumShards()
-	}
-	if tierShards > 1 && net.Servers <= 1 {
-		net.Servers = tierShards
-	}
-	if cfg.Regions > 1 {
-		net.Regions = cfg.Regions
-		if net.WANBandwidthBps == 0 {
-			// Default WAN regime: 100 Mbps inter-region links at 20 ms
-			// one-way latency, far below the local star's bandwidth.
-			net.WANBandwidthBps = netsim.Mbps100
-			net.WANLatencySec = 20e-3
-		}
-	}
-
-	res := &Result{
-		Design:            cfg.Design,
-		Workers:           cfg.Workers,
-		Shards:            max(tierShards, 1),
-		Regions:           max(cfg.Regions, 1),
-		Steps:             cfg.Steps,
-		NumParam:          numParam,
-		CompressibleElems: compElems,
-	}
-
-	var clock netsim.Clock
-	augment := data.Augment
-	if !cfg.Augment {
-		augment = nil
-	}
-
-	type workerOut struct {
-		wires    [][]byte
-		loss     float64
-		compDur  time.Duration
-		applyDur time.Duration
-		err      error // rejoin-replay or pull-decode failure, surfaced by Run
-	}
-	outs := make([]workerOut, cfg.Workers)
-
-	if cfg.BackupWorkers < 0 || cfg.BackupWorkers >= cfg.Workers {
-		return nil, fmt.Errorf("train: BackupWorkers %d must be in [0, workers)", cfg.BackupWorkers)
-	}
-	if cfg.Staleness < 0 {
-		return nil, fmt.Errorf("train: Staleness %d must be >= 0", cfg.Staleness)
-	}
-	if len(cfg.Dropouts) > 0 && cfg.Staleness > 0 {
-		// A worker with SSP delay d applies the pull from d steps ago; the
-		// rejoin replay of the fresh per-step sets would double-apply the
-		// last d of them and never apply the d sets before the dropout.
-		return nil, fmt.Errorf("train: Dropouts cannot be combined with Staleness > 0")
-	}
-	for _, d := range cfg.Dropouts {
-		if d.Worker <= 0 || d.Worker >= cfg.Workers {
-			return nil, fmt.Errorf("train: dropout worker %d must be in [1, workers) — the chief cannot drop", d.Worker)
-		}
-		if d.From < 0 || d.To <= d.From {
-			return nil, fmt.Errorf("train: dropout interval [%d, %d) invalid", d.From, d.To)
-		}
-	}
-	jitterRNG := tensor.NewRNG(cfg.Seed ^ 0x4a49545445520000) // "JITTER"
-	var pullHistory [][][]byte                                // ring of recent pull wire sets (SSP emulation)
-
-	// Elastic-dropout bookkeeping: down tells whether a worker is absent
-	// at a step; returnStep is the step it next computes at; missed[w]
-	// retains the pull wire sets an absent worker must replay on rejoin.
-	down := func(w, step int) bool {
-		for _, d := range cfg.Dropouts {
-			if d.Worker == w && step >= d.From && step < d.To {
-				return true
-			}
-		}
-		return false
-	}
-	returnStep := func(w, step int) int {
-		t := step + 1
-		for t < cfg.Steps && down(w, t) {
-			t++
-		}
-		return t
-	}
-	missed := make([][][][]byte, cfg.Workers)
-
-	startStep := 0
-	if cfg.ResumeFrom != "" {
-		st, err := checkpoint.LoadStateFile(cfg.ResumeFrom)
-		if err != nil {
-			return nil, fmt.Errorf("train: resume: %w", err)
-		}
-		startStep, err = restoreRunState(st, &cfg, global, server, workers, rngs, jitterRNG, &pullHistory, missed)
-		if err != nil {
-			return nil, fmt.Errorf("train: resume: %w", err)
-		}
-		res.Steps = cfg.Steps - startStep
-	}
-	ckpt := ckptWriter{path: cfg.CheckpointPath}
-	defer ckpt.wait() // join any in-flight write on early error returns
-
-	for step := startStep; step < cfg.Steps; step++ {
-		// Straggler model: draw per-worker compute-time multipliers up
-		// front (the jitter RNG is independent of the compute phase, so
-		// the draw order — and every result — is unchanged). Under plain
-		// BSP the barrier waits for the slowest worker; with backup
-		// workers (§2.1), the step advances once Workers-BackupWorkers
-		// pushes arrive and the stragglers' updates are discarded. The
-		// chief (worker 0, batch-norm owner) is never dropped.
-		// Elastic dropout: absent workers take no part in the step at all.
-		active := make([]bool, cfg.Workers)
-		nActive := 0
-		for w := range active {
-			if !down(w, step) {
-				active[w] = true
-				nActive++
-			}
-		}
-
-		accepted := make([]bool, cfg.Workers)
-		computeMult := 1.0
-		if cfg.ComputeJitterStd > 0 {
-			// Multipliers are drawn for every worker — absent ones
-			// included — so the jitter stream stays aligned with the
-			// no-dropout run and with checkpoint/resume.
-			mults := make([]float64, cfg.Workers)
-			for w := range mults {
-				sd := cfg.ComputeJitterStd
-				mults[w] = math.Exp(sd*jitterRNG.Norm() - 0.5*sd*sd)
-			}
-			need := nActive - cfg.BackupWorkers
-			if need < 1 {
-				need = 1
-			}
-			order := make([]int, cfg.Workers)
-			for i := range order {
-				order[i] = i
-			}
-			sort.Slice(order, func(a, b int) bool { return mults[order[a]] < mults[order[b]] })
-			accepted[0] = true
-			computeMult = mults[0]
-			count := 1
-			for _, w := range order {
-				if w == 0 || !active[w] || count >= need {
-					continue
-				}
-				accepted[w] = true
-				count++
-				if mults[w] > computeMult {
-					computeMult = mults[w]
-				}
-			}
-		} else {
-			copy(accepted, active)
-			if cfg.BackupWorkers > 0 {
-				// No jitter: dropping is arbitrary; keep the first
-				// active workers for determinism.
-				dropped := 0
-				for w := cfg.Workers - 1; w > 0 && dropped < cfg.BackupWorkers; w-- {
-					if accepted[w] {
-						accepted[w] = false
-						dropped++
-					}
-				}
-			}
-		}
-
-		// Overlapped push/aggregate pipeline: local computation + gradient
-		// compression run in parallel across workers, and each ACCEPTED
-		// worker streams its tensors into a buffered channel the moment
-		// they are compressed. The aggregator below ingests them — in
-		// strict worker order per tensor, which keeps the gradient sums
-		// byte-identical to the staged serial driver — while later workers
-		// are still computing and compressing: the server aggregates
-		// worker w's push during worker w+1's compute instead of after the
-		// whole barrier. Dropped workers still compress (their error-
-		// accumulation contexts must advance) but nothing is ingested.
-		server.BeginStep()
-		type tensorWire struct {
-			i    int
-			wire []byte
-		}
-		streams := make([]chan tensorWire, cfg.Workers)
-		for w := range streams {
-			if accepted[w] {
-				// Buffered to the tensor count: emitters never block, so
-				// a slow aggregator cannot stall the compute phase.
-				streams[w] = make(chan tensorWire, len(params))
-			}
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < cfg.Workers; w++ {
-			outs[w] = workerOut{}
-			if !active[w] {
-				continue
-			}
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				// Rejoin catch-up: a worker returning from a dropout first
-				// replays, in order, the shared pulls it missed, bringing
-				// its replica to the exact state an always-present replica
-				// holds at this step. Its push contexts were frozen while
-				// away, so the pre-dropout residual folds into this step's
-				// push.
-				for _, ws := range missed[w] {
-					if _, err := workers[w].ApplyPull(ws); err != nil {
-						outs[w].err = fmt.Errorf("train: worker %d rejoin catch-up: %w", w, err)
-						if streams[w] != nil {
-							close(streams[w])
-						}
-						return
-					}
-				}
-				missed[w] = nil
-				idx := make([]int, cfg.BatchPerWorker)
-				for i := range idx {
-					idx[i] = shards[w][rngs[w].Intn(len(shards[w]))]
-				}
-				var x *tensor.Tensor
-				var labels []int
-				if cfg.FlatInput {
-					x, labels = trainSet.FlatBatch(idx, augment, rngs[w])
-				} else {
-					x, labels = trainSet.Batch(idx, augment, rngs[w])
-				}
-				outs[w].loss = workers[w].Model.TrainStep(x, labels)
-				if w == 0 && cfg.OnGradients != nil {
-					cfg.OnGradients(step, workers[0].Model.Params())
-				}
-				if accepted[w] {
-					outs[w].wires, outs[w].compDur = workers[w].CompressGradsStream(func(i int, wire []byte) {
-						streams[w] <- tensorWire{i: i, wire: wire}
-					})
-					close(streams[w])
-				} else {
-					outs[w].wires, outs[w].compDur = workers[w].CompressGrads()
-				}
-			}(w)
-		}
-
-		// Aggregator: per-tensor ingestion in worker order, concurrent
-		// with the compute goroutines above. serverDecode accumulates only
-		// the time spent inside the server (channel waits are compute
-		// overlap, not codec cost).
-		var serverDecode time.Duration
-		var aggErr error
-		for w := 0; w < cfg.Workers; w++ {
-			if streams[w] == nil {
-				continue
-			}
-			sess := server.BeginPush(w)
-			for tw := range streams[w] {
-				if aggErr != nil {
-					continue // drain so the emitter's close is reached
-				}
-				t0 := time.Now()
-				err := sess.Tensor(tw.i, tw.wire)
-				serverDecode += time.Since(t0)
-				if err != nil {
-					aggErr = err
-				}
-			}
-			if aggErr == nil {
-				aggErr = sess.End()
-			}
-		}
-		wg.Wait()
-		if aggErr != nil {
-			return nil, aggErr
-		}
-		for w := range outs {
-			if outs[w].err != nil {
-				return nil, outs[w].err
-			}
-		}
-
-		pushBytes := make([]int, cfg.Workers)
-		var compPush float64
-		nAccepted := 0
-		for w := 0; w < cfg.Workers; w++ {
-			if !accepted[w] {
-				continue
-			}
-			nAccepted++
-			pushBytes[w] = ps.WireBytes(outs[w].wires)
-			for i, wire := range outs[w].wires {
-				if compressible[i] {
-					compPush += float64(len(wire))
-				}
-			}
-		}
-		compPush /= float64(nAccepted)
-
-		// Update + shared pull compression.
-		pullWires, serverComp, err := server.FinishStep()
-		if err != nil {
+		r.record(step, p, pull, serverDur)
+		if err := r.checkpoint(step); err != nil {
 			return nil, err
 		}
-		pullPerWorker := ps.WireBytes(pullWires)
-		pullBytes := make([]int, cfg.Workers)
-		var compPull float64
-		for i, wire := range pullWires {
-			if compressible[i] {
-				compPull += float64(len(wire))
-			}
-		}
-		for w := range pullBytes {
-			if active[w] {
-				pullBytes[w] = pullPerWorker
-			}
-		}
-
-		// Pull phase: workers decompress and apply, in parallel. Under
-		// stale-synchronous emulation each worker applies the pull from
-		// `delay_w` steps ago instead of the fresh one. FinishStep's wires
-		// alias server-owned buffers that are overwritten next step, so
-		// retaining history (Staleness > 0) requires a deep copy; the
-		// synchronous path uses the fresh wires directly and stays
-		// allocation-free.
-		if cfg.Staleness > 0 {
-			cp := make([][]byte, len(pullWires))
-			for i, w := range pullWires {
-				if w != nil {
-					cp[i] = append([]byte(nil), w...)
-				}
-			}
-			pullHistory = append(pullHistory, cp)
-		} else {
-			pullHistory = append(pullHistory[:0], pullWires)
-		}
-		for w := 0; w < cfg.Workers; w++ {
-			if !active[w] {
-				continue
-			}
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				delay := 0
-				if cfg.Staleness > 0 {
-					delay = w % (cfg.Staleness + 1)
-				}
-				idx := len(pullHistory) - 1 - delay
-				if idx < 0 {
-					return // worker has no pull to apply yet
-				}
-				d, err := workers[w].ApplyPull(pullHistory[idx])
-				if err != nil {
-					// A wire that fails to decode — a corrupted shared pull —
-					// must kill the step, not the process: elastic recovery
-					// (dropout, resume) lives above this error path.
-					outs[w].err = fmt.Errorf("train: worker %d pull apply: %w", w, err)
-					return
-				}
-				outs[w].applyDur = d
-			}(w)
-		}
-		wg.Wait()
-		for w := range outs {
-			if outs[w].err != nil {
-				return nil, outs[w].err
-			}
-		}
-		// Retain the shared pull for workers that are away and will rejoin:
-		// their replicas replay these sets, in order, at the rejoin step.
-		// All of a step's absentees share one deep copy (applies are
-		// read-only); workers that never return retain nothing.
-		var missedCopy [][]byte
-		for w := 0; w < cfg.Workers; w++ {
-			if active[w] || returnStep(w, step) >= cfg.Steps {
-				continue
-			}
-			if missedCopy == nil {
-				missedCopy = make([][]byte, len(pullWires))
-				for i, pw := range pullWires {
-					if pw != nil {
-						missedCopy[i] = append([]byte(nil), pw...)
-					}
-				}
-			}
-			missed[w] = append(missed[w], missedCopy)
-		}
-		if drop := len(pullHistory) - (cfg.Staleness + 1); drop > 0 {
-			pullHistory = pullHistory[drop:]
-		}
-
-		// Codec critical path: slowest worker compress + server decode of
-		// all pushes + server compress + slowest worker apply.
-		var maxComp, maxApply time.Duration
-		for w := 0; w < cfg.Workers; w++ {
-			if outs[w].compDur > maxComp {
-				maxComp = outs[w].compDur
-			}
-			if outs[w].applyDur > maxApply {
-				maxApply = outs[w].applyDur
-			}
-		}
-		codec := (maxComp + serverDecode + serverComp + maxApply).Seconds()
-		netStep := net
-		netStep.ComputeSec *= computeMult
-		dt := netStep.StepTime(pushBytes, pullBytes, codec)
-		var wanBytes int
-		if tier != nil {
-			// The WAN leg starts only after regional aggregation, so it
-			// adds to the step un-overlapped (see netsim.WANTime).
-			wanPush, wanPull := tier.WANBytes()
-			dt += netStep.WANTime(wanPush, wanPull)
-			wanBytes = sum(wanPush) + sum(wanPull)
-			res.TotalWANBytes += int64(wanBytes)
-		}
-		clock.Advance(dt)
-
-		var meanLoss float64
-		for w := 0; w < cfg.Workers; w++ {
-			if active[w] {
-				meanLoss += outs[w].loss
-			}
-		}
-		meanLoss /= float64(nActive)
-
-		for _, b := range pushBytes {
-			res.TotalPushBytes += int64(b)
-		}
-		for _, b := range pullBytes {
-			res.TotalPullBytes += int64(b)
-		}
-		res.CompPushBytes += compPush
-		res.CompPullBytes += compPull
-		res.CodecSec += codec
-		res.FinalLoss = meanLoss
-
-		if cfg.RecordSteps {
-			res.StepRecords = append(res.StepRecords, StepRecord{
-				Step:          step,
-				Loss:          meanLoss,
-				PushBytes:     sum(pushBytes),
-				PullBytes:     sum(pullBytes),
-				CompPushBytes: compPush,
-				CompPullBytes: compPull,
-				CodecSec:      codec,
-				ComputeMult:   computeMult,
-				VirtualSec:    dt,
-				WANBytes:      wanBytes,
-			})
-		}
-		if cfg.EvalEvery > 0 && (step+1)%cfg.EvalEvery == 0 {
-			// Batch-norm running statistics live on the designated
-			// worker (worker 0, §5.2); sync them to the global model
-			// before evaluating it.
-			nn.CopyBatchNormStats(global, workers[0].Model)
-			acc := Evaluate(global, testSet, 100, cfg.FlatInput)
-			res.Evals = append(res.Evals, EvalRecord{Step: step + 1, Accuracy: acc})
-		}
-
-		// Periodic full-state checkpoint: serialize the snapshot here, at
-		// the step boundary (AppendState/checkpoint.Save copy every buffer
-		// they touch), and hand the finished bytes to a background writer —
-		// the file I/O overlaps the following steps' compute.
-		if cfg.CheckpointPath != "" && cfg.CheckpointEvery > 0 && (step+1)%cfg.CheckpointEvery == 0 {
-			st, err := captureRunState(&cfg, step+1, global, server, workers, rngs, jitterRNG, pullHistory, missed)
-			if err != nil {
-				return nil, err
-			}
-			if err := ckpt.write(st); err != nil {
-				return nil, fmt.Errorf("train: checkpoint write: %w", err)
-			}
-		}
-		if cfg.OnStep != nil {
-			if err := cfg.OnStep(step); err != nil {
-				return nil, err
-			}
-		}
 	}
-	if err := ckpt.wait(); err != nil {
-		return nil, fmt.Errorf("train: checkpoint write: %w", err)
-	}
-
-	nn.CopyBatchNormStats(global, workers[0].Model)
-	res.FinalAccuracy = Evaluate(global, testSet, 100, cfg.FlatInput)
-	if cfg.EvalEvery > 0 && (len(res.Evals) == 0 || res.Evals[len(res.Evals)-1].Step != cfg.Steps) {
-		res.Evals = append(res.Evals, EvalRecord{Step: cfg.Steps, Accuracy: res.FinalAccuracy})
-	}
-	res.TotalVirtualSec = clock.Seconds()
-	res.PerStepSec = clock.PerStep()
-	res.Net = net
-	res.RawBytes = int64(numParam) * 4 * int64(res.Steps) * int64(cfg.Workers) * 2
-	return res, nil
+	r.res.WallSec = time.Since(start).Seconds()
+	return r.finish()
 }
 
 func sum(xs []int) int {
@@ -990,23 +368,17 @@ func Evaluate(model *nn.Model, ds *data.Dataset, batch int, flat bool) float64 {
 	if ds.Len() == 0 {
 		return 0
 	}
+	batchOf := ds.Batch
+	if flat {
+		batchOf = ds.FlatBatch
+	}
 	correct := 0
 	for start := 0; start < ds.Len(); start += batch {
-		end := start + batch
-		if end > ds.Len() {
-			end = ds.Len()
-		}
-		idx := make([]int, end-start)
+		idx := make([]int, min(batch, ds.Len()-start))
 		for i := range idx {
 			idx[i] = start + i
 		}
-		var x *tensor.Tensor
-		var labels []int
-		if flat {
-			x, labels = ds.FlatBatch(idx, nil, nil)
-		} else {
-			x, labels = ds.Batch(idx, nil, nil)
-		}
+		x, labels := batchOf(idx, nil, nil)
 		pred := model.Predict(x)
 		for i, p := range pred {
 			if p == labels[i] {
