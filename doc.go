@@ -61,6 +61,15 @@
 // not one per tensor. The staged decode-then-add aggregation is the
 // bit-identical oracle internal/ps's tests hold this path to.
 //
+// The ternary wire has one zero-run spelling (see internal/encode): bytes
+// 243–254 stand for 2–13 all-zero quartic groups as in §3.3, and 255 is
+// followed by a uvarint e and stands for 14·(1+e), so a zero stretch of
+// any length is one token where the paper's code, capped at 14 groups a
+// byte, chains 0xFF — 61 % of the wire at the 0.998 zero fraction the
+// end-to-end benchmark runs at. encode.ZeroRunPaperLen keeps the paper's
+// byte count derivable; wires in the capped spelling are refused by their
+// flags byte.
+//
 // Decode is driven by a 243-entry lookup table (quartic byte → 5 ternary
 // digits) expanded per wire scale M into byte → 5 scaled float32 values;
 // the per-M expansion costs 243·5 multiplies, so tensors below ~4k
@@ -89,7 +98,7 @@
 //	                     error accumulation, and the quantization baselines
 //	                     (staged reference for the fused kernels)
 //	internal/encode      quartic + zero-run encoding on caller buffers
-//	                     (staged reference)
+//	                     (staged reference; owns the run-token grammar)
 //	internal/sparse      top-k sparsification baselines
 //	internal/compress    the Compressor interface, append-style wire
 //	                     builders, and the decoder registry

@@ -1,7 +1,9 @@
 package compress
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -312,6 +314,63 @@ func TestDecompressMalformed(t *testing.T) {
 	for name, wire := range cases {
 		if _, err := Decompress(wire, shape); err == nil {
 			t.Errorf("%s: expected decode error", name)
+		}
+	}
+}
+
+// TestTernaryFlagsByteExact: the ternary decoders accept exactly two flags
+// values. The retired capped zero-run spelling (bit 0 alone) and every
+// unknown bit are refused with an error naming the byte, before the body
+// is read and — on the add path — before dst is touched; a flipped bit or
+// a future format is never decoded as if it were today's.
+func TestTernaryFlagsByteExact(t *testing.T) {
+	const n = 100
+	in := tensor.New(n)
+	tensor.FillNormal(in, 0.1, tensor.NewRNG(3))
+	for _, sc := range []struct {
+		s Scheme
+		o Options
+	}{
+		{SchemeThreeLC, Options{Sparsity: 1.5, ZeroRun: true}},
+		{SchemeThreeLC, Options{Sparsity: 1.0}},
+		{SchemeStoch3QE, Options{Seed: 1}},
+	} {
+		wire := New(sc.s, []int{n}, sc.o).Compress(in)
+		good := wire[5]
+		if want := map[bool]byte{true: 0x03, false: 0}[sc.o.ZeroRun]; good != want {
+			t.Fatalf("%v zre=%v: emitted flags %#02x, want %#02x", sc.s, sc.o.ZeroRun, good, want)
+		}
+		for flags := 0; flags < 256; flags++ {
+			wire[5] = byte(flags)
+			acc := tensor.New(n)
+			acc.Fill(1)
+			_, err := Decompress(wire, []int{n})
+			errAdd := DecompressAddInto(wire, acc, 1)
+			if byte(flags) == good {
+				if err != nil || errAdd != nil {
+					t.Fatalf("%v: own flags %#02x refused: %v / %v", sc.s, flags, err, errAdd)
+				}
+				continue
+			}
+			// The other legal value is a different body grammar; it may
+			// or may not parse, but it is not a flags error.
+			if flags == 0 || flags == 0x03 {
+				continue
+			}
+			name := fmt.Sprintf("flags byte %#02x", flags)
+			for _, e := range []error{err, errAdd} {
+				if e == nil || !strings.Contains(e.Error(), name) {
+					t.Fatalf("%v: flags %#02x: error %v does not name the flags byte", sc.s, flags, e)
+				}
+			}
+			if flags == 0x01 && !strings.Contains(err.Error(), "retired") {
+				t.Fatalf("retired spelling not named: %v", err)
+			}
+			for i, v := range acc.Data() {
+				if v != 1 {
+					t.Fatalf("%v: flags %#02x: refused wire wrote dst[%d] = %v", sc.s, flags, i, v)
+				}
+			}
 		}
 	}
 }

@@ -189,6 +189,10 @@ func BenchmarkCompressIntoAllSchemes(b *testing.B) {
 				buf = ctx.CompressInto(in, buf[:0])
 			}
 			b.ReportMetric(float64(len(buf))*8/n, "bits/elem")
+			if (tc.s == SchemeThreeLC || tc.s == SchemeStoch3QE) && tc.o.Entropy == EntropyOff {
+				// What §3.3's capped zero-run spelling would have taken.
+				b.ReportMetric(float64(PaperWireLen(buf))*8/n, "paper-bits/elem")
+			}
 		})
 	}
 }

@@ -23,6 +23,21 @@ func FuzzDecompressInto(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00, 0x01})
+	// The ternary flags byte: the retired capped spelling, unknown bits,
+	// and — under the live value — long-run tokens cut short, overlong,
+	// overflowing and overrunning (52 groups: 257 elements).
+	hdr := func(flags byte, body ...byte) []byte {
+		return append([]byte{byte(SchemeThreeLC), 0, 0, 0x80, 0x3f, flags}, body...)
+	}
+	for _, flags := range []byte{ternaryFlagZRE, ternaryFlagLongRun, 0x80, 0xff} {
+		f.Add(hdr(flags, 255, 2, 251))
+	}
+	f.Add(hdr(ternaryZRE, 255, 2, 251)) // valid: 14·3 + 10
+	f.Add(hdr(ternaryZRE, 255))
+	f.Add(hdr(ternaryZRE, 252, 255, 0x82))
+	f.Add(hdr(ternaryZRE, 255, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01))
+	f.Add(hdr(ternaryZRE, 255, 0xff, 0xff, 0xff, 0xff, 0x7f))
+	f.Add(hdr(ternaryZRE, 255, 3))
 
 	matched := tensor.New(shape[0])
 	mismatched := tensor.New(64)

@@ -3,6 +3,7 @@ package compress
 import (
 	"fmt"
 
+	"threelc/internal/encode"
 	"threelc/internal/kernel"
 	"threelc/internal/quant"
 	"threelc/internal/tensor"
@@ -19,9 +20,40 @@ func init() {
 //
 //	[1B scheme][4B M][1B flags][payload]
 //
-// flags bit 0 set means the payload is zero-run encoded quartic data;
-// clear means plain quartic data of exactly ceil(n/5) bytes.
-const ternaryFlagZRE = 1
+// flags is one of two values: 0, plain quartic data of exactly ceil(n/5)
+// bytes, or ternaryZRE, zero-run encoded quartic data (encode.ZeroRunEncode).
+// Bit 0 alone marked the retired spelling whose 255 meant 14 groups with no
+// uvarint after it (e.g. the pull history of an old Staleness > 0
+// checkpoint): the same bytes parse differently now, so it is refused.
+const (
+	ternaryFlagZRE     = 1 << 0
+	ternaryFlagLongRun = 1 << 1
+	ternaryZRE         = ternaryFlagZRE | ternaryFlagLongRun
+)
+
+// ternaryZeroRun reads a ternary header's flags byte.
+func ternaryZeroRun(flags byte) (zre bool, err error) {
+	switch flags {
+	case 0, ternaryZRE:
+		return flags != 0, nil
+	case ternaryFlagZRE:
+		return false, fmt.Errorf("compress: ternary flags byte %#02x is the retired capped zero-run spelling; re-encode the wire", flags)
+	}
+	return false, fmt.Errorf("compress: ternary flags byte %#02x has unknown bits (want 0 or %#02x)", flags, ternaryZRE)
+}
+
+// PaperWireLen is the length wire would have had with §3.3's own zero-run
+// code (encode.ZeroRunPaperLen): the number to set beside the paper's. Any
+// wire but a well-formed zero-run encoded 3LC message — another scheme,
+// the No-ZRE ablation, an entropy-wrapped message — is its own length.
+func PaperWireLen(wire []byte) int {
+	if len(wire) >= 6 && Scheme(wire[0]) == SchemeThreeLC && wire[5] == ternaryZRE {
+		if n := encode.ZeroRunPaperLen(wire[6:]); n >= 0 {
+			return 6 + n
+		}
+	}
+	return len(wire)
+}
 
 // threeLCCompressor is the full 3LC design: error accumulation, 3-value
 // quantization with sparsity multiplication, quartic encoding, and
@@ -116,7 +148,7 @@ func (c *threeLCCompressor) encodeAccumulated(maxAbs float32, dst []byte) []byte
 	dst = append(dst, byte(SchemeThreeLC))
 	dst = appendF32(dst, float32(m))
 	if c.zeroRun {
-		dst = append(dst, ternaryFlagZRE)
+		dst = append(dst, ternaryZRE)
 	} else {
 		dst = append(dst, 0)
 	}
@@ -148,10 +180,11 @@ func decodeTernary(payload []byte, dst *tensor.Tensor) error {
 	if len(payload) < 5 {
 		return fmt.Errorf("compress: ternary payload too short (%d bytes)", len(payload))
 	}
-	m := getF32(payload)
-	flags := payload[5-1]
-	body := payload[5:]
-	if err := kernel.DecodeTernary(body, flags&ternaryFlagZRE != 0, m, dst.Data()); err != nil {
+	zre, err := ternaryZeroRun(payload[5-1])
+	if err != nil {
+		return err
+	}
+	if err := kernel.DecodeTernary(payload[5:], zre, getF32(payload), dst.Data()); err != nil {
 		return fmt.Errorf("compress: %w", err)
 	}
 	return nil
@@ -167,10 +200,11 @@ func decodeTernaryAdd(payload []byte, dst *tensor.Tensor, workers int) error {
 	if len(payload) < 5 {
 		return fmt.Errorf("compress: ternary payload too short (%d bytes)", len(payload))
 	}
-	m := getF32(payload)
-	zre := payload[5-1]&ternaryFlagZRE != 0
-	body := payload[5:]
-	var err error
+	zre, err := ternaryZeroRun(payload[5-1])
+	if err != nil {
+		return err
+	}
+	m, body := getF32(payload), payload[5:]
 	if workers > 1 && dst.Len() >= kernel.ParallelThresholdElems {
 		err = kernel.DecodeTernaryAddParallel([]kernel.TernaryWire{{Body: body, ZRE: zre, M: m}}, dst.Data(), workers)
 	} else {

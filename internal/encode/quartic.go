@@ -1,8 +1,9 @@
 // Package encode implements the lossless transformations of the 3LC paper:
 // quartic encoding (§3.2), which packs five ternary digits into one byte,
 // and zero-run encoding (§3.3), a run-length encoder specialized to
-// quartic-encoded data. It also provides the bitmap wire format used by the
-// sparsification baselines (§5.1).
+// quartic-encoded data, in one spelling: §3.3's run bytes plus a long-run
+// token for runs of 14 groups and up (zerorun.go). It also provides the
+// bitmap wire format used by the sparsification baselines (§5.1).
 //
 // Every transformation has an allocation-free form that operates on
 // caller-provided buffers — QuarticEncodeInto, QuarticDecodeInto,

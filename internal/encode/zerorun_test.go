@@ -31,7 +31,7 @@ func TestZeroRunLone121Unchanged(t *testing.T) {
 }
 
 func TestZeroRunRunLengths(t *testing.T) {
-	for k := 2; k <= 14; k++ {
+	for k := 2; k < RunUnit; k++ {
 		in := bytes.Repeat([]byte{ZeroGroupByte}, k)
 		out := ZeroRunEncode(in)
 		if len(out) != 1 || out[0] != byte(RunBase+k-2) {
@@ -44,10 +44,10 @@ func TestZeroRunRunLengths(t *testing.T) {
 }
 
 func TestZeroRunLongRunSplits(t *testing.T) {
-	// 31 = 14 + 14 + 3.
+	// 31 = 14·(1+1) + 3: one long-run token, one remainder marker.
 	in := bytes.Repeat([]byte{ZeroGroupByte}, 31)
 	out := ZeroRunEncode(in)
-	want := []byte{255, 255, 244}
+	want := []byte{LongRun, 1, 244}
 	if !bytes.Equal(out, want) {
 		t.Fatalf("31-run encoded to %v, want %v", out, want)
 	}
@@ -57,10 +57,10 @@ func TestZeroRunLongRunSplits(t *testing.T) {
 }
 
 func TestZeroRun15Split(t *testing.T) {
-	// 15 = 14 + lone 1 -> [255, 121].
+	// 15 = 14·(1+0) + lone 1 -> [255, 0, 121].
 	in := bytes.Repeat([]byte{ZeroGroupByte}, 15)
 	out := ZeroRunEncode(in)
-	want := []byte{255, ZeroGroupByte}
+	want := []byte{LongRun, 0, ZeroGroupByte}
 	if !bytes.Equal(out, want) {
 		t.Fatalf("15-run encoded to %v, want %v", out, want)
 	}
@@ -147,14 +147,77 @@ func TestZeroTensorEndToEndRatio(t *testing.T) {
 	// §3.3: "In a hypothetical case of compressing a zero 32-bit
 	// floating-point tensor, the combination of all techniques in 3LC
 	// reaches a compression ratio of 280x."
-	// n zero floats = 4n bytes raw. Quartic: n/5 bytes of 121. ZRE:
-	// each 14-run -> 1 byte, so n/70 bytes. Ratio = 4n/(n/70) = 280.
+	// n zero floats = 4n bytes raw. Quartic: n/5 bytes of 121. The paper's
+	// ZRE: each 14-run -> 1 byte, so n/70 bytes. Ratio = 4n/(n/70) = 280.
+	// The long-run token spells the same stream in 3 bytes: 255, uvarint(999).
 	n := 70 * 1000
 	q := make([]int8, n)
 	zre := ZeroRunEncode(QuarticEncode(q))
-	ratio := float64(4*n) / float64(len(zre))
+	ratio := float64(4*n) / float64(ZeroRunPaperLen(zre))
 	if ratio < 279.9 || ratio > 280.1 {
-		t.Errorf("zero-tensor ratio = %.1f, want 280", ratio)
+		t.Errorf("zero-tensor ratio in the paper's spelling = %.1f, want 280", ratio)
+	}
+	if !bytes.Equal(zre, []byte{LongRun, 0xe7, 0x07}) {
+		t.Errorf("zero tensor encoded to %v, want one long-run token", zre)
+	}
+}
+
+// paperZeroRunEncode is §3.3's own zero-run code, the spelling this
+// package emitted before the long-run token: 243..255 stand for runs of
+// 2..14 and a longer run is a chain of them. Kept here as the oracle of
+// ZeroRunPaperLen.
+func paperZeroRunEncode(in []byte) []byte {
+	var out []byte
+	for i := 0; i < len(in); {
+		if in[i] != ZeroGroupByte {
+			out = append(out, in[i])
+			i++
+			continue
+		}
+		run := 0
+		for ; i < len(in) && in[i] == ZeroGroupByte; i++ {
+			run++
+		}
+		for ; run >= 2; run -= min(run, 14) {
+			out = append(out, byte(RunBase+min(run, 14)-2))
+		}
+		if run == 1 {
+			out = append(out, ZeroGroupByte)
+		}
+	}
+	return out
+}
+
+// TestZeroRunPaperLen: the paper's number stays derivable. Over the tokens
+// of an emitted stream, ZeroRunPaperLen is exactly the length of §3.3's
+// capped encoding of the same quartic bytes, and never more than one byte
+// per bare LongRun token (a run of 14..27) short of the emitted length.
+func TestZeroRunPaperLen(t *testing.T) {
+	rng := tensor.NewRNG(7)
+	for trial := 0; trial < 300; trial++ {
+		// Zero fractions from run-free to the 0.998 the end-to-end wires
+		// run at, where runs reach thousands of groups.
+		p := []float64{0, 0.5, 0.9, 0.99, 0.9995}[trial%5]
+		in := make([]byte, rng.Intn(6000))
+		for i := range in {
+			in[i] = ZeroGroupByte
+			if rng.Float64() >= p {
+				in[i] = byte(rng.Intn(243))
+			}
+		}
+		wire := ZeroRunEncode(in)
+		got, want := ZeroRunPaperLen(wire), len(paperZeroRunEncode(in))
+		if got != want {
+			t.Fatalf("p=%v n=%d: ZeroRunPaperLen %d, capped encoding %d bytes", p, len(in), got, want)
+		}
+		if lone := bytes.Count(wire, []byte{LongRun, 0}); got < len(wire)-lone {
+			t.Fatalf("p=%v n=%d: paper length %d < emitted %d - %d bare long-run tokens", p, len(in), got, len(wire), lone)
+		}
+	}
+	for _, bad := range [][]byte{{LongRun}, {7, LongRun, 0x80}, {LongRun, 0x80, 0x80, 0x80, 0x80, 0x80, 0}} {
+		if ZeroRunPaperLen(bad) != -1 || ZeroRunDecodedLen(bad) != -1 {
+			t.Errorf("malformed stream %v measured", bad)
+		}
 	}
 }
 

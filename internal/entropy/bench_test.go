@@ -4,8 +4,13 @@ import (
 	"testing"
 
 	"threelc/internal/compress"
+	"threelc/internal/data"
 	"threelc/internal/entropy"
+	"threelc/internal/nn"
+	"threelc/internal/opt"
 	"threelc/internal/tensor"
+	"threelc/internal/train"
+	"threelc/internal/transport"
 )
 
 // quarticWire builds the workload the paper benchmarks entropy coders on
@@ -21,15 +26,65 @@ func quarticWire(n int) []byte {
 	return ctx.CompressInto(in, nil)
 }
 
+// trainedWireSet is a wire the stage would meet in production: the push
+// wire set (transport.AppendWireSet, what a frame-level stage would code)
+// that worker 0 of the end-to-end benchmark's `wan-3lc` workload sends at
+// the last of 24 steps — a 768-1024-1024-10 MLP, two workers, batch 4,
+// 3LC s = 1.75 with error feedback since step 0, the four batch-norm
+// vectors and the head bias raw — generated here, from seed 1.
+func trainedWireSet(tb testing.TB) []byte {
+	dcfg := data.DefaultConfig()
+	dcfg.Train, dcfg.Test, dcfg.Seed = 1000, 300, 1
+	design := train.Design{Name: "3LC (s=1.75)", Scheme: compress.SchemeThreeLC,
+		Opts: compress.Options{Sparsity: 1.75, ZeroRun: true, CodecParallelism: 1}}
+	const steps, workers = 24, 2
+	sgd := opt.TunedSGDConfig(workers, steps)
+	var ctx []compress.Compressor
+	var set [][]byte
+	_, err := train.Run(train.Config{
+		Design: design, Workers: workers, BatchPerWorker: 4, Steps: steps, Data: dcfg,
+		BuildModel: func() *nn.Model {
+			return nn.NewMLP(dcfg.C*dcfg.H*dcfg.W, []int{1024, 1024}, dcfg.Classes, 1)
+		},
+		FlatInput: true, Parallelism: 1, Optimizer: &sgd, Seed: 1,
+		// Worker 0's gradients through contexts of the run's own design are
+		// worker 0's push wires, residuals included.
+		OnGradients: func(_ int, params []*nn.Param) {
+			if ctx == nil {
+				ctx, set = make([]compress.Compressor, len(params)), make([][]byte, len(params))
+				for i, p := range params {
+					ctx[i] = compress.New(compress.SchemeNone, p.W.Shape(), compress.Options{})
+					if !p.NoCompress && p.W.Len() >= 256 {
+						ctx[i] = compress.New(design.Scheme, p.W.Shape(), design.Opts)
+					}
+				}
+			}
+			for i, p := range params {
+				set[i] = ctx[i].CompressInto(p.G, set[i][:0])
+			}
+		},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return transport.AppendWireSet(nil, set)
+}
+
 // BenchmarkEntropyStage measures the streaming second stage over a 1M-element
 // 3LC quartic wire: steady-state encode/decode with recycled buffers must
 // be allocation-free, and the encoders report the achieved compression
 // ratio (raw/coded) as a custom metric — CI floors it at 1.1x for Huffman.
+// The trained/ rows run the same coders over trainedWireSet: what is left
+// for a general-purpose stage on the wire the paper's row moves.
 func BenchmarkEntropyStage(b *testing.B) {
-	raw := quarticWire(1 << 20)
+	benchEntropyStage(b, "", quarticWire(1<<20))
+	benchEntropyStage(b, "trained/", trainedWireSet(b))
+}
 
+func benchEntropyStage(b *testing.B, prefix string, raw []byte) {
 	bench := func(name string, encode func(dst, src []byte) []byte,
 		decode func(dst, src []byte) ([]byte, error)) {
+		name = prefix + name
 		coded := encode(nil, raw)
 		b.Run(name+"-encode", func(b *testing.B) {
 			buf := encode(nil, raw)

@@ -33,11 +33,11 @@ func WriteTable1CSV(w io.Writer, rows []Table1Row) error {
 // WriteTable2CSV emits Table 2 rows.
 func WriteTable2CSV(w io.Writer, rows []Table2Row) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"s", "compression_ratio", "bits_per_state_change"}); err != nil {
+	if err := cw.Write([]string{"s", "compression_ratio", "paper_spelling_ratio", "bits_per_state_change"}); err != nil {
 		return err
 	}
 	for _, r := range rows {
-		if err := cw.Write([]string{r.Label, f(r.CompressionRatio), f(r.BitsPerChange)}); err != nil {
+		if err := cw.Write([]string{r.Label, f(r.CompressionRatio), f(r.PaperRatio), f(r.BitsPerChange)}); err != nil {
 			return err
 		}
 	}

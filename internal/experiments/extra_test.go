@@ -44,8 +44,8 @@ func TestGradientStatistics(t *testing.T) {
 		if r.QuantZeroFrac < 0 || r.QuantZeroFrac > 1 {
 			t.Errorf("step %d: zero frac %v", r.Step, r.QuantZeroFrac)
 		}
-		if r.PredictedZRERatio < 1 || r.PredictedZRERatio > 14 {
-			t.Errorf("step %d: predicted ratio %v outside [1,14]", r.Step, r.PredictedZRERatio)
+		if r.PredictedZRERatio < 1 {
+			t.Errorf("step %d: predicted ratio %v below 1", r.Step, r.PredictedZRERatio)
 		}
 		if r.MeasuredBits <= 0 || r.MeasuredBits > 1.7 {
 			t.Errorf("step %d: measured bits %v", r.Step, r.MeasuredBits)

@@ -71,7 +71,10 @@ func PrintTable1(w io.Writer, rows []Table1Row) {
 type Table2Row struct {
 	Label            string
 	CompressionRatio float64
-	BitsPerChange    float64
+	// PaperRatio is the ratio the same run reaches in §3.3's capped
+	// zero-run spelling (train.Result.PaperCompressionRatio).
+	PaperRatio    float64
+	BitsPerChange float64
 }
 
 // Table2 regenerates Table 2: average traffic compression of 3LC across a
@@ -97,6 +100,7 @@ func Table2(s *Suite) ([]Table2Row, error) {
 		rows = append(rows, Table2Row{
 			Label:            c.label,
 			CompressionRatio: r.CompressionRatio(),
+			PaperRatio:       r.PaperCompressionRatio(),
 			BitsPerChange:    r.BitsPerChange(),
 		})
 	}
@@ -106,8 +110,8 @@ func Table2(s *Suite) ([]Table2Row, error) {
 // PrintTable2 renders the rows in the paper's layout.
 func PrintTable2(w io.Writer, rows []Table2Row) {
 	fmt.Fprintln(w, "Table 2: Average traffic compression of 3LC using standard training steps")
-	fmt.Fprintf(w, "%-8s %22s %22s\n", "s", "Compression ratio (x)", "bits per state change")
+	fmt.Fprintf(w, "%-8s %22s %22s %22s\n", "s", "Compression ratio (x)", "paper's zero runs (x)", "bits per state change")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %22.1f %22.3f\n", r.Label, r.CompressionRatio, r.BitsPerChange)
+		fmt.Fprintf(w, "%-8s %22.1f %22.1f %22.3f\n", r.Label, r.CompressionRatio, r.PaperRatio, r.BitsPerChange)
 	}
 }

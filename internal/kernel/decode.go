@@ -16,8 +16,9 @@ import (
 // no bounds check and the vector tiers' 16-byte row loads stay in bounds.
 var ternLUT [256][encode.GroupSize]int8
 
-// zreGroups maps a zero-run-encoded wire byte to the number of quartic
-// groups it expands to: 1 for a literal, 2..14 for a run marker.
+// zreGroups maps a one-byte token to the number of quartic groups it
+// expands to: 1 for a literal, 2..13 for a run marker (encode.LongRun's row
+// is unused).
 var zreGroups [256]uint8
 
 func init() {
@@ -112,21 +113,59 @@ func DecodeTernary(body []byte, zre bool, m float32, dst []float32) error {
 	return decodeSmall(body, zre, m, gTotal, dst)
 }
 
+// zeroRunAt reads the zero-run token at body[off], a byte above
+// encode.MaxQuartic — the one place the kernel reads encode's grammar:
+// 243..254 stand for 2..13 zero groups, encode.LongRun and the uvarint e
+// after it for 14·(1+e). It returns the group count and the next token's
+// offset, or zero groups (errZeroRun) when the uvarint is cut short or
+// overlong or the token expands past room, the groups still missing —
+// compared in int64, which 14·2^35 cannot overflow; walkers of a validated
+// body pass math.MaxInt. Kept small enough to inline into their loops.
+//
+//3lc:noalloc
+//3lc:decode
+func zeroRunAt(body []byte, off, room int) (groups, next int) {
+	g := int64(body[off]) - (encode.RunBase - 2)
+	off++
+	if g == encode.RunUnit {
+		for s := 0; ; s += 7 {
+			if off >= len(body) || s == 7*encode.MaxRunVarint {
+				return 0, off
+			}
+			c := body[off]
+			off++
+			g += encode.RunUnit * int64(c&0x7f) << s
+			if c < 0x80 {
+				break
+			}
+		}
+	}
+	if g > int64(room) {
+		return 0, off
+	}
+	return int(g), off
+}
+
+func errZeroRun(off, room int) error {
+	return fmt.Errorf("kernel: zero-run token at offset %d is cut short, overlong or expands past the %d groups left", off, room)
+}
+
 // zeroRunStretch measures the maximal stretch of consecutive zero-run
-// markers starting at body[off] (itself a marker): the number of groups
-// the stretch expands to and the offset of the first byte after it, each
-// marker checked against the gTotal − gi groups still missing. Decode-set
-// coalesces the stretch into one write — long zero stretches are chains of
-// 14-group markers, and one clear over the chain beats one per marker.
+// tokens starting at body[off] (itself a marker): the number of groups the
+// stretch expands to and the offset of the first byte after it, each token
+// checked against the gTotal − gi groups still missing. Decode-set
+// coalesces the stretch into one write — the encoder spells a run of
+// 14q+r as two tokens, and one clear over both beats one per token.
 //
 //3lc:noalloc
 //3lc:decode
 func zeroRunStretch(body []byte, off, gi, gTotal int) (groups, next int, err error) {
-	for next = off; next < len(body) && body[next] > encode.MaxQuartic; next++ {
-		groups += int(zreGroups[body[next]])
-		if gi+groups > gTotal {
-			return 0, 0, fmt.Errorf("kernel: zero run at offset %d expands past %d groups", next, gTotal)
+	for next = off; next < len(body) && body[next] > encode.MaxQuartic; {
+		k, after := zeroRunAt(body, next, gTotal-gi-groups)
+		if k == 0 {
+			return 0, 0, errZeroRun(next, gTotal-gi-groups)
 		}
+		groups, next = groups+k, after
 	}
 	return groups, next, nil
 }

@@ -1,7 +1,9 @@
 package kernel
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"sync"
 
 	"threelc/internal/encode"
@@ -60,38 +62,61 @@ func scanTernaryBody(body []byte, zre bool, gTotal int) error {
 		}
 		return nil
 	}
-	// Every byte expands to at least one group, so the running group count
+	// Every token expands to at least one group, so the running group count
 	// strictly increases and the payload is valid exactly when it ends on
-	// gTotal: a run overrunning the end, or any byte after the last group,
-	// pushes the total past it. Summing through a table validates without
-	// a branch per byte (literals and markers alternate unpredictably on
-	// real wires); the walk below reruns only to name the offending offset.
+	// gTotal: a run overrunning the end, or any token after the last group,
+	// pushes the total past it. Between long-run tokens every byte is a
+	// token, and summing them through a table validates without a branch per
+	// byte (literals and short markers alternate unpredictably on real
+	// wires); the walk below reruns only to name the offending offset.
 	gi := 0
-	for _, b := range body {
-		gi += int(zreGroups[b])
+	for rest := body; len(rest) > 0; {
+		i := bytes.IndexByte(rest, encode.LongRun)
+		if i < 0 {
+			gi += sumGroups(rest)
+			break
+		}
+		gi += sumGroups(rest[:i])
+		k, next := zeroRunAt(rest, i, gTotal-gi)
+		if k == 0 {
+			gi = -1
+			break
+		}
+		gi, rest = gi+k, rest[next:]
 	}
 	if gi == gTotal {
 		return nil
 	}
 	gi = 0
-	for off, b := range body {
-		if b > encode.MaxQuartic {
-			k := int(b) - encode.RunBase + 2
-			if gi+k > gTotal {
-				return fmt.Errorf("kernel: zero run at offset %d expands past %d groups", off, gTotal)
+	for off := 0; off < len(body); {
+		if body[off] > encode.MaxQuartic {
+			k, next := zeroRunAt(body, off, gTotal-gi)
+			if k == 0 {
+				return errZeroRun(off, gTotal-gi)
 			}
-			gi += k
+			gi, off = gi+k, next
 			continue
 		}
 		if gi >= gTotal {
 			return fmt.Errorf("kernel: payload longer than %d groups", gTotal)
 		}
-		gi++
+		gi, off = gi+1, off+1
 	}
 	if gi != gTotal {
 		return fmt.Errorf("kernel: payload expands to %d groups, want %d", gi, gTotal)
 	}
 	return nil
+}
+
+// sumGroups is scanTernaryBody's table sum over a stretch of one-byte
+// tokens; inlined beside the token parse the same loop ran 2–3× slower.
+//
+//go:noinline
+func sumGroups(tokens []byte) (gi int) {
+	for _, b := range tokens {
+		gi += int(zreGroups[b])
+	}
+	return gi
 }
 
 // DecodeTernaryAdd decodes a ternary wire body — quartic bytes, zero-run
@@ -140,18 +165,18 @@ func addScaledSpan(body []byte, tab *scaledTab, dst []float32, lo, hi, off, skip
 	zero := tab[encode.ZeroGroupByte][0] // m·0: ±0, or NaN for a non-finite scale
 	fill := zero != zero
 	w := lo
-	for ; w < hi; off++ {
+	for w < hi {
 		b := body[off]
 		if b > encode.MaxQuartic {
-			k := int(b) - encode.RunBase + 2 - skip
-			skip = 0
-			end := min(w+k*encode.GroupSize, hi)
+			k, next := zeroRunAt(body, off, math.MaxInt)
+			end := min(w+(k-skip)*encode.GroupSize, hi)
 			if fill {
 				addFill(dst[w:end], zero)
 			}
-			w = end
+			w, off, skip = end, next, 0
 			continue
 		}
+		off++
 		skip = 0
 		row := &tab[b]
 		if w+encode.GroupSize <= hi {
@@ -176,18 +201,18 @@ func addSmallSpan(body []byte, m float32, dst []float32, lo, hi, off, skip int) 
 	zero := m * float32(0)
 	fill := zero != zero
 	w := lo
-	for ; w < hi; off++ {
+	for w < hi {
 		b := body[off]
 		if b > encode.MaxQuartic {
-			k := int(b) - encode.RunBase + 2 - skip
-			skip = 0
-			end := min(w+k*encode.GroupSize, hi)
+			k, next := zeroRunAt(body, off, math.MaxInt)
+			end := min(w+(k-skip)*encode.GroupSize, hi)
 			if fill {
 				addFill(dst[w:end], zero)
 			}
-			w = end
+			w, off, skip = end, next, 0
 			continue
 		}
+		off++
 		skip = 0
 		row := &ternLUT[b]
 		if w+encode.GroupSize <= hi {
@@ -297,16 +322,16 @@ func DecodeTernaryAddParallel(wires []TernaryWire, dst []float32, workers int) e
 func buildEntries(body []byte, bounds []int, out []wireEntry) {
 	j := 0
 	gi := 0
-	for off, b := range body {
-		k := 1
-		if b > encode.MaxQuartic {
-			k = int(b) - encode.RunBase + 2
+	for off := 0; off < len(body); {
+		k, next := 1, off+1
+		if body[off] > encode.MaxQuartic {
+			k, next = zeroRunAt(body, off, math.MaxInt)
 		}
 		for j < len(out) && bounds[j]/encode.GroupSize < gi+k {
 			out[j] = wireEntry{off: off, skip: bounds[j]/encode.GroupSize - gi}
 			j++
 		}
-		gi += k
+		gi, off = gi+k, next
 	}
 }
 

@@ -386,21 +386,30 @@ func stochDigit(v float32, inv float64, rng *tensor.RNG) uint16 {
 }
 
 // flushZeroRun emits the canonical zero-run encoding of a run of `run`
-// zero-group bytes at out[w:], returning the advanced cursor: runs of
-// 2..14 become one byte in [243, 255], longer runs chain greedily, and a
-// lone zero group is copied literally — byte-for-byte the staged
-// encode.ZeroRunEncodeAppend emission.
+// zero-group bytes at out[w:], returning the advanced cursor: a run of
+// 14q+r is one encode.LongRun token carrying uvarint(q−1) when q > 0, then
+// one byte in [243, 254] for r of 2..13 or a literal zero group for r = 1 —
+// byte-for-byte the staged encode.ZeroRunEncodeAppend emission, and never
+// longer than the run it replaces (compactChunk and the stitch-up write in
+// place). The uvarint is written by hand to keep the function inlinable:
+// the scalar loops flush at every non-zero group.
 func flushZeroRun(out []byte, w, run int) int {
-	for run >= 2 {
-		k := run
-		if k > encode.MaxRun {
-			k = encode.MaxRun
-		}
-		out[w] = byte(encode.RunBase + k - 2)
+	if run >= encode.RunUnit {
+		out[w] = encode.LongRun
 		w++
-		run -= k
+		e := run/encode.RunUnit - 1
+		for ; e >= 0x80; e >>= 7 {
+			out[w] = byte(e) | 0x80
+			w++
+		}
+		out[w] = byte(e)
+		w++
+		run %= encode.RunUnit
 	}
-	if run == 1 {
+	if run >= 2 {
+		out[w] = byte(encode.RunBase - 2 + run)
+		w++
+	} else if run == 1 {
 		out[w] = encode.ZeroGroupByte
 		w++
 	}
@@ -408,13 +417,13 @@ func flushZeroRun(out []byte, w, run int) int {
 }
 
 // appendZeroRun appends the zero-run encoding of `groups` consecutive zero
-// groups — the whole-tensor-is-zero fast path.
+// groups — the whole-tensor-is-zero fast path: at most a long-run token
+// and one remainder byte, whatever the tensor's size.
 func appendZeroRun(dst []byte, groups int) []byte {
-	// ceil(groups/MaxRun) run bytes, +1 for a possible trailing literal.
-	dst = growCap(dst, groups/encode.MaxRun+2)
+	const most = 1 + encode.MaxRunVarint + 1
+	dst = growCap(dst, most)
 	w := len(dst)
-	out := dst[w : w+groups/encode.MaxRun+2]
-	return dst[:w+flushZeroRun(out, 0, groups)]
+	return dst[:w+flushZeroRun(dst[w:w+most], 0, groups)]
 }
 
 // appendZeroGroups appends `groups` literal zero-group bytes (the m == 0

@@ -3,6 +3,7 @@ package kernel
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"threelc/internal/encode"
 	"threelc/internal/kernel/simd"
@@ -36,14 +37,12 @@ func addScaledSpanLits(body []byte, tab *scaledTab, dst []float32, lo, hi, off, 
 	for w < hi {
 		b := body[off]
 		if b > encode.MaxQuartic {
-			k := int(b) - encode.RunBase + 2 - skip
-			skip = 0
-			end := min(w+k*encode.GroupSize, hi)
+			k, next := zeroRunAt(body, off, math.MaxInt)
+			end := min(w+(k-skip)*encode.GroupSize, hi)
 			if fill {
 				addFill(dst[w:end], zero)
 			}
-			w = end
-			off++
+			w, off, skip = end, next, 0
 			inline = 0
 			continue
 		}

@@ -61,6 +61,13 @@ func FuzzFusedVsStaged(f *testing.F) {
 	}
 	f.Add(sparse, uint8(192), true)
 	f.Add(sparse, uint8(0), false)
+	// One run long enough for the long-run token's uvarint to take a
+	// second byte (14·128+1 groups), closed by a spike, and the same run
+	// reaching the end of the tensor.
+	long := make([]byte, 4*(5*(14*128+1)+3))
+	f.Add(append([]byte(nil), long...), uint8(192), true)
+	copy(long[len(long)-8:], []byte{0, 0, 0x80, 0x3f})
+	f.Add(long, uint8(192), true)
 
 	f.Fuzz(func(t *testing.T, data []byte, sByte uint8, zre bool) {
 		n := len(data) / 4
@@ -134,6 +141,20 @@ func fuzzFusedVsStagedBody(t *testing.T, data []byte, sByte uint8, zre bool, n i
 	}
 }
 
+// longRunFuzzSeeds start the decode fuzzers at the long-run token: valid
+// for the two destination sizes (3 and 820 groups), then cut short (as the
+// last byte, and mid-uvarint), a uvarint of six bytes, an expansion that
+// overflows a 32-bit int, and one that only overruns the tensor.
+var longRunFuzzSeeds = [][]byte{
+	{244},
+	{255, 57, 248, 121},
+	{121, 255},
+	{255, 0x80},
+	{255, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00},
+	{255, 0xff, 0xff, 0xff, 0xff, 0x7f},
+	{255, 58, 121, 121, 121, 121, 121, 121, 121, 121, 121},
+}
+
 // FuzzDecodeTernaryAdd feeds arbitrary bytes to the fused
 // decode-accumulate kernels: untrusted payloads may error but must never
 // panic, and — stronger than the decode-into contract — a rejected
@@ -145,6 +166,9 @@ func FuzzDecodeTernaryAdd(f *testing.F) {
 	f.Add([]byte{255, 0, 243}, uint32(0x7fc00000), true) // runs + NaN scale
 	f.Add([]byte{242, 121}, uint32(0), false)
 	f.Add([]byte{250, 250, 250, 7}, uint32(0xbf000000), true)
+	for _, body := range longRunFuzzSeeds {
+		f.Add(body, uint32(0x3f800000), true)
+	}
 
 	small := make([]float32, 13)
 	big := make([]float32, scaledLUTMinElems+2)
@@ -200,6 +224,9 @@ func FuzzDecodeTernary(f *testing.F) {
 	f.Add([]byte{121, 121, 121}, uint32(0x3f800000), true)
 	f.Add([]byte{255, 0, 243}, uint32(0x7fc00000), true) // runs + NaN scale
 	f.Add([]byte{242, 121}, uint32(0), false)
+	for _, body := range longRunFuzzSeeds {
+		f.Add(body, uint32(0x3f800000), true)
+	}
 
 	small := make([]float32, 13)
 	big := make([]float32, scaledLUTMinElems+2)

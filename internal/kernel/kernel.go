@@ -22,6 +22,9 @@
 //	                            in one LUT-driven loop streaming wire bytes
 //	                            straight into the destination floats
 //
+// The zero-run spelling is package encode's, long-run token included;
+// flushZeroRun is the one place that writes it, zeroRunAt the one that reads.
+//
 // Every kernel is bit-compatible with the staged reference: wires are
 // byte-identical and residual buffers bit-identical for any input,
 // property-tested (and fuzzed, FuzzFusedVsStaged) against the staged

@@ -296,9 +296,10 @@ func TestDecodeTernaryErrors(t *testing.T) {
 		{"empty-zre", nil, true, true},
 		{"overlong-literal", append(append([]byte(nil), valid...), encode.ZeroGroupByte), true, true},
 		{"overlong-run", append(append([]byte(nil), valid...), byte(encode.RunBase)), true, true},
-		{"run-overruns-end", []byte{byte(encode.RunBase + encode.MaxRun - 2)}, true, true}, // 14 groups > 3
-		{"run-short-of-end", []byte{byte(encode.RunBase)}, true, true},                     // 2 groups < 3
-		{"exact-run", []byte{byte(encode.RunBase + 1)}, true, false},                       // run of 3 == gTotal
+		{"run-overruns-end", []byte{byte(encode.LongRun - 1)}, true, true}, // 13 groups > 3
+		{"long-run-overruns-end", []byte{encode.LongRun, 0}, true, true},   // 14 groups > 3
+		{"run-short-of-end", []byte{byte(encode.RunBase)}, true, true},     // 2 groups < 3
+		{"exact-run", []byte{byte(encode.RunBase + 1)}, true, false},       // run of 3 == gTotal
 		{"valid-quartic", []byte{121, 121, 121}, false, false},
 		{"quartic-truncated", []byte{121, 121}, false, true},
 		{"quartic-overlong", []byte{121, 121, 121, 121}, false, true},

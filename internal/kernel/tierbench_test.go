@@ -3,6 +3,7 @@ package kernel
 import (
 	"testing"
 
+	"threelc/internal/encode"
 	"threelc/internal/tensor"
 )
 
@@ -30,7 +31,10 @@ func encodeBenchInputs(n int) (dense, sparse []float32, mDense, mSparse float64)
 // BenchmarkEncodeTernaryKernel measures the fused ternary
 // quantize→pack→zero-run encode pass per tier on both inputs of
 // encodeBenchInputs at 1M elements, reporting each wire's zero-element
-// fraction, plus one sparse-cold row on the dispatched tier: 1.85M elements
+// fraction and its longrun-gain — the bytes §3.3's capped zero-run
+// spelling would have taken over the bytes emitted, floored in CI on the
+// sparse row so that a change that re-caps runs fails — plus one
+// sparse-cold row on the dispatched tier: 1.85M elements
 // (the end-to-end benchmark's model) rotating through 8 buffers, 59 MB in
 // all, so the sparse number on record is not only the cache-resident one.
 // The encode consumes the accumulated buffer (it leaves the residual
@@ -70,6 +74,7 @@ func BenchmarkEncodeTernaryKernel(b *testing.B) {
 			wire = EncodeTernary(buf, m, true, wire[:0])
 		}
 		b.ReportMetric(1-float64(len(changed))/float64(len(snapshot)), "zero-frac")
+		b.ReportMetric(float64(encode.ZeroRunPaperLen(wire))/float64(len(wire)), "longrun-gain")
 	}
 	for _, tier := range AvailableTiers() {
 		b.Run(tier.String()+"/dense", func(b *testing.B) { SetTier(tier); run(b, dense, mDense, 1) })

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -9,11 +10,11 @@ import (
 
 const negZeroBits = 1 << 31
 
-// runHeavyBody hand-builds a valid zero-run-encoded body for n elements:
-// a chain of maximal run markers (coalesced by decode-set), one literal
-// group with mixed digits, a second chain, a final literal group (partial
-// when n % 5 != 0). It also returns, per element, whether a run marker
-// covers it. n must be at least 60 groups' worth.
+// runHeavyBody builds a valid zero-run-encoded body for n elements: a long
+// run (a long-run token plus a remainder marker, coalesced by decode-set),
+// one literal group with mixed digits, a second long run, a final literal
+// group (partial when n % 5 != 0). It also returns, per element, whether a
+// run token covers it. n must be at least 60 groups' worth.
 func runHeavyBody(t *testing.T, n int) (body []byte, inRun []bool) {
 	t.Helper()
 	groups := encode.QuarticEncodedLen(n)
@@ -24,17 +25,7 @@ func runHeavyBody(t *testing.T, n int) (body []byte, inRun []bool) {
 				inRun[i] = true
 			}
 		}
-		for count > 0 {
-			k := min(count, encode.MaxRun)
-			if k < 2 {
-				t.Fatalf("runHeavyBody: cannot encode a run of %d", k)
-			}
-			if count-k == 1 {
-				k-- // never leave a lone group behind
-			}
-			body = append(body, byte(encode.RunBase+k-2))
-			count -= k
-		}
+		body = encode.ZeroRunEncodeAppend(body, bytes.Repeat([]byte{encode.ZeroGroupByte}, count))
 	}
 	first := (groups - 2) / 2
 	emitRuns(0, first)
@@ -168,8 +159,8 @@ func TestDecodeSetZeroRuns(t *testing.T) {
 				}
 			}
 			// One marker too many at the head: the overrun surfaces in
-			// the middle of the second coalesced chain and is rejected.
-			over := append([]byte{255}, body...)
+			// the second coalesced stretch and is rejected.
+			over := append([]byte{250}, body...)
 			if err := DecodeTernary(over, true, 2, make([]float32, n)); err == nil {
 				t.Fatalf("tier %v n=%d: overrunning marker chain decoded without error", tier, n)
 			}

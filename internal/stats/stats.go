@@ -9,8 +9,10 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
+	"threelc/internal/encode"
 	"threelc/internal/tensor"
 )
 
@@ -150,31 +152,36 @@ func QuantSparsity(t *tensor.Tensor, s float64) float64 {
 // (output bytes over quartic bytes, inverted) at a quantized zero
 // fraction z, under an independence assumption: each quartic byte is the
 // zero-group byte 121 with probability p = z^5, and maximal runs of 121s
-// are geometrically distributed. A run of length k costs ceil(k/14)
-// output bytes (run bytes encode 2..14; a lone 121 passes through as one
-// byte). Real quantized tensors have spatially correlated zeros, so
-// measured ratios typically exceed this estimate.
+// are geometrically distributed. A run of length 14q+r costs what
+// encode.ZeroRunEncode emits for it: a long-run token (255 and the
+// uvarint of q−1) when q > 0, and one more byte when r > 0. The ratio is
+// unbounded as z → 1 (+Inf at z = 1). Real quantized tensors have
+// spatially correlated zeros, so measured ratios typically exceed this
+// estimate.
 func ZeroRunRatioEstimate(z float64) float64 {
 	if z < 0 || z > 1 {
 		panic(fmt.Sprintf("stats: zero fraction %v outside [0,1]", z))
 	}
 	p := math.Pow(z, 5)
 	if p >= 1-1e-12 {
-		return 14 // all bytes are 121: every full 14-run collapses to one byte
+		return math.Inf(1) // all bytes are 121: one token, whatever the length
 	}
 	// Expected output bytes contributed per input byte:
 	//   non-121 bytes: (1-p) each costing 1.
 	//   runs of 121s: a run starts with rate (1-p)*p per byte; its length
-	//   K is geometric with mean 1/(1-p); it emits ceil(K/14) bytes.
+	//   K is geometric with mean 1/(1-p).
 	var expOutPerRun float64
 	pk := 1.0
-	for k := 1; k <= 4096; k++ {
-		prob := pk * (1 - p) // P(K = k)
-		expOutPerRun += prob * math.Ceil(float64(k)/14)
-		pk *= p
-		if pk < 1e-15 {
-			break
+	for k := 1; pk >= 1e-15 && k <= 1<<22; k++ {
+		cost := 0
+		if q := k / encode.RunUnit; q > 0 {
+			cost = 1 + max(1, (bits.Len(uint(q-1))+6)/7)
 		}
+		if k%encode.RunUnit > 0 {
+			cost++
+		}
+		expOutPerRun += pk * (1 - p) * float64(cost) // P(K = k) · bytes
+		pk *= p
 	}
 	outPerByte := (1 - p) + (1-p)*p*expOutPerRun
 	return 1 / outPerByte

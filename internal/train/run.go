@@ -548,7 +548,7 @@ func copyWires(wires [][]byte) [][]byte {
 func (r *run) record(step int, p stepPlan, pull [][]byte, serverDur time.Duration) {
 	cfg, res := &r.cfg, r.res
 	pushBytes := make([]int, cfg.Workers)
-	var compPush float64
+	var compPush, paper float64
 	nAccepted := 0
 	for w := range r.workers {
 		if !p.accepted[w] {
@@ -559,10 +559,12 @@ func (r *run) record(step int, p stepPlan, pull [][]byte, serverDur time.Duratio
 		for i, wire := range r.outs[w].wires {
 			if r.compressible[i] {
 				compPush += float64(len(wire))
+				paper += float64(compress.PaperWireLen(wire))
 			}
 		}
 	}
 	compPush /= float64(nAccepted)
+	paper /= float64(nAccepted)
 
 	pullPerWorker := ps.WireBytes(pull)
 	pullBytes := make([]int, cfg.Workers)
@@ -570,6 +572,7 @@ func (r *run) record(step int, p stepPlan, pull [][]byte, serverDur time.Duratio
 	for i, wire := range pull {
 		if r.compressible[i] {
 			compPull += float64(len(wire))
+			paper += float64(compress.PaperWireLen(wire))
 		}
 	}
 	for w := range pullBytes {
@@ -615,6 +618,7 @@ func (r *run) record(step int, p stepPlan, pull [][]byte, serverDur time.Duratio
 	res.TotalWANBytes += int64(wanBytes)
 	res.CompPushBytes += compPush
 	res.CompPullBytes += compPull
+	res.PaperCompBytes += paper
 	res.CodecSec += codec
 	res.FinalLoss = meanLoss
 	if cfg.RecordSteps {

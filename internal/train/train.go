@@ -267,6 +267,10 @@ type Result struct {
 	// bytes (per-worker average), for compression-ratio accounting.
 	CompPushBytes float64
 	CompPullBytes float64
+	// PaperCompBytes is CompPushBytes + CompPullBytes with every 3LC wire
+	// counted at the length §3.3's capped zero-run code would have given
+	// it (compress.PaperWireLen).
+	PaperCompBytes float64
 
 	CodecSec float64 // summed critical-path codec time (real, measured)
 
@@ -309,8 +313,17 @@ func (r *Result) TimeAt(bandwidthBps float64) float64 {
 // CompressionRatio returns raw/compressed over the compressible tensors,
 // averaged over pushes and pulls (Table 2's "compression ratio").
 func (r *Result) CompressionRatio() float64 {
+	return r.ratioOver(r.CompPushBytes + r.CompPullBytes)
+}
+
+// PaperCompressionRatio is CompressionRatio in the paper's zero-run
+// spelling: the figure to compare with Table 2 of the paper.
+func (r *Result) PaperCompressionRatio() float64 {
+	return r.ratioOver(r.PaperCompBytes)
+}
+
+func (r *Result) ratioOver(comp float64) float64 {
 	raw := float64(r.CompressibleElems) * 4 * float64(r.Steps) * 2 // push + pull per step
-	comp := r.CompPushBytes + r.CompPullBytes
 	if comp == 0 {
 		return 0
 	}

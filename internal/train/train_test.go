@@ -1,6 +1,7 @@
 package train
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -73,6 +74,52 @@ func TestRunThreeLCTrafficReduction(t *testing.T) {
 	}
 	if b := lc.BitsPerChange(); b <= 0 || b > 2 {
 		t.Errorf("bits per change %v outside plausible range", b)
+	}
+}
+
+// TestPaperSpellingOnTrainingWires holds compress.PaperWireLen to its
+// bound on real wires — worker 0's gradients of a training run through
+// contexts of the run's own design, residuals and all: the paper's capped
+// zero-run spelling is never shorter than ours by more than the bare
+// long-run tokens (runs of 14..27, two bytes here, one there), and over
+// the run the accounting agrees with the per-wire sum.
+func TestPaperSpellingOnTrainingWires(t *testing.T) {
+	design := Design{Name: "3LC (s=1.75)", Scheme: compress.SchemeThreeLC,
+		Opts: compress.Options{Sparsity: 1.75, ZeroRun: true}}
+	cfg := tinyConfig(design, 20)
+	cfg.BuildModel = func() *nn.Model {
+		return nn.NewMLP(cfg.Data.C*cfg.Data.H*cfg.Data.W, []int{64, 64}, cfg.Data.Classes, 1)
+	}
+	ctx := map[int]compress.Compressor{}
+	wires, longer := 0, 0
+	cfg.OnGradients = func(step int, params []*nn.Param) {
+		for i, p := range params {
+			if p.NoCompress || p.W.Len() < 256 {
+				continue
+			}
+			if ctx[i] == nil {
+				ctx[i] = compress.New(design.Scheme, p.W.Shape(), design.Opts)
+			}
+			wire := ctx[i].CompressInto(p.G, nil)
+			paper, lone := compress.PaperWireLen(wire), bytes.Count(wire[6:], []byte{0xff, 0})
+			if paper < len(wire)-lone {
+				t.Fatalf("step %d tensor %d: paper spelling %d B, ours %d B with %d bare long-run tokens", step, i, paper, len(wire), lone)
+			}
+			wires++
+			if paper > len(wire) {
+				longer++
+			}
+		}
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wires == 0 || longer == 0 {
+		t.Fatalf("%d wires checked, %d of them longer in the paper's spelling: the run never met a long run", wires, longer)
+	}
+	if p, c := res.PaperCompressionRatio(), res.CompressionRatio(); p <= 0 || p > 1.07*c {
+		t.Fatalf("compression ratio %v in the paper's spelling, %v in ours", p, c)
 	}
 }
 
