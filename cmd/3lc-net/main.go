@@ -436,8 +436,8 @@ func runFlat(o *options) error {
 		fmt.Printf("standby copies:   %d (second copy of each push, received by the standbys)\n", copies)
 	}
 	fmt.Printf("pull bytes:       %d (sent to workers)\n", pull)
-	raw := res.RawBytes / 2
-	fmt.Printf("raw equivalent:   %d bytes each way; push compression %.1fx\n", raw, float64(raw)/float64(push))
+	raw := res.RawPushBytes
+	fmt.Printf("raw equivalent:   %d bytes pushed, %d pulled; push compression %.1fx\n", raw, res.RawBytes-raw, float64(raw)/float64(push))
 	return nil
 }
 

@@ -1,0 +1,68 @@
+package main
+
+import (
+	"testing"
+
+	"threelc/internal/ps"
+	"threelc/internal/train"
+)
+
+// TestNonOwnersExemptBytesLeaveTheSocket counts what ps.Pushes takes off a
+// real link. The golden counts are TrafficBytes() of this 2-worker, 6-step
+// 3LC run at the commit before the rule, when worker 1 still sent the
+// batch-norm vectors the servers skipped: the push count of every topology
+// — and a standby's second copy — is that count less worker 1's exempt
+// wires, to the byte, and the pull count has not moved.
+func TestNonOwnersExemptBytesLeaveTheSocket(t *testing.T) {
+	topologies := []struct {
+		name       string
+		set        func(o *options)
+		push, pull int64 // before ps.Pushes
+	}{
+		{"v1 front door", func(o *options) {}, 18882, 21724},
+		{"1 shard streamed", func(o *options) { o.stream = true }, 19746, 22492},
+		{"2 shards", func(o *options) { o.shards = 2 }, 19122, 22012},
+		{"2 shards streamed", func(o *options) { o.shards, o.stream = 2, true }, 19890, 22492},
+		{"2 shards, standbys", func(o *options) { o.shards, o.replicas = 2, true }, 19122, 22012},
+	}
+	for _, topo := range topologies {
+		t.Run(topo.name, func(t *testing.T) {
+			o := testOptions()
+			o.workers = 2
+			topo.set(&o)
+			if err := o.check(); err != nil {
+				t.Fatal(err)
+			}
+			cfg, f, err := o.flat()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := train.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.drain(); err != nil {
+				t.Fatal(err)
+			}
+			var dead int64 // what worker 1 no longer sends in a step
+			for _, p := range f.global.Params() {
+				if !ps.Pushes(1, p) {
+					dead += int64(1 + 4*p.W.Len())
+				}
+			}
+			if dead == 0 {
+				t.Fatal("the model has no owner-only tensor")
+			}
+			want := topo.push - int64(o.steps)*dead
+			push, pull, copies := f.traffic()
+			if push != want {
+				t.Errorf("push bytes %d, want %d = %d - %d steps x %d", push, want, topo.push, o.steps, dead)
+			}
+			if pull != topo.pull {
+				t.Errorf("pull bytes %d moved from %d", pull, topo.pull)
+			}
+			if o.replicas && copies != want {
+				t.Errorf("the standbys' copies are %d bytes, want the primaries' %d", copies, want)
+			}
+		})
+	}
+}

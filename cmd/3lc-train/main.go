@@ -104,7 +104,7 @@ func main() {
 	fmt.Printf("final accuracy:     %.2f%%\n", res.FinalAccuracy*100)
 	fmt.Printf("virtual time:       %.1f s (%.4f s/step @ %s)\n",
 		res.TotalVirtualSec, res.PerStepSec, bwName(*bandwidth))
-	fmt.Printf("push traffic:       %s (raw %s)\n", fmtBytes(res.TotalPushBytes), fmtBytes(res.RawBytes/2))
+	fmt.Printf("push traffic:       %s (raw %s)\n", fmtBytes(res.TotalPushBytes), fmtBytes(res.RawPushBytes))
 	fmt.Printf("pull traffic:       %s\n", fmtBytes(res.TotalPullBytes))
 	if res.CompressibleElems > 0 && design.Scheme != compress.SchemeNone {
 		fmt.Printf("compression ratio:  %.1fx (%.3f bits per state change)\n",

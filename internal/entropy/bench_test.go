@@ -8,6 +8,7 @@ import (
 	"threelc/internal/entropy"
 	"threelc/internal/nn"
 	"threelc/internal/opt"
+	"threelc/internal/ps"
 	"threelc/internal/tensor"
 	"threelc/internal/train"
 	"threelc/internal/transport"
@@ -52,9 +53,10 @@ func trainedWireSet(tb testing.TB) []byte {
 		OnGradients: func(_ int, params []*nn.Param) {
 			if ctx == nil {
 				ctx, set = make([]compress.Compressor, len(params)), make([][]byte, len(params))
+				exempt := ps.Config{Scheme: design.Scheme, MinCompressElems: 256}
 				for i, p := range params {
 					ctx[i] = compress.New(compress.SchemeNone, p.W.Shape(), compress.Options{})
-					if !p.NoCompress && p.W.Len() >= 256 {
+					if exempt.Compresses(p) {
 						ctx[i] = compress.New(design.Scheme, p.W.Shape(), design.Opts)
 					}
 				}

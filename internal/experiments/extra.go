@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"threelc/internal/nn"
+	"threelc/internal/ps"
 	"threelc/internal/stats"
 	"threelc/internal/tensor"
 	"threelc/internal/train"
@@ -117,9 +118,10 @@ func GradientStatistics(s *Suite, sparsity float64, every int) ([]GradStatsRow, 
 			return
 		}
 		// Analyze the largest compressible tensor (dominates traffic).
+		exempt := ps.Config{Scheme: cfg.Design.Scheme, MinCompressElems: cfg.MinCompressElems}
 		var biggest *nn.Param
 		for _, p := range params {
-			if p.NoCompress {
+			if !exempt.Compresses(p) {
 				continue
 			}
 			if biggest == nil || p.W.Len() > biggest.W.Len() {

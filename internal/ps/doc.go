@@ -17,10 +17,13 @@
 //     bandwidth, which netsim accounts).
 //   - Small-tensor exemption (§5.1): tensors flagged NoCompress (batch
 //     norm) or smaller than MinCompressElems bypass compression and travel
-//     as raw 32-bit floats.
-//   - Batch-norm ownership (§5.2): one designated worker (worker 0) is
-//     responsible for batch-norm parameter updates; other workers'
-//     NoCompress gradients are ignored by aggregation.
+//     as raw 32-bit floats. Config.Compresses is the rule's one
+//     definition.
+//   - Batch-norm ownership (§5.2): one designated worker (Owner, worker 0)
+//     is responsible for batch-norm parameter updates, so it alone pushes
+//     those tensors (Pushes). Every other worker puts the empty wire in
+//     their slots, and an aggregator — Job, region.Tier — refuses anything
+//     else there and refuses to finish a step whose owner pushed nothing.
 //   - BSP barriers: the step driver (package train) runs all pushes before
 //     the update and all pulls after it, the synchronous mode the paper
 //     evaluates.

@@ -1,0 +1,280 @@
+package ps
+
+import (
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+
+	"threelc/internal/compress"
+	"threelc/internal/nn"
+	"threelc/internal/tensor"
+)
+
+// trainOnce gives every worker a gradient: one TrainStep on a batch of its
+// own.
+func trainOnce(ws []*Worker) {
+	for _, w := range ws {
+		rng := tensor.NewRNG(uint64(w.ID) + 21)
+		x := tensor.New(5, 8)
+		tensor.FillNormal(x, 1, rng)
+		w.Model.TrainStep(x, []int{0, 1, 2, 0, 1})
+	}
+}
+
+// rawLen is the length of a tensor's float32 wire: a scheme byte and four
+// bytes an element.
+func rawLen(p *nn.Param) int { return 1 + 4*p.W.Len() }
+
+// TestOwnerOnlyTensorsHaveOnePusher holds both compressors to Pushes for
+// every design and at 1, 2 and the paper's 10 workers: a tensor with an
+// owner is on the owner's wire set raw and on nobody else's at all, an
+// exempt tensor without one is on everybody's raw, and a step's push bytes
+// are the closed form — the tensors without an owner N times, the
+// owner-only ones once.
+func TestOwnerOnlyTensorsHaveOnePusher(t *testing.T) {
+	whole := func(w *Worker) [][]byte { wires, _ := w.CompressGrads(); return wires }
+	streamed := func(w *Worker) [][]byte {
+		var mu sync.Mutex
+		emitted := make([][]byte, len(w.params))
+		seen := 0
+		wires, _ := w.CompressGradsStream(func(i int, wire []byte) {
+			mu.Lock()
+			defer mu.Unlock()
+			emitted[i] = append([]byte{}, wire...)
+			seen++
+		})
+		if seen != len(wires) {
+			t.Fatalf("worker %d streamed %d of %d tensors", w.ID, seen, len(wires))
+		}
+		for i := range wires {
+			if string(emitted[i]) != string(wires[i]) {
+				t.Fatalf("worker %d tensor %d: streamed %d bytes, returned %d", w.ID, i, len(emitted[i]), len(wires[i]))
+			}
+		}
+		return wires
+	}
+	for _, sc := range designs {
+		for _, workers := range []int{1, 2, 10} {
+			for _, c := range []struct {
+				name string
+				comp func(w *Worker) [][]byte
+			}{{"CompressGrads", whole}, {"CompressGradsStream", streamed}} {
+				t.Run(fmt.Sprintf("%s/%d workers/%s", sc.name, workers, c.name), func(t *testing.T) {
+					_, ws := setup(sc.s, sc.o, workers)
+					cfg := testConfig(sc.s, sc.o, workers)
+					trainOnce(ws)
+					owned, want, got := 0, 0, 0
+					for _, w := range ws {
+						wires := c.comp(w)
+						got += WireBytes(wires)
+						for i, p := range w.params {
+							switch {
+							case OwnerOnly(p) && w.ID != Owner:
+								if len(wires[i]) != 0 {
+									t.Errorf("worker %d sends %d bytes of %s, which worker %d owns", w.ID, len(wires[i]), p.Name, Owner)
+								}
+							case OwnerOnly(p):
+								owned++
+								fallthrough
+							case !cfg.Compresses(p):
+								if len(wires[i]) != rawLen(p) || compress.Scheme(wires[i][0]) != compress.SchemeNone {
+									t.Errorf("worker %d: exempt %s is %d bytes on the wire, want %d raw", w.ID, p.Name, len(wires[i]), rawLen(p))
+								}
+								want += rawLen(p)
+							default:
+								want += len(wires[i])
+							}
+						}
+					}
+					if owned == 0 {
+						t.Fatal("the model has no owner-only tensor")
+					}
+					if got != want {
+						t.Errorf("the step pushed %d bytes, the closed form says %d", got, want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// pushPaths are the three ways a wire reaches a Job: the whole-set AddPush,
+// a session's Set, and a session's per-tensor stream. Each pushes worker's
+// wire set and ends the push.
+var pushPaths = []struct {
+	name string
+	push func(j *Job, worker int, wires [][]byte) error
+}{
+	{"AddPush", func(j *Job, worker int, wires [][]byte) error {
+		_, err := j.AddPush(worker, wires)
+		return err
+	}},
+	{"Set", func(j *Job, worker int, wires [][]byte) error {
+		s := j.BeginPush(worker)
+		if err := s.Set(wires); err != nil {
+			return err
+		}
+		return s.End()
+	}},
+	{"Tensor", func(j *Job, worker int, wires [][]byte) error {
+		s := j.BeginPush(worker)
+		for i, w := range wires {
+			if err := s.Tensor(i, w); err != nil {
+				return err
+			}
+		}
+		return s.End()
+	}},
+}
+
+// ownedSlot is the index of the test model's first owner-only tensor.
+func ownedSlot(t testing.TB, j *Job) int {
+	for i, p := range j.params {
+		if OwnerOnly(p) {
+			return i
+		}
+	}
+	t.Fatal("the model has no owner-only tensor")
+	return -1
+}
+
+// TestNonOwnerBytesAreRefused: a byte that arrives is decoded or refused.
+// Whatever a non-owner puts in an owner-only slot — the raw wire the
+// parent commit's workers sent there, garbage, a wire of the wrong length,
+// one byte — is an error naming the tensor and the worker on every push
+// path; the empty wire is the only thing accepted there, and from the
+// owner the same bytes are decoded as ever.
+func TestNonOwnerBytesAreRefused(t *testing.T) {
+	garbage := make([]byte, 16<<10)
+	for i := range garbage {
+		garbage[i] = byte(i*7 + 1)
+	}
+	for _, path := range pushPaths {
+		job, ws := setup(compress.SchemeThreeLC, compress.Options{Sparsity: 1.0, ZeroRun: true}, 2)
+		trainOnce(ws)
+		slot := ownedSlot(t, job)
+		p := job.params[slot]
+		owners, _ := ws[0].CompressGrads()
+		valid := append([]byte{}, owners[slot]...) // a well-formed raw wire of the slot's own shape
+		cases := []struct {
+			name string
+			wire []byte
+		}{
+			{"the raw wire it used to send", valid},
+			{"16 KB of garbage", garbage},
+			{"a wire of the wrong length", valid[:len(valid)-3]},
+			{"one byte", []byte{0}},
+		}
+		for _, c := range cases {
+			job.BeginStep()
+			if err := path.push(job, 0, owners); err != nil {
+				t.Fatalf("%s: the owner's push: %v", path.name, err)
+			}
+			wires, _ := ws[1].CompressGrads()
+			bad := append([][]byte{}, wires...)
+			bad[slot] = c.wire
+			err := path.push(job, 1, bad)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", p.Name)) || !strings.Contains(err.Error(), "worker 1 ") {
+				t.Errorf("%s, %s: got %v, want a refusal naming tensor %q and worker 1", path.name, c.name, err, p.Name)
+			}
+		}
+		// The owner's slot is decoded, not skipped: a malformed wire there
+		// is the codec's error.
+		job.BeginStep()
+		bad := append([][]byte{}, owners...)
+		bad[slot] = valid[:len(valid)-3]
+		if err := path.push(job, 0, bad); err == nil || !strings.Contains(err.Error(), p.Name) {
+			t.Errorf("%s: the owner's truncated wire: got %v, want a decode error naming %q", path.name, err, p.Name)
+		}
+	}
+}
+
+// TestStepWithoutOwnersPushIsRefused: FinishStep does not zero a tensor
+// nobody pushed and step its momentum anyway. A step in which only
+// non-owners pushed, and a per-tensor push that left a slot out, are
+// errors naming the tensor (and, for an owner-only one, its owner), and
+// the model is not stepped.
+func TestStepWithoutOwnersPushIsRefused(t *testing.T) {
+	for _, path := range pushPaths {
+		job, ws := setup(compress.SchemeNone, compress.Options{}, 2)
+		trainOnce(ws)
+		p := job.params[ownedSlot(t, job)]
+		before := p.W.Clone()
+		job.BeginStep()
+		wires, _ := ws[1].CompressGrads()
+		if err := path.push(job, 1, wires); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := job.FinishStep()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", p.Name)) || !strings.Contains(err.Error(), "worker 0") {
+			t.Errorf("%s: a step without the owner's push: got %v, want an error naming %q and worker 0", path.name, err, p.Name)
+		}
+		if job.Step() != 0 || !p.W.AlmostEqual(before, 0) {
+			t.Errorf("%s: the refused step moved the model", path.name)
+		}
+	}
+
+	job, ws := setup(compress.SchemeNone, compress.Options{}, 1)
+	trainOnce(ws)
+	wires, _ := ws[0].CompressGrads()
+	job.BeginStep()
+	s := job.BeginPush(0)
+	for i := 1; i < len(wires); i++ {
+		if err := s.Tensor(i, wires[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.End(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := job.FinishStep(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", job.params[0].Name)) {
+		t.Errorf("a stream that left tensor 0 out: got %v, want an error naming %q", err, job.params[0].Name)
+	}
+}
+
+// FuzzPushSlot feeds one arbitrary wire to one slot of a push, from the
+// owner or a non-owner, whole-set and per tensor: no panic, the two paths
+// agree on whether it is an error, and a non-owner's bytes in an
+// owner-only slot are never accepted — whatever they spell.
+func FuzzPushSlot(f *testing.F) {
+	job, ws := setup(compress.SchemeThreeLC, compress.Options{Sparsity: 1.0, ZeroRun: true}, 2)
+	trainOnce(ws)
+	good := make([][][]byte, len(ws))
+	for w := range ws {
+		wires, _ := ws[w].CompressGrads()
+		for _, wire := range wires {
+			good[w] = append(good[w], append([]byte{}, wire...))
+		}
+	}
+	owned := ownedSlot(f, job)
+	f.Add(uint8(1), uint8(owned), good[0][owned])                    // the raw wire a non-owner used to send
+	f.Add(uint8(1), uint8(owned), good[0][owned][:5])                // a wire of the wrong length
+	f.Add(uint8(1), uint8(owned), make([]byte, 16<<10))              // 16 KB the server used to count and skip
+	f.Add(uint8(1), uint8(owned), []byte{})                          // the empty wire: accepted
+	f.Add(uint8(0), uint8(owned), good[0][owned])                    // the owner's own
+	f.Add(uint8(0), uint8(0), good[0][0])                            // a ternary wire where it belongs
+	f.Add(uint8(1), uint8(0), good[0][owned])                        // a raw wire of the wrong shape in a ternary slot
+	f.Add(uint8(1), uint8(owned), []byte{byte(compress.SchemeNone)}) // a scheme byte and nothing else
+	f.Fuzz(func(t *testing.T, worker, slot uint8, wire []byte) {
+		w, i := int(worker%2), int(slot)%len(job.params)
+		set := append([][]byte{}, good[w]...)
+		set[i] = wire
+		job.BeginStep()
+		_, setErr := job.AddPush(w, set)
+		job.BeginStep()
+		s := job.BeginPush(w)
+		var oneErr error
+		for k := range set {
+			if err := s.Tensor(k, set[k]); err != nil {
+				oneErr = err
+			}
+		}
+		if (setErr == nil) != (oneErr == nil) {
+			t.Fatalf("whole-set says %v, per-tensor says %v", setErr, oneErr)
+		}
+		if !Pushes(w, job.params[i]) && len(wire) != 0 && setErr == nil {
+			t.Fatalf("worker %d's %d bytes in %s's slot were accepted", w, len(wire), job.params[i].Name)
+		}
+	})
+}

@@ -113,22 +113,52 @@ func parallelFor(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// shouldCompress applies the paper's small-tensor exemption rule; both
-// endpoints use it so wire formats always agree.
-func (c Config) shouldCompress(p *nn.Param) bool {
-	if c.Scheme == compress.SchemeNone {
-		return false
+// Compresses is the paper's small-tensor exemption (§5.1), the one
+// definition of what travels raw: a tensor goes through the codec unless
+// the design is float32, the tensor is flagged NoCompress (batch norm) or
+// it has fewer than MinCompressElems elements. Both endpoints, the region
+// tier and the traffic accounting ask it, so wire formats always agree.
+func (c Config) Compresses(p *nn.Param) bool {
+	return c.Scheme != compress.SchemeNone && !p.NoCompress && p.W.Len() >= c.MinCompressElems
+}
+
+// Owner is the worker that pushes the tensors with a single owner.
+const Owner = 0
+
+// OwnerOnly reports whether p is pushed by Owner alone (§5.2): a
+// batch-norm tensor's update is one designated worker's gradient, taken
+// as is and not averaged.
+func OwnerOnly(p *nn.Param) bool { return p.NoCompress }
+
+// Pushes is the one definition of who sends what: worker pushes tensor p
+// unless p has an owner and worker is not it. A worker that does not push
+// p puts the empty wire in p's slot — the format's "nothing to add" — and
+// an aggregator accepts nothing else there (RefuseUnpushed).
+func Pushes(worker int, p *nn.Param) bool { return worker == Owner || !OwnerOnly(p) }
+
+// RefuseUnpushed is what an aggregator makes of the slot of a tensor that
+// worker does not push: the empty wire passes, anything else is an error —
+// a byte that arrives is decoded or refused, never counted and skipped.
+func RefuseUnpushed(worker int, p *nn.Param, wire []byte) error {
+	if len(wire) != 0 {
+		return fmt.Errorf("ps: push tensor %q: worker %d sent %d bytes, but only worker %d pushes it", p.Name, worker, len(wire), Owner)
 	}
-	if p.NoCompress {
-		return false
+	return nil
+}
+
+// NoPush is the error of a step that cannot finish: tensor p was pushed by
+// nobody, so there is no gradient to step its momentum with.
+func NoPush(p *nn.Param) error {
+	if OwnerOnly(p) {
+		return fmt.Errorf("ps: tensor %q received no push from its owner, worker %d, this step", p.Name, Owner)
 	}
-	return p.W.Len() >= c.MinCompressElems
+	return fmt.Errorf("ps: tensor %q received no push this step", p.Name)
 }
 
 // newContext builds the compression context for one of `tensors` model
 // tensors on this node.
 func (c Config) newContext(p *nn.Param, seed uint64, tensors int) compress.Compressor {
-	if !c.shouldCompress(p) {
+	if !c.Compresses(p) {
 		return compress.New(compress.SchemeNone, p.W.Shape(), compress.Options{})
 	}
 	o := c.Opts
@@ -263,7 +293,7 @@ func newJob(params []*nn.Param, globalIdx []int, cfg Config) *Job {
 // identity, so the fused multiply equals the staged straight copy
 // whenever only one push was accepted).
 func (s *Job) gradBufFor(i int) ([]float32, float32) {
-	if s.params[i].NoCompress {
+	if OwnerOnly(s.params[i]) {
 		return s.gradSum[i].Data(), 1
 	}
 	return s.gradSum[i].Data(), s.inv
@@ -308,9 +338,10 @@ func (s *Job) AddPush(workerID int, wires [][]byte) (time.Duration, error) {
 // across layer tensors (each tensor owns its gradient-sum buffer, so
 // per-tensor parallelism is safe). Each tensor runs the fused
 // decode-accumulate — one LUT-driven pass that adds M·q straight into the
-// aggregation buffer, no intermediate decode tensor. NoCompress tensors
-// (batch norm) are taken from worker 0 only. It does NOT advance the push
-// count — that is the session End (or AddPush).
+// aggregation buffer, no intermediate decode tensor. An owner-only tensor
+// (batch norm) is taken from its owner; every other worker's slot for it
+// must hold the empty wire (Pushes). It does NOT advance the push count —
+// that is the session End (or AddPush).
 func (s *Job) ingestSet(workerID int, wires [][]byte) (time.Duration, error) {
 	if len(wires) != len(s.params) {
 		return 0, fmt.Errorf("ps: push has %d tensors, model has %d", len(wires), len(s.params))
@@ -330,14 +361,21 @@ func (s *Job) ingestSet(workerID int, wires [][]byte) (time.Duration, error) {
 // addPushOne decode-accumulates tensor i of the push staged in
 // pushWorkerID/pushSrc.
 func (s *Job) addPushOne(i int) {
+	s.errs[i] = s.ingestOne(s.pushWorkerID, i, s.pushSrc[i])
+}
+
+// ingestOne is what either ingestion path does with workerID's wire for
+// tensor i: decode-accumulate it, or — for a tensor workerID does not push —
+// hold it to the empty wire.
+func (s *Job) ingestOne(workerID, i int, wire []byte) error {
 	p := s.params[i]
-	s.errs[i] = nil
-	if p.NoCompress && s.pushWorkerID != 0 {
-		return
+	if !Pushes(workerID, p) {
+		return RefuseUnpushed(workerID, p, wire)
 	}
-	if err := s.decodeAdd(i, s.pushSrc[i]); err != nil {
-		s.errs[i] = fmt.Errorf("ps: push tensor %q: %w", p.Name, err)
+	if err := s.decodeAdd(i, wire); err != nil {
+		return fmt.Errorf("ps: push tensor %q: %w", p.Name, err)
 	}
+	return nil
 }
 
 // decodeAdd accumulates one wire into gradSum[i] through the fused
@@ -377,14 +415,7 @@ func (s *Job) ingestTensor(workerID, i int, wire []byte) error {
 	if i < 0 || i >= len(s.params) {
 		return fmt.Errorf("ps: push tensor index %d out of range (model has %d tensors)", i, len(s.params))
 	}
-	p := s.params[i]
-	if p.NoCompress && workerID != 0 {
-		return nil
-	}
-	if err := s.decodeAdd(i, wire); err != nil {
-		return fmt.Errorf("ps: push tensor %q: %w", p.Name, err)
-	}
-	return nil
+	return s.ingestOne(workerID, i, wire)
 }
 
 // NumTensors returns the number of model tensors this server owns — the
@@ -410,13 +441,13 @@ func (s *Job) FinishStep() ([][]byte, time.Duration, error) {
 		return nil, 0, fmt.Errorf("ps: FinishStep with no pushes")
 	}
 	s.inv = 1 / float32(s.pushes)
-	for i := range s.params {
+	for i := range s.dirty {
 		if !s.dirty[i] {
-			// Defensive: a tensor that received no push this step must
-			// average as zero even though BeginStep skipped the up-front
-			// zeroing sweep. (Every driver pushes every tensor — worker 0
-			// is never dropped — so this is unreachable in practice.)
-			s.gradSum[i].Zero()
+			// Every tensor is pushed by at least its owner every step (no
+			// driver drops worker 0), so a sum nobody wrote — stale, since
+			// BeginStep skipped the zeroing sweep — is a driver's fault to
+			// report, not a zero gradient to step the momentum with.
+			return nil, 0, NoPush(s.params[i])
 		}
 	}
 	// One fused sweep per tensor: average (scale fused into the read),
@@ -503,8 +534,13 @@ func (w *Worker) CompressGrads() ([][]byte, time.Duration) {
 	return w.pushWires, time.Since(start)
 }
 
-// compressOne compresses gradient tensor i into its recycled buffer.
+// compressOne compresses gradient tensor i into its recycled buffer, or
+// leaves the empty wire there for a tensor this worker does not push: the
+// aggregate never reads it (Pushes), so it does not cross the link.
 func (w *Worker) compressOne(i int) {
+	if !Pushes(w.ID, w.params[i]) {
+		return
+	}
 	w.pushWires[i] = w.pushCtx[i].CompressInto(w.params[i].G, w.pushWires[i][:0])
 }
 

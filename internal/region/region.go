@@ -61,9 +61,9 @@ type Config struct {
 	Entropy compress.EntropyAlgo
 	// Scheme and Opts configure the recompress contexts, normally the
 	// run's own design (the region re-quantizes with the same codec).
-	// MinCompressElems carries the small-tensor exemption: below it (or
-	// for NoCompress tensors) the region forwards raw floats instead of
-	// re-quantizing. Ignored in exact mode.
+	// MinCompressElems carries the small-tensor exemption
+	// (ps.Config.Compresses): an exempt tensor is forwarded as raw floats
+	// instead of re-quantized. Ignored in exact mode.
 	Scheme           compress.Scheme
 	Opts             compress.Options
 	MinCompressElems int
@@ -89,7 +89,6 @@ type Tier struct {
 	cfg   Config
 
 	params []*nn.Param
-	comp   []bool // per tensor: region re-quantizes (recompress mode)
 
 	sessions []session
 
@@ -98,10 +97,10 @@ type Tier struct {
 
 	// Recompress mode.
 	sums    [][]*tensor.Tensor      // [region][tensor] fused gradient sums
-	dirty   [][]bool                // sums[r][i] holds this step's data
+	dirty   [][]bool                // sums[r][i] (ncWire[i], owner-only) holds this step's data
 	ctx     [][]compress.Compressor // [region][tensor] re-encode contexts
 	setBufs [][][]byte              // [region][tensor] recycled wire buffers
-	ncWire  [][]byte                // worker-0 wires of NoCompress tensors, copied
+	ncWire  [][]byte                // the owner's wires of owner-only tensors, copied
 	fuseDur time.Duration           // decode-accumulate time inside sessions
 
 	codeBuf []byte // framed pull set, recycled
@@ -137,11 +136,7 @@ func NewTier(inner ps.Tier, params []*nn.Param, cfg Config) (*Tier, error) {
 		return t, nil
 	}
 
-	t.comp = make([]bool, len(params))
-	for i, p := range params {
-		t.comp[i] = cfg.Scheme != compress.SchemeNone && !p.NoCompress &&
-			p.W.Len() >= cfg.MinCompressElems
-	}
+	exempt := ps.Config{Scheme: cfg.Scheme, MinCompressElems: cfg.MinCompressElems}
 	t.sums = make([][]*tensor.Tensor, cfg.Regions)
 	t.dirty = make([][]bool, cfg.Regions)
 	t.ctx = make([][]compress.Compressor, cfg.Regions)
@@ -154,10 +149,10 @@ func NewTier(inner ps.Tier, params []*nn.Param, cfg Config) (*Tier, error) {
 		t.setBufs[r] = make([][]byte, len(params))
 		for i, p := range params {
 			t.sums[r][i] = tensor.New(p.W.Shape()...)
-			if p.NoCompress {
-				continue // forwarded verbatim from worker 0, never fused
+			if ps.OwnerOnly(p) {
+				continue // forwarded verbatim from its owner, never fused
 			}
-			if t.comp[i] {
+			if exempt.Compresses(p) {
 				o := cfg.Opts
 				o.Entropy = cfg.Entropy
 				o.Seed ^= 0x524547 ^ uint64(r)<<40 ^ uint64(i)<<16
@@ -253,12 +248,15 @@ func (s *session) Tensor(i int, wire []byte) error {
 		t.bundles[s.region] = appendFramed(t.bundles[s.region], wire)
 		return s.fwd.Tensor(i, wire)
 	}
-	if t.params[i].NoCompress {
+	p := t.params[i]
+	if !ps.Pushes(s.worker, p) {
+		return ps.RefuseUnpushed(s.worker, p, wire)
+	}
+	if ps.OwnerOnly(p) {
 		// Batch-norm statistics have a single designated owner; the
-		// region relays worker 0's wire untouched instead of fusing.
-		if s.worker == 0 {
-			t.ncWire[i] = append(t.ncWire[i][:0], wire...)
-		}
+		// region relays its wire untouched instead of fusing.
+		t.ncWire[i] = append(t.ncWire[i][:0], wire...)
+		t.dirty[s.region][i] = true
 		return nil
 	}
 	start := time.Now()
@@ -271,7 +269,7 @@ func (s *session) Tensor(i int, wire []byte) error {
 	}
 	t.fuseDur += time.Since(start)
 	if err != nil {
-		return fmt.Errorf("region %d: push tensor %q: %w", s.region, t.params[i].Name, err)
+		return fmt.Errorf("region %d: push tensor %q: %w", s.region, p.Name, err)
 	}
 	return nil
 }
@@ -301,17 +299,16 @@ func (t *Tier) FinishStep() ([][]byte, time.Duration, error) {
 		for r := 0; r < t.cfg.Regions; r++ {
 			set := t.setBufs[r]
 			for i, p := range t.params {
+				// A region is the inner tier's worker r: it forwards what
+				// worker r would push, the empty wire otherwise.
 				switch {
-				case p.NoCompress:
-					if r == 0 {
-						set[i] = t.ncWire[i]
-					} else {
-						set[i] = nil
-					}
+				case !ps.Pushes(r, p):
+					set[i] = nil
+				case !t.dirty[r][i]:
+					return nil, 0, fmt.Errorf("region %d: %w", r, ps.NoPush(p))
+				case ps.OwnerOnly(p):
+					set[i] = t.ncWire[i]
 				default:
-					if !t.dirty[r][i] {
-						return nil, 0, fmt.Errorf("region %d: tensor %q received no push this step", r, p.Name)
-					}
 					t.sums[r][i].Scale(scale)
 					set[i] = t.ctx[r][i].CompressInto(t.sums[r][i], set[i][:0])
 				}

@@ -3,6 +3,7 @@ package region
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -306,9 +307,10 @@ func TestRecompressMatchesManual(t *testing.T) {
 	}
 }
 
-// TestRecompressNoCompressRelay pins the batch-norm path: the exempt
+// TestRecompressNoCompressRelay pins the batch-norm path: the owner-only
 // tensor's wire is relayed verbatim from worker 0 by region 0 and sent as
-// nil by every other region (the global tier ignores non-chief owners).
+// nil by every other region; bytes in a non-owner's slot are refused, and
+// so is a step the owner pushed nothing in.
 func TestRecompressNoCompressRelay(t *testing.T) {
 	params := testParams([][]int{{32}, {6}}, []bool{false, true})
 	cfg := Config{
@@ -339,12 +341,18 @@ func TestRecompressNoCompressRelay(t *testing.T) {
 		if err := sess.Tensor(0, wire0); err != nil {
 			t.Fatal(err)
 		}
-		nc := ncWire
-		if w != 0 {
-			nc = []byte{0xFF} // non-chief copies must be ignored
-		}
-		if err := sess.Tensor(1, nc); err != nil {
-			t.Fatal(err)
+		if w == 0 {
+			if err := sess.Tensor(1, ncWire); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			err := sess.Tensor(1, []byte{0xFF})
+			if err == nil || !strings.Contains(err.Error(), `"t1"`) || !strings.Contains(err.Error(), fmt.Sprintf("worker %d ", w)) {
+				t.Fatalf("worker %d's byte in the owner-only slot: %v, want a refusal naming tensor and worker", w, err)
+			}
+			if err := sess.Tensor(1, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
 		sess.End()
 	}
@@ -357,6 +365,20 @@ func TestRecompressNoCompressRelay(t *testing.T) {
 	}
 	if inner.pushes[1][1] != nil {
 		t.Errorf("region 1 forwarded %x for the exempt tensor, want nil", inner.pushes[1][1])
+	}
+
+	// A step without the owner's push must not relay the last step's wire.
+	tier.BeginStep()
+	for w := 0; w < 4; w++ {
+		sess := tier.BeginPush(w)
+		if err := sess.Tensor(0, wire0); err != nil {
+			t.Fatal(err)
+		}
+		sess.End()
+	}
+	_, _, err = tier.FinishStep()
+	if err == nil || !strings.Contains(err.Error(), `"t1"`) || !strings.Contains(err.Error(), "worker 0") {
+		t.Fatalf("step without the owner's push: %v, want an error naming tensor and owner", err)
 	}
 }
 
@@ -533,6 +555,9 @@ func BenchmarkHierarchicalPushPull(b *testing.B) {
 			g := tensor.New(p.W.Shape()...)
 			for j := range g.Data() {
 				g.Data()[j] = float32(rng.Norm())
+			}
+			if !ps.Pushes(w, p) {
+				continue // the empty wire; drawn all the same, so the other wires are the ones they were
 			}
 			c := compress.New(cfg.Scheme, p.W.Shape(), compress.Options{Sparsity: 1.0, ZeroRun: true, Seed: uint64(w*31 + i)})
 			wires[w][i] = c.CompressInto(g, nil)

@@ -181,7 +181,7 @@ func newRun(cfg Config) (_ *run, err error) {
 	compElems := 0
 	r.compressible = make([]bool, len(params))
 	for i, p := range params {
-		if cfg.Design.Scheme != compress.SchemeNone && !p.NoCompress && p.W.Len() >= cfg.MinCompressElems {
+		if psCfg.Compresses(p) {
 			r.compressible[i] = true
 			compElems += p.W.Len()
 		}
@@ -671,6 +671,15 @@ func (r *run) finish() (*Result, error) {
 	res.TotalVirtualSec = r.clock.Seconds()
 	res.PerStepSec = r.clock.PerStep()
 	res.Net = r.net
-	res.RawBytes = int64(res.NumParam) * 4 * int64(res.Steps) * int64(cfg.Workers) * 2
+	// The float32 baseline moves every element to every worker, and from
+	// every worker that pushes it.
+	for _, p := range r.global.Params() {
+		for w := range r.workers {
+			if ps.Pushes(w, p) {
+				res.RawPushBytes += int64(4*p.W.Len()) * int64(res.Steps)
+			}
+		}
+	}
+	res.RawBytes = res.RawPushBytes + int64(res.NumParam)*4*int64(res.Steps)*int64(cfg.Workers)
 	return res, nil
 }

@@ -258,8 +258,12 @@ type Result struct {
 
 	TotalPushBytes int64
 	TotalPullBytes int64
-	// RawBytes is what the 32-bit float baseline would have moved in total.
-	RawBytes int64
+	// RawBytes is what the 32-bit float baseline would have moved in total —
+	// every element to every worker, and from every worker that pushes it
+	// (ps.Pushes: an owner-only tensor once) — and RawPushBytes its push
+	// half: the payload of a SchemeNone run's wires, less their scheme byte.
+	RawBytes     int64
+	RawPushBytes int64
 	// TotalWANBytes totals inter-region traffic over the run, both
 	// directions across all regions (hierarchical topologies only).
 	TotalWANBytes int64

@@ -10,6 +10,7 @@ import (
 	"threelc/internal/netsim"
 	"threelc/internal/nn"
 	"threelc/internal/opt"
+	"threelc/internal/ps"
 )
 
 func tinyConfig(design Design, steps int) Config {
@@ -48,9 +49,27 @@ func TestRunBaselineEndToEnd(t *testing.T) {
 	if len(res.StepRecords) != 30 {
 		t.Errorf("expected 30 step records, got %d", len(res.StepRecords))
 	}
-	// Baseline wire bytes: scheme byte + 4 per element, both directions.
-	if res.TotalPushBytes <= int64(res.NumParam)*4*30*4-1000 {
-		t.Errorf("push traffic %d lower than raw size", res.TotalPushBytes)
+	// The float32 denominator is what this run measured: every wire is a
+	// scheme byte plus 4 bytes an element, an owner-only tensor is pushed by
+	// its owner alone (ps.Pushes) and pulled by everyone.
+	const steps, workers = 30, 4
+	pushWires, pullWires := 0, 0
+	for _, p := range tinyConfig(Design{}, steps).BuildModel().Params() {
+		pullWires += workers
+		for w := 0; w < workers; w++ {
+			if ps.Pushes(w, p) {
+				pushWires++
+			}
+		}
+	}
+	if pushWires == pullWires {
+		t.Fatal("the model has no owner-only tensor: the pin below would not see the push side")
+	}
+	if got, want := res.RawPushBytes, res.TotalPushBytes-int64(steps*pushWires); got != want {
+		t.Errorf("RawPushBytes %d, the run pushed %d payload bytes", got, want)
+	}
+	if got, want := res.RawBytes, res.TotalPushBytes+res.TotalPullBytes-int64(steps*(pushWires+pullWires)); got != want {
+		t.Errorf("RawBytes %d, the run moved %d payload bytes", got, want)
 	}
 }
 
@@ -69,11 +88,16 @@ func TestRunThreeLCTrafficReduction(t *testing.T) {
 	if lc.TotalPushBytes >= base.TotalPushBytes/10 {
 		t.Errorf("3LC push traffic %d not <10%% of baseline %d", lc.TotalPushBytes, base.TotalPushBytes)
 	}
-	if r := lc.CompressionRatio(); r < 15 {
-		t.Errorf("3LC compression ratio %v unexpectedly low", r)
+	// The ratios are over compressible tensors only: who pushes the exempt
+	// ones cannot move them. These are the values from before ps.Pushes.
+	if r := lc.CompressionRatio(); r != 33.03991852949777 {
+		t.Errorf("3LC compression ratio %v moved", r)
 	}
-	if b := lc.BitsPerChange(); b <= 0 || b > 2 {
-		t.Errorf("bits per change %v outside plausible range", b)
+	if r := lc.PaperCompressionRatio(); r != 32.57126953202656 {
+		t.Errorf("3LC compression ratio in the paper's spelling %v moved", r)
+	}
+	if b := lc.BitsPerChange(); b != 0.968525390625 {
+		t.Errorf("bits per change %v moved", b)
 	}
 }
 

@@ -106,7 +106,12 @@ func BenchmarkSteadyStatePushPullWireLegacy(b *testing.B)   { benchWirePushPull(
 // CompressGradsStream → PushPullStream → ApplyPullTensor. Beside the time
 // it reports what the flush policy made of the step's 1 036 frames, from
 // counting connections on both ends: writes/op, and frames/write, which
-// CI floors — a frame per write is the cost this path used to pay. The
+// CI floors — a frame per write is the cost this path used to pay. Its
+// model has 96 batch-norm vectors, so it also reports what the workers
+// put on the wire in a step, push-B/step, and owner-gain: the bytes of
+// owner-only tensors (ps.Pushes) a step would carry if every worker sent
+// them over the bytes it does carry, which is the worker count and which
+// CI floors too — a change that quietly re-sends them reads 1. The
 // caller's per-step channel and the call's own set-up allocate by design
 // (see TestStreamedStepAllocsIndependentOfTensorCount), so the name stays
 // clear of the SteadyStatePushPull zero-allocs pattern.
@@ -117,6 +122,7 @@ func BenchmarkStreamedPushPullWire(b *testing.B) {
 	tier := newStreamTier(b, func() *nn.Model { return nn.NewMLP(768, repeat(64, 48), 10, 7) },
 		cfg, shards, ShardClientConfig{}, nil)
 	step := 0
+	pushed := make([][][]byte, workers) // each worker's last wire set
 	roundTrip := func() {
 		var wg sync.WaitGroup
 		for w, cl := range tier.clients {
@@ -125,7 +131,7 @@ func BenchmarkStreamedPushPullWire(b *testing.B) {
 			wg.Add(2)
 			go func() {
 				defer wg.Done()
-				wk.CompressGradsStream(func(i int, wire []byte) { ch <- IndexedWire{I: i, Wire: wire} })
+				pushed[w], _ = wk.CompressGradsStream(func(i int, wire []byte) { ch <- IndexedWire{I: i, Wire: wire} })
 				close(ch)
 			}()
 			go func() {
@@ -163,4 +169,16 @@ func BenchmarkStreamedPushPullWire(b *testing.B) {
 	d := count().since(before)
 	b.ReportMetric(float64(d.writes)/float64(b.N), "writes/op")
 	b.ReportMetric(float64(d.frames)/float64(d.writes), "frames/write")
+	pushB, ownedSent, ownedOnce := 0, 0, 0
+	for w, set := range pushed {
+		pushB += ps.WireBytes(set)
+		for i, p := range tier.workers[w].Model.Params() {
+			if ps.OwnerOnly(p) {
+				ownedSent += len(set[i])
+				ownedOnce += len(pushed[ps.Owner][i])
+			}
+		}
+	}
+	b.ReportMetric(float64(pushB), "push-B/step")
+	b.ReportMetric(float64(ownedOnce)/float64(ownedSent), "owner-gain")
 }

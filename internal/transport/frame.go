@@ -14,8 +14,9 @@
 //	pull   := [4B LE step][wire set]
 //	wire set := [4B LE tensor count]{[4B LE len][len bytes]}*
 //
-// A zero-length tensor entry encodes a nil wire (the local-steps scheme's
-// non-transmitting step). A frame is the unit of parsing, not of I/O: a
+// A zero-length tensor entry encodes a nil wire (a tensor the worker does
+// not push — ps.Pushes — or the local-steps scheme's non-transmitting
+// step). A frame is the unit of parsing, not of I/O: a
 // connection (link, session.go) encodes each frame behind its own prefix
 // into one outgoing buffer and hands the socket whole flushes — one frame
 // when the frame is the protocol's turn (hello, whole-set push and pull),

@@ -478,10 +478,11 @@ func (s *session) readPush(st *seat, step int) error {
 // to MsgShardPushEnd, returning the payload bytes received. Each tensor
 // wire aliases the connection's frame scratch and is decode-accumulated
 // before the next read — the session never stages the full wire set.
-// Workers must send every tensor of the shard (an empty wire for
-// non-transmitting schemes), in any order, each exactly once; duplicate
-// or missing slots are protocol errors, enforced here so a malformed
-// stream can never silently skew the aggregate.
+// Workers must send every tensor of the shard — a zero-length body, the
+// empty wire, for a tensor the seat does not push (ps.Pushes) and for a
+// non-transmitting scheme's off step — in any order, each exactly once;
+// duplicate or missing slots are protocol errors, enforced here so a
+// malformed stream can never silently skew the aggregate.
 func (s *session) readStream(st *seat, step int, f frame) (int, error) {
 	if s.stream == nil {
 		return 0, fmt.Errorf("transport: per-tensor push to a seat that takes whole sets only (its aggregator has no per-tensor surface)")

@@ -40,7 +40,10 @@ go test -run='^$' -bench 'SteadyStatePushPullWire' -benchtime 100x -benchmem ./i
 # The per-tensor streamed exchange at the tiny-stream shape (258
 # tensors, 2 workers, 2 shards): reports writes/op and
 # frames/write from counting connections; the gate's floor holds
-# the flush policy (a frame per write is 1, coalesced ~129).
+# the flush policy (a frame per write is 1, coalesced ~129). Its
+# model has batch-norm tensors, so it also reports push-B/step and
+# owner-gain (2 = the worker count: an owner-only tensor is pushed
+# once), floored by the gate as well.
 # Outside the zero-allocs pattern by name: the caller's per-step
 # channel is part of the API.
 go test -run='^$' -bench 'StreamedPushPullWire' -benchtime 100x -benchmem ./internal/transport/
