@@ -42,6 +42,10 @@
 //	2 local steps      — transmit accumulated changes every k-th step
 //	3LC (s)            — 3-value quantization with sparsity multiplication,
 //	                     error accumulation, quartic + zero-run encoding
+//
+// Beside the designs sits the wire of what a design exempts from its codec
+// (§5.1's small tensors): NewExempt, lossless float32 repacked as bit planes
+// under every design but the float32 one.
 package compress
 
 import (
@@ -74,6 +78,11 @@ const (
 	// (see WithEntropy in entropy.go). It is a wrapper, not a base
 	// design: New rejects it — set Options.Entropy on a base scheme.
 	SchemeEntropy
+	// SchemePacked32 marks the lossless packed float32 wire: what a tensor
+	// exempt from compression travels as under a compressing design (see
+	// NewExempt in packed.go). Like SchemeEntropy it is not a design: New
+	// rejects it.
+	SchemePacked32
 	schemeCount
 )
 
@@ -98,6 +107,8 @@ func (s Scheme) String() string {
 		return "round-robin exchange"
 	case SchemeEntropy:
 		return "entropy-wrapped"
+	case SchemePacked32:
+		return "packed float32"
 	default:
 		return fmt.Sprintf("scheme(%d)", uint8(s))
 	}
@@ -226,6 +237,8 @@ func New(s Scheme, shape []int, opt Options) Compressor {
 		c = newRoundRobinCompressor(shape, p)
 	case SchemeEntropy:
 		panic("compress: SchemeEntropy is a wrapper; set Options.Entropy on a base scheme")
+	case SchemePacked32:
+		panic("compress: SchemePacked32 is the wire of an exempt tensor, not a design; use NewExempt")
 	default:
 		panic(fmt.Sprintf("compress: unknown scheme %d", s))
 	}

@@ -18,8 +18,8 @@ func TestCompressIntoMatchesCompress(t *testing.T) {
 	shape := []int{n}
 	for _, sc := range fuzzSchemes {
 		t.Run(sc.s.String(), func(t *testing.T) {
-			legacy := New(sc.s, shape, sc.o)
-			appendStyle := New(sc.s, shape, sc.o)
+			legacy := newContext(sc.s, shape, sc.o)
+			appendStyle := newContext(sc.s, shape, sc.o)
 			rng := tensor.NewRNG(99)
 			in := tensor.New(n)
 			var buf []byte
@@ -79,11 +79,12 @@ func TestCompressIntoSteadyStateAllocs(t *testing.T) {
 		{"3lc-zre", SchemeThreeLC, Options{Sparsity: 1.75, ZeroRun: true}},
 		{"3lc-nozre", SchemeThreeLC, Options{Sparsity: 1.0, ZeroRun: false}},
 		{"mqe1bit", SchemeMQE1Bit, Options{}},
+		{"packed", SchemePacked32, Options{}},
 	}
 	const n = 1 << 14
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ctx := New(tc.s, []int{n}, tc.o)
+			ctx := newContext(tc.s, []int{n}, tc.o)
 			rng := tensor.NewRNG(5)
 			in := tensor.New(n)
 			tensor.FillNormal(in, 0.01, rng)

@@ -9,8 +9,9 @@ import (
 )
 
 // addTestCases is one configuration per implemented scheme — all 8 codecs
-// of the paper's evaluation — used to pin the fused decode-accumulate
-// against the staged decode-then-add reference.
+// of the paper's evaluation and the packed wire of their exempt tensors —
+// used to pin the fused decode-accumulate against the staged
+// decode-then-add reference.
 func addTestCases() []struct {
 	name string
 	s    Scheme
@@ -30,6 +31,7 @@ func addTestCases() []struct {
 		{"25% sparsification", SchemeTopK, Options{Fraction: 0.25, Seed: 9}},
 		{"2 local steps", SchemeLocalSteps, Options{Interval: 2}},
 		{"round-robin", SchemeRoundRobin, Options{Parts: 3}},
+		{"packed float32", SchemePacked32, Options{}},
 	}
 }
 
@@ -43,7 +45,7 @@ func TestDecompressAddMatchesDecodeThenAdd(t *testing.T) {
 	const n = 6007
 	for _, tc := range addTestCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			ctx := New(tc.s, []int{n}, tc.o)
+			ctx := newContext(tc.s, []int{n}, tc.o)
 			scratch := tensor.New(n)
 			want := tensor.New(n)
 			gotSerial := tensor.New(n)
@@ -87,7 +89,7 @@ func TestDecompressAddIntoRejectsWithoutCorruption(t *testing.T) {
 	const n = 1024
 	for _, tc := range addTestCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			ctx := New(tc.s, []int{n}, tc.o)
+			ctx := newContext(tc.s, []int{n}, tc.o)
 			var wire []byte
 			for len(wire) == 0 { // skip local-steps' empty first step
 				wire = ctx.CompressInto(randTensor(3, n, 0.01), nil)
@@ -206,7 +208,7 @@ func TestDecompressFirstAddMatchesZeroThenAdd(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	for _, tc := range addTestCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			ctx := New(tc.s, []int{n}, tc.o)
+			ctx := newContext(tc.s, []int{n}, tc.o)
 			for step := 0; step < 3; step++ {
 				in := randTensor(uint64(step)+71, n, 0.01)
 				for i := step; i < n; i += 7 {

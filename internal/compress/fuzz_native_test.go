@@ -19,7 +19,7 @@ func FuzzDecompressInto(f *testing.F) {
 	in := tensor.New(shape[0])
 	tensor.FillNormal(in, 0.1, rng)
 	for _, sc := range fuzzSchemes {
-		f.Add(New(sc.s, shape, sc.o).Compress(in))
+		f.Add(newContext(sc.s, shape, sc.o).Compress(in))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00, 0x01})

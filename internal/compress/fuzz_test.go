@@ -29,6 +29,17 @@ var fuzzSchemes = []struct {
 	{SchemeThreeLC, Options{Sparsity: 1.5, ZeroRun: true, Entropy: EntropyHuffman}},
 	{SchemeThreeLC, Options{Sparsity: 1.5, ZeroRun: true, Entropy: EntropyLZ}},
 	{SchemeNone, Options{Entropy: EntropyHuffman}},
+	// The exempt tensor of a compressing design (newContext's NewExempt).
+	{SchemePacked32, Options{}},
+}
+
+// newContext is New for every corpus entry: SchemePacked32 is not a design
+// New builds, its context comes from NewExempt.
+func newContext(s Scheme, shape []int, o Options) Compressor {
+	if s == SchemePacked32 {
+		return NewExempt(SchemeThreeLC, shape)
+	}
+	return New(s, shape, o)
 }
 
 // TestFuzzCorpusCoversEveryRegisteredDecoder fails when a codec registers
@@ -74,7 +85,7 @@ func TestDecompressNeverPanicsOnCorruptWire(t *testing.T) {
 	}
 
 	for _, sc := range fuzzSchemes {
-		valid := New(sc.s, shape, sc.o).Compress(in)
+		valid := newContext(sc.s, shape, sc.o).Compress(in)
 
 		// Single-byte mutations at every position.
 		for pos := 0; pos < len(valid); pos++ {
@@ -128,8 +139,9 @@ func TestDecompressIntoWrongShapeNeverPanics(t *testing.T) {
 		{SchemeThreeLC, Options{Sparsity: 1.5, ZeroRun: true}},
 		{SchemeMQE1Bit, Options{}},
 		{SchemeTopK, Options{Fraction: 0.3, Seed: 1}},
+		{SchemePacked32, Options{}},
 	} {
-		wire := New(sc.s, []int{100}, sc.o).Compress(in)
+		wire := newContext(sc.s, []int{100}, sc.o).Compress(in)
 		// Shapes inside the same padding bucket (e.g. 99 vs 100 for the
 		// 5-per-byte quartic format) are indistinguishable by design —
 		// the wire is context-keyed and does not carry the length. Test

@@ -158,10 +158,10 @@ func DecompressAddInto(wire []byte, dst *tensor.Tensor, workers int) error {
 // scale provably decodes to no negative zeros — every value is M·q with
 // M >= +0, so −0 (only M·(−1) with M = ±0, or negative M) cannot appear —
 // and x + 0 differs from x only at x = −0, so writing the decode over dst
-// IS the zero-and-accumulate result. A raw float wire can carry −0, so it
-// is not copied but added to +0 element by element in registers
-// (kernel.RawFirstAdd: +0 + (−0) = +0, exactly as the staged add leaves
-// it). Everything else zeroes and accumulates.
+// IS the zero-and-accumulate result. A float wire, raw or packed, can carry
+// −0, so it is not copied but added to +0 element by element in registers
+// (kernel.RawFirstAdd, kernel.Planes32FirstAdd: +0 + (−0) = +0, exactly as
+// the staged add leaves it). Everything else zeroes and accumulates.
 //
 // On error dst is zeroed — exactly the staged state of a fresh sum whose
 // first accumulation was rejected.
@@ -172,6 +172,8 @@ func DecompressFirstAddInto(wire []byte, dst *tensor.Tensor, workers int) error 
 		err = DecompressInto(wire, dst)
 	case len(wire) > 0 && (Scheme(wire[0]) == SchemeNone || Scheme(wire[0]) == SchemeLocalSteps):
 		err = decodeRawFirstAdd(wire[1:], dst)
+	case len(wire) > 0 && Scheme(wire[0]) == SchemePacked32:
+		err = decodePackedFirstAdd(wire[1:], dst)
 	default:
 		dst.Zero()
 		return DecompressAddInto(wire, dst, workers)

@@ -12,15 +12,18 @@ import (
 //
 // The hot inner loops — the fused accumulate+|max| reduction, the ternary
 // quantize→pack encode, the LUT decode-add, the fused SGD sweep in both its
-// forms, and the four raw float32 cores (put, get, add, first-add) — exist
-// in two implementations ("tiers"):
+// forms, the four raw float32 cores (put, get, add, first-add) and the two
+// bit-plane block cores of the packed float32 wire (planes.go, which calls
+// them by tier rather than through this table) — exist in two
+// implementations ("tiers"):
 //
 //	scalar  the portable loops in this package: the reference every test
 //	        compares against, and the tier that runs where asm cannot.
 //	asm     AVX2 amd64 assembly (package simd) for the accumulate+|max|
 //	        reduction, the block-level quantize/pack (which skips
 //	        all-zero blocks) and the LUT rows of long literal stretches,
-//	        the fused SGD sweeps and the raw float32 cores. Requires AVX2.
+//	        the fused SGD sweeps, the raw float32 cores and the bit-plane
+//	        block cores. Requires AVX2.
 //
 // The tier is chosen once at init — asm when the CPU supports it, else
 // scalar — and can be pinned with THREELC_KERNEL=scalar|asm (malformed or

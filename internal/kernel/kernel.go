@@ -43,9 +43,11 @@
 // FusedSGDStep (average → momentum → weight → delta → accumulate+|max| in
 // one sweep, absorbing the pull's pass 1; FusedSGDStepDelta stores the
 // delta where there is no accumulation buffer to fold it into). Tensors
-// that travel uncompressed — the float32 baseline, everything a 3LC run
-// exempts, state blobs and checkpoints — are moved by the four raw cores of
-// raw.go, one streaming pass each.
+// that travel as verbatim float32 — the float32 baseline, state blobs and
+// checkpoints — are moved by the four raw cores of raw.go, one streaming
+// pass each; what a compressing run exempts from its codec travels as the
+// bit planes of planes.go, 64 values a block, and lands through the same
+// raw cores.
 //
 // The inner loops behind these kernels are dispatched through a
 // CPU-feature-selected registry (see dispatch.go) with two tiers per core:
@@ -63,6 +65,8 @@
 //	both forms
 //	raw float32 put/get/  byte-order loop     32-float unaligned moves and adds
 //	add/first-add
+//	bit-plane block       five masked-swap    byte shuffles and VPMOVMSKB, a
+//	pack/unpack           stages on 32 words  whole block a call
 //
 // The plain |max| reduction (int8 / stochastic / 1-bit only, off every 3LC
 // and raw path) is one range loop on both tiers. The tier is picked once at

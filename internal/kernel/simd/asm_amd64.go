@@ -213,3 +213,42 @@ func RawFirstAddAsm(dst []float32, src []byte) {
 	_ = src[4*n-1]
 	rawFirstAddAsm(&dst[0], &src[0], n)
 }
+
+//go:noescape
+func planesPackAsm(src *[64]float32, out *byte, pb int, valid uint64) int
+
+//go:noescape
+func planesUnpackAsm(planes *byte, rank *[32]byte, pb int, base uint32, out *[256]byte)
+
+// PlanesPackAsm writes one block of the packed float32 wire
+// (kernel/planes.go) to the front of out and returns its length: base, the
+// largest magnitude of the 64 values in src taken as a bit pattern; mask,
+// the OR of their transformed words sign | (base − magnitude); and, for
+// every set bit j of mask in ascending order, the low pb bytes of plane j —
+// bit k from value k — ANDed with valid. Every plane, in the mask or not,
+// is stored as 8 bytes at the write position, which only a plane of the
+// mask advances, so out must hold 16 + 31·pb bytes. Integer throughout:
+// byte-identical to the scalar core for every bit pattern. Requires AVX2;
+// callers gate on Detect().AVX2.
+//
+//3lc:noalloc
+func PlanesPackAsm(src *[64]float32, out []byte, pb int, valid uint64) int {
+	_ = out[15+31*pb]
+	return planesPackAsm(src, &out[0], pb, valid)
+}
+
+// PlanesUnpackAsm is the inverse: from base and the planes a block's mask
+// names, pb bytes each at the front of planes, it rebuilds the 64 values'
+// float32 bits, sign | ((base − distance) & 0x7fffffff), and writes them to
+// out little-endian — a raw payload, which the raw cores then set or add.
+// rank[j] is the rank of plane j among the planes sent, or any byte with
+// bit 7 set where the mask has no plane j. All 32 rows are read, 8 bytes
+// each, whatever the mask and pb, so planes must hold 8 + 31·pb bytes; what
+// lies past the planes sent is never used. Requires AVX2; callers gate on
+// Detect().AVX2.
+//
+//3lc:noalloc
+func PlanesUnpackAsm(planes []byte, rank *[32]byte, pb int, base uint32, out *[256]byte) {
+	_ = planes[7+31*pb]
+	planesUnpackAsm(&planes[0], rank, pb, base, out)
+}

@@ -636,3 +636,346 @@ rawfirsttail:
 rawfirstdone:
 	VZEROUPPER
 	RET
+
+// Bit-plane cores of the packed float32 wire (kernel/planes.go): one block
+// of 64 values to and from its wire form — base, plane mask, and the planes
+// the mask names, plane j a word whose bit k is bit j of value k's
+// transformed word sign | (base − magnitude).
+//
+// Both directions go through bytes. Packing, VPSHUFB/VPERMD gather byte b of
+// eight values into qword b of their register, a 4×4 qword transpose lines
+// up byte b of 32 values in one register, and VPMOVMSKB of that register
+// shifted left by 7 − i is plane 8b + i. Unpacking reads the planes as a
+// byte matrix, row r the r-th plane sent, transposes it, moves each column's
+// bytes from rank order to plane order with VPSHUFB, and peels the columns
+// with VPMOVMSKB, whose 32 bits are then one value's transformed word.
+
+// Per 128-bit lane: byte b of its four dwords, for b = 0..3.
+DATA planesShuf<>+0(SB)/8, $0x0d0905010c080400
+DATA planesShuf<>+8(SB)/8, $0x0f0b07030e0a0602
+DATA planesShuf<>+16(SB)/8, $0x0d0905010c080400
+DATA planesShuf<>+24(SB)/8, $0x0f0b07030e0a0602
+GLOBL planesShuf<>(SB), RODATA|NOPTR, $32
+
+// Dwords 0,4,1,5,2,6,3,7: pairs the two lanes' byte-b dwords into qword b.
+DATA planesPerm<>+0(SB)/8, $0x0000000400000000
+DATA planesPerm<>+8(SB)/8, $0x0000000500000001
+DATA planesPerm<>+16(SB)/8, $0x0000000600000002
+DATA planesPerm<>+24(SB)/8, $0x0000000700000003
+GLOBL planesPerm<>(SB), RODATA|NOPTR, $32
+
+// PLANEWORD replaces the eight values in V with their transformed words
+// (Y15 = 0x7fffffff, Y13 = base) and ORs them into Y12.
+#define PLANEWORD(V) \
+	VPAND Y15, V, Y9; \
+	VPSUBD Y9, Y13, Y9; \
+	VPANDN V, Y15, V; \
+	VPOR Y9, V, V; \
+	VPOR V, Y12, Y12
+
+// BYTEQUADS leaves byte b of V's eight dwords in qword b of V (Y14 =
+// planesShuf, Y11 = planesPerm).
+#define BYTEQUADS(V) \
+	VPSHUFB Y14, V, V; \
+	VPERMD V, Y11, V
+
+// QUADTRANSPOSE turns A..D, qword b of each the byte-b octet of eight
+// values, into byte planes: A = byte 0 of all 32 values in order, B = byte
+// 1, C = byte 2, D = byte 3.
+#define QUADTRANSPOSE(A, B, C, D) \
+	VPUNPCKLQDQ B, A, Y8; \
+	VPUNPCKHQDQ B, A, Y9; \
+	VPUNPCKLQDQ D, C, Y10; \
+	VPUNPCKHQDQ D, C, Y12; \
+	VPERM2I128 $0x20, Y10, Y8, A; \
+	VPERM2I128 $0x20, Y12, Y9, B; \
+	VPERM2I128 $0x31, Y10, Y8, C; \
+	VPERM2I128 $0x31, Y12, Y9, D
+
+// PACK1 forms plane j — bit 7 − sh of byte planes L (values 0..31) and H
+// (values 32..63) — cuts it to the block's values (R12) and stores it at the
+// write offset R8, which moves on by the plane length CX only if the mask
+// (DX) has bit j: a plane the mask leaves out is overwritten by the next.
+// The shift works on 16-bit lanes; each byte's top bit still comes from its
+// own bit 7 − sh.
+#define PACK1(L, H, sh, j) \
+	VPSLLW $sh, L, Y8; \
+	VPSLLW $sh, H, Y9; \
+	VPMOVMSKB Y8, AX; \
+	VPMOVMSKB Y9, BX; \
+	SHLQ $32, BX; \
+	ORQ BX, AX; \
+	ANDQ R12, AX; \
+	MOVQ AX, (DI)(R8*1); \
+	BTL $j, DX; \
+	SBBQ R9, R9; \
+	ANDQ CX, R9; \
+	ADDQ R9, R8
+
+#define PACK8(L, H, j) \
+	PACK1(L, H, 7, j); \
+	PACK1(L, H, 6, j+1); \
+	PACK1(L, H, 5, j+2); \
+	PACK1(L, H, 4, j+3); \
+	PACK1(L, H, 3, j+4); \
+	PACK1(L, H, 2, j+5); \
+	PACK1(L, H, 1, j+6); \
+	PACK1(L, H, 0, j+7)
+
+// func planesPackAsm(src *[64]float32, out *byte, pb int, valid uint64) int
+TEXT ·planesPackAsm(SB), NOSPLIT, $0-40
+	MOVQ src+0(FP), SI
+	MOVQ out+8(FP), DI
+	MOVQ pb+16(FP), CX
+	MOVQ valid+24(FP), R12
+	VMOVDQU (SI), Y0
+	VMOVDQU 32(SI), Y1
+	VMOVDQU 64(SI), Y2
+	VMOVDQU 96(SI), Y3
+	VMOVDQU 128(SI), Y4
+	VMOVDQU 160(SI), Y5
+	VMOVDQU 192(SI), Y6
+	VMOVDQU 224(SI), Y7
+	VPCMPEQD Y15, Y15, Y15
+	VPSRLD $1, Y15, Y15
+
+	// base = the largest magnitude, as an unsigned integer.
+	VPAND Y15, Y0, Y8
+	VPAND Y15, Y1, Y9
+	VPAND Y15, Y2, Y10
+	VPAND Y15, Y3, Y11
+	VPMAXUD Y9, Y8, Y8
+	VPMAXUD Y11, Y10, Y10
+	VPAND Y15, Y4, Y9
+	VPAND Y15, Y5, Y11
+	VPMAXUD Y9, Y8, Y8
+	VPMAXUD Y11, Y10, Y10
+	VPAND Y15, Y6, Y9
+	VPAND Y15, Y7, Y11
+	VPMAXUD Y9, Y8, Y8
+	VPMAXUD Y11, Y10, Y10
+	VPMAXUD Y10, Y8, Y8
+	VEXTRACTI128 $1, Y8, X9
+	VPMAXUD X9, X8, X8
+	VPSHUFD $0x4E, X8, X9
+	VPMAXUD X9, X8, X8
+	VPSHUFD $0xB1, X8, X9
+	VPMAXUD X9, X8, X8
+	VMOVD X8, AX
+	MOVL AX, (DI)
+	VPBROADCASTD X8, Y13
+
+	// mask = the OR of the transformed words.
+	VPXOR Y12, Y12, Y12
+	PLANEWORD(Y0)
+	PLANEWORD(Y1)
+	PLANEWORD(Y2)
+	PLANEWORD(Y3)
+	PLANEWORD(Y4)
+	PLANEWORD(Y5)
+	PLANEWORD(Y6)
+	PLANEWORD(Y7)
+	VEXTRACTI128 $1, Y12, X9
+	VPOR X9, X12, X12
+	VPSHUFD $0x4E, X12, X9
+	VPOR X9, X12, X12
+	VPSHUFD $0xB1, X12, X9
+	VPOR X9, X12, X12
+	VMOVD X12, DX
+	MOVL DX, 4(DI)
+
+	VMOVDQU planesShuf<>(SB), Y14
+	VMOVDQU planesPerm<>(SB), Y11
+	BYTEQUADS(Y0)
+	BYTEQUADS(Y1)
+	BYTEQUADS(Y2)
+	BYTEQUADS(Y3)
+	BYTEQUADS(Y4)
+	BYTEQUADS(Y5)
+	BYTEQUADS(Y6)
+	BYTEQUADS(Y7)
+	QUADTRANSPOSE(Y0, Y1, Y2, Y3)
+	QUADTRANSPOSE(Y4, Y5, Y6, Y7)
+
+	MOVQ $8, R8
+	PACK8(Y0, Y4, 0)
+	PACK8(Y1, Y5, 8)
+	PACK8(Y2, Y6, 16)
+	PACK8(Y3, Y7, 24)
+	MOVQ R8, ret+32(FP)
+	VZEROUPPER
+	RET
+
+// Per 128-bit lane of two 8-byte rows: byte g of both, as word g.
+DATA planesRows<>+0(SB)/8, $0x0b030a0209010800
+DATA planesRows<>+8(SB)/8, $0x0f070e060d050c04
+DATA planesRows<>+16(SB)/8, $0x0b030a0209010800
+DATA planesRows<>+24(SB)/8, $0x0f070e060d050c04
+GLOBL planesRows<>(SB), RODATA|NOPTR, $32
+
+DATA planes15<>+0(SB)/8, $0x0f0f0f0f0f0f0f0f
+DATA planes15<>+8(SB)/8, $0x0f0f0f0f0f0f0f0f
+DATA planes15<>+16(SB)/8, $0x0f0f0f0f0f0f0f0f
+DATA planes15<>+24(SB)/8, $0x0f0f0f0f0f0f0f0f
+GLOBL planes15<>(SB), RODATA|NOPTR, $32
+
+// ROWPAIRS loads rows 2q, 2q+1 (at R10, CX bytes apart) into V's low lane
+// and rows 16+2q, 17+2q (at R11) into its high lane, and pairs their bytes
+// into words (Y15 = planesRows): after the word transpose the low lanes
+// hold rows 0..15 in order, the high lanes rows 16..31. A row is loaded as 8
+// bytes whatever its length: what follows a tail block's shorter row lands
+// in columns past the block's last value, which nobody reads.
+#define ROWPAIRS(X, V) \
+	VMOVQ (R10), X; \
+	VPINSRQ $1, (R10)(CX*1), X, X; \
+	VMOVQ (R11), X14; \
+	VPINSRQ $1, (R11)(CX*1), X14, X14; \
+	VINSERTI128 $1, X14, V, V; \
+	VPSHUFB Y15, V, V; \
+	ADDQ R9, R10; \
+	ADDQ R9, R11
+
+// RANKTOPLANE moves column register Z's bytes from rank order — byte r from
+// the r-th plane sent — to plane order, zero where the mask has no plane:
+// Y0 picks what comes from ranks 0..15, Y1 from ranks 16..31 (VPSHUFB
+// cannot cross lanes, so each half is first copied to both).
+#define RANKTOPLANE(Z) \
+	VPERMQ $0x44, Z, Y2; \
+	VPERMQ $0xEE, Z, Y3; \
+	VPSHUFB Y0, Y2, Y2; \
+	VPSHUFB Y1, Y3, Y3; \
+	VPOR Y3, Y2, Z
+
+// PEELWORDS stores the eight transformed words of column register Z, the
+// values 8g+7 down to 8g, at off+28, off+24, ... off of (DI): byte j of Z
+// is plane j's bits for those values, so VPMOVMSKB is the top one's word,
+// and after each VPADDB that of the value below.
+#define PEELWORDS(Z, off) \
+	VPMOVMSKB Z, AX; \
+	VPADDB Z, Z, Z; \
+	MOVL AX, (off+28)(DI); \
+	VPMOVMSKB Z, BX; \
+	VPADDB Z, Z, Z; \
+	MOVL BX, (off+24)(DI); \
+	VPMOVMSKB Z, AX; \
+	VPADDB Z, Z, Z; \
+	MOVL AX, (off+20)(DI); \
+	VPMOVMSKB Z, BX; \
+	VPADDB Z, Z, Z; \
+	MOVL BX, (off+16)(DI); \
+	VPMOVMSKB Z, AX; \
+	VPADDB Z, Z, Z; \
+	MOVL AX, (off+12)(DI); \
+	VPMOVMSKB Z, BX; \
+	VPADDB Z, Z, Z; \
+	MOVL BX, (off+8)(DI); \
+	VPMOVMSKB Z, AX; \
+	VPADDB Z, Z, Z; \
+	MOVL AX, (off+4)(DI); \
+	VPMOVMSKB Z, BX; \
+	MOVL BX, (off)(DI)
+
+// UNWORD turns the eight transformed words at off(DI) back into float32
+// bits in place — sign | ((base − distance) & 0x7fffffff), Y15 =
+// 0x7fffffff, Y13 = base.
+#define UNWORD(off) \
+	VMOVDQU (off)(DI), Y0; \
+	VPAND Y15, Y0, Y1; \
+	VPSUBD Y1, Y13, Y1; \
+	VPAND Y15, Y1, Y1; \
+	VPANDN Y0, Y15, Y0; \
+	VPOR Y1, Y0, Y0; \
+	VMOVDQU Y0, (off)(DI)
+
+// func planesUnpackAsm(planes *byte, rank *[32]byte, pb int, base uint32, out *[256]byte)
+TEXT ·planesUnpackAsm(SB), NOSPLIT, $0-40
+	MOVQ planes+0(FP), R10
+	MOVQ rank+8(FP), SI
+	MOVQ pb+16(FP), CX
+	MOVQ out+32(FP), DI
+	LEAQ (CX)(CX*1), R9
+	MOVQ CX, R11
+	SHLQ $4, R11
+	ADDQ R10, R11
+	VMOVDQU planesRows<>(SB), Y15
+	ROWPAIRS(X0, Y0)
+	ROWPAIRS(X1, Y1)
+	ROWPAIRS(X2, Y2)
+	ROWPAIRS(X3, Y3)
+	ROWPAIRS(X4, Y4)
+	ROWPAIRS(X5, Y5)
+	ROWPAIRS(X6, Y6)
+	ROWPAIRS(X7, Y7)
+
+	// 8×8 word transpose in each lane: words, dwords, qwords.
+	VPUNPCKLWD Y1, Y0, Y8
+	VPUNPCKHWD Y1, Y0, Y9
+	VPUNPCKLWD Y3, Y2, Y10
+	VPUNPCKHWD Y3, Y2, Y11
+	VPUNPCKLWD Y5, Y4, Y12
+	VPUNPCKHWD Y5, Y4, Y13
+	VPUNPCKLWD Y7, Y6, Y14
+	VPUNPCKHWD Y7, Y6, Y15
+	VPUNPCKLDQ Y10, Y8, Y0
+	VPUNPCKHDQ Y10, Y8, Y1
+	VPUNPCKLDQ Y11, Y9, Y2
+	VPUNPCKHDQ Y11, Y9, Y3
+	VPUNPCKLDQ Y14, Y12, Y4
+	VPUNPCKHDQ Y14, Y12, Y5
+	VPUNPCKLDQ Y15, Y13, Y6
+	VPUNPCKHDQ Y15, Y13, Y7
+	VPUNPCKLQDQ Y4, Y0, Y8
+	VPUNPCKHQDQ Y4, Y0, Y9
+	VPUNPCKLQDQ Y5, Y1, Y10
+	VPUNPCKHQDQ Y5, Y1, Y11
+	VPUNPCKLQDQ Y6, Y2, Y12
+	VPUNPCKHQDQ Y6, Y2, Y13
+	VPUNPCKLQDQ Y7, Y3, Y14
+	VPUNPCKHQDQ Y7, Y3, Y15
+
+	// rank[j] is plane j's rank among the planes sent, or has bit 7 set.
+	// Y0 = rank where it is 0..15, else bit 7 (VPSHUFB writes zero);
+	// Y1 = rank − 16 where it is 16..31, else bit 7.
+	VMOVDQU (SI), Y4
+	VMOVDQU planes15<>(SB), Y5
+	VPCMPGTB Y5, Y4, Y0
+	VPOR Y4, Y0, Y0
+	VPCMPEQB Y6, Y6, Y6
+	VPXOR Y6, Y5, Y6           // 0xf0: adding it subtracts 16
+	VPADDB Y6, Y4, Y1
+	VPXOR Y7, Y7, Y7
+	VPCMPGTB Y4, Y7, Y7
+	VPOR Y7, Y1, Y1
+	RANKTOPLANE(Y8)
+	RANKTOPLANE(Y9)
+	RANKTOPLANE(Y10)
+	RANKTOPLANE(Y11)
+	RANKTOPLANE(Y12)
+	RANKTOPLANE(Y13)
+	RANKTOPLANE(Y14)
+	RANKTOPLANE(Y15)
+
+	PEELWORDS(Y8, 0)
+	PEELWORDS(Y9, 32)
+	PEELWORDS(Y10, 64)
+	PEELWORDS(Y11, 96)
+	PEELWORDS(Y12, 128)
+	PEELWORDS(Y13, 160)
+	PEELWORDS(Y14, 192)
+	PEELWORDS(Y15, 224)
+
+	MOVL base+24(FP), AX
+	VMOVD AX, X13
+	VPBROADCASTD X13, Y13
+	VPCMPEQD Y15, Y15, Y15
+	VPSRLD $1, Y15, Y15
+	UNWORD(0)
+	UNWORD(32)
+	UNWORD(64)
+	UNWORD(96)
+	UNWORD(128)
+	UNWORD(160)
+	UNWORD(192)
+	UNWORD(224)
+	VZEROUPPER
+	RET

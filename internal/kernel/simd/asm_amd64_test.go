@@ -1,6 +1,8 @@
 package simd
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -232,6 +234,113 @@ func TestFusedSGDStepAsmMatchesScalar(t *testing.T) {
 							math.Float32bits(got[s][i]), math.Float32bits(want[s][i]))
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestPlanesAsmMatchesDefinition holds the two bit-plane cores to the
+// format's definition, one bit at a time: base is the largest magnitude,
+// mask the OR of the transformed words sign | (base − magnitude), plane j's
+// bit k is bit j of value k's word, and only the mask's planes are written,
+// cut to pb bytes and to the valid bits — and the inverse undoes it to the
+// bit, for ordinary values, the nasty ones, all-equal blocks, full blocks
+// and tails, and for arbitrary plane bytes (a distance above base wraps
+// within 31 bits).
+func TestPlanesAsmMatchesDefinition(t *testing.T) {
+	if !Detect().AVX2 {
+		t.Skip("no AVX2")
+	}
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 400; trial++ {
+		var src [64]float32
+		switch trial % 4 {
+		case 0:
+			fillMixed(rng, src[:])
+		case 1:
+			for i := range src {
+				src[i] = math.Float32frombits(rng.Uint32())
+			}
+		case 2:
+			for i := range src {
+				src[i] = 1 + float32(rng.Intn(1<<12))/(1<<20)
+			}
+		default:
+			for i := range src {
+				src[i] = -0.75
+			}
+		}
+		n := 64 // values in the block; the rest is padding, cut by valid
+		if trial%8 >= 4 {
+			n = 1 + rng.Intn(63)
+			for i := n; i < 64; i++ {
+				src[i] = src[0]
+			}
+		}
+		pb, valid := (n+7)/8, ^uint64(0)>>(64-n)
+		var wantBase, wantMask uint32
+		for _, v := range src {
+			wantBase = max(wantBase, math.Float32bits(v)&0x7fffffff)
+		}
+		var words [64]uint32
+		for k, v := range src {
+			u := math.Float32bits(v)
+			words[k] = u&0x80000000 | (wantBase - u&0x7fffffff)
+			wantMask |= words[k]
+		}
+		want := binary.LittleEndian.AppendUint32(nil, wantBase)
+		want = binary.LittleEndian.AppendUint32(want, wantMask)
+		var rank [32]byte
+		sent := 0
+		for j := range rank {
+			rank[j] = 0x80 | byte(rng.Intn(128))
+			if wantMask>>j&1 == 0 {
+				continue
+			}
+			rank[j] = byte(sent)
+			sent++
+			var plane uint64
+			for k := 0; k < n; k++ {
+				plane |= uint64(words[k]>>j&1) << k
+			}
+			want = append(want, binary.LittleEndian.AppendUint64(nil, plane)[:pb]...)
+		}
+		out := make([]byte, 16+31*pb+1)
+		out[len(out)-1] = 0xA5
+		if got := PlanesPackAsm(&src, out[:len(out)-1], pb, valid); got != len(want) || !bytes.Equal(out[:got], want) {
+			t.Fatalf("trial %d n=%d: pack wrote %d bytes % x, want %d bytes % x", trial, n, got, out[:min(got, len(out))], len(want), want)
+		}
+		if out[len(out)-1] != 0xA5 {
+			t.Fatalf("trial %d n=%d: pack wrote past the %d bytes it may", trial, n, len(out)-1)
+		}
+
+		// The inverse reads 8 bytes a row for 32 rows: what follows the
+		// planes sent is noise it must not use.
+		planes := make([]byte, 8+31*pb)
+		rng.Read(planes)
+		copy(planes, want[8:])
+		var raw [256]byte
+		PlanesUnpackAsm(planes, &rank, pb, wantBase, &raw)
+		for k := 0; k < n; k++ {
+			if got := binary.LittleEndian.Uint32(raw[4*k:]); got != math.Float32bits(src[k]) {
+				t.Fatalf("trial %d n=%d: unpack gives %#x at %d, want %#x", trial, n, got, k, math.Float32bits(src[k]))
+			}
+		}
+
+		// Arbitrary planes under the same mask and an arbitrary base.
+		rng.Read(planes)
+		base := rng.Uint32() & 0x7fffffff
+		PlanesUnpackAsm(planes, &rank, pb, base, &raw)
+		for k := 0; k < n; k++ {
+			var x uint32
+			for j := range rank {
+				if rank[j] < 0x80 {
+					x |= uint32(planes[int(rank[j])*pb+k/8]>>(k%8)&1) << j
+				}
+			}
+			want := x&0x80000000 | (base-x&0x7fffffff)&0x7fffffff
+			if got := binary.LittleEndian.Uint32(raw[4*k:]); got != want {
+				t.Fatalf("trial %d n=%d: unpack of arbitrary planes gives %#x at %d, want %#x", trial, n, got, k, want)
 			}
 		}
 	}

@@ -46,3 +46,11 @@ func RawAddAsm(dst []float32, src []byte) {
 func RawFirstAddAsm(dst []float32, src []byte) {
 	panic("simd: no assembly kernels on this architecture")
 }
+
+func PlanesPackAsm(src *[64]float32, out []byte, pb int, valid uint64) int {
+	panic("simd: no assembly kernels on this architecture")
+}
+
+func PlanesUnpackAsm(planes []byte, rank *[32]byte, pb int, base uint32, out *[256]byte) {
+	panic("simd: no assembly kernels on this architecture")
+}

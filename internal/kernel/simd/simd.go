@@ -3,8 +3,9 @@
 // Go cannot reach: the byte-level pack and LUT loops (packed compares,
 // byte shuffles, 20-byte row copies), the streaming float sweeps,
 // accumulate+|max| and the parameter server's fused SGD step (8-wide adds,
-// sign-mask abs, a NaN-losing packed max), and the raw float32 moves and
-// adds — plus the CPU feature probe that gates them.
+// sign-mask abs, a NaN-losing packed max), the raw float32 moves and adds,
+// and the 64 × 32 bit transposes of the packed float32 wire (byte shuffles
+// and VPMOVMSKB) — plus the CPU feature probe that gates them.
 //
 // Every core is bit-identical to the scalar kernels in package kernel for
 // every input — including ±Inf, negative zero, and denormals — with one

@@ -57,9 +57,9 @@ func DefaultSGDConfig(workers, totalSteps int) SGDConfig {
 // The paper's ResNet-110 trains at base LR 0.1; the smaller substitute
 // models sit closer to the stability edge under worker-scaled rates and
 // quantization-overshoot noise (sparsity multipliers enlarge transmitted
-// values by up to 2x), so the range is shifted down while keeping the
+// values by up to 2x), so the range is shifted down — base 0.1 → 0.02,
+// final 0.001 → 0.0002, the paper's 100:1 sweep kept — while keeping the
 // paper's momentum, weight decay, cosine decay, and warmup structure.
-// DESIGN.md documents this substitution.
 func TunedSGDConfig(workers, totalSteps int) SGDConfig {
 	cfg := DefaultSGDConfig(workers, totalSteps)
 	cfg.BaseLR = 0.02

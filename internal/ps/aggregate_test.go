@@ -253,8 +253,8 @@ func TestCompressGradsStreamMatches(t *testing.T) {
 // gradient sum never holds −0 — so skipping a run is bit-identical to
 // adding m·0 through it (compress.DecompressAddInto). The step's first
 // accumulation is covered in both its forms (set, for a positive scale;
-// zero-then-add, for negative, zero and negative-zero scales and for raw
-// floats carrying −0), followed by repeated adds that include exact
+// zero-then-add, for negative, zero and negative-zero scales and for
+// floats, raw and packed, carrying −0), followed by repeated adds that include exact
 // cancellations (x + (−x)) and −0 operands, over stale buffers left by
 // earlier steps, on every kernel tier.
 func TestGradSumNeverHoldsNegativeZero(t *testing.T) {
@@ -269,8 +269,8 @@ func TestGradSumNeverHoldsNegativeZero(t *testing.T) {
 	// Per tensor, the wire variants of one sparse gradient g: its 3LC wire
 	// (positive scale), the same wire with the scale negated, zeroed and
 	// set to −0 (hostile: nonzero digits under a zero scale decode to ±0),
-	// the wire of −g (cancels g exactly), and raw float32 g with −0 in
-	// every other zero slot.
+	// the wire of −g (cancels g exactly), and float32 g with −0 in every
+	// other zero slot, raw and packed.
 	variants := make([][][]byte, len(params))
 	rng := tensor.NewRNG(5)
 	for i, p := range params {
@@ -298,7 +298,8 @@ func TestGradSumNeverHoldsNegativeZero(t *testing.T) {
 			withScale(0, 0, 0, 0),
 			withScale(0, 0, 0, 0x80),
 			compress.New(compress.SchemeThreeLC, p.W.Shape(), opts).CompressInto(neg, nil),
-			compress.New(compress.SchemeNone, p.W.Shape(), compress.Options{}).CompressInto(raw, nil),
+			rawWire(raw),
+			compress.NewExempt(compress.SchemeThreeLC, p.W.Shape()).CompressInto(raw, nil),
 		}
 	}
 

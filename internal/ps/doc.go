@@ -16,9 +16,12 @@
 //     redundant compression work (workers still each consume egress
 //     bandwidth, which netsim accounts).
 //   - Small-tensor exemption (§5.1): tensors flagged NoCompress (batch
-//     norm) or smaller than MinCompressElems bypass compression and travel
-//     as raw 32-bit floats. Config.Compresses is the rule's one
-//     definition.
+//     norm) or smaller than MinCompressElems bypass the design's codec and
+//     travel as lossless 32-bit floats. Config.Compresses is the one
+//     definition of which tensors those are, compress.NewExempt of what
+//     they travel as: verbatim under the float32 design and below 16
+//     values, repacked as bit planes (the packed float32 wire, stateless,
+//     never longer than raw) under every design that compresses.
 //   - Batch-norm ownership (§5.2): one designated worker (Owner, worker 0)
 //     is responsible for batch-norm parameter updates, so it alone pushes
 //     those tensors (Pushes). Every other worker puts the empty wire in

@@ -22,9 +22,9 @@ type Config struct {
 	// Workers is the cluster size.
 	Workers int
 	// MinCompressElems exempts tensors with fewer elements from
-	// compression (they go as raw floats). The paper exempts small layers
-	// because "avoiding computation overhead far outweighs compacting
-	// already small tensors".
+	// compression (they go as lossless float32). The paper exempts small
+	// layers because "avoiding computation overhead far outweighs
+	// compacting already small tensors".
 	MinCompressElems int
 	// Parallelism bounds the worker pool that compresses / decompresses a
 	// node's layer tensors concurrently (contexts are per-tensor, so
@@ -114,10 +114,12 @@ func parallelFor(n, workers int, fn func(i int)) {
 }
 
 // Compresses is the paper's small-tensor exemption (§5.1), the one
-// definition of what travels raw: a tensor goes through the codec unless
-// the design is float32, the tensor is flagged NoCompress (batch norm) or
-// it has fewer than MinCompressElems elements. Both endpoints, the region
-// tier and the traffic accounting ask it, so wire formats always agree.
+// definition of which tensors skip the codec: a tensor goes through it
+// unless the design is float32, the tensor is flagged NoCompress (batch
+// norm) or it has fewer than MinCompressElems elements. Both endpoints, the
+// region tier and the traffic accounting ask it, so wire formats always
+// agree; what an exempt tensor travels as instead — lossless float32 either
+// way — is compress.NewExempt's to say.
 func (c Config) Compresses(p *nn.Param) bool {
 	return c.Scheme != compress.SchemeNone && !p.NoCompress && p.W.Len() >= c.MinCompressElems
 }
@@ -159,7 +161,7 @@ func NoPush(p *nn.Param) error {
 // tensors on this node.
 func (c Config) newContext(p *nn.Param, seed uint64, tensors int) compress.Compressor {
 	if !c.Compresses(p) {
-		return compress.New(compress.SchemeNone, p.W.Shape(), compress.Options{})
+		return compress.NewExempt(c.Scheme, p.W.Shape())
 	}
 	o := c.Opts
 	o.Seed ^= seed

@@ -159,7 +159,7 @@ func NewTier(inner ps.Tier, params []*nn.Param, cfg Config) (*Tier, error) {
 				o.CodecParallelism = cfg.Parallelism
 				t.ctx[r][i] = compress.New(cfg.Scheme, p.W.Shape(), o)
 			} else {
-				t.ctx[r][i] = compress.New(compress.SchemeNone, p.W.Shape(), compress.Options{})
+				t.ctx[r][i] = compress.NewExempt(cfg.Scheme, p.W.Shape())
 			}
 		}
 	}

@@ -47,6 +47,19 @@ func TestAllCodecsCoverRegistry(t *testing.T) {
 		}
 		covered[c.s] = true
 	}
+	// SchemePacked32 is no design but what a compressing design's exempt
+	// tensors travel as: it is covered if the equivalence driver's model
+	// puts it on a sharded tier's wires, which is looked at, not assumed
+	// (TestShardedEquivalentToSinglePS holds every codec to the same).
+	c := allCodecs[2]
+	cfg := ps.Config{Scheme: c.s, Opts: c.o, Workers: 2, MinCompressElems: 1, Parallelism: 1, Optimizer: opt.DefaultSGDConfig(2, 2)}
+	var cl *JobHandle
+	pulls, _ := runPS(t, cfg, 2, 2, func(g *nn.Model) stepServer {
+		cl = mustCluster(t, g, cfg, Config{Shards: 2})
+		return cl
+	})
+	cl.Close()
+	covered[compress.SchemePacked32] = packedWires(pulls) > 0
 	for _, s := range compress.RegisteredSchemes() {
 		if !covered[s] {
 			t.Errorf("registered scheme %v has no sharded-equivalence coverage", s)
@@ -78,6 +91,18 @@ func addPush(srv stepServer, workerID int, wires [][]byte) error {
 		return err
 	}
 	return push.End()
+}
+
+// packedWires counts the SchemePacked32 wires in a run's pull log.
+func packedWires(pullLog [][][]byte) (n int) {
+	for _, pulls := range pullLog {
+		for _, wire := range pulls {
+			if len(wire) > 0 && compress.Scheme(wire[0]) == compress.SchemePacked32 {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // runPS drives `steps` BSP steps of a small MLP against srv-built servers
@@ -176,6 +201,9 @@ func TestShardedEquivalentToSinglePS(t *testing.T) {
 								s, i, len(singlePulls[s][i]), len(shardPulls[s][i]))
 						}
 					}
+				}
+				if n := packedWires(shardPulls); (n > 0) != (codec.s != compress.SchemeNone) {
+					t.Errorf("%d packed wires in the shards' pulls under design %v", n, codec.s)
 				}
 				if len(singleW) != len(shardW) {
 					t.Fatalf("weight count mismatch: %d vs %d", len(singleW), len(shardW))

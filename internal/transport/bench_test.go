@@ -107,14 +107,16 @@ func BenchmarkSteadyStatePushPullWireLegacy(b *testing.B)   { benchWirePushPull(
 // it reports what the flush policy made of the step's 1 036 frames, from
 // counting connections on both ends: writes/op, and frames/write, which
 // CI floors — a frame per write is the cost this path used to pay. Its
-// model has 96 batch-norm vectors, so it also reports what the workers
+// model has 128 batch-norm vectors, so it also reports what the workers
 // put on the wire in a step, push-B/step, and owner-gain: the bytes of
 // owner-only tensors (ps.Pushes) a step would carry if every worker sent
 // them over the bytes it does carry, which is the worker count and which
-// CI floors too — a change that quietly re-sends them reads 1. The
-// caller's per-step channel and the call's own set-up allocate by design
-// (see TestStreamedStepAllocsIndependentOfTensorCount), so the name stays
-// clear of the SteadyStatePushPull zero-allocs pattern.
+// CI floors too — a change that quietly re-sends them reads 1. (push-B/step
+// read 70 454 when those vectors and the 65 biases travelled raw; packed,
+// the same step is 65 302.) The caller's per-step channel and the call's
+// own set-up allocate by design (see
+// TestStreamedStepAllocsIndependentOfTensorCount), so the name stays clear
+// of the SteadyStatePushPull zero-allocs pattern.
 func BenchmarkStreamedPushPullWire(b *testing.B) {
 	const workers, shards = 2, 2
 	cfg := shardTestConfig(workers, 1024)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"threelc/internal/compress"
@@ -246,16 +247,31 @@ func TestTCPAllCodecsMatchInProcess(t *testing.T) {
 		}
 		covered[c.s] = true
 	}
-	for _, s := range compress.RegisteredSchemes() {
-		if !covered[s] {
-			t.Errorf("registered scheme %v has no TCP-equivalence coverage", s)
+	// SchemePacked32 is no design but what a compressing design's exempt
+	// tensors travel as: it is covered by the wires the clients below see
+	// cross the socket, not by the list above.
+	var packedPush, packedPull atomic.Int64
+	countPacked := func(wires [][]byte) (n int64) {
+		for _, wire := range wires {
+			if len(wire) > 0 && compress.Scheme(wire[0]) == compress.SchemePacked32 {
+				n++
+			}
 		}
+		return n
 	}
 
 	const workers, steps = 2, 4
-	build := func() *nn.Model { return nn.NewMLP(8, []int{6}, 3, 1) }
+	// Hidden width 24: batch-norm vectors long enough to be packed.
+	build := func() *nn.Model { return nn.NewMLP(8, []int{24}, 3, 1) }
 	for _, codec := range codecs {
 		t.Run(codec.name, func(t *testing.T) {
+			pushed, pulled := packedPush.Load(), packedPull.Load()
+			defer func() {
+				pushed, pulled = packedPush.Load()-pushed, packedPull.Load()-pulled
+				if compresses := codec.s != compress.SchemeNone; (pushed > 0) != compresses || (pulled > 0) != compresses {
+					t.Errorf("%d packed push wires and %d packed pull wires crossed the socket under design %v", pushed, pulled, codec.s)
+				}
+			}()
 			psCfg := ps.Config{
 				Scheme:           codec.s,
 				Opts:             codec.o,
@@ -335,11 +351,13 @@ func TestTCPAllCodecsMatchInProcess(t *testing.T) {
 					for s := 0; s < steps; s++ {
 						worker.Model.TrainStep(batches[w][s].x, batches[w][s].labels)
 						wires, _ := worker.CompressGrads()
+						packedPush.Add(countPacked(wires))
 						pull, err := client.PushPull(s, wires)
 						if err != nil {
 							workerErr <- err
 							return
 						}
+						packedPull.Add(countPacked(pull))
 						if _, err := worker.ApplyPull(pull); err != nil {
 							workerErr <- err
 							return
@@ -363,6 +381,13 @@ func TestTCPAllCodecsMatchInProcess(t *testing.T) {
 				}
 			}
 		})
+	}
+
+	covered[compress.SchemePacked32] = packedPush.Load() > 0 && packedPull.Load() > 0
+	for _, s := range compress.RegisteredSchemes() {
+		if !covered[s] {
+			t.Errorf("registered scheme %v has no TCP-equivalence coverage", s)
+		}
 	}
 }
 

@@ -18,6 +18,12 @@ go test -run='^$' -bench 'CompressInto|DecompressInto' -benchtime 30x -benchmem 
 # wire: encoders report the achieved ratio (raw/coded) as a
 # custom metric, floored by the gate.
 go test -run='^$' -bench EntropyStage -benchtime 50x -benchmem ./internal/entropy/
+# The packed float32 wire of exempt tensors, on the batch-norm
+# vectors of the same trained run and their first 48 elements:
+# ns/elem and ratio (raw bytes over packed) for the owner's pushes
+# (pack) and for the pulls (unpack-add), whose ratio the gate
+# floors. Nanosecond-scale operations, hence the iteration count.
+go test -run='^$' -bench Packed32 -benchtime 200000x -benchmem ./internal/entropy/
 # Hierarchical two-level aggregation: 4 workers fused into 2
 # regions' re-encoded streams per step, steady-state zero-alloc.
 go test -run='^$' -bench HierarchicalPushPull -benchtime 50x -benchmem ./internal/region/
