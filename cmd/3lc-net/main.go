@@ -235,11 +235,11 @@ func (t *servers) serve(ln net.Listener, srv *transport.ShardServer) {
 }
 
 // serveShards serves model from one transport.ShardServer per shard of
-// asn, each over its own sub-job under cfg. open returns shard s's listener —
-// wrapped and announced as the mode wants — and may adjust that shard's
-// copy of base, whose Shard, NumShards and AssignmentHash are filled in
-// here.
-func serveShards(model *nn.Model, asn shard.Assignment, cfg ps.Config, base transport.ShardServerConfig,
+// asn, each over its own sub-job under cfg — behind relay when the seats
+// are regional aggregators. open returns shard s's listener — wrapped and
+// announced as the mode wants — and may adjust that shard's copy of base,
+// whose Shard, NumShards and AssignmentHash are filled in here.
+func serveShards(model *nn.Model, asn shard.Assignment, cfg ps.Config, base transport.ShardServerConfig, relays bool,
 	open func(s int, scfg *transport.ShardServerConfig) net.Listener) (*servers, error) {
 	subs, err := shard.SubServers(model, cfg, asn)
 	if err != nil {
@@ -251,10 +251,22 @@ func serveShards(model *nn.Model, asn shard.Assignment, cfg ps.Config, base tran
 		scfg := base
 		scfg.Shard = s
 		ln := open(s, &scfg)
-		t.serve(ln, transport.NewShardServer(ln, sub, scfg))
+		var agg transport.StepServer = sub
+		if relays {
+			agg = relay{sub}
+		}
+		t.serve(ln, transport.NewShardServer(ln, agg, scfg))
 	}
 	return t, nil
 }
+
+// relay is a global shard's job as the regional aggregators see it. A seat
+// there is a region, not a worker: region 0's aggregator pushes as worker 0
+// but passes the pull on to every worker of its region, so it must be sent
+// the shared pull. relay offers the session nothing beyond StepServer — not
+// the owner's view (ps.Pulls) — and the region's front door sends the owner
+// its full slots, which the owner decodes as any worker does.
+type relay struct{ transport.StepServer }
 
 // frontDoor adds a server of job for `workers` plain (v1) clients on ln.
 // The server's push read spans the whole BSP barrier (every worker's
@@ -358,7 +370,7 @@ func (f *flatTopology) tier(global *nn.Model, psCfg ps.Config) (ps.Tier, error) 
 		f.replica = f.build()
 		f.replica.CopyParamsFrom(global)
 		base.Timeouts = o.timeouts()
-		f.standbys, err = serveShards(f.replica, f.asn, shardCfg, base, func(s int, _ *transport.ShardServerConfig) net.Listener {
+		f.standbys, err = serveShards(f.replica, f.asn, shardCfg, base, false, func(s int, _ *transport.ShardServerConfig) net.Listener {
 			ln := f.lns[o.shards+s]
 			fmt.Printf("replica shard %d/%d standing by on %s\n", s, o.shards, ln.Addr())
 			return ln
@@ -368,7 +380,7 @@ func (f *flatTopology) tier(global *nn.Model, psCfg ps.Config) (ps.Tier, error) 
 		}
 		base.Timeouts = transport.Timeouts{Read: 5 * time.Minute, Write: o.netTimeout}
 	}
-	f.primaries, err = serveShards(global, f.asn, shardCfg, base, func(s int, scfg *transport.ShardServerConfig) net.Listener {
+	f.primaries, err = serveShards(global, f.asn, shardCfg, base, false, func(s int, scfg *transport.ShardServerConfig) net.Listener {
 		ln := f.lns[s]
 		fmt.Printf("parameter-server shard %d/%d listening on %s (%d tensors)\n",
 			s, o.shards, ln.Addr(), len(f.asn.Tensors(s)))
@@ -463,7 +475,7 @@ func runHierarchical(o *options) error {
 		globalCfg := psCfg.SplitAcross(o.shards)
 		globalCfg.Workers = o.regions
 		var err error
-		globalTier, err = serveShards(global, asn, globalCfg, transport.ShardServerConfig{Workers: o.regions, Steps: o.steps},
+		globalTier, err = serveShards(global, asn, globalCfg, transport.ShardServerConfig{Workers: o.regions, Steps: o.steps}, true,
 			func(s int, _ *transport.ShardServerConfig) net.Listener {
 				fmt.Printf("global shard %d/%d listening on %s (%d tensors)\n",
 					s, o.shards, lns[s].Addr(), len(asn.Tensors(s)))
@@ -741,7 +753,7 @@ func chaosTCPRun(inj *chaos.Injector, o *options, cfg train.Config) ([]float32, 
 		asn := shard.ForModel(global, o.shards)
 		var err error
 		tier, err = serveShards(global, asn, psCfg,
-			transport.ShardServerConfig{Workers: o.workers, Steps: o.steps, Timeouts: timeouts, Resilient: true},
+			transport.ShardServerConfig{Workers: o.workers, Steps: o.steps, Timeouts: timeouts, Resilient: true}, false,
 			func(s int, _ *transport.ShardServerConfig) net.Listener { return inj.WrapListener(lns[s]) })
 		if err != nil {
 			return nil, err

@@ -96,7 +96,15 @@ func trajectoryOf(res *train.Result, global *nn.Model) trajectory {
 // bit for bit, for 3LC and for float32. A dialed tier that sent a seat's
 // push under another seat, dropped one or sent one twice would change a
 // gradient sum (or hang the servers' barrier) and with it every later bit.
-func TestDialedTiersMatchInProcess(t *testing.T) {
+func TestDialedTiersMatchInProcess(t *testing.T) { dialedMatchesInProcess(t, 3) }
+
+// TestTwoSeatDialedTiersMatchInProcess is the oracle at two seats: the
+// owner and one other worker, which over a dialed tier is handed the pull
+// the owner completes from its own step (ps.Worker.Complete) — a wrong bit
+// there changes worker 1's next gradient, and from it every later bit.
+func TestTwoSeatDialedTiersMatchInProcess(t *testing.T) { dialedMatchesInProcess(t, 2) }
+
+func dialedMatchesInProcess(t *testing.T, workers int) {
 	topologies := []struct {
 		name string
 		set  func(o *options)
@@ -108,7 +116,7 @@ func TestDialedTiersMatchInProcess(t *testing.T) {
 	}
 	for _, design := range []string{"3lc", "float32"} {
 		o := testOptions()
-		o.designName = design
+		o.designName, o.workers = design, workers
 		if err := o.check(); err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +136,7 @@ func TestDialedTiersMatchInProcess(t *testing.T) {
 		for _, topo := range topologies {
 			t.Run(design+"/"+topo.name, func(t *testing.T) {
 				o := testOptions()
-				o.designName = design
+				o.designName, o.workers = design, workers
 				topo.set(&o)
 				if err := o.check(); err != nil {
 					t.Fatal(err)

@@ -107,6 +107,15 @@ func (o *SGD) LR(t int) float64 {
 // Step returns the number of updates applied so far.
 func (o *SGD) Step() int { return o.step }
 
+// Velocity returns the momentum buffer of the parameter named name, nil
+// before the parameter's first update.
+func (o *SGD) Velocity(name string) []float32 {
+	if v, ok := o.velocity[name]; ok {
+		return v.Data()
+	}
+	return nil
+}
+
 // Apply performs one update of params from their gradient tensors:
 //
 //	v = momentum*v + (grad + wd*w)

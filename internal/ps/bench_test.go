@@ -117,7 +117,8 @@ func tinyModel(seed uint64) *nn.Model {
 // server update+shared-pull compress, worker apply — with all buffers
 // recycled, in the serial configuration: it must show 0 allocs/op under
 // -benchmem (the parallel pool's goroutine spawns are the only allocs
-// otherwise).
+// otherwise). The worker is the owner, so it applies the pull it is sent
+// (Job.OwnerPull) and takes the step of its owner-only tensors itself.
 func benchSteadyStatePushPull(b *testing.B, model func(seed uint64) *nn.Model) {
 	cfg := testConfig(compress.SchemeThreeLC, compress.Options{Sparsity: 1.75, ZeroRun: true}, 1)
 	cfg.Parallelism = 1
@@ -205,11 +206,10 @@ func steadyStep(b *testing.B, server *Job, worker *Worker) {
 	if _, err := server.AddPush(0, wires); err != nil {
 		b.Fatal(err)
 	}
-	pull, _, err := server.FinishStep()
-	if err != nil {
+	if _, _, err := server.FinishStep(); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := worker.ApplyPull(pull); err != nil {
+	if _, err := worker.ApplyPull(server.OwnerPull()); err != nil {
 		b.Fatal(err)
 	}
 }

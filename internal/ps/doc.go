@@ -12,7 +12,8 @@
 //     pull context per layer tensor. Contexts carry the error-accumulation
 //     state across steps.
 //   - Shared compressed pulls (§3, Figure 2b): the server compresses each
-//     model delta once and every worker receives the same bytes, avoiding
+//     model delta once and every worker receives the same bytes — but for
+//     the owner-only slots the owner is sent empty (below) — avoiding
 //     redundant compression work (workers still each consume egress
 //     bandwidth, which netsim accounts).
 //   - Small-tensor exemption (§5.1): tensors flagged NoCompress (batch
@@ -27,6 +28,13 @@
 //     those tensors (Pushes). Every other worker puts the empty wire in
 //     their slots, and an aggregator — Job, region.Tier — refuses anything
 //     else there and refuses to finish a step whose owner pushed nothing.
+//     The update of such a tensor is the owner's gradient as is, so the
+//     owner is not sent it back (Pulls): its Worker keeps a copy of the
+//     server's weights, velocity and schedule step for those tensors and
+//     replays, on its own push, the step Job takes — the delta is the
+//     server's bit for bit — where the pull holds the empty wire
+//     (Job.OwnerPull). Any other worker is sent them; an empty slot there,
+//     or one the owner has no push staged for, is refused.
 //   - BSP barriers: the step driver (package train) runs all pushes before
 //     the update and all pulls after it, the synchronous mode the paper
 //     evaluates.

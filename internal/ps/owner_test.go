@@ -305,3 +305,149 @@ func FuzzPushSlot(f *testing.F) {
 		}
 	})
 }
+
+// TestOwnerStepsWhatItIsNotSent holds the owner's own step (ps.Pulls) to
+// the server's, bit for bit, under every design at 1, 2 and the paper's 10
+// workers, on a model whose batch-norm vectors are wide enough to pack.
+// Every step the owner is handed its view of the pull (Job.OwnerPull), a
+// twin of it — same replica, same batch, same push — the full pull, and
+// the others the full pull: the owner's replica, its twin's and every
+// non-owner's are equal, its copy of the server's weights is the server's,
+// and the delta it added in each empty slot is the one the full pull
+// decodes to.
+func TestOwnerStepsWhatItIsNotSent(t *testing.T) {
+	for _, sc := range designs {
+		for _, workers := range []int{1, 2, 10} {
+			t.Run(fmt.Sprintf("%s/%d workers", sc.name, workers), func(t *testing.T) {
+				model := func() *nn.Model { return nn.NewMLP(8, []int{24}, 3, 1) }
+				cfg := testConfig(sc.s, sc.o, workers)
+				job := NewJob(model(), cfg)
+				twin := NewWorker(Owner, model(), cfg)
+				var ws []*Worker
+				for id := 0; id < workers; id++ {
+					ws = append(ws, NewWorker(id, model(), cfg))
+				}
+				owner := ws[Owner]
+				rng := tensor.NewRNG(uint64(workers) + 5)
+				owned := 0
+				batch := func() *tensor.Tensor {
+					x := tensor.New(5, 8)
+					tensor.FillNormal(x, 1, rng)
+					return x
+				}
+				labels := []int{0, 1, 2, 0, 1}
+				for step := 0; step < 6; step++ {
+					job.BeginStep()
+					for _, w := range ws {
+						x := batch()
+						if w == owner {
+							twin.Model.TrainStep(x, labels)
+							twin.CompressGrads()
+						}
+						w.Model.TrainStep(x, labels)
+						wires, _ := w.CompressGrads()
+						if _, err := job.AddPush(w.ID, wires); err != nil {
+							t.Fatal(err)
+						}
+					}
+					pull, _, err := job.FinishStep()
+					if err != nil {
+						t.Fatal(err)
+					}
+					view := job.OwnerPull()
+					for i, p := range job.params {
+						if want := pull[i]; OwnerOnly(p) {
+							if len(view[i]) != 0 {
+								t.Fatalf("step %d: the owner's view has %d bytes of %s, which it owns", step, len(view[i]), p.Name)
+							}
+						} else if string(view[i]) != string(want) {
+							t.Fatalf("step %d: the owner's view of %s differs from the pull", step, p.Name)
+						}
+					}
+					if _, err := owner.ApplyPull(view); err != nil {
+						t.Fatalf("step %d: the owner's view: %v", step, err)
+					}
+					if _, err := twin.ApplyPull(pull); err != nil {
+						t.Fatalf("step %d: the full pull on the owner: %v", step, err)
+					}
+					for _, w := range ws[1:] {
+						if _, err := w.ApplyPull(pull); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for i, o := range owner.own {
+						if o == nil {
+							continue
+						}
+						owned++
+						pulled := tensor.New(job.params[i].W.Shape()...)
+						if err := compress.DecompressInto(pull[i], pulled); err != nil {
+							t.Fatal(err)
+						}
+						assertSameState(t, [][]float32{o.delta.Data()}, [][]float32{pulled.Data()}, "pulled delta")
+						assertSameState(t, [][]float32{o.w}, [][]float32{job.params[i].W.Data()}, "server weights")
+					}
+					want := weightsOf(owner.params)
+					assertSameState(t, weightsOf(twin.params), want, "owner's view")
+					for _, w := range ws[1:] {
+						assertSameState(t, weightsOf(w.params), want, "owner's view")
+					}
+				}
+				if owned == 0 {
+					t.Fatal("the model has no owner-only tensor")
+				}
+			})
+		}
+	}
+}
+
+// TestEmptyPullSlotIsRefused: an empty owner-only slot of a pull means
+// "take your own step" to the owner that has a push staged to take it on,
+// and to nobody else. Handed to a non-owner, or to the owner with no push
+// staged — it never compressed, or it already took this push's step — it
+// is an error naming the tensor and the worker, over the whole-set and the
+// per-tensor path, not "keep the stale weights".
+func TestEmptyPullSlotIsRefused(t *testing.T) {
+	apply := []struct {
+		name string
+		run  func(w *Worker, slot int, view [][]byte) error
+	}{
+		{"ApplyPull", func(w *Worker, _ int, view [][]byte) error {
+			_, err := w.ApplyPull(view)
+			return err
+		}},
+		{"ApplyPullTensor", func(w *Worker, slot int, view [][]byte) error {
+			return w.ApplyPullTensor(slot, view[slot])
+		}},
+	}
+	for _, a := range apply {
+		job, ws := setup(compress.SchemeThreeLC, compress.Options{Sparsity: 1.0, ZeroRun: true}, 2)
+		trainOnce(ws)
+		job.BeginStep()
+		for _, w := range ws {
+			wires, _ := w.CompressGrads()
+			if _, err := job.AddPush(w.ID, wires); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := job.FinishStep(); err != nil {
+			t.Fatal(err)
+		}
+		slot := ownedSlot(t, job)
+		view := job.OwnerPull()
+		refused := func(what string, w *Worker) {
+			t.Helper()
+			err := a.run(w, slot, view)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", job.params[slot].Name)) || !strings.Contains(err.Error(), fmt.Sprintf("worker %d ", w.ID)) {
+				t.Errorf("%s, %s: got %v, want a refusal naming tensor %q and worker %d", a.name, what, err, job.params[slot].Name, w.ID)
+			}
+		}
+		refused("a non-owner", ws[1])
+		fresh := NewWorker(Owner, testModel(1), testConfig(compress.SchemeThreeLC, compress.Options{Sparsity: 1.0, ZeroRun: true}, 2))
+		refused("an owner that pushed nothing", fresh)
+		if err := a.run(ws[Owner], slot, view); err != nil {
+			t.Fatalf("%s: the owner with its push staged: %v", a.name, err)
+		}
+		refused("the owner, its push stepped already", ws[Owner])
+	}
+}

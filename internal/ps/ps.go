@@ -124,39 +124,6 @@ func (c Config) Compresses(p *nn.Param) bool {
 	return c.Scheme != compress.SchemeNone && !p.NoCompress && p.W.Len() >= c.MinCompressElems
 }
 
-// Owner is the worker that pushes the tensors with a single owner.
-const Owner = 0
-
-// OwnerOnly reports whether p is pushed by Owner alone (§5.2): a
-// batch-norm tensor's update is one designated worker's gradient, taken
-// as is and not averaged.
-func OwnerOnly(p *nn.Param) bool { return p.NoCompress }
-
-// Pushes is the one definition of who sends what: worker pushes tensor p
-// unless p has an owner and worker is not it. A worker that does not push
-// p puts the empty wire in p's slot — the format's "nothing to add" — and
-// an aggregator accepts nothing else there (RefuseUnpushed).
-func Pushes(worker int, p *nn.Param) bool { return worker == Owner || !OwnerOnly(p) }
-
-// RefuseUnpushed is what an aggregator makes of the slot of a tensor that
-// worker does not push: the empty wire passes, anything else is an error —
-// a byte that arrives is decoded or refused, never counted and skipped.
-func RefuseUnpushed(worker int, p *nn.Param, wire []byte) error {
-	if len(wire) != 0 {
-		return fmt.Errorf("ps: push tensor %q: worker %d sent %d bytes, but only worker %d pushes it", p.Name, worker, len(wire), Owner)
-	}
-	return nil
-}
-
-// NoPush is the error of a step that cannot finish: tensor p was pushed by
-// nobody, so there is no gradient to step its momentum with.
-func NoPush(p *nn.Param) error {
-	if OwnerOnly(p) {
-		return fmt.Errorf("ps: tensor %q received no push from its owner, worker %d, this step", p.Name, Owner)
-	}
-	return fmt.Errorf("ps: tensor %q received no push this step", p.Name)
-}
-
 // newContext builds the compression context for one of `tensors` model
 // tensors on this node.
 func (c Config) newContext(p *nn.Param, seed uint64, tensors int) compress.Compressor {
@@ -198,6 +165,7 @@ type Job struct {
 	gradSum   []*tensor.Tensor
 	delta     []*tensor.Tensor
 	pullWires [][]byte                  // per-tensor pull wire buffers, recycled across steps
+	ownerPull [][]byte                  // pullWires as the owner is sent them (OwnerPull), recycled
 	errs      []error                   // per-tensor error slots for parallel decode, recycled
 	decPar    int                       // per-tensor kernel fan-out for fused decode-add
 	dirty     []bool                    // per-tensor: gradSum holds this step's data
@@ -434,7 +402,8 @@ func (s *Job) endPush() {
 
 // FinishStep averages the aggregated gradients, applies the optimizer to
 // the global model, and returns the compressed model-delta wires shared by
-// all workers, plus the server-side codec wall time. The wire slices are
+// all workers — the owner is sent them less its owner-only slots
+// (OwnerPull) — plus the server-side codec wall time. The wire slices are
 // backed by server-owned buffers recycled across steps: they are valid
 // until the next FinishStep, and callers that keep them longer (stale
 // synchronous emulation) must copy the bytes.
@@ -495,9 +464,11 @@ type Worker struct {
 	cfg       Config
 	params    []*nn.Param
 	pushCtx   []compress.Compressor
-	pushWires [][]byte // per-tensor push wire buffers, recycled across steps
-	errs      []error  // per-tensor error slots for parallel decode, recycled
-	decPar    int      // per-tensor kernel fan-out for fused decode-add
+	pushWires [][]byte   // per-tensor push wire buffers, recycled across steps
+	errs      []error    // per-tensor error slots for parallel decode, recycled
+	decPar    int        // per-tensor kernel fan-out for fused decode-add
+	own       []*ownStep // per tensor: the owner's copy of the server's step (applyOwn), nil elsewhere
+	sched     *opt.SGD   // the server's learning-rate schedule, for own; never stepped
 
 	// Bound method values + argument slots, mirroring Server (see there).
 	compressFn   func(i int)
@@ -508,9 +479,12 @@ type Worker struct {
 }
 
 // NewWorker wraps a local model replica (which must start identical to the
-// server's global model).
+// server's global model, and, on the owner, be configured with the
+// server's optimizer: the owner takes the server's step for the tensors it
+// is not sent).
 func NewWorker(id int, model *nn.Model, cfg Config) *Worker {
-	w := &Worker{ID: id, Model: model, cfg: cfg, params: model.Params()}
+	w := &Worker{ID: id, Model: model, cfg: cfg, params: model.Params(), sched: opt.NewSGD(cfg.Optimizer)}
+	w.own = newOwnSteps(id, w.params, cfg)
 	for i, p := range w.params {
 		w.pushCtx = append(w.pushCtx, cfg.newContext(p, 0x574f524b00000000+uint64(id)<<16+uint64(i), len(w.params))) // "WORK"
 	}
@@ -538,12 +512,17 @@ func (w *Worker) CompressGrads() ([][]byte, time.Duration) {
 
 // compressOne compresses gradient tensor i into its recycled buffer, or
 // leaves the empty wire there for a tensor this worker does not push: the
-// aggregate never reads it (Pushes), so it does not cross the link.
+// aggregate never reads it (Pushes), so it does not cross the link. On the
+// owner, a push of a tensor it is not sent is staged for the step the pull
+// has it take (applyOwn).
 func (w *Worker) compressOne(i int) {
 	if !Pushes(w.ID, w.params[i]) {
 		return
 	}
 	w.pushWires[i] = w.pushCtx[i].CompressInto(w.params[i].G, w.pushWires[i][:0])
+	if o := w.own[i]; o != nil {
+		o.staged = true
+	}
 }
 
 // CompressGradsStream compresses exactly like CompressGrads but hands
@@ -569,9 +548,9 @@ func (w *Worker) streamOne(i int) {
 	w.streamEmitFn(i, w.pushWires[i])
 }
 
-// ApplyPull decompresses the shared model-delta wires and applies them to
-// the local replica, fanning out across layer tensors. It returns the
-// decompression wall time.
+// ApplyPull decompresses the model-delta wires the worker is sent (Pulls)
+// and applies them to the local replica, fanning out across layer tensors.
+// It returns the decompression wall time.
 func (w *Worker) ApplyPull(wires [][]byte) (time.Duration, error) {
 	if len(wires) != len(w.params) {
 		return 0, fmt.Errorf("ps: pull has %d tensors, model has %d", len(wires), len(w.params))
@@ -595,16 +574,29 @@ func (w *Worker) applyOne(i int) {
 	w.errs[i] = w.applyTensor(i, w.pullSrc[i])
 }
 
-// applyTensor decode-applies one pull wire into weight tensor i.
+// applyTensor decode-applies one pull wire into weight tensor i. On the
+// owner, the slot of a tensor it is not sent is its own step (applyOwn); to
+// any other worker an owner-only slot that is empty is refused by tensor
+// and worker, the mirror of RefuseUnpushed: it never means "keep the stale
+// weights".
 func (w *Worker) applyTensor(i int, wire []byte) error {
 	p := w.params[i]
-	if err := compress.DecompressAddInto(wire, p.W, w.decPar); err != nil {
+	var err error
+	switch {
+	case w.own[i] != nil:
+		err = w.applyOwn(i, wire)
+	case len(wire) == 0 && OwnerOnly(p):
+		err = fmt.Errorf("worker %d was sent the empty wire, which only worker %d, the owner, is sent", w.ID, Owner)
+	default:
+		err = compress.DecompressAddInto(wire, p.W, w.decPar)
+	}
+	if err != nil {
 		return fmt.Errorf("ps: pull tensor %q: %w", p.Name, err)
 	}
 	return nil
 }
 
-// ApplyPullTensor decode-applies a single tensor of the shared pull — the
+// ApplyPullTensor decode-applies a single tensor of the pull — the
 // worker-side counterpart of PushSession.Tensor, for transports that
 // stream per-tensor pull frames: the replica applies tensor i, straight
 // from the transport's receive scratch (wire need only stay valid for the

@@ -19,8 +19,9 @@ import "time"
 // implement it, and train.Run is written against nothing else. A step is
 // BeginStep, one BeginPush session per pushing worker, then FinishStep,
 // which averages what was pushed, applies the optimizer and returns the
-// shared pull — aliasing tier-owned buffers, valid until the next
-// FinishStep — with the tier's codec wall time. The in-process tiers are
+// shared pull — or, from a dialed tier, the one its owner's seat was sent,
+// less the owner-only slots (Pulls) — aliasing tier-owned buffers, valid
+// until the next FinishStep, with the tier's codec wall time. The in-process tiers are
 // driven by one goroutine, in worker order (see PushSession); a dialed tier
 // takes every seat's push concurrently.
 type Tier interface {

@@ -398,6 +398,15 @@ func (t *Tier) AppendState(dst []byte) []byte {
 	return dst
 }
 
+// Velocity is the inner tier's velocity of p (ps.Momentum): the regions
+// keep no optimizer. It is nil when the inner tier keeps none in process.
+func (t *Tier) Velocity(p *nn.Param) []float32 {
+	if m, ok := t.inner.(ps.Momentum); ok {
+		return m.Velocity(p)
+	}
+	return nil
+}
+
 // RestoreState restores state captured by AppendState on an identically
 // configured tier. Malformed input errors and never panics.
 func (t *Tier) RestoreState(src []byte) error {

@@ -55,6 +55,7 @@ func BenchmarkTenantServicePushPull(b *testing.B) {
 	for _, p := range worker.Model.Params() {
 		tensor.FillNormal(p.G, 0.01, rng)
 	}
+	var view [][]byte // the pull as the worker, the owner, is sent it
 	step := func() {
 		wires, _ := worker.CompressGrads()
 		h.BeginStep()
@@ -69,7 +70,8 @@ func BenchmarkTenantServicePushPull(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := worker.ApplyPull(pull); err != nil {
+		view = ps.OwnerView(global.Params(), pull, view)
+		if _, err := worker.ApplyPull(view); err != nil {
 			b.Fatal(err)
 		}
 	}

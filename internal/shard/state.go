@@ -12,6 +12,8 @@ package shard
 import (
 	"encoding/binary"
 	"fmt"
+
+	"threelc/internal/nn"
 )
 
 // AppendState serializes every shard sub-job's mutable state to dst, in
@@ -28,6 +30,18 @@ func (h *JobHandle) AppendState(dst []byte) []byte {
 		le.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
 	}
 	return dst
+}
+
+// Velocity returns the velocity of p on the shard that steps it
+// (ps.Momentum), nil before p's first step. Like AppendState it is a
+// between-steps call.
+func (h *JobHandle) Velocity(p *nn.Param) []float32 {
+	for _, q := range h.tqs {
+		if v := q.job.Velocity(p); v != nil {
+			return v
+		}
+	}
+	return nil
 }
 
 // RestoreState restores state captured by AppendState on a job with the

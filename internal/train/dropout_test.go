@@ -133,7 +133,7 @@ func TestDropoutRejoinMatchesStagedReference(t *testing.T) {
 				{Worker: 3, From: 6, To: 8}, // down through the end
 			}
 			run := cfg
-			runGlobal := captureGlobal(&run)
+			runModels := captureModels(&run)
 			res, err := Run(run)
 			if err != nil {
 				t.Fatal(err)
@@ -141,7 +141,7 @@ func TestDropoutRejoinMatchesStagedReference(t *testing.T) {
 			if math.IsNaN(res.FinalLoss) {
 				t.Fatal("dropout run produced NaN loss")
 			}
-			got := paramsBits(*runGlobal)
+			got := paramsBits((*runModels)[0]) // the global model
 			want := stagedDropoutReference(t, cfg)
 			for i := range want {
 				if got[i] != want[i] {

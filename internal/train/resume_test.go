@@ -24,19 +24,17 @@ func allDesigns() []Design {
 	}
 }
 
-// captureGlobal wires cfg.BuildModel so the first constructed model — the
-// run's global model — is captured for post-run inspection.
-func captureGlobal(cfg *Config) **nn.Model {
-	var global *nn.Model
+// captureModels wires cfg.BuildModel so every model the run constructs is
+// kept, in order: the global model, then worker 0's replica, worker 1's, ...
+func captureModels(cfg *Config) *[]*nn.Model {
+	var models []*nn.Model
 	orig := cfg.BuildModel
 	cfg.BuildModel = func() *nn.Model {
 		m := orig()
-		if global == nil {
-			global = m
-		}
+		models = append(models, m)
 		return m
 	}
-	return &global
+	return &models
 }
 
 func paramsBits(m *nn.Model) []uint32 {
@@ -53,7 +51,9 @@ func paramsBits(m *nn.Model) []uint32 {
 // checkpointed every 3 steps and "killed" after step 6 (between two
 // checkpoint boundaries), then resumed from the latest checkpoint, must
 // reproduce the uninterrupted run's per-step loss trajectory and final
-// model state bit-for-bit.
+// model state bit-for-bit — the global model and every worker's replica,
+// the owner's included, whose step for the tensors it is not sent
+// (ps.Pulls) resumes from the restored global model and velocity.
 func runResumeCase(t *testing.T, cfg Config) {
 	t.Helper()
 	const steps = 8
@@ -62,7 +62,7 @@ func runResumeCase(t *testing.T, cfg Config) {
 
 	// Reference: uninterrupted run.
 	ref := cfg
-	refGlobal := captureGlobal(&ref)
+	refModels := captureModels(&ref)
 	refRes, err := Run(ref)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func runResumeCase(t *testing.T, cfg Config) {
 	// Resume from the latest checkpoint (step 6) and finish the run.
 	resumed := cfg
 	resumed.ResumeFrom = path
-	resGlobal := captureGlobal(&resumed)
+	resModels := captureModels(&resumed)
 	resRes, err := Run(resumed)
 	if err != nil {
 		t.Fatal(err)
@@ -125,10 +125,12 @@ func runResumeCase(t *testing.T, cfg Config) {
 	if resRes.FinalAccuracy != refRes.FinalAccuracy {
 		t.Errorf("final accuracy %v != uninterrupted %v", resRes.FinalAccuracy, refRes.FinalAccuracy)
 	}
-	a, b := paramsBits(*refGlobal), paramsBits(*resGlobal)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("global model diverges at element %d after resume", i)
+	for k, ref := range *refModels {
+		a, b := paramsBits(ref), paramsBits((*resModels)[k])
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("model %d (0: global, k: worker k-1's replica) diverges at element %d after resume", k, i)
+			}
 		}
 	}
 }

@@ -30,6 +30,7 @@ type run struct {
 
 	global  *nn.Model
 	tier    ps.Tier      // what the steps drive: a dialed tier as is, any other behind inOrder
+	dialed  bool         // tier is dialed: its pull is seat 0's, the owner's
 	closer  io.Closer    // the built tier, if it wants closing
 	regions *region.Tier // the interposed region tier, for its WAN byte counts
 
@@ -43,6 +44,8 @@ type run struct {
 	jitter      *tensor.RNG
 	pullHistory [][][]byte   // ring of recent pull wire sets (SSP emulation)
 	missed      [][][][]byte // per worker: the sets it replays on rejoin
+	// The step's pull as each worker is sent it (ps.Pulls), recycled.
+	ownerPull, fullPull [][]byte
 
 	outs      []workerOut
 	ckpt      ckptWriter
@@ -89,8 +92,10 @@ func (cfg *Config) validate() error {
 		return fmt.Errorf("train: Dropouts cannot be combined with Staleness > 0")
 	}
 	for _, d := range cfg.Dropouts {
-		if d.Worker <= 0 || d.Worker >= cfg.Workers {
-			return fmt.Errorf("train: dropout worker %d must be in [1, workers) — the chief cannot drop", d.Worker)
+		if d.Worker == ps.Owner || d.Worker < 0 || d.Worker >= cfg.Workers {
+			// The owner takes the server's step for the tensors it is not
+			// sent, every step, on the push it made (ps.Pulls).
+			return fmt.Errorf("train: dropout worker %d must be one of the %d workers but worker %d, the owner, which cannot drop", d.Worker, cfg.Workers, ps.Owner)
 		}
 		if d.From < 0 || d.To <= d.From {
 			return fmt.Errorf("train: dropout interval [%d, %d) invalid", d.From, d.To)
@@ -266,7 +271,7 @@ func (r *run) buildTier(serverCfg ps.Config) (int, error) {
 		case len(cfg.Dropouts) > 0 || cfg.BackupWorkers > 0:
 			return 0, fmt.Errorf("train: a dialed tier's servers wait for every seat each step: Dropouts and BackupWorkers need an in-process tier")
 		}
-		r.tier = tier
+		r.tier, r.dialed = tier, true
 		return shards, nil
 	}
 	if cfg.Regions > 1 {
@@ -312,7 +317,8 @@ type stepPlan struct {
 // plan draws the step's straggler model. Under plain BSP the barrier waits
 // for the slowest worker; with backup workers (§2.1) the step advances
 // once Workers-BackupWorkers pushes arrive and the stragglers' updates are
-// discarded. The chief (worker 0, batch-norm owner) is never dropped. The
+// discarded. The batch-norm owner (ps.Owner) is never discarded: it is the
+// only pusher of its tensors and takes their step itself on that push. The
 // jitter RNG is independent of the compute phase, so drawing up front
 // changes no result.
 func (r *run) plan(step int) stepPlan {
@@ -329,8 +335,8 @@ func (r *run) plan(step int) stepPlan {
 		// No jitter: dropping is arbitrary; keep the first active workers
 		// for determinism.
 		dropped := 0
-		for w := cfg.Workers - 1; w > 0 && dropped < cfg.BackupWorkers; w-- {
-			if p.accepted[w] {
+		for w := cfg.Workers - 1; w >= 0 && dropped < cfg.BackupWorkers; w-- {
+			if w != ps.Owner && p.accepted[w] {
 				p.accepted[w] = false
 				dropped++
 			}
@@ -351,11 +357,11 @@ func (r *run) plan(step int) stepPlan {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool { return mults[order[a]] < mults[order[b]] })
-	p.accepted[0] = true
-	p.computeMult = mults[0]
+	p.accepted[ps.Owner] = true
+	p.computeMult = mults[ps.Owner]
 	count := 1
 	for _, w := range order {
-		if w == 0 || !p.active[w] || count >= need {
+		if w == ps.Owner || !p.active[w] || count >= need {
 			continue
 		}
 		p.accepted[w] = true
@@ -476,27 +482,42 @@ func (r *run) workerPush(step, w int, push ps.PushSession) (err error) {
 }
 
 // applyPull is the step's second half: the active workers decompress and
-// apply the shared pull, in parallel. Under stale-synchronous emulation
-// each worker applies the pull from `delay_w` steps ago instead of the
-// fresh one. FinishStep's wires alias tier-owned buffers that are
-// overwritten next step, so retaining history (Staleness > 0) or a set an
-// absent worker will replay requires a deep copy; the synchronous path
-// uses the fresh wires directly and stays allocation-free.
+// apply the pull, each the pull it is sent (ps.Pulls). The owner goes
+// first: it is sent the tier's pull less its owner-only slots, whose step
+// it takes itself, and over a dialed tier the tier's pull is seat 0's — the
+// one the owner was sent — which the owner then completes for the others
+// from that step (ps.Worker.Complete). The others apply the full pull in
+// parallel; under stale-synchronous emulation each applies the one from
+// `delay_w` steps ago instead (the owner's delay is 0). FinishStep's wires
+// alias tier-owned buffers that are overwritten next step, so retaining
+// history (Staleness > 0) or a set an absent worker will replay requires a
+// deep copy; the synchronous path uses the fresh wires directly and stays
+// allocation-free.
 func (r *run) applyPull(step int, p stepPlan, pull [][]byte) error {
 	cfg := &r.cfg
-	if cfg.Staleness > 0 {
-		r.pullHistory = append(r.pullHistory, copyWires(pull))
-	} else {
-		r.pullHistory = append(r.pullHistory[:0], pull)
+	owner := r.workers[ps.Owner]
+	r.ownerPull = pull
+	if !r.dialed {
+		r.ownerPull = ps.OwnerView(r.global.Params(), pull, r.ownerPull)
 	}
-	err := r.goActive(p, func(w int) (err error) {
+	// A wire that fails to decode — a corrupted pull — must kill the step,
+	// not the process: elastic recovery (dropout, resume) lives above this
+	// error path.
+	var err error
+	if r.outs[ps.Owner].applyDur, err = owner.ApplyPull(r.ownerPull); err != nil {
+		return fmt.Errorf("train: worker %d pull apply: %w", ps.Owner, err)
+	}
+	r.fullPull = owner.Complete(pull, r.fullPull)
+	if cfg.Staleness > 0 {
+		r.pullHistory = append(r.pullHistory, copyWires(r.fullPull))
+	} else {
+		r.pullHistory = append(r.pullHistory[:0], r.fullPull)
+	}
+	err = r.goActive(p, func(w int) (err error) {
 		idx := len(r.pullHistory) - 1 - w%(cfg.Staleness+1) // the worker's SSP delay
-		if idx < 0 {
-			return nil // worker has no pull to apply yet
+		if w == ps.Owner || idx < 0 {
+			return nil // applied above, or no pull to apply yet
 		}
-		// A wire that fails to decode — a corrupted shared pull — must kill
-		// the step, not the process: elastic recovery (dropout, resume)
-		// lives above this error path.
 		if r.outs[w].applyDur, err = r.workers[w].ApplyPull(r.pullHistory[idx]); err != nil {
 			return fmt.Errorf("train: worker %d pull apply: %w", w, err)
 		}
@@ -505,10 +526,10 @@ func (r *run) applyPull(step int, p stepPlan, pull [][]byte) error {
 	if err != nil {
 		return err
 	}
-	// Retain the shared pull for workers that are away and will rejoin:
-	// their replicas replay these sets, in order, at the rejoin step. All
-	// of a step's absentees share one deep copy (applies are read-only);
-	// workers that never return retain nothing.
+	// Retain the pull for workers that are away and will rejoin: their
+	// replicas replay these sets, in order, at the rejoin step. All of a
+	// step's absentees share one deep copy (applies are read-only); workers
+	// that never return retain nothing.
 	var missedCopy [][]byte
 	for w := range r.workers {
 		if p.active[w] {
@@ -522,7 +543,7 @@ func (r *run) applyPull(step int, p stepPlan, pull [][]byte) error {
 			continue
 		}
 		if missedCopy == nil {
-			missedCopy = copyWires(pull)
+			missedCopy = copyWires(r.fullPull)
 		}
 		r.missed[w] = append(r.missed[w], missedCopy)
 	}
@@ -566,7 +587,6 @@ func (r *run) record(step int, p stepPlan, pull [][]byte, serverDur time.Duratio
 	compPush /= float64(nAccepted)
 	paper /= float64(nAccepted)
 
-	pullPerWorker := ps.WireBytes(pull)
 	pullBytes := make([]int, cfg.Workers)
 	var compPull float64
 	for i, wire := range pull {
@@ -577,9 +597,10 @@ func (r *run) record(step int, p stepPlan, pull [][]byte, serverDur time.Duratio
 	}
 	for w := range pullBytes {
 		if p.active[w] {
-			pullBytes[w] = pullPerWorker
+			pullBytes[w] = ps.WireBytes(r.fullPull)
 		}
 	}
+	pullBytes[ps.Owner] = ps.WireBytes(r.ownerPull)
 
 	// Codec critical path: slowest worker compress + the tier's decode of
 	// all pushes and pull compress (zero over a dialed tier, whose servers
@@ -671,15 +692,19 @@ func (r *run) finish() (*Result, error) {
 	res.TotalVirtualSec = r.clock.Seconds()
 	res.PerStepSec = r.clock.PerStep()
 	res.Net = r.net
-	// The float32 baseline moves every element to every worker, and from
-	// every worker that pushes it.
+	// The float32 baseline moves every element from every worker that
+	// pushes it (ps.Pushes) to every worker that is sent it (ps.Pulls).
+	var rawPull int64
 	for _, p := range r.global.Params() {
 		for w := range r.workers {
 			if ps.Pushes(w, p) {
 				res.RawPushBytes += int64(4*p.W.Len()) * int64(res.Steps)
 			}
+			if ps.Pulls(w, p) {
+				rawPull += int64(4*p.W.Len()) * int64(res.Steps)
+			}
 		}
 	}
-	res.RawBytes = res.RawPushBytes + int64(res.NumParam)*4*int64(res.Steps)*int64(cfg.Workers)
+	res.RawBytes = res.RawPushBytes + rawPull
 	return res, nil
 }

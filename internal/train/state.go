@@ -25,6 +25,7 @@ import (
 
 	"threelc/internal/checkpoint"
 	"threelc/internal/compress"
+	"threelc/internal/ps"
 	"threelc/internal/tensor"
 )
 
@@ -357,6 +358,19 @@ func (r *run) restore(st *checkpoint.State) (int, error) {
 		if err := wk.RestoreState(sec); err != nil {
 			return 0, fmt.Errorf("train: restore worker %d contexts: %w", w, err)
 		}
+	}
+	// The owner's copy of the server's state for the tensors it is not sent
+	// (ps.Pulls) is no section of its own: it is the global weights, the
+	// tier's velocity and the step count just restored.
+	var m ps.Momentum
+	if in, ok := r.tier.(*inOrder); ok {
+		m, _ = in.Tier.(ps.Momentum)
+	}
+	if m == nil {
+		return 0, fmt.Errorf("train: the tier reports no optimizer velocity to resume worker %d's step for the tensors it owns from", ps.Owner)
+	}
+	if err := workers[ps.Owner].Resume(global.Params(), m, step); err != nil {
+		return 0, err
 	}
 
 	if sec, err = section(st, "rng"); err != nil {

@@ -110,7 +110,8 @@ type Config struct {
 	// BackupWorkers enables the straggler mitigation of §2.1 (TensorFlow
 	// SyncReplicasOptimizer): each step advances once Workers-BackupWorkers
 	// pushes have arrived, and the slowest workers' pushes are discarded.
-	// Worker 0 (the chief, which owns batch-norm state) is never dropped.
+	// The batch-norm owner's (ps.Owner) push is never discarded: it is the
+	// only push of its tensors, and the owner takes their step itself on it.
 	// Zero disables the feature (plain BSP).
 	BackupWorkers int
 	// ComputeJitterStd is the per-worker, per-step lognormal-ish jitter
@@ -121,7 +122,9 @@ type Config struct {
 	// Staleness emulates stale synchronous parallel execution (§2.1):
 	// worker w applies model pulls with a fixed delay of w mod
 	// (Staleness+1) steps, so local models lag the global model by up to
-	// Staleness updates. Worker 0 (the chief) always stays fresh. Zero
+	// Staleness updates. The batch-norm owner (ps.Owner, whose delay is 0)
+	// always stays fresh: it takes the step of the tensors it is not sent
+	// (ps.Pulls) on the push it made the same step. Zero
 	// means fully synchronous BSP. The paper's background observation —
 	// stale updates need more steps for the same accuracy — is
 	// reproducible by sweeping this knob.
@@ -136,8 +139,8 @@ type Config struct {
 	// error-accumulation contexts are untouched during the absence, so the
 	// residual accumulated before the dropout folds into its first push
 	// after rejoining — the paper's dropout-tolerance argument (§3.1:
-	// unsent changes are retried at later steps). Worker 0 (the chief,
-	// batch-norm owner) must never drop. Dropouts cannot be combined with
+	// unsent changes are retried at later steps). The batch-norm owner
+	// (ps.Owner) must never drop. Dropouts cannot be combined with
 	// Staleness > 0: a stale worker applies pulls from `delay` steps ago,
 	// so the catch-up replay of fresh pull sets would double-apply some
 	// and skip others — Run rejects the combination.
@@ -180,11 +183,14 @@ type Config struct {
 	// Close() error — the tier is closed when Run returns; NumShards() int —
 	// how many server NICs the model is spread over (Result.Shards,
 	// netsim.Params.Servers; 1 when absent); and Seats() int — the tier is
-	// dialed: one seat per worker, fed with no worker-order gate. It holds
+	// dialed: one seat per worker, fed with no worker-order gate, whose pull
+	// is the one seat 0 — the owner — was sent, which the owner completes
+	// for the other workers from its own step (ps.Worker.Complete). It holds
 	// no state and its servers wait for every seat, so CheckpointPath,
 	// ResumeFrom, Dropouts and BackupWorkers are refused, and FinalAccuracy
 	// / Evals read the global model the hook was handed, so its servers
-	// must aggregate into that.
+	// must aggregate into that. ResumeFrom asks an in-process tier a fourth:
+	// the velocity the owner's own step resumes from (ps.Momentum).
 	Tier func(global *nn.Model, cfg ps.Config) (ps.Tier, error)
 
 	// Seed controls data sampling; model init comes from BuildModel.
@@ -259,8 +265,9 @@ type Result struct {
 	TotalPushBytes int64
 	TotalPullBytes int64
 	// RawBytes is what the 32-bit float baseline would have moved in total —
-	// every element to every worker, and from every worker that pushes it
-	// (ps.Pushes: an owner-only tensor once) — and RawPushBytes its push
+	// every element from every worker that pushes it (ps.Pushes: an
+	// owner-only tensor once) to every worker that is sent it (ps.Pulls: an
+	// owner-only tensor to all but its owner) — and RawPushBytes its push
 	// half: the payload of a SchemeNone run's wires, less their scheme byte.
 	RawBytes     int64
 	RawPushBytes int64

@@ -51,25 +51,35 @@ func TestRunBaselineEndToEnd(t *testing.T) {
 	}
 	// The float32 denominator is what this run measured: every wire is a
 	// scheme byte plus 4 bytes an element, an owner-only tensor is pushed by
-	// its owner alone (ps.Pushes) and pulled by everyone.
+	// its owner alone (ps.Pushes) and pulled by everyone else (ps.Pulls).
 	const steps, workers = 30, 4
-	pushWires, pullWires := 0, 0
+	pushWires, pullWires, owned := 0, 0, int64(0)
 	for _, p := range tinyConfig(Design{}, steps).BuildModel().Params() {
-		pullWires += workers
 		for w := 0; w < workers; w++ {
 			if ps.Pushes(w, p) {
 				pushWires++
 			}
+			if ps.Pulls(w, p) {
+				pullWires++
+			}
+		}
+		if ps.OwnerOnly(p) {
+			owned += int64(4 * p.W.Len())
 		}
 	}
-	if pushWires == pullWires {
-		t.Fatal("the model has no owner-only tensor: the pin below would not see the push side")
+	if pushWires == pullWires || owned == 0 {
+		t.Fatal("the model has no owner-only tensor: the pins below would not see the push side")
 	}
 	if got, want := res.RawPushBytes, res.TotalPushBytes-int64(steps*pushWires); got != want {
 		t.Errorf("RawPushBytes %d, the run pushed %d payload bytes", got, want)
 	}
 	if got, want := res.RawBytes, res.TotalPushBytes+res.TotalPullBytes-int64(steps*(pushWires+pullWires)); got != want {
 		t.Errorf("RawBytes %d, the run moved %d payload bytes", got, want)
+	}
+	// Before ps.Pulls the baseline also pulled the owner-only tensors to the
+	// owner: 11 994 240 bytes, less those four bytes an element a step now.
+	if got, want := res.RawBytes, 11994240-steps*owned; got != want {
+		t.Errorf("RawBytes %d, want %d = 11994240 - %d steps x %d owner-only bytes the owner is not sent", got, want, steps, owned)
 	}
 }
 

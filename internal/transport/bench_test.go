@@ -113,10 +113,14 @@ func BenchmarkSteadyStatePushPullWireLegacy(b *testing.B)   { benchWirePushPull(
 // them over the bytes it does carry, which is the worker count and which
 // CI floors too — a change that quietly re-sends them reads 1. (push-B/step
 // read 70 454 when those vectors and the 65 biases travelled raw; packed,
-// the same step is 65 302.) The caller's per-step channel and the call's
-// own set-up allocate by design (see
-// TestStreamedStepAllocsIndependentOfTensorCount), so the name stays clear
-// of the SteadyStatePushPull zero-allocs pattern.
+// the same step is 65 302.) The pull side is its mirror: pull-B/step is
+// what the workers were sent in a step, and owner-pull-gain the bytes of
+// owner-only tensors the pulls would carry if the owner were sent them too
+// over the bytes they do carry (ps.Pulls) — the worker count again, floored
+// in CI: a change that sends the owner its own step back reads 1. The
+// caller's per-step channel and the call's own set-up allocate by design
+// (see TestStreamedStepAllocsIndependentOfTensorCount), so the name stays
+// clear of the SteadyStatePushPull zero-allocs pattern.
 func BenchmarkStreamedPushPullWire(b *testing.B) {
 	const workers, shards = 2, 2
 	cfg := shardTestConfig(workers, 1024)
@@ -125,6 +129,15 @@ func BenchmarkStreamedPushPullWire(b *testing.B) {
 		cfg, shards, ShardClientConfig{}, nil)
 	step := 0
 	pushed := make([][][]byte, workers) // each worker's last wire set
+	pulled := make([][]int, workers)    // each worker's last pull, bytes a tensor
+	apply := make([]func(i int, wire []byte) error, workers)
+	for w, wk := range tier.workers {
+		pulled[w] = make([]int, len(wk.Model.Params()))
+		apply[w] = func(i int, wire []byte) error {
+			pulled[w][i] = len(wire)
+			return wk.ApplyPullTensor(i, wire)
+		}
+	}
 	roundTrip := func() {
 		var wg sync.WaitGroup
 		for w, cl := range tier.clients {
@@ -138,7 +151,7 @@ func BenchmarkStreamedPushPullWire(b *testing.B) {
 			}()
 			go func() {
 				defer wg.Done()
-				if err := cl.PushPullStream(step, ch, wk.ApplyPullTensor); err != nil {
+				if err := cl.PushPullStream(step, ch, apply[w]); err != nil {
 					b.Error(err)
 				}
 			}()
@@ -172,15 +185,21 @@ func BenchmarkStreamedPushPullWire(b *testing.B) {
 	b.ReportMetric(float64(d.writes)/float64(b.N), "writes/op")
 	b.ReportMetric(float64(d.frames)/float64(d.writes), "frames/write")
 	pushB, ownedSent, ownedOnce := 0, 0, 0
+	pullB, ownedPulled, ownedToAll := 0, 0, 0
 	for w, set := range pushed {
 		pushB += ps.WireBytes(set)
 		for i, p := range tier.workers[w].Model.Params() {
+			pullB += pulled[w][i]
 			if ps.OwnerOnly(p) {
 				ownedSent += len(set[i])
 				ownedOnce += len(pushed[ps.Owner][i])
+				ownedPulled += pulled[w][i]
+				ownedToAll += pulled[1][i] // what a worker that is sent it receives
 			}
 		}
 	}
 	b.ReportMetric(float64(pushB), "push-B/step")
 	b.ReportMetric(float64(ownedOnce)/float64(ownedSent), "owner-gain")
+	b.ReportMetric(float64(pullB), "pull-B/step")
+	b.ReportMetric(float64(ownedToAll)/float64(ownedPulled), "owner-pull-gain")
 }

@@ -17,8 +17,12 @@ import (
 // ShardWireVersion is the current sharded wire-format generation. The
 // version byte leads every shard header: an incompatible layout change
 // must bump it, and receivers reject versions (and flag bits) they do not
-// know instead of misparsing.
-const ShardWireVersion = 2
+// know instead of misparsing. Version 3 sends the owner the empty wire in
+// its owner-only slots (ps.Pulls), which a version-2 owner would add as
+// zero and keep its stale batch-norm weights; it is refused at the hello
+// instead. (The v1 layout has no version byte to refuse one by, so v1
+// seats are sent the shared pull: see session.sendPull.)
+const ShardWireVersion = 3
 
 // ShardHeaderLen is the encoded size of a ShardHeader's fixed part; a
 // header with flag extensions is longer (see FlagTenant).

@@ -233,8 +233,10 @@ func TestEntropyOffFramesByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The client is worker 0, the owner: it is sent the pull less its
+		// owner-only slots (ps.Pulls).
 		pull := AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Step: uint32(step)})
-		pull = AppendWireSet(pull, pulls)
+		pull = AppendWireSet(pull, msubs[0].OwnerPull())
 		writeTestFrame(t, &wantToClient, MsgShardPull, pull)
 		if _, err := wk.ApplyPull(pulls); err != nil {
 			t.Fatal(err)

@@ -1,11 +1,14 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"strings"
 	"testing"
+	"time"
 
+	"threelc/internal/compress"
 	"threelc/internal/nn"
 	"threelc/internal/ps"
 	"threelc/internal/shard"
@@ -83,6 +86,204 @@ func TestServerRefusesNonOwnersBytes(t *testing.T) {
 			}
 			<-done
 			<-done
+		})
+	}
+}
+
+// losesPull is a connection that fails the read after its third write —
+// hello, push 0, push 1 — so the client loses the pull of step 1 and, if it
+// is resilient, redials and replays that push.
+type losesPull struct {
+	net.Conn
+	writes int
+}
+
+func (c *losesPull) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Conn.Write(p)
+}
+
+func (c *losesPull) Read(p []byte) (int, error) {
+	if c.writes == 3 {
+		c.Conn.Close()
+		return 0, errors.New("losesPull: the pull of step 1 is lost")
+	}
+	return c.Conn.Read(p)
+}
+
+// TestOwnerIsSentItsView holds every way a pull reaches a worker to
+// ps.Pulls: the owner's seat receives its owner-only slots empty — a zero
+// length in a wire set, an empty body in a per-tensor frame — and every
+// other seat receives them full, over the v2 wire with and without its
+// entropy and checksum stages, two shards, streamed, a pull re-answered to
+// a resilient replay and one answered to a standby claim. A v1 seat, whose
+// hello has no version byte to refuse an owner built before ps.Pulls by,
+// receives them full, the owner's too. The workers end with bit-identical
+// replicas: the owner's own step is the server's.
+func TestOwnerIsSentItsView(t *testing.T) {
+	const workers, steps = 2, 5
+	for _, c := range []struct {
+		name    string
+		shards  int
+		v1      bool
+		stream  bool
+		ccfg    ShardClientConfig
+		replay  bool // worker 0's first connection to shard 0 loses the pull of step 1
+		standby bool // shard 0's primary dies at the top of step 3
+	}{
+		{name: "v1", shards: 1, v1: true},
+		{name: "v2", shards: 1},
+		{name: "v2 huffman", shards: 1, ccfg: ShardClientConfig{Entropy: compress.EntropyHuffman}},
+		{name: "v2 checksum+lz", shards: 1, ccfg: ShardClientConfig{Checksum: true, Entropy: compress.EntropyLZ}},
+		{name: "2 shards", shards: 2},
+		{name: "streamed", shards: 1, stream: true},
+		{name: "2 shards streamed", shards: 2, stream: true},
+		{name: "resilient replay", shards: 1, ccfg: ShardClientConfig{Resilient: true}, replay: true},
+		{name: "standby claim", shards: 2, standby: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := shardTestConfig(workers, steps)
+			to := Timeouts{Read: 30 * time.Second, Write: 10 * time.Second}
+			models := []*nn.Model{buildShardModel()}
+			if c.standby {
+				models = append(models, buildShardModel()) // the standbys' own replica
+			}
+			asn := shard.ForModel(models[0], c.shards)
+			var addrs [2][]string // primaries, standbys
+			served := make(chan error, 2*c.shards)
+			for tier, model := range models {
+				for s, sub := range mustSubServers(t, model, cfg, asn) {
+					ln, err := net.Listen("tcp", "127.0.0.1:0")
+					if err != nil {
+						t.Fatal(err)
+					}
+					addrs[tier] = append(addrs[tier], ln.Addr().String())
+					var srv interface{ Serve() error }
+					if c.v1 {
+						srv = NewServer(ln, sub, workers, steps)
+					} else {
+						scfg := ShardServerConfig{Shard: s, NumShards: c.shards, Workers: workers, Steps: steps,
+							AssignmentHash: asn.Hash(), Timeouts: to, Resilient: c.ccfg.Resilient}
+						if c.standby && tier == 0 && s == 0 {
+							scfg.KillAtStep = 3
+						}
+						srv = NewShardServer(ln, sub, scfg)
+					}
+					go func() { served <- srv.Serve() }()
+				}
+			}
+
+			// sent[w][step][i] is the length of slot i of the pull worker w
+			// received at step.
+			sent := make([][][]int, workers)
+			replicas := make([]*ps.Worker, workers)
+			dials := 0
+			done := make(chan struct{}, workers)
+			for w := range workers {
+				sent[w] = make([][]int, steps)
+				go func() {
+					defer func() { done <- struct{}{} }()
+					m := buildShardModel()
+					m.CopyParamsFrom(models[0])
+					wk := ps.NewWorker(w, m, cfg)
+					replicas[w] = wk
+					var cl interface {
+						PushPull(step int, wires [][]byte) ([][]byte, error)
+						Close() error
+					}
+					var sc *ShardClient
+					var err error
+					if c.v1 {
+						cl, err = Dial(addrs[0][0], w)
+					} else {
+						ccfg := c.ccfg
+						ccfg.Timeouts, ccfg.Replicas = to, addrs[1]
+						if c.replay && w == ps.Owner {
+							ccfg.Dialer = func(addr string) (net.Conn, error) {
+								conn, err := net.Dial("tcp", addr)
+								if dials++; err == nil && dials == 1 {
+									conn = &losesPull{Conn: conn}
+								}
+								return conn, err
+							}
+						}
+						sc, err = DialShardedConfig(addrs[0], w, shard.ForModel(m, c.shards), ccfg)
+						cl = sc
+					}
+					if err != nil {
+						t.Errorf("worker %d dial: %v", w, err)
+						return
+					}
+					defer cl.Close()
+					rng := tensor.NewRNG(1000 + uint64(w))
+					for step := range steps {
+						x := tensor.New(6, 12)
+						tensor.FillNormal(x, 1, rng)
+						wk.Model.TrainStep(x, []int{0, 1, 2, 3, 0, 1})
+						sent[w][step] = make([]int, len(m.Params()))
+						if c.stream {
+							ch := make(chan IndexedWire, len(m.Params()))
+							wk.CompressGradsStream(func(i int, wire []byte) { ch <- IndexedWire{I: i, Wire: wire} })
+							close(ch)
+							err = sc.PushPullStream(step, ch, func(i int, wire []byte) error {
+								sent[w][step][i] = len(wire)
+								return wk.ApplyPullTensor(i, wire)
+							})
+						} else {
+							wires, _ := wk.CompressGrads()
+							var pull [][]byte
+							if pull, err = cl.PushPull(step, wires); err == nil {
+								for i, wire := range pull {
+									sent[w][step][i] = len(wire)
+								}
+								_, err = wk.ApplyPull(pull)
+							}
+						}
+						if err != nil {
+							t.Errorf("worker %d step %d: %v", w, step, err)
+							return
+						}
+					}
+				}()
+			}
+			for range workers {
+				<-done
+			}
+			killed := 0
+			for range len(models) * c.shards {
+				if err := <-served; errors.Is(err, ErrShardKilled) {
+					killed++
+				} else if err != nil {
+					t.Fatalf("serve: %v", err)
+				}
+			}
+			if c.standby != (killed == 1) {
+				t.Fatalf("%d primaries killed (standby claim: %v)", killed, c.standby)
+			}
+			if t.Failed() {
+				return
+			}
+			if c.replay && dials < 2 {
+				t.Fatalf("worker %d dialed shard 0 %d times: no replay", ps.Owner, dials)
+			}
+
+			params := models[0].Params()
+			for w := range workers {
+				for step := range steps {
+					for i, p := range params {
+						n, pulls := sent[w][step][i], ps.Pulls(w, p) || c.v1
+						if pulls == (n == 0) && ps.OwnerOnly(p) {
+							t.Errorf("step %d: worker %d was sent %d bytes of %s (want them: %v)", step, w, n, p.Name, pulls)
+						}
+					}
+				}
+			}
+			want := replicas[1].Model.Params()
+			for i, p := range replicas[ps.Owner].Model.Params() {
+				if !p.W.Equal(want[i].W) {
+					t.Errorf("the owner's replica of %s differs from worker 1's", p.Name)
+				}
+			}
 		})
 	}
 }

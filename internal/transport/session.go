@@ -35,6 +35,15 @@ type tensorPusher interface {
 	NumTensors() int
 }
 
+// ownerViewer is what an aggregator may offer for the pull: the last
+// finished step's pull as the owner is sent it (ps.Pulls), nil when that
+// is the shared one. The session sends it to the owner's seat (*ps.Job
+// offers it). An aggregator without it sends every seat the shared pull,
+// which stays correct: the owner decode-adds a full slot as ever.
+type ownerViewer interface {
+	OwnerPull() [][]byte
+}
+
 // traffic counts an endpoint's payload bytes, pushes received and pulls
 // sent; sessions add to it from their own goroutines while TrafficBytes
 // reads.
@@ -229,6 +238,7 @@ type session struct {
 	cfg    ShardServerConfig
 	agg    StepServer
 	stream tensorPusher // nil: seats push whole sets only
+	view   ownerViewer  // nil: the owner is sent the shared pull
 	ln     net.Listener // where a severed resilient seat's reconnect arrives
 	tr     *traffic
 
@@ -237,26 +247,30 @@ type session struct {
 	// (-1 before the first): the dedupe identity for replayed pushes.
 	applied []int
 
-	// pull is the last finished step's (done) shared pull, valid until the
-	// aggregator's next FinishStep. pullBuf[k] is its encoding for codec
-	// variant k, built at most once per step (pullAt[k] == done) by the
-	// first seat that needs it — during the broadcast, or later, when a
+	// pulls are the last finished step's (done) pull sets, valid until the
+	// aggregator's next FinishStep: [0] the shared one, [1] the owner's
+	// (nil: the owner is sent [0]). pullBuf[o][k] is set o's encoding for
+	// codec variant k, built at most once per step (pullAt[o][k] == done) by
+	// the first seat that needs it — during the broadcast, or later, when a
 	// resilient seat that lost the broadcast replays its push.
-	pull    [][]byte
+	pulls   [2][][]byte
 	done    int
-	pullBuf [pullVariants][]byte
-	pullAt  [pullVariants]int
+	pullBuf [2][pullVariants][]byte
+	pullAt  [2][pullVariants]int
 }
 
 func newSession(agg StepServer, cfg ShardServerConfig, ln net.Listener, tr *traffic) *session {
 	s := &session{cfg: cfg, agg: agg, ln: ln, tr: tr, done: -1,
 		seats: make([]*seat, cfg.Workers), applied: make([]int, cfg.Workers)}
 	s.stream, _ = agg.(tensorPusher)
+	s.view, _ = agg.(ownerViewer)
 	for i := range s.applied {
 		s.applied[i] = -1
 	}
-	for k := range s.pullAt {
-		s.pullAt[k] = -1
+	for o := range s.pullAt {
+		for k := range s.pullAt[o] {
+			s.pullAt[o][k] = -1
+		}
 	}
 	return s
 }
@@ -337,7 +351,10 @@ func (s *session) run() error {
 		if err != nil {
 			return fmt.Errorf("transport: shard %d step %d: %w", s.cfg.Shard, step, err)
 		}
-		s.pull, s.done = pull, step
+		s.pulls[0], s.pulls[1], s.done = pull, nil, step
+		if s.view != nil {
+			s.pulls[1] = s.view.OwnerPull()
+		}
 		for w, st := range s.seats {
 			if st == nil || st.shadow {
 				continue // severed during this step, or unclaimed: a replay is re-answered
@@ -523,22 +540,33 @@ func (s *session) readStream(st *seat, step int, f frame) (int, error) {
 	return n, push.End()
 }
 
-// sendPull answers one seat with the pull of the last finished step: the
-// shared payload of its codec variant, or — to a seat that pushed
-// streamed — per-tensor frames. Every one of them exists before the first
+// sendPull answers one seat with the pull of the last finished step as its
+// worker is sent it (ps.Pulls: the owner's view to the owner, the shared
+// pull to everyone else): the payload of its codec variant, or — to a seat
+// that pushed streamed — per-tensor frames, an owner-only slot of the
+// owner's an empty-body frame. Every one of them exists before the first
 // is sent, so they are queued behind one another and written when
 // flushBytes have gathered and at the end: the worker starts decoding
 // after the first flush, and a shard's pull costs a write per flushBytes,
 // not per tensor.
+//
+// A v1 seat is sent the shared pull, the owner's too: a v1 hello carries no
+// version byte (ShardWireVersion), so an owner built before ps.Pulls, which
+// would add the empty wire as zero and keep its stale batch-norm weights,
+// could not be refused at it. The owner decodes the full slots as ever.
 //
 //3lc:noalloc
 func (s *session) sendPull(st *seat) error {
 	if s.done < 0 {
 		return fmt.Errorf("transport: shard %d: no finished step to answer worker %d from", s.cfg.Shard, st.id)
 	}
+	o := 0
+	if st.id == ps.Owner && s.pulls[1] != nil && !st.fc.v1 {
+		o = 1
+	}
 	sent := 0
 	if st.streamed {
-		for k, wire := range s.pull {
+		for k, wire := range s.pulls[o] {
 			at := len(st.out)
 			err := st.queue(frame{t: MsgShardPullTensor, step: uint32(s.done), arg: uint32(k), body: wire})
 			sent += len(st.out) - at - frameHeaderLen
@@ -557,18 +585,18 @@ func (s *session) sendPull(st *seat) error {
 		if st.fc.v1 {
 			t = MsgPull
 		}
-		if s.pullAt[k] != s.done {
+		if s.pullAt[o][k] != s.done {
 			var err error
-			s.pullBuf[k], err = st.fc.appendFrame(s.pullBuf[k][:0], frame{t: t, step: uint32(s.done), set: s.pull})
+			s.pullBuf[o][k], err = st.fc.appendFrame(s.pullBuf[o][k][:0], frame{t: t, step: uint32(s.done), set: s.pulls[o]})
 			if err != nil {
 				return fmt.Errorf("transport: shard %d step %d pull: %w", s.cfg.Shard, s.done, err)
 			}
-			s.pullAt[k] = s.done
+			s.pullAt[o][k] = s.done
 		}
-		if err := st.write(s.pullBuf[k]); err != nil {
+		if err := st.write(s.pullBuf[o][k]); err != nil {
 			return fmt.Errorf("transport: shard %d step %d pull to worker %d: %w", s.cfg.Shard, s.done, st.id, err)
 		}
-		sent = len(s.pullBuf[k]) - frameHeaderLen
+		sent = len(s.pullBuf[o][k]) - frameHeaderLen
 	}
 	s.tr.pull.Add(int64(sent))
 	return nil

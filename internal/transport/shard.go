@@ -4,10 +4,13 @@
 // (MsgHello/MsgPush/MsgPull) are untouched and served by the same session
 // engine as its degenerate case — one shard, nothing negotiated.
 //
-//	shard header := [1B version=2][1B flags][2B LE shard][4B LE worker][4B LE step]
+//	shard header := [1B version=3][1B flags][2B LE shard][4B LE worker][4B LE step]
 //	hello2       := header (step = 0) [4B LE assignment hash]
 //	push2        := header [wire set]
 //	pull2        := header (worker = 0) [wire set]
+//
+// (ShardWireVersion counts generations of this layout: 3 since the owner
+// is sent the empty wire in its owner-only slots, ps.Pulls.)
 //
 // A hello negotiates per-connection stages on top of that; each is a flag
 // plus bytes the frame codec (codec.go) adds in this fixed order, and a
@@ -67,7 +70,6 @@ import (
 	"time"
 
 	"threelc/internal/compress"
-	"threelc/internal/ps"
 	"threelc/internal/shard"
 )
 
@@ -164,16 +166,18 @@ type ShardServer struct {
 	ln  net.Listener
 }
 
-// NewShardServer wraps sub (the ps sub-job owning this shard's tensors)
-// to serve cfg.Workers workers for cfg.Steps steps on ln. A shard's
-// standby is one more of these, at the address the workers hold in
-// ShardClientConfig.Replicas, over a sub-job of its OWN model replica — it
-// must not share parameter tensors with the primary's.
-func NewShardServer(ln net.Listener, sub *ps.Job, cfg ShardServerConfig) *ShardServer {
+// NewShardServer wraps agg — the ps sub-job owning this shard's tensors,
+// or an aggregator in front of one — to serve cfg.Workers workers for
+// cfg.Steps steps on ln. What agg offers beyond StepServer decides what the
+// seats may do: *ps.Job takes per-tensor pushes and sends the owner its
+// view of the pull. A shard's standby is one more of these, at the address
+// the workers hold in ShardClientConfig.Replicas, over a sub-job of its OWN
+// model replica — it must not share parameter tensors with the primary's.
+func NewShardServer(ln net.Listener, agg StepServer, cfg ShardServerConfig) *ShardServer {
 	if cfg.NumShards < 1 {
 		cfg.NumShards = 1
 	}
-	return &ShardServer{agg: sub, cfg: cfg, ln: ln}
+	return &ShardServer{agg: agg, cfg: cfg, ln: ln}
 }
 
 // Serve seats the configured workers, runs their session for cfg.Steps

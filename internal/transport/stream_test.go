@@ -296,9 +296,11 @@ func TestStreamedStepAllocsIndependentOfTensorCount(t *testing.T) {
 		tier := newStreamTier(t, func() *nn.Model { return nn.NewMLP(48, repeat(hidden, 48), 10, 7) },
 			cfg, 2, ShardClientConfig{}, nil)
 		wk, cl := tier.workers[0], tier.clients[0]
-		wires, _ := wk.CompressGrads()
 		step := 0
-		return testing.AllocsPerRun(20, func() {
+		exchange := func() {
+			// A push a step: the owner takes the step of the tensors it is
+			// not sent on the push it made (ps.Pulls).
+			wires, _ := wk.CompressGrads()
 			ch := make(chan IndexedWire, len(wires))
 			for i, wire := range wires {
 				ch <- IndexedWire{I: i, Wire: wire}
@@ -308,7 +310,12 @@ func TestStreamedStepAllocsIndependentOfTensorCount(t *testing.T) {
 				t.Fatal(err)
 			}
 			step++
-		})
+		}
+		// Warm up buffer capacities on both ends of the wire.
+		for range 10 {
+			exchange()
+		}
+		return testing.AllocsPerRun(50, exchange)
 	}
 	if small, large := allocs(4), allocs(64); small != large {
 		t.Errorf("allocations per streamed step: %v with 18 tensors, %v with 258, want equal", small, large)

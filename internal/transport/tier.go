@@ -20,20 +20,24 @@ type Seat interface {
 // seats, each a worker's own Client or ShardClient. A session copies seat
 // w's wires aside (whole-set tier) or hands each to seat w's connections as
 // it is fed (streamed tier), and FinishStep returns the pull seat 0
-// receives — the servers answer every seat with the same one. The sessions
-// of a step may be fed from W goroutines at once: the serving session
-// engine reads pushes in seat order, so seat w's bytes never wait behind
-// seat w−1's compressor. The tier holds no training state (the servers own
-// optimizer and pull contexts), and the servers' barrier waits for every
-// seat, so a step must push all of them.
+// receives. Seat 0 is the owner (ps.Owner), so that is the owner's view of
+// the pull (ps.Pulls) wherever the servers send one: its owner-only slots
+// are empty, the other seats are sent them full, and a driver completes it
+// for the other workers from the owner's own step (train.Run does, with
+// ps.Worker.Complete). The sessions of a step may be fed from W goroutines
+// at once: the serving session engine reads pushes in seat order, so seat
+// w's bytes never wait behind seat w−1's compressor. The tier holds no
+// training state (the servers own optimizer and pull contexts), and the
+// servers' barrier waits for every seat, so a step must push all of them.
 //
 // FinishStep does not wait for the other seats' copies of the pull. It
 // could not: a seat that lost its connection mid-step (a killed primary, a
 // resilient redial) is re-answered when the session next reads that seat,
-// which is after seat 0 has pushed the following step. So a seat's round
-// trip may still be in flight one step later — never two: the barrier for
-// step s+1 needs the push that seat sends only once its round trip of step
-// s is done — and its next one queues behind it.
+// which is after seat 0 has pushed the following step — which is why the
+// pull kept is seat 0's and not a full one. So a seat's round trip may still
+// be in flight one step later — never two: the barrier for step s+1 needs
+// the push that seat sends only once its round trip of step s is done — and
+// its next one queues behind it.
 type DialedTier struct {
 	seats  []*dialedSeat
 	stream bool
@@ -60,7 +64,7 @@ type dialedSeat struct {
 	// reconnect reads it while the worker already compresses the next step
 	// into its own buffers.
 	staged [][]byte
-	pull   [][]byte // a streamed tier keeps only seat 0's (non-nil there)
+	pull   [][]byte // a streamed tier keeps only seat 0's, the owner's (non-nil there)
 }
 
 // DialTier dials `seats` seats — dial(w) opens seat w, under whatever id,
@@ -184,7 +188,8 @@ func (s *dialedSeat) pushPullStaged(step int, ch <-chan IndexedWire) (err error)
 }
 
 // pulled takes one tensor of a streamed pull off the connection's scratch:
-// seat 0 copies it out, the other seats' identical copies are dropped.
+// seat 0 copies it out, the other seats' copies — the same, but for the
+// owner-only slots seat 0 is sent empty — are dropped.
 func (s *dialedSeat) pulled(gi int, wire []byte) error {
 	if s.pull != nil {
 		s.pull[gi] = append(s.pull[gi][:0], wire...)
@@ -212,8 +217,8 @@ func (s *dialedSeat) End() error {
 	return nil
 }
 
-// FinishStep waits for seat 0's round trip and returns the shared pull,
-// valid until seat 0's next session ends. The duration is zero: the tier's
+// FinishStep waits for seat 0's round trip and returns its pull — the
+// owner's — valid until seat 0's next session ends. The duration is zero: the tier's
 // codec time is spent on the servers, out of sight. The first failure of
 // any seat's round trip fails the step and every later one, and a step in
 // which some seat opened no push fails at once — the servers' barrier would

@@ -49,7 +49,9 @@ go test -run='^$' -bench 'SteadyStatePushPullWire' -benchtime 100x -benchmem ./i
 # the flush policy (a frame per write is 1, coalesced ~129). Its
 # model has batch-norm tensors, so it also reports push-B/step and
 # owner-gain (2 = the worker count: an owner-only tensor is pushed
-# once), floored by the gate as well.
+# once), and on the pull side pull-B/step and owner-pull-gain (2
+# again: the owner is not sent it, ps.Pulls), both gains floored by
+# the gate as well.
 # Outside the zero-allocs pattern by name: the caller's per-step
 # channel is part of the API.
 go test -run='^$' -bench 'StreamedPushPullWire' -benchtime 100x -benchmem ./internal/transport/
