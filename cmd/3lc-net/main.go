@@ -29,9 +29,8 @@
 //     multiplexed listener per shard (transport.MuxShardServer).
 //   - -regions R fronts each of R groups of workers with an aggregator: a
 //     recompress region.Tier behind its own listener, forwarding one
-//     re-encoded stream per step over a one-seat dialed tier (entropy stage
-//     per -wan-entropy) to the global tier. The run reports local-leg and
-//     inter-region traffic separately.
+//     re-encoded stream per step over a one-seat dialed tier to the global
+//     tier. The run reports local-leg and inter-region traffic separately.
 //   - -chaos trains every registered codec twice — on an in-process server,
 //     and over TCP with internal/chaos injecting faults on every listener and
 //     dial against the full defense stack (CRC-32C frames, resilient
@@ -65,17 +64,16 @@ import (
 
 // options are the command's flags, and what check derives from them.
 type options struct {
-	designName, addr, wanEntropy string
-	sparsity                     float64
-	workers, steps, batch        int
-	shards, tenants, regions     int
-	stream, replicas, chaosSoak  bool
-	killShard, killStep          int
-	netTimeout                   time.Duration
-	chaosSeed                    uint64
+	designName, addr            string
+	sparsity                    float64
+	workers, steps, batch       int
+	shards, tenants, regions    int
+	stream, replicas, chaosSoak bool
+	killShard, killStep         int
+	netTimeout                  time.Duration
+	chaosSeed                   uint64
 
-	design  train.Design         // -design, -sparsity
-	wanAlgo compress.EntropyAlgo // -wan-entropy
+	design train.Design // -design, -sparsity
 }
 
 func main() {
@@ -94,7 +92,6 @@ func main() {
 	flag.IntVar(&o.killStep, "kill-step", -1, "step at which -kill-shard fires (default steps/2)")
 	flag.DurationVar(&o.netTimeout, "net-timeout", 0, "per-frame read/write deadline on worker connections (failure detector for dead shards); 0 disables, except with -replicas where it defaults to 10s")
 	flag.IntVar(&o.regions, "regions", 1, "hierarchical two-level aggregation: split the workers into this many regions, each fronted by an aggregator that fuses local pushes and forwards ONE re-encoded stream per step across the inter-region leg; requires workers to divide evenly into regions")
-	flag.StringVar(&o.wanEntropy, "wan-entropy", "huffman", "entropy second stage on the inter-region leg (with -regions): huffman | lz | off")
 	flag.BoolVar(&o.chaosSoak, "chaos", false, "chaos soak: train every codec clean (in-process) and under deterministic fault injection (over TCP with checksums + resilient reconnect) and demand bit-identical final state; ignores -design")
 	flag.Uint64Var(&o.chaosSeed, "chaos-seed", 1, "fault schedule seed for -chaos (same seed, same per-connection fault schedule)")
 	flag.Parse()
@@ -140,8 +137,7 @@ func (o *options) check() error {
 		if o.workers%o.regions != 0 {
 			return fmt.Errorf("-workers %d must divide evenly into -regions %d", o.workers, o.regions)
 		}
-		o.wanAlgo, err = compress.ParseEntropyAlgo(o.wanEntropy)
-		return err
+		return nil
 	}
 	if o.tenants > 1 {
 		if o.stream || o.replicas || killing {
@@ -470,8 +466,8 @@ func runHierarchical(o *options) error {
 	legs := make([]*transport.DialedTier, o.regions)
 
 	cfg.Tier = func(global *nn.Model, psCfg ps.Config) (ps.Tier, error) {
-		// Global tier: the shard-tier transport (it speaks the v2 header the
-		// entropy stage rides on), sized for one push per region.
+		// Global tier: the shard-tier transport, sized for one push per
+		// region.
 		asn := shard.ForModel(global, o.shards)
 		globalCfg := psCfg.SplitAcross(o.shards)
 		globalCfg.Workers = o.regions
@@ -485,15 +481,15 @@ func runHierarchical(o *options) error {
 		if err != nil {
 			return nil, err
 		}
-		// Region aggregators: each dials the global tier as "worker r" with
-		// the entropy stage on its connection — a dialed tier of one seat —
-		// wraps that in a recompress region tier (scale 1/wpr: the global
-		// tier's division by R then lands on the flat topology's 1/W mean),
-		// and serves its local workers through the plain front door.
+		// Region aggregators: each dials the global tier as "worker r" — a
+		// dialed tier of one seat — wraps that in a recompress region tier
+		// (scale 1/wpr: the global tier's division by R then lands on the
+		// flat topology's 1/W mean), and serves its local workers through
+		// the plain front door.
 		for r := range legs {
 			legs[r], err = transport.DialTier(1, false, func(int) (transport.Seat, error) {
 				return transport.DialShardedConfig(globalTier.addrs, r, asn,
-					transport.ShardClientConfig{Timeouts: o.timeouts(), Entropy: o.wanAlgo})
+					transport.ShardClientConfig{Timeouts: o.timeouts()})
 			})
 			if err != nil {
 				return nil, fmt.Errorf("region: %w", err)
@@ -511,8 +507,8 @@ func runHierarchical(o *options) error {
 				return nil, fmt.Errorf("region: %w", err)
 			}
 			ln := lns[o.shards+r]
-			fmt.Printf("region %d/%d aggregator listening on %s (%d local workers, wan entropy %s)\n",
-				r, o.regions, ln.Addr(), wpr, o.wanAlgo)
+			fmt.Printf("region %d/%d aggregator listening on %s (%d local workers)\n",
+				r, o.regions, ln.Addr(), wpr)
 			fronts.frontDoor(ln, agg, wpr, o.steps, o.netTimeout)
 		}
 		// Workers speak only to their region's aggregator, identified by
@@ -541,7 +537,7 @@ func runHierarchical(o *options) error {
 		o.steps, o.workers, o.regions, time.Duration(res.WallSec*float64(time.Second)).Round(time.Millisecond))
 	fmt.Printf("test accuracy:      %.2f%%\n", 100*res.FinalAccuracy)
 	fmt.Printf("local-leg bytes:    push %d, pull %d (workers <-> region aggregators)\n", localPush, localPull)
-	fmt.Printf("inter-region bytes: push %d, pull %d (aggregators <-> global tier, entropy %s)\n", wanPush, wanPull, o.wanAlgo)
+	fmt.Printf("inter-region bytes: push %d, pull %d (aggregators <-> global tier)\n", wanPush, wanPull)
 	// In a flat topology every worker wire crosses the slow link — the
 	// local-leg push volume IS that counterfactual, measured.
 	fmt.Printf("slow-link push reduction vs flat: %.1fx (%d -> %d bytes)\n",

@@ -117,10 +117,9 @@
 //	internal/transport   framed TCP transport (coalesced single-write
 //	                     frames, per-connection read scratch): one frame
 //	                     codec for the v1 and versioned shard-aware v2
-//	                     wire (tenant tag, entropy stage, CRC-32C
-//	                     trailer, in that order) and one BSP session
-//	                     engine behind the single-job, multi-tenant and
-//	                     legacy servers
+//	                     wire (tenant tag, then CRC-32C trailer) and one
+//	                     BSP session engine behind the single-job,
+//	                     multi-tenant and legacy servers
 //	internal/train       the one BSP step driver (any ps.Tier, in-process
 //	                     or dialed) + metrics: virtual time from netsim,
 //	                     wall time from the clock

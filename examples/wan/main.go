@@ -3,9 +3,9 @@
 // links, §1). Trains with each traffic-reduction design and estimates
 // wall-clock training time across a range of WAN bandwidths, then
 // switches to the hierarchical two-level topology: regional aggregators
-// fuse local pushes so only one (optionally entropy-coded) stream per
-// region crosses the slow link, and a bits/elem x RTT table shows how
-// the reduced WAN volume trades against link latency.
+// fuse local pushes so only one stream per region crosses the slow link,
+// and a bits/elem x RTT table shows how the reduced WAN volume trades
+// against link latency.
 //
 //	go run ./examples/wan
 package main
@@ -65,10 +65,9 @@ func main() {
 	// aggregator fuses its local pushes and only one stream per region
 	// crosses the WAN. Exact mode relays worker wires verbatim
 	// (bit-identical model state to flat training); recompress re-encodes
-	// one residual stream per region; the entropy stage squeezes the
-	// quartic stream further. The RTT columns are exact re-costings of the
-	// measured run: the WAN latency term is additive per step, so only
-	// the per-step round trip changes between columns.
+	// one residual stream per region. The RTT columns are exact re-costings
+	// of the measured run: the WAN latency term is additive per step, so
+	// only the per-step round trip changes between columns.
 	const regions = 2
 	const wanBW = 10e6 // 10 Mbps slow link
 	baseLat := 20e-3   // one-way seconds the runs are costed at
@@ -77,12 +76,10 @@ func main() {
 	type topo struct {
 		name       string
 		recompress bool
-		entropy    compress.EntropyAlgo
 	}
 	topos := []topo{
-		{"hier/exact", false, compress.EntropyOff},
-		{"hier/recomp", true, compress.EntropyOff},
-		{"hier/recomp+huff", true, compress.EntropyHuffman},
+		{"hier/exact", false},
+		{"hier/recomp", true},
 	}
 	hierDesigns := []train.Design{designs[1], designs[3]} // 8-bit int, 3LC s=1.00
 
@@ -96,7 +93,7 @@ func main() {
 	for _, d := range hierDesigns {
 		for _, tp := range topos {
 			cfg := job(d)
-			cfg.Regions, cfg.RegionRecompress, cfg.RegionEntropy = regions, tp.recompress, tp.entropy
+			cfg.Regions, cfg.RegionRecompress = regions, tp.recompress
 			cfg.Net.WANBandwidthBps = wanBW
 			cfg.Net.WANLatencySec = baseLat
 			res, err := train.Run(cfg)
@@ -118,5 +115,5 @@ func main() {
 	}
 	fmt.Println("\nExact relay is bit-identical to flat training; recompress re-encodes one")
 	fmt.Println("residual stream per region (error accumulation retries what requantization")
-	fmt.Println("drops); +huff adds the streaming entropy second stage on the slow link.")
+	fmt.Println("drops).")
 }

@@ -73,15 +73,13 @@ const (
 	// step transmits one of P interleaved partitions in full, with error
 	// accumulation carrying the rest. Shares the TopK bitmap wire layout.
 	SchemeRoundRobin
-	// SchemeEntropy marks a wire message whose payload is another
-	// scheme's wire passed through the optional entropy second stage
-	// (see WithEntropy in entropy.go). It is a wrapper, not a base
-	// design: New rejects it — set Options.Entropy on a base scheme.
-	SchemeEntropy
+	// schemeRetiredEntropy stays reserved: it marked another scheme's wire
+	// passed through a Huffman or LZ second stage, which no longer exists.
+	// Decoders refuse it by name (see unknownScheme).
+	schemeRetiredEntropy
 	// SchemePacked32 marks the lossless packed float32 wire: what a tensor
 	// exempt from compression travels as under a compressing design (see
-	// NewExempt in packed.go). Like SchemeEntropy it is not a design: New
-	// rejects it.
+	// NewExempt in packed.go). It is not a design: New rejects it.
 	SchemePacked32
 	schemeCount
 )
@@ -105,8 +103,6 @@ func (s Scheme) String() string {
 		return "local steps"
 	case SchemeRoundRobin:
 		return "round-robin exchange"
-	case SchemeEntropy:
-		return "entropy-wrapped"
 	case SchemePacked32:
 		return "packed float32"
 	default:
@@ -131,12 +127,6 @@ type Options struct {
 	// Seed seeds the RNG used by stochastic quantization and threshold
 	// sampling.
 	Seed uint64
-	// Entropy selects the optional entropy second stage (Huffman or LZ)
-	// applied to every wire message the context emits — the
-	// general-purpose coders the paper benchmarks ZRE against, wired in
-	// for WAN links where wire bytes dominate step time. Off by default;
-	// see WithEntropy.
-	Entropy EntropyAlgo
 	// CodecParallelism caps the per-pass goroutine fan-out of the fused
 	// kernels for large tensors (>= kernel.ParallelThresholdElems). The
 	// fan-out is work-proportional: each of the two fused compress passes
@@ -195,54 +185,48 @@ type PreAccumulator interface {
 }
 
 // New creates a compression context for a tensor of the given shape.
-// With Options.Entropy set, the context is wrapped with the entropy
-// second stage (WithEntropy) and its wires carry SchemeEntropy.
 func New(s Scheme, shape []int, opt Options) Compressor {
 	n := 1
 	for _, d := range shape {
 		n *= d
 	}
-	var c Compressor
 	switch s {
 	case SchemeNone:
-		c = &noneCompressor{shape: shape, n: n}
+		return &noneCompressor{shape: shape, n: n}
 	case SchemeInt8:
-		c = &int8Compressor{shape: shape, n: n, par: opt.CodecParallelism}
+		return &int8Compressor{shape: shape, n: n, par: opt.CodecParallelism}
 	case SchemeThreeLC:
 		sp := opt.Sparsity
 		if sp == 0 {
 			sp = 1
 		}
-		c = newThreeLCCompressor(shape, sp, opt.ZeroRun, opt.CodecParallelism)
+		return newThreeLCCompressor(shape, sp, opt.ZeroRun, opt.CodecParallelism)
 	case SchemeStoch3QE:
-		c = newStochCompressor(shape, opt.Seed, opt.CodecParallelism)
+		return newStochCompressor(shape, opt.Seed, opt.CodecParallelism)
 	case SchemeMQE1Bit:
-		c = newOneBitCompressor(shape, opt.CodecParallelism)
+		return newOneBitCompressor(shape, opt.CodecParallelism)
 	case SchemeTopK:
 		if opt.Fraction <= 0 || opt.Fraction > 1 {
 			panic("compress: TopK needs Fraction in (0,1]")
 		}
-		c = newTopKCompressor(shape, opt.Fraction, opt.Seed, opt.CodecParallelism)
+		return newTopKCompressor(shape, opt.Fraction, opt.Seed, opt.CodecParallelism)
 	case SchemeLocalSteps:
 		k := opt.Interval
 		if k < 1 {
 			k = 2
 		}
-		c = newLocalStepsCompressor(shape, k)
+		return newLocalStepsCompressor(shape, k)
 	case SchemeRoundRobin:
 		p := opt.Parts
 		if p < 1 {
 			p = 4
 		}
-		c = newRoundRobinCompressor(shape, p)
-	case SchemeEntropy:
-		panic("compress: SchemeEntropy is a wrapper; set Options.Entropy on a base scheme")
+		return newRoundRobinCompressor(shape, p)
 	case SchemePacked32:
 		panic("compress: SchemePacked32 is the wire of an exempt tensor, not a design; use NewExempt")
 	default:
 		panic(fmt.Sprintf("compress: unknown scheme %d", s))
 	}
-	return WithEntropy(c, opt.Entropy)
 }
 
 // --- shared little-endian helpers ------------------------------------------

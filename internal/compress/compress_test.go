@@ -375,6 +375,52 @@ func TestTernaryFlagsByteExact(t *testing.T) {
 	}
 }
 
+// TestSchemeBytesPinned pins every scheme's wire byte, the reserved one
+// included: a scheme deleted from the middle of the list must leave its
+// byte reserved, or every scheme after it — in wires and in checkpoints —
+// is silently renumbered.
+func TestSchemeBytesPinned(t *testing.T) {
+	for _, c := range []struct {
+		s    Scheme
+		want byte
+	}{
+		{SchemeNone, 0}, {SchemeInt8, 1}, {SchemeThreeLC, 2}, {SchemeStoch3QE, 3},
+		{SchemeMQE1Bit, 4}, {SchemeTopK, 5}, {SchemeLocalSteps, 6}, {SchemeRoundRobin, 7},
+		{schemeRetiredEntropy, 8}, {SchemePacked32, 9},
+		{schemeCount, 10}, // a scheme added without a row here fails
+	} {
+		if byte(c.s) != c.want {
+			t.Errorf("%v is byte %d on the wire, want %d", c.s, byte(c.s), c.want)
+		}
+	}
+}
+
+// TestRetiredSchemeByteRefused: a wire under the retired entropy scheme
+// byte is refused by name on the decode and the add path, before the
+// accumulator is touched.
+func TestRetiredSchemeByteRefused(t *testing.T) {
+	const n = 100
+	in := tensor.New(n)
+	tensor.FillNormal(in, 0.1, tensor.NewRNG(3))
+	for _, sc := range fuzzSchemes {
+		wire := append([]byte{byte(schemeRetiredEntropy), 0}, newContext(sc.s, []int{n}, sc.o).Compress(in)...)
+		acc := tensor.New(n)
+		acc.Fill(1)
+		_, err := Decompress(wire, []int{n})
+		errAdd := DecompressAddInto(wire, acc, 1)
+		for _, e := range []error{err, errAdd} {
+			if e == nil || !strings.Contains(e.Error(), "retired") {
+				t.Fatalf("%v under the retired byte: %v, want a refusal naming it retired", sc.s, e)
+			}
+		}
+		for i, v := range acc.Data() {
+			if v != 1 {
+				t.Fatalf("%v under the retired byte wrote dst[%d] = %v", sc.s, i, v)
+			}
+		}
+	}
+}
+
 func TestTopKBitmapValueCountMismatch(t *testing.T) {
 	// Bitmap says 1 value selected but payload has none.
 	wire := make([]byte, 1+13)

@@ -171,10 +171,6 @@ func BenchmarkCompressIntoAllSchemes(b *testing.B) {
 		{"mqe1bit", SchemeMQE1Bit, Options{}},
 		{"sparse25", SchemeTopK, Options{Fraction: 0.25, Seed: 1}},
 		{"3lc-s1.75", SchemeThreeLC, Options{Sparsity: 1.75, ZeroRun: true}},
-		// Entropy-wrapped variants: CI bounds the second stage's encode
-		// cost against the plain 3LC row (<= 1.25x) and requires 0 allocs.
-		{"3lc-s1.75+huffman", SchemeThreeLC, Options{Sparsity: 1.75, ZeroRun: true, Entropy: EntropyHuffman}},
-		{"3lc-s1.75+lz", SchemeThreeLC, Options{Sparsity: 1.75, ZeroRun: true, Entropy: EntropyLZ}},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -190,7 +186,7 @@ func BenchmarkCompressIntoAllSchemes(b *testing.B) {
 				buf = ctx.CompressInto(in, buf[:0])
 			}
 			b.ReportMetric(float64(len(buf))*8/n, "bits/elem")
-			if (tc.s == SchemeThreeLC || tc.s == SchemeStoch3QE) && tc.o.Entropy == EntropyOff {
+			if tc.s == SchemeThreeLC || tc.s == SchemeStoch3QE {
 				// What §3.3's capped zero-run spelling would have taken.
 				b.ReportMetric(float64(PaperWireLen(buf))*8/n, "paper-bits/elem")
 			}

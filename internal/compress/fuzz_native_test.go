@@ -23,6 +23,11 @@ func FuzzDecompressInto(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00, 0x01})
+	// The retired scheme byte: alone, over a stored body (stage 0, the inner
+	// wire verbatim) and over a Huffman-coded one (stage 1).
+	f.Add([]byte{byte(schemeRetiredEntropy)})
+	f.Add(append([]byte{byte(schemeRetiredEntropy), 0}, newContext(SchemeThreeLC, shape, Options{Sparsity: 1.5, ZeroRun: true}).Compress(in)...))
+	f.Add([]byte{byte(schemeRetiredEntropy), 1, 0xff, 0x01})
 	// The ternary flags byte: the retired capped spelling, unknown bits,
 	// and — under the live value — long-run tokens cut short, overlong,
 	// overflowing and overrunning (52 groups: 257 elements).

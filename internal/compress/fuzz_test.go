@@ -23,12 +23,6 @@ var fuzzSchemes = []struct {
 	{SchemeTopK, Options{Fraction: 0.3, Seed: 1}},
 	{SchemeLocalSteps, Options{Interval: 1}},
 	{SchemeRoundRobin, Options{Parts: 3}},
-	// Entropy-wrapped contexts emit SchemeEntropy wires: both coded
-	// stages plus a stored-stage case (raw float wires rarely code well,
-	// so SchemeNone+huffman exercises the stored fallback).
-	{SchemeThreeLC, Options{Sparsity: 1.5, ZeroRun: true, Entropy: EntropyHuffman}},
-	{SchemeThreeLC, Options{Sparsity: 1.5, ZeroRun: true, Entropy: EntropyLZ}},
-	{SchemeNone, Options{Entropy: EntropyHuffman}},
 	// The exempt tensor of a compressing design (newContext's NewExempt).
 	{SchemePacked32, Options{}},
 }
@@ -48,10 +42,6 @@ func newContext(s Scheme, shape []int, o Options) Compressor {
 func TestFuzzCorpusCoversEveryRegisteredDecoder(t *testing.T) {
 	covered := map[Scheme]bool{}
 	for _, sc := range fuzzSchemes {
-		if sc.o.Entropy != EntropyOff {
-			covered[SchemeEntropy] = true
-			continue
-		}
 		covered[sc.s] = true
 	}
 	for _, s := range RegisteredSchemes() {

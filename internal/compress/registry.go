@@ -104,9 +104,18 @@ func DecompressInto(wire []byte, dst *tensor.Tensor) error {
 	}
 	fn := decoders[wire[0]]
 	if fn == nil {
-		return fmt.Errorf("compress: unknown scheme byte %d", wire[0])
+		return unknownScheme(wire[0])
 	}
 	return fn(wire[1:], dst)
+}
+
+// unknownScheme refuses a wire whose scheme byte has no decoder, naming the
+// retired one.
+func unknownScheme(b byte) error {
+	if Scheme(b) == schemeRetiredEntropy {
+		return fmt.Errorf("compress: scheme byte %d is the retired entropy-coded wire (a Huffman or LZ stage over another scheme's wire); re-encode it without the stage", b)
+	}
+	return fmt.Errorf("compress: unknown scheme byte %d", b)
 }
 
 // DecompressAddInto decodes wire and accumulates it into dst: dst +=
@@ -145,7 +154,7 @@ func DecompressAddInto(wire []byte, dst *tensor.Tensor, workers int) error {
 		return fn(wire[1:], dst, workers)
 	}
 	if decoders[wire[0]] == nil {
-		return fmt.Errorf("compress: unknown scheme byte %d", wire[0])
+		return unknownScheme(wire[0])
 	}
 	return decodeThenAdd(wire, dst)
 }

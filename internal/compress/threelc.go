@@ -45,7 +45,7 @@ func ternaryZeroRun(flags byte) (zre bool, err error) {
 // PaperWireLen is the length wire would have had with §3.3's own zero-run
 // code (encode.ZeroRunPaperLen): the number to set beside the paper's. Any
 // wire but a well-formed zero-run encoded 3LC message — another scheme,
-// the No-ZRE ablation, an entropy-wrapped message — is its own length.
+// the No-ZRE ablation — is its own length.
 func PaperWireLen(wire []byte) int {
 	if len(wire) >= 6 && Scheme(wire[0]) == SchemeThreeLC && wire[5] == ternaryZRE {
 		if n := encode.ZeroRunPaperLen(wire[6:]); n >= 0 {

@@ -145,53 +145,3 @@ func TestComparatorRatiosOnQuarticData(t *testing.T) {
 		}
 	}
 }
-
-// TestEntropyBodyHelpers unit-tests the staged-body framing: coded bodies
-// round-trip, incompressible bodies — and ids with no coder — fall back to
-// the stored stage within the documented one-byte overhead, and corrupt
-// bodies error cleanly.
-func TestEntropyBodyHelpers(t *testing.T) {
-	skewed := bytes.Repeat([]byte{0, 0, 0, 1, 0, 0, 2, 0}, 512)
-	var noise []byte
-	rng := tensor.NewRNG(42)
-	for i := 0; i < 1024; i++ {
-		noise = append(noise, byte(rng.Uint64()))
-	}
-
-	for _, stage := range []byte{StageHuffman, StageLZ} {
-		body := AppendStage(nil, stage, skewed)
-		if len(body) >= len(skewed)+1 || body[0] != stage {
-			t.Errorf("stage %d: skewed body did not compress (%d >= %d, id %d)", stage, len(body), len(skewed)+1, body[0])
-		}
-		var buf []byte
-		raw, err := ParseStage(body, &buf)
-		if err != nil {
-			t.Fatalf("stage %d: parse: %v", stage, err)
-		}
-		if !bytes.Equal(raw, skewed) {
-			t.Fatalf("stage %d: body round trip mismatch", stage)
-		}
-	}
-	for _, stage := range []byte{StageStored, StageHuffman, StageLZ, 9} {
-		stored := AppendStage([]byte{0xaa}, stage, noise)
-		if len(stored) != 1+1+len(noise) || stored[0] != 0xaa || stored[1] != StageStored {
-			t.Errorf("stage %d: incompressible body not stored behind dst (len %d, id %d)", stage, len(stored), stored[1])
-		}
-		if raw, err := ParseStage(stored[1:], new([]byte)); err != nil || !bytes.Equal(raw, noise) {
-			t.Errorf("stage %d: stored body did not round-trip (%v)", stage, err)
-		}
-	}
-
-	if _, err := ParseStage(nil, new([]byte)); err == nil {
-		t.Error("empty staged body parsed")
-	}
-	if _, err := ParseStage([]byte{9, 1, 2}, new([]byte)); err == nil {
-		t.Error("unknown stage id parsed")
-	}
-	if _, err := ParseStage([]byte{StageHuffman, 0xff, 0x01}, new([]byte)); err == nil {
-		t.Error("corrupt huffman body parsed")
-	}
-	if _, err := ParseStage([]byte{StageLZ, 0xff, 0xff, 0xff, 0xff}, new([]byte)); err == nil {
-		t.Error("corrupt lz body parsed")
-	}
-}

@@ -7,15 +7,14 @@
 // quantifies that trade: comparable ratios on quartic-encoded data at a
 // fraction of the cost.
 //
-// Since the WAN/hierarchical work the package is wired into the codec
-// path as an optional second stage (compress.WithEntropy), so the coders
-// follow the repo's zero-allocation convention: the hot-path API is
-// append-style (HuffmanEncodeInto / HuffmanDecodeInto / LZEncodeInto /
-// LZDecodeInto) with every table and scratch buffer drawn from a
-// sync.Pool. A caller that recycles its destination buffers performs
-// zero heap allocations per call in steady state. The original
-// one-shot names remain as shims over the Into forms, and the stream
-// formats are byte-identical to the seed implementation.
+// Nothing puts these coders' bytes on a wire: on every wire the system
+// moves they code to within a few percent of the input, or longer (README,
+// "Entropy coders on the wire"). They stay as the measuring probes of that
+// finding and of the ablation. The API is append-style (HuffmanEncodeInto
+// / HuffmanDecodeInto / LZEncodeInto / LZDecodeInto) with every table and
+// scratch buffer drawn from a sync.Pool, so a caller that recycles its
+// destination buffers performs zero heap allocations per call in steady
+// state. The one-shot names remain as shims over the Into forms.
 package entropy
 
 import (

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"threelc/internal/compress"
 	"threelc/internal/data"
 	"threelc/internal/netsim"
 	"threelc/internal/nn"
@@ -18,12 +17,10 @@ type WANTopology struct {
 	// Regions is the hierarchical region count (1 = flat star topology).
 	Regions    int
 	Recompress bool
-	Entropy    compress.EntropyAlgo
 }
 
 // WANTopologies is the default topology axis: flat reference, exact
-// hierarchical relay with and without the entropy second stage, and fused
-// recompress with and without it.
+// hierarchical relay, and fused recompress.
 func WANTopologies(regions int) []WANTopology {
 	if regions < 2 {
 		regions = 2
@@ -31,9 +28,7 @@ func WANTopologies(regions int) []WANTopology {
 	return []WANTopology{
 		{Label: "flat", Regions: 1},
 		{Label: "hier/exact", Regions: regions},
-		{Label: "hier/exact+huff", Regions: regions, Entropy: compress.EntropyHuffman},
 		{Label: "hier/recomp", Regions: regions, Recompress: true},
-		{Label: "hier/recomp+huff", Regions: regions, Recompress: true, Entropy: compress.EntropyHuffman},
 	}
 }
 
@@ -50,7 +45,7 @@ type WANRow struct {
 	// WAN bits per model element per step.
 	WANBitsPerElem float64
 	// WANReduction is the same design's exact-relay WAN traffic divided
-	// by this row's — how much the stage/mode saved on the slow link
+	// by this row's — how much the mode saved on the slow link
 	// (1.00 for the exact relay itself, 0 where no WAN exists).
 	WANReduction float64
 	// StepMs is the mean virtual step time under the simulated topology.
@@ -85,8 +80,8 @@ func wanWorkload(d train.Design, workers, steps int) train.Config {
 // WANSweep measures every (design, topology) cell of the WAN experiment
 // behind `3lc-bench -exp wan`: the local tier runs at 1 Gbps while each
 // region's link to the global tier is throttled to wanBps with one-way
-// latency wanLatencySec. Reported WAN bytes are measured wire sizes (the
-// entropy stage actually codes the streams), not estimates.
+// latency wanLatencySec. Reported WAN bytes are measured wire sizes, not
+// estimates.
 func WANSweep(designs []train.Design, topos []WANTopology, workers, steps int, wanBps, wanLatencySec float64, progress io.Writer) ([]WANRow, error) {
 	if workers < 2 {
 		workers = 4
@@ -101,7 +96,6 @@ func WANSweep(designs []train.Design, topos []WANTopology, workers, steps int, w
 			cfg := wanWorkload(d, workers, steps)
 			cfg.Regions = topo.Regions
 			cfg.RegionRecompress = topo.Recompress
-			cfg.RegionEntropy = topo.Entropy
 			if topo.Regions > 1 {
 				cfg.Net.WANBandwidthBps = wanBps
 				cfg.Net.WANLatencySec = wanLatencySec
@@ -121,7 +115,7 @@ func WANSweep(designs []train.Design, topos []WANTopology, workers, steps int, w
 				perStep := float64(res.TotalWANBytes) / float64(steps)
 				row.WANKBPerStep = perStep / 1e3
 				row.WANBitsPerElem = perStep * 8 / float64(res.NumParam)
-				if topo.Label == "hier/exact" || (exactKB == 0 && !topo.Recompress && topo.Entropy == compress.EntropyOff) {
+				if exactKB == 0 && !topo.Recompress {
 					exactKB = row.WANKBPerStep
 				}
 				if exactKB > 0 {

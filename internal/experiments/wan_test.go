@@ -52,7 +52,7 @@ func TestWANSweepShape(t *testing.T) {
 
 	var buf bytes.Buffer
 	PrintWANSweep(&buf, rows, netsim.Mbps100, 20e-3)
-	if !strings.Contains(buf.String(), "hier/recomp+huff") {
+	if !strings.Contains(buf.String(), "hier/recomp") {
 		t.Error("printed table missing topology rows")
 	}
 	buf.Reset()

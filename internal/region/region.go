@@ -10,10 +10,7 @@
 //     and forwards them verbatim, in worker order. The global tier
 //     ingests exactly the byte stream a flat topology would have
 //     produced, so model state is bit-identical to flat training for
-//     every codec — the hierarchy changes only where bytes travel. The
-//     optional entropy second stage codes each region's bundled stream
-//     across tensor (and worker) boundaries, which is where cross-wire
-//     redundancy lives.
+//     every codec — the hierarchy changes only where bytes travel.
 //
 //   - Recompress: the aggregator fuses local pushes into a per-region
 //     gradient sum with the fused decode-accumulate kernels
@@ -37,7 +34,6 @@ import (
 	"time"
 
 	"threelc/internal/compress"
-	"threelc/internal/entropy"
 	"threelc/internal/nn"
 	"threelc/internal/ps"
 	"threelc/internal/tensor"
@@ -54,11 +50,6 @@ type Config struct {
 	// Recompress selects the fused re-encode mode; false forwards worker
 	// wires verbatim (bit-identical to flat training).
 	Recompress bool
-	// Entropy selects the entropy second stage on the inter-region link.
-	// In exact mode it codes each region's bundled wire stream; in
-	// recompress mode it wraps the region's re-encode contexts, so the
-	// forwarded wires themselves carry compress.SchemeEntropy.
-	Entropy compress.EntropyAlgo
 	// Scheme and Opts configure the recompress contexts, normally the
 	// run's own design (the region re-quantizes with the same codec).
 	// MinCompressElems carries the small-tensor exemption
@@ -92,8 +83,9 @@ type Tier struct {
 
 	sessions []session
 
-	// Exact mode: per-region bundles of forwarded worker wires.
-	bundles [][]byte
+	// Exact mode: per region, the framed bytes of the worker wires it has
+	// forwarded this step.
+	bundled []int
 
 	// Recompress mode.
 	sums    [][]*tensor.Tensor      // [region][tensor] fused gradient sums
@@ -103,9 +95,7 @@ type Tier struct {
 	ncWire  [][]byte                // the owner's wires of owner-only tensors, copied
 	fuseDur time.Duration           // decode-accumulate time inside sessions
 
-	codeBuf []byte // framed pull set, recycled
-	scratch []byte // entropy coding scratch for WAN accounting
-	wanPush []int  // per region, last completed step
+	wanPush []int // per region, last completed step
 	wanPull []int
 }
 
@@ -132,7 +122,7 @@ func NewTier(inner ps.Tier, params []*nn.Param, cfg Config) (*Tier, error) {
 		t.sessions[w] = session{t: t, worker: w, region: RegionOf(w, cfg.Workers, cfg.Regions)}
 	}
 	if !cfg.Recompress {
-		t.bundles = make([][]byte, cfg.Regions)
+		t.bundled = make([]int, cfg.Regions)
 		return t, nil
 	}
 
@@ -154,7 +144,6 @@ func NewTier(inner ps.Tier, params []*nn.Param, cfg Config) (*Tier, error) {
 			}
 			if exempt.Compresses(p) {
 				o := cfg.Opts
-				o.Entropy = cfg.Entropy
 				o.Seed ^= 0x524547 ^ uint64(r)<<40 ^ uint64(i)<<16
 				o.CodecParallelism = cfg.Parallelism
 				t.ctx[r][i] = compress.New(cfg.Scheme, p.W.Shape(), o)
@@ -181,8 +170,8 @@ func (t *Tier) BeginStep() {
 		}
 		return
 	}
-	for r := range t.bundles {
-		t.bundles[r] = t.bundles[r][:0]
+	for r := range t.bundled {
+		t.bundled[r] = 0
 	}
 }
 
@@ -243,9 +232,9 @@ func (s *session) Tensor(i int, wire []byte) error {
 		return fmt.Errorf("region: push tensor index %d out of range (model has %d tensors)", i, len(t.params))
 	}
 	if !t.cfg.Recompress {
-		// Exact mode: forward verbatim AND retain a framed copy in the
-		// region's bundle — that bundle is what crosses the slow link.
-		t.bundles[s.region] = appendFramed(t.bundles[s.region], wire)
+		// Exact mode: forward verbatim, and count the wire as it crosses
+		// the slow link in the region's bundle, framed (see framedSetLen).
+		t.bundled[s.region] += 4 + len(wire)
 		return s.fwd.Tensor(i, wire)
 	}
 	p := t.params[i]
@@ -323,12 +312,10 @@ func (t *Tier) FinishStep() ([][]byte, time.Duration, error) {
 			if err := sess.End(); err != nil {
 				return nil, 0, err
 			}
-			t.wanPush[r] = ps.WireBytes(t.setBufs[r]) + 4*len(t.setBufs[r]) // framed, as on the link
+			t.wanPush[r] = framedSetLen(t.setBufs[r])
 		}
 	} else {
-		for r := range t.bundles {
-			t.wanPush[r] = t.wanLinkBytes(t.bundles[r])
-		}
+		copy(t.wanPush, t.bundled)
 	}
 
 	pulls, innerDur, err := t.inner.FinishStep()
@@ -336,30 +323,12 @@ func (t *Tier) FinishStep() ([][]byte, time.Duration, error) {
 		return nil, 0, err
 	}
 	// The shared pull crosses every region's slow link once; regions fan
-	// it out locally. One coded size serves all regions (same bytes).
-	t.codeBuf = t.codeBuf[:0]
-	for _, w := range pulls {
-		t.codeBuf = appendFramed(t.codeBuf, w)
-	}
-	pullBytes := t.wanLinkBytes(t.codeBuf)
+	// it out locally.
+	pullBytes := framedSetLen(pulls)
 	for r := range t.wanPull {
 		t.wanPull[r] = pullBytes
 	}
 	return pulls, innerDur + regionDur, nil
-}
-
-// wanLinkBytes is the size of raw on the inter-region link: coded by the
-// configured entropy stage with a one-byte stage tag (the stored
-// fallback bounds the stage's overhead at that tag), or plain when the
-// stage is off. Coding is performed, not estimated — the reported
-// reduction is measured. (Recompress-mode push wires are already
-// entropy-wrapped by their contexts and bypass this.)
-func (t *Tier) wanLinkBytes(raw []byte) int {
-	if len(raw) == 0 || t.cfg.Entropy == compress.EntropyOff {
-		return len(raw)
-	}
-	t.scratch = entropy.AppendStage(t.scratch[:0], byte(t.cfg.Entropy), raw)
-	return len(t.scratch)
 }
 
 // WANBytes reports the bytes each region moved across the inter-region
@@ -466,9 +435,6 @@ func (t *Tier) RestoreState(src []byte) error {
 	return nil
 }
 
-// appendFramed appends [4B LE len][wire] to dst — the framing the
-// bundled inter-region stream uses, matching the transport's wire-set
-// element layout.
-func appendFramed(dst, wire []byte) []byte {
-	return append(binary.LittleEndian.AppendUint32(dst, uint32(len(wire))), wire...)
-}
+// framedSetLen is the size of a wire set on the inter-region link: per
+// wire [4B LE len][wire], the transport's wire-set element layout.
+func framedSetLen(wires [][]byte) int { return ps.WireBytes(wires) + 4*len(wires) }

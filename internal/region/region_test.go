@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"threelc/internal/compress"
-	"threelc/internal/entropy"
 	"threelc/internal/nn"
 	"threelc/internal/opt"
 	"threelc/internal/ps"
@@ -173,59 +172,6 @@ func TestExactModePassThrough(t *testing.T) {
 	}
 }
 
-// TestExactEntropyWANAccounting pins that the entropy stage's reported
-// link bytes are the measured coded size (plus the one-byte stage tag),
-// with the stored fallback bounding the overhead.
-func TestExactEntropyWANAccounting(t *testing.T) {
-	params := testParams([][]int{{16}}, nil)
-	inner := &recInner{tensors: 1, pulls: [][]byte{bytes.Repeat([]byte{0xAB}, 400)}}
-	tier, err := NewTier(inner, params, Config{Regions: 1, Workers: 2, Entropy: compress.EntropyHuffman})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Highly skewed wires: the coded stream must beat the plain bundle.
-	skew := bytes.Repeat([]byte{0, 0, 0, 1}, 200)
-	tier.BeginStep()
-	for w := 0; w < 2; w++ {
-		sess := tier.BeginPush(w)
-		if err := sess.Tensor(0, skew); err != nil {
-			t.Fatal(err)
-		}
-		sess.End()
-	}
-	if _, _, err := tier.FinishStep(); err != nil {
-		t.Fatal(err)
-	}
-
-	var bundle []byte
-	for w := 0; w < 2; w++ {
-		bundle = appendFramed(bundle, skew)
-	}
-	coded := entropy.HuffmanEncodeInto(nil, bundle)
-	want := 1 + len(coded)
-	if len(coded) >= len(bundle) {
-		want = 1 + len(bundle)
-	}
-	push, pull := tier.WANBytes()
-	if push[0] != want {
-		t.Errorf("WAN push bytes %d, want measured coded size %d", push[0], want)
-	}
-	if push[0] >= len(bundle) {
-		t.Errorf("entropy stage did not shrink the skewed bundle: %d vs %d plain", push[0], len(bundle))
-	}
-	var framedPull []byte
-	framedPull = appendFramed(framedPull, inner.pulls[0])
-	codedPull := entropy.HuffmanEncodeInto(nil, framedPull)
-	wantPull := 1 + len(codedPull)
-	if len(codedPull) >= len(framedPull) {
-		wantPull = 1 + len(framedPull)
-	}
-	if pull[0] != wantPull {
-		t.Errorf("WAN pull bytes %d, want %d", pull[0], wantPull)
-	}
-}
-
 // TestRecompressMatchesManual pins the fused re-encode against a manual
 // reference: decode-accumulate each region's worker wires, scale by R/W,
 // compress with an identically seeded context — the forwarded stream must
@@ -295,7 +241,6 @@ func TestRecompressMatchesManual(t *testing.T) {
 			}
 			sum.Scale(float32(2) / float32(4))
 			o := cfg.Opts
-			o.Entropy = cfg.Entropy
 			o.Seed ^= 0x524547 ^ uint64(r)<<40 ^ uint64(i)<<16
 			o.CodecParallelism = 1
 			ref := compress.New(cfg.Scheme, sh, o)
@@ -519,8 +464,7 @@ func TestRegionOf(t *testing.T) {
 
 // BenchmarkHierarchicalPushPull measures a full hierarchical step against
 // a real parameter-server inner tier: 4 workers in 2 regions, fused
-// recompress with the entropy second stage on the WAN leg. Steady state
-// must be allocation-free (gated in CI).
+// recompress. Steady state must be allocation-free (gated in CI).
 func BenchmarkHierarchicalPushPull(b *testing.B) {
 	model := nn.NewMLP(256, []int{64}, 8, 1)
 	psCfg := ps.Config{
@@ -536,7 +480,6 @@ func BenchmarkHierarchicalPushPull(b *testing.B) {
 		Regions: 2, Workers: 4, Recompress: true,
 		Scheme:           compress.SchemeThreeLC,
 		Opts:             compress.Options{Sparsity: 1.0, ZeroRun: true},
-		Entropy:          compress.EntropyHuffman,
 		MinCompressElems: 1,
 		Parallelism:      1,
 	}

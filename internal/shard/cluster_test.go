@@ -31,20 +31,11 @@ var allCodecs = []struct {
 	{"topk", compress.SchemeTopK, compress.Options{Fraction: 0.3, Seed: 9}},
 	{"localsteps", compress.SchemeLocalSteps, compress.Options{Interval: 2}},
 	{"roundrobin", compress.SchemeRoundRobin, compress.Options{Parts: 3}},
-	// Entropy-wrapped contexts emit SchemeEntropy wires end to end: the
-	// sharded tier must aggregate them byte-identically to the single
-	// server like any base scheme.
-	{"3lc+huffman", compress.SchemeThreeLC, compress.Options{Sparsity: 1.5, ZeroRun: true, Entropy: compress.EntropyHuffman}},
-	{"3lc+lz", compress.SchemeThreeLC, compress.Options{Sparsity: 1.5, ZeroRun: true, Entropy: compress.EntropyLZ}},
 }
 
 func TestAllCodecsCoverRegistry(t *testing.T) {
 	covered := map[compress.Scheme]bool{}
 	for _, c := range allCodecs {
-		if c.o.Entropy != compress.EntropyOff {
-			covered[compress.SchemeEntropy] = true
-			continue
-		}
 		covered[c.s] = true
 	}
 	// SchemePacked32 is no design but what a compressing design's exempt

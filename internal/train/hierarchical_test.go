@@ -125,49 +125,6 @@ func TestHierarchicalRecompressConverges(t *testing.T) {
 	}
 }
 
-// TestHierarchicalEntropyLossless pins that the streaming entropy second
-// stage on the WAN leg is purely a wire-format change: the recompress
-// trajectory is bit-identical with and without it, and only the accounted
-// WAN bytes move.
-func TestHierarchicalEntropyLossless(t *testing.T) {
-	d := Design{Name: "3LC (s=1.50)", Scheme: compress.SchemeThreeLC,
-		Opts: compress.Options{Sparsity: 1.5, ZeroRun: true}}
-
-	plainCfg := tinyConfig(d, 12)
-	plainCfg.Regions = 2
-	plainCfg.RegionRecompress = true
-	entCfg := tinyConfig(d, 12)
-	entCfg.Regions = 2
-	entCfg.RegionRecompress = true
-	entCfg.RegionEntropy = compress.EntropyHuffman
-
-	plain, err := Run(plainCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ent, err := Run(entCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if plain.FinalLoss != ent.FinalLoss || plain.FinalAccuracy != ent.FinalAccuracy {
-		t.Errorf("entropy stage changed the trajectory: plain %v/%v entropy %v/%v",
-			plain.FinalLoss, plain.FinalAccuracy, ent.FinalLoss, ent.FinalAccuracy)
-	}
-	for i := range plain.StepRecords {
-		if plain.StepRecords[i].Loss != ent.StepRecords[i].Loss {
-			t.Fatalf("step %d loss diverges with entropy stage on", i)
-		}
-	}
-	if plain.TotalWANBytes == ent.TotalWANBytes {
-		t.Errorf("entropy stage did not change WAN accounting (%d bytes both ways)",
-			plain.TotalWANBytes)
-	}
-	t.Logf("WAN bytes: plain %d, entropy %d (%.3fx)",
-		plain.TotalWANBytes, ent.TotalWANBytes,
-		float64(plain.TotalWANBytes)/float64(ent.TotalWANBytes))
-}
-
 // TestHierarchicalConfigRejections pins the unsupported combinations.
 func TestHierarchicalConfigRejections(t *testing.T) {
 	base := tinyConfig(Design{Name: "32-bit float", Scheme: compress.SchemeNone}, 2)

@@ -281,7 +281,6 @@ func (r *run) buildTier(serverCfg ps.Config) (int, error) {
 			Regions:          cfg.Regions,
 			Workers:          cfg.Workers,
 			Recompress:       cfg.RegionRecompress,
-			Entropy:          cfg.RegionEntropy,
 			Scheme:           cfg.Design.Scheme,
 			Opts:             cfg.Design.Opts,
 			MinCompressElems: cfg.MinCompressElems,

@@ -65,10 +65,6 @@ type Config struct {
 	// gradient sum and a region-owned error-accumulating context
 	// re-encodes a single residual stream per tensor for the WAN leg.
 	RegionRecompress bool
-	// RegionEntropy applies the streaming entropy second stage (Huffman
-	// or LZ) to the inter-region streams — the bundled worker wires in
-	// exact mode, the re-encoded wires and pull sets in recompress mode.
-	RegionEntropy compress.EntropyAlgo
 	// BatchPerWorker is the per-worker minibatch size (paper: 32).
 	BatchPerWorker int
 	// Steps is the number of global training steps.

@@ -2,17 +2,13 @@
 // two operations every endpoint — ShardServer, MuxShardServer,
 // ShardClient, the v1 Client — puts frames on and takes frames off the
 // wire with. Stage order is fixed (see the package comment in shard.go):
-// header → tenant extension → body, entropy-coded when negotiated and the
-// frame is whole-set → CRC-32C trailer last, so the checksum covers
-// exactly what is on the wire.
+// header → tenant extension → body → CRC-32C trailer last, so the checksum
+// covers exactly what is on the wire.
 package transport
 
 import (
 	"encoding/binary"
 	"fmt"
-
-	"threelc/internal/compress"
-	"threelc/internal/entropy"
 )
 
 // ShardWireVersion is the current sharded wire-format generation. The
@@ -45,17 +41,11 @@ const FlagTenant byte = 1 << 0
 // shardTenantExtLen is the FlagTenant extension size.
 const shardTenantExtLen = 8
 
-// FlagEntropy marks a push or pull frame whose wire-set body passed
-// through the entropy second stage: the bytes after the header are the
-// wire set as a staged body (entropy.AppendStage). The stage is
-// negotiated in the v2 hello (a trailing stage byte after the placement
-// hash); a client that does not negotiate it emits and receives frames
-// byte-identical to the pre-entropy wire format, and one session serves
-// both kinds of client. Streamed runs are exempt: their payoff is overlap,
-// not bytes, and they stay uncoded until a captured-wire table shows the
-// stage earns a place on them at all — on the whole-set wire it no longer
-// finds anything to code.
-const FlagEntropy byte = 1 << 1
+// flagRetiredEntropy stays reserved: it marked a whole-set body passed
+// through a Huffman or LZ stage, negotiated by a fifth byte after the
+// hello's placement hash. The stage is gone (README, "Entropy coders on
+// the wire"); the flag and the five-byte hello tail are refused by name.
+const flagRetiredEntropy byte = 1 << 1
 
 // ShardHeader addresses one v2 frame: which shard, which worker, which
 // step — and, when the tenant flag is set, which job (tenant id + the
@@ -116,7 +106,10 @@ func ParseShardHeader(src []byte) (ShardHeader, []byte, error) {
 	default:
 		return ShardHeader{}, nil, fmt.Errorf("transport: unsupported shard wire version %d (have %d)", h.Version, ShardWireVersion)
 	}
-	if h.Flags&^(FlagTenant|FlagEntropy|FlagChecksum|FlagResilient|FlagStandby) != 0 {
+	if h.Flags&flagRetiredEntropy != 0 {
+		return ShardHeader{}, nil, fmt.Errorf("transport: shard header flag %#x is the retired entropy stage; this endpoint sends and takes plain bodies", flagRetiredEntropy)
+	}
+	if h.Flags&^(FlagTenant|FlagChecksum|FlagResilient|FlagStandby) != 0 {
 		return ShardHeader{}, nil, fmt.Errorf("transport: unknown shard header flags %#x", h.Flags)
 	}
 	rest := src[ShardHeaderLen:]
@@ -143,12 +136,11 @@ type frame struct {
 	step   uint32   // zero on hello and bye
 	arg    uint32   // placement hash (hello)
 	set    [][]byte // append only: a whole-set body, serialized straight behind the header
-	body   []byte   // a run's entry table; after parse, also a whole-set frame's decoded wire set
+	body   []byte   // a run's entry table; after parse, also a whole-set frame's wire set
 	raw    []byte   // parse only: the payload as it arrived (what is counted)
 }
 
-// wholeSet reports the v2 frame types whose body is a wire set — the
-// only bodies the entropy stage codes.
+// wholeSet reports the v2 frame types whose body is a wire set.
 func wholeSet(t MsgType) bool {
 	return t == MsgShardPush || t == MsgShardPull
 }
@@ -169,41 +161,35 @@ func pushSide(t MsgType) bool {
 	return false
 }
 
-// frameCodec is one connection's contract — what its hello negotiated —
-// plus the scratch the negotiated stages recycle. Both ends of a
-// connection hold an equal one; a connection that negotiates nothing
-// (the zero value but for its addressing) emits and accepts the
-// pre-extension v2 bytes exactly.
+// frameCodec is one connection's contract — what its hello negotiated.
+// Both ends of a connection hold an equal one; a connection that
+// negotiates nothing (the zero value but for its addressing) emits and
+// accepts the pre-extension v2 bytes exactly.
 type frameCodec struct {
 	v1        bool   // legacy layout: no header, [worker][step] push, [step] pull
 	shard     uint16 // addressing, fixed for the connection's lifetime
 	worker    uint32
 	tenant    uint32
 	epoch     uint32
-	entropy   compress.EntropyAlgo // whole-set bodies pass the entropy stage
-	checksum  bool                 // every frame, hello included, ends in a CRC-32C trailer
-	resilient bool                 // the client may re-dial and replay (implies checksum)
-	standby   bool                 // the worker's second copy: pushes aggregated, pulls withheld until it replays one
-
-	set []byte // a whole set staged for the entropy coder
-	ent []byte // a decoded entropy body
+	checksum  bool // every frame, hello included, ends in a CRC-32C trailer
+	resilient bool // the client may re-dial and replay (implies checksum)
+	standby   bool // the worker's second copy: pushes aggregated, pulls withheld until it replays one
 }
 
 // variant indexes the distinct pull encodings a session may owe its
-// seats in one step: v1, or v2 under each entropy stage with and without
-// the trailer. Seats with equal variants receive identical pull bytes.
+// seats in one step: v1, v2, or v2 with the trailer. Seats with equal
+// variants receive identical pull bytes.
 func (fc *frameCodec) variant() int {
-	if fc.v1 {
+	switch {
+	case fc.v1:
 		return 0
+	case fc.checksum:
+		return 2
 	}
-	k := 1 + 2*int(fc.entropy)
-	if fc.checksum {
-		k++
-	}
-	return k
+	return 1
 }
 
-const pullVariants = 1 + 2*3
+const pullVariants = 3
 
 // streamable is the one place the per-tensor pipeline meets recovery: a
 // replay — a resilient redial's or a standby claim's — would need the
@@ -214,12 +200,6 @@ func (fc *frameCodec) streamable() error {
 		return fmt.Errorf("transport: worker %d: a resilient or standby connection cannot stream runs", fc.worker)
 	}
 	return nil
-}
-
-// coded reports whether type-t frames pass the entropy stage on this
-// connection.
-func (fc *frameCodec) coded(t MsgType) bool {
-	return fc.entropy != compress.EntropyOff && wholeSet(t)
 }
 
 // appendFrame appends f to dst as it travels: prefix, then the payload
@@ -248,16 +228,10 @@ func (fc *frameCodec) appendPayload(dst []byte, f frame) []byte {
 	start := len(dst)
 	dst = fc.appendHeader(dst, f.t, f.step)
 	switch {
-	case fc.coded(f.t):
-		fc.set = AppendWireSet(fc.set[:0], f.set)
-		dst = entropy.AppendStage(dst, byte(fc.entropy), fc.set)
 	case wholeSet(f.t):
 		dst = AppendWireSet(dst, f.set)
 	case f.t == MsgShardHello:
 		dst = le.AppendUint32(dst, f.arg)
-		if fc.entropy != compress.EntropyOff {
-			dst = append(dst, byte(fc.entropy))
-		}
 	case isRun(f.t):
 		dst = append(dst, f.body...)
 	}
@@ -283,9 +257,6 @@ func (fc *frameCodec) appendHeader(dst []byte, t MsgType, step uint32) []byte {
 	if fc.standby && hello {
 		h.Flags |= FlagStandby
 	}
-	if fc.coded(t) {
-		h.Flags |= FlagEntropy
-	}
 	return AppendShardHeader(dst, h)
 }
 
@@ -307,7 +278,7 @@ func (fc *frameCodec) seal(dst []byte, t MsgType, start int) []byte {
 // with replay set, a push one step behind is let through (f.step tells
 // the caller) — a resilient redial's replay or a standby's claim. Bye
 // carries no step.
-// The returned body aliases payload or the codec's scratch.
+// The returned body aliases payload.
 //
 //3lc:noalloc
 //3lc:decode
@@ -337,9 +308,6 @@ func (fc *frameCodec) parseFrame(t MsgType, payload []byte, step int, replay boo
 		if fc.checksum {
 			want |= FlagChecksum
 		}
-		if fc.coded(t) {
-			want |= FlagEntropy
-		}
 		if got := h.Flags &^ FlagTenant; got != want {
 			return f, fmt.Errorf("transport: type-%d frame flags %#x on a connection that negotiated %#x", t, got, want)
 		}
@@ -348,12 +316,7 @@ func (fc *frameCodec) parseFrame(t MsgType, payload []byte, step int, replay boo
 				h.Shard, h.Tenant, h.Epoch, fc.shard, fc.tenant, fc.epoch)
 		}
 		f.worker, f.step = h.Worker, h.Step
-		switch {
-		case want&FlagEntropy != 0:
-			if rest, err = entropy.ParseStage(rest, &fc.ent); err != nil {
-				return f, fmt.Errorf("transport: entropy frame body: %w", err)
-			}
-		case !wholeSet(t) && !isRun(t) && len(rest) != 0:
+		if !wholeSet(t) && !isRun(t) && len(rest) != 0 {
 			return f, fmt.Errorf("transport: type-%d frame carries %d trailing bytes", t, len(rest))
 		}
 		f.body = rest
@@ -402,14 +365,12 @@ func parseHello(t MsgType, payload []byte) (fc frameCodec, hash uint32, err erro
 	if fc.resilient = h.Flags&FlagResilient != 0; fc.resilient && !fc.checksum {
 		return fc, 0, fmt.Errorf("transport: resilient hello without frame checksums (replay requires integrity)")
 	}
-	switch {
-	case len(rest) == 4:
-	case len(rest) == 5 && (rest[4] == entropy.StageHuffman || rest[4] == entropy.StageLZ):
-		fc.entropy = compress.EntropyAlgo(rest[4])
-	case len(rest) == 5:
-		return fc, 0, fmt.Errorf("transport: hello requests unknown entropy stage %d", rest[4])
+	switch len(rest) {
+	case 4:
+	case 5:
+		return fc, 0, fmt.Errorf("transport: shard hello requests entropy stage %d, retired: this endpoint sends and takes plain bodies", rest[4])
 	default:
-		return fc, 0, fmt.Errorf("transport: shard hello has %d trailing bytes, want 4 (5 with an entropy stage)", len(rest))
+		return fc, 0, fmt.Errorf("transport: shard hello has %d trailing bytes, want 4", len(rest))
 	}
 	fc.standby = h.Flags&FlagStandby != 0
 	fc.shard, fc.worker, fc.tenant, fc.epoch = h.Shard, h.Worker, h.Tenant, h.Epoch

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"threelc/internal/compress"
 	"threelc/internal/nn"
 	"threelc/internal/shard"
 )
@@ -149,12 +148,10 @@ func (f failover) run(t *testing.T) {
 // connection can negotiate.
 func runFailoverMatrix(t *testing.T, silent bool) {
 	for name, ccfg := range map[string]ShardClientConfig{
-		"plain":       {},
-		"checksum":    {Checksum: true},
-		"huffman":     {Entropy: compress.EntropyHuffman},
-		"checksum+lz": {Checksum: true, Entropy: compress.EntropyLZ},
-		"tenant":      {Tenant: 7, Epoch: 3},
-		"resilient":   {Resilient: true},
+		"plain":     {},
+		"checksum":  {Checksum: true},
+		"tenant":    {Tenant: 7, Epoch: 3},
+		"resilient": {Resilient: true},
 	} {
 		for _, killStep := range []int{3, 5} {
 			t.Run(fmt.Sprintf("%s/kill=%d", name, killStep), func(t *testing.T) {

@@ -161,3 +161,76 @@ func TestRetiredTypeBytesStayReserved(t *testing.T) {
 		t.Errorf("version-3 hello: %v, want a refusal naming the per-tensor wire", err)
 	}
 }
+
+// TestPlainFramesMatchLayout pins the frames of a connection that
+// negotiates nothing to the layout the package comment documents: hello2 =
+// header + placement hash, push2 = header + wire set, pull2 = the same with
+// worker 0.
+func TestPlainFramesMatchLayout(t *testing.T) {
+	fc := frameCodec{shard: 3, worker: 2}
+	set := [][]byte{{1, 2, 3}, nil, {4}}
+	for _, c := range []struct {
+		f    frame
+		want []byte
+	}{
+		{frame{t: MsgShardHello, arg: 0xfeed}, le.AppendUint32(AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Shard: 3, Worker: 2}), 0xfeed)},
+		{frame{t: MsgShardPush, step: 7, set: set}, AppendWireSet(AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Shard: 3, Worker: 2, Step: 7}), set)},
+		{frame{t: MsgShardPull, step: 7, set: set}, AppendWireSet(AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Shard: 3, Step: 7}), set)},
+	} {
+		var want bytes.Buffer
+		if err := WriteFrame(&want, c.f.t, c.want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := fc.appendFrame(nil, c.f)
+		if err != nil || !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("type-%d frame %x (%v), want %x", c.f.t, got, err, want.Bytes())
+		}
+	}
+}
+
+// TestHeaderFlagsPinned pins every shard header flag bit, the reserved one
+// included: a flag deleted from the set must leave its bit reserved, or a
+// peer built before the deletion is misread instead of refused. The
+// reserved bit, the retired entropy stage's, is refused by name, by the
+// header parser and on a connection's frames.
+func TestHeaderFlagsPinned(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		flag, want byte
+	}{
+		{"FlagTenant", FlagTenant, 0x01},
+		{"flagRetiredEntropy", flagRetiredEntropy, 0x02},
+		{"FlagChecksum", FlagChecksum, 0x04},
+		{"FlagResilient", FlagResilient, 0x08},
+		{"FlagStandby", FlagStandby, 0x10},
+	} {
+		if c.flag != c.want {
+			t.Errorf("%s = %#02x, want %#02x", c.name, c.flag, c.want)
+		}
+	}
+	h := AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Flags: flagRetiredEntropy})
+	if _, _, err := ParseShardHeader(h); err == nil || !strings.Contains(err.Error(), "retired") {
+		t.Errorf("flag %#02x header: %v, want a refusal naming it retired", flagRetiredEntropy, err)
+	}
+	push := AppendWireSet(h, [][]byte{{1, 2, 3}})
+	if _, err := (&frameCodec{}).parseFrame(MsgShardPush, push, 0, false); err == nil || !strings.Contains(err.Error(), "retired") {
+		t.Errorf("flag %#02x push: %v, want a refusal naming it retired", flagRetiredEntropy, err)
+	}
+}
+
+// TestEntropyHelloRejections: a hello that still asks for the retired
+// entropy stage with a fifth byte after the placement hash — Huffman, LZ,
+// or a stage id that never existed — is refused by name.
+func TestEntropyHelloRejections(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		stage byte
+	}{{"huffman", 1}, {"lz", 2}, {"unknown stage byte", 0x7f}} {
+		t.Run(c.name, func(t *testing.T) {
+			hello := append(le.AppendUint32(AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion}), 0xfeed), c.stage)
+			if _, _, err := parseHello(MsgShardHello, hello); err == nil || !strings.Contains(err.Error(), "retired") {
+				t.Errorf("hello asking for stage %d: %v, want a refusal naming it retired", c.stage, err)
+			}
+		})
+	}
+}

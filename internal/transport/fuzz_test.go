@@ -5,8 +5,6 @@ import (
 	"io"
 	"testing"
 	"testing/iotest"
-
-	"threelc/internal/compress"
 )
 
 // FuzzParseWireSet feeds arbitrary bytes to the wire-set parser: it must
@@ -32,19 +30,30 @@ func FuzzParseWireSet(f *testing.F) {
 	})
 }
 
+// retiredEntropyFrames spell the retired entropy stage: a hello asking for
+// it with a fifth byte after the placement hash, and a push under its
+// header flag.
+func retiredEntropyFrames() (hello, push []byte) {
+	h := ShardHeader{Version: ShardWireVersion, Shard: 3, Worker: 2}
+	hello = append(le.AppendUint32(AppendShardHeader(nil, h), 0xfeed), 1)
+	h.Flags, h.Step = flagRetiredEntropy, 7
+	return hello, AppendWireSet(AppendShardHeader(nil, h), [][]byte{{1, 2, 3}})
+}
+
 // fuzzTypes are the frame types parseFrame takes on a v2 connection.
 var fuzzTypes = []MsgType{MsgShardPush, MsgShardPull, MsgShardPushRun, MsgShardPushLast,
 	MsgShardPullRun, MsgShardBye}
 
-// fuzzCodec maps sub's low three bits to one subset of the negotiable
-// stages: tenant tag, entropy stage, checksum trailer.
+// fuzzCodec maps sub's low three bits to one subset of what a hello
+// negotiates: tenant tag, resilient seat (its hello needs the trailer),
+// checksum trailer.
 func fuzzCodec(sub byte) frameCodec {
 	fc := frameCodec{shard: 3, worker: 2}
 	if sub&1 != 0 {
 		fc.tenant, fc.epoch = 41, 6
 	}
 	if sub&2 != 0 {
-		fc.entropy = compress.EntropyHuffman
+		fc.resilient = true
 	}
 	if sub&4 != 0 {
 		fc.checksum = true
@@ -126,6 +135,9 @@ func FuzzShardHeader(f *testing.F) {
 	f.Add(byte(0), byte(MsgShardPushRun), []byte{ShardWireVersion, 0, 0, 0})
 	f.Add(byte(0), byte(msgRetiredPerTensor), append(AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Worker: 2, Shard: 3, Step: 7}), 0, 0, 0, 0))
 	f.Add(byte(1), byte(MsgShardPull), bytes.Repeat([]byte{0xff}, ShardHeaderLen))
+	hello, push := retiredEntropyFrames()
+	f.Add(byte(0), byte(MsgShardHello), hello)
+	f.Add(byte(0), byte(MsgShardPush), push)
 	f.Fuzz(func(t *testing.T, sub, typ byte, data []byte) {
 		fc := fuzzCodec(sub)
 		if fr, err := fc.parseFrame(MsgType(typ), data, 7, true); err == nil {
@@ -232,6 +244,11 @@ func FuzzFrameReader(f *testing.F) {
 	f.Add(seed.Bytes())
 	f.Add([]byte{1, 0, 0, 0, byte(MsgHello)})
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 1, 2, 3})
+	var retired bytes.Buffer
+	hello, push := retiredEntropyFrames()
+	_ = WriteFrame(&retired, MsgShardHello, hello)
+	_ = WriteFrame(&retired, MsgShardPush, push)
+	f.Add(retired.Bytes())
 	for sub := byte(0); sub < 8; sub += 4 {
 		run, _ := coalescedRun(f, fuzzCodec(sub), 0, 1, 3, 100, 17, 300)
 		f.Add(run)
@@ -279,8 +296,8 @@ func FuzzFrameReader(f *testing.F) {
 }
 
 // FuzzChecksummedFrame is the wire-integrity gate on the same parse
-// entry: with the trailer negotiated — alone or over the tenant tag and
-// an entropy-coded body — every well-formed frame round-trips and, the
+// entry: with the trailer negotiated — alone, over the tenant tag, on a
+// resilient seat — every well-formed frame round-trips and, the
 // property the chaos soak leans on, EVERY single-bit corruption of one is
 // rejected, type byte and flag bits included. A corruption that parsed
 // cleanly would aggregate garbage into the model instead of triggering a
@@ -292,7 +309,7 @@ func FuzzChecksummedFrame(f *testing.F) {
 	f.Add(byte(0), byte(1), []byte{}, uint16(0))
 	f.Add(byte(3), byte(5), []byte{0xff, 0x00, 0xff}, uint16(97))
 	f.Fuzz(func(t *testing.T, sub, typ byte, body []byte, bit uint16) {
-		sub |= 4 // the trailer is what is under test; tag and stage vary
+		sub |= 4 // the trailer is what is under test; tag and seat vary
 		mt := fuzzTypes[int(typ)%len(fuzzTypes)]
 		wire := fuzzRoundTrip(t, sub, mt, body)
 
@@ -316,7 +333,7 @@ func FuzzChecksummedFrame(f *testing.F) {
 		tx.standby = true
 		hello := tx.appendPayload(nil, frame{t: MsgShardHello, arg: 0xfeed})
 		hc, hash, err := parseHello(MsgShardHello, hello)
-		if err != nil || !hc.standby || hash != 0xfeed || hc.variant() != tx.variant() || hc.tenant != tx.tenant {
+		if err != nil || !hc.standby || hash != 0xfeed || hc.variant() != tx.variant() || hc.tenant != tx.tenant || hc.resilient != tx.resilient {
 			t.Fatalf("subset %#x: standby hello parsed back as %+v, hash %#x (%v)", sub, hc, hash, err)
 		}
 		hello[int(bit)%len(hello)] ^= 1 << (bit % 8)

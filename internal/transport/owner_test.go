@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"threelc/internal/compress"
 	"threelc/internal/nn"
 	"threelc/internal/ps"
 	"threelc/internal/shard"
@@ -114,8 +113,8 @@ func (c *losesPull) Read(p []byte) (int, error) {
 // TestOwnerIsSentItsView holds every way a pull reaches a worker to
 // ps.Pulls: the owner's seat receives its owner-only slots empty — a zero
 // length in a wire set, an empty body in a per-tensor frame — and every
-// other seat receives them full, over the v2 wire with and without its
-// entropy and checksum stages, two shards, streamed, a pull re-answered to
+// other seat receives them full, over the v2 wire, two shards, streamed, a
+// pull re-answered to
 // a resilient replay and one answered to a standby claim. A v1 seat, whose
 // hello has no version byte to refuse an owner built before ps.Pulls by,
 // receives them full, the owner's too. The workers end with bit-identical
@@ -133,8 +132,6 @@ func TestOwnerIsSentItsView(t *testing.T) {
 	}{
 		{name: "v1", shards: 1, v1: true},
 		{name: "v2", shards: 1},
-		{name: "v2 huffman", shards: 1, ccfg: ShardClientConfig{Entropy: compress.EntropyHuffman}},
-		{name: "v2 checksum+lz", shards: 1, ccfg: ShardClientConfig{Checksum: true, Entropy: compress.EntropyLZ}},
 		{name: "2 shards", shards: 2},
 		{name: "streamed", shards: 1, stream: true},
 		{name: "2 shards streamed", shards: 2, stream: true},

@@ -20,12 +20,12 @@
 //
 //  1. Tenant tag (FlagTenant): [4B LE tenant][4B LE epoch] directly after
 //     the header of every frame, naming the job and its admission epoch.
-//  2. Entropy stage (a trailing [1B stage] on the hello; FlagEntropy on
-//     the frames it codes): whole-set push/pull bodies become
-//     [1B stage id][coded wire set].
-//  3. CRC-32C trailer (FlagChecksum, checksum.go): [4B LE crc] ends every
-//     frame, hello included — last, so it covers what is on the wire,
-//     tag and coded body alike.
+//  2. CRC-32C trailer (FlagChecksum, checksum.go): [4B LE crc] ends every
+//     frame, hello included — last, so it covers what is on the wire, tag
+//     and body alike.
+//
+// Flag 0x02 and a fifth hello byte after the hash negotiated an entropy
+// stage over whole-set bodies; both are retired and refused by name.
 //
 // Two hello-only flags add no bytes. FlagResilient (requires the trailer)
 // declares that the client may tear down and re-dial mid-run, replaying
@@ -61,8 +61,8 @@
 // before any entry reaches an aggregator or the worker (applyRun).
 //
 // Whole-set and streamed workers interoperate freely on one shard: the
-// mode is per worker per step, chosen by the first push frame. Runs skip
-// the entropy stage; tag and trailer apply to them as to any frame.
+// mode is per worker per step, chosen by the first push frame. Tag and
+// trailer apply to runs as to any frame.
 package transport
 
 import (
@@ -72,7 +72,6 @@ import (
 	"sync"
 	"time"
 
-	"threelc/internal/compress"
 	"threelc/internal/shard"
 )
 
@@ -243,12 +242,6 @@ type ShardClientConfig struct {
 	// untagged pre-multi-tenant header and address the default tenant.
 	Tenant uint32
 	Epoch  uint32
-	// Entropy negotiates the wire entropy stage for this worker's
-	// whole-set push/pull bodies (see FlagEntropy): the hello advertises
-	// the stage, pushes are coded with it, and the server codes this
-	// worker's pulls the same way. Off emits the pre-entropy wire format
-	// byte-for-byte; streamed per-tensor frames stay uncoded.
-	Entropy compress.EntropyAlgo
 	// Checksum negotiates CRC-32C frame integrity (see FlagChecksum):
 	// every frame both ways — hello, pushes, pulls, streamed tensors —
 	// carries a trailing checksum over what is on the wire, so corruption
@@ -322,7 +315,7 @@ func DialShardedConfig(addrs []string, workerID int, asn shard.Assignment, ccfg 
 	// recovering from.
 	ccfg.Checksum = ccfg.Checksum || ccfg.Resilient
 	fc := frameCodec{worker: uint32(workerID), tenant: ccfg.Tenant, epoch: ccfg.Epoch,
-		entropy: ccfg.Entropy, checksum: ccfg.Checksum, resilient: ccfg.Resilient}
+		checksum: ccfg.Checksum, resilient: ccfg.Resilient}
 	c := &ShardClient{
 		asn:  asn,
 		ccfg: ccfg,

@@ -216,13 +216,12 @@ func TestMuxShardServerMultiTenantTCP(t *testing.T) {
 }
 
 // TestMuxShardServerChecksumPerWorker pins two properties of the
-// multiplexed tier's negotiation: checksummed, entropy-coded and plain
-// clients coexist on one mux endpoint — even inside one job — because
-// every stage is per-WORKER, carried on each hello, not per-listener;
-// and a resilient client is refused outright — reconnect-and-replay
-// seats are a dedicated-listener feature, and silently accepting one
-// would hand it a seat that cannot be reacquired. Both jobs must still
-// land bit-identical to their single-PS references.
+// multiplexed tier's negotiation: checksummed and plain clients coexist on
+// one mux endpoint because every stage is per-WORKER, carried on each
+// hello, not per-listener; and a resilient client is refused outright —
+// reconnect-and-replay seats are a dedicated-listener feature, and silently
+// accepting one would hand it a seat that cannot be reacquired. Both jobs
+// must still land bit-identical to their single-PS references.
 func TestMuxShardServerChecksumPerWorker(t *testing.T) {
 	const workers, steps, shards = 2, 3, 2
 	jobs := []muxJob{
@@ -296,13 +295,6 @@ func TestMuxShardServerChecksumPerWorker(t *testing.T) {
 			}
 			cfg := j.config(workers, steps)
 			runJobWorkers(t, j, cfg, globals[i], workers, steps, func(w int) (*ShardClient, error) {
-				ccfg := ccfg
-				if w == 1 {
-					// Each job's second worker also codes its bodies: job 0
-					// mixes plain with entropy, job 1 checksum with
-					// checksum-over-entropy.
-					ccfg.Entropy = compress.EntropyHuffman
-				}
 				return DialShardedConfig(addrs, w, shard.ForModel(j.build(), shards), ccfg)
 			})
 		}(i, j)

@@ -233,18 +233,9 @@ func TestTCPAllCodecsMatchInProcess(t *testing.T) {
 		{"topk", compress.SchemeTopK, compress.Options{Fraction: 0.3, Seed: 9}},
 		{"localsteps", compress.SchemeLocalSteps, compress.Options{Interval: 2}},
 		{"roundrobin", compress.SchemeRoundRobin, compress.Options{Parts: 3}},
-		// Entropy-wrapped contexts emit SchemeEntropy wires end to end:
-		// the servers' stateless decode path must round-trip them over
-		// sockets like any base scheme.
-		{"3lc+huffman", compress.SchemeThreeLC, compress.Options{Sparsity: 1.5, ZeroRun: true, Entropy: compress.EntropyHuffman}},
-		{"3lc+lz", compress.SchemeThreeLC, compress.Options{Sparsity: 1.5, ZeroRun: true, Entropy: compress.EntropyLZ}},
 	}
 	covered := map[compress.Scheme]bool{}
 	for _, c := range codecs {
-		if c.o.Entropy != compress.EntropyOff {
-			covered[compress.SchemeEntropy] = true
-			continue
-		}
 		covered[c.s] = true
 	}
 	// SchemePacked32 is no design but what a compressing design's exempt

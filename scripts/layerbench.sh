@@ -11,15 +11,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Three gates compare two rows whose ratio sits near its floor on a host
+# Two gates compare two rows whose ratio sits near its floor on a host
 # that flips between speed states mid-run (the checksummed vs the plain
-# TCP round trip, the tenant tier vs the plain one, +huffman vs plain
-# 3LC): each pair runs back to back five times from test binaries built
-# once, and benchcheck -speedup reads lines that alternate as pairs and
-# gates the median of their ratios, not best against best.
+# TCP round trip, the tenant tier vs the plain one): each pair runs back
+# to back five times from test binaries built once, and benchcheck
+# -speedup reads lines that alternate as pairs and gates the median of
+# their ratios, not best against best.
 bin="$(mktemp -d)"
 trap 'rm -rf "$bin"' EXIT
-for pkg in compress ps shard transport; do
+for pkg in ps shard transport; do
 	go test -c -o "$bin/$pkg.test" "./internal/$pkg/"
 done
 # alternate PKG_A BENCH_A PKG_B BENCH_B BENCHTIME
@@ -32,18 +32,19 @@ alternate() {
 
 # -benchtime raised from the original 5-20x so ns/op is stable
 # enough for the speedup and baseline-tolerance gates.
-go test -run='^$' -bench 'CompressInto|DecompressInto' -skip 'CompressIntoAllSchemes/^3lc-s1\.75(\+huffman)?$' -benchtime 30x -benchmem ./internal/compress/
-alternate compress 'CompressIntoAllSchemes/^3lc-s1\.75\+huffman$' compress 'CompressIntoAllSchemes/^3lc-s1\.75$' 30x
-# Streaming entropy second stage over a 1M-element 3LC quartic
-# wire: encoders report the achieved ratio (raw/coded) as a
-# custom metric, floored by the gate.
+go test -run='^$' -bench 'CompressInto|DecompressInto' -benchtime 30x -benchmem ./internal/compress/
+# The Huffman and LZ coders (no wire uses them) over a 1M-element
+# 3LC quartic wire and over the trained run's push wire set:
+# encoders report the achieved ratio (raw/coded), floored by the
+# gate on the quartic stream, and every row the input's order-0
+# and order-1 entropy (h0, h1 bits/byte).
 go test -run='^$' -bench EntropyStage -benchtime 50x -benchmem ./internal/entropy/
 # The packed float32 wire of exempt tensors, on the batch-norm
 # vectors of the same trained run and their first 48 elements:
 # ns/elem and ratio (raw bytes over packed) for the owner's pushes
 # (pack) and for the pulls (unpack-add), whose ratio the gate
 # floors. Nanosecond-scale operations, hence the iteration count.
-go test -run='^$' -bench Packed32 -benchtime 200000x -benchmem ./internal/entropy/
+go test -run='^$' -bench Packed32 -benchtime 200000x -benchmem ./internal/compress/
 # Hierarchical two-level aggregation: 4 workers fused into 2
 # regions' re-encoded streams per step, steady-state zero-alloc.
 go test -run='^$' -bench HierarchicalPushPull -benchtime 50x -benchmem ./internal/region/
