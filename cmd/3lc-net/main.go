@@ -9,7 +9,6 @@
 //	3lc-net -design 3lc -sparsity 1.75 -workers 4 -steps 50
 //	3lc-net -design 3lc -workers 4 -steps 50 -shards 2   # sharded PS tier
 //	3lc-net -shards 2 -replicas -kill-shard 0 -kill-step 25  # failover demo
-//	3lc-net -tenants 8 -shards 2 -workers 2 -steps 20    # multi-tenant tier
 //	3lc-net -regions 2 -workers 4 -steps 50              # hierarchical WAN tier
 //	3lc-net -chaos -chaos-seed 7 -shards 2 -workers 2 -steps 6  # chaos soak
 //
@@ -24,9 +23,6 @@
 //     and -kill-shard S -kill-step K crashes shard S's primary at step K:
 //     the workers claim the standby by replaying the in-flight push, and the
 //     run ends with model state byte-identical to an unkilled one.
-//   - -tenants N runs N concurrent train.Runs — own model, dataset and
-//     -workers connections each — admitted to ONE shard.Service behind one
-//     multiplexed listener per shard (transport.MuxShardServer).
 //   - -regions R fronts each of R groups of workers with an aggregator: a
 //     recompress region.Tier behind its own listener, forwarding one
 //     re-encoded stream per step over a one-seat dialed tier to the global
@@ -47,7 +43,6 @@ import (
 	"os"
 	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"threelc/internal/chaos"
@@ -57,7 +52,6 @@ import (
 	"threelc/internal/ps"
 	"threelc/internal/region"
 	"threelc/internal/shard"
-	"threelc/internal/tenant"
 	"threelc/internal/train"
 	"threelc/internal/transport"
 )
@@ -67,7 +61,7 @@ type options struct {
 	designName, addr            string
 	sparsity                    float64
 	workers, steps, batch       int
-	shards, tenants, regions    int
+	shards, regions             int
 	stream, replicas, chaosSoak bool
 	killShard, killStep         int
 	netTimeout                  time.Duration
@@ -86,7 +80,6 @@ func main() {
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:0", "listen address")
 	flag.IntVar(&o.shards, "shards", 1, "parameter-server shard count; shard s listens on -addr's port + s (each shard gets its own listener; workers multiplex)")
 	flag.BoolVar(&o.stream, "stream", false, "per-tensor streamed pipeline: hand each tensor to its shard's connection as its compressor finishes (the server decode-aggregates it on arrival) and read the pull back tensor by tensor; what is queued is written as one run — one header, then per tensor a slot delta, a length and its wire — when the compressor has nothing more ready, every 64 KiB and at the end of the push; implies the shard-tier transport even at -shards 1")
-	flag.IntVar(&o.tenants, "tenants", 1, "concurrent tenant jobs multiplexed over one shared shard tier; each tenant trains its own model with its own -workers workers")
 	flag.BoolVar(&o.replicas, "replicas", false, "run one standby per shard (workers send it a copy of every push and fail over to it on primary death); implies the shard tier")
 	flag.IntVar(&o.killShard, "kill-shard", -1, "crash this shard's primary mid-run (requires -replicas)")
 	flag.IntVar(&o.killStep, "kill-step", -1, "step at which -kill-shard fires (default steps/2)")
@@ -106,8 +99,6 @@ func main() {
 		run = runChaosSoak
 	case o.regions > 1:
 		run = runHierarchical
-	case o.tenants > 1:
-		run = runMultiTenant
 	}
 	if err := run(&o); err != nil {
 		fmt.Fprintln(os.Stderr, "3lc-net:", err)
@@ -121,8 +112,8 @@ func (o *options) check() error {
 	o.shards = max(o.shards, 1)
 	killing := o.killShard >= 0
 	if o.chaosSoak {
-		if o.stream || o.replicas || killing || o.tenants > 1 || o.regions > 1 {
-			return errors.New("-chaos is incompatible with -stream, -replicas, -kill-shard, -tenants, and -regions")
+		if o.stream || o.replicas || killing || o.regions > 1 {
+			return errors.New("-chaos is incompatible with -stream, -replicas, -kill-shard, and -regions")
 		}
 		return nil
 	}
@@ -131,17 +122,11 @@ func (o *options) check() error {
 		return err
 	}
 	if o.regions > 1 {
-		if o.stream || o.replicas || killing || o.tenants > 1 {
-			return errors.New("-regions is incompatible with -stream, -replicas, -kill-shard, and -tenants")
+		if o.stream || o.replicas || killing {
+			return errors.New("-regions is incompatible with -stream, -replicas, and -kill-shard")
 		}
 		if o.workers%o.regions != 0 {
 			return fmt.Errorf("-workers %d must divide evenly into -regions %d", o.workers, o.regions)
-		}
-		return nil
-	}
-	if o.tenants > 1 {
-		if o.stream || o.replicas || killing {
-			return errors.New("-tenants is incompatible with -stream, -replicas, and -kill-shard")
 		}
 		return nil
 	}
@@ -542,91 +527,6 @@ func runHierarchical(o *options) error {
 	// local-leg push volume IS that counterfactual, measured.
 	fmt.Printf("slow-link push reduction vs flat: %.1fx (%d -> %d bytes)\n",
 		float64(localPush)/float64(wanPush), localPush, wanPush)
-	return nil
-}
-
-// runMultiTenant is the -tenants N mode (see the package comment): N
-// concurrent train.Runs, each admitted to the one shard.Service and dialing
-// its workers' seats, tagged with the admitted (tenant, epoch) identity, to
-// the shards' multiplexed listeners.
-func runMultiTenant(o *options) error {
-	svc := shard.NewService(shard.Config{Shards: o.shards}, tenant.NewRegistry(o.tenants))
-	defer svc.Close()
-
-	// One multiplexed listener per shard, shared by every tenant's workers.
-	lns, err := listen(o.addr, o.shards)
-	if err != nil {
-		return err
-	}
-	addrs := make([]string, o.shards)
-	serveErr := make(chan error, o.shards)
-	for s, ln := range lns {
-		addrs[s] = ln.Addr().String()
-		fmt.Printf("multi-tenant shard %d/%d listening on %s (%d tenants)\n", s, o.shards, ln.Addr(), o.tenants)
-		mux := transport.NewMuxShardServer(ln, svc, transport.MuxShardServerConfig{
-			Shard:    s,
-			Tenants:  o.tenants,
-			Timeouts: o.timeouts(),
-		})
-		go func() { serveErr <- mux.Serve() }()
-	}
-
-	// Per-tenant jobs: model seed, dataset seed, and batch samplers all
-	// derive from the tenant id, so no two jobs do the same arithmetic. A
-	// job's hook admits it to the service and dials its workers' seats.
-	results := make([]*train.Result, o.tenants)
-	errs := make([]error, o.tenants)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for t := range results {
-		id := tenant.ID(t + 1)
-		cfg := o.job(o.design, 400, 100, uint64(t+1))
-		cfg.Parallelism = 1 // tenants already saturate the cores
-		cfg.Tier = func(global *nn.Model, psCfg ps.Config) (ps.Tier, error) {
-			h, err := svc.Admit(id, global, psCfg, tenant.Limits{MaxSteps: uint64(o.steps)})
-			if err != nil {
-				return nil, fmt.Errorf("admit: %w", err)
-			}
-			ccfg := transport.ShardClientConfig{Timeouts: o.timeouts(), Tenant: uint32(id), Epoch: uint32(h.Tenant().Epoch)}
-			return transport.DialTier(o.workers, false, func(w int) (transport.Seat, error) {
-				return transport.DialShardedConfig(addrs, w, h.Assignment(), ccfg)
-			})
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if results[t], errs[t] = train.Run(cfg); errs[t] != nil {
-				errs[t] = fmt.Errorf("tenant %d: %w", id, errs[t])
-			}
-		}()
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return err
-	}
-	for range lns {
-		if err := <-serveErr; err != nil {
-			return fmt.Errorf("server: %w", err)
-		}
-	}
-	elapsed := time.Since(start)
-
-	fmt.Printf("completed %d tenants x %d steps x %d workers over one %d-shard tier in %v\n",
-		o.tenants, o.steps, o.workers, o.shards, elapsed.Round(time.Millisecond))
-	var totPush, totPull uint64
-	for t, res := range results {
-		ten, err := svc.Retire(tenant.ID(t + 1))
-		if err != nil {
-			return fmt.Errorf("retire: %w", err)
-		}
-		snap := ten.Stats.Snapshot()
-		totPush += snap.PushBytes
-		totPull += snap.PullBytes
-		fmt.Printf("tenant %-3d  acc %5.1f%%  steps %d  push %d B  pull %d B  queue-wait %v\n",
-			ten.ID, 100*res.FinalAccuracy, snap.Steps,
-			snap.PushBytes, snap.PullBytes, time.Duration(snap.QueueWaitNs).Round(time.Microsecond))
-	}
-	fmt.Printf("tier totals:      push %d B, pull %d B across %d tenants\n", totPush, totPull, o.tenants)
 	return nil
 }
 

@@ -20,7 +20,7 @@ func testOptions() options {
 	return options{
 		designName: "3lc", sparsity: 1.0, addr: "127.0.0.1:0",
 		workers: 3, steps: 6, batch: 8,
-		shards: 1, tenants: 1, regions: 1, killShard: -1, killStep: -1,
+		shards: 1, regions: 1, killShard: -1, killStep: -1,
 	}
 }
 
@@ -41,9 +41,7 @@ func TestCheckRefusesFlagCombinations(t *testing.T) {
 		{"replicas stream", func(o *options) { o.replicas, o.stream = true, true }, "not replicated"},
 		{"regions uneven", func(o *options) { o.regions = 2 }, "-workers 3 must divide evenly into -regions 2"},
 		{"regions stream", func(o *options) { o.regions, o.workers, o.stream = 2, 4, true }, "-regions is incompatible"},
-		{"tenants replicas", func(o *options) { o.tenants, o.replicas = 2, true }, "-tenants is incompatible"},
 		{"chaos stream", func(o *options) { o.chaosSoak, o.stream = true, true }, "-chaos is incompatible"},
-		{"chaos tenants", func(o *options) { o.chaosSoak, o.tenants = true, 2 }, "-chaos is incompatible"},
 		{"chaos ignores design", func(o *options) { o.chaosSoak, o.designName = true, "float16" }, ""},
 	}
 	for _, c := range cases {

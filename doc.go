@@ -117,9 +117,9 @@
 //	internal/transport   framed TCP transport (coalesced single-write
 //	                     frames, per-connection read scratch): one frame
 //	                     codec for the v1 and versioned shard-aware v2
-//	                     wire (tenant tag, then CRC-32C trailer) and one
-//	                     BSP session engine behind the single-job,
-//	                     multi-tenant and legacy servers
+//	                     wire (optional CRC-32C trailer) and one BSP
+//	                     session engine behind the shard and legacy
+//	                     servers
 //	internal/train       the one BSP step driver (any ps.Tier, in-process
 //	                     or dialed) + metrics: virtual time from netsim,
 //	                     wall time from the clock
@@ -174,7 +174,7 @@
 // `-exp shard` shard-scaling and `-exp wan` hierarchy sweeps; the
 // per-layer benchmarks are `bash scripts/layerbench.sh`), cmd/3lc-train (single training run, with `-state`
 // full-state checkpointing and `-resume`), cmd/3lc-net (the same driver
-// over real TCP: sharded, streamed, multi-tenant, hierarchical, chaos
+// over real TCP: sharded, streamed, hierarchical, chaos
 // soak, `-replicas`/`-kill-shard` failover demo),
 // cmd/3lc-compress (codec demo), cmd/3lc-ckpt (checkpoint inspection,
 // evaluation, and resume), cmd/benchcheck (CI benchmark parser/gate),

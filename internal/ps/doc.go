@@ -70,8 +70,8 @@
 //
 //   - Job is one job's complete server-side state (codec contexts, error
 //     accumulation, optimizer slice, step counters, pull buffers,
-//     checkpoint state). Shared machinery — a shard executor serving
-//     many jobs — keeps one per tenant lane (package shard).
+//     checkpoint state). Shared machinery — a shard executor — keeps one
+//     per shard (package shard).
 //   - Push ingestion flows through one choke point: Job.BeginPush(worker)
 //     returns a PushSession fed by Set (whole wire set) or Tensor (one
 //     streamed tensor) and completed by End. AddPush(w, wires) is

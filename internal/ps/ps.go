@@ -152,9 +152,7 @@ func (c Config) newContext(p *nn.Param, seed uint64, tensors int) compress.Compr
 // compression contexts with their error-accumulation buffers, the
 // gradient aggregation buffers, and the step/push counters. A Job holds
 // no shared machinery — shards, queues, transports, and schedulers live
-// elsewhere and treat a Job as a value held per tenant lane (package
-// shard), which is what lets many independent jobs multiplex over one
-// shard tier.
+// elsewhere and treat a Job as a value held per shard (package shard).
 type Job struct {
 	Model *nn.Model
 

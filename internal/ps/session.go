@@ -2,19 +2,17 @@
 // driver opens a session per worker per step (BeginPush), feeds it one
 // whole set (Set) or tensors as they materialize (Tensor), and completes it
 // (End). train.Run, the transport's streamed per-tensor frames, the shard
-// scheduler's lanes and the region tier push through sessions. Two
-// whole-set entry points do not open one: Job.AddPush — BeginPush, Set and
-// End in a single call, the push method of transport.StepServer that a
-// session engine drives for whole-set frames — and shard.Port.Push, the mux
-// endpoint's lane enqueue (the lane's scheduler opens the session behind
-// the queue).
+// executors and the region tier push through sessions. One whole-set entry
+// point does not open one: Job.AddPush — BeginPush, Set and End in a single
+// call, the push method of transport.StepServer that a session engine
+// drives for whole-set frames.
 package ps
 
 import "time"
 
 // Tier is the surface one BSP step driver drives, whatever aggregates
-// behind it: *Job (one server), shard.JobHandle (a job's lanes on a shard
-// tier, dedicated or shared), region.Tier (regional aggregators in front
+// behind it: *Job (one server), shard.JobHandle (a job's tensors spread
+// over a shard tier), region.Tier (regional aggregators in front
 // of either) and transport.DialedTier (connections to servers elsewhere)
 // implement it, and train.Run is written against nothing else. A step is
 // BeginStep, one BeginPush session per pushing worker, then FinishStep,

@@ -7,7 +7,7 @@
 // single place and, critically, are reproducible: the jitter for a given
 // (seed, attempt) pair is a pure function, not a rand.Rand draw, so a
 // failed run can be replayed decision-for-decision. Distinct retry
-// streams (per tenant, per shard, per worker) decorrelate by deriving
+// streams (per shard, per worker) decorrelate by deriving
 // their seed with Stream, which keeps independent loops from
 // synchronizing their retries into load spikes — the thundering-herd
 // failure mode of bare doubling schedules.
@@ -62,7 +62,7 @@ func (p Policy) Attempts() int {
 }
 
 // Stream returns a copy of p whose jitter stream is derived from salt,
-// so independent retry loops (per tenant, shard, worker...) sharing one
+// so independent retry loops (per shard, worker...) sharing one
 // configured policy draw decorrelated jitter.
 func (p Policy) Stream(salt uint64) Policy {
 	p.Seed = splitmix64(p.Seed ^ (salt + 0x9e3779b97f4a7c15))

@@ -7,12 +7,11 @@ import (
 	"threelc/internal/nn"
 	"threelc/internal/opt"
 	"threelc/internal/ps"
-	"threelc/internal/tenant"
 	"threelc/internal/tensor"
 )
 
 // benchConfig mirrors the ps package's SteadyStatePushPull workload so
-// the tenancy layer's cost is directly comparable: same model scale, same
+// the cluster hop's cost is directly comparable: same model scale, same
 // codec, same serial decode path.
 func benchConfig() ps.Config {
 	return ps.Config{
@@ -32,21 +31,20 @@ func benchTierModel(seed uint64) *nn.Model {
 	return nn.NewMLP(784, []int{256}, 10, seed)
 }
 
-// BenchmarkTenantServicePushPull is the single-tenant parity gate for the
-// multi-tenant tier: one job, one shard, driven through its JobHandle —
-// the full lane hop, DRR scheduling, and quota accounting — against the
-// same workload BenchmarkSteadyStatePushPull runs directly on a ps
-// server. The benchcheck speedup rule pins this at >=0.95x of the direct
-// path: multi-tenancy must stay out of the single-job hot path.
-func BenchmarkTenantServicePushPull(b *testing.B) {
+// BenchmarkClusterPushPull is the parity gate for the sharded tier's
+// pipeline: one shard, driven through NewCluster's JobHandle — the queue
+// hop to the shard's executor goroutine and back — against the same
+// workload BenchmarkSteadyStatePushPull runs directly on a ps server. The
+// benchcheck speedup rule pins this at >=0.95x of the direct path: the
+// pipeline must stay out of the hot path.
+func BenchmarkClusterPushPull(b *testing.B) {
 	cfg := benchConfig()
-	svc := NewService(Config{Shards: 1}, tenant.NewRegistry(1))
-	defer svc.Close()
 	global := benchTierModel(1)
-	h, err := svc.Admit(1, global, cfg, tenant.Limits{})
+	h, err := NewCluster(global, cfg, Config{Shards: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer h.Close()
 	m := benchTierModel(1)
 	m.CopyParamsFrom(global)
 	worker := ps.NewWorker(0, m, cfg)

@@ -2,10 +2,10 @@
 // charging every request the full straggler timeout ladder.
 //
 // The straggler retry in JobHandle.send absorbs a shard that is merely
-// slow. But a shard that is truly wedged — scheduler goroutine stuck,
+// slow. But a shard that is truly wedged — executor goroutine stuck,
 // queue permanently full — makes every send burn the entire retry budget
-// (seconds each) before erroring, and with many tenants that turns one
-// dead shard into tier-wide head-of-line blocking at every step barrier.
+// (seconds each) before erroring, and that turns one dead shard into
+// head-of-line blocking at every step barrier.
 // The breaker bounds that: after breakerThreshold consecutive
 // exhausted-budget failures the shard is declared down, and until the
 // cooldown elapses sends fail immediately with ErrShardDown (wrapped, so
@@ -32,8 +32,8 @@ const (
 	breakerProbing        // half-open: one probe in flight
 )
 
-// breaker is one shard's failure detector, shared by every tenant lane
-// on that shard (a shard is down for everyone or no one).
+// breaker is one shard's failure detector, consulted by every send to
+// that shard.
 type breaker struct {
 	threshold int           // consecutive failures to open; 0 disables
 	cooldown  time.Duration // open duration before a probe is admitted

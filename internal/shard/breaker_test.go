@@ -130,7 +130,7 @@ func TestBreakerFailsFastOnWedgedShard(t *testing.T) {
 
 // TestStragglerBackoffDeterministic pins the straggler retry jitter:
 // the same RetrySeed reproduces the exact backoff schedule, distinct
-// (tenant, shard) lanes draw decorrelated streams, and disabling jitter
+// shards draw decorrelated streams, and disabling jitter
 // recovers the bare capped-doubling ladder.
 func TestStragglerBackoffDeterministic(t *testing.T) {
 	cfg := ps.Config{

@@ -6,7 +6,6 @@ import (
 
 	"threelc/internal/nn"
 	"threelc/internal/ps"
-	"threelc/internal/tenant"
 )
 
 // Config tunes the sharded tier and its asynchronous push/pull pipeline.
@@ -15,10 +14,9 @@ type Config struct {
 	// single shard (still running behind the async pipeline, so the two
 	// paths share every line of code).
 	Shards int
-	// QueueDepth is the per-tenant, per-shard outstanding-request budget:
-	// how many begin/push/finish requests one job may have queued on a
-	// shard before the pipeline applies backpressure. Zero means
-	// DefaultQueueDepth. A tenant's Limits.MaxOutstanding overrides it.
+	// QueueDepth is the per-shard outstanding-request budget: how many
+	// begin/push/finish requests may be queued on a shard before the
+	// pipeline applies backpressure. Zero means DefaultQueueDepth.
 	QueueDepth int
 	// Timeout is how long one enqueue attempt waits on a saturated shard
 	// queue before the straggler-retry logic kicks in. Zero means
@@ -30,20 +28,20 @@ type Config struct {
 	// needs more time; a dead one should fail fast). Zero means
 	// DefaultRetries.
 	Retries int
-	// SlowShard, if non-nil, is invoked by shard s's scheduler goroutine
+	// SlowShard, if non-nil, is invoked by shard s's executor goroutine
 	// before it processes each step's first request — a test hook that
 	// emulates a straggling shard so the timeout+retry path is exercised
 	// deterministically.
 	SlowShard func(shard, step int)
 	// RetryJitter is the straggler retry's symmetric jitter fraction in
 	// [0, 1) (see retry.Policy.Jitter): each timed wait is scaled by a
-	// deterministic factor so many lanes backing off from the same
-	// straggling shard do not re-attempt in lockstep. Zero means
-	// DefaultRetryJitter; negative disables jitter.
+	// deterministic factor so several shards' retries do not re-attempt
+	// in lockstep. Zero means DefaultRetryJitter; negative disables
+	// jitter.
 	RetryJitter float64
-	// RetrySeed selects the deterministic jitter stream; each (tenant,
-	// shard) lane derives a decorrelated sub-stream from it. Runs with the
-	// same seed replay the same backoff schedule.
+	// RetrySeed selects the deterministic jitter stream; each shard
+	// derives a decorrelated sub-stream from it. Runs with the same seed
+	// replay the same backoff schedule.
 	RetrySeed uint64
 	// BreakerThreshold is how many consecutive exhausted-retry failures on
 	// one shard's queue open that shard's circuit breaker, after which
@@ -62,7 +60,7 @@ const (
 	DefaultQueueDepth = 16
 	DefaultTimeout    = 5 * time.Second
 	DefaultRetries    = 3
-	// DefaultRetryJitter keeps concurrent lanes' straggler retries from
+	// DefaultRetryJitter keeps concurrent shards' straggler retries from
 	// synchronizing without distorting the schedule's shape.
 	DefaultRetryJitter = 0.1
 	// DefaultBreakerThreshold / DefaultBreakerCooldown tune the per-shard
@@ -136,9 +134,8 @@ type request struct {
 	worker int
 	tensor int         // shard-local tensor index (reqPushTensor)
 	wire   []byte      // single tensor wire (reqPushTensor); aliases the caller's buffer
-	wires  *[][]byte   // sub wire set (reqPush); returned to the lane pool after use
+	wires  *[][]byte   // sub wire set (reqPush); returned to the shard's pool after use
 	done   chan result // reqFinish only
-	enq    time.Time   // enqueue instant, for tenant queue-wait stats
 }
 
 type result struct {
@@ -147,25 +144,8 @@ type result struct {
 	err   error
 }
 
-// NewCluster builds a dedicated sharded tier over model: a one-tenant
-// Service and the JobHandle of its one job (the default tenant), which
-// owns the tier — Close stops it. The placement is the size-balanced
-// packing of the model's tensors (by byte size) across cfg.Shards shards;
-// psCfg configures each shard's codec and optimizer exactly as it would a
-// single ps.Job.
-func NewCluster(model *nn.Model, psCfg ps.Config, cfg Config) (*JobHandle, error) {
-	svc := NewService(cfg, tenant.NewRegistry(1))
-	h, err := svc.Admit(tenant.Default, model, psCfg, tenant.Limits{})
-	if err != nil {
-		svc.Close()
-		return nil, fmt.Errorf("shard: build dedicated cluster: %w", err)
-	}
-	h.owns = true
-	return h, nil
-}
-
 // ForModel computes the (size-balanced, deterministic) placement of
-// model's tensors across `shards` shards — the one Service.Admit uses.
+// model's tensors across `shards` shards — the one NewCluster uses.
 // Workers and the server tier each call this on their own model replica
 // and arrive at the same placement; Assignment.Hash is exchanged in the
 // sharded transport handshake to verify that.

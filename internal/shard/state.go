@@ -2,11 +2,10 @@
 // union of its per-shard sub-jobs' states (per-shard optimizer slice +
 // pull contexts). Both methods must only be called between steps — after
 // FinishStep has returned and before the next BeginStep. At that point
-// the job's lane on every shard is empty and the scheduler goroutines
-// are not touching its sub-jobs; the FinishStep result channel (capture)
-// / the next request enqueue (restore) provide the happens-before edges
-// that make the direct sub-job access race-free. Other tenants' traffic
-// may keep flowing — their sub-jobs are disjoint.
+// every shard's queue is empty and the executor goroutines are not
+// touching the sub-jobs; the FinishStep result channel (capture) / the
+// next request enqueue (restore) provide the happens-before edges that
+// make the direct sub-job access race-free, per shard.
 package shard
 
 import (
@@ -21,12 +20,12 @@ import (
 func (h *JobHandle) AppendState(dst []byte) []byte {
 	le := binary.LittleEndian
 	var b4 [4]byte
-	le.PutUint32(b4[:], uint32(len(h.tqs)))
+	le.PutUint32(b4[:], uint32(len(h.nodes)))
 	dst = append(dst, b4[:]...)
-	for _, q := range h.tqs {
+	for _, n := range h.nodes {
 		lenAt := len(dst)
 		dst = append(dst, 0, 0, 0, 0)
-		dst = q.job.AppendState(dst)
+		dst = n.job.AppendState(dst)
 		le.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
 	}
 	return dst
@@ -36,8 +35,8 @@ func (h *JobHandle) AppendState(dst []byte) []byte {
 // (ps.Momentum), nil before p's first step. Like AppendState it is a
 // between-steps call.
 func (h *JobHandle) Velocity(p *nn.Param) []float32 {
-	for _, q := range h.tqs {
-		if v := q.job.Velocity(p); v != nil {
+	for _, n := range h.nodes {
+		if v := n.job.Velocity(p); v != nil {
 			return v
 		}
 	}
@@ -51,11 +50,11 @@ func (h *JobHandle) RestoreState(src []byte) error {
 	if len(src) < 4 {
 		return fmt.Errorf("shard: cluster state truncated")
 	}
-	if n := int(le.Uint32(src)); n != len(h.tqs) {
-		return fmt.Errorf("shard: checkpoint has %d shards, cluster has %d", n, len(h.tqs))
+	if n := int(le.Uint32(src)); n != len(h.nodes) {
+		return fmt.Errorf("shard: checkpoint has %d shards, cluster has %d", n, len(h.nodes))
 	}
 	src = src[4:]
-	for s, q := range h.tqs {
+	for s, n := range h.nodes {
 		if len(src) < 4 {
 			return fmt.Errorf("shard: shard %d state length truncated", s)
 		}
@@ -64,7 +63,7 @@ func (h *JobHandle) RestoreState(src []byte) error {
 		if len(src) < size {
 			return fmt.Errorf("shard: shard %d state truncated (%d of %d bytes)", s, len(src), size)
 		}
-		if err := q.job.RestoreState(src[:size]); err != nil {
+		if err := n.job.RestoreState(src[:size]); err != nil {
 			return fmt.Errorf("shard: shard %d: %w", s, err)
 		}
 		src = src[size:]

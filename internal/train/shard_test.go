@@ -1,11 +1,13 @@
 package train
 
 import (
+	"strings"
 	"testing"
 
 	"threelc/internal/compress"
 	"threelc/internal/data"
 	"threelc/internal/nn"
+	"threelc/internal/ps"
 )
 
 // TestShardedRunMatchesSingleServer pins the end-to-end contract of the
@@ -105,5 +107,19 @@ func TestShardedStalenessRun(t *testing.T) {
 	}
 	if rs.FinalLoss != rm.FinalLoss {
 		t.Errorf("stale-sync loss differs: single %v sharded %v", rs.FinalLoss, rm.FinalLoss)
+	}
+}
+
+// TestTrainServiceConfigValidation pins the driver's tier plumbing: Shards
+// and a Tier hook are mutually exclusive, refused before the hook runs.
+func TestTrainServiceConfigValidation(t *testing.T) {
+	cfg := tinyConfig(Design{Name: "float32", Scheme: compress.SchemeNone}, 2)
+	cfg.Shards = 2
+	cfg.Tier = func(*nn.Model, ps.Config) (ps.Tier, error) {
+		t.Error("Run built the Tier hook's tier despite Shards")
+		return nil, nil
+	}
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+		t.Fatalf("Run with both Shards and Tier: %v, want the exclusivity refusal", err)
 	}
 }

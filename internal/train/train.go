@@ -170,12 +170,9 @@ type Config struct {
 	// Tier, when non-nil, builds the aggregation tier the run drives, in
 	// place of the ps.NewJob / shard.NewCluster (by Shards) Run builds
 	// itself. It is called once, with the run's global model and the server
-	// half of the run's ps.Config, and may return any ps.Tier: a job
-	// admitted to a shared multi-tenant shard.Service (many Runs may share
-	// one — the tier's fairness reorders only BETWEEN tenants, so each stays
-	// bit-identical to a solo run), or a transport.DialedTier over listeners
-	// the hook started, which is how cmd/3lc-net runs this driver over real
-	// sockets. Run asks three optional things of what it gets back:
+	// half of the run's ps.Config, and may return any ps.Tier — for
+	// instance a transport.DialedTier over listeners the hook started,
+	// which is how cmd/3lc-net runs this driver over real sockets. Run asks three optional things of what it gets back:
 	// Close() error — the tier is closed when Run returns; NumShards() int —
 	// how many server NICs the model is spread over (Result.Shards,
 	// netsim.Params.Servers; 1 when absent); and Seats() int — the tier is

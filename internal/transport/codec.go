@@ -1,9 +1,9 @@
 // The frame codec: everything a connection's hello negotiated, and the
-// two operations every endpoint — ShardServer, MuxShardServer,
-// ShardClient, the v1 Client — puts frames on and takes frames off the
-// wire with. Stage order is fixed (see the package comment in shard.go):
-// header → tenant extension → body → CRC-32C trailer last, so the checksum
-// covers exactly what is on the wire.
+// two operations every endpoint — ShardServer, ShardClient, the v1
+// Client — puts frames on and takes frames off the wire with. Stage order
+// is fixed (see the package comment in shard.go): header → body →
+// CRC-32C trailer last, so the checksum covers exactly what is on the
+// wire.
 package transport
 
 import (
@@ -27,19 +27,14 @@ const ShardWireVersion = 4
 // tensor, refused by name.
 const perTensorWireVersion = 3
 
-// ShardHeaderLen is the encoded size of a ShardHeader's fixed part; a
-// header with flag extensions is longer (see FlagTenant).
+// ShardHeaderLen is the encoded size of a ShardHeader.
 const ShardHeaderLen = 12
 
-// FlagTenant marks a header carrying the tenant extension: 8 extra bytes
-// — [4B LE tenant id][4B LE tenant epoch] — after the fixed part. An
-// untagged header (flag clear) addresses the default tenant at epoch
-// zero, which is how pre-multi-tenant clients keep working against a
-// tenant-aware endpoint unchanged.
-const FlagTenant byte = 1 << 0
-
-// shardTenantExtLen is the FlagTenant extension size.
-const shardTenantExtLen = 8
+// flagRetiredTenant stays reserved: it marked a header carrying an 8-byte
+// job tag — [4B LE job id][4B LE admission epoch] — that addressed one
+// job of a multi-job shard tier. The tier is gone (one job per endpoint);
+// the flag is refused by name.
+const flagRetiredTenant byte = 1 << 0
 
 // flagRetiredEntropy stays reserved: it marked a whole-set body passed
 // through a Huffman or LZ stage, negotiated by a fifth byte after the
@@ -48,46 +43,31 @@ const shardTenantExtLen = 8
 const flagRetiredEntropy byte = 1 << 1
 
 // ShardHeader addresses one v2 frame: which shard, which worker, which
-// step — and, when the tenant flag is set, which job (tenant id + the
-// admission epoch that makes stale frames from a retired incarnation
-// rejectable). Hello frames reuse the layout with Step zero and append
-// the 4-byte placement hash after the header.
+// step. Hello frames reuse the layout with Step zero and append the 4-byte
+// placement hash after the header.
 type ShardHeader struct {
 	Version byte
 	Flags   byte
 	Shard   uint16
 	Worker  uint32
 	Step    uint32
-	Tenant  uint32 // FlagTenant extension; 0 = default tenant
-	Epoch   uint32 // FlagTenant extension; admission epoch
 }
 
-// AppendShardHeader appends h in wire order. A nonzero Tenant or Epoch
-// turns on FlagTenant and appends the extension, so single-tenant
-// callers emit byte-for-byte the pre-multi-tenant header.
+// AppendShardHeader appends h in wire order.
 func AppendShardHeader(dst []byte, h ShardHeader) []byte {
-	if h.Tenant != 0 || h.Epoch != 0 {
-		h.Flags |= FlagTenant
-	}
-	var b [ShardHeaderLen + shardTenantExtLen]byte
+	var b [ShardHeaderLen]byte
 	b[0] = h.Version
 	b[1] = h.Flags
 	le.PutUint16(b[2:], h.Shard)
 	le.PutUint32(b[4:], h.Worker)
 	le.PutUint32(b[8:], h.Step)
-	if h.Flags&FlagTenant == 0 {
-		return append(dst, b[:ShardHeaderLen]...)
-	}
-	le.PutUint32(b[12:], h.Tenant)
-	le.PutUint32(b[16:], h.Epoch)
 	return append(dst, b[:]...)
 }
 
 // ParseShardHeader decodes and validates a shard header, returning the
 // remaining payload. Unknown versions and flag bits are errors — the
 // forward-compatibility contract that lets the layout evolve behind the
-// version byte. A header without FlagTenant parses with Tenant and Epoch
-// zero: the default tenant.
+// version byte.
 func ParseShardHeader(src []byte) (ShardHeader, []byte, error) {
 	if len(src) < ShardHeaderLen {
 		return ShardHeader{}, nil, fmt.Errorf("transport: short shard header (%d bytes)", len(src))
@@ -109,19 +89,13 @@ func ParseShardHeader(src []byte) (ShardHeader, []byte, error) {
 	if h.Flags&flagRetiredEntropy != 0 {
 		return ShardHeader{}, nil, fmt.Errorf("transport: shard header flag %#x is the retired entropy stage; this endpoint sends and takes plain bodies", flagRetiredEntropy)
 	}
-	if h.Flags&^(FlagTenant|FlagChecksum|FlagResilient|FlagStandby) != 0 {
+	if h.Flags&flagRetiredTenant != 0 {
+		return ShardHeader{}, nil, fmt.Errorf("transport: shard header flag %#x is the retired tenant tag; this endpoint serves one job", flagRetiredTenant)
+	}
+	if h.Flags&^(FlagChecksum|FlagResilient|FlagStandby) != 0 {
 		return ShardHeader{}, nil, fmt.Errorf("transport: unknown shard header flags %#x", h.Flags)
 	}
-	rest := src[ShardHeaderLen:]
-	if h.Flags&FlagTenant != 0 {
-		if len(rest) < shardTenantExtLen {
-			return ShardHeader{}, nil, fmt.Errorf("transport: short tenant header extension (%d bytes)", len(rest))
-		}
-		h.Tenant = le.Uint32(rest)
-		h.Epoch = le.Uint32(rest[4:])
-		rest = rest[shardTenantExtLen:]
-	}
-	return h, rest, nil
+	return h, src[ShardHeaderLen:], nil
 }
 
 // frame is one message in codec terms: what a sender hands appendFrame
@@ -169,8 +143,6 @@ type frameCodec struct {
 	v1        bool   // legacy layout: no header, [worker][step] push, [step] pull
 	shard     uint16 // addressing, fixed for the connection's lifetime
 	worker    uint32
-	tenant    uint32
-	epoch     uint32
 	checksum  bool // every frame, hello included, ends in a CRC-32C trailer
 	resilient bool // the client may re-dial and replay (implies checksum)
 	standby   bool // the worker's second copy: pushes aggregated, pulls withheld until it replays one
@@ -238,12 +210,12 @@ func (fc *frameCodec) appendPayload(dst []byte, f frame) []byte {
 	return fc.seal(dst, f.t, start)
 }
 
-// appendHeader appends the shard header (and tenant tag) a type-t v2 frame
+// appendHeader appends the shard header a type-t v2 frame
 // of this connection opens with.
 //
 //3lc:noalloc
 func (fc *frameCodec) appendHeader(dst []byte, t MsgType, step uint32) []byte {
-	h := ShardHeader{Version: ShardWireVersion, Shard: fc.shard, Step: step, Tenant: fc.tenant, Epoch: fc.epoch}
+	h := ShardHeader{Version: ShardWireVersion, Shard: fc.shard, Step: step}
 	hello := t == MsgShardHello
 	if pushSide(t) || hello {
 		h.Worker = fc.worker
@@ -273,7 +245,7 @@ func (fc *frameCodec) seal(dst []byte, t MsgType, start int) []byte {
 
 // parseFrame is appendFrame's inverse and the single entry every
 // post-hello frame is validated through: trailer, flags against the
-// negotiated set, addressing (shard, tenant, epoch, and on push-side
+// negotiated set, addressing (shard, and on push-side
 // frames the worker) and position. step is where the receiver stands;
 // with replay set, a push one step behind is let through (f.step tells
 // the caller) — a resilient redial's replay or a standby's claim. Bye
@@ -308,12 +280,11 @@ func (fc *frameCodec) parseFrame(t MsgType, payload []byte, step int, replay boo
 		if fc.checksum {
 			want |= FlagChecksum
 		}
-		if got := h.Flags &^ FlagTenant; got != want {
-			return f, fmt.Errorf("transport: type-%d frame flags %#x on a connection that negotiated %#x", t, got, want)
+		if h.Flags != want {
+			return f, fmt.Errorf("transport: type-%d frame flags %#x on a connection that negotiated %#x", t, h.Flags, want)
 		}
-		if h.Shard != fc.shard || h.Tenant != fc.tenant || h.Epoch != fc.epoch {
-			return f, fmt.Errorf("transport: frame for shard %d tenant %d epoch %d on a connection to shard %d tenant %d epoch %d",
-				h.Shard, h.Tenant, h.Epoch, fc.shard, fc.tenant, fc.epoch)
+		if h.Shard != fc.shard {
+			return f, fmt.Errorf("transport: frame for shard %d on a connection to shard %d", h.Shard, fc.shard)
 		}
 		f.worker, f.step = h.Worker, h.Step
 		if !wholeSet(t) && !isRun(t) && len(rest) != 0 {
@@ -373,7 +344,7 @@ func parseHello(t MsgType, payload []byte) (fc frameCodec, hash uint32, err erro
 		return fc, 0, fmt.Errorf("transport: shard hello has %d trailing bytes, want 4", len(rest))
 	}
 	fc.standby = h.Flags&FlagStandby != 0
-	fc.shard, fc.worker, fc.tenant, fc.epoch = h.Shard, h.Worker, h.Tenant, h.Epoch
+	fc.shard, fc.worker = h.Shard, h.Worker
 	return fc, le.Uint32(rest), nil
 }
 

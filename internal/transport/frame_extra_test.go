@@ -188,17 +188,17 @@ func TestPlainFramesMatchLayout(t *testing.T) {
 	}
 }
 
-// TestHeaderFlagsPinned pins every shard header flag bit, the reserved one
+// TestHeaderFlagsPinned pins every shard header flag bit, the reserved ones
 // included: a flag deleted from the set must leave its bit reserved, or a
 // peer built before the deletion is misread instead of refused. The
-// reserved bit, the retired entropy stage's, is refused by name, by the
-// header parser and on a connection's frames.
+// reserved bits, the retired tenant tag's and entropy stage's, are refused
+// by name, by the header parser and on a connection's frames.
 func TestHeaderFlagsPinned(t *testing.T) {
 	for _, c := range []struct {
 		name       string
 		flag, want byte
 	}{
-		{"FlagTenant", FlagTenant, 0x01},
+		{"flagRetiredTenant", flagRetiredTenant, 0x01},
 		{"flagRetiredEntropy", flagRetiredEntropy, 0x02},
 		{"FlagChecksum", FlagChecksum, 0x04},
 		{"FlagResilient", FlagResilient, 0x08},
@@ -208,13 +208,15 @@ func TestHeaderFlagsPinned(t *testing.T) {
 			t.Errorf("%s = %#02x, want %#02x", c.name, c.flag, c.want)
 		}
 	}
-	h := AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Flags: flagRetiredEntropy})
-	if _, _, err := ParseShardHeader(h); err == nil || !strings.Contains(err.Error(), "retired") {
-		t.Errorf("flag %#02x header: %v, want a refusal naming it retired", flagRetiredEntropy, err)
-	}
-	push := AppendWireSet(h, [][]byte{{1, 2, 3}})
-	if _, err := (&frameCodec{}).parseFrame(MsgShardPush, push, 0, false); err == nil || !strings.Contains(err.Error(), "retired") {
-		t.Errorf("flag %#02x push: %v, want a refusal naming it retired", flagRetiredEntropy, err)
+	for _, flag := range []byte{flagRetiredTenant, flagRetiredEntropy} {
+		h := AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Flags: flag})
+		if _, _, err := ParseShardHeader(h); err == nil || !strings.Contains(err.Error(), "retired") {
+			t.Errorf("flag %#02x header: %v, want a refusal naming it retired", flag, err)
+		}
+		push := AppendWireSet(h, [][]byte{{1, 2, 3}})
+		if _, err := (&frameCodec{}).parseFrame(MsgShardPush, push, 0, false); err == nil || !strings.Contains(err.Error(), "retired") {
+			t.Errorf("flag %#02x push: %v, want a refusal naming it retired", flag, err)
+		}
 	}
 }
 

@@ -40,22 +40,35 @@ func retiredEntropyFrames() (hello, push []byte) {
 	return hello, AppendWireSet(AppendShardHeader(nil, h), [][]byte{{1, 2, 3}})
 }
 
+// sealedRetired is fc's type-t frame with a retired header flag set,
+// sealed under fc's trailer, so the refusal — not the checksum — is what
+// rejects it.
+func sealedRetired(fc frameCodec, t MsgType, flag byte) []byte {
+	fr := frame{t: t, arg: 0xfeed, set: [][]byte{{1, 2, 3}}}
+	if t != MsgShardHello {
+		fr.step = 7
+	}
+	p := fc.appendPayload(nil, fr)
+	if fc.checksum {
+		p = p[:len(p)-4]
+	}
+	p[1] |= flag
+	return fc.seal(p, t, 0)
+}
+
 // fuzzTypes are the frame types parseFrame takes on a v2 connection.
 var fuzzTypes = []MsgType{MsgShardPush, MsgShardPull, MsgShardPushRun, MsgShardPushLast,
 	MsgShardPullRun, MsgShardBye}
 
-// fuzzCodec maps sub's low three bits to one subset of what a hello
-// negotiates: tenant tag, resilient seat (its hello needs the trailer),
-// checksum trailer.
+// fuzzCodec maps sub's low two bits to one subset of what a hello
+// negotiates: resilient seat (its hello needs the trailer), checksum
+// trailer.
 func fuzzCodec(sub byte) frameCodec {
 	fc := frameCodec{shard: 3, worker: 2}
 	if sub&1 != 0 {
-		fc.tenant, fc.epoch = 41, 6
-	}
-	if sub&2 != 0 {
 		fc.resilient = true
 	}
-	if sub&4 != 0 {
+	if sub&2 != 0 {
 		fc.checksum = true
 	}
 	return fc
@@ -125,10 +138,13 @@ func fuzzRoundTrip(t *testing.T, sub byte, typ MsgType, body []byte) []byte {
 // the property that keeps the v2 wire format stable as it evolves behind
 // the version byte.
 func FuzzShardHeader(f *testing.F) {
-	for sub := byte(0); sub < 8; sub++ {
+	for sub := byte(0); sub < 4; sub++ {
 		fc := fuzzCodec(sub)
 		f.Add(sub, byte(MsgShardPush), fc.appendPayload(nil, frame{t: MsgShardPush, step: 7, set: [][]byte{{1, 2, 3}, nil}}))
 		f.Add(sub, byte(MsgShardHello), fc.appendPayload(nil, frame{t: MsgShardHello, arg: 0xfeed}))
+		f.Add(sub, byte(MsgShardPush), sealedRetired(fc, MsgShardPush, flagRetiredTenant))
+		f.Add(sub, byte(MsgShardPush), sealedRetired(fc, MsgShardPush, flagRetiredEntropy))
+		f.Add(sub, byte(MsgShardHello), sealedRetired(fc, MsgShardHello, flagRetiredTenant))
 		fc.standby = true
 		f.Add(sub, byte(MsgShardHello), fc.appendPayload(nil, frame{t: MsgShardHello, arg: 0xfeed}))
 	}
@@ -152,7 +168,7 @@ func FuzzShardHeader(f *testing.F) {
 			}
 			if h, _, err := ParseShardHeader(data); err != nil || (h.Flags&FlagChecksum != 0) != fc.checksum ||
 				h.Flags&(FlagResilient|FlagStandby) != 0 || // hello-only
-				h.Shard != fc.shard || h.Tenant != fc.tenant || h.Epoch != fc.epoch {
+				h.Shard != fc.shard {
 				t.Fatalf("accepted header %+v (%v) on a connection that negotiated %+v", h, err, fc)
 			}
 		}
@@ -249,7 +265,7 @@ func FuzzFrameReader(f *testing.F) {
 	_ = WriteFrame(&retired, MsgShardHello, hello)
 	_ = WriteFrame(&retired, MsgShardPush, push)
 	f.Add(retired.Bytes())
-	for sub := byte(0); sub < 8; sub += 4 {
+	for sub := byte(0); sub < 4; sub += 2 {
 		run, _ := coalescedRun(f, fuzzCodec(sub), 0, 1, 3, 100, 17, 300)
 		f.Add(run)
 	}
@@ -296,8 +312,8 @@ func FuzzFrameReader(f *testing.F) {
 }
 
 // FuzzChecksummedFrame is the wire-integrity gate on the same parse
-// entry: with the trailer negotiated — alone, over the tenant tag, on a
-// resilient seat — every well-formed frame round-trips and, the
+// entry: with the trailer negotiated — alone or on a resilient seat —
+// every well-formed frame round-trips and, the
 // property the chaos soak leans on, EVERY single-bit corruption of one is
 // rejected, type byte and flag bits included. A corruption that parsed
 // cleanly would aggregate garbage into the model instead of triggering a
@@ -309,7 +325,7 @@ func FuzzChecksummedFrame(f *testing.F) {
 	f.Add(byte(0), byte(1), []byte{}, uint16(0))
 	f.Add(byte(3), byte(5), []byte{0xff, 0x00, 0xff}, uint16(97))
 	f.Fuzz(func(t *testing.T, sub, typ byte, body []byte, bit uint16) {
-		sub |= 4 // the trailer is what is under test; tag and seat vary
+		sub |= 2 // the trailer is what is under test; the seat varies
 		mt := fuzzTypes[int(typ)%len(fuzzTypes)]
 		wire := fuzzRoundTrip(t, sub, mt, body)
 
@@ -333,7 +349,7 @@ func FuzzChecksummedFrame(f *testing.F) {
 		tx.standby = true
 		hello := tx.appendPayload(nil, frame{t: MsgShardHello, arg: 0xfeed})
 		hc, hash, err := parseHello(MsgShardHello, hello)
-		if err != nil || !hc.standby || hash != 0xfeed || hc.variant() != tx.variant() || hc.tenant != tx.tenant || hc.resilient != tx.resilient {
+		if err != nil || !hc.standby || hash != 0xfeed || hc.variant() != tx.variant() || hc.resilient != tx.resilient {
 			t.Fatalf("subset %#x: standby hello parsed back as %+v, hash %#x (%v)", sub, hc, hash, err)
 		}
 		hello[int(bit)%len(hello)] ^= 1 << (bit % 8)

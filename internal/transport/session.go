@@ -1,14 +1,12 @@
 // The session engine: one BSP loop over a table of worker seats, behind
 // every server in the package. ShardServer seats cfg.Workers connections
-// and runs it for cfg.Steps; NewServer is that with one shard;
-// MuxShardServer runs one per tenant, until the tenant's workers hang up.
+// and runs it for cfg.Steps; NewServer is that with one shard.
 package transport
 
 import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync/atomic"
 	"time"
@@ -266,22 +264,13 @@ func (cfg *ShardServerConfig) admit(fc *frameCodec, hash uint32) error {
 		return fmt.Errorf("transport: v1 hello on shard %d of %d (the v1 layout addresses a single-shard tier)", cfg.Shard, cfg.NumShards)
 	case int(fc.shard) != cfg.Shard:
 		return fmt.Errorf("transport: hello for shard %d on shard %d", fc.shard, cfg.Shard)
-	case fc.tenant != cfg.Tenant || fc.epoch != cfg.Epoch:
-		return fmt.Errorf("transport: shard %d: hello for tenant %d epoch %d on endpoint serving tenant %d epoch %d",
-			cfg.Shard, fc.tenant, fc.epoch, cfg.Tenant, cfg.Epoch)
 	case !fc.v1 && hash != cfg.AssignmentHash:
 		return fmt.Errorf("transport: worker %d placement hash %#x != server %#x (divergent model layout)",
 			fc.worker, hash, cfg.AssignmentHash)
 	case int(fc.worker) >= cfg.Workers:
 		return fmt.Errorf("transport: bad worker id %d", fc.worker)
 	case fc.resilient && !cfg.Resilient:
-		// Also every EOF-terminated (mux) session: its lifecycle is its
-		// connections, there is no seat to keep across a reconnect.
 		return fmt.Errorf("transport: shard %d keeps no seat across reconnects: resilient client refused", cfg.Shard)
-	case fc.standby && cfg.Steps < 0:
-		// A claim may come after the last step; a session that ends with its
-		// connections has no such place to wait for it.
-		return fmt.Errorf("transport: shard %d runs until its workers hang up: standby seat refused", cfg.Shard)
 	}
 	return nil
 }
@@ -378,24 +367,11 @@ func (s *session) fill() error {
 	return nil
 }
 
-// run drives the seated session for cfg.Steps BSP steps — or, when that
-// is negative, until worker 0 hangs up at a step boundary, the
-// job-complete signal of a session with no pre-agreed step count.
+// run drives the seated session for cfg.Steps BSP steps.
 func (s *session) run() error {
-	steps := s.cfg.Steps
-	for step := 0; steps < 0 || step < steps; step++ {
+	for step := 0; step < s.cfg.Steps; step++ {
 		if s.cfg.KillAtStep > 0 && step == s.cfg.KillAtStep {
 			return ErrShardKilled
-		}
-		if steps < 0 {
-			// Looked for before the step opens, so a finished job ends the
-			// loop without charging the aggregator a step. Any other read
-			// failure is the push read's to report.
-			st := s.seats[0]
-			st.to.beforeRead(st.c)
-			if _, err := st.br.Peek(1); errors.Is(err, io.EOF) {
-				return nil
-			}
 		}
 		s.agg.BeginStep()
 		for w := range s.seats {

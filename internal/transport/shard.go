@@ -13,19 +13,16 @@
 // is sent the empty wire in its owner-only slots, ps.Pulls; 4 since a
 // streamed exchange sends a run per flush, below.)
 //
-// A hello negotiates per-connection stages on top of that; each is a flag
-// plus bytes the frame codec (codec.go) adds in this fixed order, and a
-// connection that negotiates none emits and accepts exactly the lines
-// above:
+// A hello negotiates one per-connection stage on top of that, a flag plus
+// bytes the frame codec (codec.go) adds, and a connection that negotiates
+// none emits and accepts exactly the lines above: the CRC-32C trailer
+// (FlagChecksum, checksum.go), [4B LE crc] ending every frame, hello
+// included — last, so it covers what is on the wire, header and body
+// alike.
 //
-//  1. Tenant tag (FlagTenant): [4B LE tenant][4B LE epoch] directly after
-//     the header of every frame, naming the job and its admission epoch.
-//  2. CRC-32C trailer (FlagChecksum, checksum.go): [4B LE crc] ends every
-//     frame, hello included — last, so it covers what is on the wire, tag
-//     and body alike.
-//
-// Flag 0x02 and a fifth hello byte after the hash negotiated an entropy
-// stage over whole-set bodies; both are retired and refused by name.
+// Flag 0x01 carried a job tag for a multi-job shard tier; flag 0x02 and a
+// fifth hello byte after the hash negotiated an entropy stage over
+// whole-set bodies. All are retired and refused by name.
 //
 // Two hello-only flags add no bytes. FlagResilient (requires the trailer)
 // declares that the client may tear down and re-dial mid-run, replaying
@@ -153,15 +150,6 @@ type ShardServerConfig struct {
 	// detect the death. Serve returns ErrShardKilled.
 	KillAtStep int
 	KillSilent bool
-	// Tenant and Epoch pin the job identity this endpoint serves. Every
-	// frame's tenant header (absent = default tenant 0, epoch 0) must
-	// match, so a client of another job — or of a retired incarnation of
-	// this one — is rejected instead of aggregated. A dedicated
-	// single-job deployment leaves both zero and the wire format is
-	// byte-identical to the pre-multi-tenant one. Multi-job endpoints use
-	// MuxShardServer instead.
-	Tenant uint32
-	Epoch  uint32
 	// Resilient accepts FlagResilient clients and keeps their worker
 	// seats open across connection failures: malformed handshakes no
 	// longer abort Serve, a broken resilient connection is replaced by
@@ -237,11 +225,6 @@ type ShardClientConfig struct {
 	// failure detector for silently dead shards: without one, only
 	// connection-level errors (RST/EOF) trigger failover.
 	Timeouts Timeouts
-	// Tenant and Epoch tag every frame with the worker's job identity (as
-	// admitted by the service tier's registry). Zero values emit the
-	// untagged pre-multi-tenant header and address the default tenant.
-	Tenant uint32
-	Epoch  uint32
 	// Checksum negotiates CRC-32C frame integrity (see FlagChecksum):
 	// every frame both ways — hello, pushes, pulls, streamed tensors —
 	// carries a trailing checksum over what is on the wire, so corruption
@@ -314,8 +297,7 @@ func DialShardedConfig(addrs []string, workerID int, asn shard.Assignment, ccfg 
 	// Replay without integrity would retransmit the very corruption it is
 	// recovering from.
 	ccfg.Checksum = ccfg.Checksum || ccfg.Resilient
-	fc := frameCodec{worker: uint32(workerID), tenant: ccfg.Tenant, epoch: ccfg.Epoch,
-		checksum: ccfg.Checksum, resilient: ccfg.Resilient}
+	fc := frameCodec{worker: uint32(workerID), checksum: ccfg.Checksum, resilient: ccfg.Resilient}
 	c := &ShardClient{
 		asn:  asn,
 		ccfg: ccfg,

@@ -13,7 +13,7 @@ cd "$(dirname "$0")/.."
 
 # Two gates compare two rows whose ratio sits near its floor on a host
 # that flips between speed states mid-run (the checksummed vs the plain
-# TCP round trip, the tenant tier vs the plain one): each pair runs back
+# TCP round trip, the cluster hop vs the plain one): each pair runs back
 # to back five times from test binaries built once, and benchcheck
 # -speedup reads lines that alternate as pairs and gates the median of
 # their ratios, not best against best.
@@ -53,10 +53,10 @@ go test -run='^$' -bench HierarchicalPushPull -benchtime 50x -benchmem ./interna
 # and ...F32 the float32 baseline's round trip at the end-to-end
 # model's size (two workers, every pass a raw kernel core).
 go test -run='^$' -bench 'SteadyStatePushPull(Tiny|F32)$' -benchtime 100x -benchmem ./internal/ps/
-# The multi-tenant tier driving the plain SteadyStatePushPull
-# workload through a 1-shard service JobHandle (lane hop + DRR +
-# quota accounting), alternated with it.
-alternate shard 'TenantServicePushPull$' ps 'SteadyStatePushPull$' 100x
+# The sharded tier driving the plain SteadyStatePushPull workload
+# through a 1-shard NewCluster JobHandle (the queue hop to the shard's
+# executor goroutine), alternated with it.
+alternate shard 'ClusterPushPull$' ps 'SteadyStatePushPull$' 100x
 # The same steady-state round trip over a real loopback TCP
 # connection, CRC-32C checksummed alternated with plain: frame
 # integrity must hold 0 allocs/op at parity with the bare wire
