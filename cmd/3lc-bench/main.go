@@ -7,7 +7,6 @@
 //	3lc-bench -exp fig7            # Figure 7: loss/accuracy series
 //	3lc-bench -exp fig9            # Figure 9: bits per state change series
 //	3lc-bench -exp shard           # sharded-PS scaling: shard count x codec
-//	3lc-bench -exp wan             # hierarchical aggregation over slow inter-region links
 //	3lc-bench -exp all             # everything
 //
 // Runs are cached within a single invocation, so "-exp all" reuses the
@@ -28,17 +27,14 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1 | table2 | fig4 | fig5 | fig6 | fig7 | fig8 | fig9 | arch | gradstats | shard | wan | all")
-		steps    = flag.Int("steps", 0, "override standard training steps (default from suite)")
-		workers  = flag.Int("workers", 0, "override worker count")
-		shards   = flag.String("shards", "1,2,4", "comma-separated shard counts for -exp shard")
-		resnet   = flag.Bool("resnet", false, "use the MicroResNet workload instead of the MLP")
-		quiet    = flag.Bool("quiet", false, "suppress per-run progress lines")
-		every    = flag.Int("series-every", 10, "subsampling interval for printed series")
-		csvDir   = flag.String("csv", "", "also write results as CSV files into this directory")
-		regions  = flag.Int("regions", 2, "region count for -exp wan")
-		wanMbps  = flag.Float64("wan-mbps", 100, "inter-region link bandwidth in Mbps for -exp wan")
-		wanLatMs = flag.Float64("wan-latency-ms", 20, "one-way inter-region latency in ms for -exp wan")
+		exp     = flag.String("exp", "all", "experiment: table1 | table2 | fig4 | fig5 | fig6 | fig7 | fig8 | fig9 | arch | gradstats | shard | all")
+		steps   = flag.Int("steps", 0, "override standard training steps (default from suite)")
+		workers = flag.Int("workers", 0, "override worker count")
+		shards  = flag.String("shards", "1,2,4", "comma-separated shard counts for -exp shard")
+		resnet  = flag.Bool("resnet", false, "use the MicroResNet workload instead of the MLP")
+		quiet   = flag.Bool("quiet", false, "suppress per-run progress lines")
+		every   = flag.Int("series-every", 10, "subsampling interval for printed series")
+		csvDir  = flag.String("csv", "", "also write results as CSV files into this directory")
 	)
 	flag.Parse()
 
@@ -102,14 +98,6 @@ func main() {
 			}
 			experiments.PrintShardScaling(os.Stdout, rows)
 			csv = func(w io.Writer) error { return experiments.WriteShardScalingCSV(w, rows) }
-		case "wan":
-			bw, lat := *wanMbps*1e6, *wanLatMs*1e-3
-			rows, err := experiments.WANSweep(experiments.WANDesigns(), experiments.WANTopologies(*regions), *workers, *steps, bw, lat, opt.Progress)
-			if err != nil {
-				return err
-			}
-			experiments.PrintWANSweep(os.Stdout, rows, bw, lat)
-			csv = func(w io.Writer) error { return experiments.WriteWANSweepCSV(w, rows) }
 		case "gradstats":
 			rows, err := experiments.GradientStatistics(suite, 1.0, 25)
 			if err != nil {
@@ -155,7 +143,7 @@ func main() {
 
 	var names []string
 	if *exp == "all" {
-		names = []string{"table1", "table2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "shard", "wan"}
+		names = []string{"table1", "table2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "shard"}
 	} else {
 		names = []string{*exp}
 	}

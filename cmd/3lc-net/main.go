@@ -9,7 +9,6 @@
 //	3lc-net -design 3lc -sparsity 1.75 -workers 4 -steps 50
 //	3lc-net -design 3lc -workers 4 -steps 50 -shards 2   # sharded PS tier
 //	3lc-net -shards 2 -replicas -kill-shard 0 -kill-step 25  # failover demo
-//	3lc-net -regions 2 -workers 4 -steps 50              # hierarchical WAN tier
 //	3lc-net -chaos -chaos-seed 7 -shards 2 -workers 2 -steps 6  # chaos soak
 //
 // The modes (README has the prose for each):
@@ -23,10 +22,6 @@
 //     and -kill-shard S -kill-step K crashes shard S's primary at step K:
 //     the workers claim the standby by replaying the in-flight push, and the
 //     run ends with model state byte-identical to an unkilled one.
-//   - -regions R fronts each of R groups of workers with an aggregator: a
-//     recompress region.Tier behind its own listener, forwarding one
-//     re-encoded stream per step over a one-seat dialed tier to the global
-//     tier. The run reports local-leg and inter-region traffic separately.
 //   - -chaos trains every registered codec twice — on an in-process server,
 //     and over TCP with internal/chaos injecting faults on every listener and
 //     dial against the full defense stack (CRC-32C frames, resilient
@@ -50,7 +45,6 @@ import (
 	"threelc/internal/netsim"
 	"threelc/internal/nn"
 	"threelc/internal/ps"
-	"threelc/internal/region"
 	"threelc/internal/shard"
 	"threelc/internal/train"
 	"threelc/internal/transport"
@@ -61,7 +55,7 @@ type options struct {
 	designName, addr            string
 	sparsity                    float64
 	workers, steps, batch       int
-	shards, regions             int
+	shards                      int
 	stream, replicas, chaosSoak bool
 	killShard, killStep         int
 	netTimeout                  time.Duration
@@ -84,7 +78,6 @@ func main() {
 	flag.IntVar(&o.killShard, "kill-shard", -1, "crash this shard's primary mid-run (requires -replicas)")
 	flag.IntVar(&o.killStep, "kill-step", -1, "step at which -kill-shard fires (default steps/2)")
 	flag.DurationVar(&o.netTimeout, "net-timeout", 0, "per-frame read/write deadline on worker connections (failure detector for dead shards); 0 disables, except with -replicas where it defaults to 10s")
-	flag.IntVar(&o.regions, "regions", 1, "hierarchical two-level aggregation: split the workers into this many regions, each fronted by an aggregator that fuses local pushes and forwards ONE re-encoded stream per step across the inter-region leg; requires workers to divide evenly into regions")
 	flag.BoolVar(&o.chaosSoak, "chaos", false, "chaos soak: train every codec clean (in-process) and under deterministic fault injection (over TCP with checksums + resilient reconnect) and demand bit-identical final state; ignores -design")
 	flag.Uint64Var(&o.chaosSeed, "chaos-seed", 1, "fault schedule seed for -chaos (same seed, same per-connection fault schedule)")
 	flag.Parse()
@@ -94,11 +87,8 @@ func main() {
 		os.Exit(2)
 	}
 	run := runFlat
-	switch {
-	case o.chaosSoak:
+	if o.chaosSoak {
 		run = runChaosSoak
-	case o.regions > 1:
-		run = runHierarchical
 	}
 	if err := run(&o); err != nil {
 		fmt.Fprintln(os.Stderr, "3lc-net:", err)
@@ -112,23 +102,14 @@ func (o *options) check() error {
 	o.shards = max(o.shards, 1)
 	killing := o.killShard >= 0
 	if o.chaosSoak {
-		if o.stream || o.replicas || killing || o.regions > 1 {
-			return errors.New("-chaos is incompatible with -stream, -replicas, -kill-shard, and -regions")
+		if o.stream || o.replicas || killing {
+			return errors.New("-chaos is incompatible with -stream, -replicas, and -kill-shard")
 		}
 		return nil
 	}
 	var err error
 	if o.design, err = train.ParseDesign(o.designName, o.sparsity, false); err != nil {
 		return err
-	}
-	if o.regions > 1 {
-		if o.stream || o.replicas || killing {
-			return errors.New("-regions is incompatible with -stream, -replicas, and -kill-shard")
-		}
-		if o.workers%o.regions != 0 {
-			return fmt.Errorf("-workers %d must divide evenly into -regions %d", o.workers, o.regions)
-		}
-		return nil
 	}
 	if o.killStep < 0 {
 		o.killStep = o.steps / 2
@@ -169,7 +150,7 @@ func (o *options) job(design train.Design, nTrain, nTest int, seed uint64) train
 
 // listen opens n listeners on addr's port, port+1, … (kernel-assigned ports
 // when the address's port is 0; loopback when it names no host). Every
-// mode binds its shards first, then its standbys or regional front doors.
+// mode binds its shards first, then its standbys.
 func listen(addr string, n int) ([]net.Listener, error) {
 	host, portStr, err := net.SplitHostPort(addr)
 	if err != nil {
@@ -217,11 +198,11 @@ func (t *servers) serve(ln net.Listener, srv *transport.ShardServer) {
 }
 
 // serveShards serves model from one transport.ShardServer per shard of
-// asn, each over its own sub-job under cfg — behind relay when the seats
-// are regional aggregators. open returns shard s's listener — wrapped and
-// announced as the mode wants — and may adjust that shard's copy of base,
-// whose Shard, NumShards and AssignmentHash are filled in here.
-func serveShards(model *nn.Model, asn shard.Assignment, cfg ps.Config, base transport.ShardServerConfig, relays bool,
+// asn, each over its own sub-job under cfg. open returns shard s's
+// listener — wrapped and announced as the mode wants — and may adjust that
+// shard's copy of base, whose Shard, NumShards and AssignmentHash are
+// filled in here.
+func serveShards(model *nn.Model, asn shard.Assignment, cfg ps.Config, base transport.ShardServerConfig,
 	open func(s int, scfg *transport.ShardServerConfig) net.Listener) (*servers, error) {
 	subs, err := shard.SubServers(model, cfg, asn)
 	if err != nil {
@@ -233,33 +214,9 @@ func serveShards(model *nn.Model, asn shard.Assignment, cfg ps.Config, base tran
 		scfg := base
 		scfg.Shard = s
 		ln := open(s, &scfg)
-		var agg transport.StepServer = sub
-		if relays {
-			agg = relay{sub}
-		}
-		t.serve(ln, transport.NewShardServer(ln, agg, scfg))
+		t.serve(ln, transport.NewShardServer(ln, sub, scfg))
 	}
 	return t, nil
-}
-
-// relay is a global shard's job as the regional aggregators see it. A seat
-// there is a region, not a worker: region 0's aggregator pushes as worker 0
-// but passes the pull on to every worker of its region, so it must be sent
-// the shared pull. relay offers the session nothing beyond StepServer — not
-// the owner's view (ps.Pulls) — and the region's front door sends the owner
-// its full slots, which the owner decodes as any worker does.
-type relay struct{ transport.StepServer }
-
-// frontDoor adds a server of job for `workers` plain (v1) clients on ln.
-// The server's push read spans the whole BSP barrier (every worker's
-// compute), so its read deadline is much wider than the per-frame worker
-// deadline.
-func (t *servers) frontDoor(ln net.Listener, job transport.StepServer, workers, steps int, netTimeout time.Duration) {
-	srv := transport.NewServer(ln, job, workers, steps)
-	if netTimeout > 0 {
-		srv.SetTimeouts(transport.Timeouts{Read: 5 * time.Minute, Write: netTimeout})
-	}
-	t.serve(ln, &srv.ShardServer)
 }
 
 // drain collects every server's Serve result and returns the first
@@ -335,8 +292,15 @@ func (f *flatTopology) tier(global *nn.Model, psCfg ps.Config) (ps.Tier, error) 
 		// The plain front door: a tier of one, dialed by v1 clients.
 		ln := f.lns[0]
 		fmt.Printf("parameter server listening on %s\n", ln.Addr())
+		srv := transport.NewServer(ln, ps.NewJob(global, psCfg), o.workers, o.steps)
+		if o.netTimeout > 0 {
+			// The server's push read spans the whole BSP barrier (every
+			// worker's compute), so its read deadline is much wider than the
+			// per-frame worker deadline.
+			srv.SetTimeouts(transport.Timeouts{Read: 5 * time.Minute, Write: o.netTimeout})
+		}
 		f.primaries = newServers(1)
-		f.primaries.frontDoor(ln, ps.NewJob(global, psCfg), o.workers, o.steps, o.netTimeout)
+		f.primaries.serve(ln, &srv.ShardServer)
 		return transport.DialTier(o.workers, false, func(w int) (transport.Seat, error) {
 			return transport.DialTimeout(ln.Addr().String(), w, o.timeouts())
 		})
@@ -352,7 +316,7 @@ func (f *flatTopology) tier(global *nn.Model, psCfg ps.Config) (ps.Tier, error) 
 		f.replica = f.build()
 		f.replica.CopyParamsFrom(global)
 		base.Timeouts = o.timeouts()
-		f.standbys, err = serveShards(f.replica, f.asn, shardCfg, base, false, func(s int, _ *transport.ShardServerConfig) net.Listener {
+		f.standbys, err = serveShards(f.replica, f.asn, shardCfg, base, func(s int, _ *transport.ShardServerConfig) net.Listener {
 			ln := f.lns[o.shards+s]
 			fmt.Printf("replica shard %d/%d standing by on %s\n", s, o.shards, ln.Addr())
 			return ln
@@ -362,7 +326,7 @@ func (f *flatTopology) tier(global *nn.Model, psCfg ps.Config) (ps.Tier, error) 
 		}
 		base.Timeouts = transport.Timeouts{Read: 5 * time.Minute, Write: o.netTimeout}
 	}
-	f.primaries, err = serveShards(global, f.asn, shardCfg, base, false, func(s int, scfg *transport.ShardServerConfig) net.Listener {
+	f.primaries, err = serveShards(global, f.asn, shardCfg, base, func(s int, scfg *transport.ShardServerConfig) net.Listener {
 		ln := f.lns[s]
 		fmt.Printf("parameter-server shard %d/%d listening on %s (%d tensors)\n",
 			s, o.shards, ln.Addr(), len(f.asn.Tensors(s)))
@@ -432,101 +396,6 @@ func runFlat(o *options) error {
 	fmt.Printf("pull bytes:       %d (sent to workers)\n", pull)
 	raw := res.RawPushBytes
 	fmt.Printf("raw equivalent:   %d bytes pushed, %d pulled; push compression %.1fx\n", raw, res.RawBytes-raw, float64(raw)/float64(push))
-	return nil
-}
-
-// runHierarchical is the -regions R mode (see the package comment): local
-// workers dial their region's front door, a transport.Server driving a
-// recompress region.Tier whose inner tier is the aggregator's one-seat
-// dialed leg to the global shard tier.
-func runHierarchical(o *options) error {
-	wpr := o.workers / o.regions
-	cfg := o.job(o.design, 1000, 300, 1)
-	lns, err := listen(o.addr, o.shards+o.regions)
-	if err != nil {
-		return err
-	}
-	var globalTier *servers
-	fronts := newServers(o.regions)
-	legs := make([]*transport.DialedTier, o.regions)
-
-	cfg.Tier = func(global *nn.Model, psCfg ps.Config) (ps.Tier, error) {
-		// Global tier: the shard-tier transport, sized for one push per
-		// region.
-		asn := shard.ForModel(global, o.shards)
-		globalCfg := psCfg.SplitAcross(o.shards)
-		globalCfg.Workers = o.regions
-		var err error
-		globalTier, err = serveShards(global, asn, globalCfg, transport.ShardServerConfig{Workers: o.regions, Steps: o.steps}, true,
-			func(s int, _ *transport.ShardServerConfig) net.Listener {
-				fmt.Printf("global shard %d/%d listening on %s (%d tensors)\n",
-					s, o.shards, lns[s].Addr(), len(asn.Tensors(s)))
-				return lns[s]
-			})
-		if err != nil {
-			return nil, err
-		}
-		// Region aggregators: each dials the global tier as "worker r" — a
-		// dialed tier of one seat — wraps that in a recompress region tier
-		// (scale 1/wpr: the global tier's division by R then lands on the
-		// flat topology's 1/W mean), and serves its local workers through
-		// the plain front door.
-		for r := range legs {
-			legs[r], err = transport.DialTier(1, false, func(int) (transport.Seat, error) {
-				return transport.DialShardedConfig(globalTier.addrs, r, asn,
-					transport.ShardClientConfig{Timeouts: o.timeouts()})
-			})
-			if err != nil {
-				return nil, fmt.Errorf("region: %w", err)
-			}
-			agg, err := region.NewTier(legs[r], global.Params(), region.Config{
-				Regions:          1,
-				Workers:          wpr,
-				Recompress:       true,
-				Scheme:           o.design.Scheme,
-				Opts:             o.design.Opts,
-				MinCompressElems: psCfg.MinCompressElems,
-				Parallelism:      1,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("region: %w", err)
-			}
-			ln := lns[o.shards+r]
-			fmt.Printf("region %d/%d aggregator listening on %s (%d local workers)\n",
-				r, o.regions, ln.Addr(), wpr)
-			fronts.frontDoor(ln, agg, wpr, o.steps, o.netTimeout)
-		}
-		// Workers speak only to their region's aggregator, identified by
-		// their LOCAL id within the region.
-		return transport.DialTier(o.workers, false, func(w int) (transport.Seat, error) {
-			return transport.DialTimeout(lns[o.shards+w/wpr].Addr().String(), w%wpr, o.timeouts())
-		})
-	}
-	res, err := train.Run(cfg)
-	if err != nil {
-		return err
-	}
-	if err := fronts.drain(); err != nil {
-		return fmt.Errorf("region: %w", err)
-	}
-	if err := globalTier.drain(); err != nil {
-		return fmt.Errorf("server: %w", err)
-	}
-	for _, leg := range legs {
-		leg.Close()
-	}
-
-	localPush, localPull := traffic(fronts.srvs)
-	wanPush, wanPull := traffic(globalTier.srvs)
-	fmt.Printf("completed %d steps x %d workers in %d regions over TCP in %v\n",
-		o.steps, o.workers, o.regions, time.Duration(res.WallSec*float64(time.Second)).Round(time.Millisecond))
-	fmt.Printf("test accuracy:      %.2f%%\n", 100*res.FinalAccuracy)
-	fmt.Printf("local-leg bytes:    push %d, pull %d (workers <-> region aggregators)\n", localPush, localPull)
-	fmt.Printf("inter-region bytes: push %d, pull %d (aggregators <-> global tier)\n", wanPush, wanPull)
-	// In a flat topology every worker wire crosses the slow link — the
-	// local-leg push volume IS that counterfactual, measured.
-	fmt.Printf("slow-link push reduction vs flat: %.1fx (%d -> %d bytes)\n",
-		float64(localPush)/float64(wanPush), localPush, wanPush)
 	return nil
 }
 
@@ -650,7 +519,7 @@ func chaosTCPRun(inj *chaos.Injector, o *options, cfg train.Config) ([]float32, 
 		asn := shard.ForModel(global, o.shards)
 		var err error
 		tier, err = serveShards(global, asn, psCfg,
-			transport.ShardServerConfig{Workers: o.workers, Steps: o.steps, Timeouts: timeouts, Resilient: true}, false,
+			transport.ShardServerConfig{Workers: o.workers, Steps: o.steps, Timeouts: timeouts, Resilient: true},
 			func(s int, _ *transport.ShardServerConfig) net.Listener { return inj.WrapListener(lns[s]) })
 		if err != nil {
 			return nil, err

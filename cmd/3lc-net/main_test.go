@@ -20,7 +20,7 @@ func testOptions() options {
 	return options{
 		designName: "3lc", sparsity: 1.0, addr: "127.0.0.1:0",
 		workers: 3, steps: 6, batch: 8,
-		shards: 1, regions: 1, killShard: -1, killStep: -1,
+		shards: 1, killShard: -1, killStep: -1,
 	}
 }
 
@@ -39,8 +39,6 @@ func TestCheckRefusesFlagCombinations(t *testing.T) {
 		{"kill step at 0", func(o *options) { o.replicas, o.killShard, o.killStep = true, 0, 0 }, "-kill-step 0 must be in [1, steps)"},
 		{"kill step past the end", func(o *options) { o.replicas, o.killShard, o.killStep = true, 0, 6 }, "-kill-step 6 must be in [1, steps)"},
 		{"replicas stream", func(o *options) { o.replicas, o.stream = true, true }, "not replicated"},
-		{"regions uneven", func(o *options) { o.regions = 2 }, "-workers 3 must divide evenly into -regions 2"},
-		{"regions stream", func(o *options) { o.regions, o.workers, o.stream = 2, 4, true }, "-regions is incompatible"},
 		{"chaos stream", func(o *options) { o.chaosSoak, o.stream = true, true }, "-chaos is incompatible"},
 		{"chaos ignores design", func(o *options) { o.chaosSoak, o.designName = true, "float16" }, ""},
 	}

@@ -44,7 +44,7 @@
 //
 // There is one BSP step driver, train.Run, written against one seam,
 // ps.Tier (BeginStep / BeginPush / FinishStep + the checkpoint pair), which
-// ps.Job, shard.JobHandle, region.Tier and transport.DialedTier implement;
+// ps.Job, shard.JobHandle and transport.DialedTier implement;
 // cmd/3lc-net is flags → listeners → train.Run with a Tier hook that dials
 // them. Each accepted worker feeds its tensors to its push session the
 // moment they are compressed. In front of an in-process tier a
@@ -171,11 +171,11 @@
 // state byte-identical to the single-PS reference.
 //
 // Binaries: cmd/3lc-bench (regenerate every table and figure, plus the
-// `-exp shard` shard-scaling and `-exp wan` hierarchy sweeps; the
-// per-layer benchmarks are `bash scripts/layerbench.sh`), cmd/3lc-train (single training run, with `-state`
-// full-state checkpointing and `-resume`), cmd/3lc-net (the same driver
-// over real TCP: sharded, streamed, hierarchical, chaos
-// soak, `-replicas`/`-kill-shard` failover demo),
+// `-exp shard` shard-scaling sweep; the per-layer benchmarks are
+// `bash scripts/layerbench.sh`), cmd/3lc-train (single training run, with
+// `-state` full-state checkpointing and `-resume`), cmd/3lc-net (the same
+// driver over real TCP: sharded, streamed, chaos soak,
+// `-replicas`/`-kill-shard` failover demo),
 // cmd/3lc-compress (codec demo), cmd/3lc-ckpt (checkpoint inspection,
 // evaluation, and resume), cmd/benchcheck (CI benchmark parser/gate),
 // and cmd/3lc-lint (the //3lc: contract checker; run it as

@@ -15,8 +15,8 @@ func init() {
 // lossless, repacked as bit planes over blocks of 64 values. Wire format:
 // [scheme][per block: 4B base, 4B plane mask, one plane per mask bit] — the
 // layout is kernel/planes.go's, which also moves the bits. The context has
-// no state: nothing accumulates, nothing to checkpoint, and any relay or
-// replay carries its wires as opaque bytes.
+// no state: nothing accumulates, nothing to checkpoint, and a replay
+// carries its wires as opaque bytes.
 //
 // A tensor whose packed form would not be shorter than the raw wire is
 // emitted as the raw wire, SchemeNone, which its scheme byte makes

@@ -46,22 +46,6 @@ type Params struct {
 	// hide behind (fine-grained per-layer barriers, §2.1). 0 disables
 	// overlap; 1 overlaps fully.
 	OverlapFraction float64
-	// CodecFactor scales measured compression/decompression wall time
-	// into virtual time (1.0 = charge it as-is).
-	CodecFactor float64
-
-	// Regions enables the hierarchical two-level topology: workers are
-	// grouped into this many regions, each with a local aggregator on the
-	// fast network above, and only the aggregators' streams cross the
-	// slow inter-region link (WANTime). Zero or 1 means flat.
-	Regions int
-	// WANBandwidthBps is each region's link bandwidth to the global tier
-	// in bits/sec (full duplex). The paper's WAN regime is orders of
-	// magnitude below the local network.
-	WANBandwidthBps float64
-	// WANLatencySec is the one-way inter-region latency (tens of
-	// milliseconds across sites, vs the local network's microseconds).
-	WANLatencySec float64
 }
 
 // DefaultParams returns a 10-worker cluster at the given bandwidth with
@@ -73,7 +57,6 @@ func DefaultParams(bandwidthBps float64) Params {
 		BandwidthBps:    bandwidthBps,
 		LatencySec:      200e-6,
 		OverlapFraction: 0.9,
-		CodecFactor:     1.0,
 	}
 }
 
@@ -141,7 +124,7 @@ func (p Params) commTime(pushBytes, pullBytes []int) float64 {
 // StepTime returns the virtual duration of one training step.
 // codecSec is the measured compression+decompression wall time for the
 // step (summed over the critical path: one worker's codec work plus the
-// server's).
+// server's), charged as it was measured.
 func (p Params) StepTime(pushBytes, pullBytes []int, codecSec float64) float64 {
 	comm := p.commTime(pushBytes, pullBytes)
 	hidden := p.OverlapFraction * p.ComputeSec
@@ -149,38 +132,7 @@ func (p Params) StepTime(pushBytes, pullBytes []int, codecSec float64) float64 {
 	if exposed < 0 {
 		exposed = 0
 	}
-	return p.ComputeSec + p.CodecFactor*codecSec + exposed
-}
-
-// WANTime returns the inter-region communication time of one step:
-// wanPush[r] and wanPull[r] are the bytes region r's aggregator moved to
-// and from the global tier across the slow link. Each region has its own
-// link, so regions transfer concurrently and the slowest one gates the
-// step barrier; push and pull are full duplex and pipeline like the
-// local star's directions, so the larger direction dominates per region.
-// The WAN transfer cannot hide behind local compute — it begins only
-// after the region has aggregated its workers' pushes — so callers add
-// this term to StepTime un-overlapped. Zero when the topology is flat or
-// no WAN bandwidth is configured.
-func (p Params) WANTime(wanPush, wanPull []int) float64 {
-	if p.Regions <= 1 || p.WANBandwidthBps <= 0 {
-		return 0
-	}
-	if len(wanPush) != p.Regions || len(wanPull) != p.Regions {
-		panic(fmt.Sprintf("netsim: want %d regions, got %d push / %d pull entries",
-			p.Regions, len(wanPush), len(wanPull)))
-	}
-	var worst float64
-	for r := 0; r < p.Regions; r++ {
-		b := float64(wanPush[r])
-		if float64(wanPull[r]) > b {
-			b = float64(wanPull[r])
-		}
-		if b > worst {
-			worst = b
-		}
-	}
-	return worst*8/p.WANBandwidthBps + 2*p.WANLatencySec
+	return p.ComputeSec + codecSec + exposed
 }
 
 // Clock accumulates virtual time across steps.

@@ -26,8 +26,8 @@
 //   - Batch-norm ownership (§5.2): one designated worker (Owner, worker 0)
 //     is responsible for batch-norm parameter updates, so it alone pushes
 //     those tensors (Pushes). Every other worker puts the empty wire in
-//     their slots, and an aggregator — Job, region.Tier — refuses anything
-//     else there and refuses to finish a step whose owner pushed nothing.
+//     their slots, and the aggregator (Job) refuses anything else there
+//     and refuses to finish a step whose owner pushed nothing.
 //     The update of such a tensor is the owner's gradient as is, so the
 //     owner is not sent it back (Pulls): its Worker keeps a copy of the
 //     server's weights, velocity and schedule step for those tensors and

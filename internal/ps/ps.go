@@ -116,10 +116,10 @@ func parallelFor(n, workers int, fn func(i int)) {
 // Compresses is the paper's small-tensor exemption (§5.1), the one
 // definition of which tensors skip the codec: a tensor goes through it
 // unless the design is float32, the tensor is flagged NoCompress (batch
-// norm) or it has fewer than MinCompressElems elements. Both endpoints, the
-// region tier and the traffic accounting ask it, so wire formats always
-// agree; what an exempt tensor travels as instead — lossless float32 either
-// way — is compress.NewExempt's to say.
+// norm) or it has fewer than MinCompressElems elements. Both endpoints and
+// the traffic accounting ask it, so wire formats always agree; what an
+// exempt tensor travels as instead — lossless float32 either way — is
+// compress.NewExempt's to say.
 func (c Config) Compresses(p *nn.Param) bool {
 	return c.Scheme != compress.SchemeNone && !p.NoCompress && p.W.Len() >= c.MinCompressElems
 }
@@ -357,11 +357,10 @@ func (s *Job) ingestOne(workerID, i int, wire []byte) error {
 // and +M, or +0 + x per element (a zero followed by an add, or the raw
 // first add that forms the same sum in registers), which is −0 for no x;
 // from there a round-to-nearest add yields −0 only from (−0) + (−0) — x + (−x)
-// is +0 and float addition never underflows to a signed zero. The region
-// tier's sums are built the same way. (A worker weight, the other
-// decode-add destination, can only keep a −0 it was initialised or
-// restored with, until its first non-zero update, and stays ==-equal to
-// the dense result throughout.)
+// is +0 and float addition never underflows to a signed zero. (A worker
+// weight, the other decode-add destination, can only keep a −0 it was
+// initialised or restored with, until its first non-zero update, and
+// stays ==-equal to the dense result throughout.)
 func (s *Job) decodeAdd(i int, wire []byte) error {
 	if !s.dirty[i] {
 		s.dirty[i] = true

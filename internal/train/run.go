@@ -16,7 +16,6 @@ import (
 	"threelc/internal/nn"
 	"threelc/internal/opt"
 	"threelc/internal/ps"
-	"threelc/internal/region"
 	"threelc/internal/shard"
 	"threelc/internal/tensor"
 )
@@ -28,11 +27,10 @@ type run struct {
 	trainSet, testSet *data.Dataset
 	augment           func(src, dst *tensor.Tensor, r *tensor.RNG)
 
-	global  *nn.Model
-	tier    ps.Tier      // what the steps drive: a dialed tier as is, any other behind inOrder
-	dialed  bool         // tier is dialed: its pull is seat 0's, the owner's
-	closer  io.Closer    // the built tier, if it wants closing
-	regions *region.Tier // the interposed region tier, for its WAN byte counts
+	global *nn.Model
+	tier   ps.Tier   // what the steps drive: a dialed tier as is, any other behind inOrder
+	dialed bool      // tier is dialed: its pull is seat 0's, the owner's
+	closer io.Closer // the built tier, if it wants closing
 
 	workers      []*ps.Worker
 	rngs         []*tensor.RNG // per-worker batch samplers
@@ -75,10 +73,6 @@ func (cfg *Config) validate() error {
 		return fmt.Errorf("train: Shards %d must be >= 0", cfg.Shards)
 	case cfg.Shards > 1 && cfg.Tier != nil:
 		return fmt.Errorf("train: Shards and Tier are mutually exclusive (the hook's tier has its own shard count)")
-	case cfg.Regions > 1 && (cfg.Shards > 1 || cfg.Tier != nil):
-		return fmt.Errorf("train: Regions requires the single in-process server (no Shards/Tier)")
-	case cfg.Regions > 1 && (len(cfg.Dropouts) > 0 || cfg.BackupWorkers > 0):
-		return fmt.Errorf("train: Regions cannot be combined with Dropouts or BackupWorkers")
 	case cfg.Net.Workers != 0 && cfg.Net.Workers != cfg.Workers:
 		return fmt.Errorf("train: netsim has %d workers, run has %d", cfg.Net.Workers, cfg.Workers)
 	case cfg.BackupWorkers < 0 || cfg.BackupWorkers >= cfg.Workers:
@@ -203,21 +197,11 @@ func newRun(cfg Config) (_ *run, err error) {
 	if tierShards > 1 && r.net.Servers <= 1 {
 		r.net.Servers = tierShards
 	}
-	if cfg.Regions > 1 {
-		r.net.Regions = cfg.Regions
-		if r.net.WANBandwidthBps == 0 {
-			// Default WAN regime: 100 Mbps inter-region links at 20 ms
-			// one-way latency, far below the local star's bandwidth.
-			r.net.WANBandwidthBps = netsim.Mbps100
-			r.net.WANLatencySec = 20e-3
-		}
-	}
 
 	r.res = &Result{
 		Design:            cfg.Design,
 		Workers:           cfg.Workers,
 		Shards:            tierShards,
-		Regions:           max(cfg.Regions, 1),
 		Steps:             cfg.Steps,
 		NumParam:          numParam,
 		CompressibleElems: compElems,
@@ -235,9 +219,9 @@ func newRun(cfg Config) (_ *run, err error) {
 	return r, nil
 }
 
-// buildTier builds the run's tier — the hook's, or by Shards — interposes
-// the region tier, and puts every in-process tier behind the worker-order
-// gate. It returns the tier's shard count.
+// buildTier builds the run's tier — the hook's, or by Shards — and puts
+// every in-process tier behind the worker-order gate. It returns the tier's
+// shard count.
 func (r *run) buildTier(serverCfg ps.Config) (int, error) {
 	cfg := &r.cfg
 	build := cfg.Tier
@@ -273,23 +257,6 @@ func (r *run) buildTier(serverCfg ps.Config) (int, error) {
 		}
 		r.tier, r.dialed = tier, true
 		return shards, nil
-	}
-	if cfg.Regions > 1 {
-		// Hierarchical topology: interpose the region tier between the
-		// per-worker sessions and the global server.
-		r.regions, err = region.NewTier(tier, r.global.Params(), region.Config{
-			Regions:          cfg.Regions,
-			Workers:          cfg.Workers,
-			Recompress:       cfg.RegionRecompress,
-			Scheme:           cfg.Design.Scheme,
-			Opts:             cfg.Design.Opts,
-			MinCompressElems: cfg.MinCompressElems,
-			Parallelism:      cfg.Parallelism,
-		})
-		if err != nil {
-			return 0, err
-		}
-		tier = r.regions
 	}
 	r.tier = &inOrder{Tier: tier, tensors: len(r.global.Params())}
 	return shards, nil
@@ -618,24 +585,13 @@ func (r *run) record(step int, p stepPlan, pull [][]byte, serverDur time.Duratio
 	netStep := r.net
 	netStep.ComputeSec *= p.computeMult
 	dt := netStep.StepTime(pushBytes, pullBytes, codec)
-	var wanBytes int
-	var wanSec float64
-	if r.regions != nil {
-		// The WAN leg starts only after regional aggregation, so it adds
-		// to the step un-overlapped (see netsim.WANTime).
-		wanPush, wanPull := r.regions.WANBytes()
-		wanSec = netStep.WANTime(wanPush, wanPull)
-		dt += wanSec
-		wanBytes = sum(wanPush) + sum(wanPull)
-	}
 	r.clock.Advance(dt)
 
 	sr := StepRecord{Step: step, Loss: meanLoss, PushBytes: sum(pushBytes), PullBytes: sum(pullBytes),
 		CompPushBytes: compPush, CompPullBytes: compPull, CodecSec: codec, ComputeMult: p.computeMult,
-		VirtualSec: dt, WANBytes: wanBytes, WANSec: wanSec}
+		VirtualSec: dt}
 	res.TotalPushBytes += int64(sr.PushBytes)
 	res.TotalPullBytes += int64(sr.PullBytes)
-	res.TotalWANBytes += int64(wanBytes)
 	res.CompPushBytes += compPush
 	res.CompPullBytes += compPull
 	res.PaperCompBytes += paper

@@ -3,7 +3,7 @@
 // this process or dialed over sockets — and produces the traffic, time,
 // loss, and accuracy records the paper's tables and figures are built
 // from. Every elastic feature (dropouts, backup workers, staleness,
-// checkpoint / resume, regions) lives here once; cmd/3lc-net, the
+// checkpoint / resume) lives here once; cmd/3lc-net, the
 // experiments and the examples are configurations of it.
 //
 // A Result carries two clocks. TotalVirtualSec, PerStepSec and TimeAt are
@@ -48,23 +48,6 @@ type Config struct {
 	// Shards selects among the tiers Run builds itself, so it is mutually
 	// exclusive with Tier (whose tier reports its own shard count).
 	Shards int
-	// Regions enables hierarchical two-level aggregation (package
-	// region): workers are grouped into this many regions, each region's
-	// aggregator ingests local pushes over the fast network, and only one
-	// stream per region crosses the simulated slow inter-region link to
-	// the global tier (Net.WANBandwidthBps / Net.WANLatencySec; defaults
-	// to 100 Mbps at 20 ms when unset). Zero or 1 keeps the flat
-	// topology. The default exact mode forwards worker wires verbatim, so
-	// model state is bit-identical to the flat run for every codec;
-	// RegionRecompress trades that for fewer WAN streams. Requires the
-	// single in-process server (no Shards/Tier) and no elastic
-	// features (Dropouts, BackupWorkers).
-	Regions int
-	// RegionRecompress switches the regional aggregators to fused
-	// re-encode: local pushes are decode-accumulated into one per-region
-	// gradient sum and a region-owned error-accumulating context
-	// re-encodes a single residual stream per tensor for the WAN leg.
-	RegionRecompress bool
 	// BatchPerWorker is the per-worker minibatch size (paper: 32).
 	BatchPerWorker int
 	// Steps is the number of global training steps.
@@ -215,11 +198,6 @@ type StepRecord struct {
 	ComputeMult float64
 	// VirtualSec is the step's simulated duration.
 	VirtualSec float64
-	// WANBytes totals the step's inter-region traffic across all regions
-	// and both directions (hierarchical topologies only); WANSec is the
-	// part of VirtualSec that leg took (netsim.WANTime, un-overlapped).
-	WANBytes int
-	WANSec   float64
 }
 
 // EvalRecord is a test-accuracy measurement during training.
@@ -235,8 +213,6 @@ type Result struct {
 	// Shards is the parameter-server shard count the run used (1 = the
 	// single in-process server).
 	Shards int
-	// Regions is the hierarchical region count (1 = flat topology).
-	Regions int
 	// Steps is how many steps this run executed and every total below
 	// covers: cfg.Steps, less the steps a ResumeFrom checkpoint had done.
 	Steps    int
@@ -264,9 +240,6 @@ type Result struct {
 	// half: the payload of a SchemeNone run's wires, less their scheme byte.
 	RawBytes     int64
 	RawPushBytes int64
-	// TotalWANBytes totals inter-region traffic over the run, both
-	// directions across all regions (hierarchical topologies only).
-	TotalWANBytes int64
 	// CompPushBytes / CompPullBytes total the compressible-tensor wire
 	// bytes (per-worker average), for compression-ratio accounting.
 	CompPushBytes float64
@@ -308,8 +281,7 @@ func (r *Result) TimeAt(bandwidthBps float64) float64 {
 		if sr.ComputeMult > 0 {
 			step.ComputeSec *= sr.ComputeMult
 		}
-		// The inter-region leg has its own bandwidth, which stays the run's.
-		total += step.StepTime(push, pull, sr.CodecSec) + sr.WANSec
+		total += step.StepTime(push, pull, sr.CodecSec)
 	}
 	return total
 }

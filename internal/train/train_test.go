@@ -158,22 +158,19 @@ func TestPaperSpellingOnTrainingWires(t *testing.T) {
 }
 
 func TestTimeAtConsistency(t *testing.T) {
-	for _, regions := range []int{0, 2} {
-		cfg := tinyConfig(Design{Name: "32-bit float", Scheme: compress.SchemeNone}, 10)
-		cfg.Regions = regions // > 1: every step also pays the inter-region leg
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// TimeAt at the run's own bandwidth must reproduce the recorded total.
-		got := res.TimeAt(netsim.Gbps1)
-		if math.Abs(got-res.TotalVirtualSec)/res.TotalVirtualSec > 0.01 {
-			t.Errorf("regions %d: TimeAt(run bandwidth) = %v, recorded %v", regions, got, res.TotalVirtualSec)
-		}
-		// Slower network, longer time.
-		if res.TimeAt(netsim.Mbps10) <= res.TotalVirtualSec {
-			t.Errorf("regions %d: 10 Mbps should be slower than 1 Gbps", regions)
-		}
+	cfg := tinyConfig(Design{Name: "32-bit float", Scheme: compress.SchemeNone}, 10)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// TimeAt at the run's own bandwidth must reproduce the recorded total.
+	got := res.TimeAt(netsim.Gbps1)
+	if math.Abs(got-res.TotalVirtualSec)/res.TotalVirtualSec > 0.01 {
+		t.Errorf("TimeAt(run bandwidth) = %v, recorded %v", got, res.TotalVirtualSec)
+	}
+	// Slower network, longer time.
+	if res.TimeAt(netsim.Mbps10) <= res.TotalVirtualSec {
+		t.Error("10 Mbps should be slower than 1 Gbps")
 	}
 }
 

@@ -16,9 +16,8 @@ import (
 
 // StepServer is the aggregation surface a session drives each BSP step:
 // open the step, ingest one complete wire-set push per worker, close the
-// step and collect the shared pull. The flat parameter server (*ps.Job)
-// implements it directly; region.Tier implements it so a hierarchical
-// aggregator can sit behind the same front door.
+// step and collect the shared pull. The parameter server (*ps.Job)
+// implements it.
 type StepServer interface {
 	BeginStep()
 	AddPush(workerID int, wires [][]byte) (time.Duration, error)

@@ -45,9 +45,6 @@ go test -run='^$' -bench EntropyStage -benchtime 50x -benchmem ./internal/entrop
 # (pack) and for the pulls (unpack-add), whose ratio the gate
 # floors. Nanosecond-scale operations, hence the iteration count.
 go test -run='^$' -bench Packed32 -benchtime 200000x -benchmem ./internal/compress/
-# Hierarchical two-level aggregation: 4 workers fused into 2
-# regions' re-encoded streams per step, steady-state zero-alloc.
-go test -run='^$' -bench HierarchicalPushPull -benchtime 50x -benchmem ./internal/region/
 # ...Tiny is the steady-state round trip over ~200 tensors of at
 # most 64 elements, where the per-tensor cost is what is measured,
 # and ...F32 the float32 baseline's round trip at the end-to-end
