@@ -16,11 +16,8 @@ import (
 	"threelc/internal/encode"
 	"threelc/internal/entropy"
 	"threelc/internal/experiments"
-	"threelc/internal/netsim"
-	"threelc/internal/nn"
 	"threelc/internal/quant"
 	"threelc/internal/tensor"
-	"threelc/internal/train"
 )
 
 // --- Micro-benchmarks: pipeline stages ------------------------------------
@@ -319,41 +316,6 @@ func BenchmarkAblationZREvsEntropyCoding(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(qe))/float64(n), "ratio")
 	})
-}
-
-// BenchmarkAblationBackupWorkers quantifies the straggler mitigation of
-// §2.1: virtual training time under heavy compute jitter with and without
-// one backup worker.
-func BenchmarkAblationBackupWorkers(b *testing.B) {
-	run := func(b *testing.B, backup int) {
-		for i := 0; i < b.N; i++ {
-			dcfg := data.DefaultConfig()
-			dcfg.Train, dcfg.Test = 150, 40
-			in := dcfg.C * dcfg.H * dcfg.W
-			cfg := train.Config{
-				Design:           train.Design{Name: "32-bit float", Scheme: compress.SchemeNone},
-				Workers:          4,
-				BatchPerWorker:   8,
-				Steps:            12,
-				Data:             dcfg,
-				BuildModel:       func() *nn.Model { return nn.NewMLP(in, []int{12}, dcfg.Classes, 1) },
-				FlatInput:        true,
-				Net:              netsim.DefaultParams(netsim.Gbps1),
-				RecordSteps:      true,
-				Seed:             1,
-				BackupWorkers:    backup,
-				ComputeJitterStd: 0.8,
-			}
-			cfg.Net.Workers = 4
-			r, err := train.Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(r.TotalVirtualSec, "virtual-sec")
-		}
-	}
-	b.Run("bsp", func(b *testing.B) { run(b, 0) })
-	b.Run("backup-1", func(b *testing.B) { run(b, 1) })
 }
 
 // BenchmarkAblationZRCvsGenericRLE compares zero-run encoding with a

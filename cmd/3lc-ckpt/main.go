@@ -8,13 +8,9 @@
 // Full-state checkpoints (v2, written by 3lc-train -state):
 //
 //	3lc-ckpt -state train.ckpt           # sections + configuration fingerprint
-//	3lc-ckpt -resume train.ckpt -design 3lc -sparsity 1.75 \
-//	         -workers 10 -steps 300      # continue the killed run
 //
-// -resume rebuilds the training configuration exactly as 3lc-train does
-// (the flags must match the original run; the checkpoint's fingerprint is
-// verified) and continues from the captured step. The resumed loss
-// trajectory is bit-identical to the run the checkpoint was cut from.
+// A full-state checkpoint is resumed by the command that writes them:
+// 3lc-train -resume, under the flags of the run it was cut from.
 package main
 
 import (
@@ -24,7 +20,6 @@ import (
 
 	"threelc/internal/checkpoint"
 	"threelc/internal/data"
-	"threelc/internal/netsim"
 	"threelc/internal/nn"
 	"threelc/internal/stats"
 	"threelc/internal/train"
@@ -35,33 +30,18 @@ func main() {
 		info      = flag.String("info", "", "model checkpoint to describe")
 		eval      = flag.String("eval", "", "model checkpoint to evaluate on the synthetic test set")
 		statePath = flag.String("state", "", "full-state checkpoint to describe")
-		resume    = flag.String("resume", "", "full-state checkpoint to resume training from")
 		useResNet = flag.Bool("resnet", false, "checkpoint holds a MicroResNet (default: MLP workload)")
 		seed      = flag.Uint64("seed", 1, "model seed (must match the training run)")
-
-		// -resume configuration: must mirror the original 3lc-train flags.
-		designName = flag.String("design", "3lc", "design of the original run (see 3lc-train)")
-		sparsity   = flag.Float64("sparsity", 1.0, "3LC sparsity multiplier of the original run")
-		noZRE      = flag.Bool("no-zre", false, "original run disabled zero-run encoding")
-		workers    = flag.Int("workers", 10, "worker count of the original run")
-		steps      = flag.Int("steps", 300, "total step count of the original run")
-		batch      = flag.Int("batch", 32, "per-worker batch size of the original run")
-		bandwidth  = flag.Float64("bandwidth", netsim.Mbps10, "emulated link bandwidth (bits/sec)")
-		evalEvery  = flag.Int("eval-every", 50, "evaluate test accuracy every N steps while resuming")
-		backup     = flag.Int("backup-workers", 0, "backup worker count of the original run")
-		jitter     = flag.Float64("jitter", 0, "compute-jitter std of the original run")
 	)
 	flag.Parse()
 
 	switch {
 	case *statePath != "":
 		describeState(*statePath)
-	case *resume != "":
-		resumeRun(*resume, *designName, *sparsity, *noZRE, *workers, *steps, *batch, *bandwidth, *evalEvery, *backup, *jitter, *useResNet, *seed)
 	case *info != "" || *eval != "":
 		modelCheckpoint(*info, *eval, *useResNet, *seed)
 	default:
-		fmt.Fprintln(os.Stderr, "3lc-ckpt: pass -info/-eval (model checkpoint) or -state/-resume (full-state checkpoint)")
+		fmt.Fprintln(os.Stderr, "3lc-ckpt: pass -info/-eval (model checkpoint) or -state (full-state checkpoint)")
 		os.Exit(2)
 	}
 }
@@ -77,8 +57,7 @@ func describeState(path string) {
 	if info, err := train.ReadStateInfo(st); err == nil {
 		fmt.Printf("captured at step:   %d of %d\n", info.Step, info.Steps)
 		fmt.Printf("design scheme:      %s\n", info.Scheme)
-		fmt.Printf("workers x shards:   %d x %d (batch %d, backup %d, staleness %d)\n",
-			info.Workers, info.Shards, info.BatchPerWorker, info.BackupWorkers, info.Staleness)
+		fmt.Printf("workers x shards:   %d x %d (batch %d)\n", info.Workers, info.Shards, info.BatchPerWorker)
 		fmt.Printf("seed:               %d\n", info.Seed)
 	} else {
 		fmt.Printf("meta:               %v\n", err)
@@ -86,47 +65,6 @@ func describeState(path string) {
 	fmt.Printf("%-24s %12s\n", "section", "bytes")
 	for _, sec := range st.Sections() {
 		fmt.Printf("%-24s %12d\n", sec.Name, len(sec.Payload))
-	}
-}
-
-// resumeRun continues a training run from a full-state checkpoint.
-func resumeRun(path, designName string, sparsity float64, noZRE bool,
-	workers, steps, batch int, bandwidth float64, evalEvery, backup int, jitter float64, useResNet bool, seed uint64) {
-
-	design, err := train.ParseDesign(designName, sparsity, noZRE)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "3lc-ckpt:", err)
-		os.Exit(2)
-	}
-	// The exact builder 3lc-train uses: the two commands can never drift
-	// on model architecture, optimizer tuning, or network calibration.
-	cfg := train.CLIConfig(train.CLIOptions{
-		Design:    design,
-		Workers:   workers,
-		Steps:     steps,
-		Batch:     batch,
-		Bandwidth: bandwidth,
-		EvalEvery: evalEvery,
-		Backup:    backup,
-		Jitter:    jitter,
-		ResNet:    useResNet,
-		Seed:      seed,
-	})
-	cfg.ResumeFrom = path
-
-	res, err := train.Run(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "3lc-ckpt:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("resumed %s to step %d (%s)\n", path, steps, res.Design.Name)
-	if len(res.StepRecords) > 0 {
-		fmt.Printf("steps replayed:     %d (from step %d)\n", len(res.StepRecords), res.StepRecords[0].Step)
-	}
-	fmt.Printf("final loss:         %.4f\n", res.FinalLoss)
-	fmt.Printf("final accuracy:     %.2f%%\n", res.FinalAccuracy*100)
-	for _, e := range res.Evals {
-		fmt.Printf("  step %5d  accuracy %.2f%%\n", e.Step, e.Accuracy*100)
 	}
 }
 

@@ -182,8 +182,6 @@ func TestDialedTierRefusals(t *testing.T) {
 			cfg.CheckpointPath, cfg.CheckpointEvery = filepath.Join(t.TempDir(), "ckpt"), 2
 		}, "holds no state"},
 		{"resume", func(cfg *train.Config) { cfg.ResumeFrom = filepath.Join(t.TempDir(), "ckpt") }, "holds no state"},
-		{"dropouts", func(cfg *train.Config) { cfg.Dropouts = []train.Dropout{{Worker: 1, From: 1, To: 3}} }, "wait for every seat"},
-		{"backup workers", func(cfg *train.Config) { cfg.BackupWorkers = 1 }, "wait for every seat"},
 		{"seat count", func(cfg *train.Config) { cfg.Workers, cfg.Net.Workers = 2, 2 }, "3 seats"},
 	}
 	for _, r := range refusals {

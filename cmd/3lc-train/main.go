@@ -5,6 +5,13 @@
 // Example:
 //
 //	3lc-train -design 3lc -sparsity 1.75 -workers 10 -steps 300 -bandwidth 10e6
+//
+// With -state it writes full-state checkpoints; -resume continues from one
+// under the flags that wrote it, bit-identically to the uninterrupted run,
+// and keeps writing checkpoints if -state is given again:
+//
+//	3lc-train -workers 4 -steps 100 -state run.ckpt -state-every 40
+//	3lc-train -workers 4 -steps 100 -state run.ckpt -state-every 40 -resume run.ckpt
 package main
 
 import (
@@ -35,8 +42,6 @@ func main() {
 		statePath  = flag.String("state", "", "write periodic full-state checkpoints (model+optimizer+codec state) to this file")
 		stateEvery = flag.Int("state-every", 50, "full-state checkpoint interval in steps (with -state)")
 		resumeFrom = flag.String("resume", "", "resume from a full-state checkpoint written by an identical configuration (see 3lc-ckpt -state)")
-		backup     = flag.Int("backup-workers", 0, "accept workers-N pushes per step (straggler mitigation)")
-		jitter     = flag.Float64("jitter", 0, "per-worker compute-time jitter std (straggler model)")
 	)
 	flag.Parse()
 
@@ -53,8 +58,6 @@ func main() {
 		Batch:     *batch,
 		Bandwidth: *bandwidth,
 		EvalEvery: *evalEvery,
-		Backup:    *backup,
-		Jitter:    *jitter,
 		ResNet:    *useResNet,
 		Seed:      *seed,
 	})

@@ -145,8 +145,8 @@
 //
 // Fault tolerance. The per-endpoint error-accumulation state that makes
 // 3LC correct (unsent changes are retried at later steps) is exactly what
-// makes it recoverable, and the system checkpoints, drops, and fails over
-// around that state. internal/checkpoint's v2 format is a versioned,
+// makes it recoverable, and the system checkpoints and fails over around
+// that state. internal/checkpoint's v2 format is a versioned,
 // length-prefixed, CRC-checked section container capturing FULL training
 // state — every model replica, opt.SGD momentum and schedule step, every
 // codec's error-accumulation buffer and RNG stream (compress.Stateful),
@@ -154,14 +154,9 @@
 // path (serialize at the step boundary, write in the background;
 // CheckpointPath/CheckpointEvery) with atomic temp-file + fsync + rename
 // saves that keep the prior snapshot at .bak. A run resumed from a
-// checkpoint (ResumeFrom, or `3lc-ckpt -resume`) reproduces the
+// checkpoint (ResumeFrom, or `3lc-train -resume`) reproduces the
 // uninterrupted run's loss trajectory bit-identically for every codec.
-// train.Config.Dropouts makes runs elastic: an absent worker's barrier
-// slot is released (averaging divides by the pushes received), and on
-// rejoin it replays the pulls it missed while its frozen push contexts
-// fold the pre-dropout residual into its first push back — the paper's
-// dropout-tolerance argument, pinned bit-identical to a staged reference
-// driver. On the wire, every endpoint takes read/write deadlines
+// On the wire, every endpoint takes read/write deadlines
 // (transport.Timeouts) so a dead peer surfaces as a net.Error timeout
 // instead of a hang, and each shard can run a standby — a second
 // transport.ShardServer every worker sends its pushes to first: when a
@@ -176,8 +171,8 @@
 // `-state` full-state checkpointing and `-resume`), cmd/3lc-net (the same
 // driver over real TCP: sharded, streamed, chaos soak,
 // `-replicas`/`-kill-shard` failover demo),
-// cmd/3lc-compress (codec demo), cmd/3lc-ckpt (checkpoint inspection,
-// evaluation, and resume), cmd/benchcheck (CI benchmark parser/gate),
+// cmd/3lc-compress (codec demo), cmd/3lc-ckpt (checkpoint inspection and
+// evaluation), cmd/benchcheck (CI benchmark parser/gate),
 // and cmd/3lc-lint (the //3lc: contract checker; run it as
 // `go run ./cmd/3lc-lint ./...`). Runnable examples are under
 // examples/. See README.md for a quickstart.

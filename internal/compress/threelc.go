@@ -23,8 +23,8 @@ func init() {
 // flags is one of two values: 0, plain quartic data of exactly ceil(n/5)
 // bytes, or ternaryZRE, zero-run encoded quartic data (encode.ZeroRunEncode).
 // Bit 0 alone marked the retired spelling whose 255 meant 14 groups with no
-// uvarint after it (e.g. the pull history of an old Staleness > 0
-// checkpoint): the same bytes parse differently now, so it is refused.
+// uvarint after it (e.g. a wire written by a build from before the long-run
+// token): the same bytes parse differently now, so it is refused.
 const (
 	ternaryFlagZRE     = 1 << 0
 	ternaryFlagLongRun = 1 << 1

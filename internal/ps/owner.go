@@ -14,9 +14,8 @@ import (
 )
 
 // Owner is the worker that owns the tensors with a single owner: the one
-// that pushes them (Pushes) and the one that is not sent them (Pulls). It
-// takes part in every step: package train refuses to drop it, never
-// discards its push as a backup worker's and never lets it lag.
+// that pushes them (Pushes) and the one that is not sent them (Pulls). Like
+// every worker of package train's BSP step, it pushes and pulls every step.
 const Owner = 0
 
 // OwnerOnly reports whether p is pushed by Owner alone (§5.2): a

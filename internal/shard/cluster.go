@@ -23,9 +23,8 @@ type Config struct {
 	// DefaultTimeout.
 	Timeout time.Duration
 	// Retries is how many times a timed-out enqueue is retried, each
-	// attempt waiting twice as long as the last (a straggling shard —
-	// e.g. one lagging under stale-synchronous emulation — usually just
-	// needs more time; a dead one should fail fast). Zero means
+	// attempt waiting twice as long as the last (a straggling shard
+	// usually just needs more time; a dead one should fail fast). Zero means
 	// DefaultRetries.
 	Retries int
 	// SlowShard, if non-nil, is invoked by shard s's executor goroutine

@@ -1,5 +1,5 @@
-// CLI design-name resolution, shared by cmd/3lc-train and the
-// checkpoint/resume tooling so both build identical configurations.
+// CLI design-name resolution and configuration, shared by cmd/3lc-train,
+// cmd/3lc-net and the examples so all build identical configurations.
 package train
 
 import (
@@ -45,11 +45,11 @@ func ParseDesign(name string, sparsity float64, noZRE bool) (Design, error) {
 	return Design{}, fmt.Errorf("unknown design %q", name)
 }
 
-// CLIOptions mirrors the training flags shared by cmd/3lc-train and
-// cmd/3lc-ckpt -resume. Both commands build their Config through
-// CLIConfig so a checkpoint written by one is resumable by the other
-// without the model architecture or optimizer tuning silently drifting
-// between the two assemblies.
+// CLIOptions are the training flags of cmd/3lc-train, which cmd/3lc-net and
+// the examples share. Every one of them builds its Config through CLIConfig,
+// so the model architecture and optimizer tuning cannot drift between
+// them — and a run resumed with `3lc-train -resume` under the flags that
+// wrote its checkpoint is the run that wrote it.
 type CLIOptions struct {
 	Design    Design
 	Workers   int
@@ -57,8 +57,6 @@ type CLIOptions struct {
 	Batch     int
 	Bandwidth float64
 	EvalEvery int
-	Backup    int
-	Jitter    float64
 	ResNet    bool
 	Seed      uint64
 }
@@ -96,9 +94,6 @@ func CLIConfig(o CLIOptions) Config {
 		EvalEvery:      o.EvalEvery,
 		RecordSteps:    true,
 		Seed:           o.Seed,
-
-		BackupWorkers:    o.Backup,
-		ComputeJitterStd: o.Jitter,
 	}
 	cfg.Net.Workers = o.Workers
 	return cfg

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"threelc/internal/checkpoint"
 	"threelc/internal/compress"
 	"threelc/internal/nn"
 )
@@ -150,19 +152,51 @@ func TestResumeBitIdenticalSharded(t *testing.T) {
 	runResumeCase(t, cfg)
 }
 
-func TestResumeBitIdenticalStale(t *testing.T) {
+// TestResumeRefusesRetiredStateVersion: a checkpoint whose meta section is
+// the version-1 layout is refused by name before anything is restored, even
+// when every field it shares with version 2 matches the run.
+func TestResumeRefusesRetiredStateVersion(t *testing.T) {
 	cfg := tinyConfig(Design{Name: "3LC (s=1.75)", Scheme: compress.SchemeThreeLC,
-		Opts: compress.Options{Sparsity: 1.75, ZeroRun: true}}, 8)
-	cfg.Staleness = 1
-	runResumeCase(t, cfg)
-}
+		Opts: compress.Options{Sparsity: 1.75, ZeroRun: true}}, 4)
+	path := filepath.Join(t.TempDir(), "train.ckpt")
+	cfg.CheckpointPath, cfg.CheckpointEvery = path, 2
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	st, err := checkpoint.LoadStateFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Version 1 had a u32 after steps and one after seed, and a float64 and
+	// a u32 count of intervals at the end: all zero in a plain BSP run.
+	opts := cfg.Design.Opts
+	meta := tle.AppendUint32(nil, 1)
+	meta = tle.AppendUint64(meta, uint64(cfg.Steps)) // captured step
+	meta = tle.AppendUint32(meta, uint32(cfg.Workers))
+	meta = tle.AppendUint32(meta, 1) // shards
+	meta = append(meta, byte(cfg.Design.Scheme))
+	meta = tle.AppendUint32(meta, uint32(cfg.Steps))
+	meta = tle.AppendUint32(meta, 0)
+	meta = tle.AppendUint64(meta, cfg.Seed)
+	meta = tle.AppendUint32(meta, 0)
+	meta = tle.AppendUint32(meta, uint32(cfg.BatchPerWorker))
+	meta = tle.AppendUint64(meta, math.Float64bits(opts.Sparsity))
+	meta = tle.AppendUint64(meta, math.Float64bits(opts.Fraction))
+	meta = tle.AppendUint32(meta, uint32(opts.Interval))
+	meta = tle.AppendUint32(meta, uint32(opts.Parts))
+	meta = append(meta, 1) // zero-run
+	meta = tle.AppendUint64(meta, opts.Seed)
+	meta = tle.AppendUint64(meta, 0)
+	meta = tle.AppendUint32(meta, 0)
+	st.Add("meta", meta)
+	if err := checkpoint.SaveStateFile(path, st); err != nil {
+		t.Fatal(err)
+	}
 
-func TestResumeBitIdenticalJitter(t *testing.T) {
-	cfg := tinyConfig(Design{Name: "3LC (s=1.75)", Scheme: compress.SchemeThreeLC,
-		Opts: compress.Options{Sparsity: 1.75, ZeroRun: true}}, 8)
-	cfg.ComputeJitterStd = 0.3
-	cfg.BackupWorkers = 1
-	runResumeCase(t, cfg)
+	cfg.CheckpointPath, cfg.CheckpointEvery, cfg.ResumeFrom = "", 0, path
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("resume from a version-1 checkpoint: got %v, want a refusal naming version 1", err)
+	}
 }
 
 func TestResumeConfigMismatch(t *testing.T) {

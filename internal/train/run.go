@@ -3,9 +3,7 @@ package train
 import (
 	"fmt"
 	"io"
-	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -37,11 +35,8 @@ type run struct {
 	shards       [][]int       // per-worker slice of the training set
 	compressible []bool        // per tensor: subject to the codec
 
-	net         netsim.Params
-	clock       netsim.Clock
-	jitter      *tensor.RNG
-	pullHistory [][][]byte   // ring of recent pull wire sets (SSP emulation)
-	missed      [][][][]byte // per worker: the sets it replays on rejoin
+	net   netsim.Params
+	clock netsim.Clock
 	// The step's pull as each worker is sent it (ps.Pulls), recycled.
 	ownerPull, fullPull [][]byte
 
@@ -75,25 +70,6 @@ func (cfg *Config) validate() error {
 		return fmt.Errorf("train: Shards and Tier are mutually exclusive (the hook's tier has its own shard count)")
 	case cfg.Net.Workers != 0 && cfg.Net.Workers != cfg.Workers:
 		return fmt.Errorf("train: netsim has %d workers, run has %d", cfg.Net.Workers, cfg.Workers)
-	case cfg.BackupWorkers < 0 || cfg.BackupWorkers >= cfg.Workers:
-		return fmt.Errorf("train: BackupWorkers %d must be in [0, workers)", cfg.BackupWorkers)
-	case cfg.Staleness < 0:
-		return fmt.Errorf("train: Staleness %d must be >= 0", cfg.Staleness)
-	case len(cfg.Dropouts) > 0 && cfg.Staleness > 0:
-		// A worker with SSP delay d applies the pull from d steps ago; the
-		// rejoin replay of the fresh per-step sets would double-apply the
-		// last d of them and never apply the d sets before the dropout.
-		return fmt.Errorf("train: Dropouts cannot be combined with Staleness > 0")
-	}
-	for _, d := range cfg.Dropouts {
-		if d.Worker == ps.Owner || d.Worker < 0 || d.Worker >= cfg.Workers {
-			// The owner takes the server's step for the tensors it is not
-			// sent, every step, on the push it made (ps.Pulls).
-			return fmt.Errorf("train: dropout worker %d must be one of the %d workers but worker %d, the owner, which cannot drop", d.Worker, cfg.Workers, ps.Owner)
-		}
-		if d.From < 0 || d.To <= d.From {
-			return fmt.Errorf("train: dropout interval [%d, %d) invalid", d.From, d.To)
-		}
 	}
 	return nil
 }
@@ -109,11 +85,9 @@ func newRun(cfg Config) (_ *run, err error) {
 		cfg.MinCompressElems = 256
 	}
 	r := &run{
-		cfg:    cfg,
-		outs:   make([]workerOut, cfg.Workers),
-		missed: make([][][][]byte, cfg.Workers),
-		jitter: tensor.NewRNG(cfg.Seed ^ 0x4a49545445520000), // "JITTER"
-		ckpt:   ckptWriter{path: cfg.CheckpointPath},
+		cfg:  cfg,
+		outs: make([]workerOut, cfg.Workers),
+		ckpt: ckptWriter{path: cfg.CheckpointPath},
 	}
 	defer func() {
 		if err != nil {
@@ -252,8 +226,6 @@ func (r *run) buildTier(serverCfg ps.Config) (int, error) {
 			return 0, fmt.Errorf("train: the dialed tier has %d seats, the run has %d workers", d.Seats(), cfg.Workers)
 		case cfg.CheckpointPath != "" || cfg.ResumeFrom != "":
 			return 0, fmt.Errorf("train: a dialed tier holds no state: CheckpointPath and ResumeFrom need an in-process tier")
-		case len(cfg.Dropouts) > 0 || cfg.BackupWorkers > 0:
-			return 0, fmt.Errorf("train: a dialed tier's servers wait for every seat each step: Dropouts and BackupWorkers need an in-process tier")
 		}
 		r.tier, r.dialed = tier, true
 		return shards, nil
@@ -270,101 +242,20 @@ func (r *run) close() {
 	}
 }
 
-// stepPlan says who takes part in a step. An active worker is present (not
-// in a Dropout interval): it computes, compresses and pulls. An accepted
-// worker's push is also aggregated; computeMult scales the step's virtual
-// compute time to the slowest accepted worker's.
-type stepPlan struct {
-	active, accepted []bool
-	nActive          int
-	computeMult      float64
-}
-
-// plan draws the step's straggler model. Under plain BSP the barrier waits
-// for the slowest worker; with backup workers (§2.1) the step advances
-// once Workers-BackupWorkers pushes arrive and the stragglers' updates are
-// discarded. The batch-norm owner (ps.Owner) is never discarded: it is the
-// only pusher of its tensors and takes their step itself on that push. The
-// jitter RNG is independent of the compute phase, so drawing up front
-// changes no result.
-func (r *run) plan(step int) stepPlan {
-	cfg := &r.cfg
-	p := stepPlan{active: make([]bool, cfg.Workers), accepted: make([]bool, cfg.Workers), computeMult: 1}
-	for w := range p.active {
-		if !r.down(w, step) {
-			p.active[w] = true
-			p.nActive++
-		}
-	}
-	if cfg.ComputeJitterStd <= 0 {
-		copy(p.accepted, p.active)
-		// No jitter: dropping is arbitrary; keep the first active workers
-		// for determinism.
-		dropped := 0
-		for w := cfg.Workers - 1; w >= 0 && dropped < cfg.BackupWorkers; w-- {
-			if w != ps.Owner && p.accepted[w] {
-				p.accepted[w] = false
-				dropped++
-			}
-		}
-		return p
-	}
-	// Multipliers are drawn for every worker — absent ones included — so
-	// the jitter stream stays aligned with the no-dropout run and with
-	// checkpoint/resume.
-	mults := make([]float64, cfg.Workers)
-	for w := range mults {
-		sd := cfg.ComputeJitterStd
-		mults[w] = math.Exp(sd*r.jitter.Norm() - 0.5*sd*sd)
-	}
-	need := max(p.nActive-cfg.BackupWorkers, 1)
-	order := make([]int, cfg.Workers)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return mults[order[a]] < mults[order[b]] })
-	p.accepted[ps.Owner] = true
-	p.computeMult = mults[ps.Owner]
-	count := 1
-	for _, w := range order {
-		if w == ps.Owner || !p.active[w] || count >= need {
-			continue
-		}
-		p.accepted[w] = true
-		count++
-		p.computeMult = max(p.computeMult, mults[w])
-	}
-	return p
-}
-
-// down tells whether worker w is absent at step.
-func (r *run) down(w, step int) bool {
-	for _, d := range r.cfg.Dropouts {
-		if d.Worker == w && step >= d.From && step < d.To {
-			return true
-		}
-	}
-	return false
-}
-
-// computePush is the step's first half: every active worker trains on a
-// batch and compresses, every accepted one feeding its tensors to its push
-// session as they are compressed, while the tier's FinishStep, on this
-// goroutine, returns the shared pull once the sessions have ended. They
-// are opened here, in worker order, before any worker starts: the order an
-// in-process tier's gate (inOrder) aggregates in; a dialed tier takes the
-// pushes as they come. Dropped workers still compress — their
-// error-accumulation contexts must advance — but open no session.
-func (r *run) computePush(step int, p stepPlan) ([][]byte, time.Duration, error) {
+// computePush is the step's first half: every worker trains on a batch and
+// compresses, feeding its tensors to its push session as they are
+// compressed, while the tier's FinishStep, on this goroutine, returns the
+// shared pull once the sessions have ended. They are opened here, in worker
+// order, before any worker starts: the order an in-process tier's gate
+// (inOrder) aggregates in; a dialed tier takes the pushes as they come.
+func (r *run) computePush(step int) ([][]byte, time.Duration, error) {
 	r.tier.BeginStep()
 	sessions := make([]ps.PushSession, r.cfg.Workers)
 	for w := range sessions {
-		if p.accepted[w] {
-			sessions[w] = r.tier.BeginPush(w)
-		}
+		sessions[w] = r.tier.BeginPush(w)
 	}
 	clear(r.outs)
-	wait := r.goActive(p, func(w int) error { return r.workerPush(step, w, sessions[w]) })
+	wait := r.goAll(func(w int) error { return r.workerPush(step, w, sessions[w]) })
 	pull, serverDur, err := r.tier.FinishStep()
 	// A worker's own failure explains whatever the tier made of its push.
 	if werr := wait(); werr != nil {
@@ -373,19 +264,17 @@ func (r *run) computePush(step int, p stepPlan) ([][]byte, time.Duration, error)
 	return pull, serverDur, err
 }
 
-// goActive starts fn(w) on its own goroutine for every active worker and
-// returns the wait that joins them and reports the first failure.
-func (r *run) goActive(p stepPlan, fn func(w int) error) (wait func() error) {
+// goAll starts fn(w) on its own goroutine for every worker and returns the
+// wait that joins them and reports the first failure.
+func (r *run) goAll(fn func(w int) error) (wait func() error) {
 	errs := make([]error, len(r.workers))
 	var wg sync.WaitGroup
 	for w := range r.workers {
-		if p.active[w] {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs[w] = fn(w)
-			}()
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[w] = fn(w)
+		}()
 	}
 	return func() error {
 		wg.Wait()
@@ -398,29 +287,15 @@ func (r *run) goActive(p stepPlan, fn func(w int) error) (wait func() error) {
 	}
 }
 
-// workerPush is worker w's half of computePush; push is nil for a worker
-// whose update the step discards. However it ends, an opened session is
-// ended: the tier's FinishStep waits for that.
+// workerPush is worker w's half of computePush. However it ends, the
+// session is ended: the tier's FinishStep waits for that.
 func (r *run) workerPush(step, w int, push ps.PushSession) (err error) {
 	wk, out := r.workers[w], &r.outs[w]
-	if push != nil {
-		defer func() {
-			if e := push.End(); err == nil {
-				err = e
-			}
-		}()
-	}
-	// Rejoin catch-up: a worker returning from a dropout first replays, in
-	// order, the shared pulls it missed, bringing its replica to the exact
-	// state an always-present replica holds at this step. Its push contexts
-	// were frozen while away, so the pre-dropout residual folds into this
-	// step's push.
-	for _, ws := range r.missed[w] {
-		if _, err := wk.ApplyPull(ws); err != nil {
-			return fmt.Errorf("train: worker %d rejoin catch-up: %w", w, err)
+	defer func() {
+		if e := push.End(); err == nil {
+			err = e
 		}
-	}
-	r.missed[w] = nil
+	}()
 	idx := make([]int, r.cfg.BatchPerWorker)
 	for i := range idx {
 		idx[i] = r.shards[w][r.rngs[w].Intn(len(r.shards[w]))]
@@ -433,10 +308,6 @@ func (r *run) workerPush(step, w int, push ps.PushSession) (err error) {
 	if w == 0 && r.cfg.OnGradients != nil {
 		r.cfg.OnGradients(step, wk.Model.Params())
 	}
-	if push == nil {
-		out.wires, out.compDur = wk.CompressGrads()
-		return nil
-	}
 	// emit runs on the compressor pool's goroutines.
 	var once sync.Once
 	out.wires, out.compDur = wk.CompressGradsStream(func(i int, wire []byte) {
@@ -447,101 +318,44 @@ func (r *run) workerPush(step, w int, push ps.PushSession) (err error) {
 	return err
 }
 
-// applyPull is the step's second half: the active workers decompress and
-// apply the pull, each the pull it is sent (ps.Pulls). The owner goes
-// first: it is sent the tier's pull less its owner-only slots, whose step
-// it takes itself, and over a dialed tier the tier's pull is seat 0's — the
-// one the owner was sent — which the owner then completes for the others
-// from that step (ps.Worker.Complete). The others apply the full pull in
-// parallel; under stale-synchronous emulation each applies the one from
-// `delay_w` steps ago instead (the owner's delay is 0). FinishStep's wires
-// alias tier-owned buffers that are overwritten next step, so retaining
-// history (Staleness > 0) or a set an absent worker will replay requires a
-// deep copy; the synchronous path uses the fresh wires directly and stays
-// allocation-free.
-func (r *run) applyPull(step int, p stepPlan, pull [][]byte) error {
-	cfg := &r.cfg
+// applyPull is the step's second half: every worker decompresses and
+// applies the pull it is sent (ps.Pulls). The owner goes first: it is sent
+// the tier's pull less its owner-only slots, whose step it takes itself,
+// and over a dialed tier the tier's pull is seat 0's — the one the owner
+// was sent — which the owner then completes for the others from that step
+// (ps.Worker.Complete). The others apply the full pull in parallel, straight
+// from the tier's buffers, allocation-free.
+func (r *run) applyPull(pull [][]byte) error {
 	owner := r.workers[ps.Owner]
 	r.ownerPull = pull
 	if !r.dialed {
 		r.ownerPull = ps.OwnerView(r.global.Params(), pull, r.ownerPull)
 	}
 	// A wire that fails to decode — a corrupted pull — must kill the step,
-	// not the process: elastic recovery (dropout, resume) lives above this
-	// error path.
+	// not the process: resume lives above this error path.
 	var err error
 	if r.outs[ps.Owner].applyDur, err = owner.ApplyPull(r.ownerPull); err != nil {
 		return fmt.Errorf("train: worker %d pull apply: %w", ps.Owner, err)
 	}
 	r.fullPull = owner.Complete(pull, r.fullPull)
-	if cfg.Staleness > 0 {
-		r.pullHistory = append(r.pullHistory, copyWires(r.fullPull))
-	} else {
-		r.pullHistory = append(r.pullHistory[:0], r.fullPull)
-	}
-	err = r.goActive(p, func(w int) (err error) {
-		idx := len(r.pullHistory) - 1 - w%(cfg.Staleness+1) // the worker's SSP delay
-		if w == ps.Owner || idx < 0 {
-			return nil // applied above, or no pull to apply yet
+	return r.goAll(func(w int) (err error) {
+		if w == ps.Owner {
+			return nil // applied above
 		}
-		if r.outs[w].applyDur, err = r.workers[w].ApplyPull(r.pullHistory[idx]); err != nil {
+		if r.outs[w].applyDur, err = r.workers[w].ApplyPull(r.fullPull); err != nil {
 			return fmt.Errorf("train: worker %d pull apply: %w", w, err)
 		}
 		return nil
 	})()
-	if err != nil {
-		return err
-	}
-	// Retain the pull for workers that are away and will rejoin: their
-	// replicas replay these sets, in order, at the rejoin step. All of a
-	// step's absentees share one deep copy (applies are read-only); workers
-	// that never return retain nothing.
-	var missedCopy [][]byte
-	for w := range r.workers {
-		if p.active[w] {
-			continue
-		}
-		back := step + 1 // when the absent worker next computes
-		for back < cfg.Steps && r.down(w, back) {
-			back++
-		}
-		if back >= cfg.Steps {
-			continue
-		}
-		if missedCopy == nil {
-			missedCopy = copyWires(r.fullPull)
-		}
-		r.missed[w] = append(r.missed[w], missedCopy)
-	}
-	if drop := len(r.pullHistory) - (cfg.Staleness + 1); drop > 0 {
-		r.pullHistory = r.pullHistory[drop:]
-	}
-	return nil
-}
-
-// copyWires deep-copies a wire set, nil wires staying nil.
-func copyWires(wires [][]byte) [][]byte {
-	cp := make([][]byte, len(wires))
-	for i, w := range wires {
-		if w != nil {
-			cp[i] = append([]byte(nil), w...)
-		}
-	}
-	return cp
 }
 
 // record books the finished step: its bytes, its codec critical path, its
 // virtual duration, its loss, and — every EvalEvery steps — an evaluation.
-func (r *run) record(step int, p stepPlan, pull [][]byte, serverDur time.Duration) {
+func (r *run) record(step int, pull [][]byte, serverDur time.Duration) {
 	cfg, res := &r.cfg, r.res
 	pushBytes := make([]int, cfg.Workers)
 	var compPush, paper float64
-	nAccepted := 0
 	for w := range r.workers {
-		if !p.accepted[w] {
-			continue
-		}
-		nAccepted++
 		pushBytes[w] = ps.WireBytes(r.outs[w].wires)
 		for i, wire := range r.outs[w].wires {
 			if r.compressible[i] {
@@ -550,8 +364,8 @@ func (r *run) record(step int, p stepPlan, pull [][]byte, serverDur time.Duratio
 			}
 		}
 	}
-	compPush /= float64(nAccepted)
-	paper /= float64(nAccepted)
+	compPush /= float64(cfg.Workers)
+	paper /= float64(cfg.Workers)
 
 	pullBytes := make([]int, cfg.Workers)
 	var compPull float64
@@ -561,10 +375,9 @@ func (r *run) record(step int, p stepPlan, pull [][]byte, serverDur time.Duratio
 			paper += float64(compress.PaperWireLen(wire))
 		}
 	}
+	full := ps.WireBytes(r.fullPull)
 	for w := range pullBytes {
-		if p.active[w] {
-			pullBytes[w] = ps.WireBytes(r.fullPull)
-		}
+		pullBytes[w] = full
 	}
 	pullBytes[ps.Owner] = ps.WireBytes(r.ownerPull)
 
@@ -576,20 +389,15 @@ func (r *run) record(step int, p stepPlan, pull [][]byte, serverDur time.Duratio
 	for w := range r.outs {
 		maxComp = max(maxComp, r.outs[w].compDur)
 		maxApply = max(maxApply, r.outs[w].applyDur)
-		if p.active[w] {
-			meanLoss += r.outs[w].loss
-		}
+		meanLoss += r.outs[w].loss
 	}
-	meanLoss /= float64(p.nActive)
+	meanLoss /= float64(cfg.Workers)
 	codec := (maxComp + serverDur + maxApply).Seconds()
-	netStep := r.net
-	netStep.ComputeSec *= p.computeMult
-	dt := netStep.StepTime(pushBytes, pullBytes, codec)
+	dt := r.net.StepTime(pushBytes, pullBytes, codec)
 	r.clock.Advance(dt)
 
 	sr := StepRecord{Step: step, Loss: meanLoss, PushBytes: sum(pushBytes), PullBytes: sum(pullBytes),
-		CompPushBytes: compPush, CompPullBytes: compPull, CodecSec: codec, ComputeMult: p.computeMult,
-		VirtualSec: dt}
+		CompPushBytes: compPush, CompPullBytes: compPull, CodecSec: codec, VirtualSec: dt}
 	res.TotalPushBytes += int64(sr.PushBytes)
 	res.TotalPullBytes += int64(sr.PullBytes)
 	res.CompPushBytes += compPush

@@ -75,41 +75,6 @@ func TestShardedRunMatchesSingleServer(t *testing.T) {
 	}
 }
 
-// TestShardedStalenessRun exercises the sharded tier under the
-// stale-synchronous emulation (pull history retention + per-worker delay)
-// — the combination the async pipeline's retry path is designed around.
-func TestShardedStalenessRun(t *testing.T) {
-	cfg := Config{
-		Design:         Design{Name: "8-bit int", Scheme: compress.SchemeInt8},
-		Workers:        3,
-		BatchPerWorker: 8,
-		Steps:          5,
-		Data:           data.Config{Train: 90, Test: 30, C: 3, H: 8, W: 8, Classes: 4, Seed: 5},
-		BuildModel: func() *nn.Model {
-			return nn.NewMLP(3*8*8, []int{24}, 4, 3)
-		},
-		FlatInput:        true,
-		MinCompressElems: 1,
-		Parallelism:      1,
-		Staleness:        2,
-		Shards:           3,
-		Seed:             11,
-	}
-	ref := cfg
-	ref.Shards = 0
-	rs, err := Run(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rm, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.FinalLoss != rm.FinalLoss {
-		t.Errorf("stale-sync loss differs: single %v sharded %v", rs.FinalLoss, rm.FinalLoss)
-	}
-}
-
 // TestTrainServiceConfigValidation pins the driver's tier plumbing: Shards
 // and a Tier hook are mutually exclusive, refused before the hook runs.
 func TestTrainServiceConfigValidation(t *testing.T) {

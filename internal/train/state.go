@@ -6,13 +6,11 @@
 //	model/worker/N  every worker replica (weights + its own BN stats)
 //	server          optimizer momentum/step + server pull contexts
 //	worker/N        worker push contexts (error accumulation, RNG streams)
-//	rng             jitter + per-worker data-sampling RNG positions
-//	pullhist        stale-synchronous pull history (Staleness > 0 only)
-//	missed          pulls retained for absent workers' rejoin replay
+//	rng             per-worker data-sampling RNG positions
 //
 // Restore validates the configuration fingerprint first: resuming under a
-// different worker count, shard count, scheme, step budget, staleness, or
-// seed would silently diverge, so it is an error instead.
+// different worker count, shard count, scheme, step budget, batch, codec
+// options or seed would silently diverge, so it is an error instead.
 package train
 
 import (
@@ -21,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"slices"
 
 	"threelc/internal/checkpoint"
 	"threelc/internal/compress"
@@ -29,7 +26,10 @@ import (
 	"threelc/internal/tensor"
 )
 
-const trainStateVersion = 1
+// trainStateVersion 1 is retired, and ReadStateInfo refuses it by name:
+// its meta fingerprinted four knobs Run no longer has, and its rng section
+// led with a stream nothing draws from.
+const trainStateVersion = 2
 
 var tle = binary.LittleEndian
 
@@ -62,13 +62,6 @@ func (cw *ckptWriter) wait() error {
 
 // --- serialization helpers --------------------------------------------------
 
-func readU32(src []byte) (uint32, []byte, error) {
-	if len(src) < 4 {
-		return 0, nil, fmt.Errorf("train: state blob truncated")
-	}
-	return tle.Uint32(src), src[4:], nil
-}
-
 func readRNG(src []byte, r *tensor.RNG) ([]byte, error) {
 	if len(src) < tensor.RNGStateLen {
 		return nil, fmt.Errorf("train: RNG state truncated")
@@ -77,57 +70,6 @@ func readRNG(src []byte, r *tensor.RNG) ([]byte, error) {
 		return nil, fmt.Errorf("train: %w", err)
 	}
 	return src[tensor.RNGStateLen:], nil
-}
-
-// appendWireSets serializes a list of pull wire sets (deep copies, since
-// the snapshot outlives the buffers they came from).
-func appendWireSets(dst []byte, sets [][][]byte) []byte {
-	dst = tle.AppendUint32(dst, uint32(len(sets)))
-	for _, set := range sets {
-		dst = tle.AppendUint32(dst, uint32(len(set)))
-		for _, w := range set {
-			dst = tle.AppendUint32(dst, uint32(len(w)))
-			dst = append(dst, w...)
-		}
-	}
-	return dst
-}
-
-func readWireSets(src []byte) ([][][]byte, []byte, error) {
-	count, src, err := readU32(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Counts are untrusted until their contents parse: every element is
-	// appended after its bytes are validated, so a corrupt count fails
-	// with a truncation error instead of forcing a huge allocation.
-	sets := make([][][]byte, 0, min(int(count), 1024))
-	for i := 0; i < int(count); i++ {
-		var tensors uint32
-		tensors, src, err = readU32(src)
-		if err != nil {
-			return nil, nil, err
-		}
-		set := make([][]byte, 0, min(int(tensors), 1024))
-		for t := 0; t < int(tensors); t++ {
-			var n uint32
-			n, src, err = readU32(src)
-			if err != nil {
-				return nil, nil, err
-			}
-			if len(src) < int(n) {
-				return nil, nil, fmt.Errorf("train: wire set truncated (%d of %d bytes)", len(src), n)
-			}
-			var w []byte
-			if n > 0 {
-				w = append([]byte(nil), src[:n]...)
-			}
-			set = append(set, w)
-			src = src[n:]
-		}
-		sets = append(sets, set)
-	}
-	return sets, src, nil
 }
 
 // --- capture ----------------------------------------------------------------
@@ -158,22 +100,11 @@ func (r *run) capture(step int) (*checkpoint.State, error) {
 		st.Add(fmt.Sprintf("worker/%d", w), wk.AppendState(nil))
 	}
 
-	rng := r.jitter.AppendState(nil)
+	var rng []byte
 	for _, wr := range r.rngs {
 		rng = wr.AppendState(rng)
 	}
 	st.Add("rng", rng)
-
-	if cfg.Staleness > 0 {
-		st.Add("pullhist", appendWireSets(nil, r.pullHistory))
-	}
-	if slices.ContainsFunc(r.missed, func(m [][][]byte) bool { return len(m) > 0 }) {
-		blob := tle.AppendUint32(nil, uint32(len(r.missed)))
-		for _, m := range r.missed {
-			blob = appendWireSets(blob, m)
-		}
-		st.Add("missed", blob)
-	}
 	return st, nil
 }
 
@@ -196,17 +127,12 @@ type StateInfo struct {
 	Shards         int
 	Scheme         compress.Scheme
 	Steps          int
-	Staleness      int
 	Seed           uint64
-	BackupWorkers  int
 	BatchPerWorker int
 	// Opts is the codec configuration (sparsity, fraction, interval,
 	// parts, zero-run flag, stochastic seed) the run used — any of these
 	// change the trajectory, so all are fingerprinted.
 	Opts compress.Options
-	// ComputeJitterStd and Dropouts likewise alter the step sequence.
-	ComputeJitterStd float64
-	Dropouts         []Dropout
 }
 
 // stateInfo is the fingerprint of a snapshot of this configuration at step.
@@ -214,18 +140,14 @@ func (cfg *Config) stateInfo(step int) StateInfo {
 	opts := cfg.Design.Opts
 	opts.CodecParallelism = 0 // fan-out never changes bytes
 	return StateInfo{
-		Step:             step,
-		Workers:          cfg.Workers,
-		Shards:           max(cfg.Shards, 1),
-		Scheme:           cfg.Design.Scheme,
-		Steps:            cfg.Steps,
-		Staleness:        cfg.Staleness,
-		Seed:             cfg.Seed,
-		BackupWorkers:    cfg.BackupWorkers,
-		BatchPerWorker:   cfg.BatchPerWorker,
-		Opts:             opts,
-		ComputeJitterStd: cfg.ComputeJitterStd,
-		Dropouts:         append([]Dropout(nil), cfg.Dropouts...),
+		Step:           step,
+		Workers:        cfg.Workers,
+		Shards:         max(cfg.Shards, 1),
+		Scheme:         cfg.Design.Scheme,
+		Steps:          cfg.Steps,
+		Seed:           cfg.Seed,
+		BatchPerWorker: cfg.BatchPerWorker,
+		Opts:           opts,
 	}
 }
 
@@ -238,9 +160,7 @@ func (info StateInfo) appendMeta(meta []byte) []byte {
 	meta = tle.AppendUint32(meta, uint32(info.Shards))
 	meta = append(meta, byte(info.Scheme))
 	meta = tle.AppendUint32(meta, uint32(info.Steps))
-	meta = tle.AppendUint32(meta, uint32(info.Staleness))
 	meta = tle.AppendUint64(meta, info.Seed)
-	meta = tle.AppendUint32(meta, uint32(info.BackupWorkers))
 	meta = tle.AppendUint32(meta, uint32(info.BatchPerWorker))
 	meta = tle.AppendUint64(meta, math.Float64bits(info.Opts.Sparsity))
 	meta = tle.AppendUint64(meta, math.Float64bits(info.Opts.Fraction))
@@ -251,16 +171,11 @@ func (info StateInfo) appendMeta(meta []byte) []byte {
 	} else {
 		meta = append(meta, 0)
 	}
-	meta = tle.AppendUint64(meta, info.Opts.Seed)
-	meta = tle.AppendUint64(meta, math.Float64bits(info.ComputeJitterStd))
-	meta = tle.AppendUint32(meta, uint32(len(info.Dropouts)))
-	for _, d := range info.Dropouts {
-		meta = tle.AppendUint32(meta, uint32(d.Worker))
-		meta = tle.AppendUint32(meta, uint32(d.From))
-		meta = tle.AppendUint32(meta, uint32(d.To))
-	}
-	return meta
+	return tle.AppendUint64(meta, info.Opts.Seed)
 }
+
+// metaLen is the length of a version-2 meta section.
+const metaLen = 4 + 8 + 4 + 4 + 1 + 4 + 8 + 4 + 8 + 8 + 4 + 4 + 1 + 8
 
 // ReadStateInfo decodes the meta section of a full-state checkpoint.
 func ReadStateInfo(st *checkpoint.State) (StateInfo, error) {
@@ -268,46 +183,34 @@ func ReadStateInfo(st *checkpoint.State) (StateInfo, error) {
 	if err != nil {
 		return StateInfo{}, err
 	}
-	const metaFixed = 4 + 8 + 4 + 4 + 1 + 4 + 4 + 8 + 4 + 4 + 8 + 8 + 4 + 4 + 1 + 8 + 8 + 4
-	if len(meta) < metaFixed {
-		return StateInfo{}, fmt.Errorf("train: meta section is %d bytes, want >= %d", len(meta), metaFixed)
+	if len(meta) < 4 {
+		return StateInfo{}, fmt.Errorf("train: meta section is %d bytes, want %d", len(meta), metaLen)
 	}
-	if v := tle.Uint32(meta); v != trainStateVersion {
+	switch v := tle.Uint32(meta); {
+	case v == 1:
+		return StateInfo{}, fmt.Errorf("train: train-state version 1 is retired (it fingerprinted Staleness, BackupWorkers, ComputeJitterStd and Dropouts, and carried pullhist / missed pull wires); this build reads version %d: restart the run", trainStateVersion)
+	case v != trainStateVersion:
 		return StateInfo{}, fmt.Errorf("train: unsupported train-state version %d (have %d)", v, trainStateVersion)
+	case len(meta) != metaLen:
+		return StateInfo{}, fmt.Errorf("train: meta section is %d bytes, want %d", len(meta), metaLen)
 	}
-	info := StateInfo{
+	return StateInfo{
 		Step:           int(tle.Uint64(meta[4:])),
 		Workers:        int(tle.Uint32(meta[12:])),
 		Shards:         int(tle.Uint32(meta[16:])),
 		Scheme:         compress.Scheme(meta[20]),
 		Steps:          int(tle.Uint32(meta[21:])),
-		Staleness:      int(tle.Uint32(meta[25:])),
-		Seed:           tle.Uint64(meta[29:]),
-		BackupWorkers:  int(tle.Uint32(meta[37:])),
-		BatchPerWorker: int(tle.Uint32(meta[41:])),
+		Seed:           tle.Uint64(meta[25:]),
+		BatchPerWorker: int(tle.Uint32(meta[33:])),
 		Opts: compress.Options{
-			Sparsity: math.Float64frombits(tle.Uint64(meta[45:])),
-			Fraction: math.Float64frombits(tle.Uint64(meta[53:])),
-			Interval: int(tle.Uint32(meta[61:])),
-			Parts:    int(tle.Uint32(meta[65:])),
-			ZeroRun:  meta[69] == 1,
-			Seed:     tle.Uint64(meta[70:]),
+			Sparsity: math.Float64frombits(tle.Uint64(meta[37:])),
+			Fraction: math.Float64frombits(tle.Uint64(meta[45:])),
+			Interval: int(tle.Uint32(meta[53:])),
+			Parts:    int(tle.Uint32(meta[57:])),
+			ZeroRun:  meta[61] == 1,
+			Seed:     tle.Uint64(meta[62:]),
 		},
-		ComputeJitterStd: math.Float64frombits(tle.Uint64(meta[78:])),
-	}
-	nDrop := int(tle.Uint32(meta[86:]))
-	if len(meta) != metaFixed+12*nDrop {
-		return StateInfo{}, fmt.Errorf("train: meta section is %d bytes, want %d for %d dropouts", len(meta), metaFixed+12*nDrop, nDrop)
-	}
-	for i := 0; i < nDrop; i++ {
-		off := metaFixed + 12*i
-		info.Dropouts = append(info.Dropouts, Dropout{
-			Worker: int(tle.Uint32(meta[off:])),
-			From:   int(tle.Uint32(meta[off+4:])),
-			To:     int(tle.Uint32(meta[off+8:])),
-		})
-	}
-	return info, nil
+	}, nil
 }
 
 // restore rebuilds the run's full mutable state from a snapshot and
@@ -315,7 +218,7 @@ func ReadStateInfo(st *checkpoint.State) (StateInfo, error) {
 // match the snapshot's; anything else is an error, never a silent
 // divergence.
 func (r *run) restore(st *checkpoint.State) (int, error) {
-	cfg, global, workers, missed := &r.cfg, r.global, r.workers, r.missed
+	cfg, global, workers := &r.cfg, r.global, r.workers
 	info, err := ReadStateInfo(st)
 	if err != nil {
 		return 0, err
@@ -376,9 +279,6 @@ func (r *run) restore(st *checkpoint.State) (int, error) {
 	if sec, err = section(st, "rng"); err != nil {
 		return 0, err
 	}
-	if sec, err = readRNG(sec, r.jitter); err != nil {
-		return 0, err
-	}
 	for _, wr := range r.rngs {
 		if sec, err = readRNG(sec, wr); err != nil {
 			return 0, err
@@ -386,43 +286,6 @@ func (r *run) restore(st *checkpoint.State) (int, error) {
 	}
 	if len(sec) != 0 {
 		return 0, fmt.Errorf("train: %d trailing RNG state bytes", len(sec))
-	}
-
-	if cfg.Staleness > 0 {
-		if sec, err = section(st, "pullhist"); err != nil {
-			return 0, err
-		}
-		hist, rest, err := readWireSets(sec)
-		if err != nil {
-			return 0, err
-		}
-		if len(rest) != 0 {
-			return 0, fmt.Errorf("train: %d trailing pull-history bytes", len(rest))
-		}
-		r.pullHistory = hist
-	}
-
-	if sec, ok := st.Section("missed"); ok {
-		count, rest, err := readU32(sec)
-		if err != nil {
-			return 0, err
-		}
-		if int(count) != len(missed) {
-			return 0, fmt.Errorf("train: missed-pull section has %d workers, run has %d", count, len(missed))
-		}
-		for w := range missed {
-			var sets [][][]byte
-			sets, rest, err = readWireSets(rest)
-			if err != nil {
-				return 0, err
-			}
-			if len(sets) > 0 {
-				missed[w] = sets
-			}
-		}
-		if len(rest) != 0 {
-			return 0, fmt.Errorf("train: %d trailing missed-pull bytes", len(rest))
-		}
 	}
 	return step, nil
 }

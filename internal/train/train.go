@@ -2,9 +2,9 @@
 // and the workers of package ps to an aggregation tier — any ps.Tier, in
 // this process or dialed over sockets — and produces the traffic, time,
 // loss, and accuracy records the paper's tables and figures are built
-// from. Every elastic feature (dropouts, backup workers, staleness,
-// checkpoint / resume) lives here once; cmd/3lc-net, the
-// experiments and the examples are configurations of it.
+// from. Every step, every worker computes, pushes and pulls; checkpoint /
+// resume lives here once; cmd/3lc-net, the experiments and the examples
+// are configurations of it.
 //
 // A Result carries two clocks. TotalVirtualSec, PerStepSec and TimeAt are
 // VIRTUAL: package netsim's model applied to the exact wire bytes each
@@ -86,45 +86,6 @@ type Config struct {
 	// the gradient-statistics analysis; must not mutate the tensors.
 	OnGradients func(step int, params []*nn.Param)
 
-	// BackupWorkers enables the straggler mitigation of §2.1 (TensorFlow
-	// SyncReplicasOptimizer): each step advances once Workers-BackupWorkers
-	// pushes have arrived, and the slowest workers' pushes are discarded.
-	// The batch-norm owner's (ps.Owner) push is never discarded: it is the
-	// only push of its tensors, and the owner takes their step itself on it.
-	// Zero disables the feature (plain BSP).
-	BackupWorkers int
-	// ComputeJitterStd is the per-worker, per-step lognormal-ish jitter
-	// on virtual compute time (fraction of ComputeSec), modelling
-	// stragglers. Zero means perfectly uniform workers.
-	ComputeJitterStd float64
-
-	// Staleness emulates stale synchronous parallel execution (§2.1):
-	// worker w applies model pulls with a fixed delay of w mod
-	// (Staleness+1) steps, so local models lag the global model by up to
-	// Staleness updates. The batch-norm owner (ps.Owner, whose delay is 0)
-	// always stays fresh: it takes the step of the tensors it is not sent
-	// (ps.Pulls) on the push it made the same step. Zero
-	// means fully synchronous BSP. The paper's background observation —
-	// stale updates need more steps for the same accuracy — is
-	// reproducible by sweeping this knob.
-	Staleness int
-	// Dropouts schedules elastic worker dropout and rejoin. During
-	// [From, To) the worker is down: it neither computes, pushes, nor
-	// pulls, and the step barrier advances without it (the server's
-	// gradient average divides by the pushes actually received). At step
-	// To the worker rejoins: it first catches up its replica by applying,
-	// in order, the shared pull wires it missed (the driver retains copies
-	// while a worker is away), then trains normally. Its push-side
-	// error-accumulation contexts are untouched during the absence, so the
-	// residual accumulated before the dropout folds into its first push
-	// after rejoining — the paper's dropout-tolerance argument (§3.1:
-	// unsent changes are retried at later steps). The batch-norm owner
-	// (ps.Owner) must never drop. Dropouts cannot be combined with
-	// Staleness > 0: a stale worker applies pulls from `delay` steps ago,
-	// so the catch-up replay of fresh pull sets would double-apply some
-	// and skip others — Run rejects the combination.
-	Dropouts []Dropout
-
 	// CheckpointPath + CheckpointEvery enable periodic full-state
 	// checkpointing: after every CheckpointEvery-th step the run snapshots
 	// its complete training state — every model replica, optimizer
@@ -162,22 +123,14 @@ type Config struct {
 	// dialed: one seat per worker, fed with no worker-order gate, whose pull
 	// is the one seat 0 — the owner — was sent, which the owner completes
 	// for the other workers from its own step (ps.Worker.Complete). It holds
-	// no state and its servers wait for every seat, so CheckpointPath,
-	// ResumeFrom, Dropouts and BackupWorkers are refused, and FinalAccuracy
-	// / Evals read the global model the hook was handed, so its servers
+	// no state, so CheckpointPath and ResumeFrom are refused, and
+	// FinalAccuracy / Evals read the global model the hook was handed, so its servers
 	// must aggregate into that. ResumeFrom asks an in-process tier a fourth:
 	// the velocity the owner's own step resumes from (ps.Momentum).
 	Tier func(global *nn.Model, cfg ps.Config) (ps.Tier, error)
 
 	// Seed controls data sampling; model init comes from BuildModel.
 	Seed uint64
-}
-
-// Dropout is one worker-absence interval: the worker is down for steps
-// [From, To) and rejoins at step To (To >= Steps means it never returns).
-type Dropout struct {
-	Worker   int
-	From, To int
 }
 
 // StepRecord is the per-step series entry.
@@ -193,9 +146,6 @@ type StepRecord struct {
 	CompPushBytes, CompPullBytes float64
 	// CodecSec is the measured codec critical-path time of the step.
 	CodecSec float64
-	// ComputeMult scales the virtual compute time this step (straggler
-	// jitter under backup workers; 1 for plain BSP).
-	ComputeMult float64
 	// VirtualSec is the step's simulated duration.
 	VirtualSec float64
 }
@@ -277,11 +227,7 @@ func (r *Result) TimeAt(bandwidthBps float64) float64 {
 		for w := 0; w < r.Workers; w++ {
 			push[w], pull[w] = perPush, perPull
 		}
-		step := net
-		if sr.ComputeMult > 0 {
-			step.ComputeSec *= sr.ComputeMult
-		}
-		total += step.StepTime(push, pull, sr.CodecSec)
+		total += net.StepTime(push, pull, sr.CodecSec)
 	}
 	return total
 }
@@ -317,8 +263,8 @@ func (r *Result) BitsPerChange() float64 {
 }
 
 // Run executes the configured training run: set-up (newRun), then for each
-// step the plan, the compute-and-push phase, the pull phase, the record and
-// the checkpoint, then the final evaluation (finish).
+// step the compute-and-push phase, the pull phase, the record and the
+// checkpoint, then the final evaluation (finish).
 func Run(cfg Config) (*Result, error) {
 	r, err := newRun(cfg)
 	if err != nil {
@@ -327,15 +273,14 @@ func Run(cfg Config) (*Result, error) {
 	defer r.close()
 	start := time.Now()
 	for step := r.startStep; step < r.cfg.Steps; step++ {
-		p := r.plan(step)
-		pull, serverDur, err := r.computePush(step, p)
+		pull, serverDur, err := r.computePush(step)
 		if err == nil {
-			err = r.applyPull(step, p, pull)
+			err = r.applyPull(pull)
 		}
 		if err != nil {
 			return nil, err
 		}
-		r.record(step, p, pull, serverDur)
+		r.record(step, pull, serverDur)
 		if err := r.checkpoint(step); err != nil {
 			return nil, err
 		}

@@ -226,7 +226,7 @@ func (s *dialedSeat) End() error {
 func (t *DialedTier) FinishStep() ([][]byte, time.Duration, error) {
 	for w, s := range t.seats {
 		if !s.open {
-			t.fail(fmt.Errorf("transport: dialed tier step %d: seat %d did not push (the serving barrier waits for every seat: no dropouts, no backup workers)", t.step, w))
+			t.fail(fmt.Errorf("transport: dialed tier step %d: seat %d did not push (the serving barrier waits for every seat)", t.step, w))
 		}
 		s.open = false
 	}
