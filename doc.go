@@ -75,9 +75,13 @@
 // digits) expanded per wire scale M into byte → 5 scaled float32 values;
 // the per-M expansion costs 243·5 multiplies, so tensors below ~4k
 // elements decode through the int8 table with an inline multiply instead,
-// and the expanded tables are pooled with the last M cached. Both compress
-// passes shard across cores with byte-identical output (two-phase parallel
-// max reduction; group-aligned fused encode with a per-chunk zero-run
+// and the expanded tables are pooled with the last M cached. Pass 1 records
+// each 1 280-element block's max|buf| (kernel.BlockMax) and pass 2 skips
+// every block whose max is under the quantizer threshold, so where
+// non-zero digits cluster — a large layer's gradients and deltas — the
+// encode reads only the few blocks that can quantize. Both compress passes
+// shard across cores over block-aligned spans with byte-identical output
+// (the max reduced from the index; a fused encode per span with a zero-run
 // stitch-up), scheduled work-proportionally: each pass sizes its fan-out
 // to the elements it sweeps (kernel.PassWorkers). The staged primitives in
 // internal/quant and internal/encode remain the bit-identical reference,

@@ -53,6 +53,7 @@ import (
 	"fmt"
 	"math"
 
+	"threelc/internal/kernel"
 	"threelc/internal/tensor"
 )
 
@@ -170,14 +171,17 @@ type Compressor interface {
 // that write directly into the accumulation buffer, fusing compress
 // pass 1 away entirely: the producer adds each value into AccData as it
 // computes it, reduces max|AccData| with exactly the kernel's
-// accumulate-max semantics (bit-masked |·|, ascending-index max), and
-// hands the reduction to CompressPreAccumulated, which performs only the
-// encode pass. Wires and residual state are bit-identical to driving
-// CompressInto with a materialized state-change tensor.
+// accumulate-max semantics (bit-masked |·|, ascending-index max), records
+// the buffer's block index in the same sweep (kernel.BlockMax.FusedSGDStep
+// does all three), and hands the reduction to CompressPreAccumulated,
+// which performs only the encode pass — skipping the blocks the index
+// shows cannot quantize. Wires and residual state are bit-identical to
+// driving CompressInto with a materialized state-change tensor.
 type PreAccumulator interface {
 	// AccData returns the raw error-accumulation buffer (length = tensor
-	// elements) the producer must fold the step's state change into.
-	AccData() []float32
+	// elements) the producer must fold the step's state change into, and
+	// the block index it must record as it does.
+	AccData() ([]float32, *kernel.BlockMax)
 	// CompressPreAccumulated appends the wire message given maxAbs =
 	// max|AccData| after the producer's fold, advancing residual state
 	// exactly like CompressInto.

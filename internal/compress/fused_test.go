@@ -1,6 +1,8 @@
 package compress
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"threelc/internal/kernel"
@@ -13,9 +15,21 @@ import (
 // once per decompress. A regression that reintroduces a staged sweep
 // (separate MaxAbs, a dequantization tensor, a zero-run scratch pass)
 // fails here.
+//
+// It also pins the block index at the codec level, on the push
+// (CompressInto, serial and fanned out) and on the server's pull
+// (kernel.BlockMax.FusedSGDStep recording the index as it folds the delta,
+// then CompressPreAccumulated): still two passes, and the encode pass
+// reads under 5 % of a 1M-element state change whose non-zero digits
+// cluster and all of one whose digits are scattered. The pull's wire must
+// match CompressInto of the same delta.
 func TestCompressorPassCounts(t *testing.T) {
-	var passes []string
-	kernel.PassHook = func(name string, elems int) { passes = append(passes, name) }
+	type pass struct {
+		name  string
+		elems int
+	}
+	var passes []pass
+	kernel.PassHook = func(name string, elems int) { passes = append(passes, pass{name, elems}) }
 	defer func() { kernel.PassHook = nil }()
 
 	const n = 1003
@@ -46,6 +60,60 @@ func TestCompressorPassCounts(t *testing.T) {
 			}
 			if len(passes) != 1 {
 				t.Fatalf("DecompressInto swept tensor memory %d times (%v), want exactly 1", len(passes), passes)
+			}
+		})
+	}
+
+	const big = 1 << 20
+	clustered, scattered := tensor.New(big), tensor.New(big)
+	rng := tensor.NewRNG(8)
+	for r := 0; r < 8; r++ { // 8 rows of 1 024 non-zero gradients
+		off := rng.Intn(big - 1024)
+		for i := off; i < off+1024; i++ {
+			clustered.Data()[i] = float32(rng.Norm() * 0.01)
+		}
+	}
+	tensor.FillUniform(scattered, -1, 1, rng) // 1/16 of the digits non-zero at s = 1.75
+	check := func(t *testing.T, label string, minRead, maxRead int) {
+		t.Helper()
+		if len(passes) != 2 || passes[0].elems != big {
+			t.Fatalf("%s: passes %v, want 2 with the first over all %d elements", label, passes, big)
+		}
+		if read := passes[1].elems; read < minRead || read > maxRead {
+			t.Fatalf("%s: encode pass read %d of %d elements, want %d..%d", label, read, big, minRead, maxRead)
+		}
+	}
+	for _, tc := range []struct {
+		name             string
+		in               *tensor.Tensor
+		minRead, maxRead int
+	}{
+		{"clustered", clustered, 1, big/20 - 1},
+		{"scattered", scattered, big, big},
+	} {
+		t.Run("block-index/"+tc.name, func(t *testing.T) {
+			opts := Options{Sparsity: 1.75, ZeroRun: true}
+			for _, par := range []int{1, 0} {
+				opts.CodecParallelism = par
+				passes = nil
+				New(SchemeThreeLC, []int{big}, opts).CompressInto(tc.in, nil)
+				check(t, fmt.Sprintf("push par=%d", par), tc.minRead, tc.maxRead)
+			}
+
+			// The pull: w = 0, v = 0, gscale = 1, lr = 1 make the delta −gs.
+			opts.CodecParallelism = 1
+			pa := New(SchemeThreeLC, []int{big}, opts).(PreAccumulator)
+			acc, blk := pa.AccData()
+			passes = nil
+			m := blk.FusedSGDStep(make([]float32, big), make([]float32, big), tc.in.Data(), acc, 1, 0, 0, 1)
+			pull := pa.CompressPreAccumulated(m, nil)
+			check(t, "pull", tc.minRead, tc.maxRead)
+			delta := tensor.New(big)
+			for i, g := range tc.in.Data() {
+				delta.Data()[i] = -g
+			}
+			if want := New(SchemeThreeLC, []int{big}, opts).CompressInto(delta, nil); !bytes.Equal(pull, want) {
+				t.Fatalf("pull wire (%d B) != CompressInto of the delta (%d B)", len(pull), len(want))
 			}
 		})
 	}

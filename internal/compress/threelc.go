@@ -59,20 +59,21 @@ func PaperWireLen(wire []byte) int {
 // quantization with sparsity multiplication, quartic encoding, and
 // (optionally, for the "No ZRE" ablation) zero-run encoding — run as the
 // two fused kernel passes of internal/kernel rather than the staged
-// seven-sweep pipeline. Pass 1 (kernel.AccumulateMaxAbs) folds the input
-// into the error buffer while reducing max|buf|; pass 2
-// (kernel.EncodeTernary) quantizes, keeps the residual in the buffer, and
-// writes quartic/zero-run wire bytes directly. No intermediate ternary
-// tensor or dequantization scratch exists.
+// seven-sweep pipeline. Pass 1 (kernel.BlockMax.AccumulateMaxAbs) folds
+// the input into the error buffer while reducing max|buf| and recording
+// the buffer's per-block |max|; pass 2 (kernel.BlockMax.EncodeTernary)
+// quantizes the blocks that can hold a non-zero digit, keeps the residual
+// in the buffer, and writes quartic/zero-run wire bytes directly. No
+// intermediate ternary tensor or dequantization scratch exists.
 type threeLCCompressor struct {
 	shape    []int
 	n        int
 	sparsity float64
 	zeroRun  bool
 
-	acc  *quant.ErrorAccumulator
-	qbuf []byte // scratch: parallel-encode chunk regions, reused
-	par  int    // per-pass fan-out cap (Options.CodecParallelism)
+	acc *quant.ErrorAccumulator
+	blk kernel.BlockMax // acc's block index, recorded by pass 1, consulted by pass 2
+	par int             // per-pass fan-out cap (Options.CodecParallelism)
 }
 
 func newThreeLCCompressor(shape []int, sparsity float64, zeroRun bool, par int) *threeLCCompressor {
@@ -121,21 +122,22 @@ func (c *threeLCCompressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
 	}
 	buf := c.acc.Buffer().Data()
 	w1 := kernel.PassWorkers(c.n, c.par)
-	return c.encodeAccumulated(kernel.AccumulateMaxAbsParallel(buf, in.Data(), w1), dst)
+	return c.encodeAccumulated(c.blk.AccumulateMaxAbs(buf, in.Data(), w1), dst)
 }
 
-// AccData exposes the error-accumulation buffer for producers that fuse
-// their own final write sweep with compress pass 1 (PreAccumulator).
-func (c *threeLCCompressor) AccData() []float32 {
-	return c.acc.Buffer().Data()
+// AccData exposes the error-accumulation buffer and its block index for
+// producers that fuse their own final write sweep with compress pass 1
+// (PreAccumulator).
+func (c *threeLCCompressor) AccData() ([]float32, *kernel.BlockMax) {
+	return c.acc.Buffer().Data(), &c.blk
 }
 
 // CompressPreAccumulated appends the wire for a step whose state change
 // the caller already folded into AccData (reporting maxAbs reduced
-// exactly like kernel.AccumulateMaxAbs): compress pass 1 has effectively
-// been absorbed into the producer's sweep, leaving only the fused encode
-// pass here. Wires and residuals are bit-identical to CompressInto on the
-// same state change.
+// exactly like kernel.AccumulateMaxAbs, and recording the block index):
+// compress pass 1 has effectively been absorbed into the producer's sweep,
+// leaving only the fused encode pass here. Wires and residuals are
+// bit-identical to CompressInto on the same state change.
 func (c *threeLCCompressor) CompressPreAccumulated(maxAbs float32, dst []byte) []byte {
 	return c.encodeAccumulated(maxAbs, dst)
 }
@@ -152,13 +154,7 @@ func (c *threeLCCompressor) encodeAccumulated(maxAbs float32, dst []byte) []byte
 	} else {
 		dst = append(dst, 0)
 	}
-	w2 := kernel.PassWorkers(c.n, c.par)
-	if w2 > 1 {
-		dst, c.qbuf = kernel.EncodeTernaryParallel(buf, m, c.zeroRun, dst, w2, c.qbuf)
-	} else {
-		dst = kernel.EncodeTernary(buf, m, c.zeroRun, dst)
-	}
-	return dst
+	return c.blk.EncodeTernary(buf, m, c.zeroRun, dst, kernel.PassWorkers(c.n, c.par))
 }
 
 // ErrorNorm exposes the squared norm of the accumulated error (for tests

@@ -24,9 +24,38 @@ import (
 // asm tier the same holds block by block — 40 elements that all quantize
 // to zero are read, not rewritten (the residual v − M·0 is v), so the pass
 // costs what its output says: a read-only scan plus the non-zero blocks.
+// It consults no block index: every block is read.
 //
 //3lc:noalloc
 func EncodeTernary(buf []float32, m float64, zeroRun bool, dst []byte) []byte {
+	var none *BlockMax
+	return none.EncodeTernary(buf, m, zeroRun, dst, 1)
+}
+
+// EncodeTernaryParallel is the chunked-parallel form of EncodeTernary
+// without a block index, byte-identical to the serial kernel for any
+// worker count. The stitch-up works in place in dst, so scratch is
+// returned untouched.
+func EncodeTernaryParallel(buf []float32, m float64, zeroRun bool, dst []byte, workers int, scratch []byte) (out, newScratch []byte) {
+	return new(BlockMax).EncodeTernary(buf, m, zeroRun, dst, workers), scratch
+}
+
+// EncodeTernary is compress pass 2 consulting x: a block whose recorded
+// max is under the quantizer threshold is not read — its groups join the
+// zero run (or are written as zero-group bytes without zero-run encoding)
+// — and every other block is quantized, packed and compacted as by the
+// index-free kernel, so wires and residuals are bit-identical to it. Under
+// a scale whose float32 is not finite M·0 is NaN and every residual
+// changes, so no block is skipped. The pass hook reports the elements
+// actually read.
+//
+// With workers > 1 block-aligned spans encode concurrently into their own
+// slots of dst, each compacting its blocks in place, and a serial
+// stitch-up merges the zero runs that cross span boundaries: the output is
+// byte-identical for any worker count.
+//
+//3lc:noalloc
+func (x *BlockMax) EncodeTernary(buf []float32, m float64, zeroRun bool, dst []byte, workers int) []byte {
 	n := len(buf)
 	qlen := encode.QuarticEncodedLen(n)
 	if m == 0 {
@@ -38,124 +67,146 @@ func EncodeTernary(buf []float32, m float64, zeroRun bool, dst []byte) []byte {
 		}
 		return appendZeroGroups(dst, qlen)
 	}
-	notePass("quantize+pack", n)
-	tpos := ternaryThreshold(1 / m)
-	dq := makeDequantTab(float32(m))
+	p := pass2{idx: x.consult(n), tpos: ternaryThreshold(1 / m), dq: makeDequantTab(float32(m)), zeroRun: zeroRun}
+	p.skip = p.tpos
+	if math.Float32bits(p.dq[1]) != 0 {
+		p.skip = 0 // M·0 is NaN: no block max is under 0
+	}
 	base := len(dst)
 	dst = growCap(dst, qlen)
 	out := dst[base : base+qlen]
-	if packBlocksFn != nil {
-		// Asm tier: pack every group to its absolute slot through the block
-		// core, then zero-run compact in place — the one-chunk case of the
-		// parallel encode. Byte-identical to the inline ZRE loop below.
-		if !zeroRun {
-			packRangeFast(buf, 0, n, tpos, &dq, out)
-			return dst[:base+qlen]
-		}
-		one := [1]ternChunk{encodeTernaryChunkFast(buf, 0, n, tpos, &dq, out)}
-		return dst[:base+stitchChunks(out, one[:])]
+	var one [1]ternChunk
+	spans := one[:]
+	if workers > 1 {
+		spans = p.encodeParallel(x, buf, out, workers)
+	} else {
+		one[0] = p.encodeSpan(buf, 0, n, out)
 	}
-	w, run := 0, 0
-	i := 0
-	for ; i+encode.GroupSize <= n; i += encode.GroupSize {
-		b := quantPack5(buf, i, tpos, &dq)
-		if zeroRun {
-			if b == encode.ZeroGroupByte {
-				run++
-				continue
-			}
-			w = flushZeroRun(out, w, run)
-			run = 0
-		}
-		out[w] = b
-		w++
+	read := 0
+	for _, s := range spans {
+		read += s.read
 	}
-	if i < n {
-		b := quantPackTail(buf, i, n, tpos, &dq)
-		if zeroRun && b == encode.ZeroGroupByte {
-			run++
-		} else {
-			if zeroRun {
-				w = flushZeroRun(out, w, run)
-				run = 0
-			}
-			out[w] = b
-			w++
-		}
+	notePass("quantize+pack", read)
+	if !zeroRun {
+		return dst[:base+qlen]
 	}
-	if zeroRun {
-		w = flushZeroRun(out, w, run)
-	}
-	return dst[:base+w]
+	return dst[:base+stitchChunks(out, spans)]
 }
 
-// ternChunk is one chunk's contribution to the parallel fused encode: the
-// count of leading zero groups, the fully encoded middle (first through
-// last non-zero-group byte), and the count of trailing zero groups. A
-// chunk containing only zero groups reports them all in lead with allZero
-// set, so boundary-spanning zero runs accumulate across any number of
-// chunks during stitch-up.
+// pass2 is what one EncodeTernary call holds fixed: the index it consults
+// (nil: none), the quantizer threshold, the level below which a block is
+// skipped (tpos, or 0 to skip nothing), the dequantization levels and the
+// wire form.
+type pass2 struct {
+	idx        []float32
+	tpos, skip float32
+	dq         dequantTab
+	zeroRun    bool
+}
+
+// encodeParallel runs encodeSpan over block-aligned spans of buf, each on
+// its own goroutine, and returns the spans' results, held in x's scratch
+// (a fresh slice for a nil x). p is a copy so that only this fan-out's
+// closure, not the serial caller's pass2, escapes to the heap.
+func (p pass2) encodeParallel(x *BlockMax, buf []float32, out []byte, workers int) []ternChunk {
+	var spans []ternChunk
+	if x != nil {
+		if cap(x.spans) < workers {
+			x.spans = make([]ternChunk, workers)
+		}
+		spans = x.spans[:workers]
+	} else {
+		spans = make([]ternChunk, workers)
+	}
+	used := forEachChunk(len(buf), BlockElems, workers, func(k, lo, hi int) {
+		spans[k] = p.encodeSpan(buf, lo, hi, out)
+	})
+	return spans[:used]
+}
+
+// encodeSpan encodes buf[lo:hi] (lo block-aligned) into the absolute group
+// slots of out, block by block. Without zero-run encoding that is the
+// whole job. With it, each visited block is compacted in place and the
+// span's blocks are joined as they come: the span's middle starts at the
+// slot of its first non-zero group and every later block's middle moves
+// toward it, never over a byte not yet read (a zero run never encodes
+// longer than its groups). The result counts the elements read.
+func (p *pass2) encodeSpan(buf []float32, lo, hi int, out []byte) ternChunk {
+	r := ternChunk{allZero: true}
+	w := 0
+	for b := lo; b < hi; {
+		e := hi
+		if p.idx != nil {
+			e = min(b+BlockElems, hi)
+		}
+		g0, g1 := b/encode.GroupSize, (e+encode.GroupSize-1)/encode.GroupSize
+		var c ternChunk
+		switch {
+		case p.idx != nil && p.idx[b/BlockElems] < p.skip:
+			if !p.zeroRun {
+				fillZeroGroups(out[g0:g1])
+			}
+			c = ternChunk{lead: g1 - g0, allZero: true}
+		case !p.zeroRun:
+			quantPackRangeDispatch(buf, b, e, p.tpos, &p.dq, out)
+			r.read += e - b
+		case packBlocksFn != nil:
+			c = encodeTernaryChunkFast(buf, b, e, p.tpos, &p.dq, out[g0:g1])
+			r.read += e - b
+		default:
+			c = encodeTernaryChunk(buf, b, e, p.tpos, &p.dq, out[g0:g1])
+			r.read += e - b
+		}
+		b = e
+		if !p.zeroRun {
+			continue
+		}
+		if c.allZero {
+			if r.allZero {
+				r.lead += c.lead
+			} else {
+				r.trail += c.lead
+			}
+			continue
+		}
+		if r.allZero {
+			r.allZero = false
+			r.lead += c.lead
+			w = lo/encode.GroupSize + r.lead // where c.mid already starts
+		} else {
+			w = flushZeroRun(out, w, r.trail+c.lead)
+		}
+		w += copy(out[w:], c.mid)
+		r.trail = c.trail
+	}
+	if !r.allZero {
+		r.mid = out[lo/encode.GroupSize+r.lead : w]
+	}
+	return r
+}
+
+// ternChunk is one chunk's contribution to the fused encode: the count of
+// leading zero groups, the fully encoded middle (first through last
+// non-zero-group byte), and the count of trailing zero groups. A chunk
+// containing only zero groups reports them all in lead with allZero set,
+// so boundary-spanning zero runs accumulate across any number of chunks
+// during stitch-up. A span's result also counts the elements it read.
 type ternChunk struct {
 	lead    int
 	trail   int
 	mid     []byte
 	allZero bool
-}
-
-// EncodeTernaryParallel is the chunked-parallel form of EncodeTernary:
-// chunks aligned to 5-element group boundaries quantize, update residuals,
-// and pack concurrently, then a serial stitch-up merges zero runs that
-// cross chunk boundaries so the output is byte-identical to the serial
-// kernel for any worker count. scratch holds the per-chunk encodings
-// (grown to the quartic length when needed) and is returned for the caller
-// to retain across steps.
-func EncodeTernaryParallel(buf []float32, m float64, zeroRun bool, dst []byte, workers int, scratch []byte) (out, newScratch []byte) {
-	n := len(buf)
-	if workers <= 1 || m == 0 {
-		return EncodeTernary(buf, m, zeroRun, dst), scratch
-	}
-	notePass("quantize+pack", n)
-	tpos := ternaryThreshold(1 / m)
-	dq := makeDequantTab(float32(m))
-	qlen := encode.QuarticEncodedLen(n)
-	base := len(dst)
-	dst = growCap(dst, qlen)
-	outBuf := dst[base : base+qlen]
-
-	if !zeroRun {
-		// Without zero-run encoding every group maps to a fixed output
-		// byte, so chunks write disjoint spans of the destination directly.
-		forEachChunk(n, encode.GroupSize, workers, func(_, lo, hi int) {
-			quantPackRangeDispatch(buf, lo, hi, tpos, &dq, outBuf)
-		})
-		return dst[:base+qlen], scratch
-	}
-
-	if cap(scratch) < qlen {
-		scratch = make([]byte, qlen)
-	}
-	sc := scratch[:qlen]
-	res := make([]ternChunk, workers)
-	used := forEachChunk(n, encode.GroupSize, workers, func(idx, lo, hi int) {
-		region := sc[lo/encode.GroupSize : (hi+encode.GroupSize-1)/encode.GroupSize]
-		if packBlocksFn != nil {
-			res[idx] = encodeTernaryChunkFast(buf, lo, hi, tpos, &dq, region)
-		} else {
-			res[idx] = encodeTernaryChunk(buf, lo, hi, tpos, &dq, region)
-		}
-	})
-
-	return dst[:base+stitchChunks(outBuf, res[:used])], scratch
+	read    int
 }
 
 // stitchChunks is the serial stitch-up: it lays the chunks' middles end to
 // end in out, merging the zero runs that cross chunk boundaries, and
 // returns the stream length. pending carries the zero run open at the
 // current boundary; it is flushed exactly where the serial encoder would
-// flush it (the next non-zero-group byte or end of stream). A middle may
-// live in out itself at or after its destination (the serial asm tier
-// compacts in place): the flush of a chunk's leading run never reaches the
-// middle it precedes, and copy is a memmove.
+// flush it (the next non-zero-group byte or end of stream). A middle lives
+// in out itself, starting at the slot of its first non-zero group, so at or
+// after its destination: the flush of a chunk's leading run never reaches
+// the middle it precedes, and copy is a memmove.
 func stitchChunks(out []byte, chunks []ternChunk) int {
 	w, pending := 0, 0
 	for c := range chunks {
@@ -171,37 +222,37 @@ func stitchChunks(out []byte, chunks []ternChunk) int {
 	return flushZeroRun(out, w, pending)
 }
 
-// encodeTernaryChunk runs the fused quantize+pack+ZRE loop over buf[lo:hi],
-// writing the chunk's middle encoding into region and reporting boundary
-// zero runs as counts for the stitch-up.
+// encodeTernaryChunk runs the fused quantize+pack+ZRE loop over buf[lo:hi]
+// into region (the chunk's absolute group slots) and reports it the way
+// compactChunk does: leading and trailing zero groups as counts, the
+// middle zero-run encoded starting at the slot of its first non-zero
+// group.
 func encodeTernaryChunk(buf []float32, lo, hi int, tpos float32, dq *dequantTab, region []byte) ternChunk {
-	r := ternChunk{allZero: true}
-	w, run := 0, 0
-	emit := func(b byte) {
-		if b == encode.ZeroGroupByte {
-			if r.allZero {
-				r.lead++
-			} else {
-				run++
-			}
-			return
+	lead, w, run := -1, 0, 0
+	for i, g := lo, 0; i < hi; i, g = i+encode.GroupSize, g+1 {
+		var b byte
+		if i+encode.GroupSize <= hi {
+			b = quantPack5(buf, i, tpos, dq)
+		} else {
+			b = quantPackTail(buf, i, hi, tpos, dq)
 		}
-		r.allZero = false
-		w = flushZeroRun(region, w, run)
+		if b == encode.ZeroGroupByte {
+			run++
+			continue
+		}
+		if lead < 0 {
+			lead, w = g, g
+		} else {
+			w = flushZeroRun(region, w, run)
+		}
 		run = 0
 		region[w] = b
 		w++
 	}
-	i := lo
-	for ; i+encode.GroupSize <= hi; i += encode.GroupSize {
-		emit(quantPack5(buf, i, tpos, dq))
+	if lead < 0 {
+		return ternChunk{lead: run, allZero: true}
 	}
-	if i < hi {
-		emit(quantPackTail(buf, i, hi, tpos, dq))
-	}
-	r.trail = run
-	r.mid = region[:w]
-	return r
+	return ternChunk{lead: lead, trail: run, mid: region[lead:w]}
 }
 
 // quantPackRange quantizes full groups (plus a trailing partial group when
@@ -430,10 +481,16 @@ func appendZeroRun(dst []byte, groups int) []byte {
 // fast path without zero-run encoding).
 func appendZeroGroups(dst []byte, groups int) []byte {
 	dst = growCap(dst, groups)
-	for i := 0; i < groups; i++ {
-		dst = append(dst, encode.ZeroGroupByte)
+	w := len(dst)
+	fillZeroGroups(dst[w : w+groups])
+	return dst[:w+groups]
+}
+
+// fillZeroGroups writes a zero-group byte to every slot of out.
+func fillZeroGroups(out []byte) {
+	for i := range out {
+		out[i] = encode.ZeroGroupByte
 	}
-	return dst
 }
 
 // growCap ensures cap(dst)-len(dst) >= n without changing len, with 1/8

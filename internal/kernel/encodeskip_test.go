@@ -16,25 +16,31 @@ import (
 // byte-identical, residuals bit-identical — strictly, not up to NaN class.
 
 // checkEncodeMatchesStaged accumulates in into fresh buffers and compares
-// the serial and the 3-chunk parallel fused encode with the staged pipeline.
+// the serial and the 3-chunk parallel fused encode, without and with a
+// block index, with the staged pipeline.
 func checkEncodeMatchesStaged(t *testing.T, tier Tier, in []float32, s float64, zre bool) {
 	t.Helper()
 	n := len(in)
 	acc := tensor.New(n)
 	wantWire, wantM := stagedTernary(acc, tensor.FromSlice(append([]float32(nil), in...), n), s, zre)
 	for _, workers := range []int{1, 3} {
-		buf := make([]float32, n)
-		m := float64(AccumulateMaxAbs(buf, in)) * s
-		if math.Float32bits(float32(m)) != math.Float32bits(wantM) {
-			t.Fatalf("tier %v n=%d: scale %v != staged %v", tier, n, float32(m), wantM)
-		}
-		got, _ := EncodeTernaryParallel(buf, m, zre, nil, workers, nil)
-		if !bytes.Equal(got, wantWire) {
-			t.Fatalf("tier %v n=%d zre=%v workers=%d: wire % x != staged % x", tier, n, zre, workers, got, wantWire)
-		}
-		if i, ok := bitsEqual(buf, acc.Data()); !ok {
-			t.Fatalf("tier %v n=%d zre=%v workers=%d: residual[%d] = %08x, staged %08x (in %08x)", tier, n, zre, workers,
-				i, math.Float32bits(buf[i]), math.Float32bits(acc.Data()[i]), math.Float32bits(in[i]))
+		for _, x := range []*BlockMax{nil, new(BlockMax)} {
+			buf := make([]float32, n)
+			m := float64(x.AccumulateMaxAbs(buf, in, workers)) * s
+			if math.Float32bits(float32(m)) != math.Float32bits(wantM) {
+				t.Fatalf("tier %v n=%d: scale %v != staged %v", tier, n, float32(m), wantM)
+			}
+			if x == nil {
+				x = new(BlockMax) // an empty index: the fan-out's scratch, nothing consulted
+			}
+			got := x.EncodeTernary(buf, m, zre, nil, workers)
+			if !bytes.Equal(got, wantWire) {
+				t.Fatalf("tier %v n=%d zre=%v workers=%d indexed=%v: wire % x != staged % x", tier, n, zre, workers, x.max != nil, got, wantWire)
+			}
+			if i, ok := bitsEqual(buf, acc.Data()); !ok {
+				t.Fatalf("tier %v n=%d zre=%v workers=%d indexed=%v: residual[%d] = %08x, staged %08x (in %08x)", tier, n, zre, workers, x.max != nil,
+					i, math.Float32bits(buf[i]), math.Float32bits(acc.Data()[i]), math.Float32bits(in[i]))
+			}
 		}
 	}
 }
@@ -42,20 +48,27 @@ func checkEncodeMatchesStaged(t *testing.T, tier Tier, in []float32, s float64, 
 // TestEncodeSkipBlockEdges puts one special value at each of the 40
 // positions of an otherwise-zero block — on, just under and mirrored across
 // the threshold, NaN, ±Inf, −0 and a denormal — between a block that fixes
-// the scale and a zero block plus tail. A value that quantizes to zero must
-// leave its block bit-untouched (−0 stays −0); one that does not must take
-// the whole block through the dense residual write.
+// the scale and a zero block plus tail, and at the edges of the second
+// block of the block index, whose max it then is. A value that quantizes
+// to zero must leave its block bit-untouched (−0 stays −0) and, in the
+// index, let its block be skipped; one that does not must take the whole
+// block through the dense residual write.
 func TestEncodeSkipBlockEdges(t *testing.T) {
-	const n, s = 3*40 + 7, 1.75
+	const n, s = BlockElems + 3*40 + 7, 1.75
 	tpos := ternaryThreshold(1 / (1 * s)) // max|in| is in[0] = 1 unless the value is ±Inf
 	values := []float32{
 		tpos, math.Nextafter32(tpos, 0), -tpos, -math.Nextafter32(tpos, 0),
 		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
 		math.Float32frombits(negZeroBits), math.Float32frombits(1), -math.Float32frombits(0x007fffff),
 	}
+	var positions []int
+	for pos := 40; pos < 80; pos++ {
+		positions = append(positions, pos)
+	}
+	positions = append(positions, BlockElems, BlockElems+1, n-1)
 	tierSweep(func(tier Tier) {
 		for _, v := range values {
-			for pos := 40; pos < 80; pos++ {
+			for _, pos := range positions {
 				in := make([]float32, n)
 				in[0] = 1
 				in[pos] = v

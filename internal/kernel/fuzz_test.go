@@ -141,6 +141,97 @@ func fuzzFusedVsStagedBody(t *testing.T, data []byte, sByte uint8, zre bool, n i
 	}
 }
 
+// FuzzBlockIndexVsFullScan is the differential fuzz target behind the block
+// index (BlockMax): pass 2 consulting the index pass 1 recorded — serial,
+// fanned out over 3 spans, and after the pull's FusedSGDStep — must emit
+// the wire of the index-free full scan byte for byte and leave its
+// residuals bit for bit, over two accumulating steps, under every kernel
+// tier. (A skipped block is not rewritten where the scalar full scan
+// writes v − (+0), but pass 1's add has already quieted any signalling
+// NaN, the one value that subtraction would change.) The input is records
+// of (offset, run length, value) written into a zero tensor of up to six
+// blocks, so digits cluster or scatter as the records say, and n need not
+// be a multiple of the block or of the 5-element group.
+func FuzzBlockIndexVsFullScan(f *testing.F) {
+	rec := func(off uint16, run uint8, bits uint32) []byte {
+		r := binary.LittleEndian.AppendUint16(nil, off)
+		return binary.LittleEndian.AppendUint32(append(r, run), bits)
+	}
+	cat := func(rs ...[]byte) []byte { return bytes.Join(rs, nil) }
+	f.Add([]byte(nil), uint16(3*BlockElems+3), uint8(192), true) // m == 0
+	// Clustered: one run of ones in the third block over scattered small
+	// values that never quantize.
+	f.Add(cat(rec(2*BlockElems+17, 200, 0x3f800000), rec(5, 1, 0x3a83126f), rec(4000, 1, 0xba83126f)), uint16(4*BlockElems+2), uint8(192), true)
+	f.Add(cat(rec(2*BlockElems+17, 200, 0x3f800000), rec(5, 1, 0x3a83126f)), uint16(4*BlockElems+2), uint8(0), false)
+	// Scattered: a spike in every block.
+	f.Add(cat(rec(3, 1, 0x3f800000), rec(BlockElems+600, 1, 0xbf800000), rec(2*BlockElems+1279, 1, 0x3f800000)), uint16(3*BlockElems), uint8(100), true)
+	// NaN (quiet and signalling) and −0 in blocks the index skips.
+	f.Add(cat(rec(10, 40, 0x3f800000), rec(BlockElems+3, 5, 0x7fc00000), rec(2*BlockElems, 3, 0x7f800001), rec(3*BlockElems-1, 9, 0x80000000)), uint16(3*BlockElems+11), uint8(192), true)
+	// max|buf|·s past MaxFloat32: float32(M) is +Inf, M·0 is NaN and no
+	// block may be skipped.
+	f.Add(cat(rec(7, 1, 0x7f7fffff), rec(BlockElems+9, 3, 0x3f800000)), uint16(2*BlockElems+4), uint8(128), true)
+
+	f.Fuzz(func(t *testing.T, data []byte, nRaw uint16, sByte uint8, zre bool) {
+		n := int(nRaw)%(6*BlockElems) + 1
+		s := 1 + float64(sByte)/256
+		in := make([]float32, n)
+		for ; len(data) >= 7; data = data[7:] {
+			off := int(binary.LittleEndian.Uint16(data)) % n
+			v := math.Float32frombits(binary.LittleEndian.Uint32(data[3:]))
+			for i := off; i < min(off+max(int(data[2]), 1), n); i++ {
+				in[i] = v
+			}
+		}
+		tierSweep(func(tier Tier) {
+			fuzzBlockIndexBody(t, tier, in, s, zre)
+		})
+	})
+}
+
+func fuzzBlockIndexBody(t *testing.T, tier Tier, in []float32, s float64, zre bool) {
+	n := len(in)
+	full := make([]float32, n)
+	bufs := [3][]float32{make([]float32, n), make([]float32, n), make([]float32, n)}
+	var idx [3]BlockMax
+	// The pull's pass 1: with w, v = 0, gs = in, gscale = −1 and lr = 1 the
+	// sweep folds w_new − w_old = in (exactly, for finite in) into acc.
+	sgd := func(x *BlockMax, acc []float32) float32 {
+		w, v := make([]float32, n), make([]float32, n)
+		return x.FusedSGDStep(w, v, in, acc, -1, 0, 0, 1)
+	}
+	fullSGD := make([]float32, n)
+	for step := 0; step < 2; step++ {
+		m := float64(AccumulateMaxAbs(full, in)) * s
+		want := EncodeTernary(full, m, zre, nil)
+		var none *BlockMax
+		mSGD := float64(sgd(none, fullSGD)) * s
+		wantSGD := EncodeTernary(fullSGD, mSGD, zre, nil)
+		for k, workers := range []int{1, 3, 1} {
+			var mk float64
+			if k < 2 {
+				mk = float64(idx[k].AccumulateMaxAbs(bufs[k], in, workers)) * s
+			} else {
+				mk = float64(sgd(&idx[k], bufs[k])) * s
+			}
+			ref, refBuf, refM := want, full, m
+			if k == 2 {
+				ref, refBuf, refM = wantSGD, fullSGD, mSGD
+			}
+			if math.Float64bits(mk) != math.Float64bits(refM) {
+				t.Fatalf("tier %v step %d form %d: indexed scale %v != full scan %v", tier, step, k, mk, refM)
+			}
+			got := idx[k].EncodeTernary(bufs[k], mk, zre, nil, workers)
+			if !bytes.Equal(got, ref) {
+				t.Fatalf("tier %v step %d form %d n=%d: indexed wire (%d B) != full scan (%d B)", tier, step, k, n, len(got), len(ref))
+			}
+			if i, ok := bitsEqual(bufs[k], refBuf); !ok {
+				t.Fatalf("tier %v step %d form %d: residual[%d] %08x != full scan %08x", tier, step, k, i,
+					math.Float32bits(bufs[k][i]), math.Float32bits(refBuf[i]))
+			}
+		}
+	}
+}
+
 // longRunFuzzSeeds start the decode fuzzers at the long-run token: valid
 // for the two destination sizes (3 and 820 groups), then cut short (as the
 // last byte, and mid-uvarint), a uvarint of six bytes, an expansion that

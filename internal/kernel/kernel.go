@@ -9,18 +9,31 @@
 // sweeps tensor memory exactly twice and the decode side exactly once:
 //
 //	pass 1  AccumulateMaxAbs    buf += in fused with the max|buf| reduction
-//	                            (reads both, writes buf)
+//	                            (reads both, writes buf); a context's form
+//	                            also records each 1 280-element block's
+//	                            max|buf| in its BlockMax index
 //	pass 2  EncodeTernary       quantize → local-dequantize → residual →
 //	                            quartic-pack → zero-run-emit in one loop
-//	                            that writes wire bytes directly; reads buf
-//	                            once and, on the asm tier, writes residuals
-//	                            back only into 40-element blocks that hold
-//	                            a non-zero digit (v − M·0 = v elsewhere), so
-//	                            at 3LC's zero fractions it is a read-only
-//	                            stream
+//	                            that writes wire bytes directly; skips every
+//	                            block whose indexed max is under the
+//	                            quantizer threshold (its digits are zero and
+//	                            v − M·0 = v while M is finite), reads the
+//	                            rest of buf once and, on the asm tier,
+//	                            writes residuals back only into 40-element
+//	                            blocks that hold a non-zero digit, so at
+//	                            3LC's zero fractions it is a read-only
+//	                            stream over the blocks that can quantize
 //	decode  DecodeTernary       ZRE-expand → quartic-unpack → scaled-apply
 //	                            in one LUT-driven loop streaming wire bytes
 //	                            straight into the destination floats
+//
+// The skip needs non-zero digits that cluster in few blocks and a finite
+// float32(M). lan-3lc's and wan-3lc's 1.85M-element layers have them: over
+// 90 steps of two workers their pushes hold a non-zero digit in 1.8 % of
+// the blocks, their pulls in 8.4 %. tiny-stream's 2 304-element tensors
+// are two blocks each, 86 % and 95 % of them visited; a scattered input
+// visits every block, at the cost of a core call and a compaction per
+// block instead of one per tensor.
 //
 // The zero-run spelling is package encode's, long-run token included;
 // flushZeroRun is the one place that writes it, zeroRunAt the one that reads.
@@ -32,17 +45,19 @@
 // reference implementation and for callers that need the intermediate
 // representations.
 //
-// Both compress passes have chunked-parallel forms (two-phase parallel max
-// reduction; group-aligned parallel fused encode with a per-chunk zero-run
-// stitch-up) that produce byte-identical output to the serial kernels for
-// any worker count. Scheduling is work-proportional: see PassWorkers.
+// Both compress passes have chunked-parallel forms over block-aligned spans
+// (the max reduced from the index the spans record; a fused encode per
+// span, compacted in place, with a zero-run stitch-up) that produce
+// byte-identical output to the serial kernels for any worker count.
+// Scheduling is work-proportional: see PassWorkers.
 //
 // The aggregation side adds a fourth kernel, DecodeTernaryAdd (dst += M·q
 // in one pass over the wire bytes and the non-zero groups: zero runs skip
 // memory, see decodeadd.go), and the parameter server's optimizer a fifth,
 // FusedSGDStep (average → momentum → weight → delta → accumulate+|max| in
-// one sweep, absorbing the pull's pass 1; FusedSGDStepDelta stores the
-// delta where there is no accumulation buffer to fold it into). Tensors
+// one sweep, absorbing the pull's pass 1 and recording its block index;
+// FusedSGDStepDelta stores the delta where there is no accumulation buffer
+// to fold it into). Tensors
 // that travel as verbatim float32 — the float32 baseline, state blobs and
 // checkpoints — are moved by the four raw cores of raw.go, one streaming
 // pass each; what a compressing run exempts from its codec travels as the
@@ -54,11 +69,14 @@
 //
 //	core                  scalar              asm (AVX2)
 //	accumulate+|max|      range loop          32-float blocks, 4 VMAXPS chains
+//	                      (one call per index block on both tiers)
 //	ternary quantize/pack cmov quantize loop  40-elem (8-group) AVX2 blocks:
 //	                      with inline ZRE     read-only scan, all-zero blocks
 //	                                          skip the quantize, residual write
 //	                                          and pack; then a word-at-a-time
 //	                                          zero-run compaction
+//	                      (index blocks under the threshold skipped before
+//	                      either tier's loop, on both tiers)
 //	LUT decode-add/set    byte-at-a-time      + AVX row loads for long literal
 //	                      row apply           stretches
 //	fused SGD sweep,      range loop          8-float mul/add/sub (never FMA)
@@ -207,18 +225,123 @@ func forEachChunk(n, align, workers int, fn func(idx, lo, hi int)) int {
 	return workers
 }
 
+// BlockElems is the block of the per-block |max| index (BlockMax): a
+// multiple of the 5-element quartic group and of the asm tier's 40-element
+// quantize block, so a skipped block is whole groups and a visited one
+// whole asm blocks up to the tensor's tail. Chosen from a sweep of 320,
+// 640, 1280 and 2560 (README, "Kernel dispatch"): smaller blocks skip more
+// of lan-3lc's pulls (4.1 % of 320-element blocks visited, 13.3 % of
+// 2560-element ones) but pay a core call and a compaction per block, which
+// larger ones save on the dense and clustered encode rows; lan-3lc's
+// exchange did not tell them apart, and read lowest at 1280.
+const BlockElems = 1280
+
+// BlockMax is the per-block |max| index of one tensor's accumulation
+// buffer. Pass 1 (AccumulateMaxAbs, FusedSGDStep) records max|buf| of every
+// BlockElems-element block as it reduces the tensor's max, and pass 2
+// (EncodeTernary) skips every block whose max is under the quantizer's
+// threshold: such a block quantizes to zero digits and keeps its residual
+// (v − M·0 = v while M is finite), so its groups join the zero run without
+// being read, packed or compacted. The skip pays where non-zero digits
+// cluster in few blocks, as on a large layer's gradients and model deltas;
+// where they are scattered every block is visited, as without an index.
+//
+// Pass 2 consults what the last pass 1 recorded, so nothing may write the
+// buffer between the two. The zero BlockMax is empty until a pass 1 sizes
+// it; an index that does not hold one entry per block of the buffer
+// (empty, or nil) is not consulted, and a nil one records nothing. The
+// index also keeps the per-span scratch of the parallel forms, so a
+// context that owns one runs both passes without allocating.
+type BlockMax struct {
+	max   []float32   // max|buf| of each block as of the last pass 1
+	spans []ternChunk // per-span results of a fanned-out EncodeTernary
+}
+
+// blocks returns the number of index entries of an n-element tensor.
+func blocks(n int) int { return (n + BlockElems - 1) / BlockElems }
+
+// record returns x's entries sized for an n-element tensor, nil for a nil
+// index: the slots pass 1 fills.
+func (x *BlockMax) record(n int) []float32 {
+	if x == nil {
+		return nil
+	}
+	k := blocks(n)
+	if cap(x.max) < k {
+		x.max = make([]float32, k)
+	}
+	x.max = x.max[:k]
+	return x.max
+}
+
+// consult returns x's entries when they index an n-element tensor, else
+// nil: the entries pass 2 reads.
+func (x *BlockMax) consult(n int) []float32 {
+	if x == nil || len(x.max) != blocks(n) {
+		return nil
+	}
+	return x.max
+}
+
 // AccumulateMaxAbs is compress pass 1: it adds in to buf element-wise and
 // returns max|buf| of the updated buffer, fusing the error-accumulation
 // sweep with the |max| reduction the quantizer needs (the staged pipeline
 // runs them as two separate sweeps). buf and in must have equal length.
+// It records no block index: EncodeTernary after it visits every block.
 //
 //3lc:noalloc
 func AccumulateMaxAbs(buf, in []float32) float32 {
+	var none *BlockMax
+	return none.AccumulateMaxAbs(buf, in, 1)
+}
+
+// AccumulateMaxAbs is compress pass 1 recording x: each block's max|buf|
+// lands in the index as the tensor's max is reduced. With workers > 1 the
+// sweep fans out over block-aligned spans (forEachChunk) and the tensor's
+// max is reduced from the index; float32 max is associative and NaN never
+// wins it, so the result is bit-identical to the serial kernel for any
+// worker count. A nil x records nothing and runs serially.
+//
+//3lc:noalloc
+func (x *BlockMax) AccumulateMaxAbs(buf, in []float32, workers int) float32 {
 	if len(buf) != len(in) {
 		panic(fmt.Sprintf("kernel: AccumulateMaxAbs length mismatch %d != %d", len(buf), len(in)))
 	}
 	notePass("accumulate+maxabs", len(buf))
-	return accMaxCore(buf, in)
+	idx := x.record(len(buf))
+	if idx == nil {
+		return accMaxCore(buf, in)
+	}
+	if workers > 1 {
+		return accMaxParallel(buf, in, idx, workers)
+	}
+	return accMaxBlocks(buf, in, 0, len(buf), idx)
+}
+
+// accMaxBlocks runs the dispatched accumulate+|max| core over the blocks of
+// buf[lo:hi] (lo block-aligned), recording each block's max in idx, and
+// returns the span's max.
+func accMaxBlocks(buf, in []float32, lo, hi int, idx []float32) float32 {
+	var m float32
+	for b := lo; b < hi; b += BlockElems {
+		e := min(b+BlockElems, hi)
+		bm := accMaxCore(buf[b:e], in[b:e])
+		idx[b/BlockElems] = bm
+		if bm > m {
+			m = bm
+		}
+	}
+	return m
+}
+
+// accMaxParallel is the fanned-out form of accMaxBlocks over the whole
+// tensor: spans write disjoint index entries, then one serial reduction
+// over the index (its entries are already magnitudes) gives the max.
+func accMaxParallel(buf, in, idx []float32, workers int) float32 {
+	forEachChunk(len(buf), BlockElems, workers, func(_, lo, hi int) {
+		accMaxBlocks(buf, in, lo, hi, idx)
+	})
+	return maxAbsRange(idx)
 }
 
 // accMaxAbsRange is the unhooked serial core shared by the serial and
@@ -241,30 +364,11 @@ func accMaxAbsRange(buf, in []float32) float32 {
 	return m
 }
 
-// AccumulateMaxAbsParallel is the chunked form of AccumulateMaxAbs: a
-// two-phase parallel max reduction (each chunk accumulates its span and
-// reduces a local max, then the chunk maxes reduce serially). float32 max
-// is associative, so the result is bit-identical to the serial kernel for
-// any worker count. workers <= 1 runs the serial kernel.
+// AccumulateMaxAbsParallel is the chunked form of AccumulateMaxAbs over a
+// fresh block index, bit-identical to the serial kernel for any worker
+// count. A context that runs it every step keeps a BlockMax instead.
 func AccumulateMaxAbsParallel(buf, in []float32, workers int) float32 {
-	if len(buf) != len(in) {
-		panic(fmt.Sprintf("kernel: AccumulateMaxAbs length mismatch %d != %d", len(buf), len(in)))
-	}
-	notePass("accumulate+maxabs", len(buf))
-	if workers <= 1 || len(buf) == 0 {
-		return accMaxCore(buf, in)
-	}
-	maxes := make([]float32, workers)
-	used := forEachChunk(len(buf), 1, workers, func(idx, lo, hi int) {
-		maxes[idx] = accMaxCore(buf[lo:hi], in[lo:hi])
-	})
-	var m float32
-	for _, v := range maxes[:used] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
+	return new(BlockMax).AccumulateMaxAbs(buf, in, workers)
 }
 
 // MaxAbs returns max|data| in one hooked sweep. It is pass 1 of the fused

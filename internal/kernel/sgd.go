@@ -18,19 +18,33 @@ import (
 // The sweep has two forms that differ only in that last line. This one
 // folds the delta into the pull compressor's error-accumulation buffer and
 // returns max|acc| of the updated buffer — compress pass 1 of the pull,
-// absorbed. FusedSGDStepDelta stores it instead. Every operation is a
+// absorbed, recording x as AccumulateMaxAbs does (a nil x records
+// nothing). FusedSGDStepDelta stores it instead. Every operation is a
 // separately rounded float32 multiply, add or subtract (no tier fuses a
 // multiply-add), so w, v and acc are bit-identical across tiers up to NaN
-// payloads and the returned maximum exactly (NaN never wins it). All four
-// slices must have equal length.
+// payloads and the returned maximum and index exactly (NaN never wins
+// them). All four slices must have equal length.
 //
 //3lc:noalloc
-func FusedSGDStep(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32 {
+func (x *BlockMax) FusedSGDStep(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32 {
 	if len(w) != len(v) || len(gs) != len(v) || len(acc) != len(v) {
 		panic(fmt.Sprintf("kernel: FusedSGDStep length mismatch w=%d v=%d gs=%d acc=%d", len(w), len(v), len(gs), len(acc)))
 	}
 	notePass("fused-sgd-step", len(v))
-	return sgdStepCore(w, v, gs, acc, gscale, wd, mom, lr)
+	idx := x.record(len(v))
+	if idx == nil {
+		return sgdStepCore(w, v, gs, acc, gscale, wd, mom, lr)
+	}
+	var m float32
+	for b := 0; b < len(v); b += BlockElems {
+		e := min(b+BlockElems, len(v))
+		bm := sgdStepCore(w[b:e], v[b:e], gs[b:e], acc[b:e], gscale, wd, mom, lr)
+		idx[b/BlockElems] = bm
+		if bm > m {
+			m = bm
+		}
+	}
+	return m
 }
 
 // FusedSGDStepDelta is the delta-writing form of FusedSGDStep, for pull

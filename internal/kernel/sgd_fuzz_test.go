@@ -57,9 +57,11 @@ func velocityOf(o *opt.SGD, n int) []float32 {
 // (including NaN/Inf bit patterns, −0 and denormals), arbitrary coefficient
 // bit patterns and every tail length the input allows,
 //
-//   - the accumulate form must, on each tier, leave weights, velocity and
-//     accumulator bit-identical to the scalar tier (up to NaN payload class)
-//     and return the bit-identical max|acc|, which is never NaN;
+//   - the accumulate form must, on each tier, with and without a block
+//     index to record, leave weights, velocity and accumulator
+//     bit-identical to the scalar tier's index-free sweep (up to NaN
+//     payload class) and return the bit-identical max|acc|, which is never
+//     NaN;
 //   - the delta form, driven as the parameter server drives it
 //     (opt.ApplyFusedStep with no accumulation buffer), must on each tier
 //     leave weights, velocity and deltas bit-identical to the staged
@@ -102,18 +104,21 @@ func FuzzFusedSGDStep(f *testing.F) {
 
 		kernel.SetTier(kernel.TierScalar)
 		ref := clone()
-		wantM := kernel.FusedSGDStep(ref[0], ref[1], ref[2], ref[3], gscale, wd, mom, lr)
+		var none *kernel.BlockMax
+		wantM := none.FusedSGDStep(ref[0], ref[1], ref[2], ref[3], gscale, wd, mom, lr)
 		for _, tier := range kernel.AvailableTiers() {
 			kernel.SetTier(tier)
-			got := clone()
-			gotM := kernel.FusedSGDStep(got[0], got[1], got[2], got[3], gscale, wd, mom, lr)
-			if math.Float32bits(gotM) != math.Float32bits(wantM) || gotM != gotM {
-				t.Fatalf("tier %v n=%d: max|acc| %x != scalar %x", tier, n, math.Float32bits(gotM), math.Float32bits(wantM))
-			}
-			for s, name := range []string{"w", "v", "gs", "acc"} {
-				if i, ok := nanClassEqual(got[s], ref[s]); !ok {
-					t.Fatalf("tier %v n=%d: %s differs at %d: %x vs %x", tier, n, name, i,
-						math.Float32bits(got[s][i]), math.Float32bits(ref[s][i]))
+			for _, x := range []*kernel.BlockMax{none, new(kernel.BlockMax)} {
+				got := clone()
+				gotM := x.FusedSGDStep(got[0], got[1], got[2], got[3], gscale, wd, mom, lr)
+				if math.Float32bits(gotM) != math.Float32bits(wantM) || gotM != gotM {
+					t.Fatalf("tier %v n=%d indexed=%v: max|acc| %x != scalar %x", tier, n, x != nil, math.Float32bits(gotM), math.Float32bits(wantM))
+				}
+				for s, name := range []string{"w", "v", "gs", "acc"} {
+					if i, ok := nanClassEqual(got[s], ref[s]); !ok {
+						t.Fatalf("tier %v n=%d indexed=%v: %s differs at %d: %x vs %x", tier, n, x != nil, name, i,
+							math.Float32bits(got[s][i]), math.Float32bits(ref[s][i]))
+					}
 				}
 			}
 		}
@@ -141,7 +146,7 @@ func FuzzFusedSGDStep(f *testing.F) {
 			o.ApplyFusedStep([]*nn.Param{p},
 				func(int) ([]float32, float32) { return got[2], gscale },
 				[]*tensor.Tensor{tensor.FromSlice(got[3], n)},
-				func(int) []float32 { return nil }, nil)
+				func(int) ([]float32, *kernel.BlockMax) { return nil, nil }, nil)
 			for _, c := range []struct {
 				name      string
 				got, want []float32

@@ -193,13 +193,13 @@ func (o *SGD) ApplyWithDelta(params []*nn.Param, deltas []*tensor.Tensor) {
 // exactly once; weights, velocity, residuals, and reductions are
 // bit-identical to the staged sweeps. p.G is neither read nor written.
 //
-// The arithmetic is kernel.FusedSGDStep, dispatched per CPU tier, in its
-// two forms: where accFor returns a buffer (every 3LC pull context) the
-// delta is folded into it and max|acc| lands in maxAbs[pi]; where it
-// returns nil (SchemeNone and the non-accumulating codecs) the delta is
-// stored in deltas[pi]. This function only resolves each parameter's
-// streams.
-func (o *SGD) ApplyFusedStep(params []*nn.Param, gradFor func(pi int) ([]float32, float32), deltas []*tensor.Tensor, accFor func(pi int) []float32, maxAbs []float32) {
+// The arithmetic is kernel.BlockMax.FusedSGDStep, dispatched per CPU tier,
+// in its two forms: where accFor returns a buffer (every 3LC pull context)
+// the delta is folded into it, the buffer's block index is recorded and
+// max|acc| lands in maxAbs[pi]; where it returns nil (SchemeNone and the
+// non-accumulating codecs) the delta is stored in deltas[pi]. This
+// function only resolves each parameter's streams.
+func (o *SGD) ApplyFusedStep(params []*nn.Param, gradFor func(pi int) ([]float32, float32), deltas []*tensor.Tensor, accFor func(pi int) ([]float32, *kernel.BlockMax), maxAbs []float32) {
 	if len(params) != len(deltas) {
 		panic("opt: delta count mismatch")
 	}
@@ -217,8 +217,8 @@ func (o *SGD) ApplyFusedStep(params []*nn.Param, gradFor func(pi int) ([]float32
 		wdta := p.W.Data()[:len(vd)]
 		gs, gscale := gradFor(pi)
 		gs = gs[:len(vd)]
-		if acc := accFor(pi); acc != nil {
-			maxAbs[pi] = kernel.FusedSGDStep(wdta, vd, gs, acc[:len(vd)], gscale, wd, mom, lr)
+		if acc, blk := accFor(pi); acc != nil {
+			maxAbs[pi] = blk.FusedSGDStep(wdta, vd, gs, acc[:len(vd)], gscale, wd, mom, lr)
 		} else {
 			kernel.FusedSGDStepDelta(wdta, vd, gs, deltas[pi].Data()[:len(vd)], gscale, wd, mom, lr)
 		}

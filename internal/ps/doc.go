@@ -44,16 +44,21 @@
 // append-style compress.CompressInto API, and layer tensors are
 // compressed/decompressed concurrently by a bounded worker pool
 // (Config.Parallelism). Per tensor, the ternary codecs run on the fused
-// kernels of internal/kernel — two passes over tensor memory to compress
-// and, on the aggregation side, ONE fused decode-accumulate pass per
+// kernels of internal/kernel — two passes over tensor memory to compress,
+// the second reading only the blocks whose recorded |max| can quantize to
+// a non-zero digit (kernel.BlockMax: where digits cluster, as on the
+// 1.85M-element layers of lan-3lc and wan-3lc, 1.8 % of a push's blocks
+// and 8.4 % of a pull's; a finite scale is needed too) — and, on the
+// aggregation side, ONE fused decode-accumulate pass per
 // worker payload that streams wire bytes and adds M·q straight into the
 // gradient sum (no intermediate decode tensor; payloads are validated
 // before the accumulator is touched). Server-side, the step is fused end
 // to end: FinishStep's optimizer sweep averages the gradient on the fly,
 // applies the update, and folds the model delta directly into the pull
-// compressor's error-accumulation buffer with its |max| reduction
-// (opt.ApplyFusedStep + compress.PreAccumulator), so compress pass 1
-// never runs as its own sweep. The staged decode-then-add / materialized
+// compressor's error-accumulation buffer with its |max| reduction and
+// block index (opt.ApplyFusedStep + compress.PreAccumulator), so compress
+// pass 1 never runs as its own sweep and the pull's encode skips as the
+// push's does. The staged decode-then-add / materialized
 // delta pipeline is the bit-identical reference the package's tests hold
 // this path to (TestFusedAggregateMatchesStaged); no configuration runs it.
 //

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"threelc/internal/compress"
+	"threelc/internal/kernel"
 	"threelc/internal/nn"
 	"threelc/internal/opt"
 	"threelc/internal/tensor"
@@ -176,7 +177,7 @@ type Job struct {
 	// is the last per-step heap traffic on an otherwise zero-alloc path.
 	addPushFn    func(i int)
 	pullPackFn   func(i int)
-	accForFn     func(i int) []float32
+	accForFn     func(i int) ([]float32, *kernel.BlockMax)
 	gradForFn    func(i int) ([]float32, float32)
 	inv          float32  // averaging scale of the step being finished
 	pushWorkerID int      // argument slot for addPushFn
@@ -268,11 +269,12 @@ func (s *Job) gradBufFor(i int) ([]float32, float32) {
 }
 
 // accBufFor hands the optimizer the pull context's error-accumulation
-// buffer for tensors whose compress pass 1 can absorb the delta write
-// (compress.PreAccumulator); nil keeps the materialized-delta path.
-func (s *Job) accBufFor(i int) []float32 {
+// buffer and block index for tensors whose compress pass 1 can absorb the
+// delta write (compress.PreAccumulator); nil keeps the materialized-delta
+// path.
+func (s *Job) accBufFor(i int) ([]float32, *kernel.BlockMax) {
 	if s.preAcc[i] == nil {
-		return nil
+		return nil, nil
 	}
 	return s.preAcc[i].AccData()
 }

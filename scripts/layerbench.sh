@@ -89,7 +89,9 @@ go test -run='^$' -bench 'FusedCompress/|FusedDecompress/|StagedCompress/|Staged
 # runner is). Encode and decode-add run on a dense input
 # (quantize+pack / literal cores decide; both gated) and on a
 # 0.998-zero one (encode: the read-only block scan, gated at 3x;
-# decode-add: the marker walk every tier shares, reported), plus
+# decode-add: the marker walk every tier shares, reported), the
+# encode also on a clustered one (the block index skips 98 % of it;
+# gated against the 0.998-zero row), plus
 # one cache-cold sparse encode row on the dispatched tier
 # (reported). The raw rows and the SGD sweep's delta row are
 # cache-cold too, with an accumulate+|max| and a built-in copy
