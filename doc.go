@@ -28,12 +28,16 @@
 // DecodeTernaryAddParallel shards the sweep across all workers' payloads
 // with deterministic, byte-identical sums). Payloads are validated by a
 // wire-byte pre-scan before the first element is touched, so a malformed
-// push can never corrupt live aggregation state. On the server the whole
-// step is fused end to end: the optimizer update writes each model delta
-// straight into the pull compressor's error-accumulation buffer while
-// reducing max|acc| in the same sweep (opt.ApplyFusedStep +
-// compress.PreAccumulator), so average → update → delta → compress
-// pass 1 collapse into one pass per tensor.
+// push can never corrupt live aggregation state. The gradient sum is
+// never zeroed: a per-block liveness record (kernel.LiveBlocks, reset in
+// O(1) each step) marks the blocks a push reached, a block is cleared when
+// the step's first literal group lands in it, and the rest read as +0. On
+// the server the whole step is fused end to end: the optimizer update
+// writes each model delta straight into the pull compressor's
+// error-accumulation buffer while reducing max|acc| in the same sweep
+// (opt.ApplyFusedStepLive + compress.PreAccumulator), reading the gradient
+// of the live blocks only, so average → update → delta → compress pass 1
+// collapse into one pass per tensor.
 //
 // The push/aggregate pipeline is overlapped at tensor granularity across
 // every layer:
@@ -96,7 +100,8 @@
 //	                     compress (AccumulateMaxAbs + EncodeTernary),
 //	                     one-pass LUT decode (DecodeTernary), one-pass
 //	                     decode-accumulate (DecodeTernaryAdd + the
-//	                     range-partitioned multi-payload parallel form),
+//	                     range-partitioned multi-payload parallel form,
+//	                     into a sum a LiveBlocks record may track),
 //	                     chunked parallel forms, pass-count-aware
 //	                     scheduling
 //	internal/quant       3-value quantization with sparsity multiplication,

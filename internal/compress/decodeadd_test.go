@@ -200,9 +200,11 @@ func TestInt8FusedEncodeMatchesLegacy(t *testing.T) {
 // TestDecompressFirstAddMatchesZeroThenAdd pins DecompressFirstAddInto's
 // contract for every codec: over a destination holding stale sums it
 // leaves, bit for bit, what zeroing the destination and DecompressAddInto
-// leave. The raw schemes are the ones that could tell the difference — a
-// float wire can carry −0 and a copy would keep its sign — so their inputs
-// get negative zeros planted in them.
+// leave. The float wires, raw and packed, are the ones it does not zero
+// for but adds to +0 in registers, and the ones that could tell the
+// difference — a float wire can carry −0 and a copy would keep its sign —
+// so their inputs get negative zeros planted in them; every other wire,
+// ternary included, takes the zeroing.
 func TestDecompressFirstAddMatchesZeroThenAdd(t *testing.T) {
 	const n = 1031
 	negZero := float32(math.Copysign(0, -1))

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -22,7 +23,10 @@ import (
 // then CompressPreAccumulated): still two passes, and the encode pass
 // reads under 5 % of a 1M-element state change whose non-zero digits
 // cluster and all of one whose digits are scattered. The pull's wire must
-// match CompressInto of the same delta.
+// match CompressInto of the same delta. On the server's side of the push
+// (DecompressAddLive into a recorded gradient sum, then the sweep reading
+// it) the decode-add and the sweep touch as little — and all of the sum
+// under a NaN scale.
 func TestCompressorPassCounts(t *testing.T) {
 	type pass struct {
 		name  string
@@ -100,8 +104,38 @@ func TestCompressorPassCounts(t *testing.T) {
 				check(t, fmt.Sprintf("push par=%d", par), tc.minRead, tc.maxRead)
 			}
 
-			// The pull: w = 0, v = 0, gscale = 1, lr = 1 make the delta −gs.
+			// The push as the server takes it: decode-added into a recorded
+			// gradient sum, which the optimizer sweep then reads. Both touch
+			// the blocks a literal group lands in — all of them under a NaN
+			// scale.
 			opts.CodecParallelism = 1
+			push := New(SchemeThreeLC, []int{big}, opts).CompressInto(tc.in, nil)
+			nanPush := append([]byte(nil), push...)
+			binary.LittleEndian.PutUint32(nanPush[1:], 0x7fc00000)
+			for _, w := range []struct {
+				label            string
+				wire             []byte
+				minRead, maxRead int
+			}{{"push sum", push, tc.minRead, tc.maxRead}, {"push sum, NaN scale", nanPush, big, big}} {
+				var live kernel.LiveBlocks
+				live.Reset()
+				sum := tensor.New(big)
+				passes = nil
+				if err := DecompressAddLive(w.wire, sum, &live, 1); err != nil {
+					t.Fatal(err)
+				}
+				live.FusedSGDStep(nil, make([]float32, big), make([]float32, big), sum.Data(), make([]float32, big), 0.5, 0, 0, 1)
+				if len(passes) != 2 {
+					t.Fatalf("%s: passes %v, want the decode-add and the sweep", w.label, passes)
+				}
+				for _, p := range passes {
+					if p.elems < w.minRead || p.elems > w.maxRead {
+						t.Fatalf("%s: %s touched %d of %d elements, want %d..%d", w.label, p.name, p.elems, big, w.minRead, w.maxRead)
+					}
+				}
+			}
+
+			// The pull: w = 0, v = 0, gscale = 1, lr = 1 make the delta −gs.
 			pa := New(SchemeThreeLC, []int{big}, opts).(PreAccumulator)
 			acc, blk := pa.AccData()
 			passes = nil

@@ -3,6 +3,7 @@ package compress
 import (
 	"fmt"
 
+	"threelc/internal/kernel"
 	"threelc/internal/tensor"
 )
 
@@ -159,26 +160,49 @@ func DecompressAddInto(wire []byte, dst *tensor.Tensor, workers int) error {
 	return decodeThenAdd(wire, dst)
 }
 
+// DecompressAddLive is DecompressAddInto into a gradient sum that live
+// records (kernel.LiveBlocks): dst reads as +0 in every dead block. A
+// ternary wire decode-adds through the record — a block is cleared when
+// the first literal group of the step lands in it, zero runs touch
+// nothing, and a non-finite scale makes every block live and adds densely.
+// Every other wire is a dense add: into an empty sum as its first
+// accumulation (DecompressFirstAddInto), otherwise after the dead blocks
+// are cleared, and either way every block is live after it. On error
+// neither what dst reads as nor the record changes. A nil live is
+// DecompressAddInto.
+//
+//3lc:noalloc
+func DecompressAddLive(wire []byte, dst *tensor.Tensor, live *kernel.LiveBlocks, workers int) error {
+	if len(wire) > 0 && (Scheme(wire[0]) == SchemeThreeLC || Scheme(wire[0]) == SchemeStoch3QE) {
+		return addTernary(wire[1:], dst, live, workers)
+	}
+	var err error
+	if live.Empty(dst.Len()) {
+		err = DecompressFirstAddInto(wire, dst, workers)
+	} else {
+		live.ClearDead(dst.Data())
+		err = DecompressAddInto(wire, dst, workers)
+	}
+	if err != nil {
+		return err
+	}
+	live.Mark(dst.Len())
+	return nil
+}
+
 // DecompressFirstAddInto decodes wire into dst as the FIRST accumulation
 // of a fresh gradient sum: bit-identical to zeroing dst and then
-// DecompressAddInto, but without the zeroing sweep and the
-// read-modify-write wherever one write-only pass over dst gives the same
-// bits. Two kinds of wire qualify. A ternary wire with a non-negative
-// scale provably decodes to no negative zeros — every value is M·q with
-// M >= +0, so −0 (only M·(−1) with M = ±0, or negative M) cannot appear —
-// and x + 0 differs from x only at x = −0, so writing the decode over dst
-// IS the zero-and-accumulate result. A float wire, raw or packed, can carry
-// −0, so it is not copied but added to +0 element by element in registers
+// DecompressAddInto. A float wire, raw or packed, can carry −0, so it is
+// not copied but added to +0 element by element in registers
 // (kernel.RawFirstAdd, kernel.Planes32FirstAdd: +0 + (−0) = +0, exactly as
-// the staged add leaves it). Everything else zeroes and accumulates.
+// the staged add leaves it) — one write-only pass over dst, no zeroing
+// sweep and no read. Everything else zeroes and accumulates.
 //
 // On error dst is zeroed — exactly the staged state of a fresh sum whose
 // first accumulation was rejected.
 func DecompressFirstAddInto(wire []byte, dst *tensor.Tensor, workers int) error {
 	var err error
 	switch {
-	case firstAddAsSet(wire):
-		err = DecompressInto(wire, dst)
 	case len(wire) > 0 && (Scheme(wire[0]) == SchemeNone || Scheme(wire[0]) == SchemeLocalSteps):
 		err = decodeRawFirstAdd(wire[1:], dst)
 	case len(wire) > 0 && Scheme(wire[0]) == SchemePacked32:
@@ -191,23 +215,6 @@ func DecompressFirstAddInto(wire []byte, dst *tensor.Tensor, workers int) error 
 		dst.Zero()
 	}
 	return err
-}
-
-// firstAddAsSet reports whether wire's decode provably contains no
-// negative zeros (see DecompressFirstAddInto): a ternary wire whose scale
-// M is strictly positive (or +NaN/+Inf — their products are never −0).
-// M = ±0 is excluded: a hostile wire can pair a zero scale with nonzero
-// digits, and +0·(−1) = −0. The scale sits at wire bytes [1,5)
-// little-endian, sign bit atop wire[4].
-func firstAddAsSet(wire []byte) bool {
-	if len(wire) < 5 {
-		return false
-	}
-	switch Scheme(wire[0]) {
-	case SchemeThreeLC, SchemeStoch3QE:
-		return wire[4]&0x80 == 0 && wire[1]|wire[2]|wire[3]|wire[4] != 0
-	}
-	return false
 }
 
 // decodeThenAdd is the fallback decode-accumulate: decode into pooled

@@ -186,13 +186,19 @@ func decodeTernary(payload []byte, dst *tensor.Tensor) error {
 	return nil
 }
 
-// decodeTernaryAdd is the aggregation-side path: kernel.DecodeTernaryAdd
-// accumulates M·q straight into dst in one LUT-driven pass, validating
-// the payload before the first element is touched (dst is a live
-// aggregation buffer). Large tensors under a multi-worker budget shard
-// the accumulate sweep range-partitioned, byte-identical to the serial
-// kernel.
+// decodeTernaryAdd is the aggregation-side path into a plain destination:
+// addTernary with every block live.
 func decodeTernaryAdd(payload []byte, dst *tensor.Tensor, workers int) error {
+	return addTernary(payload, dst, nil, workers)
+}
+
+// addTernary decode-adds a ternary payload into dst, a sum live records:
+// kernel.LiveBlocks.DecodeTernaryAdd accumulates M·q straight into dst in
+// one LUT-driven pass, validating the payload before the first element is
+// touched (dst is a live aggregation buffer). Large tensors under a
+// multi-worker budget shard the accumulate sweep range-partitioned,
+// byte-identical to the serial kernel.
+func addTernary(payload []byte, dst *tensor.Tensor, live *kernel.LiveBlocks, workers int) error {
 	if len(payload) < 5 {
 		return fmt.Errorf("compress: ternary payload too short (%d bytes)", len(payload))
 	}
@@ -202,9 +208,9 @@ func decodeTernaryAdd(payload []byte, dst *tensor.Tensor, workers int) error {
 	}
 	m, body := getF32(payload), payload[5:]
 	if workers > 1 && dst.Len() >= kernel.ParallelThresholdElems {
-		err = kernel.DecodeTernaryAddParallel([]kernel.TernaryWire{{Body: body, ZRE: zre, M: m}}, dst.Data(), workers)
+		err = live.DecodeTernaryAddParallel([]kernel.TernaryWire{{Body: body, ZRE: zre, M: m}}, dst.Data(), workers)
 	} else {
-		err = kernel.DecodeTernaryAdd(body, zre, m, dst.Data())
+		err = live.DecodeTernaryAdd(body, zre, m, dst.Data())
 	}
 	if err != nil {
 		return fmt.Errorf("compress: %w", err)

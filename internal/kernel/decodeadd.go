@@ -42,6 +42,31 @@ import (
 // non-finite scale (±Inf, NaN: only an untrusted wire carries one) makes
 // m·0 NaN, which must reach every element of the run, so that case alone
 // keeps the dense fill.
+//
+// A sum the server rebuilds every step need not be zeroed either. Its
+// LiveBlocks record stamps each BlockElems-element block that holds this
+// step's data; a block without this step's stamp is dead and reads as +0,
+// whatever its memory holds. The first literal group of a step to land in
+// a dead block clears the block and stamps it, then adds, so the block
+// holds +0 + M·q — what zeroing the whole sum and adding would have left
+// there — and zero runs touch neither memory nor the record. No push
+// zero-fills the sum, and the optimizer sweep after the pushes reads a
+// shared zero block in place of every dead block's gradient
+// (LiveBlocks.FusedSGDStep). A dense add — a non-finite scale here, a raw
+// or packed wire in package compress — first clears the dead blocks and
+// then stamps every block. The loop is the one above: each literal group
+// compares its position with the end of the block it last entered, and
+// only a group past it consults the record; without a record (nil) every
+// block counts as live and nothing is cleared. Measured over the steps of
+// one 5-second benchmark run (two workers, seed 1), a step's sums have
+// 3.6 % of their blocks live on lan-3lc and 3.2 % on wan-3lc, where the
+// record saves nearly the whole sum, and 97 % on tiny-stream, whose
+// 2 304-element tensors are two blocks each and take nearly every push
+// densely.
+//
+// The pass hook reports the elements of the blocks a literal group landed
+// in — all of dst under a non-finite scale — so the count is what the
+// decode actually touched.
 
 // scanTernaryBody validates a ternary wire body against the group count a
 // destination of gTotal groups requires, touching only the wire bytes:
@@ -128,58 +153,90 @@ func sumGroups(tokens []byte) (gi int) {
 // staged decode-then-add for any payload, including non-finite scales,
 // provided dst holds no −0 under a run (see the file comment above:
 // there dst keeps its −0 where the staged add yields +0). The payload is
-// validated before accumulation begins; on error dst is unchanged.
+// validated before accumulation begins; on error dst is unchanged. Every
+// block of dst counts as live.
 //
 //3lc:noalloc
 //3lc:decode
 func DecodeTernaryAdd(body []byte, zre bool, m float32, dst []float32) error {
+	var all *LiveBlocks
+	return all.DecodeTernaryAdd(body, zre, m, dst)
+}
+
+// DecodeTernaryAdd is the decode-add into a sum l records: a dead block a
+// literal group lands in is cleared and stamped before the add, and one
+// no literal group reaches stays dead and untouched. A non-finite scale
+// clears the dead blocks and marks every block live first, then adds
+// densely. On error neither dst nor l changes.
+//
+//3lc:noalloc
+//3lc:decode
+func (l *LiveBlocks) DecodeTernaryAdd(body []byte, zre bool, m float32, dst []float32) error {
 	if err := scanTernaryBody(body, zre, encode.QuarticEncodedLen(len(dst))); err != nil {
 		return err
 	}
-	notePass("lut-decode-add", len(dst))
-	addValidated(body, m, dst)
+	addValidated(body, m, dst, l.forScale(m, dst))
+	noteDecodeAdd(body, m, len(dst))
 	return nil
 }
 
 // addValidated runs the fused accumulate pass over an already-validated
 // payload, choosing the ScaledLUT or inline-multiply form by size exactly
 // like DecodeTernary.
-func addValidated(body []byte, m float32, dst []float32) {
+func addValidated(body []byte, m float32, dst []float32, l *LiveBlocks) {
 	if len(dst) >= scaledLUTMinElems {
-		l := lutPool.Get().(*ScaledLUT)
-		l.Build(m)
-		addSpanCore(body, &l.tab, dst, 0, len(dst), 0, 0)
-		lutPool.Put(l)
+		lut := lutPool.Get().(*ScaledLUT)
+		lut.Build(m)
+		addSpanCore(body, &lut.tab, dst, 0, len(dst), 0, 0, l)
+		lutPool.Put(lut)
 		return
 	}
-	addSmallSpan(body, m, dst, 0, len(dst), 0, 0)
+	addSmallSpan(body, m, dst, 0, len(dst), 0, 0, l)
 }
 
-// addScaledSpan accumulates the span dst[lo:hi) of a validated body
-// through a prebuilt ScaledLUT: decoding starts at body[off], whose first
-// skip groups belong to the preceding span (skip is non-zero only when a
-// zero run straddles a span boundary). Serial callers pass the full range
-// with off = skip = 0. This is the scalar tier; addScaledSpanLits is the
-// asm tier's form.
-func addScaledSpan(body []byte, tab *scaledTab, dst []float32, lo, hi, off, skip int) {
+// addScaledSpan accumulates the span dst[lo:hi) (lo block-aligned) of a
+// validated body through a prebuilt ScaledLUT into a sum l records:
+// decoding starts at body[off], whose first skip groups belong to the
+// preceding span (skip is non-zero only when a zero run straddles a span
+// boundary). Serial callers pass the full range with off = skip = 0. end
+// is the end of the block the last literal group entered: a stretch of
+// literal groups up to the next run or that end is one inner loop, so the
+// record is consulted once a stretch and block, and a literal group costs
+// what it did without one. This is the scalar tier; addScaledSpanLits is
+// the asm tier's form.
+func addScaledSpan(body []byte, tab *scaledTab, dst []float32, lo, hi, off, skip int, l *LiveBlocks) {
 	zero := tab[encode.ZeroGroupByte][0] // m·0: ±0, or NaN for a non-finite scale
 	fill := zero != zero
-	w := lo
+	w, end := lo, lo
 	for w < hi {
 		b := body[off]
 		if b > encode.MaxQuartic {
 			k, next := zeroRunAt(body, off, math.MaxInt)
-			end := min(w+(k-skip)*encode.GroupSize, hi)
+			runEnd := min(w+(k-skip)*encode.GroupSize, hi)
 			if fill {
-				addFill(dst[w:end], zero)
+				addFill(dst[w:runEnd], zero)
 			}
-			w, off, skip = end, next, 0
+			w, off, skip = runEnd, next, 0
 			continue
 		}
-		off++
 		skip = 0
-		row := &tab[b]
-		if w+encode.GroupSize <= hi {
+		if w >= end {
+			end = min(l.enter(dst, w), hi)
+		}
+		if end-w < encode.GroupSize { // the tensor's last group, partial
+			off++
+			for k := 0; w < hi; k, w = k+1, w+1 {
+				dst[w] += tab[b][k]
+			}
+			continue
+		}
+		for w+encode.GroupSize <= end {
+			b := body[off]
+			if b > encode.MaxQuartic {
+				break
+			}
+			off++
+			row := &tab[b]
 			d := dst[w : w+encode.GroupSize : w+encode.GroupSize]
 			d[0] += row[0]
 			d[1] += row[1]
@@ -187,45 +244,52 @@ func addScaledSpan(body []byte, tab *scaledTab, dst []float32, lo, hi, off, skip
 			d[3] += row[3]
 			d[4] += row[4]
 			w += encode.GroupSize
-		} else {
-			for k := 0; w < hi; k, w = k+1, w+1 {
-				dst[w] += row[k]
-			}
 		}
 	}
 }
 
 // addSmallSpan is the small-tensor form of addScaledSpan: ternLUT digits
 // scaled by an inline multiply, the same single pass.
-func addSmallSpan(body []byte, m float32, dst []float32, lo, hi, off, skip int) {
+func addSmallSpan(body []byte, m float32, dst []float32, lo, hi, off, skip int, l *LiveBlocks) {
 	zero := m * float32(0)
 	fill := zero != zero
-	w := lo
+	w, end := lo, lo
 	for w < hi {
 		b := body[off]
 		if b > encode.MaxQuartic {
 			k, next := zeroRunAt(body, off, math.MaxInt)
-			end := min(w+(k-skip)*encode.GroupSize, hi)
+			runEnd := min(w+(k-skip)*encode.GroupSize, hi)
 			if fill {
-				addFill(dst[w:end], zero)
+				addFill(dst[w:runEnd], zero)
 			}
-			w, off, skip = end, next, 0
+			w, off, skip = runEnd, next, 0
 			continue
 		}
-		off++
 		skip = 0
-		row := &ternLUT[b]
-		if w+encode.GroupSize <= hi {
-			dst[w] += m * float32(row[0])
-			dst[w+1] += m * float32(row[1])
-			dst[w+2] += m * float32(row[2])
-			dst[w+3] += m * float32(row[3])
-			dst[w+4] += m * float32(row[4])
-			w += encode.GroupSize
-		} else {
+		if w >= end {
+			end = min(l.enter(dst, w), hi)
+		}
+		if end-w < encode.GroupSize { // the tensor's last group, partial
+			off++
 			for k := 0; w < hi; k, w = k+1, w+1 {
-				dst[w] += m * float32(row[k])
+				dst[w] += m * float32(ternLUT[b][k])
 			}
+			continue
+		}
+		for w+encode.GroupSize <= end {
+			b := body[off]
+			if b > encode.MaxQuartic {
+				break
+			}
+			off++
+			row := &ternLUT[b]
+			d := dst[w : w+encode.GroupSize : w+encode.GroupSize]
+			d[0] += m * float32(row[0])
+			d[1] += m * float32(row[1])
+			d[2] += m * float32(row[2])
+			d[3] += m * float32(row[3])
+			d[4] += m * float32(row[4])
+			w += encode.GroupSize
 		}
 	}
 }
@@ -236,6 +300,169 @@ func addFill(dst []float32, v float32) {
 	for i := range dst {
 		dst[i] += v
 	}
+}
+
+// nonFinite reports whether m·0 is NaN: m is ±Inf or NaN.
+func nonFinite(m float32) bool {
+	z := m * 0
+	return z != z
+}
+
+// noteDecodeAdd reports the decode-add of one validated payload into an
+// n-element destination to the pass hook: the elements of the blocks its
+// literal groups land in, or all n under a non-finite scale, whose m·0
+// reaches every element. The count walks the wire bytes again, so it runs
+// only under a hook.
+func noteDecodeAdd(body []byte, m float32, n int) {
+	if PassHook == nil {
+		return
+	}
+	touched := n
+	if !nonFinite(m) {
+		touched = 0
+		for off, w, end := 0, 0, 0; off < len(body); {
+			k, next := 1, off+1
+			if body[off] > encode.MaxQuartic {
+				k, next = zeroRunAt(body, off, math.MaxInt)
+			} else if w >= end {
+				lo := w - w%BlockElems
+				end = min(lo+BlockElems, n)
+				touched += end - lo
+			}
+			w, off = w+k*encode.GroupSize, next
+		}
+	}
+	PassHook("lut-decode-add", touched)
+}
+
+// LiveBlocks is the per-block liveness record of one gradient sum: which
+// BlockElems-element blocks hold the current step's data (see the file
+// comment). A block is live when its stamp equals the record's epoch, so
+// Reset kills every block in O(1). A dead block reads as +0 whatever its
+// memory holds; the decode-add clears it the first time a literal group
+// lands in it, a dense add clears every dead block at once (ClearDead,
+// then Mark), and FusedSGDStep reads a shared zero block in its place. A
+// nil record counts every block as live and clears nothing — the contract
+// of a plain destination. The zero LiveBlocks is a record whose every
+// block is dead; it sizes itself to the sum on first use (the one
+// allocation), and a sum of another length resets it.
+type LiveBlocks struct {
+	stamp []uint32 // per block: the epoch in which it last became live
+	epoch uint32   // the current step's stamp; never 0 once stamp is sized
+}
+
+// Reset starts a step: every block is dead.
+func (l *LiveBlocks) Reset() {
+	l.epoch++
+	if l.epoch == 0 { // wrapped: no stale stamp may equal the new epoch
+		clear(l.stamp)
+		l.epoch = 1
+	}
+}
+
+// sized makes l one stamp per block of an n-element sum.
+func (l *LiveBlocks) sized(n int) {
+	if k := blocks(n); len(l.stamp) != k {
+		l.stamp = make([]uint32, k)
+		l.epoch = max(l.epoch, 1)
+	}
+}
+
+// enter makes the block of dst holding element w live, clearing it if it
+// was dead, and returns the element the block ends at. A nil l clears
+// nothing.
+func (l *LiveBlocks) enter(dst []float32, w int) (end int) {
+	b := w / BlockElems
+	lo := b * BlockElems
+	end = min(lo+BlockElems, len(dst))
+	if l != nil && l.stamp[b] != l.epoch {
+		clear(dst[lo:end])
+		l.stamp[b] = l.epoch
+	}
+	return end
+}
+
+// forScale sizes l for dst and returns the record a decode-add under scale
+// m runs with: l itself, or — when m·0 is NaN and every element takes it —
+// nil, after clearing the dead blocks and marking every block live.
+func (l *LiveBlocks) forScale(m float32, dst []float32) *LiveBlocks {
+	if l == nil {
+		return nil
+	}
+	l.sized(len(dst))
+	if nonFinite(m) {
+		l.ClearDead(dst)
+		l.Mark(len(dst))
+		return nil
+	}
+	return l
+}
+
+// Empty reports whether no block of the n-element sum l records is live.
+// A nil record is never empty.
+func (l *LiveBlocks) Empty(n int) bool {
+	if l == nil {
+		return false
+	}
+	l.sized(n)
+	for _, s := range l.stamp {
+		if s == l.epoch {
+			return false
+		}
+	}
+	return true
+}
+
+// ClearDead zeroes every dead block of dst, leaving the record as it is:
+// what dst reads as does not change. A dense add into a sum that is not
+// empty runs after it, then Mark.
+func (l *LiveBlocks) ClearDead(dst []float32) {
+	if l == nil {
+		return
+	}
+	l.sized(len(dst))
+	for b, s := range l.stamp {
+		if s != l.epoch {
+			clear(dst[b*BlockElems : min((b+1)*BlockElems, len(dst))])
+		}
+	}
+}
+
+// Mark stamps every block of the n-element sum l records live: after a
+// dense add, which wrote every element.
+func (l *LiveBlocks) Mark(n int) {
+	if l == nil {
+		return
+	}
+	l.sized(n)
+	for b := range l.stamp {
+		l.stamp[b] = l.epoch
+	}
+}
+
+// zeroBlock is the gradient FusedSGDStep reads in place of a dead block's.
+// Nothing writes it.
+var zeroBlock [BlockElems]float32
+
+// grad returns the stretch of the sum gs a sweep reads from the
+// block-aligned element b on: to the end of b's block — or, with merge, of
+// the run of live blocks b starts — as gs itself where live, and as the
+// shared zero block where dead.
+func (l *LiveBlocks) grad(gs []float32, b int, merge bool) (e int, g []float32, live bool) {
+	n := len(gs)
+	e = min(b+BlockElems, n)
+	switch {
+	case l != nil && l.stamp[b/BlockElems] != l.epoch:
+		return e, zeroBlock[:e-b], false
+	case !merge:
+	case l == nil:
+		e = n
+	default:
+		for e < n && l.stamp[e/BlockElems] == l.epoch {
+			e = min(e+BlockElems, n)
+		}
+	}
+	return e, gs[b:e], true
 }
 
 // TernaryWire is one worker's ternary payload for the batched
@@ -257,7 +484,7 @@ type wireEntry struct {
 }
 
 // DecodeTernaryAddParallel accumulates every payload of wires into dst,
-// range-partitioned: [0, len(dst)) is split into group-aligned spans and
+// range-partitioned: [0, len(dst)) is split into block-aligned spans and
 // each goroutine owns one span across ALL payloads, accumulating them in
 // slice order. No two goroutines touch the same element — no locks — and
 // every dst[i] receives its contributions in exactly the serial payload
@@ -266,8 +493,16 @@ type wireEntry struct {
 // each span's entry offset (and validates, so on error dst is untouched);
 // the accumulate side still sweeps tensor memory exactly once per
 // payload. workers <= 1, a small destination, or a single span fall back
-// to the serial kernel.
+// to the serial kernel. Every block of dst counts as live.
 func DecodeTernaryAddParallel(wires []TernaryWire, dst []float32, workers int) error {
+	var all *LiveBlocks
+	return all.DecodeTernaryAddParallel(wires, dst, workers)
+}
+
+// DecodeTernaryAddParallel is the range-partitioned decode-add into a sum
+// l records. Spans are block-aligned, so the goroutine that clears a block
+// on its first literal group is the only one that writes it.
+func (l *LiveBlocks) DecodeTernaryAddParallel(wires []TernaryWire, dst []float32, workers int) error {
 	n := len(dst)
 	gTotal := encode.QuarticEncodedLen(n)
 	for wi := range wires {
@@ -275,16 +510,14 @@ func DecodeTernaryAddParallel(wires []TernaryWire, dst []float32, workers int) e
 			return fmt.Errorf("kernel: payload %d: %w", wi, err)
 		}
 	}
-	for range wires {
-		notePass("lut-decode-add", n)
+	for wi := range wires {
+		l = l.forScale(wires[wi].M, dst)
 	}
-	if n == 0 || len(wires) == 0 {
-		return nil
-	}
-	bounds := spanBounds(n, encode.GroupSize, workers)
+	bounds := spanBounds(n, BlockElems, workers)
 	if workers <= 1 || n < scaledLUTMinElems || len(bounds) <= 2 {
 		for wi := range wires {
-			addValidated(wires[wi].Body, wires[wi].M, dst)
+			addValidated(wires[wi].Body, wires[wi].M, dst, l)
+			noteDecodeAdd(wires[wi].Body, wires[wi].M, n)
 		}
 		return nil
 	}
@@ -305,13 +538,14 @@ func DecodeTernaryAddParallel(wires []TernaryWire, dst []float32, workers int) e
 			lo, hi := bounds[s], bounds[s+1]
 			for wi := range wires {
 				e := ents[wi*spans+s]
-				addSpanCore(wires[wi].Body, &luts[wi].tab, dst, lo, hi, e.off, e.skip)
+				addSpanCore(wires[wi].Body, &luts[wi].tab, dst, lo, hi, e.off, e.skip, l)
 			}
 		}(s)
 	}
 	wg.Wait()
-	for _, l := range luts {
-		lutPool.Put(l)
+	for wi, lut := range luts {
+		lutPool.Put(lut)
+		noteDecodeAdd(wires[wi].Body, wires[wi].M, n)
 	}
 	return nil
 }

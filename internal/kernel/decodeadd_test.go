@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"threelc/internal/encode"
 	"threelc/internal/quant"
 	"threelc/internal/tensor"
 )
@@ -109,6 +110,78 @@ func TestDecodeTernaryAddParallelMatchesSerial(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLiveDecodeAddSpansBlockAligned pins the spans of the
+// range-partitioned decode-add into a recorded sum to block boundaries: a
+// span clears a block on its first literal group, so no two spans may
+// share one. At n = 10 000 and 3 workers group-aligned spans would start
+// at elements 3 335 and 6 670, inside blocks 2 and 5; literal groups on
+// both sides of each of those points must all land, over stale memory,
+// step after step. Under -race (CI's race leg) it also holds the clears
+// and the stamps of different spans disjoint.
+func TestLiveDecodeAddSpansBlockAligned(t *testing.T) {
+	const n = 10000
+	in := make([]float32, n)
+	for _, b := range spanBounds(n, encode.GroupSize, 3)[1:3] {
+		if b%BlockElems == 0 {
+			t.Fatalf("group-aligned bound %d is a block boundary", b)
+		}
+		for i := b - encode.GroupSize; i < b+encode.GroupSize; i++ {
+			in[i] = 1
+		}
+	}
+	buf := make([]float32, n)
+	m := float64(AccumulateMaxAbs(buf, in))
+	wires := []TernaryWire{{Body: EncodeTernary(buf, m, true, nil), ZRE: true, M: float32(m)}}
+	wires = append(wires, wires[0])
+	want := make([]float32, n)
+	for _, w := range wires {
+		if err := DecodeTernaryAdd(w.Body, w.ZRE, w.M, want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var live LiveBlocks
+	got := make([]float32, n)
+	for step := 0; step < 20; step++ {
+		for i := range got {
+			got[i] = float32(math.NaN()) // what a dead block may hold
+		}
+		live.Reset()
+		if err := live.DecodeTernaryAddParallel(wires, got, 3); err != nil {
+			t.Fatal(err)
+		}
+		live.ClearDead(got)
+		if i, ok := bitsEqual(got, want); !ok {
+			t.Fatalf("step %d: element %d holds %x, want %x", step, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+		}
+	}
+}
+
+// TestLiveBlocksReset pins the record's O(1) reset across the wrap of its
+// epoch: a stamp left from 2^32 steps ago must not read as live.
+func TestLiveBlocksReset(t *testing.T) {
+	var live LiveBlocks
+	dst := make([]float32, 3*BlockElems)
+	if !live.Empty(len(dst)) {
+		t.Fatal("a zero record has a live block")
+	}
+	spike := make([]float32, len(dst))
+	spike[BlockElems+1] = 1
+	body := EncodeTernary(spike, 1, true, nil)
+	dst[BlockElems] = 7
+	if err := live.DecodeTernaryAdd(body, true, 1, dst); err != nil {
+		t.Fatal(err)
+	}
+	if live.Empty(len(dst)) || dst[BlockElems+1] != 1 || dst[BlockElems] != 0 {
+		t.Fatalf("decode-add left block 1 as %v, live %v", dst[BlockElems:BlockElems+5], !live.Empty(len(dst)))
+	}
+	live.epoch = math.MaxUint32
+	live.Mark(len(dst))
+	live.Reset()
+	if !live.Empty(len(dst)) {
+		t.Fatal("a block stamped before the epoch wrapped reads as live")
 	}
 }
 

@@ -39,7 +39,7 @@ var (
 	accMaxCore   func(buf, in []float32) float32
 	sgdStepCore  func(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32
 	sgdDeltaCore func(w, v, gs, delta []float32, gscale, wd, mom, lr float32)
-	addSpanCore  func(body []byte, tab *scaledTab, dst []float32, lo, hi, off, skip int)
+	addSpanCore  func(body []byte, tab *scaledTab, dst []float32, lo, hi, off, skip int, l *LiveBlocks)
 	decodeCore   func(body []byte, zre bool, tab *scaledTab, gTotal int, dst []float32) error
 	packBlocksFn func(buf []float32, out []byte, blocks int, tpos, dqNeg, dqZero, dqPos float32)
 

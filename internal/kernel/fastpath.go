@@ -27,49 +27,57 @@ const litCoreAfter = 3
 
 // addScaledSpanLits is the asm-tier addScaledSpan: the first
 // litCoreAfter literal bytes of a stretch (and partial tail groups) take
-// the inline row apply, the rest of a longer stretch the assembly
-// literal core, and runs are skipped (filled only under a non-finite
-// scale). Same contract as addScaledSpan.
-func addScaledSpanLits(body []byte, tab *scaledTab, dst []float32, lo, hi, off, skip int) {
+// the inline row apply, the rest of a longer stretch the assembly literal
+// core up to the end of the block it is in, and runs are skipped (filled
+// only under a non-finite scale). Same contract as addScaledSpan. A
+// literal group tests its room against end, the end of the block it is in
+// (or of the span), so only a group past that end consults the record and
+// enters the next block.
+func addScaledSpanLits(body []byte, tab *scaledTab, dst []float32, lo, hi, off, skip int, l *LiveBlocks) {
 	zero := tab[encode.ZeroGroupByte][0] // m·0: ±0, or NaN for a non-finite scale
 	fill := zero != zero
-	w, inline := lo, 0
+	w, end, inline := lo, lo, 0
 	for w < hi {
 		b := body[off]
 		if b > encode.MaxQuartic {
 			k, next := zeroRunAt(body, off, math.MaxInt)
-			end := min(w+(k-skip)*encode.GroupSize, hi)
+			runEnd := min(w+(k-skip)*encode.GroupSize, hi)
 			if fill {
-				addFill(dst[w:end], zero)
+				addFill(dst[w:runEnd], zero)
 			}
-			w, off, skip = end, next, 0
+			w, off, skip = runEnd, next, 0
 			inline = 0
 			continue
 		}
 		skip = 0
-		if lim := hi - w; inline >= litCoreAfter && lim >= encode.GroupSize {
+		if lim := end - w; inline >= litCoreAfter && lim >= encode.GroupSize {
 			lim -= lim % encode.GroupSize
 			nb := simd.AddScaledLiteralsAsm(tab, body[off:], dst[w:w+lim]) // >= 1: body[off] is a literal with a full group of room
 			off += nb
 			w += nb * encode.GroupSize
 			continue
 		}
-		inline++
-		row := &tab[b]
-		if w+encode.GroupSize <= hi {
-			d := dst[w : w+encode.GroupSize : w+encode.GroupSize]
-			d[0] += row[0]
-			d[1] += row[1]
-			d[2] += row[2]
-			d[3] += row[3]
-			d[4] += row[4]
-			w += encode.GroupSize
-		} else {
+		if w+encode.GroupSize > end {
+			if w >= end { // past the block's end, so not the tensor's
+				end = min(l.enter(dst, w), hi)
+				continue
+			}
 			// Partial tail group (hi is the tensor end mid-group).
 			for k := 0; w < hi; k, w = k+1, w+1 {
-				dst[w] += row[k]
+				dst[w] += tab[b][k]
 			}
+			off++
+			continue
 		}
+		inline++
+		row := &tab[b]
+		d := dst[w : w+encode.GroupSize : w+encode.GroupSize]
+		d[0] += row[0]
+		d[1] += row[1]
+		d[2] += row[2]
+		d[3] += row[3]
+		d[4] += row[4]
+		w += encode.GroupSize
 		off++
 	}
 }

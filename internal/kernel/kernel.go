@@ -57,7 +57,11 @@
 // FusedSGDStep (average → momentum → weight → delta → accumulate+|max| in
 // one sweep, absorbing the pull's pass 1 and recording its block index;
 // FusedSGDStepDelta stores the delta where there is no accumulation buffer
-// to fold it into). Tensors
+// to fold it into). Both take a gradient sum's LiveBlocks record as their
+// receiver: the decode-add clears a dead block where the step's first
+// literal group lands, and the sweep reads a shared zero block in place of
+// a dead block's gradient, so the server neither zero-fills nor re-reads
+// the blocks of a sum no push reached. Tensors
 // that travel as verbatim float32 — the float32 baseline, state blobs and
 // checkpoints — are moved by the four raw cores of raw.go, one streaming
 // pass each; what a compressing run exempts from its codec travels as the

@@ -438,6 +438,48 @@ func TestPassCounts(t *testing.T) {
 			}
 		}
 	}
+
+	// The gradient sum's side: a decode-add into a recorded sum touches
+	// only the blocks a literal group lands in, and the optimizer sweep
+	// reads the gradient of those alone — under 5 % of a clustered 1M sum,
+	// all of a scattered one (a literal group in every block) and all under
+	// a NaN scale, serial and over 4 spans. Still one pass each.
+	w, v, acc := make([]float32, big), make([]float32, big), make([]float32, big)
+	for _, tc := range []struct {
+		name         string
+		in           []float32
+		nan          bool
+		minRead, max int
+	}{
+		{"clustered", clusteredInput(big).Data(), false, 1, big/20 - 1},
+		{"scattered", scattered.Data(), false, big, big},
+		{"nan-scale", clusteredInput(big).Data(), true, big, big},
+	} {
+		buf := make([]float32, big)
+		m := float64(AccumulateMaxAbs(buf, tc.in)) * 1.75
+		wire := TernaryWire{Body: EncodeTernary(buf, m, true, nil), ZRE: true, M: float32(m)}
+		if tc.nan {
+			wire.M = float32(math.NaN())
+		}
+		for _, workers := range []int{1, 4} {
+			var live LiveBlocks
+			live.Reset()
+			sum := make([]float32, big)
+			passes = nil
+			if err := live.DecodeTernaryAddParallel([]TernaryWire{wire}, sum, workers); err != nil {
+				t.Fatal(err)
+			}
+			live.FusedSGDStep(nil, w, v, sum, acc, 1, 0, 0, 1)
+			if len(passes) != 2 {
+				t.Fatalf("%s w=%d: decode-add and sweep made passes %v, want 2", tc.name, workers, passes)
+			}
+			for _, p := range passes {
+				if p.elems < tc.minRead || p.elems > tc.max {
+					t.Fatalf("%s w=%d: %s touched %d of %d elements, want %d..%d", tc.name, workers, p.name, p.elems, big, tc.minRead, tc.max)
+				}
+			}
+		}
+	}
 }
 
 // --- scheduling --------------------------------------------------------------

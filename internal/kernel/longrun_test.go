@@ -43,7 +43,7 @@ func TestLongRunTokenEveryEdge(t *testing.T) {
 		for _, run := range longRunLens {
 			places := map[int]bool{0: true, groups - run: true}
 			for workers := 2; workers <= 8; workers++ {
-				for _, b := range spanBounds(n, encode.GroupSize, workers) {
+				for _, b := range spanBounds(n, BlockElems, workers) {
 					// Centred on the boundary, and ending one group past it.
 					for _, at := range []int{b/encode.GroupSize - run/2, b/encode.GroupSize + 1 - run} {
 						places[min(max(at, 0), groups-run)] = true

@@ -140,10 +140,27 @@ func clusteredInput(n int) *tensor.Tensor {
 	return t
 }
 
+// clusteredWire returns the wire of clusteredInput(n) at s = 1.75 after
+// ten steps of error feedback — the steady state BenchmarkFusedCompress's
+// clustered row runs in, where 2 % of the 1 280-element blocks hold a
+// non-zero digit, the share lan-3lc's pushes have — with its scale.
+func clusteredWire(n int) (wire []byte, m float32) {
+	in := clusteredInput(n).Data()
+	buf := make([]float32, n)
+	for i := 0; i < 10; i++ {
+		mm := float64(AccumulateMaxAbs(buf, in)) * 1.75
+		wire, m = EncodeTernary(buf, mm, true, wire[:0]), float32(mm)
+	}
+	return wire, m
+}
+
 // BenchmarkDecodeAddKernel measures the LUT decode-accumulate pass at 1M
 // elements per tier (the server-side aggregation inner loop) on both
 // inputs of decodeAddBenchInputs, reporting each wire's zero-element
-// fraction.
+// fraction, and on clusteredWire as a step's first push into a recorded
+// gradient sum takes it: LiveBlocks.Reset, then the decode-add, which
+// clears the blocks its literal groups land in and touches nothing else
+// (live-frac: the share of blocks it made live).
 func BenchmarkDecodeAddKernel(b *testing.B) {
 	const n = 1 << 20
 	orig := ActiveTier()
@@ -184,6 +201,38 @@ func BenchmarkDecodeAddKernel(b *testing.B) {
 			})
 		}
 	}
+	wire, m := clusteredWire(n)
+	for _, tier := range AvailableTiers() {
+		b.Run(tier.String()+"/clustered", func(b *testing.B) {
+			SetTier(tier)
+			var live LiveBlocks
+			if err := live.DecodeTernaryAdd(wire, true, m, acc); err != nil {
+				b.Fatal(err) // sizes the record, warms the ScaledLUT pool
+			}
+			b.SetBytes(4 * int64(n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				live.Reset()
+				if err := live.DecodeTernaryAdd(wire, true, m, acc); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(liveFrac(&live, n), "live-frac")
+		})
+	}
+}
+
+// liveFrac is the share of the blocks of an n-element sum live recorded
+// live.
+func liveFrac(live *LiveBlocks, n int) float64 {
+	k := 0
+	for _, s := range live.stamp {
+		if s == live.epoch {
+			k++
+		}
+	}
+	return float64(k) / float64(blocks(n))
 }
 
 // BenchmarkAccumulateMaxAbsKernel measures the fused error-accumulate +
@@ -227,7 +276,10 @@ func coldRing[T any](src []T) [][]T {
 // optimizer sweep at 1M elements per tier in both forms: 1M is the
 // accumulate form (average, momentum update, delta folded into acc with
 // its |max|) on cache-resident streams, delta the delta-writing form
-// SchemeNone pulls take, cache-cold (coldRing) like the tensors it runs on.
+// SchemeNone pulls take, cache-cold (coldRing) like the tensors it runs on,
+// and clustered the accumulate form over the gradient sum a step's pushes
+// of clusteredWire leave (LiveBlocks), which reads the sum's live blocks
+// and the shared zero block for the rest.
 func BenchmarkFusedSGDStepKernel(b *testing.B) {
 	const n = 1 << 20
 	orig := ActiveTier()
@@ -239,6 +291,14 @@ func BenchmarkFusedSGDStepKernel(b *testing.B) {
 	acc := make([]float32, n)
 	var blk BlockMax
 	ws, vs, gss, deltas := coldRing(w.Data()), coldRing(v), coldRing(gs.Data()), coldRing(acc)
+	var live LiveBlocks
+	sum := make([]float32, n)
+	wire, m := clusteredWire(n)
+	for k := 0; k < 2; k++ {
+		if err := live.DecodeTernaryAdd(wire, true, m, sum); err != nil {
+			b.Fatal(err)
+		}
+	}
 	for _, tier := range AvailableTiers() {
 		b.Run(tier.String()+"/1M", func(b *testing.B) {
 			SetTier(tier)
@@ -258,6 +318,16 @@ func BenchmarkFusedSGDStepKernel(b *testing.B) {
 				k := i % coldBufs
 				FusedSGDStepDelta(ws[k], vs[k], gss[k], deltas[k], 0.5, 1e-4, 0.9, 0.0004)
 			}
+		})
+		b.Run(tier.String()+"/clustered", func(b *testing.B) {
+			SetTier(tier)
+			b.SetBytes(4 * int64(n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				live.FusedSGDStep(&blk, w.Data(), v, sum, acc, 0.5, 1e-4, 0.9, 0.0004)
+			}
+			b.ReportMetric(liveFrac(&live, n), "live-frac")
 		})
 	}
 }

@@ -181,25 +181,36 @@ func (o *SGD) ApplyWithDelta(params []*nn.Param, deltas []*tensor.Tensor) {
 	}
 }
 
-// ApplyFusedStep is the parameter server's fully fused update sweep. It
-// differs from ApplyWithDelta in where the gradient comes from:
-// instead of p.G, each parameter's gradient is read through gradFor as a
-// raw accumulation buffer plus a scale, and the averaging multiply is
-// fused into the update — g = gsum[i]·gscale + wd·w, the exact product of
-// materializing the averaged gradient first (and, at gscale = 1, the
-// float32 multiplicative identity, matching a straight copy bitwise).
-// Combined with the accFor delta folding, the server's entire
-// average → update → delta → accumulate-max chain touches each tensor
-// exactly once; weights, velocity, residuals, and reductions are
-// bit-identical to the staged sweeps. p.G is neither read nor written.
-//
-// The arithmetic is kernel.BlockMax.FusedSGDStep, dispatched per CPU tier,
-// in its two forms: where accFor returns a buffer (every 3LC pull context)
-// the delta is folded into it, the buffer's block index is recorded and
-// max|acc| lands in maxAbs[pi]; where it returns nil (SchemeNone and the
-// non-accumulating codecs) the delta is stored in deltas[pi]. This
-// function only resolves each parameter's streams.
+// ApplyFusedStep is ApplyFusedStepLive over gradient sums whose every
+// block is live.
 func (o *SGD) ApplyFusedStep(params []*nn.Param, gradFor func(pi int) ([]float32, float32), deltas []*tensor.Tensor, accFor func(pi int) ([]float32, *kernel.BlockMax), maxAbs []float32) {
+	o.ApplyFusedStepLive(params, func(pi int) ([]float32, float32, *kernel.LiveBlocks) {
+		gs, gscale := gradFor(pi)
+		return gs, gscale, nil
+	}, deltas, accFor, maxAbs)
+}
+
+// ApplyFusedStepLive is the parameter server's fully fused update sweep.
+// It differs from ApplyWithDelta in where the gradient comes from:
+// instead of p.G, each parameter's gradient is read through gradFor as a
+// raw accumulation buffer, a scale and the buffer's liveness record (nil:
+// every block live), and the averaging multiply is fused into the update —
+// g = gsum[i]·gscale + wd·w, the exact product of materializing the
+// averaged gradient first (and, at gscale = 1, the float32 multiplicative
+// identity, matching a straight copy bitwise). A dead block of the sum is
+// read as the +0 it stands for, never from memory. Combined with the
+// accFor delta folding, the server's entire average → update → delta →
+// accumulate-max chain touches each tensor exactly once; weights,
+// velocity, residuals, and reductions are bit-identical to the staged
+// sweeps. p.G is neither read nor written.
+//
+// The arithmetic is kernel.LiveBlocks.FusedSGDStep, dispatched per CPU
+// tier, in its two forms: where accFor returns a buffer (every 3LC pull
+// context) the delta is folded into it, the buffer's block index is
+// recorded and max|acc| lands in maxAbs[pi]; where it returns nil
+// (SchemeNone and the non-accumulating codecs) the delta is stored in
+// deltas[pi]. This function only resolves each parameter's streams.
+func (o *SGD) ApplyFusedStepLive(params []*nn.Param, gradFor func(pi int) ([]float32, float32, *kernel.LiveBlocks), deltas []*tensor.Tensor, accFor func(pi int) ([]float32, *kernel.BlockMax), maxAbs []float32) {
 	if len(params) != len(deltas) {
 		panic("opt: delta count mismatch")
 	}
@@ -215,12 +226,12 @@ func (o *SGD) ApplyFusedStep(params []*nn.Param, gradFor func(pi int) ([]float32
 		}
 		vd := v.Data()
 		wdta := p.W.Data()[:len(vd)]
-		gs, gscale := gradFor(pi)
+		gs, gscale, live := gradFor(pi)
 		gs = gs[:len(vd)]
 		if acc, blk := accFor(pi); acc != nil {
-			maxAbs[pi] = blk.FusedSGDStep(wdta, vd, gs, acc[:len(vd)], gscale, wd, mom, lr)
+			maxAbs[pi] = live.FusedSGDStep(blk, wdta, vd, gs, acc[:len(vd)], gscale, wd, mom, lr)
 		} else {
-			kernel.FusedSGDStepDelta(wdta, vd, gs, deltas[pi].Data()[:len(vd)], gscale, wd, mom, lr)
+			live.FusedSGDStepDelta(wdta, vd, gs, deltas[pi].Data()[:len(vd)], gscale, wd, mom, lr)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"threelc/internal/compress"
+	"threelc/internal/kernel"
 	"threelc/internal/nn"
 	"threelc/internal/tensor"
 )
@@ -119,7 +120,8 @@ func tinyModel(seed uint64) *nn.Model {
 // -benchmem (the parallel pool's goroutine spawns are the only allocs
 // otherwise). The worker is the owner, so it applies the pull it is sent
 // (Job.OwnerPull) and takes the step of its owner-only tensors itself.
-func benchSteadyStatePushPull(b *testing.B, model func(seed uint64) *nn.Model) {
+// fill sets each gradient once; every step pushes the same.
+func benchSteadyStatePushPull(b *testing.B, model func(seed uint64) *nn.Model, fill func(g *tensor.Tensor, rng *tensor.RNG)) {
 	cfg := testConfig(compress.SchemeThreeLC, compress.Options{Sparsity: 1.75, ZeroRun: true}, 1)
 	cfg.Parallelism = 1
 	global := model(1)
@@ -130,7 +132,7 @@ func benchSteadyStatePushPull(b *testing.B, model func(seed uint64) *nn.Model) {
 
 	rng := tensor.NewRNG(31)
 	for _, p := range worker.Model.Params() {
-		tensor.FillNormal(p.G, 0.01, rng)
+		fill(p.G, rng)
 	}
 	// Warm up buffer capacities.
 	for i := 0; i < 3; i++ {
@@ -143,11 +145,50 @@ func benchSteadyStatePushPull(b *testing.B, model func(seed uint64) *nn.Model) {
 	}
 }
 
-func BenchmarkSteadyStatePushPull(b *testing.B) { benchSteadyStatePushPull(b, benchModel) }
+// gaussianGrads fills g with N(0, 0.01²): under error feedback at s = 1.75
+// its non-zero digits scatter over every block of a tensor.
+func gaussianGrads(g *tensor.Tensor, rng *tensor.RNG) { tensor.FillNormal(g, 0.01, rng) }
+
+// clusteredGrads fills g the way a large layer's gradient clusters: zero
+// but for one row of 1 024 Gaussian values per 128K elements (the kernel
+// benchmarks' clustered input), so a push of it holds non-zero digits in
+// about 1 % of the tensor's 1 280-element blocks (lan-3lc's pushes: 1.8 %).
+// A tensor under 8 blocks keeps the Gaussian.
+func clusteredGrads(g *tensor.Tensor, rng *tensor.RNG) {
+	const row = 1024
+	n := g.Len()
+	if n < 8*kernel.BlockElems {
+		gaussianGrads(g, rng)
+		return
+	}
+	g.Zero()
+	for r := 0; r < max(1, n>>17); r++ {
+		off := rng.Intn(n - row + 1)
+		for i := off; i < off+row; i++ {
+			g.Data()[i] = float32(rng.Norm() * 0.01)
+		}
+	}
+}
+
+func BenchmarkSteadyStatePushPull(b *testing.B) {
+	benchSteadyStatePushPull(b, benchModel, gaussianGrads)
+}
+
+// BenchmarkSteadyStatePushPullClustered is SteadyStatePushPull's twin with
+// clustered pushes (clusteredGrads): the server decode-adds each into a
+// gradient sum whose other blocks stay dead — nothing zero-fills them —
+// and its optimizer sweep reads the live blocks alone, while the worker's
+// encode skips the blocks that cannot quantize. CI gates it against the
+// Gaussian twin, where every block is live.
+func BenchmarkSteadyStatePushPullClustered(b *testing.B) {
+	benchSteadyStatePushPull(b, benchModel, clusteredGrads)
+}
 
 // BenchmarkSteadyStatePushPullTiny is the round trip where the per-tensor
 // cost, not the kernels, is what is measured.
-func BenchmarkSteadyStatePushPullTiny(b *testing.B) { benchSteadyStatePushPull(b, tinyModel) }
+func BenchmarkSteadyStatePushPullTiny(b *testing.B) {
+	benchSteadyStatePushPull(b, tinyModel, gaussianGrads)
+}
 
 // BenchmarkSteadyStatePushPullF32 is the float32 baseline's round trip at
 // the end-to-end benchmark's scale: the 768-1024-1024-10 MLP (1.85M

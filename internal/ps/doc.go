@@ -52,13 +52,30 @@
 // aggregation side, ONE fused decode-accumulate pass per
 // worker payload that streams wire bytes and adds M·q straight into the
 // gradient sum (no intermediate decode tensor; payloads are validated
-// before the accumulator is touched). Server-side, the step is fused end
-// to end: FinishStep's optimizer sweep averages the gradient on the fly,
-// applies the update, and folds the model delta directly into the pull
+// before the accumulator is touched). The sum is not zeroed between steps:
+// its kernel.LiveBlocks record marks the blocks this step's pushes reached
+// (Job.BeginStep resets it in O(1)), the decode-add clears a block when
+// the step's first literal group lands in it, and every other block reads
+// as +0 (compress.DecompressAddLive) — 3.6 % of the blocks are live a step
+// on lan-3lc, 3.2 % on wan-3lc, 97 % on tiny-stream. Server-side, the
+// step is fused end to end: FinishStep's optimizer sweep averages the
+// gradient on the fly, reading only the live blocks of the sum, applies
+// the update, and folds the model delta directly into the pull
 // compressor's error-accumulation buffer with its |max| reduction and
-// block index (opt.ApplyFusedStep + compress.PreAccumulator), so compress
-// pass 1 never runs as its own sweep and the pull's encode skips as the
-// push's does. The staged decode-then-add / materialized
+// block index (opt.ApplyFusedStepLive + compress.PreAccumulator), so
+// compress pass 1 never runs as its own sweep and the pull's encode skips
+// as the push's does. Per step and tensor, the server's passes are:
+//
+//	pass                  reads / writes of tensor memory
+//	BeginStep             none (the record's epoch moves)
+//	decode-add, per push  the blocks its literal groups land in (cleared
+//	                      on the step's first landing); all of the sum for
+//	                      a raw or packed wire or a non-finite scale
+//	optimizer sweep       w, v and the pull's buffer whole; the sum's live
+//	                      blocks only
+//	pull encode           the buffer's blocks that can quantize
+//
+// The staged decode-then-add / materialized
 // delta pipeline is the bit-identical reference the package's tests hold
 // this path to (TestFusedAggregateMatchesStaged); no configuration runs it.
 //

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -331,6 +332,26 @@ func TestRunFramingBytes(t *testing.T) {
 			n += push + pull
 		}
 		return n
+	}
+	// A server counts a pull once its write has returned, which may be after
+	// the worker has read it: before taking the baseline, wait until step 0's
+	// pulls — all the servers have written — are counted.
+	settled := func() bool {
+		var counted, written int64
+		for s, srv := range tier.shards {
+			_, pull := srv.TrafficBytes()
+			counted += pull
+			for w := range tier.clients {
+				d := tier.servers[s].conn(w).snap()
+				written += d.bytes - frameHeaderLen*d.frames
+			}
+		}
+		return counted == written
+	}
+	for deadline := time.Now().Add(10 * time.Second); !settled(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("step 0's pulls were written but not counted in ten seconds")
+		}
 	}
 	uvarintLen := func(x uint64) int64 { return int64(len(binary.AppendUvarint(nil, x))) }
 	entry := func(prev, slot, n int) int64 {

@@ -52,8 +52,12 @@ go test -run='^$' -bench Packed32 -benchtime 200000x -benchmem ./internal/compre
 go test -run='^$' -bench 'SteadyStatePushPull(Tiny|F32)$' -benchtime 100x -benchmem ./internal/ps/
 # The sharded tier driving the plain SteadyStatePushPull workload
 # through a 1-shard NewCluster JobHandle (the queue hop to the shard's
-# executor goroutine), alternated with it.
-alternate shard 'ClusterPushPull$' ps 'SteadyStatePushPull$' 100x
+# executor goroutine), alternated with it — and with its twin whose
+# pushes cluster in ~1 % of the largest tensor's blocks
+# (SteadyStatePushPullClustered: the server's gradient sum stays dead
+# outside them, so nothing zero-fills it and the optimizer sweep reads
+# only them), which the gate holds to a floor against the dense one.
+alternate shard 'ClusterPushPull$' ps 'SteadyStatePushPull(Clustered)?$' 100x
 # The same steady-state round trip over a real loopback TCP
 # connection, CRC-32C checksummed alternated with plain: frame
 # integrity must hold 0 allocs/op at parity with the bare wire
@@ -95,7 +99,11 @@ go test -run='^$' -bench 'FusedCompress/|FusedDecompress/|StagedCompress/|Staged
 # one cache-cold sparse encode row on the dispatched tier
 # (reported). The raw rows and the SGD sweep's delta row are
 # cache-cold too, with an accumulate+|max| and a built-in copy
-# over the same rotation beside them (reported).
+# over the same rotation beside them (reported). Decode-add and
+# the SGD sweep also run on a clustered wire into a gradient sum
+# with a liveness record (2 % of its blocks live, lan-3lc's push
+# share): the first push of a step, clearing only the blocks it
+# lands in, and the sweep reading only those (reported).
 go test -run='^$' -bench 'EncodeTernaryKernel|DecodeAddKernel|AccumulateMaxAbsKernel|FusedSGDStepKernel|RawAddKernel|RawPutKernel' -benchtime 20x -benchmem ./internal/kernel/
 # One snapshot of the end-to-end model: what a periodic
 # checkpoint stalls a step boundary by, per replica.
