@@ -188,6 +188,20 @@ type PreAccumulator interface {
 	CompressPreAccumulated(maxAbs float32, dst []byte) []byte
 }
 
+// RawWriter is implemented by compression contexts whose wire is the state
+// change itself as raw float32 (the float32 baseline, SchemeNone). It lets
+// a producer whose own final sweep computes the state change — the
+// parameter server's optimizer update — write it straight into the wire
+// (kernel.LiveBlocks.FusedSGDStepRaw), so no state-change tensor exists
+// and CompressInto's copy of one never runs. The context keeps the
+// header; the wire is byte for byte CompressInto's of that state change.
+type RawWriter interface {
+	// RawWire appends the wire's header to dst and reserves its body, 4
+	// bytes per element, returning the extended wire and the body the
+	// producer must fill.
+	RawWire(dst []byte) (wire, body []byte)
+}
+
 // New creates a compression context for a tensor of the given shape.
 func New(s Scheme, shape []int, opt Options) Compressor {
 	n := 1

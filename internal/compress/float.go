@@ -2,6 +2,7 @@ package compress
 
 import (
 	"fmt"
+	"slices"
 
 	"threelc/internal/kernel"
 	"threelc/internal/tensor"
@@ -38,6 +39,16 @@ func (c *noneCompressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
 	}
 	dst = append(dst, byte(SchemeNone))
 	return kernel.AppendRaw(dst, data)
+}
+
+// RawWire appends the scheme byte to dst and reserves the raw body behind
+// it (RawWriter).
+//
+//3lc:noalloc
+func (c *noneCompressor) RawWire(dst []byte) (wire, body []byte) {
+	off := len(dst) + 1
+	wire = slices.Grow(append(dst, byte(SchemeNone)), 4*c.n)[:off+4*c.n]
+	return wire, wire[off:]
 }
 
 // checkRawLen is the length check every raw decoder runs before it touches

@@ -11,7 +11,7 @@ import (
 // CPU-feature-dispatched kernel registry.
 //
 // The hot inner loops — the fused accumulate+|max| reduction, the ternary
-// quantize→pack encode, the LUT decode-add, the fused SGD sweep in both its
+// quantize→pack encode, the LUT decode-add, the fused SGD sweep in its three
 // forms, the four raw float32 cores (put, get, add, first-add) and the two
 // bit-plane block cores of the packed float32 wire (planes.go, which calls
 // them by tier rather than through this table) — exist in two
@@ -39,6 +39,7 @@ var (
 	accMaxCore   func(buf, in []float32) float32
 	sgdStepCore  func(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32
 	sgdDeltaCore func(w, v, gs, delta []float32, gscale, wd, mom, lr float32)
+	sgdRawCore   func(w, v, gs []float32, raw []byte, gscale, wd, mom, lr float32)
 	addSpanCore  func(body []byte, tab *scaledTab, dst []float32, lo, hi, off, skip int, l *LiveBlocks)
 	decodeCore   func(body []byte, zre bool, tab *scaledTab, gTotal int, dst []float32) error
 	packBlocksFn func(buf []float32, out []byte, blocks int, tpos, dqNeg, dqZero, dqPos float32)
@@ -115,7 +116,7 @@ func SetTier(t Tier) {
 	switch t {
 	case TierScalar:
 		accMaxCore = accMaxAbsRange
-		sgdStepCore, sgdDeltaCore = fusedSGDStepRange, fusedSGDStepDeltaRange
+		sgdStepCore, sgdDeltaCore, sgdRawCore = fusedSGDStepRange, fusedSGDStepDeltaRange, fusedSGDStepRawRange
 		rawPutCore, rawGetCore = rawPutRange, rawGetRange
 		rawAddCore, rawFirstAddCore = rawAddRange, rawFirstAddRange
 		addSpanCore = addScaledSpan
@@ -126,7 +127,7 @@ func SetTier(t Tier) {
 			panic("kernel: asm tier unavailable on this CPU/build")
 		}
 		accMaxCore = simd.AccMaxAbsAsm
-		sgdStepCore, sgdDeltaCore = simd.FusedSGDStepAsm, simd.FusedSGDStepDeltaAsm
+		sgdStepCore, sgdDeltaCore, sgdRawCore = simd.FusedSGDStepAsm, simd.FusedSGDStepDeltaAsm, simd.FusedSGDStepRawAsm
 		rawPutCore, rawGetCore = simd.RawPutAsm, simd.RawGetAsm
 		rawAddCore, rawFirstAddCore = simd.RawAddAsm, simd.RawFirstAddAsm
 		addSpanCore = addScaledSpanLits

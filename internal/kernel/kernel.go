@@ -57,7 +57,8 @@
 // FusedSGDStep (average → momentum → weight → delta → accumulate+|max| in
 // one sweep, absorbing the pull's pass 1 and recording its block index;
 // FusedSGDStepDelta stores the delta where there is no accumulation buffer
-// to fold it into). Both take a gradient sum's LiveBlocks record as their
+// to fold it into, and FusedSGDStepRaw writes it as a raw float32 pull
+// wire's body). Both take a gradient sum's LiveBlocks record as their
 // receiver: the decode-add clears a dead block where the step's first
 // literal group lands, and the sweep reads a shared zero block in place of
 // a dead block's gradient, so the server neither zero-fills nor re-reads
@@ -83,8 +84,9 @@
 //	                      either tier's loop, on both tiers)
 //	LUT decode-add/set    byte-at-a-time      + AVX row loads for long literal
 //	                      row apply           stretches
-//	fused SGD sweep,      range loop          8-float mul/add/sub (never FMA)
-//	both forms
+//	fused SGD sweep,      range loop          8-float mul/add/sub (never FMA);
+//	all three forms                           the raw form is the delta core
+//	                                          storing unaligned to bytes
 //	raw float32 put/get/  byte-order loop     32-float unaligned moves and adds
 //	add/first-add
 //	bit-plane block       five masked-swap    byte shuffles and VPMOVMSKB, a

@@ -114,6 +114,66 @@ func TestRawKernelsMatchScalar(t *testing.T) {
 	}
 }
 
+// TestFusedSGDStepRawMatchesDelta: on every tier the raw-writing sweep
+// leaves w and v as the delta-writing one does and writes, one byte into
+// its wire, the bytes AppendRaw makes of that sweep's delta, and nothing
+// outside them — at every length from 0 to 67 (each 8 / 1 tail of the asm
+// loop) and at 1M, over inputs that carry ±0, NaN and ±Inf, and at 1M
+// once more through a record whose every third block is live.
+func TestFusedSGDStepRawMatchesDelta(t *testing.T) {
+	rng := tensor.NewRNG(23)
+	check := func(n int, live *LiveBlocks) {
+		t.Helper()
+		w, v, gs := make([]float32, n), make([]float32, n), make([]float32, n)
+		for i := range w {
+			w[i] = float32(rng.Uint64()%(1<<24))/(1<<22) - 2
+			v[i] = float32(rng.Uint64()%(1<<24))/(1<<26) - 0.125
+			gs[i] = float32(rng.Uint64()%(1<<24))/(1<<24) - 0.5
+			switch i % 7 {
+			case 2:
+				w[i] = math.Float32frombits(rawSpecials[(i+n)%len(rawSpecials)])
+			case 5:
+				gs[i] = math.Float32frombits(rawSpecials[(3*i+n)%len(rawSpecials)])
+			case 6:
+				v[i] = math.Float32frombits(rawSpecials[(5*i+n)%len(rawSpecials)])
+			}
+		}
+		tierSweep(func(tier Tier) {
+			dw, dv, delta := append([]float32(nil), w...), append([]float32(nil), v...), make([]float32, n)
+			live.FusedSGDStepDelta(dw, dv, gs, delta, 0.5, 1e-4, 0.9, 0.0004)
+			want := append(AppendRaw([]byte{rawGuardByte}, delta), rawGuardByte)
+			rw, rv := append([]float32(nil), w...), append([]float32(nil), v...)
+			wire := bytes.Repeat([]byte{rawGuardByte}, 4*n+2)
+			live.FusedSGDStepRaw(rw, rv, gs, wire[1:1+4*n], 0.5, 1e-4, 0.9, 0.0004)
+			if !bytes.Equal(wire, want) {
+				i := 0
+				for wire[i] == want[i] {
+					i++
+				}
+				t.Fatalf("tier %v n=%d live=%v: raw sweep wrote %x at byte %d, AppendRaw of the delta sweep %x", tier, n, live != nil, wire[i], i, want[i])
+			}
+			if i, ok := bitsEqual(rw, dw); !ok {
+				t.Fatalf("tier %v n=%d: w differs from the delta sweep's at %d", tier, n, i)
+			}
+			if i, ok := bitsEqual(rv, dv); !ok {
+				t.Fatalf("tier %v n=%d: v differs from the delta sweep's at %d", tier, n, i)
+			}
+		})
+	}
+	for n := 0; n <= 67; n++ {
+		check(n, nil)
+	}
+	const big = 1 << 20
+	check(big, nil)
+	var live LiveBlocks
+	live.Reset()
+	live.sized(big)
+	for b := 0; b < len(live.stamp); b += 3 {
+		live.stamp[b] = live.epoch
+	}
+	check(big, &live)
+}
+
 // TestRawFirstAddIsNotACopy states the one difference on its own: a −0 on
 // the wire comes out of a first add as +0, on every tier, exactly as out
 // of the zero-then-add it replaces; a get keeps the sign.

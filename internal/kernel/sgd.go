@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -103,6 +104,34 @@ func (l *LiveBlocks) FusedSGDStepDelta(w, v, gs, delta []float32, gscale, wd, mo
 	notePass("fused-sgd-step", read)
 }
 
+// FusedSGDStepRaw is the raw-writing form of FusedSGDStepDelta, for pull
+// contexts whose wire is the delta as raw float32 (SchemeNone): the same
+// sweep, with w_new − w_old written to raw as little-endian float32 bytes
+// — AppendRaw of FusedSGDStepDelta's delta, byte for byte — so the sweep
+// writes the pull wire's body and no delta tensor exists. raw must hold 4
+// bytes per element and may start at any byte (a body starts one scheme
+// byte into its wire); it is only written.
+//
+//3lc:noalloc
+func (l *LiveBlocks) FusedSGDStepRaw(w, v, gs []float32, raw []byte, gscale, wd, mom, lr float32) {
+	if len(w) != len(v) || len(gs) != len(v) || len(raw) != 4*len(v) {
+		panic(fmt.Sprintf("kernel: FusedSGDStepRaw length mismatch w=%d v=%d gs=%d raw=%d bytes", len(w), len(v), len(gs), len(raw)))
+	}
+	if l != nil {
+		l.sized(len(v))
+	}
+	read := 0
+	for b := 0; b < len(v); {
+		e, g, live := l.grad(gs, b, true)
+		sgdRawCore(w[b:e], v[b:e], g, raw[4*b:4*e], gscale, wd, mom, lr)
+		if live {
+			read += e - b
+		}
+		b = e
+	}
+	notePass("fused-sgd-step", read)
+}
+
 // fusedSGDStepRange is the scalar reference core of FusedSGDStep.
 func fusedSGDStepRange(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32 {
 	// Reslice to a common length so the compiler drops the per-index
@@ -142,5 +171,22 @@ func fusedSGDStepDeltaRange(w, v, gs, delta []float32, gscale, wd, mom, lr float
 		nw := old - lr*vv
 		w[i] = nw
 		delta[i] = nw - old
+	}
+}
+
+// fusedSGDStepRawRange is the scalar reference core of FusedSGDStepRaw:
+// fusedSGDStepDeltaRange with the delta's bits stored little-endian.
+func fusedSGDStepRawRange(w, v, gs []float32, raw []byte, gscale, wd, mom, lr float32) {
+	w = w[:len(v)]
+	gs = gs[:len(v)]
+	raw = raw[:4*len(v)]
+	for i := range v {
+		old := w[i]
+		g := gs[i]*gscale + wd*old
+		vv := mom*v[i] + g
+		v[i] = vv
+		nw := old - lr*vv
+		w[i] = nw
+		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(nw-old))
 	}
 }

@@ -63,11 +63,13 @@ func velocityOf(o *opt.SGD, n int) []float32 {
 //     payload class) and return the bit-identical max|acc|, which is never
 //     NaN;
 //   - the delta form, driven as the parameter server drives it
-//     (opt.ApplyFusedStep with no accumulation buffer), must on each tier
-//     leave weights, velocity and deltas bit-identical to the staged
-//     reference — the averaged gradient materialized in p.G, then
+//     (opt.ApplyFusedStepLive with a nil record and a delta sink), must on
+//     each tier leave weights, velocity and deltas bit-identical to the
+//     staged reference — the averaged gradient materialized in p.G, then
 //     opt.ApplyWithDelta — over a delta buffer that starts out stale, and
-//     must not touch p.G.
+//     must not touch p.G; the raw form (a raw sink, one byte into its
+//     wire) must write the bytes AppendRaw makes of that delta form's
+//     delta.
 func FuzzFusedSGDStep(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0, 0, 0x80, 0x3f}, 16), uint32(0x3f000000), uint32(0x38d1b717), uint32(0x3f666666), uint32(0x3d23d70a))
 	f.Add(bytes.Repeat([]byte{0, 0, 0xc0, 0x7f, 0, 0, 0, 0x80, 1, 0, 0, 0}, 11), uint32(0x3f800000), uint32(0), uint32(0), uint32(0x3f800000)) // NaN, −0, denormal
@@ -143,10 +145,19 @@ func FuzzFusedSGDStep(f *testing.F) {
 			o := sgdWithVelocity(t, got[1], wd, mom, lr)
 			untouched := append([]float32(nil), src[3]...) // any bits will do for p.G
 			p := &nn.Param{Name: "p", W: tensor.FromSlice(got[0], n), G: tensor.FromSlice(untouched, n)}
-			o.ApplyFusedStep([]*nn.Param{p},
-				func(int) ([]float32, float32) { return got[2], gscale },
-				[]*tensor.Tensor{tensor.FromSlice(got[3], n)},
-				func(int) ([]float32, *kernel.BlockMax) { return nil, nil }, nil)
+			grad := func(int) ([]float32, float32, *kernel.LiveBlocks) { return got[2], gscale, nil }
+			o.ApplyFusedStepLive([]*nn.Param{p}, grad, func(int) opt.Sink { return opt.Sink{Delta: got[3]} }, nil)
+			// The raw form from the same start: the delta form's delta, as
+			// AppendRaw writes it behind a scheme byte.
+			rw := clone()
+			ro := sgdWithVelocity(t, rw[1], wd, mom, lr)
+			wire := make([]byte, 1+4*n)
+			ro.ApplyFusedStepLive([]*nn.Param{{Name: "p", W: tensor.FromSlice(rw[0], n)}},
+				func(int) ([]float32, float32, *kernel.LiveBlocks) { return rw[2], gscale, nil },
+				func(int) opt.Sink { return opt.Sink{Raw: wire[1:]} }, nil)
+			if want := kernel.AppendRaw([]byte{0}, got[3]); !bytes.Equal(wire, want) {
+				t.Fatalf("tier %v n=%d: raw form wrote % x, AppendRaw of the delta form's delta % x", tier, n, wire, want)
+			}
 			for _, c := range []struct {
 				name      string
 				got, want []float32

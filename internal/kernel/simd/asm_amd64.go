@@ -23,6 +23,9 @@ func fusedSGDStepAsm(w, v, gs, acc *float32, n int, gscale, wd, mom, lr float32)
 func fusedSGDStepDeltaAsm(w, v, gs, delta *float32, n int, gscale, wd, mom, lr float32)
 
 //go:noescape
+func fusedSGDStepRawAsm(w, v, gs *float32, raw *byte, n int, gscale, wd, mom, lr float32)
+
+//go:noescape
 func rawPutAsm(dst *byte, src *float32, n int)
 
 //go:noescape
@@ -148,6 +151,24 @@ func FusedSGDStepDeltaAsm(w, v, gs, delta []float32, gscale, wd, mom, lr float32
 	}
 	_, _, _ = w[n-1], gs[n-1], delta[n-1]
 	fusedSGDStepDeltaAsm(&w[0], &v[0], &gs[0], &delta[0], n, gscale, wd, mom, lr)
+}
+
+// FusedSGDStepRawAsm is the raw-writing form of FusedSGDStepDeltaAsm: the
+// same core, with the delta's side handed over as a *byte, so raw[4i:4i+4]
+// holds delta[i]'s little-endian bits. The core stores it with unaligned
+// moves only, as the raw cores below do: a body starts one scheme byte
+// into its wire. w and gs must be at least as long as v, raw at least
+// 4·len(v) bytes; raw is only written. Requires AVX2; callers gate on
+// Detect().AVX2.
+//
+//3lc:noalloc
+func FusedSGDStepRawAsm(w, v, gs []float32, raw []byte, gscale, wd, mom, lr float32) {
+	n := len(v)
+	if n == 0 {
+		return
+	}
+	_, _, _ = w[n-1], gs[n-1], raw[4*n-1]
+	fusedSGDStepRawAsm(&w[0], &v[0], &gs[0], &raw[0], n, gscale, wd, mom, lr)
 }
 
 // The four raw float32 cores below carry tensors to and from their wire

@@ -469,6 +469,14 @@ sgddeltadone:
 	VZEROUPPER
 	RET
 
+// func fusedSGDStepRawAsm(w, v, gs *float32, raw *byte, n int, gscale, wd, mom, lr float32)
+//
+// The raw-writing form: fusedSGDStepDeltaAsm with its fourth operand typed
+// as bytes. Its stores (VMOVUPS, VMOVSS) need no alignment, so the delta's
+// bits land little-endian wherever the wire's body starts; same frame.
+TEXT ·fusedSGDStepRawAsm(SB), NOSPLIT, $0-56
+	JMP ·fusedSGDStepDeltaAsm(SB)
+
 // The four raw float32 cores move tensors to and from their wire form —
 // little-endian IEEE-754 bytes, which on amd64 are the floats' own memory —
 // 32 floats per iteration, then 8, then one at a time: accMaxAbsAsm's loop

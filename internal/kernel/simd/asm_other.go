@@ -31,6 +31,10 @@ func FusedSGDStepDeltaAsm(w, v, gs, delta []float32, gscale, wd, mom, lr float32
 	panic("simd: no assembly kernels on this architecture")
 }
 
+func FusedSGDStepRawAsm(w, v, gs []float32, raw []byte, gscale, wd, mom, lr float32) {
+	panic("simd: no assembly kernels on this architecture")
+}
+
 func RawPutAsm(dst []byte, src []float32) {
 	panic("simd: no assembly kernels on this architecture")
 }

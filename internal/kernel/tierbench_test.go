@@ -273,13 +273,15 @@ func coldRing[T any](src []T) [][]T {
 }
 
 // BenchmarkFusedSGDStepKernel measures the parameter server's fused
-// optimizer sweep at 1M elements per tier in both forms: 1M is the
+// optimizer sweep at 1M elements per tier in its three forms: 1M is the
 // accumulate form (average, momentum update, delta folded into acc with
-// its |max|) on cache-resident streams, delta the delta-writing form
-// SchemeNone pulls take, cache-cold (coldRing) like the tensors it runs on,
-// and clustered the accumulate form over the gradient sum a step's pushes
-// of clusteredWire leave (LiveBlocks), which reads the sum's live blocks
-// and the shared zero block for the rest.
+// its |max|) on cache-resident streams, delta the delta-writing form the
+// non-accumulating codecs' pulls take and raw the raw-writing form
+// SchemeNone pulls take (the delta's bits one byte into a wire), both
+// cache-cold (coldRing) like the tensors they run on, and clustered the
+// accumulate form over the gradient sum a step's pushes of clusteredWire
+// leave (LiveBlocks), which reads the sum's live blocks and the shared
+// zero block for the rest.
 func BenchmarkFusedSGDStepKernel(b *testing.B) {
 	const n = 1 << 20
 	orig := ActiveTier()
@@ -291,6 +293,7 @@ func BenchmarkFusedSGDStepKernel(b *testing.B) {
 	acc := make([]float32, n)
 	var blk BlockMax
 	ws, vs, gss, deltas := coldRing(w.Data()), coldRing(v), coldRing(gs.Data()), coldRing(acc)
+	raws := coldRing(make([]byte, 1+4*n))
 	var live LiveBlocks
 	sum := make([]float32, n)
 	wire, m := clusteredWire(n)
@@ -317,6 +320,17 @@ func BenchmarkFusedSGDStepKernel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				k := i % coldBufs
 				FusedSGDStepDelta(ws[k], vs[k], gss[k], deltas[k], 0.5, 1e-4, 0.9, 0.0004)
+			}
+		})
+		b.Run(tier.String()+"/raw", func(b *testing.B) {
+			SetTier(tier)
+			var all *LiveBlocks
+			b.SetBytes(4 * int64(n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % coldBufs
+				all.FusedSGDStepRaw(ws[k], vs[k], gss[k], raws[k][1:], 0.5, 1e-4, 0.9, 0.0004)
 			}
 		})
 		b.Run(tier.String()+"/clustered", func(b *testing.B) {

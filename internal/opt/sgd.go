@@ -181,13 +181,16 @@ func (o *SGD) ApplyWithDelta(params []*nn.Param, deltas []*tensor.Tensor) {
 	}
 }
 
-// ApplyFusedStep is ApplyFusedStepLive over gradient sums whose every
-// block is live.
-func (o *SGD) ApplyFusedStep(params []*nn.Param, gradFor func(pi int) ([]float32, float32), deltas []*tensor.Tensor, accFor func(pi int) ([]float32, *kernel.BlockMax), maxAbs []float32) {
-	o.ApplyFusedStepLive(params, func(pi int) ([]float32, float32, *kernel.LiveBlocks) {
-		gs, gscale := gradFor(pi)
-		return gs, gscale, nil
-	}, deltas, accFor, maxAbs)
+// Sink is where the fused update sweep puts one tensor's model delta,
+// w_new − w_old. Exactly one destination is set: Acc, a pull compressor's
+// error-accumulation buffer the delta is folded into, recording Blk, its
+// block index; Raw, a raw float32 wire's body, 4 bytes an element, the
+// delta written there as its bits; or Delta, where it is stored.
+type Sink struct {
+	Acc   []float32
+	Blk   *kernel.BlockMax
+	Raw   []byte
+	Delta []float32
 }
 
 // ApplyFusedStepLive is the parameter server's fully fused update sweep.
@@ -199,21 +202,19 @@ func (o *SGD) ApplyFusedStep(params []*nn.Param, gradFor func(pi int) ([]float32
 // averaged gradient first (and, at gscale = 1, the float32 multiplicative
 // identity, matching a straight copy bitwise). A dead block of the sum is
 // read as the +0 it stands for, never from memory. Combined with the
-// accFor delta folding, the server's entire average → update → delta →
+// sink's delta folding, the server's entire average → update → delta →
 // accumulate-max chain touches each tensor exactly once; weights,
 // velocity, residuals, and reductions are bit-identical to the staged
 // sweeps. p.G is neither read nor written.
 //
 // The arithmetic is kernel.LiveBlocks.FusedSGDStep, dispatched per CPU
-// tier, in its two forms: where accFor returns a buffer (every 3LC pull
-// context) the delta is folded into it, the buffer's block index is
-// recorded and max|acc| lands in maxAbs[pi]; where it returns nil
-// (SchemeNone and the non-accumulating codecs) the delta is stored in
-// deltas[pi]. This function only resolves each parameter's streams.
-func (o *SGD) ApplyFusedStepLive(params []*nn.Param, gradFor func(pi int) ([]float32, float32, *kernel.LiveBlocks), deltas []*tensor.Tensor, accFor func(pi int) ([]float32, *kernel.BlockMax), maxAbs []float32) {
-	if len(params) != len(deltas) {
-		panic("opt: delta count mismatch")
-	}
+// tier, in the form sinkFor(pi) asks for: into an accumulation buffer
+// (every 3LC pull context) the delta is folded, the buffer's block index
+// recorded and max|acc| put in maxAbs[pi]; into a raw wire's body
+// (SchemeNone) its bits are written; anywhere else (the non-accumulating
+// codecs) it is stored. This function only resolves each parameter's
+// streams.
+func (o *SGD) ApplyFusedStepLive(params []*nn.Param, gradFor func(pi int) ([]float32, float32, *kernel.LiveBlocks), sinkFor func(pi int) Sink, maxAbs []float32) {
 	lr := float32(o.LR(o.step))
 	o.step++
 	mom := float32(o.cfg.Momentum)
@@ -228,10 +229,13 @@ func (o *SGD) ApplyFusedStepLive(params []*nn.Param, gradFor func(pi int) ([]flo
 		wdta := p.W.Data()[:len(vd)]
 		gs, gscale, live := gradFor(pi)
 		gs = gs[:len(vd)]
-		if acc, blk := accFor(pi); acc != nil {
-			maxAbs[pi] = live.FusedSGDStep(blk, wdta, vd, gs, acc[:len(vd)], gscale, wd, mom, lr)
-		} else {
-			live.FusedSGDStepDelta(wdta, vd, gs, deltas[pi].Data()[:len(vd)], gscale, wd, mom, lr)
+		switch s := sinkFor(pi); {
+		case s.Acc != nil:
+			maxAbs[pi] = live.FusedSGDStep(s.Blk, wdta, vd, gs, s.Acc[:len(vd)], gscale, wd, mom, lr)
+		case s.Raw != nil:
+			live.FusedSGDStepRaw(wdta, vd, gs, s.Raw[:4*len(vd)], gscale, wd, mom, lr)
+		default:
+			live.FusedSGDStepDelta(wdta, vd, gs, s.Delta[:len(vd)], gscale, wd, mom, lr)
 		}
 	}
 }

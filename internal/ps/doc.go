@@ -64,16 +64,22 @@
 // compressor's error-accumulation buffer with its |max| reduction and
 // block index (opt.ApplyFusedStepLive + compress.PreAccumulator), so
 // compress pass 1 never runs as its own sweep and the pull's encode skips
-// as the push's does. Per step and tensor, the server's passes are:
+// as the push's does. Under the float32 design the sweep writes the pull
+// wire itself: a raw pull context appends its header and the sweep fills
+// the body with the delta's bits (compress.RawWriter +
+// kernel.LiveBlocks.FusedSGDStepRaw), so no delta tensor exists and the
+// pull is never re-encoded. Per step and tensor, the server's passes are:
 //
 //	pass                  reads / writes of tensor memory
 //	BeginStep             none (the record's epoch moves)
 //	decode-add, per push  the blocks its literal groups land in (cleared
 //	                      on the step's first landing); all of the sum for
 //	                      a raw or packed wire or a non-finite scale
-//	optimizer sweep       w, v and the pull's buffer whole; the sum's live
-//	                      blocks only
-//	pull encode           the buffer's blocks that can quantize
+//	optimizer sweep       w and v whole; the sum's live blocks only; the
+//	                      pull's buffer whole (3LC) or the raw pull wire's
+//	                      body, written (float32)
+//	pull encode           the buffer's blocks that can quantize (3LC);
+//	                      none (float32)
 //
 // The staged decode-then-add / materialized
 // delta pipeline is the bit-identical reference the package's tests hold

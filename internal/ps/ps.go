@@ -163,13 +163,14 @@ type Job struct {
 	pullCtx   []compress.Compressor
 	gradSum   []*tensor.Tensor
 	live      []kernel.LiveBlocks       // per tensor: the blocks of gradSum this step's pushes reached
-	delta     []*tensor.Tensor          // per tensor: the model delta, where the pull context takes one (nil for preAcc slots)
+	delta     []*tensor.Tensor          // per tensor: the model delta, where a lossy pull context without an accumulate pass takes one (nil elsewhere)
 	pullWires [][]byte                  // per-tensor pull wire buffers, recycled across steps
 	ownerPull [][]byte                  // pullWires as the owner is sent them (OwnerPull), recycled
 	errs      []error                   // per-tensor error slots for parallel decode, recycled
 	decPar    int                       // per-tensor kernel fan-out for fused decode-add
 	pushed    []bool                    // per-tensor: a push reached it this step
 	preAcc    []compress.PreAccumulator // pull contexts with a fusable accumulate pass (nil slots otherwise)
+	raw       []compress.RawWriter      // pull contexts whose wire the optimizer sweep writes (nil slots otherwise)
 	accMax    []float32                 // per-tensor max|acc| from the fused optimizer sweep
 	pushes    int
 
@@ -178,7 +179,7 @@ type Job struct {
 	// is the last per-step heap traffic on an otherwise zero-alloc path.
 	addPushFn    func(i int)
 	pullPackFn   func(i int)
-	accForFn     func(i int) ([]float32, *kernel.BlockMax)
+	sinkForFn    func(i int) opt.Sink
 	gradForFn    func(i int) ([]float32, float32, *kernel.LiveBlocks)
 	inv          float32  // averaging scale of the step being finished
 	pushWorkerID int      // argument slot for addPushFn
@@ -236,18 +237,22 @@ func newJob(params []*nn.Param, globalIdx []int, cfg Config) *Job {
 	s.pullWires = make([][]byte, len(s.params))
 	s.errs = make([]error, len(s.params))
 	s.preAcc = make([]compress.PreAccumulator, len(s.params))
+	s.raw = make([]compress.RawWriter, len(s.params))
 	s.delta = make([]*tensor.Tensor, len(s.params))
 	s.accMax = make([]float32, len(s.params))
 	for i, ctx := range s.pullCtx {
-		if pa, ok := ctx.(compress.PreAccumulator); ok {
-			s.preAcc[i] = pa
-		} else {
+		switch c := ctx.(type) {
+		case compress.PreAccumulator:
+			s.preAcc[i] = c
+		case compress.RawWriter:
+			s.raw[i] = c
+		default:
 			s.delta[i] = tensor.New(params[i].W.Shape()...)
 		}
 	}
 	s.addPushFn = s.addPushOne
 	s.pullPackFn = s.pullPackOne
-	s.accForFn = s.accBufFor
+	s.sinkForFn = s.sinkFor
 	s.gradForFn = s.gradBufFor
 	workers := cfg.Workers
 	if workers < 1 {
@@ -273,15 +278,23 @@ func (s *Job) gradBufFor(i int) ([]float32, float32, *kernel.LiveBlocks) {
 	return s.gradSum[i].Data(), scale, &s.live[i]
 }
 
-// accBufFor hands the optimizer the pull context's error-accumulation
-// buffer and block index for tensors whose compress pass 1 can absorb the
-// delta write (compress.PreAccumulator); nil keeps the materialized-delta
-// path.
-func (s *Job) accBufFor(i int) ([]float32, *kernel.BlockMax) {
-	if s.preAcc[i] == nil {
-		return nil, nil
+// sinkFor tells the optimizer sweep where tensor i's model delta goes: into
+// the pull context's error-accumulation buffer and block index where its
+// compress pass 1 can absorb the write (compress.PreAccumulator); into the
+// pull wire's body where the wire is the raw delta (compress.RawWriter:
+// the context appends the header here, and the pull pack has nothing left
+// to do); into the delta tensor the pull pack compresses otherwise.
+func (s *Job) sinkFor(i int) opt.Sink {
+	switch {
+	case s.preAcc[i] != nil:
+		acc, blk := s.preAcc[i].AccData()
+		return opt.Sink{Acc: acc, Blk: blk}
+	case s.raw[i] != nil:
+		var body []byte
+		s.pullWires[i], body = s.raw[i].RawWire(s.pullWires[i][:0])
+		return opt.Sink{Raw: body}
 	}
-	return s.preAcc[i].AccData()
+	return opt.Sink{Delta: s.delta[i].Data()}
 }
 
 // BeginStep resets gradient aggregation for a new training step without
@@ -432,13 +445,15 @@ func (s *Job) FinishStep() ([][]byte, time.Duration, error) {
 		}
 	}
 	// One fused sweep per tensor: average (scale fused into the read, dead
-	// blocks read as +0), momentum update, delta, and — for 3LC pull
-	// contexts — the delta fold into the compressor's error-accumulation
-	// buffer with its |max| reduction. Bit-identical to the staged average
-	// → Apply → delta = W - prevW → AccumulateMaxAbs sequence
+	// blocks read as +0), momentum update, delta, and the delta where the
+	// pull takes it (sinkFor) — folded into a 3LC compressor's
+	// error-accumulation buffer with its |max| reduction, written as a raw
+	// float32 pull wire's body, or stored for the other codecs.
+	// Bit-identical to the staged average → Apply → delta = W - prevW →
+	// AccumulateMaxAbs / CompressInto sequence
 	// (TestFusedAggregateMatchesStaged); the averaged gradient is not
 	// materialized (p.G is untouched).
-	s.optimizer.ApplyFusedStepLive(s.params, s.gradForFn, s.delta, s.accForFn, s.accMax)
+	s.optimizer.ApplyFusedStepLive(s.params, s.gradForFn, s.sinkForFn, s.accMax)
 
 	// Shared pull compression: one wire per tensor for all workers, built
 	// once into recycled per-tensor buffers (§3, Figure 2b) by the bounded
@@ -451,13 +466,15 @@ func (s *Job) FinishStep() ([][]byte, time.Duration, error) {
 
 // pullPackOne compresses model-delta tensor i into its recycled buffer:
 // encode-only for contexts whose accumulate pass the optimizer sweep
-// already absorbed, the full CompressInto otherwise.
+// already absorbed, nothing for a raw wire the sweep wrote, the full
+// CompressInto otherwise.
 func (s *Job) pullPackOne(i int) {
-	if pa := s.preAcc[i]; pa != nil {
-		s.pullWires[i] = pa.CompressPreAccumulated(s.accMax[i], s.pullWires[i][:0])
-		return
+	switch {
+	case s.preAcc[i] != nil:
+		s.pullWires[i] = s.preAcc[i].CompressPreAccumulated(s.accMax[i], s.pullWires[i][:0])
+	case s.delta[i] != nil:
+		s.pullWires[i] = s.pullCtx[i].CompressInto(s.delta[i], s.pullWires[i][:0])
 	}
-	s.pullWires[i] = s.pullCtx[i].CompressInto(s.delta[i], s.pullWires[i][:0])
 }
 
 // Step returns the number of optimizer updates applied.

@@ -101,6 +101,27 @@ func BenchmarkSteadyStatePushPullWire(b *testing.B)         { benchWirePushPull(
 func BenchmarkSteadyStatePushPullWireChecksum(b *testing.B) { benchWirePushPull(b, true, false) }
 func BenchmarkSteadyStatePushPullWireLegacy(b *testing.B)   { benchWirePushPull(b, false, true) }
 
+// BenchmarkSteadyStatePushPullWireF32 is the lan-f32 shape over loopback
+// TCP: the 768-1024-1024-10 MLP (1.85M parameters, 7.4 MB a wire set) as
+// SchemeNone, two workers on the v1 front door, each step both workers'
+// raw encode, push, the server's raw first add and add, its optimizer
+// sweep writing the raw pull, and the pull's two writes and raw applies.
+// The wires of both directions are spliced into their frames, so past the
+// raw encode a byte is copied only by the socket.
+func BenchmarkSteadyStatePushPullWireF32(b *testing.B) {
+	x := newF32Exchange(b, func() *nn.Model { return nn.NewMLP(768, []int{1024, 1024}, 10, 1) }, 2, 1<<30)
+	defer x.close() // the session, mid-run, ends with the hang-up as its error
+	for i := 0; i < 3; i++ {
+		x.exchange(b)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x.exchange(b)
+	}
+	b.StopTimer()
+}
+
 // BenchmarkStreamedPushPullWire is the per-tensor pipeline at the shape
 // of the benchmark's tiny-stream workload: a 258-tensor MLP (768 → 64×48
 // → 10), two workers streaming to two shards over loopback TCP, each step

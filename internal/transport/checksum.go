@@ -6,8 +6,8 @@
 // CRC-32C (Castagnoli) over the frame type byte plus the entire frame
 // payload — shard header included — to every frame it sends on that
 // connection, and the server answers in kind. It is the codec's last
-// stage (frameCodec.appendFrame), so it covers the header and the body
-// exactly as they travel. Once negotiated, the
+// stage (frameCodec.seal), so it covers the header and the body — spliced
+// wires included — exactly as they travel. Once negotiated, the
 // checksum is REQUIRED both ways: a frame arriving without a valid trailer (including one whose flag bit itself
 // was corrupted — the CRC covers the flag byte) is rejected, so a
 // flipped bit anywhere in a frame becomes a detected error the resilient

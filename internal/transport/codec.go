@@ -98,10 +98,10 @@ func ParseShardHeader(src []byte) (ShardHeader, []byte, error) {
 	return h, src[ShardHeaderLen:], nil
 }
 
-// frame is one message in codec terms: what a sender hands appendFrame
-// and what parseFrame hands a receiver. The frame type decides which
+// frame is one message in codec terms: what a sender hands putFrame and
+// what parseFrame hands a receiver. The frame type decides which
 // fields are on the wire: hello — arg (the placement hash); whole-set
-// push/pull — set; a run — body (its entry table, see appendEntry); bye —
+// push/pull — set; a run — body (its entry table, see frames.entry); bye —
 // the header alone. The v1 types (MsgHello/MsgPush/MsgPull) carry the same
 // fields without a header.
 type frame struct {
@@ -174,40 +174,46 @@ func (fc *frameCodec) streamable() error {
 	return nil
 }
 
-// appendFrame appends f to dst as it travels: prefix, then the payload
-// the connection negotiated. The result is ready to write as is, alone or
-// behind other frames — a link's queue, a session's cached pull.
+// putFrame appends f to q as it travels: prefix, then the payload the
+// connection negotiated, its large wires spliced (frames). The result is
+// ready to write as is, alone or behind other frames — a link's queue, a
+// session's cached pull.
 //
 //3lc:noalloc
-func (fc *frameCodec) appendFrame(dst []byte, f frame) ([]byte, error) {
-	at := len(dst)
-	return endFrame(fc.appendPayload(beginFrame(dst, f.t), f), at)
+func (fc *frameCodec) putFrame(q *frames, f frame) error {
+	m := q.mark()
+	q.b = beginFrame(q.b, f.t)
+	fc.putPayload(q, f)
+	return q.endFrame(m)
 }
 
-// appendPayload appends what follows f's prefix.
+// putPayload appends what follows f's prefix.
 //
 //3lc:noalloc
-func (fc *frameCodec) appendPayload(dst []byte, f frame) []byte {
+func (fc *frameCodec) putPayload(q *frames, f frame) {
 	if fc.v1 {
 		switch f.t {
 		case MsgHello:
-			return le.AppendUint32(dst, fc.worker)
+			q.b = le.AppendUint32(q.b, fc.worker)
+			return
 		case MsgPush:
-			dst = le.AppendUint32(dst, fc.worker)
+			q.b = le.AppendUint32(q.b, fc.worker)
 		}
-		return AppendWireSet(le.AppendUint32(dst, f.step), f.set)
+		q.b = le.AppendUint32(q.b, f.step)
+		q.wireSet(f.set)
+		return
 	}
-	start := len(dst)
-	dst = fc.appendHeader(dst, f.t, f.step)
+	p := q.mark()
+	q.b = fc.appendHeader(q.b, f.t, f.step)
 	switch {
 	case wholeSet(f.t):
-		dst = AppendWireSet(dst, f.set)
+		q.wireSet(f.set)
 	case f.t == MsgShardHello:
-		dst = le.AppendUint32(dst, f.arg)
+		q.b = le.AppendUint32(q.b, f.arg)
 	case isRun(f.t):
-		dst = append(dst, f.body...)
+		q.b = append(q.b, f.body...)
 	}
-	return fc.seal(dst, f.t, start)
+	fc.seal(q, f.t, p)
 }
 
 // appendHeader appends the shard header a type-t v2 frame
@@ -232,18 +238,17 @@ func (fc *frameCodec) appendHeader(dst []byte, t MsgType, step uint32) []byte {
 	return AppendShardHeader(dst, h)
 }
 
-// seal ends the type-t payload that starts at dst[start]: the CRC-32C
-// trailer, when negotiated, over everything before it.
+// seal ends the type-t payload that begins at m: the CRC-32C trailer, when
+// negotiated, over everything queued behind m, spliced wires included.
 //
 //3lc:noalloc
-func (fc *frameCodec) seal(dst []byte, t MsgType, start int) []byte {
+func (fc *frameCodec) seal(q *frames, t MsgType, m mark) {
 	if fc.checksum {
-		dst = le.AppendUint32(dst, frameChecksum(t, dst[start:]))
+		q.b = le.AppendUint32(q.b, q.checksum(t, m))
 	}
-	return dst
 }
 
-// parseFrame is appendFrame's inverse and the single entry every
+// parseFrame is putFrame's inverse and the single entry every
 // post-hello frame is validated through: trailer, flags against the
 // negotiated set, addressing (shard, and on push-side
 // frames the worker) and position. step is where the receiver stands;
@@ -357,15 +362,15 @@ func parseHello(t MsgType, payload []byte) (fc frameCodec, hash uint32, err erro
 // run of ascending slots spells each in one byte. Varints are canonical —
 // no zero byte padding one out — so an entry table has one spelling.
 
-// appendEntry appends the entry of slot's wire behind an entry for slot
-// prev.
+// entry appends the entry of slot's wire behind an entry for slot prev,
+// the wire spliced if it is long (wire).
 //
 //3lc:noalloc
-func appendEntry(dst []byte, prev, slot int, wire []byte) []byte {
+func (q *frames) entry(prev, slot int, wire []byte) {
 	d := int64(slot - prev - 1)
-	dst = binary.AppendUvarint(dst, uint64(d<<1^d>>63))
-	dst = binary.AppendUvarint(dst, uint64(len(wire)))
-	return append(dst, wire...)
+	q.b = binary.AppendUvarint(q.b, uint64(d<<1^d>>63))
+	q.b = binary.AppendUvarint(q.b, uint64(len(wire)))
+	q.wire(wire)
 }
 
 // uvarint decodes the canonical uvarint at the front of b and the number

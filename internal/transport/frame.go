@@ -17,12 +17,16 @@
 // A zero-length tensor entry encodes a nil wire (a tensor the worker does
 // not push — ps.Pushes — or the local-steps scheme's non-transmitting
 // step). A connection (link, session.go) encodes frames behind their
-// prefixes into one outgoing buffer and hands the socket whole flushes.
+// prefixes into one outgoing queue and hands the socket whole flushes.
 // A flush is one frame either way: the protocol's turn (hello, whole-set
 // push and pull), or a run — every tensor of a stream (streamed push and
 // pull) queued since the last flush, behind one shard header (see
 // shard.go). Runs go up to flushBytes and past it by their last tensor,
-// so frames routinely straddle the reads of the receiving side.
+// so frames routinely straddle the reads of the receiving side. The queue
+// copies every byte of framing and every wire under flushBytes; a wire of
+// flushBytes or more stays where its producer wrote it and is spliced in
+// at its place (frames), so past its encoder a float32 tensor is copied
+// only by the socket write.
 // FrameReader reassembles them over a buffered reader sized to one flush
 // and reuses a per-connection scratch buffer, so the receive path stops
 // allocating once the largest frame size has been seen. WriteFrame is the
@@ -32,7 +36,9 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"net"
 	"sync"
 )
 
@@ -57,8 +63,109 @@ const frameHeaderLen = 5
 
 // flushBytes is the size at which a link writes out the frames queued on
 // it without waiting for the end of their stream, and the size of its
-// read buffer, so that what one flush wrote one read drains.
+// read buffer, so that what one flush wrote one read drains. A wire this
+// long is a flush of its own, so frames splice it instead of copying it.
 const flushBytes = 64 << 10
+
+// frames is encoded frames as they travel, ready for a socket: the bytes
+// b, except that each wire of at least flushBytes a frame carries is not
+// copied into b but referenced at its splice point. Everything that sizes
+// a frame — its length prefix, the MaxFrameBytes check, its CRC-32C
+// trailer — covers the spliced bytes, and a link writes the segments of
+// b between splice points and the spliced wires in order, in one
+// net.Buffers write (one writev on a TCP connection): the socket carries
+// the copied encoding byte for byte. A spliced wire must stay unchanged
+// until the frames are written or dropped. With flat set every wire is
+// copied, which is the copied encoding itself.
+type frames struct {
+	b       []byte
+	splices []splice
+	spliced int  // bytes of the spliced wires
+	flat    bool // copy every wire
+}
+
+// splice is one wire of a frames, written where b[at] begins.
+type splice struct {
+	at   int
+	wire []byte
+}
+
+// mark is a position in a frames: the length of b, the number of splices
+// and their bytes up to it.
+type mark struct{ at, splices, spliced int }
+
+func (q *frames) mark() mark { return mark{len(q.b), len(q.splices), q.spliced} }
+
+// len is the number of bytes queued: what the socket is handed.
+func (q *frames) len() int { return len(q.b) + q.spliced }
+
+// since is the number of bytes queued behind m.
+func (q *frames) since(m mark) int { return q.len() - m.at - m.spliced }
+
+// cut drops what was queued behind m.
+func (q *frames) cut(m mark) {
+	clear(q.splices[m.splices:])
+	q.b, q.splices, q.spliced = q.b[:m.at], q.splices[:m.splices], m.spliced
+}
+
+// reset drops everything queued, keeping the buffers.
+func (q *frames) reset() { q.cut(mark{}) }
+
+// wire appends w, or splices it at its place if it is at least flushBytes
+// long.
+//
+//3lc:noalloc
+func (q *frames) wire(w []byte) {
+	if q.flat || len(w) < flushBytes {
+		q.b = append(q.b, w...)
+		return
+	}
+	q.splices = append(q.splices, splice{len(q.b), w})
+	q.spliced += len(w)
+}
+
+// wireSet appends a wire set: its count, then per wire its length and the
+// wire.
+//
+//3lc:noalloc
+func (q *frames) wireSet(wires [][]byte) {
+	q.b = le.AppendUint32(q.b, uint32(len(wires)))
+	for _, w := range wires {
+		q.b = le.AppendUint32(q.b, uint32(len(w)))
+		q.wire(w)
+	}
+}
+
+// checksum is the CRC-32C of a type-t frame's payload that begins at m and
+// runs to the end of q, spliced wires included.
+//
+//3lc:noalloc
+func (q *frames) checksum(t MsgType, m mark) uint32 {
+	crc, at := typeCRC[byte(t)], m.at
+	for _, s := range q.splices[m.splices:] {
+		crc = crc32.Update(crc32.Update(crc, castagnoli, q.b[at:s.at]), castagnoli, s.wire)
+		at = s.at
+	}
+	return crc32.Update(crc, castagnoli, q.b[at:])
+}
+
+// segments appends q's segments to dst in socket order: the stretches of
+// b between splice points, and the spliced wires.
+//
+//3lc:noalloc
+func (q *frames) segments(dst net.Buffers) net.Buffers {
+	at := 0
+	for _, s := range q.splices {
+		if s.at > at {
+			dst = append(dst, q.b[at:s.at])
+		}
+		dst, at = append(dst, s.wire), s.at
+	}
+	if at < len(q.b) {
+		dst = append(dst, q.b[at:])
+	}
+	return dst
+}
 
 // beginFrame reserves the prefix of a type-t frame at the end of dst; the
 // payload is appended behind it and endFrame closes the frame.
@@ -66,20 +173,21 @@ func beginFrame(dst []byte, t MsgType) []byte {
 	return append(dst, 0, 0, 0, 0, byte(t))
 }
 
-// endFrame back-patches the length of the frame begun at dst[at] — the
-// one ReadFrame enforces: the encoded length n = 1+len(payload) must
-// satisfy 0 < n <= MaxFrameBytes, so every frame written is a frame
-// ReadFrame accepts, and vice versa. A frame over the limit is cut off
-// dst again.
+// endFrame back-patches the length of the frame begun at m — the one
+// ReadFrame enforces: the encoded length n = 1+len(payload), spliced
+// wires included, must satisfy 0 < n <= MaxFrameBytes, so every frame
+// written is a frame ReadFrame accepts, and vice versa. A frame over the
+// limit is cut off q again, before anything of it is written.
 //
 //3lc:noalloc
-func endFrame(dst []byte, at int) ([]byte, error) {
-	n := len(dst) - at - 4
+func (q *frames) endFrame(m mark) error {
+	n := q.since(m) - 4
 	if n > MaxFrameBytes {
-		return dst[:at], fmt.Errorf("transport: frame of %d bytes exceeds limit %d", n, MaxFrameBytes)
+		q.cut(m)
+		return fmt.Errorf("transport: frame of %d bytes exceeds limit %d", n, MaxFrameBytes)
 	}
-	le.PutUint32(dst[at:], uint32(n))
-	return dst, nil
+	le.PutUint32(q.b[m.at:], uint32(n))
+	return nil
 }
 
 // framePool recycles WriteFrame's coalescing buffers.
@@ -184,15 +292,9 @@ func (fr *FrameReader) ReadFrame() (MsgType, []byte, error) {
 //
 //3lc:noalloc
 func AppendWireSet(dst []byte, wires [][]byte) []byte {
-	var n [4]byte
-	le.PutUint32(n[:], uint32(len(wires)))
-	dst = append(dst, n[:]...)
-	for _, w := range wires {
-		le.PutUint32(n[:], uint32(len(w)))
-		dst = append(dst, n[:]...)
-		dst = append(dst, w...)
-	}
-	return dst
+	q := frames{b: dst, flat: true}
+	q.wireSet(wires)
+	return q.b
 }
 
 // ParseWireSet deserializes a wire set, returning the wires and the number

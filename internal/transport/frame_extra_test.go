@@ -27,9 +27,10 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 // maxPooledFrame is one Write call — on an unbuffered connection one
 // syscall instead of a header+payload pair — a larger one is prefix then
 // payload, uncopied, and neither allocates: the prefix is staged in the
-// pooled buffer, not in a local array that escapes through the io.Writer.
-// (What a connection writes is the link's business — one Write at any
-// size: TestLinkWritesPerFlush.)
+// pooled buffer, not in a local array that escapes through the io.Writer
+// (under the race detector the pool drops Puts on purpose, so the count is
+// not asserted there). What a connection writes is the link's business:
+// TestLinkWritesPerFlush.
 func TestWriteFrameSingleWrite(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -56,7 +57,7 @@ func TestWriteFrameSingleWrite(t *testing.T) {
 				t.Errorf("round trip: type %d, %d bytes", typ, len(got))
 			}
 			w.discard = true
-			if allocs := testing.AllocsPerRun(20, func() { WriteFrame(&w, MsgPush, payload) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(20, func() { WriteFrame(&w, MsgPush, payload) }); allocs != 0 && !raceDetector {
 				t.Errorf("WriteFrame of %d bytes: %v allocs per frame, want 0", tc.size, allocs)
 			}
 		})

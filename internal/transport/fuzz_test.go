@@ -53,7 +53,9 @@ func sealedRetired(fc frameCodec, t MsgType, flag byte) []byte {
 		p = p[:len(p)-4]
 	}
 	p[1] |= flag
-	return fc.seal(p, t, 0)
+	q := frames{b: p, flat: true}
+	fc.seal(&q, t, mark{})
+	return q.b
 }
 
 // fuzzTypes are the frame types parseFrame takes on a v2 connection.

@@ -54,18 +54,25 @@ func (t *traffic) TrafficBytes() (push, pull int64) { return t.push.Load(), t.pu
 // unit both ends of every transport connection are built from. It owns
 // the package's write path: whole frames are queued, each behind its own
 // prefix, in out; a streamed tensor joins the run open at out's end, or
-// opens one; and the socket sees a flush at a time.
+// opens one; and the socket sees a flush at a time. out copies the framing
+// and every wire under flushBytes and splices the longer ones (frames), so
+// a link holds about a flush of bytes of its own however large the tensors
+// it sends.
 type link struct {
 	c   net.Conn
 	br  *bufio.Reader // flushBytes deep: one read drains one flush
 	fr  *FrameReader
 	to  Timeouts
 	fc  frameCodec
-	out []byte // frames queued since the last flush, recycled
+	out frames // frames queued since the last flush, recycled
+	// segs is write's segment list, recycled; iov is the copy of it a
+	// net.Buffers write consumes.
+	segs, iov net.Buffers
 	// The run open at out's end, if any: where its prefix starts (the
 	// prefix's last byte is its type) and the slot of its last entry.
-	inRun       bool
-	runAt, prev int
+	inRun bool
+	runAt mark
+	prev  int
 }
 
 // attach points l at a fresh connection, keeping its codec and scratch.
@@ -78,7 +85,8 @@ func (l *link) attach(c net.Conn) {
 
 // reset drops whatever is queued, an open run included.
 func (l *link) reset() {
-	l.out, l.inRun = l.out[:0], false
+	l.out.reset()
+	l.inRun = false
 }
 
 // open dials addr and sends the hello l's codec describes, vouching for
@@ -105,9 +113,7 @@ func (l *link) open(d Dialer, addr string, hash uint32) error {
 //
 //3lc:noalloc
 func (l *link) queue(f frame) error {
-	var err error
-	l.out, err = l.fc.appendFrame(l.out, f)
-	return err
+	return l.fc.putFrame(&l.out, f)
 }
 
 // entry queues one tensor of a stream: slot's wire joins the run open on
@@ -120,7 +126,7 @@ func (l *link) queue(f frame) error {
 //3lc:noalloc
 func (l *link) entry(t MsgType, step uint32, slot int, wire []byte) {
 	l.openRun(t, step)
-	l.out = appendEntry(l.out, l.prev, slot, wire)
+	l.out.entry(l.prev, slot, wire)
 	l.prev = slot
 }
 
@@ -130,7 +136,7 @@ func (l *link) entry(t MsgType, step uint32, slot int, wire []byte) {
 //3lc:noalloc
 func (l *link) endRun(t MsgType, step uint32) {
 	l.openRun(t, step)
-	l.out[l.runAt+frameHeaderLen-1] = byte(t)
+	l.out.b[l.runAt.at+frameHeaderLen-1] = byte(t)
 }
 
 // openRun opens a type-t run for step behind the queued frames, unless one
@@ -139,8 +145,8 @@ func (l *link) endRun(t MsgType, step uint32) {
 //3lc:noalloc
 func (l *link) openRun(t MsgType, step uint32) {
 	if !l.inRun {
-		l.inRun, l.runAt, l.prev = true, len(l.out), -1
-		l.out = l.fc.appendHeader(beginFrame(l.out, t), t, step)
+		l.inRun, l.runAt, l.prev = true, l.out.mark(), -1
+		l.out.b = l.fc.appendHeader(beginFrame(l.out.b, t), t, step)
 	}
 }
 
@@ -153,10 +159,10 @@ func (l *link) closeRun() error {
 		return nil
 	}
 	l.inRun = false
-	l.out = l.fc.seal(l.out, MsgType(l.out[l.runAt+frameHeaderLen-1]), l.runAt+frameHeaderLen)
-	var err error
-	l.out, err = endFrame(l.out, l.runAt)
-	return err
+	payload := l.runAt
+	payload.at += frameHeaderLen
+	l.fc.seal(&l.out, MsgType(l.out.b[payload.at-1]), payload)
+	return l.out.endFrame(l.runAt)
 }
 
 // flush closes the open run and writes the queued frames.
@@ -164,10 +170,10 @@ func (l *link) closeRun() error {
 //3lc:noalloc
 func (l *link) flush() error {
 	err := l.closeRun()
-	if err == nil && len(l.out) > 0 {
-		err = l.write(l.out)
+	if err == nil && l.out.len() > 0 {
+		err = l.write(&l.out)
 	}
-	l.out = l.out[:0]
+	l.out.reset()
 	return err
 }
 
@@ -182,16 +188,24 @@ func (l *link) send(f frame) error {
 	return l.flush()
 }
 
-// write hands the socket p — whole frames, prefixes included: a flush, or
-// a pull some session encoded once for every seat of its variant — in one
-// Write, the only one in the package, under one write deadline: however
-// many frames p holds, a peer that stops reading fails it within
-// Timeouts.Write.
+// write hands the socket q — whole frames, prefixes included: a flush, or
+// a pull some session encoded once for every seat of its variant — under
+// one write deadline: however many frames q holds, a peer that stops
+// reading fails it within Timeouts.Write. Frames that splice nothing are
+// one Write of their bytes; otherwise q's segments go out as one
+// net.Buffers write, a single writev on a TCP connection and a Write per
+// segment on any other writer. A connection writes nowhere else.
 //
 //3lc:noalloc
-func (l *link) write(p []byte) error {
+func (l *link) write(q *frames) error {
 	l.to.beforeWrite(l.c)
-	_, err := l.c.Write(p)
+	if len(q.splices) == 0 {
+		_, err := l.c.Write(q.b)
+		return err
+	}
+	l.iov = q.segments(l.segs[:0])
+	l.segs = l.iov[:0]
+	_, err := l.iov.WriteTo(l.c)
 	return err
 }
 
@@ -293,13 +307,15 @@ type session struct {
 
 	// pulls are the last finished step's (done) pull sets, valid until the
 	// aggregator's next FinishStep: [0] the shared one, [1] the owner's
-	// (nil: the owner is sent [0]). pullBuf[o][k] is set o's encoding for
-	// codec variant k, built at most once per step (pullAt[o][k] == done) by
-	// the first seat that needs it — during the broadcast, or later, when a
-	// resilient seat that lost the broadcast replays its push.
+	// (nil: the owner is sent [0]). pullBuf[o][k] is set o's frame for
+	// codec variant k — its large wires spliced, not copied, so it is valid
+	// exactly as long as the pull — built at most once per step
+	// (pullAt[o][k] == done) by the first seat that needs it: during the
+	// broadcast, or later, when a resilient seat that lost the broadcast
+	// replays its push.
 	pulls   [2][][]byte
 	done    int
-	pullBuf [2][pullVariants][]byte
+	pullBuf [2][pullVariants]frames
 	pullAt  [2][pullVariants]int
 }
 
@@ -598,12 +614,12 @@ func (s *session) sendPull(st *seat) error {
 		last := len(s.pulls[o]) - 1
 		for k, wire := range s.pulls[o] {
 			st.entry(MsgShardPullRun, uint32(s.done), k, wire)
-			if k < last && len(st.out) < flushBytes {
+			if k < last && st.out.len() < flushBytes {
 				continue
 			}
 			err := st.closeRun()
 			if err == nil {
-				sent += len(st.out) - frameHeaderLen
+				sent += st.out.len() - frameHeaderLen
 				err = st.flush()
 			}
 			if err != nil {
@@ -615,18 +631,18 @@ func (s *session) sendPull(st *seat) error {
 		if st.fc.v1 {
 			t = MsgPull
 		}
+		q := &s.pullBuf[o][k]
 		if s.pullAt[o][k] != s.done {
-			var err error
-			s.pullBuf[o][k], err = st.fc.appendFrame(s.pullBuf[o][k][:0], frame{t: t, step: uint32(s.done), set: s.pulls[o]})
-			if err != nil {
+			q.reset()
+			if err := st.fc.putFrame(q, frame{t: t, step: uint32(s.done), set: s.pulls[o]}); err != nil {
 				return fmt.Errorf("transport: shard %d step %d pull: %w", s.cfg.Shard, s.done, err)
 			}
 			s.pullAt[o][k] = s.done
 		}
-		if err := st.write(s.pullBuf[o][k]); err != nil {
+		if err := st.write(q); err != nil {
 			return fmt.Errorf("transport: shard %d step %d pull to worker %d: %w", s.cfg.Shard, s.done, st.id, err)
 		}
-		sent = len(s.pullBuf[o][k]) - frameHeaderLen
+		sent = q.len() - frameHeaderLen
 	}
 	s.tr.pull.Add(int64(sent))
 	return nil

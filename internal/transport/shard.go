@@ -96,7 +96,7 @@ const (
 	// reconnect and replay.
 	MsgShardBye
 	// MsgShardPushRun carries one flush of a worker's streamed push: the
-	// header, then an entry per tensor (see appendEntry). The shard
+	// header, then an entry per tensor (see frames.entry). The shard
 	// decode-accumulates its tensors as soon as the run has landed and
 	// validated; more runs of the push follow.
 	MsgShardPushRun
@@ -425,7 +425,7 @@ func (c *ShardClient) tryPushPull(step, s int, sc *shardConn, wires [][]byte) er
 	}
 	err := sc.queue(frame{t: MsgShardPush, step: uint32(step), set: sub})
 	if err == nil {
-		if sb := sc.standby; sb != nil && sb.write(sc.out) != nil {
+		if sb := sc.standby; sb != nil && sb.write(&sc.out) != nil {
 			sb.c.Close()
 			sc.standby = nil
 		}
@@ -565,7 +565,7 @@ func (c *ShardClient) streamShard(step, s int, sc *shardConn, ch <-chan IndexedW
 		if iw.I != flushMark {
 			sc.entry(MsgShardPushRun, uint32(step), c.slot[iw.I], iw.Wire)
 		}
-		if iw.I == flushMark || len(sc.out) >= flushBytes {
+		if iw.I == flushMark || sc.out.len() >= flushBytes {
 			if err := sc.flush(); err != nil {
 				return fmt.Errorf("transport: shard %d push step %d: %w", s, step, err)
 			}

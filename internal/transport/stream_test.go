@@ -568,8 +568,8 @@ func TestPushPullStreamEnforcesItsContract(t *testing.T) {
 				t.Errorf("%d frames reached the wire, want %d (tensor 0, if flushed before the bad index)", frames, want)
 			}
 			for s, sc := range cl.conns {
-				if len(sc.out) != 0 {
-					t.Errorf("shard %d: %d bytes of the failed step still queued on the link", s, len(sc.out))
+				if sc.out.len() != 0 {
+					t.Errorf("shard %d: %d bytes of the failed step still queued on the link", s, sc.out.len())
 				}
 			}
 		})
@@ -577,39 +577,76 @@ func TestPushPullStreamEnforcesItsContract(t *testing.T) {
 }
 
 // TestLinkWritesPerFlush pins the link's write path at both ends of the
-// size range: a sent frame is one Write of prefix and payload together —
-// 1 000 bytes or 2 MiB, the whole-set path's contract — queued tensors are
-// one run, and one Write, per flush, however far past flushBytes the run
-// goes, and none of it allocates once the buffer has grown.
+// size range: a sent frame, and a run of queued tensors however far past
+// flushBytes it goes, are each one flush, and the socket is handed the
+// copied encoding byte for byte. With 1 000-byte wires a flush is one
+// Write. A 2 MiB wire is spliced, not copied, and the flush goes out as
+// one net.Buffers write: a single writev on a TCP connection, and on a
+// plain writer, as here, a Write per segment — 1 + 2·splices, since every
+// spliced wire here has bytes behind it in its flush. None of it
+// allocates once the buffers have grown, which the race detector's own
+// allocations hide.
 func TestLinkWritesPerFlush(t *testing.T) {
-	for _, size := range []int{1000, 2 << 20} {
-		near, far := net.Pipe()
-		go io.Copy(io.Discard, far)
-		cc := &countConn{Conn: near}
+	for _, tc := range []struct {
+		size          int
+		send, flushes int64 // writes
+	}{
+		{1000, 1, 1},
+		{2 << 20, 1 + 2*1, 1 + 2*3},
+	} {
+		rec := &recordConn{}
+		cc := &countConn{Conn: rec}
 		l := &link{}
 		l.attach(cc)
-		wire := make([]byte, size)
-		set := [][]byte{wire}
-		round := func() {
-			if err := l.send(frame{t: MsgShardPush, step: 1, set: set}); err != nil {
-				t.Fatal(err)
-			}
+		wire := make([]byte, tc.size)
+		for i := range wire {
+			wire[i] = byte(7 * i)
+		}
+		set := [][]byte{wire, {1}}
+		tail := []byte{2, 3}
+		queueRun := func(l *link) {
 			for k := 0; k < 3; k++ {
 				l.entry(MsgShardPushRun, 1, k, wire)
 			}
+			l.entry(MsgShardPushRun, 1, 3, tail)
+		}
+		// The copied encoding of a round: the frame, then the run.
+		want, err := l.fc.appendFrame(nil, frame{t: MsgShardPush, step: 1, set: set})
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat := &link{out: frames{flat: true}}
+		queueRun(flat)
+		if err := flat.closeRun(); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, flat.out.b...)
+
+		var send, flush wrote
+		round := func() {
+			rec.got.Reset()
+			before := cc.snap()
+			if err := l.send(frame{t: MsgShardPush, step: 1, set: set}); err != nil {
+				t.Fatal(err)
+			}
+			mid := cc.snap()
+			queueRun(l)
 			if err := l.flush(); err != nil {
 				t.Fatal(err)
 			}
+			send, flush = mid.since(before), cc.snap().since(mid)
 		}
 		round()
-		if d := cc.snap(); d.writes != 2 || d.frames != 2 {
-			t.Errorf("%d-byte wires: one send and one flush of a three-tensor run took %d writes of %d frames", size, d.writes, d.frames)
+		if send.writes != tc.send || flush.writes != tc.flushes {
+			t.Errorf("%d-byte wires: a send took %d writes and a flush of a four-tensor run %d, want %d and %d",
+				tc.size, send.writes, flush.writes, tc.send, tc.flushes)
 		}
-		if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
-			t.Errorf("%d-byte wires: %v allocs per send + flush, want 0", size, allocs)
+		if !bytes.Equal(rec.got.Bytes(), want) {
+			t.Errorf("%d-byte wires: the socket was handed %d bytes that are not the copied encoding's %d", tc.size, rec.got.Len(), len(want))
 		}
-		near.Close()
-		far.Close()
+		if allocs := testing.AllocsPerRun(10, round); allocs != 0 && !raceDetector {
+			t.Errorf("%d-byte wires: %v allocs per send + flush, want 0", tc.size, allocs)
+		}
 	}
 }
 
@@ -655,7 +692,7 @@ func coalescedRun(t testing.TB, fc frameCodec, sizes ...int) (run []byte, frames
 			wire[i] = byte(rng.Intn(256))
 		}
 		l.entry(MsgShardPushRun, 7, k, wire)
-		if len(l.out)-l.runAt >= flushBytes {
+		if l.out.since(l.runAt) >= flushBytes {
 			if err := l.closeRun(); err != nil {
 				t.Fatal(err)
 			}
@@ -666,7 +703,7 @@ func coalescedRun(t testing.TB, fc frameCodec, sizes ...int) (run []byte, frames
 	if err := l.closeRun(); err != nil {
 		t.Fatal(err)
 	}
-	return l.out, frames + 1
+	return socketBytes(&l.out), frames + 1
 }
 
 // TestFrameReaderCoalescedRunAnyChunking: runs go past flushBytes and sit

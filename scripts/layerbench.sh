@@ -64,9 +64,11 @@ alternate shard 'ClusterPushPull$' ps 'SteadyStatePushPull(Clustered)?$' 100x
 # (gated), so it is cheap enough to leave on everywhere.
 # ...WireLegacy is the v1 Dial client against NewServer — the plain
 # `3lc-net` and lan-f32 front door — through the same session
-# engine.
+# engine, and ...WireF32 the lan-f32 shape itself through it: the
+# 1.85M-parameter MLP as raw float32, two workers, every wire of
+# 64 KiB or more spliced into its frame instead of copied.
 alternate transport 'SteadyStatePushPullWireChecksum$' transport 'SteadyStatePushPullWire$' 100x
-go test -run='^$' -bench 'SteadyStatePushPullWireLegacy$' -benchtime 100x -benchmem ./internal/transport/
+go test -run='^$' -bench 'SteadyStatePushPullWire(Legacy|F32)$' -benchtime 100x -benchmem ./internal/transport/
 # The per-tensor streamed exchange at the tiny-stream shape (258
 # tensors, 2 workers, 2 shards): reports writes/op (8 with the
 # compressor ahead: a run per worker, shard and direction) and
@@ -97,7 +99,8 @@ go test -run='^$' -bench 'FusedCompress/|FusedDecompress/|StagedCompress/|Staged
 # encode also on a clustered one (the block index skips 98 % of it;
 # gated against the 0.998-zero row), plus
 # one cache-cold sparse encode row on the dispatched tier
-# (reported). The raw rows and the SGD sweep's delta row are
+# (reported). The raw rows and the SGD sweep's delta and raw rows
+# (the raw one writing a SchemeNone pull wire's body) are
 # cache-cold too, with an accumulate+|max| and a built-in copy
 # over the same rotation beside them (reported). Decode-add and
 # the SGD sweep also run on a clustered wire into a gradient sum
