@@ -8,7 +8,6 @@
 //
 //	3lc-net -design 3lc -sparsity 1.75 -workers 4 -steps 50
 //	3lc-net -design 3lc -workers 4 -steps 50 -shards 2   # sharded PS tier
-//	3lc-net -shards 2 -replicas -kill-shard 0 -kill-step 25  # failover demo
 //	3lc-net -chaos -chaos-seed 7 -shards 2 -workers 2 -steps 6  # chaos soak
 //
 // The modes (README has the prose for each):
@@ -17,11 +16,6 @@
 //     shards, each with its own listener; every worker holds one multiplexed
 //     connection per shard, and -stream streams each tensor on them as its
 //     compressor finishes, a run of tensors to a frame.
-//   - -replicas gives every shard a standby — a second transport.ShardServer
-//     over its own model clone, sent every push ahead of the primary's copy —
-//     and -kill-shard S -kill-step K crashes shard S's primary at step K:
-//     the workers claim the standby by replaying the in-flight push, and the
-//     run ends with model state byte-identical to an unkilled one.
 //   - -chaos trains every registered codec twice — on an in-process server,
 //     and over TCP with internal/chaos injecting faults on every listener and
 //     dial against the full defense stack (CRC-32C frames, resilient
@@ -52,14 +46,13 @@ import (
 
 // options are the command's flags, and what check derives from them.
 type options struct {
-	designName, addr            string
-	sparsity                    float64
-	workers, steps, batch       int
-	shards                      int
-	stream, replicas, chaosSoak bool
-	killShard, killStep         int
-	netTimeout                  time.Duration
-	chaosSeed                   uint64
+	designName, addr      string
+	sparsity              float64
+	workers, steps, batch int
+	shards                int
+	stream, chaosSoak     bool
+	netTimeout            time.Duration
+	chaosSeed             uint64
 
 	design train.Design // -design, -sparsity
 }
@@ -74,10 +67,7 @@ func main() {
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:0", "listen address")
 	flag.IntVar(&o.shards, "shards", 1, "parameter-server shard count; shard s listens on -addr's port + s (each shard gets its own listener; workers multiplex)")
 	flag.BoolVar(&o.stream, "stream", false, "per-tensor streamed pipeline: hand each tensor to its shard's connection as its compressor finishes (the server decode-aggregates it on arrival) and read the pull back tensor by tensor; what is queued is written as one run — one header, then per tensor a slot delta, a length and its wire — when the compressor has nothing more ready, every 64 KiB and at the end of the push; implies the shard-tier transport even at -shards 1")
-	flag.BoolVar(&o.replicas, "replicas", false, "run one standby per shard (workers send it a copy of every push and fail over to it on primary death); implies the shard tier")
-	flag.IntVar(&o.killShard, "kill-shard", -1, "crash this shard's primary mid-run (requires -replicas)")
-	flag.IntVar(&o.killStep, "kill-step", -1, "step at which -kill-shard fires (default steps/2)")
-	flag.DurationVar(&o.netTimeout, "net-timeout", 0, "per-frame read/write deadline on worker connections (failure detector for dead shards); 0 disables, except with -replicas where it defaults to 10s")
+	flag.DurationVar(&o.netTimeout, "net-timeout", 0, "per-frame read/write deadline on worker connections (failure detector for dead servers) and write deadline on the servers' connections; 0 disables")
 	flag.BoolVar(&o.chaosSoak, "chaos", false, "chaos soak: train every codec clean (in-process) and under deterministic fault injection (over TCP with checksums + resilient reconnect) and demand bit-identical final state; ignores -design")
 	flag.Uint64Var(&o.chaosSeed, "chaos-seed", 1, "fault schedule seed for -chaos (same seed, same per-connection fault schedule)")
 	flag.Parse()
@@ -100,40 +90,32 @@ func main() {
 // flags leave to defaults.
 func (o *options) check() error {
 	o.shards = max(o.shards, 1)
-	killing := o.killShard >= 0
 	if o.chaosSoak {
-		if o.stream || o.replicas || killing {
-			return errors.New("-chaos is incompatible with -stream, -replicas, and -kill-shard")
+		if o.stream {
+			return errors.New("-chaos is incompatible with -stream")
 		}
 		return nil
 	}
 	var err error
-	if o.design, err = train.ParseDesign(o.designName, o.sparsity, false); err != nil {
-		return err
-	}
-	if o.killStep < 0 {
-		o.killStep = o.steps / 2
-	}
-	switch {
-	case o.replicas && o.stream:
-		return errors.New("-stream pushes are not replicated; drop -stream or -replicas")
-	case killing && !o.replicas:
-		return errors.New("-kill-shard needs -replicas (no standby to fail over to)")
-	case o.killShard >= o.shards:
-		return fmt.Errorf("-kill-shard %d out of range (%d shards)", o.killShard, o.shards)
-	case killing && (o.killStep < 1 || o.killStep >= o.steps):
-		return fmt.Errorf("-kill-step %d must be in [1, steps) to fire mid-run", o.killStep)
-	}
-	if o.replicas && o.netTimeout == 0 {
-		// Failover needs a failure detector: without a read deadline only
-		// an abrupt connection error (EOF/RST) would trigger it.
-		o.netTimeout = 10 * time.Second
-	}
-	return nil
+	o.design, err = train.ParseDesign(o.designName, o.sparsity, false)
+	return err
 }
 
+// timeouts are the workers' deadlines: -net-timeout on every frame read
+// and flush.
 func (o *options) timeouts() transport.Timeouts {
 	return transport.Timeouts{Read: o.netTimeout, Write: o.netTimeout}
+}
+
+// serverTimeouts are every server's deadlines, the v1 front door's and the
+// shards' alike. A server's push read spans the whole BSP barrier (every
+// worker's compute), so its read deadline is much wider than the
+// per-frame worker deadline; its writes are held to -net-timeout.
+func (o *options) serverTimeouts() transport.Timeouts {
+	if o.netTimeout <= 0 {
+		return transport.Timeouts{}
+	}
+	return transport.Timeouts{Read: 5 * time.Minute, Write: o.netTimeout}
 }
 
 // job is the train.Config every mode runs — 3lc-train's own
@@ -149,8 +131,7 @@ func (o *options) job(design train.Design, nTrain, nTest int, seed uint64) train
 }
 
 // listen opens n listeners on addr's port, port+1, … (kernel-assigned ports
-// when the address's port is 0; loopback when it names no host). Every
-// mode binds its shards first, then its standbys.
+// when the address's port is 0; loopback when it names no host).
 func listen(addr string, n int) ([]net.Listener, error) {
 	host, portStr, err := net.SplitHostPort(addr)
 	if err != nil {
@@ -198,12 +179,11 @@ func (t *servers) serve(ln net.Listener, srv *transport.ShardServer) {
 }
 
 // serveShards serves model from one transport.ShardServer per shard of
-// asn, each over its own sub-job under cfg. open returns shard s's
-// listener — wrapped and announced as the mode wants — and may adjust that
-// shard's copy of base, whose Shard, NumShards and AssignmentHash are
-// filled in here.
+// asn, each over its own sub-job under cfg and its own copy of base, whose
+// Shard, NumShards and AssignmentHash are filled in here. open returns
+// shard s's listener, wrapped and announced as the mode wants.
 func serveShards(model *nn.Model, asn shard.Assignment, cfg ps.Config, base transport.ShardServerConfig,
-	open func(s int, scfg *transport.ShardServerConfig) net.Listener) (*servers, error) {
+	open func(s int) net.Listener) (*servers, error) {
 	subs, err := shard.SubServers(model, cfg, asn)
 	if err != nil {
 		return nil, err
@@ -213,26 +193,26 @@ func serveShards(model *nn.Model, asn shard.Assignment, cfg ps.Config, base tran
 	for s, sub := range subs {
 		scfg := base
 		scfg.Shard = s
-		ln := open(s, &scfg)
+		ln := open(s)
 		t.serve(ln, transport.NewShardServer(ln, sub, scfg))
 	}
 	return t, nil
 }
 
 // drain collects every server's Serve result and returns the first
-// failure. A -kill-shard crash is not one: the standby took over.
+// failure.
 func (t *servers) drain() error {
 	for range t.srvs {
-		if err := <-t.errs; err != nil && !errors.Is(err, transport.ErrShardKilled) {
+		if err := <-t.errs; err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// traffic totals (push, pull) bytes over a set of servers.
-func traffic(srvs []*transport.ShardServer) (push, pull int64) {
-	for _, srv := range srvs {
+// traffic totals the set's (push, pull) bytes.
+func (t *servers) traffic() (push, pull int64) {
+	for _, srv := range t.srvs {
 		p, q := srv.TrafficBytes()
 		push += p
 		pull += q
@@ -241,46 +221,24 @@ func traffic(srvs []*transport.ShardServer) (push, pull int64) {
 }
 
 // flatTopology is the flat modes' servers: the v1 front door, or a shard
-// tier (-shards, -stream) with its standbys (-replicas). tier starts them
-// and dials the workers' seats; drain joins them after the run.
+// tier (-shards, -stream). tier starts them and dials the workers' seats;
+// drain joins them after the run.
 type flatTopology struct {
 	o      *options
-	lns    []net.Listener // shard s, then standby s
-	build  func() *nn.Model
-	global *nn.Model // the run's global model, which the primaries serve
-
-	primaries, standbys *servers  // the front door is a primary tier of one
-	replica             *nn.Model // what the standbys serve
-	asn                 shard.Assignment
+	lns    []net.Listener // one per shard
+	global *nn.Model      // the run's global model, which the servers serve
+	srvs   *servers
 }
 
 // flat returns the flat mode's job and the topology its Tier hook builds.
 func (o *options) flat() (train.Config, *flatTopology, error) {
 	cfg := o.job(o.design, 1000, 300, 1)
-	n := o.shards
-	if o.replicas {
-		n *= 2
-	}
-	lns, err := listen(o.addr, n)
+	lns, err := listen(o.addr, o.shards)
 	if err != nil {
 		return cfg, nil, err
 	}
-	f := &flatTopology{o: o, lns: lns, build: cfg.BuildModel, standbys: newServers(0)}
+	f := &flatTopology{o: o, lns: lns}
 	cfg.Tier = f.tier
-	if o.killShard >= 0 {
-		// The killed shard's authoritative state ends the run on its
-		// standby: graft it into the global model once the last step's pull
-		// has been served, ahead of the final evaluation.
-		cfg.OnStep = func(step int) error {
-			if step == o.steps-1 {
-				gp, rp := f.global.Params(), f.replica.Params()
-				for _, gi := range f.asn.Tensors(o.killShard) {
-					gp[gi].W.CopyFrom(rp[gi].W)
-				}
-			}
-			return nil
-		}
-	}
 	return cfg, f, nil
 }
 
@@ -288,89 +246,45 @@ func (o *options) flat() (train.Config, *flatTopology, error) {
 func (f *flatTopology) tier(global *nn.Model, psCfg ps.Config) (ps.Tier, error) {
 	o := f.o
 	f.global = global
-	if o.shards == 1 && !o.stream && !o.replicas {
+	if o.shards == 1 && !o.stream {
 		// The plain front door: a tier of one, dialed by v1 clients.
 		ln := f.lns[0]
 		fmt.Printf("parameter server listening on %s\n", ln.Addr())
 		srv := transport.NewServer(ln, ps.NewJob(global, psCfg), o.workers, o.steps)
-		if o.netTimeout > 0 {
-			// The server's push read spans the whole BSP barrier (every
-			// worker's compute), so its read deadline is much wider than the
-			// per-frame worker deadline.
-			srv.SetTimeouts(transport.Timeouts{Read: 5 * time.Minute, Write: o.netTimeout})
-		}
-		f.primaries = newServers(1)
-		f.primaries.serve(ln, &srv.ShardServer)
+		srv.SetTimeouts(o.serverTimeouts())
+		f.srvs = newServers(1)
+		f.srvs.serve(ln, &srv.ShardServer)
 		return transport.DialTier(o.workers, false, func(w int) (transport.Seat, error) {
 			return transport.DialTimeout(ln.Addr().String(), w, o.timeouts())
 		})
 	}
 	// One listener per shard; workers hold one multiplexed connection to each.
-	f.asn = shard.ForModel(global, o.shards)
-	base := transport.ShardServerConfig{Workers: o.workers, Steps: o.steps}
-	shardCfg := psCfg.SplitAcross(o.shards)
+	asn := shard.ForModel(global, o.shards)
+	base := transport.ShardServerConfig{Workers: o.workers, Steps: o.steps, Timeouts: o.serverTimeouts()}
 	var err error
-	if o.replicas {
-		// Standby tier: one replica per shard over its OWN model clone
-		// (replicated state must not alias the primary's tensors).
-		f.replica = f.build()
-		f.replica.CopyParamsFrom(global)
-		base.Timeouts = o.timeouts()
-		f.standbys, err = serveShards(f.replica, f.asn, shardCfg, base, func(s int, _ *transport.ShardServerConfig) net.Listener {
-			ln := f.lns[o.shards+s]
-			fmt.Printf("replica shard %d/%d standing by on %s\n", s, o.shards, ln.Addr())
-			return ln
-		})
-		if err != nil {
-			return nil, err
-		}
-		base.Timeouts = transport.Timeouts{Read: 5 * time.Minute, Write: o.netTimeout}
-	}
-	f.primaries, err = serveShards(global, f.asn, shardCfg, base, func(s int, scfg *transport.ShardServerConfig) net.Listener {
+	f.srvs, err = serveShards(global, asn, psCfg.SplitAcross(o.shards), base, func(s int) net.Listener {
 		ln := f.lns[s]
 		fmt.Printf("parameter-server shard %d/%d listening on %s (%d tensors)\n",
-			s, o.shards, ln.Addr(), len(f.asn.Tensors(s)))
-		if s == o.killShard {
-			scfg.KillAtStep = o.killStep
-			fmt.Printf("shard %d primary will be killed at step %d\n", s, o.killStep)
-		}
+			s, o.shards, ln.Addr(), len(asn.Tensors(s)))
 		return ln
 	})
 	if err != nil {
 		return nil, err
 	}
 	return transport.DialTier(o.workers, o.stream, func(w int) (transport.Seat, error) {
-		return transport.DialShardedConfig(f.primaries.addrs, w, f.asn,
-			transport.ShardClientConfig{Timeouts: o.timeouts(), Replicas: f.standbys.addrs})
+		return transport.DialShardedConfig(f.srvs.addrs, w, asn, transport.ShardClientConfig{Timeouts: o.timeouts()})
 	})
 }
 
 // drain joins the servers once the run has closed its connections.
 func (f *flatTopology) drain() error {
-	if err := f.primaries.drain(); err != nil {
+	if err := f.srvs.drain(); err != nil {
 		return fmt.Errorf("server: %w", err)
-	}
-	if err := f.standbys.drain(); err != nil {
-		return fmt.Errorf("replica: %w", err)
 	}
 	return nil
 }
 
-// traffic reports the bytes the serving tier received (push) and sent
-// (pull), and the second copies of the pushes that -replicas adds. A shard
-// is served by its primary, or, once that is killed, by the standby the
-// workers claimed — which, sent every push first, holds the whole run's.
-func (f *flatTopology) traffic() (push, pull, copies int64) {
-	serving, second := slices.Clone(f.primaries.srvs), slices.Clone(f.standbys.srvs)
-	if k := f.o.killShard; k >= 0 {
-		serving[k], second[k] = second[k], serving[k]
-	}
-	push, pull = traffic(serving)
-	copies, pull2 := traffic(second)
-	return push, pull + pull2, copies
-}
-
-// runFlat is the default mode and its -shards / -stream / -replicas forms.
+// runFlat is the default mode and its -shards / -stream forms.
 func runFlat(o *options) error {
 	cfg, f, err := o.flat()
 	if err != nil {
@@ -383,16 +297,10 @@ func runFlat(o *options) error {
 	if err := f.drain(); err != nil {
 		return err
 	}
-	if o.killShard >= 0 {
-		fmt.Printf("shard %d primary killed at step %d; replica served the remaining steps\n", o.killShard, o.killStep)
-	}
-	push, pull, copies := f.traffic()
+	push, pull := f.srvs.traffic()
 	fmt.Printf("completed %d steps x %d workers over TCP in %v\n", o.steps, o.workers, time.Duration(res.WallSec*float64(time.Second)).Round(time.Millisecond))
 	fmt.Printf("test accuracy:    %.2f%%\n", 100*res.FinalAccuracy)
 	fmt.Printf("push bytes:       %d (received by server)\n", push)
-	if o.replicas {
-		fmt.Printf("standby copies:   %d (second copy of each push, received by the standbys)\n", copies)
-	}
 	fmt.Printf("pull bytes:       %d (sent to workers)\n", pull)
 	raw := res.RawPushBytes
 	fmt.Printf("raw equivalent:   %d bytes pushed, %d pulled; push compression %.1fx\n", raw, res.RawBytes-raw, float64(raw)/float64(push))
@@ -520,7 +428,7 @@ func chaosTCPRun(inj *chaos.Injector, o *options, cfg train.Config) ([]float32, 
 		var err error
 		tier, err = serveShards(global, asn, psCfg,
 			transport.ShardServerConfig{Workers: o.workers, Steps: o.steps, Timeouts: timeouts, Resilient: true},
-			func(s int, _ *transport.ShardServerConfig) net.Listener { return inj.WrapListener(lns[s]) })
+			func(s int) net.Listener { return inj.WrapListener(lns[s]) })
 		if err != nil {
 			return nil, err
 		}

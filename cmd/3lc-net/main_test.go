@@ -20,7 +20,7 @@ func testOptions() options {
 	return options{
 		designName: "3lc", sparsity: 1.0, addr: "127.0.0.1:0",
 		workers: 3, steps: 6, batch: 8,
-		shards: 1, killShard: -1, killStep: -1,
+		shards: 1,
 	}
 }
 
@@ -32,13 +32,7 @@ func TestCheckRefusesFlagCombinations(t *testing.T) {
 	}{
 		{"defaults", func(o *options) {}, ""},
 		{"shards stream", func(o *options) { o.shards, o.stream = 2, true }, ""},
-		{"failover", func(o *options) { o.shards, o.replicas, o.killShard = 2, true, 0 }, ""},
 		{"unknown design", func(o *options) { o.designName = "float16" }, "unknown design"},
-		{"kill without replicas", func(o *options) { o.killShard = 0 }, "-kill-shard needs -replicas"},
-		{"kill out of range", func(o *options) { o.replicas, o.killShard = true, 1 }, "out of range"},
-		{"kill step at 0", func(o *options) { o.replicas, o.killShard, o.killStep = true, 0, 0 }, "-kill-step 0 must be in [1, steps)"},
-		{"kill step past the end", func(o *options) { o.replicas, o.killShard, o.killStep = true, 0, 6 }, "-kill-step 6 must be in [1, steps)"},
-		{"replicas stream", func(o *options) { o.replicas, o.stream = true, true }, "not replicated"},
 		{"chaos stream", func(o *options) { o.chaosSoak, o.stream = true, true }, "-chaos is incompatible"},
 		{"chaos ignores design", func(o *options) { o.chaosSoak, o.designName = true, "float16" }, ""},
 	}
@@ -55,12 +49,12 @@ func TestCheckRefusesFlagCombinations(t *testing.T) {
 	}
 
 	o := testOptions()
-	o.shards, o.replicas, o.killShard = 0, true, 0
+	o.shards = 0
 	if err := o.check(); err != nil {
 		t.Fatal(err)
 	}
-	if o.shards != 1 || o.killStep != o.steps/2 || o.netTimeout != 10*time.Second {
-		t.Errorf("defaults: shards %d, kill step %d, net timeout %v; want 1, %d, 10s", o.shards, o.killStep, o.netTimeout, o.steps/2)
+	if o.shards != 1 {
+		t.Errorf("defaults: shards %d, want 1", o.shards)
 	}
 }
 
@@ -86,11 +80,11 @@ func trajectoryOf(res *train.Result, global *nn.Model) trajectory {
 // TestDialedTiersMatchInProcess is the oracle the one-driver design makes
 // possible: the same train.Config, run by the same train.Run, over
 // loopback listeners — the v1 front door, two shards whole-set, two shards
-// streamed, two shards with standbys and shard 0's primary killed mid-run —
-// ends with the global weights and per-step losses of the in-process run,
-// bit for bit, for 3LC and for float32. A dialed tier that sent a seat's
-// push under another seat, dropped one or sent one twice would change a
-// gradient sum (or hang the servers' barrier) and with it every later bit.
+// streamed — ends with the global weights and per-step losses of the
+// in-process run, bit for bit, for 3LC and for float32. A dialed tier that
+// sent a seat's push under another seat, dropped one or sent one twice
+// would change a gradient sum (or hang the servers' barrier) and with it
+// every later bit.
 func TestDialedTiersMatchInProcess(t *testing.T) { dialedMatchesInProcess(t, 3) }
 
 // TestTwoSeatDialedTiersMatchInProcess is the oracle at two seats: the
@@ -107,7 +101,6 @@ func dialedMatchesInProcess(t *testing.T, workers int) {
 		{"v1 front door", func(o *options) {}},
 		{"2 shards", func(o *options) { o.shards = 2 }},
 		{"2 shards streamed", func(o *options) { o.shards, o.stream = 2, true }},
-		{"2 shards, standbys, primary 0 killed", func(o *options) { o.shards, o.replicas, o.killShard = 2, true, 0 }},
 	}
 	for _, design := range []string{"3lc", "float32"} {
 		o := testOptions()
@@ -161,8 +154,8 @@ func dialedMatchesInProcess(t *testing.T, workers int) {
 				if res.Shards != o.shards {
 					t.Errorf("Result.Shards = %d, want %d", res.Shards, o.shards)
 				}
-				if push, _, copies := f.traffic(); push == 0 || (copies > 0) != o.replicas {
-					t.Errorf("traffic: push %d, standby copies %d (replicas %v)", push, copies, o.replicas)
+				if push, _ := f.srvs.traffic(); push == 0 {
+					t.Errorf("traffic: push %d", push)
 				}
 			})
 		}

@@ -12,8 +12,8 @@ import (
 // real link. The golden counts are TrafficBytes() of this 2-worker, 6-step
 // 3LC run at the commit before the rule, when worker 1 still sent the
 // batch-norm vectors the servers skipped: the push count of every topology
-// — and a standby's second copy — is that count less worker 1's exempt
-// wires, to the byte, and ps.Pushes did not move the pull count.
+// is that count less worker 1's exempt wires, to the byte, and ps.Pushes
+// did not move the pull count.
 //
 // Since the packed float32 wire the exempt tensors that still cross — worker
 // 0's batch-norm vectors, both workers' head bias, and all of them on the
@@ -52,7 +52,6 @@ func TestNonOwnersExemptBytesLeaveTheSocket(t *testing.T) {
 		{"1 shard streamed", func(o *options) { o.stream = true }, 19746, 22492, 1770, [2]int64{983, 831}},
 		{"2 shards", func(o *options) { o.shards = 2 }, 19122, 22012, 1770, [2]int64{}},
 		{"2 shards streamed", func(o *options) { o.shards, o.stream = 2, true }, 19890, 22492, 1770, [2]int64{983, 687}},
-		{"2 shards, standbys", func(o *options) { o.shards, o.replicas = 2, true }, 19122, 22012, 1770, [2]int64{}},
 	}
 	for _, topo := range topologies {
 		t.Run(topo.name, func(t *testing.T) {
@@ -85,7 +84,7 @@ func TestNonOwnersExemptBytesLeaveTheSocket(t *testing.T) {
 				t.Fatal("the model has no owner-only tensor")
 			}
 			want := topo.push - int64(o.steps)*dead - packedPush - topo.runFraming[0]
-			push, pull, copies := f.traffic()
+			push, pull := f.srvs.traffic()
 			if push != want {
 				t.Errorf("push bytes %d, want %d = %d - %d steps x %d - %d packed - %d run framing",
 					push, want, topo.push, o.steps, dead, packedPush, topo.runFraming[0])
@@ -93,9 +92,6 @@ func TestNonOwnersExemptBytesLeaveTheSocket(t *testing.T) {
 			if want := topo.pull - packedPull - topo.ownerPull - topo.runFraming[1]; pull != want {
 				t.Errorf("pull bytes %d, want %d = %d - %d packed - %d the owner is not sent - %d run framing",
 					pull, want, topo.pull, packedPull, topo.ownerPull, topo.runFraming[1])
-			}
-			if o.replicas && copies != want {
-				t.Errorf("the standbys' copies are %d bytes, want the primaries' %d", copies, want)
 			}
 		})
 	}

@@ -154,8 +154,7 @@
 //
 // Fault tolerance. The per-endpoint error-accumulation state that makes
 // 3LC correct (unsent changes are retried at later steps) is exactly what
-// makes it recoverable, and the system checkpoints and fails over around
-// that state. internal/checkpoint's v2 format is a versioned,
+// makes it recoverable, and the system checkpoints that state. internal/checkpoint's v2 format is a versioned,
 // length-prefixed, CRC-checked section container capturing FULL training
 // state — every model replica, opt.SGD momentum and schedule step, every
 // codec's error-accumulation buffer and RNG stream (compress.Stateful),
@@ -167,19 +166,16 @@
 // uninterrupted run's loss trajectory bit-identically for every codec.
 // On the wire, every endpoint takes read/write deadlines
 // (transport.Timeouts) so a dead peer surfaces as a net.Error timeout
-// instead of a hang, and each shard can run a standby — a second
-// transport.ShardServer every worker sends its pushes to first: when a
-// primary dies — abruptly or silently — workers replay the in-flight push
-// on the standby connection they hold, deduplicated on the (worker, step)
-// identity every push frame carries, with the surviving tier's model
-// state byte-identical to the single-PS reference.
+// instead of a hang, and a resilient client that loses its connection to
+// a live shard redials and replays the in-flight push, deduplicated on the
+// (worker, step) identity every push frame carries. A lost process is
+// resumed from its last checkpoint; there is no standby tier.
 //
 // Binaries: cmd/3lc-bench (regenerate every table and figure, plus the
 // `-exp shard` shard-scaling sweep; the per-layer benchmarks are
 // `bash scripts/layerbench.sh`), cmd/3lc-train (single training run, with
 // `-state` full-state checkpointing and `-resume`), cmd/3lc-net (the same
-// driver over real TCP: sharded, streamed, chaos soak,
-// `-replicas`/`-kill-shard` failover demo),
+// driver over real TCP: sharded, streamed, chaos soak),
 // cmd/3lc-compress (codec demo), cmd/3lc-ckpt (checkpoint inspection and
 // evaluation), cmd/benchcheck (CI benchmark parser/gate),
 // and cmd/3lc-lint (the //3lc: contract checker; run it as

@@ -1,7 +1,7 @@
 // Package retry is the repo-wide backoff policy: capped exponential
 // delays with deterministic, seeded jitter.
 //
-// Every retry loop in the tree — the transport tier's reconnect/failover
+// Every retry loop in the tree — the transport tier's resilient reconnect
 // path, the shard service's straggler re-enqueue, the chaos soak's
 // recovery budget — shares this one Policy so schedules are tuned in a
 // single place and, critically, are reproducible: the jitter for a given

@@ -38,15 +38,6 @@ const FlagChecksum byte = 1 << 2
 // identity, and answers missed pulls from the retained last payload.
 const FlagResilient byte = 1 << 3
 
-// FlagStandby marks a hello from a worker's second connection for a shard
-// (ShardClientConfig.Replicas): the server, an ordinary ShardServer over
-// its own sub-job, aggregates the seat's pushes like any seat's and sends
-// it no pulls — until the worker, having lost the primary, claims the seat
-// by replaying its in-flight push on this connection, which is answered
-// from the retained pull like a resilient replay and served from then on.
-// Hello only: on any other frame the flag is a protocol error.
-const FlagStandby byte = 1 << 4
-
 // checksumLen is the CRC-32C trailer size.
 const checksumLen = 4
 

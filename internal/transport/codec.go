@@ -42,6 +42,13 @@ const flagRetiredTenant byte = 1 << 0
 // the wire"); the flag and the five-byte hello tail are refused by name.
 const flagRetiredEntropy byte = 1 << 1
 
+// flagRetiredStandby stays reserved: it marked a hello from a worker's
+// second connection for a shard, to a standby ShardServer that aggregated
+// a copy of every push and withheld its pulls until the worker, having
+// lost the primary, claimed the seat by replaying its in-flight push. The
+// standby tier is gone; the flag is refused by name.
+const flagRetiredStandby byte = 1 << 4
+
 // ShardHeader addresses one v2 frame: which shard, which worker, which
 // step. Hello frames reuse the layout with Step zero and append the 4-byte
 // placement hash after the header.
@@ -92,7 +99,10 @@ func ParseShardHeader(src []byte) (ShardHeader, []byte, error) {
 	if h.Flags&flagRetiredTenant != 0 {
 		return ShardHeader{}, nil, fmt.Errorf("transport: shard header flag %#x is the retired tenant tag; this endpoint serves one job", flagRetiredTenant)
 	}
-	if h.Flags&^(FlagChecksum|FlagResilient|FlagStandby) != 0 {
+	if h.Flags&flagRetiredStandby != 0 {
+		return ShardHeader{}, nil, fmt.Errorf("transport: shard header flag %#x is the retired standby seat; this endpoint has no standby tier", flagRetiredStandby)
+	}
+	if h.Flags&^(FlagChecksum|FlagResilient) != 0 {
 		return ShardHeader{}, nil, fmt.Errorf("transport: unknown shard header flags %#x", h.Flags)
 	}
 	return h, src[ShardHeaderLen:], nil
@@ -145,7 +155,6 @@ type frameCodec struct {
 	worker    uint32
 	checksum  bool // every frame, hello included, ends in a CRC-32C trailer
 	resilient bool // the client may re-dial and replay (implies checksum)
-	standby   bool // the worker's second copy: pushes aggregated, pulls withheld until it replays one
 }
 
 // variant indexes the distinct pull encodings a session may owe its
@@ -164,12 +173,11 @@ func (fc *frameCodec) variant() int {
 const pullVariants = 3
 
 // streamable is the one place the per-tensor pipeline meets recovery: a
-// replay — a resilient redial's or a standby claim's — would need the
-// whole tensor sequence staged, so both contracts cover whole-set rounds
-// only.
+// resilient redial's replay would need the whole tensor sequence staged,
+// so the contract covers whole-set rounds only.
 func (fc *frameCodec) streamable() error {
-	if fc.resilient || fc.standby {
-		return fmt.Errorf("transport: worker %d: a resilient or standby connection cannot stream runs", fc.worker)
+	if fc.resilient {
+		return fmt.Errorf("transport: worker %d: a resilient connection cannot stream runs", fc.worker)
 	}
 	return nil
 }
@@ -232,9 +240,6 @@ func (fc *frameCodec) appendHeader(dst []byte, t MsgType, step uint32) []byte {
 	if fc.resilient && hello {
 		h.Flags |= FlagResilient
 	}
-	if fc.standby && hello {
-		h.Flags |= FlagStandby
-	}
 	return AppendShardHeader(dst, h)
 }
 
@@ -253,7 +258,7 @@ func (fc *frameCodec) seal(q *frames, t MsgType, m mark) {
 // negotiated set, addressing (shard, and on push-side
 // frames the worker) and position. step is where the receiver stands;
 // with replay set, a push one step behind is let through (f.step tells
-// the caller) — a resilient redial's replay or a standby's claim. Bye
+// the caller) — a resilient redial's replay. Bye
 // carries no step.
 // The returned body aliases payload.
 //
@@ -348,7 +353,6 @@ func parseHello(t MsgType, payload []byte) (fc frameCodec, hash uint32, err erro
 	default:
 		return fc, 0, fmt.Errorf("transport: shard hello has %d trailing bytes, want 4", len(rest))
 	}
-	fc.standby = h.Flags&FlagStandby != 0
 	fc.shard, fc.worker = h.Shard, h.Worker
 	return fc, le.Uint32(rest), nil
 }

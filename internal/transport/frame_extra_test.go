@@ -192,8 +192,9 @@ func TestPlainFramesMatchLayout(t *testing.T) {
 // TestHeaderFlagsPinned pins every shard header flag bit, the reserved ones
 // included: a flag deleted from the set must leave its bit reserved, or a
 // peer built before the deletion is misread instead of refused. The
-// reserved bits, the retired tenant tag's and entropy stage's, are refused
-// by name, by the header parser and on a connection's frames.
+// reserved bits, the retired tenant tag's, entropy stage's and standby
+// seat's, are refused by name, by the header parser and on a connection's
+// frames.
 func TestHeaderFlagsPinned(t *testing.T) {
 	for _, c := range []struct {
 		name       string
@@ -203,13 +204,13 @@ func TestHeaderFlagsPinned(t *testing.T) {
 		{"flagRetiredEntropy", flagRetiredEntropy, 0x02},
 		{"FlagChecksum", FlagChecksum, 0x04},
 		{"FlagResilient", FlagResilient, 0x08},
-		{"FlagStandby", FlagStandby, 0x10},
+		{"flagRetiredStandby", flagRetiredStandby, 0x10},
 	} {
 		if c.flag != c.want {
 			t.Errorf("%s = %#02x, want %#02x", c.name, c.flag, c.want)
 		}
 	}
-	for _, flag := range []byte{flagRetiredTenant, flagRetiredEntropy} {
+	for _, flag := range []byte{flagRetiredTenant, flagRetiredEntropy, flagRetiredStandby} {
 		h := AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Flags: flag})
 		if _, _, err := ParseShardHeader(h); err == nil || !strings.Contains(err.Error(), "retired") {
 			t.Errorf("flag %#02x header: %v, want a refusal naming it retired", flag, err)

@@ -147,8 +147,7 @@ func FuzzShardHeader(f *testing.F) {
 		f.Add(sub, byte(MsgShardPush), sealedRetired(fc, MsgShardPush, flagRetiredTenant))
 		f.Add(sub, byte(MsgShardPush), sealedRetired(fc, MsgShardPush, flagRetiredEntropy))
 		f.Add(sub, byte(MsgShardHello), sealedRetired(fc, MsgShardHello, flagRetiredTenant))
-		fc.standby = true
-		f.Add(sub, byte(MsgShardHello), fc.appendPayload(nil, frame{t: MsgShardHello, arg: 0xfeed}))
+		f.Add(sub, byte(MsgShardHello), sealedRetired(fc, MsgShardHello, flagRetiredStandby))
 	}
 	f.Add(byte(0), byte(MsgShardPushRun), []byte{ShardWireVersion, 0, 0, 0})
 	f.Add(byte(0), byte(msgRetiredPerTensor), append(AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Worker: 2, Shard: 3, Step: 7}), 0, 0, 0, 0))
@@ -169,7 +168,7 @@ func FuzzShardHeader(f *testing.F) {
 				t.Fatalf("accepted a type-%d frame for step %d at step 7", fr.t, fr.step)
 			}
 			if h, _, err := ParseShardHeader(data); err != nil || (h.Flags&FlagChecksum != 0) != fc.checksum ||
-				h.Flags&(FlagResilient|FlagStandby) != 0 || // hello-only
+				h.Flags&(FlagResilient|flagRetiredStandby) != 0 || // hello-only
 				h.Shard != fc.shard {
 				t.Fatalf("accepted header %+v (%v) on a connection that negotiated %+v", h, err, fc)
 			}
@@ -344,19 +343,18 @@ func FuzzChecksummedFrame(f *testing.F) {
 			t.Fatalf("subset %#x: single-bit corruption at bit %d of %d was accepted", sub, at, n)
 		}
 
-		// The hello that opens a standby's connection under the same stages
-		// parses back to the codec that sent it, and no single-bit corruption
-		// of it negotiates anything.
+		// The hello that opens a connection under the same stages parses
+		// back to the codec that sent it, and no single-bit corruption of it
+		// negotiates anything.
 		tx := fuzzCodec(sub)
-		tx.standby = true
 		hello := tx.appendPayload(nil, frame{t: MsgShardHello, arg: 0xfeed})
 		hc, hash, err := parseHello(MsgShardHello, hello)
-		if err != nil || !hc.standby || hash != 0xfeed || hc.variant() != tx.variant() || hc.resilient != tx.resilient {
-			t.Fatalf("subset %#x: standby hello parsed back as %+v, hash %#x (%v)", sub, hc, hash, err)
+		if err != nil || hc != tx || hash != 0xfeed {
+			t.Fatalf("subset %#x: hello parsed back as %+v, hash %#x (%v)", sub, hc, hash, err)
 		}
 		hello[int(bit)%len(hello)] ^= 1 << (bit % 8)
 		if _, _, err := parseHello(MsgShardHello, hello); err == nil {
-			t.Fatalf("subset %#x: corrupted standby hello (byte %d) was accepted", sub, int(bit)%len(hello))
+			t.Fatalf("subset %#x: corrupted hello (byte %d) was accepted", sub, int(bit)%len(hello))
 		}
 	})
 }

@@ -112,23 +112,21 @@ func (c *losesPull) Read(p []byte) (int, error) {
 
 // TestOwnerIsSentItsView holds every way a pull reaches a worker to
 // ps.Pulls: the owner's seat receives its owner-only slots empty — a zero
-// length in a wire set, an empty body in a per-tensor frame — and every
-// other seat receives them full, over the v2 wire, two shards, streamed, a
-// pull re-answered to
-// a resilient replay and one answered to a standby claim. A v1 seat, whose
-// hello has no version byte to refuse an owner built before ps.Pulls by,
-// receives them full, the owner's too. The workers end with bit-identical
-// replicas: the owner's own step is the server's.
+// length in a wire set or in a run's entry — and every other seat receives
+// them full, over the v2 wire, two shards, streamed, and a pull re-answered
+// to a resilient replay. A v1 seat, whose hello has no version byte to
+// refuse an owner built before ps.Pulls by, receives them full, the owner's
+// too. The workers end with bit-identical replicas: the owner's own step is
+// the server's.
 func TestOwnerIsSentItsView(t *testing.T) {
 	const workers, steps = 2, 5
 	for _, c := range []struct {
-		name    string
-		shards  int
-		v1      bool
-		stream  bool
-		ccfg    ShardClientConfig
-		replay  bool // worker 0's first connection to shard 0 loses the pull of step 1
-		standby bool // shard 0's primary dies at the top of step 3
+		name   string
+		shards int
+		v1     bool
+		stream bool
+		ccfg   ShardClientConfig
+		replay bool // worker 0's first connection to shard 0 loses the pull of step 1
 	}{
 		{name: "v1", shards: 1, v1: true},
 		{name: "v2", shards: 1},
@@ -136,38 +134,28 @@ func TestOwnerIsSentItsView(t *testing.T) {
 		{name: "streamed", shards: 1, stream: true},
 		{name: "2 shards streamed", shards: 2, stream: true},
 		{name: "resilient replay", shards: 1, ccfg: ShardClientConfig{Resilient: true}, replay: true},
-		{name: "standby claim", shards: 2, standby: true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := shardTestConfig(workers, steps)
 			to := Timeouts{Read: 30 * time.Second, Write: 10 * time.Second}
-			models := []*nn.Model{buildShardModel()}
-			if c.standby {
-				models = append(models, buildShardModel()) // the standbys' own replica
-			}
-			asn := shard.ForModel(models[0], c.shards)
-			var addrs [2][]string // primaries, standbys
-			served := make(chan error, 2*c.shards)
-			for tier, model := range models {
-				for s, sub := range mustSubServers(t, model, cfg, asn) {
-					ln, err := net.Listen("tcp", "127.0.0.1:0")
-					if err != nil {
-						t.Fatal(err)
-					}
-					addrs[tier] = append(addrs[tier], ln.Addr().String())
-					var srv interface{ Serve() error }
-					if c.v1 {
-						srv = NewServer(ln, sub, workers, steps)
-					} else {
-						scfg := ShardServerConfig{Shard: s, NumShards: c.shards, Workers: workers, Steps: steps,
-							AssignmentHash: asn.Hash(), Timeouts: to, Resilient: c.ccfg.Resilient}
-						if c.standby && tier == 0 && s == 0 {
-							scfg.KillAtStep = 3
-						}
-						srv = NewShardServer(ln, sub, scfg)
-					}
-					go func() { served <- srv.Serve() }()
+			global := buildShardModel()
+			asn := shard.ForModel(global, c.shards)
+			var addrs []string
+			served := make(chan error, c.shards)
+			for s, sub := range mustSubServers(t, global, cfg, asn) {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
 				}
+				addrs = append(addrs, ln.Addr().String())
+				var srv interface{ Serve() error }
+				if c.v1 {
+					srv = NewServer(ln, sub, workers, steps)
+				} else {
+					srv = NewShardServer(ln, sub, ShardServerConfig{Shard: s, NumShards: c.shards, Workers: workers, Steps: steps,
+						AssignmentHash: asn.Hash(), Timeouts: to, Resilient: c.ccfg.Resilient})
+				}
+				go func() { served <- srv.Serve() }()
 			}
 
 			// sent[w][step][i] is the length of slot i of the pull worker w
@@ -181,7 +169,7 @@ func TestOwnerIsSentItsView(t *testing.T) {
 				go func() {
 					defer func() { done <- struct{}{} }()
 					m := buildShardModel()
-					m.CopyParamsFrom(models[0])
+					m.CopyParamsFrom(global)
 					wk := ps.NewWorker(w, m, cfg)
 					replicas[w] = wk
 					var cl interface {
@@ -191,10 +179,10 @@ func TestOwnerIsSentItsView(t *testing.T) {
 					var sc *ShardClient
 					var err error
 					if c.v1 {
-						cl, err = Dial(addrs[0][0], w)
+						cl, err = Dial(addrs[0], w)
 					} else {
 						ccfg := c.ccfg
-						ccfg.Timeouts, ccfg.Replicas = to, addrs[1]
+						ccfg.Timeouts = to
 						if c.replay && w == ps.Owner {
 							ccfg.Dialer = func(addr string) (net.Conn, error) {
 								conn, err := net.Dial("tcp", addr)
@@ -204,7 +192,7 @@ func TestOwnerIsSentItsView(t *testing.T) {
 								return conn, err
 							}
 						}
-						sc, err = DialShardedConfig(addrs[0], w, shard.ForModel(m, c.shards), ccfg)
+						sc, err = DialShardedConfig(addrs, w, shard.ForModel(m, c.shards), ccfg)
 						cl = sc
 					}
 					if err != nil {
@@ -246,16 +234,10 @@ func TestOwnerIsSentItsView(t *testing.T) {
 			for range workers {
 				<-done
 			}
-			killed := 0
-			for range len(models) * c.shards {
-				if err := <-served; errors.Is(err, ErrShardKilled) {
-					killed++
-				} else if err != nil {
+			for range c.shards {
+				if err := <-served; err != nil {
 					t.Fatalf("serve: %v", err)
 				}
-			}
-			if c.standby != (killed == 1) {
-				t.Fatalf("%d primaries killed (standby claim: %v)", killed, c.standby)
 			}
 			if t.Failed() {
 				return
@@ -264,7 +246,7 @@ func TestOwnerIsSentItsView(t *testing.T) {
 				t.Fatalf("worker %d dialed shard 0 %d times: no replay", ps.Owner, dials)
 			}
 
-			params := models[0].Params()
+			params := global.Params()
 			for w := range workers {
 				for step := range steps {
 					for i, p := range params {

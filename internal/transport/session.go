@@ -108,14 +108,6 @@ func (l *link) open(d Dialer, addr string, hash uint32) error {
 	return nil
 }
 
-// queue encodes f through the codec behind the frames already waiting.
-// Nothing reaches the socket before flush.
-//
-//3lc:noalloc
-func (l *link) queue(f frame) error {
-	return l.fc.putFrame(&l.out, f)
-}
-
 // entry queues one tensor of a stream: slot's wire joins the run open on
 // l, or opens a type-t run for step — prefix and header — if none is.
 // Nothing reaches the socket before flush: a caller with more tensors
@@ -177,12 +169,13 @@ func (l *link) flush() error {
 	return err
 }
 
-// send queues f and flushes: a frame that is the protocol's turn-taking
-// (hello, whole-set push and pull, bye) goes out at once, as one Write.
+// send encodes f through the codec behind the frames already queued and
+// flushes: a frame that is the protocol's turn-taking (hello, whole-set
+// push and pull, bye) goes out at once, as one Write.
 //
 //3lc:noalloc
 func (l *link) send(f frame) error {
-	if err := l.queue(f); err != nil {
+	if err := l.fc.putFrame(&l.out, f); err != nil {
 		return err
 	}
 	return l.flush()
@@ -238,10 +231,6 @@ type seat struct {
 	wires    [][]byte // parsed push set, slice headers recycled each step
 	seen     []bool   // per-tensor received flags of one streamed push
 	streamed bool     // this step's push arrived as runs
-	// shadow: a standby seat (FlagStandby hello) its worker has not claimed.
-	// Its pushes are aggregated, its pulls withheld; the replay of its last
-	// push — the worker lost the primary — clears it.
-	shadow bool
 }
 
 // acceptSeat takes one connection off ln and parses its hello, returning
@@ -266,7 +255,7 @@ func acceptSeat(ln net.Listener, to Timeouts) (*seat, uint32, error) {
 		c.Close()
 		return nil, 0, fmt.Errorf("transport: hello: %w", err)
 	}
-	st.id, st.shadow = int(st.fc.worker), st.fc.standby
+	st.id = int(st.fc.worker)
 	return st, hash, nil
 }
 
@@ -385,9 +374,6 @@ func (s *session) fill() error {
 // run drives the seated session for cfg.Steps BSP steps.
 func (s *session) run() error {
 	for step := 0; step < s.cfg.Steps; step++ {
-		if s.cfg.KillAtStep > 0 && step == s.cfg.KillAtStep {
-			return ErrShardKilled
-		}
 		s.agg.BeginStep()
 		for w := range s.seats {
 			if err := s.pushFrom(w, step); err != nil {
@@ -403,8 +389,8 @@ func (s *session) run() error {
 			s.pulls[1] = s.view.OwnerPull()
 		}
 		for w, st := range s.seats {
-			if st == nil || st.shadow {
-				continue // severed during this step, or unclaimed: a replay is re-answered
+			if st == nil {
+				continue // severed during this step: its replay is re-answered
 			}
 			if err := s.sendPull(st); err != nil && !s.sever(w) {
 				return err
@@ -497,16 +483,15 @@ func (s *session) pushFrom(w, step int) error {
 
 // readPush consumes one seat's push for step into the aggregator: a
 // single whole-set frame (v2 or v1), or a stream of runs.
-// On a resilient or shadow seat a replay of the PREVIOUS step's push —
-// the worker lost that step's pull and reconnected, or lost the primary
-// that owed it and is claiming this standby seat — is answered from the
-// retained pull and consumed without re-aggregating, the dedupe half of
+// On a resilient seat a replay of the PREVIOUS step's push — the worker
+// lost that step's pull and reconnected — is answered from the retained
+// pull and consumed without re-aggregating, the dedupe half of
 // at-most-once application, before reading on for the current push.
 //
 //3lc:noalloc
 func (s *session) readPush(st *seat, step int) error {
 	for {
-		f, err := st.read(step, (st.fc.resilient || st.shadow) && s.applied[st.id] == step-1)
+		f, err := st.read(step, st.fc.resilient && s.applied[st.id] == step-1)
 		if err != nil {
 			return fmt.Errorf("transport: shard %d step %d push from worker %d: %w", s.cfg.Shard, step, st.id, err)
 		}
@@ -514,7 +499,6 @@ func (s *session) readPush(st *seat, step int) error {
 		switch f.t {
 		case MsgShardPush, MsgPush:
 			if int(f.step) != step {
-				st.shadow = false
 				if err := s.sendPull(st); err != nil {
 					return err
 				}
@@ -654,8 +638,7 @@ func (s *session) sendPull(st *seat) error {
 // that neither confirms nor reconnects within the reacquire window is
 // presumed done — the only frames a resilient client sends here are byes
 // and replays, and a client still missing its pull redials well within
-// the window. A shadow seat's worker may yet claim it — the primary died
-// holding the last step — until it says bye or hangs up.
+// the window.
 func (s *session) settle(w int) error {
 	for tries := 0; tries <= 16; tries++ {
 		st := s.seats[w]
@@ -668,7 +651,7 @@ func (s *session) settle(w int) error {
 			}
 			continue
 		}
-		if !st.fc.resilient && !st.shadow {
+		if !st.fc.resilient {
 			return nil
 		}
 		if s.cfg.Timeouts.Read == 0 {
@@ -688,7 +671,6 @@ func (s *session) settle(w int) error {
 		case f.t == MsgShardBye:
 			return nil // positive confirmation: the final pull was applied
 		case f.t == MsgShardPush && int(f.step) == s.done:
-			st.shadow = false
 			if err := s.sendPull(st); err != nil && !s.sever(w) {
 				return err
 			}

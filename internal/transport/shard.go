@@ -22,17 +22,14 @@
 //
 // Flag 0x01 carried a job tag for a multi-job shard tier; flag 0x02 and a
 // fifth hello byte after the hash negotiated an entropy stage over
-// whole-set bodies. All are retired and refused by name.
+// whole-set bodies; flag 0x10 opened a worker's second connection for a
+// shard, to a standby it sent every push. All are retired and refused by
+// name.
 //
-// Two hello-only flags add no bytes. FlagResilient (requires the trailer)
+// One hello-only flag adds no bytes. FlagResilient (requires the trailer)
 // declares that the client may tear down and re-dial mid-run, replaying
 // the in-flight step's push; the session dedupes replays on the (worker,
 // step) identity and re-answers missed pulls from the retained pull.
-// FlagStandby opens a worker's second connection for a shard, to a
-// ShardServer that stands by over its own copy of the sub-job: the worker
-// sends it every whole-set push ahead of the primary's copy, the session
-// aggregates them and withholds the pulls, and a worker that loses the
-// primary claims its seat with that same replay.
 //
 // The streamed exchange overlaps communication with codec work: a worker
 // hands each tensor to its shard's connection the moment its compressor
@@ -63,7 +60,6 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -117,10 +113,6 @@ func retiredType(t MsgType) string {
 	return "a primary's forwarding link to its replica"
 }
 
-// ErrShardKilled is returned by ShardServer.Serve when the configured
-// KillAtStep fires — the demo/test hook that emulates a shard crash.
-var ErrShardKilled = errors.New("transport: shard killed at configured step")
-
 // ShardServerConfig sizes one shard's transport endpoint.
 type ShardServerConfig struct {
 	// Shard is this server's shard id.
@@ -143,13 +135,6 @@ type ShardServerConfig struct {
 	// read deadline must cover a full compute phase (a BSP push read
 	// spans the barrier, not a round trip); zero disables deadlines.
 	Timeouts Timeouts
-	// KillAtStep, when > 0, makes Serve abort at the top of that step —
-	// the crash-injection hook behind `3lc-net -kill-shard` and the
-	// failover tests. The abrupt default closes every connection (peers
-	// see EOF); KillSilent leaves them open, so only read deadlines can
-	// detect the death. Serve returns ErrShardKilled.
-	KillAtStep int
-	KillSilent bool
 	// Resilient accepts FlagResilient clients and keeps their worker
 	// seats open across connection failures: malformed handshakes no
 	// longer abort Serve, a broken resilient connection is replaced by
@@ -176,9 +161,7 @@ type ShardServer struct {
 // or an aggregator in front of one — to serve cfg.Workers workers for
 // cfg.Steps steps on ln. What agg offers beyond StepServer decides what the
 // seats may do: *ps.Job takes per-tensor pushes and sends the owner its
-// view of the pull. A shard's standby is one more of these, at the address
-// the workers hold in ShardClientConfig.Replicas, over a sub-job of its OWN
-// model replica — it must not share parameter tensors with the primary's.
+// view of the pull.
 func NewShardServer(ln net.Listener, agg StepServer, cfg ShardServerConfig) *ShardServer {
 	if cfg.NumShards < 1 {
 		cfg.NumShards = 1
@@ -190,40 +173,18 @@ func NewShardServer(ln net.Listener, agg StepServer, cfg ShardServerConfig) *Sha
 // steps, and closes the connections.
 func (s *ShardServer) Serve() error {
 	ss := newSession(s.agg, s.cfg, s.ln, &s.traffic)
-	silent := false
-	defer func() {
-		// An emulated silent crash leaves every socket established so the
-		// peers' read deadlines are the only failure detector.
-		if !silent {
-			ss.close()
-		}
-	}()
+	defer ss.close()
 	if err := ss.fill(); err != nil {
 		return err
 	}
-	err := ss.run()
-	silent = s.cfg.KillSilent && errors.Is(err, ErrShardKilled)
-	return err
+	return ss.run()
 }
 
 // ShardClientConfig tunes a worker's sharded connections.
 type ShardClientConfig struct {
-	// Replicas[s], when non-empty, is shard s's standby address: a second
-	// ShardServer the client dials at start with a FlagStandby hello and
-	// sends every whole-set push to, ahead of the primary's copy — so the
-	// standby is at least as informed as the primary at every instant, at
-	// the cost of this worker's push egress doubled. On a push/pull failure
-	// against the primary — connection error, EOF, or a read-deadline
-	// timeout — the client claims the standby by REPLAYING the in-flight
-	// step's push on the connection it already holds; the standby dedupes
-	// it on the (worker, step) identity, answers from its retained pull
-	// and serves the remaining steps. A standby that dies first is dropped
-	// and the run carries on unreplicated. Whole-set rounds only: a client
-	// with Replicas refuses PushPullStream.
-	Replicas []string
 	// Timeouts bounds each frame read and each flush. A read deadline is the
-	// failure detector for silently dead shards: without one, only
-	// connection-level errors (RST/EOF) trigger failover.
+	// failure detector for silently dead shards: without one, a shard that
+	// stops answering without closing its connection parks PushPull.
 	Timeouts Timeouts
 	// Checksum negotiates CRC-32C frame integrity (see FlagChecksum):
 	// every frame both ways — hello, pushes, pulls, streamed tensors —
@@ -236,11 +197,9 @@ type ShardClientConfig struct {
 	// Retry, re-dials the SAME shard address, re-handshakes with
 	// FlagResilient, and replays the in-flight step's push; the server
 	// (ShardServerConfig.Resilient) dedupes the replay and re-answers the
-	// missed pull from its retained pull. With Replicas the standby is
-	// claimed first, and it is the standby's address that is re-dialed
-	// from then on. Whole-set rounds only (see frameCodec.streamable). At
-	// Close the client confirms with MsgShardBye so the server can retire
-	// its seat.
+	// missed pull from its retained pull. Whole-set rounds only (see
+	// frameCodec.streamable). At Close the client confirms with MsgShardBye
+	// so the server can retire its seat.
 	Resilient bool
 	// Retry is the resilient path's backoff schedule; the zero value is
 	// the retry.Policy default (4 attempts, 50ms base, 2s cap, 2x). Each
@@ -267,9 +226,8 @@ type ShardClient struct {
 
 type shardConn struct {
 	link
-	addr      string      // the resilient reconnect target: the primary, or a claimed standby
+	addr      string      // the shard's address, the resilient reconnect target
 	policy    RetryPolicy // per-shard decorrelated backoff stream
-	standby   *link       // second connection, sent every push first; nil: none, dead, or claimed
 	pullWires [][]byte
 	dirty     bool // streamed push: tensors routed here since the last flush mark
 	// seen[k] marks shard-local tensor k of a streamed step: pushed, while
@@ -285,14 +243,11 @@ func DialSharded(addrs []string, workerID int, asn shard.Assignment) (*ShardClie
 	return DialShardedConfig(addrs, workerID, asn, ShardClientConfig{})
 }
 
-// DialShardedConfig is DialSharded with standbys to fail over to,
-// negotiated wire stages and I/O deadlines (see ShardClientConfig).
+// DialShardedConfig is DialSharded with negotiated wire stages, resilient
+// redial and I/O deadlines (see ShardClientConfig).
 func DialShardedConfig(addrs []string, workerID int, asn shard.Assignment, ccfg ShardClientConfig) (*ShardClient, error) {
 	if len(addrs) != asn.NumShards {
 		return nil, fmt.Errorf("transport: %d shard addresses for %d shards", len(addrs), asn.NumShards)
-	}
-	if ccfg.Replicas != nil && len(ccfg.Replicas) != asn.NumShards {
-		return nil, fmt.Errorf("transport: %d replica addresses for %d shards", len(ccfg.Replicas), asn.NumShards)
 	}
 	// Replay without integrity would retransmit the very corruption it is
 	// recovering from.
@@ -318,21 +273,11 @@ func DialShardedConfig(addrs []string, workerID int, asn shard.Assignment, ccfg 
 		sc := &shardConn{link: link{to: ccfg.Timeouts, fc: fc}, addr: addr, policy: ccfg.Retry.Stream(uint64(s)),
 			seen: make([]bool, len(c.idx[s]))}
 		sc.fc.shard = uint16(s)
-		err := sc.open(ccfg.Dialer, addr, asn.Hash())
-		if err == nil {
-			c.conns = append(c.conns, sc)
-			if ccfg.Replicas != nil && ccfg.Replicas[s] != "" {
-				sb := &link{to: ccfg.Timeouts, fc: sc.fc}
-				sb.fc.standby = true
-				if err = sb.open(ccfg.Dialer, ccfg.Replicas[s], asn.Hash()); err == nil {
-					sc.standby = sb
-				}
-			}
-		}
-		if err != nil {
+		if err := sc.open(ccfg.Dialer, addr, asn.Hash()); err != nil {
 			c.Close() // closes what was dialed
 			return nil, err
 		}
+		c.conns = append(c.conns, sc)
 	}
 	return c, nil
 }
@@ -380,22 +325,14 @@ func (c *ShardClient) PushPull(step int, wires [][]byte) ([][]byte, error) {
 }
 
 // pushPullShard runs one shard's round trip of one step, and recovers it
-// when it fails: a client that holds the shard's standby claims it — the
-// primary's connection is dropped for the standby's, and this step's push
-// REPLAYED there — and a resilient client backs off per the shard's
-// decorrelated retry stream, re-dials the address it was last served at,
-// re-handshakes, and replays. Either replay meets one protocol: the server
-// kept the seat, dedupes on the (worker, step) identity and re-answers the
-// missed pull from its retained pull. The attempt budget is the policy's;
-// exhausting it surfaces the last error.
+// when it fails on a resilient client: back off per the shard's
+// decorrelated retry stream, re-dial the shard, re-handshake, and replay
+// this step's push. The server kept the seat, dedupes the replay on the
+// (worker, step) identity and re-answers the missed pull from its retained
+// pull. The attempt budget is the policy's; exhausting it surfaces the
+// last error.
 func (c *ShardClient) pushPullShard(step, s int, sc *shardConn, wires [][]byte) error {
 	err := c.tryPushPull(step, s, sc, wires)
-	if err != nil && sc.standby != nil {
-		sc.c.Close()
-		sc.link, sc.addr, sc.standby = *sc.standby, c.ccfg.Replicas[s], nil
-		sc.fc.standby = false // a later redial takes the seat outright
-		err = c.tryPushPull(step, s, sc, wires)
-	}
 	if err == nil || !c.ccfg.Resilient {
 		return err
 	}
@@ -412,10 +349,7 @@ func (c *ShardClient) pushPullShard(step, s int, sc *shardConn, wires [][]byte) 
 	return fmt.Errorf("transport: shard %d step %d: retry budget exhausted: %w", s, step, err)
 }
 
-// tryPushPull is one push/pull attempt on the current connection. The push
-// is encoded once; a held standby is written the same bytes first, so it
-// is never behind the primary, and one that cannot take them is dropped —
-// its death must not stop the run.
+// tryPushPull is one push/pull attempt on the current connection.
 //
 //3lc:noalloc
 func (c *ShardClient) tryPushPull(step, s int, sc *shardConn, wires [][]byte) error {
@@ -423,15 +357,7 @@ func (c *ShardClient) tryPushPull(step, s int, sc *shardConn, wires [][]byte) er
 	for k, gi := range c.idx[s] {
 		sub[k] = wires[gi]
 	}
-	err := sc.queue(frame{t: MsgShardPush, step: uint32(step), set: sub})
-	if err == nil {
-		if sb := sc.standby; sb != nil && sb.write(&sc.out) != nil {
-			sb.c.Close()
-			sc.standby = nil
-		}
-		err = sc.flush()
-	}
-	if err != nil {
+	if err := sc.send(frame{t: MsgShardPush, step: uint32(step), set: sub}); err != nil {
 		return fmt.Errorf("transport: shard %d push step %d: %w", s, step, err)
 	}
 	f, err := sc.read(step, false)
@@ -480,9 +406,6 @@ const flushMark = -1
 // is valid only for the duration of the call.
 func (c *ShardClient) PushPullStream(step int, tensors <-chan IndexedWire, apply func(gi int, wire []byte) error) error {
 	err := c.conns[0].fc.streamable()
-	if err == nil && c.ccfg.Replicas != nil {
-		err = fmt.Errorf("transport: worker %d: a client with standbys cannot stream runs (a claim replays one whole-set push)", c.conns[0].fc.worker)
-	}
 	if err != nil {
 		for range tensors {
 		}
@@ -599,24 +522,19 @@ func (c *ShardClient) streamShard(step, s int, sc *shardConn, ch <-chan IndexedW
 	return nil
 }
 
-// Close terminates all shard connections, standbys included. A resilient
-// client first confirms each with MsgShardBye (best-effort): a bare close
-// is ambiguous to a resilient server — it cannot tell a finished worker
-// from one about to reconnect — so the bye lets it retire the seat
-// immediately instead of holding it open for the reacquire window.
+// Close terminates all shard connections. A resilient client first
+// confirms each with MsgShardBye (best-effort): a bare close is ambiguous
+// to a resilient server — it cannot tell a finished worker from one about
+// to reconnect — so the bye lets it retire the seat immediately instead of
+// holding it open for the reacquire window.
 func (c *ShardClient) Close() error {
 	var first error
 	for _, sc := range c.conns {
-		for _, l := range []*link{&sc.link, sc.standby} {
-			if l == nil {
-				continue
-			}
-			if c.ccfg.Resilient {
-				_ = l.send(frame{t: MsgShardBye}) // best-effort: the close below is what must happen
-			}
-			if err := l.c.Close(); err != nil && first == nil {
-				first = err
-			}
+		if c.ccfg.Resilient {
+			_ = sc.send(frame{t: MsgShardBye}) // best-effort: the close below is what must happen
+		}
+		if err := sc.c.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first

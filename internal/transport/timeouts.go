@@ -21,8 +21,8 @@ type RetryPolicy = retry.Policy
 // parks PushPull (and the server's read loop) forever: TCP keeps the
 // socket "established" until the kernel's keepalive fires hours later.
 // With deadlines, the blocked operation fails with a net.Error whose
-// Timeout() reports true, which callers surface (and the sharded client's
-// failover path treats as a dead-primary signal).
+// Timeout() reports true, which callers surface (and a resilient client
+// recovers from by redialing).
 //
 // Read covers one frame receive. On the BSP protocol a pull read spans the
 // whole barrier — every worker's compute plus the server's update — so
