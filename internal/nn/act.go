@@ -8,26 +8,27 @@ import (
 
 // ReLU is the rectified-linear activation.
 type ReLU struct {
-	mask []bool
+	mask  []bool
+	y, dx tensor.Tensor // workspaces returned by Forward and Backward
 }
 
 // NewReLU creates a ReLU layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward clamps negatives to zero, remembering the mask for backward.
+//
+//3lc:noalloc
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	d := x.Data()
-	y := tensor.New(x.Shape()...)
+	y := r.y.Resize(x.Shape()...)
 	yd := y.Data()
-	if cap(r.mask) < len(d) {
-		r.mask = make([]bool, len(d))
-	}
-	r.mask = r.mask[:len(d)]
+	r.mask = grow(r.mask, len(d))
 	for i, v := range d {
 		if v > 0 {
 			yd[i] = v
 			r.mask[i] = true
 		} else {
+			yd[i] = 0
 			r.mask[i] = false
 		}
 	}
@@ -35,13 +36,17 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward zeroes gradients where the input was non-positive.
+//
+//3lc:noalloc
 func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	dd := dout.Data()
-	dx := tensor.New(dout.Shape()...)
+	dx := r.dx.Resize(dout.Shape()...)
 	dxd := dx.Data()
 	for i, m := range r.mask {
 		if m {
 			dxd[i] = dd[i]
+		} else {
+			dxd[i] = 0
 		}
 	}
 	return dx
@@ -54,12 +59,15 @@ func (r *ReLU) Params() []*Param { return nil }
 // the standard ResNet classification head.
 type GlobalAvgPool struct {
 	shape []int
+	y, dx tensor.Tensor // workspaces returned by Forward and Backward
 }
 
 // NewGlobalAvgPool creates the pooling layer.
 func NewGlobalAvgPool() *GlobalAvgPool { return &GlobalAvgPool{} }
 
 // Forward averages over the spatial dimensions.
+//
+//3lc:noalloc
 func (g *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	shape := x.Shape()
 	if len(shape) != 4 {
@@ -69,7 +77,7 @@ func (g *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	g.shape = append(g.shape[:0], shape...)
 	plane := h * w
 	inv := 1 / float32(plane)
-	y := tensor.New(n, c)
+	y := g.y.Resize(n, c)
 	xd, yd := x.Data(), y.Data()
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < c; ch++ {
@@ -85,11 +93,13 @@ func (g *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward broadcasts the pooled gradient uniformly over each plane.
+//
+//3lc:noalloc
 func (g *GlobalAvgPool) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := g.shape[0], g.shape[1], g.shape[2], g.shape[3]
 	plane := h * w
 	inv := 1 / float32(plane)
-	dx := tensor.New(n, c, h, w)
+	dx := g.dx.Resize(n, c, h, w)
 	dd, dxd := dout.Data(), dx.Data()
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < c; ch++ {
@@ -106,26 +116,35 @@ func (g *GlobalAvgPool) Backward(dout *tensor.Tensor) *tensor.Tensor {
 // Params returns nil.
 func (g *GlobalAvgPool) Params() []*Param { return nil }
 
-// Flatten reshapes [N, ...] to [N, D].
+// Flatten reshapes [N, ...] to [N, D]. Like every layer it returns
+// tensors it owns, so it copies rather than aliasing its argument.
 type Flatten struct {
 	shape []int
+	y, dx tensor.Tensor // workspaces returned by Forward and Backward
 }
 
 // NewFlatten creates a flatten layer.
 func NewFlatten() *Flatten { return &Flatten{} }
 
 // Forward flattens all but the batch dimension.
+//
+//3lc:noalloc
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	shape := x.Shape()
 	f.shape = append(f.shape[:0], shape...)
 	n := shape[0]
-	d := x.Len() / n
-	return x.Reshape(n, d)
+	y := f.y.Resize(n, x.Len()/n)
+	y.CopyFrom(x)
+	return y
 }
 
 // Backward restores the original shape.
+//
+//3lc:noalloc
 func (f *Flatten) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	return dout.Reshape(f.shape...)
+	dx := f.dx.Resize(f.shape...)
+	dx.CopyFrom(dout)
+	return dx
 }
 
 // Params returns nil.

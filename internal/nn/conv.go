@@ -16,7 +16,8 @@ type Conv2D struct {
 
 	inC, outC, k, stride, pad int
 
-	x *tensor.Tensor // cached input
+	x     *tensor.Tensor // cached input
+	y, dx tensor.Tensor  // workspaces returned by Forward and Backward
 }
 
 // NewConv2D creates a convolution layer with He-normal initialization.
@@ -37,6 +38,8 @@ func (c *Conv2D) outDim(in int) int {
 }
 
 // Forward computes the convolution for x of shape [N, inC, H, W].
+//
+//3lc:noalloc
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	shape := x.Shape()
 	if len(shape) != 4 || shape[1] != c.inC {
@@ -45,7 +48,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, h, w := shape[0], shape[2], shape[3]
 	oh, ow := c.outDim(h), c.outDim(w)
 	c.x = x
-	y := tensor.New(n, c.outC, oh, ow)
+	y := c.y.Resize(n, c.outC, oh, ow)
 	xd, wd, bd, yd := x.Data(), c.Weight.W.Data(), c.Bias.W.Data(), y.Data()
 
 	for b := 0; b < n; b++ {
@@ -84,13 +87,16 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward computes dW, db and dx from dout of shape [N, outC, OH, OW].
+//
+//3lc:noalloc
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	xs := c.x.Shape()
 	n, h, w := xs[0], xs[2], xs[3]
 	os := dout.Shape()
 	oh, ow := os[2], os[3]
 
-	dx := tensor.New(n, c.inC, h, w)
+	dx := c.dx.Resize(n, c.inC, h, w)
+	dx.Zero() // accumulated over the overlapping windows below
 	xd, wd := c.x.Data(), c.Weight.W.Data()
 	gwd, gbd := c.Weight.G.Data(), c.Bias.G.Data()
 	dd, dxd := dout.Data(), dx.Data()

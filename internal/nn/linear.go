@@ -15,6 +15,7 @@ type Linear struct {
 
 	in, out int
 	x       *tensor.Tensor // cached input for backward
+	y, dx   tensor.Tensor  // workspaces returned by Forward and Backward
 }
 
 // NewLinear creates a fully-connected layer with He-normal initialized
@@ -32,6 +33,8 @@ func NewLinear(name string, in, out int, rng *tensor.RNG) *Linear {
 }
 
 // Forward computes y[n,o] = sum_i x[n,i] * W[o,i] + b[o].
+//
+//3lc:noalloc
 func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	shape := x.Shape()
 	if len(shape) != 2 || shape[1] != l.in {
@@ -39,7 +42,7 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	n := shape[0]
 	l.x = x
-	y := tensor.New(n, l.out)
+	y := l.y.Resize(n, l.out)
 	xd, wd, bd, yd := x.Data(), l.Weight.W.Data(), l.Bias.W.Data(), y.Data()
 	for r := 0; r < n; r++ {
 		xrow := xd[r*l.in : (r+1)*l.in]
@@ -57,9 +60,12 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward computes parameter gradients and returns dx.
+//
+//3lc:noalloc
 func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	n := l.x.Shape()[0]
-	dx := tensor.New(n, l.in)
+	dx := l.dx.Resize(n, l.in)
+	dx.Zero() // accumulated over the outputs below
 	xd, wd := l.x.Data(), l.Weight.W.Data()
 	gd, bd := l.Weight.G.Data(), l.Bias.G.Data()
 	dd, dxd := dout.Data(), dx.Data()

@@ -11,8 +11,9 @@ import (
 // computes mean cross-entropy over the batch; Backward returns
 // d(loss)/d(logits) = (softmax - onehot)/N.
 type SoftmaxCrossEntropy struct {
-	probs  *tensor.Tensor
+	probs  tensor.Tensor // workspace: Forward's softmax, read by Backward
 	labels []int
+	d      tensor.Tensor // workspace: Backward's output
 }
 
 // NewSoftmaxCrossEntropy creates the loss head.
@@ -20,6 +21,8 @@ func NewSoftmaxCrossEntropy() *SoftmaxCrossEntropy { return &SoftmaxCrossEntropy
 
 // Forward computes the mean cross-entropy of logits ([N, C]) against
 // integer labels.
+//
+//3lc:noalloc
 func (l *SoftmaxCrossEntropy) Forward(logits *tensor.Tensor, labels []int) float64 {
 	shape := logits.Shape()
 	if len(shape) != 2 {
@@ -29,9 +32,8 @@ func (l *SoftmaxCrossEntropy) Forward(logits *tensor.Tensor, labels []int) float
 	if len(labels) != n {
 		panic(fmt.Sprintf("nn: %d labels for batch of %d", len(labels), n))
 	}
-	l.probs = tensor.New(n, c)
 	l.labels = labels
-	ld, pd := logits.Data(), l.probs.Data()
+	ld, pd := logits.Data(), l.probs.Resize(n, c).Data()
 
 	var total float64
 	for i := 0; i < n; i++ {
@@ -62,10 +64,12 @@ func (l *SoftmaxCrossEntropy) Forward(logits *tensor.Tensor, labels []int) float
 }
 
 // Backward returns the gradient of the mean loss w.r.t. the logits.
+//
+//3lc:noalloc
 func (l *SoftmaxCrossEntropy) Backward() *tensor.Tensor {
 	shape := l.probs.Shape()
 	n, c := shape[0], shape[1]
-	d := tensor.New(n, c)
+	d := l.d.Resize(n, c)
 	pd, dd := l.probs.Data(), d.Data()
 	inv := 1 / float32(n)
 	for i := 0; i < n; i++ {

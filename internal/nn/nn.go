@@ -18,6 +18,11 @@
 //     one-compression-context-per-layer-tensor model (§3).
 //   - Batch-norm parameters are flagged NoCompress, reproducing §5.1's
 //     exemption of small layers from compression.
+//   - Every layer keeps the tensors it returns in its own workspace, grown
+//     only when a batch needs more elements than it holds and re-viewed at
+//     smaller batches, so a warm TrainStep allocates nothing. A returned
+//     tensor belongs to the layer and is overwritten by its next call: a
+//     caller that keeps one past that copies it.
 package nn
 
 import (
@@ -54,6 +59,10 @@ func (p *Param) ZeroGrad() { p.G.Zero() }
 // accumulating parameter gradients along the way. Layers cache whatever
 // they need between Forward and Backward, so a layer instance processes
 // one batch at a time.
+//
+// Both methods return a tensor the layer owns: Forward's output is valid
+// until the layer's next Forward, Backward's until its next Backward. A
+// caller that keeps one longer copies it.
 type Layer interface {
 	// Forward runs the layer on x. train toggles training-time behavior
 	// (batch-norm statistics).
@@ -62,6 +71,15 @@ type Layer interface {
 	Backward(dout *tensor.Tensor) *tensor.Tensor
 	// Params returns the layer's trainable parameters (possibly empty).
 	Params() []*Param
+}
+
+// grow returns s re-sliced to n elements, reallocating only when its
+// capacity is short: the growth step of a layer's per-batch scratch.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Sequential chains layers.
@@ -75,6 +93,8 @@ func NewSequential(layers ...Layer) *Sequential {
 }
 
 // Forward runs every layer in order.
+//
+//3lc:noalloc
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for _, l := range s.Layers {
 		x = l.Forward(x, train)
@@ -83,6 +103,8 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward runs every layer's backward pass in reverse order.
+//
+//3lc:noalloc
 func (s *Sequential) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	for i := len(s.Layers) - 1; i >= 0; i-- {
 		dout = s.Layers[i].Backward(dout)
@@ -140,6 +162,9 @@ func (m *Model) ZeroGrad() {
 
 // TrainStep runs forward + backward on one batch and returns the mean loss.
 // Gradients are accumulated into the Params' G tensors (zeroed first).
+// Once every layer's workspace has grown to the batch it allocates nothing.
+//
+//3lc:noalloc
 func (m *Model) TrainStep(x *tensor.Tensor, labels []int) float64 {
 	m.ZeroGrad()
 	logits := m.Net.Forward(x, true)

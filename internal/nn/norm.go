@@ -28,6 +28,8 @@ type BatchNorm2D struct {
 	invStd  []float64
 	shape   []int
 	perChan int
+
+	y, dx tensor.Tensor // workspaces returned by Forward and Backward
 }
 
 // NewBatchNorm2D creates a batch-norm layer over c channels.
@@ -40,6 +42,7 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 		eps:         1e-5,
 		runningMean: make([]float64, c),
 		runningVar:  make([]float64, c),
+		invStd:      make([]float64, c),
 	}
 	bn.Gamma.W.Fill(1)
 	bn.Gamma.NoCompress = true
@@ -51,6 +54,8 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 }
 
 // Forward normalizes x ([N, C, H, W]).
+//
+//3lc:noalloc
 func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	shape := x.Shape()
 	if len(shape) != 4 || shape[1] != bn.c {
@@ -60,20 +65,13 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	plane := h * w
 	count := n * plane
 
-	y := tensor.New(shape...)
+	y := bn.y.Resize(shape...)
 	xd, yd := x.Data(), y.Data()
 	gd, bd := bn.Gamma.W.Data(), bn.Beta.W.Data()
 
 	bn.shape = append(bn.shape[:0], shape...)
 	bn.perChan = count
-	if cap(bn.xhat) < len(xd) {
-		bn.xhat = make([]float32, len(xd))
-	}
-	bn.xhat = bn.xhat[:len(xd)]
-	if cap(bn.invStd) < bn.c {
-		bn.invStd = make([]float64, bn.c)
-	}
-	bn.invStd = bn.invStd[:bn.c]
+	bn.xhat = grow(bn.xhat, len(xd))
 
 	for c := 0; c < bn.c; c++ {
 		var mean, variance float64
@@ -115,13 +113,15 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward computes dgamma, dbeta, and dx using the standard batch-norm
 // gradient (training-mode statistics).
+//
+//3lc:noalloc
 func (bn *BatchNorm2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	shape := bn.shape
 	n, h, w := shape[0], shape[2], shape[3]
 	plane := h * w
 	count := float64(bn.perChan)
 
-	dx := tensor.New(shape...)
+	dx := bn.dx.Resize(shape...)
 	dd, dxd := dout.Data(), dx.Data()
 	gd := bn.Gamma.W.Data()
 	ggd, gbd := bn.Gamma.G.Data(), bn.Beta.G.Data()

@@ -24,6 +24,8 @@ type BatchNorm1D struct {
 	xhat   []float32
 	invStd []float64
 	n      int
+
+	y, dx tensor.Tensor // workspaces returned by Forward and Backward
 }
 
 // NewBatchNorm1D creates a batch-norm layer over d features.
@@ -36,6 +38,7 @@ func NewBatchNorm1D(name string, d int) *BatchNorm1D {
 		eps:         1e-5,
 		runningMean: make([]float64, d),
 		runningVar:  make([]float64, d),
+		invStd:      make([]float64, d),
 	}
 	bn.Gamma.W.Fill(1)
 	bn.Gamma.NoCompress = true
@@ -47,6 +50,8 @@ func NewBatchNorm1D(name string, d int) *BatchNorm1D {
 }
 
 // Forward normalizes x ([N, D]).
+//
+//3lc:noalloc
 func (bn *BatchNorm1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	shape := x.Shape()
 	if len(shape) != 2 || shape[1] != bn.d {
@@ -54,18 +59,11 @@ func (bn *BatchNorm1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	n := shape[0]
 	bn.n = n
-	y := tensor.New(shape...)
+	y := bn.y.Resize(n, bn.d)
 	xd, yd := x.Data(), y.Data()
 	gd, bd := bn.Gamma.W.Data(), bn.Beta.W.Data()
 
-	if cap(bn.xhat) < len(xd) {
-		bn.xhat = make([]float32, len(xd))
-	}
-	bn.xhat = bn.xhat[:len(xd)]
-	if cap(bn.invStd) < bn.d {
-		bn.invStd = make([]float64, bn.d)
-	}
-	bn.invStd = bn.invStd[:bn.d]
+	bn.xhat = grow(bn.xhat, len(xd))
 
 	for j := 0; j < bn.d; j++ {
 		var mean, variance float64
@@ -100,9 +98,11 @@ func (bn *BatchNorm1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward computes dgamma, dbeta, and dx.
+//
+//3lc:noalloc
 func (bn *BatchNorm1D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	n := bn.n
-	dx := tensor.New(n, bn.d)
+	dx := bn.dx.Resize(n, bn.d)
 	dd, dxd := dout.Data(), dx.Data()
 	gd := bn.Gamma.W.Data()
 	ggd, gbd := bn.Gamma.G.Data(), bn.Beta.G.Data()

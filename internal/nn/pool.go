@@ -12,12 +12,16 @@ import (
 type MaxPool2D struct {
 	argmax []int
 	shape  []int
+
+	y, dx tensor.Tensor // workspaces returned by Forward and Backward
 }
 
 // NewMaxPool2D creates the pooling layer.
 func NewMaxPool2D() *MaxPool2D { return &MaxPool2D{} }
 
 // Forward pools each non-overlapping 2x2 window to its maximum.
+//
+//3lc:noalloc
 func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	shape := x.Shape()
 	if len(shape) != 4 {
@@ -29,11 +33,8 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	oh, ow := h/2, w/2
 	p.shape = append(p.shape[:0], shape...)
-	y := tensor.New(n, c, oh, ow)
-	if cap(p.argmax) < y.Len() {
-		p.argmax = make([]int, y.Len())
-	}
-	p.argmax = p.argmax[:y.Len()]
+	y := p.y.Resize(n, c, oh, ow)
+	p.argmax = grow(p.argmax, y.Len())
 	xd, yd := x.Data(), y.Data()
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < c; ch++ {
@@ -63,8 +64,11 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward routes each pooled gradient to the argmax input position.
+//
+//3lc:noalloc
 func (p *MaxPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(p.shape...)
+	dx := p.dx.Resize(p.shape...)
+	dx.Zero() // only the argmax positions receive a gradient
 	dd, dxd := dout.Data(), dx.Data()
 	for oi, g := range dd {
 		dxd[p.argmax[oi]] += g

@@ -46,7 +46,10 @@ func NewResidualBlock(name string, inC, outC, stride int, rng *tensor.RNG) *Resi
 	return b
 }
 
-// Forward runs the residual unit.
+// Forward runs the residual unit. The sum is taken in bn2's output, which
+// its Backward does not read; the result is reluOut's.
+//
+//3lc:noalloc
 func (b *ResidualBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	b.x = x
 	h := b.conv1.Forward(x, train)
@@ -66,7 +69,10 @@ func (b *ResidualBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return b.reluOut.Forward(h, train)
 }
 
-// Backward propagates through both the residual and shortcut paths.
+// Backward propagates through both the residual and shortcut paths. The
+// sum is taken in conv1's input gradient, which is returned.
+//
+//3lc:noalloc
 func (b *ResidualBlock) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	d := b.reluOut.Backward(dout)
 

@@ -115,6 +115,28 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), data: t.data}
 }
 
+// Resize re-views t at shape and returns t: the workspace idiom, where a
+// tensor held by value is overwritten call after call. It allocates only
+// when shape holds more elements than t's storage can (the new storage is
+// zero-filled), so re-viewing at a smaller shape and back costs nothing.
+// Otherwise the elements keep whatever values the storage held: a caller
+// that accumulates into t clears it first.
+func (t *Tensor) Resize(shape ...int) *Tensor {
+	n := 1
+	for _, d := range shape {
+		if d < 0 {
+			panic(fmt.Sprintf("tensor: negative dimension %d in Resize", d))
+		}
+		n *= d
+	}
+	if cap(t.data) < n {
+		t.data = make([]float32, n)
+	}
+	t.data = t.data[:n]
+	t.shape = append(t.shape[:0], shape...)
+	return t
+}
+
 // Zero sets every element to 0.
 func (t *Tensor) Zero() {
 	for i := range t.data {

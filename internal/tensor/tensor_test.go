@@ -133,6 +133,28 @@ func TestReshapeBadCountPanics(t *testing.T) {
 	New(4).Reshape(3)
 }
 
+// TestResizeReusesStorage pins the workspace contract: the zero value
+// grows zero-filled, a smaller shape re-views the same storage, and
+// growing back within its capacity allocates nothing.
+func TestResizeReusesStorage(t *testing.T) {
+	var w Tensor
+	a := w.Resize(3, 4)
+	if a != &w || a.Len() != 12 || len(a.Shape()) != 2 || a.CountZeros() != 12 {
+		t.Fatalf("Resize(3, 4) of the zero value: %v", a)
+	}
+	a.Fill(7)
+	b := w.Resize(2, 2, 2)
+	if b.Len() != 8 || len(b.Shape()) != 3 || &b.Data()[0] != &a.Data()[0] || b.Data()[0] != 7 {
+		t.Fatalf("shrinking must re-view the same storage, values kept: %v", b)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { w.Resize(12); w.Resize(1, 5) }); allocs != 0 {
+		t.Errorf("Resize within capacity: %v allocs per run, want 0", allocs)
+	}
+	if c := w.Resize(13); c.Len() != 13 || c.Data()[12] != 0 || c.Data()[0] != 0 {
+		t.Errorf("growing past capacity must give fresh zeroed storage: %v", c)
+	}
+}
+
 func TestZeroFill(t *testing.T) {
 	a := FromSlice([]float32{1, 2}, 2)
 	a.Zero()

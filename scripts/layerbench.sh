@@ -108,6 +108,11 @@ go test -run='^$' -bench 'FusedCompress/|FusedDecompress/|StagedCompress/|Staged
 # share): the first push of a step, clearing only the blocks it
 # lands in, and the sweep reading only those (reported).
 go test -run='^$' -bench 'EncodeTernaryKernel|DecodeAddKernel|AccumulateMaxAbsKernel|FusedSGDStepKernel|RawAddKernel|RawPutKernel' -benchtime 20x -benchmem ./internal/kernel/
+# One warm forward and backward pass of the end-to-end model's MLP
+# (768 -> 1024 -> 1024 -> 10, batch 4) and of the default
+# MicroResNet: every nn layer returns tensors from its own
+# workspace, so the training step is inside the zero-allocs gate.
+go test -run='^$' -bench TrainStep -benchtime 20x -benchmem ./internal/nn/
 # One snapshot of the end-to-end model: what a periodic
 # checkpoint stalls a step boundary by, per replica.
 go test -run='^$' -bench CheckpointSave -benchtime 50x -benchmem ./internal/checkpoint/
