@@ -98,7 +98,7 @@ func modelCheckpoint(info, eval string, useResNet bool, seed uint64) {
 	}
 	if eval != "" {
 		_, testSet := data.Synthetic(dcfg)
-		acc := train.Evaluate(m, testSet, 100, !useResNet)
+		acc := train.Evaluate(m, testSet, !useResNet)
 		fmt.Printf("test accuracy: %.2f%% (%d examples)\n", acc*100, testSet.Len())
 	}
 }

@@ -139,23 +139,21 @@ func (ds *Dataset) Len() int { return len(ds.Images) }
 // Batch assembles examples at the given indices into one [N, C, H, W]
 // tensor plus labels. If augment is non-nil it is applied per example.
 func (ds *Dataset) Batch(idx []int, augment func(src, dst *tensor.Tensor, r *tensor.RNG), rng *tensor.RNG) (*tensor.Tensor, []int) {
-	n := len(idx)
-	x := tensor.New(n, ds.C, ds.H, ds.W)
-	labels := make([]int, n)
+	x := tensor.New(len(idx), ds.C, ds.H, ds.W)
+	labels := make([]int, len(idx))
+	var scratch *tensor.Tensor
+	if augment != nil {
+		scratch = tensor.New(ds.C, ds.H, ds.W)
+	}
 	per := ds.C * ds.H * ds.W
 	xd := x.Data()
-	scratch := tensor.New(ds.C, ds.H, ds.W)
 	for i, id := range idx {
-		if id < 0 || id >= ds.Len() {
-			panic(fmt.Sprintf("data: index %d out of range (%d examples)", id, ds.Len()))
-		}
-		src := ds.Images[id]
+		src := ds.example(id)
 		if augment != nil {
 			augment(src, scratch, rng)
-			copy(xd[i*per:(i+1)*per], scratch.Data())
-		} else {
-			copy(xd[i*per:(i+1)*per], src.Data())
+			src = scratch
 		}
+		copy(xd[i*per:(i+1)*per], src.Data())
 		labels[i] = ds.Labels[id]
 	}
 	return x, labels
@@ -166,6 +164,37 @@ func (ds *Dataset) FlatBatch(idx []int, augment func(src, dst *tensor.Tensor, r 
 	x, labels := ds.Batch(idx, augment, rng)
 	n := x.Shape()[0]
 	return x.Reshape(n, ds.C*ds.H*ds.W), labels
+}
+
+// BatchInto is Batch without augmentation into buffers the caller keeps
+// across batches: x is re-viewed at [N, C, H, W], or at [N, C*H*W] when
+// flat (tensor.Resize), and labels re-sliced to N, each grown only when idx
+// needs more room than it has. It returns the labels.
+func (ds *Dataset) BatchInto(x *tensor.Tensor, labels, idx []int, flat bool) []int {
+	per := ds.C * ds.H * ds.W
+	if flat {
+		x.Resize(len(idx), per)
+	} else {
+		x.Resize(len(idx), ds.C, ds.H, ds.W)
+	}
+	if cap(labels) < len(idx) {
+		labels = make([]int, len(idx))
+	}
+	labels = labels[:len(idx)]
+	xd := x.Data()
+	for i, id := range idx {
+		copy(xd[i*per:(i+1)*per], ds.example(id).Data())
+		labels[i] = ds.Labels[id]
+	}
+	return labels
+}
+
+// example returns example id's image, panicking on an index out of range.
+func (ds *Dataset) example(id int) *tensor.Tensor {
+	if id < 0 || id >= ds.Len() {
+		panic(fmt.Sprintf("data: index %d out of range (%d examples)", id, ds.Len()))
+	}
+	return ds.Images[id]
 }
 
 // Augment reproduces the paper's standard CIFAR augmentation: pad by 2,

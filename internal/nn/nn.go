@@ -40,7 +40,10 @@ type Param struct {
 	// W holds the parameter values.
 	W *tensor.Tensor
 	// G accumulates the gradient of the loss w.r.t. W for the current
-	// batch. Layers add into G; the optimizer zeroes it.
+	// batch. Layers add into G; the optimizer zeroes it. On a model served
+	// by a ps.Job, G holds the step's gradient sum under the job's
+	// kernel.LiveBlocks record instead, and a block the record calls dead
+	// holds stale values.
 	G *tensor.Tensor
 	// NoCompress marks small tensors (batch norm scales/offsets) that the
 	// training pipeline transmits uncompressed, per §5.1.
@@ -127,7 +130,8 @@ type Model struct {
 	Net  *Sequential
 	Loss *SoftmaxCrossEntropy
 
-	params []*Param // Net.Params(), built once
+	params []*Param      // Net.Params(), built once
+	rows   tensor.Tensor // Correct's view of its input's rows
 }
 
 // Params returns the model's trainable parameters in a stable order. The
@@ -174,36 +178,56 @@ func (m *Model) TrainStep(x *tensor.Tensor, labels []int) float64 {
 	return loss
 }
 
-// Predict returns the argmax class for each example in the batch.
-func (m *Model) Predict(x *tensor.Tensor) []int {
-	logits := m.Net.Forward(x, false)
-	shape := logits.Shape()
-	if len(shape) != 2 {
-		panic(fmt.Sprintf("nn: Predict wants [N, classes] logits, got %v", shape))
+// EvalRows is how many rows Correct forwards at a time: evaluation is
+// per example (Linear works row by row, batch norm uses its running
+// statistics, convolution and pooling work per example), so a set walked
+// in chunks scores bit for bit what one whole-set forward would, while the
+// layers' workspaces stay EvalRows deep.
+const EvalRows = 32
+
+// Correct returns how many of x's rows the model classifies as labels
+// says: the argmax of each row's logits, the first of equal maxima,
+// against its label. It forwards x EvalRows rows at a time through a view
+// of x, copying nothing, and once the layers' workspaces have grown to
+// EvalRows it allocates nothing. len(labels) must equal x's row count.
+//
+//3lc:noalloc
+func (m *Model) Correct(x *tensor.Tensor, labels []int) int {
+	n := x.Shape()[0]
+	if len(labels) != n {
+		panic(fmt.Sprintf("nn: %d labels for %d rows", len(labels), n))
 	}
-	n, c := shape[0], shape[1]
-	d := logits.Data()
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		best, bi := d[i*c], 0
-		for j := 1; j < c; j++ {
-			if d[i*c+j] > best {
-				best, bi = d[i*c+j], j
+	correct := 0
+	for lo := 0; lo < n; lo += EvalRows {
+		hi := min(lo+EvalRows, n)
+		logits := m.Net.Forward(m.rows.ViewRows(x, lo, hi), false)
+		shape := logits.Shape()
+		if len(shape) != 2 {
+			panic(fmt.Sprintf("nn: Correct wants [N, classes] logits, got %v", shape))
+		}
+		c, d := shape[1], logits.Data()
+		for r := range hi - lo {
+			row := d[r*c : (r+1)*c]
+			best, bi := row[0], 0
+			for j := 1; j < c; j++ {
+				if row[j] > best {
+					best, bi = row[j], j
+				}
+			}
+			if bi == labels[lo+r] {
+				correct++
 			}
 		}
-		out[i] = bi
 	}
-	return out
+	return correct
 }
 
-// Accuracy evaluates top-1 accuracy of the model on (x, labels).
+// Accuracy is the model's top-1 accuracy on (x, labels): Correct over the
+// row count, and 0 for no rows.
 func (m *Model) Accuracy(x *tensor.Tensor, labels []int) float64 {
-	pred := m.Predict(x)
-	correct := 0
-	for i, p := range pred {
-		if p == labels[i] {
-			correct++
-		}
+	correct := m.Correct(x, labels)
+	if len(labels) == 0 {
+		return 0
 	}
 	return float64(correct) / float64(len(labels))
 }

@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"threelc/internal/tensor"
@@ -127,24 +129,47 @@ func TestBatchNormParamsAreNoCompress(t *testing.T) {
 	}
 }
 
-func TestModelPredictAndAccuracy(t *testing.T) {
+func TestModelCorrectAndAccuracy(t *testing.T) {
 	m := NewMLP(4, []int{6}, 3, 1)
 	rng := tensor.NewRNG(3)
 	x := tensor.New(5, 4)
 	tensor.FillNormal(x, 1, rng)
-	pred := m.Predict(x)
-	if len(pred) != 5 {
-		t.Fatalf("Predict returned %d", len(pred))
-	}
-	for _, p := range pred {
-		if p < 0 || p >= 3 {
-			t.Fatalf("class %d out of range", p)
+	logits := m.Net.Forward(x, false).Data()
+	pred := make([]int, 5)
+	for i := range pred {
+		for j := 1; j < 3; j++ {
+			if logits[i*3+j] > logits[i*3+pred[i]] {
+				pred[i] = j
+			}
 		}
 	}
-	acc := m.Accuracy(x, pred)
-	if acc != 1 {
+	if got := m.Correct(x, pred); got != 5 {
+		t.Errorf("Correct against own predictions = %d, want 5", got)
+	}
+	if acc := m.Accuracy(x, pred); acc != 1 {
 		t.Errorf("accuracy against own predictions = %v", acc)
 	}
+	pred[2] = (pred[2] + 1) % 3
+	if acc := m.Accuracy(x, pred); acc != 0.8 {
+		t.Errorf("accuracy with one wrong label = %v, want 0.8", acc)
+	}
+}
+
+// TestAccuracyEdgeInputs pins the evaluator's answers off the happy path:
+// no rows score 0 (not 0/0), and a label count that is not the row count
+// panics naming both counts.
+func TestAccuracyEdgeInputs(t *testing.T) {
+	m := NewMLP(4, []int{6}, 3, 1)
+	if acc := m.Accuracy(tensor.New(0, 4), nil); acc != 0 {
+		t.Errorf("accuracy on no rows = %v, want 0", acc)
+	}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "4 labels") || !strings.Contains(msg, "5 rows") {
+			t.Errorf("mismatched labels: panic %q, want both counts named", msg)
+		}
+	}()
+	m.Accuracy(tensor.New(5, 4), make([]int, 4))
 }
 
 func TestModelParamNamesUnique(t *testing.T) {

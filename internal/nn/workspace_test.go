@@ -110,9 +110,9 @@ func TestWorkspacesMatchFreshBuffers(t *testing.T) {
 }
 
 // TestTrainStepZeroAllocs pins the workspace contract's cost: a warm
-// TrainStep allocates nothing, and neither does one after an evaluation
-// at a larger batch and a smaller training batch have re-viewed every
-// workspace.
+// TrainStep allocates nothing, neither does a warm evaluation, and neither
+// does a TrainStep after an evaluation at a larger batch and a smaller
+// training batch have re-viewed every workspace.
 func TestTrainStepZeroAllocs(t *testing.T) {
 	for _, c := range workspaceCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -122,8 +122,11 @@ func TestTrainStepZeroAllocs(t *testing.T) {
 			if allocs := testing.AllocsPerRun(10, func() { m.TrainStep(x, labels) }); allocs != 0 {
 				t.Errorf("warm TrainStep: %v allocs per call, want 0", allocs)
 			}
-			big, _ := c.batch(300, 2)
-			m.Predict(big)
+			big, bigLabels := c.batch(300, 2)
+			m.Accuracy(big, bigLabels)
+			if allocs := testing.AllocsPerRun(2, func() { m.Accuracy(big, bigLabels) }); allocs != 0 {
+				t.Errorf("warm Accuracy: %v allocs per call, want 0", allocs)
+			}
 			xs, ls := c.batch(3, 3)
 			if allocs := testing.AllocsPerRun(10, func() {
 				m.TrainStep(xs, ls)
@@ -135,15 +138,19 @@ func TestTrainStepZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkTrainStep times one warm forward and backward pass: mlp is the
-// end-to-end benchmark's model (768 -> 1024 -> 1024 -> 10, batch 4),
-// microresnet the default residual CNN at batch 4.
-func BenchmarkTrainStep(b *testing.B) {
-	cases := []workspaceCase{
+// benchCases are the layer benchmarks' models: mlp is the end-to-end
+// benchmark's (768 -> 1024 -> 1024 -> 10), microresnet the default
+// residual CNN.
+func benchCases() []workspaceCase {
+	return []workspaceCase{
 		{"mlp", func() *Model { return NewMLP(768, []int{1024, 1024}, 10, 1) }, []int{768}, 10},
 		{"microresnet", func() *Model { return NewMicroResNet(DefaultMicroResNet()) }, []int{3, 16, 16}, 10},
 	}
-	for _, c := range cases {
+}
+
+// BenchmarkTrainStep times one warm forward and backward pass at batch 4.
+func BenchmarkTrainStep(b *testing.B) {
+	for _, c := range benchCases() {
 		b.Run(c.name, func(b *testing.B) {
 			m := c.build()
 			x, labels := c.batch(4, 1)
@@ -152,6 +159,24 @@ func BenchmarkTrainStep(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.TrainStep(x, labels)
+			}
+		})
+	}
+}
+
+// BenchmarkAccuracy times one warm evaluation of 300 rows, the end-to-end
+// benchmark's held-out set: the forward walks them EvalRows at a time
+// through the layers' workspaces, so it allocates nothing.
+func BenchmarkAccuracy(b *testing.B) {
+	for _, c := range benchCases() {
+		b.Run(c.name, func(b *testing.B) {
+			m := c.build()
+			x, labels := c.batch(300, 1)
+			m.Accuracy(x, labels)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Accuracy(x, labels)
 			}
 		})
 	}

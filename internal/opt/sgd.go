@@ -205,7 +205,8 @@ type Sink struct {
 // sink's delta folding, the server's entire average → update → delta →
 // accumulate-max chain touches each tensor exactly once; weights,
 // velocity, residuals, and reductions are bit-identical to the staged
-// sweeps. p.G is neither read nor written.
+// sweeps. p.G is read only where gradFor returns it (ps.Job sums into it)
+// and never written.
 //
 // The arithmetic is kernel.LiveBlocks.FusedSGDStep, dispatched per CPU
 // tier, in the form sinkFor(pi) asks for: into an accumulation buffer

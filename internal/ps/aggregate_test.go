@@ -318,9 +318,9 @@ func TestGradSumNeverHoldsNegativeZero(t *testing.T) {
 					if err := s.decodeAdd(i, variants[i][v]); err != nil {
 						t.Fatal(err)
 					}
-					for j, x := range s.gradSum[i].Data() {
+					for j, x := range s.params[i].G.Data() {
 						if math.Float32bits(x) == 1<<31 {
-							t.Fatalf("tier %v step %d push %d: gradSum[%d][%d] is −0 after variant %d", tier, step, push, i, j, v)
+							t.Fatalf("tier %v step %d push %d: sum %d element %d is −0 after variant %d", tier, step, push, i, j, v)
 						}
 					}
 				}

@@ -52,15 +52,17 @@
 // aggregation side, ONE fused decode-accumulate pass per
 // worker payload that streams wire bytes and adds M·q straight into the
 // gradient sum (no intermediate decode tensor; payloads are validated
-// before the accumulator is touched). The sum is not zeroed between steps:
-// its kernel.LiveBlocks record marks the blocks this step's pushes reached
-// (Job.BeginStep resets it in O(1)), the decode-add clears a block when
-// the step's first literal group lands in it, and every other block reads
-// as +0 (compress.DecompressAddLive) — 3.6 % of the blocks are live a step
-// on lan-3lc, 3.2 % on wan-3lc, 97 % on tiny-stream. Server-side, the
-// step is fused end to end: FinishStep's optimizer sweep averages the
-// gradient on the fly, reading only the live blocks of the sum, applies
-// the update, and folds the model delta directly into the pull
+// before the accumulator is touched). The sum is the served parameter's
+// own G (nn.Param.G), so the job holds no gradient buffer of its own and
+// its model cannot double as a worker's replica. It is not zeroed between
+// steps: its kernel.LiveBlocks record marks the blocks this step's pushes
+// reached (Job.BeginStep resets it in O(1)), the decode-add clears a
+// block when the step's first literal group lands in it, and every other
+// block reads as +0 (compress.DecompressAddLive) — 3.6 % of the blocks are
+// live a step on lan-3lc, 3.2 % on wan-3lc, 97 % on tiny-stream.
+// Server-side, the step is fused end to end: FinishStep's optimizer sweep
+// averages the gradient on the fly, reading only the live blocks of the
+// sum, applies the update, and folds the model delta directly into the pull
 // compressor's error-accumulation buffer with its |max| reduction and
 // block index (opt.ApplyFusedStepLive + compress.PreAccumulator), so
 // compress pass 1 never runs as its own sweep and the pull's encode skips

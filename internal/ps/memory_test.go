@@ -1,0 +1,70 @@
+package ps
+
+import (
+	"runtime"
+	"testing"
+
+	"threelc/internal/compress"
+	"threelc/internal/nn"
+	"threelc/internal/tensor"
+)
+
+// TestJobSumsIntoModelG is the memory guard of the server's gradient sums:
+// tensor i's sum is the served model's params[i].G, not a buffer of the
+// job's own. NewJob plus one step over the end-to-end benchmark's
+// 1.85M-parameter MLP allocate a model's worth of pull state (3LC's error
+// buffers; under float32 the raw pull wires) and a model's worth of
+// optimizer velocity, plus wires and bookkeeping of a few kilobytes; a
+// private sum would add a third model's worth, so the job's allocations
+// must stay under three.
+func TestJobSumsIntoModelG(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		scheme compress.Scheme
+		opts   compress.Options
+	}{
+		{"3lc", compress.SchemeThreeLC, compress.Options{Sparsity: 1.75, ZeroRun: true}},
+		{"float32", compress.SchemeNone, compress.Options{}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := testConfig(c.scheme, c.opts, 2)
+			cfg.Parallelism = 1
+			global := nn.NewMLP(768, []int{1024, 1024}, 10, 1)
+			rng := tensor.NewRNG(7)
+			pushes := make([][][]byte, cfg.Workers)
+			for id := range pushes {
+				m := nn.NewMLP(768, []int{1024, 1024}, 10, 1)
+				m.CopyParamsFrom(global)
+				for _, p := range m.Params() {
+					tensor.FillNormal(p.G, 0.01, rng)
+				}
+				pushes[id], _ = NewWorker(id, m, cfg).CompressGrads()
+			}
+			modelBytes := uint64(4 * global.NumParams())
+
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			job := NewJob(global, cfg)
+			job.BeginStep()
+			for id, wires := range pushes {
+				if _, err := job.AddPush(id, wires); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, _, err := job.FinishStep(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 3*modelBytes && !raceDetector {
+				t.Errorf("NewJob and one step allocated %.2f model sizes (%d B), want under 3: pull state, velocity and less than one more", float64(alloc)/float64(modelBytes), alloc)
+			}
+			for i, p := range global.Params() {
+				if sum, _, _ := job.gradBufFor(i); &sum[0] != &p.G.Data()[0] || len(sum) != p.G.Len() {
+					t.Errorf("the sum of %s is not its G", p.Name)
+				}
+			}
+		})
+	}
+}

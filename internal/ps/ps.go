@@ -150,10 +150,18 @@ func (c Config) newContext(p *nn.Param, seed uint64, tensors int) compress.Compr
 
 // Job owns ALL of one training job's server-side state: the global
 // model, the optimizer (momentum, schedule step), the pull-side
-// compression contexts with their error-accumulation buffers, the
-// gradient aggregation buffers, and the step/push counters. A Job holds
-// no shared machinery — shards, queues, transports, and schedulers live
-// elsewhere and treat a Job as a value held per shard (package shard).
+// compression contexts with their error-accumulation buffers, and the
+// step/push counters. A Job holds no shared machinery — shards, queues,
+// transports, and schedulers live elsewhere and treat a Job as a value
+// held per shard (package shard).
+//
+// A step's gradient sums live in the served parameters' G tensors, read
+// and written under the job's kernel.LiveBlocks records: a block no push
+// reached this step holds stale values and reads as +0.
+// A model that serves a Job therefore cannot also be a worker's replica:
+// its G would be overwritten by the aggregation, and its W stepped twice.
+// The sub-jobs of a sharded tier serve disjoint parameters of one global
+// model, so their sums are disjoint too.
 type Job struct {
 	Model *nn.Model
 
@@ -161,8 +169,7 @@ type Job struct {
 	optimizer *opt.SGD
 	params    []*nn.Param
 	pullCtx   []compress.Compressor
-	gradSum   []*tensor.Tensor
-	live      []kernel.LiveBlocks       // per tensor: the blocks of gradSum this step's pushes reached
+	live      []kernel.LiveBlocks       // per tensor: the blocks of params[i].G, the gradient sum, this step's pushes reached
 	delta     []*tensor.Tensor          // per tensor: the model delta, where a lossy pull context without an accumulate pass takes one (nil elsewhere)
 	pullWires [][]byte                  // per-tensor pull wire buffers, recycled across steps
 	ownerPull [][]byte                  // pullWires as the owner is sent them (OwnerPull), recycled
@@ -229,7 +236,6 @@ func newJob(params []*nn.Param, globalIdx []int, cfg Config) *Job {
 			gi = globalIdx[i]
 		}
 		s.pullCtx = append(s.pullCtx, cfg.newContext(p, 0x5345525645520000+uint64(gi), len(s.params))) // "SERVER"
-		s.gradSum = append(s.gradSum, tensor.New(p.W.Shape()...))
 	}
 	s.decPar = cfg.kernelBudget(len(s.params))
 	s.live = make([]kernel.LiveBlocks, len(s.params))
@@ -275,7 +281,7 @@ func (s *Job) gradBufFor(i int) ([]float32, float32, *kernel.LiveBlocks) {
 	if OwnerOnly(s.params[i]) {
 		scale = 1
 	}
-	return s.gradSum[i].Data(), scale, &s.live[i]
+	return s.params[i].G.Data(), scale, &s.live[i]
 }
 
 // sinkFor tells the optimizer sweep where tensor i's model delta goes: into
@@ -371,10 +377,10 @@ func (s *Job) ingestOne(workerID, i int, wire []byte) error {
 	return nil
 }
 
-// decodeAdd accumulates one wire into gradSum[i] through the fused
-// single-pass registry path and the sum's liveness record
-// (compress.DecompressAddLive); a malformed wire leaves what the sum reads
-// as, and the record, untouched.
+// decodeAdd accumulates one wire into params[i].G, tensor i's gradient
+// sum, through the fused single-pass registry path and the sum's liveness
+// record (compress.DecompressAddLive); a malformed wire leaves what the
+// sum reads as, and the record, untouched.
 //
 // The result is the dense reference's bit for bit: zero the sum, then
 // DecompressAddInto every push. A dead block reads as +0, which is what
@@ -382,7 +388,7 @@ func (s *Job) ingestOne(workerID, i int, wire []byte) error {
 // literal group of the step lands on memory just cleared to +0, so the
 // block holds +0 + M·q, the reference's sum. The fused path skips zero
 // runs instead of adding m·0 through them, which equals the dense add as
-// long as the sum holds no −0 (compress.DecompressAddInto), and gradSum
+// long as the sum holds no −0 (compress.DecompressAddInto), and the sum
 // never does: each element starts the step at +0 (a cleared block, a dead
 // one, or the raw first add that forms +0 + x in registers), and a
 // round-to-nearest add yields −0 only from (−0) + (−0) — +0 + (−0) is +0,
@@ -392,7 +398,7 @@ func (s *Job) ingestOne(workerID, i int, wire []byte) error {
 // stays ==-equal to the dense result throughout.)
 func (s *Job) decodeAdd(i int, wire []byte) error {
 	s.pushed[i] = true
-	return compress.DecompressAddLive(wire, s.gradSum[i], &s.live[i], s.decPar)
+	return compress.DecompressAddLive(wire, s.params[i].G, &s.live[i], s.decPar)
 }
 
 // ingestTensor decode-accumulates a single tensor of workerID's push —
@@ -452,7 +458,7 @@ func (s *Job) FinishStep() ([][]byte, time.Duration, error) {
 	// Bit-identical to the staged average → Apply → delta = W - prevW →
 	// AccumulateMaxAbs / CompressInto sequence
 	// (TestFusedAggregateMatchesStaged); the averaged gradient is not
-	// materialized (p.G is untouched).
+	// materialized (p.G keeps the raw sum).
 	s.optimizer.ApplyFusedStepLive(s.params, s.gradForFn, s.sinkForFn, s.accMax)
 
 	// Shared pull compression: one wire per tensor for all workers, built

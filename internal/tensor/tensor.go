@@ -137,6 +137,26 @@ func (t *Tensor) Resize(shape ...int) *Tensor {
 	return t
 }
 
+// ViewRows re-views t as rows [lo, hi) of src along its first dimension,
+// sharing src's storage — nothing is copied — and returns t: Resize's
+// workspace idiom, for walking a batch a few rows at a time. It allocates
+// only while t's shape holds fewer dimensions than src's. The view's
+// capacity ends at row hi, so a later Resize of t past it allocates
+// instead of writing into src's other rows.
+func (t *Tensor) ViewRows(src *Tensor, lo, hi int) *Tensor {
+	if len(src.shape) == 0 || lo < 0 || hi < lo || hi > src.shape[0] {
+		panic(fmt.Sprintf("tensor: rows [%d, %d) of shape %v", lo, hi, src.shape))
+	}
+	per := 1
+	for _, d := range src.shape[1:] {
+		per *= d
+	}
+	t.data = src.data[lo*per : hi*per : hi*per]
+	t.shape = append(t.shape[:0], src.shape...)
+	t.shape[0] = hi - lo
+	return t
+}
+
 // Zero sets every element to 0.
 func (t *Tensor) Zero() {
 	for i := range t.data {

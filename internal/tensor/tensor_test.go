@@ -155,6 +155,34 @@ func TestResizeReusesStorage(t *testing.T) {
 	}
 }
 
+func TestViewRowsSharesStorage(t *testing.T) {
+	src := New(5, 2, 3)
+	for i := range src.Data() {
+		src.Data()[i] = float32(i)
+	}
+	var v Tensor
+	r := v.ViewRows(src, 1, 3)
+	if r != &v || r.Len() != 12 || len(r.Shape()) != 3 || r.Shape()[0] != 2 || r.Shape()[2] != 3 || &r.Data()[0] != &src.Data()[6] {
+		t.Fatalf("rows [1, 3) of [5 2 3]: shape %v, %d elements", r.Shape(), r.Len())
+	}
+	if e := v.ViewRows(src, 5, 5); e.Len() != 0 || e.Shape()[0] != 0 {
+		t.Errorf("rows [5, 5): shape %v, want 0 rows", e.Shape())
+	}
+	if allocs := testing.AllocsPerRun(20, func() { v.ViewRows(src, 0, 4) }); allocs != 0 {
+		t.Errorf("ViewRows: %v allocs per run, want 0", allocs)
+	}
+	v.ViewRows(src, 0, 1).Resize(2, 2, 3).Fill(-1)
+	if src.Data()[6] != 6 {
+		t.Errorf("a Resize past the view's rows wrote into src: row 1 starts %v", src.Data()[6])
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("rows [4, 6) of 5 rows: no panic")
+		}
+	}()
+	v.ViewRows(src, 4, 6)
+}
+
 func TestZeroFill(t *testing.T) {
 	a := FromSlice([]float32{1, 2}, 2)
 	a.Zero()

@@ -418,7 +418,7 @@ func (r *run) record(step int, pull [][]byte, serverDur time.Duration) {
 // synced to the global model first.
 func (r *run) evaluate() float64 {
 	nn.CopyBatchNormStats(r.global, r.workers[0].Model)
-	return Evaluate(r.global, r.testSet, 100, r.cfg.FlatInput)
+	return Evaluate(r.global, r.testSet, r.cfg.FlatInput)
 }
 
 // checkpoint ends the step: the periodic full-state snapshot is serialized

@@ -21,6 +21,7 @@ import (
 	"threelc/internal/nn"
 	"threelc/internal/opt"
 	"threelc/internal/ps"
+	"threelc/internal/tensor"
 )
 
 // Design names one traffic-reduction configuration from §5.1.
@@ -297,28 +298,25 @@ func sum(xs []int) int {
 	return t
 }
 
-// Evaluate computes top-1 test accuracy of model over ds in batches.
-func Evaluate(model *nn.Model, ds *data.Dataset, batch int, flat bool) float64 {
+// Evaluate is model's top-1 accuracy over ds, 0 for an empty set: it
+// walks ds nn.EvalRows examples at a time, each chunk assembled into one
+// reused buffer ([N, C*H*W] when flat) and scored by model.Correct, so it
+// counts exactly what Accuracy over the whole set would.
+func Evaluate(model *nn.Model, ds *data.Dataset, flat bool) float64 {
 	if ds.Len() == 0 {
 		return 0
 	}
-	batchOf := ds.Batch
-	if flat {
-		batchOf = ds.FlatBatch
-	}
+	var x tensor.Tensor
+	var labels []int
+	idx := make([]int, 0, nn.EvalRows)
 	correct := 0
-	for start := 0; start < ds.Len(); start += batch {
-		idx := make([]int, min(batch, ds.Len()-start))
-		for i := range idx {
-			idx[i] = start + i
+	for start := 0; start < ds.Len(); start += nn.EvalRows {
+		idx = idx[:0]
+		for i := start; i < start+nn.EvalRows && i < ds.Len(); i++ {
+			idx = append(idx, i)
 		}
-		x, labels := batchOf(idx, nil, nil)
-		pred := model.Predict(x)
-		for i, p := range pred {
-			if p == labels[i] {
-				correct++
-			}
-		}
+		labels = ds.BatchInto(&x, labels, idx, flat)
+		correct += model.Correct(&x, labels)
 	}
 	return float64(correct) / float64(ds.Len())
 }

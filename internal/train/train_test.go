@@ -281,14 +281,44 @@ func TestSparsityIncreasesCompression(t *testing.T) {
 	}
 }
 
+// TestEvaluateBatching holds Evaluate's chunked walk of a set (75 examples,
+// not a multiple of nn.EvalRows) to one Model.Accuracy over the whole set,
+// flat for an MLP and image-shaped for a MicroResNet, and an empty set to 0.
 func TestEvaluateBatching(t *testing.T) {
 	dcfg := data.DefaultConfig()
-	dcfg.Train, dcfg.Test = 100, 37 // awkward batch remainder
-	_, testSet := data.Synthetic(dcfg)
-	m := nn.NewMLP(dcfg.C*dcfg.H*dcfg.W, []int{8}, dcfg.Classes, 1)
-	acc := Evaluate(m, testSet, 10, true)
-	if acc < 0 || acc > 1 {
-		t.Errorf("accuracy %v out of range", acc)
+	dcfg.Train, dcfg.Test = 100, 75
+	trainSet, testSet := data.Synthetic(dcfg)
+	idx := make([]int, testSet.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	resnet := nn.DefaultMicroResNet()
+	resnet.ImageSize = dcfg.H
+	for _, c := range []struct {
+		name string
+		m    *nn.Model
+		flat bool
+	}{
+		{"mlp", nn.NewMLP(dcfg.C*dcfg.H*dcfg.W, []int{8}, dcfg.Classes, 1), true},
+		{"microresnet", nn.NewMicroResNet(resnet), false},
+	} {
+		batch := trainSet.Batch
+		if c.flat {
+			batch = trainSet.FlatBatch
+		}
+		c.m.TrainStep(batch([]int{0, 1, 2, 3}, nil, nil)) // batch norm's running statistics move
+		x, labels := testSet.Batch(idx, nil, nil)
+		if c.flat {
+			x, labels = testSet.FlatBatch(idx, nil, nil)
+		}
+		want := c.m.Accuracy(x, labels)
+		if got := Evaluate(c.m, testSet, c.flat); got != want || got < 0 || got > 1 {
+			t.Errorf("%s: Evaluate = %v, Accuracy over the whole set = %v", c.name, got, want)
+		}
+	}
+	empty := &data.Dataset{C: dcfg.C, H: dcfg.H, W: dcfg.W}
+	if got := Evaluate(nn.NewMLP(dcfg.C*dcfg.H*dcfg.W, []int{8}, dcfg.Classes, 1), empty, true); got != 0 {
+		t.Errorf("Evaluate on an empty set = %v, want 0", got)
 	}
 }
 

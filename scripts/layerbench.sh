@@ -113,6 +113,11 @@ go test -run='^$' -bench 'EncodeTernaryKernel|DecodeAddKernel|AccumulateMaxAbsKe
 # MicroResNet: every nn layer returns tensors from its own
 # workspace, so the training step is inside the zero-allocs gate.
 go test -run='^$' -bench TrainStep -benchtime 20x -benchmem ./internal/nn/
+# One warm evaluation of 300 rows (the end-to-end benchmark's held-out
+# set) on the same two models, walked 32 rows at a time through the
+# same workspaces: inside the zero-allocs gate as well. About a second
+# an evaluation, hence one.
+go test -run='^$' -bench Accuracy -benchtime 1x -benchmem ./internal/nn/
 # One snapshot of the end-to-end model: what a periodic
 # checkpoint stalls a step boundary by, per replica.
 go test -run='^$' -bench CheckpointSave -benchtime 50x -benchmem ./internal/checkpoint/
