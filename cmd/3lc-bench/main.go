@@ -6,7 +6,6 @@
 //	3lc-bench -exp fig4            # Figure 4: time/accuracy @ 10 Mbps
 //	3lc-bench -exp fig7            # Figure 7: loss/accuracy series
 //	3lc-bench -exp fig9            # Figure 9: bits per state change series
-//	3lc-bench -exp shard           # sharded-PS scaling: shard count x codec
 //	3lc-bench -exp all             # everything
 //
 // Runs are cached within a single invocation, so "-exp all" reuses the
@@ -19,18 +18,15 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"threelc/internal/experiments"
 )
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: table1 | table2 | fig4 | fig5 | fig6 | fig7 | fig8 | fig9 | arch | gradstats | shard | all")
+		exp     = flag.String("exp", "all", "experiment: table1 | table2 | fig4 | fig5 | fig6 | fig7 | fig8 | fig9 | arch | gradstats | all")
 		steps   = flag.Int("steps", 0, "override standard training steps (default from suite)")
 		workers = flag.Int("workers", 0, "override worker count")
-		shards  = flag.String("shards", "1,2,4", "comma-separated shard counts for -exp shard")
 		resnet  = flag.Bool("resnet", false, "use the MicroResNet workload instead of the MLP")
 		quiet   = flag.Bool("quiet", false, "suppress per-run progress lines")
 		every   = flag.Int("series-every", 10, "subsampling interval for printed series")
@@ -86,18 +82,6 @@ func main() {
 		case "arch":
 			rows := experiments.ArchitectureContrast(16)
 			experiments.PrintArchitectureContrast(os.Stdout, rows)
-		case "shard":
-			counts, err := parseShardCounts(*shards)
-			if err != nil {
-				return err
-			}
-			// The sweeps have their own defaults for an unset -workers / -steps.
-			rows, err := experiments.ShardScaling(experiments.ShardScalingDesigns(), counts, *workers, *steps, opt.Progress)
-			if err != nil {
-				return err
-			}
-			experiments.PrintShardScaling(os.Stdout, rows)
-			csv = func(w io.Writer) error { return experiments.WriteShardScalingCSV(w, rows) }
 		case "gradstats":
 			rows, err := experiments.GradientStatistics(suite, 1.0, 25)
 			if err != nil {
@@ -143,7 +127,7 @@ func main() {
 
 	var names []string
 	if *exp == "all" {
-		names = []string{"table1", "table2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "shard"}
+		names = []string{"table1", "table2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9"}
 	} else {
 		names = []string{*exp}
 	}
@@ -153,24 +137,4 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// parseShardCounts parses the -shards flag ("1,2,4") into shard counts.
-func parseShardCounts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad shard count %q (want positive integers, e.g. -shards 1,2,4)", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-shards lists no counts")
-	}
-	return out, nil
 }

@@ -318,7 +318,6 @@ var chaosCodecs = []train.Design{
 	{Name: "mqe1bit", Scheme: compress.SchemeMQE1Bit},
 	{Name: "topk", Scheme: compress.SchemeTopK, Opts: compress.Options{Fraction: 0.3, Seed: 9}},
 	{Name: "localsteps", Scheme: compress.SchemeLocalSteps, Opts: compress.Options{Interval: 2}},
-	{Name: "roundrobin", Scheme: compress.SchemeRoundRobin, Opts: compress.Options{Parts: 3}},
 }
 
 // runChaosSoak is the -chaos mode (see the package comment): every codec's

@@ -139,12 +139,10 @@
 //
 // The sharded tier (internal/shard) partitions the model's tensors across
 // N parameter-server shards, each running the zero-allocation codec pool
-// on its own goroutine behind a bounded request queue. The pipeline knobs
-// are shard.Config: QueueDepth (per-shard outstanding-request budget),
-// Window (the driver's in-flight request window), and Timeout/Retries
-// (straggler-aware enqueue retry with exponential backoff; only failed
-// enqueues are retried, so requests stay exactly-once and ordered).
-// Placement is deterministic
+// on its own goroutine behind a bounded request queue; a send to a full
+// queue blocks until the shard drains one, so requests stay exactly-once
+// and ordered. The tier is configured by its shard count alone
+// (shard.Config.Shards). Placement is deterministic
 // (shard.Assign: size-balanced LPT packing, consistent-hash ring when
 // sizes are unknown) and the sharded tier's model state stays
 // byte-identical to the single server's for every codec. train.Config's
@@ -171,9 +169,8 @@
 // (worker, step) identity every push frame carries. A lost process is
 // resumed from its last checkpoint; there is no standby tier.
 //
-// Binaries: cmd/3lc-bench (regenerate every table and figure, plus the
-// `-exp shard` shard-scaling sweep; the per-layer benchmarks are
-// `bash scripts/layerbench.sh`), cmd/3lc-train (single training run, with
+// Binaries: cmd/3lc-bench (regenerate every table and figure; the
+// per-layer benchmarks are `bash scripts/layerbench.sh`), cmd/3lc-train (single training run, with
 // `-state` full-state checkpointing and `-resume`), cmd/3lc-net (the same
 // driver over real TCP: sharded, streamed, chaos soak),
 // cmd/3lc-compress (codec demo), cmd/3lc-ckpt (checkpoint inspection and

@@ -21,8 +21,8 @@
 // Injector.WrapListener match those signatures), so every dial and
 // listen point in the tree can be subjected to the same schedule. It is
 // the adversary half of the chaos contract; the defenses it validates —
-// CRC-32C frame checksums, reconnect-and-replay, unified retry/backoff,
-// the shard circuit breaker — live in transport and shard.
+// CRC-32C frame checksums, reconnect-and-replay, retry/backoff — live in
+// transport.
 //
 //3lc:det
 package chaos

@@ -70,10 +70,10 @@ const (
 	SchemeMQE1Bit
 	SchemeTopK
 	SchemeLocalSteps
-	// SchemeRoundRobin is Ako-style partial gradient exchange (§6): each
-	// step transmits one of P interleaved partitions in full, with error
-	// accumulation carrying the rest. Shares the TopK bitmap wire layout.
-	SchemeRoundRobin
+	// schemeRetiredRoundRobin stays reserved: it marked Ako-style
+	// round-robin partial exchange (§6's related work), which no longer
+	// exists. Decoders refuse it by name (see unknownScheme).
+	schemeRetiredRoundRobin
 	// schemeRetiredEntropy stays reserved: it marked another scheme's wire
 	// passed through a Huffman or LZ second stage, which no longer exists.
 	// Decoders refuse it by name (see unknownScheme).
@@ -102,8 +102,6 @@ func (s Scheme) String() string {
 		return "sparsification"
 	case SchemeLocalSteps:
 		return "local steps"
-	case SchemeRoundRobin:
-		return "round-robin exchange"
 	case SchemePacked32:
 		return "packed float32"
 	default:
@@ -123,8 +121,6 @@ type Options struct {
 	Fraction float64
 	// Interval is the local-step count for SchemeLocalSteps (e.g. 2).
 	Interval int
-	// Parts is the partition count for SchemeRoundRobin (cycle length).
-	Parts int
 	// Seed seeds the RNG used by stochastic quantization and threshold
 	// sampling.
 	Seed uint64
@@ -234,12 +230,6 @@ func New(s Scheme, shape []int, opt Options) Compressor {
 			k = 2
 		}
 		return newLocalStepsCompressor(shape, k)
-	case SchemeRoundRobin:
-		p := opt.Parts
-		if p < 1 {
-			p = 4
-		}
-		return newRoundRobinCompressor(shape, p)
 	case SchemePacked32:
 		panic("compress: SchemePacked32 is the wire of an exempt tensor, not a design; use NewExempt")
 	default:

@@ -385,7 +385,7 @@ func TestSchemeBytesPinned(t *testing.T) {
 		want byte
 	}{
 		{SchemeNone, 0}, {SchemeInt8, 1}, {SchemeThreeLC, 2}, {SchemeStoch3QE, 3},
-		{SchemeMQE1Bit, 4}, {SchemeTopK, 5}, {SchemeLocalSteps, 6}, {SchemeRoundRobin, 7},
+		{SchemeMQE1Bit, 4}, {SchemeTopK, 5}, {SchemeLocalSteps, 6}, {schemeRetiredRoundRobin, 7},
 		{schemeRetiredEntropy, 8}, {SchemePacked32, 9},
 		{schemeCount, 10}, // a scheme added without a row here fails
 	} {
@@ -395,27 +395,35 @@ func TestSchemeBytesPinned(t *testing.T) {
 	}
 }
 
-// TestRetiredSchemeByteRefused: a wire under the retired entropy scheme
-// byte is refused by name on the decode and the add path, before the
-// accumulator is touched.
+// TestRetiredSchemeByteRefused: a wire under a retired scheme byte is
+// refused by name on the decode and the add path, before the accumulator
+// is touched.
 func TestRetiredSchemeByteRefused(t *testing.T) {
 	const n = 100
 	in := tensor.New(n)
 	tensor.FillNormal(in, 0.1, tensor.NewRNG(3))
-	for _, sc := range fuzzSchemes {
-		wire := append([]byte{byte(schemeRetiredEntropy), 0}, newContext(sc.s, []int{n}, sc.o).Compress(in)...)
-		acc := tensor.New(n)
-		acc.Fill(1)
-		_, err := Decompress(wire, []int{n})
-		errAdd := DecompressAddInto(wire, acc, 1)
-		for _, e := range []error{err, errAdd} {
-			if e == nil || !strings.Contains(e.Error(), "retired") {
-				t.Fatalf("%v under the retired byte: %v, want a refusal naming it retired", sc.s, e)
+	for _, r := range []struct {
+		b    Scheme
+		name string
+	}{
+		{schemeRetiredEntropy, "retired entropy"},
+		{schemeRetiredRoundRobin, "retired round-robin"},
+	} {
+		for _, sc := range fuzzSchemes {
+			wire := append([]byte{byte(r.b), 0}, newContext(sc.s, []int{n}, sc.o).Compress(in)...)
+			acc := tensor.New(n)
+			acc.Fill(1)
+			_, err := Decompress(wire, []int{n})
+			errAdd := DecompressAddInto(wire, acc, 1)
+			for _, e := range []error{err, errAdd} {
+				if e == nil || !strings.Contains(e.Error(), r.name) {
+					t.Fatalf("%v under byte %d: %v, want a refusal naming it %q", sc.s, r.b, e, r.name)
+				}
 			}
-		}
-		for i, v := range acc.Data() {
-			if v != 1 {
-				t.Fatalf("%v under the retired byte wrote dst[%d] = %v", sc.s, i, v)
+			for i, v := range acc.Data() {
+				if v != 1 {
+					t.Fatalf("%v under byte %d wrote dst[%d] = %v", sc.s, r.b, i, v)
+				}
 			}
 		}
 	}

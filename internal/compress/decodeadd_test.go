@@ -30,7 +30,6 @@ func addTestCases() []struct {
 		{"MQE 1-bit int", SchemeMQE1Bit, Options{}},
 		{"25% sparsification", SchemeTopK, Options{Fraction: 0.25, Seed: 9}},
 		{"2 local steps", SchemeLocalSteps, Options{Interval: 2}},
-		{"round-robin", SchemeRoundRobin, Options{Parts: 3}},
 		{"packed float32", SchemePacked32, Options{}},
 	}
 }

@@ -28,6 +28,8 @@ func FuzzDecompressInto(f *testing.F) {
 	f.Add([]byte{byte(schemeRetiredEntropy)})
 	f.Add(append([]byte{byte(schemeRetiredEntropy), 0}, newContext(SchemeThreeLC, shape, Options{Sparsity: 1.5, ZeroRun: true}).Compress(in)...))
 	f.Add([]byte{byte(schemeRetiredEntropy), 1, 0xff, 0x01})
+	// The retired round-robin byte over its old top-k bitmap layout.
+	f.Add(append([]byte{byte(schemeRetiredRoundRobin)}, newContext(SchemeTopK, shape, Options{Fraction: 0.3, Seed: 1}).Compress(in)[1:]...))
 	// The ternary flags byte: the retired capped spelling, unknown bits,
 	// and — under the live value — long-run tokens cut short, overlong,
 	// overflowing and overrunning (52 groups: 257 elements).

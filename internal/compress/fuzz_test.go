@@ -22,7 +22,6 @@ var fuzzSchemes = []struct {
 	{SchemeMQE1Bit, Options{}},
 	{SchemeTopK, Options{Fraction: 0.3, Seed: 1}},
 	{SchemeLocalSteps, Options{Interval: 1}},
-	{SchemeRoundRobin, Options{Parts: 3}},
 	// The exempt tensor of a compressing design (newContext's NewExempt).
 	{SchemePacked32, Options{}},
 }

@@ -148,22 +148,3 @@ func (c *localStepsCompressor) RestoreState(src []byte) error {
 	c.step = int(le.Uint64(rest))
 	return nil
 }
-
-// Round-robin exchange: accumulated unsent partitions plus the cycle
-// position.
-func (c *roundRobinCompressor) AppendState(dst []byte) []byte {
-	dst = kernel.AppendRaw(dst, c.acc.Buffer().Data())
-	return appendU64(dst, uint64(c.rr.Step()))
-}
-
-func (c *roundRobinCompressor) RestoreState(src []byte) error {
-	if len(src) != 4*c.n+8 {
-		return fmt.Errorf("compress: round-robin state %d bytes, want %d", len(src), 4*c.n+8)
-	}
-	rest, err := restoreF32s(src, c.acc.Buffer().Data())
-	if err != nil {
-		return err
-	}
-	c.rr.SetStep(int(le.Uint64(rest)))
-	return nil
-}

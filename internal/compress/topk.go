@@ -80,8 +80,7 @@ func (c *topKCompressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
 	return appendSelection(dst, byte(SchemeTopK), &c.sel)
 }
 
-// appendSelection appends the bitmap wire layout shared by the top-k and
-// round-robin schemes.
+// appendSelection appends the top-k scheme's bitmap wire layout.
 func appendSelection(dst []byte, scheme byte, sel *sparse.Selection) []byte {
 	dst = append(dst, scheme)
 	dst = append(dst, sel.Mask.Bytes()...)

@@ -21,7 +21,6 @@ var designs = []struct {
 	{"onebit", compress.SchemeMQE1Bit, compress.Options{}},
 	{"topk", compress.SchemeTopK, compress.Options{Fraction: 0.25, Seed: 9}},
 	{"localsteps", compress.SchemeLocalSteps, compress.Options{Interval: 2}},
-	{"roundrobin", compress.SchemeRoundRobin, compress.Options{Parts: 2}},
 }
 
 // TestAllSchemesBitIdenticalAcrossKernelTiers is the dispatch-registry

@@ -2,15 +2,14 @@
 // delays with deterministic, seeded jitter.
 //
 // Every retry loop in the tree — the transport tier's resilient reconnect
-// path, the shard service's straggler re-enqueue, the chaos soak's
-// recovery budget — shares this one Policy so schedules are tuned in a
-// single place and, critically, are reproducible: the jitter for a given
-// (seed, attempt) pair is a pure function, not a rand.Rand draw, so a
-// failed run can be replayed decision-for-decision. Distinct retry
-// streams (per shard, per worker) decorrelate by deriving
-// their seed with Stream, which keeps independent loops from
-// synchronizing their retries into load spikes — the thundering-herd
-// failure mode of bare doubling schedules.
+// path, the chaos soak's recovery budget — shares this one Policy so
+// schedules are tuned in a single place and, critically, are
+// reproducible: the jitter for a given (seed, attempt) pair is a pure
+// function, not a rand.Rand draw, so a failed run can be replayed
+// decision-for-decision. Distinct retry streams (per shard, per worker)
+// decorrelate by deriving their seed with Stream, which keeps independent
+// loops from synchronizing their retries into load spikes — the
+// thundering-herd failure mode of bare doubling schedules.
 //
 //3lc:det
 package retry

@@ -18,9 +18,8 @@
 //     zero-allocation codec pool of package ps — per tensor, the fused
 //     two-pass compress / one-pass LUT decode kernels of internal/kernel —
 //     behind a bounded request queue serviced by its own goroutine, and
-//     the push/pull driver pipelines requests to all shards with an
-//     in-flight window, per-shard outstanding budgets, and
-//     straggler-aware timeout+retry. Because each shard owns a disjoint
+//     the push/pull driver pipelines requests to all shards, blocking on
+//     a shard whose queue is full. Because each shard owns a disjoint
 //     tensor subset, shard goroutines multiply with the kernels'
 //     pass-level fan-out; ps.Config.Parallelism bounds the product per
 //     shard exactly as on a single server.

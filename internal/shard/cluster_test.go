@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -30,7 +29,6 @@ var allCodecs = []struct {
 	{"mqe1bit", compress.SchemeMQE1Bit, compress.Options{}},
 	{"topk", compress.SchemeTopK, compress.Options{Fraction: 0.3, Seed: 9}},
 	{"localsteps", compress.SchemeLocalSteps, compress.Options{Interval: 2}},
-	{"roundrobin", compress.SchemeRoundRobin, compress.Options{Parts: 3}},
 }
 
 func TestAllCodecsCoverRegistry(t *testing.T) {
@@ -102,8 +100,15 @@ func packedWires(pullLog [][][]byte) (n int) {
 func runPS(t *testing.T, cfg ps.Config, steps, workers int,
 	mkServer func(global *nn.Model) stepServer) ([][][]byte, []float32) {
 	t.Helper()
+	return runPSHidden(t, cfg, steps, workers, []int{16, 10}, mkServer)
+}
+
+// runPSHidden is runPS on an MLP with the given hidden layer widths.
+func runPSHidden(t *testing.T, cfg ps.Config, steps, workers int, hidden []int,
+	mkServer func(global *nn.Model) stepServer) ([][][]byte, []float32) {
+	t.Helper()
 	const in, classes, batch = 12, 4, 6
-	build := func() *nn.Model { return nn.NewMLP(in, []int{16, 10}, classes, 7) }
+	build := func() *nn.Model { return nn.NewMLP(in, hidden, classes, 7) }
 	global := build()
 	srv := mkServer(global)
 
@@ -232,47 +237,76 @@ func (p perTensorSession) Set(wires [][]byte) error {
 // TestClusterPerTensorPushEquivalent pins the per-tensor streamed
 // ingestion against the whole-set AddPush driver: byte-identical pull
 // wires every step and bit-identical final weights, across shard counts.
+// The deep row puts more per-tensor requests on each shard per step than
+// its queue holds, so the driver's sends block on a full queue (always at
+// GOMAXPROCS=1, where the shards run only once the driver blocks):
+// backpressure may delay a step, never change its state.
 func TestClusterPerTensorPushEquivalent(t *testing.T) {
 	const steps, workers = 4, 3
+	deep := make([]int, 12) // 50 tensors: 12 x (fc W, b, bn gamma, beta) + head
+	for i := range deep {
+		deep[i] = 16
+	}
+	type row struct {
+		codec, shards int // codec indexes allCodecs
+		hidden        []int
+		full          bool // each shard takes more requests a step than its queue holds
+	}
+	var rows []row
 	for _, codec := range []int{0, 2} { // float32 and 3lc from allCodecs
-		c := allCodecs[codec]
 		for _, shards := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%s/shards=%d", c.name, shards), func(t *testing.T) {
-				cfg := ps.Config{
-					Scheme:           c.s,
-					Opts:             c.o,
-					Workers:          workers,
-					MinCompressElems: 1,
-					Parallelism:      1,
-					Optimizer:        opt.DefaultSGDConfig(workers, steps),
-				}
-				var wholeCl *JobHandle
-				wholePulls, wholeW := runPS(t, cfg, steps, workers, func(g *nn.Model) stepServer {
-					wholeCl = mustCluster(t, g, cfg, Config{Shards: shards})
-					return wholeCl
-				})
-				defer wholeCl.Close()
-				var streamCl *JobHandle
-				streamPulls, streamW := runPS(t, cfg, steps, workers, func(g *nn.Model) stepServer {
-					streamCl = mustCluster(t, g, cfg, Config{Shards: shards})
-					return tensorStreamAdapter{streamCl}
-				})
-				defer streamCl.Close()
-
-				for s := range wholePulls {
-					for i := range wholePulls[s] {
-						if !bytes.Equal(wholePulls[s][i], streamPulls[s][i]) {
-							t.Fatalf("step %d tensor %d: pull wires differ", s, i)
-						}
-					}
-				}
-				for i := range wholeW {
-					if wholeW[i] != streamW[i] {
-						t.Fatalf("final weight %d differs: %v vs %v", i, wholeW[i], streamW[i])
-					}
-				}
-			})
+			rows = append(rows, row{codec, shards, []int{16, 10}, false})
 		}
+	}
+	rows = append(rows, row{2, 2, deep, true})
+	for _, r := range rows {
+		c := allCodecs[r.codec]
+		name := fmt.Sprintf("%s/shards=%d", c.name, r.shards)
+		if r.full {
+			name += "/queue-full"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := ps.Config{
+				Scheme:           c.s,
+				Opts:             c.o,
+				Workers:          workers,
+				MinCompressElems: 1,
+				Parallelism:      1,
+				Optimizer:        opt.DefaultSGDConfig(workers, steps),
+			}
+			var wholeCl *JobHandle
+			wholePulls, wholeW := runPSHidden(t, cfg, steps, workers, r.hidden, func(g *nn.Model) stepServer {
+				wholeCl = mustCluster(t, g, cfg, Config{Shards: r.shards})
+				return wholeCl
+			})
+			defer wholeCl.Close()
+			var streamCl *JobHandle
+			streamPulls, streamW := runPSHidden(t, cfg, steps, workers, r.hidden, func(g *nn.Model) stepServer {
+				streamCl = mustCluster(t, g, cfg, Config{Shards: r.shards})
+				return tensorStreamAdapter{streamCl}
+			})
+			defer streamCl.Close()
+			if r.full {
+				for sh := 0; sh < r.shards; sh++ {
+					if n := workers * len(streamCl.idxs[sh]); n <= queueDepth {
+						t.Fatalf("shard %d takes %d per-tensor requests a step, want more than its queue's %d", sh, n, queueDepth)
+					}
+				}
+			}
+
+			for s := range wholePulls {
+				for i := range wholePulls[s] {
+					if !bytes.Equal(wholePulls[s][i], streamPulls[s][i]) {
+						t.Fatalf("step %d tensor %d: pull wires differ", s, i)
+					}
+				}
+			}
+			for i := range wholeW {
+				if wholeW[i] != streamW[i] {
+					t.Fatalf("final weight %d differs: %v vs %v", i, wholeW[i], streamW[i])
+				}
+			}
+		})
 	}
 }
 
@@ -301,97 +335,11 @@ func TestClusterMoreShardsThanTensors(t *testing.T) {
 	}
 }
 
-// TestClusterStragglerRetryRecovers injects a per-step delay into one
-// shard so the enqueue path hits the timeout+retry logic, and checks the
-// run still completes with state identical to an undelayed single server —
-// retries and dedupe must not perturb accumulation order.
-func TestClusterStragglerRetryRecovers(t *testing.T) {
-	cfg := ps.Config{
-		Scheme:           compress.SchemeInt8,
-		Workers:          3,
-		MinCompressElems: 1,
-		Parallelism:      1,
-		Optimizer:        opt.DefaultSGDConfig(3, 3),
-	}
-	_, singleW := runPS(t, cfg, 3, 3, func(g *nn.Model) stepServer { return ps.NewJob(g, cfg) })
-	var cl *JobHandle
-	_, shardW := runPS(t, cfg, 3, 3, func(g *nn.Model) stepServer {
-		cl = mustCluster(t, g, cfg, Config{
-			Shards:     2,
-			QueueDepth: 1,
-			Timeout:    2 * time.Millisecond,
-			Retries:    10,
-			SlowShard: func(shard, step int) {
-				if shard == 1 {
-					time.Sleep(15 * time.Millisecond)
-				}
-			},
-		})
-		return cl
-	})
-	defer cl.Close()
-	for i := range singleW {
-		if singleW[i] != shardW[i] {
-			t.Fatalf("weight %d differs under straggler retries: %v vs %v", i, singleW[i], shardW[i])
-		}
-	}
-}
-
-// TestClusterStragglerExceedsRetryBudget pins the failure mode: a shard
-// wedged for longer than the whole retry schedule turns into an error, not
-// a hang.
-func TestClusterStragglerExceedsRetryBudget(t *testing.T) {
-	cfg := ps.Config{
-		Scheme:           compress.SchemeInt8,
-		Workers:          2,
-		MinCompressElems: 1,
-		Parallelism:      1,
-		Optimizer:        opt.DefaultSGDConfig(2, 1),
-	}
-	global := nn.NewMLP(12, []int{16, 10}, 4, 7)
-	cl := mustCluster(t, global, cfg, Config{
-		Shards:     2,
-		QueueDepth: 1,
-		Timeout:    time.Millisecond,
-		Retries:    1,
-		SlowShard: func(shard, step int) {
-			if shard == 1 {
-				time.Sleep(200 * time.Millisecond)
-			}
-		},
-	})
-	defer cl.Close()
-
-	m := nn.NewMLP(12, []int{16, 10}, 4, 7)
-	m.CopyParamsFrom(global)
-	wk := ps.NewWorker(0, m, cfg)
-	rng := tensor.NewRNG(3)
-	x := tensor.New(6, 12)
-	tensor.FillNormal(x, 1, rng)
-	wk.Model.TrainStep(x, []int{0, 1, 2, 3, 0, 1})
-	wires, _ := wk.CompressGrads()
-
-	cl.BeginStep()
-	var firstErr error
-	for w := 0; w < 4 && firstErr == nil; w++ {
-		firstErr = addPush(cl, 0, wires)
-	}
-	if firstErr == nil {
-		_, _, firstErr = cl.FinishStep()
-	}
-	if firstErr == nil {
-		t.Fatal("wedged shard did not surface an error")
-	}
-	if !strings.Contains(firstErr.Error(), "straggler") {
-		t.Fatalf("error %q does not identify the straggler path", firstErr)
-	}
-}
-
 // TestClusterThroughputScalesWithShards measures aggregate push/pull
 // round-trip throughput at 1 vs 4 shards with each shard pinned to a
 // serial codec (modelling one single-core PS node per shard). Gated on
 // GOMAXPROCS>=4: on smaller hosts sharding cannot add CPU and the test
-// skips (the -exp shard bench prints the same measurement for eyeballing).
+// skips.
 func TestClusterThroughputScalesWithShards(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 4 {
 		t.Skipf("GOMAXPROCS=%d < 4: shard scaling needs spare cores", runtime.GOMAXPROCS(0))

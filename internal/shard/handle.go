@@ -12,7 +12,6 @@ import (
 
 	"threelc/internal/nn"
 	"threelc/internal/ps"
-	"threelc/internal/retry"
 )
 
 // NewCluster builds a sharded tier over model and returns its driver,
@@ -27,28 +26,12 @@ func NewCluster(model *nn.Model, psCfg ps.Config, cfg Config) (*JobHandle, error
 	params := model.Params()
 	asn := ForModel(model, cfg.Shards)
 	h := &JobHandle{
-		cfg:   cfg,
 		asn:   asn,
 		param: len(params),
 		idxs:  make([][]int, cfg.Shards),
 		local: make([]int, len(params)),
 		pull:  make([][]byte, len(params)),
 		dones: make([]chan result, cfg.Shards),
-		errs:  make([]error, cfg.Shards),
-		pols:  make([]retry.Policy, cfg.Shards),
-	}
-	// The straggler backoff schedule: the same ladder the old bare
-	// doubling produced (base = enqueue timeout, 2x growth), but expressed
-	// as a retry.Policy so the delays carry deterministic seeded jitter —
-	// every shard draws a decorrelated stream, which keeps the driver from
-	// re-attempting several straggling shards in lockstep.
-	base := retry.Policy{
-		MaxAttempts: cfg.retries() + 1,
-		Base:        cfg.timeout(),
-		Cap:         cfg.timeout() << uint(cfg.retries()),
-		Multiplier:  2,
-		Jitter:      cfg.retryJitter(),
-		Seed:        cfg.RetrySeed,
 	}
 	for sh := 0; sh < cfg.Shards; sh++ {
 		idx := asn.Tensors(sh)
@@ -59,13 +42,10 @@ func NewCluster(model *nn.Model, psCfg ps.Config, cfg Config) (*JobHandle, error
 			sub[k] = params[gi]
 		}
 		h.dones[sh] = make(chan result, 1)
-		h.pols[sh] = base.Stream(uint64(sh))
 		n := &snode{
 			id:   sh,
-			slow: cfg.SlowShard,
-			brk:  breaker{threshold: cfg.breakerThreshold(), cooldown: cfg.breakerCooldown()},
 			job:  ps.NewSubJob(sub, idx, psCfg),
-			reqs: make(chan request, cfg.queueDepth()),
+			reqs: make(chan request, queueDepth),
 		}
 		n.subs.New = func() any {
 			b := make([][]byte, len(idx))
@@ -98,8 +78,6 @@ func NewCluster(model *nn.Model, psCfg ps.Config, cfg Config) (*JobHandle, error
 // the goroutine that drains the queue in FIFO order.
 type snode struct {
 	id   int
-	slow func(shard, step int)
-	brk  breaker // the shard's failure detector
 	job  *ps.Job
 	reqs chan request
 	subs sync.Pool // *[][]byte scratch for split wire sets
@@ -126,9 +104,6 @@ func (n *snode) run() {
 func (n *snode) serve(req request) {
 	switch req.kind {
 	case reqBegin:
-		if n.slow != nil {
-			n.slow(n.id, req.step)
-		}
 		n.step = req.step
 		n.decodeDur = 0
 		n.err = nil
@@ -240,23 +215,19 @@ func (n *snode) finish(req request) result {
 // its queue FIFO, so per-tensor gradient accumulation happens in exactly
 // the order the single server uses — the sharded model state is
 // byte-identical to the single-PS state for every codec (the equivalence
-// tests pin this). The straggler retry in send() only re-attempts
-// enqueues that did NOT succeed, so every request reaches its shard at
-// most once and in driver order; retries can delay a step but never
-// reorder or duplicate work within it.
+// tests pin this). A full queue blocks the driver's send until the shard
+// drains a request: backpressure can delay a step but never reorder or
+// drop work within it.
 //
 // Like ps.Job, a handle's driver methods are not safe for concurrent use;
 // the concurrency lives behind the queues.
 type JobHandle struct {
-	cfg   Config
 	asn   Assignment
 	nodes []*snode
-	param int            // full-model tensor count
-	idxs  [][]int        // per-shard owned tensor indices (asn.Tensors, precomputed)
-	local []int          // global tensor index -> shard-local index
-	pols  []retry.Policy // per-shard straggler backoff, decorrelated per shard
-	dones []chan result  // recycled FinishStep barrier channels
-	errs  []error        // recycled broadcast per-shard error scratch
+	param int           // full-model tensor count
+	idxs  [][]int       // per-shard owned tensor indices (asn.Tensors, precomputed)
+	local []int         // global tensor index -> shard-local index
+	dones []chan result // recycled FinishStep barrier channels
 
 	// Persistent request builders (see NewCluster) and the driver-owned
 	// fields they read.
@@ -285,71 +256,25 @@ func (h *JobHandle) Close() error {
 	return nil
 }
 
-// send enqueues req on shard sh with the straggler timeout+retry policy:
-// each timed wait follows the shard's retry.Policy (capped exponential
-// growth with deterministic decorrelated jitter), so a shard that is
-// merely slow gets absorbed while a wedged one turns into an error after
-// the retry budget. The shard's circuit breaker short-circuits the whole
-// ladder once the shard is presumed down — every subsequent send fails
-// fast with ErrShardDown instead of adding its full timeout ladder to the
-// step barrier's latency.
-func (h *JobHandle) send(sh int, req request) error {
-	n := h.nodes[sh]
-	if !n.brk.allow() {
-		return fmt.Errorf("shard: shard %d rejected a request: %w", sh, ErrShardDown)
-	}
-	for attempt := 0; ; attempt++ {
-		select {
-		case n.reqs <- req:
-			n.brk.success()
-			return nil
-		default:
-		}
-		if attempt >= h.cfg.retries() {
-			n.brk.failure()
-			return fmt.Errorf("shard: shard %d queue full after %d attempts (straggler exceeded retry budget)",
-				sh, attempt+1)
-		}
-		t := time.NewTimer(h.pols[sh].Backoff(attempt))
-		select {
-		case n.reqs <- req:
-			t.Stop()
-			n.brk.success()
-			return nil
-		case <-t.C:
-		}
-	}
+// send enqueues req on shard sh, blocking while the shard's queue is
+// full. A shard is a goroutine draining its queue, so the wait is bounded
+// by the requests already queued ahead of req.
+func (h *JobHandle) send(sh int, req request) {
+	h.nodes[sh].reqs <- req
 }
 
-// broadcast sends one request per shard (built by mk), all shards at
-// once, collecting the errors. The single-shard tier skips the goroutine
-// fan-out entirely — the pipeline costs one channel send when only one
-// shard exists.
-func (h *JobHandle) broadcast(mk func(sh int) request) error {
-	if len(h.nodes) == 1 {
-		h.errs[0] = h.send(0, mk(0))
-		return h.errs[0]
-	}
-	var wg sync.WaitGroup
+// broadcast sends one request per shard (built by mk), in shard order.
+func (h *JobHandle) broadcast(mk func(sh int) request) {
 	for sh := range h.nodes {
-		wg.Add(1)
-		go func(sh int) {
-			defer wg.Done()
-			h.errs[sh] = h.send(sh, mk(sh))
-		}(sh)
+		h.send(sh, mk(sh))
 	}
-	wg.Wait()
-	return errors.Join(h.errs...)
 }
 
 // BeginStep starts a new training step on every shard (asynchronously).
-// A shard that cannot accept its begin request fails the step at the
-// FinishStep barrier; this method stays error-free to keep the driver
-// shape.
 func (h *JobHandle) BeginStep() {
 	h.step++
 	h.began = true
-	_ = h.broadcast(h.mkBegin)
+	h.broadcast(h.mkBegin)
 }
 
 // BeginPush opens workerID's push session for the current step: the
@@ -385,7 +310,7 @@ func (se *handleSession) End() error {
 
 // addPush splits one worker's full-model wire set by placement and
 // enqueues the per-shard sub-pushes, pipelined across shards. It returns
-// as soon as every shard has accepted its sub-request — decode work
+// as soon as every shard's queue holds its sub-request — decode work
 // overlaps with the caller's next push. The wires must stay valid until
 // FinishStep returns: sub-requests alias them. Decode errors surface at
 // FinishStep.
@@ -397,7 +322,8 @@ func (h *JobHandle) addPush(workerID int, wires [][]byte) error {
 		return fmt.Errorf("shard: push before BeginStep")
 	}
 	h.curWorker, h.curWires = workerID, wires
-	return h.broadcast(h.mkPush)
+	h.broadcast(h.mkPush)
+	return nil
 }
 
 // addPushTensor routes a single tensor of workerID's push to the shard
@@ -413,8 +339,8 @@ func (h *JobHandle) addPushTensor(workerID, gi int, wire []byte) error {
 	if !h.began {
 		return fmt.Errorf("shard: push tensor before BeginStep")
 	}
-	sh := h.asn.ShardOf[gi]
-	return h.send(sh, request{kind: reqPushTensor, step: h.step, worker: workerID, tensor: h.local[gi], wire: wire})
+	h.send(h.asn.ShardOf[gi], request{kind: reqPushTensor, step: h.step, worker: workerID, tensor: h.local[gi], wire: wire})
+	return nil
 }
 
 // endPush marks workerID's per-tensor push complete on every shard (each
@@ -424,7 +350,8 @@ func (h *JobHandle) endPush(workerID int) error {
 		return fmt.Errorf("shard: push end before BeginStep")
 	}
 	h.curWorker = workerID
-	return h.broadcast(h.mkEnd)
+	h.broadcast(h.mkEnd)
+	return nil
 }
 
 // FinishStep is the step barrier: every shard drains its queue, averages
@@ -439,17 +366,7 @@ func (h *JobHandle) FinishStep() ([][]byte, time.Duration, error) {
 		return nil, 0, fmt.Errorf("shard: FinishStep before BeginStep")
 	}
 	h.began = false
-	err := h.broadcast(h.mkFinish)
-	if err != nil {
-		// Drain the shards whose finish DID enqueue so the recycled
-		// barrier channels stay empty for the next step.
-		for sh, done := range h.dones {
-			if h.errs[sh] == nil {
-				<-done
-			}
-		}
-		return nil, 0, err
-	}
+	h.broadcast(h.mkFinish)
 	var critical time.Duration
 	var errs []error // nil in the steady state: allocated only on failure
 	for i := range h.pull {

@@ -1,9 +1,11 @@
 package train
 
 import (
+	"encoding/hex"
 	"errors"
 	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -22,7 +24,6 @@ func allDesigns() []Design {
 		{Name: "MQE 1-bit int", Scheme: compress.SchemeMQE1Bit},
 		{Name: "25% sparsification", Scheme: compress.SchemeTopK, Opts: compress.Options{Fraction: 0.25, Seed: 5}},
 		{Name: "2 local steps", Scheme: compress.SchemeLocalSteps, Opts: compress.Options{Interval: 2}},
-		{Name: "round-robin exchange", Scheme: compress.SchemeRoundRobin, Opts: compress.Options{Parts: 4}},
 	}
 }
 
@@ -183,7 +184,7 @@ func TestResumeRefusesRetiredStateVersion(t *testing.T) {
 	meta = tle.AppendUint64(meta, math.Float64bits(opts.Sparsity))
 	meta = tle.AppendUint64(meta, math.Float64bits(opts.Fraction))
 	meta = tle.AppendUint32(meta, uint32(opts.Interval))
-	meta = tle.AppendUint32(meta, uint32(opts.Parts))
+	meta = tle.AppendUint32(meta, 0)
 	meta = append(meta, 1) // zero-run
 	meta = tle.AppendUint64(meta, opts.Seed)
 	meta = tle.AppendUint64(meta, 0)
@@ -196,6 +197,33 @@ func TestResumeRefusesRetiredStateVersion(t *testing.T) {
 	cfg.CheckpointPath, cfg.CheckpointEvery, cfg.ResumeFrom = "", 0, path
 	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "version 1") {
 		t.Fatalf("resume from a version-1 checkpoint: got %v, want a refusal naming version 1", err)
+	}
+}
+
+// TestStateMetaLayoutPinned: the version-2 meta section keeps its layout
+// with the retired round-robin partition count's slot (meta[57:61])
+// reserved. A fingerprint encodes to the bytes existing checkpoints hold,
+// reads back unchanged, and a nonzero reserved slot is ignored.
+func TestStateMetaLayoutPinned(t *testing.T) {
+	info := StateInfo{Step: 6, Workers: 3, Shards: 2, Scheme: compress.SchemeThreeLC, Steps: 12, Seed: 42, BatchPerWorker: 8,
+		Opts: compress.Options{Sparsity: 1.75, Fraction: 0.25, Interval: 2, ZeroRun: true, Seed: 9}}
+	const want = "0200000006000000000000000300000002000000020c0000002a000000000000000800000000000000" +
+		"0000fc3f000000000000d03f0200000000000000010900000000000000"
+	meta := info.appendMeta(nil)
+	if got := hex.EncodeToString(meta); got != want || len(meta) != metaLen {
+		t.Fatalf("meta section %s (%d bytes), want %s (%d bytes)", got, len(meta), want, metaLen)
+	}
+	for _, reserved := range []uint32{0, 4} {
+		tle.PutUint32(meta[57:], reserved)
+		st := checkpoint.NewState()
+		st.Add("meta", meta)
+		got, err := ReadStateInfo(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, info) {
+			t.Fatalf("reserved slot %d: read %+v, want %+v", reserved, got, info)
+		}
 	}
 }
 

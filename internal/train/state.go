@@ -130,7 +130,7 @@ type StateInfo struct {
 	Seed           uint64
 	BatchPerWorker int
 	// Opts is the codec configuration (sparsity, fraction, interval,
-	// parts, zero-run flag, stochastic seed) the run used — any of these
+	// zero-run flag, stochastic seed) the run used — any of these
 	// change the trajectory, so all are fingerprinted.
 	Opts compress.Options
 }
@@ -165,7 +165,7 @@ func (info StateInfo) appendMeta(meta []byte) []byte {
 	meta = tle.AppendUint64(meta, math.Float64bits(info.Opts.Sparsity))
 	meta = tle.AppendUint64(meta, math.Float64bits(info.Opts.Fraction))
 	meta = tle.AppendUint32(meta, uint32(info.Opts.Interval))
-	meta = tle.AppendUint32(meta, uint32(info.Opts.Parts))
+	meta = tle.AppendUint32(meta, 0) // reserved: the retired round-robin scheme's partition count
 	if info.Opts.ZeroRun {
 		meta = append(meta, 1)
 	} else {
@@ -206,9 +206,9 @@ func ReadStateInfo(st *checkpoint.State) (StateInfo, error) {
 			Sparsity: math.Float64frombits(tle.Uint64(meta[37:])),
 			Fraction: math.Float64frombits(tle.Uint64(meta[45:])),
 			Interval: int(tle.Uint32(meta[53:])),
-			Parts:    int(tle.Uint32(meta[57:])),
-			ZeroRun:  meta[61] == 1,
-			Seed:     tle.Uint64(meta[62:]),
+			// meta[57:61] is the reserved slot, ignored.
+			ZeroRun: meta[61] == 1,
+			Seed:    tle.Uint64(meta[62:]),
 		},
 	}, nil
 }

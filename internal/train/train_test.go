@@ -244,25 +244,6 @@ func TestLocalStepsHalvesTraffic(t *testing.T) {
 	}
 }
 
-func TestRoundRobinSchemeTrains(t *testing.T) {
-	r, err := Run(tinyConfig(Design{
-		Name:   "round-robin 1/4",
-		Scheme: compress.SchemeRoundRobin,
-		Opts:   compress.Options{Parts: 4},
-	}, 30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.FinalAccuracy < 0.3 {
-		t.Errorf("round-robin training collapsed: accuracy %v", r.FinalAccuracy)
-	}
-	// Quarter of the elements plus bitmap overhead: ratio should land
-	// between 2x and 4x.
-	if ratio := r.CompressionRatio(); ratio < 2 || ratio > 4.5 {
-		t.Errorf("round-robin ratio %v, want ~3.5", ratio)
-	}
-}
-
 func TestSparsityIncreasesCompression(t *testing.T) {
 	mk := func(s float64) *Result {
 		r, err := Run(tinyConfig(Design{

@@ -9,9 +9,9 @@ import (
 )
 
 // RetryPolicy is the transport tier's retry/backoff schedule: capped
-// exponential delays with deterministic seeded jitter, shared with the
-// shard service's straggler path through internal/retry so every retry
-// loop in the tree is tuned (and reproduced) in one place. The zero
+// exponential delays with deterministic seeded jitter, shared through
+// internal/retry so every retry loop in the tree is tuned (and
+// reproduced) in one place. The zero
 // value is a sane default; see retry.Policy for the knobs.
 type RetryPolicy = retry.Policy
 

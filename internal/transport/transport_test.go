@@ -232,7 +232,6 @@ func TestTCPAllCodecsMatchInProcess(t *testing.T) {
 		{"mqe1bit", compress.SchemeMQE1Bit, compress.Options{}},
 		{"topk", compress.SchemeTopK, compress.Options{Fraction: 0.3, Seed: 9}},
 		{"localsteps", compress.SchemeLocalSteps, compress.Options{Interval: 2}},
-		{"roundrobin", compress.SchemeRoundRobin, compress.Options{Parts: 3}},
 	}
 	covered := map[compress.Scheme]bool{}
 	for _, c := range codecs {
