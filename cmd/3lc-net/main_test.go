@@ -109,7 +109,6 @@ func dialedMatchesInProcess(t *testing.T, workers int) {
 			t.Fatal(err)
 		}
 		cfg := o.job(o.design, 1000, 300, 1)
-		cfg.RecordSteps = true
 		var global *nn.Model
 		cfg.Tier = func(g *nn.Model, psCfg ps.Config) (ps.Tier, error) {
 			global = g
@@ -133,7 +132,6 @@ func dialedMatchesInProcess(t *testing.T, workers int) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg.RecordSteps = true
 				res, err := train.Run(cfg)
 				if err != nil {
 					t.Fatal(err)

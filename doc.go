@@ -24,15 +24,13 @@
 // Aggregation — the server summing every worker's push — runs on the
 // fused decode-accumulate kernels: one LUT-driven pass per payload
 // streams wire bytes and adds M·q directly into the gradient sum, with
-// no intermediate decode tensor (DecodeTernaryAdd; the range-partitioned
-// DecodeTernaryAddParallel shards the sweep across all workers' payloads
-// with deterministic, byte-identical sums). Payloads are validated by a
-// wire-byte pre-scan before the first element is touched, so a malformed
-// push can never corrupt live aggregation state. The gradient sum is
-// never zeroed: a per-block liveness record (kernel.LiveBlocks, reset in
-// O(1) each step) marks the blocks a push reached, a block is cleared when
-// the step's first literal group lands in it, and the rest read as +0. On
-// the server the whole step is fused end to end: the optimizer update
+// no intermediate decode tensor (DecodeTernaryAdd). Payloads are
+// validated by a wire-byte pre-scan before the first element is touched,
+// so a malformed push can never corrupt live aggregation state. The
+// gradient sum is never zeroed: a per-block liveness record
+// (kernel.LiveBlocks, reset in O(1) each step) marks the blocks a push
+// reached, a block is cleared when the step's first literal group lands in
+// it, and the rest read as +0. On the server the whole step is fused end to end: the optimizer update
 // writes each model delta straight into the pull compressor's
 // error-accumulation buffer while reducing max|acc| in the same sweep
 // (opt.ApplyFusedStepLive + compress.PreAccumulator), reading the gradient
@@ -79,31 +77,26 @@
 // digits) expanded per wire scale M into byte → 5 scaled float32 values;
 // the per-M expansion costs 243·5 multiplies, so tensors below ~4k
 // elements decode through the int8 table with an inline multiply instead,
-// and the expanded tables are pooled with the last M cached. Pass 1 records
+// and the expanded tables are recycled with the last M cached. Pass 1 records
 // each 1 280-element block's max|buf| (kernel.BlockMax) and pass 2 skips
 // every block whose max is under the quantizer threshold, so where
 // non-zero digits cluster — a large layer's gradients and deltas — the
-// encode reads only the few blocks that can quantize. Both compress passes
-// shard across cores over block-aligned spans with byte-identical output
-// (the max reduced from the index; a fused encode per span with a zero-run
-// stitch-up), scheduled work-proportionally: each pass sizes its fan-out
-// to the elements it sweeps (kernel.PassWorkers). The staged primitives in
-// internal/quant and internal/encode remain the bit-identical reference,
-// pinned by differential tests and FuzzFusedVsStaged. In steady state a
-// full push/pull codec round trip performs zero heap allocations (see the
-// -benchmem benchmarks in internal/compress, internal/kernel, and
-// internal/ps).
+// encode reads only the few blocks that can quantize. Every kernel runs on
+// the calling goroutine: a node's parallelism is its per-tensor pool
+// (ps.Config.Parallelism), never a tensor split across cores. The staged
+// primitives in internal/quant and internal/encode remain the
+// bit-identical reference, pinned by differential tests and
+// FuzzFusedVsStaged. In steady state a full push/pull codec round trip
+// performs zero heap allocations at any GOMAXPROCS (see the -benchmem
+// benchmarks in internal/compress, internal/kernel, and internal/ps).
 //
 // The implementation lives under internal/:
 //
 //	internal/kernel      fused single-pass hot-path kernels: two-pass
 //	                     compress (AccumulateMaxAbs + EncodeTernary),
 //	                     one-pass LUT decode (DecodeTernary), one-pass
-//	                     decode-accumulate (DecodeTernaryAdd + the
-//	                     range-partitioned multi-payload parallel form,
-//	                     into a sum a LiveBlocks record may track),
-//	                     chunked parallel forms, pass-count-aware
-//	                     scheduling
+//	                     decode-accumulate (DecodeTernaryAdd, into a sum
+//	                     a LiveBlocks record may track), pass counting
 //	internal/quant       3-value quantization with sparsity multiplication,
 //	                     error accumulation, and the quantization baselines
 //	                     (staged reference for the fused kernels)
@@ -117,7 +110,7 @@
 //	internal/opt         momentum SGD + cosine decay + warmup
 //	internal/netsim      bandwidth-emulating virtual cluster
 //	internal/ps          parameter-server runtime (push/pull, shared pulls,
-//	                     recycled wire buffers, bounded parallel codecs,
+//	                     recycled wire buffers, a bounded per-tensor pool,
 //	                     param-subset sub-servers for sharding)
 //	internal/shard       sharded parameter-server tier: deterministic
 //	                     tensor→shard placement (size-balanced bin packing

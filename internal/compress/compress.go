@@ -124,15 +124,9 @@ type Options struct {
 	// Seed seeds the RNG used by stochastic quantization and threshold
 	// sampling.
 	Seed uint64
-	// CodecParallelism caps the per-pass goroutine fan-out of the fused
-	// kernels for large tensors (>= kernel.ParallelThresholdElems). The
-	// fan-out is work-proportional: each of the two fused compress passes
-	// asks kernel.PassWorkers for its own worker count, sized to the
-	// elements it sweeps, under this common cap. 0 means
-	// work-proportional up to GOMAXPROCS; 1 forces fully serial kernels
-	// (no goroutine spawns, the zero-allocation configuration). Callers
-	// that already fan out across tensors (package ps) pass their own
-	// budget down so nested parallelism stays bounded.
+	// CodecParallelism is ignored: every codec runs on the calling
+	// goroutine. It stays only because the benchmark module's probes set
+	// it; ROADMAP item 1A drops it.
 	CodecParallelism int
 }
 
@@ -208,22 +202,22 @@ func New(s Scheme, shape []int, opt Options) Compressor {
 	case SchemeNone:
 		return &noneCompressor{shape: shape, n: n}
 	case SchemeInt8:
-		return &int8Compressor{shape: shape, n: n, par: opt.CodecParallelism}
+		return &int8Compressor{shape: shape, n: n}
 	case SchemeThreeLC:
 		sp := opt.Sparsity
 		if sp == 0 {
 			sp = 1
 		}
-		return newThreeLCCompressor(shape, sp, opt.ZeroRun, opt.CodecParallelism)
+		return newThreeLCCompressor(shape, sp, opt.ZeroRun)
 	case SchemeStoch3QE:
-		return newStochCompressor(shape, opt.Seed, opt.CodecParallelism)
+		return newStochCompressor(shape, opt.Seed)
 	case SchemeMQE1Bit:
-		return newOneBitCompressor(shape, opt.CodecParallelism)
+		return newOneBitCompressor(shape)
 	case SchemeTopK:
 		if opt.Fraction <= 0 || opt.Fraction > 1 {
 			panic("compress: TopK needs Fraction in (0,1]")
 		}
-		return newTopKCompressor(shape, opt.Fraction, opt.Seed, opt.CodecParallelism)
+		return newTopKCompressor(shape, opt.Fraction, opt.Seed)
 	case SchemeLocalSteps:
 		k := opt.Interval
 		if k < 1 {

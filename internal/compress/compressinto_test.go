@@ -2,6 +2,8 @@ package compress
 
 import (
 	"bytes"
+	"math"
+	"runtime"
 	"testing"
 
 	"threelc/internal/tensor"
@@ -65,9 +67,8 @@ func TestCompressIntoPreservesPrefix(t *testing.T) {
 
 // TestCompressIntoSteadyStateAllocs is the zero-allocation guarantee of
 // the refactor, as a hard test rather than a benchmark eyeball: once
-// buffers converge, a compress+decompress step allocates nothing. Sizes
-// stay under the parallel-encode threshold — goroutine fan-out for huge
-// tensors legitimately allocates a few times per call.
+// buffers converge, a compress+decompress step allocates nothing, at any
+// tensor size and any GOMAXPROCS.
 func TestCompressIntoSteadyStateAllocs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -108,6 +109,47 @@ func TestCompressIntoSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
+	// A large 3LC tensor with cores to spare: the codec must not fan out.
+	// testing.AllocsPerRun pins GOMAXPROCS to 1, so this row counts the
+	// process's mallocs around its steps itself. The runtime mallocs on
+	// its own now and then (an OS thread for a woken P, its timer heap),
+	// so the row takes the best of three windows: a codec allocation
+	// recurs every step, in every window.
+	t.Run("3lc-1M-gomaxprocs4", func(t *testing.T) {
+		if raceDetector {
+			t.Skip("the race detector allocates on its own")
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+		const big, steps = 1 << 20, 20
+		ctx := New(SchemeThreeLC, []int{big}, Options{Sparsity: 1.75, ZeroRun: true})
+		in := tensor.New(big)
+		tensor.FillNormal(in, 0.01, tensor.NewRNG(5))
+		sum := tensor.New(big)
+		var buf []byte
+		step := func() {
+			buf = ctx.CompressInto(in, buf[:0])
+			if err := DecompressAddInto(buf, sum, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 10; i++ {
+			step()
+		}
+		best := uint64(math.MaxUint64)
+		for w := 0; w < 3 && best > 0; w++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < steps; i++ {
+				step()
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, after.Mallocs-before.Mallocs)
+		}
+		if best > 0 {
+			t.Errorf("steady-state compress+decompress-add of %d elements at GOMAXPROCS 4 allocates %.1f times/step, want 0",
+				big, float64(best)/steps)
+		}
+	})
 }
 
 // --- steady-state benchmarks (run with -benchmem) ---------------------------

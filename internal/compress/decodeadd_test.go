@@ -38,8 +38,7 @@ func addTestCases() []struct {
 // test: for every codec, accumulating wires with DecompressAddInto must
 // leave the accumulator byte-identical to DecompressInto-into-scratch
 // followed by Add — across multiple steps (error-accumulation state
-// advancing, including local-steps' empty wires) and both the serial and
-// kernel-parallel fan-outs.
+// advancing, including local-steps' empty wires).
 func TestDecompressAddMatchesDecodeThenAdd(t *testing.T) {
 	const n = 6007
 	for _, tc := range addTestCases() {
@@ -47,8 +46,7 @@ func TestDecompressAddMatchesDecodeThenAdd(t *testing.T) {
 			ctx := newContext(tc.s, []int{n}, tc.o)
 			scratch := tensor.New(n)
 			want := tensor.New(n)
-			gotSerial := tensor.New(n)
-			gotPar := tensor.New(n)
+			got := tensor.New(n)
 			for step := 0; step < 4; step++ {
 				in := randTensor(uint64(step)+31, n, 0.01)
 				wire := ctx.CompressInto(in, nil)
@@ -57,23 +55,15 @@ func TestDecompressAddMatchesDecodeThenAdd(t *testing.T) {
 					t.Fatal(err)
 				}
 				want.Add(scratch)
-				if err := DecompressAddInto(wire, gotSerial, 1); err != nil {
-					t.Fatal(err)
-				}
-				if err := DecompressAddInto(wire, gotPar, 4); err != nil {
+				if err := DecompressAddInto(wire, got, 1); err != nil {
 					t.Fatal(err)
 				}
 			}
 			wantBits := want.Data()
-			for i, v := range gotSerial.Data() {
+			for i, v := range got.Data() {
 				if math.Float32bits(v) != math.Float32bits(wantBits[i]) {
-					t.Fatalf("serial fused add differs at %d: %x vs %x",
+					t.Fatalf("fused add differs at %d: %x vs %x",
 						i, math.Float32bits(v), math.Float32bits(wantBits[i]))
-				}
-			}
-			for i, v := range gotPar.Data() {
-				if math.Float32bits(v) != math.Float32bits(wantBits[i]) {
-					t.Fatalf("parallel fused add differs at %d", i)
 				}
 			}
 		})
@@ -161,19 +151,13 @@ func TestDecompressAddPassCount(t *testing.T) {
 	}
 }
 
-// TestInt8FusedEncodeMatchesLegacy pins the chunked-parallel int8 encode
-// against the wire bytes the pre-kernel staged encoder produced (scheme
-// byte + float32 M + one int8 byte per element), serial and parallel.
+// TestInt8FusedEncodeMatchesLegacy pins the fused int8 encode against the
+// wire bytes the pre-kernel staged encoder produced (scheme byte + float32
+// M + one int8 byte per element).
 func TestInt8FusedEncodeMatchesLegacy(t *testing.T) {
 	const n = 4099
 	in := randTensor(13, n, 0.01)
-	serial := New(SchemeInt8, []int{n}, Options{CodecParallelism: 1})
-	parallel := New(SchemeInt8, []int{n}, Options{CodecParallelism: 8})
-	a := serial.CompressInto(in, nil)
-	b := parallel.CompressInto(in, nil)
-	if string(a) != string(b) {
-		t.Fatal("int8 parallel encode differs from serial")
-	}
+	a := New(SchemeInt8, []int{n}, Options{}).CompressInto(in, nil)
 	// Round trip through the registry decoder must reproduce the staged
 	// dequantization exactly.
 	out := tensor.New(n)
@@ -222,7 +206,7 @@ func TestDecompressFirstAddMatchesZeroThenAdd(t *testing.T) {
 					t.Fatal(err)
 				}
 				got := randTensor(9, n, 1)
-				if err := DecompressFirstAddInto(wire, got, 1); err != nil {
+				if err := DecompressFirstAddInto(wire, got); err != nil {
 					t.Fatal(err)
 				}
 				for i, v := range got.Data() {
@@ -263,7 +247,7 @@ func TestRawPayloadLengthRejected(t *testing.T) {
 				}
 			}
 			dst := stale.Clone()
-			if err := DecompressFirstAddInto(wire, dst, 1); err == nil {
+			if err := DecompressFirstAddInto(wire, dst); err == nil {
 				t.Fatalf("%v %s payload: first add accepted it", scheme, name)
 			}
 			for i, v := range dst.Data() {

@@ -71,7 +71,7 @@ func decodeRaw(payload []byte, dst *tensor.Tensor) error {
 // decodeRawAdd accumulates raw float payloads in one pass: dst[i] += v is
 // the exact add the staged decode-then-add performs, and the length check
 // rejects malformed payloads before dst is touched.
-func decodeRawAdd(payload []byte, dst *tensor.Tensor, _ int) error {
+func decodeRawAdd(payload []byte, dst *tensor.Tensor) error {
 	if err := checkRawLen(payload, dst.Len()); err != nil {
 		return err
 	}

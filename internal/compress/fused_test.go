@@ -3,7 +3,6 @@ package compress
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"testing"
 
 	"threelc/internal/kernel"
@@ -18,7 +17,7 @@ import (
 // fails here.
 //
 // It also pins the block index at the codec level, on the push
-// (CompressInto, serial and fanned out) and on the server's pull
+// (CompressInto) and on the server's pull
 // (kernel.BlockMax.FusedSGDStep recording the index as it folds the delta,
 // then CompressPreAccumulated): still two passes, and the encode pass
 // reads under 5 % of a 1M-element state change whose non-zero digits
@@ -97,19 +96,14 @@ func TestCompressorPassCounts(t *testing.T) {
 	} {
 		t.Run("block-index/"+tc.name, func(t *testing.T) {
 			opts := Options{Sparsity: 1.75, ZeroRun: true}
-			for _, par := range []int{1, 0} {
-				opts.CodecParallelism = par
-				passes = nil
-				New(SchemeThreeLC, []int{big}, opts).CompressInto(tc.in, nil)
-				check(t, fmt.Sprintf("push par=%d", par), tc.minRead, tc.maxRead)
-			}
+			passes = nil
+			push := New(SchemeThreeLC, []int{big}, opts).CompressInto(tc.in, nil)
+			check(t, "push", tc.minRead, tc.maxRead)
 
 			// The push as the server takes it: decode-added into a recorded
 			// gradient sum, which the optimizer sweep then reads. Both touch
 			// the blocks a literal group lands in — all of them under a NaN
 			// scale.
-			opts.CodecParallelism = 1
-			push := New(SchemeThreeLC, []int{big}, opts).CompressInto(tc.in, nil)
 			nanPush := append([]byte(nil), push...)
 			binary.LittleEndian.PutUint32(nanPush[1:], 0x7fc00000)
 			for _, w := range []struct {
@@ -121,7 +115,7 @@ func TestCompressorPassCounts(t *testing.T) {
 				live.Reset()
 				sum := tensor.New(big)
 				passes = nil
-				if err := DecompressAddLive(w.wire, sum, &live, 1); err != nil {
+				if err := DecompressAddLive(w.wire, sum, &live); err != nil {
 					t.Fatal(err)
 				}
 				live.FusedSGDStep(nil, make([]float32, big), make([]float32, big), sum.Data(), make([]float32, big), 0.5, 0, 0, 1)

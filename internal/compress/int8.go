@@ -16,15 +16,13 @@ func init() {
 // with no error accumulation, approximating TPU-internal 8-bit quantization.
 // Wire format: [scheme][4B M][n bytes int8].
 //
-// The encode runs on the fused kernels through the chunked-parallel path:
-// a two-phase parallel |max| reduction, then kernel.EncodeInt8Parallel
-// quantizing straight into the wire buffer in disjoint spans — two passes
-// over tensor memory and byte-identical output for any worker count. The
-// staged quant.QuantizeInt8Into remains the bit-identical reference.
+// The encode runs on the fused kernels: a |max| reduction, then
+// kernel.EncodeInt8 quantizing straight into the wire buffer — two passes
+// over tensor memory. The staged quant.QuantizeInt8Into remains the
+// bit-identical reference.
 type int8Compressor struct {
 	shape []int
 	n     int
-	par   int // per-pass fan-out cap (Options.CodecParallelism)
 }
 
 func (c *int8Compressor) Scheme() Scheme { return SchemeInt8 }
@@ -39,11 +37,10 @@ func (c *int8Compressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
 	if in.Len() != c.n {
 		panic("compress: input size mismatch")
 	}
-	w := kernel.PassWorkers(c.n, c.par)
-	m := float64(kernel.MaxAbsParallel(in.Data(), w))
+	m := float64(kernel.MaxAbs(in.Data()))
 	dst = append(dst, byte(SchemeInt8))
 	dst = appendF32(dst, float32(m))
-	return kernel.EncodeInt8Parallel(in.Data(), m, dst, w)
+	return kernel.EncodeInt8(in.Data(), m, dst)
 }
 
 func decodeInt8(payload []byte, dst *tensor.Tensor) error {
@@ -62,7 +59,7 @@ func decodeInt8(payload []byte, dst *tensor.Tensor) error {
 // decodeInt8Add accumulates the int8 payload in one pass: dst[i] +=
 // scale·q is the exact per-element add of decode-then-add; the length
 // check rejects malformed payloads before dst is touched.
-func decodeInt8Add(payload []byte, dst *tensor.Tensor, _ int) error {
+func decodeInt8Add(payload []byte, dst *tensor.Tensor) error {
 	d := dst.Data()
 	if len(payload) != 4+len(d) {
 		return fmt.Errorf("compress: int8 payload %d bytes, want %d", len(payload), 4+len(d))

@@ -28,13 +28,11 @@ var liveKinds = []string{"3lc", "3lc-nozre", "3lc-m", "raw", "packed", "empty", 
 // FuzzLiveSumVsDense is the differential fuzz target behind the liveness
 // record of a gradient sum (kernel.LiveBlocks): over three steps of one to
 // three pushes each, decode-adding into a live-tracked sum that is never
-// zeroed (DecompressAddLive, serial and over 3 block-aligned spans) and
-// sweeping it (LiveBlocks.FusedSGDStep, and the delta form) must leave the
-// weights, velocity, accumulator, delta, max|acc| and block index
-// bit-identical to the dense reference — zero the sum, DecompressAddInto
-// every push, sweep — under every kernel tier (up to NaN payloads over
-// spans, which move where the inline and the asm literal loops take over
-// a stretch, as the tier contract allows). The block index is compared
+// zeroed (DecompressAddLive) and sweeping it (LiveBlocks.FusedSGDStep, and
+// the delta form) must leave the weights, velocity, accumulator, delta,
+// max|acc| and block index bit-identical to the dense reference — zero the
+// sum, DecompressAddInto every push, sweep — under every kernel tier. The
+// block index is compared
 // through what the pull's encode does with it: the same wire, residual and
 // elements read. A malformed push must fail on both sides and leave the
 // record as it was: the sweep reads the same elements of the sum as a run
@@ -62,7 +60,7 @@ func FuzzLiveSumVsDense(f *testing.F) {
 	for _, m := range []uint32{0x80000000, 0, 0x7fc00000, 0x7f800000, 0xff800000} {
 		f.Add(cat([]byte{1}, rec(0, 10, 40, one), rec(2, 4*be+3, 20, one), []byte{0}, rec(7, be+9, 5, one)), uint16(5*be+1), m)
 	}
-	// Six blocks, every push kind in one step: the parallel decode's spans.
+	// Six blocks, every push kind in one step.
 	f.Add(cat([]byte{2}, rec(0, 0, 255, one), rec(1, 3*be-3, 6, one), rec(3, 5*be, 100, 0x40000000),
 		[]byte{2}, rec(4, 0, 0, one), rec(0, 6*be-1, 1, one), rec(6, 0, 10, one)), uint16(6*be-1), uint32(0))
 
@@ -96,9 +94,7 @@ func fuzzLiveSumBody(t *testing.T, data []byte, nRaw uint16, mBits uint32) {
 	defer kernel.SetTier(prev)
 	for _, tier := range kernel.AvailableTiers() {
 		kernel.SetTier(tier)
-		for _, workers := range []int{1, 3} {
-			checkLiveSum(t, fmt.Sprintf("tier %v workers %d", tier, workers), n, steps, mBits, workers)
-		}
+		checkLiveSum(t, fmt.Sprintf("tier %v", tier), n, steps, mBits)
 	}
 }
 
@@ -148,20 +144,6 @@ func liveWires(n int, steps [][]livePush, mBits uint32) [][][]byte {
 	return out
 }
 
-// addLive decode-adds wire into a live-tracked sum, a ternary wire over 3
-// block-aligned spans when workers is 3 (DecompressAddLive fans out only
-// above kernel.ParallelThresholdElems).
-func addLive(wire []byte, dst *tensor.Tensor, live *kernel.LiveBlocks, workers int) error {
-	if workers == 1 || len(wire) < 6 || Scheme(wire[0]) != SchemeThreeLC {
-		return DecompressAddLive(wire, dst, live, workers)
-	}
-	zre, err := ternaryZeroRun(wire[5])
-	if err != nil {
-		return err
-	}
-	return live.DecodeTernaryAddParallel([]kernel.TernaryWire{{Body: wire[6:], ZRE: zre, M: getF32(wire[1:])}}, dst.Data(), workers)
-}
-
 // liveSide is one side of checkLiveSum: a gradient sum, the optimizer
 // state the two sweep forms step and the pull's block index.
 type liveSide struct {
@@ -205,13 +187,13 @@ func (s *liveSide) sweep(gscale float32) (m float32, wire []byte, gradRead, encR
 	defer func() { kernel.PassHook = nil }()
 	m = s.live.FusedSGDStep(&s.blk, s.w, s.v, s.sum.Data(), s.acc, gscale, 1e-4, 0.9, 0.5)
 	s.live.FusedSGDStepDelta(s.dw, s.dv, s.sum.Data(), s.delta, gscale, 1e-4, 0.9, 0.5)
-	wire = s.blk.EncodeTernary(s.acc, float64(m)*1.75, true, nil, 1)
+	wire = s.blk.EncodeTernary(s.acc, float64(m)*1.75, true, nil)
 	return m, wire, gradRead, encRead
 }
 
 // checkLiveSum runs steps through a dense reference, a live-tracked sum,
 // and a live-tracked sum that is never handed the pushes both reject.
-func checkLiveSum(t *testing.T, name string, n int, steps [][]livePush, mBits uint32, workers int) {
+func checkLiveSum(t *testing.T, name string, n int, steps [][]livePush, mBits uint32) {
 	t.Helper()
 	wires := liveWires(n, steps, mBits)
 	ref := newLiveSide(n, nil)
@@ -223,12 +205,12 @@ func checkLiveSum(t *testing.T, name string, n int, steps [][]livePush, mBits ui
 		clean.live.Reset()
 		for p, wire := range step {
 			errRef := DecompressAddInto(wire, ref.sum, 1)
-			err := addLive(wire, got.sum, got.live, workers)
+			err := DecompressAddLive(wire, got.sum, got.live)
 			if (err == nil) != (errRef == nil) {
 				t.Fatalf("%s step %d push %d (%s): live err=%v, dense err=%v", name, s, p, liveKinds[steps[s][p].kind], err, errRef)
 			}
 			if err == nil {
-				if err := addLive(wire, clean.sum, clean.live, workers); err != nil {
+				if err := DecompressAddLive(wire, clean.sum, clean.live); err != nil {
 					t.Fatalf("%s step %d push %d: %v", name, s, p, err)
 				}
 			}
@@ -249,7 +231,7 @@ func checkLiveSum(t *testing.T, name string, n int, steps [][]livePush, mBits ui
 		} {
 			for i := range c.want {
 				g, w := c.got[i], c.want[i]
-				if math.Float32bits(g) != math.Float32bits(w) && !(workers > 1 && g != g && w != w) {
+				if math.Float32bits(g) != math.Float32bits(w) {
 					t.Fatalf("%s step %d: %s[%d] %x, dense %x", name, s, c.name, i, math.Float32bits(c.got[i]), math.Float32bits(c.want[i]))
 				}
 			}

@@ -20,19 +20,17 @@ func init() {
 // The encode runs on the fused kernels: kernel.AccumulateSignStats folds
 // the error-accumulation sweep, the sign bit-pack, and the partition sums
 // into pass 1 (serial — the MQE means are order-dependent float64 sums),
-// then kernel.OneBitResidualParallel fuses dequantize+residual into one
-// chunked pass 2. Two passes over tensor memory instead of the staged
-// four; wires and residual state stay bit-identical to the staged
+// then kernel.OneBitResidual fuses dequantize+residual into pass 2. Two
+// passes over tensor memory instead of the staged four; wires and residual state stay bit-identical to the staged
 // quant.QuantizeOneBitInto composition, which remains the reference.
 type oneBitCompressor struct {
 	shape []int
 	n     int
-	par   int                     // per-pass fan-out cap (Options.CodecParallelism)
 	acc   *quant.ErrorAccumulator // error-feedback buffer (checkpointed state)
 	bits  []byte                  // sign bit-pack scratch, reused across steps
 }
 
-func newOneBitCompressor(shape []int, par int) *oneBitCompressor {
+func newOneBitCompressor(shape []int) *oneBitCompressor {
 	n := 1
 	for _, d := range shape {
 		n *= d
@@ -40,7 +38,6 @@ func newOneBitCompressor(shape []int, par int) *oneBitCompressor {
 	return &oneBitCompressor{
 		shape: append([]int(nil), shape...),
 		n:     n,
-		par:   par,
 		acc:   quant.NewErrorAccumulator(shape...),
 		bits:  make([]byte, (n+7)/8),
 	}
@@ -64,8 +61,7 @@ func (c *oneBitCompressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
 	dst = appendF32(dst, mPos)
 	dst = appendF32(dst, mNeg)
 	dst = append(dst, c.bits...)
-	w := kernel.PassWorkers(c.n, c.par)
-	kernel.OneBitResidualParallel(buf, c.bits, mPos, mNeg, w)
+	kernel.OneBitResidual(buf, c.bits, mPos, mNeg)
 	return dst
 }
 
@@ -91,7 +87,7 @@ func decodeOneBit(payload []byte, dst *tensor.Tensor) error {
 // decodeOneBitAdd accumulates the sign-bit payload in one pass (every
 // element decodes to mPos or mNeg, so the add is per-element identical to
 // decode-then-add); the length check runs before dst is touched.
-func decodeOneBitAdd(payload []byte, dst *tensor.Tensor, _ int) error {
+func decodeOneBitAdd(payload []byte, dst *tensor.Tensor) error {
 	d := dst.Data()
 	want := 8 + (len(d)+7)/8
 	if len(payload) != want {

@@ -86,7 +86,7 @@ func decodePacked(payload []byte, dst *tensor.Tensor) error {
 //
 //3lc:noalloc
 //3lc:decode
-func decodePackedAdd(payload []byte, dst *tensor.Tensor, _ int) error {
+func decodePackedAdd(payload []byte, dst *tensor.Tensor) error {
 	return kernel.Planes32Add(dst.Data(), payload)
 }
 

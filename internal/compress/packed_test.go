@@ -80,7 +80,7 @@ func TestPacked32RoundTripsEveryBit(t *testing.T) {
 			wantFirst, gotFirst := acc.Clone(), acc.Clone()
 			for _, err := range []error{
 				DecompressAddInto(rawWire, wantAdd, 1), DecompressAddInto(wire, gotAdd, 1),
-				DecompressFirstAddInto(rawWire, wantFirst, 1), DecompressFirstAddInto(wire, gotFirst, 1),
+				DecompressFirstAddInto(rawWire, wantFirst), DecompressFirstAddInto(wire, gotFirst),
 			} {
 				if err != nil {
 					t.Fatalf("%s n=%d: %v", name, n, err)
@@ -176,7 +176,7 @@ func FuzzPacked32Decode(f *testing.F) {
 			before := set.Clone()
 			errSet := DecompressInto(wire, set)
 			errAdd := DecompressAddInto(wire, add, 1)
-			errFirst := DecompressFirstAddInto(wire, first, 1)
+			errFirst := DecompressFirstAddInto(wire, first)
 			if (errSet == nil) != (errAdd == nil) || (errSet == nil) != (errFirst == nil) {
 				t.Fatalf("n=%d: set says %v, add %v, first-add %v", n, errSet, errAdd, errFirst)
 			}

@@ -47,9 +47,7 @@ func RegisteredSchemes() []Scheme {
 
 // AddDecodeFunc decodes one scheme's wire payload and ACCUMULATES it into
 // dst (dst += decoded) in a single fused pass, with no intermediate
-// tensor: the aggregation-side counterpart of DecodeFunc. workers caps
-// the kernel-level goroutine fan-out for large tensors (<= 1 means fully
-// serial, the zero-allocation configuration).
+// tensor: the aggregation-side counterpart of DecodeFunc.
 //
 // The accumulator contract is stricter than DecodeFunc's: dst holds live
 // aggregation state (other workers' gradients already summed), so a
@@ -58,7 +56,7 @@ func RegisteredSchemes() []Scheme {
 // accumulated result must be bit-identical to decoding into scratch and
 // adding the scratch element-wise, for every dst free of −0 (see
 // DecompressAddInto for the one corner a zero-run skip leaves).
-type AddDecodeFunc func(payload []byte, dst *tensor.Tensor, workers int) error
+type AddDecodeFunc func(payload []byte, dst *tensor.Tensor) error
 
 // addDecoders is the decode-accumulate dispatch table. Schemes without a
 // fused decode-add register nothing and fall back to pooled
@@ -128,7 +126,9 @@ func unknownScheme(b byte) error {
 // a single fused pass with no intermediate tensor. This is the
 // aggregation hot path: the parameter server runs one call per worker per
 // tensor, so fusing here halves the tensor-memory traffic of gradient
-// aggregation. workers caps the kernel fan-out for large tensors.
+// aggregation. The decode runs on the calling goroutine: the int argument
+// is ignored, and stays only because the benchmark module's probes pass it
+// (ROADMAP item 1A drops it).
 //
 // An empty wire message (local steps, non-transmitting) accumulates
 // zeros — an explicit += 0 sweep, because x + 0 is not the identity on
@@ -146,7 +146,7 @@ func unknownScheme(b byte) error {
 //
 //3lc:noalloc
 //3lc:decode
-func DecompressAddInto(wire []byte, dst *tensor.Tensor, workers int) error {
+func DecompressAddInto(wire []byte, dst *tensor.Tensor, _ int) error {
 	if len(wire) == 0 {
 		d := dst.Data()
 		for i := range d {
@@ -155,7 +155,7 @@ func DecompressAddInto(wire []byte, dst *tensor.Tensor, workers int) error {
 		return nil
 	}
 	if fn := addDecoders[wire[0]]; fn != nil {
-		return fn(wire[1:], dst, workers)
+		return fn(wire[1:], dst)
 	}
 	if decoders[wire[0]] == nil {
 		return unknownScheme(wire[0])
@@ -175,16 +175,16 @@ func DecompressAddInto(wire []byte, dst *tensor.Tensor, workers int) error {
 // DecompressAddInto.
 //
 //3lc:noalloc
-func DecompressAddLive(wire []byte, dst *tensor.Tensor, live *kernel.LiveBlocks, workers int) error {
+func DecompressAddLive(wire []byte, dst *tensor.Tensor, live *kernel.LiveBlocks) error {
 	if len(wire) > 0 && (Scheme(wire[0]) == SchemeThreeLC || Scheme(wire[0]) == SchemeStoch3QE) {
-		return addTernary(wire[1:], dst, live, workers)
+		return addTernary(wire[1:], dst, live)
 	}
 	var err error
 	if live.Empty(dst.Len()) {
-		err = DecompressFirstAddInto(wire, dst, workers)
+		err = DecompressFirstAddInto(wire, dst)
 	} else {
 		live.ClearDead(dst.Data())
-		err = DecompressAddInto(wire, dst, workers)
+		err = DecompressAddInto(wire, dst, 0)
 	}
 	if err != nil {
 		return err
@@ -203,7 +203,7 @@ func DecompressAddLive(wire []byte, dst *tensor.Tensor, live *kernel.LiveBlocks,
 //
 // On error dst is zeroed — exactly the staged state of a fresh sum whose
 // first accumulation was rejected.
-func DecompressFirstAddInto(wire []byte, dst *tensor.Tensor, workers int) error {
+func DecompressFirstAddInto(wire []byte, dst *tensor.Tensor) error {
 	var err error
 	switch {
 	case len(wire) > 0 && (Scheme(wire[0]) == SchemeNone || Scheme(wire[0]) == SchemeLocalSteps):
@@ -212,7 +212,7 @@ func DecompressFirstAddInto(wire []byte, dst *tensor.Tensor, workers int) error 
 		err = decodePackedFirstAdd(wire[1:], dst)
 	default:
 		dst.Zero()
-		return DecompressAddInto(wire, dst, workers)
+		return DecompressAddInto(wire, dst, 0)
 	}
 	if err != nil {
 		dst.Zero()

@@ -12,18 +12,16 @@ import (
 // no error-accumulation buffer. It shares the ternary wire format with 3LC
 // but never applies zero-run encoding.
 //
-// Like 3LC it runs as two fused passes: a |max| reduction (parallel — the
-// reduction is deterministic) and a fused stochastic-quantize + quartic-
-// pack loop (serial: RNG draws are sequential, so the quantize pass cannot
-// shard without changing the bytes).
+// Like 3LC it runs as two fused passes: a |max| reduction and a fused
+// stochastic-quantize + quartic-pack loop, whose RNG draws follow element
+// order.
 type stochCompressor struct {
 	shape []int
 	n     int
 	rng   *tensor.RNG
-	par   int // reduction-pass fan-out cap (Options.CodecParallelism)
 }
 
-func newStochCompressor(shape []int, seed uint64, par int) *stochCompressor {
+func newStochCompressor(shape []int, seed uint64) *stochCompressor {
 	n := 1
 	for _, d := range shape {
 		n *= d
@@ -31,7 +29,6 @@ func newStochCompressor(shape []int, seed uint64, par int) *stochCompressor {
 	return &stochCompressor{
 		shape: append([]int(nil), shape...),
 		n:     n,
-		par:   par,
 		rng:   tensor.NewRNG(seed ^ 0x53746f6368335651), // "Stoch3VQ"
 	}
 }
@@ -48,8 +45,7 @@ func (c *stochCompressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
 	if in.Len() != c.n {
 		panic("compress: input size mismatch")
 	}
-	w1 := kernel.PassWorkers(c.n, c.par)
-	m := float64(kernel.MaxAbsParallel(in.Data(), w1))
+	m := float64(kernel.MaxAbs(in.Data()))
 	dst = append(dst, byte(SchemeStoch3QE))
 	dst = appendF32(dst, float32(m))
 	dst = append(dst, 0) // no ZRE

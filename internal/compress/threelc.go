@@ -73,10 +73,9 @@ type threeLCCompressor struct {
 
 	acc *quant.ErrorAccumulator
 	blk kernel.BlockMax // acc's block index, recorded by pass 1, consulted by pass 2
-	par int             // per-pass fan-out cap (Options.CodecParallelism)
 }
 
-func newThreeLCCompressor(shape []int, sparsity float64, zeroRun bool, par int) *threeLCCompressor {
+func newThreeLCCompressor(shape []int, sparsity float64, zeroRun bool) *threeLCCompressor {
 	if sparsity < quant.MinSparsity || sparsity >= quant.MaxSparsity {
 		panic(fmt.Sprintf("compress: sparsity multiplier %v outside [1,2)", sparsity))
 	}
@@ -89,7 +88,6 @@ func newThreeLCCompressor(shape []int, sparsity float64, zeroRun bool, par int) 
 		n:        n,
 		sparsity: sparsity,
 		zeroRun:  zeroRun,
-		par:      par,
 		acc:      quant.NewErrorAccumulator(shape...),
 	}
 }
@@ -112,8 +110,8 @@ func (c *threeLCCompressor) Compress(in *tensor.Tensor) []byte {
 // with the |max| reduction (step 1 of Fig. 3 + Eq. 1), pass 2 fuses
 // quantize → local-dequantize → residual-update → quartic-pack →
 // zero-run-emit (steps 2, a, b, 3, 4), appending the wire message to dst.
-// Each pass shards across cores for large tensors with byte-identical
-// output (kernel.PassWorkers sizes the fan-out per pass).
+// Both passes run on the calling goroutine; a node runs its tensors'
+// contexts concurrently instead (package ps).
 //
 //3lc:noalloc
 func (c *threeLCCompressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
@@ -121,8 +119,7 @@ func (c *threeLCCompressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
 		panic("compress: input size mismatch")
 	}
 	buf := c.acc.Buffer().Data()
-	w1 := kernel.PassWorkers(c.n, c.par)
-	return c.encodeAccumulated(c.blk.AccumulateMaxAbs(buf, in.Data(), w1), dst)
+	return c.encodeAccumulated(c.blk.AccumulateMaxAbs(buf, in.Data()), dst)
 }
 
 // AccData exposes the error-accumulation buffer and its block index for
@@ -154,7 +151,7 @@ func (c *threeLCCompressor) encodeAccumulated(maxAbs float32, dst []byte) []byte
 	} else {
 		dst = append(dst, 0)
 	}
-	return c.blk.EncodeTernary(buf, m, c.zeroRun, dst, kernel.PassWorkers(c.n, c.par))
+	return c.blk.EncodeTernary(buf, m, c.zeroRun, dst)
 }
 
 // ErrorNorm exposes the squared norm of the accumulated error (for tests
@@ -167,11 +164,6 @@ func (c *threeLCCompressor) ErrorNorm() float64 {
 // LUT-driven pass: kernel.DecodeTernary streams the wire bytes straight
 // into the destination floats, expanding zero runs and applying the scale
 // as it goes — no zero-run expansion scratch or ternary intermediate.
-//
-// Decode stays serial: the fused LUT decode runs an order of magnitude
-// faster than encode (multi-GB/s), so chunking it would buy little while
-// spawning goroutines inside callers' own fan-out (package ps decodes
-// many tensors concurrently).
 func decodeTernary(payload []byte, dst *tensor.Tensor) error {
 	if len(payload) < 5 {
 		return fmt.Errorf("compress: ternary payload too short (%d bytes)", len(payload))
@@ -188,17 +180,15 @@ func decodeTernary(payload []byte, dst *tensor.Tensor) error {
 
 // decodeTernaryAdd is the aggregation-side path into a plain destination:
 // addTernary with every block live.
-func decodeTernaryAdd(payload []byte, dst *tensor.Tensor, workers int) error {
-	return addTernary(payload, dst, nil, workers)
+func decodeTernaryAdd(payload []byte, dst *tensor.Tensor) error {
+	return addTernary(payload, dst, nil)
 }
 
 // addTernary decode-adds a ternary payload into dst, a sum live records:
 // kernel.LiveBlocks.DecodeTernaryAdd accumulates M·q straight into dst in
 // one LUT-driven pass, validating the payload before the first element is
-// touched (dst is a live aggregation buffer). Large tensors under a
-// multi-worker budget shard the accumulate sweep range-partitioned,
-// byte-identical to the serial kernel.
-func addTernary(payload []byte, dst *tensor.Tensor, live *kernel.LiveBlocks, workers int) error {
+// touched (dst is a live aggregation buffer).
+func addTernary(payload []byte, dst *tensor.Tensor, live *kernel.LiveBlocks) error {
 	if len(payload) < 5 {
 		return fmt.Errorf("compress: ternary payload too short (%d bytes)", len(payload))
 	}
@@ -206,13 +196,7 @@ func addTernary(payload []byte, dst *tensor.Tensor, live *kernel.LiveBlocks, wor
 	if err != nil {
 		return err
 	}
-	m, body := getF32(payload), payload[5:]
-	if workers > 1 && dst.Len() >= kernel.ParallelThresholdElems {
-		err = live.DecodeTernaryAddParallel([]kernel.TernaryWire{{Body: body, ZRE: zre, M: m}}, dst.Data(), workers)
-	} else {
-		err = live.DecodeTernaryAdd(body, zre, m, dst.Data())
-	}
-	if err != nil {
+	if err := live.DecodeTernaryAdd(payload[5:], zre, getF32(payload), dst.Data()); err != nil {
 		return fmt.Errorf("compress: %w", err)
 	}
 	return nil

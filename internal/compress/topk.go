@@ -21,23 +21,22 @@ func init() {
 // changes stay in the error-accumulation buffer.
 // Wire format: [scheme][bitmap ceil(n/8)B][4B per selected value].
 //
-// The encode runs on the fused kernels: kernel.AddParallel chunks the
+// The encode runs on the fused kernels: kernel.Add is the
 // error-accumulation sweep (pass 1), then — after the sampled threshold
 // estimate, which touches only the sample — kernel.SparsifyResidual fuses
-// select, value emission, and the residual subtract into one serial pass 2
-// with no dense scratch tensor. Two passes over tensor memory instead of
+// select, value emission, and the residual subtract into one pass 2 with
+// no dense scratch tensor. Two passes over tensor memory instead of
 // the staged four; wires and residual state stay bit-identical to the
 // staged sparse.SparsifyInto composition, which remains the reference.
 type topKCompressor struct {
 	shape []int
 	n     int
-	par   int // per-pass fan-out cap (Options.CodecParallelism)
 	sp    *sparse.Sparsifier
 	acc   *quant.ErrorAccumulator
 	sel   sparse.Selection // selection scratch, reused across steps
 }
 
-func newTopKCompressor(shape []int, fraction float64, seed uint64, par int) *topKCompressor {
+func newTopKCompressor(shape []int, fraction float64, seed uint64) *topKCompressor {
 	n := 1
 	for _, d := range shape {
 		n *= d
@@ -45,7 +44,6 @@ func newTopKCompressor(shape []int, fraction float64, seed uint64, par int) *top
 	return &topKCompressor{
 		shape: append([]int(nil), shape...),
 		n:     n,
-		par:   par,
 		sp:    sparse.NewSparsifier(fraction, tensor.NewRNG(seed^0x546f704b)), // "TopK"
 		acc:   quant.NewErrorAccumulator(shape...),
 	}
@@ -66,8 +64,7 @@ func (c *topKCompressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
 		panic("compress: input size mismatch")
 	}
 	buf := c.acc.Buffer().Data()
-	w := kernel.PassWorkers(c.n, c.par)
-	kernel.AddParallel(buf, in.Data(), w)
+	kernel.Add(buf, in.Data())
 	thr := c.sp.Threshold(buf)
 	if c.sel.Mask == nil || c.sel.Mask.Len() != c.n {
 		c.sel.Mask = encode.NewBitmap(c.n)

@@ -38,7 +38,7 @@ func trainedWireSet(tb testing.TB) []byte {
 	dcfg := data.DefaultConfig()
 	dcfg.Train, dcfg.Test, dcfg.Seed = 1000, 300, 1
 	design := train.Design{Name: "3LC (s=1.75)", Scheme: compress.SchemeThreeLC,
-		Opts: compress.Options{Sparsity: 1.75, ZeroRun: true, CodecParallelism: 1}}
+		Opts: compress.Options{Sparsity: 1.75, ZeroRun: true}}
 	const steps, workers = 24, 2
 	sgd := opt.TunedSGDConfig(workers, steps)
 	var ctx []compress.Compressor

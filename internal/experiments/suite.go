@@ -114,7 +114,6 @@ func (s *Suite) config(design train.Design, steps int) train.Config {
 		Net:            netsim.DefaultParams(netsim.Gbps1),
 		Optimizer:      &optCfg,
 		EvalEvery:      s.Opt.EvalEvery,
-		RecordSteps:    true,
 		Seed:           s.Opt.Seed,
 	}
 	cfg.Net.Workers = s.Opt.Workers

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -11,10 +10,9 @@ import (
 	"threelc/internal/tensor"
 )
 
-// Steady-state fused-kernel benchmarks. Run with -benchmem: the serial
-// fused kernels must report 0 allocs/op (cmd/benchcheck enforces this in
-// CI under -cpu 1,4); the *Parallel variants spawn goroutines by design
-// and sit outside the zero-alloc gate.
+// Steady-state fused-kernel benchmarks. Run with -benchmem: the fused
+// kernels run on the calling goroutine and must report 0 allocs/op
+// (cmd/benchcheck enforces this in CI under -cpu 1,4).
 
 func benchSizes() []int { return []int{1 << 14, 1 << 17, 1 << 20} }
 
@@ -41,15 +39,15 @@ func BenchmarkFusedCompress(b *testing.B) {
 		buf := make([]float32, n)
 		var wire []byte
 		for i := 0; i < 10; i++ {
-			m := float64(x.AccumulateMaxAbs(buf, in.Data(), 1)) * 1.75
-			wire = x.EncodeTernary(buf, m, true, wire[:0], 1)
+			m := float64(x.AccumulateMaxAbs(buf, in.Data())) * 1.75
+			wire = x.EncodeTernary(buf, m, true, wire[:0])
 		}
 		b.SetBytes(4 * int64(n))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m := float64(x.AccumulateMaxAbs(buf, in.Data(), 1)) * 1.75
-			wire = x.EncodeTernary(buf, m, true, wire[:0], 1)
+			m := float64(x.AccumulateMaxAbs(buf, in.Data())) * 1.75
+			wire = x.EncodeTernary(buf, m, true, wire[:0])
 		}
 	}
 	for _, n := range benchSizes() {
@@ -101,7 +99,7 @@ func BenchmarkFusedDecompress(b *testing.B) {
 			m := float64(AccumulateMaxAbs(buf, in.Data())) * 1.75
 			wire := EncodeTernary(buf, m, true, nil)
 			dst := make([]float32, n)
-			// Warm up the ScaledLUT pool so the measured loop is the true
+			// Warm up the ScaledLUT free list so the measured loop is the true
 			// steady state (first Get allocates the pooled table once).
 			if err := DecodeTernary(wire, true, float32(m), dst); err != nil {
 				b.Fatal(err)
@@ -157,7 +155,7 @@ func BenchmarkDecodeAdd(b *testing.B) {
 			wire := EncodeTernary(buf, m, true, nil)
 			acc := make([]float32, n)
 			if err := DecodeTernaryAdd(wire, true, float32(m), acc); err != nil {
-				b.Fatal(err) // also warms the ScaledLUT pool
+				b.Fatal(err) // also warms the ScaledLUT free list
 			}
 			b.SetBytes(4 * int64(n))
 			b.ReportAllocs()
@@ -199,51 +197,6 @@ func BenchmarkDecodeThenAdd(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkDecodeAddParallel measures the range-partitioned multi-payload
-// aggregation: 4 workers' payloads accumulated into one buffer across the
-// machine's cores (goroutine spawns allocate; outside the zero-alloc
-// gate by name).
-func BenchmarkDecodeAddParallel(b *testing.B) {
-	const n = 1 << 20
-	const payloads = 4
-	workers := runtime.GOMAXPROCS(0)
-	wires := make([]TernaryWire, payloads)
-	for p := range wires {
-		buf := make([]float32, n)
-		in := tensor.New(n)
-		fillRand(in, uint64(p)+2, 0.01)
-		m := float64(AccumulateMaxAbs(buf, in.Data())) * 1.75
-		wires[p] = TernaryWire{Body: EncodeTernary(buf, m, true, nil), ZRE: true, M: float32(m)}
-	}
-	acc := make([]float32, n)
-	b.SetBytes(4 * int64(n) * payloads)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := DecodeTernaryAddParallel(wires, acc, workers); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFusedCompressParallel measures the chunked-parallel fused
-// compress at 1M elements across the machine's cores (goroutine spawns
-// allocate; excluded from the zero-alloc gate by name).
-func BenchmarkFusedCompressParallel(b *testing.B) {
-	const n = 1 << 20
-	workers := runtime.GOMAXPROCS(0)
-	in := tensor.New(n)
-	fillRand(in, 1, 0.01)
-	buf := make([]float32, n)
-	var x BlockMax
-	var wire []byte
-	b.SetBytes(4 * int64(n))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := float64(x.AccumulateMaxAbs(buf, in.Data(), workers)) * 1.75
-		wire = x.EncodeTernary(buf, m, true, wire[:0], workers)
 	}
 }
 

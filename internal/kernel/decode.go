@@ -3,7 +3,6 @@ package kernel
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"threelc/internal/encode"
 )
@@ -76,10 +75,31 @@ func (l *ScaledLUT) Build(m float32) {
 // ternLUT with an inline multiply instead, which is the same single pass.
 const scaledLUTMinElems = 4096
 
-// lutPool recycles ScaledLUTs (~4.8 KB each) across decode calls so the
-// steady-state pull path allocates nothing; the cached-M check inside
-// Build makes reuse with a repeated scale free.
-var lutPool = sync.Pool{New: func() any { return new(ScaledLUT) }}
+// luts recycles ScaledLUTs (~4.8 KB each) across decode calls so the
+// steady-state decode path allocates nothing at any GOMAXPROCS; the
+// cached-M check inside Build makes reuse with a repeated scale free. It
+// is a bounded free list, not a sync.Pool: a pool empties at every GC
+// cycle and keeps its last table in the P that put it, so a decode whose
+// goroutine has moved to another P would build a fresh one.
+var luts = make(chan *ScaledLUT, 64)
+
+// getLUT takes a table from luts, or a fresh one when none is free.
+func getLUT() *ScaledLUT {
+	select {
+	case l := <-luts:
+		return l
+	default:
+		return new(ScaledLUT)
+	}
+}
+
+// putLUT returns l to luts, dropping it when the list is full.
+func putLUT(l *ScaledLUT) {
+	select {
+	case luts <- l:
+	default:
+	}
+}
 
 // DecodeTernary decodes a ternary wire body — quartic bytes, zero-run
 // encoded when zre is set — into dst in a single fused pass: each wire
@@ -104,10 +124,10 @@ func DecodeTernary(body []byte, zre bool, m float32, dst []float32) error {
 		return fmt.Errorf("kernel: quartic payload %d bytes, want %d", len(body), gTotal)
 	}
 	if n >= scaledLUTMinElems {
-		l := lutPool.Get().(*ScaledLUT)
+		l := getLUT()
 		l.Build(m)
 		err := decodeCore(body, zre, &l.tab, gTotal, dst)
-		lutPool.Put(l)
+		putLUT(l)
 		return err
 	}
 	return decodeSmall(body, zre, m, gTotal, dst)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"sync"
 
 	"threelc/internal/encode"
 )
@@ -185,43 +184,39 @@ func (l *LiveBlocks) DecodeTernaryAdd(body []byte, zre bool, m float32, dst []fl
 // like DecodeTernary.
 func addValidated(body []byte, m float32, dst []float32, l *LiveBlocks) {
 	if len(dst) >= scaledLUTMinElems {
-		lut := lutPool.Get().(*ScaledLUT)
+		lut := getLUT()
 		lut.Build(m)
-		addSpanCore(body, &lut.tab, dst, 0, len(dst), 0, 0, l)
-		lutPool.Put(lut)
+		addCore(body, &lut.tab, dst, l)
+		putLUT(lut)
 		return
 	}
-	addSmallSpan(body, m, dst, 0, len(dst), 0, 0, l)
+	addSmall(body, m, dst, l)
 }
 
-// addScaledSpan accumulates the span dst[lo:hi) (lo block-aligned) of a
-// validated body through a prebuilt ScaledLUT into a sum l records:
-// decoding starts at body[off], whose first skip groups belong to the
-// preceding span (skip is non-zero only when a zero run straddles a span
-// boundary). Serial callers pass the full range with off = skip = 0. end
-// is the end of the block the last literal group entered: a stretch of
-// literal groups up to the next run or that end is one inner loop, so the
-// record is consulted once a stretch and block, and a literal group costs
-// what it did without one. This is the scalar tier; addScaledSpanLits is
-// the asm tier's form.
-func addScaledSpan(body []byte, tab *scaledTab, dst []float32, lo, hi, off, skip int, l *LiveBlocks) {
+// addScaled accumulates a validated body through a prebuilt ScaledLUT into
+// dst, a sum l records. end is the end of the block the last literal group
+// entered: a stretch of literal groups up to the next run or that end is
+// one inner loop, so the record is consulted once a stretch and block, and
+// a literal group costs what it did without one. This is the scalar tier;
+// addScaledLits is the asm tier's form.
+func addScaled(body []byte, tab *scaledTab, dst []float32, l *LiveBlocks) {
 	zero := tab[encode.ZeroGroupByte][0] // m·0: ±0, or NaN for a non-finite scale
 	fill := zero != zero
-	w, end := lo, lo
+	hi := len(dst)
+	w, end, off := 0, 0, 0
 	for w < hi {
 		b := body[off]
 		if b > encode.MaxQuartic {
 			k, next := zeroRunAt(body, off, math.MaxInt)
-			runEnd := min(w+(k-skip)*encode.GroupSize, hi)
+			runEnd := min(w+k*encode.GroupSize, hi)
 			if fill {
 				addFill(dst[w:runEnd], zero)
 			}
-			w, off, skip = runEnd, next, 0
+			w, off = runEnd, next
 			continue
 		}
-		skip = 0
 		if w >= end {
-			end = min(l.enter(dst, w), hi)
+			end = l.enter(dst, w)
 		}
 		if end-w < encode.GroupSize { // the tensor's last group, partial
 			off++
@@ -248,26 +243,26 @@ func addScaledSpan(body []byte, tab *scaledTab, dst []float32, lo, hi, off, skip
 	}
 }
 
-// addSmallSpan is the small-tensor form of addScaledSpan: ternLUT digits
-// scaled by an inline multiply, the same single pass.
-func addSmallSpan(body []byte, m float32, dst []float32, lo, hi, off, skip int, l *LiveBlocks) {
+// addSmall is the small-tensor form of addScaled: ternLUT digits scaled by
+// an inline multiply, the same single pass.
+func addSmall(body []byte, m float32, dst []float32, l *LiveBlocks) {
 	zero := m * float32(0)
 	fill := zero != zero
-	w, end := lo, lo
+	hi := len(dst)
+	w, end, off := 0, 0, 0
 	for w < hi {
 		b := body[off]
 		if b > encode.MaxQuartic {
 			k, next := zeroRunAt(body, off, math.MaxInt)
-			runEnd := min(w+(k-skip)*encode.GroupSize, hi)
+			runEnd := min(w+k*encode.GroupSize, hi)
 			if fill {
 				addFill(dst[w:runEnd], zero)
 			}
-			w, off, skip = runEnd, next, 0
+			w, off = runEnd, next
 			continue
 		}
-		skip = 0
 		if w >= end {
-			end = min(l.enter(dst, w), hi)
+			end = l.enter(dst, w)
 		}
 		if end-w < encode.GroupSize { // the tensor's last group, partial
 			off++
@@ -463,145 +458,4 @@ func (l *LiveBlocks) grad(gs []float32, b int, merge bool) (e int, g []float32, 
 		}
 	}
 	return e, gs[b:e], true
-}
-
-// TernaryWire is one worker's ternary payload for the batched
-// decode-accumulate kernel: the wire body plus the header fields the
-// accumulation needs.
-type TernaryWire struct {
-	Body []byte
-	ZRE  bool
-	M    float32
-}
-
-// wireEntry is one payload's decode entry point for one span: the byte
-// offset at which the span's first group is produced, plus how many of
-// that byte's groups belong to the preceding span (non-zero only when a
-// zero run straddles the boundary).
-type wireEntry struct {
-	off  int
-	skip int
-}
-
-// DecodeTernaryAddParallel accumulates every payload of wires into dst,
-// range-partitioned: [0, len(dst)) is split into block-aligned spans and
-// each goroutine owns one span across ALL payloads, accumulating them in
-// slice order. No two goroutines touch the same element — no locks — and
-// every dst[i] receives its contributions in exactly the serial payload
-// order, so the sums are byte-identical to looping DecodeTernaryAdd over
-// wires for any worker count. A per-payload wire-byte pre-scan locates
-// each span's entry offset (and validates, so on error dst is untouched);
-// the accumulate side still sweeps tensor memory exactly once per
-// payload. workers <= 1, a small destination, or a single span fall back
-// to the serial kernel. Every block of dst counts as live.
-func DecodeTernaryAddParallel(wires []TernaryWire, dst []float32, workers int) error {
-	var all *LiveBlocks
-	return all.DecodeTernaryAddParallel(wires, dst, workers)
-}
-
-// DecodeTernaryAddParallel is the range-partitioned decode-add into a sum
-// l records. Spans are block-aligned, so the goroutine that clears a block
-// on its first literal group is the only one that writes it.
-func (l *LiveBlocks) DecodeTernaryAddParallel(wires []TernaryWire, dst []float32, workers int) error {
-	n := len(dst)
-	gTotal := encode.QuarticEncodedLen(n)
-	for wi := range wires {
-		if err := scanTernaryBody(wires[wi].Body, wires[wi].ZRE, gTotal); err != nil {
-			return fmt.Errorf("kernel: payload %d: %w", wi, err)
-		}
-	}
-	for wi := range wires {
-		l = l.forScale(wires[wi].M, dst)
-	}
-	bounds := spanBounds(n, BlockElems, workers)
-	if workers <= 1 || n < scaledLUTMinElems || len(bounds) <= 2 {
-		for wi := range wires {
-			addValidated(wires[wi].Body, wires[wi].M, dst, l)
-			noteDecodeAdd(wires[wi].Body, wires[wi].M, n)
-		}
-		return nil
-	}
-
-	spans := len(bounds) - 1
-	ents := make([]wireEntry, len(wires)*spans)
-	luts := make([]*ScaledLUT, len(wires))
-	for wi := range wires {
-		buildEntries(wires[wi].Body, bounds, ents[wi*spans:(wi+1)*spans])
-		luts[wi] = lutPool.Get().(*ScaledLUT)
-		luts[wi].Build(wires[wi].M)
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < spans; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			lo, hi := bounds[s], bounds[s+1]
-			for wi := range wires {
-				e := ents[wi*spans+s]
-				addSpanCore(wires[wi].Body, &luts[wi].tab, dst, lo, hi, e.off, e.skip, l)
-			}
-		}(s)
-	}
-	wg.Wait()
-	for wi, lut := range luts {
-		lutPool.Put(lut)
-		noteDecodeAdd(wires[wi].Body, wires[wi].M, n)
-	}
-	return nil
-}
-
-// buildEntries walks one validated payload's wire bytes once and records,
-// for every span start in bounds (all but the final boundary), where its
-// decoding begins.
-func buildEntries(body []byte, bounds []int, out []wireEntry) {
-	j := 0
-	gi := 0
-	for off := 0; off < len(body); {
-		k, next := 1, off+1
-		if body[off] > encode.MaxQuartic {
-			k, next = zeroRunAt(body, off, math.MaxInt)
-		}
-		for j < len(out) && bounds[j]/encode.GroupSize < gi+k {
-			out[j] = wireEntry{off: off, skip: bounds[j]/encode.GroupSize - gi}
-			j++
-		}
-		gi, off = gi+k, next
-	}
-}
-
-// spanBounds splits [0, n) into at most `workers` contiguous spans whose
-// interior boundaries are multiples of align, returning the offsets
-// [0, b1, ..., n]. It is the boundary computation behind forEachChunk,
-// exposed separately for callers that need the boundaries ahead of the
-// fan-out (the decode-add entry-point pre-scan).
-func spanBounds(n, align, workers int) []int {
-	if n <= 0 {
-		return []int{0, 0}
-	}
-	if align < 1 {
-		align = 1
-	}
-	groups := (n + align - 1) / align
-	if workers > groups {
-		workers = groups
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	bounds := make([]int, 1, workers+1)
-	per, rem := groups/workers, groups%workers
-	lo := 0
-	for g := 0; g < workers; g++ {
-		cnt := per
-		if g < rem {
-			cnt++
-		}
-		hi := lo + cnt*align
-		if hi > n {
-			hi = n
-		}
-		bounds = append(bounds, hi)
-		lo = hi
-	}
-	return bounds
 }

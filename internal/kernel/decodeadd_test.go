@@ -81,52 +81,19 @@ func TestDecodeTernaryAddNonFinite(t *testing.T) {
 	}
 }
 
-// TestDecodeTernaryAddParallelMatchesSerial pins the range-partitioned
-// multi-payload form against serial payload-by-payload accumulation for
-// several worker counts, payload counts, and tail shapes.
-func TestDecodeTernaryAddParallelMatchesSerial(t *testing.T) {
-	for _, n := range []int{scaledLUTMinElems + 2, 1<<16 + 3, 1 << 17} {
-		for _, payloads := range []int{1, 3, 5} {
-			wires := make([]TernaryWire, payloads)
-			for p := range wires {
-				std := 0.002 * float64(p+1) // vary zero-run density per payload
-				body, m := mkTernaryWire(uint64(3*n+p), n, std, 1.75, true)
-				wires[p] = TernaryWire{Body: body, ZRE: true, M: m}
-			}
-			want := make([]float32, n)
-			for p := range wires {
-				if err := DecodeTernaryAdd(wires[p].Body, wires[p].ZRE, wires[p].M, want); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, workers := range []int{1, 2, 3, 8} {
-				got := make([]float32, n)
-				if err := DecodeTernaryAddParallel(wires, got, workers); err != nil {
-					t.Fatalf("n=%d payloads=%d workers=%d: %v", n, payloads, workers, err)
-				}
-				if i, ok := bitsEqual(got, want); !ok {
-					t.Fatalf("n=%d payloads=%d workers=%d: differs at %d",
-						n, payloads, workers, i)
-				}
-			}
-		}
-	}
-}
-
-// TestLiveDecodeAddSpansBlockAligned pins the spans of the
-// range-partitioned decode-add into a recorded sum to block boundaries: a
-// span clears a block on its first literal group, so no two spans may
-// share one. At n = 10 000 and 3 workers group-aligned spans would start
-// at elements 3 335 and 6 670, inside blocks 2 and 5; literal groups on
-// both sides of each of those points must all land, over stale memory,
-// step after step. Under -race (CI's race leg) it also holds the clears
-// and the stamps of different spans disjoint.
+// TestLiveDecodeAddSpansBlockAligned holds the decode-add into a recorded
+// sum to every literal group that crosses into a dead block over stale
+// memory: the first group of a step to land in a block clears and stamps
+// it, then adds. The literal groups sit on both sides of elements 3 335
+// and 6 670, inside blocks 2 and 5, and two payloads land on them, so the
+// second payload's groups must find the blocks the first one entered
+// already live, step after step.
 func TestLiveDecodeAddSpansBlockAligned(t *testing.T) {
 	const n = 10000
 	in := make([]float32, n)
-	for _, b := range spanBounds(n, encode.GroupSize, 3)[1:3] {
+	for _, b := range []int{3335, 6670} {
 		if b%BlockElems == 0 {
-			t.Fatalf("group-aligned bound %d is a block boundary", b)
+			t.Fatalf("element %d is a block boundary", b)
 		}
 		for i := b - encode.GroupSize; i < b+encode.GroupSize; i++ {
 			in[i] = 1
@@ -134,11 +101,11 @@ func TestLiveDecodeAddSpansBlockAligned(t *testing.T) {
 	}
 	buf := make([]float32, n)
 	m := float64(AccumulateMaxAbs(buf, in))
-	wires := []TernaryWire{{Body: EncodeTernary(buf, m, true, nil), ZRE: true, M: float32(m)}}
-	wires = append(wires, wires[0])
+	body := EncodeTernary(buf, m, true, nil)
+	const payloads = 2
 	want := make([]float32, n)
-	for _, w := range wires {
-		if err := DecodeTernaryAdd(w.Body, w.ZRE, w.M, want); err != nil {
+	for p := 0; p < payloads; p++ {
+		if err := DecodeTernaryAdd(body, true, float32(m), want); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,8 +116,10 @@ func TestLiveDecodeAddSpansBlockAligned(t *testing.T) {
 			got[i] = float32(math.NaN()) // what a dead block may hold
 		}
 		live.Reset()
-		if err := live.DecodeTernaryAddParallel(wires, got, 3); err != nil {
-			t.Fatal(err)
+		for p := 0; p < payloads; p++ {
+			if err := live.DecodeTernaryAdd(body, true, float32(m), got); err != nil {
+				t.Fatal(err)
+			}
 		}
 		live.ClearDead(got)
 		if i, ok := bitsEqual(got, want); !ok {
@@ -215,21 +184,13 @@ func TestDecodeTernaryAddRejectsMalformed(t *testing.T) {
 			if i, ok := bitsEqual(acc, snap); !ok {
 				t.Fatalf("accumulator corrupted at %d by rejected payload", i)
 			}
-			wires := []TernaryWire{{Body: valid, ZRE: true, M: m}, {Body: tc.body, ZRE: tc.zre, M: m}}
-			if err := DecodeTernaryAddParallel(wires, acc, 4); err == nil {
-				t.Fatal("parallel: malformed payload accepted")
-			}
-			if i, ok := bitsEqual(acc, snap); !ok {
-				t.Fatalf("parallel: accumulator corrupted at %d (valid payload must not be applied when a later one is rejected)", i)
-			}
 		})
 	}
 }
 
 // TestDecodeAddPassCount extends the pass-count invariant to aggregation:
 // fused decode+add is exactly ONE sweep of tensor memory per payload (the
-// validation pre-scan walks wire bytes only), serial and parallel forms
-// alike.
+// validation pre-scan walks wire bytes only).
 func TestDecodeAddPassCount(t *testing.T) {
 	var passes []string
 	PassHook = func(name string, elems int) { passes = append(passes, name) }
@@ -244,22 +205,12 @@ func TestDecodeAddPassCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(passes) != 1 || passes[0] != "lut-decode-add" {
-		t.Fatalf("serial decode-add made passes %v, want exactly [lut-decode-add]", passes)
-	}
-
-	passes = nil
-	wires := []TernaryWire{{Body: body, ZRE: true, M: m}, {Body: body, ZRE: true, M: m}, {Body: body, ZRE: true, M: m}}
-	if err := DecodeTernaryAddParallel(wires, dst, 4); err != nil {
-		t.Fatal(err)
-	}
-	if len(passes) != len(wires) {
-		t.Fatalf("parallel decode-add of %d payloads made %d passes, want one per payload", len(wires), len(passes))
+		t.Fatalf("decode-add made passes %v, want exactly [lut-decode-add]", passes)
 	}
 }
 
 // TestEncodeInt8MatchesStaged pins the fused int8 quantize-to-wire kernel
-// against the staged quantize-into-scratch + byte-copy reference, serial
-// and chunked.
+// against the staged quantize-into-scratch + byte-copy reference.
 func TestEncodeInt8MatchesStaged(t *testing.T) {
 	for _, n := range []int{1, 6, 1003, 1 << 16} {
 		in := tensor.New(n)
@@ -273,13 +224,7 @@ func TestEncodeInt8MatchesStaged(t *testing.T) {
 		m := float64(in.MaxAbs())
 		got := EncodeInt8(in.Data(), m, nil)
 		if string(got) != string(want) {
-			t.Fatalf("n=%d: serial fused int8 bytes differ from staged", n)
-		}
-		for _, workers := range []int{2, 3, 16} {
-			got := EncodeInt8Parallel(in.Data(), m, nil, workers)
-			if string(got) != string(want) {
-				t.Fatalf("n=%d workers=%d: parallel fused int8 bytes differ", n, workers)
-			}
+			t.Fatalf("n=%d: fused int8 bytes differ from staged", n)
 		}
 	}
 	// m == 0 emits all zero bytes, like the staged zero fill.
@@ -287,29 +232,6 @@ func TestEncodeInt8MatchesStaged(t *testing.T) {
 	for i, b := range zero {
 		if b != 0 {
 			t.Fatalf("m=0 byte %d = %d, want 0", i, b)
-		}
-	}
-}
-
-// TestSpanBounds sanity-checks the shared boundary computation.
-func TestSpanBounds(t *testing.T) {
-	for _, tc := range []struct{ n, align, workers int }{
-		{0, 5, 4}, {1, 5, 4}, {23, 5, 4}, {100, 5, 3}, {1 << 16, 5, 7}, {1 << 16, 1, 16},
-	} {
-		b := spanBounds(tc.n, tc.align, tc.workers)
-		if b[0] != 0 || b[len(b)-1] != tc.n {
-			t.Fatalf("%+v: bounds %v do not cover [0, n)", tc, b)
-		}
-		for i := 1; i < len(b); i++ {
-			if b[i] < b[i-1] {
-				t.Fatalf("%+v: bounds %v not monotonic", tc, b)
-			}
-			if i < len(b)-1 && b[i]%tc.align != 0 {
-				t.Fatalf("%+v: interior bound %d not aligned", tc, b[i])
-			}
-		}
-		if len(b)-1 > tc.workers && tc.n > 0 {
-			t.Fatalf("%+v: %d spans exceed worker budget", tc, len(b)-1)
 		}
 	}
 }

@@ -40,7 +40,7 @@ var (
 	sgdStepCore  func(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32
 	sgdDeltaCore func(w, v, gs, delta []float32, gscale, wd, mom, lr float32)
 	sgdRawCore   func(w, v, gs []float32, raw []byte, gscale, wd, mom, lr float32)
-	addSpanCore  func(body []byte, tab *scaledTab, dst []float32, lo, hi, off, skip int, l *LiveBlocks)
+	addCore      func(body []byte, tab *scaledTab, dst []float32, l *LiveBlocks)
 	decodeCore   func(body []byte, zre bool, tab *scaledTab, gTotal int, dst []float32) error
 	packBlocksFn func(buf []float32, out []byte, blocks int, tpos, dqNeg, dqZero, dqPos float32)
 
@@ -119,7 +119,7 @@ func SetTier(t Tier) {
 		sgdStepCore, sgdDeltaCore, sgdRawCore = fusedSGDStepRange, fusedSGDStepDeltaRange, fusedSGDStepRawRange
 		rawPutCore, rawGetCore = rawPutRange, rawGetRange
 		rawAddCore, rawFirstAddCore = rawAddRange, rawFirstAddRange
-		addSpanCore = addScaledSpan
+		addCore = addScaled
 		decodeCore = decodeScaled
 		packBlocksFn = nil
 	case TierAsm:
@@ -130,7 +130,7 @@ func SetTier(t Tier) {
 		sgdStepCore, sgdDeltaCore, sgdRawCore = simd.FusedSGDStepAsm, simd.FusedSGDStepDeltaAsm, simd.FusedSGDStepRawAsm
 		rawPutCore, rawGetCore = simd.RawPutAsm, simd.RawGetAsm
 		rawAddCore, rawFirstAddCore = simd.RawAddAsm, simd.RawFirstAddAsm
-		addSpanCore = addScaledSpanLits
+		addCore = addScaledLits
 		decodeCore = decodeScaledLits
 		packBlocksFn = simd.QuantPackBlocks
 	default:

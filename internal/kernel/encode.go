@@ -29,15 +29,7 @@ import (
 //3lc:noalloc
 func EncodeTernary(buf []float32, m float64, zeroRun bool, dst []byte) []byte {
 	var none *BlockMax
-	return none.EncodeTernary(buf, m, zeroRun, dst, 1)
-}
-
-// EncodeTernaryParallel is the chunked-parallel form of EncodeTernary
-// without a block index, byte-identical to the serial kernel for any
-// worker count. The stitch-up works in place in dst, so scratch is
-// returned untouched.
-func EncodeTernaryParallel(buf []float32, m float64, zeroRun bool, dst []byte, workers int, scratch []byte) (out, newScratch []byte) {
-	return new(BlockMax).EncodeTernary(buf, m, zeroRun, dst, workers), scratch
+	return none.EncodeTernary(buf, m, zeroRun, dst)
 }
 
 // EncodeTernary is compress pass 2 consulting x: a block whose recorded
@@ -49,13 +41,8 @@ func EncodeTernaryParallel(buf []float32, m float64, zeroRun bool, dst []byte, w
 // changes, so no block is skipped. The pass hook reports the elements
 // actually read.
 //
-// With workers > 1 block-aligned spans encode concurrently into their own
-// slots of dst, each compacting its blocks in place, and a serial
-// stitch-up merges the zero runs that cross span boundaries: the output is
-// byte-identical for any worker count.
-//
 //3lc:noalloc
-func (x *BlockMax) EncodeTernary(buf []float32, m float64, zeroRun bool, dst []byte, workers int) []byte {
+func (x *BlockMax) EncodeTernary(buf []float32, m float64, zeroRun bool, dst []byte) []byte {
 	n := len(buf)
 	qlen := encode.QuarticEncodedLen(n)
 	if m == 0 {
@@ -74,23 +61,9 @@ func (x *BlockMax) EncodeTernary(buf []float32, m float64, zeroRun bool, dst []b
 	}
 	base := len(dst)
 	dst = growCap(dst, qlen)
-	out := dst[base : base+qlen]
-	var one [1]ternChunk
-	spans := one[:]
-	if workers > 1 {
-		spans = p.encodeParallel(x, buf, out, workers)
-	} else {
-		one[0] = p.encodeSpan(buf, 0, n, out)
-	}
-	read := 0
-	for _, s := range spans {
-		read += s.read
-	}
+	w, read := p.encode(buf, dst[base:base+qlen])
 	notePass("quantize+pack", read)
-	if !zeroRun {
-		return dst[:base+qlen]
-	}
-	return dst[:base+stitchChunks(out, spans)]
+	return dst[:base+w]
 }
 
 // pass2 is what one EncodeTernary call holds fixed: the index it consults
@@ -104,40 +77,21 @@ type pass2 struct {
 	zeroRun    bool
 }
 
-// encodeParallel runs encodeSpan over block-aligned spans of buf, each on
-// its own goroutine, and returns the spans' results, held in x's scratch
-// (a fresh slice for a nil x). p is a copy so that only this fan-out's
-// closure, not the serial caller's pass2, escapes to the heap.
-func (p pass2) encodeParallel(x *BlockMax, buf []float32, out []byte, workers int) []ternChunk {
-	var spans []ternChunk
-	if x != nil {
-		if cap(x.spans) < workers {
-			x.spans = make([]ternChunk, workers)
-		}
-		spans = x.spans[:workers]
-	} else {
-		spans = make([]ternChunk, workers)
-	}
-	used := forEachChunk(len(buf), BlockElems, workers, func(k, lo, hi int) {
-		spans[k] = p.encodeSpan(buf, lo, hi, out)
-	})
-	return spans[:used]
-}
-
-// encodeSpan encodes buf[lo:hi] (lo block-aligned) into the absolute group
-// slots of out, block by block. Without zero-run encoding that is the
-// whole job. With it, each visited block is compacted in place and the
-// span's blocks are joined as they come: the span's middle starts at the
-// slot of its first non-zero group and every later block's middle moves
-// toward it, never over a byte not yet read (a zero run never encodes
-// longer than its groups). The result counts the elements read.
-func (p *pass2) encodeSpan(buf []float32, lo, hi int, out []byte) ternChunk {
-	r := ternChunk{allZero: true}
-	w := 0
-	for b := lo; b < hi; {
-		e := hi
+// encode encodes buf block by block into out, one slot per group, and
+// returns the wire's length and the elements read. Without zero-run
+// encoding every group keeps its slot and that is the whole job. With it,
+// each visited block is compacted in place and the blocks are joined as
+// they come: the zero run open at a block's first non-zero group is
+// flushed at the write cursor and the block's middle moves down behind it,
+// never over a byte not yet read (a zero run never encodes longer than its
+// groups, so the cursor never passes the slots of the groups written).
+func (p *pass2) encode(buf []float32, out []byte) (w, read int) {
+	n := len(buf)
+	run := 0 // zero groups not yet flushed
+	for b := 0; b < n; {
+		e := n
 		if p.idx != nil {
-			e = min(b+BlockElems, hi)
+			e = min(b+BlockElems, n)
 		}
 		g0, g1 := b/encode.GroupSize, (e+encode.GroupSize-1)/encode.GroupSize
 		var c ternChunk
@@ -149,77 +103,42 @@ func (p *pass2) encodeSpan(buf []float32, lo, hi int, out []byte) ternChunk {
 			c = ternChunk{lead: g1 - g0, allZero: true}
 		case !p.zeroRun:
 			quantPackRangeDispatch(buf, b, e, p.tpos, &p.dq, out)
-			r.read += e - b
+			read += e - b
 		case packBlocksFn != nil:
 			c = encodeTernaryChunkFast(buf, b, e, p.tpos, &p.dq, out[g0:g1])
-			r.read += e - b
+			read += e - b
 		default:
 			c = encodeTernaryChunk(buf, b, e, p.tpos, &p.dq, out[g0:g1])
-			r.read += e - b
+			read += e - b
 		}
 		b = e
 		if !p.zeroRun {
 			continue
 		}
 		if c.allZero {
-			if r.allZero {
-				r.lead += c.lead
-			} else {
-				r.trail += c.lead
-			}
+			run += c.lead
 			continue
 		}
-		if r.allZero {
-			r.allZero = false
-			r.lead += c.lead
-			w = lo/encode.GroupSize + r.lead // where c.mid already starts
-		} else {
-			w = flushZeroRun(out, w, r.trail+c.lead)
-		}
+		w = flushZeroRun(out, w, run+c.lead)
 		w += copy(out[w:], c.mid)
-		r.trail = c.trail
+		run = c.trail
 	}
-	if !r.allZero {
-		r.mid = out[lo/encode.GroupSize+r.lead : w]
+	if !p.zeroRun {
+		return len(out), read
 	}
-	return r
+	return flushZeroRun(out, w, run), read
 }
 
-// ternChunk is one chunk's contribution to the fused encode: the count of
+// ternChunk is one block's contribution to the fused encode: the count of
 // leading zero groups, the fully encoded middle (first through last
-// non-zero-group byte), and the count of trailing zero groups. A chunk
-// containing only zero groups reports them all in lead with allZero set,
-// so boundary-spanning zero runs accumulate across any number of chunks
-// during stitch-up. A span's result also counts the elements it read.
+// non-zero-group byte, left in the block's own slots), and the count of
+// trailing zero groups. A block containing only zero groups reports them
+// all in lead with allZero set.
 type ternChunk struct {
 	lead    int
 	trail   int
 	mid     []byte
 	allZero bool
-	read    int
-}
-
-// stitchChunks is the serial stitch-up: it lays the chunks' middles end to
-// end in out, merging the zero runs that cross chunk boundaries, and
-// returns the stream length. pending carries the zero run open at the
-// current boundary; it is flushed exactly where the serial encoder would
-// flush it (the next non-zero-group byte or end of stream). A middle lives
-// in out itself, starting at the slot of its first non-zero group, so at or
-// after its destination: the flush of a chunk's leading run never reaches
-// the middle it precedes, and copy is a memmove.
-func stitchChunks(out []byte, chunks []ternChunk) int {
-	w, pending := 0, 0
-	for c := range chunks {
-		r := &chunks[c]
-		pending += r.lead
-		if r.allZero {
-			continue
-		}
-		w = flushZeroRun(out, w, pending)
-		w += copy(out[w:], r.mid)
-		pending = r.trail
-	}
-	return flushZeroRun(out, w, pending)
 }
 
 // encodeTernaryChunk runs the fused quantize+pack+ZRE loop over buf[lo:hi]
@@ -257,8 +176,8 @@ func encodeTernaryChunk(buf []float32, lo, hi int, tpos float32, dq *dequantTab,
 
 // quantPackRange quantizes full groups (plus a trailing partial group when
 // hi is the end of the tensor) of buf[lo:hi] into their absolute group
-// slots of out. Chunk boundaries are multiples of GroupSize, so only the
-// global last chunk can hold a partial group.
+// slots of out. Block boundaries are multiples of GroupSize, so only the
+// tensor's last block can hold a partial group.
 //
 //3lc:noalloc
 func quantPackRange(buf []float32, lo, hi int, tpos float32, dq *dequantTab, out []byte) {
@@ -441,7 +360,7 @@ func stochDigit(v float32, inv float64, rng *tensor.RNG) uint16 {
 // 14q+r is one encode.LongRun token carrying uvarint(q−1) when q > 0, then
 // one byte in [243, 254] for r of 2..13 or a literal zero group for r = 1 —
 // byte-for-byte the staged encode.ZeroRunEncodeAppend emission, and never
-// longer than the run it replaces (compactChunk and the stitch-up write in
+// longer than the run it replaces (compactChunk and pass2.encode write in
 // place). The uvarint is written by hand to keep the function inlinable:
 // the scalar loops flush at every non-zero group.
 func flushZeroRun(out []byte, w, run int) int {

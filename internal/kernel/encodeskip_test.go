@@ -16,31 +16,26 @@ import (
 // byte-identical, residuals bit-identical — strictly, not up to NaN class.
 
 // checkEncodeMatchesStaged accumulates in into fresh buffers and compares
-// the serial and the 3-chunk parallel fused encode, without and with a
-// block index, with the staged pipeline.
+// the fused encode, without and with a block index, with the staged
+// pipeline.
 func checkEncodeMatchesStaged(t *testing.T, tier Tier, in []float32, s float64, zre bool) {
 	t.Helper()
 	n := len(in)
 	acc := tensor.New(n)
 	wantWire, wantM := stagedTernary(acc, tensor.FromSlice(append([]float32(nil), in...), n), s, zre)
-	for _, workers := range []int{1, 3} {
-		for _, x := range []*BlockMax{nil, new(BlockMax)} {
-			buf := make([]float32, n)
-			m := float64(x.AccumulateMaxAbs(buf, in, workers)) * s
-			if math.Float32bits(float32(m)) != math.Float32bits(wantM) {
-				t.Fatalf("tier %v n=%d: scale %v != staged %v", tier, n, float32(m), wantM)
-			}
-			if x == nil {
-				x = new(BlockMax) // an empty index: the fan-out's scratch, nothing consulted
-			}
-			got := x.EncodeTernary(buf, m, zre, nil, workers)
-			if !bytes.Equal(got, wantWire) {
-				t.Fatalf("tier %v n=%d zre=%v workers=%d indexed=%v: wire % x != staged % x", tier, n, zre, workers, x.max != nil, got, wantWire)
-			}
-			if i, ok := bitsEqual(buf, acc.Data()); !ok {
-				t.Fatalf("tier %v n=%d zre=%v workers=%d indexed=%v: residual[%d] = %08x, staged %08x (in %08x)", tier, n, zre, workers, x.max != nil,
-					i, math.Float32bits(buf[i]), math.Float32bits(acc.Data()[i]), math.Float32bits(in[i]))
-			}
+	for _, x := range []*BlockMax{nil, new(BlockMax)} {
+		buf := make([]float32, n)
+		m := float64(x.AccumulateMaxAbs(buf, in)) * s
+		if math.Float32bits(float32(m)) != math.Float32bits(wantM) {
+			t.Fatalf("tier %v n=%d: scale %v != staged %v", tier, n, float32(m), wantM)
+		}
+		got := x.EncodeTernary(buf, m, zre, nil)
+		if !bytes.Equal(got, wantWire) {
+			t.Fatalf("tier %v n=%d zre=%v indexed=%v: wire % x != staged % x", tier, n, zre, x != nil, got, wantWire)
+		}
+		if i, ok := bitsEqual(buf, acc.Data()); !ok {
+			t.Fatalf("tier %v n=%d zre=%v indexed=%v: residual[%d] = %08x, staged %08x (in %08x)", tier, n, zre, x != nil,
+				i, math.Float32bits(buf[i]), math.Float32bits(acc.Data()[i]), math.Float32bits(in[i]))
 		}
 	}
 }

@@ -25,31 +25,30 @@ import (
 // the core's vector row loads win.
 const litCoreAfter = 3
 
-// addScaledSpanLits is the asm-tier addScaledSpan: the first
+// addScaledLits is the asm-tier addScaled: the first
 // litCoreAfter literal bytes of a stretch (and partial tail groups) take
 // the inline row apply, the rest of a longer stretch the assembly literal
 // core up to the end of the block it is in, and runs are skipped (filled
-// only under a non-finite scale). Same contract as addScaledSpan. A
-// literal group tests its room against end, the end of the block it is in
-// (or of the span), so only a group past that end consults the record and
-// enters the next block.
-func addScaledSpanLits(body []byte, tab *scaledTab, dst []float32, lo, hi, off, skip int, l *LiveBlocks) {
+// only under a non-finite scale). Same contract as addScaled. A literal
+// group tests its room against end, the end of the block it is in, so only
+// a group past that end consults the record and enters the next block.
+func addScaledLits(body []byte, tab *scaledTab, dst []float32, l *LiveBlocks) {
 	zero := tab[encode.ZeroGroupByte][0] // m·0: ±0, or NaN for a non-finite scale
 	fill := zero != zero
-	w, end, inline := lo, lo, 0
+	hi := len(dst)
+	w, end, off, inline := 0, 0, 0, 0
 	for w < hi {
 		b := body[off]
 		if b > encode.MaxQuartic {
 			k, next := zeroRunAt(body, off, math.MaxInt)
-			runEnd := min(w+(k-skip)*encode.GroupSize, hi)
+			runEnd := min(w+k*encode.GroupSize, hi)
 			if fill {
 				addFill(dst[w:runEnd], zero)
 			}
-			w, off, skip = runEnd, next, 0
+			w, off = runEnd, next
 			inline = 0
 			continue
 		}
-		skip = 0
 		if lim := end - w; inline >= litCoreAfter && lim >= encode.GroupSize {
 			lim -= lim % encode.GroupSize
 			nb := simd.AddScaledLiteralsAsm(tab, body[off:], dst[w:w+lim]) // >= 1: body[off] is a literal with a full group of room
@@ -59,7 +58,7 @@ func addScaledSpanLits(body []byte, tab *scaledTab, dst []float32, lo, hi, off, 
 		}
 		if w+encode.GroupSize > end {
 			if w >= end { // past the block's end, so not the tensor's
-				end = min(l.enter(dst, w), hi)
+				end = l.enter(dst, w)
 				continue
 			}
 			// Partial tail group (hi is the tensor end mid-group).
@@ -188,7 +187,7 @@ const (
 
 // compactChunk zero-run encodes one packed (absolute-slot) region in
 // place and reports it the way encodeTernaryChunk does: the leading and
-// trailing zero groups as counts for the stitch-up (a region of nothing
+// trailing zero groups as counts for pass2.encode's join (a region of nothing
 // else reports them all in lead), the middle — first through last
 // non-zero-group byte — compacted where it stands. The walk is
 // word-at-a-time at both extremes: a uint64 equal to zeroGroups8 adds 8 to

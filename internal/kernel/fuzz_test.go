@@ -41,8 +41,8 @@ func nanClassEqual(a, b []float32) (int, bool) {
 // (including NaN/Inf bit patterns), sparsity multipliers, and both ZRE
 // settings, the fused compress path must produce byte-identical wires and
 // bit-identical residual buffers (up to NaN payload class) to the staged
-// quant+encode composition — across two accumulating steps, in serial and
-// chunked-parallel form, under EVERY available kernel tier — and the fused
+// quant+encode composition — across two accumulating steps, under EVERY
+// available kernel tier — and the fused
 // LUT decoder must reproduce the staged decode bit-exactly.
 func FuzzFusedVsStaged(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0}, uint8(0), true)
@@ -91,35 +91,22 @@ func fuzzFusedVsStagedBody(t *testing.T, data []byte, sByte uint8, zre bool, n i
 	in := tensor.FromSlice(append([]float32(nil), vals...), n)
 
 	accStaged := tensor.New(n)
-	bufSerial := make([]float32, n)
-	bufParallel := make([]float32, n)
+	buf := make([]float32, n)
 
 	for step := 0; step < 2; step++ {
 		wantWire, wantM := stagedTernary(accStaged, in, s, zre)
 
-		parIn := append([]float32(nil), in.Data()...)
-		m := float64(AccumulateMaxAbs(bufSerial, in.Data())) * s
-		mPar := float64(AccumulateMaxAbsParallel(bufParallel, parIn, 3)) * s
-		if math.Float64bits(m) != math.Float64bits(mPar) {
-			t.Fatalf("step %d: serial scale %v != parallel %v", step, m, mPar)
-		}
+		m := float64(AccumulateMaxAbs(buf, in.Data())) * s
 		if math.Float32bits(float32(m)) != math.Float32bits(wantM) {
 			t.Fatalf("step %d: fused scale %v != staged %v", step, float32(m), wantM)
 		}
 
-		gotSerial := EncodeTernary(bufSerial, m, zre, nil)
-		gotParallel, _ := EncodeTernaryParallel(bufParallel, m, zre, nil, 3, nil)
-		if !bytes.Equal(gotSerial, wantWire) {
-			t.Fatalf("tier %v step %d: serial fused wire != staged wire (%d vs %d bytes)", tier, step, len(gotSerial), len(wantWire))
+		wire := EncodeTernary(buf, m, zre, nil)
+		if !bytes.Equal(wire, wantWire) {
+			t.Fatalf("tier %v step %d: fused wire != staged wire (%d vs %d bytes)", tier, step, len(wire), len(wantWire))
 		}
-		if !bytes.Equal(gotParallel, wantWire) {
-			t.Fatalf("tier %v step %d: parallel fused wire != staged wire", tier, step)
-		}
-		if i, ok := nanClassEqual(bufSerial, accStaged.Data()); !ok {
-			t.Fatalf("tier %v step %d: serial residual differs at %d", tier, step, i)
-		}
-		if i, ok := nanClassEqual(bufParallel, accStaged.Data()); !ok {
-			t.Fatalf("tier %v step %d: parallel residual differs at %d", tier, step, i)
+		if i, ok := nanClassEqual(buf, accStaged.Data()); !ok {
+			t.Fatalf("tier %v step %d: residual differs at %d", tier, step, i)
 		}
 
 		// Decode side: the fused LUT decoder must agree with the
@@ -142,8 +129,8 @@ func fuzzFusedVsStagedBody(t *testing.T, data []byte, sByte uint8, zre bool, n i
 }
 
 // FuzzBlockIndexVsFullScan is the differential fuzz target behind the block
-// index (BlockMax): pass 2 consulting the index pass 1 recorded — serial,
-// fanned out over 3 spans, and after the pull's FusedSGDStep — must emit
+// index (BlockMax): pass 2 consulting the index pass 1 recorded — after
+// AccumulateMaxAbs and after the pull's FusedSGDStep — must emit
 // the wire of the index-free full scan byte for byte and leave its
 // residuals bit for bit, over two accumulating steps, under every kernel
 // tier. (A skipped block is not rewritten where the scalar full scan
@@ -191,8 +178,8 @@ func FuzzBlockIndexVsFullScan(f *testing.F) {
 func fuzzBlockIndexBody(t *testing.T, tier Tier, in []float32, s float64, zre bool) {
 	n := len(in)
 	full := make([]float32, n)
-	bufs := [3][]float32{make([]float32, n), make([]float32, n), make([]float32, n)}
-	var idx [3]BlockMax
+	bufs := [2][]float32{make([]float32, n), make([]float32, n)}
+	var idx [2]BlockMax
 	// The pull's pass 1: with w, v = 0, gs = in, gscale = −1 and lr = 1 the
 	// sweep folds w_new − w_old = in (exactly, for finite in) into acc.
 	sgd := func(x *BlockMax, acc []float32) float32 {
@@ -206,21 +193,21 @@ func fuzzBlockIndexBody(t *testing.T, tier Tier, in []float32, s float64, zre bo
 		var none *BlockMax
 		mSGD := float64(sgd(none, fullSGD)) * s
 		wantSGD := EncodeTernary(fullSGD, mSGD, zre, nil)
-		for k, workers := range []int{1, 3, 1} {
+		for k := range idx {
 			var mk float64
-			if k < 2 {
-				mk = float64(idx[k].AccumulateMaxAbs(bufs[k], in, workers)) * s
+			if k == 0 {
+				mk = float64(idx[k].AccumulateMaxAbs(bufs[k], in)) * s
 			} else {
 				mk = float64(sgd(&idx[k], bufs[k])) * s
 			}
 			ref, refBuf, refM := want, full, m
-			if k == 2 {
+			if k == 1 {
 				ref, refBuf, refM = wantSGD, fullSGD, mSGD
 			}
 			if math.Float64bits(mk) != math.Float64bits(refM) {
 				t.Fatalf("tier %v step %d form %d: indexed scale %v != full scan %v", tier, step, k, mk, refM)
 			}
-			got := idx[k].EncodeTernary(bufs[k], mk, zre, nil, workers)
+			got := idx[k].EncodeTernary(bufs[k], mk, zre, nil)
 			if !bytes.Equal(got, ref) {
 				t.Fatalf("tier %v step %d form %d n=%d: indexed wire (%d B) != full scan (%d B)", tier, step, k, n, len(got), len(ref))
 			}
@@ -249,9 +236,8 @@ var longRunFuzzSeeds = [][]byte{
 // FuzzDecodeTernaryAdd feeds arbitrary bytes to the fused
 // decode-accumulate kernels: untrusted payloads may error but must never
 // panic, and — stronger than the decode-into contract — a rejected
-// payload must leave the accumulator bit-identical to its prior state, in
-// every form (serial, multi-payload parallel). Accepted payloads
-// must accumulate bit-identically to decode-then-add.
+// payload must leave the accumulator bit-identical to its prior state.
+// Accepted payloads must accumulate bit-identically to decode-then-add.
 func FuzzDecodeTernaryAdd(f *testing.F) {
 	f.Add([]byte{121, 121, 121}, uint32(0x3f800000), true)
 	f.Add([]byte{255, 0, 243}, uint32(0x7fc00000), true) // runs + NaN scale
@@ -291,16 +277,6 @@ func FuzzDecodeTernaryAdd(f *testing.F) {
 					}
 					if i, ok := bitsEqual(dst, snap); !ok {
 						t.Fatalf("decode-add differs from decode-then-add at %d", i)
-					}
-				}
-
-				wires := []TernaryWire{{Body: body, ZRE: zre, M: m}, {Body: body, ZRE: zre, M: m}}
-				copy(snap, dst)
-				if err := DecodeTernaryAddParallel(wires, dst, 3); (err == nil) != (errRef == nil) {
-					t.Fatalf("parallel decode-add err=%v, decode err=%v", err, errRef)
-				} else if err != nil {
-					if i, ok := bitsEqual(dst, snap); !ok {
-						t.Fatalf("rejected payload corrupted accumulator at %d (parallel)", i)
 					}
 				}
 			}

@@ -7,10 +7,7 @@ import "math"
 // reduction — quantize into an int8 scratch slice, then a byte-copy into
 // the wire buffer — which left the "8-bit int" baseline an order of
 // magnitude behind the ternary codecs. EncodeInt8 writes the wire bytes
-// directly (one pass after the reduction), and EncodeInt8Parallel chunks
-// it: every group maps to a fixed output byte, so chunks write disjoint
-// spans and the output is byte-identical to the serial kernel for any
-// worker count.
+// directly (one pass after the reduction).
 
 // EncodeInt8 quantizes data onto 255 levels spanning [-m, +m] (the
 // paper's TPU-style "8-bit int" baseline) and appends one byte per
@@ -48,25 +45,4 @@ func quantInt8(v float32, scale float64) byte {
 		q = -127
 	}
 	return byte(int8(q))
-}
-
-// EncodeInt8Parallel is the chunked form of EncodeInt8: disjoint output
-// spans, byte-identical for any worker count. workers <= 1 runs the
-// serial kernel.
-func EncodeInt8Parallel(data []float32, m float64, dst []byte, workers int) []byte {
-	n := len(data)
-	if workers <= 1 || m == 0 {
-		return EncodeInt8(data, m, dst)
-	}
-	notePass("int8-quantize", n)
-	scale := 127 / m
-	base := len(dst)
-	dst = growCap(dst, n)
-	out := dst[base : base+n]
-	forEachChunk(n, 1, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = quantInt8(data[i], scale)
-		}
-	})
-	return dst[:base+n]
 }

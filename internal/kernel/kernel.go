@@ -45,11 +45,9 @@
 // reference implementation and for callers that need the intermediate
 // representations.
 //
-// Both compress passes have chunked-parallel forms over block-aligned spans
-// (the max reduced from the index the spans record; a fused encode per
-// span, compacted in place, with a zero-run stitch-up) that produce
-// byte-identical output to the serial kernels for any worker count.
-// Scheduling is work-proportional: see PassWorkers.
+// Every kernel runs on the calling goroutine. Parallelism lives one level
+// up, across tensors (package ps runs a node's per-tensor contexts on a
+// pool), so a tensor's codec is one goroutine's sequential sweep.
 //
 // The aggregation side adds a fourth kernel, DecodeTernaryAdd (dst += M·q
 // in one pass over the wire bytes and the non-zero groups: zero runs skip
@@ -102,8 +100,6 @@ package kernel
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
 
 // PassHook, when non-nil, is called once per full sweep a kernel in this
@@ -118,117 +114,6 @@ func notePass(pass string, n int) {
 	if PassHook != nil {
 		PassHook(pass, n)
 	}
-}
-
-// SpawnHook, when non-nil, is called once per goroutine a kernel fan-out
-// spawns. It is the scheduling test double behind the "small tensors
-// spawn zero goroutines, a k-chunk fan-out spawns k-1" guarantee (the
-// caller always runs the last chunk itself instead of idling in Wait).
-// Production code must leave it nil.
-var SpawnHook func()
-
-func noteSpawn() {
-	if SpawnHook != nil {
-		SpawnHook()
-	}
-}
-
-// Work-proportional parallel scheduling.
-//
-// With the pipeline fused into two passes, each pass is a large fraction
-// of total step time, so the fan-out decision is made per pass rather than
-// per pipeline: callers ask PassWorkers once per pass, and a pass gets a
-// goroutine only for every SpanElems elements it sweeps.
-const (
-	// ParallelThresholdElems is the tensor size below which every pass
-	// runs serially: under it, fan-out overhead outweighs any win.
-	ParallelThresholdElems = 1 << 18
-	// SpanElems is the minimum number of elements per goroutine of a
-	// fanned-out pass. One number serves every pass: on the asm tier both
-	// compress passes stream at memory speed (~0.35 ns/element for the
-	// reduction, 0.4–0.9 for quantize+pack), so a 1<<16 span is 25–60 µs of
-	// work against a ~20 µs goroutine handoff. Measured on a 2-vCPU host,
-	// EncodeTernaryParallel with 2 workers against the serial kernel:
-	// 1<<16 per goroutine 19 → 40 µs (0.998-zero input) and 89 → 116 µs
-	// (dense); 1<<17 per goroutine 65 → 75 and 190 → 230 µs; 1<<19 per
-	// goroutine 352 → 353 and 835 → 578 µs.
-	SpanElems = 1 << 17
-)
-
-// PassWorkers returns the goroutine fan-out for one fused pass over n
-// elements: 1 below ParallelThresholdElems, otherwise GOMAXPROCS capped by
-// the caller's budget (budget <= 0 means no cap) and by work
-// proportionality (at least SpanElems elements per goroutine, so small
-// passes never over-spawn even under a generous budget).
-func PassWorkers(n, budget int) int {
-	if n < ParallelThresholdElems {
-		return 1
-	}
-	w := runtime.GOMAXPROCS(0)
-	if budget > 0 && w > budget {
-		w = budget
-	}
-	if m := n / SpanElems; w > m {
-		w = m
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// forEachChunk splits [0, n) into `workers` contiguous spans whose
-// boundaries (except the last) are multiples of align and runs fn(idx, lo,
-// hi) for each span. With one resulting span, fn runs on the calling
-// goroutine with zero spawns; with k spans, k-1 goroutines are spawned and
-// the caller runs the final span itself instead of idling in Wait (one
-// fewer handoff per fan-out, and tiny tensors never pay a spawn at all).
-// fn gets the chunk index, which the two-phase reductions and the zero-run
-// stitch-up need to address per-chunk result slots.
-func forEachChunk(n, align, workers int, fn func(idx, lo, hi int)) int {
-	if n <= 0 {
-		return 0
-	}
-	if align < 1 {
-		align = 1
-	}
-	groups := (n + align - 1) / align
-	if workers > groups {
-		workers = groups
-	}
-	if workers <= 1 {
-		fn(0, 0, n)
-		return 1
-	}
-	per := groups / workers
-	rem := groups % workers
-	var wg sync.WaitGroup
-	lo := 0
-	lastLo := 0
-	for g := 0; g < workers; g++ {
-		cnt := per
-		if g < rem {
-			cnt++
-		}
-		hi := lo + cnt*align
-		if hi > n {
-			hi = n
-		}
-		if g == workers-1 {
-			lastLo = lo
-			break
-		}
-		wg.Add(1)
-		noteSpawn()
-		go func(idx, lo, hi int) {
-			defer wg.Done()
-			fn(idx, lo, hi)
-		}(g, lo, hi)
-		lo = hi
-	}
-	fn(workers-1, lastLo, n)
-	wg.Wait()
-	return workers
 }
 
 // BlockElems is the block of the per-block |max| index (BlockMax): a
@@ -255,12 +140,9 @@ const BlockElems = 1280
 // Pass 2 consults what the last pass 1 recorded, so nothing may write the
 // buffer between the two. The zero BlockMax is empty until a pass 1 sizes
 // it; an index that does not hold one entry per block of the buffer
-// (empty, or nil) is not consulted, and a nil one records nothing. The
-// index also keeps the per-span scratch of the parallel forms, so a
-// context that owns one runs both passes without allocating.
+// (empty, or nil) is not consulted, and a nil one records nothing.
 type BlockMax struct {
-	max   []float32   // max|buf| of each block as of the last pass 1
-	spans []ternChunk // per-span results of a fanned-out EncodeTernary
+	max []float32 // max|buf| of each block as of the last pass 1
 }
 
 // blocks returns the number of index entries of an n-element tensor.
@@ -298,18 +180,15 @@ func (x *BlockMax) consult(n int) []float32 {
 //3lc:noalloc
 func AccumulateMaxAbs(buf, in []float32) float32 {
 	var none *BlockMax
-	return none.AccumulateMaxAbs(buf, in, 1)
+	return none.AccumulateMaxAbs(buf, in)
 }
 
 // AccumulateMaxAbs is compress pass 1 recording x: each block's max|buf|
-// lands in the index as the tensor's max is reduced. With workers > 1 the
-// sweep fans out over block-aligned spans (forEachChunk) and the tensor's
-// max is reduced from the index; float32 max is associative and NaN never
-// wins it, so the result is bit-identical to the serial kernel for any
-// worker count. A nil x records nothing and runs serially.
+// lands in the index as the tensor's max is reduced. A nil x records
+// nothing.
 //
 //3lc:noalloc
-func (x *BlockMax) AccumulateMaxAbs(buf, in []float32, workers int) float32 {
+func (x *BlockMax) AccumulateMaxAbs(buf, in []float32) float32 {
 	if len(buf) != len(in) {
 		panic(fmt.Sprintf("kernel: AccumulateMaxAbs length mismatch %d != %d", len(buf), len(in)))
 	}
@@ -318,19 +197,9 @@ func (x *BlockMax) AccumulateMaxAbs(buf, in []float32, workers int) float32 {
 	if idx == nil {
 		return accMaxCore(buf, in)
 	}
-	if workers > 1 {
-		return accMaxParallel(buf, in, idx, workers)
-	}
-	return accMaxBlocks(buf, in, 0, len(buf), idx)
-}
-
-// accMaxBlocks runs the dispatched accumulate+|max| core over the blocks of
-// buf[lo:hi] (lo block-aligned), recording each block's max in idx, and
-// returns the span's max.
-func accMaxBlocks(buf, in []float32, lo, hi int, idx []float32) float32 {
 	var m float32
-	for b := lo; b < hi; b += BlockElems {
-		e := min(b+BlockElems, hi)
+	for b := 0; b < len(buf); b += BlockElems {
+		e := min(b+BlockElems, len(buf))
 		bm := accMaxCore(buf[b:e], in[b:e])
 		idx[b/BlockElems] = bm
 		if bm > m {
@@ -340,22 +209,11 @@ func accMaxBlocks(buf, in []float32, lo, hi int, idx []float32) float32 {
 	return m
 }
 
-// accMaxParallel is the fanned-out form of accMaxBlocks over the whole
-// tensor: spans write disjoint index entries, then one serial reduction
-// over the index (its entries are already magnitudes) gives the max.
-func accMaxParallel(buf, in, idx []float32, workers int) float32 {
-	forEachChunk(len(buf), BlockElems, workers, func(_, lo, hi int) {
-		accMaxBlocks(buf, in, lo, hi, idx)
-	})
-	return maxAbsRange(idx)
-}
-
-// accMaxAbsRange is the unhooked serial core shared by the serial and
-// chunked-parallel forms. |s| is taken by masking the sign bit rather than
-// a compare-and-negate: the sign of random data makes that branch
-// unpredictable (measured ~7x slower), while the mask is branchless. The
-// reduction result is bit-identical either way — ±0 and NaN lose every
-// `a > m` comparison under both forms.
+// accMaxAbsRange is the unhooked scalar-tier accumulate+|max| core. |s| is
+// taken by masking the sign bit rather than a compare-and-negate: the sign
+// of random data makes that branch unpredictable (measured ~7x slower),
+// while the mask is branchless. The reduction result is bit-identical
+// either way — ±0 and NaN lose every `a > m` comparison under both forms.
 func accMaxAbsRange(buf, in []float32) float32 {
 	var m float32
 	buf = buf[:len(in)]
@@ -370,39 +228,12 @@ func accMaxAbsRange(buf, in []float32) float32 {
 	return m
 }
 
-// AccumulateMaxAbsParallel is the chunked form of AccumulateMaxAbs over a
-// fresh block index, bit-identical to the serial kernel for any worker
-// count. A context that runs it every step keeps a BlockMax instead.
-func AccumulateMaxAbsParallel(buf, in []float32, workers int) float32 {
-	return new(BlockMax).AccumulateMaxAbs(buf, in, workers)
-}
-
 // MaxAbs returns max|data| in one hooked sweep. It is pass 1 of the fused
-// stochastic-ternary pipeline, which has no error accumulation to fuse the
-// reduction with.
+// stochastic-ternary and int8 pipelines, which have no error accumulation
+// to fuse the reduction with.
 func MaxAbs(data []float32) float32 {
 	notePass("maxabs", len(data))
 	return maxAbsRange(data)
-}
-
-// MaxAbsParallel is the two-phase chunked form of MaxAbs, bit-identical
-// for any worker count.
-func MaxAbsParallel(data []float32, workers int) float32 {
-	notePass("maxabs", len(data))
-	if workers <= 1 || len(data) == 0 {
-		return maxAbsRange(data)
-	}
-	maxes := make([]float32, workers)
-	used := forEachChunk(len(data), 1, workers, func(idx, lo, hi int) {
-		maxes[idx] = maxAbsRange(data[lo:hi])
-	})
-	var m float32
-	for _, v := range maxes[:used] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 func maxAbsRange(data []float32) float32 {

@@ -114,80 +114,6 @@ func TestEncodeTernaryMatchesStaged(t *testing.T) {
 	}
 }
 
-// TestEncodeTernaryParallelByteIdentical pins the stitch-up contract: for
-// any worker count the parallel fused encoder must produce exactly the
-// serial kernel's bytes and residuals, including zero runs spanning chunk
-// boundaries and all-zero chunks.
-func TestEncodeTernaryParallelByteIdentical(t *testing.T) {
-	for _, n := range []int{5, 64, 997, 4096, 100_003} {
-		for _, workers := range []int{2, 3, 7, 16} {
-			for _, sparse := range []bool{false, true} {
-				t.Run(fmt.Sprintf("n=%d/w=%d/sparse=%v", n, workers, sparse), func(t *testing.T) {
-					base := tensor.New(n)
-					if sparse {
-						// Two spikes leave almost everything zero, forcing
-						// long runs across every chunk boundary.
-						base.Data()[0] = 1
-						base.Data()[n-1] = -1
-					} else {
-						fillRand(base, uint64(n), 0.01)
-					}
-					serialBuf := append([]float32(nil), base.Data()...)
-					parBuf := append([]float32(nil), base.Data()...)
-					m := float64(maxAbsRange(serialBuf)) * 1.75
-
-					want := EncodeTernary(serialBuf, m, true, nil)
-					got, _ := EncodeTernaryParallel(parBuf, m, true, nil, workers, nil)
-					if !bytes.Equal(want, got) {
-						t.Fatalf("parallel ZRE wire differs: %d B vs %d B", len(got), len(want))
-					}
-					if i, ok := bitsEqual(serialBuf, parBuf); !ok {
-						t.Fatalf("parallel residual differs at %d", i)
-					}
-
-					// And the no-ZRE fixed-position parallel path.
-					serialBuf = append(serialBuf[:0], base.Data()...)
-					parBuf = append(parBuf[:0], base.Data()...)
-					want = EncodeTernary(serialBuf, m, false, nil)
-					got, _ = EncodeTernaryParallel(parBuf, m, false, nil, workers, nil)
-					if !bytes.Equal(want, got) {
-						t.Fatalf("parallel quartic wire differs")
-					}
-					if i, ok := bitsEqual(serialBuf, parBuf); !ok {
-						t.Fatalf("parallel no-ZRE residual differs at %d", i)
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestAccumulateMaxAbsParallelMatchesSerial checks the two-phase parallel
-// max reduction is bit-identical for any worker count.
-func TestAccumulateMaxAbsParallelMatchesSerial(t *testing.T) {
-	for _, n := range []int{1, 17, 1000, 65536} {
-		for _, workers := range []int{2, 5, 13} {
-			a := tensor.New(n)
-			b := tensor.New(n)
-			in := tensor.New(n)
-			fillRand(a, 1, 0.5)
-			b.CopyFrom(a)
-			fillRand(in, 2, 0.5)
-			ms := AccumulateMaxAbs(a.Data(), in.Data())
-			mp := AccumulateMaxAbsParallel(b.Data(), in.Data(), workers)
-			if math.Float32bits(ms) != math.Float32bits(mp) {
-				t.Fatalf("n=%d w=%d: max %v != %v", n, workers, ms, mp)
-			}
-			if i, ok := bitsEqual(a.Data(), b.Data()); !ok {
-				t.Fatalf("n=%d w=%d: buffers differ at %d", n, workers, i)
-			}
-			if math.Float32bits(MaxAbs(a.Data())) != math.Float32bits(MaxAbsParallel(b.Data(), workers)) {
-				t.Fatalf("n=%d w=%d: MaxAbsParallel differs", n, workers)
-			}
-		}
-	}
-}
-
 // TestEncodeStochMatchesStaged pins the fused stochastic encoder to the
 // staged quantizer: identical RNG consumption order means identical
 // bytes.
@@ -399,18 +325,8 @@ func TestPassCounts(t *testing.T) {
 		t.Fatalf("fused decode made %d passes (%v), want exactly 1", len(passes), passes)
 	}
 
-	// The parallel kernels are still one pass each: chunks shard a sweep,
-	// they do not add one.
-	passes = nil
-	buf2 := make([]float32, n)
-	m = float64(AccumulateMaxAbsParallel(buf2, in.Data(), 4)) * 1.75
-	_, _ = EncodeTernaryParallel(buf2, m, true, nil, 4, nil)
-	if len(passes) != 2 {
-		t.Fatalf("parallel fused compress made %d passes, want 2", len(passes))
-	}
-
 	// With a block index pass 2 reads only the blocks that can hold a
-	// non-zero digit, serial and fanned out alike: under 5 % of a tensor
+	// non-zero digit: under 5 % of a tensor
 	// whose non-zero digits cluster, all of one whose digits are scattered
 	// (the dense input at s = 1.75 puts one in every block). Pass 1 still
 	// reads everything.
@@ -424,18 +340,16 @@ func TestPassCounts(t *testing.T) {
 		{"clustered", clusteredInput(big).Data(), 1, big/20 - 1},
 		{"scattered", scattered.Data(), big, big},
 	} {
-		for _, workers := range []int{1, 4} {
-			var x BlockMax
-			buf := make([]float32, big)
-			passes = nil
-			m := float64(x.AccumulateMaxAbs(buf, tc.in, workers)) * 1.75
-			x.EncodeTernary(buf, m, true, nil, workers)
-			if len(passes) != 2 || passes[0].elems != big {
-				t.Fatalf("%s w=%d: indexed compress made passes %v, want 2 with pass 1 over %d", tc.name, workers, passes, big)
-			}
-			if read := passes[1].elems; read < tc.minRead || read > tc.max {
-				t.Fatalf("%s w=%d: pass 2 read %d of %d elements, want %d..%d", tc.name, workers, read, big, tc.minRead, tc.max)
-			}
+		var x BlockMax
+		buf := make([]float32, big)
+		passes = nil
+		m := float64(x.AccumulateMaxAbs(buf, tc.in)) * 1.75
+		x.EncodeTernary(buf, m, true, nil)
+		if len(passes) != 2 || passes[0].elems != big {
+			t.Fatalf("%s: indexed compress made passes %v, want 2 with pass 1 over %d", tc.name, passes, big)
+		}
+		if read := passes[1].elems; read < tc.minRead || read > tc.max {
+			t.Fatalf("%s: pass 2 read %d of %d elements, want %d..%d", tc.name, read, big, tc.minRead, tc.max)
 		}
 	}
 
@@ -443,7 +357,7 @@ func TestPassCounts(t *testing.T) {
 	// only the blocks a literal group lands in, and the optimizer sweep
 	// reads the gradient of those alone — under 5 % of a clustered 1M sum,
 	// all of a scattered one (a literal group in every block) and all under
-	// a NaN scale, serial and over 4 spans. Still one pass each.
+	// a NaN scale. Still one pass each.
 	w, v, acc := make([]float32, big), make([]float32, big), make([]float32, big)
 	for _, tc := range []struct {
 		name         string
@@ -457,44 +371,26 @@ func TestPassCounts(t *testing.T) {
 	} {
 		buf := make([]float32, big)
 		m := float64(AccumulateMaxAbs(buf, tc.in)) * 1.75
-		wire := TernaryWire{Body: EncodeTernary(buf, m, true, nil), ZRE: true, M: float32(m)}
+		body, scale := EncodeTernary(buf, m, true, nil), float32(m)
 		if tc.nan {
-			wire.M = float32(math.NaN())
+			scale = float32(math.NaN())
 		}
-		for _, workers := range []int{1, 4} {
-			var live LiveBlocks
-			live.Reset()
-			sum := make([]float32, big)
-			passes = nil
-			if err := live.DecodeTernaryAddParallel([]TernaryWire{wire}, sum, workers); err != nil {
-				t.Fatal(err)
-			}
-			live.FusedSGDStep(nil, w, v, sum, acc, 1, 0, 0, 1)
-			if len(passes) != 2 {
-				t.Fatalf("%s w=%d: decode-add and sweep made passes %v, want 2", tc.name, workers, passes)
-			}
-			for _, p := range passes {
-				if p.elems < tc.minRead || p.elems > tc.max {
-					t.Fatalf("%s w=%d: %s touched %d of %d elements, want %d..%d", tc.name, workers, p.name, p.elems, big, tc.minRead, tc.max)
-				}
+		var live LiveBlocks
+		live.Reset()
+		sum := make([]float32, big)
+		passes = nil
+		if err := live.DecodeTernaryAdd(body, true, scale, sum); err != nil {
+			t.Fatal(err)
+		}
+		live.FusedSGDStep(nil, w, v, sum, acc, 1, 0, 0, 1)
+		if len(passes) != 2 {
+			t.Fatalf("%s: decode-add and sweep made passes %v, want 2", tc.name, passes)
+		}
+		for _, p := range passes {
+			if p.elems < tc.minRead || p.elems > tc.max {
+				t.Fatalf("%s: %s touched %d of %d elements, want %d..%d", tc.name, p.name, p.elems, big, tc.minRead, tc.max)
 			}
 		}
-	}
-}
-
-// --- scheduling --------------------------------------------------------------
-
-func TestPassWorkers(t *testing.T) {
-	if w := PassWorkers(1000, 0); w != 1 {
-		t.Errorf("small tensor: %d workers, want 1", w)
-	}
-	if w := PassWorkers(1<<20, 1); w != 1 {
-		t.Errorf("budget 1: %d workers, want 1", w)
-	}
-	// Work proportionality: a pass never gets more workers than n/span.
-	n := ParallelThresholdElems
-	if w := PassWorkers(n, 1024); w > n/SpanElems {
-		t.Errorf("reduce pass over-spawned: %d workers for %d elems", w, n)
 	}
 }
 

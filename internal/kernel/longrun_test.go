@@ -31,23 +31,21 @@ func runTensor(n, at, run int) []float32 {
 }
 
 // TestLongRunTokenEveryEdge holds the kernel to the staged encode
-// reference byte for byte — serial and EncodeTernaryParallel at 2..8
-// workers, on every available tier — and the three decoders to the staged
-// decode, for runs of every edge length placed at the start of the stream,
-// at its end (over the partial tail group) and across every chunk boundary
-// any of those worker counts cuts.
+// reference byte for byte — without and with a block index, on every
+// available tier — and the three decoders to the staged decode, for runs
+// of every edge length placed at the start of the stream, at its end (over
+// the partial tail group) and across every block boundary, where the
+// indexed encode joins one block's run to the next.
 func TestLongRunTokenEveryEdge(t *testing.T) {
 	const n = 5*2000 + 3 // 2001 groups, the last one partial; above scaledLUTMinElems
 	groups := encode.QuarticEncodedLen(n)
 	tierSweep(func(tier Tier) {
 		for _, run := range longRunLens {
 			places := map[int]bool{0: true, groups - run: true}
-			for workers := 2; workers <= 8; workers++ {
-				for _, b := range spanBounds(n, BlockElems, workers) {
-					// Centred on the boundary, and ending one group past it.
-					for _, at := range []int{b/encode.GroupSize - run/2, b/encode.GroupSize + 1 - run} {
-						places[min(max(at, 0), groups-run)] = true
-					}
+			for b := BlockElems; b < n; b += BlockElems {
+				// Centred on the boundary, and ending one group past it.
+				for _, at := range []int{b/encode.GroupSize - run/2, b/encode.GroupSize + 1 - run} {
+					places[min(max(at, 0), groups-run)] = true
 				}
 			}
 			for at := range places {
@@ -67,10 +65,11 @@ func TestLongRunTokenEveryEdge(t *testing.T) {
 			}
 			v := make([]float32, n)
 			v[n/2] = 0.25
-			for workers := 1; workers <= 8; workers++ {
+			for _, x := range []*BlockMax{nil, new(BlockMax)} {
 				buf := append([]float32(nil), v...)
-				if got, _ := EncodeTernaryParallel(buf, 1, true, nil, workers, nil); !bytes.Equal(got, want) {
-					t.Fatalf("tier %v n=%d workers=%d: all-zero wire % x, want % x", tier, n, workers, got, want)
+				x.AccumulateMaxAbs(buf, make([]float32, n))
+				if got := x.EncodeTernary(buf, 1, true, nil); !bytes.Equal(got, want) {
+					t.Fatalf("tier %v n=%d indexed=%v: all-zero wire % x, want % x", tier, n, x != nil, got, want)
 				}
 			}
 		}
@@ -86,11 +85,11 @@ func checkRunTensor(t *testing.T, name string, v []float32, run int) {
 	if n := bytes.Count(encode.ZeroRunDecode(want), []byte{encode.ZeroGroupByte}); n != run {
 		t.Fatalf("%s: reference wire holds %d zero groups", name, n)
 	}
-	for workers := 1; workers <= 8; workers++ {
-		buf := append([]float32(nil), v...)
-		got, _ := EncodeTernaryParallel(buf, float64(m32), true, nil, workers, nil)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s workers=%d: wire % x, want % x", name, workers, got, want)
+	for _, x := range []*BlockMax{nil, new(BlockMax)} {
+		buf := make([]float32, n)
+		x.AccumulateMaxAbs(buf, v)
+		if got := x.EncodeTernary(buf, float64(m32), true, nil); !bytes.Equal(got, want) {
+			t.Fatalf("%s indexed=%v: wire % x, want % x", name, x != nil, got, want)
 		}
 	}
 	dec, err := stagedDecode(want, true, m32, n)
@@ -107,39 +106,28 @@ func checkRunTensor(t *testing.T, name string, v []float32, run int) {
 	for i := range dec {
 		dec[i] += 3
 	}
-	for workers := 1; workers <= 8; workers++ {
-		for i := range got {
-			got[i] = 3
-		}
-		if err := DecodeTernaryAddParallel([]TernaryWire{{Body: want, ZRE: true, M: m32}}, got, workers); err != nil {
-			t.Fatalf("%s workers=%d: %v", name, workers, err)
-		}
-		if i, ok := bitsEqual(got, dec); !ok {
-			t.Fatalf("%s workers=%d: decode-add differs at %d", name, workers, i)
-		}
+	for i := range got {
+		got[i] = 3
+	}
+	if err := DecodeTernaryAdd(want, true, m32, got); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if i, ok := bitsEqual(got, dec); !ok {
+		t.Fatalf("%s: decode-add differs at %d", name, i)
 	}
 }
 
-// TestDecodeAddSpanBeginsInsideLongRun pins the entry points of the
-// range-partitioned decode-add: with one token standing for most of the
-// tensor, every span but the first begins inside it, at a skip far above
-// the 14 groups one byte used to cover.
+// TestDecodeAddSpanBeginsInsideLongRun pins the wire of one token standing
+// for most of the tensor, far above the 14 groups one byte used to cover,
+// and the decode-add of it.
 func TestDecodeAddSpanBeginsInsideLongRun(t *testing.T) {
 	const n = 5 * (14*128*4 + 3)
 	body := EncodeTernary(runTensor(n, 1, 14*128*4), 1, true, nil)
 	if want := []byte{242, encode.LongRun, 0xff, 0x03, 242, 242}; !bytes.Equal(body, want) {
 		t.Fatalf("body % x, want % x", body, want)
 	}
-	bounds := spanBounds(n, encode.GroupSize, 8)
-	ents := make([]wireEntry, len(bounds)-1)
-	buildEntries(body, bounds, ents)
-	for s, e := range ents[1:] {
-		if want := bounds[s+1]/encode.GroupSize - 1; e.off != 1 || e.skip != want {
-			t.Fatalf("span %d enters at %+v, want the long-run token at offset 1, skip %d", s+1, e, want)
-		}
-	}
 	got := make([]float32, n)
-	if err := DecodeTernaryAddParallel([]TernaryWire{{Body: body, ZRE: true, M: 1}}, got, 8); err != nil {
+	if err := DecodeTernaryAdd(body, true, 1, got); err != nil {
 		t.Fatal(err)
 	}
 	if i, ok := bitsEqual(got, runTensor(n, 1, 14*128*4)); !ok {
@@ -177,8 +165,9 @@ func TestLongRunTokenMalformed(t *testing.T) {
 			if err := DecodeTernaryAdd(tc.body, true, 1, dst); err == nil {
 				t.Errorf("tier %v %s: decode-add accepted it", tier, tc.name)
 			}
-			if err := DecodeTernaryAddParallel([]TernaryWire{{Body: tc.body, ZRE: true, M: 1}}, dst, 3); err == nil {
-				t.Errorf("tier %v %s: parallel decode-add accepted it", tier, tc.name)
+			var live LiveBlocks
+			if err := live.DecodeTernaryAdd(tc.body, true, 1, dst); err == nil {
+				t.Errorf("tier %v %s: decode-add into a recorded sum accepted it", tier, tc.name)
 			}
 			if i, ok := bitsEqual(dst, snap); !ok {
 				t.Errorf("tier %v %s: rejected payload wrote dst[%d]", tier, tc.name, i)

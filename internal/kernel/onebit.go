@@ -7,15 +7,13 @@ package kernel
 // the sweeps pairwise so the whole compress side touches tensor memory
 // exactly twice, matching the ternary pipeline's shape:
 //
-//	pass 1  AccumulateSignStats    buf += in fused with the sign bit-pack
-//	                               and the two partition sums
-//	pass 2  OneBitResidualParallel buf[i] -= (bit ? mPos : mNeg), the
-//	                               dequantize+residual fused and chunked
+//	pass 1  AccumulateSignStats  buf += in fused with the sign bit-pack
+//	                             and the two partition sums
+//	pass 2  OneBitResidual       buf[i] -= (bit ? mPos : mNeg), the
+//	                             dequantize+residual fused
 //
-// Pass 1 is serial by contract: the partition means are float64 sums taken
-// in element-index order, and float64 addition is not associative, so any
-// chunked reordering would change the transmitted MPos/MNeg bits. Pass 2
-// is element-wise independent and parallelizes like the int8 encode.
+// The partition means are float64 sums taken in element-index order, and
+// float64 addition is not associative, so pass 1 keeps that order.
 
 // AccumulateSignStats is the fused 1-bit compress pass 1: buf += in, the
 // sign bit of each updated element packed into bits (bit=1 for v >= 0,
@@ -56,25 +54,13 @@ func AccumulateSignStats(buf, in []float32, bits []byte) (mPos, mNeg float32) {
 	return mPos, mNeg
 }
 
-// OneBitResidualParallel is the fused 1-bit compress pass 2: for every
-// element, buf[i] -= mPos when its transmitted bit is set, mNeg otherwise
-// — the staged dequantize-into-scratch followed by the residual subtract,
-// without the scratch tensor. Element-wise independent, so chunks (byte-
-// aligned in the bit buffer) produce bit-identical residuals for any
-// worker count. workers <= 1 runs serially.
-func OneBitResidualParallel(buf []float32, bits []byte, mPos, mNeg float32, workers int) {
+// OneBitResidual is the fused 1-bit compress pass 2: for every element,
+// buf[i] -= mPos when its transmitted bit is set, mNeg otherwise — the
+// staged dequantize-into-scratch followed by the residual subtract,
+// without the scratch tensor.
+func OneBitResidual(buf []float32, bits []byte, mPos, mNeg float32) {
 	notePass("onebit-residual", len(buf))
-	if workers <= 1 {
-		oneBitResidualRange(buf, bits, mPos, mNeg, 0, len(buf))
-		return
-	}
-	forEachChunk(len(buf), 8, workers, func(_, lo, hi int) {
-		oneBitResidualRange(buf, bits, mPos, mNeg, lo, hi)
-	})
-}
-
-func oneBitResidualRange(buf []float32, bits []byte, mPos, mNeg float32, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := range buf {
 		if bits[i>>3]&(1<<(uint(i)&7)) != 0 {
 			buf[i] -= mPos
 		} else {
@@ -83,30 +69,16 @@ func oneBitResidualRange(buf []float32, bits []byte, mPos, mNeg float32, lo, hi 
 	}
 }
 
-// AddParallel is the plain chunked accumulate buf += in, for codecs whose
-// quantization statistics cannot fuse with the accumulation sweep (the
-// top-k sparsifier estimates its threshold from a sample, not a
-// reduction). Element-wise independent and bit-identical for any worker
-// count.
-func AddParallel(buf, in []float32, workers int) {
+// Add is the plain accumulate buf += in, for codecs whose quantization
+// statistics cannot fuse with the accumulation sweep (the top-k sparsifier
+// estimates its threshold from a sample, not a reduction).
+func Add(buf, in []float32) {
 	if len(buf) != len(in) {
-		panic("kernel: AddParallel length mismatch")
+		panic("kernel: Add length mismatch")
 	}
 	notePass("accumulate", len(buf))
-	if workers <= 1 {
-		addRange(buf, in, 0, len(buf))
-		return
-	}
-	forEachChunk(len(buf), 1, workers, func(_, lo, hi int) {
-		addRange(buf, in, lo, hi)
-	})
-}
-
-func addRange(buf, in []float32, lo, hi int) {
-	b := buf[lo:hi]
-	v := in[lo:hi]
-	b = b[:len(v)]
-	for i := range v {
-		b[i] += v[i]
+	buf = buf[:len(in)]
+	for i, v := range in {
+		buf[i] += v
 	}
 }

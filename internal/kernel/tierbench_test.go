@@ -58,12 +58,12 @@ func BenchmarkEncodeTernaryKernel(b *testing.B) {
 	var wire []byte
 	run := func(b *testing.B, snapshot []float32, m float64, bufs int) {
 		var x BlockMax
-		x.AccumulateMaxAbs(make([]float32, len(snapshot)), snapshot, 1)
+		x.AccumulateMaxAbs(make([]float32, len(snapshot)), snapshot)
 		ring := make([][]float32, bufs)
 		for i := range ring {
 			ring[i] = append([]float32(nil), snapshot...)
 		}
-		wire = x.EncodeTernary(ring[0], m, true, wire[:0], 1) // converge wire capacity
+		wire = x.EncodeTernary(ring[0], m, true, wire[:0]) // converge wire capacity
 		var changed []int
 		for i, v := range ring[0] {
 			if v != snapshot[i] { // residual v − M·q with q != 0
@@ -80,7 +80,7 @@ func BenchmarkEncodeTernaryKernel(b *testing.B) {
 				buf[j] = snapshot[j]
 			}
 			b.StartTimer()
-			wire = x.EncodeTernary(buf, m, true, wire[:0], 1)
+			wire = x.EncodeTernary(buf, m, true, wire[:0])
 		}
 		b.ReportMetric(1-float64(len(changed))/float64(len(snapshot)), "zero-frac")
 		b.ReportMetric(float64(encode.ZeroRunPaperLen(wire))/float64(len(wire)), "longrun-gain")
@@ -187,7 +187,7 @@ func BenchmarkDecodeAddKernel(b *testing.B) {
 			b.Run(tier.String()+"/"+in.name, func(b *testing.B) {
 				SetTier(tier)
 				if err := DecodeTernaryAdd(wire, true, float32(m), acc); err != nil {
-					b.Fatal(err) // also warms the ScaledLUT pool
+					b.Fatal(err) // also warms the ScaledLUT free list
 				}
 				b.SetBytes(4 * int64(n))
 				b.ReportAllocs()
@@ -207,7 +207,7 @@ func BenchmarkDecodeAddKernel(b *testing.B) {
 			SetTier(tier)
 			var live LiveBlocks
 			if err := live.DecodeTernaryAdd(wire, true, m, acc); err != nil {
-				b.Fatal(err) // sizes the record, warms the ScaledLUT pool
+				b.Fatal(err) // sizes the record, warms the ScaledLUT free list
 			}
 			b.SetBytes(4 * int64(n))
 			b.ReportAllocs()

@@ -4,14 +4,8 @@ package kernel
 // sweeps after the accumulate: select (bitmap + value gather), reconstruct
 // the dense transmission into a scratch tensor, and the residual subtract.
 // SparsifyResidual collapses them into one pass with no scratch tensor, so
-// with AddParallel as pass 1 the whole sparsifying compress side touches
-// tensor memory exactly twice.
-//
-// The pass is serial by contract: selected values are emitted into the
-// wire in element-index order, so a chunked form would need either a
-// counting pre-pass or a gather post-pass — an extra sweep either way,
-// which defeats the fusion for a codec whose select loop is already
-// memory-bound.
+// with Add as pass 1 the whole sparsifying compress side touches tensor
+// memory exactly twice.
 
 // SparsifyResidual runs the fused select/emit/residual pass over buf:
 // every element with |v| >= thr and v != 0 is selected — its bit set in

@@ -69,14 +69,14 @@ func TestDecodeAddNonFiniteScaleStillFillsRuns(t *testing.T) {
 						t.Fatalf("tier %v n=%d m=%v: run element %d = %v, want NaN", tier, n, m, i, got[i])
 					}
 				}
-				wires := []TernaryWire{{Body: body, ZRE: true, M: m}}
-				par := make([]float32, n)
-				if err := DecodeTernaryAddParallel(wires, par, 3); err != nil {
+				var live LiveBlocks
+				sum := make([]float32, n)
+				if err := live.DecodeTernaryAdd(body, true, m, sum); err != nil {
 					t.Fatal(err)
 				}
 				for i, r := range inRun {
-					if r && par[i] == par[i] {
-						t.Fatalf("tier %v n=%d m=%v: parallel run element %d = %v, want NaN", tier, n, m, i, par[i])
+					if r && sum[i] == sum[i] {
+						t.Fatalf("tier %v n=%d m=%v: recorded sum's run element %d = %v, want NaN", tier, n, m, i, sum[i])
 					}
 				}
 			}

@@ -87,7 +87,7 @@ type stagedJob struct {
 func newStagedJob(m *nn.Model, cfg Config) aggregator {
 	s := &stagedJob{params: m.Params(), sgd: opt.NewSGD(cfg.Optimizer)}
 	for i, p := range s.params {
-		s.pullCtx = append(s.pullCtx, cfg.newContext(p, 0x5345525645520000+uint64(i), len(s.params))) // newJob's seed
+		s.pullCtx = append(s.pullCtx, cfg.newContext(p, 0x5345525645520000+uint64(i))) // newJob's seed
 		s.sum = append(s.sum, tensor.New(p.W.Shape()...))
 		s.delta = append(s.delta, tensor.New(p.W.Shape()...))
 	}

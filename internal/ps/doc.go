@@ -43,7 +43,8 @@
 // server recycle per-tensor wire buffers across steps through the
 // append-style compress.CompressInto API, and layer tensors are
 // compressed/decompressed concurrently by a bounded worker pool
-// (Config.Parallelism). Per tensor, the ternary codecs run on the fused
+// (Config.Parallelism), the only parallelism in a node's codec work. Per
+// tensor, the ternary codecs run on one goroutine, on the fused
 // kernels of internal/kernel — two passes over tensor memory to compress,
 // the second reading only the blocks whose recorded |max| can quantize to
 // a non-zero digit (kernel.BlockMax: where digits cluster, as on the

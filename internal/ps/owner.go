@@ -115,7 +115,7 @@ func newOwnSteps(id int, params []*nn.Param, cfg Config) []*ownStep {
 		if OwnerOnly(p) {
 			own[i] = &ownStep{w: slices.Clone(p.W.Data()), v: make([]float32, p.W.Len()),
 				grad: tensor.New(p.W.Shape()...), delta: tensor.New(p.W.Shape()...),
-				ctx: cfg.newContext(p, 0, len(params))}
+				ctx: cfg.newContext(p, 0)}
 		}
 	}
 	return own
@@ -139,10 +139,10 @@ func (w *Worker) applyOwn(i int, wire []byte) error {
 		if len(wire) == 0 {
 			return fmt.Errorf("worker %d was sent the empty wire with no push of its own staged to step", w.ID)
 		}
-		return compress.DecompressAddInto(wire, p.W, w.decPar)
+		return compress.DecompressAddInto(wire, p.W, 0)
 	}
 	o.staged = false
-	if err := compress.DecompressFirstAddInto(w.pushWires[i], o.grad, w.decPar); err != nil {
+	if err := compress.DecompressFirstAddInto(w.pushWires[i], o.grad); err != nil {
 		return err
 	}
 	sgd := &w.cfg.Optimizer
@@ -150,7 +150,7 @@ func (w *Worker) applyOwn(i int, wire []byte) error {
 	o.step++
 	kernel.FusedSGDStepDelta(o.w, o.v, o.grad.Data(), o.delta.Data(), 1, float32(sgd.WeightDecay), float32(sgd.Momentum), lr)
 	if len(wire) != 0 {
-		return compress.DecompressAddInto(wire, p.W, w.decPar)
+		return compress.DecompressAddInto(wire, p.W, 0)
 	}
 	p.W.Add(o.delta)
 	return nil

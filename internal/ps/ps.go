@@ -29,30 +29,15 @@ type Config struct {
 	MinCompressElems int
 	// Parallelism bounds the worker pool that compresses / decompresses a
 	// node's layer tensors concurrently (contexts are per-tensor, so
-	// per-tensor fan-out is safe). Zero means GOMAXPROCS; 1 forces the
-	// serial path.
+	// per-tensor fan-out is safe). It is the only parallelism in a node's
+	// codec work: each tensor's codec runs on one goroutine. Zero means
+	// GOMAXPROCS; 1 forces the serial path.
 	Parallelism int
 	// Optimizer configures the server-side SGD.
 	Optimizer opt.SGDConfig
 }
 
-// kernelBudget splits the node's goroutine budget between the two levels
-// of fan-out: the per-tensor pool takes min(par, tensors) workers and
-// each tensor's kernels get the remainder, so the product stays ~par.
-func (c Config) kernelBudget(tensors int) int {
-	par := c.parallelism()
-	pool := par
-	if tensors > 0 && tensors < pool {
-		pool = tensors
-	}
-	b := par / pool
-	if b < 1 {
-		b = 1
-	}
-	return b
-}
-
-// parallelism resolves the configured codec fan-out.
+// parallelism resolves the per-tensor pool's size.
 func (c Config) parallelism() int {
 	if c.Parallelism > 0 {
 		return c.Parallelism
@@ -60,7 +45,7 @@ func (c Config) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// SplitAcross returns c with its codec budget divided among n nodes that
+// SplitAcross returns c with its pool budget divided among n nodes that
 // serve concurrently — the shards of one tier — so the tier as a whole
 // stays within the budget of one.
 func (c Config) SplitAcross(n int) Config {
@@ -125,26 +110,14 @@ func (c Config) Compresses(p *nn.Param) bool {
 	return c.Scheme != compress.SchemeNone && !p.NoCompress && p.W.Len() >= c.MinCompressElems
 }
 
-// newContext builds the compression context for one of `tensors` model
-// tensors on this node.
-func (c Config) newContext(p *nn.Param, seed uint64, tensors int) compress.Compressor {
+// newContext builds the compression context for one model tensor on this
+// node.
+func (c Config) newContext(p *nn.Param, seed uint64) compress.Compressor {
 	if !c.Compresses(p) {
 		return compress.NewExempt(c.Scheme, p.W.Shape())
 	}
 	o := c.Opts
 	o.Seed ^= seed
-	if o.CodecParallelism == 0 {
-		// Split the node's goroutine budget across the per-tensor pool and
-		// each context's fused kernels (kernelBudget). Below the
-		// per-context cap the scheduling is work-proportional
-		// (kernel.PassWorkers): each of the two fused compress passes sizes
-		// its own fan-out to the elements it sweeps, so the cap set here
-		// is a ceiling, not a fixed spawn count. A single-tensor model
-		// gets full chunk parallelism; a many-tensor model gets serial
-		// kernels under a wide pool; Parallelism=1 means fully serial
-		// everywhere.
-		o.CodecParallelism = c.kernelBudget(tensors)
-	}
 	return compress.New(c.Scheme, p.W.Shape(), o)
 }
 
@@ -174,7 +147,6 @@ type Job struct {
 	pullWires [][]byte                  // per-tensor pull wire buffers, recycled across steps
 	ownerPull [][]byte                  // pullWires as the owner is sent them (OwnerPull), recycled
 	errs      []error                   // per-tensor error slots for parallel decode, recycled
-	decPar    int                       // per-tensor kernel fan-out for fused decode-add
 	pushed    []bool                    // per-tensor: a push reached it this step
 	preAcc    []compress.PreAccumulator // pull contexts with a fusable accumulate pass (nil slots otherwise)
 	raw       []compress.RawWriter      // pull contexts whose wire the optimizer sweep writes (nil slots otherwise)
@@ -235,9 +207,8 @@ func newJob(params []*nn.Param, globalIdx []int, cfg Config) *Job {
 		if globalIdx != nil {
 			gi = globalIdx[i]
 		}
-		s.pullCtx = append(s.pullCtx, cfg.newContext(p, 0x5345525645520000+uint64(gi), len(s.params))) // "SERVER"
+		s.pullCtx = append(s.pullCtx, cfg.newContext(p, 0x5345525645520000+uint64(gi))) // "SERVER"
 	}
-	s.decPar = cfg.kernelBudget(len(s.params))
 	s.live = make([]kernel.LiveBlocks, len(s.params))
 	s.pushed = make([]bool, len(s.params))
 	s.pullWires = make([][]byte, len(s.params))
@@ -398,7 +369,7 @@ func (s *Job) ingestOne(workerID, i int, wire []byte) error {
 // stays ==-equal to the dense result throughout.)
 func (s *Job) decodeAdd(i int, wire []byte) error {
 	s.pushed[i] = true
-	return compress.DecompressAddLive(wire, s.params[i].G, &s.live[i], s.decPar)
+	return compress.DecompressAddLive(wire, s.params[i].G, &s.live[i])
 }
 
 // ingestTensor decode-accumulates a single tensor of workerID's push —
@@ -500,7 +471,6 @@ type Worker struct {
 	pushCtx   []compress.Compressor
 	pushWires [][]byte   // per-tensor push wire buffers, recycled across steps
 	errs      []error    // per-tensor error slots for parallel decode, recycled
-	decPar    int        // per-tensor kernel fan-out for fused decode-add
 	own       []*ownStep // per tensor: the owner's copy of the server's step (applyOwn), nil elsewhere
 	sched     *opt.SGD   // the server's learning-rate schedule, for own; never stepped
 
@@ -520,9 +490,8 @@ func NewWorker(id int, model *nn.Model, cfg Config) *Worker {
 	w := &Worker{ID: id, Model: model, cfg: cfg, params: model.Params(), sched: opt.NewSGD(cfg.Optimizer)}
 	w.own = newOwnSteps(id, w.params, cfg)
 	for i, p := range w.params {
-		w.pushCtx = append(w.pushCtx, cfg.newContext(p, 0x574f524b00000000+uint64(id)<<16+uint64(i), len(w.params))) // "WORK"
+		w.pushCtx = append(w.pushCtx, cfg.newContext(p, 0x574f524b00000000+uint64(id)<<16+uint64(i))) // "WORK"
 	}
-	w.decPar = cfg.kernelBudget(len(w.params))
 	w.pushWires = make([][]byte, len(w.params))
 	w.errs = make([]error, len(w.params))
 	w.compressFn = w.compressOne
@@ -622,7 +591,7 @@ func (w *Worker) applyTensor(i int, wire []byte) error {
 	case len(wire) == 0 && OwnerOnly(p):
 		err = fmt.Errorf("worker %d was sent the empty wire, which only worker %d, the owner, is sent", w.ID, Owner)
 	default:
-		err = compress.DecompressAddInto(wire, p.W, w.decPar)
+		err = compress.DecompressAddInto(wire, p.W, 0)
 	}
 	if err != nil {
 		return fmt.Errorf("ps: pull tensor %q: %w", p.Name, err)

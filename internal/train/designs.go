@@ -92,7 +92,6 @@ func CLIConfig(o CLIOptions) Config {
 		Net:            netsim.DefaultParams(o.Bandwidth),
 		Optimizer:      &optCfg,
 		EvalEvery:      o.EvalEvery,
-		RecordSteps:    true,
 		Seed:           o.Seed,
 	}
 	cfg.Net.Workers = o.Workers

@@ -405,9 +405,7 @@ func (r *run) record(step int, pull [][]byte, serverDur time.Duration) {
 	res.PaperCompBytes += paper
 	res.CodecSec += codec
 	res.FinalLoss = meanLoss
-	if cfg.RecordSteps {
-		res.StepRecords = append(res.StepRecords, sr)
-	}
+	res.StepRecords = append(res.StepRecords, sr)
 	if cfg.EvalEvery > 0 && (step+1)%cfg.EvalEvery == 0 {
 		res.Evals = append(res.Evals, EvalRecord{Step: step + 1, Accuracy: r.evaluate()})
 	}

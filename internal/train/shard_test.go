@@ -32,7 +32,6 @@ func TestShardedRunMatchesSingleServer(t *testing.T) {
 		FlatInput:        true,
 		MinCompressElems: 1,
 		Parallelism:      1,
-		RecordSteps:      true,
 		Seed:             11,
 	}
 

@@ -69,19 +69,15 @@ type Config struct {
 	MinCompressElems int
 	// Parallelism bounds the per-node worker pool that compresses and
 	// decompresses layer tensors concurrently (see ps.Config.Parallelism).
-	// Within each tensor the budget is spent work-proportionally: the two
-	// fused compress passes of internal/kernel each size their own
-	// goroutine fan-out under this cap (kernel.PassWorkers). Zero means
-	// GOMAXPROCS; 1 forces serial kernels, which the alloc-free
-	// steady-state benchmarks use.
+	// Each tensor's codec runs on one goroutine of that pool. Zero means
+	// GOMAXPROCS, divided among the in-process workers; 1 runs every
+	// tensor on the node's own goroutine.
 	Parallelism int
 	// Optimizer overrides the server-side SGD configuration; nil uses
 	// opt.DefaultSGDConfig(Workers, Steps), the paper's hyperparameters.
 	Optimizer *opt.SGDConfig
 	// EvalEvery evaluates test accuracy every this many steps (0: only at end).
 	EvalEvery int
-	// RecordSteps keeps the per-step traffic/loss series (Figures 7 and 9).
-	RecordSteps bool
 	// OnGradients, if non-nil, observes worker 0's raw gradient tensors
 	// each step (after the backward pass, before compression). Used by
 	// the gradient-statistics analysis; must not mutate the tensors.
@@ -212,10 +208,10 @@ type Result struct {
 // TimeAt recomputes the run's total virtual training time under a
 // different link bandwidth, using the recorded per-step traffic — the same
 // extrapolation the paper's measurement methodology performs (§5.2).
-// It requires the run to have been executed with RecordSteps.
+// It panics on a result with no recorded step.
 func (r *Result) TimeAt(bandwidthBps float64) float64 {
 	if len(r.StepRecords) == 0 {
-		panic("train: TimeAt needs RecordSteps")
+		panic("train: TimeAt needs a run that recorded at least one step")
 	}
 	net := r.Net
 	net.BandwidthBps = bandwidthBps

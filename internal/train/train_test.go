@@ -28,7 +28,6 @@ func tinyConfig(design Design, steps int) Config {
 		FlatInput:      true,
 		Net:            netsim.DefaultParams(netsim.Gbps1),
 		Optimizer:      &optCfg,
-		RecordSteps:    true,
 		Seed:           1,
 	}
 	cfg.Net.Workers = 4
@@ -323,12 +322,11 @@ func TestResNetWorkloadRuns(t *testing.T) {
 			mc.StageChannels = []int{4, 8}
 			return nn.NewMicroResNet(mc)
 		},
-		FlatInput:   false,
-		Augment:     true,
-		Net:         netsim.DefaultParams(netsim.Gbps1),
-		Optimizer:   &optCfg,
-		RecordSteps: true,
-		Seed:        1,
+		FlatInput: false,
+		Augment:   true,
+		Net:       netsim.DefaultParams(netsim.Gbps1),
+		Optimizer: &optCfg,
+		Seed:      1,
 	}
 	cfg.Net.Workers = 2
 	res, err := Run(cfg)
