@@ -57,7 +57,7 @@ func describeState(path string) {
 	if info, err := train.ReadStateInfo(st); err == nil {
 		fmt.Printf("captured at step:   %d of %d\n", info.Step, info.Steps)
 		fmt.Printf("design scheme:      %s\n", info.Scheme)
-		fmt.Printf("workers x shards:   %d x %d (batch %d)\n", info.Workers, info.Shards, info.BatchPerWorker)
+		fmt.Printf("workers:            %d (batch %d)\n", info.Workers, info.BatchPerWorker)
 		fmt.Printf("seed:               %d\n", info.Seed)
 	} else {
 		fmt.Printf("meta:               %v\n", err)

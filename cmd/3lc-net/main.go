@@ -179,7 +179,8 @@ func (t *servers) serve(ln net.Listener, srv *transport.ShardServer) {
 }
 
 // serveShards serves model from one transport.ShardServer per shard of
-// asn, each over its own sub-job under cfg and its own copy of base, whose
+// asn, each over its own sub-job under cfg (shard.SubServers divides cfg's
+// pool budget among the shards) and its own copy of base, whose
 // Shard, NumShards and AssignmentHash are filled in here. open returns
 // shard s's listener, wrapped and announced as the mode wants.
 func serveShards(model *nn.Model, asn shard.Assignment, cfg ps.Config, base transport.ShardServerConfig,
@@ -262,7 +263,7 @@ func (f *flatTopology) tier(global *nn.Model, psCfg ps.Config) (ps.Tier, error) 
 	asn := shard.ForModel(global, o.shards)
 	base := transport.ShardServerConfig{Workers: o.workers, Steps: o.steps, Timeouts: o.serverTimeouts()}
 	var err error
-	f.srvs, err = serveShards(global, asn, psCfg.SplitAcross(o.shards), base, func(s int) net.Listener {
+	f.srvs, err = serveShards(global, asn, psCfg, base, func(s int) net.Listener {
 		ln := f.lns[s]
 		fmt.Printf("parameter-server shard %d/%d listening on %s (%d tensors)\n",
 			s, o.shards, ln.Addr(), len(asn.Tensors(s)))

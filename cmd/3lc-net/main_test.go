@@ -152,6 +152,10 @@ func dialedMatchesInProcess(t *testing.T, workers int) {
 				if res.Shards != o.shards {
 					t.Errorf("Result.Shards = %d, want %d", res.Shards, o.shards)
 				}
+				// The tier's shard count divides the virtual server NIC's load.
+				if o.shards == 2 && res.Net.Servers != 2 {
+					t.Errorf("netsim Servers = %d over 2 shards, want 2", res.Net.Servers)
+				}
 				if push, _ := f.srvs.traffic(); push == 0 {
 					t.Errorf("traffic: push %d", push)
 				}

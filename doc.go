@@ -46,9 +46,8 @@
 //
 // There is one BSP step driver, train.Run, written against one seam,
 // ps.Tier (BeginStep / BeginPush / FinishStep + the checkpoint pair), which
-// ps.Job, shard.JobHandle and transport.DialedTier implement;
-// cmd/3lc-net is flags → listeners → train.Run with a Tier hook that dials
-// them. Each accepted worker feeds its tensors to its push session the
+// ps.Job and transport.DialedTier implement; cmd/3lc-net is flags →
+// listeners → train.Run with a Tier hook that dials them. Each accepted worker feeds its tensors to its push session the
 // moment they are compressed. In front of an in-process tier a
 // worker-order gate ingests them during the other workers' compute, in
 // strict worker order per tensor, so the sums — and all results — are
@@ -113,9 +112,8 @@
 //	                     recycled wire buffers, a bounded per-tensor pool,
 //	                     param-subset sub-servers for sharding)
 //	internal/shard       sharded parameter-server tier: deterministic
-//	                     tensor→shard placement (size-balanced bin packing
-//	                     with a consistent-hash fallback) and the async
-//	                     push/pull pipeline
+//	                     tensor→shard placement (size-balanced bin
+//	                     packing) and the shard servers' sub-jobs
 //	internal/transport   framed TCP transport (coalesced single-write
 //	                     frames, per-connection read scratch): one frame
 //	                     codec for the v1 and versioned shard-aware v2
@@ -130,18 +128,14 @@
 //	                     source contracts (noalloc, nopanic, poolsafe,
 //	                     detonly); see internal/lint/doc.go
 //
-// The sharded tier (internal/shard) partitions the model's tensors across
-// N parameter-server shards, each running the zero-allocation codec pool
-// on its own goroutine behind a bounded request queue; a send to a full
-// queue blocks until the shard drains one, so requests stay exactly-once
-// and ordered. The tier is configured by its shard count alone
-// (shard.Config.Shards). Placement is deterministic
-// (shard.Assign: size-balanced LPT packing, consistent-hash ring when
-// sizes are unknown) and the sharded tier's model state stays
-// byte-identical to the single server's for every codec. train.Config's
-// Shards knob routes an in-process run through the tier; transport's
-// ShardServer/ShardClient run it over real sockets, and a
-// transport.DialedTier over the clients puts train.Run on them.
+// The sharded tier partitions the model's tensors across N parameter-server
+// shards, as the paper's separate server nodes. Placement is deterministic
+// (shard.ForModel: size-balanced LPT packing) and shard.SubServers builds
+// each shard's ps sub-job, which a transport.ShardServer serves on its own
+// listener; workers hold one ShardClient connection to every shard, and a
+// transport.DialedTier over the clients puts train.Run on them (3lc-net
+// -shards N). The shards' model state stays byte-identical to the single
+// server's for every codec.
 //
 // Fault tolerance. The per-endpoint error-accumulation state that makes
 // 3LC correct (unsent changes are retried at later steps) is exactly what

@@ -101,8 +101,8 @@
 //
 //   - Job is one job's complete server-side state (codec contexts, error
 //     accumulation, optimizer slice, step counters, pull buffers,
-//     checkpoint state). Shared machinery — a shard executor — keeps one
-//     per shard (package shard).
+//     checkpoint state). A sharded tier holds one sub-job per shard
+//     (shard.SubServers), each behind its own transport.ShardServer.
 //   - Push ingestion flows through one choke point: Job.BeginPush(worker)
 //     returns a PushSession fed by Set (whole wire set) or Tensor (one
 //     streamed tensor) and completed by End. AddPush(w, wires) is

@@ -124,9 +124,9 @@ func (c Config) newContext(p *nn.Param, seed uint64) compress.Compressor {
 // Job owns ALL of one training job's server-side state: the global
 // model, the optimizer (momentum, schedule step), the pull-side
 // compression contexts with their error-accumulation buffers, and the
-// step/push counters. A Job holds no shared machinery — shards, queues,
-// transports, and schedulers live elsewhere and treat a Job as a value
-// held per shard (package shard).
+// step/push counters. A Job holds no shared machinery — transports and
+// the shard servers live elsewhere and hold one Job per shard
+// (shard.SubServers).
 //
 // A step's gradient sums live in the served parameters' G tensors, read
 // and written under the job's kernel.LiveBlocks records: a block no push

@@ -1,9 +1,8 @@
 // PushSession and Tier: the aggregation surface a step driver speaks. A
 // driver opens a session per worker per step (BeginPush), feeds it one
 // whole set (Set) or tensors as they materialize (Tensor), and completes it
-// (End). train.Run, the transport's streamed per-tensor frames and the
-// shard executors push through sessions. One whole-set entry
-// point does not open one: Job.AddPush — BeginPush, Set and End in a single
+// (End). train.Run and the transport's streamed per-tensor frames push
+// through sessions. One whole-set entry point does not open one: Job.AddPush — BeginPush, Set and End in a single
 // call, the push method of transport.StepServer that a session engine
 // drives for whole-set frames.
 package ps
@@ -11,14 +10,14 @@ package ps
 import "time"
 
 // Tier is the surface one BSP step driver drives, whatever aggregates
-// behind it: *Job (one server), shard.JobHandle (a job's tensors spread
-// over a shard tier) and transport.DialedTier (connections to servers
-// elsewhere) implement it, and train.Run is written against nothing else.
-// A step is BeginStep, one BeginPush session per pushing worker, then
+// behind it: *Job (one server in process) and transport.DialedTier
+// (connections to servers elsewhere — one, or the shard servers of a
+// sharded tier) implement it, and train.Run is written against nothing
+// else. A step is BeginStep, one BeginPush session per pushing worker, then
 // FinishStep, which averages what was pushed, applies the optimizer and returns the
 // shared pull — or, from a dialed tier, the one its owner's seat was sent,
 // less the owner-only slots (Pulls) — aliasing tier-owned buffers, valid
-// until the next FinishStep, with the tier's codec wall time. The in-process tiers are
+// until the next FinishStep, with the tier's codec wall time. A Job is
 // driven by one goroutine, in worker order (see PushSession); a dialed tier
 // takes every seat's push concurrently.
 type Tier interface {

@@ -1,28 +1,16 @@
-// Package shard implements the horizontally sharded parameter-server tier
-// the paper's architecture sketches in Figure 1: the model's tensors are
-// partitioned across N parameter-server shards, each shard owns the
-// optimizer state and pull-compression contexts for its tensors, and
-// workers push/pull against all shards concurrently through an
-// asynchronous pipeline.
+// Package shard places a model's tensors on the horizontally sharded
+// parameter-server tier the paper's architecture sketches in Figure 1: the
+// tensors are partitioned across N shard servers, each of which owns the
+// optimizer state and pull-compression contexts of its tensors.
 //
-// The package has two layers:
-//
-//   - Assignment (this file): a deterministic tensor→shard placement.
-//     The primary strategy is size-balanced bin packing (longest-
-//     processing-time greedy: biggest tensor to the least-loaded shard),
-//     which balances per-shard wire bytes — the quantity that actually
-//     limits a shard NIC. A consistent-hash ring is the fallback for
-//     settings where tensor sizes are unknown or shard membership is
-//     dynamic: adding a shard relocates only ~1/N of the keys.
-//   - Cluster (cluster.go): the runtime tier. Each shard runs the
-//     zero-allocation codec pool of package ps — per tensor, the fused
-//     two-pass compress / one-pass LUT decode kernels of internal/kernel —
-//     behind a bounded request queue serviced by its own goroutine, and
-//     the push/pull driver pipelines requests to all shards, blocking on
-//     a shard whose queue is full. Because each shard owns a disjoint
-//     tensor subset, shard goroutines multiply with the kernels'
-//     pass-level fan-out; ps.Config.Parallelism bounds the product per
-//     shard exactly as on a single server.
+// The package has no runtime of its own. Assignment (this file) is the
+// deterministic tensor→shard placement: size-balanced bin packing
+// (longest-processing-time greedy: biggest tensor to the least-loaded
+// shard), which balances per-shard wire bytes — the quantity that limits a
+// shard NIC. SubServers (servers.go) builds the ps sub-job of each shard,
+// which a transport.ShardServer serves on its own listener; workers dial
+// every shard (transport.DialSharded), and train.Run drives them through
+// transport.DialTier.
 //
 // Placement, like compression, is exact: the union of all shards' state
 // is byte-identical to a single parameter server's (see
@@ -135,100 +123,4 @@ func PackBySize(sizes []int, shards int) Assignment {
 		loads[best] += sizes[ti]
 	}
 	return a
-}
-
-// Ring is a consistent-hash ring over shard ids: each shard projects
-// `vnodes` points onto a 64-bit circle and a key belongs to the shard
-// owning the first point at or after the key's hash. Placement is a pure
-// function of (shard set, vnodes, key), and growing the ring from N to
-// N+1 shards relocates only the keys captured by the new shard's points —
-// in expectation 1/(N+1) of them (TestRingRebalanceBounded pins the
-// bound). It is the assignment fallback when tensor sizes are unknown
-// (streaming registration) or shard membership changes at runtime.
-type Ring struct {
-	points []ringPoint
-	vnodes int
-}
-
-type ringPoint struct {
-	hash  uint64
-	shard int
-}
-
-// DefaultVnodes is the replica count giving <10% load imbalance at small
-// shard counts without making ring construction noticeable.
-const DefaultVnodes = 64
-
-// NewRing builds a ring over shards 0..shards-1.
-func NewRing(shards, vnodes int) *Ring {
-	if shards < 1 {
-		shards = 1
-	}
-	if vnodes < 1 {
-		vnodes = DefaultVnodes
-	}
-	r := &Ring{vnodes: vnodes}
-	for s := 0; s < shards; s++ {
-		for v := 0; v < vnodes; v++ {
-			r.points = append(r.points, ringPoint{hash: pointHash(s, v), shard: s})
-		}
-	}
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
-		}
-		return r.points[i].shard < r.points[j].shard
-	})
-	return r
-}
-
-func pointHash(shard, vnode int) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "shard-%d-vnode-%d", shard, vnode)
-	return h.Sum64()
-}
-
-// ShardFor returns the owning shard of key.
-func (r *Ring) ShardFor(key string) int {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	kh := h.Sum64()
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= kh })
-	if i == len(r.points) {
-		i = 0 // wrap around the circle
-	}
-	return r.points[i].shard
-}
-
-// AssignByName hashes each tensor name onto the ring.
-func (r *Ring) AssignByName(names []string) Assignment {
-	shards := 0
-	for _, p := range r.points {
-		if p.shard+1 > shards {
-			shards = p.shard + 1
-		}
-	}
-	a := Assignment{NumShards: shards, ShardOf: make([]int, len(names))}
-	for i, n := range names {
-		a.ShardOf[i] = r.ShardFor(n)
-	}
-	return a
-}
-
-// Assign places tensors on shards: size-balanced bin packing when sizes
-// are known (the normal case — a model's tensor sizes are fixed at
-// construction), falling back to consistent hashing by name when they are
-// not. Both strategies are deterministic.
-func Assign(names []string, sizes []int, shards int) Assignment {
-	known := len(sizes) == len(names) && len(sizes) > 0
-	for _, s := range sizes {
-		if s <= 0 {
-			known = false
-			break
-		}
-	}
-	if known {
-		return PackBySize(sizes, shards)
-	}
-	return NewRing(shards, DefaultVnodes).AssignByName(names)
 }

@@ -8,9 +8,9 @@ import (
 
 // inOrder is the worker-order gate in front of an in-process tier. Run
 // feeds a step's sessions from one goroutine per worker, tensors arriving
-// as they are compressed; ps.Job and shard.JobHandle want one driver
-// goroutine and, per tensor, the workers' wires in worker order —
-// what keeps the gradient sums byte-identical to the staged serial driver.
+// as they are compressed; a ps.Job wants one driver goroutine and, per
+// tensor, the workers' wires in worker order — what keeps the gradient sums
+// byte-identical to the staged serial driver.
 // So a session here is a channel, and FinishStep is the aggregator: it
 // ingests the sessions in the order Run opened them (worker order), each
 // tensor as it arrives, so the tier aggregates worker w's push during

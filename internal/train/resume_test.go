@@ -146,13 +146,6 @@ func TestResumeBitIdenticalAllCodecs(t *testing.T) {
 	}
 }
 
-func TestResumeBitIdenticalSharded(t *testing.T) {
-	cfg := tinyConfig(Design{Name: "3LC (s=1.50)", Scheme: compress.SchemeThreeLC,
-		Opts: compress.Options{Sparsity: 1.5, ZeroRun: true}}, 8)
-	cfg.Shards = 2
-	runResumeCase(t, cfg)
-}
-
 // TestResumeRefusesRetiredStateVersion: a checkpoint whose meta section is
 // the version-1 layout is refused by name before anything is restored, even
 // when every field it shares with version 2 matches the run.
@@ -200,14 +193,45 @@ func TestResumeRefusesRetiredStateVersion(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesDeletedShardedTier: the version-2 meta section's shard
+// slot (meta[16:20]) is always 1. A checkpoint with more shards was written
+// by the deleted in-process sharded tier, whose server section is per-shard
+// framing; it is refused by name before anything is restored.
+func TestResumeRefusesDeletedShardedTier(t *testing.T) {
+	cfg := tinyConfig(Design{Name: "3LC (s=1.75)", Scheme: compress.SchemeThreeLC,
+		Opts: compress.Options{Sparsity: 1.75, ZeroRun: true}}, 4)
+	path := filepath.Join(t.TempDir(), "train.ckpt")
+	cfg.CheckpointPath, cfg.CheckpointEvery = path, 2
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	st, err := checkpoint.LoadStateFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, ok := st.Section("meta")
+	if !ok {
+		t.Fatal("checkpoint has no meta section")
+	}
+	tle.PutUint32(meta[16:], 2)
+	if err := checkpoint.SaveStateFile(path, st); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.CheckpointPath, cfg.CheckpointEvery, cfg.ResumeFrom = "", 0, path
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "deleted in-process sharded tier") {
+		t.Fatalf("resume from a 2-shard checkpoint: got %v, want a refusal naming the deleted in-process sharded tier", err)
+	}
+}
+
 // TestStateMetaLayoutPinned: the version-2 meta section keeps its layout
 // with the retired round-robin partition count's slot (meta[57:61])
 // reserved. A fingerprint encodes to the bytes existing checkpoints hold,
 // reads back unchanged, and a nonzero reserved slot is ignored.
 func TestStateMetaLayoutPinned(t *testing.T) {
-	info := StateInfo{Step: 6, Workers: 3, Shards: 2, Scheme: compress.SchemeThreeLC, Steps: 12, Seed: 42, BatchPerWorker: 8,
+	info := StateInfo{Step: 6, Workers: 3, Scheme: compress.SchemeThreeLC, Steps: 12, Seed: 42, BatchPerWorker: 8,
 		Opts: compress.Options{Sparsity: 1.75, Fraction: 0.25, Interval: 2, ZeroRun: true, Seed: 9}}
-	const want = "0200000006000000000000000300000002000000020c0000002a000000000000000800000000000000" +
+	const want = "0200000006000000000000000300000001000000020c0000002a000000000000000800000000000000" +
 		"0000fc3f000000000000d03f0200000000000000010900000000000000"
 	meta := info.appendMeta(nil)
 	if got := hex.EncodeToString(meta); got != want || len(meta) != metaLen {

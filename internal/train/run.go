@@ -14,7 +14,6 @@ import (
 	"threelc/internal/nn"
 	"threelc/internal/opt"
 	"threelc/internal/ps"
-	"threelc/internal/shard"
 	"threelc/internal/tensor"
 )
 
@@ -64,10 +63,6 @@ func (cfg *Config) validate() error {
 		return fmt.Errorf("train: need at least 1 worker, got %d", cfg.Workers)
 	case cfg.BuildModel == nil:
 		return fmt.Errorf("train: BuildModel is required")
-	case cfg.Shards < 0:
-		return fmt.Errorf("train: Shards %d must be >= 0", cfg.Shards)
-	case cfg.Shards > 1 && cfg.Tier != nil:
-		return fmt.Errorf("train: Shards and Tier are mutually exclusive (the hook's tier has its own shard count)")
 	case cfg.Net.Workers != 0 && cfg.Net.Workers != cfg.Workers:
 		return fmt.Errorf("train: netsim has %d workers, run has %d", cfg.Net.Workers, cfg.Workers)
 	}
@@ -193,23 +188,14 @@ func newRun(cfg Config) (_ *run, err error) {
 	return r, nil
 }
 
-// buildTier builds the run's tier — the hook's, or by Shards — and puts
+// buildTier builds the run's tier — the hook's, or one ps.Job — and puts
 // every in-process tier behind the worker-order gate. It returns the tier's
 // shard count.
 func (r *run) buildTier(serverCfg ps.Config) (int, error) {
 	cfg := &r.cfg
 	build := cfg.Tier
 	if build == nil {
-		build = func(global *nn.Model, scfg ps.Config) (ps.Tier, error) {
-			if cfg.Shards <= 1 {
-				return ps.NewJob(global, scfg), nil
-			}
-			cl, err := shard.NewCluster(global, scfg.SplitAcross(cfg.Shards), shard.Config{Shards: cfg.Shards})
-			if err != nil {
-				return nil, fmt.Errorf("train: build shard tier: %w", err)
-			}
-			return cl, nil
-		}
+		build = func(global *nn.Model, scfg ps.Config) (ps.Tier, error) { return ps.NewJob(global, scfg), nil }
 	}
 	tier, err := build(r.global, serverCfg)
 	if err != nil {

@@ -124,7 +124,6 @@ func section(st *checkpoint.State, name string) ([]byte, error) {
 type StateInfo struct {
 	Step           int
 	Workers        int
-	Shards         int
 	Scheme         compress.Scheme
 	Steps          int
 	Seed           uint64
@@ -142,7 +141,6 @@ func (cfg *Config) stateInfo(step int) StateInfo {
 	return StateInfo{
 		Step:           step,
 		Workers:        cfg.Workers,
-		Shards:         max(cfg.Shards, 1),
 		Scheme:         cfg.Design.Scheme,
 		Steps:          cfg.Steps,
 		Seed:           cfg.Seed,
@@ -157,7 +155,7 @@ func (info StateInfo) appendMeta(meta []byte) []byte {
 	meta = tle.AppendUint32(meta, trainStateVersion)
 	meta = tle.AppendUint64(meta, uint64(info.Step))
 	meta = tle.AppendUint32(meta, uint32(info.Workers))
-	meta = tle.AppendUint32(meta, uint32(info.Shards))
+	meta = tle.AppendUint32(meta, 1) // shard slot: one in-process server (see ReadStateInfo)
 	meta = append(meta, byte(info.Scheme))
 	meta = tle.AppendUint32(meta, uint32(info.Steps))
 	meta = tle.AppendUint64(meta, info.Seed)
@@ -193,11 +191,12 @@ func ReadStateInfo(st *checkpoint.State) (StateInfo, error) {
 		return StateInfo{}, fmt.Errorf("train: unsupported train-state version %d (have %d)", v, trainStateVersion)
 	case len(meta) != metaLen:
 		return StateInfo{}, fmt.Errorf("train: meta section is %d bytes, want %d", len(meta), metaLen)
+	case tle.Uint32(meta[16:]) != 1: // the shard slot
+		return StateInfo{}, fmt.Errorf("train: checkpoint was written by the deleted in-process sharded tier (%d shards), whose server state this build cannot read: restart the run", tle.Uint32(meta[16:]))
 	}
 	return StateInfo{
 		Step:           int(tle.Uint64(meta[4:])),
 		Workers:        int(tle.Uint32(meta[12:])),
-		Shards:         int(tle.Uint32(meta[16:])),
 		Scheme:         compress.Scheme(meta[20]),
 		Steps:          int(tle.Uint32(meta[21:])),
 		Seed:           tle.Uint64(meta[25:]),

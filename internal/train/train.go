@@ -37,18 +37,6 @@ type Design struct {
 type Config struct {
 	Design  Design
 	Workers int
-	// Shards is the parameter-server shard count. Values above 1 route
-	// every push/pull through the sharded tier of package shard: tensors
-	// are partitioned across Shards sub-servers (size-balanced, see
-	// shard.Assign) and workers push/pull against all shards through the
-	// async pipeline. The resulting model state is byte-identical to the
-	// single-server path for every codec; what changes is the codec
-	// critical path (shards decode concurrently) and the virtual network
-	// model (aggregate traffic divides across Shards server NICs,
-	// netsim.Params.Servers). Zero or 1 keeps the single in-process server.
-	// Shards selects among the tiers Run builds itself, so it is mutually
-	// exclusive with Tier (whose tier reports its own shard count).
-	Shards int
 	// BatchPerWorker is the per-worker minibatch size (paper: 32).
 	BatchPerWorker int
 	// Steps is the number of global training steps.
@@ -109,11 +97,13 @@ type Config struct {
 	OnStep func(step int) error
 
 	// Tier, when non-nil, builds the aggregation tier the run drives, in
-	// place of the ps.NewJob / shard.NewCluster (by Shards) Run builds
-	// itself. It is called once, with the run's global model and the server
-	// half of the run's ps.Config, and may return any ps.Tier — for
-	// instance a transport.DialedTier over listeners the hook started,
-	// which is how cmd/3lc-net runs this driver over real sockets. Run asks three optional things of what it gets back:
+	// place of the single in-process ps.NewJob Run builds itself. It is
+	// called once, with the run's global model and the server half of the
+	// run's ps.Config, and may return any ps.Tier — for instance a
+	// transport.DialedTier over shard servers the hook started
+	// (shard.SubServers behind transport.ShardServer), which is how
+	// cmd/3lc-net runs this driver sharded and over real sockets. Run asks
+	// three optional things of what it gets back:
 	// Close() error — the tier is closed when Run returns; NumShards() int —
 	// how many server NICs the model is spread over (Result.Shards,
 	// netsim.Params.Servers; 1 when absent); and Seats() int — the tier is
@@ -157,8 +147,8 @@ type EvalRecord struct {
 type Result struct {
 	Design  Design
 	Workers int
-	// Shards is the parameter-server shard count the run used (1 = the
-	// single in-process server).
+	// Shards is the parameter-server shard count the run used (1 = one
+	// server, in process or dialed).
 	Shards int
 	// Steps is how many steps this run executed and every total below
 	// covers: cfg.Steps, less the steps a ResumeFrom checkpoint had done.

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"threelc/internal/compress"
 	"threelc/internal/nn"
@@ -551,5 +553,99 @@ func TestShardClientAddressCountMismatch(t *testing.T) {
 	if _, err := DialSharded([]string{"127.0.0.1:1"}, 0, asn); err == nil ||
 		!strings.Contains(err.Error(), "shard addresses") {
 		t.Fatalf("err = %v, want address-count mismatch", err)
+	}
+}
+
+// TestShardTierThroughputScalesWithShards measures a loopback dialed
+// tier's push/pull step rate at 1 vs 4 shard servers, each shard's codec
+// serial (one single-core parameter server per shard). Gated on
+// GOMAXPROCS>=4: on smaller hosts sharding cannot add CPU and the test
+// skips.
+func TestShardTierThroughputScalesWithShards(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 4 {
+		t.Skipf("GOMAXPROCS=%d < 4: shard scaling needs spare cores", runtime.GOMAXPROCS(0))
+	}
+	if testing.Short() {
+		t.Skip("timing measurement")
+	}
+	const workers, warmup, steps = 2, 2, 12
+	build := func() *nn.Model { return nn.NewMLP(256, []int{512, 512, 512, 512}, 32, 7) }
+	stepsPerSec := func(shards int) float64 {
+		cfg := ps.Config{
+			Scheme:           compress.SchemeThreeLC,
+			Opts:             compress.Options{Sparsity: 1.75, ZeroRun: true},
+			Workers:          workers,
+			MinCompressElems: 1,
+			Parallelism:      1,
+			Optimizer:        opt.DefaultSGDConfig(workers, warmup+steps),
+		}
+		global := build()
+		asn := shard.ForModel(global, shards)
+		addrs := make([]string, shards)
+		served := make(chan error, shards)
+		for s, sub := range mustSubServers(t, global, cfg, asn) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addrs[s] = ln.Addr().String()
+			srv := NewShardServer(ln, sub, ShardServerConfig{
+				Shard: s, NumShards: shards, Workers: workers, Steps: warmup + steps, AssignmentHash: asn.Hash(),
+			})
+			go func() { served <- srv.Serve() }()
+		}
+		tier, err := DialTier(workers, false, func(w int) (Seat, error) { return DialSharded(addrs, w, asn) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		wires := make([][][]byte, workers)
+		for w := range wires {
+			m := build()
+			m.CopyParamsFrom(global)
+			wk := ps.NewWorker(w, m, cfg)
+			x := tensor.New(4, 256)
+			tensor.FillNormal(x, 1, tensor.NewRNG(uint64(w)+5))
+			wk.Model.TrainStep(x, []int{0, 1, 2, 3})
+			wires[w], _ = wk.CompressGrads()
+		}
+		step := func() {
+			tier.BeginStep()
+			for w := range wires {
+				push := tier.BeginPush(w)
+				if err := push.Set(wires[w]); err != nil {
+					t.Fatal(err)
+				}
+				if err := push.End(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, _, err := tier.FinishStep(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Warm up buffer capacities, then measure.
+		for i := 0; i < warmup; i++ {
+			step()
+		}
+		start := time.Now()
+		for i := 0; i < steps; i++ {
+			step()
+		}
+		rate := float64(steps) / time.Since(start).Seconds()
+		if err := tier.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for range addrs {
+			if err := <-served; err != nil {
+				t.Fatalf("shard serve: %v", err)
+			}
+		}
+		return rate
+	}
+	one := stepsPerSec(1)
+	four := stepsPerSec(4)
+	t.Logf("steps/sec: 1 shard %.1f, 4 shards %.1f (%.2fx)", one, four, four/one)
+	if four < 1.3*one {
+		t.Errorf("4-shard throughput %.1f steps/s is not >=1.3x the 1-shard %.1f", four, one)
 	}
 }

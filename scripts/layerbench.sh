@@ -13,15 +13,22 @@ cd "$(dirname "$0")/.."
 
 # Two gates compare two rows whose ratio sits near its floor on a host
 # that flips between speed states mid-run (the checksummed vs the plain
-# TCP round trip, the cluster hop vs the plain one): each pair runs back
-# to back five times from test binaries built once, and benchcheck
-# -speedup reads lines that alternate as pairs and gates the median of
-# their ratios, not best against best.
+# TCP round trip, the clustered steady-state round trip vs the Gaussian
+# one): each pair runs back to back five times from test binaries built
+# once, and benchcheck -speedup reads lines that alternate as pairs and
+# gates the median of their ratios, not best against best.
 bin="$(mktemp -d)"
 trap 'rm -rf "$bin"' EXIT
-for pkg in ps shard transport; do
+for pkg in ps transport; do
 	go test -c -o "$bin/$pkg.test" "./internal/$pkg/"
 done
+# repeat PKG BENCH BENCHTIME: five runs of one binary; a BENCH matching two
+# rows prints them in the same order each run, so they alternate.
+repeat() {
+	for _ in 1 2 3 4 5; do
+		(cd "internal/$1" && "$bin/$1.test" -test.run='^$' -test.bench="$2" -test.benchtime="$3" -test.benchmem)
+	done
+}
 # alternate PKG_A BENCH_A PKG_B BENCH_B BENCHTIME
 alternate() {
 	for _ in 1 2 3 4 5; do
@@ -50,14 +57,12 @@ go test -run='^$' -bench Packed32 -benchtime 200000x -benchmem ./internal/compre
 # and ...F32 the float32 baseline's round trip at the end-to-end
 # model's size (two workers, every pass a raw kernel core).
 go test -run='^$' -bench 'SteadyStatePushPull(Tiny|F32)$' -benchtime 100x -benchmem ./internal/ps/
-# The sharded tier driving the plain SteadyStatePushPull workload
-# through a 1-shard NewCluster JobHandle (the queue hop to the shard's
-# executor goroutine), alternated with it — and with its twin whose
+# The plain SteadyStatePushPull workload, alternated with its twin whose
 # pushes cluster in ~1 % of the largest tensor's blocks
 # (SteadyStatePushPullClustered: the server's gradient sum stays dead
 # outside them, so nothing zero-fills it and the optimizer sweep reads
 # only them), which the gate holds to a floor against the dense one.
-alternate shard 'ClusterPushPull$' ps 'SteadyStatePushPull(Clustered)?$' 100x
+repeat ps 'SteadyStatePushPull(Clustered)?$' 100x
 # The same steady-state round trip over a real loopback TCP
 # connection, CRC-32C checksummed alternated with plain: frame
 # integrity must hold 0 allocs/op at parity with the bare wire
