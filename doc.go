@@ -27,15 +27,15 @@
 // no intermediate decode tensor (DecodeTernaryAdd). Payloads are
 // validated by a wire-byte pre-scan before the first element is touched,
 // so a malformed push can never corrupt live aggregation state. The
-// gradient sum is never zeroed: a per-block liveness record
-// (kernel.LiveBlocks, reset in O(1) each step) marks the blocks a push
-// reached, a block is cleared when the step's first literal group lands in
-// it, and the rest read as +0. On the server the whole step is fused end to end: the optimizer update
-// writes each model delta straight into the pull compressor's
-// error-accumulation buffer while reducing max|acc| in the same sweep
-// (opt.ApplyFusedStepLive + compress.PreAccumulator), reading the gradient
-// of the live blocks only, so average → update → delta → compress pass 1
-// collapse into one pass per tensor.
+// gradient sum is never zeroed: the stamps of a per-block record
+// (kernel.Blocks, reset in O(1) each step) mark the blocks a push reached,
+// a block is cleared when the step's first literal group lands in it, and
+// the rest read as +0. On the server the whole step is fused end to end:
+// one sweep per tensor (kernel.Blocks.SGDStep) reads the gradient of the
+// live blocks only and writes the model delta straight into the pull
+// compressor's error-accumulation buffer (compress.PreAccumulator), reducing
+// max|acc| and recording the block maxima in the same record, so average →
+// update → delta → compress pass 1 collapse into one pass per tensor.
 //
 // The push/aggregate pipeline is overlapped at tensor granularity across
 // every layer:
@@ -77,7 +77,7 @@
 // the per-M expansion costs 243·5 multiplies, so tensors below ~4k
 // elements decode through the int8 table with an inline multiply instead,
 // and the expanded tables are recycled with the last M cached. Pass 1 records
-// each 1 280-element block's max|buf| (kernel.BlockMax) and pass 2 skips
+// each 1 280-element block's max|buf| (kernel.Blocks) and pass 2 skips
 // every block whose max is under the quantizer threshold, so where
 // non-zero digits cluster — a large layer's gradients and deltas — the
 // encode reads only the few blocks that can quantize. Every kernel runs on
@@ -95,7 +95,7 @@
 //	                     compress (AccumulateMaxAbs + EncodeTernary),
 //	                     one-pass LUT decode (DecodeTernary), one-pass
 //	                     decode-accumulate (DecodeTernaryAdd, into a sum
-//	                     a LiveBlocks record may track), pass counting
+//	                     a Blocks record may track), pass counting
 //	internal/quant       3-value quantization with sparsity multiplication,
 //	                     error accumulation, and the quantization baselines
 //	                     (staged reference for the fused kernels)

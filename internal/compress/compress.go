@@ -161,29 +161,30 @@ type Compressor interface {
 // that write directly into the accumulation buffer, fusing compress
 // pass 1 away entirely: the producer adds each value into AccData as it
 // computes it, reduces max|AccData| with exactly the kernel's
-// accumulate-max semantics (bit-masked |·|, ascending-index max), records
-// the buffer's block index in the same sweep (kernel.BlockMax.FusedSGDStep
-// does all three), and hands the reduction to CompressPreAccumulated,
-// which performs only the encode pass — skipping the blocks the index
-// shows cannot quantize. Wires and residual state are bit-identical to
-// driving CompressInto with a materialized state-change tensor.
+// accumulate-max semantics (bit-masked |·|, ascending-index max) and
+// records the block maxima in a kernel.Blocks record in the same sweep
+// (kernel.Blocks.SGDStep into an Acc sink does all three), and hands the
+// record and the reduction to CompressPreAccumulated, which performs only
+// the encode pass — skipping the blocks the record shows cannot quantize.
+// Wires and residual state are bit-identical to driving CompressInto with
+// a materialized state-change tensor.
 type PreAccumulator interface {
 	// AccData returns the raw error-accumulation buffer (length = tensor
-	// elements) the producer must fold the step's state change into, and
-	// the block index it must record as it does.
-	AccData() ([]float32, *kernel.BlockMax)
-	// CompressPreAccumulated appends the wire message given maxAbs =
-	// max|AccData| after the producer's fold, advancing residual state
+	// elements) the producer must fold the step's state change into.
+	AccData() []float32
+	// CompressPreAccumulated appends the wire message given the record
+	// whose maxima the producer's fold recorded (nil: none, every block is
+	// read) and maxAbs = max|AccData| after it, advancing residual state
 	// exactly like CompressInto.
-	CompressPreAccumulated(maxAbs float32, dst []byte) []byte
+	CompressPreAccumulated(blk *kernel.Blocks, maxAbs float32, dst []byte) []byte
 }
 
 // RawWriter is implemented by compression contexts whose wire is the state
 // change itself as raw float32 (the float32 baseline, SchemeNone). It lets
 // a producer whose own final sweep computes the state change — the
 // parameter server's optimizer update — write it straight into the wire
-// (kernel.LiveBlocks.FusedSGDStepRaw), so no state-change tensor exists
-// and CompressInto's copy of one never runs. The context keeps the
+// (kernel.Blocks.SGDStep into a Raw sink), so no state-change tensor
+// exists and CompressInto's copy of one never runs. The context keeps the
 // header; the wire is byte for byte CompressInto's of that state change.
 type RawWriter interface {
 	// RawWire appends the wire's header to dst and reserves its body, 4

@@ -18,8 +18,8 @@ import (
 //
 // It also pins the block index at the codec level, on the push
 // (CompressInto) and on the server's pull
-// (kernel.BlockMax.FusedSGDStep recording the index as it folds the delta,
-// then CompressPreAccumulated): still two passes, and the encode pass
+// (kernel.Blocks.SGDStep into an Acc sink recording the block maxima as it
+// folds the delta, then CompressPreAccumulated consulting that record): still two passes, and the encode pass
 // reads under 5 % of a 1M-element state change whose non-zero digits
 // cluster and all of one whose digits are scattered. The pull's wire must
 // match CompressInto of the same delta. On the server's side of the push
@@ -111,14 +111,14 @@ func TestCompressorPassCounts(t *testing.T) {
 				wire             []byte
 				minRead, maxRead int
 			}{{"push sum", push, tc.minRead, tc.maxRead}, {"push sum, NaN scale", nanPush, big, big}} {
-				var live kernel.LiveBlocks
+				var live kernel.Blocks
 				live.Reset()
 				sum := tensor.New(big)
 				passes = nil
 				if err := DecompressAddLive(w.wire, sum, &live); err != nil {
 					t.Fatal(err)
 				}
-				live.FusedSGDStep(nil, make([]float32, big), make([]float32, big), sum.Data(), make([]float32, big), 0.5, 0, 0, 1)
+				live.SGDStep(make([]float32, big), make([]float32, big), sum.Data(), kernel.Sink{Acc: make([]float32, big)}, 0.5, 0, 0, 1)
 				if len(passes) != 2 {
 					t.Fatalf("%s: passes %v, want the decode-add and the sweep", w.label, passes)
 				}
@@ -129,12 +129,15 @@ func TestCompressorPassCounts(t *testing.T) {
 				}
 			}
 
-			// The pull: w = 0, v = 0, gscale = 1, lr = 1 make the delta −gs.
+			// The pull: w = 0, v = 0, gscale = 1, lr = 1 make the delta −gs,
+			// over a gradient whose every block is live.
 			pa := New(SchemeThreeLC, []int{big}, opts).(PreAccumulator)
-			acc, blk := pa.AccData()
+			var blk kernel.Blocks
+			blk.Reset()
+			blk.Mark(big)
 			passes = nil
-			m := blk.FusedSGDStep(make([]float32, big), make([]float32, big), tc.in.Data(), acc, 1, 0, 0, 1)
-			pull := pa.CompressPreAccumulated(m, nil)
+			m := blk.SGDStep(make([]float32, big), make([]float32, big), tc.in.Data(), kernel.Sink{Acc: pa.AccData()}, 1, 0, 0, 1)
+			pull := pa.CompressPreAccumulated(&blk, m, nil)
 			check(t, "pull", tc.minRead, tc.maxRead)
 			delta := tensor.New(big)
 			for i, g := range tc.in.Data() {

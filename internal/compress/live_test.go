@@ -25,20 +25,22 @@ type livePush struct {
 // a 3LC or (for an odd run length) raw wire cut one byte short.
 var liveKinds = []string{"3lc", "3lc-nozre", "3lc-m", "raw", "packed", "empty", "malformed", "3lc-m"}
 
-// FuzzLiveSumVsDense is the differential fuzz target behind the liveness
-// record of a gradient sum (kernel.LiveBlocks): over three steps of one to
-// three pushes each, decode-adding into a live-tracked sum that is never
-// zeroed (DecompressAddLive) and sweeping it (LiveBlocks.FusedSGDStep, and
-// the delta form) must leave the weights, velocity, accumulator, delta,
-// max|acc| and block index bit-identical to the dense reference — zero the
-// sum, DecompressAddInto every push, sweep — under every kernel tier. The
-// block index is compared
-// through what the pull's encode does with it: the same wire, residual and
-// elements read. A malformed push must fail on both sides and leave the
-// record as it was: the sweep reads the same elements of the sum as a run
-// that never saw the push. The input is records of (kind, offset, run
-// length, value) into tensors of up to six blocks, so n need not be a
-// multiple of the block or the group, and one-block tensors occur.
+// FuzzLiveSumVsDense is the differential fuzz target behind the record of
+// a gradient sum (kernel.Blocks): over three steps of one to three pushes
+// each, decode-adding into a sum the record's stamps track, never zeroed
+// (DecompressAddLive), sweeping it (Blocks.SGDStep into an Acc sink and
+// into a Delta sink) and encoding the pull through the same record
+// (CompressPreAccumulated), as ps.Job does, must leave the weights,
+// velocity, accumulator, delta, max|acc| and block maxima bit-identical to
+// the dense reference — zero the sum, DecompressAddInto every push, sweep
+// under a record whose every block is live — under every kernel tier. The
+// block maxima are compared through what the pull's encode does with
+// them: the same wire, residual and elements read. A malformed push must
+// fail on both sides and leave the record as it was: the sweep reads the
+// same elements of the sum as a run that never saw the push. The input is
+// records of (kind, offset, run length, value) into tensors of up to six
+// blocks, so n need not be a multiple of the block or the group, and
+// one-block tensors occur.
 func FuzzLiveSumVsDense(f *testing.F) {
 	rec := func(ctl byte, off uint16, run uint8, bits uint32) []byte {
 		r := binary.LittleEndian.AppendUint16([]byte{ctl}, off)
@@ -144,26 +146,28 @@ func liveWires(n int, steps [][]livePush, mBits uint32) [][][]byte {
 	return out
 }
 
-// liveSide is one side of checkLiveSum: a gradient sum, the optimizer
-// state the two sweep forms step and the pull's block index.
+// liveSide is one side of checkLiveSum: a gradient sum and its record,
+// the optimizer state the two sweeps step and the pull's 3LC context.
 type liveSide struct {
 	sum           *tensor.Tensor
-	live          *kernel.LiveBlocks // nil: the dense reference
-	w, v, acc     []float32
+	blk           kernel.Blocks
+	dense         bool // the reference: the sum is zeroed, every block live
+	pull          PreAccumulator
+	w, v          []float32
 	dw, dv, delta []float32
-	blk           kernel.BlockMax
 }
 
-func newLiveSide(n int, live *kernel.LiveBlocks) *liveSide {
-	s := &liveSide{sum: tensor.New(n), live: live}
-	for _, b := range []*[]float32{&s.w, &s.v, &s.acc, &s.dw, &s.dv, &s.delta} {
+func newLiveSide(n int, dense bool) *liveSide {
+	s := &liveSide{sum: tensor.New(n), dense: dense}
+	s.pull = New(SchemeThreeLC, []int{n}, Options{Sparsity: 1.75, ZeroRun: true}).(PreAccumulator)
+	for _, b := range []*[]float32{&s.w, &s.v, &s.dw, &s.dv, &s.delta} {
 		*b = make([]float32, n)
 	}
 	for i := range s.w {
 		s.w[i] = float32(i%13) * 0.125
 		s.dw[i] = s.w[i]
 	}
-	if live != nil {
+	if !dense {
 		// Stale memory the record must never let the sweep read.
 		for i := range s.sum.Data() {
 			s.sum.Data()[i] = float32(math.NaN())
@@ -172,8 +176,25 @@ func newLiveSide(n int, live *kernel.LiveBlocks) *liveSide {
 	return s
 }
 
-// sweep runs both sweep forms over the step's sum, and the pull's encode
-// over the accumulator, returning max|acc|, the wire, and the elements the
+// begin starts a step's sum.
+func (s *liveSide) begin() {
+	s.blk.Reset()
+	if s.dense {
+		s.sum.Zero()
+		s.blk.Mark(s.sum.Len())
+	}
+}
+
+// add takes one push into the sum.
+func (s *liveSide) add(wire []byte) error {
+	if s.dense {
+		return DecompressAddInto(wire, s.sum, 1)
+	}
+	return DecompressAddLive(wire, s.sum, &s.blk)
+}
+
+// sweep runs both sweeps over the step's sum, and the pull's encode over
+// the accumulator, returning max|acc|, the wire, and the elements the
 // sweeps read of the sum and the encode read of the accumulator.
 func (s *liveSide) sweep(gscale float32) (m float32, wire []byte, gradRead, encRead int) {
 	kernel.PassHook = func(pass string, elems int) {
@@ -185,9 +206,9 @@ func (s *liveSide) sweep(gscale float32) (m float32, wire []byte, gradRead, encR
 		}
 	}
 	defer func() { kernel.PassHook = nil }()
-	m = s.live.FusedSGDStep(&s.blk, s.w, s.v, s.sum.Data(), s.acc, gscale, 1e-4, 0.9, 0.5)
-	s.live.FusedSGDStepDelta(s.dw, s.dv, s.sum.Data(), s.delta, gscale, 1e-4, 0.9, 0.5)
-	wire = s.blk.EncodeTernary(s.acc, float64(m)*1.75, true, nil)
+	m = s.blk.SGDStep(s.w, s.v, s.sum.Data(), kernel.Sink{Acc: s.pull.AccData()}, gscale, 1e-4, 0.9, 0.5)
+	s.blk.SGDStep(s.dw, s.dv, s.sum.Data(), kernel.Sink{Delta: s.delta}, gscale, 1e-4, 0.9, 0.5)
+	wire = s.pull.CompressPreAccumulated(&s.blk, m, nil)
 	return m, wire, gradRead, encRead
 }
 
@@ -196,21 +217,21 @@ func (s *liveSide) sweep(gscale float32) (m float32, wire []byte, gradRead, encR
 func checkLiveSum(t *testing.T, name string, n int, steps [][]livePush, mBits uint32) {
 	t.Helper()
 	wires := liveWires(n, steps, mBits)
-	ref := newLiveSide(n, nil)
-	got := newLiveSide(n, new(kernel.LiveBlocks))
-	clean := newLiveSide(n, new(kernel.LiveBlocks))
+	ref := newLiveSide(n, true)
+	got := newLiveSide(n, false)
+	clean := newLiveSide(n, false)
 	for s, step := range wires {
-		ref.sum.Zero()
-		got.live.Reset()
-		clean.live.Reset()
+		ref.begin()
+		got.begin()
+		clean.begin()
 		for p, wire := range step {
-			errRef := DecompressAddInto(wire, ref.sum, 1)
-			err := DecompressAddLive(wire, got.sum, got.live)
+			errRef := ref.add(wire)
+			err := got.add(wire)
 			if (err == nil) != (errRef == nil) {
 				t.Fatalf("%s step %d push %d (%s): live err=%v, dense err=%v", name, s, p, liveKinds[steps[s][p].kind], err, errRef)
 			}
 			if err == nil {
-				if err := DecompressAddLive(wire, clean.sum, clean.live); err != nil {
+				if err := clean.add(wire); err != nil {
 					t.Fatalf("%s step %d push %d: %v", name, s, p, err)
 				}
 			}
@@ -226,7 +247,7 @@ func checkLiveSum(t *testing.T, name string, n int, steps [][]livePush, mBits ui
 			name      string
 			got, want []float32
 		}{
-			{"w", got.w, ref.w}, {"v", got.v, ref.v}, {"acc", got.acc, ref.acc},
+			{"w", got.w, ref.w}, {"v", got.v, ref.v}, {"acc", got.pull.AccData(), ref.pull.AccData()},
 			{"delta-form w", got.dw, ref.dw}, {"delta-form v", got.dv, ref.dv}, {"delta", got.delta, ref.delta},
 		} {
 			for i := range c.want {
@@ -237,7 +258,7 @@ func checkLiveSum(t *testing.T, name string, n int, steps [][]livePush, mBits ui
 			}
 		}
 		if !bytes.Equal(wire, wireRef) || enc != encRef {
-			t.Fatalf("%s step %d: pull encode over the live side's index read %d elements into %d bytes, dense %d into %d",
+			t.Fatalf("%s step %d: pull encode over the live side's record read %d elements into %d bytes, dense %d into %d",
 				name, s, enc, len(wire), encRef, len(wireRef))
 		}
 		if gradRead != cleanRead {

@@ -163,8 +163,8 @@ func DecompressAddInto(wire []byte, dst *tensor.Tensor, _ int) error {
 	return decodeThenAdd(wire, dst)
 }
 
-// DecompressAddLive is DecompressAddInto into a gradient sum that live
-// records (kernel.LiveBlocks): dst reads as +0 in every dead block. A
+// DecompressAddLive is DecompressAddInto into a gradient sum whose blocks
+// live stamps (kernel.Blocks): dst reads as +0 in every dead block. A
 // ternary wire decode-adds through the record — a block is cleared when
 // the first literal group of the step lands in it, zero runs touch
 // nothing, and a non-finite scale makes every block live and adds densely.
@@ -175,7 +175,7 @@ func DecompressAddInto(wire []byte, dst *tensor.Tensor, _ int) error {
 // DecompressAddInto.
 //
 //3lc:noalloc
-func DecompressAddLive(wire []byte, dst *tensor.Tensor, live *kernel.LiveBlocks) error {
+func DecompressAddLive(wire []byte, dst *tensor.Tensor, live *kernel.Blocks) error {
 	if len(wire) > 0 && (Scheme(wire[0]) == SchemeThreeLC || Scheme(wire[0]) == SchemeStoch3QE) {
 		return addTernary(wire[1:], dst, live)
 	}

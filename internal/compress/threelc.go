@@ -59,9 +59,9 @@ func PaperWireLen(wire []byte) int {
 // quantization with sparsity multiplication, quartic encoding, and
 // (optionally, for the "No ZRE" ablation) zero-run encoding — run as the
 // two fused kernel passes of internal/kernel rather than the staged
-// seven-sweep pipeline. Pass 1 (kernel.BlockMax.AccumulateMaxAbs) folds
+// seven-sweep pipeline. Pass 1 (kernel.Blocks.AccumulateMaxAbs) folds
 // the input into the error buffer while reducing max|buf| and recording
-// the buffer's per-block |max|; pass 2 (kernel.BlockMax.EncodeTernary)
+// the buffer's per-block |max|; pass 2 (kernel.Blocks.EncodeTernary)
 // quantizes the blocks that can hold a non-zero digit, keeps the residual
 // in the buffer, and writes quartic/zero-run wire bytes directly. No
 // intermediate ternary tensor or dequantization scratch exists.
@@ -72,7 +72,7 @@ type threeLCCompressor struct {
 	zeroRun  bool
 
 	acc *quant.ErrorAccumulator
-	blk kernel.BlockMax // acc's block index, recorded by pass 1, consulted by pass 2
+	blk kernel.Blocks // acc's block maxima, recorded by pass 1, consulted by pass 2
 }
 
 func newThreeLCCompressor(shape []int, sparsity float64, zeroRun bool) *threeLCCompressor {
@@ -119,29 +119,30 @@ func (c *threeLCCompressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
 		panic("compress: input size mismatch")
 	}
 	buf := c.acc.Buffer().Data()
-	return c.encodeAccumulated(c.blk.AccumulateMaxAbs(buf, in.Data()), dst)
+	return c.encodeAccumulated(&c.blk, c.blk.AccumulateMaxAbs(buf, in.Data()), dst)
 }
 
-// AccData exposes the error-accumulation buffer and its block index for
-// producers that fuse their own final write sweep with compress pass 1
-// (PreAccumulator).
-func (c *threeLCCompressor) AccData() ([]float32, *kernel.BlockMax) {
-	return c.acc.Buffer().Data(), &c.blk
+// AccData exposes the error-accumulation buffer for producers that fuse
+// their own final write sweep with compress pass 1 (PreAccumulator).
+func (c *threeLCCompressor) AccData() []float32 {
+	return c.acc.Buffer().Data()
 }
 
 // CompressPreAccumulated appends the wire for a step whose state change
 // the caller already folded into AccData (reporting maxAbs reduced
-// exactly like kernel.AccumulateMaxAbs, and recording the block index):
-// compress pass 1 has effectively been absorbed into the producer's sweep,
-// leaving only the fused encode pass here. Wires and residuals are
-// bit-identical to CompressInto on the same state change.
-func (c *threeLCCompressor) CompressPreAccumulated(maxAbs float32, dst []byte) []byte {
-	return c.encodeAccumulated(maxAbs, dst)
+// exactly like kernel.AccumulateMaxAbs, and recording the block maxima in
+// blk): compress pass 1 has effectively been absorbed into the producer's
+// sweep, leaving only the fused encode pass here, consulting blk. Wires
+// and residuals are bit-identical to CompressInto on the same state
+// change.
+func (c *threeLCCompressor) CompressPreAccumulated(blk *kernel.Blocks, maxAbs float32, dst []byte) []byte {
+	return c.encodeAccumulated(blk, maxAbs, dst)
 }
 
 // encodeAccumulated is compress pass 2 plus the wire header: quantize the
-// accumulated buffer against max|buf|·s and emit quartic/zero-run bytes.
-func (c *threeLCCompressor) encodeAccumulated(maxAbs float32, dst []byte) []byte {
+// accumulated buffer against max|buf|·s, skipping the blocks blk's maxima
+// show cannot quantize, and emit quartic/zero-run bytes.
+func (c *threeLCCompressor) encodeAccumulated(blk *kernel.Blocks, maxAbs float32, dst []byte) []byte {
 	buf := c.acc.Buffer().Data()
 	m := float64(maxAbs) * c.sparsity
 	dst = append(dst, byte(SchemeThreeLC))
@@ -151,7 +152,7 @@ func (c *threeLCCompressor) encodeAccumulated(maxAbs float32, dst []byte) []byte
 	} else {
 		dst = append(dst, 0)
 	}
-	return c.blk.EncodeTernary(buf, m, c.zeroRun, dst)
+	return blk.EncodeTernary(buf, m, c.zeroRun, dst)
 }
 
 // ErrorNorm exposes the squared norm of the accumulated error (for tests
@@ -185,10 +186,10 @@ func decodeTernaryAdd(payload []byte, dst *tensor.Tensor) error {
 }
 
 // addTernary decode-adds a ternary payload into dst, a sum live records:
-// kernel.LiveBlocks.DecodeTernaryAdd accumulates M·q straight into dst in
+// kernel.Blocks.DecodeTernaryAdd accumulates M·q straight into dst in
 // one LUT-driven pass, validating the payload before the first element is
 // touched (dst is a live aggregation buffer).
-func addTernary(payload []byte, dst *tensor.Tensor, live *kernel.LiveBlocks) error {
+func addTernary(payload []byte, dst *tensor.Tensor, live *kernel.Blocks) error {
 	if len(payload) < 5 {
 		return fmt.Errorf("compress: ternary payload too short (%d bytes)", len(payload))
 	}

@@ -24,7 +24,7 @@ func sizeName(n int) string {
 }
 
 // BenchmarkFusedCompress measures the two-pass fused compress side as a
-// context runs it (BlockMax.AccumulateMaxAbs + BlockMax.EncodeTernary)
+// context runs it (Blocks.AccumulateMaxAbs + Blocks.EncodeTernary)
 // with recycled buffers. The size rows accumulate a Gaussian whose
 // non-zero digits, under error feedback, scatter over every block, so
 // pass 2 reads everything; the clustered row is 1M elements of
@@ -35,7 +35,7 @@ func sizeName(n int) string {
 func BenchmarkFusedCompress(b *testing.B) {
 	run := func(b *testing.B, in *tensor.Tensor) {
 		n := in.Len()
-		var x BlockMax
+		var x Blocks
 		buf := make([]float32, n)
 		var wire []byte
 		for i := 0; i < 10; i++ {

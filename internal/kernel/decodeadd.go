@@ -42,16 +42,16 @@ import (
 // m·0 NaN, which must reach every element of the run, so that case alone
 // keeps the dense fill.
 //
-// A sum the server rebuilds every step need not be zeroed either. Its
-// LiveBlocks record stamps each BlockElems-element block that holds this
-// step's data; a block without this step's stamp is dead and reads as +0,
-// whatever its memory holds. The first literal group of a step to land in
-// a dead block clears the block and stamps it, then adds, so the block
-// holds +0 + M·q — what zeroing the whole sum and adding would have left
-// there — and zero runs touch neither memory nor the record. No push
-// zero-fills the sum, and the optimizer sweep after the pushes reads a
-// shared zero block in place of every dead block's gradient
-// (LiveBlocks.FusedSGDStep). A dense add — a non-finite scale here, a raw
+// A sum the server rebuilds every step need not be zeroed either. The
+// stamps of its Blocks record mark each BlockElems-element block that
+// holds this step's data; a block without this step's stamp is dead and
+// reads as +0, whatever its memory holds. The first literal group of a
+// step to land in a dead block clears the block and stamps it, then adds,
+// so the block holds +0 + M·q — what zeroing the whole sum and adding
+// would have left there — and zero runs touch neither memory nor the
+// record. No push zero-fills the sum, and the optimizer sweep after the
+// pushes reads a shared zero block in place of every dead block's
+// gradient (Blocks.SGDStep). A dense add — a non-finite scale here, a raw
 // or packed wire in package compress — first clears the dead blocks and
 // then stamps every block. The loop is the one above: each literal group
 // compares its position with the end of the block it last entered, and
@@ -158,23 +158,23 @@ func sumGroups(tokens []byte) (gi int) {
 //3lc:noalloc
 //3lc:decode
 func DecodeTernaryAdd(body []byte, zre bool, m float32, dst []float32) error {
-	var all *LiveBlocks
+	var all *Blocks
 	return all.DecodeTernaryAdd(body, zre, m, dst)
 }
 
-// DecodeTernaryAdd is the decode-add into a sum l records: a dead block a
-// literal group lands in is cleared and stamped before the add, and one
-// no literal group reaches stays dead and untouched. A non-finite scale
-// clears the dead blocks and marks every block live first, then adds
-// densely. On error neither dst nor l changes.
+// DecodeTernaryAdd is the decode-add into a sum whose blocks x stamps: a
+// dead block a literal group lands in is cleared and stamped before the
+// add, and one no literal group reaches stays dead and untouched. A
+// non-finite scale clears the dead blocks and marks every block live
+// first, then adds densely. On error neither dst nor x changes.
 //
 //3lc:noalloc
 //3lc:decode
-func (l *LiveBlocks) DecodeTernaryAdd(body []byte, zre bool, m float32, dst []float32) error {
+func (x *Blocks) DecodeTernaryAdd(body []byte, zre bool, m float32, dst []float32) error {
 	if err := scanTernaryBody(body, zre, encode.QuarticEncodedLen(len(dst))); err != nil {
 		return err
 	}
-	addValidated(body, m, dst, l.forScale(m, dst))
+	addValidated(body, m, dst, x.forScale(m, dst))
 	noteDecodeAdd(body, m, len(dst))
 	return nil
 }
@@ -182,7 +182,7 @@ func (l *LiveBlocks) DecodeTernaryAdd(body []byte, zre bool, m float32, dst []fl
 // addValidated runs the fused accumulate pass over an already-validated
 // payload, choosing the ScaledLUT or inline-multiply form by size exactly
 // like DecodeTernary.
-func addValidated(body []byte, m float32, dst []float32, l *LiveBlocks) {
+func addValidated(body []byte, m float32, dst []float32, l *Blocks) {
 	if len(dst) >= scaledLUTMinElems {
 		lut := getLUT()
 		lut.Build(m)
@@ -194,12 +194,12 @@ func addValidated(body []byte, m float32, dst []float32, l *LiveBlocks) {
 }
 
 // addScaled accumulates a validated body through a prebuilt ScaledLUT into
-// dst, a sum l records. end is the end of the block the last literal group
-// entered: a stretch of literal groups up to the next run or that end is
-// one inner loop, so the record is consulted once a stretch and block, and
-// a literal group costs what it did without one. This is the scalar tier;
-// addScaledLits is the asm tier's form.
-func addScaled(body []byte, tab *scaledTab, dst []float32, l *LiveBlocks) {
+// dst, a sum whose blocks l stamps. end is the end of the block the last
+// literal group entered: a stretch of literal groups up to the next run or
+// that end is one inner loop, so the record is consulted once a stretch
+// and block, and a literal group costs what it did without one. This is
+// the scalar tier; addScaledLits is the asm tier's form.
+func addScaled(body []byte, tab *scaledTab, dst []float32, l *Blocks) {
 	zero := tab[encode.ZeroGroupByte][0] // m·0: ±0, or NaN for a non-finite scale
 	fill := zero != zero
 	hi := len(dst)
@@ -245,7 +245,7 @@ func addScaled(body []byte, tab *scaledTab, dst []float32, l *LiveBlocks) {
 
 // addSmall is the small-tensor form of addScaled: ternLUT digits scaled by
 // an inline multiply, the same single pass.
-func addSmall(body []byte, m float32, dst []float32, l *LiveBlocks) {
+func addSmall(body []byte, m float32, dst []float32, l *Blocks) {
 	zero := m * float32(0)
 	fill := zero != zero
 	hi := len(dst)
@@ -328,134 +328,4 @@ func noteDecodeAdd(body []byte, m float32, n int) {
 		}
 	}
 	PassHook("lut-decode-add", touched)
-}
-
-// LiveBlocks is the per-block liveness record of one gradient sum: which
-// BlockElems-element blocks hold the current step's data (see the file
-// comment). A block is live when its stamp equals the record's epoch, so
-// Reset kills every block in O(1). A dead block reads as +0 whatever its
-// memory holds; the decode-add clears it the first time a literal group
-// lands in it, a dense add clears every dead block at once (ClearDead,
-// then Mark), and FusedSGDStep reads a shared zero block in its place. A
-// nil record counts every block as live and clears nothing — the contract
-// of a plain destination. The zero LiveBlocks is a record whose every
-// block is dead; it sizes itself to the sum on first use (the one
-// allocation), and a sum of another length resets it.
-type LiveBlocks struct {
-	stamp []uint32 // per block: the epoch in which it last became live
-	epoch uint32   // the current step's stamp; never 0 once stamp is sized
-}
-
-// Reset starts a step: every block is dead.
-func (l *LiveBlocks) Reset() {
-	l.epoch++
-	if l.epoch == 0 { // wrapped: no stale stamp may equal the new epoch
-		clear(l.stamp)
-		l.epoch = 1
-	}
-}
-
-// sized makes l one stamp per block of an n-element sum.
-func (l *LiveBlocks) sized(n int) {
-	if k := blocks(n); len(l.stamp) != k {
-		l.stamp = make([]uint32, k)
-		l.epoch = max(l.epoch, 1)
-	}
-}
-
-// enter makes the block of dst holding element w live, clearing it if it
-// was dead, and returns the element the block ends at. A nil l clears
-// nothing.
-func (l *LiveBlocks) enter(dst []float32, w int) (end int) {
-	b := w / BlockElems
-	lo := b * BlockElems
-	end = min(lo+BlockElems, len(dst))
-	if l != nil && l.stamp[b] != l.epoch {
-		clear(dst[lo:end])
-		l.stamp[b] = l.epoch
-	}
-	return end
-}
-
-// forScale sizes l for dst and returns the record a decode-add under scale
-// m runs with: l itself, or — when m·0 is NaN and every element takes it —
-// nil, after clearing the dead blocks and marking every block live.
-func (l *LiveBlocks) forScale(m float32, dst []float32) *LiveBlocks {
-	if l == nil {
-		return nil
-	}
-	l.sized(len(dst))
-	if nonFinite(m) {
-		l.ClearDead(dst)
-		l.Mark(len(dst))
-		return nil
-	}
-	return l
-}
-
-// Empty reports whether no block of the n-element sum l records is live.
-// A nil record is never empty.
-func (l *LiveBlocks) Empty(n int) bool {
-	if l == nil {
-		return false
-	}
-	l.sized(n)
-	for _, s := range l.stamp {
-		if s == l.epoch {
-			return false
-		}
-	}
-	return true
-}
-
-// ClearDead zeroes every dead block of dst, leaving the record as it is:
-// what dst reads as does not change. A dense add into a sum that is not
-// empty runs after it, then Mark.
-func (l *LiveBlocks) ClearDead(dst []float32) {
-	if l == nil {
-		return
-	}
-	l.sized(len(dst))
-	for b, s := range l.stamp {
-		if s != l.epoch {
-			clear(dst[b*BlockElems : min((b+1)*BlockElems, len(dst))])
-		}
-	}
-}
-
-// Mark stamps every block of the n-element sum l records live: after a
-// dense add, which wrote every element.
-func (l *LiveBlocks) Mark(n int) {
-	if l == nil {
-		return
-	}
-	l.sized(n)
-	for b := range l.stamp {
-		l.stamp[b] = l.epoch
-	}
-}
-
-// zeroBlock is the gradient FusedSGDStep reads in place of a dead block's.
-// Nothing writes it.
-var zeroBlock [BlockElems]float32
-
-// grad returns the stretch of the sum gs a sweep reads from the
-// block-aligned element b on: to the end of b's block — or, with merge, of
-// the run of live blocks b starts — as gs itself where live, and as the
-// shared zero block where dead.
-func (l *LiveBlocks) grad(gs []float32, b int, merge bool) (e int, g []float32, live bool) {
-	n := len(gs)
-	e = min(b+BlockElems, n)
-	switch {
-	case l != nil && l.stamp[b/BlockElems] != l.epoch:
-		return e, zeroBlock[:e-b], false
-	case !merge:
-	case l == nil:
-		e = n
-	default:
-		for e < n && l.stamp[e/BlockElems] == l.epoch {
-			e = min(e+BlockElems, n)
-		}
-	}
-	return e, gs[b:e], true
 }

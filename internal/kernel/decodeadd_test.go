@@ -109,7 +109,7 @@ func TestLiveDecodeAddSpansBlockAligned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var live LiveBlocks
+	var live Blocks
 	got := make([]float32, n)
 	for step := 0; step < 20; step++ {
 		for i := range got {
@@ -131,7 +131,7 @@ func TestLiveDecodeAddSpansBlockAligned(t *testing.T) {
 // TestLiveBlocksReset pins the record's O(1) reset across the wrap of its
 // epoch: a stamp left from 2^32 steps ago must not read as live.
 func TestLiveBlocksReset(t *testing.T) {
-	var live LiveBlocks
+	var live Blocks
 	dst := make([]float32, 3*BlockElems)
 	if !live.Empty(len(dst)) {
 		t.Fatal("a zero record has a live block")

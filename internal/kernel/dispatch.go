@@ -11,8 +11,8 @@ import (
 // CPU-feature-dispatched kernel registry.
 //
 // The hot inner loops — the fused accumulate+|max| reduction, the ternary
-// quantize→pack encode, the LUT decode-add, the fused SGD sweep in its three
-// forms, the four raw float32 cores (put, get, add, first-add) and the two
+// quantize→pack encode, the LUT decode-add, the fused SGD sweep's core for
+// each kind of sink, the four raw float32 cores (put, get, add, first-add) and the two
 // bit-plane block cores of the packed float32 wire (planes.go, which calls
 // them by tier rather than through this table) — exist in two
 // implementations ("tiers"):
@@ -40,7 +40,7 @@ var (
 	sgdStepCore  func(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32
 	sgdDeltaCore func(w, v, gs, delta []float32, gscale, wd, mom, lr float32)
 	sgdRawCore   func(w, v, gs []float32, raw []byte, gscale, wd, mom, lr float32)
-	addCore      func(body []byte, tab *scaledTab, dst []float32, l *LiveBlocks)
+	addCore      func(body []byte, tab *scaledTab, dst []float32, l *Blocks)
 	decodeCore   func(body []byte, zre bool, tab *scaledTab, gTotal int, dst []float32) error
 	packBlocksFn func(buf []float32, out []byte, blocks int, tpos, dqNeg, dqZero, dqPos float32)
 
@@ -116,7 +116,7 @@ func SetTier(t Tier) {
 	switch t {
 	case TierScalar:
 		accMaxCore = accMaxAbsRange
-		sgdStepCore, sgdDeltaCore, sgdRawCore = fusedSGDStepRange, fusedSGDStepDeltaRange, fusedSGDStepRawRange
+		sgdStepCore, sgdDeltaCore, sgdRawCore = sgdStepRange, sgdDeltaRange, sgdRawRange
 		rawPutCore, rawGetCore = rawPutRange, rawGetRange
 		rawAddCore, rawFirstAddCore = rawAddRange, rawFirstAddRange
 		addCore = addScaled
@@ -127,7 +127,7 @@ func SetTier(t Tier) {
 			panic("kernel: asm tier unavailable on this CPU/build")
 		}
 		accMaxCore = simd.AccMaxAbsAsm
-		sgdStepCore, sgdDeltaCore, sgdRawCore = simd.FusedSGDStepAsm, simd.FusedSGDStepDeltaAsm, simd.FusedSGDStepRawAsm
+		sgdStepCore, sgdDeltaCore, sgdRawCore = simd.SGDStepAsm, simd.SGDStepDeltaAsm, simd.SGDStepRawAsm
 		rawPutCore, rawGetCore = simd.RawPutAsm, simd.RawGetAsm
 		rawAddCore, rawFirstAddCore = simd.RawAddAsm, simd.RawFirstAddAsm
 		addCore = addScaledLits

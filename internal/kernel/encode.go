@@ -24,25 +24,25 @@ import (
 // asm tier the same holds block by block — 40 elements that all quantize
 // to zero are read, not rewritten (the residual v − M·0 is v), so the pass
 // costs what its output says: a read-only scan plus the non-zero blocks.
-// It consults no block index: every block is read.
+// It consults no record: every block is read.
 //
 //3lc:noalloc
 func EncodeTernary(buf []float32, m float64, zeroRun bool, dst []byte) []byte {
-	var none *BlockMax
+	var none *Blocks
 	return none.EncodeTernary(buf, m, zeroRun, dst)
 }
 
-// EncodeTernary is compress pass 2 consulting x: a block whose recorded
-// max is under the quantizer threshold is not read — its groups join the
-// zero run (or are written as zero-group bytes without zero-run encoding)
-// — and every other block is quantized, packed and compacted as by the
-// index-free kernel, so wires and residuals are bit-identical to it. Under
-// a scale whose float32 is not finite M·0 is NaN and every residual
-// changes, so no block is skipped. The pass hook reports the elements
-// actually read.
+// EncodeTernary is compress pass 2 consulting x's max: a block whose
+// recorded max is under the quantizer threshold is not read — its groups
+// join the zero run (or are written as zero-group bytes without zero-run
+// encoding) — and every other block is quantized, packed and compacted as
+// by the record-free kernel, so wires and residuals are bit-identical to
+// it. Under a scale whose float32 is not finite M·0 is NaN and every
+// residual changes, so no block is skipped. The pass hook reports the
+// elements actually read.
 //
 //3lc:noalloc
-func (x *BlockMax) EncodeTernary(buf []float32, m float64, zeroRun bool, dst []byte) []byte {
+func (x *Blocks) EncodeTernary(buf []float32, m float64, zeroRun bool, dst []byte) []byte {
 	n := len(buf)
 	qlen := encode.QuarticEncodedLen(n)
 	if m == 0 {
@@ -66,8 +66,8 @@ func (x *BlockMax) EncodeTernary(buf []float32, m float64, zeroRun bool, dst []b
 	return dst[:base+w]
 }
 
-// pass2 is what one EncodeTernary call holds fixed: the index it consults
-// (nil: none), the quantizer threshold, the level below which a block is
+// pass2 is what one EncodeTernary call holds fixed: the block maxima it
+// consults (nil: none), the quantizer threshold, the level below which a block is
 // skipped (tpos, or 0 to skip nothing), the dequantization levels and the
 // wire form.
 type pass2 struct {

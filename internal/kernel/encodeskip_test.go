@@ -23,7 +23,7 @@ func checkEncodeMatchesStaged(t *testing.T, tier Tier, in []float32, s float64, 
 	n := len(in)
 	acc := tensor.New(n)
 	wantWire, wantM := stagedTernary(acc, tensor.FromSlice(append([]float32(nil), in...), n), s, zre)
-	for _, x := range []*BlockMax{nil, new(BlockMax)} {
+	for _, x := range []*Blocks{nil, new(Blocks)} {
 		buf := make([]float32, n)
 		m := float64(x.AccumulateMaxAbs(buf, in)) * s
 		if math.Float32bits(float32(m)) != math.Float32bits(wantM) {

@@ -32,7 +32,7 @@ const litCoreAfter = 3
 // only under a non-finite scale). Same contract as addScaled. A literal
 // group tests its room against end, the end of the block it is in, so only
 // a group past that end consults the record and enters the next block.
-func addScaledLits(body []byte, tab *scaledTab, dst []float32, l *LiveBlocks) {
+func addScaledLits(body []byte, tab *scaledTab, dst []float32, l *Blocks) {
 	zero := tab[encode.ZeroGroupByte][0] // m·0: ±0, or NaN for a non-finite scale
 	fill := zero != zero
 	hi := len(dst)

@@ -129,8 +129,9 @@ func fuzzFusedVsStagedBody(t *testing.T, data []byte, sByte uint8, zre bool, n i
 }
 
 // FuzzBlockIndexVsFullScan is the differential fuzz target behind the block
-// index (BlockMax): pass 2 consulting the index pass 1 recorded — after
-// AccumulateMaxAbs and after the pull's FusedSGDStep — must emit
+// maxima of a Blocks record: pass 2 consulting the maxima pass 1 recorded
+// — after AccumulateMaxAbs and after the pull's SGDStep into an Acc sink,
+// over a gradient whose every block is live — must emit
 // the wire of the index-free full scan byte for byte and leave its
 // residuals bit for bit, over two accumulating steps, under every kernel
 // tier. (A skipped block is not rewritten where the scalar full scan
@@ -179,18 +180,20 @@ func fuzzBlockIndexBody(t *testing.T, tier Tier, in []float32, s float64, zre bo
 	n := len(in)
 	full := make([]float32, n)
 	bufs := [2][]float32{make([]float32, n), make([]float32, n)}
-	var idx [2]BlockMax
+	var idx [2]Blocks
+	idx[1].Reset()
+	idx[1].Mark(n) // the sweep's gradient: every block live
 	// The pull's pass 1: with w, v = 0, gs = in, gscale = −1 and lr = 1 the
 	// sweep folds w_new − w_old = in (exactly, for finite in) into acc.
-	sgd := func(x *BlockMax, acc []float32) float32 {
+	sgd := func(x *Blocks, acc []float32) float32 {
 		w, v := make([]float32, n), make([]float32, n)
-		return x.FusedSGDStep(w, v, in, acc, -1, 0, 0, 1)
+		return x.SGDStep(w, v, in, Sink{Acc: acc}, -1, 0, 0, 1)
 	}
 	fullSGD := make([]float32, n)
 	for step := 0; step < 2; step++ {
 		m := float64(AccumulateMaxAbs(full, in)) * s
 		want := EncodeTernary(full, m, zre, nil)
-		var none *BlockMax
+		var none *Blocks
 		mSGD := float64(sgd(none, fullSGD)) * s
 		wantSGD := EncodeTernary(fullSGD, mSGD, zre, nil)
 		for k := range idx {

@@ -11,11 +11,11 @@
 //	pass 1  AccumulateMaxAbs    buf += in fused with the max|buf| reduction
 //	                            (reads both, writes buf); a context's form
 //	                            also records each 1 280-element block's
-//	                            max|buf| in its BlockMax index
+//	                            max|buf| in its Blocks record
 //	pass 2  EncodeTernary       quantize → local-dequantize → residual →
 //	                            quartic-pack → zero-run-emit in one loop
 //	                            that writes wire bytes directly; skips every
-//	                            block whose indexed max is under the
+//	                            block whose recorded max is under the
 //	                            quantizer threshold (its digits are zero and
 //	                            v − M·0 = v while M is finite), reads the
 //	                            rest of buf once and, on the asm tier,
@@ -52,15 +52,14 @@
 // The aggregation side adds a fourth kernel, DecodeTernaryAdd (dst += M·q
 // in one pass over the wire bytes and the non-zero groups: zero runs skip
 // memory, see decodeadd.go), and the parameter server's optimizer a fifth,
-// FusedSGDStep (average → momentum → weight → delta → accumulate+|max| in
-// one sweep, absorbing the pull's pass 1 and recording its block index;
-// FusedSGDStepDelta stores the delta where there is no accumulation buffer
-// to fold it into, and FusedSGDStepRaw writes it as a raw float32 pull
-// wire's body). Both take a gradient sum's LiveBlocks record as their
-// receiver: the decode-add clears a dead block where the step's first
-// literal group lands, and the sweep reads a shared zero block in place of
-// a dead block's gradient, so the server neither zero-fills nor re-reads
-// the blocks of a sum no push reached. Tensors
+// SGDStep (average → momentum → weight → delta in one sweep, the delta
+// going where its Sink says: folded into an accumulation buffer with the
+// |max| reduction and block maxima, absorbing the pull's pass 1; written
+// as a raw float32 pull wire's body; or stored). Both are methods of the
+// gradient sum's Blocks record: the decode-add clears a dead block where
+// the step's first literal group lands, and the sweep reads a shared zero
+// block in place of a dead block's gradient, so the server neither
+// zero-fills nor re-reads the blocks of a sum no push reached. Tensors
 // that travel as verbatim float32 — the float32 baseline, state blobs and
 // checkpoints — are moved by the four raw cores of raw.go, one streaming
 // pass each; what a compressing run exempts from its codec travels as the
@@ -72,18 +71,18 @@
 //
 //	core                  scalar              asm (AVX2)
 //	accumulate+|max|      range loop          32-float blocks, 4 VMAXPS chains
-//	                      (one call per index block on both tiers)
+//	                      (one call per record block on both tiers)
 //	ternary quantize/pack cmov quantize loop  40-elem (8-group) AVX2 blocks:
 //	                      with inline ZRE     read-only scan, all-zero blocks
 //	                                          skip the quantize, residual write
 //	                                          and pack; then a word-at-a-time
 //	                                          zero-run compaction
-//	                      (index blocks under the threshold skipped before
+//	                      (record blocks under the threshold skipped before
 //	                      either tier's loop, on both tiers)
 //	LUT decode-add/set    byte-at-a-time      + AVX row loads for long literal
 //	                      row apply           stretches
 //	fused SGD sweep,      range loop          8-float mul/add/sub (never FMA);
-//	all three forms                           the raw form is the delta core
+//	one core a sink                           the raw core is the delta core
 //	                                          storing unaligned to bytes
 //	raw float32 put/get/  byte-order loop     32-float unaligned moves and adds
 //	add/first-add
@@ -116,79 +115,24 @@ func notePass(pass string, n int) {
 	}
 }
 
-// BlockElems is the block of the per-block |max| index (BlockMax): a
-// multiple of the 5-element quartic group and of the asm tier's 40-element
-// quantize block, so a skipped block is whole groups and a visited one
-// whole asm blocks up to the tensor's tail. Chosen from a sweep of 320,
-// 640, 1280 and 2560 (README, "Kernel dispatch"): smaller blocks skip more
-// of lan-3lc's pulls (4.1 % of 320-element blocks visited, 13.3 % of
-// 2560-element ones) but pay a core call and a compaction per block, which
-// larger ones save on the dense and clustered encode rows; lan-3lc's
-// exchange did not tell them apart, and read lowest at 1280.
-const BlockElems = 1280
-
-// BlockMax is the per-block |max| index of one tensor's accumulation
-// buffer. Pass 1 (AccumulateMaxAbs, FusedSGDStep) records max|buf| of every
-// BlockElems-element block as it reduces the tensor's max, and pass 2
-// (EncodeTernary) skips every block whose max is under the quantizer's
-// threshold: such a block quantizes to zero digits and keeps its residual
-// (v − M·0 = v while M is finite), so its groups join the zero run without
-// being read, packed or compacted. The skip pays where non-zero digits
-// cluster in few blocks, as on a large layer's gradients and model deltas;
-// where they are scattered every block is visited, as without an index.
-//
-// Pass 2 consults what the last pass 1 recorded, so nothing may write the
-// buffer between the two. The zero BlockMax is empty until a pass 1 sizes
-// it; an index that does not hold one entry per block of the buffer
-// (empty, or nil) is not consulted, and a nil one records nothing.
-type BlockMax struct {
-	max []float32 // max|buf| of each block as of the last pass 1
-}
-
-// blocks returns the number of index entries of an n-element tensor.
-func blocks(n int) int { return (n + BlockElems - 1) / BlockElems }
-
-// record returns x's entries sized for an n-element tensor, nil for a nil
-// index: the slots pass 1 fills.
-func (x *BlockMax) record(n int) []float32 {
-	if x == nil {
-		return nil
-	}
-	k := blocks(n)
-	if cap(x.max) < k {
-		x.max = make([]float32, k)
-	}
-	x.max = x.max[:k]
-	return x.max
-}
-
-// consult returns x's entries when they index an n-element tensor, else
-// nil: the entries pass 2 reads.
-func (x *BlockMax) consult(n int) []float32 {
-	if x == nil || len(x.max) != blocks(n) {
-		return nil
-	}
-	return x.max
-}
-
 // AccumulateMaxAbs is compress pass 1: it adds in to buf element-wise and
 // returns max|buf| of the updated buffer, fusing the error-accumulation
 // sweep with the |max| reduction the quantizer needs (the staged pipeline
 // runs them as two separate sweeps). buf and in must have equal length.
-// It records no block index: EncodeTernary after it visits every block.
+// It records nothing: EncodeTernary after it visits every block.
 //
 //3lc:noalloc
 func AccumulateMaxAbs(buf, in []float32) float32 {
-	var none *BlockMax
+	var none *Blocks
 	return none.AccumulateMaxAbs(buf, in)
 }
 
 // AccumulateMaxAbs is compress pass 1 recording x: each block's max|buf|
-// lands in the index as the tensor's max is reduced. A nil x records
-// nothing.
+// lands in the record's max as the tensor's max is reduced. A nil x
+// records nothing.
 //
 //3lc:noalloc
-func (x *BlockMax) AccumulateMaxAbs(buf, in []float32) float32 {
+func (x *Blocks) AccumulateMaxAbs(buf, in []float32) float32 {
 	if len(buf) != len(in) {
 		panic(fmt.Sprintf("kernel: AccumulateMaxAbs length mismatch %d != %d", len(buf), len(in)))
 	}

@@ -340,7 +340,7 @@ func TestPassCounts(t *testing.T) {
 		{"clustered", clusteredInput(big).Data(), 1, big/20 - 1},
 		{"scattered", scattered.Data(), big, big},
 	} {
-		var x BlockMax
+		var x Blocks
 		buf := make([]float32, big)
 		passes = nil
 		m := float64(x.AccumulateMaxAbs(buf, tc.in)) * 1.75
@@ -375,14 +375,14 @@ func TestPassCounts(t *testing.T) {
 		if tc.nan {
 			scale = float32(math.NaN())
 		}
-		var live LiveBlocks
+		var live Blocks
 		live.Reset()
 		sum := make([]float32, big)
 		passes = nil
 		if err := live.DecodeTernaryAdd(body, true, scale, sum); err != nil {
 			t.Fatal(err)
 		}
-		live.FusedSGDStep(nil, w, v, sum, acc, 1, 0, 0, 1)
+		live.SGDStep(w, v, sum, Sink{Acc: acc}, 1, 0, 0, 1)
 		if len(passes) != 2 {
 			t.Fatalf("%s: decode-add and sweep made passes %v, want 2", tc.name, passes)
 		}

@@ -65,7 +65,7 @@ func TestLongRunTokenEveryEdge(t *testing.T) {
 			}
 			v := make([]float32, n)
 			v[n/2] = 0.25
-			for _, x := range []*BlockMax{nil, new(BlockMax)} {
+			for _, x := range []*Blocks{nil, new(Blocks)} {
 				buf := append([]float32(nil), v...)
 				x.AccumulateMaxAbs(buf, make([]float32, n))
 				if got := x.EncodeTernary(buf, 1, true, nil); !bytes.Equal(got, want) {
@@ -85,7 +85,7 @@ func checkRunTensor(t *testing.T, name string, v []float32, run int) {
 	if n := bytes.Count(encode.ZeroRunDecode(want), []byte{encode.ZeroGroupByte}); n != run {
 		t.Fatalf("%s: reference wire holds %d zero groups", name, n)
 	}
-	for _, x := range []*BlockMax{nil, new(BlockMax)} {
+	for _, x := range []*Blocks{nil, new(Blocks)} {
 		buf := make([]float32, n)
 		x.AccumulateMaxAbs(buf, v)
 		if got := x.EncodeTernary(buf, float64(m32), true, nil); !bytes.Equal(got, want) {
@@ -165,7 +165,7 @@ func TestLongRunTokenMalformed(t *testing.T) {
 			if err := DecodeTernaryAdd(tc.body, true, 1, dst); err == nil {
 				t.Errorf("tier %v %s: decode-add accepted it", tier, tc.name)
 			}
-			var live LiveBlocks
+			var live Blocks
 			if err := live.DecodeTernaryAdd(tc.body, true, 1, dst); err == nil {
 				t.Errorf("tier %v %s: decode-add into a recorded sum accepted it", tier, tc.name)
 			}

@@ -114,15 +114,15 @@ func TestRawKernelsMatchScalar(t *testing.T) {
 	}
 }
 
-// TestFusedSGDStepRawMatchesDelta: on every tier the raw-writing sweep
-// leaves w and v as the delta-writing one does and writes, one byte into
-// its wire, the bytes AppendRaw makes of that sweep's delta, and nothing
-// outside them — at every length from 0 to 67 (each 8 / 1 tail of the asm
+// TestSGDStepRawMatchesDelta: on every tier the sweep into a Raw sink
+// leaves w and v as the sweep into a Delta sink does and writes, one byte
+// into its wire, the bytes AppendRaw makes of that sweep's delta, and
+// nothing outside them — at every length from 0 to 67 (each 8 / 1 tail of the asm
 // loop) and at 1M, over inputs that carry ±0, NaN and ±Inf, and at 1M
 // once more through a record whose every third block is live.
-func TestFusedSGDStepRawMatchesDelta(t *testing.T) {
+func TestSGDStepRawMatchesDelta(t *testing.T) {
 	rng := tensor.NewRNG(23)
-	check := func(n int, live *LiveBlocks) {
+	check := func(n int, live *Blocks) {
 		t.Helper()
 		w, v, gs := make([]float32, n), make([]float32, n), make([]float32, n)
 		for i := range w {
@@ -140,11 +140,11 @@ func TestFusedSGDStepRawMatchesDelta(t *testing.T) {
 		}
 		tierSweep(func(tier Tier) {
 			dw, dv, delta := append([]float32(nil), w...), append([]float32(nil), v...), make([]float32, n)
-			live.FusedSGDStepDelta(dw, dv, gs, delta, 0.5, 1e-4, 0.9, 0.0004)
+			live.SGDStep(dw, dv, gs, Sink{Delta: delta}, 0.5, 1e-4, 0.9, 0.0004)
 			want := append(AppendRaw([]byte{rawGuardByte}, delta), rawGuardByte)
 			rw, rv := append([]float32(nil), w...), append([]float32(nil), v...)
 			wire := bytes.Repeat([]byte{rawGuardByte}, 4*n+2)
-			live.FusedSGDStepRaw(rw, rv, gs, wire[1:1+4*n], 0.5, 1e-4, 0.9, 0.0004)
+			live.SGDStep(rw, rv, gs, Sink{Raw: wire[1 : 1+4*n]}, 0.5, 1e-4, 0.9, 0.0004)
 			if !bytes.Equal(wire, want) {
 				i := 0
 				for wire[i] == want[i] {
@@ -165,7 +165,7 @@ func TestFusedSGDStepRawMatchesDelta(t *testing.T) {
 	}
 	const big = 1 << 20
 	check(big, nil)
-	var live LiveBlocks
+	var live Blocks
 	live.Reset()
 	live.sized(big)
 	for b := 0; b < len(live.stamp); b += 3 {

@@ -6,61 +6,89 @@ import (
 	"math"
 )
 
-// FusedSGDStep is the parameter server's fused optimizer sweep over one
-// tensor: average (the scale fused into the gradient read), momentum and
+// Sink is where SGDStep puts one tensor's model delta, w_new − w_old.
+// Exactly one field is set: Acc, an error-accumulation buffer the delta is
+// folded into (a pull's compress pass 1, absorbed); Raw, a raw float32
+// wire's body, 4 bytes an element, written with the delta's little-endian
+// bits — AppendRaw of the delta, byte for byte, so no delta tensor exists
+// (it may start at any byte: a body starts one scheme byte into its wire);
+// or Delta, where it is stored. Raw and Delta are only written.
+type Sink struct {
+	Acc   []float32
+	Raw   []byte
+	Delta []float32
+}
+
+// covers reports whether exactly one of to's fields is set and it holds n
+// elements — or, for an empty tensor, none is set.
+func (to Sink) covers(n int) bool {
+	switch {
+	case to.Acc != nil:
+		return len(to.Acc) == n && to.Raw == nil && to.Delta == nil
+	case to.Raw != nil:
+		return len(to.Raw) == 4*n && to.Delta == nil
+	}
+	return len(to.Delta) == n
+}
+
+// SGDStep is the parameter server's fused optimizer sweep over one tensor:
+// average (the scale fused into the gradient read), momentum and
 // weight-decay update, weight write and model delta, in a single pass over
 // the four streams. Per element:
 //
-//	g   = gs[i]·gscale + wd·w[i]
+//	g    = gs[i]·gscale + wd·w[i]
 //	v[i] = mom·v[i] + g
 //	w[i] = w[i] − lr·v[i]
-//	acc[i] += w_new − w_old
+//	w_new − w_old goes to the sink
 //
-// The sweep has two forms that differ only in that last line. This one
-// folds the delta into the pull compressor's error-accumulation buffer and
-// returns max|acc| of the updated buffer — compress pass 1 of the pull,
-// absorbed, recording x as AccumulateMaxAbs does (a nil x records
-// nothing). FusedSGDStepDelta stores it instead. Every operation is a
-// separately rounded float32 multiply, add or subtract (no tier fuses a
-// multiply-add), so w, v and acc are bit-identical across tiers up to NaN
-// payloads and the returned maximum and index exactly (NaN never wins
-// them). All four slices must have equal length. Every block of gs is
-// live.
-//
-//3lc:noalloc
-func (x *BlockMax) FusedSGDStep(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32 {
-	var all *LiveBlocks
-	return all.FusedSGDStep(x, w, v, gs, acc, gscale, wd, mom, lr)
-}
-
-// FusedSGDStep is x.FusedSGDStep over a gradient sum gs that l records:
-// the tier core runs block by block — or over a run of live blocks at a
-// time where x records nothing — and reads the shared zero block in place
-// of every dead block's gradient, which is what that block reads as. The
-// pass hook reports the elements of gs read.
+// gs is a gradient sum whose blocks x stamps: the tier core reads the
+// shared zero block in place of every dead block's gradient, which is what
+// that block reads as, and the pass hook reports the elements of gs read.
+// Into an Acc sink the sweep returns max|acc| of the updated buffer —
+// compress pass 1 of the pull, absorbed — and records each block's max in
+// x as AccumulateMaxAbs does, so the core runs block by block (over all of
+// gs at once under a nil x, which records nothing). Into Raw or Delta it
+// records nothing, returns 0, and runs the core over a run of live blocks
+// at a time. Every operation is a separately rounded float32 multiply, add
+// or subtract (no tier fuses a multiply-add), so w, v and the sink are
+// bit-identical across tiers up to NaN payloads and the returned maximum
+// and the record exactly (NaN never wins them). w, v, gs and the sink
+// must hold the same number of elements.
 //
 //3lc:noalloc
-func (l *LiveBlocks) FusedSGDStep(x *BlockMax, w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32 {
-	if len(w) != len(v) || len(gs) != len(v) || len(acc) != len(v) {
-		panic(fmt.Sprintf("kernel: FusedSGDStep length mismatch w=%d v=%d gs=%d acc=%d", len(w), len(v), len(gs), len(acc)))
+func (x *Blocks) SGDStep(w, v, gs []float32, to Sink, gscale, wd, mom, lr float32) float32 {
+	n := len(v)
+	if len(w) != n || len(gs) != n || !to.covers(n) {
+		panic(fmt.Sprintf("kernel: SGDStep length mismatch w=%d v=%d gs=%d sink acc=%d raw=%d bytes delta=%d",
+			len(w), n, len(gs), len(to.Acc), len(to.Raw), len(to.Delta)))
 	}
-	idx := x.record(len(v))
-	if l != nil {
-		l.sized(len(v))
+	var idx []float32
+	if to.Acc != nil {
+		idx = x.record(n)
+	}
+	if x != nil {
+		x.sized(n)
 	}
 	var m float32
 	read := 0
-	for b := 0; b < len(v); {
-		e, g, live := l.grad(gs, b, idx == nil)
-		bm := sgdStepCore(w[b:e], v[b:e], g, acc[b:e], gscale, wd, mom, lr)
-		if idx != nil {
-			idx[b/BlockElems] = bm
+	for b := 0; b < n; {
+		e, g, live := x.grad(gs, b, idx == nil)
+		switch {
+		case to.Acc != nil:
+			bm := sgdStepCore(w[b:e], v[b:e], g, to.Acc[b:e], gscale, wd, mom, lr)
+			if idx != nil {
+				idx[b/BlockElems] = bm
+			}
+			if bm > m {
+				m = bm
+			}
+		case to.Raw != nil:
+			sgdRawCore(w[b:e], v[b:e], g, to.Raw[4*b:4*e], gscale, wd, mom, lr)
+		default:
+			sgdDeltaCore(w[b:e], v[b:e], g, to.Delta[b:e], gscale, wd, mom, lr)
 		}
 		if live {
 			read += e - b
-		}
-		if bm > m {
-			m = bm
 		}
 		b = e
 	}
@@ -68,72 +96,8 @@ func (l *LiveBlocks) FusedSGDStep(x *BlockMax, w, v, gs, acc []float32, gscale, 
 	return m
 }
 
-// FusedSGDStepDelta is the delta-writing form of FusedSGDStep, for pull
-// contexts with no accumulation buffer to fold into (raw floats and the
-// non-accumulating codecs): the same sweep with delta[i] = w_new − w_old as
-// its last step. delta is only written; w and v come out bit-identical to
-// the accumulate form's. All four slices must have equal length. Every
-// block of gs is live.
-//
-//3lc:noalloc
-func FusedSGDStepDelta(w, v, gs, delta []float32, gscale, wd, mom, lr float32) {
-	var all *LiveBlocks
-	all.FusedSGDStepDelta(w, v, gs, delta, gscale, wd, mom, lr)
-}
-
-// FusedSGDStepDelta is FusedSGDStepDelta over a gradient sum gs that l
-// records, reading dead blocks as LiveBlocks.FusedSGDStep does.
-//
-//3lc:noalloc
-func (l *LiveBlocks) FusedSGDStepDelta(w, v, gs, delta []float32, gscale, wd, mom, lr float32) {
-	if len(w) != len(v) || len(gs) != len(v) || len(delta) != len(v) {
-		panic(fmt.Sprintf("kernel: FusedSGDStepDelta length mismatch w=%d v=%d gs=%d delta=%d", len(w), len(v), len(gs), len(delta)))
-	}
-	if l != nil {
-		l.sized(len(v))
-	}
-	read := 0
-	for b := 0; b < len(v); {
-		e, g, live := l.grad(gs, b, true)
-		sgdDeltaCore(w[b:e], v[b:e], g, delta[b:e], gscale, wd, mom, lr)
-		if live {
-			read += e - b
-		}
-		b = e
-	}
-	notePass("fused-sgd-step", read)
-}
-
-// FusedSGDStepRaw is the raw-writing form of FusedSGDStepDelta, for pull
-// contexts whose wire is the delta as raw float32 (SchemeNone): the same
-// sweep, with w_new − w_old written to raw as little-endian float32 bytes
-// — AppendRaw of FusedSGDStepDelta's delta, byte for byte — so the sweep
-// writes the pull wire's body and no delta tensor exists. raw must hold 4
-// bytes per element and may start at any byte (a body starts one scheme
-// byte into its wire); it is only written.
-//
-//3lc:noalloc
-func (l *LiveBlocks) FusedSGDStepRaw(w, v, gs []float32, raw []byte, gscale, wd, mom, lr float32) {
-	if len(w) != len(v) || len(gs) != len(v) || len(raw) != 4*len(v) {
-		panic(fmt.Sprintf("kernel: FusedSGDStepRaw length mismatch w=%d v=%d gs=%d raw=%d bytes", len(w), len(v), len(gs), len(raw)))
-	}
-	if l != nil {
-		l.sized(len(v))
-	}
-	read := 0
-	for b := 0; b < len(v); {
-		e, g, live := l.grad(gs, b, true)
-		sgdRawCore(w[b:e], v[b:e], g, raw[4*b:4*e], gscale, wd, mom, lr)
-		if live {
-			read += e - b
-		}
-		b = e
-	}
-	notePass("fused-sgd-step", read)
-}
-
-// fusedSGDStepRange is the scalar reference core of FusedSGDStep.
-func fusedSGDStepRange(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32 {
+// sgdStepRange is the scalar core of SGDStep into an Acc sink.
+func sgdStepRange(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32 {
 	// Reslice to a common length so the compiler drops the per-index
 	// bounds checks in the loop.
 	w = w[:len(v)]
@@ -157,9 +121,9 @@ func fusedSGDStepRange(w, v, gs, acc []float32, gscale, wd, mom, lr float32) flo
 	return m
 }
 
-// fusedSGDStepDeltaRange is the scalar reference core of FusedSGDStepDelta:
-// fusedSGDStepRange with the delta stored.
-func fusedSGDStepDeltaRange(w, v, gs, delta []float32, gscale, wd, mom, lr float32) {
+// sgdDeltaRange is the scalar core of SGDStep into a Delta sink:
+// sgdStepRange with the delta stored.
+func sgdDeltaRange(w, v, gs, delta []float32, gscale, wd, mom, lr float32) {
 	w = w[:len(v)]
 	gs = gs[:len(v)]
 	delta = delta[:len(v)]
@@ -174,9 +138,9 @@ func fusedSGDStepDeltaRange(w, v, gs, delta []float32, gscale, wd, mom, lr float
 	}
 }
 
-// fusedSGDStepRawRange is the scalar reference core of FusedSGDStepRaw:
-// fusedSGDStepDeltaRange with the delta's bits stored little-endian.
-func fusedSGDStepRawRange(w, v, gs []float32, raw []byte, gscale, wd, mom, lr float32) {
+// sgdRawRange is the scalar core of SGDStep into a Raw sink:
+// sgdDeltaRange with the delta's bits stored little-endian.
+func sgdRawRange(w, v, gs []float32, raw []byte, gscale, wd, mom, lr float32) {
 	w = w[:len(v)]
 	gs = gs[:len(v)]
 	raw = raw[:4*len(v)]

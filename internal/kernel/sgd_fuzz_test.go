@@ -53,23 +53,23 @@ func velocityOf(o *opt.SGD, n int) []float32 {
 }
 
 // FuzzFusedSGDStep is the differential fuzz target behind the fused SGD
-// sweep's tier contract, in both its forms: for arbitrary stream contents
-// (including NaN/Inf bit patterns, −0 and denormals), arbitrary coefficient
-// bit patterns and every tail length the input allows,
+// sweep's tier contract, into each of its sinks: for arbitrary stream
+// contents (including NaN/Inf bit patterns, −0 and denormals), arbitrary
+// coefficient bit patterns and every tail length the input allows,
 //
-//   - the accumulate form must, on each tier, with and without a block
-//     index to record, leave weights, velocity and accumulator
-//     bit-identical to the scalar tier's index-free sweep (up to NaN
-//     payload class) and return the bit-identical max|acc|, which is never
-//     NaN;
-//   - the delta form, driven as the parameter server drives it
-//     (opt.ApplyFusedStepLive with a nil record and a delta sink), must on
-//     each tier leave weights, velocity and deltas bit-identical to the
-//     staged reference — the averaged gradient materialized in p.G, then
+//   - into an Acc sink the sweep must, on each tier, with no record and
+//     with one whose every block is live (which records the block maxima),
+//     leave weights, velocity and accumulator bit-identical to the scalar
+//     tier's record-free sweep (up to NaN payload class) and return the
+//     bit-identical max|acc|, which is never NaN;
+//   - into a Delta sink it must, on each tier and under both records,
+//     leave weights, velocity and deltas bit-identical to the staged
+//     reference — the averaged gradient materialized in p.G, then
 //     opt.ApplyWithDelta — over a delta buffer that starts out stale, and
-//     must not touch p.G; the raw form (a raw sink, one byte into its
-//     wire) must write the bytes AppendRaw makes of that delta form's
-//     delta.
+//     so must opt.ApplyFusedStep, which drives it as the parameter server
+//     does and must not touch p.G; into a Raw sink (one byte into its
+//     wire) it must leave the same weights and velocity and write the
+//     bytes AppendRaw makes of that delta.
 func FuzzFusedSGDStep(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0, 0, 0x80, 0x3f}, 16), uint32(0x3f000000), uint32(0x38d1b717), uint32(0x3f666666), uint32(0x3d23d70a))
 	f.Add(bytes.Repeat([]byte{0, 0, 0xc0, 0x7f, 0, 0, 0, 0x80, 1, 0, 0, 0}, 11), uint32(0x3f800000), uint32(0), uint32(0), uint32(0x3f800000)) // NaN, −0, denormal
@@ -106,19 +106,23 @@ func FuzzFusedSGDStep(f *testing.F) {
 
 		kernel.SetTier(kernel.TierScalar)
 		ref := clone()
-		var none *kernel.BlockMax
-		wantM := none.FusedSGDStep(ref[0], ref[1], ref[2], ref[3], gscale, wd, mom, lr)
+		var none *kernel.Blocks
+		all := new(kernel.Blocks)
+		all.Reset()
+		all.Mark(n)
+		records := []*kernel.Blocks{none, all}
+		wantM := none.SGDStep(ref[0], ref[1], ref[2], kernel.Sink{Acc: ref[3]}, gscale, wd, mom, lr)
 		for _, tier := range kernel.AvailableTiers() {
 			kernel.SetTier(tier)
-			for _, x := range []*kernel.BlockMax{none, new(kernel.BlockMax)} {
+			for _, x := range records {
 				got := clone()
-				gotM := x.FusedSGDStep(got[0], got[1], got[2], got[3], gscale, wd, mom, lr)
+				gotM := x.SGDStep(got[0], got[1], got[2], kernel.Sink{Acc: got[3]}, gscale, wd, mom, lr)
 				if math.Float32bits(gotM) != math.Float32bits(wantM) || gotM != gotM {
-					t.Fatalf("tier %v n=%d indexed=%v: max|acc| %x != scalar %x", tier, n, x != nil, math.Float32bits(gotM), math.Float32bits(wantM))
+					t.Fatalf("tier %v n=%d recorded=%v: max|acc| %x != scalar %x", tier, n, x != nil, math.Float32bits(gotM), math.Float32bits(wantM))
 				}
 				for s, name := range []string{"w", "v", "gs", "acc"} {
 					if i, ok := nanClassEqual(got[s], ref[s]); !ok {
-						t.Fatalf("tier %v n=%d indexed=%v: %s differs at %d: %x vs %x", tier, n, x != nil, name, i,
+						t.Fatalf("tier %v n=%d recorded=%v: %s differs at %d: %x vs %x", tier, n, x != nil, name, i,
 							math.Float32bits(got[s][i]), math.Float32bits(ref[s][i]))
 					}
 				}
@@ -141,32 +145,47 @@ func FuzzFusedSGDStep(f *testing.F) {
 		wantV := velocityOf(stagedOpt, n)
 		for _, tier := range kernel.AvailableTiers() {
 			kernel.SetTier(tier)
+			for _, x := range records {
+				got := clone()
+				x.SGDStep(got[0], got[1], got[2], kernel.Sink{Delta: got[3]}, gscale, wd, mom, lr)
+				// The Raw sink from the same start: the Delta sink's delta, as
+				// AppendRaw writes it behind a scheme byte.
+				rw := clone()
+				wire := make([]byte, 1+4*n)
+				x.SGDStep(rw[0], rw[1], rw[2], kernel.Sink{Raw: wire[1:]}, gscale, wd, mom, lr)
+				if want := kernel.AppendRaw([]byte{0}, got[3]); !bytes.Equal(wire, want) {
+					t.Fatalf("tier %v n=%d recorded=%v: Raw sink got % x, AppendRaw of the Delta sink's delta % x", tier, n, x != nil, wire, want)
+				}
+				for _, c := range []struct {
+					name      string
+					got, want []float32
+				}{
+					{"w", got[0], staged[0]}, {"v", got[1], wantV}, {"gs", got[2], src[2]}, {"delta", got[3], staged[3]},
+					{"Raw sink w", rw[0], staged[0]}, {"Raw sink v", rw[1], wantV},
+				} {
+					if i, ok := nanClassEqual(c.got, c.want); !ok {
+						t.Fatalf("tier %v n=%d recorded=%v: %s differs from ApplyWithDelta at %d: %x vs %x", tier, n, x != nil, c.name, i,
+							math.Float32bits(c.got[i]), math.Float32bits(c.want[i]))
+					}
+				}
+			}
+
+			// The Delta sink as the parameter server drives it.
 			got := clone()
 			o := sgdWithVelocity(t, got[1], wd, mom, lr)
 			untouched := append([]float32(nil), src[3]...) // any bits will do for p.G
 			p := &nn.Param{Name: "p", W: tensor.FromSlice(got[0], n), G: tensor.FromSlice(untouched, n)}
-			grad := func(int) ([]float32, float32, *kernel.LiveBlocks) { return got[2], gscale, nil }
-			o.ApplyFusedStepLive([]*nn.Param{p}, grad, func(int) opt.Sink { return opt.Sink{Delta: got[3]} }, nil)
-			// The raw form from the same start: the delta form's delta, as
-			// AppendRaw writes it behind a scheme byte.
-			rw := clone()
-			ro := sgdWithVelocity(t, rw[1], wd, mom, lr)
-			wire := make([]byte, 1+4*n)
-			ro.ApplyFusedStepLive([]*nn.Param{{Name: "p", W: tensor.FromSlice(rw[0], n)}},
-				func(int) ([]float32, float32, *kernel.LiveBlocks) { return rw[2], gscale, nil },
-				func(int) opt.Sink { return opt.Sink{Raw: wire[1:]} }, nil)
-			if want := kernel.AppendRaw([]byte{0}, got[3]); !bytes.Equal(wire, want) {
-				t.Fatalf("tier %v n=%d: raw form wrote % x, AppendRaw of the delta form's delta % x", tier, n, wire, want)
-			}
+			o.ApplyFusedStep([]*nn.Param{p}, func(int) ([]float32, float32, *kernel.Blocks, kernel.Sink) {
+				return got[2], gscale, nil, kernel.Sink{Delta: got[3]}
+			}, make([]float32, 1))
 			for _, c := range []struct {
 				name      string
 				got, want []float32
 			}{
-				{"w", got[0], staged[0]}, {"v", velocityOf(o, n), wantV},
-				{"gs", got[2], src[2]}, {"delta", got[3], staged[3]},
+				{"w", got[0], staged[0]}, {"v", velocityOf(o, n), wantV}, {"delta", got[3], staged[3]},
 			} {
 				if i, ok := nanClassEqual(c.got, c.want); !ok {
-					t.Fatalf("tier %v n=%d: delta form: %s differs from ApplyWithDelta at %d: %x vs %x", tier, n, c.name, i,
+					t.Fatalf("tier %v n=%d: ApplyFusedStep: %s differs from ApplyWithDelta at %d: %x vs %x", tier, n, c.name, i,
 						math.Float32bits(c.got[i]), math.Float32bits(c.want[i]))
 				}
 			}

@@ -118,7 +118,7 @@ func AccMaxAbsAsm(buf, in []float32) float32 {
 	return accMaxAbsAsm(&buf[0], &in[0], n)
 }
 
-// FusedSGDStepAsm is the AVX2 core behind kernel.FusedSGDStep: the fused
+// SGDStepAsm is the AVX2 core behind kernel.Blocks.SGDStep: the fused
 // average → momentum → weight → delta → accumulate+|max| sweep over one
 // tensor, any length (scalar tail inside the core). Every element goes
 // through the scalar reference's exact sequence of separately rounded
@@ -128,7 +128,7 @@ func AccMaxAbsAsm(buf, in []float32) float32 {
 // AVX2; callers gate on Detect().AVX2.
 //
 //3lc:noalloc
-func FusedSGDStepAsm(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32 {
+func SGDStepAsm(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32 {
 	n := len(v)
 	if n == 0 {
 		return 0
@@ -137,14 +137,14 @@ func FusedSGDStepAsm(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float
 	return fusedSGDStepAsm(&w[0], &v[0], &gs[0], &acc[0], n, gscale, wd, mom, lr)
 }
 
-// FusedSGDStepDeltaAsm is the delta-writing form of FusedSGDStepAsm: the
+// SGDStepDeltaAsm is the delta-writing form of SGDStepAsm: the
 // same per-element sequence through the weight write, then delta[i] =
 // w_new − w_old stored instead of folded into an accumulator. w, gs and
 // delta must be at least as long as v; delta is only written. Requires
 // AVX2; callers gate on Detect().AVX2.
 //
 //3lc:noalloc
-func FusedSGDStepDeltaAsm(w, v, gs, delta []float32, gscale, wd, mom, lr float32) {
+func SGDStepDeltaAsm(w, v, gs, delta []float32, gscale, wd, mom, lr float32) {
 	n := len(v)
 	if n == 0 {
 		return
@@ -153,7 +153,7 @@ func FusedSGDStepDeltaAsm(w, v, gs, delta []float32, gscale, wd, mom, lr float32
 	fusedSGDStepDeltaAsm(&w[0], &v[0], &gs[0], &delta[0], n, gscale, wd, mom, lr)
 }
 
-// FusedSGDStepRawAsm is the raw-writing form of FusedSGDStepDeltaAsm: the
+// SGDStepRawAsm is the raw-writing form of SGDStepDeltaAsm: the
 // same core, with the delta's side handed over as a *byte, so raw[4i:4i+4]
 // holds delta[i]'s little-endian bits. The core stores it with unaligned
 // moves only, as the raw cores below do: a body starts one scheme byte
@@ -162,7 +162,7 @@ func FusedSGDStepDeltaAsm(w, v, gs, delta []float32, gscale, wd, mom, lr float32
 // Detect().AVX2.
 //
 //3lc:noalloc
-func FusedSGDStepRawAsm(w, v, gs []float32, raw []byte, gscale, wd, mom, lr float32) {
+func SGDStepRawAsm(w, v, gs []float32, raw []byte, gscale, wd, mom, lr float32) {
 	n := len(v)
 	if n == 0 {
 		return

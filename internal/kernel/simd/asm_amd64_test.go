@@ -220,7 +220,7 @@ func TestFusedSGDStepAsmMatchesScalar(t *testing.T) {
 				want[s] = append([]float32(nil), got[s]...)
 			}
 			wantM := refFusedSGDStep(want[0], want[1], want[2], want[3], c[0], c[1], c[2], c[3])
-			gotM := FusedSGDStepAsm(got[0], got[1], got[2], got[3], c[0], c[1], c[2], c[3])
+			gotM := SGDStepAsm(got[0], got[1], got[2], got[3], c[0], c[1], c[2], c[3])
 			if gotM != gotM {
 				t.Fatalf("coeffs %d n=%d: NaN won the max", ci, n)
 			}

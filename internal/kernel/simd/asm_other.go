@@ -23,15 +23,15 @@ func AccMaxAbsAsm(buf, in []float32) float32 {
 	panic("simd: no assembly kernels on this architecture")
 }
 
-func FusedSGDStepAsm(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32 {
+func SGDStepAsm(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32 {
 	panic("simd: no assembly kernels on this architecture")
 }
 
-func FusedSGDStepDeltaAsm(w, v, gs, delta []float32, gscale, wd, mom, lr float32) {
+func SGDStepDeltaAsm(w, v, gs, delta []float32, gscale, wd, mom, lr float32) {
 	panic("simd: no assembly kernels on this architecture")
 }
 
-func FusedSGDStepRawAsm(w, v, gs []float32, raw []byte, gscale, wd, mom, lr float32) {
+func SGDStepRawAsm(w, v, gs []float32, raw []byte, gscale, wd, mom, lr float32) {
 	panic("simd: no assembly kernels on this architecture")
 }
 

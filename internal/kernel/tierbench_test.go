@@ -57,7 +57,7 @@ func BenchmarkEncodeTernaryKernel(b *testing.B) {
 	mClustered := float64(maxAbsRange(clustered)) * 1.75
 	var wire []byte
 	run := func(b *testing.B, snapshot []float32, m float64, bufs int) {
-		var x BlockMax
+		var x Blocks
 		x.AccumulateMaxAbs(make([]float32, len(snapshot)), snapshot)
 		ring := make([][]float32, bufs)
 		for i := range ring {
@@ -158,7 +158,7 @@ func clusteredWire(n int) (wire []byte, m float32) {
 // elements per tier (the server-side aggregation inner loop) on both
 // inputs of decodeAddBenchInputs, reporting each wire's zero-element
 // fraction, and on clusteredWire as a step's first push into a recorded
-// gradient sum takes it: LiveBlocks.Reset, then the decode-add, which
+// gradient sum takes it: Blocks.Reset, then the decode-add, which
 // clears the blocks its literal groups land in and touches nothing else
 // (live-frac: the share of blocks it made live).
 func BenchmarkDecodeAddKernel(b *testing.B) {
@@ -205,7 +205,7 @@ func BenchmarkDecodeAddKernel(b *testing.B) {
 	for _, tier := range AvailableTiers() {
 		b.Run(tier.String()+"/clustered", func(b *testing.B) {
 			SetTier(tier)
-			var live LiveBlocks
+			var live Blocks
 			if err := live.DecodeTernaryAdd(wire, true, m, acc); err != nil {
 				b.Fatal(err) // sizes the record, warms the ScaledLUT free list
 			}
@@ -225,7 +225,7 @@ func BenchmarkDecodeAddKernel(b *testing.B) {
 
 // liveFrac is the share of the blocks of an n-element sum live recorded
 // live.
-func liveFrac(live *LiveBlocks, n int) float64 {
+func liveFrac(live *Blocks, n int) float64 {
 	k := 0
 	for _, s := range live.stamp {
 		if s == live.epoch {
@@ -273,14 +273,15 @@ func coldRing[T any](src []T) [][]T {
 }
 
 // BenchmarkFusedSGDStepKernel measures the parameter server's fused
-// optimizer sweep at 1M elements per tier in its three forms: 1M is the
-// accumulate form (average, momentum update, delta folded into acc with
-// its |max|) on cache-resident streams, delta the delta-writing form the
-// non-accumulating codecs' pulls take and raw the raw-writing form
-// SchemeNone pulls take (the delta's bits one byte into a wire), both
-// cache-cold (coldRing) like the tensors they run on, and clustered the
-// accumulate form over the gradient sum a step's pushes of clusteredWire
-// leave (LiveBlocks), which reads the sum's live blocks and the shared
+// optimizer sweep (Blocks.SGDStep) at 1M elements per tier into its three
+// sinks: 1M is the Acc sink (average, momentum update, delta folded into
+// acc with its |max| and block maxima) on cache-resident streams under a
+// record whose every block is live, delta the Delta sink the
+// non-accumulating codecs' pulls take and raw the Raw sink SchemeNone
+// pulls take (the delta's bits one byte into a wire), both without a
+// record and cache-cold (coldRing) like the tensors they run on, and
+// clustered the Acc sink over the gradient sum a step's pushes of
+// clusteredWire leave, which reads the sum's live blocks and the shared
 // zero block for the rest.
 func BenchmarkFusedSGDStepKernel(b *testing.B) {
 	const n = 1 << 20
@@ -291,10 +292,12 @@ func BenchmarkFusedSGDStepKernel(b *testing.B) {
 	fillRand(gs, 6, 0.01)
 	v := make([]float32, n)
 	acc := make([]float32, n)
-	var blk BlockMax
+	var all Blocks
+	all.Reset()
+	all.Mark(n)
 	ws, vs, gss, deltas := coldRing(w.Data()), coldRing(v), coldRing(gs.Data()), coldRing(acc)
 	raws := coldRing(make([]byte, 1+4*n))
-	var live LiveBlocks
+	var live Blocks
 	sum := make([]float32, n)
 	wire, m := clusteredWire(n)
 	for k := 0; k < 2; k++ {
@@ -302,6 +305,7 @@ func BenchmarkFusedSGDStepKernel(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	var none *Blocks
 	for _, tier := range AvailableTiers() {
 		b.Run(tier.String()+"/1M", func(b *testing.B) {
 			SetTier(tier)
@@ -309,7 +313,7 @@ func BenchmarkFusedSGDStepKernel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				blk.FusedSGDStep(w.Data(), v, gs.Data(), acc, 0.5, 1e-4, 0.9, 0.0004)
+				all.SGDStep(w.Data(), v, gs.Data(), Sink{Acc: acc}, 0.5, 1e-4, 0.9, 0.0004)
 			}
 		})
 		b.Run(tier.String()+"/delta", func(b *testing.B) {
@@ -319,18 +323,17 @@ func BenchmarkFusedSGDStepKernel(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k := i % coldBufs
-				FusedSGDStepDelta(ws[k], vs[k], gss[k], deltas[k], 0.5, 1e-4, 0.9, 0.0004)
+				none.SGDStep(ws[k], vs[k], gss[k], Sink{Delta: deltas[k]}, 0.5, 1e-4, 0.9, 0.0004)
 			}
 		})
 		b.Run(tier.String()+"/raw", func(b *testing.B) {
 			SetTier(tier)
-			var all *LiveBlocks
 			b.SetBytes(4 * int64(n))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k := i % coldBufs
-				all.FusedSGDStepRaw(ws[k], vs[k], gss[k], raws[k][1:], 0.5, 1e-4, 0.9, 0.0004)
+				none.SGDStep(ws[k], vs[k], gss[k], Sink{Raw: raws[k][1:]}, 0.5, 1e-4, 0.9, 0.0004)
 			}
 		})
 		b.Run(tier.String()+"/clustered", func(b *testing.B) {
@@ -339,7 +342,7 @@ func BenchmarkFusedSGDStepKernel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				live.FusedSGDStep(&blk, w.Data(), v, sum, acc, 0.5, 1e-4, 0.9, 0.0004)
+				live.SGDStep(w.Data(), v, sum, Sink{Acc: acc}, 0.5, 1e-4, 0.9, 0.0004)
 			}
 			b.ReportMetric(liveFrac(&live, n), "live-frac")
 		})

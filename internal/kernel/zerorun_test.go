@@ -69,7 +69,7 @@ func TestDecodeAddNonFiniteScaleStillFillsRuns(t *testing.T) {
 						t.Fatalf("tier %v n=%d m=%v: run element %d = %v, want NaN", tier, n, m, i, got[i])
 					}
 				}
-				var live LiveBlocks
+				var live Blocks
 				sum := make([]float32, n)
 				if err := live.DecodeTernaryAdd(body, true, m, sum); err != nil {
 					t.Fatal(err)

@@ -41,9 +41,9 @@ type Param struct {
 	W *tensor.Tensor
 	// G accumulates the gradient of the loss w.r.t. W for the current
 	// batch. Layers add into G; the optimizer zeroes it. On a model served
-	// by a ps.Job, G holds the step's gradient sum under the job's
-	// kernel.LiveBlocks record instead, and a block the record calls dead
-	// holds stale values.
+	// by a ps.Job, G holds the step's gradient sum under the stamps of the
+	// job's kernel.Blocks record instead, and a block the record calls
+	// dead holds stale values.
 	G *tensor.Tensor
 	// NoCompress marks small tensors (batch norm scales/offsets) that the
 	// training pipeline transmits uncompressed, per §5.1.

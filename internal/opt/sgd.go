@@ -181,41 +181,25 @@ func (o *SGD) ApplyWithDelta(params []*nn.Param, deltas []*tensor.Tensor) {
 	}
 }
 
-// Sink is where the fused update sweep puts one tensor's model delta,
-// w_new − w_old. Exactly one destination is set: Acc, a pull compressor's
-// error-accumulation buffer the delta is folded into, recording Blk, its
-// block index; Raw, a raw float32 wire's body, 4 bytes an element, the
-// delta written there as its bits; or Delta, where it is stored.
-type Sink struct {
-	Acc   []float32
-	Blk   *kernel.BlockMax
-	Raw   []byte
-	Delta []float32
-}
-
-// ApplyFusedStepLive is the parameter server's fully fused update sweep.
-// It differs from ApplyWithDelta in where the gradient comes from:
-// instead of p.G, each parameter's gradient is read through gradFor as a
-// raw accumulation buffer, a scale and the buffer's liveness record (nil:
-// every block live), and the averaging multiply is fused into the update —
-// g = gsum[i]·gscale + wd·w, the exact product of materializing the
+// ApplyFusedStep is the parameter server's fully fused update sweep. It
+// differs from ApplyWithDelta in where the gradient comes from and where
+// the delta goes: step(pi) returns parameter pi's raw gradient sum gs, the
+// scale to fuse into its read, the sum's Blocks record (nil: every block
+// live) and the kernel.Sink the delta goes to, and one kernel SGDStep per
+// parameter does the rest. The averaging multiply is fused into the update
+// — g = gs[i]·gscale + wd·w, the exact product of materializing the
 // averaged gradient first (and, at gscale = 1, the float32 multiplicative
-// identity, matching a straight copy bitwise). A dead block of the sum is
-// read as the +0 it stands for, never from memory. Combined with the
-// sink's delta folding, the server's entire average → update → delta →
-// accumulate-max chain touches each tensor exactly once; weights,
-// velocity, residuals, and reductions are bit-identical to the staged
-// sweeps. p.G is read only where gradFor returns it (ps.Job sums into it)
-// and never written.
-//
-// The arithmetic is kernel.LiveBlocks.FusedSGDStep, dispatched per CPU
-// tier, in the form sinkFor(pi) asks for: into an accumulation buffer
-// (every 3LC pull context) the delta is folded, the buffer's block index
-// recorded and max|acc| put in maxAbs[pi]; into a raw wire's body
-// (SchemeNone) its bits are written; anywhere else (the non-accumulating
-// codecs) it is stored. This function only resolves each parameter's
-// streams.
-func (o *SGD) ApplyFusedStepLive(params []*nn.Param, gradFor func(pi int) ([]float32, float32, *kernel.LiveBlocks), sinkFor func(pi int) Sink, maxAbs []float32) {
+// identity, matching a straight copy bitwise) — and a dead block of the
+// sum is read as the +0 it stands for, never from memory. Into an Acc sink
+// (every 3LC pull context) the delta is folded, the record's block maxima
+// recorded and max|acc| put in maxAbs[pi]; into a Raw sink (SchemeNone)
+// its bits are written; into a Delta sink (the non-accumulating codecs) it
+// is stored, and maxAbs[pi] is 0. The server's entire average → update →
+// delta → accumulate-max chain touches each tensor exactly once; weights,
+// velocity, residuals and reductions are bit-identical to the staged
+// sweeps. p.G is read only where step returns it (ps.Job sums into it) and
+// never written.
+func (o *SGD) ApplyFusedStep(params []*nn.Param, step func(pi int) ([]float32, float32, *kernel.Blocks, kernel.Sink), maxAbs []float32) {
 	lr := float32(o.LR(o.step))
 	o.step++
 	mom := float32(o.cfg.Momentum)
@@ -227,17 +211,8 @@ func (o *SGD) ApplyFusedStepLive(params []*nn.Param, gradFor func(pi int) ([]flo
 			o.velocity[p.Name] = v
 		}
 		vd := v.Data()
-		wdta := p.W.Data()[:len(vd)]
-		gs, gscale, live := gradFor(pi)
-		gs = gs[:len(vd)]
-		switch s := sinkFor(pi); {
-		case s.Acc != nil:
-			maxAbs[pi] = live.FusedSGDStep(s.Blk, wdta, vd, gs, s.Acc[:len(vd)], gscale, wd, mom, lr)
-		case s.Raw != nil:
-			live.FusedSGDStepRaw(wdta, vd, gs, s.Raw[:4*len(vd)], gscale, wd, mom, lr)
-		default:
-			live.FusedSGDStepDelta(wdta, vd, gs, s.Delta[:len(vd)], gscale, wd, mom, lr)
-		}
+		gs, gscale, blk, to := step(pi)
+		maxAbs[pi] = blk.SGDStep(p.W.Data()[:len(vd)], vd, gs[:len(vd)], to, gscale, wd, mom, lr)
 	}
 }
 

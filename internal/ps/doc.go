@@ -47,7 +47,7 @@
 // tensor, the ternary codecs run on one goroutine, on the fused
 // kernels of internal/kernel — two passes over tensor memory to compress,
 // the second reading only the blocks whose recorded |max| can quantize to
-// a non-zero digit (kernel.BlockMax: where digits cluster, as on the
+// a non-zero digit (kernel.Blocks: where digits cluster, as on the
 // 1.85M-element layers of lan-3lc and wan-3lc, 1.8 % of a push's blocks
 // and 8.4 % of a pull's; a finite scale is needed too) — and, on the
 // aggregation side, ONE fused decode-accumulate pass per
@@ -56,22 +56,22 @@
 // before the accumulator is touched). The sum is the served parameter's
 // own G (nn.Param.G), so the job holds no gradient buffer of its own and
 // its model cannot double as a worker's replica. It is not zeroed between
-// steps: its kernel.LiveBlocks record marks the blocks this step's pushes
-// reached (Job.BeginStep resets it in O(1)), the decode-add clears a
-// block when the step's first literal group lands in it, and every other
-// block reads as +0 (compress.DecompressAddLive) — 3.6 % of the blocks are
+// steps: the stamps of its kernel.Blocks record mark the blocks this
+// step's pushes reached (Job.BeginStep resets it in O(1)), the decode-add
+// clears a block when the step's first literal group lands in it, and
+// every other block reads as +0 (compress.DecompressAddLive) — 3.6 % of the blocks are
 // live a step on lan-3lc, 3.2 % on wan-3lc, 97 % on tiny-stream.
 // Server-side, the step is fused end to end: FinishStep's optimizer sweep
 // averages the gradient on the fly, reading only the live blocks of the
 // sum, applies the update, and folds the model delta directly into the pull
-// compressor's error-accumulation buffer with its |max| reduction and
-// block index (opt.ApplyFusedStepLive + compress.PreAccumulator), so
-// compress pass 1 never runs as its own sweep and the pull's encode skips
-// as the push's does. Under the float32 design the sweep writes the pull
+// compressor's error-accumulation buffer with its |max| reduction, the
+// block maxima going into the same record (kernel.Blocks.SGDStep into an
+// Acc sink + compress.PreAccumulator), so compress pass 1 never runs as
+// its own sweep and the pull's encode, consulting that record, skips as
+// the push's does. Under the float32 design the sweep writes the pull
 // wire itself: a raw pull context appends its header and the sweep fills
-// the body with the delta's bits (compress.RawWriter +
-// kernel.LiveBlocks.FusedSGDStepRaw), so no delta tensor exists and the
-// pull is never re-encoded. Per step and tensor, the server's passes are:
+// the body with the delta's bits (compress.RawWriter + a Raw sink), so no
+// delta tensor exists and the pull is never re-encoded. Per step and tensor, the server's passes are:
 //
 //	pass                  reads / writes of tensor memory
 //	BeginStep             none (the record's epoch moves)

@@ -124,12 +124,13 @@ func newOwnSteps(id int, params []*nn.Param, cfg Config) []*ownStep {
 // applyOwn applies pull slot i on the owner, for a tensor the owner is not
 // sent (Pulls). Once per step it replays on the push it made what the
 // server does with a tensor only the owner pushes: decode it as the first
-// accumulation of a fresh sum, then kernel.FusedSGDStepDelta on the copy of
-// the server's weights and velocity at the schedule's rate and averaging
-// scale 1 (Job.gradBufFor). The delta is therefore the server's bit for
-// bit, and the empty wire means "add it". A full wire — from a server that
-// sends every worker the shared pull — is decoded and added as ever, the
-// replay keeping the copy in step. The empty wire with no push to step is
+// accumulation of a fresh sum, then kernel.Blocks.SGDStep — no record,
+// every block live, into a Delta sink — on the copy of the server's
+// weights and velocity at the schedule's rate and averaging scale 1
+// (Job.stepFor). The delta is therefore the server's bit for bit, and the
+// empty wire means "add it". A full wire — from a server that sends every
+// worker the shared pull — is decoded and added as ever, the replay
+// keeping the copy in step. The empty wire with no push to step is
 // an error: it never means "keep the stale weights".
 //
 //3lc:noalloc
@@ -148,7 +149,8 @@ func (w *Worker) applyOwn(i int, wire []byte) error {
 	sgd := &w.cfg.Optimizer
 	lr := float32(w.sched.LR(o.step))
 	o.step++
-	kernel.FusedSGDStepDelta(o.w, o.v, o.grad.Data(), o.delta.Data(), 1, float32(sgd.WeightDecay), float32(sgd.Momentum), lr)
+	var all *kernel.Blocks
+	all.SGDStep(o.w, o.v, o.grad.Data(), kernel.Sink{Delta: o.delta.Data()}, 1, float32(sgd.WeightDecay), float32(sgd.Momentum), lr)
 	if len(wire) != 0 {
 		return compress.DecompressAddInto(wire, p.W, 0)
 	}

@@ -129,8 +129,8 @@ func (c Config) newContext(p *nn.Param, seed uint64) compress.Compressor {
 // (shard.SubServers).
 //
 // A step's gradient sums live in the served parameters' G tensors, read
-// and written under the job's kernel.LiveBlocks records: a block no push
-// reached this step holds stale values and reads as +0.
+// and written under the stamps of the job's kernel.Blocks records: a block
+// no push reached this step holds stale values and reads as +0.
 // A model that serves a Job therefore cannot also be a worker's replica:
 // its G would be overwritten by the aggregation, and its W stepped twice.
 // The sub-jobs of a sharded tier serve disjoint parameters of one global
@@ -142,7 +142,7 @@ type Job struct {
 	optimizer *opt.SGD
 	params    []*nn.Param
 	pullCtx   []compress.Compressor
-	live      []kernel.LiveBlocks       // per tensor: the blocks of params[i].G, the gradient sum, this step's pushes reached
+	blocks    []kernel.Blocks           // per tensor: which blocks of params[i].G, the gradient sum, this step's pushes reached, and the block maxima of the pull's error buffer
 	delta     []*tensor.Tensor          // per tensor: the model delta, where a lossy pull context without an accumulate pass takes one (nil elsewhere)
 	pullWires [][]byte                  // per-tensor pull wire buffers, recycled across steps
 	ownerPull [][]byte                  // pullWires as the owner is sent them (OwnerPull), recycled
@@ -158,8 +158,7 @@ type Job struct {
 	// is the last per-step heap traffic on an otherwise zero-alloc path.
 	addPushFn    func(i int)
 	pullPackFn   func(i int)
-	sinkForFn    func(i int) opt.Sink
-	gradForFn    func(i int) ([]float32, float32, *kernel.LiveBlocks)
+	stepForFn    func(i int) ([]float32, float32, *kernel.Blocks, kernel.Sink)
 	inv          float32  // averaging scale of the step being finished
 	pushWorkerID int      // argument slot for addPushFn
 	pushSrc      [][]byte // argument slot for addPushFn
@@ -209,7 +208,7 @@ func newJob(params []*nn.Param, globalIdx []int, cfg Config) *Job {
 		}
 		s.pullCtx = append(s.pullCtx, cfg.newContext(p, 0x5345525645520000+uint64(gi))) // "SERVER"
 	}
-	s.live = make([]kernel.LiveBlocks, len(s.params))
+	s.blocks = make([]kernel.Blocks, len(s.params))
 	s.pushed = make([]bool, len(s.params))
 	s.pullWires = make([][]byte, len(s.params))
 	s.errs = make([]error, len(s.params))
@@ -229,8 +228,7 @@ func newJob(params []*nn.Param, globalIdx []int, cfg Config) *Job {
 	}
 	s.addPushFn = s.addPushOne
 	s.pullPackFn = s.pullPackOne
-	s.sinkForFn = s.sinkFor
-	s.gradForFn = s.gradBufFor
+	s.stepForFn = s.stepFor
 	workers := cfg.Workers
 	if workers < 1 {
 		workers = 1
@@ -242,41 +240,38 @@ func newJob(params []*nn.Param, globalIdx []int, cfg Config) *Job {
 	return s
 }
 
-// gradBufFor hands the optimizer tensor i's raw gradient sum, its
-// liveness record and the averaging scale to fuse into the read — 1 for
-// the batch-norm tensors a single designated worker owns (and 1 is the
-// float32 multiplicative identity, so the fused multiply equals the staged
-// straight copy whenever only one push was accepted).
-func (s *Job) gradBufFor(i int) ([]float32, float32, *kernel.LiveBlocks) {
+// stepFor hands the optimizer sweep tensor i: its raw gradient sum; the
+// averaging scale to fuse into the read — 1 for the batch-norm tensors a
+// single designated worker owns (and 1 is the float32 multiplicative
+// identity, so the fused multiply equals the staged straight copy whenever
+// only one push was accepted); its record, whose stamps say which blocks
+// of the sum are live; and where the model delta goes. That is the pull
+// context's error-accumulation buffer where its compress pass 1 can absorb
+// the write (compress.PreAccumulator: the record takes the block maxima
+// the pull pack's encode consults); the pull wire's body where the wire is
+// the raw delta (compress.RawWriter: the context appends the header here,
+// and the pull pack has nothing left to do); the delta tensor the pull
+// pack compresses otherwise.
+func (s *Job) stepFor(i int) ([]float32, float32, *kernel.Blocks, kernel.Sink) {
 	scale := s.inv
 	if OwnerOnly(s.params[i]) {
 		scale = 1
 	}
-	return s.params[i].G.Data(), scale, &s.live[i]
-}
-
-// sinkFor tells the optimizer sweep where tensor i's model delta goes: into
-// the pull context's error-accumulation buffer and block index where its
-// compress pass 1 can absorb the write (compress.PreAccumulator); into the
-// pull wire's body where the wire is the raw delta (compress.RawWriter:
-// the context appends the header here, and the pull pack has nothing left
-// to do); into the delta tensor the pull pack compresses otherwise.
-func (s *Job) sinkFor(i int) opt.Sink {
+	var to kernel.Sink
 	switch {
 	case s.preAcc[i] != nil:
-		acc, blk := s.preAcc[i].AccData()
-		return opt.Sink{Acc: acc, Blk: blk}
+		to.Acc = s.preAcc[i].AccData()
 	case s.raw[i] != nil:
-		var body []byte
-		s.pullWires[i], body = s.raw[i].RawWire(s.pullWires[i][:0])
-		return opt.Sink{Raw: body}
+		s.pullWires[i], to.Raw = s.raw[i].RawWire(s.pullWires[i][:0])
+	default:
+		to.Delta = s.delta[i].Data()
 	}
-	return opt.Sink{Delta: s.delta[i].Data()}
+	return s.params[i].G.Data(), scale, &s.blocks[i], to
 }
 
 // BeginStep resets gradient aggregation for a new training step without
 // a sweep over the sums: it kills every block of every sum in O(1)
-// (kernel.LiveBlocks.Reset), and a dead block reads as +0 whatever its
+// (kernel.Blocks.Reset), and a dead block reads as +0 whatever its
 // memory holds. A push's decode-add clears a block only when the first of
 // its literal groups lands there (decodeAdd), a dense wire clears what is
 // still dead or, into an empty sum, adds to +0 in registers, and the
@@ -285,8 +280,8 @@ func (s *Job) sinkFor(i int) opt.Sink {
 // seed 1), 3.6 % of the 1 280-element blocks of lan-3lc's sums are live a
 // step, 3.2 % of wan-3lc's and 97 % of tiny-stream's.
 func (s *Job) BeginStep() {
-	for i := range s.live {
-		s.live[i].Reset()
+	for i := range s.blocks {
+		s.blocks[i].Reset()
 		s.pushed[i] = false
 	}
 	s.pushes = 0
@@ -369,7 +364,7 @@ func (s *Job) ingestOne(workerID, i int, wire []byte) error {
 // stays ==-equal to the dense result throughout.)
 func (s *Job) decodeAdd(i int, wire []byte) error {
 	s.pushed[i] = true
-	return compress.DecompressAddLive(wire, s.params[i].G, &s.live[i])
+	return compress.DecompressAddLive(wire, s.params[i].G, &s.blocks[i])
 }
 
 // ingestTensor decode-accumulates a single tensor of workerID's push —
@@ -423,14 +418,14 @@ func (s *Job) FinishStep() ([][]byte, time.Duration, error) {
 	}
 	// One fused sweep per tensor: average (scale fused into the read, dead
 	// blocks read as +0), momentum update, delta, and the delta where the
-	// pull takes it (sinkFor) — folded into a 3LC compressor's
+	// pull takes it (stepFor) — folded into a 3LC compressor's
 	// error-accumulation buffer with its |max| reduction, written as a raw
 	// float32 pull wire's body, or stored for the other codecs.
 	// Bit-identical to the staged average → Apply → delta = W - prevW →
 	// AccumulateMaxAbs / CompressInto sequence
 	// (TestFusedAggregateMatchesStaged); the averaged gradient is not
 	// materialized (p.G keeps the raw sum).
-	s.optimizer.ApplyFusedStepLive(s.params, s.gradForFn, s.sinkForFn, s.accMax)
+	s.optimizer.ApplyFusedStep(s.params, s.stepForFn, s.accMax)
 
 	// Shared pull compression: one wire per tensor for all workers, built
 	// once into recycled per-tensor buffers (§3, Figure 2b) by the bounded
@@ -448,7 +443,7 @@ func (s *Job) FinishStep() ([][]byte, time.Duration, error) {
 func (s *Job) pullPackOne(i int) {
 	switch {
 	case s.preAcc[i] != nil:
-		s.pullWires[i] = s.preAcc[i].CompressPreAccumulated(s.accMax[i], s.pullWires[i][:0])
+		s.pullWires[i] = s.preAcc[i].CompressPreAccumulated(&s.blocks[i], s.accMax[i], s.pullWires[i][:0])
 	case s.delta[i] != nil:
 		s.pullWires[i] = s.pullCtx[i].CompressInto(s.delta[i], s.pullWires[i][:0])
 	}
