@@ -16,7 +16,8 @@
 //	  quantize → dequantize →
 //	  residual → quartic → ZRE     5           1  (EncodeTernary)
 //	decompress                     2                1
-//	  ZRE expand + scaled unpack   2           1  (DecodeTernary, LUT)
+//	  ZRE expand + scaled unpack   2           1  (DecodeTernary: M·0 fill
+//	                                              + decode-add core, LUT)
 //	decode + accumulate            2                1
 //	  (aggregation: ZRE expand +
 //	  unpack + sum += M·q)         2           1  (DecodeTernaryAdd, LUT)
@@ -93,9 +94,10 @@
 //
 //	internal/kernel      fused single-pass hot-path kernels: two-pass
 //	                     compress (AccumulateMaxAbs + EncodeTernary),
-//	                     one-pass LUT decode (DecodeTernary), one-pass
-//	                     decode-accumulate (DecodeTernaryAdd, into a sum
-//	                     a Blocks record may track), pass counting
+//	                     one-pass decode-accumulate (DecodeTernaryAdd,
+//	                     into a sum a Blocks record may track) and the
+//	                     decode built on it (DecodeTernary: a fill of M·0,
+//	                     then the same core), pass counting
 //	internal/quant       3-value quantization with sparsity multiplication,
 //	                     error accumulation, and the quantization baselines
 //	                     (staged reference for the fused kernels)

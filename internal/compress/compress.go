@@ -21,16 +21,16 @@
 // single-pass kernels of internal/kernel: compress touches tensor memory
 // exactly twice (accumulate fused with the |max| reduction, then a fused
 // quantize → residual → quartic-pack → zero-run-emit loop that writes
-// wire bytes directly) and decode exactly once (a 243-entry LUT streams
-// wire bytes straight into the destination floats). The staged
-// quant/encode primitives remain as the bit-identical reference
+// wire bytes directly) and decode exactly once (a fill of M·0, then a
+// 243-entry LUT adds the literal groups' M·q into the destination floats).
+// The staged quant/encode primitives remain as the bit-identical reference
 // implementation.
 //
 // Decoding dispatches through a codec registry indexed by the wire's first
-// byte (see RegisterDecoder): each scheme registers its decoder from an
-// init function in the file that implements its encoder, and
-// DecompressInto reuses pooled scratch plus the destination tensor, so the
-// steady-state pull path allocates nothing either.
+// byte (see RegisterDecoder): each scheme registers its decoder and its
+// decode-accumulate path from an init function in the file that implements
+// its encoder, and both write the destination tensor in place with no
+// scratch, so the steady-state pull path allocates nothing either.
 //
 // Implemented schemes, named after the paper's evaluation section:
 //

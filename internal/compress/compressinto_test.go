@@ -175,8 +175,7 @@ func BenchmarkThreeLCCompressInto(b *testing.B) {
 }
 
 // BenchmarkThreeLCDecompressInto measures the matching pull path: decoding
-// into a preallocated tensor with pooled scratch, allocs/op 0 below the
-// parallel threshold.
+// into a preallocated tensor with a pooled LUT, allocs/op 0.
 func BenchmarkThreeLCDecompressInto(b *testing.B) {
 	for _, n := range []int{1 << 14, 1 << 17, 1 << 20} {
 		b.Run(sizeName(n), func(b *testing.B) {

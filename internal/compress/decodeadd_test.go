@@ -1,9 +1,11 @@
 package compress
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"threelc/internal/encode"
 	"threelc/internal/kernel"
 	"threelc/internal/tensor"
 )
@@ -34,11 +36,35 @@ func addTestCases() []struct {
 	}
 }
 
+// stagedDecompress is the add tests' reference decode. A ternary wire goes
+// through the staged encode primitives (zero-run expand, then scaled
+// quartic decode): DecompressInto runs it on the decode-add core under
+// test. Every other wire goes through DecompressInto.
+func stagedDecompress(wire []byte, dst *tensor.Tensor) error {
+	if len(wire) < 6 || (Scheme(wire[0]) != SchemeThreeLC && Scheme(wire[0]) != SchemeStoch3QE) {
+		return DecompressInto(wire, dst)
+	}
+	qlen := encode.QuarticEncodedLen(dst.Len())
+	q := wire[6:]
+	if wire[5] == ternaryZRE {
+		if got := encode.ZeroRunDecodedLen(q); got != qlen {
+			return fmt.Errorf("staged: zero-run payload expands to %d bytes, want %d", got, qlen)
+		}
+		q = make([]byte, qlen)
+		encode.ZeroRunDecodeInto(wire[6:], q)
+	}
+	if len(q) != qlen {
+		return fmt.Errorf("staged: quartic payload %d bytes, want %d", len(q), qlen)
+	}
+	return encode.QuarticDecodeScaledInto(q, dst.Data(), getF32(wire[1:]))
+}
+
 // TestDecompressAddMatchesDecodeThenAdd is the aggregation differential
 // test: for every codec, accumulating wires with DecompressAddInto must
-// leave the accumulator byte-identical to DecompressInto-into-scratch
-// followed by Add — across multiple steps (error-accumulation state
-// advancing, including local-steps' empty wires).
+// leave the accumulator byte-identical to the staged decode into scratch
+// (stagedDecompress) followed by Add — across multiple steps
+// (error-accumulation state advancing, including local-steps' empty
+// wires).
 func TestDecompressAddMatchesDecodeThenAdd(t *testing.T) {
 	const n = 6007
 	for _, tc := range addTestCases() {
@@ -51,7 +77,7 @@ func TestDecompressAddMatchesDecodeThenAdd(t *testing.T) {
 				in := randTensor(uint64(step)+31, n, 0.01)
 				wire := ctx.CompressInto(in, nil)
 
-				if err := DecompressInto(wire, scratch); err != nil {
+				if err := stagedDecompress(wire, scratch); err != nil {
 					t.Fatal(err)
 				}
 				want.Add(scratch)
@@ -73,7 +99,7 @@ func TestDecompressAddMatchesDecodeThenAdd(t *testing.T) {
 // TestDecompressAddIntoRejectsWithoutCorruption truncates and corrupts
 // wires for every scheme and asserts a rejected message leaves the
 // accumulator bit-identical — the accumulator-safety contract of
-// AddDecodeFunc (and of the decode-then-add fallback).
+// AddDecodeFunc.
 func TestDecompressAddIntoRejectsWithoutCorruption(t *testing.T) {
 	const n = 1024
 	for _, tc := range addTestCases() {

@@ -9,8 +9,7 @@ import (
 )
 
 func init() {
-	RegisterDecoder(SchemeNone, decodeRaw)
-	RegisterAddDecoder(SchemeNone, decodeRawAdd)
+	RegisterDecoder(SchemeNone, decodeRaw, decodeRawAdd)
 }
 
 // noneCompressor is the "32-bit float" baseline: state changes are

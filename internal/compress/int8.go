@@ -8,8 +8,7 @@ import (
 )
 
 func init() {
-	RegisterDecoder(SchemeInt8, decodeInt8)
-	RegisterAddDecoder(SchemeInt8, decodeInt8Add)
+	RegisterDecoder(SchemeInt8, decodeInt8, decodeInt8Add)
 }
 
 // int8Compressor is the "8-bit int" baseline (§5.1): 255-level quantization

@@ -13,8 +13,7 @@ func init() {
 	// baseline; only the scheme byte differs. (The empty non-transmitting
 	// wire never reaches the registry: DecompressInto and
 	// DecompressAddInto both special-case zero-length messages.)
-	RegisterDecoder(SchemeLocalSteps, decodeRaw)
-	RegisterAddDecoder(SchemeLocalSteps, decodeRawAdd)
+	RegisterDecoder(SchemeLocalSteps, decodeRaw, decodeRawAdd)
 }
 
 // localStepsCompressor is the "2 local steps" baseline (§5.1): state

@@ -9,8 +9,7 @@ import (
 )
 
 func init() {
-	RegisterDecoder(SchemeMQE1Bit, decodeOneBit)
-	RegisterAddDecoder(SchemeMQE1Bit, decodeOneBitAdd)
+	RegisterDecoder(SchemeMQE1Bit, decodeOneBit, decodeOneBitAdd)
 }
 
 // oneBitCompressor is the "MQE 1-bit int" baseline (§5.1): 1-bit SGD-style

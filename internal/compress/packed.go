@@ -6,8 +6,7 @@ import (
 )
 
 func init() {
-	RegisterDecoder(SchemePacked32, decodePacked)
-	RegisterAddDecoder(SchemePacked32, decodePackedAdd)
+	RegisterDecoder(SchemePacked32, decodePacked, decodePackedAdd)
 }
 
 // packedCompressor is the wire of a tensor a compressing design exempts

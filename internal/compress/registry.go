@@ -13,23 +13,27 @@ import (
 // retain the payload slice.
 type DecodeFunc func(payload []byte, dst *tensor.Tensor) error
 
-// decoders is the wire-dispatch table: the first byte of a compressed
-// message indexes directly into it. Each scheme self-registers its decoder
-// from an init function next to its encoder, so adding a codec is a single
-// file touching no central switch.
-var decoders [256]DecodeFunc
+// decoders and addDecoders are the wire-dispatch tables: the first byte
+// of a compressed message indexes directly into them. Each scheme
+// self-registers both forms from an init function next to its encoder,
+// so adding a codec is a single file touching no central switch.
+var (
+	decoders    [256]DecodeFunc
+	addDecoders [256]AddDecodeFunc
+)
 
-// RegisterDecoder installs fn as the decoder for scheme s. It panics on a
-// nil decoder or a duplicate registration — both are programming errors
-// caught at process start, not at decode time.
-func RegisterDecoder(s Scheme, fn DecodeFunc) {
-	if fn == nil {
-		panic(fmt.Sprintf("compress: RegisterDecoder(%v) with nil decoder", s))
+// RegisterDecoder installs decode and add as scheme s's decoder and
+// decode-accumulate path. It panics on a nil function or a duplicate
+// registration — both are programming errors caught at process start,
+// not at decode time.
+func RegisterDecoder(s Scheme, decode DecodeFunc, add AddDecodeFunc) {
+	if decode == nil || add == nil {
+		panic(fmt.Sprintf("compress: RegisterDecoder(%v) with a nil decoder", s))
 	}
 	if decoders[s] != nil {
 		panic(fmt.Sprintf("compress: duplicate decoder registration for %v", s))
 	}
-	decoders[s] = fn
+	decoders[s], addDecoders[s] = decode, add
 }
 
 // RegisteredSchemes returns every scheme with an installed decoder, in
@@ -47,7 +51,8 @@ func RegisteredSchemes() []Scheme {
 
 // AddDecodeFunc decodes one scheme's wire payload and ACCUMULATES it into
 // dst (dst += decoded) in a single fused pass, with no intermediate
-// tensor: the aggregation-side counterpart of DecodeFunc.
+// tensor: the aggregation-side counterpart of DecodeFunc, which every
+// scheme registers beside it.
 //
 // The accumulator contract is stricter than DecodeFunc's: dst holds live
 // aggregation state (other workers' gradients already summed), so a
@@ -57,26 +62,6 @@ func RegisteredSchemes() []Scheme {
 // adding the scratch element-wise, for every dst free of −0 (see
 // DecompressAddInto for the one corner a zero-run skip leaves).
 type AddDecodeFunc func(payload []byte, dst *tensor.Tensor) error
-
-// addDecoders is the decode-accumulate dispatch table. Schemes without a
-// fused decode-add register nothing and fall back to pooled
-// decode-then-add inside DecompressAddInto, which trivially satisfies the
-// bit-identity contract.
-var addDecoders [256]AddDecodeFunc
-
-// RegisterAddDecoder installs fn as the decode-accumulate path for scheme
-// s, with the same duplicate/nil policing as RegisterDecoder. A scheme
-// must already have a plain decoder registered: the add path is an
-// optimization over decode-then-add, never a replacement.
-func RegisterAddDecoder(s Scheme, fn AddDecodeFunc) {
-	if fn == nil {
-		panic(fmt.Sprintf("compress: RegisterAddDecoder(%v) with nil decoder", s))
-	}
-	if addDecoders[s] != nil {
-		panic(fmt.Sprintf("compress: duplicate add-decoder registration for %v", s))
-	}
-	addDecoders[s] = fn
-}
 
 // Decompress decodes a wire message produced by any Compressor into a new
 // tensor of the given shape. It returns an error for malformed messages.
@@ -91,8 +76,7 @@ func Decompress(wire []byte, shape []int) (*tensor.Tensor, error) {
 // DecompressInto decodes wire into dst through the codec registry. An
 // empty wire message (produced by the local-steps scheme on
 // non-transmitting steps) decodes as all zeros. Decoding allocates nothing
-// in steady state: scratch space comes from a sync.Pool and the output is
-// written in place.
+// in steady state: the output is written in place.
 //
 //3lc:noalloc
 //3lc:decode
@@ -122,8 +106,8 @@ func unknownScheme(b byte) error {
 
 // DecompressAddInto decodes wire and accumulates it into dst: dst +=
 // decoded, bit-identical to DecompressInto into scratch followed by
-// dst.Add(scratch), but — for schemes with a registered add-decoder — in
-// a single fused pass with no intermediate tensor. This is the
+// dst.Add(scratch), but in a single fused pass with no intermediate
+// tensor: every scheme registers its add-decoder. This is the
 // aggregation hot path: the parameter server runs one call per worker per
 // tensor, so fusing here halves the tensor-memory traffic of gradient
 // aggregation. The decode runs on the calling goroutine: the int argument
@@ -154,13 +138,11 @@ func DecompressAddInto(wire []byte, dst *tensor.Tensor, _ int) error {
 		}
 		return nil
 	}
-	if fn := addDecoders[wire[0]]; fn != nil {
-		return fn(wire[1:], dst)
-	}
-	if decoders[wire[0]] == nil {
+	fn := addDecoders[wire[0]]
+	if fn == nil {
 		return unknownScheme(wire[0])
 	}
-	return decodeThenAdd(wire, dst)
+	return fn(wire[1:], dst)
 }
 
 // DecompressAddLive is DecompressAddInto into a gradient sum whose blocks
@@ -217,27 +199,5 @@ func DecompressFirstAddInto(wire []byte, dst *tensor.Tensor) error {
 	if err != nil {
 		dst.Zero()
 	}
-	return err
-}
-
-// decodeThenAdd is the fallback decode-accumulate: decode into pooled
-// scratch, then add. The scratch slice is pooled (only the small tensor
-// header is rebuilt per call); schemes with subtractive wire formats
-// (top-k bitmaps, whose skipped elements must contribute an exact staged
-// +0) stay on it.
-func decodeThenAdd(wire []byte, dst *tensor.Tensor) error {
-	sp := scratchPool.Get().(*[]float32)
-	s := *sp
-	if cap(s) < dst.Len() {
-		s = make([]float32, dst.Len())
-	}
-	s = s[:dst.Len()]
-	tmp := tensor.FromSlice(s, dst.Len())
-	err := DecompressInto(wire, tmp)
-	if err == nil {
-		dst.Add(tmp)
-	}
-	*sp = s
-	scratchPool.Put(sp)
 	return err
 }

@@ -10,10 +10,8 @@ import (
 )
 
 func init() {
-	RegisterDecoder(SchemeThreeLC, decodeTernary)
-	RegisterDecoder(SchemeStoch3QE, decodeTernary)
-	RegisterAddDecoder(SchemeThreeLC, decodeTernaryAdd)
-	RegisterAddDecoder(SchemeStoch3QE, decodeTernaryAdd)
+	RegisterDecoder(SchemeThreeLC, decodeTernary, decodeTernaryAdd)
+	RegisterDecoder(SchemeStoch3QE, decodeTernary, decodeTernaryAdd)
 }
 
 // Ternary wire format, shared by 3LC and the stochastic baseline:
@@ -161,10 +159,9 @@ func (c *threeLCCompressor) ErrorNorm() float64 {
 	return c.acc.Buffer().SquaredNorm()
 }
 
-// decodeTernary reverses the ternary wire format into dst in a single
-// LUT-driven pass: kernel.DecodeTernary streams the wire bytes straight
-// into the destination floats, expanding zero runs and applying the scale
-// as it goes — no zero-run expansion scratch or ternary intermediate.
+// decodeTernary reverses the ternary wire format into dst:
+// kernel.DecodeTernary fills it with M·0 and adds the literal groups' M·q
+// through the LUT — no zero-run expansion scratch or ternary intermediate.
 func decodeTernary(payload []byte, dst *tensor.Tensor) error {
 	if len(payload) < 5 {
 		return fmt.Errorf("compress: ternary payload too short (%d bytes)", len(payload))

@@ -12,7 +12,7 @@ import (
 )
 
 func init() {
-	RegisterDecoder(SchemeTopK, decodeTopK)
+	RegisterDecoder(SchemeTopK, decodeTopK, decodeTopKAdd)
 }
 
 // topKCompressor is the "25% / 5% sparsification" baseline (§5.1): the
@@ -84,23 +84,32 @@ func appendSelection(dst []byte, scheme byte, sel *sparse.Selection) []byte {
 	return kernel.AppendRaw(dst, sel.Values)
 }
 
-func decodeTopK(payload []byte, dst *tensor.Tensor) error {
-	d := dst.Data()
-	bmLen := encode.BitmapSizeBytes(len(d))
+// splitTopK validates a top-k payload for n elements and splits it into
+// its bitmap and its selected values.
+func splitTopK(payload []byte, n int) (bm, vals []byte, err error) {
+	bmLen := encode.BitmapSizeBytes(n)
 	if len(payload) < bmLen {
-		return fmt.Errorf("compress: top-k payload %d bytes, bitmap alone needs %d", len(payload), bmLen)
+		return nil, nil, fmt.Errorf("compress: top-k payload %d bytes, bitmap alone needs %d", len(payload), bmLen)
 	}
-	bm := payload[:bmLen]
-	vals := payload[bmLen:]
+	bm, vals = payload[:bmLen], payload[bmLen:]
 	if len(vals)%4 != 0 {
-		return fmt.Errorf("compress: top-k value bytes %d not a multiple of 4", len(vals))
+		return nil, nil, fmt.Errorf("compress: top-k value bytes %d not a multiple of 4", len(vals))
 	}
 	count := 0
 	for _, b := range bm {
 		count += bits.OnesCount8(b)
 	}
 	if count*4 != len(vals) {
-		return fmt.Errorf("compress: top-k bitmap selects %d values, payload has %d", count, len(vals)/4)
+		return nil, nil, fmt.Errorf("compress: top-k bitmap selects %d values, payload has %d", count, len(vals)/4)
+	}
+	return bm, vals, nil
+}
+
+func decodeTopK(payload []byte, dst *tensor.Tensor) error {
+	d := dst.Data()
+	bm, vals, err := splitTopK(payload, len(d))
+	if err != nil {
+		return err
 	}
 	dst.Zero()
 	vi := 0
@@ -108,6 +117,28 @@ func decodeTopK(payload []byte, dst *tensor.Tensor) error {
 		if bm[i>>3]&(1<<(uint(i)&7)) != 0 {
 			d[i] = getF32(vals[4*vi:])
 			vi++
+		}
+	}
+	return nil
+}
+
+// decodeTopKAdd accumulates a top-k payload in one pass: dst[i] += v for a
+// selected element and dst[i] += 0 for every other, the exact adds of
+// decode-then-add (x + 0 is not the identity on −0). The payload is
+// validated before dst is touched.
+func decodeTopKAdd(payload []byte, dst *tensor.Tensor) error {
+	d := dst.Data()
+	bm, vals, err := splitTopK(payload, len(d))
+	if err != nil {
+		return err
+	}
+	vi := 0
+	for i := range d {
+		if bm[i>>3]&(1<<(uint(i)&7)) != 0 {
+			d[i] += getF32(vals[4*vi:])
+			vi++
+		} else {
+			d[i] += 0
 		}
 	}
 	return nil

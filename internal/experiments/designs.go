@@ -4,64 +4,34 @@
 // results, and prints rows/series in the paper's layout.
 package experiments
 
-import (
-	"threelc/internal/compress"
-	"threelc/internal/train"
-)
+import "threelc/internal/train"
 
-// The compared designs of §5.1, in Table 1's row order.
+// The compared designs of §5.1, in Table 1's row order, resolved through
+// train.ParseDesign so every design carries the name the CLIs give it.
 var (
-	DesignFloat32  = train.Design{Name: "32-bit float", Scheme: compress.SchemeNone}
-	DesignInt8     = train.Design{Name: "8-bit int", Scheme: compress.SchemeInt8}
-	DesignStoch3   = train.Design{Name: "Stoch 3-value + QE", Scheme: compress.SchemeStoch3QE}
-	DesignMQE1bit  = train.Design{Name: "MQE 1-bit int", Scheme: compress.SchemeMQE1Bit}
-	DesignSparse25 = train.Design{
-		Name:   "25% sparsification",
-		Scheme: compress.SchemeTopK,
-		Opts:   compress.Options{Fraction: 0.25},
-	}
-	DesignSparse5 = train.Design{
-		Name:   "5% sparsification",
-		Scheme: compress.SchemeTopK,
-		Opts:   compress.Options{Fraction: 0.05},
-	}
-	DesignLocal2 = train.Design{
-		Name:   "2 local steps",
-		Scheme: compress.SchemeLocalSteps,
-		Opts:   compress.Options{Interval: 2},
-	}
+	DesignFloat32  = design("float32", 0, false)
+	DesignInt8     = design("int8", 0, false)
+	DesignStoch3   = design("stoch3", 0, false)
+	DesignMQE1bit  = design("mqe1bit", 0, false)
+	DesignSparse25 = design("sparse25", 0, false)
+	DesignSparse5  = design("sparse5", 0, false)
+	DesignLocal2   = design("local2", 0, false)
 )
 
 // ThreeLC returns the full 3LC design with sparsity multiplier s.
-func ThreeLC(s float64) train.Design {
-	return train.Design{
-		Name:   threeLCName(s),
-		Scheme: compress.SchemeThreeLC,
-		Opts:   compress.Options{Sparsity: s, ZeroRun: true},
-	}
-}
+func ThreeLC(s float64) train.Design { return design("3lc", s, false) }
 
 // ThreeLCNoZRE returns 3LC without zero-run encoding (Table 2's "No ZRE").
-func ThreeLCNoZRE(s float64) train.Design {
-	return train.Design{
-		Name:   threeLCName(s) + " no ZRE",
-		Scheme: compress.SchemeThreeLC,
-		Opts:   compress.Options{Sparsity: s, ZeroRun: false},
-	}
-}
+func ThreeLCNoZRE(s float64) train.Design { return design("3lc", s, true) }
 
-func threeLCName(s float64) string {
-	switch s {
-	case 1.0:
-		return "3LC (s=1.00)"
-	case 1.5:
-		return "3LC (s=1.50)"
-	case 1.75:
-		return "3LC (s=1.75)"
-	case 1.9:
-		return "3LC (s=1.90)"
+// design resolves a design name the package spells itself; an error is a
+// programming error.
+func design(name string, sparsity float64, noZRE bool) train.Design {
+	d, err := train.ParseDesign(name, sparsity, noZRE)
+	if err != nil {
+		panic(err)
 	}
-	return "3LC (s=?)"
+	return d
 }
 
 // Table1Designs is the full row set of Table 1.

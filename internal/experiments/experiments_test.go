@@ -69,6 +69,28 @@ func TestSuiteCaching(t *testing.T) {
 	}
 }
 
+// TestOffTableSparsitiesRunSeparately runs two sparsities no Table 1 row
+// names through one suite, which caches runs by design name: each must get
+// a name of its own and a run of its own, not the other's cached run.
+func TestOffTableSparsitiesRunSeparately(t *testing.T) {
+	s := tinySuite()
+	a, b := ThreeLC(1.40), ThreeLC(1.25)
+	if a.Name == b.Name {
+		t.Fatalf("s=1.40 and s=1.25 share the name %q", a.Name)
+	}
+	ra, err := s.Run(a, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := s.Run(b, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ra == rb || rb.Design.Opts.Sparsity != 1.25 {
+		t.Fatalf("s=1.25 returned the run of s=%v", rb.Design.Opts.Sparsity)
+	}
+}
+
 func TestTable1Shape(t *testing.T) {
 	s := tinySuite()
 	rows, err := Table1(s)

@@ -102,35 +102,39 @@ func putLUT(l *ScaledLUT) {
 }
 
 // DecodeTernary decodes a ternary wire body — quartic bytes, zero-run
-// encoded when zre is set — into dst in a single fused pass: each wire
-// byte is either expanded from a run marker into scaled zeros or looked up
-// in the LUT and streamed into dst as five scaled floats (dst[i] = m·q).
-// It never reads or writes any intermediate buffer.
+// encoded when zre is set — into dst: dst[i] = m·q_i. It validates the
+// body (scanTernaryBody), fills dst with m·0 and runs the decode-add core
+// over it, so a zero run costs the fill alone and only the literal groups
+// are added: m·0 + m·q is m·q bit for bit for a finite non-zero m, whose
+// m·0 carries m's sign. A zero or non-finite scale (only an untrusted
+// wire carries the latter) decodes at scale 1 and then multiplies dst by
+// m, the staged m·q for every digit. It never reads or writes any
+// intermediate buffer.
 //
 // The body is untrusted network data, so like encode.QuarticDecodeScaledInto
 // the kernel returns errors instead of panicking: a payload whose group
 // count does not expand to exactly len(dst) values (truncated, overlong,
 // or a run overrunning the end), or — without zre — a byte above
-// encode.MaxQuartic, is rejected. On error dst's contents are unspecified;
-// validation happens in the same pass that decodes.
+// encode.MaxQuartic, is rejected. On error dst is unchanged.
 //
 //3lc:noalloc
 //3lc:decode
 func DecodeTernary(body []byte, zre bool, m float32, dst []float32) error {
-	n := len(dst)
-	notePass("lut-decode", n)
-	gTotal := encode.QuarticEncodedLen(n)
-	if !zre && len(body) != gTotal {
-		return fmt.Errorf("kernel: quartic payload %d bytes, want %d", len(body), gTotal)
-	}
-	if n >= scaledLUTMinElems {
-		l := getLUT()
-		l.Build(m)
-		err := decodeCore(body, zre, &l.tab, gTotal, dst)
-		putLUT(l)
+	if err := scanTernaryBody(body, zre, encode.QuarticEncodedLen(len(dst))); err != nil {
 		return err
 	}
-	return decodeSmall(body, zre, m, gTotal, dst)
+	notePass("lut-decode", len(dst))
+	if m != 0 && !nonFinite(m) {
+		setZeroRun(dst, m*0)
+		addValidated(body, m, dst, nil)
+		return nil
+	}
+	clear(dst)
+	addValidated(body, 1, dst, nil)
+	for i := range dst {
+		dst[i] *= m
+	}
+	return nil
 }
 
 // zeroRunAt reads the zero-run token at body[off], a byte above
@@ -170,30 +174,10 @@ func errZeroRun(off, room int) error {
 	return fmt.Errorf("kernel: zero-run token at offset %d is cut short, overlong or expands past the %d groups left", off, room)
 }
 
-// zeroRunStretch measures the maximal stretch of consecutive zero-run
-// tokens starting at body[off] (itself a marker): the number of groups the
-// stretch expands to and the offset of the first byte after it, each token
-// checked against the gTotal − gi groups still missing. Decode-set
-// coalesces the stretch into one write — the encoder spells a run of
-// 14q+r as two tokens, and one clear over both beats one per token.
-//
-//3lc:noalloc
-//3lc:decode
-func zeroRunStretch(body []byte, off, gi, gTotal int) (groups, next int, err error) {
-	for next = off; next < len(body) && body[next] > encode.MaxQuartic; {
-		k, after := zeroRunAt(body, next, gTotal-gi-groups)
-		if k == 0 {
-			return 0, 0, errZeroRun(next, gTotal-gi-groups)
-		}
-		groups, next = groups+k, after
-	}
-	return groups, next, nil
-}
-
-// setZeroRun writes a decoded zero run, dst[i] = m·0. When m·0 has the
-// bit pattern of +0 — every scale a real encoder emits — that is one
-// clear; a negative scale must still write −0 and a non-finite one NaN,
-// exactly what the staged multiply produces, so those keep the fill.
+// setZeroRun fills dst with m·0, what DecodeTernary writes for every
+// group a zero run stands for. When m·0 has the bit pattern of +0 — every
+// positive scale — that is one clear; a negative scale must write −0,
+// exactly what the staged multiply produces, so it keeps the fill.
 //
 //3lc:noalloc
 func setZeroRun(dst []float32, zero float32) {
@@ -204,103 +188,4 @@ func setZeroRun(dst []float32, zero float32) {
 	for i := range dst {
 		dst[i] = zero
 	}
-}
-
-// decodeScaled is the scalar-tier ScaledLUT decode loop.
-//
-//3lc:noalloc
-//3lc:decode
-func decodeScaled(body []byte, zre bool, tab *scaledTab, gTotal int, dst []float32) error {
-	n := len(dst)
-	zero := tab[encode.ZeroGroupByte][0] // m·0, NaN-propagating like the staged multiply
-	gi, w := 0, 0
-	for off := 0; off < len(body); {
-		b := body[off]
-		if b > encode.MaxQuartic {
-			if !zre {
-				return fmt.Errorf("kernel: invalid quartic byte %d at offset %d", b, off)
-			}
-			k, next, err := zeroRunStretch(body, off, gi, gTotal)
-			if err != nil {
-				return err
-			}
-			gi += k
-			end := min(w+k*encode.GroupSize, n)
-			setZeroRun(dst[w:end], zero)
-			w, off = end, next
-			continue
-		}
-		if gi >= gTotal {
-			return fmt.Errorf("kernel: payload longer than %d groups", gTotal)
-		}
-		gi++
-		row := &tab[b]
-		if w+encode.GroupSize <= n {
-			dst[w] = row[0]
-			dst[w+1] = row[1]
-			dst[w+2] = row[2]
-			dst[w+3] = row[3]
-			dst[w+4] = row[4]
-			w += encode.GroupSize
-		} else {
-			for k := 0; w < n; k, w = k+1, w+1 {
-				dst[w] = row[k]
-			}
-		}
-		off++
-	}
-	if gi != gTotal {
-		return fmt.Errorf("kernel: payload expands to %d groups, want %d", gi, gTotal)
-	}
-	return nil
-}
-
-// decodeSmall is the small-tensor decode loop: same single pass, ternLUT
-// digits scaled by an inline multiply instead of a prebuilt ScaledLUT.
-//
-//3lc:noalloc
-//3lc:decode
-func decodeSmall(body []byte, zre bool, m float32, gTotal int, dst []float32) error {
-	n := len(dst)
-	zero := m * float32(0)
-	gi, w := 0, 0
-	for off := 0; off < len(body); {
-		b := body[off]
-		if b > encode.MaxQuartic {
-			if !zre {
-				return fmt.Errorf("kernel: invalid quartic byte %d at offset %d", b, off)
-			}
-			k, next, err := zeroRunStretch(body, off, gi, gTotal)
-			if err != nil {
-				return err
-			}
-			gi += k
-			end := min(w+k*encode.GroupSize, n)
-			setZeroRun(dst[w:end], zero)
-			w, off = end, next
-			continue
-		}
-		if gi >= gTotal {
-			return fmt.Errorf("kernel: payload longer than %d groups", gTotal)
-		}
-		gi++
-		row := &ternLUT[b]
-		if w+encode.GroupSize <= n {
-			dst[w] = m * float32(row[0])
-			dst[w+1] = m * float32(row[1])
-			dst[w+2] = m * float32(row[2])
-			dst[w+3] = m * float32(row[3])
-			dst[w+4] = m * float32(row[4])
-			w += encode.GroupSize
-		} else {
-			for k := 0; w < n; k, w = k+1, w+1 {
-				dst[w] = m * float32(row[k])
-			}
-		}
-		off++
-	}
-	if gi != gTotal {
-		return fmt.Errorf("kernel: payload expands to %d groups, want %d", gi, gTotal)
-	}
-	return nil
 }

@@ -19,11 +19,12 @@ import (
 // intermediate float tensor exists, and per payload the aggregate side
 // makes one pass over the wire bytes and the non-zero groups.
 //
-// Unlike DecodeTernary, whose destination is unspecified on error, the
-// decode-ADD kernels mutate live aggregation state, so a malformed
+// The decode-ADD kernels mutate live aggregation state, so a malformed
 // payload must not corrupt the sum: every payload is fully validated by a
 // wire-byte scan (a few percent of tensor size; not a tensor-memory pass)
 // before the first element of dst is touched. On error dst is unchanged.
+// DecodeTernary is the same scan and core over a fill of m·0, so it too
+// leaves dst unchanged on error.
 //
 // Zero runs skip memory. A run marker stands for k groups of m·0, and for
 // every finite scale m·0 is ±0, whose addition leaves dst as it is:
@@ -146,7 +147,7 @@ func sumGroups(tokens []byte) (gi int) {
 // DecodeTernaryAdd decodes a ternary wire body — quartic bytes, zero-run
 // encoded when zre is set — and accumulates it into dst in a single fused
 // pass: dst[i] += m·q_i. Literal groups take the exact float32 additions
-// the staged composition (DecodeTernary into scratch, then dst += scratch)
+// the staged composition (decode into scratch, then dst += scratch)
 // performs element by element; zero runs are skipped when m·0 is ±0 and
 // filled when it is NaN, so the resulting sums are bit-identical to the
 // staged decode-then-add for any payload, including non-finite scales,
@@ -180,8 +181,8 @@ func (x *Blocks) DecodeTernaryAdd(body []byte, zre bool, m float32, dst []float3
 }
 
 // addValidated runs the fused accumulate pass over an already-validated
-// payload, choosing the ScaledLUT or inline-multiply form by size exactly
-// like DecodeTernary.
+// payload, choosing the ScaledLUT or inline-multiply form by size.
+// DecodeTernary runs it over a fill of m·0.
 func addValidated(body []byte, m float32, dst []float32, l *Blocks) {
 	if len(dst) >= scaledLUTMinElems {
 		lut := getLUT()

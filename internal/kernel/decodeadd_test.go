@@ -20,12 +20,13 @@ func mkTernaryWire(seed uint64, n int, std, sparsity float64, zre bool) (body []
 	return EncodeTernary(buf, mm, zre, nil), float32(mm)
 }
 
-// stagedDecodeAdd is the reference composition: fused decode into scratch,
-// then an element-wise add.
+// stagedDecodeAdd is the reference composition: the staged quant/encode
+// decode into scratch (stagedDecode), then an element-wise add. It cannot
+// use DecodeTernary, which runs the decode-add core under test.
 func stagedDecodeAdd(t *testing.T, body []byte, zre bool, m float32, dst []float32) {
 	t.Helper()
-	tmp := make([]float32, len(dst))
-	if err := DecodeTernary(body, zre, m, tmp); err != nil {
+	tmp, err := stagedDecode(body, zre, m, len(dst))
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range tmp {

@@ -41,7 +41,6 @@ var (
 	sgdDeltaCore func(w, v, gs, delta []float32, gscale, wd, mom, lr float32)
 	sgdRawCore   func(w, v, gs []float32, raw []byte, gscale, wd, mom, lr float32)
 	addCore      func(body []byte, tab *scaledTab, dst []float32, l *Blocks)
-	decodeCore   func(body []byte, zre bool, tab *scaledTab, gTotal int, dst []float32) error
 	packBlocksFn func(buf []float32, out []byte, blocks int, tpos, dqNeg, dqZero, dqPos float32)
 
 	// Raw float32 cores (raw.go): the byte side holds 4 bytes per float.
@@ -120,7 +119,6 @@ func SetTier(t Tier) {
 		rawPutCore, rawGetCore = rawPutRange, rawGetRange
 		rawAddCore, rawFirstAddCore = rawAddRange, rawFirstAddRange
 		addCore = addScaled
-		decodeCore = decodeScaled
 		packBlocksFn = nil
 	case TierAsm:
 		if !simd.HasAsm || !simd.Detect().AVX2 {
@@ -131,7 +129,6 @@ func SetTier(t Tier) {
 		rawPutCore, rawGetCore = simd.RawPutAsm, simd.RawGetAsm
 		rawAddCore, rawFirstAddCore = simd.RawAddAsm, simd.RawFirstAddAsm
 		addCore = addScaledLits
-		decodeCore = decodeScaledLits
 		packBlocksFn = simd.QuantPackBlocks
 	default:
 		panic(fmt.Sprintf("kernel: unknown tier %v", t))

@@ -2,22 +2,21 @@ package kernel
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 
 	"threelc/internal/encode"
 	"threelc/internal/kernel/simd"
 )
 
-// Asm-tier forms of the decode loops and the packed encode path. Each
+// Asm-tier forms of the decode-add loop and the packed encode path. Each
 // mirrors its scalar counterpart byte-for-byte on the wire and
 // bit-for-bit on floats (up to NaN payloads, see package simd): the fast
 // paths only regroup WHICH loop processes each wire byte, never the
 // per-element operations or their order.
 
-// litCoreAfter is how many consecutive literal groups the asm-tier decode
-// loops apply inline before handing the rest of the stretch to the
-// assembly literal core. The call into the core costs more than a few
+// litCoreAfter is how many consecutive literal groups the asm-tier
+// decode-add loop applies inline before handing the rest of the stretch
+// to the assembly literal core. The call into the core costs more than a few
 // rows' adds, and on the wires 3LC actually produces — isolated literal
 // groups between zero runs — nearly every stretch is that short (calling
 // the core for each measured ~40 % slower than the scalar tier there); a
@@ -79,68 +78,6 @@ func addScaledLits(body []byte, tab *scaledTab, dst []float32, l *Blocks) {
 		w += encode.GroupSize
 		off++
 	}
-}
-
-// decodeScaledLits is the asm-tier decodeScaled: identical validation
-// semantics and run handling, with long literal stretches through the
-// assembly set-literal core (see litCoreAfter).
-func decodeScaledLits(body []byte, zre bool, tab *scaledTab, gTotal int, dst []float32) error {
-	n := len(dst)
-	zero := tab[encode.ZeroGroupByte][0]
-	gi, w, off, inline := 0, 0, 0, 0
-	for off < len(body) {
-		b := body[off]
-		if b > encode.MaxQuartic {
-			if !zre {
-				return fmt.Errorf("kernel: invalid quartic byte %d at offset %d", b, off)
-			}
-			k, next, err := zeroRunStretch(body, off, gi, gTotal)
-			if err != nil {
-				return err
-			}
-			gi += k
-			end := min(w+k*encode.GroupSize, n)
-			setZeroRun(dst[w:end], zero)
-			w, off = end, next
-			inline = 0
-			continue
-		}
-		if gi >= gTotal {
-			return fmt.Errorf("kernel: payload longer than %d groups", gTotal)
-		}
-		if lim := n - w; inline >= litCoreAfter && lim >= encode.GroupSize {
-			lim -= lim % encode.GroupSize
-			// Every byte the literal core consumes is a valid literal
-			// producing one full in-bounds group, so the per-byte checks
-			// above are preserved: lim/GroupSize never exceeds the groups
-			// remaining to gTotal.
-			nb := simd.SetScaledLiteralsAsm(tab, body[off:], dst[w:w+lim]) // >= 1: body[off] is a literal with a full group of room
-			off += nb
-			gi += nb
-			w += nb * encode.GroupSize
-			continue
-		}
-		inline++
-		gi++
-		row := &tab[b]
-		if w+encode.GroupSize <= n {
-			dst[w] = row[0]
-			dst[w+1] = row[1]
-			dst[w+2] = row[2]
-			dst[w+3] = row[3]
-			dst[w+4] = row[4]
-			w += encode.GroupSize
-		} else {
-			for k := 0; w < n; k, w = k+1, w+1 {
-				dst[w] = row[k]
-			}
-		}
-		off++
-	}
-	if gi != gTotal {
-		return fmt.Errorf("kernel: payload expands to %d groups, want %d", gi, gTotal)
-	}
-	return nil
 }
 
 // packRangeFast quantizes buf[lo:hi] into out (indexed from out[0], one

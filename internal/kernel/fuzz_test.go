@@ -240,7 +240,8 @@ var longRunFuzzSeeds = [][]byte{
 // decode-accumulate kernels: untrusted payloads may error but must never
 // panic, and — stronger than the decode-into contract — a rejected
 // payload must leave the accumulator bit-identical to its prior state.
-// Accepted payloads must accumulate bit-identically to decode-then-add.
+// Accepted payloads must accumulate bit-identically to the staged
+// decode-then-add (stagedDecode, which shares no code with the kernel).
 func FuzzDecodeTernaryAdd(f *testing.F) {
 	f.Add([]byte{121, 121, 121}, uint32(0x3f800000), true)
 	f.Add([]byte{255, 0, 243}, uint32(0x7fc00000), true) // runs + NaN scale
@@ -253,7 +254,6 @@ func FuzzDecodeTernaryAdd(f *testing.F) {
 	small := make([]float32, 13)
 	big := make([]float32, scaledLUTMinElems+2)
 	snapBuf := make([]float32, len(big))
-	tmpBuf := make([]float32, len(big))
 	f.Fuzz(func(t *testing.T, body []byte, mBits uint32, zre bool) {
 		m := math.Float32frombits(mBits)
 		tierSweep(func(Tier) {
@@ -264,11 +264,10 @@ func FuzzDecodeTernaryAdd(f *testing.F) {
 				snap := snapBuf[:len(dst)]
 				copy(snap, dst)
 
-				want := tmpBuf[:len(dst)]
-				errRef := DecodeTernary(body, zre, m, want)
+				want, errRef := stagedDecode(body, zre, m, len(dst))
 				err := DecodeTernaryAdd(body, zre, m, dst)
 				if (err == nil) != (errRef == nil) {
-					t.Fatalf("decode err=%v, decode-add err=%v", errRef, err)
+					t.Fatalf("staged decode err=%v, decode-add err=%v", errRef, err)
 				}
 				if err != nil {
 					if i, ok := bitsEqual(dst, snap); !ok {
@@ -287,9 +286,11 @@ func FuzzDecodeTernaryAdd(f *testing.F) {
 	})
 }
 
-// FuzzDecodeTernary feeds arbitrary bytes to the fused decoder: untrusted
-// network payloads may error but must never panic, in any destination
-// size, on both sides of the ScaledLUT threshold.
+// FuzzDecodeTernary feeds arbitrary bytes and scales to the fused decoder
+// on both sides of the ScaledLUT threshold and every tier: it must never
+// panic, must reject exactly the payloads the staged decoder (stagedDecode)
+// rejects and leave dst unchanged when it does, and must otherwise decode
+// bit-identically to it.
 func FuzzDecodeTernary(f *testing.F) {
 	f.Add([]byte{121, 121, 121}, uint32(0x3f800000), true)
 	f.Add([]byte{255, 0, 243}, uint32(0x7fc00000), true) // runs + NaN scale
@@ -302,9 +303,27 @@ func FuzzDecodeTernary(f *testing.F) {
 	big := make([]float32, scaledLUTMinElems+2)
 	f.Fuzz(func(t *testing.T, body []byte, mBits uint32, zre bool) {
 		m := math.Float32frombits(mBits)
-		tierSweep(func(Tier) {
-			_ = DecodeTernary(body, zre, m, small)
-			_ = DecodeTernary(body, zre, m, big)
+		tierSweep(func(tier Tier) {
+			for _, dst := range [][]float32{small, big} {
+				for i := range dst {
+					dst[i] = 7 // stale contents
+				}
+				want, errRef := stagedDecode(body, zre, m, len(dst))
+				err := DecodeTernary(body, zre, m, dst)
+				if (err == nil) != (errRef == nil) {
+					t.Fatalf("tier %v n=%d: staged decode err=%v, fused err=%v", tier, len(dst), errRef, err)
+				}
+				if err != nil {
+					for i, v := range dst {
+						if v != 7 {
+							t.Fatalf("tier %v n=%d: rejected payload wrote %x at %d", tier, len(dst), math.Float32bits(v), i)
+						}
+					}
+				} else if i, ok := bitsEqual(dst, want); !ok {
+					t.Fatalf("tier %v n=%d: decode differs from staged at %d: %x vs %x",
+						tier, len(dst), i, math.Float32bits(dst[i]), math.Float32bits(want[i]))
+				}
+			}
 		})
 	})
 }

@@ -23,9 +23,10 @@
 //	                            blocks that hold a non-zero digit, so at
 //	                            3LC's zero fractions it is a read-only
 //	                            stream over the blocks that can quantize
-//	decode  DecodeTernary       ZRE-expand → quartic-unpack → scaled-apply
-//	                            in one LUT-driven loop streaming wire bytes
-//	                            straight into the destination floats
+//	decode  DecodeTernary       fills the destination with M·0, then runs
+//	                            the decode-add core (DecodeTernaryAdd's)
+//	                            over it: zero runs cost the fill alone and
+//	                            only the literal groups are added
 //
 // The skip needs non-zero digits that cluster in few blocks and a finite
 // float32(M). lan-3lc's and wan-3lc's 1.85M-element layers have them: over

@@ -152,30 +152,45 @@ func TestEncodeStochMatchesStaged(t *testing.T) {
 }
 
 // TestDecodeTernaryMatchesStaged checks the LUT decoder against the staged
-// zero-run-expand + scaled-quartic-decode reference, on both sides of the
-// ScaledLUT threshold and for n % 5 != 0.
+// zero-run-expand + scaled-quartic-decode reference over stale destination
+// contents, on every tier, on both sides of the ScaledLUT threshold and for
+// n % 5 != 0: at the wire's own scale and at scales no encoder emits — ±0
+// (under which a −1 digit decodes to the opposite zero), ±Inf, NaN, a
+// negative scale and two subnormals.
 func TestDecodeTernaryMatchesStaged(t *testing.T) {
-	for _, n := range []int{1, 5, 13, 100, 997, scaledLUTMinElems, 8192, 100_003} {
-		for _, zre := range []bool{true, false} {
-			buf := make([]float32, n)
-			in := tensor.New(n)
-			fillRand(in, uint64(n)+31, 0.01)
-			m := float64(AccumulateMaxAbs(buf, in.Data())) * 1.75
-			body := EncodeTernary(buf, m, zre, nil)
-
-			want, err := stagedDecode(body, zre, float32(m), n)
-			if err != nil {
-				t.Fatalf("n=%d zre=%v: staged decode: %v", n, zre, err)
-			}
-			got := make([]float32, n)
-			if err := DecodeTernary(body, zre, float32(m), got); err != nil {
-				t.Fatalf("n=%d zre=%v: fused decode: %v", n, zre, err)
-			}
-			if i, ok := bitsEqual(got, want); !ok {
-				t.Fatalf("n=%d zre=%v: decode differs at %d: %v vs %v", n, zre, i, got[i], want[i])
+	odd := []float32{
+		0, float32(math.Copysign(0, -1)),
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+		-0.75, math.Float32frombits(3), -math.Float32frombits(0x7fffff),
+	}
+	tierSweep(func(tier Tier) {
+		for _, n := range []int{1, 5, 13, 100, 997, scaledLUTMinElems, 8192, 100_003} {
+			for _, zre := range []bool{true, false} {
+				buf := make([]float32, n)
+				in := tensor.New(n)
+				fillRand(in, uint64(n)+31, 0.01)
+				m := float64(AccumulateMaxAbs(buf, in.Data())) * 1.75
+				body := EncodeTernary(buf, m, zre, nil)
+				for _, m := range append([]float32{float32(m)}, odd...) {
+					want, err := stagedDecode(body, zre, m, n)
+					if err != nil {
+						t.Fatalf("n=%d zre=%v: staged decode: %v", n, zre, err)
+					}
+					got := make([]float32, n)
+					for i := range got {
+						got[i] = 7
+					}
+					if err := DecodeTernary(body, zre, m, got); err != nil {
+						t.Fatalf("n=%d zre=%v: fused decode: %v", n, zre, err)
+					}
+					if i, ok := bitsEqual(got, want); !ok {
+						t.Fatalf("tier %v n=%d zre=%v m=%x: decode differs at %d: %x vs %x", tier, n, zre,
+							math.Float32bits(m), i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+					}
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestDecodeTernaryAllZero covers the all-zero wire (one maximal run) and

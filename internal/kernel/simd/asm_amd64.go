@@ -11,9 +11,6 @@ func quantPackBlocks(buf *float32, out *byte, blocks int, tpos, tneg, dqNeg, dqZ
 func addScaledLiteralsAsm(tab *[256][5]float32, body *byte, n int, dst *float32) int
 
 //go:noescape
-func setScaledLiteralsAsm(tab *[256][5]float32, body *byte, n int, dst *float32) int
-
-//go:noescape
 func accMaxAbsAsm(buf, in *float32, n int) float32
 
 //go:noescape
@@ -85,19 +82,6 @@ func AddScaledLiteralsAsm(tab *[256][5]float32, body []byte, dst []float32) int 
 		return 0
 	}
 	return addScaledLiteralsAsm(tab, &body[0], n, &dst[0])
-}
-
-// SetScaledLiteralsAsm is the write (first-decode) form of
-// AddScaledLiteralsAsm: dst[5k+j] = tab[b][j] instead of +=.
-func SetScaledLiteralsAsm(tab *[256][5]float32, body []byte, dst []float32) int {
-	n := len(body)
-	if g := len(dst) / 5; n > g {
-		n = g
-	}
-	if n <= 0 {
-		return 0
-	}
-	return setScaledLiteralsAsm(tab, &body[0], n, &dst[0])
 }
 
 // AccMaxAbsAsm is the AVX2 accumulate+|max| core: buf[i] += in[i] with the

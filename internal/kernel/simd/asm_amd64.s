@@ -191,43 +191,13 @@ adddone:
 	MOVQ DX, ret+32(FP)
 	RET
 
-// func setScaledLiteralsAsm(tab *[256][5]float32, body *byte, n int, dst *float32) int
-//
-// Write form: dst[0:5] = tab[b].
-TEXT ·setScaledLiteralsAsm(SB), NOSPLIT, $0-40
-	MOVQ tab+0(FP), R8
-	MOVQ body+8(FP), SI
-	MOVQ n+16(FP), CX
-	MOVQ dst+24(FP), DI
-	XORQ DX, DX
-
-setloop:
-	CMPQ DX, CX
-	JGE setdone
-	MOVBLZX (SI)(DX*1), AX
-	CMPL AX, $242
-	JA setdone
-	LEAQ (AX)(AX*4), AX
-	SHLQ $2, AX
-	VMOVUPS (R8)(AX*1), X0
-	VMOVSS 16(R8)(AX*1), X1
-	VMOVUPS X0, (DI)
-	VMOVSS X1, 16(DI)
-	ADDQ $20, DI
-	INCQ DX
-	JMP setloop
-
-setdone:
-	MOVQ DX, ret+32(FP)
-	RET
-
 // func accMaxAbsAsm(buf, in *float32, n int) float32
 //
 // Compress pass 1: buf[i] += in[i] with max|buf| reduced in the same
 // sweep, 32 floats per iteration over four independent max chains (so the
 // loop streams at load/store rate instead of serializing on VMAXPS
 // latency), then 8 at a time, then a scalar tail. buf is operand 1 of
-// every add, like the literal cores. |s| is the sign-bit mask
+// every add, like the literal core. |s| is the sign-bit mask
 // (Y15 = 0x7fffffff per lane). The running max is always the SECOND
 // source of VMAXPS/VMAXSS, which return the second source whenever either
 // operand is NaN: a NaN candidate loses exactly like Go's `a > m`, and the

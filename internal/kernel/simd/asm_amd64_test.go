@@ -114,8 +114,7 @@ func TestScaledLiteralsAsmMatchesScalar(t *testing.T) {
 		t.Skip("no AVX2")
 	}
 	for _, m := range []float32{1.5, 0.25, float32(math.Inf(1)), float32(math.NaN()), math.Float32frombits(0x80000000)} {
-		testLiteralForms(t, "asm-add", m, AddScaledLiteralsAsm, refAddLiterals)
-		testLiteralForms(t, "asm-set", m, SetScaledLiteralsAsm, refSetLiterals)
+		testAddLiterals(t, m)
 	}
 }
 

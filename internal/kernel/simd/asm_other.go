@@ -15,10 +15,6 @@ func AddScaledLiteralsAsm(tab *[256][5]float32, body []byte, dst []float32) int 
 	panic("simd: no assembly kernels on this architecture")
 }
 
-func SetScaledLiteralsAsm(tab *[256][5]float32, body []byte, dst []float32) int {
-	panic("simd: no assembly kernels on this architecture")
-}
-
 func AccMaxAbsAsm(buf, in []float32) float32 {
 	panic("simd: no assembly kernels on this architecture")
 }

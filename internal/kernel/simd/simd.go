@@ -1,7 +1,7 @@
 // Package simd holds the amd64 AVX2 assembly cores behind the kernel
 // package's CPU-feature-dispatched registry — the instruction shapes pure
 // Go cannot reach: the byte-level pack and LUT loops (packed compares,
-// byte shuffles, 20-byte row copies), the streaming float sweeps,
+// byte shuffles, 20-byte row adds), the streaming float sweeps,
 // accumulate+|max| and the parameter server's fused SGD step (8-wide adds,
 // sign-mask abs, a NaN-losing packed max), the raw float32 moves and adds,
 // and the 64 × 32 bit transposes of the packed float32 wire (byte shuffles

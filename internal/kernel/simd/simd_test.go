@@ -90,21 +90,6 @@ func refAddLiterals(tab *[256][5]float32, body []byte, dst []float32) int {
 	return nb
 }
 
-func refSetLiterals(tab *[256][5]float32, body []byte, dst []float32) int {
-	nb := 0
-	for nb < len(body) && (nb+1)*5 <= len(dst) {
-		b := body[nb]
-		if b > maxLiteral {
-			break
-		}
-		for k := 0; k < 5; k++ {
-			dst[nb*5+k] = tab[b][k]
-		}
-		nb++
-	}
-	return nb
-}
-
 func literalBodies(rng *rand.Rand) [][]byte {
 	bodies := [][]byte{
 		nil,
@@ -125,9 +110,8 @@ func literalBodies(rng *rand.Rand) [][]byte {
 	return bodies
 }
 
-func testLiteralForms(t *testing.T, name string, m float32,
-	got func(*[256][5]float32, []byte, []float32) int,
-	want func(*[256][5]float32, []byte, []float32) int) {
+// testAddLiterals holds AddScaledLiteralsAsm to refAddLiterals at scale m.
+func testAddLiterals(t *testing.T, m float32) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))
 	tab := buildLUT(m)
@@ -136,14 +120,14 @@ func testLiteralForms(t *testing.T, name string, m float32,
 			dst := make([]float32, dstGroups*5)
 			fillMixed(rng, dst)
 			ref := append([]float32(nil), dst...)
-			wantN := want(tab, body, ref)
-			gotN := got(tab, body, dst)
+			wantN := refAddLiterals(tab, body, ref)
+			gotN := AddScaledLiteralsAsm(tab, body, dst)
 			if gotN != wantN {
-				t.Fatalf("%s m=%v len(body)=%d groups=%d: consumed %d, want %d", name, m, len(body), dstGroups, gotN, wantN)
+				t.Fatalf("m=%v len(body)=%d groups=%d: consumed %d, want %d", m, len(body), dstGroups, gotN, wantN)
 			}
 			for i := range dst {
 				if !eqf(dst[i], ref[i]) {
-					t.Fatalf("%s m=%v len(body)=%d groups=%d: dst[%d] %x != %x", name, m, len(body), dstGroups, i, math.Float32bits(dst[i]), math.Float32bits(ref[i]))
+					t.Fatalf("m=%v len(body)=%d groups=%d: dst[%d] %x != %x", m, len(body), dstGroups, i, math.Float32bits(dst[i]), math.Float32bits(ref[i]))
 				}
 			}
 		}

@@ -11,7 +11,7 @@ import (
 const negZeroBits = 1 << 31
 
 // runHeavyBody builds a valid zero-run-encoded body for n elements: a long
-// run (a long-run token plus a remainder marker, coalesced by decode-set),
+// run (a long-run token plus a remainder marker),
 // one literal group with mixed digits, a second long run, a final literal
 // group (partial when n % 5 != 0). It also returns, per element, whether a
 // run token covers it. n must be at least 60 groups' worth.
@@ -126,10 +126,10 @@ func TestDecodeAddZeroRunNegativeZero(t *testing.T) {
 	})
 }
 
-// TestDecodeSetZeroRuns pins the decode-set run write: a +0 run is a
-// clear that must cover every stale element of a coalesced marker chain,
-// a negative scale must still write −0 and a non-finite one NaN (the fill
-// path), all bit-identical to the staged expand-then-scale decode.
+// TestDecodeSetZeroRuns pins DecodeTernary's runs: under a positive scale
+// the clear must cover every stale element of a marker chain, a negative
+// scale must still write −0 and a zero or non-finite one the m·0 of its
+// multiply, all bit-identical to the staged expand-then-scale decode.
 func TestDecodeSetZeroRuns(t *testing.T) {
 	tierSweep(func(tier Tier) {
 		for _, n := range runSizes {
@@ -158,8 +158,8 @@ func TestDecodeSetZeroRuns(t *testing.T) {
 					}
 				}
 			}
-			// One marker too many at the head: the overrun surfaces in
-			// the second coalesced stretch and is rejected.
+			// One marker too many at the head: the chain overruns the
+			// end and is rejected.
 			over := append([]byte{250}, body...)
 			if err := DecodeTernary(over, true, 2, make([]float32, n)); err == nil {
 				t.Fatalf("tier %v n=%d: overrunning marker chain decoded without error", tier, n)
