@@ -89,7 +89,7 @@ func TestDialedTiersMatchInProcess(t *testing.T) { dialedMatchesInProcess(t, 3) 
 
 // TestTwoSeatDialedTiersMatchInProcess is the oracle at two seats: the
 // owner and one other worker, which over a dialed tier is handed the pull
-// the owner completes from its own step (ps.Worker.Complete) — a wrong bit
+// the owner completes with its own pushes (ps.Worker.Complete) — a wrong bit
 // there changes worker 1's next gradient, and from it every later bit.
 func TestTwoSeatDialedTiersMatchInProcess(t *testing.T) { dialedMatchesInProcess(t, 2) }
 

@@ -107,15 +107,6 @@ func (o *SGD) LR(t int) float64 {
 // Step returns the number of updates applied so far.
 func (o *SGD) Step() int { return o.step }
 
-// Velocity returns the momentum buffer of the parameter named name, nil
-// before the parameter's first update.
-func (o *SGD) Velocity(name string) []float32 {
-	if v, ok := o.velocity[name]; ok {
-		return v.Data()
-	}
-	return nil
-}
-
 // Apply performs one update of params from their gradient tensors:
 //
 //	v = momentum*v + (grad + wd*w)
@@ -198,20 +189,25 @@ func (o *SGD) ApplyWithDelta(params []*nn.Param, deltas []*tensor.Tensor) {
 // delta → accumulate-max chain touches each tensor exactly once; weights,
 // velocity, residuals and reductions are bit-identical to the staged
 // sweeps. p.G is read only where step returns it (ps.Job sums into it) and
-// never written.
+// never written. A parameter whose sum step returns nil is not stepped and
+// gets no velocity (ps.Job: an owner-only tensor, whose update its owner
+// pushes); maxAbs keeps its entry.
 func (o *SGD) ApplyFusedStep(params []*nn.Param, step func(pi int) ([]float32, float32, *kernel.Blocks, kernel.Sink), maxAbs []float32) {
 	lr := float32(o.LR(o.step))
 	o.step++
 	mom := float32(o.cfg.Momentum)
 	wd := float32(o.cfg.WeightDecay)
 	for pi, p := range params {
+		gs, gscale, blk, to := step(pi)
+		if gs == nil {
+			continue
+		}
 		v, ok := o.velocity[p.Name]
 		if !ok {
 			v = tensor.New(p.W.Shape()...)
 			o.velocity[p.Name] = v
 		}
 		vd := v.Data()
-		gs, gscale, blk, to := step(pi)
 		maxAbs[pi] = blk.SGDStep(p.W.Data()[:len(vd)], vd, gs[:len(vd)], to, gscale, wd, mom, lr)
 	}
 }

@@ -74,13 +74,16 @@ func runPair(t *testing.T, cfg Config, mk func(*nn.Model, Config) aggregator, ap
 // into scratch and then added to a sum zeroed at the start of the step, the
 // sum is averaged into p.G, opt.ApplyWithDelta updates the model and
 // materializes the delta, and the pull contexts (Job's, seed for seed) run
-// their whole CompressInto over it.
+// their whole CompressInto over it. A NoCompress tensor's push is its
+// owner's update: it is decoded into scratch, added to the model, and
+// relayed as the pull.
 type stagedJob struct {
 	params  []*nn.Param
 	sgd     *opt.SGD
 	pullCtx []compress.Compressor
 	sum     []*tensor.Tensor
 	delta   []*tensor.Tensor
+	relay   [][]byte
 	pushes  int
 }
 
@@ -91,6 +94,7 @@ func newStagedJob(m *nn.Model, cfg Config) aggregator {
 		s.sum = append(s.sum, tensor.New(p.W.Shape()...))
 		s.delta = append(s.delta, tensor.New(p.W.Shape()...))
 	}
+	s.relay = make([][]byte, len(s.params))
 	return s
 }
 
@@ -120,21 +124,35 @@ func (s *stagedJob) AddPush(workerID int, wires [][]byte) (time.Duration, error)
 		if err := decodeThenAdd(wires[i], s.sum[i]); err != nil {
 			return 0, err
 		}
+		if p.NoCompress {
+			s.relay[i] = append([]byte(nil), wires[i]...)
+		}
 	}
 	s.pushes++
 	return 0, nil
 }
 
 func (s *stagedJob) FinishStep() ([][]byte, time.Duration, error) {
+	var stepped []*nn.Param
+	var deltas []*tensor.Tensor
 	for i, p := range s.params {
-		if !p.NoCompress { // a NoCompress tensor has one owner: its gradient is used as is
-			s.sum[i].Scale(1 / float32(s.pushes))
+		if p.NoCompress { // a NoCompress tensor has one owner, which pushed its update
+			continue
 		}
+		s.sum[i].Scale(1 / float32(s.pushes))
 		p.G.CopyFrom(s.sum[i])
+		stepped, deltas = append(stepped, p), append(deltas, s.delta[i])
 	}
-	s.sgd.ApplyWithDelta(s.params, s.delta)
+	s.sgd.ApplyWithDelta(stepped, deltas)
 	pull := make([][]byte, len(s.params))
 	for i, ctx := range s.pullCtx {
+		if s.params[i].NoCompress {
+			if err := decodeThenAdd(s.relay[i], s.params[i].W); err != nil {
+				return nil, 0, err
+			}
+			pull[i] = s.relay[i]
+			continue
+		}
 		pull[i] = ctx.CompressInto(s.delta[i], nil)
 	}
 	return pull, 0, nil

@@ -29,12 +29,16 @@
 //     their slots, and the aggregator (Job) refuses anything else there
 //     and refuses to finish a step whose owner pushed nothing.
 //     The update of such a tensor is the owner's gradient as is, so the
-//     owner is not sent it back (Pulls): its Worker keeps a copy of the
-//     server's weights, velocity and schedule step for those tensors and
-//     replays, on its own push, the step Job takes — the delta is the
-//     server's bit for bit — where the pull holds the empty wire
-//     (Job.OwnerPull). Any other worker is sent them; an empty slot there,
-//     or one the owner has no push staged for, is refused.
+//     owner takes the step itself: its Worker keeps the velocity and
+//     schedule step of those tensors and pushes the update, on the
+//     lossless exempt wire, in place of the gradient. Job does not step
+//     them and keeps no optimizer state for them: it adds the update to
+//     the global model, as every replica does, and relays the owner's wire
+//     as their pull. The owner is not sent its own update back (Pulls):
+//     its slots of the pull hold the empty wire (Job.OwnerPull), which
+//     means "add the update you pushed". Any other worker is sent them; an
+//     empty slot there, or one the owner has pushed no update for, is
+//     refused.
 //   - BSP barriers: the step driver (package train) runs all pushes before
 //     the update and all pulls after it, the synchronous mode the paper
 //     evaluates.
@@ -83,6 +87,10 @@
 //	                      body, written (float32)
 //	pull encode           the buffer's blocks that can quantize (3LC);
 //	                      none (float32)
+//
+// An owner-only tensor takes neither the sweep nor the pull encode: its one
+// push, the owner's update, is decoded into the sum (which validates it)
+// and copied, and FinishStep decode-adds it to the weights and relays it.
 //
 // The staged decode-then-add / materialized
 // delta pipeline is the bit-identical reference the package's tests hold

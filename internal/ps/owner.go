@@ -1,6 +1,6 @@
 // Batch-norm ownership (§5.2): which worker owns the tensors that have one
 // owner, who pushes them, who is sent them, and the step the owner takes
-// itself in place of the one it is not sent.
+// itself, whose update it pushes and the server relays.
 package ps
 
 import (
@@ -20,7 +20,8 @@ const Owner = 0
 
 // OwnerOnly reports whether p is pushed by Owner alone (§5.2): a
 // batch-norm tensor's update is one designated worker's gradient, taken
-// as is and not averaged.
+// as is and not averaged, so that worker steps it and pushes the update
+// (Worker), and the server adds it to the global model and relays it (Job).
 func OwnerOnly(p *nn.Param) bool { return p.NoCompress }
 
 // Pushes is the one definition of who sends what: worker pushes tensor p
@@ -31,10 +32,9 @@ func Pushes(worker int, p *nn.Param) bool { return worker == Owner || !OwnerOnly
 
 // Pulls is the mirror of Pushes and the one definition of what each worker
 // is sent: every tensor, except that the owner is not sent the tensors only
-// it pushes. The server's step for such a tensor is a function of the
-// owner's push and of state the owner keeps a copy of, so the owner takes
-// that step itself (Worker) and its slot of the pull holds the empty wire.
-// It holds under every design, float32 included.
+// it pushes. What the server relays in such a tensor's slot is the owner's
+// own push, the update of the step it took, so the owner's slot of the pull
+// holds the empty wire. It holds under every design, float32 included.
 func Pulls(worker int, p *nn.Param) bool { return worker != Owner || !OwnerOnly(p) }
 
 // RefuseUnpushed is what an aggregator makes of the slot of a tensor that
@@ -48,7 +48,8 @@ func RefuseUnpushed(worker int, p *nn.Param, wire []byte) error {
 }
 
 // NoPush is the error of a step that cannot finish: tensor p was pushed by
-// nobody, so there is no gradient to step its momentum with.
+// nobody, so there is no gradient to step its momentum with (no update to
+// relay, for an owner-only p).
 func NoPush(p *nn.Param) error {
 	if OwnerOnly(p) {
 		return fmt.Errorf("ps: tensor %q received no push from its owner, worker %d, this step", p.Name, Owner)
@@ -80,125 +81,89 @@ func (s *Job) OwnerPull() [][]byte {
 	return s.ownerPull
 }
 
-// Momentum is what a tier holding its optimizer in process offers a
-// resumed owner (Worker.Resume): the server's velocity of tensor p, nil
-// before p's first step.
-type Momentum interface {
-	Velocity(p *nn.Param) []float32
-}
-
-// Velocity returns the job's velocity of p, nil before p's first step.
-func (s *Job) Velocity(p *nn.Param) []float32 { return s.optimizer.Velocity(p.Name) }
-
-// ownStep is the owner's copy of the server's side of one owner-only
-// tensor: the weights and velocity the server steps and how many steps it
-// has taken, plus what the last step replayed.
+// ownStep is the owner's optimizer state for one owner-only tensor — its
+// velocity and how many steps it has taken — plus the update of its last
+// step and the scratch that step writes the stepped weights to.
 type ownStep struct {
-	w, v   []float32
-	step   int                 // steps taken: the schedule position
-	grad   *tensor.Tensor      // the push, decoded as the server decodes it
-	delta  *tensor.Tensor      // the update of the last step
-	staged bool                // the push in the worker's wire buffer awaits its step
-	ctx    compress.Compressor // the server's pull context for the tensor (Complete)
-	wire   []byte              // delta on the server's wire, recycled
+	v      []float32
+	step   int            // steps taken: the schedule position
+	w      []float32      // scratch: the replica's weights, copied and stepped
+	delta  *tensor.Tensor // the update of the last step, pushed
+	staged bool           // the update pushed awaits its apply (applyOwn)
 }
 
-// newOwnSteps gives the owner, whose replica starts as the server's global
-// model, a copy of the server's state for each owner-only tensor; the
-// other workers get none.
-func newOwnSteps(id int, params []*nn.Param, cfg Config) []*ownStep {
+// newOwnSteps gives the owner the optimizer state of each owner-only
+// tensor; the other workers get none.
+func newOwnSteps(id int, params []*nn.Param) []*ownStep {
 	own := make([]*ownStep, len(params))
 	if id != Owner {
 		return own
 	}
 	for i, p := range params {
 		if OwnerOnly(p) {
-			own[i] = &ownStep{w: slices.Clone(p.W.Data()), v: make([]float32, p.W.Len()),
-				grad: tensor.New(p.W.Shape()...), delta: tensor.New(p.W.Shape()...),
-				ctx: cfg.newContext(p, 0)}
+			own[i] = &ownStep{v: make([]float32, p.W.Len()), w: make([]float32, p.W.Len()), delta: tensor.New(p.W.Shape()...)}
 		}
 	}
 	return own
 }
 
-// applyOwn applies pull slot i on the owner, for a tensor the owner is not
-// sent (Pulls). Once per step it replays on the push it made what the
-// server does with a tensor only the owner pushes: decode it as the first
-// accumulation of a fresh sum, then kernel.Blocks.SGDStep — no record,
-// every block live, into a Delta sink — on the copy of the server's
-// weights and velocity at the schedule's rate and averaging scale 1
-// (Job.stepFor). The delta is therefore the server's bit for bit, and the
-// empty wire means "add it". A full wire — from a server that sends every
-// worker the shared pull — is decoded and added as ever, the replay
-// keeping the copy in step. The empty wire with no push to step is
-// an error: it never means "keep the stale weights".
+// update takes the step of owner-only tensor i and returns its update, the
+// tensor the owner pushes in place of the gradient (§5.2: the update of
+// such a tensor is the owner's gradient as is, not averaged). It is
+// kernel.Blocks.SGDStep — no record, every block live, into a Delta sink —
+// at the schedule's rate and gradient scale 1, over the tensor's velocity
+// and a copy of the replica's weights: the replica itself moves by the
+// update only when the pull applies it (applyOwn), as every other replica
+// and the global model do.
+//
+//3lc:noalloc
+func (w *Worker) update(i int) *tensor.Tensor {
+	o, p := w.own[i], w.params[i]
+	sgd := &w.cfg.Optimizer
+	lr := float32(w.sched.LR(o.step))
+	o.step++
+	o.staged = true
+	copy(o.w, p.W.Data())
+	var all *kernel.Blocks
+	all.SGDStep(o.w, o.v, p.G.Data(), kernel.Sink{Delta: o.delta.Data()}, 1, float32(sgd.WeightDecay), float32(sgd.Momentum), lr)
+	return o.delta
+}
+
+// applyOwn applies pull slot i on the owner, for a tensor whose update it
+// pushed (update). The empty wire means "add the update you pushed", which
+// the server relays to every other worker and adds to the global model.
+// A full wire — from a server that sends every worker the shared pull — is
+// that update on the wire, decoded and added like any other and never a
+// second step. The empty wire with no update pushed is an error: it never
+// means "keep the stale weights".
 //
 //3lc:noalloc
 func (w *Worker) applyOwn(i int, wire []byte) error {
 	o, p := w.own[i], w.params[i]
-	if !o.staged {
-		if len(wire) == 0 {
-			return fmt.Errorf("worker %d was sent the empty wire with no push of its own staged to step", w.ID)
-		}
-		return compress.DecompressAddInto(wire, p.W, 0)
-	}
+	pushed := o.staged
 	o.staged = false
-	if err := compress.DecompressFirstAddInto(w.pushWires[i], o.grad); err != nil {
-		return err
-	}
-	sgd := &w.cfg.Optimizer
-	lr := float32(w.sched.LR(o.step))
-	o.step++
-	var all *kernel.Blocks
-	all.SGDStep(o.w, o.v, o.grad.Data(), kernel.Sink{Delta: o.delta.Data()}, 1, float32(sgd.WeightDecay), float32(sgd.Momentum), lr)
-	if len(wire) != 0 {
+	switch {
+	case len(wire) != 0:
 		return compress.DecompressAddInto(wire, p.W, 0)
+	case !pushed:
+		return fmt.Errorf("worker %d was sent the empty wire with no update of its own pushed to apply", w.ID)
 	}
 	p.W.Add(o.delta)
 	return nil
 }
 
 // Complete returns pull, in dst (recycled), with each empty owner-only slot
-// holding what the server sends every other worker there: the delta of the
-// owner's own step on the server's wire (its exempt pull context is
-// stateless, so the bytes are the server's). It is how a driver that holds
-// only the pull the owner was sent — train.Run over a dialed tier, whose
-// pull is seat 0's — hands the other workers theirs. Call it on the owner,
-// after it applied pull; the wires are valid until its next step.
+// holding what the server sends every other worker there: the owner's push,
+// which the server relays as is. It is how a driver that holds only the
+// pull the owner was sent — train.Run over a dialed tier, whose pull is
+// seat 0's — hands the other workers theirs. Call it on the owner, after
+// it applied pull; the wires are valid until its next push.
 func (w *Worker) Complete(pull, dst [][]byte) [][]byte {
 	dst = append(dst[:0], pull...)
 	for i, o := range w.own {
 		if o != nil && len(dst[i]) == 0 {
-			o.wire = o.ctx.CompressInto(o.delta, o.wire[:0])
-			dst[i] = o.wire
+			dst[i] = w.pushWires[i]
 		}
 	}
 	return dst
-}
-
-// Resume seeds the owner's copy of the server's state from a restored run:
-// the global weights of the owner-only tensors, the tier's velocity of
-// them, and step, the steps the server has taken. It is a no-op on any
-// other worker.
-func (w *Worker) Resume(global []*nn.Param, m Momentum, step int) error {
-	if len(global) != len(w.own) {
-		return fmt.Errorf("ps: resume: %d global tensors, worker has %d", len(global), len(w.own))
-	}
-	for i, o := range w.own {
-		if o == nil {
-			continue
-		}
-		v := m.Velocity(global[i])
-		switch {
-		case v == nil && step > 0:
-			return fmt.Errorf("ps: resume: the tier holds no velocity of %q, stepped %d times", global[i].Name, step)
-		case v != nil && len(v) != len(o.v):
-			return fmt.Errorf("ps: resume: the tier's velocity of %q has %d values, the tensor %d", global[i].Name, len(v), len(o.v))
-		}
-		copy(o.w, global[i].W.Data())
-		copy(o.v, v)
-		clear(o.v[len(v):])
-		o.step, o.staged = step, false
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"threelc/internal/compress"
 	"threelc/internal/kernel"
 	"threelc/internal/nn"
+	"threelc/internal/opt"
 	"threelc/internal/tensor"
 )
 
@@ -34,10 +36,11 @@ func rawWire(t *tensor.Tensor) []byte {
 }
 
 // exemptWire holds one exempt tensor's wire to what compress.NewExempt
-// promises: lossless float32 — it decodes to the gradient bit for bit — that
-// is the raw wire itself under the float32 design and under every other
-// design the packed wire, or the raw one where packing would not be shorter.
-func exemptWire(t *testing.T, design compress.Scheme, p *nn.Param, wire []byte) {
+// promises: lossless float32 — it decodes to want, the gradient or the
+// owner's update, bit for bit — that is the raw wire itself under the
+// float32 design and under every other design the packed wire, or the raw
+// one where packing would not be shorter.
+func exemptWire(t *testing.T, design compress.Scheme, p *nn.Param, wire []byte, want []float32) {
 	t.Helper()
 	switch {
 	case len(wire) == 0:
@@ -56,8 +59,8 @@ func exemptWire(t *testing.T, design compress.Scheme, p *nn.Param, wire []byte) 
 		return
 	}
 	for i, v := range got.Data() {
-		if math.Float32bits(v) != math.Float32bits(p.G.Data()[i]) {
-			t.Errorf("exempt %s: element %d is %x on the wire, %x in the gradient", p.Name, i, math.Float32bits(v), math.Float32bits(p.G.Data()[i]))
+		if math.Float32bits(v) != math.Float32bits(want[i]) {
+			t.Errorf("exempt %s: element %d is %x on the wire, %x pushed", p.Name, i, math.Float32bits(v), math.Float32bits(want[i]))
 			return
 		}
 	}
@@ -65,9 +68,9 @@ func exemptWire(t *testing.T, design compress.Scheme, p *nn.Param, wire []byte) 
 
 // TestOwnerOnlyTensorsHaveOnePusher holds both compressors to Pushes for
 // every design and at 1, 2 and the paper's 10 workers: a tensor with an
-// owner is on the owner's wire set, lossless and never longer than raw, and
-// on nobody else's at all; an exempt tensor without one is on everybody's,
-// held to the same.
+// owner is on the owner's wire set, its update lossless and never longer
+// than raw, and on nobody else's at all; an exempt tensor without one is
+// on everybody's, its gradient held to the same.
 func TestOwnerOnlyTensorsHaveOnePusher(t *testing.T) {
 	whole := func(w *Worker) [][]byte { wires, _ := w.CompressGrads(); return wires }
 	streamed := func(w *Worker) [][]byte {
@@ -111,9 +114,9 @@ func TestOwnerOnlyTensorsHaveOnePusher(t *testing.T) {
 								}
 							case OwnerOnly(p):
 								owned++
-								fallthrough
+								exemptWire(t, sc.s, p, wires[i], w.own[i].delta.Data())
 							case !cfg.Compresses(p):
-								exemptWire(t, sc.s, p, wires[i])
+								exemptWire(t, sc.s, p, wires[i], p.G.Data())
 							}
 						}
 					}
@@ -171,7 +174,7 @@ func ownedSlot(t testing.TB, j *Job) int {
 // parent commit's workers sent there, garbage, a wire of the wrong length,
 // one byte — is an error naming the tensor and the worker on every push
 // path; the empty wire is the only thing accepted there, and from the
-// owner the same bytes are decoded as ever.
+// owner the same bytes are decoded as ever — and the empty wire refused.
 func TestNonOwnerBytesAreRefused(t *testing.T) {
 	garbage := make([]byte, 16<<10)
 	for i := range garbage {
@@ -213,6 +216,13 @@ func TestNonOwnerBytesAreRefused(t *testing.T) {
 		bad[slot] = valid[:len(valid)-3]
 		if err := path.push(job, 0, bad); err == nil || !strings.Contains(err.Error(), p.Name) {
 			t.Errorf("%s: the owner's truncated wire: got %v, want a decode error naming %q", path.name, err, p.Name)
+		}
+		// Nor is the owner's empty wire taken as an update to relay: every
+		// other worker would refuse the empty slot it became.
+		job.BeginStep()
+		bad[slot] = nil
+		if err := path.push(job, 0, bad); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", p.Name)) || !strings.Contains(err.Error(), "worker 0,") {
+			t.Errorf("%s: the owner's empty wire: got %v, want a refusal naming tensor %q and worker 0", path.name, err, p.Name)
 		}
 	}
 }
@@ -306,15 +316,17 @@ func FuzzPushSlot(f *testing.F) {
 	})
 }
 
-// TestOwnerStepsWhatItIsNotSent holds the owner's own step (ps.Pulls) to
-// the server's, bit for bit, under every design at 1, 2 and the paper's 10
-// workers, on a model whose batch-norm vectors are wide enough to pack.
-// Every step the owner is handed its view of the pull (Job.OwnerPull), a
-// twin of it — same replica, same batch, same push — the full pull, and
-// the others the full pull: the owner's replica, its twin's and every
-// non-owner's are equal, its copy of the server's weights is the server's,
-// and the delta it added in each empty slot is the one the full pull
-// decodes to.
+// TestOwnerStepsWhatItIsNotSent holds the owner's own step of its
+// owner-only tensors to an independent reference, under every design at 1,
+// 2 and the paper's 10 workers, on a model whose batch-norm vectors are
+// wide enough to pack. Every step its push of such a tensor decodes to
+// opt.SGD.ApplyWithDelta's delta — over the replica's weights, the owner's
+// gradient at scale 1 and a velocity of the reference's own — bit for bit,
+// and the pull relays that push byte for byte. The owner is handed its
+// view of the pull (Job.OwnerPull), a twin of it — same replica, same
+// batch, same push — the full pull, and the others the full pull: the
+// owner's replica, its twin's and every non-owner's are equal, and hold
+// the global model's owner-only tensors.
 func TestOwnerStepsWhatItIsNotSent(t *testing.T) {
 	for _, sc := range designs {
 		for _, workers := range []int{1, 2, 10} {
@@ -328,8 +340,19 @@ func TestOwnerStepsWhatItIsNotSent(t *testing.T) {
 					ws = append(ws, NewWorker(id, model(), cfg))
 				}
 				owner := ws[Owner]
+				ref := opt.NewSGD(cfg.Optimizer)
+				var refParams []*nn.Param
+				var refDeltas []*tensor.Tensor
+				for _, p := range owner.params {
+					if OwnerOnly(p) {
+						refParams = append(refParams, &nn.Param{Name: p.Name, W: tensor.New(p.W.Shape()...), G: tensor.New(p.W.Shape()...)})
+						refDeltas = append(refDeltas, tensor.New(p.W.Shape()...))
+					}
+				}
+				if len(refParams) == 0 {
+					t.Fatal("the model has no owner-only tensor")
+				}
 				rng := tensor.NewRNG(uint64(workers) + 5)
-				owned := 0
 				batch := func() *tensor.Tensor {
 					x := tensor.New(5, 8)
 					tensor.FillNormal(x, 1, rng)
@@ -338,6 +361,7 @@ func TestOwnerStepsWhatItIsNotSent(t *testing.T) {
 				labels := []int{0, 1, 2, 0, 1}
 				for step := 0; step < 6; step++ {
 					job.BeginStep()
+					var pushed [][]byte
 					for _, w := range ws {
 						x := batch()
 						if w == owner {
@@ -346,23 +370,47 @@ func TestOwnerStepsWhatItIsNotSent(t *testing.T) {
 						}
 						w.Model.TrainStep(x, labels)
 						wires, _ := w.CompressGrads()
+						if w == owner {
+							pushed = wires
+						}
 						if _, err := job.AddPush(w.ID, wires); err != nil {
 							t.Fatal(err)
 						}
 					}
+					k := 0
+					for _, p := range owner.params {
+						if OwnerOnly(p) {
+							refParams[k].W.CopyFrom(p.W)
+							refParams[k].G.CopyFrom(p.G)
+							k++
+						}
+					}
+					ref.ApplyWithDelta(refParams, refDeltas)
 					pull, _, err := job.FinishStep()
 					if err != nil {
 						t.Fatal(err)
 					}
 					view := job.OwnerPull()
+					k = 0
 					for i, p := range job.params {
-						if want := pull[i]; OwnerOnly(p) {
-							if len(view[i]) != 0 {
-								t.Fatalf("step %d: the owner's view has %d bytes of %s, which it owns", step, len(view[i]), p.Name)
+						if !OwnerOnly(p) {
+							if string(view[i]) != string(pull[i]) {
+								t.Fatalf("step %d: the owner's view of %s differs from the pull", step, p.Name)
 							}
-						} else if string(view[i]) != string(want) {
-							t.Fatalf("step %d: the owner's view of %s differs from the pull", step, p.Name)
+							continue
 						}
+						if len(view[i]) != 0 {
+							t.Fatalf("step %d: the owner's view has %d bytes of %s, which it owns", step, len(view[i]), p.Name)
+						}
+						if string(pull[i]) != string(pushed[i]) {
+							t.Fatalf("step %d: the pull of %s is not the owner's push", step, p.Name)
+						}
+						update := tensor.New(p.W.Shape()...)
+						if err := compress.DecompressInto(pushed[i], update); err != nil {
+							t.Fatal(err)
+						}
+						assertSameState(t, [][]float32{update.Data()}, [][]float32{refDeltas[k].Data()}, "reference update")
+						k++
 					}
 					if _, err := owner.ApplyPull(view); err != nil {
 						t.Fatalf("step %d: the owner's view: %v", step, err)
@@ -375,26 +423,16 @@ func TestOwnerStepsWhatItIsNotSent(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					for i, o := range owner.own {
-						if o == nil {
-							continue
-						}
-						owned++
-						pulled := tensor.New(job.params[i].W.Shape()...)
-						if err := compress.DecompressInto(pull[i], pulled); err != nil {
-							t.Fatal(err)
-						}
-						assertSameState(t, [][]float32{o.delta.Data()}, [][]float32{pulled.Data()}, "pulled delta")
-						assertSameState(t, [][]float32{o.w}, [][]float32{job.params[i].W.Data()}, "server weights")
-					}
 					want := weightsOf(owner.params)
+					for i, p := range job.params {
+						if OwnerOnly(p) {
+							assertSameState(t, [][]float32{p.W.Data()}, [][]float32{want[i]}, "owner's replica")
+						}
+					}
 					assertSameState(t, weightsOf(twin.params), want, "owner's view")
 					for _, w := range ws[1:] {
 						assertSameState(t, weightsOf(w.params), want, "owner's view")
 					}
-				}
-				if owned == 0 {
-					t.Fatal("the model has no owner-only tensor")
 				}
 			})
 		}
@@ -402,10 +440,10 @@ func TestOwnerStepsWhatItIsNotSent(t *testing.T) {
 }
 
 // TestEmptyPullSlotIsRefused: an empty owner-only slot of a pull means
-// "take your own step" to the owner that has a push staged to take it on,
-// and to nobody else. Handed to a non-owner, or to the owner with no push
-// staged — it never compressed, or it already took this push's step — it
-// is an error naming the tensor and the worker, over the whole-set and the
+// "add the update you pushed" to the owner that pushed one, and to nobody
+// else. Handed to a non-owner, or to the owner with no update pushed — it
+// never compressed, or it already applied this push's update — it is an
+// error naming the tensor and the worker, over the whole-set and the
 // per-tensor path, not "keep the stale weights".
 func TestEmptyPullSlotIsRefused(t *testing.T) {
 	apply := []struct {
@@ -446,8 +484,84 @@ func TestEmptyPullSlotIsRefused(t *testing.T) {
 		fresh := NewWorker(Owner, testModel(1), testConfig(compress.SchemeThreeLC, compress.Options{Sparsity: 1.0, ZeroRun: true}, 2))
 		refused("an owner that pushed nothing", fresh)
 		if err := a.run(ws[Owner], slot, view); err != nil {
-			t.Fatalf("%s: the owner with its push staged: %v", a.name, err)
+			t.Fatalf("%s: the owner with its update pushed: %v", a.name, err)
 		}
-		refused("the owner, its push stepped already", ws[Owner])
+		refused("the owner, its update applied already", ws[Owner])
+	}
+}
+
+// TestServerDoesNotStepOwnerOnlyTensors: the job relays an owner-only
+// tensor's update instead of stepping it. Over a few steps under every
+// design, its optimizer sweep runs once per other tensor and never over
+// an owner-only one, and its checkpointed optimizer state holds a velocity
+// for every other tensor and for no owner-only one.
+func TestServerDoesNotStepOwnerOnlyTensors(t *testing.T) {
+	var sweeps int
+	defer func(h func(string, int)) { kernel.PassHook = h }(kernel.PassHook)
+	kernel.PassHook = func(pass string, _ int) {
+		if pass == "fused-sgd-step" {
+			sweeps++
+		}
+	}
+	for _, sc := range designs {
+		cfg := testConfig(sc.s, sc.o, 2)
+		cfg.Parallelism = 1 // the hook counts on one goroutine
+		global := testModel(1)
+		job := NewJob(global, cfg)
+		var ws []*Worker
+		for id := 0; id < 2; id++ {
+			m := testModel(1)
+			m.CopyParamsFrom(global)
+			ws = append(ws, NewWorker(id, m, cfg))
+		}
+		stepped := map[string]bool{}
+		for _, p := range job.params {
+			if !OwnerOnly(p) {
+				stepped[p.Name] = true
+			}
+		}
+		if len(stepped) == len(job.params) {
+			t.Fatal("the model has no owner-only tensor")
+		}
+		for step := 0; step < 3; step++ {
+			trainOnce(ws)
+			job.BeginStep()
+			for _, w := range ws {
+				wires, _ := w.CompressGrads()
+				if _, err := job.AddPush(w.ID, wires); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sweeps = 0
+			pull, _, err := job.FinishStep()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sweeps != len(stepped) {
+				t.Errorf("%s step %d: %d optimizer sweeps, want %d, one per tensor that is not owner-only", sc.name, step, sweeps, len(stepped))
+			}
+			for _, w := range ws {
+				if _, err := w.ApplyPull(pull); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// The server section: [u32 optimizer length][u64 step][u32 count]
+		// then per velocity [u16 name length][name][u32 n][4n bytes].
+		st := job.AppendState(nil)
+		vel := st[4+8:]
+		count := int(binary.LittleEndian.Uint32(vel))
+		vel = vel[4:]
+		for range count {
+			n := int(binary.LittleEndian.Uint16(vel))
+			name := string(vel[2 : 2+n])
+			if !stepped[name] {
+				t.Errorf("%s: the server holds a velocity of %s, whose update its owner pushes", sc.name, name)
+			}
+			vel = vel[2+n+4+4*int(binary.LittleEndian.Uint32(vel[2+n:])):]
+		}
+		if count != len(stepped) {
+			t.Errorf("%s: the server holds %d velocities, want %d", sc.name, count, len(stepped))
+		}
 	}
 }

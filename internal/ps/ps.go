@@ -141,7 +141,7 @@ type Job struct {
 	cfg       Config
 	optimizer *opt.SGD
 	params    []*nn.Param
-	pullCtx   []compress.Compressor
+	pullCtx   []compress.Compressor     // per tensor: the pull's compression context, nil where the job relays the owner's update
 	blocks    []kernel.Blocks           // per tensor: which blocks of params[i].G, the gradient sum, this step's pushes reached, and the block maxima of the pull's error buffer
 	delta     []*tensor.Tensor          // per tensor: the model delta, where a lossy pull context without an accumulate pass takes one (nil elsewhere)
 	pullWires [][]byte                  // per-tensor pull wire buffers, recycled across steps
@@ -206,7 +206,11 @@ func newJob(params []*nn.Param, globalIdx []int, cfg Config) *Job {
 		if globalIdx != nil {
 			gi = globalIdx[i]
 		}
-		s.pullCtx = append(s.pullCtx, cfg.newContext(p, 0x5345525645520000+uint64(gi))) // "SERVER"
+		var ctx compress.Compressor // none for a tensor whose pull the job relays
+		if !OwnerOnly(p) {
+			ctx = cfg.newContext(p, 0x5345525645520000+uint64(gi)) // "SERVER"
+		}
+		s.pullCtx = append(s.pullCtx, ctx)
 	}
 	s.blocks = make([]kernel.Blocks, len(s.params))
 	s.pushed = make([]bool, len(s.params))
@@ -218,6 +222,7 @@ func newJob(params []*nn.Param, globalIdx []int, cfg Config) *Job {
 	s.accMax = make([]float32, len(s.params))
 	for i, ctx := range s.pullCtx {
 		switch c := ctx.(type) {
+		case nil:
 		case compress.PreAccumulator:
 			s.preAcc[i] = c
 		case compress.RawWriter:
@@ -240,12 +245,11 @@ func newJob(params []*nn.Param, globalIdx []int, cfg Config) *Job {
 	return s
 }
 
-// stepFor hands the optimizer sweep tensor i: its raw gradient sum; the
-// averaging scale to fuse into the read — 1 for the batch-norm tensors a
-// single designated worker owns (and 1 is the float32 multiplicative
-// identity, so the fused multiply equals the staged straight copy whenever
-// only one push was accepted); its record, whose stamps say which blocks
-// of the sum are live; and where the model delta goes. That is the pull
+// stepFor hands the optimizer sweep tensor i: its raw gradient sum — nil
+// for an owner-only tensor, whose update the owner pushed and the job
+// relays (ingestOne), so the sweep skips it; the averaging scale to fuse
+// into the read; its record, whose stamps say which blocks of the sum are
+// live; and where the model delta goes. That is the pull
 // context's error-accumulation buffer where its compress pass 1 can absorb
 // the write (compress.PreAccumulator: the record takes the block maxima
 // the pull pack's encode consults); the pull wire's body where the wire is
@@ -253,9 +257,8 @@ func newJob(params []*nn.Param, globalIdx []int, cfg Config) *Job {
 // and the pull pack has nothing left to do); the delta tensor the pull
 // pack compresses otherwise.
 func (s *Job) stepFor(i int) ([]float32, float32, *kernel.Blocks, kernel.Sink) {
-	scale := s.inv
 	if OwnerOnly(s.params[i]) {
-		scale = 1
+		return nil, 0, nil, kernel.Sink{}
 	}
 	var to kernel.Sink
 	switch {
@@ -266,7 +269,7 @@ func (s *Job) stepFor(i int) ([]float32, float32, *kernel.Blocks, kernel.Sink) {
 	default:
 		to.Delta = s.delta[i].Data()
 	}
-	return s.params[i].G.Data(), scale, &s.blocks[i], to
+	return s.params[i].G.Data(), s.inv, &s.blocks[i], to
 }
 
 // BeginStep resets gradient aggregation for a new training step without
@@ -331,14 +334,25 @@ func (s *Job) addPushOne(i int) {
 
 // ingestOne is what either ingestion path does with workerID's wire for
 // tensor i: decode-accumulate it, or — for a tensor workerID does not push —
-// hold it to the empty wire.
+// hold it to the empty wire. The owner's wire of an owner-only tensor is
+// its update, which the job relays: it is decoded into the tensor's sum
+// all the same, which nothing else reads, so a malformed update is refused
+// here as any push is, and then copied to be the tensor's pull, which
+// FinishStep adds to the global model. The empty wire there is refused
+// too: relayed, it would be a pull slot every other worker refuses.
 func (s *Job) ingestOne(workerID, i int, wire []byte) error {
 	p := s.params[i]
-	if !Pushes(workerID, p) {
+	switch {
+	case !Pushes(workerID, p):
 		return RefuseUnpushed(workerID, p, wire)
+	case OwnerOnly(p) && len(wire) == 0:
+		return fmt.Errorf("ps: push tensor %q: worker %d, its owner, sent the empty wire, not the update the job relays", p.Name, workerID)
 	}
 	if err := s.decodeAdd(i, wire); err != nil {
 		return fmt.Errorf("ps: push tensor %q: %w", p.Name, err)
+	}
+	if OwnerOnly(p) {
+		s.pullWires[i] = append(s.pullWires[i][:0], wire...)
 	}
 	return nil
 }
@@ -398,7 +412,9 @@ func (s *Job) endPush() {
 // FinishStep averages the aggregated gradients, applies the optimizer to
 // the global model, and returns the compressed model-delta wires shared by
 // all workers — the owner is sent them less its owner-only slots
-// (OwnerPull) — plus the server-side codec wall time. The wire slices are
+// (OwnerPull) — plus the server-side codec wall time. An owner-only
+// tensor is not stepped: its update, the owner's push, is added to the
+// global model as every worker adds it, and relayed. The wire slices are
 // backed by server-owned buffers recycled across steps: they are valid
 // until the next FinishStep, and callers that keep them longer must copy
 // the bytes.
@@ -433,20 +449,32 @@ func (s *Job) FinishStep() ([][]byte, time.Duration, error) {
 	// call; callers that retain pulls across steps must copy them.
 	start := time.Now()
 	parallelFor(len(s.params), s.cfg.parallelism(), s.pullPackFn)
+	for _, err := range s.errs {
+		if err != nil {
+			return nil, 0, err
+		}
+	}
 	return s.pullWires, time.Since(start), nil
 }
 
 // pullPackOne compresses model-delta tensor i into its recycled buffer:
 // encode-only for contexts whose accumulate pass the optimizer sweep
 // already absorbed, nothing for a raw wire the sweep wrote, the full
-// CompressInto otherwise.
+// CompressInto otherwise. The pull of an owner-only tensor is the update
+// its owner pushed (ingestOne), which is added to the global model here.
 func (s *Job) pullPackOne(i int) {
+	var err error
 	switch {
+	case OwnerOnly(s.params[i]):
+		if err = compress.DecompressAddInto(s.pullWires[i], s.params[i].W, 0); err != nil {
+			err = fmt.Errorf("ps: relay tensor %q: %w", s.params[i].Name, err)
+		}
 	case s.preAcc[i] != nil:
 		s.pullWires[i] = s.preAcc[i].CompressPreAccumulated(&s.blocks[i], s.accMax[i], s.pullWires[i][:0])
 	case s.delta[i] != nil:
 		s.pullWires[i] = s.pullCtx[i].CompressInto(s.delta[i], s.pullWires[i][:0])
 	}
+	s.errs[i] = err
 }
 
 // Step returns the number of optimizer updates applied.
@@ -466,8 +494,8 @@ type Worker struct {
 	pushCtx   []compress.Compressor
 	pushWires [][]byte   // per-tensor push wire buffers, recycled across steps
 	errs      []error    // per-tensor error slots for parallel decode, recycled
-	own       []*ownStep // per tensor: the owner's copy of the server's step (applyOwn), nil elsewhere
-	sched     *opt.SGD   // the server's learning-rate schedule, for own; never stepped
+	own       []*ownStep // per tensor: the owner's optimizer state of an owner-only tensor (update), nil elsewhere
+	sched     *opt.SGD   // the learning-rate schedule, for own; never stepped
 
 	// Bound method values + argument slots, mirroring Server (see there).
 	compressFn   func(i int)
@@ -479,11 +507,10 @@ type Worker struct {
 
 // NewWorker wraps a local model replica (which must start identical to the
 // server's global model, and, on the owner, be configured with the
-// server's optimizer: the owner takes the server's step for the tensors it
-// is not sent).
+// server's optimizer: the owner steps the owner-only tensors itself).
 func NewWorker(id int, model *nn.Model, cfg Config) *Worker {
 	w := &Worker{ID: id, Model: model, cfg: cfg, params: model.Params(), sched: opt.NewSGD(cfg.Optimizer)}
-	w.own = newOwnSteps(id, w.params, cfg)
+	w.own = newOwnSteps(id, w.params)
 	for i, p := range w.params {
 		w.pushCtx = append(w.pushCtx, cfg.newContext(p, 0x574f524b00000000+uint64(id)<<16+uint64(i))) // "WORK"
 	}
@@ -511,16 +538,19 @@ func (w *Worker) CompressGrads() ([][]byte, time.Duration) {
 // compressOne compresses gradient tensor i into its recycled buffer, or
 // leaves the empty wire there for a tensor this worker does not push: the
 // aggregate never reads it (Pushes), so it does not cross the link. On the
-// owner, a push of a tensor it is not sent is staged for the step the pull
-// has it take (applyOwn).
+// owner, an owner-only tensor is stepped and its update compressed instead
+// (update): its exempt context is lossless, so the server relays the
+// update to the others as the owner computed it.
 func (w *Worker) compressOne(i int) {
-	if !Pushes(w.ID, w.params[i]) {
+	p := w.params[i]
+	if !Pushes(w.ID, p) {
 		return
 	}
-	w.pushWires[i] = w.pushCtx[i].CompressInto(w.params[i].G, w.pushWires[i][:0])
-	if o := w.own[i]; o != nil {
-		o.staged = true
+	src := p.G
+	if w.own[i] != nil {
+		src = w.update(i)
 	}
+	w.pushWires[i] = w.pushCtx[i].CompressInto(src, w.pushWires[i][:0])
 }
 
 // CompressGradsStream compresses exactly like CompressGrads but hands
@@ -573,7 +603,7 @@ func (w *Worker) applyOne(i int) {
 }
 
 // applyTensor decode-applies one pull wire into weight tensor i. On the
-// owner, the slot of a tensor it is not sent is its own step (applyOwn); to
+// owner, the slot of a tensor it is not sent is its own update (applyOwn); to
 // any other worker an owner-only slot that is empty is refused by tensor
 // and worker, the mirror of RefuseUnpushed: it never means "keep the stale
 // weights".

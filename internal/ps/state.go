@@ -1,8 +1,9 @@
 // Endpoint state capture for fault tolerance. A parameter-server endpoint
 // owns two kinds of mutable cross-step state the paper's correctness
 // argument depends on: the optimizer (momentum + schedule step, server
-// side) and the per-tensor compression contexts (error-accumulation
-// buffers, RNG streams; both sides). AppendState/RestoreState serialize
+// side, and the owner's for the owner-only tensors it steps) and the
+// per-tensor compression contexts (error-accumulation buffers, RNG
+// streams; both sides). AppendState/RestoreState serialize
 // exactly that — model weights are checkpointed separately (package
 // checkpoint), and the recycled wire/scratch buffers carry no semantic
 // state. A restored endpoint produces bit-identical wires from the next
@@ -14,6 +15,7 @@ import (
 	"fmt"
 
 	"threelc/internal/compress"
+	"threelc/internal/kernel"
 )
 
 // appendCtxStates serializes a set of per-tensor compression contexts:
@@ -128,9 +130,19 @@ func (s *Job) RestoreState(src []byte) error {
 }
 
 // AppendState serializes the worker's push-side compression contexts to
-// dst. The local model replica is checkpointed separately.
+// dst and, on the owner, the optimizer state of the tensors it steps
+// itself: per owner-only tensor, in model order, its step count (u64) and
+// its velocity (raw float32). The local model replica is checkpointed
+// separately.
 func (w *Worker) AppendState(dst []byte) []byte {
-	return appendCtxStates(dst, w.pushCtx)
+	dst = appendCtxStates(dst, w.pushCtx)
+	for _, o := range w.own {
+		if o != nil {
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(o.step))
+			dst = kernel.AppendRaw(dst, o.v)
+		}
+	}
+	return dst
 }
 
 // RestoreState restores state captured by AppendState on a worker with
@@ -140,8 +152,21 @@ func (w *Worker) RestoreState(src []byte) error {
 	if err != nil {
 		return err
 	}
-	if len(rest) != 0 {
-		return fmt.Errorf("ps: %d trailing worker state bytes", len(rest))
+	want := 0
+	for _, o := range w.own {
+		if o != nil {
+			want += 8 + 4*len(o.v)
+		}
+	}
+	if len(rest) != want {
+		return fmt.Errorf("ps: worker %d state holds %d bytes after its contexts, want %d for the tensors it steps", w.ID, len(rest), want)
+	}
+	for _, o := range w.own {
+		if o != nil {
+			o.step, o.staged = int(binary.LittleEndian.Uint64(rest)), false
+			kernel.RawGet(o.v, rest[8:8+4*len(o.v)])
+			rest = rest[8+4*len(o.v):]
+		}
 	}
 	return nil
 }

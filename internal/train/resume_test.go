@@ -55,8 +55,8 @@ func paramsBits(m *nn.Model) []uint32 {
 // checkpoint boundaries), then resumed from the latest checkpoint, must
 // reproduce the uninterrupted run's per-step loss trajectory and final
 // model state bit-for-bit — the global model and every worker's replica,
-// the owner's included, whose step for the tensors it is not sent
-// (ps.Pulls) resumes from the restored global model and velocity.
+// the owner's included, whose own step of the owner-only tensors resumes
+// from the velocity and step count restored from its worker section.
 func runResumeCase(t *testing.T, cfg Config) {
 	t.Helper()
 	const steps = 8
@@ -148,7 +148,9 @@ func TestResumeBitIdenticalAllCodecs(t *testing.T) {
 
 // TestResumeRefusesRetiredStateVersion: a checkpoint whose meta section is
 // the version-1 layout is refused by name before anything is restored, even
-// when every field it shares with version 2 matches the run.
+// when every field it shares with version 3 matches the run. So is one
+// whose meta is version 3's layout stamped version 2: its server section
+// held the batch-norm tensors' velocity, which worker 0 now keeps.
 func TestResumeRefusesRetiredStateVersion(t *testing.T) {
 	cfg := tinyConfig(Design{Name: "3LC (s=1.75)", Scheme: compress.SchemeThreeLC,
 		Opts: compress.Options{Sparsity: 1.75, ZeroRun: true}}, 4)
@@ -191,9 +193,19 @@ func TestResumeRefusesRetiredStateVersion(t *testing.T) {
 	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "version 1") {
 		t.Fatalf("resume from a version-1 checkpoint: got %v, want a refusal naming version 1", err)
 	}
+
+	meta = cfg.stateInfo(2).appendMeta(nil)
+	tle.PutUint32(meta, 2)
+	st.Add("meta", meta)
+	if err := checkpoint.SaveStateFile(path, st); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "version 2 is retired") {
+		t.Fatalf("resume from a version-2 checkpoint: got %v, want a refusal naming version 2", err)
+	}
 }
 
-// TestResumeRefusesDeletedShardedTier: the version-2 meta section's shard
+// TestResumeRefusesDeletedShardedTier: the meta section's shard
 // slot (meta[16:20]) is always 1. A checkpoint with more shards was written
 // by the deleted in-process sharded tier, whose server section is per-shard
 // framing; it is refused by name before anything is restored.
@@ -224,14 +236,14 @@ func TestResumeRefusesDeletedShardedTier(t *testing.T) {
 	}
 }
 
-// TestStateMetaLayoutPinned: the version-2 meta section keeps its layout
-// with the retired round-robin partition count's slot (meta[57:61])
+// TestStateMetaLayoutPinned: the version-3 meta section keeps version 2's
+// layout, with the retired round-robin partition count's slot (meta[57:61])
 // reserved. A fingerprint encodes to the bytes existing checkpoints hold,
 // reads back unchanged, and a nonzero reserved slot is ignored.
 func TestStateMetaLayoutPinned(t *testing.T) {
 	info := StateInfo{Step: 6, Workers: 3, Scheme: compress.SchemeThreeLC, Steps: 12, Seed: 42, BatchPerWorker: 8,
 		Opts: compress.Options{Sparsity: 1.75, Fraction: 0.25, Interval: 2, ZeroRun: true, Seed: 9}}
-	const want = "0200000006000000000000000300000001000000020c0000002a000000000000000800000000000000" +
+	const want = "0300000006000000000000000300000001000000020c0000002a000000000000000800000000000000" +
 		"0000fc3f000000000000d03f0200000000000000010900000000000000"
 	meta := info.appendMeta(nil)
 	if got := hex.EncodeToString(meta); got != want || len(meta) != metaLen {

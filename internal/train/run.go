@@ -306,10 +306,10 @@ func (r *run) workerPush(step, w int, push ps.PushSession) (err error) {
 
 // applyPull is the step's second half: every worker decompresses and
 // applies the pull it is sent (ps.Pulls). The owner goes first: it is sent
-// the tier's pull less its owner-only slots, whose step it takes itself,
-// and over a dialed tier the tier's pull is seat 0's — the one the owner
-// was sent — which the owner then completes for the others from that step
-// (ps.Worker.Complete). The others apply the full pull in parallel, straight
+// the tier's pull less its owner-only slots, whose update it pushed
+// itself, and over a dialed tier the tier's pull is seat 0's — the one the
+// owner was sent — which the owner then completes for the others with
+// those pushes (ps.Worker.Complete). The others apply the full pull in parallel, straight
 // from the tier's buffers, allocation-free.
 func (r *run) applyPull(pull [][]byte) error {
 	owner := r.workers[ps.Owner]

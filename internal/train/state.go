@@ -5,7 +5,9 @@
 //	model/global    global model weights + BN stats (checkpoint v1 body)
 //	model/worker/N  every worker replica (weights + its own BN stats)
 //	server          optimizer momentum/step + server pull contexts
-//	worker/N        worker push contexts (error accumulation, RNG streams)
+//	worker/N        worker push contexts (error accumulation, RNG streams);
+//	                on the owner, the velocity and step of the tensors it
+//	                steps itself (ps.OwnerOnly)
 //	rng             per-worker data-sampling RNG positions
 //
 // Restore validates the configuration fingerprint first: resuming under a
@@ -26,10 +28,12 @@ import (
 	"threelc/internal/tensor"
 )
 
-// trainStateVersion 1 is retired, and ReadStateInfo refuses it by name:
-// its meta fingerprinted four knobs Run no longer has, and its rng section
-// led with a stream nothing draws from.
-const trainStateVersion = 2
+// trainStateVersion 1 and 2 are retired, and ReadStateInfo refuses them by
+// name: version 1's meta fingerprinted four knobs Run no longer has, and
+// its rng section led with a stream nothing draws from; version 2 kept the
+// batch-norm tensors' velocity in the server section, where the owner,
+// which steps them now, does not look for it.
+const trainStateVersion = 3
 
 var tle = binary.LittleEndian
 
@@ -172,7 +176,7 @@ func (info StateInfo) appendMeta(meta []byte) []byte {
 	return tle.AppendUint64(meta, info.Opts.Seed)
 }
 
-// metaLen is the length of a version-2 meta section.
+// metaLen is the length of a meta section (version 3's layout is version 2's).
 const metaLen = 4 + 8 + 4 + 4 + 1 + 4 + 8 + 4 + 8 + 8 + 4 + 4 + 1 + 8
 
 // ReadStateInfo decodes the meta section of a full-state checkpoint.
@@ -187,6 +191,8 @@ func ReadStateInfo(st *checkpoint.State) (StateInfo, error) {
 	switch v := tle.Uint32(meta); {
 	case v == 1:
 		return StateInfo{}, fmt.Errorf("train: train-state version 1 is retired (it fingerprinted Staleness, BackupWorkers, ComputeJitterStd and Dropouts, and carried pullhist / missed pull wires); this build reads version %d: restart the run", trainStateVersion)
+	case v == 2:
+		return StateInfo{}, fmt.Errorf("train: train-state version 2 is retired (the server stepped the batch-norm tensors and kept their velocity; worker %d steps them now and keeps it in its own section); this build reads version %d: restart the run", ps.Owner, trainStateVersion)
 	case v != trainStateVersion:
 		return StateInfo{}, fmt.Errorf("train: unsupported train-state version %d (have %d)", v, trainStateVersion)
 	case len(meta) != metaLen:
@@ -261,20 +267,6 @@ func (r *run) restore(st *checkpoint.State) (int, error) {
 			return 0, fmt.Errorf("train: restore worker %d contexts: %w", w, err)
 		}
 	}
-	// The owner's copy of the server's state for the tensors it is not sent
-	// (ps.Pulls) is no section of its own: it is the global weights, the
-	// tier's velocity and the step count just restored.
-	var m ps.Momentum
-	if in, ok := r.tier.(*inOrder); ok {
-		m, _ = in.Tier.(ps.Momentum)
-	}
-	if m == nil {
-		return 0, fmt.Errorf("train: the tier reports no optimizer velocity to resume worker %d's step for the tensors it owns from", ps.Owner)
-	}
-	if err := workers[ps.Owner].Resume(global.Params(), m, step); err != nil {
-		return 0, err
-	}
-
 	if sec, err = section(st, "rng"); err != nil {
 		return 0, err
 	}

@@ -109,11 +109,10 @@ type Config struct {
 	// netsim.Params.Servers; 1 when absent); and Seats() int — the tier is
 	// dialed: one seat per worker, fed with no worker-order gate, whose pull
 	// is the one seat 0 — the owner — was sent, which the owner completes
-	// for the other workers from its own step (ps.Worker.Complete). It holds
+	// for the other workers with its own pushes (ps.Worker.Complete). It holds
 	// no state, so CheckpointPath and ResumeFrom are refused, and
 	// FinalAccuracy / Evals read the global model the hook was handed, so its servers
-	// must aggregate into that. ResumeFrom asks an in-process tier a fourth:
-	// the velocity the owner's own step resumes from (ps.Momentum).
+	// must aggregate into that.
 	Tier func(global *nn.Model, cfg ps.Config) (ps.Tier, error)
 
 	// Seed controls data sampling; model init comes from BuildModel.

@@ -144,7 +144,11 @@ func BenchmarkSteadyStatePushPullWireF32(b *testing.B) {
 // the bytes of owner-only tensors the pulls would carry if the owner were
 // sent them too over the bytes they do carry (ps.Pulls) — the worker count
 // again, floored in CI: a change that sends the owner its own step back
-// reads 1. The caller's per-step channel and the call's own set-up
+// reads 1. owner-update-gain is the owner's owner-only slots packed as the
+// gradients they were pushed as before the servers relayed them, over their
+// bytes packed as the updates the owner pushes now: a deterministic byte
+// count, about 2 on this fixture and floored in CI, so a change that goes
+// back to pushing gradients reads 1. The caller's per-step channel and the call's own set-up
 // allocate by design (see TestStreamedStepAllocsIndependentOfTensorCount),
 // so the name stays clear of the SteadyStatePushPull zero-allocs pattern.
 func BenchmarkStreamedPushPullWire(b *testing.B) {
@@ -219,6 +223,7 @@ func BenchmarkStreamedPushPullWire(b *testing.B) {
 	b.ReportMetric(float64(perTensor)/float64(d.bytes-(wireB.Load()-wire0)), "framing-gain")
 	pushB, ownedSent, ownedOnce := 0, 0, 0
 	pullB, ownedPulled, ownedToAll := 0, 0, 0
+	ownedGrad, ownedUpdate := 0, 0 // the owner's owner-only slots, packed as gradients and as updates
 	for w, set := range pushed {
 		pushB += ps.WireBytes(set)
 		for i, p := range tier.workers[w].Model.Params() {
@@ -228,6 +233,10 @@ func BenchmarkStreamedPushPullWire(b *testing.B) {
 				ownedOnce += len(pushed[ps.Owner][i])
 				ownedPulled += pulled[w][i]
 				ownedToAll += pulled[1][i] // what a worker that is sent it receives
+				if w == ps.Owner {
+					ownedGrad += len(compress.NewExempt(cfg.Scheme, p.G.Shape()).CompressInto(p.G, nil))
+					ownedUpdate += len(set[i])
+				}
 			}
 		}
 	}
@@ -235,4 +244,5 @@ func BenchmarkStreamedPushPullWire(b *testing.B) {
 	b.ReportMetric(float64(ownedOnce)/float64(ownedSent), "owner-gain")
 	b.ReportMetric(float64(pullB), "pull-B/step")
 	b.ReportMetric(float64(ownedToAll)/float64(ownedPulled), "owner-pull-gain")
+	b.ReportMetric(float64(ownedGrad)/float64(ownedUpdate), "owner-update-gain")
 }

@@ -18,14 +18,23 @@ import (
 // its owner-only slots (ps.Pulls), which a version-2 owner would add as
 // zero and keep its stale batch-norm weights; version 4 streams a run of
 // tensors per flush where version 3 sent a frame per tensor (type bytes
-// 7–9, retired). Each older version is refused at the hello. (The v1
-// layout has no version byte to refuse one by, so v1 seats are sent the
-// shared pull: see session.sendPull.)
-const ShardWireVersion = 4
+// 7–9, retired); in version 5 the owner pushes the update of its owner-only
+// tensors, which the server relays, where version 4 pushed their gradient
+// for the server to step — a version-4 server would step an update as if
+// it were a gradient, a version-4 owner's gradient would be relayed as its
+// update. Each older version is refused at the hello. (The v1 layout has
+// no version byte to refuse one by, so v1 seats are sent the shared pull:
+// see session.sendPull; an owner built before version 5 that dials a v1
+// front door is not refused either.)
+const ShardWireVersion = 5
 
 // perTensorWireVersion is the last version that streamed a frame per
-// tensor, refused by name.
-const perTensorWireVersion = 3
+// tensor, and ownerGradientWireVersion the last in which the owner pushed
+// its owner-only tensors' gradient: both are refused by name.
+const (
+	perTensorWireVersion     = 3
+	ownerGradientWireVersion = 4
+)
 
 // ShardHeaderLen is the encoded size of a ShardHeader.
 const ShardHeaderLen = 12
@@ -90,6 +99,8 @@ func ParseShardHeader(src []byte) (ShardHeader, []byte, error) {
 	case ShardWireVersion:
 	case perTensorWireVersion:
 		return ShardHeader{}, nil, fmt.Errorf("transport: shard wire version %d streams a frame per tensor, retired: this endpoint speaks version %d (a run per flush)", h.Version, ShardWireVersion)
+	case ownerGradientWireVersion:
+		return ShardHeader{}, nil, fmt.Errorf("transport: shard wire version %d pushes the owner's batch-norm gradient for the server to step, retired: this endpoint speaks version %d (the owner pushes its update, the server relays it)", h.Version, ShardWireVersion)
 	default:
 		return ShardHeader{}, nil, fmt.Errorf("transport: unsupported shard wire version %d (have %d)", h.Version, ShardWireVersion)
 	}
@@ -272,7 +283,7 @@ func (fc *frameCodec) parseFrame(t MsgType, payload []byte, step int, replay boo
 	case fc.v1 && t == MsgPull && len(payload) >= 4:
 		f.step, f.body = le.Uint32(payload), payload[4:]
 	case !fc.v1 && t >= msgRetiredPerTensor && t < MsgShardBye:
-		return f, fmt.Errorf("transport: type-%d frame is retired (%s); streamed exchanges send runs since shard wire version %d", t, retiredType(t), ShardWireVersion)
+		return f, fmt.Errorf("transport: type-%d frame is retired (%s); streamed exchanges send runs since shard wire version %d", t, retiredType(t), perTensorWireVersion+1)
 	case fc.v1 || !(wholeSet(t) || isRun(t) || t == MsgShardBye):
 		return f, fmt.Errorf("transport: unexpected type-%d frame of %d bytes (v1 connection: %v)", t, len(payload), fc.v1)
 	default:

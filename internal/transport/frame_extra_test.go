@@ -163,6 +163,23 @@ func TestRetiredTypeBytesStayReserved(t *testing.T) {
 	}
 }
 
+// TestOwnerGradientHelloRefused: a version-4 peer's owner pushed its
+// batch-norm gradient for the server to step, where this build's owner
+// pushes its update and the server relays it. A version-4 server would
+// step the update as if it were a gradient, so a version-4 hello, and a
+// frame with a version-4 header, are refused by name.
+func TestOwnerGradientHelloRefused(t *testing.T) {
+	const want = "version 4 pushes the owner's batch-norm gradient"
+	hello := le.AppendUint32(AppendShardHeader(nil, ShardHeader{Version: 4}), 0)
+	if _, _, err := parseHello(MsgShardHello, hello); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("version-4 hello: %v, want a refusal naming the owner's gradient push", err)
+	}
+	push := AppendShardHeader(nil, ShardHeader{Version: 4, Worker: 1, Step: 3})
+	if _, err := (&frameCodec{}).parseFrame(MsgShardPush, push, 0, true); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("version-4 push: %v, want a refusal naming the owner's gradient push", err)
+	}
+}
+
 // TestPlainFramesMatchLayout pins the frames of a connection that
 // negotiates nothing to the layout the package comment documents: hello2 =
 // header + placement hash, push2 = header + wire set, pull2 = the same with

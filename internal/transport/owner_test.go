@@ -116,8 +116,8 @@ func (c *losesPull) Read(p []byte) (int, error) {
 // them full, over the v2 wire, two shards, streamed, and a pull re-answered
 // to a resilient replay. A v1 seat, whose hello has no version byte to
 // refuse an owner built before ps.Pulls by, receives them full, the owner's
-// too. The workers end with bit-identical replicas: the owner's own step is
-// the server's.
+// too. The workers end with bit-identical replicas: the update the owner
+// applies is the one the server relays.
 func TestOwnerIsSentItsView(t *testing.T) {
 	const workers, steps = 2, 5
 	for _, c := range []struct {

@@ -4,14 +4,15 @@
 // (MsgHello/MsgPush/MsgPull) are untouched and served by the same session
 // engine as its degenerate case — one shard, nothing negotiated.
 //
-//	shard header := [1B version=4][1B flags][2B LE shard][4B LE worker][4B LE step]
+//	shard header := [1B version=5][1B flags][2B LE shard][4B LE worker][4B LE step]
 //	hello2       := header (step = 0) [4B LE assignment hash]
 //	push2        := header [wire set]
 //	pull2        := header (worker = 0) [wire set]
 //
 // (ShardWireVersion counts generations of this layout: 3 since the owner
 // is sent the empty wire in its owner-only slots, ps.Pulls; 4 since a
-// streamed exchange sends a run per flush, below.)
+// streamed exchange sends a run per flush, below; 5 since the owner pushes
+// the update of its owner-only tensors and the servers relay it.)
 //
 // A hello negotiates one per-connection stage on top of that, a flag plus
 // bytes the frame codec (codec.go) adds, and a connection that negotiates

@@ -23,8 +23,8 @@ type Seat interface {
 // receives. Seat 0 is the owner (ps.Owner), so that is the owner's view of
 // the pull (ps.Pulls) wherever the servers send one: its owner-only slots
 // are empty, the other seats are sent them full, and a driver completes it
-// for the other workers from the owner's own step (train.Run does, with
-// ps.Worker.Complete). The sessions of a step may be fed from W goroutines
+// for the other workers with the owner's own pushes, which the servers
+// relay there (train.Run does, with ps.Worker.Complete). The sessions of a step may be fed from W goroutines
 // at once: the serving session engine reads pushes in seat order, so seat
 // w's bytes never wait behind seat w−1's compressor. The tier holds no
 // training state (the servers own optimizer and pull contexts), and the
