@@ -36,7 +36,6 @@ import (
 
 	"threelc/internal/chaos"
 	"threelc/internal/compress"
-	"threelc/internal/netsim"
 	"threelc/internal/nn"
 	"threelc/internal/ps"
 	"threelc/internal/shard"
@@ -124,7 +123,7 @@ func (o *options) serverTimeouts() transport.Timeouts {
 // batch samplers. The mode adds the Tier hook that puts it on sockets.
 func (o *options) job(design train.Design, nTrain, nTest int, seed uint64) train.Config {
 	cfg := train.CLIConfig(train.CLIOptions{Design: design, Workers: o.workers, Steps: o.steps,
-		Batch: o.batch, Bandwidth: netsim.Gbps1, Seed: seed})
+		Batch: o.batch, Seed: seed})
 	cfg.Data.Train, cfg.Data.Test = nTrain, nTest
 	cfg.Data.Seed += seed - 1
 	return cfg
@@ -333,8 +332,6 @@ func runChaosSoak(o *options) error {
 	var totalFaults int64
 	for ci, design := range chaosCodecs {
 		cfg := o.job(design, 200, 50, 1)
-		cfg.MinCompressElems = 1 // the soak model is small; make every codec engage
-		cfg.Parallelism = 1
 		ref, err := finalWeights(cfg, func(global *nn.Model, psCfg ps.Config) (ps.Tier, error) {
 			return ps.NewJob(global, psCfg), nil
 		})

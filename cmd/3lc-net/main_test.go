@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"threelc/internal/netsim"
 	"threelc/internal/nn"
 	"threelc/internal/ps"
 	"threelc/internal/train"
@@ -146,8 +147,8 @@ func dialedMatchesInProcess(t *testing.T, workers int) {
 				if !slices.Equal(got.weights, want.weights) {
 					t.Errorf("final global weights differ from the in-process run")
 				}
-				if res.WallSec <= 0 || res.TotalVirtualSec <= 0 {
-					t.Errorf("clocks: wall %v s, virtual %v s; want both measured", res.WallSec, res.TotalVirtualSec)
+				if virt := res.TimeAt(netsim.Gbps1); res.WallSec <= 0 || virt <= 0 {
+					t.Errorf("clocks: wall %v s, virtual %v s; want both measured", res.WallSec, virt)
 				}
 				if res.Shards != o.shards {
 					t.Errorf("Result.Shards = %d, want %d", res.Shards, o.shards)
@@ -177,7 +178,7 @@ func TestDialedTierRefusals(t *testing.T) {
 			cfg.CheckpointPath, cfg.CheckpointEvery = filepath.Join(t.TempDir(), "ckpt"), 2
 		}, "holds no state"},
 		{"resume", func(cfg *train.Config) { cfg.ResumeFrom = filepath.Join(t.TempDir(), "ckpt") }, "holds no state"},
-		{"seat count", func(cfg *train.Config) { cfg.Workers, cfg.Net.Workers = 2, 2 }, "3 seats"},
+		{"seat count", func(cfg *train.Config) { cfg.Workers = 2 }, "3 seats"},
 	}
 	for _, r := range refusals {
 		for _, shards := range []int{1, 2} {

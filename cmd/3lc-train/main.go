@@ -1,6 +1,6 @@
 // Command 3lc-train runs a single distributed training job with a chosen
 // traffic-compression design and reports accuracy, traffic, and virtual
-// training time at the emulated bandwidth.
+// training time at the given bandwidth.
 //
 // Example:
 //
@@ -34,7 +34,7 @@ func main() {
 		workers    = flag.Int("workers", 10, "number of workers")
 		steps      = flag.Int("steps", 300, "training steps")
 		batch      = flag.Int("batch", 32, "per-worker batch size")
-		bandwidth  = flag.Float64("bandwidth", netsim.Mbps10, "emulated link bandwidth (bits/sec)")
+		bandwidth  = flag.Float64("bandwidth", netsim.Mbps10, "link bandwidth (bits/sec) that TimeAt prices the run's virtual time at")
 		useResNet  = flag.Bool("resnet", false, "train MicroResNet instead of the MLP workload")
 		seed       = flag.Uint64("seed", 1, "random seed")
 		evalEvery  = flag.Int("eval-every", 50, "evaluate test accuracy every N steps")
@@ -56,7 +56,6 @@ func main() {
 		Workers:   *workers,
 		Steps:     *steps,
 		Batch:     *batch,
-		Bandwidth: *bandwidth,
 		EvalEvery: *evalEvery,
 		ResNet:    *useResNet,
 		Seed:      *seed,
@@ -105,8 +104,7 @@ func main() {
 	fmt.Printf("workers x steps:    %d x %d\n", res.Workers, res.Steps)
 	fmt.Printf("final loss:         %.4f\n", res.FinalLoss)
 	fmt.Printf("final accuracy:     %.2f%%\n", res.FinalAccuracy*100)
-	fmt.Printf("virtual time:       %.1f s (%.4f s/step @ %s)\n",
-		res.TotalVirtualSec, res.PerStepSec, bwName(*bandwidth))
+	fmt.Printf("virtual time:       %.1f s @ %s\n", res.TimeAt(*bandwidth), bwName(*bandwidth))
 	fmt.Printf("push traffic:       %s (raw %s)\n", fmtBytes(res.TotalPushBytes), fmtBytes(res.RawPushBytes))
 	fmt.Printf("pull traffic:       %s\n", fmtBytes(res.TotalPullBytes))
 	if res.CompressibleElems > 0 && design.Scheme != compress.SchemeNone {

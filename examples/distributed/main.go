@@ -20,7 +20,7 @@ func main() {
 	runDesign := func(d train.Design) *train.Result {
 		// 3lc-train's configuration: the MLP, the tuned SGD schedule.
 		res, err := train.Run(train.CLIConfig(train.CLIOptions{Design: d, Workers: workers, Steps: steps,
-			Batch: 32, Bandwidth: netsim.Mbps10, EvalEvery: 50, Seed: 1}))
+			Batch: 32, EvalEvery: 50, Seed: 1}))
 		if err != nil {
 			panic(err)
 		}

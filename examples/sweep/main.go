@@ -38,7 +38,7 @@ func main() {
 		}
 		// 3lc-train's configuration: the MLP, the tuned SGD schedule.
 		res, err := train.Run(train.CLIConfig(train.CLIOptions{Design: design, Workers: workers, Steps: steps,
-			Batch: 32, Bandwidth: netsim.Mbps10, Seed: 1}))
+			Batch: 32, Seed: 1}))
 		if err != nil {
 			panic(err)
 		}

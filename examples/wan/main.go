@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"threelc/internal/compress"
-	"threelc/internal/netsim"
 	"threelc/internal/train"
 )
 
@@ -21,7 +20,7 @@ func main() {
 	// Every run is 3lc-train's configuration: the MLP, the tuned SGD schedule.
 	job := func(d train.Design) train.Config {
 		return train.CLIConfig(train.CLIOptions{Design: d, Workers: workers, Steps: steps,
-			Batch: 32, Bandwidth: netsim.Mbps10, Seed: 1})
+			Batch: 32, Seed: 1})
 	}
 
 	designs := []train.Design{

@@ -31,7 +31,7 @@ func trainedRun(tb testing.TB) trainedWires {
 		Opts: compress.Options{Sparsity: 1.75, ZeroRun: true}}
 	const steps, workers = 24, 2
 	sgd := opt.TunedSGDConfig(workers, steps)
-	exempt := ps.Config{Scheme: design.Scheme, MinCompressElems: 256}
+	exempt := ps.Config{Scheme: design.Scheme, MinCompressElems: train.MinCompressElems}
 	var prev []*tensor.Tensor // the exempt weights a step ago
 	var tw trainedWires
 	_, err := train.Run(train.Config{
@@ -39,7 +39,7 @@ func trainedRun(tb testing.TB) trainedWires {
 		BuildModel: func() *nn.Model {
 			return nn.NewMLP(dcfg.C*dcfg.H*dcfg.W, []int{1024, 1024}, dcfg.Classes, 1)
 		},
-		FlatInput: true, Parallelism: 1, Optimizer: &sgd, Seed: 1,
+		FlatInput: true, Optimizer: &sgd, Seed: 1,
 		OnGradients: func(_ int, params []*nn.Param) {
 			grad, now, pull := make([]*tensor.Tensor, len(params)), make([]*tensor.Tensor, len(params)), make([]*tensor.Tensor, len(params))
 			for i, p := range params {

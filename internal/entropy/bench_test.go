@@ -48,13 +48,13 @@ func trainedWireSet(tb testing.TB) []byte {
 		BuildModel: func() *nn.Model {
 			return nn.NewMLP(dcfg.C*dcfg.H*dcfg.W, []int{1024, 1024}, dcfg.Classes, 1)
 		},
-		FlatInput: true, Parallelism: 1, Optimizer: &sgd, Seed: 1,
+		FlatInput: true, Optimizer: &sgd, Seed: 1,
 		// Worker 0's gradients through contexts of the run's own design are
 		// worker 0's push wires, residuals included.
 		OnGradients: func(_ int, params []*nn.Param) {
 			if ctx == nil {
 				ctx, push = make([]compress.Compressor, len(params)), make([][]byte, len(params))
-				exempt := ps.Config{Scheme: design.Scheme, MinCompressElems: 256}
+				exempt := ps.Config{Scheme: design.Scheme, MinCompressElems: train.MinCompressElems}
 				for i, p := range params {
 					ctx[i] = compress.NewExempt(design.Scheme, p.W.Shape())
 					if exempt.Compresses(p) {

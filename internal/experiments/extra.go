@@ -118,7 +118,7 @@ func GradientStatistics(s *Suite, sparsity float64, every int) ([]GradStatsRow, 
 			return
 		}
 		// Analyze the largest compressible tensor (dominates traffic).
-		exempt := ps.Config{Scheme: cfg.Design.Scheme, MinCompressElems: cfg.MinCompressElems}
+		exempt := ps.Config{Scheme: cfg.Design.Scheme, MinCompressElems: train.MinCompressElems}
 		var biggest *nn.Param
 		for _, p := range params {
 			if !exempt.Compresses(p) {

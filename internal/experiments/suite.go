@@ -102,7 +102,7 @@ func (s *Suite) buildModel() func() *nn.Model {
 // config is the suite's training run of design for steps steps.
 func (s *Suite) config(design train.Design, steps int) train.Config {
 	optCfg := opt.TunedSGDConfig(s.Opt.Workers, steps)
-	cfg := train.Config{
+	return train.Config{
 		Design:         design,
 		Workers:        s.Opt.Workers,
 		BatchPerWorker: s.Opt.BatchPerWorker,
@@ -111,13 +111,10 @@ func (s *Suite) config(design train.Design, steps int) train.Config {
 		BuildModel:     s.buildModel(),
 		FlatInput:      !s.Opt.UseResNet,
 		Augment:        s.Opt.UseResNet, // crop/flip only meaningful on images fed to CNNs
-		Net:            netsim.DefaultParams(netsim.Gbps1),
 		Optimizer:      &optCfg,
 		EvalEvery:      s.Opt.EvalEvery,
 		Seed:           s.Opt.Seed,
 	}
-	cfg.Net.Workers = s.Opt.Workers
-	return cfg
 }
 
 // Run executes (or returns the cached result of) one training run for the

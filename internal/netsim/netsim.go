@@ -134,29 +134,3 @@ func (p Params) StepTime(pushBytes, pullBytes []int, codecSec float64) float64 {
 	}
 	return p.ComputeSec + codecSec + exposed
 }
-
-// Clock accumulates virtual time across steps.
-type Clock struct {
-	seconds float64
-	steps   int
-}
-
-// Advance adds one step of dt seconds.
-func (c *Clock) Advance(dt float64) {
-	c.seconds += dt
-	c.steps++
-}
-
-// Seconds returns total virtual time.
-func (c *Clock) Seconds() float64 { return c.seconds }
-
-// Steps returns the number of advanced steps.
-func (c *Clock) Steps() int { return c.steps }
-
-// PerStep returns the mean step time.
-func (c *Clock) PerStep() float64 {
-	if c.steps == 0 {
-		return 0
-	}
-	return c.seconds / float64(c.steps)
-}

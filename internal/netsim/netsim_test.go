@@ -149,16 +149,3 @@ func TestMultiServerDividesAggregate(t *testing.T) {
 		t.Errorf("100 servers: time %v, want worker-link floor %v", tm, floor)
 	}
 }
-
-func TestClock(t *testing.T) {
-	var c Clock
-	c.Advance(1.5)
-	c.Advance(0.5)
-	if c.Seconds() != 2.0 || c.Steps() != 2 || c.PerStep() != 1.0 {
-		t.Errorf("clock state: %v s, %d steps, %v per step", c.Seconds(), c.Steps(), c.PerStep())
-	}
-	var empty Clock
-	if empty.PerStep() != 0 {
-		t.Error("empty clock PerStep should be 0")
-	}
-}

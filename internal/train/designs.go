@@ -8,7 +8,6 @@ import (
 
 	"threelc/internal/compress"
 	"threelc/internal/data"
-	"threelc/internal/netsim"
 	"threelc/internal/nn"
 	"threelc/internal/opt"
 )
@@ -55,15 +54,14 @@ type CLIOptions struct {
 	Workers   int
 	Steps     int
 	Batch     int
-	Bandwidth float64
 	EvalEvery int
 	ResNet    bool
 	Seed      uint64
 }
 
 // CLIConfig assembles the standard CLI training configuration: the
-// synthetic-data workload (MLP by default, MicroResNet with ResNet), the
-// tuned SGD schedule, and the calibrated virtual network.
+// synthetic-data workload (MLP by default, MicroResNet with ResNet) and the
+// tuned SGD schedule.
 func CLIConfig(o CLIOptions) Config {
 	dcfg := data.DefaultConfig()
 	var build func() *nn.Model
@@ -80,7 +78,7 @@ func CLIConfig(o CLIOptions) Config {
 		build = func() *nn.Model { return nn.NewMLP(in, []int{48}, dcfg.Classes, o.Seed) }
 	}
 	optCfg := opt.TunedSGDConfig(o.Workers, o.Steps)
-	cfg := Config{
+	return Config{
 		Design:         o.Design,
 		Workers:        o.Workers,
 		BatchPerWorker: o.Batch,
@@ -89,11 +87,8 @@ func CLIConfig(o CLIOptions) Config {
 		BuildModel:     build,
 		FlatInput:      flat,
 		Augment:        o.ResNet,
-		Net:            netsim.DefaultParams(o.Bandwidth),
 		Optimizer:      &optCfg,
 		EvalEvery:      o.EvalEvery,
 		Seed:           o.Seed,
 	}
-	cfg.Net.Workers = o.Workers
-	return cfg
 }

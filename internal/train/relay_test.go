@@ -119,7 +119,7 @@ func TestOwnerOnlyTensorsAreRelayed(t *testing.T) {
 		for name, tier := range relayTiers {
 			t.Run(d.Name+"/"+name, func(t *testing.T) {
 				cfg := tinyConfig(d, steps)
-				cfg.Workers, cfg.Net.Workers, cfg.BatchPerWorker = 3, 3, 4
+				cfg.Workers, cfg.BatchPerWorker = 3, 4
 				sent := make([][]byte, len(cfg.BuildModel().Params()))
 				served := make(chan error, tier.servers)
 				cfg.Tier = tier.build(t, cfg.Workers, steps, sent, served)

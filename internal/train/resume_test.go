@@ -8,10 +8,13 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"threelc/internal/checkpoint"
 	"threelc/internal/compress"
+	"threelc/internal/netsim"
 	"threelc/internal/nn"
+	"threelc/internal/ps"
 )
 
 // allDesigns enumerates every implemented codec — the full Table-2 set.
@@ -50,18 +53,38 @@ func paramsBits(m *nn.Model) []uint32 {
 	return out
 }
 
+// crashAt is an in-process tier whose FinishStep fails at step `at`, the
+// way a crashed process leaves a run: the steps before it done, and
+// checkpointed as far as the last checkpoint boundary.
+type crashAt struct {
+	*ps.Job
+	at, step int
+	err      error
+}
+
+func (c *crashAt) FinishStep() ([][]byte, time.Duration, error) {
+	if c.step == c.at {
+		return nil, 0, c.err
+	}
+	c.step++
+	return c.Job.FinishStep()
+}
+
 // runResumeCase checks the tentpole guarantee for one configuration: a run
-// checkpointed every 3 steps and "killed" after step 6 (between two
-// checkpoint boundaries), then resumed from the latest checkpoint, must
-// reproduce the uninterrupted run's per-step loss trajectory and final
-// model state bit-for-bit — the global model and every worker's replica,
-// the owner's included, whose own step of the owner-only tensors resumes
-// from the velocity and step count restored from its worker section.
+// checkpointed every 3 steps and "killed" in step 7 (past the step-6
+// checkpoint), then resumed from the latest checkpoint, must reproduce the
+// uninterrupted run's per-step loss trajectory and final model state
+// bit-for-bit — the global model and every worker's replica, the owner's
+// included, whose own step of the owner-only tensors resumes from the
+// velocity and step count restored from its worker section.
 func runResumeCase(t *testing.T, cfg Config) {
 	t.Helper()
 	const steps = 8
 	cfg.Steps = steps
-	cfg.MinCompressElems = 1 // exercise the codec on every tensor
+	// A hidden layer of 32 puts both weight matrices over MinCompressElems,
+	// so the codec's state crosses the crash in each of them.
+	in, classes := cfg.Data.C*cfg.Data.H*cfg.Data.W, cfg.Data.Classes
+	cfg.BuildModel = func() *nn.Model { return nn.NewMLP(in, []int{32}, classes, 1) }
 
 	// Reference: uninterrupted run.
 	ref := cfg
@@ -71,17 +94,14 @@ func runResumeCase(t *testing.T, cfg Config) {
 		t.Fatal(err)
 	}
 
-	// Interrupted run: checkpoint after steps 3 and 6, crash after step 6.
+	// Interrupted run: checkpoint after steps 3 and 6, crash in step 7.
 	path := filepath.Join(t.TempDir(), "train.ckpt")
 	boom := errors.New("simulated crash")
 	crashed := cfg
 	crashed.CheckpointPath = path
 	crashed.CheckpointEvery = 3
-	crashed.OnStep = func(step int) error {
-		if step == 6 {
-			return boom
-		}
-		return nil
+	crashed.Tier = func(global *nn.Model, scfg ps.Config) (ps.Tier, error) {
+		return &crashAt{Job: ps.NewJob(global, scfg), at: 7, err: boom}, nil
 	}
 	if _, err := Run(crashed); !errors.Is(err, boom) {
 		t.Fatalf("crash run: got err %v, want simulated crash", err)
@@ -143,6 +163,35 @@ func TestResumeBitIdenticalAllCodecs(t *testing.T) {
 		t.Run(d.Name, func(t *testing.T) {
 			runResumeCase(t, tinyConfig(d, 8))
 		})
+	}
+}
+
+// TestResumeAtFinalStep: a run resumed from the checkpoint its last step
+// wrote has no step left to run. It records none, takes 0 s of virtual time
+// and ends on the uninterrupted run's accuracy.
+func TestResumeAtFinalStep(t *testing.T) {
+	cfg := tinyConfig(Design{Name: "3LC (s=1.75)", Scheme: compress.SchemeThreeLC,
+		Opts: compress.Options{Sparsity: 1.75, ZeroRun: true}}, 4)
+	path := filepath.Join(t.TempDir(), "train.ckpt")
+	full := cfg
+	full.CheckpointPath, full.CheckpointEvery = path, 4
+	ref, err := Run(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.ResumeFrom = path
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Steps != 0 || len(res.StepRecords) != 0 {
+		t.Errorf("resumed at the final step: ran %d steps, recorded %d; want none", res.Steps, len(res.StepRecords))
+	}
+	if res.FinalAccuracy != ref.FinalAccuracy {
+		t.Errorf("final accuracy %v != uninterrupted %v", res.FinalAccuracy, ref.FinalAccuracy)
+	}
+	if got := res.TimeAt(netsim.Mbps10); got != 0 {
+		t.Errorf("TimeAt of a run with no step = %v s, want 0", got)
 	}
 }
 
@@ -267,7 +316,6 @@ func TestResumeConfigMismatch(t *testing.T) {
 	d := Design{Name: "3LC (s=1.75)", Scheme: compress.SchemeThreeLC,
 		Opts: compress.Options{Sparsity: 1.75, ZeroRun: true}}
 	cfg := tinyConfig(d, 8)
-	cfg.MinCompressElems = 1
 	path := filepath.Join(t.TempDir(), "train.ckpt")
 	cfg.CheckpointPath = path
 	cfg.CheckpointEvery = 4
@@ -275,7 +323,6 @@ func TestResumeConfigMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	wrong := tinyConfig(d, 8)
-	wrong.MinCompressElems = 1
 	wrong.Seed = 999 // fingerprint mismatch
 	wrong.ResumeFrom = path
 	if _, err := Run(wrong); err == nil {
@@ -284,7 +331,6 @@ func TestResumeConfigMismatch(t *testing.T) {
 	// Codec options are fingerprinted too: the scheme byte alone would
 	// match, but a different sparsity multiplier changes every wire.
 	wrong = tinyConfig(d, 8)
-	wrong.MinCompressElems = 1
 	wrong.Design.Opts.Sparsity = 1.25
 	wrong.ResumeFrom = path
 	if _, err := Run(wrong); err == nil {

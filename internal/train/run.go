@@ -34,8 +34,6 @@ type run struct {
 	shards       [][]int       // per-worker slice of the training set
 	compressible []bool        // per tensor: subject to the codec
 
-	net   netsim.Params
-	clock netsim.Clock
 	// The step's pull as each worker is sent it (ps.Pulls), recycled.
 	ownerPull, fullPull [][]byte
 
@@ -63,8 +61,6 @@ func (cfg *Config) validate() error {
 		return fmt.Errorf("train: need at least 1 worker, got %d", cfg.Workers)
 	case cfg.BuildModel == nil:
 		return fmt.Errorf("train: BuildModel is required")
-	case cfg.Net.Workers != 0 && cfg.Net.Workers != cfg.Workers:
-		return fmt.Errorf("train: netsim has %d workers, run has %d", cfg.Net.Workers, cfg.Workers)
 	}
 	return nil
 }
@@ -75,9 +71,6 @@ func (cfg *Config) validate() error {
 func newRun(cfg Config) (_ *run, err error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.MinCompressElems == 0 {
-		cfg.MinCompressElems = 256
 	}
 	r := &run{
 		cfg:  cfg,
@@ -101,31 +94,26 @@ func newRun(cfg Config) (_ *run, err error) {
 		optCfg.Workers = cfg.Workers
 		optCfg.TotalSteps = cfg.Steps
 	}
-	psCfg := ps.Config{
+	// The server's decode/aggregate and pull-compress phases run alone —
+	// every worker goroutine is parked at the BSP barrier — so the server
+	// keeps the full GOMAXPROCS budget (Parallelism 0); dividing it would
+	// idle cores on the measured codec critical path.
+	serverCfg := ps.Config{
 		Scheme:           cfg.Design.Scheme,
 		Opts:             cfg.Design.Opts,
 		Workers:          cfg.Workers,
-		MinCompressElems: cfg.MinCompressElems,
-		Parallelism:      cfg.Parallelism,
+		MinCompressElems: MinCompressElems,
 		Optimizer:        optCfg,
 	}
-	if psCfg.Parallelism == 0 {
-		// All workers run their codec phases on concurrent goroutines, so
-		// per-node fan-out multiplies by cfg.Workers; divide the cores among
-		// them instead of letting every node claim GOMAXPROCS.
-		psCfg.Parallelism = max(runtime.GOMAXPROCS(0)/cfg.Workers, 1)
-	}
-	// The server's decode/aggregate and pull-compress phases run alone —
-	// every worker goroutine is parked at the BSP barrier — so the server
-	// keeps the full budget; dividing by Workers would idle cores on the
-	// measured codec critical path.
-	serverCfg := psCfg
-	serverCfg.Parallelism = cfg.Parallelism
 	tierShards, err := r.buildTier(serverCfg)
 	if err != nil {
 		return nil, err
 	}
 
+	// All workers run their codec phases on concurrent goroutines, so they
+	// divide the cores among them instead of each claiming GOMAXPROCS.
+	psCfg := serverCfg
+	psCfg.Parallelism = max(runtime.GOMAXPROCS(0)/cfg.Workers, 1)
 	r.workers = make([]*ps.Worker, cfg.Workers)
 	r.rngs = make([]*tensor.RNG, cfg.Workers)
 	r.shards = make([][]int, cfg.Workers)
@@ -155,17 +143,15 @@ func newRun(cfg Config) (_ *run, err error) {
 		}
 	}
 
-	r.net = cfg.Net
-	r.net.Workers = cfg.Workers
-	if r.net.ComputeSec == 0 {
-		r.net.Calibrate(numParam*4, netsim.Gbps1, 1.5)
-	}
-	// Sharding divides aggregate push/pull traffic across the shard NICs.
-	// Applied after Calibrate so the compute-to-communication calibration
-	// stays anchored to the paper's single-server regime.
-	if tierShards > 1 && r.net.Servers <= 1 {
-		r.net.Servers = tierShards
-	}
+	// The virtual cluster TimeAt prices the run on: compute calibrated so
+	// the float32 exchange at 1 Gbps takes 1.5x it (the paper's regime).
+	// Sharding divides aggregate push/pull traffic across the shard NICs;
+	// it is applied after Calibrate so the calibration stays anchored to
+	// the paper's single-server regime.
+	net := netsim.DefaultParams(netsim.Gbps1)
+	net.Workers = cfg.Workers
+	net.Calibrate(numParam*4, netsim.Gbps1, 1.5)
+	net.Servers = tierShards
 
 	r.res = &Result{
 		Design:            cfg.Design,
@@ -174,6 +160,7 @@ func newRun(cfg Config) (_ *run, err error) {
 		Steps:             cfg.Steps,
 		NumParam:          numParam,
 		CompressibleElems: compElems,
+		Net:               net,
 	}
 	if cfg.ResumeFrom != "" {
 		st, err := checkpoint.LoadStateFile(cfg.ResumeFrom)
@@ -336,7 +323,7 @@ func (r *run) applyPull(pull [][]byte) error {
 }
 
 // record books the finished step: its bytes, its codec critical path, its
-// virtual duration, its loss, and — every EvalEvery steps — an evaluation.
+// loss, and — every EvalEvery steps — an evaluation.
 func (r *run) record(step int, pull [][]byte, serverDur time.Duration) {
 	cfg, res := &r.cfg, r.res
 	pushBytes := make([]int, cfg.Workers)
@@ -379,17 +366,14 @@ func (r *run) record(step int, pull [][]byte, serverDur time.Duration) {
 	}
 	meanLoss /= float64(cfg.Workers)
 	codec := (maxComp + serverDur + maxApply).Seconds()
-	dt := r.net.StepTime(pushBytes, pullBytes, codec)
-	r.clock.Advance(dt)
 
 	sr := StepRecord{Step: step, Loss: meanLoss, PushBytes: sum(pushBytes), PullBytes: sum(pullBytes),
-		CompPushBytes: compPush, CompPullBytes: compPull, CodecSec: codec, VirtualSec: dt}
+		CompPushBytes: compPush, CompPullBytes: compPull, CodecSec: codec}
 	res.TotalPushBytes += int64(sr.PushBytes)
 	res.TotalPullBytes += int64(sr.PullBytes)
 	res.CompPushBytes += compPush
 	res.CompPullBytes += compPull
 	res.PaperCompBytes += paper
-	res.CodecSec += codec
 	res.FinalLoss = meanLoss
 	res.StepRecords = append(res.StepRecords, sr)
 	if cfg.EvalEvery > 0 && (step+1)%cfg.EvalEvery == 0 {
@@ -408,25 +392,24 @@ func (r *run) evaluate() float64 {
 // checkpoint ends the step: the periodic full-state snapshot is serialized
 // at the step boundary (AppendState/checkpoint.Save copy every buffer they
 // touch) and handed to a background writer, so the file I/O overlaps the
-// following steps' compute. Then OnStep has its say.
+// following steps' compute.
 func (r *run) checkpoint(step int) error {
 	cfg := &r.cfg
-	if cfg.CheckpointPath != "" && cfg.CheckpointEvery > 0 && (step+1)%cfg.CheckpointEvery == 0 {
-		st, err := r.capture(step + 1)
-		if err != nil {
-			return err
-		}
-		if err := r.ckpt.write(st); err != nil {
-			return fmt.Errorf("train: checkpoint write: %w", err)
-		}
+	if cfg.CheckpointPath == "" || cfg.CheckpointEvery <= 0 || (step+1)%cfg.CheckpointEvery != 0 {
+		return nil
 	}
-	if cfg.OnStep != nil {
-		return cfg.OnStep(step)
+	st, err := r.capture(step + 1)
+	if err != nil {
+		return err
+	}
+	if err := r.ckpt.write(st); err != nil {
+		return fmt.Errorf("train: checkpoint write: %w", err)
 	}
 	return nil
 }
 
-// finish joins the last checkpoint write, evaluates, and totals the clocks.
+// finish joins the last checkpoint write, evaluates, and totals the raw
+// float32 bytes.
 func (r *run) finish() (*Result, error) {
 	if err := r.ckpt.wait(); err != nil {
 		return nil, fmt.Errorf("train: checkpoint write: %w", err)
@@ -436,9 +419,6 @@ func (r *run) finish() (*Result, error) {
 	if cfg.EvalEvery > 0 && (len(res.Evals) == 0 || res.Evals[len(res.Evals)-1].Step != cfg.Steps) {
 		res.Evals = append(res.Evals, EvalRecord{Step: cfg.Steps, Accuracy: res.FinalAccuracy})
 	}
-	res.TotalVirtualSec = r.clock.Seconds()
-	res.PerStepSec = r.clock.PerStep()
-	res.Net = r.net
 	// The float32 baseline moves every element from every worker that
 	// pushes it (ps.Pushes) to every worker that is sent it (ps.Pulls).
 	var rawPull int64

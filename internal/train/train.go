@@ -6,10 +6,10 @@
 // resume lives here once; cmd/3lc-net, the experiments and the examples
 // are configurations of it.
 //
-// A Result carries two clocks. TotalVirtualSec, PerStepSec and TimeAt are
-// VIRTUAL: package netsim's model applied to the exact wire bytes each
-// step moved. WallSec is MEASURED: the wall clock of the step loop, which
-// over a dialed tier includes the real sockets.
+// A Result carries two clocks. TimeAt is VIRTUAL: package netsim's model
+// applied to the exact wire bytes each step moved, at any bandwidth.
+// WallSec is MEASURED: the wall clock of the step loop, which over a
+// dialed tier includes the real sockets.
 package train
 
 import (
@@ -23,6 +23,11 @@ import (
 	"threelc/internal/ps"
 	"threelc/internal/tensor"
 )
+
+// MinCompressElems is the size under which a tensor skips the codec and
+// travels as lossless float32 (§5.1: compacting an already small tensor is
+// not worth the computation).
+const MinCompressElems = 256
 
 // Design names one traffic-reduction configuration from §5.1.
 type Design struct {
@@ -50,17 +55,6 @@ type Config struct {
 	FlatInput bool
 	// Augment applies the paper's crop+flip augmentation to training batches.
 	Augment bool
-	// Net is the virtual cluster; if Net.ComputeSec is zero it is
-	// calibrated from the model size at 1 Gbps with ratio 1.5 (paper regime).
-	Net netsim.Params
-	// MinCompressElems exempts small tensors (paper behavior). Zero means 256.
-	MinCompressElems int
-	// Parallelism bounds the per-node worker pool that compresses and
-	// decompresses layer tensors concurrently (see ps.Config.Parallelism).
-	// Each tensor's codec runs on one goroutine of that pool. Zero means
-	// GOMAXPROCS, divided among the in-process workers; 1 runs every
-	// tensor on the node's own goroutine.
-	Parallelism int
 	// Optimizer overrides the server-side SGD configuration; nil uses
 	// opt.DefaultSGDConfig(Workers, Steps), the paper's hyperparameters.
 	Optimizer *opt.SGDConfig
@@ -90,11 +84,6 @@ type Config struct {
 	// returned Result covers only the resumed segment (steps from the
 	// checkpoint to Steps).
 	ResumeFrom string
-	// OnStep, if non-nil, runs after each completed step (after any
-	// checkpoint for that step has been scheduled). Returning an error
-	// aborts the run with that error — tests use it to emulate a crash at
-	// an arbitrary step.
-	OnStep func(step int) error
 
 	// Tier, when non-nil, builds the aggregation tier the run drives, in
 	// place of the single in-process ps.NewJob Run builds itself. It is
@@ -132,8 +121,6 @@ type StepRecord struct {
 	CompPushBytes, CompPullBytes float64
 	// CodecSec is the measured codec critical-path time of the step.
 	CodecSec float64
-	// VirtualSec is the step's simulated duration.
-	VirtualSec float64
 }
 
 // EvalRecord is a test-accuracy measurement during training.
@@ -160,12 +147,9 @@ type Result struct {
 	FinalAccuracy float64
 	FinalLoss     float64
 
-	// TotalVirtualSec and PerStepSec are the netsim clock: modelled time
-	// for the bytes the run moved. WallSec is the measured wall clock of
-	// the step loop — over a dialed tier, real socket time.
-	TotalVirtualSec float64
-	PerStepSec      float64
-	WallSec         float64
+	// WallSec is the measured wall clock of the step loop — over a dialed
+	// tier, real socket time.
+	WallSec float64
 
 	TotalPushBytes int64
 	TotalPullBytes int64
@@ -185,23 +169,19 @@ type Result struct {
 	// it (compress.PaperWireLen).
 	PaperCompBytes float64
 
-	CodecSec float64 // summed critical-path codec time (real, measured)
-
-	// Net is the calibrated virtual cluster the run was timed under.
+	// Net is the virtual cluster TimeAt prices the run on: netsim's
+	// defaults with the run's workers and shards, calibrated to the model.
 	Net netsim.Params
 
 	StepRecords []StepRecord
 	Evals       []EvalRecord
 }
 
-// TimeAt recomputes the run's total virtual training time under a
-// different link bandwidth, using the recorded per-step traffic — the same
+// TimeAt is the run's total virtual training time at a link bandwidth,
+// computed from the recorded per-step traffic and codec time — the
 // extrapolation the paper's measurement methodology performs (§5.2).
-// It panics on a result with no recorded step.
+// A run that recorded no step — one resumed at its final step — took 0 s.
 func (r *Result) TimeAt(bandwidthBps float64) float64 {
-	if len(r.StepRecords) == 0 {
-		panic("train: TimeAt needs a run that recorded at least one step")
-	}
 	net := r.Net
 	net.BandwidthBps = bandwidthBps
 	var total float64

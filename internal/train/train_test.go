@@ -2,7 +2,6 @@ package train
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"threelc/internal/compress"
@@ -18,7 +17,7 @@ func tinyConfig(design Design, steps int) Config {
 	dcfg.Train, dcfg.Test = 300, 100
 	in := dcfg.C * dcfg.H * dcfg.W
 	optCfg := opt.TunedSGDConfig(4, steps)
-	cfg := Config{
+	return Config{
 		Design:         design,
 		Workers:        4,
 		BatchPerWorker: 8,
@@ -26,12 +25,9 @@ func tinyConfig(design Design, steps int) Config {
 		Data:           dcfg,
 		BuildModel:     func() *nn.Model { return nn.NewMLP(in, []int{16}, dcfg.Classes, 1) },
 		FlatInput:      true,
-		Net:            netsim.DefaultParams(netsim.Gbps1),
 		Optimizer:      &optCfg,
 		Seed:           1,
 	}
-	cfg.Net.Workers = 4
-	return cfg
 }
 
 func TestRunBaselineEndToEnd(t *testing.T) {
@@ -42,7 +38,7 @@ func TestRunBaselineEndToEnd(t *testing.T) {
 	if res.FinalAccuracy < 0.3 {
 		t.Errorf("baseline accuracy %v too low for a learnable task", res.FinalAccuracy)
 	}
-	if res.TotalVirtualSec <= 0 || res.PerStepSec <= 0 {
+	if res.TimeAt(netsim.Gbps1) <= 0 {
 		t.Error("virtual time not accounted")
 	}
 	if len(res.StepRecords) != 30 {
@@ -162,14 +158,9 @@ func TestTimeAtConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// TimeAt at the run's own bandwidth must reproduce the recorded total.
-	got := res.TimeAt(netsim.Gbps1)
-	if math.Abs(got-res.TotalVirtualSec)/res.TotalVirtualSec > 0.01 {
-		t.Errorf("TimeAt(run bandwidth) = %v, recorded %v", got, res.TotalVirtualSec)
-	}
 	// Slower network, longer time.
-	if res.TimeAt(netsim.Mbps10) <= res.TotalVirtualSec {
-		t.Error("10 Mbps should be slower than 1 Gbps")
+	if slow, fast := res.TimeAt(netsim.Mbps10), res.TimeAt(netsim.Gbps1); slow <= fast {
+		t.Errorf("TimeAt: %v s at 10 Mbps, %v s at 1 Gbps; want 10 Mbps slower", slow, fast)
 	}
 }
 
@@ -217,11 +208,6 @@ func TestRunValidation(t *testing.T) {
 	cfg.BuildModel = nil
 	if _, err := Run(cfg); err == nil {
 		t.Error("expected error for nil BuildModel")
-	}
-	cfg = tinyConfig(Design{Name: "x", Scheme: compress.SchemeNone}, 5)
-	cfg.Net.Workers = 3
-	if _, err := Run(cfg); err == nil {
-		t.Error("expected error for netsim/run worker mismatch")
 	}
 }
 
@@ -324,11 +310,9 @@ func TestResNetWorkloadRuns(t *testing.T) {
 		},
 		FlatInput: false,
 		Augment:   true,
-		Net:       netsim.DefaultParams(netsim.Gbps1),
 		Optimizer: &optCfg,
 		Seed:      1,
 	}
-	cfg.Net.Workers = 2
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
