@@ -128,7 +128,7 @@ func BenchmarkCompressScheme(b *testing.B) {
 
 func BenchmarkDecompress3LC(b *testing.B) {
 	ctx := compress.New(compress.SchemeThreeLC, []int{microN}, compress.Options{Sparsity: 1.75, ZeroRun: true})
-	wire := ctx.Compress(gradientTensor(5, microN))
+	wire := ctx.CompressInto(gradientTensor(5, microN), nil)
 	out := tensor.New(microN)
 	b.SetBytes(4 * microN)
 	b.ReportAllocs()
@@ -151,7 +151,7 @@ func BenchmarkZeroTensor280x(b *testing.B) {
 	b.SetBytes(4 * microN)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wire = ctx.Compress(in)
+		wire = ctx.CompressInto(in, nil)
 	}
 	// Subtract the 6-byte header the paper's arithmetic ignores.
 	b.ReportMetric(float64(4*microN)/float64(compress.PaperWireLen(wire)-6), "ratio")
@@ -372,7 +372,7 @@ func BenchmarkAblationErrorAccumVsStochastic(b *testing.B) {
 			for r := 0; r < rounds; r++ {
 				tensor.FillNormal(in, 0.01, rng)
 				inSum.Add(in)
-				out, err := compress.Decompress(ctx.Compress(in), []int{n})
+				out, err := compress.Decompress(ctx.CompressInto(in, nil), []int{n})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -441,7 +441,7 @@ func BenchmarkAblationSharedPull(b *testing.B) {
 		ctx := compress.New(compress.SchemeThreeLC, []int{n}, compress.Options{Sparsity: 1.0, ZeroRun: true})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			wire := ctx.Compress(in)
+			wire := ctx.CompressInto(in, nil)
 			_ = wire // one compression serves all workers
 		}
 	})
@@ -453,7 +453,7 @@ func BenchmarkAblationSharedPull(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for w := 0; w < workers; w++ {
-				_ = ctxs[w].Compress(in)
+				_ = ctxs[w].CompressInto(in, nil)
 			}
 		}
 	})

@@ -6,7 +6,9 @@
 // pulls, every training step — is built as a zero-allocation, fused
 // single-pass pipeline. Compression contexts expose an append-style
 // CompressInto(in, dst) API and recycle all scratch state across steps;
-// decoding dispatches through a codec registry into caller-owned tensors.
+// decoding dispatches through a codec registry of add-decoders into
+// caller-owned tensors — a receiver only ever adds a decoded state change,
+// and a decode into a fresh tensor is the first add.
 // The per-element work of §3.1–§3.3 runs on internal/kernel's fused
 // kernels rather than as staged sweeps:
 //
@@ -15,9 +17,6 @@
 //	  accumulate + max|T|          2           1  (AccumulateMaxAbs)
 //	  quantize → dequantize →
 //	  residual → quartic → ZRE     5           1  (EncodeTernary)
-//	decompress                     2                1
-//	  ZRE expand + scaled unpack   2           1  (DecodeTernary: M·0 fill
-//	                                              + decode-add core, LUT)
 //	decode + accumulate            2                1
 //	  (aggregation: ZRE expand +
 //	  unpack + sum += M·q)         2           1  (DecodeTernaryAdd, LUT)
@@ -95,9 +94,8 @@
 //	internal/kernel      fused single-pass hot-path kernels: two-pass
 //	                     compress (AccumulateMaxAbs + EncodeTernary),
 //	                     one-pass decode-accumulate (DecodeTernaryAdd,
-//	                     into a sum a Blocks record may track) and the
-//	                     decode built on it (DecodeTernary: a fill of M·0,
-//	                     then the same core), pass counting
+//	                     into a sum a Blocks record may track), pass
+//	                     counting
 //	internal/quant       3-value quantization with sparsity multiplication,
 //	                     error accumulation, and the quantization baselines
 //	                     (staged reference for the fused kernels)

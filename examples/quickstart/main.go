@@ -55,7 +55,7 @@ func main() {
 		}
 		totalIn.Add(grad)
 
-		wire := ctx.Compress(grad)
+		wire := ctx.CompressInto(grad, nil)
 		out, err := compress.Decompress(wire, []int{n})
 		if err != nil {
 			panic(err)

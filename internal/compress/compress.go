@@ -13,24 +13,24 @@
 // CompressInto appends the wire message to a caller-provided buffer, so a
 // context driven with a recycled buffer (dst[:0] of the previous step's
 // wire) performs zero heap allocations per step once its scratch space has
-// converged. Compress remains as a convenience shim — it is exactly
-// CompressInto(in, nil) — so one-shot callers and older call sites keep
-// working unchanged.
+// converged; a one-shot caller passes nil.
 //
 // The ternary codecs (3LC and the stochastic baseline) run on the fused
 // single-pass kernels of internal/kernel: compress touches tensor memory
 // exactly twice (accumulate fused with the |max| reduction, then a fused
 // quantize → residual → quartic-pack → zero-run-emit loop that writes
-// wire bytes directly) and decode exactly once (a fill of M·0, then a
-// 243-entry LUT adds the literal groups' M·q into the destination floats).
+// wire bytes directly) and decode-add exactly once (a 243-entry LUT adds the
+// literal groups' M·q into the destination floats; zero runs are skipped).
 // The staged quant/encode primitives remain as the bit-identical reference
 // implementation.
 //
-// Decoding dispatches through a codec registry indexed by the wire's first
-// byte (see RegisterDecoder): each scheme registers its decoder and its
-// decode-accumulate path from an init function in the file that implements
-// its encoder, and both write the destination tensor in place with no
-// scratch, so the steady-state pull path allocates nothing either.
+// Decoding has one direction: as in the paper, a receiver only ever adds a
+// decoded state change. It dispatches through a codec registry indexed by
+// the wire's first byte (see RegisterDecoder), where each scheme registers
+// its decode-accumulate path from an init function in the file that
+// implements its encoder; a decode into a fresh buffer is the first add
+// (DecompressInto). Every decoder writes the destination tensor in place
+// with no scratch, so the steady-state pull path allocates nothing either.
 //
 // Implemented schemes, named after the paper's evaluation section:
 //
@@ -140,17 +140,13 @@ type Compressor interface {
 	Scheme() Scheme
 	// Name returns a human-readable design name matching the paper.
 	Name() string
-	// Compress encodes in (which must match the context's shape) and
-	// advances error-accumulation state. It is shorthand for
-	// CompressInto(in, nil) and allocates a fresh wire buffer per call;
-	// steady-state callers should prefer CompressInto.
-	Compress(in *tensor.Tensor) []byte
-	// CompressInto appends the wire message for in to dst and returns the
-	// extended slice, advancing error-accumulation state exactly like
-	// Compress. Passing the previous step's buffer re-sliced to dst[:0]
-	// makes the per-step compression path allocation-free once capacities
-	// converge. A scheme that transmits nothing this step (local steps)
-	// returns dst unchanged.
+	// CompressInto encodes in (which must match the context's shape),
+	// appends the wire message to dst and returns the extended slice,
+	// advancing error-accumulation state. A nil dst makes a fresh wire;
+	// passing the previous step's buffer re-sliced to dst[:0] makes the
+	// per-step compression path allocation-free once capacities converge.
+	// A scheme that transmits nothing this step (local steps) returns dst
+	// unchanged.
 	CompressInto(in *tensor.Tensor, dst []byte) []byte
 }
 

@@ -39,7 +39,7 @@ func TestNoneExactRoundTrip(t *testing.T) {
 	shape := []int{7, 13}
 	c := New(SchemeNone, shape, Options{})
 	in := randTensor(1, 7*13, 0.5).Reshape(7, 13)
-	wire := c.Compress(in)
+	wire := c.CompressInto(in, nil)
 	if len(wire) != 1+4*91 {
 		t.Fatalf("wire size %d", len(wire))
 	}
@@ -56,7 +56,7 @@ func TestInt8WireRoundTrip(t *testing.T) {
 	shape := []int{100}
 	c := New(SchemeInt8, shape, Options{})
 	in := randTensor(2, 100, 0.5)
-	out, err := Decompress(c.Compress(in), shape)
+	out, err := Decompress(c.CompressInto(in, nil), shape)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestThreeLCWireRoundTripMatchesLocalDequant(t *testing.T) {
 		sum := c.acc.Buffer().Clone()
 		sum.Add(in)
 		want := quant.Dequantize3(quant.Quantize3(sum, 1.5))
-		wire := c.Compress(in)
+		wire := c.CompressInto(in, nil)
 		out, err := Decompress(wire, shape)
 		if err != nil {
 			t.Fatal(err)
@@ -96,7 +96,7 @@ func TestThreeLCNoZRERoundTrip(t *testing.T) {
 	shape := []int{503}
 	c := New(SchemeThreeLC, shape, Options{Sparsity: 1.0, ZeroRun: false})
 	in := randTensor(3, 503, 0.1)
-	wire := c.Compress(in)
+	wire := c.CompressInto(in, nil)
 	// no-ZRE payload is exactly header + ceil(n/5).
 	if len(wire) != 1+4+1+101 {
 		t.Fatalf("no-ZRE wire size %d", len(wire))
@@ -110,8 +110,8 @@ func TestThreeLCZRESmallerOnSparseData(t *testing.T) {
 	shape := []int{10000}
 	in := tensor.New(10000)
 	in.Data()[0] = 1 // single spike: quantization output is nearly all zeros
-	zre := New(SchemeThreeLC, shape, Options{Sparsity: 1.0, ZeroRun: true}).Compress(in)
-	raw := New(SchemeThreeLC, shape, Options{Sparsity: 1.0, ZeroRun: false}).Compress(in)
+	zre := New(SchemeThreeLC, shape, Options{Sparsity: 1.0, ZeroRun: true}).CompressInto(in, nil)
+	raw := New(SchemeThreeLC, shape, Options{Sparsity: 1.0, ZeroRun: false}).CompressInto(in, nil)
 	if len(zre) >= len(raw) {
 		t.Errorf("ZRE (%d B) should beat plain quartic (%d B) on sparse data", len(zre), len(raw))
 	}
@@ -129,7 +129,7 @@ func TestThreeLCErrorAccumulationAcrossCalls(t *testing.T) {
 	total := tensor.New(64)
 	rounds := 100
 	for i := 0; i < rounds; i++ {
-		out, err := Decompress(c.Compress(in), shape)
+		out, err := Decompress(c.CompressInto(in, nil), shape)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestStochRoundTrip(t *testing.T) {
 	shape := []int{1001}
 	c := New(SchemeStoch3QE, shape, Options{Seed: 42})
 	in := randTensor(4, 1001, 0.2)
-	wire := c.Compress(in)
+	wire := c.CompressInto(in, nil)
 	out, err := Decompress(wire, shape)
 	if err != nil {
 		t.Fatal(err)
@@ -164,8 +164,8 @@ func TestStochRoundTrip(t *testing.T) {
 func TestStochDeterministicPerSeed(t *testing.T) {
 	shape := []int{100}
 	in := randTensor(5, 100, 0.2)
-	w1 := New(SchemeStoch3QE, shape, Options{Seed: 7}).Compress(in)
-	w2 := New(SchemeStoch3QE, shape, Options{Seed: 7}).Compress(in)
+	w1 := New(SchemeStoch3QE, shape, Options{Seed: 7}).CompressInto(in, nil)
+	w2 := New(SchemeStoch3QE, shape, Options{Seed: 7}).CompressInto(in, nil)
 	if string(w1) != string(w2) {
 		t.Error("same seed must give same wire")
 	}
@@ -175,7 +175,7 @@ func TestMQE1BitRoundTrip(t *testing.T) {
 	shape := []int{777}
 	c := New(SchemeMQE1Bit, shape, Options{})
 	in := randTensor(6, 777, 0.3)
-	out, err := Decompress(c.Compress(in), shape)
+	out, err := Decompress(c.CompressInto(in, nil), shape)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestMQE1BitErrorFeedbackDelivers(t *testing.T) {
 	total := tensor.New(32)
 	rounds := 200
 	for i := 0; i < rounds; i++ {
-		out, err := Decompress(c.Compress(in), shape)
+		out, err := Decompress(c.CompressInto(in, nil), shape)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestTopKRoundTrip(t *testing.T) {
 	shape := []int{1000}
 	c := New(SchemeTopK, shape, Options{Fraction: 0.25, Seed: 1})
 	in := randTensor(7, 1000, 0.5)
-	out, err := Decompress(c.Compress(in), shape)
+	out, err := Decompress(c.CompressInto(in, nil), shape)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,11 +250,11 @@ func TestLocalStepsCadence(t *testing.T) {
 	c := New(SchemeLocalSteps, shape, Options{Interval: 2})
 	in := tensor.New(50)
 	in.Fill(0.5)
-	w1 := c.Compress(in)
+	w1 := c.CompressInto(in, nil)
 	if len(w1) != 0 {
 		t.Fatalf("step 1 should transmit nothing, got %d bytes", len(w1))
 	}
-	w2 := c.Compress(in)
+	w2 := c.CompressInto(in, nil)
 	if len(w2) == 0 {
 		t.Fatal("step 2 should transmit")
 	}
@@ -300,20 +300,35 @@ func TestUnknownSchemePanics(t *testing.T) {
 	New(Scheme(99), []int{4}, Options{})
 }
 
+// TestDecompressMalformed: a malformed wire of every scheme is refused, and
+// a refused DecompressInto leaves its stale destination all +0 — the state
+// of a fresh sum whose first accumulation was rejected.
 func TestDecompressMalformed(t *testing.T) {
 	shape := []int{100}
 	cases := map[string][]byte{
-		"unknown scheme": {99, 0, 0},
-		"short raw":      {byte(SchemeNone), 1, 2, 3},
-		"short int8":     {byte(SchemeInt8), 1, 2},
-		"short ternary":  {byte(SchemeThreeLC), 1},
-		"bad quartic":    append([]byte{byte(SchemeThreeLC), 0, 0, 0, 0, 0}, make([]byte, 3)...),
-		"short onebit":   {byte(SchemeMQE1Bit), 0, 0, 0, 0},
-		"short topk":     {byte(SchemeTopK), 0},
+		"unknown scheme":    {99, 0, 0},
+		"short raw":         {byte(SchemeNone), 1, 2, 3},
+		"short local steps": {byte(SchemeLocalSteps), 1, 2, 3},
+		"short int8":        {byte(SchemeInt8), 1, 2},
+		"short ternary":     {byte(SchemeThreeLC), 1},
+		"short stoch":       {byte(SchemeStoch3QE), 1},
+		"bad quartic":       append([]byte{byte(SchemeThreeLC), 0, 0, 0, 0, 0}, make([]byte, 3)...),
+		"short onebit":      {byte(SchemeMQE1Bit), 0, 0, 0, 0},
+		"short topk":        {byte(SchemeTopK), 0},
+		"short packed":      {byte(SchemePacked32), 0, 0, 0},
 	}
 	for name, wire := range cases {
 		if _, err := Decompress(wire, shape); err == nil {
 			t.Errorf("%s: expected decode error", name)
+		}
+		dst := randTensor(7, shape[0], 1)
+		if err := DecompressInto(wire, dst); err == nil {
+			t.Errorf("%s: DecompressInto accepted it", name)
+		}
+		for i, v := range dst.Data() {
+			if math.Float32bits(v) != 0 {
+				t.Fatalf("%s: refused DecompressInto left %#x at %d, want +0", name, math.Float32bits(v), i)
+			}
 		}
 	}
 }
@@ -335,7 +350,7 @@ func TestTernaryFlagsByteExact(t *testing.T) {
 		{SchemeThreeLC, Options{Sparsity: 1.0}},
 		{SchemeStoch3QE, Options{Seed: 1}},
 	} {
-		wire := New(sc.s, []int{n}, sc.o).Compress(in)
+		wire := New(sc.s, []int{n}, sc.o).CompressInto(in, nil)
 		good := wire[5]
 		if want := map[bool]byte{true: 0x03, false: 0}[sc.o.ZeroRun]; good != want {
 			t.Fatalf("%v zre=%v: emitted flags %#02x, want %#02x", sc.s, sc.o.ZeroRun, good, want)
@@ -410,7 +425,7 @@ func TestRetiredSchemeByteRefused(t *testing.T) {
 		{schemeRetiredRoundRobin, "retired round-robin"},
 	} {
 		for _, sc := range fuzzSchemes {
-			wire := append([]byte{byte(r.b), 0}, newContext(sc.s, []int{n}, sc.o).Compress(in)...)
+			wire := append([]byte{byte(r.b), 0}, newContext(sc.s, []int{n}, sc.o).CompressInto(in, nil)...)
 			acc := tensor.New(n)
 			acc.Fill(1)
 			_, err := Decompress(wire, []int{n})
@@ -449,7 +464,7 @@ func TestCompressSizeMismatchPanics(t *testing.T) {
 					t.Errorf("scheme %v: expected panic on size mismatch", s)
 				}
 			}()
-			c.Compress(tensor.New(11))
+			c.CompressInto(tensor.New(11), nil)
 		}()
 	}
 }
@@ -472,7 +487,7 @@ func TestAllSchemesDecodeProperty(t *testing.T) {
 		in := randTensor(seed, n, 0.1)
 		for _, sc := range schemes {
 			c := New(sc.s, []int{n}, sc.opt)
-			out, err := Decompress(c.Compress(in), []int{n})
+			out, err := Decompress(c.CompressInto(in, nil), []int{n})
 			if err != nil || out.Len() != n {
 				return false
 			}
@@ -489,8 +504,8 @@ func TestAllSchemesDecodeProperty(t *testing.T) {
 func TestZRENeverExpandsProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		in := randTensor(seed, 2000, 0.05)
-		zre := New(SchemeThreeLC, []int{2000}, Options{Sparsity: 1.0, ZeroRun: true}).Compress(in)
-		raw := New(SchemeThreeLC, []int{2000}, Options{Sparsity: 1.0, ZeroRun: false}).Compress(in)
+		zre := New(SchemeThreeLC, []int{2000}, Options{Sparsity: 1.0, ZeroRun: true}).CompressInto(in, nil)
+		raw := New(SchemeThreeLC, []int{2000}, Options{Sparsity: 1.0, ZeroRun: false}).CompressInto(in, nil)
 		return len(zre) <= len(raw)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -10,27 +10,27 @@ import (
 )
 
 // TestCompressIntoMatchesCompress drives two identically-seeded contexts
-// per scheme — one through the legacy Compress, one through append-style
-// CompressInto with a recycled buffer — over several steps with evolving
-// inputs, and asserts the wire bytes are identical at every step. The
-// multi-step loop matters: it proves the scratch-buffer reuse does not
+// per scheme — one through CompressInto into a fresh (nil) buffer, one
+// through CompressInto with a recycled buffer — over several steps with
+// evolving inputs, and asserts the wire bytes are identical at every step.
+// The multi-step loop matters: it proves the scratch-buffer reuse does not
 // leak state between steps (error accumulation, RNG draws, step counters).
 func TestCompressIntoMatchesCompress(t *testing.T) {
 	const n = 1003 // not a multiple of 5 or 8: exercises padding paths
 	shape := []int{n}
 	for _, sc := range fuzzSchemes {
 		t.Run(sc.s.String(), func(t *testing.T) {
-			legacy := newContext(sc.s, shape, sc.o)
+			fresh := newContext(sc.s, shape, sc.o)
 			appendStyle := newContext(sc.s, shape, sc.o)
 			rng := tensor.NewRNG(99)
 			in := tensor.New(n)
 			var buf []byte
 			for step := 0; step < 8; step++ {
 				tensor.FillNormal(in, 0.02, rng)
-				want := legacy.Compress(in)
+				want := fresh.CompressInto(in, nil)
 				buf = appendStyle.CompressInto(in, buf[:0])
 				if !bytes.Equal(want, buf) {
-					t.Fatalf("step %d: CompressInto produced %d bytes != Compress %d bytes", step, len(buf), len(want))
+					t.Fatalf("step %d: CompressInto into a recycled buffer produced %d bytes, into nil %d", step, len(buf), len(want))
 				}
 				if len(buf) == 0 {
 					continue // local-steps non-transmitting step

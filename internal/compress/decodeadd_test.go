@@ -7,6 +7,8 @@ import (
 
 	"threelc/internal/encode"
 	"threelc/internal/kernel"
+	"threelc/internal/quant"
+	"threelc/internal/sparse"
 	"threelc/internal/tensor"
 )
 
@@ -36,15 +38,49 @@ func addTestCases() []struct {
 	}
 }
 
-// stagedDecompress is the add tests' reference decode. A ternary wire goes
-// through the staged encode primitives (zero-run expand, then scaled
-// quartic decode): DecompressInto runs it on the decode-add core under
-// test. Every other wire goes through DecompressInto.
+// stagedDecompress is the add tests' reference decode of a well-formed
+// wire, built on the staged primitives and sharing no code with the
+// registered decoders: a raw wire is read a float at a time, int8 and
+// 1-bit wires are dequantized (quant), a top-k wire is reconstructed
+// (sparse), and a ternary wire is zero-run expanded and scaled-quartic
+// decoded (encode). The packed wire, whose reference is the raw wire of the
+// same tensor (TestPacked32RoundTripsEveryBit), and the empty wire go
+// through DecompressInto.
 func stagedDecompress(wire []byte, dst *tensor.Tensor) error {
-	if len(wire) < 6 || (Scheme(wire[0]) != SchemeThreeLC && Scheme(wire[0]) != SchemeStoch3QE) {
+	n, d := dst.Len(), dst.Data()
+	if len(wire) == 0 {
 		return DecompressInto(wire, dst)
 	}
-	qlen := encode.QuarticEncodedLen(dst.Len())
+	body := wire[1:]
+	switch Scheme(wire[0]) {
+	case SchemeNone, SchemeLocalSteps:
+		for i := range d {
+			d[i] = getF32(body[4*i:])
+		}
+		return nil
+	case SchemeInt8:
+		q := &quant.Int8Quantized{Q: make([]int8, n), M: getF32(body)}
+		for i := range q.Q {
+			q.Q[i] = int8(body[4+i])
+		}
+		quant.DequantizeInt8Into(q, dst)
+		return nil
+	case SchemeMQE1Bit:
+		quant.DequantizeOneBitInto(&quant.OneBitQuantized{Bits: body[8:], N: n, MPos: getF32(body), MNeg: getF32(body[4:])}, dst)
+		return nil
+	case SchemeTopK:
+		bm := encode.BitmapSizeBytes(n)
+		vals := make([]float32, (len(body)-bm)/4)
+		for i := range vals {
+			vals[i] = getF32(body[bm+4*i:])
+		}
+		sparse.ReconstructInto(&sparse.Selection{Mask: encode.BitmapFromBytes(body[:bm], n), Values: vals}, dst)
+		return nil
+	case SchemeThreeLC, SchemeStoch3QE:
+	default:
+		return DecompressInto(wire, dst)
+	}
+	qlen := encode.QuarticEncodedLen(n)
 	q := wire[6:]
 	if wire[5] == ternaryZRE {
 		if got := encode.ZeroRunDecodedLen(q); got != qlen {
@@ -206,7 +242,7 @@ func TestInt8FusedEncodeMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestDecompressFirstAddMatchesZeroThenAdd pins DecompressFirstAddInto's
+// TestDecompressFirstAddMatchesZeroThenAdd pins DecompressInto's first-add
 // contract for every codec: over a destination holding stale sums it
 // leaves, bit for bit, what zeroing the destination and DecompressAddInto
 // leave. The float wires, raw and packed, are the ones it does not zero
@@ -232,7 +268,7 @@ func TestDecompressFirstAddMatchesZeroThenAdd(t *testing.T) {
 					t.Fatal(err)
 				}
 				got := randTensor(9, n, 1)
-				if err := DecompressFirstAddInto(wire, got); err != nil {
+				if err := DecompressInto(wire, got); err != nil {
 					t.Fatal(err)
 				}
 				for i, v := range got.Data() {
@@ -247,10 +283,10 @@ func TestDecompressFirstAddMatchesZeroThenAdd(t *testing.T) {
 }
 
 // TestRawPayloadLengthRejected feeds both raw schemes a payload one byte
-// short and one float long through all three decoders: every one returns
-// an error, a set and an add leave their destination untouched, and a
-// first add leaves it zeroed — the staged state of a fresh sum whose first
-// accumulation was rejected.
+// short and one float long through both decoders: each returns an error,
+// an add leaves its destination untouched, and a first add
+// (DecompressInto) leaves it zeroed — the staged state of a fresh sum
+// whose first accumulation was rejected.
 func TestRawPayloadLengthRejected(t *testing.T) {
 	const n = 45
 	good := New(SchemeNone, []int{n}, Options{}).CompressInto(randTensor(3, n, 0.01), nil)
@@ -260,20 +296,15 @@ func TestRawPayloadLengthRejected(t *testing.T) {
 			"long":  append(append([]byte{byte(scheme)}, good[1:]...), 0, 0, 0, 0),
 		} {
 			stale := randTensor(5, n, 1)
-			for op, decode := range map[string]func(dst *tensor.Tensor) error{
-				"set": func(dst *tensor.Tensor) error { return DecompressInto(wire, dst) },
-				"add": func(dst *tensor.Tensor) error { return DecompressAddInto(wire, dst, 1) },
-			} {
-				dst := stale.Clone()
-				if err := decode(dst); err == nil {
-					t.Fatalf("%v %s payload: %s accepted it", scheme, name, op)
-				}
-				if !dst.Equal(stale) {
-					t.Fatalf("%v %s payload: rejected %s modified its destination", scheme, name, op)
-				}
-			}
 			dst := stale.Clone()
-			if err := DecompressFirstAddInto(wire, dst); err == nil {
+			if err := DecompressAddInto(wire, dst, 1); err == nil {
+				t.Fatalf("%v %s payload: add accepted it", scheme, name)
+			}
+			if !dst.Equal(stale) {
+				t.Fatalf("%v %s payload: rejected add modified its destination", scheme, name)
+			}
+			dst = stale.Clone()
+			if err := DecompressInto(wire, dst); err == nil {
 				t.Fatalf("%v %s payload: first add accepted it", scheme, name)
 			}
 			for i, v := range dst.Data() {

@@ -15,7 +15,7 @@ func Example() {
 
 	ctx := compress.New(compress.SchemeThreeLC, grad.Shape(),
 		compress.Options{Sparsity: 1.0, ZeroRun: true})
-	wire := ctx.Compress(grad)
+	wire := ctx.CompressInto(grad, nil)
 	out, err := compress.Decompress(wire, grad.Shape())
 	if err != nil {
 		panic(err)
@@ -39,7 +39,7 @@ func Example_errorAccumulation() {
 
 	total := tensor.New(2)
 	for step := 0; step < 10; step++ {
-		out, err := compress.Decompress(ctx.Compress(in), in.Shape())
+		out, err := compress.Decompress(ctx.CompressInto(in, nil), in.Shape())
 		if err != nil {
 			panic(err)
 		}

@@ -9,15 +9,15 @@ import (
 )
 
 func init() {
-	RegisterDecoder(SchemeNone, decodeRaw, decodeRawAdd)
+	RegisterDecoder(SchemeNone, decodeRawAdd)
 }
 
 // noneCompressor is the "32-bit float" baseline: state changes are
 // transmitted verbatim as little-endian float32. The bytes are moved by
-// the kernel package's dispatched raw cores (kernel.AppendRaw, RawGet,
-// RawAdd, RawFirstAdd) — one streaming pass each, so the baseline every
-// ratio is quoted against costs what its bytes cost; this file only frames
-// them and checks lengths.
+// the kernel package's dispatched raw cores (kernel.AppendRaw, RawAdd,
+// RawFirstAdd) — one streaming pass each, so the baseline every ratio is
+// quoted against costs what its bytes cost; this file only frames them
+// and checks lengths.
 type noneCompressor struct {
 	shape []int
 	n     int
@@ -25,10 +25,6 @@ type noneCompressor struct {
 
 func (c *noneCompressor) Scheme() Scheme { return SchemeNone }
 func (c *noneCompressor) Name() string   { return "32-bit float" }
-
-func (c *noneCompressor) Compress(in *tensor.Tensor) []byte {
-	return c.CompressInto(in, nil)
-}
 
 //3lc:noalloc
 func (c *noneCompressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
@@ -59,14 +55,6 @@ func checkRawLen(payload []byte, n int) error {
 	return nil
 }
 
-func decodeRaw(payload []byte, dst *tensor.Tensor) error {
-	if err := checkRawLen(payload, dst.Len()); err != nil {
-		return err
-	}
-	kernel.RawGet(dst.Data(), payload)
-	return nil
-}
-
 // decodeRawAdd accumulates raw float payloads in one pass: dst[i] += v is
 // the exact add the staged decode-then-add performs, and the length check
 // rejects malformed payloads before dst is touched.
@@ -81,7 +69,7 @@ func decodeRawAdd(payload []byte, dst *tensor.Tensor) error {
 // decodeRawFirstAdd is the first accumulation of a fresh sum from a raw
 // payload, +0 + v per element: what zeroing dst and decodeRawAdd leave, in
 // one write-only pass over dst (kernel.RawFirstAdd). A malformed payload
-// is rejected with dst untouched; DecompressFirstAddInto owns the zeroing
+// is rejected with dst untouched; DecompressInto owns the zeroing
 // its contract asks for on error.
 func decodeRawFirstAdd(payload []byte, dst *tensor.Tensor) error {
 	if err := checkRawLen(payload, dst.Len()); err != nil {

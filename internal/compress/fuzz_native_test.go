@@ -19,17 +19,17 @@ func FuzzDecompressInto(f *testing.F) {
 	in := tensor.New(shape[0])
 	tensor.FillNormal(in, 0.1, rng)
 	for _, sc := range fuzzSchemes {
-		f.Add(newContext(sc.s, shape, sc.o).Compress(in))
+		f.Add(newContext(sc.s, shape, sc.o).CompressInto(in, nil))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00, 0x01})
 	// The retired scheme byte: alone, over a stored body (stage 0, the inner
 	// wire verbatim) and over a Huffman-coded one (stage 1).
 	f.Add([]byte{byte(schemeRetiredEntropy)})
-	f.Add(append([]byte{byte(schemeRetiredEntropy), 0}, newContext(SchemeThreeLC, shape, Options{Sparsity: 1.5, ZeroRun: true}).Compress(in)...))
+	f.Add(append([]byte{byte(schemeRetiredEntropy), 0}, newContext(SchemeThreeLC, shape, Options{Sparsity: 1.5, ZeroRun: true}).CompressInto(in, nil)...))
 	f.Add([]byte{byte(schemeRetiredEntropy), 1, 0xff, 0x01})
 	// The retired round-robin byte over its old top-k bitmap layout.
-	f.Add(append([]byte{byte(schemeRetiredRoundRobin)}, newContext(SchemeTopK, shape, Options{Fraction: 0.3, Seed: 1}).Compress(in)[1:]...))
+	f.Add(append([]byte{byte(schemeRetiredRoundRobin)}, newContext(SchemeTopK, shape, Options{Fraction: 0.3, Seed: 1}).CompressInto(in, nil)[1:]...))
 	// The ternary flags byte: the retired capped spelling, unknown bits,
 	// and — under the live value — long-run tokens cut short, overlong,
 	// overflowing and overrunning (52 groups: 257 elements).

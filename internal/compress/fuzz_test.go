@@ -74,7 +74,7 @@ func TestDecompressNeverPanicsOnCorruptWire(t *testing.T) {
 	}
 
 	for _, sc := range fuzzSchemes {
-		valid := newContext(sc.s, shape, sc.o).Compress(in)
+		valid := newContext(sc.s, shape, sc.o).CompressInto(in, nil)
 
 		// Single-byte mutations at every position.
 		for pos := 0; pos < len(valid); pos++ {
@@ -130,7 +130,7 @@ func TestDecompressIntoWrongShapeNeverPanics(t *testing.T) {
 		{SchemeTopK, Options{Fraction: 0.3, Seed: 1}},
 		{SchemePacked32, Options{}},
 	} {
-		wire := newContext(sc.s, []int{100}, sc.o).Compress(in)
+		wire := newContext(sc.s, []int{100}, sc.o).CompressInto(in, nil)
 		// Shapes inside the same padding bucket (e.g. 99 vs 100 for the
 		// 5-per-byte quartic format) are indistinguishable by design —
 		// the wire is context-keyed and does not carry the length. Test

@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	RegisterDecoder(SchemeInt8, decodeInt8, decodeInt8Add)
+	RegisterDecoder(SchemeInt8, decodeInt8Add)
 }
 
 // int8Compressor is the "8-bit int" baseline (§5.1): 255-level quantization
@@ -27,10 +27,6 @@ type int8Compressor struct {
 func (c *int8Compressor) Scheme() Scheme { return SchemeInt8 }
 func (c *int8Compressor) Name() string   { return "8-bit int" }
 
-func (c *int8Compressor) Compress(in *tensor.Tensor) []byte {
-	return c.CompressInto(in, nil)
-}
-
 //3lc:noalloc
 func (c *int8Compressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
 	if in.Len() != c.n {
@@ -40,19 +36,6 @@ func (c *int8Compressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
 	dst = append(dst, byte(SchemeInt8))
 	dst = appendF32(dst, float32(m))
 	return kernel.EncodeInt8(in.Data(), m, dst)
-}
-
-func decodeInt8(payload []byte, dst *tensor.Tensor) error {
-	d := dst.Data()
-	if len(payload) != 4+len(d) {
-		return fmt.Errorf("compress: int8 payload %d bytes, want %d", len(payload), 4+len(d))
-	}
-	m := getF32(payload)
-	scale := m / 127
-	for i := range d {
-		d[i] = scale * float32(int8(payload[4+i]))
-	}
-	return nil
 }
 
 // decodeInt8Add accumulates the int8 payload in one pass: dst[i] +=

@@ -11,9 +11,9 @@ import (
 func init() {
 	// Local-steps wires carry raw floats, exactly like the uncompressed
 	// baseline; only the scheme byte differs. (The empty non-transmitting
-	// wire never reaches the registry: DecompressInto and
-	// DecompressAddInto both special-case zero-length messages.)
-	RegisterDecoder(SchemeLocalSteps, decodeRaw, decodeRawAdd)
+	// wire never reaches the registry: DecompressAddInto special-cases
+	// zero-length messages, and DecompressInto zeroes and adds them.)
+	RegisterDecoder(SchemeLocalSteps, decodeRawAdd)
 }
 
 // localStepsCompressor is the "2 local steps" baseline (§5.1): state
@@ -45,10 +45,6 @@ func newLocalStepsCompressor(shape []int, interval int) *localStepsCompressor {
 func (c *localStepsCompressor) Scheme() Scheme { return SchemeLocalSteps }
 func (c *localStepsCompressor) Name() string {
 	return fmt.Sprintf("%d local steps", c.interval)
-}
-
-func (c *localStepsCompressor) Compress(in *tensor.Tensor) []byte {
-	return c.CompressInto(in, nil)
 }
 
 //3lc:noalloc

@@ -9,7 +9,7 @@ import (
 )
 
 func init() {
-	RegisterDecoder(SchemeMQE1Bit, decodeOneBit, decodeOneBitAdd)
+	RegisterDecoder(SchemeMQE1Bit, decodeOneBitAdd)
 }
 
 // oneBitCompressor is the "MQE 1-bit int" baseline (§5.1): 1-bit SGD-style
@@ -45,10 +45,6 @@ func newOneBitCompressor(shape []int) *oneBitCompressor {
 func (c *oneBitCompressor) Scheme() Scheme { return SchemeMQE1Bit }
 func (c *oneBitCompressor) Name() string   { return "MQE 1-bit int" }
 
-func (c *oneBitCompressor) Compress(in *tensor.Tensor) []byte {
-	return c.CompressInto(in, nil)
-}
-
 //3lc:noalloc
 func (c *oneBitCompressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
 	if in.Len() != c.n {
@@ -62,25 +58,6 @@ func (c *oneBitCompressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
 	dst = append(dst, c.bits...)
 	kernel.OneBitResidual(buf, c.bits, mPos, mNeg)
 	return dst
-}
-
-func decodeOneBit(payload []byte, dst *tensor.Tensor) error {
-	d := dst.Data()
-	want := 8 + (len(d)+7)/8
-	if len(payload) != want {
-		return fmt.Errorf("compress: 1-bit payload %d bytes, want %d", len(payload), want)
-	}
-	mPos := getF32(payload)
-	mNeg := getF32(payload[4:])
-	bits := payload[8:]
-	for i := range d {
-		if bits[i>>3]&(1<<(uint(i)&7)) != 0 {
-			d[i] = mPos
-		} else {
-			d[i] = mNeg
-		}
-	}
-	return nil
 }
 
 // decodeOneBitAdd accumulates the sign-bit payload in one pass (every

@@ -6,7 +6,7 @@ import (
 )
 
 func init() {
-	RegisterDecoder(SchemePacked32, decodePacked, decodePackedAdd)
+	RegisterDecoder(SchemePacked32, decodePackedAdd)
 }
 
 // packedCompressor is the wire of a tensor a compressing design exempts
@@ -54,10 +54,6 @@ func NewExempt(design Scheme, shape []int) Compressor {
 func (c *packedCompressor) Scheme() Scheme { return SchemePacked32 }
 func (c *packedCompressor) Name() string   { return "packed float32" }
 
-func (c *packedCompressor) Compress(in *tensor.Tensor) []byte {
-	return c.CompressInto(in, nil)
-}
-
 //3lc:noalloc
 func (c *packedCompressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
 	data := in.Data()
@@ -71,12 +67,6 @@ func (c *packedCompressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
 	}
 	// Not shorter: the raw wire, in the capacity the packer reserved.
 	return kernel.AppendRaw(append(dst[:off], byte(SchemeNone)), data)
-}
-
-//3lc:noalloc
-//3lc:decode
-func decodePacked(payload []byte, dst *tensor.Tensor) error {
-	return kernel.Planes32Get(dst.Data(), payload)
 }
 
 // decodePackedAdd accumulates a packed payload, dst[i] += v: per element the

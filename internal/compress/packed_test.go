@@ -39,17 +39,20 @@ func packedCases(n int) map[string][]float32 {
 	return cases
 }
 
-// TestPacked32RoundTripsEveryBit: a packed context's wire decodes to its
-// input bit for bit — ±0, denormals, ±Inf, NaN payloads, all-equal,
-// all-zero — at the lengths around a block and a tail byte; it is never
-// longer than the raw wire, and where it would not be shorter it IS the
-// raw wire; add and first-add leave what the raw wire of the same tensor
-// leaves, a −0 first-added as +0.
+// TestPacked32RoundTripsEveryBit: a packed context's wire lands in a
+// destination exactly as the raw wire of its input does — ±0, denormals,
+// ±Inf, NaN payloads, all-equal, all-zero — at the lengths around a block
+// and a tail byte: added to a sum, first-added (DecompressInto, a −0
+// reading +0), and added over a destination of −0, which keeps the sign of
+// every zero on the wire. It is never longer than the raw wire, and where
+// it would not be shorter it IS the raw wire. That the packed bits are the
+// input's to the bit is the kernel's reference-unpack test
+// (kernel.TestPlanesMatchReference).
 func TestPacked32RoundTripsEveryBit(t *testing.T) {
 	for _, n := range []int{1, 10, 48, 63, 64, 65, 1024} {
 		for name, vals := range packedCases(n) {
 			in := tensor.FromSlice(vals, n)
-			rawWire := New(SchemeNone, []int{n}, Options{}).Compress(in)
+			rawWire := New(SchemeNone, []int{n}, Options{}).CompressInto(in, nil)
 			prefix := []byte{0xCA, 0xFE}
 			out := NewExempt(SchemeThreeLC, []int{n}).CompressInto(in, append([]byte(nil), prefix...))
 			if !bytes.Equal(out[:2], prefix) {
@@ -64,23 +67,17 @@ func TestPacked32RoundTripsEveryBit(t *testing.T) {
 			case len(wire) < len(rawWire) && Scheme(wire[0]) != SchemePacked32:
 				t.Fatalf("%s n=%d: a shorter wire with scheme byte %d", name, n, wire[0])
 			}
-			got := tensor.New(n)
-			got.Fill(7)
-			if err := DecompressInto(wire, got); err != nil {
-				t.Fatalf("%s n=%d: %v", name, n, err)
-			}
-			for i, v := range got.Data() {
-				if math.Float32bits(v) != math.Float32bits(vals[i]) {
-					t.Fatalf("%s n=%d: element %d decodes to %#x, was %#x", name, n, i, math.Float32bits(v), math.Float32bits(vals[i]))
-				}
-			}
 			// Against what the raw wire does to the same destinations.
 			acc := randTensor(uint64(n), n, 1)
 			wantAdd, gotAdd := acc.Clone(), acc.Clone()
 			wantFirst, gotFirst := acc.Clone(), acc.Clone()
+			wantNeg, gotNeg := tensor.New(n), tensor.New(n)
+			wantNeg.Fill(negZero32)
+			gotNeg.Fill(negZero32)
 			for _, err := range []error{
 				DecompressAddInto(rawWire, wantAdd, 1), DecompressAddInto(wire, gotAdd, 1),
-				DecompressFirstAddInto(rawWire, wantFirst), DecompressFirstAddInto(wire, gotFirst),
+				DecompressInto(rawWire, wantFirst), DecompressInto(wire, gotFirst),
+				DecompressAddInto(rawWire, wantNeg, 1), DecompressAddInto(wire, gotNeg, 1),
 			} {
 				if err != nil {
 					t.Fatalf("%s n=%d: %v", name, n, err)
@@ -94,6 +91,9 @@ func TestPacked32RoundTripsEveryBit(t *testing.T) {
 				if a, b := math.Float32bits(gotFirst.Data()[i]), math.Float32bits(wantFirst.Data()[i]); a != b {
 					t.Fatalf("%s n=%d: first-add leaves %#x at %d, the raw wire %#x", name, n, a, i, b)
 				}
+				if a, b := math.Float32bits(gotNeg.Data()[i]), math.Float32bits(wantNeg.Data()[i]); a != b {
+					t.Fatalf("%s n=%d: an add over −0 leaves %#x at %d, the raw wire %#x", name, n, a, i, b)
+				}
 			}
 			if name == "negative zeros" {
 				// Its one plane packs whenever the tensor is looked at.
@@ -105,12 +105,19 @@ func TestPacked32RoundTripsEveryBit(t *testing.T) {
 						t.Fatalf("n=%d: first-add of a packed −0 left %#x at %d, want +0", n, math.Float32bits(v), i)
 					}
 				}
+				for i, v := range gotNeg.Data() {
+					if math.Float32bits(v) != math.Float32bits(negZero32) {
+						t.Fatalf("n=%d: a packed −0 added over −0 left %#x at %d, want −0", n, math.Float32bits(v), i)
+					}
+				}
 			}
 		}
 	}
 }
 
 func isNaN32(bits uint32) bool { return bits&0x7fffffff > 0x7f800000 }
+
+var negZero32 = math.Float32frombits(1 << 31)
 
 // TestPacked32FallsBackToRaw: random bit patterns fill every plane, so the
 // packed form is longer than float32 and the context sends the raw wire;
@@ -148,11 +155,12 @@ func TestPacked32FallsBackToRaw(t *testing.T) {
 	}
 }
 
-// FuzzPacked32Decode feeds arbitrary payloads to the three packed decoders
-// at several destination lengths: none may panic, a refusal must leave the
-// destination untouched (set and add; first-add zeroes it, its contract on
-// error), the three agree on what is refused, and non-zero padding bits in
-// a tail plane or a mask that disagrees with the length are refused.
+// FuzzPacked32Decode feeds arbitrary payloads to both packed decoders at
+// several destination lengths: neither may panic, a refusal must leave an
+// add's destination untouched and zero a first add's (DecompressInto, its
+// contract on error), the two agree on what is refused, and non-zero
+// padding bits in a tail plane or a mask that disagrees with the length are
+// refused.
 func FuzzPacked32Decode(f *testing.F) {
 	lengths := []int{1, 10, 48, 64, 65, 200}
 	pack := func(vals []float32) []byte { return kernel.AppendPlanes32(nil, vals) }
@@ -172,20 +180,19 @@ func FuzzPacked32Decode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		wire := append([]byte{byte(SchemePacked32)}, payload...)
 		for _, n := range lengths {
-			set, add, first := randTensor(1, n, 1), randTensor(1, n, 1), randTensor(1, n, 1)
-			before := set.Clone()
-			errSet := DecompressInto(wire, set)
+			add, first := randTensor(1, n, 1), randTensor(1, n, 1)
+			before := add.Clone()
 			errAdd := DecompressAddInto(wire, add, 1)
-			errFirst := DecompressFirstAddInto(wire, first)
-			if (errSet == nil) != (errAdd == nil) || (errSet == nil) != (errFirst == nil) {
-				t.Fatalf("n=%d: set says %v, add %v, first-add %v", n, errSet, errAdd, errFirst)
+			errFirst := DecompressInto(wire, first)
+			if (errAdd == nil) != (errFirst == nil) {
+				t.Fatalf("n=%d: add says %v, first-add %v", n, errAdd, errFirst)
 			}
-			if errSet == nil {
+			if errAdd == nil {
 				continue
 			}
 			for i, v := range before.Data() {
-				if math.Float32bits(set.Data()[i]) != math.Float32bits(v) || math.Float32bits(add.Data()[i]) != math.Float32bits(v) {
-					t.Fatalf("n=%d: refused (%v) after writing element %d", n, errSet, i)
+				if math.Float32bits(add.Data()[i]) != math.Float32bits(v) {
+					t.Fatalf("n=%d: refused (%v) after writing element %d", n, errAdd, i)
 				}
 				if math.Float32bits(first.Data()[i]) != 0 {
 					t.Fatalf("n=%d: a refused first-add left %#x at %d, want the zeroed sum", n, math.Float32bits(first.Data()[i]), i)

@@ -7,33 +7,23 @@ import (
 	"threelc/internal/tensor"
 )
 
-// DecodeFunc decodes one scheme's wire payload (the bytes after the scheme
-// identifier) into dst. Decoders operate on untrusted network data: they
-// must return errors for malformed payloads, never panic, and must not
-// retain the payload slice.
-type DecodeFunc func(payload []byte, dst *tensor.Tensor) error
+// addDecoders is the wire-dispatch table: the first byte of a compressed
+// message indexes directly into it. Each scheme self-registers from an
+// init function next to its encoder, so adding a codec is a single file
+// touching no central switch.
+var addDecoders [256]AddDecodeFunc
 
-// decoders and addDecoders are the wire-dispatch tables: the first byte
-// of a compressed message indexes directly into them. Each scheme
-// self-registers both forms from an init function next to its encoder,
-// so adding a codec is a single file touching no central switch.
-var (
-	decoders    [256]DecodeFunc
-	addDecoders [256]AddDecodeFunc
-)
-
-// RegisterDecoder installs decode and add as scheme s's decoder and
-// decode-accumulate path. It panics on a nil function or a duplicate
-// registration — both are programming errors caught at process start,
-// not at decode time.
-func RegisterDecoder(s Scheme, decode DecodeFunc, add AddDecodeFunc) {
-	if decode == nil || add == nil {
+// RegisterDecoder installs add as scheme s's decoder, its decode-accumulate
+// path. It panics on a nil function or a duplicate registration — both are
+// programming errors caught at process start, not at decode time.
+func RegisterDecoder(s Scheme, add AddDecodeFunc) {
+	if add == nil {
 		panic(fmt.Sprintf("compress: RegisterDecoder(%v) with a nil decoder", s))
 	}
-	if decoders[s] != nil {
+	if addDecoders[s] != nil {
 		panic(fmt.Sprintf("compress: duplicate decoder registration for %v", s))
 	}
-	decoders[s], addDecoders[s] = decode, add
+	addDecoders[s] = add
 }
 
 // RegisteredSchemes returns every scheme with an installed decoder, in
@@ -41,7 +31,7 @@ func RegisterDecoder(s Scheme, decode DecodeFunc, add AddDecodeFunc) {
 // coverage of the decode error paths.
 func RegisteredSchemes() []Scheme {
 	var out []Scheme
-	for s, fn := range decoders {
+	for s, fn := range addDecoders {
 		if fn != nil {
 			out = append(out, Scheme(s))
 		}
@@ -49,15 +39,15 @@ func RegisteredSchemes() []Scheme {
 	return out
 }
 
-// AddDecodeFunc decodes one scheme's wire payload and ACCUMULATES it into
-// dst (dst += decoded) in a single fused pass, with no intermediate
-// tensor: the aggregation-side counterpart of DecodeFunc, which every
-// scheme registers beside it.
+// AddDecodeFunc decodes one scheme's wire payload (the bytes after the
+// scheme identifier) and ACCUMULATES it into dst (dst += decoded) in a
+// single fused pass, with no intermediate tensor. Decoders operate on
+// untrusted network data: they must return errors for malformed payloads,
+// never panic, and must not retain the payload slice.
 //
-// The accumulator contract is stricter than DecodeFunc's: dst holds live
-// aggregation state (other workers' gradients already summed), so a
-// malformed payload must be rejected BEFORE any element of dst is
-// modified — validate-then-accumulate, never partially apply. The
+// dst holds live aggregation state (other workers' gradients already
+// summed), so a malformed payload must be rejected BEFORE any element of
+// dst is modified — validate-then-accumulate, never partially apply. The
 // accumulated result must be bit-identical to decoding into scratch and
 // adding the scratch element-wise, for every dst free of −0 (see
 // DecompressAddInto for the one corner a zero-run skip leaves).
@@ -73,23 +63,36 @@ func Decompress(wire []byte, shape []int) (*tensor.Tensor, error) {
 	return out, nil
 }
 
-// DecompressInto decodes wire into dst through the codec registry. An
-// empty wire message (produced by the local-steps scheme on
-// non-transmitting steps) decodes as all zeros. Decoding allocates nothing
-// in steady state: the output is written in place.
+// DecompressInto decodes wire into dst as the first accumulation of a
+// fresh sum: bit-identical to zeroing dst and then DecompressAddInto. A
+// float wire, raw or packed, is not copied but added to +0 element by
+// element in registers (kernel.RawFirstAdd, kernel.Planes32FirstAdd) — one
+// write-only pass over dst, no zeroing sweep and no read. Everything else
+// zeroes and accumulates; the empty wire (local steps, non-transmitting)
+// decodes as all zeros. It allocates nothing in steady state.
+//
+// Because it is +0 + v, a decoded −0 reads +0 (+0 + (−0) = +0) and a NaN
+// is whatever the tier's add makes of it; every other value lands bit for
+// bit. On error dst is zeroed — exactly the staged state of a fresh sum
+// whose first accumulation was rejected — not left unchanged.
 //
 //3lc:noalloc
 //3lc:decode
 func DecompressInto(wire []byte, dst *tensor.Tensor) error {
-	if len(wire) == 0 {
+	var err error
+	switch {
+	case len(wire) > 0 && (Scheme(wire[0]) == SchemeNone || Scheme(wire[0]) == SchemeLocalSteps):
+		err = decodeRawFirstAdd(wire[1:], dst)
+	case len(wire) > 0 && Scheme(wire[0]) == SchemePacked32:
+		err = decodePackedFirstAdd(wire[1:], dst)
+	default:
 		dst.Zero()
-		return nil
+		return DecompressAddInto(wire, dst, 0)
 	}
-	fn := decoders[wire[0]]
-	if fn == nil {
-		return unknownScheme(wire[0])
+	if err != nil {
+		dst.Zero()
 	}
-	return fn(wire[1:], dst)
+	return err
 }
 
 // unknownScheme refuses a wire whose scheme byte has no decoder, naming the
@@ -105,7 +108,7 @@ func unknownScheme(b byte) error {
 }
 
 // DecompressAddInto decodes wire and accumulates it into dst: dst +=
-// decoded, bit-identical to DecompressInto into scratch followed by
+// decoded, bit-identical to decoding into scratch followed by
 // dst.Add(scratch), but in a single fused pass with no intermediate
 // tensor: every scheme registers its add-decoder. This is the
 // aggregation hot path: the parameter server runs one call per worker per
@@ -151,7 +154,7 @@ func DecompressAddInto(wire []byte, dst *tensor.Tensor, _ int) error {
 // the first literal group of the step lands in it, zero runs touch
 // nothing, and a non-finite scale makes every block live and adds densely.
 // Every other wire is a dense add: into an empty sum as its first
-// accumulation (DecompressFirstAddInto), otherwise after the dead blocks
+// accumulation (DecompressInto), otherwise after the dead blocks
 // are cleared, and either way every block is live after it. On error
 // neither what dst reads as nor the record changes. A nil live is
 // DecompressAddInto.
@@ -163,7 +166,7 @@ func DecompressAddLive(wire []byte, dst *tensor.Tensor, live *kernel.Blocks) err
 	}
 	var err error
 	if live.Empty(dst.Len()) {
-		err = DecompressFirstAddInto(wire, dst)
+		err = DecompressInto(wire, dst)
 	} else {
 		live.ClearDead(dst.Data())
 		err = DecompressAddInto(wire, dst, 0)
@@ -173,31 +176,4 @@ func DecompressAddLive(wire []byte, dst *tensor.Tensor, live *kernel.Blocks) err
 	}
 	live.Mark(dst.Len())
 	return nil
-}
-
-// DecompressFirstAddInto decodes wire into dst as the FIRST accumulation
-// of a fresh gradient sum: bit-identical to zeroing dst and then
-// DecompressAddInto. A float wire, raw or packed, can carry −0, so it is
-// not copied but added to +0 element by element in registers
-// (kernel.RawFirstAdd, kernel.Planes32FirstAdd: +0 + (−0) = +0, exactly as
-// the staged add leaves it) — one write-only pass over dst, no zeroing
-// sweep and no read. Everything else zeroes and accumulates.
-//
-// On error dst is zeroed — exactly the staged state of a fresh sum whose
-// first accumulation was rejected.
-func DecompressFirstAddInto(wire []byte, dst *tensor.Tensor) error {
-	var err error
-	switch {
-	case len(wire) > 0 && (Scheme(wire[0]) == SchemeNone || Scheme(wire[0]) == SchemeLocalSteps):
-		err = decodeRawFirstAdd(wire[1:], dst)
-	case len(wire) > 0 && Scheme(wire[0]) == SchemePacked32:
-		err = decodePackedFirstAdd(wire[1:], dst)
-	default:
-		dst.Zero()
-		return DecompressAddInto(wire, dst, 0)
-	}
-	if err != nil {
-		dst.Zero()
-	}
-	return err
 }

@@ -36,10 +36,6 @@ func newStochCompressor(shape []int, seed uint64) *stochCompressor {
 func (c *stochCompressor) Scheme() Scheme { return SchemeStoch3QE }
 func (c *stochCompressor) Name() string   { return "Stoch 3-value + QE" }
 
-func (c *stochCompressor) Compress(in *tensor.Tensor) []byte {
-	return c.CompressInto(in, nil)
-}
-
 //3lc:noalloc
 func (c *stochCompressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
 	if in.Len() != c.n {

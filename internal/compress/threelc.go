@@ -10,8 +10,8 @@ import (
 )
 
 func init() {
-	RegisterDecoder(SchemeThreeLC, decodeTernary, decodeTernaryAdd)
-	RegisterDecoder(SchemeStoch3QE, decodeTernary, decodeTernaryAdd)
+	RegisterDecoder(SchemeThreeLC, decodeTernaryAdd)
+	RegisterDecoder(SchemeStoch3QE, decodeTernaryAdd)
 }
 
 // Ternary wire format, shared by 3LC and the stochastic baseline:
@@ -99,10 +99,6 @@ func (c *threeLCCompressor) Name() string {
 	return fmt.Sprintf("3LC (s=%.2f)", c.sparsity)
 }
 
-func (c *threeLCCompressor) Compress(in *tensor.Tensor) []byte {
-	return c.CompressInto(in, nil)
-}
-
 // CompressInto runs the Figure-3 pipeline in exactly two passes over
 // tensor memory: pass 1 accumulates the input into the error buffer fused
 // with the |max| reduction (step 1 of Fig. 3 + Eq. 1), pass 2 fuses
@@ -157,23 +153,6 @@ func (c *threeLCCompressor) encodeAccumulated(blk *kernel.Blocks, maxAbs float32
 // and the ablation benchmarks).
 func (c *threeLCCompressor) ErrorNorm() float64 {
 	return c.acc.Buffer().SquaredNorm()
-}
-
-// decodeTernary reverses the ternary wire format into dst:
-// kernel.DecodeTernary fills it with M·0 and adds the literal groups' M·q
-// through the LUT — no zero-run expansion scratch or ternary intermediate.
-func decodeTernary(payload []byte, dst *tensor.Tensor) error {
-	if len(payload) < 5 {
-		return fmt.Errorf("compress: ternary payload too short (%d bytes)", len(payload))
-	}
-	zre, err := ternaryZeroRun(payload[5-1])
-	if err != nil {
-		return err
-	}
-	if err := kernel.DecodeTernary(payload[5:], zre, getF32(payload), dst.Data()); err != nil {
-		return fmt.Errorf("compress: %w", err)
-	}
-	return nil
 }
 
 // decodeTernaryAdd is the aggregation-side path into a plain destination:

@@ -12,7 +12,7 @@ import (
 )
 
 func init() {
-	RegisterDecoder(SchemeTopK, decodeTopK, decodeTopKAdd)
+	RegisterDecoder(SchemeTopK, decodeTopKAdd)
 }
 
 // topKCompressor is the "25% / 5% sparsification" baseline (§5.1): the
@@ -52,10 +52,6 @@ func newTopKCompressor(shape []int, fraction float64, seed uint64) *topKCompress
 func (c *topKCompressor) Scheme() Scheme { return SchemeTopK }
 func (c *topKCompressor) Name() string {
 	return fmt.Sprintf("%d%% sparsification", int(c.sp.Fraction*100+0.5))
-}
-
-func (c *topKCompressor) Compress(in *tensor.Tensor) []byte {
-	return c.CompressInto(in, nil)
 }
 
 //3lc:noalloc
@@ -103,23 +99,6 @@ func splitTopK(payload []byte, n int) (bm, vals []byte, err error) {
 		return nil, nil, fmt.Errorf("compress: top-k bitmap selects %d values, payload has %d", count, len(vals)/4)
 	}
 	return bm, vals, nil
-}
-
-func decodeTopK(payload []byte, dst *tensor.Tensor) error {
-	d := dst.Data()
-	bm, vals, err := splitTopK(payload, len(d))
-	if err != nil {
-		return err
-	}
-	dst.Zero()
-	vi := 0
-	for i := range d {
-		if bm[i>>3]&(1<<(uint(i)&7)) != 0 {
-			d[i] = getF32(vals[4*vi:])
-			vi++
-		}
-	}
-	return nil
 }
 
 // decodeTopKAdd accumulates a top-k payload in one pass: dst[i] += v for a

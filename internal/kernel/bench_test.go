@@ -89,7 +89,8 @@ func BenchmarkStagedCompress(b *testing.B) {
 	}
 }
 
-// BenchmarkFusedDecompress measures the single-pass LUT decode.
+// BenchmarkFusedDecompress measures a decode into a fresh buffer: a clear,
+// then the single-pass LUT decode-add.
 func BenchmarkFusedDecompress(b *testing.B) {
 	for _, n := range benchSizes() {
 		b.Run(sizeName(n), func(b *testing.B) {
@@ -101,14 +102,15 @@ func BenchmarkFusedDecompress(b *testing.B) {
 			dst := make([]float32, n)
 			// Warm up the ScaledLUT free list so the measured loop is the true
 			// steady state (first Get allocates the pooled table once).
-			if err := DecodeTernary(wire, true, float32(m), dst); err != nil {
+			if err := DecodeTernaryAdd(wire, true, float32(m), dst); err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(4 * int64(n))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := DecodeTernary(wire, true, float32(m), dst); err != nil {
+				clear(dst)
+				if err := DecodeTernaryAdd(wire, true, float32(m), dst); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -170,8 +172,8 @@ func BenchmarkDecodeAdd(b *testing.B) {
 }
 
 // BenchmarkDecodeThenAdd is the staged aggregation baseline the fusion
-// replaces: fused decode into a scratch tensor, then a separate add sweep
-// into the accumulator — two passes of tensor-scale memory per payload.
+// replaces: a decode into a fresh scratch tensor (a clear, then the
+// decode-add), then a separate add sweep into the accumulator.
 func BenchmarkDecodeThenAdd(b *testing.B) {
 	for _, n := range benchSizes() {
 		b.Run(sizeName(n), func(b *testing.B) {
@@ -182,14 +184,15 @@ func BenchmarkDecodeThenAdd(b *testing.B) {
 			wire := EncodeTernary(buf, m, true, nil)
 			scratch := make([]float32, n)
 			acc := make([]float32, n)
-			if err := DecodeTernary(wire, true, float32(m), scratch); err != nil {
+			if err := DecodeTernaryAdd(wire, true, float32(m), scratch); err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(4 * int64(n))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := DecodeTernary(wire, true, float32(m), scratch); err != nil {
+				clear(scratch)
+				if err := DecodeTernaryAdd(wire, true, float32(m), scratch); err != nil {
 					b.Fatal(err)
 				}
 				for j, v := range scratch {

@@ -101,42 +101,6 @@ func putLUT(l *ScaledLUT) {
 	}
 }
 
-// DecodeTernary decodes a ternary wire body — quartic bytes, zero-run
-// encoded when zre is set — into dst: dst[i] = m·q_i. It validates the
-// body (scanTernaryBody), fills dst with m·0 and runs the decode-add core
-// over it, so a zero run costs the fill alone and only the literal groups
-// are added: m·0 + m·q is m·q bit for bit for a finite non-zero m, whose
-// m·0 carries m's sign. A zero or non-finite scale (only an untrusted
-// wire carries the latter) decodes at scale 1 and then multiplies dst by
-// m, the staged m·q for every digit. It never reads or writes any
-// intermediate buffer.
-//
-// The body is untrusted network data, so like encode.QuarticDecodeScaledInto
-// the kernel returns errors instead of panicking: a payload whose group
-// count does not expand to exactly len(dst) values (truncated, overlong,
-// or a run overrunning the end), or — without zre — a byte above
-// encode.MaxQuartic, is rejected. On error dst is unchanged.
-//
-//3lc:noalloc
-//3lc:decode
-func DecodeTernary(body []byte, zre bool, m float32, dst []float32) error {
-	if err := scanTernaryBody(body, zre, encode.QuarticEncodedLen(len(dst))); err != nil {
-		return err
-	}
-	notePass("lut-decode", len(dst))
-	if m != 0 && !nonFinite(m) {
-		setZeroRun(dst, m*0)
-		addValidated(body, m, dst, nil)
-		return nil
-	}
-	clear(dst)
-	addValidated(body, 1, dst, nil)
-	for i := range dst {
-		dst[i] *= m
-	}
-	return nil
-}
-
 // zeroRunAt reads the zero-run token at body[off], a byte above
 // encode.MaxQuartic — the one place the kernel reads encode's grammar:
 // 243..254 stand for 2..13 zero groups, encode.LongRun and the uvarint e
@@ -172,20 +136,4 @@ func zeroRunAt(body []byte, off, room int) (groups, next int) {
 
 func errZeroRun(off, room int) error {
 	return fmt.Errorf("kernel: zero-run token at offset %d is cut short, overlong or expands past the %d groups left", off, room)
-}
-
-// setZeroRun fills dst with m·0, what DecodeTernary writes for every
-// group a zero run stands for. When m·0 has the bit pattern of +0 — every
-// positive scale — that is one clear; a negative scale must write −0,
-// exactly what the staged multiply produces, so it keeps the fill.
-//
-//3lc:noalloc
-func setZeroRun(dst []float32, zero float32) {
-	if math.Float32bits(zero) == 0 {
-		clear(dst)
-		return
-	}
-	for i := range dst {
-		dst[i] = zero
-	}
 }

@@ -23,8 +23,6 @@ import (
 // payload must not corrupt the sum: every payload is fully validated by a
 // wire-byte scan (a few percent of tensor size; not a tensor-memory pass)
 // before the first element of dst is touched. On error dst is unchanged.
-// DecodeTernary is the same scan and core over a fill of m·0, so it too
-// leaves dst unchanged on error.
 //
 // Zero runs skip memory. A run marker stands for k groups of m·0, and for
 // every finite scale m·0 is ±0, whose addition leaves dst as it is:
@@ -182,7 +180,6 @@ func (x *Blocks) DecodeTernaryAdd(body []byte, zre bool, m float32, dst []float3
 
 // addValidated runs the fused accumulate pass over an already-validated
 // payload, choosing the ScaledLUT or inline-multiply form by size.
-// DecodeTernary runs it over a fill of m·0.
 func addValidated(body []byte, m float32, dst []float32, l *Blocks) {
 	if len(dst) >= scaledLUTMinElems {
 		lut := getLUT()

@@ -21,8 +21,8 @@ func mkTernaryWire(seed uint64, n int, std, sparsity float64, zre bool) (body []
 }
 
 // stagedDecodeAdd is the reference composition: the staged quant/encode
-// decode into scratch (stagedDecode), then an element-wise add. It cannot
-// use DecodeTernary, which runs the decode-add core under test.
+// decode into scratch (stagedDecode), then an element-wise add. It shares
+// no code with the decode-add core under test.
 func stagedDecodeAdd(t *testing.T, body []byte, zre bool, m float32, dst []float32) {
 	t.Helper()
 	tmp, err := stagedDecode(body, zre, m, len(dst))
@@ -156,9 +156,7 @@ func TestLiveBlocksReset(t *testing.T) {
 }
 
 // TestDecodeTernaryAddRejectsMalformed feeds the malformed shapes the
-// scan must catch and asserts the accumulator is never touched — the
-// decode-ADD contract is stronger than decode-into's "unspecified on
-// error".
+// scan must catch and asserts the accumulator is never touched.
 func TestDecodeTernaryAddRejectsMalformed(t *testing.T) {
 	const n = 640 // 128 groups
 	valid, m := mkTernaryWire(2, n, 0.01, 1.75, true)

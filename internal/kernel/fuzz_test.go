@@ -42,8 +42,8 @@ func nanClassEqual(a, b []float32) (int, bool) {
 // settings, the fused compress path must produce byte-identical wires and
 // bit-identical residual buffers (up to NaN payload class) to the staged
 // quant+encode composition — across two accumulating steps, under EVERY
-// available kernel tier — and the fused
-// LUT decoder must reproduce the staged decode bit-exactly.
+// available kernel tier — and the fused LUT decode-add into zeros must
+// reproduce the staged decode added into zeros bit-exactly.
 func FuzzFusedVsStaged(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0}, uint8(0), true)
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(128), false)
@@ -109,13 +109,14 @@ func fuzzFusedVsStagedBody(t *testing.T, data []byte, sByte uint8, zre bool, n i
 			t.Fatalf("tier %v step %d: residual differs at %d", tier, step, i)
 		}
 
-		// Decode side: the fused LUT decoder must agree with the
-		// staged expand+scaled-decode bit for bit. Skip wires the
-		// staged decoder itself rejects (garbage values can quantize
-		// outside the ternary range and produce undecodable bytes).
-		want, errStaged := stagedDecode(wantWire, zre, wantM, n)
+		// Decode side: the fused LUT decode-add into a zeroed buffer
+		// must agree with the staged expand+scaled-decode added into
+		// one bit for bit. Skip wires the staged decoder itself rejects
+		// (garbage values can quantize outside the ternary range and
+		// produce undecodable bytes).
+		want, errStaged := stagedFirstAdd(wantWire, zre, wantM, n)
 		got := make([]float32, n)
-		errFused := DecodeTernary(wantWire, zre, wantM, got)
+		errFused := DecodeTernaryAdd(wantWire, zre, wantM, got)
 		if (errStaged == nil) != (errFused == nil) {
 			t.Fatalf("tier %v step %d: staged decode err=%v, fused err=%v", tier, step, errStaged, errFused)
 		}
@@ -236,12 +237,13 @@ var longRunFuzzSeeds = [][]byte{
 	{255, 58, 121, 121, 121, 121, 121, 121, 121, 121, 121},
 }
 
-// FuzzDecodeTernaryAdd feeds arbitrary bytes to the fused
-// decode-accumulate kernels: untrusted payloads may error but must never
-// panic, and — stronger than the decode-into contract — a rejected
-// payload must leave the accumulator bit-identical to its prior state.
-// Accepted payloads must accumulate bit-identically to the staged
-// decode-then-add (stagedDecode, which shares no code with the kernel).
+// FuzzDecodeTernaryAdd feeds arbitrary bytes and scales to the fused
+// decode-accumulate kernels on both sides of the ScaledLUT threshold and
+// every tier: untrusted payloads may error but must never panic, must be
+// rejected exactly when the staged decoder (stagedDecode, which shares no
+// code with the kernel) rejects them, and must then leave the accumulator
+// bit-identical to its prior state. Accepted payloads must accumulate
+// bit-identically to the staged decode-then-add.
 func FuzzDecodeTernaryAdd(f *testing.F) {
 	f.Add([]byte{121, 121, 121}, uint32(0x3f800000), true)
 	f.Add([]byte{255, 0, 243}, uint32(0x7fc00000), true) // runs + NaN scale
@@ -286,11 +288,13 @@ func FuzzDecodeTernaryAdd(f *testing.F) {
 	})
 }
 
-// FuzzDecodeTernary feeds arbitrary bytes and scales to the fused decoder
-// on both sides of the ScaledLUT threshold and every tier: it must never
-// panic, must reject exactly the payloads the staged decoder (stagedDecode)
-// rejects and leave dst unchanged when it does, and must otherwise decode
-// bit-identically to it.
+// FuzzDecodeTernary feeds arbitrary bytes and scales to a ternary decode
+// into a stale destination, done as every fresh-buffer decode of a ternary
+// wire is done: zero dst, then DecodeTernaryAdd. On both sides of the
+// ScaledLUT threshold and every tier it must never panic, must reject
+// exactly the payloads the staged decoder (stagedDecode) rejects and leave
+// dst all +0 when it does, and must otherwise equal the staged decode added
+// into zeros (stagedFirstAdd) bit for bit, so a decoded −0 reads +0.
 func FuzzDecodeTernary(f *testing.F) {
 	f.Add([]byte{121, 121, 121}, uint32(0x3f800000), true)
 	f.Add([]byte{255, 0, 243}, uint32(0x7fc00000), true) // runs + NaN scale
@@ -308,15 +312,16 @@ func FuzzDecodeTernary(f *testing.F) {
 				for i := range dst {
 					dst[i] = 7 // stale contents
 				}
-				want, errRef := stagedDecode(body, zre, m, len(dst))
-				err := DecodeTernary(body, zre, m, dst)
+				want, errRef := stagedFirstAdd(body, zre, m, len(dst))
+				clear(dst)
+				err := DecodeTernaryAdd(body, zre, m, dst)
 				if (err == nil) != (errRef == nil) {
 					t.Fatalf("tier %v n=%d: staged decode err=%v, fused err=%v", tier, len(dst), errRef, err)
 				}
 				if err != nil {
 					for i, v := range dst {
-						if v != 7 {
-							t.Fatalf("tier %v n=%d: rejected payload wrote %x at %d", tier, len(dst), math.Float32bits(v), i)
+						if math.Float32bits(v) != 0 {
+							t.Fatalf("tier %v n=%d: rejected payload left %x at %d, want +0", tier, len(dst), math.Float32bits(v), i)
 						}
 					}
 				} else if i, ok := bitsEqual(dst, want); !ok {

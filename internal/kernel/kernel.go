@@ -23,10 +23,10 @@
 //	                            blocks that hold a non-zero digit, so at
 //	                            3LC's zero fractions it is a read-only
 //	                            stream over the blocks that can quantize
-//	decode  DecodeTernary       fills the destination with M·0, then runs
-//	                            the decode-add core (DecodeTernaryAdd's)
-//	                            over it: zero runs cost the fill alone and
-//	                            only the literal groups are added
+//	decode  DecodeTernaryAdd    adds the literal groups' M·q into the
+//	                            destination through the LUT and skips zero
+//	                            runs; a decode into a fresh buffer is this
+//	                            over a cleared one
 //
 // The skip needs non-zero digits that cluster in few blocks and a finite
 // float32(M). lan-3lc's and wan-3lc's 1.85M-element layers have them: over

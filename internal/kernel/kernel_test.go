@@ -59,6 +59,20 @@ func stagedDecode(body []byte, zre bool, m float32, n int) ([]float32, error) {
 	return dst, nil
 }
 
+// stagedFirstAdd is stagedDecode added into a zeroed destination: the
+// reference for a decode into a fresh buffer, the decode-add into zeros.
+func stagedFirstAdd(body []byte, zre bool, m float32, n int) ([]float32, error) {
+	v, err := stagedDecode(body, zre, m, n)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float32, n)
+	for i, x := range v {
+		out[i] += x
+	}
+	return out, nil
+}
+
 func bitsEqual(a, b []float32) (int, bool) {
 	if len(a) != len(b) {
 		return -1, false
@@ -151,12 +165,13 @@ func TestEncodeStochMatchesStaged(t *testing.T) {
 	}
 }
 
-// TestDecodeTernaryMatchesStaged checks the LUT decoder against the staged
-// zero-run-expand + scaled-quartic-decode reference over stale destination
-// contents, on every tier, on both sides of the ScaledLUT threshold and for
-// n % 5 != 0: at the wire's own scale and at scales no encoder emits — ±0
-// (under which a −1 digit decodes to the opposite zero), ±Inf, NaN, a
-// negative scale and two subnormals.
+// TestDecodeTernaryMatchesStaged checks a decode into a fresh buffer — the
+// LUT decode-add into zeros — against the staged zero-run-expand +
+// scaled-quartic-decode reference added into zeros (stagedFirstAdd), on
+// every tier, on both sides of the ScaledLUT threshold and for n % 5 != 0:
+// at the wire's own scale and at scales no encoder emits — ±0, ±Inf, NaN,
+// a negative scale and two subnormals. Under a negative or −0 scale the
+// staged decode writes −0 where the add leaves +0; nothing else differs.
 func TestDecodeTernaryMatchesStaged(t *testing.T) {
 	odd := []float32{
 		0, float32(math.Copysign(0, -1)),
@@ -172,15 +187,12 @@ func TestDecodeTernaryMatchesStaged(t *testing.T) {
 				m := float64(AccumulateMaxAbs(buf, in.Data())) * 1.75
 				body := EncodeTernary(buf, m, zre, nil)
 				for _, m := range append([]float32{float32(m)}, odd...) {
-					want, err := stagedDecode(body, zre, m, n)
+					want, err := stagedFirstAdd(body, zre, m, n)
 					if err != nil {
 						t.Fatalf("n=%d zre=%v: staged decode: %v", n, zre, err)
 					}
 					got := make([]float32, n)
-					for i := range got {
-						got[i] = 7
-					}
-					if err := DecodeTernary(body, zre, m, got); err != nil {
+					if err := DecodeTernaryAdd(body, zre, m, got); err != nil {
 						t.Fatalf("n=%d zre=%v: fused decode: %v", n, zre, err)
 					}
 					if i, ok := bitsEqual(got, want); !ok {
@@ -194,21 +206,18 @@ func TestDecodeTernaryMatchesStaged(t *testing.T) {
 }
 
 // TestDecodeTernaryAllZero covers the all-zero wire (one maximal run) and
-// the m == 0 encode fast path round-tripping.
+// the m == 0 encode fast path round-tripping into a zeroed buffer.
 func TestDecodeTernaryAllZero(t *testing.T) {
 	for _, n := range []int{4, 70, 5000} {
 		buf := make([]float32, n)
 		body := EncodeTernary(buf, 0, true, nil)
 		out := make([]float32, n)
-		for i := range out {
-			out[i] = 99 // must be overwritten
-		}
-		if err := DecodeTernary(body, true, 0, out); err != nil {
+		if err := DecodeTernaryAdd(body, true, 0, out); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		for i, v := range out {
-			if v != 0 {
-				t.Fatalf("n=%d: element %d = %v, want 0", n, i, v)
+			if math.Float32bits(v) != 0 {
+				t.Fatalf("n=%d: element %d = %v, want +0", n, i, v)
 			}
 		}
 	}
@@ -251,7 +260,7 @@ func TestDecodeTernaryErrors(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dst := make([]float32, n)
-			err := DecodeTernary(tc.body, tc.zre, 0.5, dst)
+			err := DecodeTernaryAdd(tc.body, tc.zre, 0.5, dst)
 			if tc.wantErr && err == nil {
 				t.Fatalf("decode of %v succeeded, want error", tc.body)
 			}
@@ -275,17 +284,17 @@ func TestDecodeTernaryErrors(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dst := make([]float32, big)
-			if err := DecodeTernary(tc.body, true, 0.5, dst); err == nil {
+			if err := DecodeTernaryAdd(tc.body, true, 0.5, dst); err == nil {
 				t.Fatal("malformed big payload decoded without error")
 			}
 		})
 	}
 
 	// n == 0 accepts only an empty body.
-	if err := DecodeTernary(nil, true, 1, nil); err != nil {
+	if err := DecodeTernaryAdd(nil, true, 1, nil); err != nil {
 		t.Fatalf("empty tensor, empty body: %v", err)
 	}
-	if err := DecodeTernary([]byte{121}, true, 1, nil); err == nil {
+	if err := DecodeTernaryAdd([]byte{121}, true, 1, nil); err == nil {
 		t.Fatal("empty tensor with non-empty body decoded without error")
 	}
 }
@@ -333,7 +342,7 @@ func TestPassCounts(t *testing.T) {
 
 	passes = nil
 	dst := make([]float32, n)
-	if err := DecodeTernary(wire, true, float32(m), dst); err != nil {
+	if err := DecodeTernaryAdd(wire, true, float32(m), dst); err != nil {
 		t.Fatal(err)
 	}
 	if len(passes) != 1 {

@@ -32,10 +32,10 @@ func runTensor(n, at, run int) []float32 {
 
 // TestLongRunTokenEveryEdge holds the kernel to the staged encode
 // reference byte for byte — without and with a block index, on every
-// available tier — and the three decoders to the staged decode, for runs
-// of every edge length placed at the start of the stream, at its end (over
-// the partial tail group) and across every block boundary, where the
-// indexed encode joins one block's run to the next.
+// available tier — and the decode-add, into zeros and into a sum, to the
+// staged decode, for runs of every edge length placed at the start of the
+// stream, at its end (over the partial tail group) and across every block
+// boundary, where the indexed encode joins one block's run to the next.
 func TestLongRunTokenEveryEdge(t *testing.T) {
 	const n = 5*2000 + 3 // 2001 groups, the last one partial; above scaledLUTMinElems
 	groups := encode.QuarticEncodedLen(n)
@@ -92,12 +92,12 @@ func checkRunTensor(t *testing.T, name string, v []float32, run int) {
 			t.Fatalf("%s indexed=%v: wire % x, want % x", name, x != nil, got, want)
 		}
 	}
-	dec, err := stagedDecode(want, true, m32, n)
+	dec, err := stagedFirstAdd(want, true, m32, n)
 	if err != nil {
 		t.Fatalf("%s: staged decode: %v", name, err)
 	}
 	got := make([]float32, n)
-	if err := DecodeTernary(want, true, m32, got); err != nil {
+	if err := DecodeTernaryAdd(want, true, m32, got); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	if i, ok := bitsEqual(got, dec); !ok {
@@ -136,8 +136,8 @@ func TestDecodeAddSpanBeginsInsideLongRun(t *testing.T) {
 }
 
 // TestLongRunTokenMalformed: every way a long-run token can be wrong is an
-// error from all three decoders — never a panic, and on the add paths
-// never a write to dst. 10 groups of room throughout.
+// error from both decoders, plain and into a recorded sum — never a panic,
+// and never a write to dst. 10 groups of room throughout.
 func TestLongRunTokenMalformed(t *testing.T) {
 	const n = 50
 	for _, tc := range []struct {
@@ -155,9 +155,6 @@ func TestLongRunTokenMalformed(t *testing.T) {
 	} {
 		tierSweep(func(tier Tier) {
 			dst := make([]float32, n)
-			if err := DecodeTernary(tc.body, true, 1, dst); err == nil {
-				t.Errorf("tier %v %s: decoded", tier, tc.name)
-			}
 			for i := range dst {
 				dst[i] = float32(i)
 			}

@@ -129,7 +129,7 @@ func planesFwd(src *[PlaneBlock]float32, w *[32]uint64) (base, mask uint32) {
 
 // planesInv is the scalar inverse core: the 64 values of the block whose
 // planes are in w, as raw little-endian float32 bytes — the form the raw
-// cores set and add. It clobbers w.
+// cores add. It clobbers w.
 func planesInv(w *[32]uint64, base uint32, raw *[4 * PlaneBlock]byte) {
 	transposePlanes(w)
 	for i, x := range w {
@@ -186,7 +186,7 @@ var planeRanks = func() (tab [256]uint64) {
 
 // unpackPlaneBlock rebuilds one block from base, mask and its planes, pb
 // bytes each at the front of planes, as raw little-endian float32 bytes —
-// the form the raw cores set and add.
+// the form the raw cores add.
 //
 //3lc:noalloc
 //3lc:decode
@@ -223,24 +223,13 @@ func unpackPlaneBlock(raw *[4 * PlaneBlock]byte, planes []byte, base, mask uint3
 	planesInv(&w, base, raw)
 }
 
-// The three destinations a packed payload has, the ones raw has (raw.go).
-const (
-	planesSet = iota
-	planesAdd
-	planesFirstAdd
-)
-
-// planesLand is RawGet, RawAdd or RawFirstAdd of one block.
-func planesLand(mode int, dst []float32, raw []byte) {
+// planesLand is RawAdd of one block, or RawFirstAdd when first is set.
+func planesLand(first bool, dst []float32, raw []byte) {
 	asm := activeTier == TierAsm
 	switch {
-	case mode == planesSet && asm:
-		simd.RawGetAsm(dst, raw)
-	case mode == planesSet:
-		rawGetRange(dst, raw)
-	case mode == planesAdd && asm:
+	case !first && asm:
 		simd.RawAddAsm(dst, raw)
-	case mode == planesAdd:
+	case !first:
 		rawAddRange(dst, raw)
 	case asm:
 		simd.RawFirstAddAsm(dst, raw)
@@ -321,25 +310,17 @@ func checkPlanes32(payload []byte, n int) error {
 	return nil
 }
 
-// Planes32Get decodes a packed payload into dst, the inverse of
-// AppendPlanes32 to the bit. The payload is untrusted: it is checked as a
-// whole (checkPlanes32) and refused before dst is touched. A plane word may
-// spell a distance above its block's base; the magnitude then wraps within
-// 31 bits — like the raw wire, every well-framed payload is some tensor.
-//
-//3lc:noalloc
-//3lc:decode
-func Planes32Get(dst []float32, payload []byte) error {
-	return unpackPlanes32(dst, payload, planesSet)
-}
-
-// Planes32Add accumulates a packed payload into dst, dst[i] += v, with the
-// same check-then-touch contract as Planes32Get.
+// Planes32Add accumulates a packed payload into dst, dst[i] += v, where v
+// is the inverse of AppendPlanes32 to the bit. The payload is untrusted: it
+// is checked as a whole (checkPlanes32) and refused before dst is touched.
+// A plane word may spell a distance above its block's base; the magnitude
+// then wraps within 31 bits — like the raw wire, every well-framed payload
+// is some tensor.
 //
 //3lc:noalloc
 //3lc:decode
 func Planes32Add(dst []float32, payload []byte) error {
-	return unpackPlanes32(dst, payload, planesAdd)
+	return unpackPlanes32(dst, payload, false)
 }
 
 // Planes32FirstAdd is the first accumulation of a fresh sum from a packed
@@ -349,17 +330,17 @@ func Planes32Add(dst []float32, payload []byte) error {
 //3lc:noalloc
 //3lc:decode
 func Planes32FirstAdd(dst []float32, payload []byte) error {
-	return unpackPlanes32(dst, payload, planesFirstAdd)
+	return unpackPlanes32(dst, payload, true)
 }
 
 // unpackPlanes32 is the one decode loop: each block is rebuilt as a raw
-// payload on the stack and handed to the tier's raw core — get, add or
+// payload on the stack and handed to the tier's raw core — add or
 // first-add — so a packed wire lands in dst exactly as the raw wire of the
 // same tensor does on the same tier, NaN operand order included.
 //
 //3lc:noalloc
 //3lc:decode
-func unpackPlanes32(dst []float32, payload []byte, mode int) error {
+func unpackPlanes32(dst []float32, payload []byte, first bool) error {
 	if err := checkPlanes32(payload, len(dst)); err != nil {
 		return err
 	}
@@ -374,7 +355,7 @@ func unpackPlanes32(dst []float32, payload []byte, mode int) error {
 		p += planeHeader
 		unpackPlaneBlock(&raw, payload[p:], base, mask, pb)
 		p += pb * bits.OnesCount32(mask)
-		planesLand(mode, blk, raw[:4*len(blk)])
+		planesLand(first, blk, raw[:4*len(blk)])
 		dst = dst[len(blk):]
 	}
 	return nil

@@ -44,11 +44,40 @@ func refPlanesPack(vals []float32) []byte {
 	return out
 }
 
-// checkPlanes holds pack and the three unpack destinations of every
-// available tier to the reference packer and to the raw scalar loops on one
+// refPlanesUnpack reads n values back out of a well-formed packed payload
+// the slow way, one bit at a time straight from the format's description:
+// the reference the packed wire is held to be lossless against. It shares
+// no code with the kernel's unpack.
+func refPlanesUnpack(payload []byte, n int) []float32 {
+	var out []float32
+	for len(out) < n {
+		size := min(n-len(out), PlaneBlock)
+		base := binary.LittleEndian.Uint32(payload)
+		mask := binary.LittleEndian.Uint32(payload[4:])
+		payload = payload[8:]
+		t := make([]uint32, size)
+		for j := 0; j < 32; j++ {
+			if mask>>j&1 == 0 {
+				continue
+			}
+			for k := range t {
+				t[k] |= uint32(payload[k/8]>>(k%8)&1) << j
+			}
+			payload = payload[(size+7)/8:]
+		}
+		for _, x := range t {
+			out = append(out, math.Float32frombits(x&0x80000000|(base-x&0x7fffffff)&0x7fffffff))
+		}
+	}
+	return out
+}
+
+// checkPlanes holds pack and both unpack destinations of every available
+// tier to the reference packer and unpacker and to the raw wire on one
 // tensor: the packed bytes are the reference's, written in place off bytes
-// into a guarded buffer; get∘pack is the identity on bits; add and first-add
-// leave what the raw wire's scalar add and zero-then-add leave in prev.
+// into a guarded buffer; the reference unpack of them is vals to the bit,
+// NaN payloads and −0 included; add and first-add leave in prev what RawAdd
+// and RawFirstAdd of the same values leave on that tier, bit for bit.
 func checkPlanes(t *testing.T, vals, prev []float32, off int) {
 	t.Helper()
 	n := len(vals)
@@ -56,14 +85,18 @@ func checkPlanes(t *testing.T, vals, prev []float32, off int) {
 	if len(want) > planesMaxLen(n) {
 		t.Fatalf("n=%d: reference packs to %d bytes, planesMaxLen says at most %d", n, len(want), planesMaxLen(n))
 	}
+	if i, ok := bitsEqual(refPlanesUnpack(want, n), vals); !ok {
+		t.Fatalf("n=%d: reference unpack∘pack is not the identity at %d", n, i)
+	}
 	raw := make([]byte, 4*n)
 	rawPutRange(raw, vals)
-	wantAdd := append([]float32(nil), prev...)
-	rawAddRange(wantAdd, raw)
-	wantFirst := make([]float32, n)
-	rawAddRange(wantFirst, raw)
 
 	tierSweep(func(tier Tier) {
+		wantAdd := append([]float32(nil), prev...)
+		RawAdd(wantAdd, raw)
+		wantFirst := append([]float32(nil), prev...)
+		RawFirstAdd(wantFirst, raw)
+
 		buf := bytes.Repeat([]byte{rawGuardByte}, off+planesMaxLen(n)+7+1)
 		wire := AppendPlanes32(buf[:off], vals)
 		if len(wire) > 0 && &wire[0] != &buf[0] {
@@ -78,17 +111,10 @@ func checkPlanes(t *testing.T, vals, prev []float32, off int) {
 		}
 
 		back, got := guarded(prev)
-		if err := Planes32Get(got, payload); err != nil {
-			t.Fatalf("tier %v n=%d: get: %v", tier, n, err)
-		}
-		if i, ok := bitsEqual(got, vals); !ok || !guardsIntact(back) {
-			t.Fatalf("tier %v n=%d off=%d: get∘pack is not the identity at %d (guards intact: %v)", tier, n, off, i, guardsIntact(back))
-		}
-		back, got = guarded(prev)
 		if err := Planes32Add(got, payload); err != nil {
 			t.Fatalf("tier %v n=%d: add: %v", tier, n, err)
 		}
-		if i, ok := nanClassEqual(got, wantAdd); !ok || !guardsIntact(back) {
+		if i, ok := bitsEqual(got, wantAdd); !ok || !guardsIntact(back) {
 			t.Fatalf("tier %v n=%d off=%d: add differs from the raw add at %d: %x vs %x", tier, n, off, i,
 				math.Float32bits(got[i]), math.Float32bits(wantAdd[i]))
 		}
@@ -97,7 +123,7 @@ func checkPlanes(t *testing.T, vals, prev []float32, off int) {
 			t.Fatalf("tier %v n=%d: first-add: %v", tier, n, err)
 		}
 		if i, ok := bitsEqual(got, wantFirst); !ok || !guardsIntact(back) {
-			t.Fatalf("tier %v n=%d off=%d: first-add differs from zero-then-add at %d: %x vs %x", tier, n, off, i,
+			t.Fatalf("tier %v n=%d off=%d: first-add differs from the raw first-add at %d: %x vs %x", tier, n, off, i,
 				math.Float32bits(got[i]), math.Float32bits(wantFirst[i]))
 		}
 		if !bytes.Equal(payload, want) {
@@ -143,11 +169,11 @@ func signPlaneBytes(n int) int {
 	return n/PlaneBlock*8 + (n%PlaneBlock+7)/8
 }
 
-// planesUntouched runs the three unpack entries on a payload that must be
-// refused and fails if any of them accepts it or writes to dst.
+// planesUntouched runs both unpack entries on a payload that must be
+// refused and fails if either of them accepts it or writes to dst.
 func planesUntouched(t *testing.T, name string, payload []byte, n int) {
 	t.Helper()
-	for mode, call := range []func([]float32, []byte) error{Planes32Get, Planes32Add, Planes32FirstAdd} {
+	for mode, call := range []func([]float32, []byte) error{Planes32Add, Planes32FirstAdd} {
 		back, dst := guarded(make([]float32, n))
 		for i := range dst {
 			dst[i] = rawGuardFloat
@@ -209,9 +235,10 @@ func TestPlanesRefuseMalformed(t *testing.T) {
 
 // FuzzPlanes32 reads data both ways. As values it is checkPlanes on
 // arbitrary bit patterns, data reversed the destination. As a payload for
-// n values it must be refused with dst untouched or accepted — and what an
-// accepted payload decodes to must pack and decode to itself, whether or
-// not the payload was the canonical spelling.
+// n values it must be refused with dst untouched or accepted — and an
+// accepted payload must first-add what the raw wire of its reference
+// unpack first-adds, and that tensor must pack and unpack to itself,
+// whether or not the payload was the canonical spelling.
 func FuzzPlanes32(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{0, 0, 0, 0x80}, uint8(1))
@@ -236,7 +263,7 @@ func FuzzPlanes32(f *testing.F) {
 		for i := range dst {
 			dst[i] = rawGuardFloat
 		}
-		if err := Planes32Get(dst, data); err != nil {
+		if err := Planes32FirstAdd(dst, data); err != nil {
 			for i, v := range back {
 				if v != rawGuardFloat {
 					t.Fatalf("refused (%v) after writing dst[%d]", err, i-1)
@@ -245,13 +272,15 @@ func FuzzPlanes32(f *testing.F) {
 			return
 		}
 		if !guardsIntact(back) {
-			t.Fatal("get wrote outside dst")
+			t.Fatal("first-add wrote outside dst")
 		}
-		again := make([]float32, len(dst))
-		if err := Planes32Get(again, AppendPlanes32(nil, dst)); err != nil {
-			t.Fatalf("the canonical spelling of an accepted payload is refused: %v", err)
+		decoded := refPlanesUnpack(data, len(dst))
+		want := make([]float32, len(decoded))
+		RawFirstAdd(want, AppendRaw(nil, decoded))
+		if i, ok := bitsEqual(dst, want); !ok {
+			t.Fatalf("an accepted payload first-adds %x at %d, the raw wire of its reference unpack %x", math.Float32bits(dst[i]), i, math.Float32bits(want[i]))
 		}
-		if i, ok := bitsEqual(again, dst); !ok {
+		if i, ok := bitsEqual(refPlanesUnpack(AppendPlanes32(nil, decoded), len(decoded)), decoded); !ok {
 			t.Fatalf("an accepted payload's tensor does not round-trip at %d", i)
 		}
 	})

@@ -174,7 +174,8 @@ func BenchmarkDecodeAddKernel(b *testing.B) {
 		buf := make([]float32, n)
 		m := float64(AccumulateMaxAbs(buf, in.t.Data()))
 		wire := EncodeTernary(buf, m, true, nil)
-		if err := DecodeTernary(wire, true, float32(m), acc); err != nil {
+		clear(acc)
+		if err := DecodeTernaryAdd(wire, true, float32(m), acc); err != nil {
 			b.Fatal(err)
 		}
 		zeros := 0

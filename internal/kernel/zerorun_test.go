@@ -125,45 +125,3 @@ func TestDecodeAddZeroRunNegativeZero(t *testing.T) {
 		}
 	})
 }
-
-// TestDecodeSetZeroRuns pins DecodeTernary's runs: under a positive scale
-// the clear must cover every stale element of a marker chain, a negative
-// scale must still write −0 and a zero or non-finite one the m·0 of its
-// multiply, all bit-identical to the staged expand-then-scale decode.
-func TestDecodeSetZeroRuns(t *testing.T) {
-	tierSweep(func(tier Tier) {
-		for _, n := range runSizes {
-			body, inRun := runHeavyBody(t, n)
-			for _, m := range []float32{2, -2, 0, float32(math.NaN()), float32(math.Inf(-1))} {
-				want, err := stagedDecode(body, true, m, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := make([]float32, n)
-				for i := range got {
-					got[i] = 7 // stale contents the run write must replace
-				}
-				if err := DecodeTernary(body, true, m, got); err != nil {
-					t.Fatal(err)
-				}
-				if i, ok := bitsEqual(got, want); !ok {
-					t.Fatalf("tier %v n=%d m=%v: differs from staged decode at %d: %x vs %x",
-						tier, n, m, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
-				}
-				if m == -2 {
-					for i, r := range inRun {
-						if r && math.Float32bits(got[i]) != negZeroBits {
-							t.Fatalf("tier %v n=%d: negative scale wrote %x into run element %d, want −0", tier, n, math.Float32bits(got[i]), i)
-						}
-					}
-				}
-			}
-			// One marker too many at the head: the chain overruns the
-			// end and is rejected.
-			over := append([]byte{250}, body...)
-			if err := DecodeTernary(over, true, 2, make([]float32, n)); err == nil {
-				t.Fatalf("tier %v n=%d: overrunning marker chain decoded without error", tier, n)
-			}
-		}
-	})
-}
