@@ -14,7 +14,10 @@
 //
 //	stage                     staged sweeps    fused passes
 //	compress (3LC)                 7                2
-//	  accumulate + max|T|          2           1  (AccumulateMaxAbs)
+//	  accumulate + max|T|          2           1  (AccumulateMaxAbs; on a
+//	                                              worker Blocks.MaxAbs,
+//	                                              read-only: backward
+//	                                              adds g into e)
 //	  quantize → dequantize →
 //	  residual → quartic → ZRE     5           1  (EncodeTernary)
 //	decode + accumulate            2                1

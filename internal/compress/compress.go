@@ -6,7 +6,8 @@
 // (§3, Figure 2): it owns whatever sender-side state the scheme needs —
 // most importantly the error-accumulation buffer — for a single tensor
 // (one layer's gradients on a worker, or one layer's model deltas on a
-// server). Decompression is stateless: any endpoint can decode a wire
+// server); a 3LC context may instead share that buffer with its caller
+// (NewThreeLCOver). Decompression is stateless: any endpoint can decode a wire
 // message knowing only the tensor shape.
 //
 // The hot-path API is append-style and allocation-free in steady state:
@@ -151,17 +152,20 @@ type Compressor interface {
 }
 
 // PreAccumulator is implemented by compression contexts whose compress
-// pass 1 is an error-accumulation sweep over a context-owned buffer
-// (3LC). It lets a producer whose own final sweep writes the state change
-// — the parameter server's optimizer update writing model deltas — fold
-// that write directly into the accumulation buffer, fusing compress
-// pass 1 away entirely: the producer adds each value into AccData as it
-// computes it, reduces max|AccData| with exactly the kernel's
-// accumulate-max semantics (bit-masked |·|, ascending-index max) and
-// records the block maxima in a kernel.Blocks record in the same sweep
-// (kernel.Blocks.SGDStep into an Acc sink does all three), and hands the
-// record and the reduction to CompressPreAccumulated, which performs only
-// the encode pass — skipping the blocks the record shows cannot quantize.
+// pass 1 is an error-accumulation sweep over the context's buffer (3LC).
+// It lets a producer whose own final sweep writes the state change — the
+// parameter server's optimizer update writing model deltas, or a worker's
+// backward pass adding gradients into the buffer it shares with its push
+// context (NewThreeLCOver) — fold that write directly into the
+// accumulation buffer, fusing compress pass 1 away: the producer adds each
+// value into AccData as it computes it, reduces max|AccData| with exactly
+// the kernel's accumulate-max semantics (bit-masked |·|, ascending-index
+// max) and records the block maxima in a kernel.Blocks record — in the
+// same sweep (kernel.Blocks.SGDStep into an Acc sink does all three) or,
+// after the adds, in one read-only sweep (kernel.Blocks.MaxAbs) — and
+// hands the record and the reduction to CompressPreAccumulated, which
+// performs only the encode pass, skipping the blocks the record shows
+// cannot quantize.
 // Wires and residual state are bit-identical to driving CompressInto with
 // a materialized state-change tensor.
 type PreAccumulator interface {
@@ -201,11 +205,7 @@ func New(s Scheme, shape []int, opt Options) Compressor {
 	case SchemeInt8:
 		return &int8Compressor{shape: shape, n: n}
 	case SchemeThreeLC:
-		sp := opt.Sparsity
-		if sp == 0 {
-			sp = 1
-		}
-		return newThreeLCCompressor(shape, sp, opt.ZeroRun)
+		return newThreeLCCompressor(shape, opt.Sparsity, opt.ZeroRun, nil)
 	case SchemeStoch3QE:
 		return newStochCompressor(shape, opt.Seed)
 	case SchemeMQE1Bit:

@@ -78,7 +78,7 @@ func TestThreeLCWireRoundTripMatchesLocalDequant(t *testing.T) {
 	c := New(SchemeThreeLC, shape, Options{Sparsity: 1.5, ZeroRun: true}).(*threeLCCompressor)
 	for round := 0; round < 10; round++ {
 		in := randTensor(uint64(round+10), 997, 0.01)
-		sum := c.acc.Buffer().Clone()
+		sum := tensor.FromSlice(append([]float32(nil), c.acc...), 997)
 		sum.Add(in)
 		want := quant.Dequantize3(quant.Quantize3(sum, 1.5))
 		wire := c.CompressInto(in, nil)

@@ -72,14 +72,14 @@ func restoreRNGState(src []byte, r *tensor.RNG) ([]byte, error) {
 // 3LC: the error-accumulation buffer is the whole state (the |max| scale
 // is recomputed per step).
 func (c *threeLCCompressor) AppendState(dst []byte) []byte {
-	return kernel.AppendRaw(dst, c.acc.Buffer().Data())
+	return kernel.AppendRaw(dst, c.acc)
 }
 
 func (c *threeLCCompressor) RestoreState(src []byte) error {
 	if len(src) != 4*c.n {
 		return fmt.Errorf("compress: 3LC state %d bytes, want %d", len(src), 4*c.n)
 	}
-	_, err := restoreF32s(src, c.acc.Buffer().Data())
+	_, err := restoreF32s(src, c.acc)
 	return err
 }
 

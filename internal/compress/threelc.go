@@ -69,25 +69,45 @@ type threeLCCompressor struct {
 	sparsity float64
 	zeroRun  bool
 
-	acc *quant.ErrorAccumulator
+	acc []float32     // the error-accumulation buffer: the context's own, or the caller's (NewThreeLCOver)
 	blk kernel.Blocks // acc's block maxima, recorded by pass 1, consulted by pass 2
 }
 
-func newThreeLCCompressor(shape []int, sparsity float64, zeroRun bool) *threeLCCompressor {
+// newThreeLCCompressor builds a 3LC context at sparsity s (0 means 1)
+// whose error buffer is acc's memory, zeroed, or a buffer of its own for a
+// nil acc.
+func newThreeLCCompressor(shape []int, sparsity float64, zeroRun bool, acc *tensor.Tensor) *threeLCCompressor {
+	if sparsity == 0 {
+		sparsity = 1
+	}
 	if sparsity < quant.MinSparsity || sparsity >= quant.MaxSparsity {
 		panic(fmt.Sprintf("compress: sparsity multiplier %v outside [1,2)", sparsity))
 	}
-	n := 1
-	for _, d := range shape {
-		n *= d
+	if acc == nil {
+		acc = tensor.New(shape...)
 	}
+	acc.Zero()
 	return &threeLCCompressor{
 		shape:    append([]int(nil), shape...),
-		n:        n,
+		n:        acc.Len(),
 		sparsity: sparsity,
 		zeroRun:  zeroRun,
-		acc:      quant.NewErrorAccumulator(shape...),
+		acc:      acc.Data(),
 	}
+}
+
+// NewThreeLCOver builds a 3LC compression context (opt.Sparsity and
+// opt.ZeroRun as New reads them) whose error-accumulation buffer is buf
+// itself: the one allocation of a tensor whose owner forms e + g in place.
+// buf is zeroed here, so the context starts at e = 0. The context is a
+// PreAccumulator whose AccData is buf's memory: its owner adds each step's
+// state change into buf, reduces max|buf| (kernel.Blocks.MaxAbs) and calls
+// CompressPreAccumulated, which leaves the residual in buf. CompressInto
+// folds its input into buf as any 3LC context does, so it must not be
+// handed buf itself. A ps.Worker builds its 3LC push contexts over its
+// replica's gradient tensors this way.
+func NewThreeLCOver(buf *tensor.Tensor, opt Options) Compressor {
+	return newThreeLCCompressor(buf.Shape(), opt.Sparsity, opt.ZeroRun, buf)
 }
 
 func (c *threeLCCompressor) Scheme() Scheme { return SchemeThreeLC }
@@ -112,15 +132,12 @@ func (c *threeLCCompressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {
 	if in.Len() != c.n {
 		panic("compress: input size mismatch")
 	}
-	buf := c.acc.Buffer().Data()
-	return c.encodeAccumulated(&c.blk, c.blk.AccumulateMaxAbs(buf, in.Data()), dst)
+	return c.encodeAccumulated(&c.blk, c.blk.AccumulateMaxAbs(c.acc, in.Data()), dst)
 }
 
 // AccData exposes the error-accumulation buffer for producers that fuse
 // their own final write sweep with compress pass 1 (PreAccumulator).
-func (c *threeLCCompressor) AccData() []float32 {
-	return c.acc.Buffer().Data()
-}
+func (c *threeLCCompressor) AccData() []float32 { return c.acc }
 
 // CompressPreAccumulated appends the wire for a step whose state change
 // the caller already folded into AccData (reporting maxAbs reduced
@@ -137,7 +154,6 @@ func (c *threeLCCompressor) CompressPreAccumulated(blk *kernel.Blocks, maxAbs fl
 // accumulated buffer against max|buf|·s, skipping the blocks blk's maxima
 // show cannot quantize, and emit quartic/zero-run bytes.
 func (c *threeLCCompressor) encodeAccumulated(blk *kernel.Blocks, maxAbs float32, dst []byte) []byte {
-	buf := c.acc.Buffer().Data()
 	m := float64(maxAbs) * c.sparsity
 	dst = append(dst, byte(SchemeThreeLC))
 	dst = appendF32(dst, float32(m))
@@ -146,13 +162,7 @@ func (c *threeLCCompressor) encodeAccumulated(blk *kernel.Blocks, maxAbs float32
 	} else {
 		dst = append(dst, 0)
 	}
-	return blk.EncodeTernary(buf, m, c.zeroRun, dst)
-}
-
-// ErrorNorm exposes the squared norm of the accumulated error (for tests
-// and the ablation benchmarks).
-func (c *threeLCCompressor) ErrorNorm() float64 {
-	return c.acc.Buffer().SquaredNorm()
+	return blk.EncodeTernary(c.acc, m, c.zeroRun, dst)
 }
 
 // decodeTernaryAdd is the aggregation-side path into a plain destination:

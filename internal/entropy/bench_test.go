@@ -41,7 +41,6 @@ func trainedWireSet(tb testing.TB) []byte {
 		Opts: compress.Options{Sparsity: 1.75, ZeroRun: true}}
 	const steps, workers = 24, 2
 	sgd := opt.TunedSGDConfig(workers, steps)
-	var ctx []compress.Compressor
 	var push [][]byte
 	_, err := train.Run(train.Config{
 		Design: design, Workers: workers, BatchPerWorker: 4, Steps: steps, Data: dcfg,
@@ -49,21 +48,18 @@ func trainedWireSet(tb testing.TB) []byte {
 			return nn.NewMLP(dcfg.C*dcfg.H*dcfg.W, []int{1024, 1024}, dcfg.Classes, 1)
 		},
 		FlatInput: true, Optimizer: &sgd, Seed: 1,
-		// Worker 0's gradients through contexts of the run's own design are
-		// worker 0's push wires, residuals included.
+		// A 3LC tensor's G is worker 0's push context's error buffer, so
+		// the hook sees e + g, residuals included: through a fresh context
+		// of the run's own design it encodes to worker 0's push wire.
 		OnGradients: func(_ int, params []*nn.Param) {
-			if ctx == nil {
-				ctx, push = make([]compress.Compressor, len(params)), make([][]byte, len(params))
-				exempt := ps.Config{Scheme: design.Scheme, MinCompressElems: train.MinCompressElems}
-				for i, p := range params {
-					ctx[i] = compress.NewExempt(design.Scheme, p.W.Shape())
-					if exempt.Compresses(p) {
-						ctx[i] = compress.New(design.Scheme, p.W.Shape(), design.Opts)
-					}
-				}
-			}
+			exempt := ps.Config{Scheme: design.Scheme, MinCompressElems: train.MinCompressElems}
+			push = make([][]byte, len(params))
 			for i, p := range params {
-				push[i] = ctx[i].CompressInto(p.G, push[i][:0])
+				ctx := compress.NewExempt(design.Scheme, p.W.Shape())
+				if exempt.Compresses(p) {
+					ctx = compress.New(design.Scheme, p.W.Shape(), design.Opts)
+				}
+				push[i] = ctx.CompressInto(p.G, nil)
 			}
 		},
 	})

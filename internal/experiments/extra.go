@@ -83,13 +83,16 @@ func PrintArchitectureContrast(w io.Writer, rows []ArchRow) {
 	}
 }
 
-// GradStatsRow records gradient-distribution statistics at one training
-// step, linking tensor statistics to achieved compression (package stats).
+// GradStatsRow records the distribution of the quantizer's input at one
+// training step, linking tensor statistics to achieved compression
+// (package stats).
 type GradStatsRow struct {
-	Step    int
+	Step int
+	// Summary describes e + g, the error-accumulated gradient 3LC
+	// quantizes (train.Config.OnGradients).
 	Summary stats.Summary
-	// QuantZeroFrac is the zero fraction 3-value quantization would
-	// produce on the raw gradient at the given sparsity multiplier.
+	// QuantZeroFrac is the zero fraction 3-value quantization produces on
+	// e + g at the given sparsity multiplier.
 	QuantZeroFrac float64
 	// PredictedZRERatio is the analytical zero-run ratio estimate at that
 	// zero fraction (iid model; real data is correlated).
@@ -100,10 +103,11 @@ type GradStatsRow struct {
 }
 
 // GradientStatistics runs 3LC training with a gradient-observation hook
-// and correlates per-step gradient statistics with measured compression,
-// explaining *why* the ratios in Table 2 come out as they do on this
-// workload: compression tracks the zero fraction of the quantized
-// gradients, which tracks the gradients' tail weight.
+// and correlates per-step statistics of the quantizer's input with
+// measured compression, explaining *why* the ratios in Table 2 come out as
+// they do on this workload: compression tracks the zero fraction of the
+// quantized e + g, which tracks its tail weight. The hook sees e + g
+// because a worker's 3LC tensor's G is its push context's error buffer.
 func GradientStatistics(s *Suite, sparsity float64, every int) ([]GradStatsRow, error) {
 	if every < 1 {
 		every = 1
@@ -158,9 +162,9 @@ func GradientStatistics(s *Suite, sparsity float64, every int) ([]GradStatsRow, 
 
 // PrintGradStats renders the series.
 func PrintGradStats(w io.Writer, rows []GradStatsRow, sparsity float64) {
-	fmt.Fprintf(w, "Gradient statistics vs compression (3LC s=%.2f, largest tensor)\n", sparsity)
+	fmt.Fprintf(w, "Statistics of e + g, the quantizer's input, vs compression (3LC s=%.2f, largest tensor)\n", sparsity)
 	fmt.Fprintf(w, "%6s %10s %10s %8s %12s %14s %14s\n",
-		"step", "std", "max|g|", "kurt", "quant-zeros", "pred-ZRE(x)", "push bits")
+		"step", "std(e+g)", "max|e+g|", "kurt", "quant-zeros", "pred-ZRE(x)", "push bits")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%6d %10.2e %10.2e %8.1f %11.1f%% %14.2f %14.3f\n",
 			r.Step, r.Summary.Std, r.Summary.MaxAbs, r.Summary.Kurtosis,

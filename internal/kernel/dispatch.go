@@ -10,7 +10,8 @@ import (
 
 // CPU-feature-dispatched kernel registry.
 //
-// The hot inner loops — the fused accumulate+|max| reduction, the ternary
+// The hot inner loops — the fused accumulate+|max| reduction and the
+// read-only |max| reduction, the ternary
 // quantize→pack encode, the LUT decode-add, the fused SGD sweep's core for
 // each kind of sink, the four raw float32 cores (put, get, add, first-add) and the two
 // bit-plane block cores of the packed float32 wire (planes.go, which calls
@@ -20,7 +21,7 @@ import (
 //	scalar  the portable loops in this package: the reference every test
 //	        compares against, and the tier that runs where asm cannot.
 //	asm     AVX2 amd64 assembly (package simd) for the accumulate+|max|
-//	        reduction, the block-level quantize/pack (which skips
+//	        and |max| reductions, the block-level quantize/pack (which skips
 //	        all-zero blocks) and the LUT rows of long literal stretches,
 //	        the fused SGD sweeps, the raw float32 cores and the bit-plane
 //	        block cores. Requires AVX2.
@@ -37,6 +38,7 @@ var (
 	// Dispatched cores. The scalar tier binds the loops defined in this
 	// package; SetTier swaps them as a set so a tier is always coherent.
 	accMaxCore   func(buf, in []float32) float32
+	maxCore      func(buf []float32) float32
 	sgdStepCore  func(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32
 	sgdDeltaCore func(w, v, gs, delta []float32, gscale, wd, mom, lr float32)
 	sgdRawCore   func(w, v, gs []float32, raw []byte, gscale, wd, mom, lr float32)
@@ -114,7 +116,7 @@ func init() {
 func SetTier(t Tier) {
 	switch t {
 	case TierScalar:
-		accMaxCore = accMaxAbsRange
+		accMaxCore, maxCore = accMaxAbsRange, maxAbsRange
 		sgdStepCore, sgdDeltaCore, sgdRawCore = sgdStepRange, sgdDeltaRange, sgdRawRange
 		rawPutCore, rawGetCore = rawPutRange, rawGetRange
 		rawAddCore, rawFirstAddCore = rawAddRange, rawFirstAddRange
@@ -124,7 +126,7 @@ func SetTier(t Tier) {
 		if !simd.HasAsm || !simd.Detect().AVX2 {
 			panic("kernel: asm tier unavailable on this CPU/build")
 		}
-		accMaxCore = simd.AccMaxAbsAsm
+		accMaxCore, maxCore = simd.AccMaxAbsAsm, simd.MaxAbsAsm
 		sgdStepCore, sgdDeltaCore, sgdRawCore = simd.SGDStepAsm, simd.SGDStepDeltaAsm, simd.SGDStepRawAsm
 		rawPutCore, rawGetCore = simd.RawPutAsm, simd.RawGetAsm
 		rawAddCore, rawFirstAddCore = simd.RawAddAsm, simd.RawFirstAddAsm

@@ -11,7 +11,10 @@
 //	pass 1  AccumulateMaxAbs    buf += in fused with the max|buf| reduction
 //	                            (reads both, writes buf); a context's form
 //	                            also records each 1 280-element block's
-//	                            max|buf| in its Blocks record
+//	                            max|buf| in its Blocks record. A worker's
+//	                            3LC tensor, whose backward already added
+//	                            g into e, runs the read-only Blocks.MaxAbs
+//	                            instead
 //	pass 2  EncodeTernary       quantize → local-dequantize → residual →
 //	                            quartic-pack → zero-run-emit in one loop
 //	                            that writes wire bytes directly; skips every
@@ -72,7 +75,7 @@
 //
 //	core                  scalar              asm (AVX2)
 //	accumulate+|max|      range loop          32-float blocks, 4 VMAXPS chains
-//	                      (one call per record block on both tiers)
+//	and read-only |max|   (one call per record block on both tiers)
 //	ternary quantize/pack cmov quantize loop  40-elem (8-group) AVX2 blocks:
 //	                      with inline ZRE     read-only scan, all-zero blocks
 //	                                          skip the quantize, residual write
@@ -90,11 +93,10 @@
 //	bit-plane block       five masked-swap    byte shuffles and VPMOVMSKB, a
 //	pack/unpack           stages on 32 words  whole block a call
 //
-// The plain |max| reduction (int8 / stochastic / 1-bit only, off every 3LC
-// and raw path) is one range loop on both tiers. The tier is picked once at
-// init from CPUID (asm when AVX2 is present, else scalar) and can be pinned
-// with THREELC_KERNEL=scalar|asm; both tiers emit byte-identical wires, so
-// the choice is invisible outside timing.
+// The tier is picked once at init from CPUID (asm when AVX2 is present,
+// else scalar) and can be pinned with THREELC_KERNEL=scalar|asm; both
+// tiers emit byte-identical wires, so the choice is invisible outside
+// timing.
 package kernel
 
 import (
@@ -176,11 +178,40 @@ func accMaxAbsRange(buf, in []float32) float32 {
 // MaxAbs returns max|data| in one hooked sweep. It is pass 1 of the fused
 // stochastic-ternary and int8 pipelines, which have no error accumulation
 // to fuse the reduction with.
+//
+//3lc:noalloc
 func MaxAbs(data []float32) float32 {
-	notePass("maxabs", len(data))
-	return maxAbsRange(data)
+	var none *Blocks
+	return none.MaxAbs(data)
 }
 
+// MaxAbs is the read-only compress pass 1 of a buffer that already holds
+// e + g — a worker's gradient tensor that is its 3LC error buffer, which
+// backward added the step's gradient into: it returns max|buf| and records
+// each block's max|buf| in x, exactly what AccumulateMaxAbs would return
+// and record after folding the same sum into buf, without writing a
+// float. A nil x records nothing.
+//
+//3lc:noalloc
+func (x *Blocks) MaxAbs(buf []float32) float32 {
+	notePass("maxabs", len(buf))
+	idx := x.record(len(buf))
+	if idx == nil {
+		return maxCore(buf)
+	}
+	var m float32
+	for b := 0; b < len(buf); b += BlockElems {
+		bm := maxCore(buf[b:min(b+BlockElems, len(buf))])
+		idx[b/BlockElems] = bm
+		if bm > m {
+			m = bm
+		}
+	}
+	return m
+}
+
+// maxAbsRange is the unhooked scalar-tier |max| core, masking the sign bit
+// as accMaxAbsRange does: ±0 and NaN lose every `a > m`.
 func maxAbsRange(data []float32) float32 {
 	var m float32
 	for _, v := range data {

@@ -349,6 +349,16 @@ func TestPassCounts(t *testing.T) {
 		t.Fatalf("fused decode made %d passes (%v), want exactly 1", len(passes), passes)
 	}
 
+	// A worker whose gradient tensor is its error buffer runs the
+	// read-only pass 1 instead: still two passes, the first over n.
+	passes = nil
+	var rec Blocks
+	m = float64(rec.MaxAbs(buf)) * 1.75
+	rec.EncodeTernary(buf, m, true, nil)
+	if len(passes) != 2 || passes[0] != (pass{"maxabs", n}) {
+		t.Fatalf("read-only compress made passes %v, want maxabs over %d then the encode", passes, n)
+	}
+
 	// With a block index pass 2 reads only the blocks that can hold a
 	// non-zero digit: under 5 % of a tensor
 	// whose non-zero digits cluster, all of one whose digits are scattered
@@ -416,6 +426,49 @@ func TestPassCounts(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBlocksMaxAbsMatchesAccumulate pins the read-only pass 1 of a worker
+// whose gradient tensor is its error buffer: over a buffer already holding
+// e + g, Blocks.MaxAbs returns the max AccumulateMaxAbs returns after
+// folding g into e, records the same block maxima, and writes nothing —
+// on every tier, over block seams and tails, with NaN, ±Inf, −0 and
+// denormals mixed in.
+func TestBlocksMaxAbsMatchesAccumulate(t *testing.T) {
+	nasty := []float32{
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(1 << 31), 0, math.Float32frombits(1), -3e38,
+	}
+	tierSweep(func(tier Tier) {
+		for _, n := range []int{0, 1, 39, BlockElems - 1, BlockElems, BlockElems + 1, 3*BlockElems + 17, 1<<16 + 3} {
+			e, g := tensor.New(n), tensor.New(n)
+			fillRand(e, uint64(n)+1, 0.01)
+			fillRand(g, uint64(n)+2, 0.01)
+			for k := 0; k < n; k += 97 {
+				g.Data()[k] = nasty[k%len(nasty)]
+			}
+			sum := make([]float32, n)
+			for i := range sum {
+				sum[i] = e.Data()[i] + g.Data()[i]
+			}
+			before := append([]float32(nil), sum...)
+			var acc, ro Blocks
+			want := acc.AccumulateMaxAbs(e.Data(), g.Data())
+			got := ro.MaxAbs(sum)
+			if math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("%v n=%d: MaxAbs %x, AccumulateMaxAbs %x", tier, n, math.Float32bits(got), math.Float32bits(want))
+			}
+			if i, ok := bitsEqual(ro.max, acc.max); !ok {
+				t.Fatalf("%v n=%d: block max %d differs", tier, n, i)
+			}
+			if i, ok := bitsEqual(sum, before); !ok {
+				t.Fatalf("%v n=%d: MaxAbs wrote element %d", tier, n, i)
+			}
+			if plain := MaxAbs(sum); math.Float32bits(plain) != math.Float32bits(want) {
+				t.Fatalf("%v n=%d: unrecorded MaxAbs %x, want %x", tier, n, math.Float32bits(plain), math.Float32bits(want))
+			}
+		}
+	})
 }
 
 // TestScaledLUTCaching pins the per-M rebuild semantics: same bits skip

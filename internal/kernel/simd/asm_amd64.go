@@ -14,6 +14,9 @@ func addScaledLiteralsAsm(tab *[256][5]float32, body *byte, n int, dst *float32)
 func accMaxAbsAsm(buf, in *float32, n int) float32
 
 //go:noescape
+func maxAbsAsm(buf *float32, n int) float32
+
+//go:noescape
 func fusedSGDStepAsm(w, v, gs, acc *float32, n int, gscale, wd, mom, lr float32) float32
 
 //go:noescape
@@ -100,6 +103,20 @@ func AccMaxAbsAsm(buf, in []float32) float32 {
 	}
 	_ = buf[n-1]
 	return accMaxAbsAsm(&buf[0], &in[0], n)
+}
+
+// MaxAbsAsm is the AVX2 |max| core: max|buf| of any length (scalar tail
+// inside the core), read-only — AccMaxAbsAsm's reduction without the add.
+// Bit-identical to the scalar kernel by the same argument: a NaN never
+// wins and the lane split cannot change a max of non-negative values.
+// Requires AVX2; callers gate on Detect().AVX2.
+//
+//3lc:noalloc
+func MaxAbsAsm(buf []float32) float32 {
+	if len(buf) == 0 {
+		return 0
+	}
+	return maxAbsAsm(&buf[0], len(buf))
 }
 
 // SGDStepAsm is the AVX2 core behind kernel.Blocks.SGDStep: the fused

@@ -284,6 +284,73 @@ accmaxdone:
 	VZEROUPPER
 	RET
 
+// func maxAbsAsm(buf *float32, n int) float32
+//
+// The read-only form of accMaxAbsAsm: max|buf| over 32 floats per
+// iteration in four independent chains, then 8 at a time, then a scalar
+// tail, with the same sign-bit mask and the running max always VMAXPS's
+// second source, so a NaN never wins and any lane split reduces to the
+// scalar loop's bits.
+TEXT ·maxAbsAsm(SB), NOSPLIT, $0-20
+	MOVQ buf+0(FP), DI
+	MOVQ n+8(FP), CX
+	VPCMPEQD Y15, Y15, Y15
+	VPSRLD $1, Y15, Y15
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+
+max32:
+	CMPQ CX, $32
+	JL max8
+	VANDPS (DI), Y15, Y0
+	VANDPS 32(DI), Y15, Y1
+	VANDPS 64(DI), Y15, Y2
+	VANDPS 96(DI), Y15, Y3
+	VMAXPS Y8, Y0, Y8
+	VMAXPS Y9, Y1, Y9
+	VMAXPS Y10, Y2, Y10
+	VMAXPS Y11, Y3, Y11
+	ADDQ $128, DI
+	SUBQ $32, CX
+	JMP max32
+
+max8:
+	CMPQ CX, $8
+	JL maxreduce
+	VANDPS (DI), Y15, Y0
+	VMAXPS Y8, Y0, Y8
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JMP max8
+
+maxreduce:
+	VMAXPS Y9, Y8, Y8
+	VMAXPS Y11, Y10, Y10
+	VMAXPS Y10, Y8, Y8
+	VEXTRACTF128 $1, Y8, X9
+	VMAXPS X9, X8, X8
+	VPSHUFD $0x4E, X8, X9
+	VMAXPS X9, X8, X8
+	VPSHUFD $0xB1, X8, X9
+	VMAXPS X9, X8, X8          // lane 0 = max of all lanes
+
+maxtail:
+	TESTQ CX, CX
+	JZ maxdone
+	VMOVSS (DI), X0
+	VANDPS X15, X0, X0
+	VMAXSS X8, X0, X8
+	ADDQ $4, DI
+	DECQ CX
+	JMP maxtail
+
+maxdone:
+	VMOVSS X8, ret+16(FP)
+	VZEROUPPER
+	RET
+
 // SGDVEC and SGDONE are the shared body of the two fused SGD sweeps: 8
 // elements and 1 element of the scalar reference's sequence of individually
 // rounded float32 operations (separate multiply, add and subtract — never

@@ -170,6 +170,51 @@ func TestAccMaxAbsAsmMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestMaxAbsAsmMatchesScalar pins the AVX2 read-only |max| core against
+// the scalar loop over every tail length, on a slice offset by one element
+// so no load is 32-byte aligned, with NaN, ±Inf, −0 and denormals mixed
+// in: a bit-equal maximum, a NaN never winning, and buf left untouched.
+func TestMaxAbsAsmMatchesScalar(t *testing.T) {
+	if !Detect().AVX2 {
+		t.Skip("no AVX2")
+	}
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range tailLengths() {
+		back := make([]float32, n+1)
+		buf := back[1:]
+		fillMixed(rng, buf)
+		before := append([]float32(nil), buf...)
+		want := refMaxAbs(buf)
+		got := MaxAbsAsm(buf)
+		if got != got {
+			t.Fatalf("n=%d: NaN won the max", n)
+		}
+		if math.Float32bits(want) != math.Float32bits(got) {
+			t.Fatalf("n=%d: max %x != scalar %x", n, math.Float32bits(got), math.Float32bits(want))
+		}
+		for i := range buf {
+			if math.Float32bits(buf[i]) != math.Float32bits(before[i]) {
+				t.Fatalf("n=%d: buf[%d] written", n, i)
+			}
+		}
+	}
+	buf := make([]float32, 100)
+	for i := range buf {
+		buf[i] = float32(math.NaN())
+	}
+	if got := MaxAbsAsm(buf[:41]); math.Float32bits(got) != 0 {
+		t.Fatalf("all-NaN input: max = %x, want +0", math.Float32bits(got))
+	}
+	// NaN after the max in the same lane must not erase it.
+	for p := range buf {
+		buf[p] = -5
+		if got := MaxAbsAsm(buf); got != 5 {
+			t.Fatalf("NaN all around a -5 at %d: max = %v, want 5", p, got)
+		}
+		buf[p] = float32(math.NaN())
+	}
+}
+
 // refFusedSGDStep mirrors the scalar kernel core exactly.
 func refFusedSGDStep(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32 {
 	var m float32

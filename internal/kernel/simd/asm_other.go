@@ -19,6 +19,10 @@ func AccMaxAbsAsm(buf, in []float32) float32 {
 	panic("simd: no assembly kernels on this architecture")
 }
 
+func MaxAbsAsm(buf []float32) float32 {
+	panic("simd: no assembly kernels on this architecture")
+}
+
 func SGDStepAsm(w, v, gs, acc []float32, gscale, wd, mom, lr float32) float32 {
 	panic("simd: no assembly kernels on this architecture")
 }

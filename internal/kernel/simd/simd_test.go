@@ -25,6 +25,18 @@ func refAccMaxAbs(buf, in []float32) float32 {
 	return m
 }
 
+// refMaxAbs mirrors the scalar kernel's read-only |max| core exactly.
+func refMaxAbs(buf []float32) float32 {
+	var m float32
+	for _, v := range buf {
+		a := math.Float32frombits(math.Float32bits(v) &^ (1 << 31))
+		if a > m {
+			m = a
+		}
+	}
+	return m
+}
+
 // nasty values every equivalence test mixes in: both NaN payload classes,
 // infinities, signed zeros, denormals.
 var nasty = []float32{

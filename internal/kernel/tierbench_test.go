@@ -258,6 +258,31 @@ func BenchmarkAccumulateMaxAbsKernel(b *testing.B) {
 	}
 }
 
+// BenchmarkMaxAbsKernel measures the read-only |max| reduction (pass 1 of
+// a worker's 3LC tensor, which holds e + g already, and of the stochastic
+// and int8 codecs) at 1M elements per tier, cache-cold like the tensors
+// it runs on, recording block maxima as a 3LC context does.
+func BenchmarkMaxAbsKernel(b *testing.B) {
+	const n = 1 << 20
+	orig := ActiveTier()
+	defer SetTier(orig)
+	in := tensor.New(n)
+	fillRand(in, 3, 0.01)
+	ins := coldRing(in.Data())
+	var x Blocks
+	for _, tier := range AvailableTiers() {
+		b.Run(tier.String()+"/1M", func(b *testing.B) {
+			SetTier(tier)
+			b.SetBytes(4 * int64(n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				x.MaxAbs(ins[i%coldBufs])
+			}
+		})
+	}
+}
+
 // coldBufs is how many copies of its operands each cache-cold row rotates
 // through: at 1M elements that is 32 MB a stream, so an operand has left
 // the core's caches long before its turn comes round again — the state the

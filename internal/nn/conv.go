@@ -16,8 +16,9 @@ type Conv2D struct {
 
 	inC, outC, k, stride, pad int
 
-	x     *tensor.Tensor // cached input
-	y, dx tensor.Tensor  // workspaces returned by Forward and Backward
+	x      *tensor.Tensor // cached input
+	y, dx  tensor.Tensor  // workspaces returned by Forward and Backward
+	gw, gb []float32      // Backward's batch sums of the kernel and bias gradients
 }
 
 // NewConv2D creates a convolution layer with He-normal initialization.
@@ -86,7 +87,11 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return y
 }
 
-// Backward computes dW, db and dx from dout of shape [N, outC, OH, OW].
+// Backward adds dW and db to the parameters' G and returns dx, from dout
+// of shape [N, outC, OH, OW]. The kernel and bias gradients are summed
+// over (b, oc, oy, ox) from +0 in a workspace, then each element is added
+// to G with a single add, so a G that carries a residual
+// (Param.CarryGrad) ends at residual + sum.
 //
 //3lc:noalloc
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
@@ -98,7 +103,10 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	dx := c.dx.Resize(n, c.inC, h, w)
 	dx.Zero() // accumulated over the overlapping windows below
 	xd, wd := c.x.Data(), c.Weight.W.Data()
-	gwd, gbd := c.Weight.G.Data(), c.Bias.G.Data()
+	c.gw, c.gb = grow(c.gw, len(wd)), grow(c.gb, c.outC)
+	gwd, gbd := c.gw, c.gb
+	clear(gwd)
+	clear(gbd)
 	dd, dxd := dout.Data(), dx.Data()
 
 	for b := 0; b < n; b++ {
@@ -136,6 +144,8 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
+	addInto(c.Weight.G.Data(), gwd)
+	addInto(c.Bias.G.Data(), gbd)
 	return dx
 }
 

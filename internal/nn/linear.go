@@ -16,6 +16,7 @@ type Linear struct {
 	in, out int
 	x       *tensor.Tensor // cached input for backward
 	y, dx   tensor.Tensor  // workspaces returned by Forward and Backward
+	rows    []int          // Backward's samples of one output whose dout is not zero
 }
 
 // NewLinear creates a fully-connected layer with He-normal initialized
@@ -59,7 +60,17 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return y
 }
 
-// Backward computes parameter gradients and returns dx.
+// Backward adds the batch's parameter gradients to G and returns dx.
+//
+// Each parameter element's batch gradient is added to G with a single add:
+// a sum over the samples, formed from +0 in sample order, skipping samples
+// whose dout is 0. A G that carries a residual R (Param.CarryGrad) thus
+// ends at R + sum, bit for bit what adding a zeroed G's gradient to R
+// gives. The walk is output-major: for output o it gathers the samples
+// whose dout is not zero and folds them four at a time — in registers when
+// there are exactly four, the end-to-end benchmark's batch, else through a
+// tile of partial sums — and dx, summed over the outputs in ascending
+// order, is folded in the same loop.
 //
 //3lc:noalloc
 func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
@@ -69,25 +80,88 @@ func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	xd, wd := l.x.Data(), l.Weight.W.Data()
 	gd, bd := l.Weight.G.Data(), l.Bias.G.Data()
 	dd, dxd := dout.Data(), dx.Data()
-	for r := 0; r < n; r++ {
-		xrow := xd[r*l.in : (r+1)*l.in]
-		drow := dd[r*l.out : (r+1)*l.out]
-		dxrow := dxd[r*l.in : (r+1)*l.in]
-		for o := 0; o < l.out; o++ {
-			g := drow[o]
-			if g == 0 {
-				continue
+	l.rows = grow(l.rows, n)
+	var tile [256]float32
+	for o := 0; o < l.out; o++ {
+		rows := l.rows[:0]
+		var bsum float32
+		for r := 0; r < n; r++ {
+			if g := dd[r*l.out+o]; g != 0 {
+				rows = append(rows, r)
+				bsum += g
 			}
-			bd[o] += g
-			grow := gd[o*l.in : (o+1)*l.in]
-			wrow := wd[o*l.in : (o+1)*l.in]
-			for i, xv := range xrow {
-				grow[i] += g * xv
-				dxrow[i] += g * wrow[i]
+		}
+		bd[o] += bsum
+		gw, w := gd[o*l.in:(o+1)*l.in], wd[o*l.in:(o+1)*l.in]
+		if len(rows) == 4 {
+			l.fold4(nil, gw, w, dd, o, rows, 0)
+			continue
+		}
+		for lo := 0; lo < l.in; lo += len(tile) {
+			part := tile[:min(len(tile), l.in-lo)]
+			clear(part)
+			k := 0
+			for ; k+4 <= len(rows); k += 4 {
+				l.fold4(part, nil, w, dd, o, rows[k:k+4], lo)
 			}
+			for _, r := range rows[k:] {
+				g := dd[r*l.out+o]
+				x, d := xd[r*l.in+lo:][:len(part)], dxd[r*l.in+lo:][:len(part)]
+				for j, wv := range w[lo:][:len(part)] {
+					part[j] += g * x[j]
+					d[j] += g * wv
+				}
+			}
+			addInto(gw[lo:], part)
 		}
 	}
 	return dx
+}
+
+// fold4 folds samples rows[0..3] of output o into elements lo.. of its
+// weight gradient and of their dx rows, over len(part) elements, or all of
+// gw's when part is nil: with part, each sum continues from part[j] and is
+// stored back there; without, it starts from +0 and is added to gw[j].
+func (l *Linear) fold4(part, gw, w, dd []float32, o int, rows []int, lo int) {
+	xd, dxd := l.x.Data(), l.dx.Data()
+	m := len(part)
+	if part == nil {
+		m = len(gw)
+	}
+	g0, g1, g2, g3 := dd[rows[0]*l.out+o], dd[rows[1]*l.out+o], dd[rows[2]*l.out+o], dd[rows[3]*l.out+o]
+	x0, x1 := xd[rows[0]*l.in+lo:][:m], xd[rows[1]*l.in+lo:][:m]
+	x2, x3 := xd[rows[2]*l.in+lo:][:m], xd[rows[3]*l.in+lo:][:m]
+	d0, d1 := dxd[rows[0]*l.in+lo:][:m], dxd[rows[1]*l.in+lo:][:m]
+	d2, d3 := dxd[rows[2]*l.in+lo:][:m], dxd[rows[3]*l.in+lo:][:m]
+	w = w[lo:][:m]
+	if part == nil {
+		gw = gw[:m]
+		for j, wv := range w {
+			var s float32
+			s += g0 * x0[j]
+			s += g1 * x1[j]
+			s += g2 * x2[j]
+			s += g3 * x3[j]
+			gw[j] += s
+			d0[j] += g0 * wv
+			d1[j] += g1 * wv
+			d2[j] += g2 * wv
+			d3[j] += g3 * wv
+		}
+		return
+	}
+	for j, wv := range w {
+		s := part[j]
+		s += g0 * x0[j]
+		s += g1 * x1[j]
+		s += g2 * x2[j]
+		s += g3 * x3[j]
+		part[j] = s
+		d0[j] += g0 * wv
+		d1[j] += g1 * wv
+		d2[j] += g2 * wv
+		d3[j] += g3 * wv
+	}
 }
 
 // Params returns the weight and bias.

@@ -39,27 +39,39 @@ type Param struct {
 	Name string
 	// W holds the parameter values.
 	W *tensor.Tensor
-	// G accumulates the gradient of the loss w.r.t. W for the current
-	// batch. Layers add into G; the optimizer zeroes it. On a model served
-	// by a ps.Job, G holds the step's gradient sum under the stamps of the
-	// job's kernel.Blocks record instead, and a block the record calls
-	// dead holds stale values.
+	// G receives the gradient of the loss w.r.t. W for the current batch:
+	// every layer's Backward adds each element's batch gradient to it with
+	// a single add, and Model.ZeroGrad zeroes it first — unless it carries
+	// state between steps (CarryGrad), when it ends the backward pass at
+	// its old value plus the gradient. On a model served by a ps.Job, G
+	// holds the step's gradient sum under the stamps of the job's
+	// kernel.Blocks record instead, and a block the record calls dead
+	// holds stale values.
 	G *tensor.Tensor
 	// NoCompress marks small tensors (batch norm scales/offsets) that the
 	// training pipeline transmits uncompressed, per §5.1.
 	NoCompress bool
+
+	carry bool // G carries state between steps: ZeroGrad leaves it alone
 }
 
 func newParam(name string, shape ...int) *Param {
 	return &Param{Name: name, W: tensor.New(shape...), G: tensor.New(shape...)}
 }
 
-// ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() { p.G.Zero() }
+// CarryGrad marks p's G as carrying state between steps: Model.ZeroGrad
+// leaves it alone, so backward adds the gradient to what it holds. It is
+// how a ps.Worker makes G the error buffer of its 3LC push context — at a
+// step boundary G holds the residual e, after backward e + g, the
+// quantizer's input — and nothing else calls it.
+func (p *Param) CarryGrad() { p.carry = true }
 
 // Layer is one differentiable module. Forward computes outputs from
 // inputs; Backward consumes d(loss)/d(output) and returns d(loss)/d(input),
-// accumulating parameter gradients along the way. Layers cache whatever
+// adding each parameter element's batch gradient to its G with a single
+// add — a sum formed from +0 first — so a G that carries state between
+// steps (Param.CarryGrad) ends at its old value plus exactly the gradient
+// a zeroed G would hold. Layers cache whatever
 // they need between Forward and Backward, so a layer instance processes
 // one batch at a time.
 //
@@ -83,6 +95,15 @@ func grow[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
+}
+
+// addInto adds src into dst element-wise: the single add by which a layer
+// that sums a gradient in a workspace hands it to G.
+func addInto(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] += v
+	}
 }
 
 // Sequential chains layers.
@@ -157,15 +178,19 @@ func (m *Model) NumParams() int {
 	return n
 }
 
-// ZeroGrad clears every parameter gradient.
+// ZeroGrad clears every parameter gradient but those that carry state
+// between steps (Param.CarryGrad).
 func (m *Model) ZeroGrad() {
 	for _, p := range m.Params() {
-		p.ZeroGrad()
+		if !p.carry {
+			p.G.Zero()
+		}
 	}
 }
 
 // TrainStep runs forward + backward on one batch and returns the mean loss.
-// Gradients are accumulated into the Params' G tensors (zeroed first).
+// Gradients are added to the Params' G tensors (zeroed first by ZeroGrad,
+// except those that carry state).
 // Once every layer's workspace has grown to the batch it allocates nothing.
 //
 //3lc:noalloc

@@ -139,11 +139,18 @@ func TestTrainStepZeroAllocs(t *testing.T) {
 }
 
 // benchCases are the layer benchmarks' models: mlp is the end-to-end
-// benchmark's (768 -> 1024 -> 1024 -> 10), microresnet the default
-// residual CNN.
+// benchmark's (768 -> 1024 -> 1024 -> 10), tiny its small-tensor one
+// (768 -> 64 hidden layers of 48 -> 10), whose 48-wide layers are where a
+// per-row cost in backward shows, and microresnet the default residual
+// CNN.
 func benchCases() []workspaceCase {
+	hidden := make([]int, 64)
+	for i := range hidden {
+		hidden[i] = 48
+	}
 	return []workspaceCase{
 		{"mlp", func() *Model { return NewMLP(768, []int{1024, 1024}, 10, 1) }, []int{768}, 10},
+		{"tiny", func() *Model { return NewMLP(768, hidden, 10, 1) }, []int{768}, 10},
 		{"microresnet", func() *Model { return NewMicroResNet(DefaultMicroResNet()) }, []int{3, 16, 16}, 10},
 	}
 }

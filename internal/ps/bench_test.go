@@ -120,7 +120,10 @@ func tinyModel(seed uint64) *nn.Model {
 // -benchmem (the parallel pool's goroutine spawns are the only allocs
 // otherwise). The worker is the owner, so it applies the pull it is sent
 // (Job.OwnerPull) and takes the step of its owner-only tensors itself.
-// fill sets each gradient once; every step pushes the same.
+// fill draws each gradient once; every step hands the worker the same one
+// as a backward pass would — ZeroGrad, then an add into G — so a 3LC
+// tensor, whose G is its push context's error buffer, pushes e + g. That
+// add is backward's work, not the codec's, and runs with the timer off.
 func benchSteadyStatePushPull(b *testing.B, model func(seed uint64) *nn.Model, fill func(g *tensor.Tensor, rng *tensor.RNG)) {
 	cfg := testConfig(compress.SchemeThreeLC, compress.Options{Sparsity: 1.75, ZeroRun: true}, 1)
 	cfg.Parallelism = 1
@@ -131,17 +134,29 @@ func benchSteadyStatePushPull(b *testing.B, model func(seed uint64) *nn.Model, f
 	worker := NewWorker(0, m, cfg)
 
 	rng := tensor.NewRNG(31)
-	for _, p := range worker.Model.Params() {
-		fill(p.G, rng)
+	var grads []*tensor.Tensor
+	for _, p := range m.Params() {
+		g := tensor.New(p.G.Shape()...)
+		fill(g, rng)
+		grads = append(grads, g)
+	}
+	step := func() {
+		b.StopTimer()
+		m.ZeroGrad()
+		for i, p := range m.Params() {
+			p.G.Add(grads[i])
+		}
+		b.StartTimer()
+		steadyStep(b, server, worker)
 	}
 	// Warm up buffer capacities.
 	for i := 0; i < 3; i++ {
-		steadyStep(b, server, worker)
+		step()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		steadyStep(b, server, worker)
+		step()
 	}
 }
 

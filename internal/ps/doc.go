@@ -65,6 +65,25 @@
 // clears a block when the step's first literal group lands in it, and
 // every other block reads as +0 (compress.DecompressAddLive) — 3.6 % of the blocks are
 // live a step on lan-3lc, 3.2 % on wan-3lc, 97 % on tiny-stream.
+//
+// Worker-side, a 3LC tensor's push context has the replica's own G as its
+// error buffer (compress.NewThreeLCOver, nn.Param.CarryGrad; NewWorker
+// zeroes it): G carries the residual e between steps, every layer's
+// backward adds its batch gradient into it with one add per element, and
+// compress pass 1 shrinks to a read-only |max| that records the block
+// maxima (kernel.Blocks.MaxAbs, then compress.PreAccumulator's encode) —
+// the mirror of the server's fused pull. Forming e + g thus costs no
+// stream of its own, and a worker holds one model-sized buffer per 3LC
+// tensor, not two. Wires and residuals are bit-identical to a context
+// that owns its buffer fed a zeroed G (TestWorkerGIsErrorBuffer). Per step
+// and tensor, the worker's passes are:
+//
+//	pass                  reads / writes of tensor memory
+//	backward              G, one add per element: e + g
+//	pass 1 (|max|)        G whole, read only
+//	push encode           G's blocks that can quantize; the residual is
+//	                      written back where a digit is not zero
+//
 // Server-side, the step is fused end to end: FinishStep's optimizer sweep
 // averages the gradient on the fly, reading only the live blocks of the
 // sum, applies the update, and folds the model delta directly into the pull

@@ -492,10 +492,12 @@ type Worker struct {
 	cfg       Config
 	params    []*nn.Param
 	pushCtx   []compress.Compressor
-	pushWires [][]byte   // per-tensor push wire buffers, recycled across steps
-	errs      []error    // per-tensor error slots for parallel decode, recycled
-	own       []*ownStep // per tensor: the owner's optimizer state of an owner-only tensor (update), nil elsewhere
-	sched     *opt.SGD   // the learning-rate schedule, for own; never stepped
+	preAcc    []compress.PreAccumulator // per tensor: the 3LC push context whose error buffer is params[i].G, nil elsewhere
+	blocks    []kernel.Blocks           // per tensor: the block maxima preAcc's pass 1 records for its encode
+	pushWires [][]byte                  // per-tensor push wire buffers, recycled across steps
+	errs      []error                   // per-tensor error slots for parallel decode, recycled
+	own       []*ownStep                // per tensor: the owner's optimizer state of an owner-only tensor (update), nil elsewhere
+	sched     *opt.SGD                  // the learning-rate schedule, for own; never stepped
 
 	// Bound method values + argument slots, mirroring Server (see there).
 	compressFn   func(i int)
@@ -508,11 +510,29 @@ type Worker struct {
 // NewWorker wraps a local model replica (which must start identical to the
 // server's global model, and, on the owner, be configured with the
 // server's optimizer: the owner steps the owner-only tensors itself).
+//
+// A tensor the design compresses with 3LC gets a push context whose error
+// buffer is the replica's own G (compress.NewThreeLCOver), zeroed here, so
+// the worker starts at e = 0 and keeps no second model-sized buffer: G
+// carries the residual between steps (nn.Param.CarryGrad), backward adds
+// the step's gradient into it, and compress pass 1 is a read-only |max|
+// (compressOne). At a step boundary G holds the residual a context that
+// owned its buffer would, bit for bit.
 func NewWorker(id int, model *nn.Model, cfg Config) *Worker {
 	w := &Worker{ID: id, Model: model, cfg: cfg, params: model.Params(), sched: opt.NewSGD(cfg.Optimizer)}
 	w.own = newOwnSteps(id, w.params)
+	w.preAcc = make([]compress.PreAccumulator, len(w.params))
+	w.blocks = make([]kernel.Blocks, len(w.params))
 	for i, p := range w.params {
-		w.pushCtx = append(w.pushCtx, cfg.newContext(p, 0x574f524b00000000+uint64(id)<<16+uint64(i))) // "WORK"
+		var ctx compress.Compressor
+		if cfg.Scheme == compress.SchemeThreeLC && cfg.Compresses(p) {
+			ctx = compress.NewThreeLCOver(p.G, cfg.Opts)
+			w.preAcc[i] = ctx.(compress.PreAccumulator)
+			p.CarryGrad()
+		} else {
+			ctx = cfg.newContext(p, 0x574f524b00000000+uint64(id)<<16+uint64(i)) // "WORK"
+		}
+		w.pushCtx = append(w.pushCtx, ctx)
 	}
 	w.pushWires = make([][]byte, len(w.params))
 	w.errs = make([]error, len(w.params))
@@ -537,13 +557,20 @@ func (w *Worker) CompressGrads() ([][]byte, time.Duration) {
 
 // compressOne compresses gradient tensor i into its recycled buffer, or
 // leaves the empty wire there for a tensor this worker does not push: the
-// aggregate never reads it (Pushes), so it does not cross the link. On the
-// owner, an owner-only tensor is stepped and its update compressed instead
-// (update): its exempt context is lossless, so the server relays the
-// update to the others as the owner computed it.
+// aggregate never reads it (Pushes), so it does not cross the link. A 3LC
+// tensor's G already holds e + g, so its pass 1 only reads max|G| and the
+// block maxima, and the encode leaves the residual in G. On the owner, an
+// owner-only tensor is stepped and its update compressed instead (update):
+// its exempt context is lossless, so the server relays the update to the
+// others as the owner computed it.
 func (w *Worker) compressOne(i int) {
 	p := w.params[i]
 	if !Pushes(w.ID, p) {
+		return
+	}
+	if pa := w.preAcc[i]; pa != nil {
+		blk := &w.blocks[i]
+		w.pushWires[i] = pa.CompressPreAccumulated(blk, blk.MaxAbs(p.G.Data()), w.pushWires[i][:0])
 		return
 	}
 	src := p.G

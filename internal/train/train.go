@@ -60,9 +60,12 @@ type Config struct {
 	Optimizer *opt.SGDConfig
 	// EvalEvery evaluates test accuracy every this many steps (0: only at end).
 	EvalEvery int
-	// OnGradients, if non-nil, observes worker 0's raw gradient tensors
-	// each step (after the backward pass, before compression). Used by
-	// the gradient-statistics analysis; must not mutate the tensors.
+	// OnGradients, if non-nil, observes worker 0's gradient tensors each
+	// step (after the backward pass, before compression). Used by the
+	// gradient-statistics analysis; must not mutate the tensors. A
+	// 3LC-compressed tensor's G is its push context's error buffer, so
+	// there it holds e + g — the residual plus this step's gradient, the
+	// quantizer's input; every other G holds the raw gradient.
 	OnGradients func(step int, params []*nn.Param)
 
 	// CheckpointPath + CheckpointEvery enable periodic full-state

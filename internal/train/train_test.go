@@ -107,8 +107,8 @@ func TestRunThreeLCTrafficReduction(t *testing.T) {
 }
 
 // TestPaperSpellingOnTrainingWires holds compress.PaperWireLen to its
-// bound on real wires — worker 0's gradients of a training run through
-// contexts of the run's own design, residuals and all: the paper's capped
+// bound on real wires — worker 0's push wires of a training run,
+// re-encoded from the e + g its gradient hook sees: the paper's capped
 // zero-run spelling is never shorter than ours by more than the bare
 // long-run tokens (runs of 14..27, two bytes here, one there), and over
 // the run the accounting agrees with the per-wire sum.
@@ -119,17 +119,15 @@ func TestPaperSpellingOnTrainingWires(t *testing.T) {
 	cfg.BuildModel = func() *nn.Model {
 		return nn.NewMLP(cfg.Data.C*cfg.Data.H*cfg.Data.W, []int{64, 64}, cfg.Data.Classes, 1)
 	}
-	ctx := map[int]compress.Compressor{}
 	wires, longer := 0, 0
 	cfg.OnGradients = func(step int, params []*nn.Param) {
 		for i, p := range params {
 			if p.NoCompress || p.W.Len() < 256 {
 				continue
 			}
-			if ctx[i] == nil {
-				ctx[i] = compress.New(design.Scheme, p.W.Shape(), design.Opts)
-			}
-			wire := ctx[i].CompressInto(p.G, nil)
+			// G is worker 0's push context's error buffer, holding e + g:
+			// through a fresh context it encodes to worker 0's push wire.
+			wire := compress.New(design.Scheme, p.W.Shape(), design.Opts).CompressInto(p.G, nil)
 			paper, lone := compress.PaperWireLen(wire), bytes.Count(wire[6:], []byte{0xff, 0})
 			if paper < len(wire)-lone {
 				t.Fatalf("step %d tensor %d: paper spelling %d B, ours %d B with %d bare long-run tokens", step, i, paper, len(wire), lone)

@@ -68,10 +68,7 @@ func benchWirePushPull(b *testing.B, checksum, legacy bool) {
 	m := nn.NewMLP(784, []int{256}, 10, 7)
 	m.CopyParamsFrom(global)
 	wk := ps.NewWorker(0, m, cfg)
-	rng := tensor.NewRNG(31)
-	for _, p := range wk.Model.Params() {
-		tensor.FillNormal(p.G, 0.01, rng)
-	}
+	backward := fixedGrads(m, tensor.NewRNG(31))
 
 	step := 0
 	roundTrip := func() {
@@ -84,6 +81,9 @@ func benchWirePushPull(b *testing.B, checksum, legacy bool) {
 			b.Fatal(err)
 		}
 		step++
+		b.StopTimer() // forming e + g is backward's work, not the round trip's
+		backward()
+		b.StartTimer()
 	}
 	// Warm up buffer capacities on both ends of the wire.
 	for i := 0; i < 3; i++ {
@@ -193,6 +193,11 @@ func BenchmarkStreamedPushPullWire(b *testing.B) {
 		}
 		wg.Wait()
 		step++
+		b.StopTimer()
+		for _, backward := range tier.backwards {
+			backward()
+		}
+		b.StartTimer()
 	}
 	// Warm up buffer capacities on both ends of the wire.
 	for i := 0; i < 3; i++ {

@@ -87,12 +87,13 @@ func (l *countListener) conn(i int) *countConn {
 // workers dial one after the other, so a listener accepts them in worker
 // order.
 type streamTier struct {
-	clients []*ShardClient
-	workers []*ps.Worker
-	conns   [][]*countConn
-	servers []*countListener
-	shards  []*ShardServer
-	served  chan error // each shard's Serve, once it has returned
+	clients   []*ShardClient
+	workers   []*ps.Worker
+	backwards []func() // per worker: hands it its gradient for the next step (fixedGrads)
+	conns     [][]*countConn
+	servers   []*countListener
+	shards    []*ShardServer
+	served    chan error // each shard's Serve, once it has returned
 }
 
 // newStreamTier stands the tier up for an unbounded run; the servers end
@@ -145,13 +146,29 @@ func newStreamTier(t testing.TB, build func() *nn.Model, cfg ps.Config, shards i
 		tier.clients = append(tier.clients, cl)
 		tier.conns = append(tier.conns, conns)
 		wk := ps.NewWorker(w, m, cfg)
-		rng := tensor.NewRNG(31 + uint64(w))
-		for _, p := range wk.Model.Params() {
-			tensor.FillNormal(p.G, 0.01, rng)
-		}
 		tier.workers = append(tier.workers, wk)
+		tier.backwards = append(tier.backwards, fixedGrads(m, tensor.NewRNG(31+uint64(w))))
 	}
 	return tier
+}
+
+// fixedGrads fills each of m's gradients once, N(0, 0.01²) from rng, and
+// returns what hands m the same gradients again for its next step, as a
+// backward pass would: ZeroGrad, then an add into G. A worker's 3LC
+// tensor, whose G is its push context's error buffer, thus pushes e + g
+// for the same g every step when backward runs after each exchange.
+func fixedGrads(m *nn.Model, rng *tensor.RNG) (backward func()) {
+	var grads []*tensor.Tensor
+	for _, p := range m.Params() {
+		tensor.FillNormal(p.G, 0.01, rng)
+		grads = append(grads, p.G.Clone())
+	}
+	return func() {
+		m.ZeroGrad()
+		for i, p := range m.Params() {
+			p.G.Add(grads[i])
+		}
+	}
 }
 
 // step runs one streamed step of every worker, each with its channel
@@ -176,6 +193,9 @@ func (tier *streamTier) step(t testing.TB, step int) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("step %d: the streamed exchange did not finish", step)
 		}
+	}
+	for _, backward := range tier.backwards {
+		backward()
 	}
 }
 

@@ -112,11 +112,17 @@ go test -run='^$' -bench 'FusedCompress/|FusedDecompress/|StagedCompress/|Staged
 # with a liveness record (2 % of its blocks live, lan-3lc's push
 # share): the first push of a step, clearing only the blocks it
 # lands in, and the sweep reading only those (reported).
-go test -run='^$' -bench 'EncodeTernaryKernel|DecodeAddKernel|AccumulateMaxAbsKernel|FusedSGDStepKernel|RawAddKernel|RawPutKernel' -benchtime 20x -benchmem ./internal/kernel/
+# The read-only |max| (MaxAbsKernel: pass 1 of a worker's 3LC tensor,
+# whose gradient tensor already holds e + g, and of the stochastic and
+# int8 codecs) runs cache-cold too, recording block maxima; its asm row
+# is gated against the scalar one.
+go test -run='^$' -bench 'EncodeTernaryKernel|DecodeAddKernel|AccumulateMaxAbsKernel|MaxAbsKernel|FusedSGDStepKernel|RawAddKernel|RawPutKernel' -benchtime 20x -benchmem ./internal/kernel/
 # One warm forward and backward pass of the end-to-end model's MLP
-# (768 -> 1024 -> 1024 -> 10, batch 4) and of the default
-# MicroResNet: every nn layer returns tensors from its own
-# workspace, so the training step is inside the zero-allocs gate.
+# (768 -> 1024 -> 1024 -> 10, batch 4), of tiny-stream's (768 -> 64
+# hidden layers of 48 -> 10), where a per-row cost in a 48-wide
+# backward shows, and of the default MicroResNet: every nn layer
+# returns tensors from its own workspace, so the training step is
+# inside the zero-allocs gate.
 go test -run='^$' -bench TrainStep -benchtime 20x -benchmem ./internal/nn/
 # One warm evaluation of 300 rows (the end-to-end benchmark's held-out
 # set) on the same two models, walked 32 rows at a time through the
