@@ -255,7 +255,7 @@ func (f *flatTopology) tier(global *nn.Model, psCfg ps.Config) (ps.Tier, error) 
 		f.srvs = newServers(1)
 		f.srvs.serve(ln, &srv.ShardServer)
 		return transport.DialTier(o.workers, false, func(w int) (transport.Seat, error) {
-			return transport.DialTimeout(ln.Addr().String(), w, o.timeouts())
+			return transport.DialTimeoutDialer(ln.Addr().String(), w, o.timeouts(), nil)
 		})
 	}
 	// One listener per shard; workers hold one multiplexed connection to each.
@@ -399,8 +399,8 @@ func finalWeights(cfg train.Config, build func(*nn.Model, ps.Config) (ps.Tier, e
 }
 
 // chaosTCPRun runs the soak job over real TCP with inj wrapping every
-// listener and dial: resilient shard servers, checksummed resilient
-// clients, and the seeded retry schedule. Returns the final global
+// listener and dial: resilient shard servers, resilient clients, and the
+// seeded retry schedule. Returns the final global
 // weights.
 func chaosTCPRun(inj *chaos.Injector, o *options, cfg train.Config) ([]float32, error) {
 	// The read deadline is the failure detector for stalled connections;
@@ -429,20 +429,11 @@ func chaosTCPRun(inj *chaos.Injector, o *options, cfg train.Config) ([]float32, 
 		if err != nil {
 			return nil, err
 		}
-		ccfg := transport.ShardClientConfig{Timeouts: timeouts, Checksum: true, Resilient: true, Retry: retryPol, Dialer: inj.Dial}
+		// The initial handshake crosses injected connections too: a
+		// resilient client retries its dial under the same schedule.
+		ccfg := transport.ShardClientConfig{Timeouts: timeouts, Resilient: true, Retry: retryPol, Dialer: inj.Dial}
 		return transport.DialTier(o.workers, false, func(w int) (transport.Seat, error) {
-			// The initial handshake crosses injected connections too; dial
-			// failures are part of the schedule, so budget retries for them.
-			for attempt := 0; ; attempt++ {
-				cl, err := transport.DialShardedConfig(tier.addrs, w, asn, ccfg)
-				if err == nil {
-					return cl, nil
-				}
-				if attempt >= 10 {
-					return nil, err
-				}
-				time.Sleep(retryPol.Stream(uint64(w)).Backoff(attempt))
-			}
+			return transport.DialShardedConfig(tier.addrs, w, asn, ccfg)
 		})
 	})
 	if err != nil {

@@ -22,6 +22,9 @@
 //     the best value of the metric among matching benchmarks must reach
 //     min (the entropy-stage compression-ratio gate).
 //   - Any `--- FAIL` or `FAIL` line in the input fails the gate.
+//
+// The name patterns of -zero-allocs, -require, -speedup and -min-metric
+// match from the first character after "Benchmark" (see namePattern).
 package main
 
 import (
@@ -121,10 +124,25 @@ func Parse(r io.Reader) ([]Benchmark, bool, error) {
 	return out, failed, sc.Err()
 }
 
-// Check applies the zero-allocation gate and returns the violations.
-func Check(benches []Benchmark, zeroAllocs *regexp.Regexp) []string {
-	if zeroAllocs == nil {
+// namePattern compiles a benchmark-name pattern. It matches from the
+// first character after "Benchmark", and a leading "Benchmark" in the
+// pattern is accepted too, so "MaxAbsKernel/asm" and
+// "BenchmarkMaxAbsKernel/asm" both match "BenchmarkMaxAbsKernel/asm/1M-2"
+// and neither matches "BenchmarkAccumulateMaxAbsKernel/asm/1M-2". Where
+// the name may end is the pattern's own business ("(-|$)", "$").
+func namePattern(pat string) (*regexp.Regexp, error) {
+	return regexp.Compile(`^(?:Benchmark)?(?:` + pat + `)`)
+}
+
+// Check applies the zero-allocation gate of pattern (none when empty) and
+// returns the violations.
+func Check(benches []Benchmark, pattern string) []string {
+	if pattern == "" {
 		return nil
+	}
+	zeroAllocs, err := namePattern(pattern)
+	if err != nil {
+		return []string{fmt.Sprintf("bad -zero-allocs pattern %q: %v", pattern, err)}
 	}
 	var violations []string
 	matched := 0
@@ -144,7 +162,7 @@ func Check(benches []Benchmark, zeroAllocs *regexp.Regexp) []string {
 	}
 	if matched == 0 {
 		violations = append(violations,
-			fmt.Sprintf("pattern %q matched no benchmarks — renamed or missing steady-state benches empty the gate", zeroAllocs))
+			fmt.Sprintf("pattern %q matched no benchmarks — renamed or missing steady-state benches empty the gate", pattern))
 	}
 	return violations
 }
@@ -199,11 +217,11 @@ func CheckSpeedup(benches []Benchmark, spec string) []string {
 // slow ns/op over the best fast one, which keeps -cpu 1,4 runs (each side's
 // lines one after another, one per GOMAXPROCS) stable.
 func speedupOf(benches []Benchmark, fastPat, slowPat string) (float64, string, error) {
-	fre, err := regexp.Compile(fastPat)
+	fre, err := namePattern(fastPat)
 	if err != nil {
 		return 0, "", fmt.Errorf("bad pattern %q: %v", fastPat, err)
 	}
-	sre, err := regexp.Compile(slowPat)
+	sre, err := namePattern(slowPat)
 	if err != nil {
 		return 0, "", fmt.Errorf("bad pattern %q: %v", slowPat, err)
 	}
@@ -279,7 +297,7 @@ func CheckMinMetric(benches []Benchmark, spec string) []string {
 			violations = append(violations, fmt.Sprintf("bad -min-metric floor in %q", rule))
 			continue
 		}
-		re, err := regexp.Compile(pat)
+		re, err := namePattern(pat)
 		if err != nil {
 			violations = append(violations, fmt.Sprintf("bad -min-metric pattern %q: %v", pat, err))
 			continue
@@ -397,7 +415,7 @@ func CheckRequired(benches []Benchmark, patterns string) []string {
 		if pat == "" {
 			continue
 		}
-		re, err := regexp.Compile(pat)
+		re, err := namePattern(pat)
 		if err != nil {
 			violations = append(violations, fmt.Sprintf("bad -require pattern %q: %v", pat, err))
 			continue
@@ -449,15 +467,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var zre *regexp.Regexp
-	if *zeroAlloc != "" {
-		zre, err = regexp.Compile(*zeroAlloc)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchcheck: bad -zero-allocs pattern:", err)
-			os.Exit(2)
-		}
-	}
-	violations := Check(benches, zre)
+	violations := Check(benches, *zeroAlloc)
 	violations = append(violations, CheckRequired(benches, *require)...)
 	violations = append(violations, CheckSpeedup(benches, *speedup)...)
 	violations = append(violations, CheckMinMetric(benches, *minMetric)...)

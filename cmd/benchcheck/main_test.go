@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -67,27 +66,32 @@ func TestCheckZeroAllocGate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if v := Check(benches, regexp.MustCompile("CompressInto")); len(v) != 0 {
+	if v := Check(benches, "CompressInto"); len(v) != 0 {
 		t.Errorf("clean steady-state benches violated: %v", v)
 	}
 	// An allocating bench under the pattern must violate.
-	if v := Check(benches, regexp.MustCompile("CompressInto|AllocatesALot")); len(v) != 1 ||
+	if v := Check(benches, "CompressInto|AllocatesALot"); len(v) != 1 ||
 		!strings.Contains(v[0], "12 allocs/op") {
 		t.Errorf("allocating bench not caught: %v", v)
 	}
 	// A bench without -benchmem data cannot prove the property.
-	if v := Check(benches, regexp.MustCompile("NoMemFlag")); len(v) != 1 ||
+	if v := Check(benches, "NoMemFlag"); len(v) != 1 ||
 		!strings.Contains(v[0], "-benchmem") {
 		t.Errorf("missing allocs metric not caught: %v", v)
 	}
 	// The gate must not silently match nothing.
-	if v := Check(benches, regexp.MustCompile("Renamed")); len(v) != 1 ||
+	if v := Check(benches, "Renamed"); len(v) != 1 ||
 		!strings.Contains(v[0], "matched no benchmarks") {
 		t.Errorf("empty match not caught: %v", v)
 	}
+	// The pattern matches from the start of the name.
+	if v := Check(benches, "IntoInt8"); len(v) != 1 ||
+		!strings.Contains(v[0], "matched no benchmarks") {
+		t.Errorf("pattern matched inside a name: %v", v)
+	}
 	// No pattern, no gate.
-	if v := Check(benches, nil); v != nil {
-		t.Errorf("nil pattern produced violations: %v", v)
+	if v := Check(benches, ""); v != nil {
+		t.Errorf("empty pattern produced violations: %v", v)
 	}
 }
 
@@ -296,5 +300,40 @@ BenchmarkEntropyStage/stored-8     100     900 ns/op
 	}
 	if v := CheckMinMetric(benches, ""); v != nil {
 		t.Errorf("empty -min-metric produced violations: %v", v)
+	}
+}
+
+// TestPatternsMatchFromNameStart: a name pattern matches from the first
+// character after "Benchmark", with or without that prefix, so a row
+// whose name merely contains the pattern cannot stand in for the rows it
+// names — the accumulate+|max| kernel's rows for the read-only |max|'s.
+func TestPatternsMatchFromNameStart(t *testing.T) {
+	benches, _, err := Parse(strings.NewReader(`
+BenchmarkAccumulateMaxAbsKernel/asm/1M-2       100   1000 ns/op   0 B/op   0 allocs/op   1.50 ratio
+BenchmarkAccumulateMaxAbsKernel/scalar/1M-2    100   4000 ns/op   0 B/op   0 allocs/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pat := range []string{"MaxAbsKernel/asm", "BenchmarkMaxAbsKernel/asm"} {
+		if v := CheckRequired(benches, pat); len(v) != 1 {
+			t.Errorf("-require %q satisfied by AccumulateMaxAbsKernel's rows: %v", pat, v)
+		}
+		if v := CheckSpeedup(benches, pat+"<AccumulateMaxAbsKernel/scalar:1.5"); len(v) != 1 || !strings.Contains(v[0], "matched no benchmarks") {
+			t.Errorf("-speedup %q satisfied by AccumulateMaxAbsKernel's rows: %v", pat, v)
+		}
+		if v := CheckMinMetric(benches, pat+":ratio:1.1"); len(v) != 1 {
+			t.Errorf("-min-metric %q satisfied by AccumulateMaxAbsKernel's rows: %v", pat, v)
+		}
+	}
+	// Both spellings of a pattern that names the rows match them, and the
+	// end of the name stays open unless the pattern closes it.
+	for _, pat := range []string{"AccumulateMaxAbsKernel/asm", "BenchmarkAccumulateMaxAbsKernel/asm", "Accumulate", "AccumulateMaxAbsKernel/asm/1M(-|$)"} {
+		if v := CheckRequired(benches, pat); len(v) != 0 {
+			t.Errorf("-require %q: %v", pat, v)
+		}
+	}
+	if v := CheckRequired(benches, "AccumulateMaxAbsKernel/asm$"); len(v) != 1 {
+		t.Errorf("-require with its end anchored matched a longer name: %v", v)
 	}
 }

@@ -16,13 +16,13 @@
 // connection's frames land after a neighbor's later frames, which is
 // exactly the reordering a multi-path WAN exhibits.
 //
-// The injector plugs into the transport tier through the
-// transport.Dialer / transport.ListenWrapper hooks (Injector.Dial and
-// Injector.WrapListener match those signatures), so every dial and
+// The injector plugs into the transport tier through the transport.Dialer
+// hook (Injector.Dial matches its signature) and by wrapping the listener
+// a server tier is handed (Injector.WrapListener), so every dial and
 // listen point in the tree can be subjected to the same schedule. It is
 // the adversary half of the chaos contract; the defenses it validates —
-// CRC-32C frame checksums, reconnect-and-replay, retry/backoff — live in
-// transport.
+// a resilient connection's CRC-32C frame checksums, reconnect-and-replay,
+// retry/backoff — live in transport.
 //
 //3lc:det
 package chaos
@@ -161,7 +161,7 @@ func (in *Injector) Dial(addr string) (net.Conn, error) {
 }
 
 // WrapListener wraps a listener so every accepted connection carries the
-// injector's schedule. Its signature matches transport.ListenWrapper.
+// injector's schedule; hand the result to a server tier in place of ln.
 func (in *Injector) WrapListener(ln net.Listener) net.Listener {
 	return &listener{Listener: ln, in: in}
 }

@@ -71,20 +71,27 @@ const (
 	SchemeMQE1Bit
 	SchemeTopK
 	SchemeLocalSteps
-	// schemeRetiredRoundRobin stays reserved: it marked Ako-style
-	// round-robin partial exchange (§6's related work), which no longer
-	// exists. Decoders refuse it by name (see unknownScheme).
-	schemeRetiredRoundRobin
-	// schemeRetiredEntropy stays reserved: it marked another scheme's wire
-	// passed through a Huffman or LZ second stage, which no longer exists.
-	// Decoders refuse it by name (see unknownScheme).
-	schemeRetiredEntropy
+	_ // 7 and 8 are reserved (below)
+	_
 	// SchemePacked32 marks the lossless packed float32 wire: what a tensor
 	// exempt from compression travels as under a compressing design (see
 	// NewExempt in packed.go). It is not a design: New rejects it.
 	SchemePacked32
 	schemeCount
 )
+
+// Reserved values. Each once named a wire format that is gone; none may be
+// reissued, or a wire (or checkpoint) written before the deletion is
+// misread instead of refused. The generic checks refuse them: a scheme
+// byte with no decoder (unknownScheme), a ternary flags byte that is
+// neither 0 nor ternaryZRE (ternaryZeroRun).
+//
+//	scheme 7             Ako-style round-robin partial exchange (§6's
+//	                     related work)
+//	scheme 8             another scheme's wire through a Huffman or LZ
+//	                     second stage
+//	ternary flags 0x01   the capped zero-run spelling, whose 255 meant 14
+//	                     groups with no uvarint after it
 
 // String returns the paper's name for the scheme.
 func (s Scheme) String() string {

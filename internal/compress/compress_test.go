@@ -3,7 +3,6 @@ package compress
 import (
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -334,10 +333,11 @@ func TestDecompressMalformed(t *testing.T) {
 }
 
 // TestTernaryFlagsByteExact: the ternary decoders accept exactly two flags
-// values. The retired capped zero-run spelling (bit 0 alone) and every
-// unknown bit are refused with an error naming the byte, before the body
-// is read and — on the add path — before dst is touched; a flipped bit or
-// a future format is never decoded as if it were today's.
+// values. Every other byte — the reserved 0x01 of the retired capped
+// zero-run spelling included — is refused with the one error naming the
+// byte, before the body is read and — on the add path — before dst is
+// touched; a flipped bit or a future format is never decoded as if it were
+// today's.
 func TestTernaryFlagsByteExact(t *testing.T) {
 	const n = 100
 	in := tensor.New(n)
@@ -372,14 +372,11 @@ func TestTernaryFlagsByteExact(t *testing.T) {
 			if flags == 0 || flags == 0x03 {
 				continue
 			}
-			name := fmt.Sprintf("flags byte %#02x", flags)
+			want := fmt.Sprintf("compress: ternary flags byte %#02x has unknown bits (want 0 or 0x03)", flags)
 			for _, e := range []error{err, errAdd} {
-				if e == nil || !strings.Contains(e.Error(), name) {
-					t.Fatalf("%v: flags %#02x: error %v does not name the flags byte", sc.s, flags, e)
+				if e == nil || e.Error() != want {
+					t.Fatalf("%v: flags %#02x: error %v, want %q", sc.s, flags, e, want)
 				}
-			}
-			if flags == 0x01 && !strings.Contains(err.Error(), "retired") {
-				t.Fatalf("retired spelling not named: %v", err)
 			}
 			for i, v := range acc.Data() {
 				if v != 1 {
@@ -390,18 +387,17 @@ func TestTernaryFlagsByteExact(t *testing.T) {
 	}
 }
 
-// TestSchemeBytesPinned pins every scheme's wire byte, the reserved one
-// included: a scheme deleted from the middle of the list must leave its
-// byte reserved, or every scheme after it — in wires and in checkpoints —
-// is silently renumbered.
+// TestSchemeBytesPinned pins every scheme's wire byte: a scheme deleted
+// from the middle of the list must leave its byte reserved (7 and 8 are,
+// so SchemePacked32 stays 9), or every scheme after it — in wires and in
+// checkpoints — is silently renumbered.
 func TestSchemeBytesPinned(t *testing.T) {
 	for _, c := range []struct {
 		s    Scheme
 		want byte
 	}{
 		{SchemeNone, 0}, {SchemeInt8, 1}, {SchemeThreeLC, 2}, {SchemeStoch3QE, 3},
-		{SchemeMQE1Bit, 4}, {SchemeTopK, 5}, {SchemeLocalSteps, 6}, {schemeRetiredRoundRobin, 7},
-		{schemeRetiredEntropy, 8}, {SchemePacked32, 9},
+		{SchemeMQE1Bit, 4}, {SchemeTopK, 5}, {SchemeLocalSteps, 6}, {SchemePacked32, 9},
 		{schemeCount, 10}, // a scheme added without a row here fails
 	} {
 		if byte(c.s) != c.want {
@@ -410,34 +406,30 @@ func TestSchemeBytesPinned(t *testing.T) {
 	}
 }
 
-// TestRetiredSchemeByteRefused: a wire under a retired scheme byte is
-// refused by name on the decode and the add path, before the accumulator
-// is touched.
+// TestRetiredSchemeByteRefused: a wire under a reserved scheme byte — 7,
+// the retired round-robin exchange, and 8, the retired entropy stage — is
+// refused as an unknown scheme byte on the decode and the add path, before
+// the accumulator is touched.
 func TestRetiredSchemeByteRefused(t *testing.T) {
 	const n = 100
 	in := tensor.New(n)
 	tensor.FillNormal(in, 0.1, tensor.NewRNG(3))
-	for _, r := range []struct {
-		b    Scheme
-		name string
-	}{
-		{schemeRetiredEntropy, "retired entropy"},
-		{schemeRetiredRoundRobin, "retired round-robin"},
-	} {
+	for _, b := range []byte{7, 8} {
+		want := fmt.Sprintf("compress: unknown scheme byte %d", b)
 		for _, sc := range fuzzSchemes {
-			wire := append([]byte{byte(r.b), 0}, newContext(sc.s, []int{n}, sc.o).CompressInto(in, nil)...)
+			wire := append([]byte{b, 0}, newContext(sc.s, []int{n}, sc.o).CompressInto(in, nil)...)
 			acc := tensor.New(n)
 			acc.Fill(1)
 			_, err := Decompress(wire, []int{n})
 			errAdd := DecompressAddInto(wire, acc, 1)
 			for _, e := range []error{err, errAdd} {
-				if e == nil || !strings.Contains(e.Error(), r.name) {
-					t.Fatalf("%v under byte %d: %v, want a refusal naming it %q", sc.s, r.b, e, r.name)
+				if e == nil || e.Error() != want {
+					t.Fatalf("%v under byte %d: %v, want %q", sc.s, b, e, want)
 				}
 			}
 			for i, v := range acc.Data() {
 				if v != 1 {
-					t.Fatalf("%v under byte %d wrote dst[%d] = %v", sc.s, r.b, i, v)
+					t.Fatalf("%v under byte %d wrote dst[%d] = %v", sc.s, b, i, v)
 				}
 			}
 		}

@@ -23,14 +23,16 @@ func FuzzDecompressInto(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00, 0x01})
-	// The retired scheme byte: alone, over a stored body (stage 0, the inner
-	// wire verbatim) and over a Huffman-coded one (stage 1).
-	f.Add([]byte{byte(schemeRetiredEntropy)})
-	f.Add(append([]byte{byte(schemeRetiredEntropy), 0}, newContext(SchemeThreeLC, shape, Options{Sparsity: 1.5, ZeroRun: true}).CompressInto(in, nil)...))
-	f.Add([]byte{byte(schemeRetiredEntropy), 1, 0xff, 0x01})
-	// The retired round-robin byte over its old top-k bitmap layout.
-	f.Add(append([]byte{byte(schemeRetiredRoundRobin)}, newContext(SchemeTopK, shape, Options{Fraction: 0.3, Seed: 1}).CompressInto(in, nil)[1:]...))
-	// The ternary flags byte: the retired capped spelling, unknown bits,
+	// The reserved scheme byte 8, the retired entropy stage: alone, over a
+	// stored body (stage 0, the inner wire verbatim) and over a
+	// Huffman-coded one (stage 1).
+	f.Add([]byte{8})
+	f.Add(append([]byte{8, 0}, newContext(SchemeThreeLC, shape, Options{Sparsity: 1.5, ZeroRun: true}).CompressInto(in, nil)...))
+	f.Add([]byte{8, 1, 0xff, 0x01})
+	// The reserved byte 7, the retired round-robin exchange, over its old
+	// top-k bitmap layout.
+	f.Add(append([]byte{7}, newContext(SchemeTopK, shape, Options{Fraction: 0.3, Seed: 1}).CompressInto(in, nil)[1:]...))
+	// The ternary flags byte: the reserved capped spelling, unknown bits,
 	// and — under the live value — long-run tokens cut short, overlong,
 	// overflowing and overrunning (52 groups: 257 elements).
 	hdr := func(flags byte, body ...byte) []byte {

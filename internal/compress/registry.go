@@ -95,15 +95,9 @@ func DecompressInto(wire []byte, dst *tensor.Tensor) error {
 	return err
 }
 
-// unknownScheme refuses a wire whose scheme byte has no decoder, naming the
-// retired ones.
+// unknownScheme refuses a wire whose scheme byte has no decoder, the
+// reserved bytes 7 and 8 included.
 func unknownScheme(b byte) error {
-	switch Scheme(b) {
-	case schemeRetiredEntropy:
-		return fmt.Errorf("compress: scheme byte %d is the retired entropy-coded wire (a Huffman or LZ stage over another scheme's wire); re-encode it without the stage", b)
-	case schemeRetiredRoundRobin:
-		return fmt.Errorf("compress: scheme byte %d is the retired round-robin exchange wire; re-encode it under another design", b)
-	}
 	return fmt.Errorf("compress: unknown scheme byte %d", b)
 }
 

@@ -20,9 +20,7 @@ func init() {
 //
 // flags is one of two values: 0, plain quartic data of exactly ceil(n/5)
 // bytes, or ternaryZRE, zero-run encoded quartic data (encode.ZeroRunEncode).
-// Bit 0 alone marked the retired spelling whose 255 meant 14 groups with no
-// uvarint after it (e.g. a wire written by a build from before the long-run
-// token): the same bytes parse differently now, so it is refused.
+// Every other value is refused; 0x01 is reserved (compress.go).
 const (
 	ternaryFlagZRE     = 1 << 0
 	ternaryFlagLongRun = 1 << 1
@@ -34,8 +32,6 @@ func ternaryZeroRun(flags byte) (zre bool, err error) {
 	switch flags {
 	case 0, ternaryZRE:
 		return flags != 0, nil
-	case ternaryFlagZRE:
-		return false, fmt.Errorf("compress: ternary flags byte %#02x is the retired capped zero-run spelling; re-encode the wire", flags)
 	}
 	return false, fmt.Errorf("compress: ternary flags byte %#02x has unknown bits (want 0 or %#02x)", flags, ternaryZRE)
 }

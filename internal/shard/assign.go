@@ -9,7 +9,7 @@
 // shard), which balances per-shard wire bytes — the quantity that limits a
 // shard NIC. SubServers (servers.go) builds the ps sub-job of each shard,
 // which a transport.ShardServer serves on its own listener; workers dial
-// every shard (transport.DialSharded), and train.Run drives them through
+// every shard (transport.DialShardedConfig), and train.Run drives them through
 // transport.DialTier.
 //
 // Placement, like compression, is exact: the union of all shards' state

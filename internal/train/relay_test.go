@@ -89,7 +89,7 @@ var relayTiers = map[string]struct {
 			srv := transport.NewServer(ln, wholeJob(global, cfg, sent), workers, steps)
 			go func() { served <- srv.Serve() }()
 			return transport.DialTier(workers, false, func(w int) (transport.Seat, error) {
-				return transport.Dial(ln.Addr().String(), w)
+				return transport.DialTimeoutDialer(ln.Addr().String(), w, transport.Timeouts{}, nil)
 			})
 		}
 	}},

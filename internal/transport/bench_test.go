@@ -17,13 +17,13 @@ import (
 // benchWirePushPull measures one full push/pull round trip over a real
 // loopback TCP shard connection — worker compress, frame write, server
 // decode+aggregate+update, pull frame, worker apply — with every buffer
-// recycled. The checksum variant adds CRC-32C cover on both directions;
-// the benchcheck gate holds it within tolerance of the plain wire at
+// recycled. The checksum variant runs a resilient client against a
+// resilient server, which adds CRC-32C cover on both directions; the
+// benchcheck gate holds it within tolerance of the plain wire at
 // 0 allocs/op, which is the whole point: integrity must be free enough
-// to leave on. The legacy variant is the v1 Dial client against
-// NewServer, the front door the lan-f32 benchmark workload and plain
-// `3lc-net` use.
-func benchWirePushPull(b *testing.B, checksum, legacy bool) {
+// to leave on. The legacy variant is the v1 client against NewServer, the
+// front door the lan-f32 benchmark workload and plain `3lc-net` use.
+func benchWirePushPull(b *testing.B, resilient, legacy bool) {
 	cfg := ps.Config{
 		Scheme:           compress.SchemeThreeLC,
 		Opts:             compress.Options{Sparsity: 1.75, ZeroRun: true},
@@ -50,12 +50,12 @@ func benchWirePushPull(b *testing.B, checksum, legacy bool) {
 	}
 	if legacy {
 		go NewServer(ln, subs[0], 1, steps).Serve()
-		cl, err = Dial(ln.Addr().String(), 0)
+		cl, err = DialTimeoutDialer(ln.Addr().String(), 0, Timeouts{}, nil)
 	} else {
 		go NewShardServer(ln, subs[0], ShardServerConfig{
-			NumShards: 1, Workers: 1, Steps: steps, AssignmentHash: asn.Hash(),
+			NumShards: 1, Workers: 1, Steps: steps, AssignmentHash: asn.Hash(), Resilient: resilient,
 		}).Serve()
-		cl, err = DialShardedConfig([]string{ln.Addr().String()}, 0, asn, ShardClientConfig{Checksum: checksum})
+		cl, err = DialShardedConfig([]string{ln.Addr().String()}, 0, asn, ShardClientConfig{Resilient: resilient})
 	}
 	if err != nil {
 		b.Fatal(err)

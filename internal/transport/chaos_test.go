@@ -71,24 +71,14 @@ func TestChaosSoakTCPMatchesSinglePS(t *testing.T) {
 		go func(w int) {
 			defer func() { done <- struct{}{} }()
 			// The injector can kill a connection during the handshake
-			// itself, so even the dial needs the retry schedule.
-			var cl *ShardClient
-			var err error
-			dialPol := pol.Stream(uint64(w))
-			for attempt := 0; attempt < 10; attempt++ {
-				cl, err = DialShardedConfig(addrs, w, shard.ForModel(buildShardModel(), shards),
-					ShardClientConfig{
-						Timeouts:  to,
-						Checksum:  true,
-						Resilient: true,
-						Retry:     pol,
-						Dialer:    inj.Dial,
-					})
-				if err == nil {
-					break
-				}
-				time.Sleep(dialPol.Backoff(attempt))
-			}
+			// itself; a resilient client dials under its retry schedule.
+			cl, err := DialShardedConfig(addrs, w, shard.ForModel(buildShardModel(), shards),
+				ShardClientConfig{
+					Timeouts:  to,
+					Resilient: true,
+					Retry:     pol,
+					Dialer:    inj.Dial,
+				})
 			if err != nil {
 				t.Errorf("worker %d dial: %v", w, err)
 				return

@@ -1,20 +1,20 @@
-// Frame integrity for the v2 wire: an optional CRC-32C trailer,
-// negotiated per connection at hello time through FlagChecksum.
+// Frame integrity for the v2 wire: the CRC-32C trailer of a resilient
+// connection, whose hello sets FlagChecksum|FlagResilient.
 //
-// The contract is connection-scoped and self-describing: a client that
-// sets FlagChecksum on its hello header appends a 4-byte little-endian
-// CRC-32C (Castagnoli) over the frame type byte plus the entire frame
-// payload — shard header included — to every frame it sends on that
-// connection, and the server answers in kind. It is the codec's last
-// stage (frameCodec.seal), so it covers the header and the body — spliced
-// wires included — exactly as they travel. Once negotiated, the
-// checksum is REQUIRED both ways: a frame arriving without a valid trailer (including one whose flag bit itself
-// was corrupted — the CRC covers the flag byte) is rejected, so a
-// flipped bit anywhere in a frame becomes a detected error the resilient
-// path can retry instead of silent model-state divergence. Clients that
-// do not negotiate the flag emit and receive frames byte-identical to
-// the pre-checksum wire, and CRC-32C has hardware support on every
-// mainstream ISA, which is what keeps the checksummed steady state at
+// The contract is connection-scoped and self-describing: a resilient
+// client appends a 4-byte little-endian CRC-32C (Castagnoli) over the
+// frame type byte plus the entire frame payload — shard header included —
+// to every frame it sends on that connection, hello first, and the server
+// answers in kind; every header carries FlagChecksum. It is the codec's
+// last stage (frameCodec.seal), so it covers the header and the body —
+// spliced wires included — exactly as they travel. The trailer is REQUIRED
+// both ways: a frame arriving without a valid one (including one whose
+// flag bit itself was corrupted — the CRC covers the flag byte) is
+// rejected, so a flipped bit anywhere in a frame becomes a detected error
+// the resilient path can retry instead of silent model-state divergence;
+// replay without it would retransmit the very corruption it recovers from.
+// A plain connection carries no trailer. CRC-32C has hardware support on
+// every mainstream ISA, which is what keeps the resilient steady state at
 // parity with the plain one.
 package transport
 
@@ -25,17 +25,17 @@ import (
 )
 
 // FlagChecksum marks a header whose frame carries a trailing 4-byte
-// CRC-32C over the whole payload (header and body). Negotiated at hello;
-// see the package comment above.
+// CRC-32C over the whole payload (header and body): every header of a
+// resilient connection. See the comment above.
 const FlagChecksum byte = 1 << 2
 
-// FlagResilient marks a hello from a client that may tear down and
-// re-dial this connection mid-run, replaying its in-flight step's push
-// (ShardClientConfig.Resilient). It requires FlagChecksum — replay
-// without integrity would retransmit garbage — and a server configured
-// with ShardServerConfig.Resilient; the server then keeps the worker's
-// seat across reconnects, dedupes replayed pushes on the (worker, step)
-// identity, and answers missed pulls from the retained last payload.
+// FlagResilient marks, beside FlagChecksum, a hello from a client that may
+// tear down and re-dial this connection mid-run, replaying its in-flight
+// step's push (ShardClientConfig.Resilient). A server configured with
+// ShardServerConfig.Resilient then keeps the worker's seat across
+// reconnects, dedupes replayed pushes on the (worker, step) identity, and
+// answers missed pulls from the retained last payload; any other server
+// refuses the hello.
 const FlagResilient byte = 1 << 3
 
 // checksumLen is the CRC-32C trailer size.

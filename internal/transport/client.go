@@ -9,22 +9,11 @@ type Client struct {
 	pullWires [][]byte // parsed pull set, slice headers recycled each step
 }
 
-// Dial connects to the server at addr and registers as workerID, with no
-// I/O deadlines (a dead server blocks forever — see DialTimeout).
-func Dial(addr string, workerID int) (*Client, error) {
-	return DialTimeout(addr, workerID, Timeouts{})
-}
-
-// DialTimeout is Dial with per-operation I/O deadlines: every frame read
-// and write on the connection is bounded by `to`, and a silently dead
-// server surfaces as a net.Error timeout from PushPull instead of an
-// indefinite hang.
-func DialTimeout(addr string, workerID int, to Timeouts) (*Client, error) {
-	return DialTimeoutDialer(addr, workerID, to, nil)
-}
-
-// DialTimeoutDialer is DialTimeout with a pluggable connection opener
-// (nil: plain TCP) — the chaos/fault-injection hook for the v1 client.
+// DialTimeoutDialer connects to the server at addr through d (nil: plain
+// TCP; the chaos/fault-injection hook) and registers as workerID. Every
+// frame read and write on the connection is bounded by `to`, so a silently
+// dead server surfaces as a net.Error timeout from PushPull instead of an
+// indefinite hang; the zero Timeouts sets no deadline.
 func DialTimeoutDialer(addr string, workerID int, to Timeouts, d Dialer) (*Client, error) {
 	c := &Client{link: link{to: to, fc: frameCodec{v1: true, worker: uint32(workerID)}}}
 	if err := c.open(d, addr, 0); err != nil {

@@ -1,9 +1,11 @@
-// The frame codec: everything a connection's hello negotiated, and the
-// two operations every endpoint — ShardServer, ShardClient, the v1
-// Client — puts frames on and takes frames off the wire with. Stage order
-// is fixed (see the package comment in shard.go): header → body →
+// The frame codec: what a connection's hello negotiated (its addressing,
+// and whether it is v1, plain or resilient) and the two operations every
+// endpoint — ShardServer, ShardClient, the v1 Client — puts frames on and
+// takes frames off the wire with. Stage order is fixed (see the package
+// comment in shard.go): header → body → on a resilient connection the
 // CRC-32C trailer last, so the checksum covers exactly what is on the
-// wire.
+// wire. Retired wire values stay reserved (the table below
+// ShardWireVersion).
 package transport
 
 import (
@@ -17,46 +19,35 @@ import (
 // know instead of misparsing. Version 3 sent the owner the empty wire in
 // its owner-only slots (ps.Pulls), which a version-2 owner would add as
 // zero and keep its stale batch-norm weights; version 4 streams a run of
-// tensors per flush where version 3 sent a frame per tensor (type bytes
-// 7–9, retired); in version 5 the owner pushes the update of its owner-only
-// tensors, which the server relays, where version 4 pushed their gradient
-// for the server to step — a version-4 server would step an update as if
-// it were a gradient, a version-4 owner's gradient would be relayed as its
-// update. Each older version is refused at the hello. (The v1 layout has
-// no version byte to refuse one by, so v1 seats are sent the shared pull:
-// see session.sendPull; an owner built before version 5 that dials a v1
-// front door is not refused either.)
+// tensors per flush where version 3 sent a frame per tensor; in version 5
+// the owner pushes the update of its owner-only tensors, which the server
+// relays, where version 4 pushed their gradient for the server to step — a
+// version-4 server would step an update as if it were a gradient, a
+// version-4 owner's gradient would be relayed as its update. Every other
+// version is refused at the hello. (The v1 layout has no version byte to
+// refuse one by, so v1 seats are sent the shared pull: see session.sendPull;
+// an owner built before version 5 that dials a v1 front door is not refused
+// either.)
 const ShardWireVersion = 5
 
-// perTensorWireVersion is the last version that streamed a frame per
-// tensor, and ownerGradientWireVersion the last in which the owner pushed
-// its owner-only tensors' gradient: both are refused by name.
-const (
-	perTensorWireVersion     = 3
-	ownerGradientWireVersion = 4
-)
+// Reserved values. Each once named a wire feature that is gone; none may
+// be reissued, or a peer built before the deletion is misread instead of
+// refused. The generic checks refuse them all: a version other than
+// ShardWireVersion, a header flag outside FlagChecksum|FlagResilient, a
+// type byte no frame of the connection has, a hello tail that is not the
+// four-byte placement hash.
+//
+//	versions ≤ 4   older layouts (see ShardWireVersion)
+//	flag 0x01      a job tag addressing one job of a multi-job shard tier
+//	flag 0x02      a Huffman or LZ stage over whole-set bodies, negotiated by
+//	               a fifth hello byte after the placement hash
+//	flag 0x10      a worker's second connection, to a standby shard server
+//	types 7–9      a frame per streamed tensor (push tensor, end of push,
+//	               pull tensor), up to version 3
+//	types 10–11    a primary's forwarding link to its replica
 
 // ShardHeaderLen is the encoded size of a ShardHeader.
 const ShardHeaderLen = 12
-
-// flagRetiredTenant stays reserved: it marked a header carrying an 8-byte
-// job tag — [4B LE job id][4B LE admission epoch] — that addressed one
-// job of a multi-job shard tier. The tier is gone (one job per endpoint);
-// the flag is refused by name.
-const flagRetiredTenant byte = 1 << 0
-
-// flagRetiredEntropy stays reserved: it marked a whole-set body passed
-// through a Huffman or LZ stage, negotiated by a fifth byte after the
-// hello's placement hash. The stage is gone (README, "Entropy coders on
-// the wire"); the flag and the five-byte hello tail are refused by name.
-const flagRetiredEntropy byte = 1 << 1
-
-// flagRetiredStandby stays reserved: it marked a hello from a worker's
-// second connection for a shard, to a standby ShardServer that aggregated
-// a copy of every push and withheld its pulls until the worker, having
-// lost the primary, claimed the seat by replaying its in-flight push. The
-// standby tier is gone; the flag is refused by name.
-const flagRetiredStandby byte = 1 << 4
 
 // ShardHeader addresses one v2 frame: which shard, which worker, which
 // step. Hello frames reuse the layout with Step zero and append the 4-byte
@@ -95,23 +86,8 @@ func ParseShardHeader(src []byte) (ShardHeader, []byte, error) {
 		Worker:  le.Uint32(src[4:]),
 		Step:    le.Uint32(src[8:]),
 	}
-	switch h.Version {
-	case ShardWireVersion:
-	case perTensorWireVersion:
-		return ShardHeader{}, nil, fmt.Errorf("transport: shard wire version %d streams a frame per tensor, retired: this endpoint speaks version %d (a run per flush)", h.Version, ShardWireVersion)
-	case ownerGradientWireVersion:
-		return ShardHeader{}, nil, fmt.Errorf("transport: shard wire version %d pushes the owner's batch-norm gradient for the server to step, retired: this endpoint speaks version %d (the owner pushes its update, the server relays it)", h.Version, ShardWireVersion)
-	default:
+	if h.Version != ShardWireVersion {
 		return ShardHeader{}, nil, fmt.Errorf("transport: unsupported shard wire version %d (have %d)", h.Version, ShardWireVersion)
-	}
-	if h.Flags&flagRetiredEntropy != 0 {
-		return ShardHeader{}, nil, fmt.Errorf("transport: shard header flag %#x is the retired entropy stage; this endpoint sends and takes plain bodies", flagRetiredEntropy)
-	}
-	if h.Flags&flagRetiredTenant != 0 {
-		return ShardHeader{}, nil, fmt.Errorf("transport: shard header flag %#x is the retired tenant tag; this endpoint serves one job", flagRetiredTenant)
-	}
-	if h.Flags&flagRetiredStandby != 0 {
-		return ShardHeader{}, nil, fmt.Errorf("transport: shard header flag %#x is the retired standby seat; this endpoint has no standby tier", flagRetiredStandby)
 	}
 	if h.Flags&^(FlagChecksum|FlagResilient) != 0 {
 		return ShardHeader{}, nil, fmt.Errorf("transport: unknown shard header flags %#x", h.Flags)
@@ -157,25 +133,27 @@ func pushSide(t MsgType) bool {
 }
 
 // frameCodec is one connection's contract — what its hello negotiated.
-// Both ends of a connection hold an equal one; a connection that
-// negotiates nothing (the zero value but for its addressing) emits and
-// accepts the pre-extension v2 bytes exactly.
+// Both ends of a connection hold an equal one. A connection is plain or
+// resilient: a plain one (the zero value but for its addressing) emits and
+// accepts the layout of the package comment exactly; a resilient one ends
+// every frame, hello included, in the CRC-32C trailer (FlagChecksum on
+// every header) and may be re-dialed and replayed (FlagResilient on the
+// hello).
 type frameCodec struct {
 	v1        bool   // legacy layout: no header, [worker][step] push, [step] pull
 	shard     uint16 // addressing, fixed for the connection's lifetime
 	worker    uint32
-	checksum  bool // every frame, hello included, ends in a CRC-32C trailer
-	resilient bool // the client may re-dial and replay (implies checksum)
+	resilient bool // trailer on every frame; the client may re-dial and replay
 }
 
 // variant indexes the distinct pull encodings a session may owe its
-// seats in one step: v1, v2, or v2 with the trailer. Seats with equal
-// variants receive identical pull bytes.
+// seats in one step: v1, plain v2, or resilient v2 with the trailer. Seats
+// with equal variants receive identical pull bytes.
 func (fc *frameCodec) variant() int {
 	switch {
 	case fc.v1:
 		return 0
-	case fc.checksum:
+	case fc.resilient:
 		return 2
 	}
 	return 1
@@ -245,21 +223,22 @@ func (fc *frameCodec) appendHeader(dst []byte, t MsgType, step uint32) []byte {
 	if pushSide(t) || hello {
 		h.Worker = fc.worker
 	}
-	if fc.checksum {
+	if fc.resilient {
 		h.Flags |= FlagChecksum
-	}
-	if fc.resilient && hello {
-		h.Flags |= FlagResilient
+		if hello {
+			h.Flags |= FlagResilient
+		}
 	}
 	return AppendShardHeader(dst, h)
 }
 
-// seal ends the type-t payload that begins at m: the CRC-32C trailer, when
-// negotiated, over everything queued behind m, spliced wires included.
+// seal ends the type-t payload that begins at m: on a resilient
+// connection, the CRC-32C trailer over everything queued behind m, spliced
+// wires included.
 //
 //3lc:noalloc
 func (fc *frameCodec) seal(q *frames, t MsgType, m mark) {
-	if fc.checksum {
+	if fc.resilient {
 		q.b = le.AppendUint32(q.b, q.checksum(t, m))
 	}
 }
@@ -282,12 +261,10 @@ func (fc *frameCodec) parseFrame(t MsgType, payload []byte, step int, replay boo
 		f.worker, f.step, f.body = le.Uint32(payload), le.Uint32(payload[4:]), payload[8:]
 	case fc.v1 && t == MsgPull && len(payload) >= 4:
 		f.step, f.body = le.Uint32(payload), payload[4:]
-	case !fc.v1 && t >= msgRetiredPerTensor && t < MsgShardBye:
-		return f, fmt.Errorf("transport: type-%d frame is retired (%s); streamed exchanges send runs since shard wire version %d", t, retiredType(t), perTensorWireVersion+1)
 	case fc.v1 || !(wholeSet(t) || isRun(t) || t == MsgShardBye):
 		return f, fmt.Errorf("transport: unexpected type-%d frame of %d bytes (v1 connection: %v)", t, len(payload), fc.v1)
 	default:
-		if fc.checksum {
+		if fc.resilient {
 			var err error
 			if payload, err = verifyChecksum(t, payload); err != nil {
 				return f, err
@@ -298,8 +275,8 @@ func (fc *frameCodec) parseFrame(t MsgType, payload []byte, step int, replay boo
 			return f, err
 		}
 		var want byte
-		if fc.checksum {
-			want |= FlagChecksum
+		if fc.resilient {
+			want = FlagChecksum
 		}
 		if h.Flags != want {
 			return f, fmt.Errorf("transport: type-%d frame flags %#x on a connection that negotiated %#x", t, h.Flags, want)
@@ -348,20 +325,19 @@ func parseHello(t MsgType, payload []byte) (fc frameCodec, hash uint32, err erro
 		if payload, err = verifyChecksum(t, payload); err != nil {
 			return fc, 0, err
 		}
-		fc.checksum = true
 	}
 	h, rest, err := ParseShardHeader(payload)
 	if err != nil {
 		return fc, 0, err
 	}
-	if fc.resilient = h.Flags&FlagResilient != 0; fc.resilient && !fc.checksum {
-		return fc, 0, fmt.Errorf("transport: resilient hello without frame checksums (replay requires integrity)")
-	}
-	switch len(rest) {
-	case 4:
-	case 5:
-		return fc, 0, fmt.Errorf("transport: shard hello requests entropy stage %d, retired: this endpoint sends and takes plain bodies", rest[4])
+	switch h.Flags {
+	case 0:
+	case FlagChecksum | FlagResilient:
+		fc.resilient = true
 	default:
+		return fc, 0, fmt.Errorf("transport: shard hello flags %#x: a connection is plain (0) or resilient (%#x)", h.Flags, FlagChecksum|FlagResilient)
+	}
+	if len(rest) != 4 {
 		return fc, 0, fmt.Errorf("transport: shard hello has %d trailing bytes, want 4", len(rest))
 	}
 	fc.shard, fc.worker = h.Shard, h.Worker

@@ -1,7 +1,8 @@
-// Connection-establishment hooks: every dial and listen point in the
-// transport tier is pluggable, which is how the chaos layer
-// (internal/chaos) interposes its fault-injecting wrappers without the
-// tier knowing — and how tests, TLS shims, or metrics taps would.
+// The connection-establishment hook: every dial in the transport tier is
+// pluggable, which is how the chaos layer (internal/chaos) interposes its
+// fault-injecting connections without the tier knowing — and how tests,
+// TLS shims, or metrics taps would. A server tier takes a net.Listener, so
+// its side needs no hook: wrap the listener before handing it over.
 package transport
 
 import "net"
@@ -17,18 +18,4 @@ func (d Dialer) dial(addr string) (net.Conn, error) {
 		return net.Dial("tcp", addr)
 	}
 	return d(addr)
-}
-
-// ListenWrapper decorates a listener before a server tier consumes it,
-// so every accepted connection passes through the wrapper (fault
-// injection, TLS, accounting). chaos.Injector.WrapListener satisfies the
-// signature. A nil wrapper is the identity.
-type ListenWrapper func(net.Listener) net.Listener
-
-// Wrap applies the hook, defaulting to the identity.
-func (w ListenWrapper) Wrap(ln net.Listener) net.Listener {
-	if w == nil {
-		return ln
-	}
-	return w(ln)
 }

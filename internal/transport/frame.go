@@ -174,7 +174,7 @@ func beginFrame(dst []byte, t MsgType) []byte {
 }
 
 // endFrame back-patches the length of the frame begun at m — the one
-// ReadFrame enforces: the encoded length n = 1+len(payload), spliced
+// FrameReader.ReadFrame enforces: the encoded length n = 1+len(payload), spliced
 // wires included, must satisfy 0 < n <= MaxFrameBytes, so every frame
 // written is a frame ReadFrame accepts, and vice versa. A frame over the
 // limit is cut off q again, before anything of it is written.
@@ -235,14 +235,6 @@ func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one framed message into a fresh buffer. Connection loops
-// should prefer FrameReader, which recycles its buffer across frames.
-func ReadFrame(r io.Reader) (MsgType, []byte, error) {
-	var fr FrameReader
-	fr.r = r
-	return fr.ReadFrame()
-}
-
 // FrameReader reads framed messages from one connection, reusing a single
 // scratch buffer: after the first few steps of a training run the receive
 // path performs zero allocations. The payload returned by ReadFrame
@@ -297,18 +289,11 @@ func AppendWireSet(dst []byte, wires [][]byte) []byte {
 	return q.b
 }
 
-// ParseWireSet deserializes a wire set, returning the wires and the number
-// of bytes consumed.
-//
-//3lc:decode
-func ParseWireSet(src []byte) ([][]byte, int, error) {
-	return ParseWireSetInto(nil, src)
-}
-
 // ParseWireSetInto deserializes a wire set into dst's backing storage
-// (grown only when the tensor count exceeds its capacity), so a
-// connection loop parsing one wire set per step reuses the same slice
-// header array. The returned wires alias src.
+// (grown only when the tensor count exceeds its capacity; nil to allocate),
+// so a connection loop parsing one wire set per step reuses the same slice
+// header array. It returns the wires, aliasing src, and the number of bytes
+// consumed.
 //
 //3lc:noalloc
 //3lc:decode

@@ -2,7 +2,8 @@ package transport
 
 import (
 	"bytes"
-	"strings"
+	"fmt"
+	"hash/crc32"
 	"testing"
 )
 
@@ -49,7 +50,7 @@ func TestWriteFrameSingleWrite(t *testing.T) {
 			if w.calls != tc.calls {
 				t.Errorf("WriteFrame issued %d Write calls, want %d", w.calls, tc.calls)
 			}
-			typ, got, err := ReadFrame(&w.Buffer)
+			typ, got, err := NewFrameReader(&w.Buffer).ReadFrame()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +76,7 @@ func TestWriteFrameLimitMatchesReadFrame(t *testing.T) {
 	if err := WriteFrame(&buf, MsgPush, atLimit); err != nil {
 		t.Fatalf("frame at limit rejected by WriteFrame: %v", err)
 	}
-	if _, _, err := ReadFrame(&buf); err != nil {
+	if _, _, err := NewFrameReader(&buf).ReadFrame(); err != nil {
 		t.Fatalf("frame at limit rejected by ReadFrame: %v", err)
 	}
 	// One byte over: rejected by the writer (and unrepresentable to the
@@ -142,24 +143,29 @@ func TestParseWireSetIntoReuse(t *testing.T) {
 // tensor up to shard wire version 3, and 10 and 11 belonged to the
 // primary→replica forwarding link. None is handed out again — a peer of
 // those generations must be refused, not misread — so the bye keeps 12 and
-// the runs take 13–15; a frame of a retired type, and a version-3 hello,
-// are refused by name.
+// the runs take 13–15; a frame of a reserved type is refused as an
+// unexpected type, and a hello of version 3 or older as an unsupported
+// version.
 func TestRetiredTypeBytesStayReserved(t *testing.T) {
 	if MsgShardBye != 12 || MsgShardPushRun != 13 || MsgShardPushLast != 14 || MsgShardPullRun != 15 {
 		t.Fatalf("MsgShardBye = %d, runs %d %d %d, want 12 and 13–15", MsgShardBye, MsgShardPushRun, MsgShardPushLast, MsgShardPullRun)
 	}
 	for typ := MsgType(7); typ <= 11; typ++ {
-		if _, _, err := parseHello(typ, nil); err == nil {
-			t.Errorf("type-%d frame taken as a hello", typ)
+		_, _, err := parseHello(typ, nil)
+		if want := fmt.Sprintf("transport: expected hello, got type %d", typ); err == nil || err.Error() != want {
+			t.Errorf("type-%d hello: %v, want %q", typ, err, want)
 		}
-		_, err := (&frameCodec{}).parseFrame(typ, AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion}), 0, true)
-		if err == nil || !strings.Contains(err.Error(), "retired") {
-			t.Errorf("type-%d frame: %v, want a refusal naming it retired", typ, err)
+		_, err = (&frameCodec{}).parseFrame(typ, AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion}), 0, true)
+		if want := fmt.Sprintf("transport: unexpected type-%d frame of 12 bytes (v1 connection: false)", typ); err == nil || err.Error() != want {
+			t.Errorf("type-%d frame: %v, want %q", typ, err, want)
 		}
 	}
-	hello := le.AppendUint32(AppendShardHeader(nil, ShardHeader{Version: 3}), 0)
-	if _, _, err := parseHello(MsgShardHello, hello); err == nil || !strings.Contains(err.Error(), "version 3 streams a frame per tensor, retired") {
-		t.Errorf("version-3 hello: %v, want a refusal naming the per-tensor wire", err)
+	for v := byte(0); v <= 3; v++ {
+		hello := le.AppendUint32(AppendShardHeader(nil, ShardHeader{Version: v}), 0)
+		_, _, err := parseHello(MsgShardHello, hello)
+		if want := fmt.Sprintf("transport: unsupported shard wire version %d (have 5)", v); err == nil || err.Error() != want {
+			t.Errorf("version-%d hello: %v, want %q", v, err, want)
+		}
 	}
 }
 
@@ -167,16 +173,49 @@ func TestRetiredTypeBytesStayReserved(t *testing.T) {
 // batch-norm gradient for the server to step, where this build's owner
 // pushes its update and the server relays it. A version-4 server would
 // step the update as if it were a gradient, so a version-4 hello, and a
-// frame with a version-4 header, are refused by name.
+// frame with a version-4 header, are refused as an unsupported version.
 func TestOwnerGradientHelloRefused(t *testing.T) {
-	const want = "version 4 pushes the owner's batch-norm gradient"
+	const want = "transport: unsupported shard wire version 4 (have 5)"
 	hello := le.AppendUint32(AppendShardHeader(nil, ShardHeader{Version: 4}), 0)
-	if _, _, err := parseHello(MsgShardHello, hello); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("version-4 hello: %v, want a refusal naming the owner's gradient push", err)
+	if _, _, err := parseHello(MsgShardHello, hello); err == nil || err.Error() != want {
+		t.Errorf("version-4 hello: %v, want %q", err, want)
 	}
 	push := AppendShardHeader(nil, ShardHeader{Version: 4, Worker: 1, Step: 3})
-	if _, err := (&frameCodec{}).parseFrame(MsgShardPush, push, 0, true); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("version-4 push: %v, want a refusal naming the owner's gradient push", err)
+	if _, err := (&frameCodec{}).parseFrame(MsgShardPush, push, 0, true); err == nil || err.Error() != want {
+		t.Errorf("version-4 push: %v, want %q", err, want)
+	}
+}
+
+// TestHelloIsPlainOrResilient: a hello's flags are 0 or
+// FlagChecksum|FlagResilient. A checksum-only hello — a contract of its own
+// before the trailer became the resilient connection's — and a resilient
+// hello without the trailer are refused, each well formed otherwise (the
+// checksum-only one under a valid trailer).
+func TestHelloIsPlainOrResilient(t *testing.T) {
+	hello := func(flags byte) []byte {
+		p := le.AppendUint32(AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Flags: flags, Shard: 3, Worker: 2}), 0xfeed)
+		if flags&FlagChecksum != 0 {
+			p = le.AppendUint32(p, frameChecksum(MsgShardHello, p))
+		}
+		return p
+	}
+	for _, flags := range []byte{FlagChecksum, FlagResilient} {
+		want := fmt.Sprintf("transport: shard hello flags %#x: a connection is plain (0) or resilient (0xc)", flags)
+		if _, _, err := parseHello(MsgShardHello, hello(flags)); err == nil || err.Error() != want {
+			t.Errorf("hello flags %#02x: %v, want %q", flags, err, want)
+		}
+	}
+	for _, c := range []struct {
+		flags byte
+		want  frameCodec
+	}{
+		{0, frameCodec{shard: 3, worker: 2}},
+		{FlagChecksum | FlagResilient, frameCodec{shard: 3, worker: 2, resilient: true}},
+	} {
+		fc, hash, err := parseHello(MsgShardHello, hello(c.flags))
+		if err != nil || fc != c.want || hash != 0xfeed {
+			t.Errorf("hello flags %#02x: %+v, hash %#x (%v), want %+v", c.flags, fc, hash, err, c.want)
+		}
 	}
 }
 
@@ -206,51 +245,77 @@ func TestPlainFramesMatchLayout(t *testing.T) {
 	}
 }
 
+// TestResilientFramesMatchLayout pins a resilient connection's frames:
+// the plain layout with FlagChecksum in every header — FlagChecksum and
+// FlagResilient in the hello's — and a CRC-32C (Castagnoli) trailer over
+// the type byte and the payload ending every frame, the bye and the runs
+// included.
+func TestResilientFramesMatchLayout(t *testing.T) {
+	fc := frameCodec{shard: 3, worker: 2, resilient: true}
+	set := [][]byte{{1, 2, 3}, nil, {4}}
+	run := appendEntry(appendEntry(nil, -1, 0, set[0]), 0, 2, set[2])
+	hdr := func(flags byte, worker, step uint32) []byte {
+		return AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Flags: flags, Shard: 3, Worker: worker, Step: step})
+	}
+	for _, c := range []struct {
+		f       frame
+		payload []byte
+	}{
+		{frame{t: MsgShardHello, arg: 0xfeed}, le.AppendUint32(hdr(FlagChecksum|FlagResilient, 2, 0), 0xfeed)},
+		{frame{t: MsgShardPush, step: 7, set: set}, AppendWireSet(hdr(FlagChecksum, 2, 7), set)},
+		{frame{t: MsgShardPull, step: 7, set: set}, AppendWireSet(hdr(FlagChecksum, 0, 7), set)},
+		{frame{t: MsgShardPushLast, step: 7, body: run}, append(hdr(FlagChecksum, 2, 7), run...)},
+		{frame{t: MsgShardPullRun, step: 7, body: run}, append(hdr(FlagChecksum, 0, 7), run...)},
+		{frame{t: MsgShardBye}, hdr(FlagChecksum, 2, 0)},
+	} {
+		crc := crc32.Checksum(append([]byte{byte(c.f.t)}, c.payload...), crc32.MakeTable(crc32.Castagnoli))
+		var want bytes.Buffer
+		if err := WriteFrame(&want, c.f.t, le.AppendUint32(c.payload, crc)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := fc.appendFrame(nil, c.f)
+		if err != nil || !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("type-%d frame %x (%v), want %x", c.f.t, got, err, want.Bytes())
+		}
+	}
+}
+
 // TestHeaderFlagsPinned pins every shard header flag bit, the reserved ones
 // included: a flag deleted from the set must leave its bit reserved, or a
 // peer built before the deletion is misread instead of refused. The
-// reserved bits, the retired tenant tag's, entropy stage's and standby
-// seat's, are refused by name, by the header parser and on a connection's
-// frames.
+// reserved bits — 0x01, the retired tenant tag, 0x02, the entropy stage,
+// and 0x10, the standby seat — are refused as unknown flags, by the header
+// parser and on a connection's frames.
 func TestHeaderFlagsPinned(t *testing.T) {
-	for _, c := range []struct {
-		name       string
-		flag, want byte
-	}{
-		{"flagRetiredTenant", flagRetiredTenant, 0x01},
-		{"flagRetiredEntropy", flagRetiredEntropy, 0x02},
-		{"FlagChecksum", FlagChecksum, 0x04},
-		{"FlagResilient", FlagResilient, 0x08},
-		{"flagRetiredStandby", flagRetiredStandby, 0x10},
-	} {
-		if c.flag != c.want {
-			t.Errorf("%s = %#02x, want %#02x", c.name, c.flag, c.want)
-		}
+	if FlagChecksum != 0x04 || FlagResilient != 0x08 {
+		t.Errorf("FlagChecksum = %#02x, FlagResilient = %#02x, want 0x04 and 0x08", FlagChecksum, FlagResilient)
 	}
-	for _, flag := range []byte{flagRetiredTenant, flagRetiredEntropy, flagRetiredStandby} {
+	for _, flag := range []byte{0x01, 0x02, 0x10} {
+		want := fmt.Sprintf("transport: unknown shard header flags %#x", flag)
 		h := AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Flags: flag})
-		if _, _, err := ParseShardHeader(h); err == nil || !strings.Contains(err.Error(), "retired") {
-			t.Errorf("flag %#02x header: %v, want a refusal naming it retired", flag, err)
+		if _, _, err := ParseShardHeader(h); err == nil || err.Error() != want {
+			t.Errorf("flag %#02x header: %v, want %q", flag, err, want)
 		}
 		push := AppendWireSet(h, [][]byte{{1, 2, 3}})
-		if _, err := (&frameCodec{}).parseFrame(MsgShardPush, push, 0, false); err == nil || !strings.Contains(err.Error(), "retired") {
-			t.Errorf("flag %#02x push: %v, want a refusal naming it retired", flag, err)
+		if _, err := (&frameCodec{}).parseFrame(MsgShardPush, push, 0, false); err == nil || err.Error() != want {
+			t.Errorf("flag %#02x push: %v, want %q", flag, err, want)
 		}
 	}
 }
 
 // TestEntropyHelloRejections: a hello that still asks for the retired
 // entropy stage with a fifth byte after the placement hash — Huffman, LZ,
-// or a stage id that never existed — is refused by name.
+// or a stage id that never existed — is refused for its trailing byte.
 func TestEntropyHelloRejections(t *testing.T) {
+	const want = "transport: shard hello has 5 trailing bytes, want 4"
 	for _, c := range []struct {
 		name  string
 		stage byte
 	}{{"huffman", 1}, {"lz", 2}, {"unknown stage byte", 0x7f}} {
 		t.Run(c.name, func(t *testing.T) {
 			hello := append(le.AppendUint32(AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion}), 0xfeed), c.stage)
-			if _, _, err := parseHello(MsgShardHello, hello); err == nil || !strings.Contains(err.Error(), "retired") {
-				t.Errorf("hello asking for stage %d: %v, want a refusal naming it retired", c.stage, err)
+			if _, _, err := parseHello(MsgShardHello, hello); err == nil || err.Error() != want {
+				t.Errorf("hello asking for stage %d: %v, want %q", c.stage, err, want)
 			}
 		})
 	}

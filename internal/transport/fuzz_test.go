@@ -32,15 +32,15 @@ func FuzzParseWireSet(f *testing.F) {
 
 // retiredEntropyFrames spell the retired entropy stage: a hello asking for
 // it with a fifth byte after the placement hash, and a push under its
-// header flag.
+// header flag, the reserved 0x02.
 func retiredEntropyFrames() (hello, push []byte) {
 	h := ShardHeader{Version: ShardWireVersion, Shard: 3, Worker: 2}
 	hello = append(le.AppendUint32(AppendShardHeader(nil, h), 0xfeed), 1)
-	h.Flags, h.Step = flagRetiredEntropy, 7
+	h.Flags, h.Step = 0x02, 7
 	return hello, AppendWireSet(AppendShardHeader(nil, h), [][]byte{{1, 2, 3}})
 }
 
-// sealedRetired is fc's type-t frame with a retired header flag set,
+// sealedRetired is fc's type-t frame with a reserved header flag set,
 // sealed under fc's trailer, so the refusal — not the checksum — is what
 // rejects it.
 func sealedRetired(fc frameCodec, t MsgType, flag byte) []byte {
@@ -49,7 +49,7 @@ func sealedRetired(fc frameCodec, t MsgType, flag byte) []byte {
 		fr.step = 7
 	}
 	p := fc.appendPayload(nil, fr)
-	if fc.checksum {
+	if fc.resilient {
 		p = p[:len(p)-4]
 	}
 	p[1] |= flag
@@ -62,18 +62,10 @@ func sealedRetired(fc frameCodec, t MsgType, flag byte) []byte {
 var fuzzTypes = []MsgType{MsgShardPush, MsgShardPull, MsgShardPushRun, MsgShardPushLast,
 	MsgShardPullRun, MsgShardBye}
 
-// fuzzCodec maps sub's low two bits to one subset of what a hello
-// negotiates: resilient seat (its hello needs the trailer), checksum
-// trailer.
+// fuzzCodec maps sub's low bit to what a hello negotiates: a plain or a
+// resilient connection (the trailer on every frame).
 func fuzzCodec(sub byte) frameCodec {
-	fc := frameCodec{shard: 3, worker: 2}
-	if sub&1 != 0 {
-		fc.resilient = true
-	}
-	if sub&2 != 0 {
-		fc.checksum = true
-	}
-	return fc
+	return frameCodec{shard: 3, worker: 2, resilient: sub&1 != 0}
 }
 
 // fuzzRoundTrip appends one well-formed frame at step 7 through the
@@ -134,23 +126,27 @@ func fuzzRoundTrip(t *testing.T, sub byte, typ MsgType, body []byte) []byte {
 }
 
 // FuzzShardHeader drives the single parse entry, frameCodec.parseFrame,
-// and the hello parser with arbitrary bytes under every subset of the
-// negotiable stages: no panics, nothing accepted that the connection did
-// not negotiate — and append∘parse is the identity on every frame type,
-// the property that keeps the v2 wire format stable as it evolves behind
-// the version byte.
+// and the hello parser with arbitrary bytes on a plain and a resilient
+// connection: no panics, nothing accepted that the connection did not
+// negotiate, no hello accepted whose flags are not 0 or
+// FlagChecksum|FlagResilient — and append∘parse is the identity on every
+// frame type, the property that keeps the v2 wire format stable as it
+// evolves behind the version byte. (sub's seeds run 0–3; only its low bit
+// counts.)
 func FuzzShardHeader(f *testing.F) {
 	for sub := byte(0); sub < 4; sub++ {
 		fc := fuzzCodec(sub)
 		f.Add(sub, byte(MsgShardPush), fc.appendPayload(nil, frame{t: MsgShardPush, step: 7, set: [][]byte{{1, 2, 3}, nil}}))
 		f.Add(sub, byte(MsgShardHello), fc.appendPayload(nil, frame{t: MsgShardHello, arg: 0xfeed}))
-		f.Add(sub, byte(MsgShardPush), sealedRetired(fc, MsgShardPush, flagRetiredTenant))
-		f.Add(sub, byte(MsgShardPush), sealedRetired(fc, MsgShardPush, flagRetiredEntropy))
-		f.Add(sub, byte(MsgShardHello), sealedRetired(fc, MsgShardHello, flagRetiredTenant))
-		f.Add(sub, byte(MsgShardHello), sealedRetired(fc, MsgShardHello, flagRetiredStandby))
+		// The reserved flags: tenant tag, entropy stage, standby seat.
+		f.Add(sub, byte(MsgShardPush), sealedRetired(fc, MsgShardPush, 0x01))
+		f.Add(sub, byte(MsgShardPush), sealedRetired(fc, MsgShardPush, 0x02))
+		f.Add(sub, byte(MsgShardHello), sealedRetired(fc, MsgShardHello, 0x01))
+		f.Add(sub, byte(MsgShardHello), sealedRetired(fc, MsgShardHello, 0x10))
 	}
 	f.Add(byte(0), byte(MsgShardPushRun), []byte{ShardWireVersion, 0, 0, 0})
-	f.Add(byte(0), byte(msgRetiredPerTensor), append(AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Worker: 2, Shard: 3, Step: 7}), 0, 0, 0, 0))
+	// Reserved type 7, a frame per streamed tensor.
+	f.Add(byte(0), byte(7), append(AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Worker: 2, Shard: 3, Step: 7}), 0, 0, 0, 0))
 	f.Add(byte(1), byte(MsgShardPull), bytes.Repeat([]byte{0xff}, ShardHeaderLen))
 	hello, push := retiredEntropyFrames()
 	f.Add(byte(0), byte(MsgShardHello), hello)
@@ -158,8 +154,8 @@ func FuzzShardHeader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, sub, typ byte, data []byte) {
 		fc := fuzzCodec(sub)
 		if fr, err := fc.parseFrame(MsgType(typ), data, 7, true); err == nil {
-			if fr.t >= msgRetiredPerTensor && fr.t < MsgShardBye {
-				t.Fatalf("accepted a frame of retired type %d", fr.t)
+			if fr.t >= 7 && fr.t <= 11 {
+				t.Fatalf("accepted a frame of reserved type %d", fr.t)
 			}
 			if pushSide(fr.t) && fr.worker != fc.worker {
 				t.Fatalf("accepted worker %d's push on worker %d's connection", fr.worker, fc.worker)
@@ -167,14 +163,16 @@ func FuzzShardHeader(f *testing.F) {
 			if fr.t != MsgShardBye && fr.step != 7 && !(pushSide(fr.t) && fr.step == 6) {
 				t.Fatalf("accepted a type-%d frame for step %d at step 7", fr.t, fr.step)
 			}
-			if h, _, err := ParseShardHeader(data); err != nil || (h.Flags&FlagChecksum != 0) != fc.checksum ||
-				h.Flags&(FlagResilient|flagRetiredStandby) != 0 || // hello-only
+			if h, _, err := ParseShardHeader(data); err != nil || (h.Flags != 0) != fc.resilient ||
+				h.Flags&^FlagChecksum != 0 || // FlagResilient is hello-only
 				h.Shard != fc.shard {
 				t.Fatalf("accepted header %+v (%v) on a connection that negotiated %+v", h, err, fc)
 			}
 		}
-		if hc, _, err := parseHello(MsgType(typ), data); err == nil && hc.resilient && !hc.checksum {
-			t.Fatal("accepted a resilient hello without the checksum it requires")
+		if hc, _, err := parseHello(MsgType(typ), data); err == nil && !hc.v1 {
+			if h, _, _ := ParseShardHeader(data); h.Flags != 0 && h.Flags != FlagChecksum|FlagResilient || (h.Flags != 0) != hc.resilient {
+				t.Fatalf("accepted a hello with flags %#x as %+v: want 0 (plain) or %#x (resilient)", h.Flags, hc, FlagChecksum|FlagResilient)
+			}
 		}
 		fuzzRoundTrip(t, sub, fuzzTypes[int(typ)%len(fuzzTypes)], data)
 	})
@@ -266,7 +264,7 @@ func FuzzFrameReader(f *testing.F) {
 	_ = WriteFrame(&retired, MsgShardHello, hello)
 	_ = WriteFrame(&retired, MsgShardPush, push)
 	f.Add(retired.Bytes())
-	for sub := byte(0); sub < 4; sub += 2 {
+	for sub := byte(0); sub < 2; sub++ {
 		run, _ := coalescedRun(f, fuzzCodec(sub), 0, 1, 3, 100, 17, 300)
 		f.Add(run)
 	}
@@ -313,8 +311,8 @@ func FuzzFrameReader(f *testing.F) {
 }
 
 // FuzzChecksummedFrame is the wire-integrity gate on the same parse
-// entry: with the trailer negotiated — alone or on a resilient seat —
-// every well-formed frame round-trips and, the
+// entry: on a resilient connection, whose frames carry the trailer, every
+// well-formed frame round-trips and, the
 // property the chaos soak leans on, EVERY single-bit corruption of one is
 // rejected, type byte and flag bits included. A corruption that parsed
 // cleanly would aggregate garbage into the model instead of triggering a
@@ -326,7 +324,7 @@ func FuzzChecksummedFrame(f *testing.F) {
 	f.Add(byte(0), byte(1), []byte{}, uint16(0))
 	f.Add(byte(3), byte(5), []byte{0xff, 0x00, 0xff}, uint16(97))
 	f.Fuzz(func(t *testing.T, sub, typ byte, body []byte, bit uint16) {
-		sub |= 2 // the trailer is what is under test; the seat varies
+		sub |= 1 // the trailer is what is under test
 		mt := fuzzTypes[int(typ)%len(fuzzTypes)]
 		wire := fuzzRoundTrip(t, sub, mt, body)
 
@@ -343,7 +341,7 @@ func FuzzChecksummedFrame(f *testing.F) {
 			t.Fatalf("subset %#x: single-bit corruption at bit %d of %d was accepted", sub, at, n)
 		}
 
-		// The hello that opens a connection under the same stages parses
+		// The hello that opens a connection under the same contract parses
 		// back to the codec that sent it, and no single-bit corruption of it
 		// negotiates anything.
 		tx := fuzzCodec(sub)

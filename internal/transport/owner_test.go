@@ -179,7 +179,7 @@ func TestOwnerIsSentItsView(t *testing.T) {
 					var sc *ShardClient
 					var err error
 					if c.v1 {
-						cl, err = Dial(addrs[0], w)
+						cl, err = DialTimeoutDialer(addrs[0], w, Timeouts{}, nil)
 					} else {
 						ccfg := c.ccfg
 						ccfg.Timeouts = to

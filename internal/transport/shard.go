@@ -14,23 +14,16 @@
 // streamed exchange sends a run per flush, below; 5 since the owner pushes
 // the update of its owner-only tensors and the servers relay it.)
 //
-// A hello negotiates one per-connection stage on top of that, a flag plus
-// bytes the frame codec (codec.go) adds, and a connection that negotiates
-// none emits and accepts exactly the lines above: the CRC-32C trailer
-// (FlagChecksum, checksum.go), [4B LE crc] ending every frame, hello
-// included — last, so it covers what is on the wire, header and body
-// alike.
-//
-// Flag 0x01 carried a job tag for a multi-job shard tier; flag 0x02 and a
-// fifth hello byte after the hash negotiated an entropy stage over
-// whole-set bodies; flag 0x10 opened a worker's second connection for a
-// shard, to a standby it sent every push. All are retired and refused by
-// name.
-//
-// One hello-only flag adds no bytes. FlagResilient (requires the trailer)
-// declares that the client may tear down and re-dial mid-run, replaying
-// the in-flight step's push; the session dedupes replays on the (worker,
-// step) identity and re-answers missed pulls from the retained pull.
+// A connection is plain or resilient, and its hello says which. A plain
+// connection emits and accepts exactly the lines above. A resilient one
+// (hello flags FlagChecksum|FlagResilient, every later header
+// FlagChecksum) ends every frame, hello included, in a CRC-32C trailer,
+// [4B LE crc] (checksum.go) — last, so it covers what is on the wire,
+// header and body alike — and its client may tear down and re-dial mid-run,
+// replaying the in-flight step's push; the session dedupes replays on the
+// (worker, step) identity and re-answers missed pulls from the retained
+// pull. A hello with any other flags is refused. The values of retired
+// wire features stay reserved (codec.go).
 //
 // The streamed exchange overlaps communication with codec work: a worker
 // hands each tensor to its shard's connection the moment its compressor
@@ -56,8 +49,8 @@
 // before any entry reaches an aggregator or the worker (applyRun).
 //
 // Whole-set and streamed workers interoperate freely on one shard: the
-// mode is per worker per step, chosen by the first push frame. Tag and
-// trailer apply to runs as to any frame.
+// mode is per worker per step, chosen by the first push frame. A resilient
+// connection exchanges whole sets only (frameCodec.streamable).
 package transport
 
 import (
@@ -75,12 +68,8 @@ const (
 	MsgShardHello MsgType = iota + 4
 	MsgShardPush
 	MsgShardPull
-	// Type bytes 7–11 are retired and stay reserved, refused by name (see
-	// retiredType): 7–9 streamed a frame per tensor up to shard wire
-	// version 3 (push tensor, end of push, pull tensor), 10 and 11 were a
-	// primary's forwarding link to its replica, before workers sent the
-	// standby their pushes themselves.
-	msgRetiredPerTensor
+	// Type bytes 7–11 are reserved (codec.go).
+	_
 	_
 	_
 	_
@@ -105,14 +94,6 @@ const (
 	// and reads runs until each tensor has arrived once.
 	MsgShardPullRun
 )
-
-// retiredType names what a retired type byte used to carry.
-func retiredType(t MsgType) string {
-	if t < msgRetiredPerTensor+3 {
-		return "a frame per streamed tensor, shard wire version 3 and older"
-	}
-	return "a primary's forwarding link to its replica"
-}
 
 // ShardServerConfig sizes one shard's transport endpoint.
 type ShardServerConfig struct {
@@ -187,25 +168,21 @@ type ShardClientConfig struct {
 	// failure detector for silently dead shards: without one, a shard that
 	// stops answering without closing its connection parks PushPull.
 	Timeouts Timeouts
-	// Checksum negotiates CRC-32C frame integrity (see FlagChecksum):
-	// every frame both ways — hello, pushes, pulls, streamed tensors —
-	// carries a trailing checksum over what is on the wire, so corruption
-	// anywhere on the path surfaces as an error instead of silently
-	// skewing the aggregate.
-	Checksum bool
-	// Resilient (implies Checksum) makes push/pull failures recoverable
-	// in place: on any error mid-round-trip the client backs off per
-	// Retry, re-dials the SAME shard address, re-handshakes with
-	// FlagResilient, and replays the in-flight step's push; the server
-	// (ShardServerConfig.Resilient) dedupes the replay and re-answers the
-	// missed pull from its retained pull. Whole-set rounds only (see
-	// frameCodec.streamable). At Close the client confirms with MsgShardBye
-	// so the server can retire its seat.
+	// Resilient makes every frame both ways carry a CRC-32C trailer over
+	// what is on the wire (FlagChecksum), so corruption anywhere on the path
+	// surfaces as an error instead of silently skewing the aggregate, and
+	// makes dial and push/pull failures recoverable in place: on any error
+	// the client backs off per Retry, re-dials the SAME shard address,
+	// re-handshakes with FlagResilient, and replays the in-flight step's
+	// push; the server (ShardServerConfig.Resilient) dedupes the replay and
+	// re-answers the missed pull from its retained pull. Whole-set rounds
+	// only (see frameCodec.streamable). At Close the client confirms with
+	// MsgShardBye so the server can retire its seat.
 	Resilient bool
-	// Retry is the resilient path's backoff schedule; the zero value is
-	// the retry.Policy default (4 attempts, 50ms base, 2s cap, 2x). Each
-	// shard's connection draws from a decorrelated jitter stream derived
-	// from it.
+	// Retry is the resilient path's backoff schedule, for the first dial as
+	// for every redial; the zero value is the retry.Policy default (4
+	// attempts, 50ms base, 2s cap, 2x). Each shard's connection draws from
+	// a decorrelated jitter stream derived from it.
 	Retry RetryPolicy
 	// Dialer overrides how shard connections (and reconnects) are opened;
 	// nil means plain TCP. The chaos/fault-injection hook.
@@ -236,24 +213,17 @@ type shardConn struct {
 	seen []bool
 }
 
-// DialSharded connects to every shard of the tier (addrs[s] is shard s's
-// address) and registers as workerID. The placement asn must be the one
-// the server tier was built with — typically shard.ForModel on the
-// worker's model replica; its hash is verified during the handshake.
-func DialSharded(addrs []string, workerID int, asn shard.Assignment) (*ShardClient, error) {
-	return DialShardedConfig(addrs, workerID, asn, ShardClientConfig{})
-}
-
-// DialShardedConfig is DialSharded with negotiated wire stages, resilient
-// redial and I/O deadlines (see ShardClientConfig).
+// DialShardedConfig connects to every shard of the tier (addrs[s] is shard
+// s's address) and registers as workerID, on plain or resilient
+// connections with I/O deadlines (see ShardClientConfig); a resilient
+// client dials each shard under its retry stream. The placement asn must
+// be the one the server tier was built with — typically shard.ForModel on
+// the worker's model replica; its hash is verified during the handshake.
 func DialShardedConfig(addrs []string, workerID int, asn shard.Assignment, ccfg ShardClientConfig) (*ShardClient, error) {
 	if len(addrs) != asn.NumShards {
 		return nil, fmt.Errorf("transport: %d shard addresses for %d shards", len(addrs), asn.NumShards)
 	}
-	// Replay without integrity would retransmit the very corruption it is
-	// recovering from.
-	ccfg.Checksum = ccfg.Checksum || ccfg.Resilient
-	fc := frameCodec{worker: uint32(workerID), checksum: ccfg.Checksum, resilient: ccfg.Resilient}
+	fc := frameCodec{worker: uint32(workerID), resilient: ccfg.Resilient}
 	c := &ShardClient{
 		asn:  asn,
 		ccfg: ccfg,
@@ -274,7 +244,7 @@ func DialShardedConfig(addrs []string, workerID int, asn shard.Assignment, ccfg 
 		sc := &shardConn{link: link{to: ccfg.Timeouts, fc: fc}, addr: addr, policy: ccfg.Retry.Stream(uint64(s)),
 			seen: make([]bool, len(c.idx[s]))}
 		sc.fc.shard = uint16(s)
-		if err := sc.open(ccfg.Dialer, addr, asn.Hash()); err != nil {
+		if err := c.retry(sc, nil); err != nil {
 			c.Close() // closes what was dialed
 			return nil, err
 		}
@@ -325,29 +295,40 @@ func (c *ShardClient) PushPull(step int, wires [][]byte) ([][]byte, error) {
 	return c.pull, nil
 }
 
-// pushPullShard runs one shard's round trip of one step, and recovers it
-// when it fails on a resilient client: back off per the shard's
-// decorrelated retry stream, re-dial the shard, re-handshake, and replay
-// this step's push. The server kept the seat, dedupes the replay on the
-// (worker, step) identity and re-answers the missed pull from its retained
-// pull. The attempt budget is the policy's; exhausting it surfaces the
-// last error.
-func (c *ShardClient) pushPullShard(step, s int, sc *shardConn, wires [][]byte) error {
-	err := c.tryPushPull(step, s, sc, wires)
-	if err == nil || !c.ccfg.Resilient {
-		return err
-	}
-	for attempt := 0; attempt+1 < sc.policy.Attempts(); attempt++ {
-		sc.c.Close()
+// retry runs op on sc's connection, dialing the shard first when it has
+// none (op nil: the dial is all there is to do). On a resilient client a
+// failure is recovered in place: hang up, back off per the shard's
+// decorrelated retry stream, re-dial, re-handshake and run op again. A
+// push/pull op so replays its step's push; the server kept the seat,
+// dedupes the replay on the (worker, step) identity and re-answers the
+// missed pull from its retained pull. The attempt budget is the policy's;
+// exhausting it surfaces the last error.
+func (c *ShardClient) retry(sc *shardConn, op func() error) error {
+	for attempt := 0; ; attempt++ {
+		var err error
+		if sc.c == nil {
+			err = sc.open(c.ccfg.Dialer, sc.addr, c.asn.Hash())
+		}
+		if err == nil && op != nil {
+			err = op()
+		}
+		if err == nil || !c.ccfg.Resilient {
+			return err
+		}
+		if attempt+1 >= sc.policy.Attempts() {
+			return fmt.Errorf("transport: shard %d: retry budget exhausted: %w", sc.fc.shard, err)
+		}
+		if sc.c != nil {
+			sc.c.Close()
+			sc.c = nil
+		}
 		time.Sleep(sc.policy.Backoff(attempt))
-		if err = sc.open(c.ccfg.Dialer, sc.addr, c.asn.Hash()); err != nil {
-			continue
-		}
-		if err = c.tryPushPull(step, s, sc, wires); err == nil {
-			return nil
-		}
 	}
-	return fmt.Errorf("transport: shard %d step %d: retry budget exhausted: %w", s, step, err)
+}
+
+// pushPullShard runs one shard's round trip of one step under retry.
+func (c *ShardClient) pushPullShard(step, s int, sc *shardConn, wires [][]byte) error {
+	return c.retry(sc, func() error { return c.tryPushPull(step, s, sc, wires) })
 }
 
 // tryPushPull is one push/pull attempt on the current connection.
@@ -531,6 +512,9 @@ func (c *ShardClient) streamShard(step, s int, sc *shardConn, ch <-chan IndexedW
 func (c *ShardClient) Close() error {
 	var first error
 	for _, sc := range c.conns {
+		if sc.c == nil {
+			continue // its last redial failed: nothing to confirm or close
+		}
 		if c.ccfg.Resilient {
 			_ = sc.send(frame{t: MsgShardBye}) // best-effort: the close below is what must happen
 		}

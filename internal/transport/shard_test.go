@@ -160,7 +160,7 @@ func TestShardedTCPMatchesSinglePS(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			// Each worker computes the placement from its own replica —
 			// the determinism the handshake hash then certifies.
-			cl, err := DialSharded(addrs, w, shard.ForModel(buildShardModel(), shards))
+			cl, err := DialShardedConfig(addrs, w, shard.ForModel(buildShardModel(), shards), ShardClientConfig{})
 			if err != nil {
 				t.Errorf("worker %d dial: %v", w, err)
 				return
@@ -223,13 +223,13 @@ func driveWorkerStream(t *testing.T, w int, steps int, cfg ps.Config, global *nn
 }
 
 // TestStreamedTCPMatchesSinglePS runs the per-tensor streamed pipeline —
-// worker 0 streams (push frames queued while later tensors still
+// workers 0 and 2 stream (push frames queued while later tensors still
 // compress, pull frames decode-applied off the frame scratch), worker 1
-// stays on the whole-set path, worker 2 streams under the CRC-32C
-// trailer (trailer × coalescing: every frame of a flush carries its own)
-// — over a 2-shard TCP tier and checks the final global state is
-// bit-identical to the in-process single server. Mixing the modes on one
-// tier pins their interoperability.
+// stays on the whole-set path on a resilient connection, under the CRC-32C
+// trailer — over a 2-shard resilient TCP tier and checks the final global
+// state is bit-identical to the in-process single server. Mixing the modes
+// and the contracts on one tier pins their interoperability: each step's
+// pull goes out in two whole-set variants and as runs.
 func TestStreamedTCPMatchesSinglePS(t *testing.T) {
 	const workers, steps, shards = 3, 3, 2
 	cfg := shardTestConfig(workers, steps)
@@ -252,6 +252,7 @@ func TestStreamedTCPMatchesSinglePS(t *testing.T) {
 			Workers:        workers,
 			Steps:          steps,
 			AssignmentHash: asn.Hash(),
+			Resilient:      true,
 		})
 		go func() { serveErr <- srv.Serve() }()
 	}
@@ -260,7 +261,7 @@ func TestStreamedTCPMatchesSinglePS(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer func() { done <- struct{}{} }()
-			cl, err := DialShardedConfig(addrs, w, shard.ForModel(buildShardModel(), shards), ShardClientConfig{Checksum: w == 2})
+			cl, err := DialShardedConfig(addrs, w, shard.ForModel(buildShardModel(), shards), ShardClientConfig{Resilient: w == 1})
 			if err != nil {
 				t.Errorf("worker %d dial: %v", w, err)
 				return
@@ -388,7 +389,7 @@ func TestShardServerAcceptsLegacyV1Client(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer func() { done <- struct{}{} }()
-			cl, err := Dial(ln.Addr().String(), w) // v1 client
+			cl, err := DialTimeoutDialer(ln.Addr().String(), w, Timeouts{}, nil) // v1 client
 			if err != nil {
 				t.Errorf("worker %d dial: %v", w, err)
 				return
@@ -504,7 +505,7 @@ func TestShardServerRejectsPlacementDrift(t *testing.T) {
 	bad := asn
 	bad.ShardOf = append([]int(nil), asn.ShardOf...)
 	bad.ShardOf[0] = 1 - bad.ShardOf[0]
-	if _, err := DialSharded([]string{ln.Addr().String(), ln.Addr().String()}, 0, bad); err == nil {
+	if _, err := DialShardedConfig([]string{ln.Addr().String(), ln.Addr().String()}, 0, bad, ShardClientConfig{}); err == nil {
 		// Dial itself may succeed (the write is buffered); the server must
 		// still reject the session.
 		t.Log("dial succeeded; checking server-side rejection")
@@ -550,7 +551,7 @@ func TestShardHeaderRoundTrip(t *testing.T) {
 // TestShardClientAddressCountMismatch pins the obvious misconfiguration.
 func TestShardClientAddressCountMismatch(t *testing.T) {
 	asn := shard.Assignment{NumShards: 2, ShardOf: []int{0, 1}}
-	if _, err := DialSharded([]string{"127.0.0.1:1"}, 0, asn); err == nil ||
+	if _, err := DialShardedConfig([]string{"127.0.0.1:1"}, 0, asn, ShardClientConfig{}); err == nil ||
 		!strings.Contains(err.Error(), "shard addresses") {
 		t.Fatalf("err = %v, want address-count mismatch", err)
 	}
@@ -594,7 +595,7 @@ func TestShardTierThroughputScalesWithShards(t *testing.T) {
 			})
 			go func() { served <- srv.Serve() }()
 		}
-		tier, err := DialTier(workers, false, func(w int) (Seat, error) { return DialSharded(addrs, w, asn) })
+		tier, err := DialTier(workers, false, func(w int) (Seat, error) { return DialShardedConfig(addrs, w, asn, ShardClientConfig{}) })
 		if err != nil {
 			t.Fatal(err)
 		}

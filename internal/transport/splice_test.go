@@ -59,7 +59,7 @@ var spliceSizes = []int{0, 1, flushBytes - 1, flushBytes, flushBytes + 1, 0, 3*f
 
 // TestSplicedFramesMatchCopied holds every frame shape a wire can be
 // spliced into to the copied encoding: v1 push and pull, v2 whole-set push
-// and pull with and without the checksum, and runs whose entries sit at
+// and pull, plain and resilient (checksummed), and runs whose entries sit at
 // flushBytes − 1, flushBytes and flushBytes + 1, with empty wires and
 // several spliced wires in one frame. For each, the bytes the socket is
 // handed equal appendFrame's, FrameReader parses them back into the wires
@@ -77,7 +77,7 @@ func TestSplicedFramesMatchCopied(t *testing.T) {
 	}
 	v1 := frameCodec{v1: true, worker: 2}
 	plain := frameCodec{shard: 3, worker: 2}
-	summed := frameCodec{shard: 3, worker: 2, checksum: true}
+	summed := frameCodec{shard: 3, worker: 2, resilient: true}
 	for _, c := range []struct {
 		name string
 		fc   frameCodec
@@ -104,7 +104,7 @@ func TestSplicedFramesMatchCopied(t *testing.T) {
 			if !bytes.Equal(rec.got.Bytes(), want) {
 				t.Fatalf("socket was handed %d bytes that are not the copied encoding's %d", rec.got.Len(), len(want))
 			}
-			typ, payload, err := ReadFrame(&rec.got)
+			typ, payload, err := NewFrameReader(&rec.got).ReadFrame()
 			if err != nil || typ != c.f.t {
 				t.Fatalf("read back type %d: %v", typ, err)
 			}
@@ -112,7 +112,7 @@ func TestSplicedFramesMatchCopied(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := ParseWireSet(f.body)
+			got, _, err := ParseWireSetInto(nil, f.body)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +125,7 @@ func TestSplicedFramesMatchCopied(t *testing.T) {
 	}
 
 	for _, fc := range []frameCodec{plain, summed} {
-		t.Run(fmt.Sprintf("runs, checksum %v", fc.checksum), func(t *testing.T) {
+		t.Run(fmt.Sprintf("runs, checksum %v", fc.resilient), func(t *testing.T) {
 			// Every entry in one run, then the push's end: the streamed push's
 			// flush, and the copied run from a link that copies everything.
 			rec := &recordConn{}
@@ -146,7 +146,7 @@ func TestSplicedFramesMatchCopied(t *testing.T) {
 			if !bytes.Equal(rec.got.Bytes(), flat.out.b) {
 				t.Fatalf("socket was handed %d bytes that are not the copied run's %d", rec.got.Len(), len(flat.out.b))
 			}
-			typ, payload, err := ReadFrame(&rec.got)
+			typ, payload, err := NewFrameReader(&rec.got).ReadFrame()
 			if err != nil || typ != MsgShardPushLast {
 				t.Fatalf("read back type %d: %v", typ, err)
 			}
@@ -256,7 +256,7 @@ func newF32Exchange(t testing.TB, build func() *nn.Model, workers, steps int) *f
 		x.served <- err
 	}()
 	for w := 0; w < workers; w++ {
-		cl, err := Dial(ln.Addr().String(), w)
+		cl, err := DialTimeoutDialer(ln.Addr().String(), w, Timeouts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,7 +20,7 @@ func dialTestTier(t *testing.T, seats, steps int) (*DialedTier, <-chan error) {
 	srv := NewServer(ln, ps.NewJob(buildShardModel(), shardTestConfig(seats, steps)), seats, steps)
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve() }()
-	tier, err := DialTier(seats, false, func(w int) (Seat, error) { return Dial(ln.Addr().String(), w) })
+	tier, err := DialTier(seats, false, func(w int) (Seat, error) { return DialTimeoutDialer(ln.Addr().String(), w, Timeouts{}, nil) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestDialTierStreamNeedsShardClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	_, err = DialTier(1, true, func(w int) (Seat, error) { return Dial(ln.Addr().String(), w) })
+	_, err = DialTier(1, true, func(w int) (Seat, error) { return DialTimeoutDialer(ln.Addr().String(), w, Timeouts{}, nil) })
 	if err == nil || !strings.Contains(err.Error(), "ShardClient") {
 		t.Errorf("streamed tier over a v1 client: %v", err)
 	}

@@ -20,7 +20,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := WriteFrame(&buf, MsgPush, payload); err != nil {
 		t.Fatal(err)
 	}
-	typ, got, err := ReadFrame(&buf)
+	typ, got, err := NewFrameReader(&buf).ReadFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestFrameEmptyPayload(t *testing.T) {
 	if err := WriteFrame(&buf, MsgHello, nil); err != nil {
 		t.Fatal(err)
 	}
-	typ, got, err := ReadFrame(&buf)
+	typ, got, err := NewFrameReader(&buf).ReadFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,18 +47,18 @@ func TestFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
 	WriteFrame(&buf, MsgPush, []byte{1, 2, 3})
 	raw := buf.Bytes()[:buf.Len()-2]
-	if _, _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
+	if _, _, err := NewFrameReader(bytes.NewReader(raw)).ReadFrame(); err == nil {
 		t.Error("expected error on truncated frame")
 	}
 }
 
 func TestFrameBadLength(t *testing.T) {
 	raw := []byte{0xff, 0xff, 0xff, 0xff, 1}
-	if _, _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
+	if _, _, err := NewFrameReader(bytes.NewReader(raw)).ReadFrame(); err == nil {
 		t.Error("expected error on oversized length prefix")
 	}
 	raw = []byte{0, 0, 0, 0}
-	if _, _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
+	if _, _, err := NewFrameReader(bytes.NewReader(raw)).ReadFrame(); err == nil {
 		t.Error("expected error on zero length")
 	}
 }
@@ -66,7 +66,7 @@ func TestFrameBadLength(t *testing.T) {
 func TestWireSetRoundTrip(t *testing.T) {
 	wires := [][]byte{{1, 2, 3}, nil, {}, {4}}
 	enc := AppendWireSet(nil, wires)
-	dec, n, err := ParseWireSet(enc)
+	dec, n, err := ParseWireSetInto(nil, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestWireSetRoundTrip(t *testing.T) {
 func TestWireSetTruncation(t *testing.T) {
 	enc := AppendWireSet(nil, [][]byte{{1, 2, 3, 4, 5}})
 	for cut := 1; cut < len(enc); cut++ {
-		if _, _, err := ParseWireSet(enc[:cut]); err == nil {
+		if _, _, err := ParseWireSetInto(nil, enc[:cut]); err == nil {
 			t.Errorf("no error at truncation %d", cut)
 		}
 	}
@@ -169,7 +169,7 @@ func TestTCPTrainingMatchesInProcess(t *testing.T) {
 			m := build()
 			m.CopyParamsFrom(tcpGlobal)
 			worker := ps.NewWorker(w, m, psCfg)
-			client, err := Dial(ln.Addr().String(), w)
+			client, err := DialTimeoutDialer(ln.Addr().String(), w, Timeouts{}, nil)
 			if err != nil {
 				workerErr <- err
 				return
@@ -332,7 +332,7 @@ func TestTCPAllCodecsMatchInProcess(t *testing.T) {
 					m := build()
 					m.CopyParamsFrom(tcpGlobal)
 					worker := ps.NewWorker(w, m, psCfg)
-					client, err := Dial(ln.Addr().String(), w)
+					client, err := DialTimeoutDialer(ln.Addr().String(), w, Timeouts{}, nil)
 					if err != nil {
 						workerErr <- err
 						return
@@ -393,12 +393,12 @@ func TestServerRejectsDuplicateWorkerID(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve() }()
 
-	c1, err := Dial(ln.Addr().String(), 0)
+	c1, err := DialTimeoutDialer(ln.Addr().String(), 0, Timeouts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	c2, err := Dial(ln.Addr().String(), 0) // duplicate id
+	c2, err := DialTimeoutDialer(ln.Addr().String(), 0, Timeouts{}, nil) // duplicate id
 	if err == nil {
 		defer c2.Close()
 	}
@@ -420,7 +420,7 @@ func TestClientStepMismatch(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve() }()
 
-	client, err := Dial(ln.Addr().String(), 0)
+	client, err := DialTimeoutDialer(ln.Addr().String(), 0, Timeouts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

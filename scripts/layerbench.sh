@@ -64,10 +64,10 @@ go test -run='^$' -bench 'SteadyStatePushPull(Tiny|F32)$' -benchtime 100x -bench
 # only them), which the gate holds to a floor against the dense one.
 repeat ps 'SteadyStatePushPull(Clustered)?$' 100x
 # The same steady-state round trip over a real loopback TCP
-# connection, CRC-32C checksummed alternated with plain: frame
-# integrity must hold 0 allocs/op at parity with the bare wire
+# connection, resilient (CRC-32C checksummed) alternated with plain:
+# frame integrity must hold 0 allocs/op at parity with the bare wire
 # (gated), so it is cheap enough to leave on everywhere.
-# ...WireLegacy is the v1 Dial client against NewServer — the plain
+# ...WireLegacy is the v1 client against NewServer — the plain
 # `3lc-net` and lan-f32 front door — through the same session
 # engine, and ...WireF32 the lan-f32 shape itself through it: the
 # 1.85M-parameter MLP as raw float32, two workers, every wire of
