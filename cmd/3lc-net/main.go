@@ -65,7 +65,7 @@ func main() {
 	flag.IntVar(&o.batch, "batch", 16, "per-worker batch size")
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:0", "listen address")
 	flag.IntVar(&o.shards, "shards", 1, "parameter-server shard count; shard s listens on -addr's port + s (each shard gets its own listener; workers multiplex)")
-	flag.BoolVar(&o.stream, "stream", false, "per-tensor streamed pipeline: hand each tensor to its shard's connection as its compressor finishes (the server decode-aggregates it on arrival) and read the pull back tensor by tensor; what is queued is written as one run — one header, then per tensor a slot delta, a length and its wire — when the compressor has nothing more ready, every 64 KiB and at the end of the push; implies the shard-tier transport even at -shards 1")
+	flag.BoolVar(&o.stream, "stream", false, "per-tensor streamed pipeline: hand each tensor to its shard's connection as its compressor finishes (the server decode-aggregates it on arrival) and read the pull back tensor by tensor; what is queued is written as one run — one header, then per tensor a slot delta, a length and its wire — when the compressor has nothing more ready, every 64 KiB and at the end of the push")
 	flag.DurationVar(&o.netTimeout, "net-timeout", 0, "per-frame read/write deadline on worker connections (failure detector for dead servers) and write deadline on the servers' connections; 0 disables")
 	flag.BoolVar(&o.chaosSoak, "chaos", false, "chaos soak: train every codec clean (in-process) and under deterministic fault injection (over TCP with checksums + resilient reconnect) and demand bit-identical final state; ignores -design")
 	flag.Uint64Var(&o.chaosSeed, "chaos-seed", 1, "fault schedule seed for -chaos (same seed, same per-connection fault schedule)")
@@ -106,10 +106,10 @@ func (o *options) timeouts() transport.Timeouts {
 	return transport.Timeouts{Read: o.netTimeout, Write: o.netTimeout}
 }
 
-// serverTimeouts are every server's deadlines, the v1 front door's and the
-// shards' alike. A server's push read spans the whole BSP barrier (every
-// worker's compute), so its read deadline is much wider than the
-// per-frame worker deadline; its writes are held to -net-timeout.
+// serverTimeouts are every shard server's deadlines. A server's push read
+// spans the whole BSP barrier (every worker's compute), so its read
+// deadline is much wider than the per-frame worker deadline; its writes
+// are held to -net-timeout.
 func (o *options) serverTimeouts() transport.Timeouts {
 	if o.netTimeout <= 0 {
 		return transport.Timeouts{}
@@ -220,8 +220,8 @@ func (t *servers) traffic() (push, pull int64) {
 	return push, pull
 }
 
-// flatTopology is the flat modes' servers: the v1 front door, or a shard
-// tier (-shards, -stream). tier starts them and dials the workers' seats;
+// flatTopology is the flat modes' servers: a shard tier of -shards
+// servers, one by default. tier starts them and dials the workers' seats;
 // drain joins them after the run.
 type flatTopology struct {
 	o      *options
@@ -246,18 +246,6 @@ func (o *options) flat() (train.Config, *flatTopology, error) {
 func (f *flatTopology) tier(global *nn.Model, psCfg ps.Config) (ps.Tier, error) {
 	o := f.o
 	f.global = global
-	if o.shards == 1 && !o.stream {
-		// The plain front door: a tier of one, dialed by v1 clients.
-		ln := f.lns[0]
-		fmt.Printf("parameter server listening on %s\n", ln.Addr())
-		srv := transport.NewServer(ln, ps.NewJob(global, psCfg), o.workers, o.steps)
-		srv.SetTimeouts(o.serverTimeouts())
-		f.srvs = newServers(1)
-		f.srvs.serve(ln, &srv.ShardServer)
-		return transport.DialTier(o.workers, false, func(w int) (transport.Seat, error) {
-			return transport.DialTimeoutDialer(ln.Addr().String(), w, o.timeouts(), nil)
-		})
-	}
 	// One listener per shard; workers hold one multiplexed connection to each.
 	asn := shard.ForModel(global, o.shards)
 	base := transport.ShardServerConfig{Workers: o.workers, Steps: o.steps, Timeouts: o.serverTimeouts()}
@@ -271,7 +259,7 @@ func (f *flatTopology) tier(global *nn.Model, psCfg ps.Config) (ps.Tier, error) 
 	if err != nil {
 		return nil, err
 	}
-	return transport.DialTier(o.workers, o.stream, func(w int) (transport.Seat, error) {
+	return transport.DialTier(o.workers, o.stream, func(w int) (*transport.ShardClient, error) {
 		return transport.DialShardedConfig(f.srvs.addrs, w, asn, transport.ShardClientConfig{Timeouts: o.timeouts()})
 	})
 }
@@ -432,7 +420,7 @@ func chaosTCPRun(inj *chaos.Injector, o *options, cfg train.Config) ([]float32, 
 		// The initial handshake crosses injected connections too: a
 		// resilient client retries its dial under the same schedule.
 		ccfg := transport.ShardClientConfig{Timeouts: timeouts, Resilient: true, Retry: retryPol, Dialer: inj.Dial}
-		return transport.DialTier(o.workers, false, func(w int) (transport.Seat, error) {
+		return transport.DialTier(o.workers, false, func(w int) (*transport.ShardClient, error) {
 			return transport.DialShardedConfig(tier.addrs, w, asn, ccfg)
 		})
 	})

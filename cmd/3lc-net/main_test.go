@@ -80,7 +80,7 @@ func trajectoryOf(res *train.Result, global *nn.Model) trajectory {
 
 // TestDialedTiersMatchInProcess is the oracle the one-driver design makes
 // possible: the same train.Config, run by the same train.Run, over
-// loopback listeners — the v1 front door, two shards whole-set, two shards
+// loopback listeners — one shard, two shards whole-set, two shards
 // streamed — ends with the global weights and per-step losses of the
 // in-process run, bit for bit, for 3LC and for float32. A dialed tier that
 // sent a seat's push under another seat, dropped one or sent one twice
@@ -99,7 +99,7 @@ func dialedMatchesInProcess(t *testing.T, workers int) {
 		name string
 		set  func(o *options)
 	}{
-		{"v1 front door", func(o *options) {}},
+		{"1 shard", func(o *options) {}},
 		{"2 shards", func(o *options) { o.shards = 2 }},
 		{"2 shards streamed", func(o *options) { o.shards, o.stream = 2, true }},
 	}

@@ -119,10 +119,9 @@
 //	                     packing) and the shard servers' sub-jobs
 //	internal/transport   framed TCP transport (coalesced single-write
 //	                     frames, per-connection read scratch): one frame
-//	                     codec for the v1 and versioned shard-aware v2
-//	                     wire (optional CRC-32C trailer) and one BSP
-//	                     session engine behind the shard and legacy
-//	                     servers
+//	                     codec for the versioned shard-aware wire
+//	                     (plain, or resilient with a CRC-32C trailer) and
+//	                     one BSP session engine behind every server
 //	internal/train       the one BSP step driver (any ps.Tier, in-process
 //	                     or dialed) + metrics: virtual time from netsim,
 //	                     wall time from the clock

@@ -33,7 +33,8 @@ func quarticWire(n int) []byte {
 // steps of the end-to-end benchmark's `wan-3lc` workload — a
 // 768-1024-1024-10 MLP, two workers, batch 4, 3LC s = 1.75 with error
 // feedback since step 0, the four batch-norm vectors and the head bias
-// exempt — generated here, from seed 1.
+// exempt, the batch-norm vectors' slots the owner's update — generated
+// here, from seed 1, and read off the tier as it is pushed.
 func trainedWireSet(tb testing.TB) []byte {
 	dcfg := data.DefaultConfig()
 	dcfg.Train, dcfg.Test, dcfg.Seed = 1000, 300, 1
@@ -41,32 +42,62 @@ func trainedWireSet(tb testing.TB) []byte {
 		Opts: compress.Options{Sparsity: 1.75, ZeroRun: true}}
 	const steps, workers = 24, 2
 	sgd := opt.TunedSGDConfig(workers, steps)
-	var push [][]byte
+	rec := &ownerPushes{}
 	_, err := train.Run(train.Config{
 		Design: design, Workers: workers, BatchPerWorker: 4, Steps: steps, Data: dcfg,
 		BuildModel: func() *nn.Model {
 			return nn.NewMLP(dcfg.C*dcfg.H*dcfg.W, []int{1024, 1024}, dcfg.Classes, 1)
 		},
 		FlatInput: true, Optimizer: &sgd, Seed: 1,
-		// A 3LC tensor's G is worker 0's push context's error buffer, so
-		// the hook sees e + g, residuals included: through a fresh context
-		// of the run's own design it encodes to worker 0's push wire.
-		OnGradients: func(_ int, params []*nn.Param) {
-			exempt := ps.Config{Scheme: design.Scheme, MinCompressElems: train.MinCompressElems}
-			push = make([][]byte, len(params))
-			for i, p := range params {
-				ctx := compress.NewExempt(design.Scheme, p.W.Shape())
-				if exempt.Compresses(p) {
-					ctx = compress.New(design.Scheme, p.W.Shape(), design.Opts)
-				}
-				push[i] = ctx.CompressInto(p.G, nil)
-			}
+		Tier: func(global *nn.Model, cfg ps.Config) (ps.Tier, error) {
+			rec.Tier = ps.NewJob(global, cfg)
+			return rec, nil
 		},
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return transport.AppendWireSet(nil, push)
+	return transport.AppendWireSet(nil, rec.push)
+}
+
+// ownerPushes is an in-process tier that keeps a copy of the owner's push
+// of the latest step, wire by wire, as the tier is handed it.
+type ownerPushes struct {
+	ps.Tier
+	push [][]byte
+}
+
+func (t *ownerPushes) BeginPush(worker int) ps.PushSession {
+	s := t.Tier.BeginPush(worker)
+	if worker != ps.Owner {
+		return s
+	}
+	return &ownerPush{PushSession: s, t: t}
+}
+
+// ownerPush is the owner's push session of one step, copied on its way in.
+type ownerPush struct {
+	ps.PushSession
+	t *ownerPushes
+}
+
+func (s *ownerPush) Set(wires [][]byte) error {
+	for i, w := range wires {
+		s.keep(i, w)
+	}
+	return s.PushSession.Set(wires)
+}
+
+func (s *ownerPush) Tensor(i int, wire []byte) error {
+	s.keep(i, wire)
+	return s.PushSession.Tensor(i, wire)
+}
+
+func (s *ownerPush) keep(i int, wire []byte) {
+	for len(s.t.push) <= i {
+		s.t.push = append(s.t.push, nil)
+	}
+	s.t.push[i] = append(s.t.push[i][:0], wire...)
 }
 
 // empiricalEntropy is the order-0 and order-1 empirical entropy of b in

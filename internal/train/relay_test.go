@@ -53,9 +53,11 @@ func listen(t *testing.T) net.Listener {
 type relayTier func(t *testing.T, workers, steps int, sent [][]byte, served chan<- error) func(*nn.Model, ps.Config) (ps.Tier, error)
 
 // relayTiers are the three ways a run reaches its aggregator: the
-// in-process job, two shard servers streamed to over sockets, and the v1
-// front door, whose seats are all sent the shared pull. The value is the
-// number of servers the tier starts.
+// in-process job, two shard servers streamed to over sockets, and one
+// shard server whose aggregator offers only what a transport.StepServer
+// does, so its seats are all sent the shared pull, the owner's too (what
+// transport.NewServer serves). The value is the number of servers the tier
+// starts.
 var relayTiers = map[string]struct {
 	servers int
 	build   relayTier
@@ -78,18 +80,20 @@ var relayTiers = map[string]struct {
 					Shard: s, NumShards: 2, Workers: workers, Steps: steps, AssignmentHash: asn.Hash()})
 				go func() { served <- srv.Serve() }()
 			}
-			return transport.DialTier(workers, true, func(w int) (transport.Seat, error) {
+			return transport.DialTier(workers, true, func(w int) (*transport.ShardClient, error) {
 				return transport.DialShardedConfig(addrs, w, asn, transport.ShardClientConfig{})
 			})
 		}
 	}},
-	"v1 front door": {1, func(t *testing.T, workers, steps int, sent [][]byte, served chan<- error) func(*nn.Model, ps.Config) (ps.Tier, error) {
+	"shared pull": {1, func(t *testing.T, workers, steps int, sent [][]byte, served chan<- error) func(*nn.Model, ps.Config) (ps.Tier, error) {
 		return func(global *nn.Model, cfg ps.Config) (ps.Tier, error) {
 			ln := listen(t)
-			srv := transport.NewServer(ln, wholeJob(global, cfg, sent), workers, steps)
+			asn := shard.ForModel(global, 1)
+			srv := transport.NewShardServer(ln, struct{ transport.StepServer }{wholeJob(global, cfg, sent)},
+				transport.ShardServerConfig{NumShards: 1, Workers: workers, Steps: steps, AssignmentHash: asn.Hash()})
 			go func() { served <- srv.Serve() }()
-			return transport.DialTier(workers, false, func(w int) (transport.Seat, error) {
-				return transport.DialTimeoutDialer(ln.Addr().String(), w, transport.Timeouts{}, nil)
+			return transport.DialTier(workers, false, func(w int) (*transport.ShardClient, error) {
+				return transport.DialShardedConfig([]string{ln.Addr().String()}, w, asn, transport.ShardClientConfig{})
 			})
 		}
 	}},

@@ -21,9 +21,8 @@ import (
 // resilient server, which adds CRC-32C cover on both directions; the
 // benchcheck gate holds it within tolerance of the plain wire at
 // 0 allocs/op, which is the whole point: integrity must be free enough
-// to leave on. The legacy variant is the v1 client against NewServer, the
-// front door the lan-f32 benchmark workload and plain `3lc-net` use.
-func benchWirePushPull(b *testing.B, resilient, legacy bool) {
+// to leave on.
+func benchWirePushPull(b *testing.B, resilient bool) {
 	cfg := ps.Config{
 		Scheme:           compress.SchemeThreeLC,
 		Opts:             compress.Options{Sparsity: 1.75, ZeroRun: true},
@@ -44,19 +43,10 @@ func benchWirePushPull(b *testing.B, resilient, legacy bool) {
 		b.Fatal(err)
 	}
 	const steps = 1 << 30 // outlives any b.N; the server dies with the client
-	var cl interface {
-		PushPull(step int, wires [][]byte) ([][]byte, error)
-		Close() error
-	}
-	if legacy {
-		go NewServer(ln, subs[0], 1, steps).Serve()
-		cl, err = DialTimeoutDialer(ln.Addr().String(), 0, Timeouts{}, nil)
-	} else {
-		go NewShardServer(ln, subs[0], ShardServerConfig{
-			NumShards: 1, Workers: 1, Steps: steps, AssignmentHash: asn.Hash(), Resilient: resilient,
-		}).Serve()
-		cl, err = DialShardedConfig([]string{ln.Addr().String()}, 0, asn, ShardClientConfig{Resilient: resilient})
-	}
+	go NewShardServer(ln, subs[0], ShardServerConfig{
+		NumShards: 1, Workers: 1, Steps: steps, AssignmentHash: asn.Hash(), Resilient: resilient,
+	}).Serve()
+	cl, err := DialShardedConfig([]string{ln.Addr().String()}, 0, asn, ShardClientConfig{Resilient: resilient})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -97,13 +87,12 @@ func benchWirePushPull(b *testing.B, resilient, legacy bool) {
 	b.StopTimer()
 }
 
-func BenchmarkSteadyStatePushPullWire(b *testing.B)         { benchWirePushPull(b, false, false) }
-func BenchmarkSteadyStatePushPullWireChecksum(b *testing.B) { benchWirePushPull(b, true, false) }
-func BenchmarkSteadyStatePushPullWireLegacy(b *testing.B)   { benchWirePushPull(b, false, true) }
+func BenchmarkSteadyStatePushPullWire(b *testing.B)         { benchWirePushPull(b, false) }
+func BenchmarkSteadyStatePushPullWireChecksum(b *testing.B) { benchWirePushPull(b, true) }
 
 // BenchmarkSteadyStatePushPullWireF32 is the lan-f32 shape over loopback
 // TCP: the 768-1024-1024-10 MLP (1.85M parameters, 7.4 MB a wire set) as
-// SchemeNone, two workers on the v1 front door, each step both workers'
+// SchemeNone, two workers on NewServer's session, each step both workers'
 // raw encode, push, the server's raw first add and add, its optimizer
 // sweep writing the raw pull, and the pull's two writes and raw applies.
 // The wires of both directions are spliced into their frames, so past the

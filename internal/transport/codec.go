@@ -1,9 +1,9 @@
 // The frame codec: what a connection's hello negotiated (its addressing,
-// and whether it is v1, plain or resilient) and the two operations every
-// endpoint — ShardServer, ShardClient, the v1 Client — puts frames on and
-// takes frames off the wire with. Stage order is fixed (see the package
-// comment in shard.go): header → body → on a resilient connection the
-// CRC-32C trailer last, so the checksum covers exactly what is on the
+// and whether it is plain or resilient) and the two operations every
+// endpoint — ShardServer, ShardClient, the unplaced Client — puts frames
+// on and takes frames off the wire with. Stage order is fixed (see the
+// package comment in shard.go): header → body → on a resilient connection
+// the CRC-32C trailer last, so the checksum covers exactly what is on the
 // wire. Retired wire values stay reserved (the table below
 // ShardWireVersion).
 package transport
@@ -24,10 +24,7 @@ import (
 // relays, where version 4 pushed their gradient for the server to step — a
 // version-4 server would step an update as if it were a gradient, a
 // version-4 owner's gradient would be relayed as its update. Every other
-// version is refused at the hello. (The v1 layout has no version byte to
-// refuse one by, so v1 seats are sent the shared pull: see session.sendPull;
-// an owner built before version 5 that dials a v1 front door is not refused
-// either.)
+// version is refused at the hello.
 const ShardWireVersion = 5
 
 // Reserved values. Each once named a wire feature that is gone; none may
@@ -38,6 +35,8 @@ const ShardWireVersion = 5
 // four-byte placement hash.
 //
 //	versions ≤ 4   older layouts (see ShardWireVersion)
+//	types 1–3      the v1 layout, a single server's hello, push and pull
+//	               without a shard header (MsgPush, frame.go)
 //	flag 0x01      a job tag addressing one job of a multi-job shard tier
 //	flag 0x02      a Huffman or LZ stage over whole-set bodies, negotiated by
 //	               a fifth hello byte after the placement hash
@@ -99,8 +98,7 @@ func ParseShardHeader(src []byte) (ShardHeader, []byte, error) {
 // what parseFrame hands a receiver. The frame type decides which
 // fields are on the wire: hello — arg (the placement hash); whole-set
 // push/pull — set; a run — body (its entry table, see frames.entry); bye —
-// the header alone. The v1 types (MsgHello/MsgPush/MsgPull) carry the same
-// fields without a header.
+// the header alone.
 type frame struct {
 	t      MsgType
 	worker uint32   // parse only: senders' ids are the codec's
@@ -126,7 +124,7 @@ func isRun(t MsgType) bool {
 // headers carry the worker's id, where pull-side headers carry zero.
 func pushSide(t MsgType) bool {
 	switch t {
-	case MsgPush, MsgShardPush, MsgShardPushRun, MsgShardPushLast, MsgShardBye:
+	case MsgShardPush, MsgShardPushRun, MsgShardPushLast, MsgShardBye:
 		return true
 	}
 	return false
@@ -140,26 +138,10 @@ func pushSide(t MsgType) bool {
 // every header) and may be re-dialed and replayed (FlagResilient on the
 // hello).
 type frameCodec struct {
-	v1        bool   // legacy layout: no header, [worker][step] push, [step] pull
 	shard     uint16 // addressing, fixed for the connection's lifetime
 	worker    uint32
 	resilient bool // trailer on every frame; the client may re-dial and replay
 }
-
-// variant indexes the distinct pull encodings a session may owe its
-// seats in one step: v1, plain v2, or resilient v2 with the trailer. Seats
-// with equal variants receive identical pull bytes.
-func (fc *frameCodec) variant() int {
-	switch {
-	case fc.v1:
-		return 0
-	case fc.resilient:
-		return 2
-	}
-	return 1
-}
-
-const pullVariants = 3
 
 // streamable is the one place the per-tensor pipeline meets recovery: a
 // resilient redial's replay would need the whole tensor sequence staged,
@@ -171,35 +153,15 @@ func (fc *frameCodec) streamable() error {
 	return nil
 }
 
-// putFrame appends f to q as it travels: prefix, then the payload the
-// connection negotiated, its large wires spliced (frames). The result is
-// ready to write as is, alone or behind other frames — a link's queue, a
-// session's cached pull.
+// putFrame appends f to q as it travels: prefix, header, body and, on a
+// resilient connection, the trailer, its large wires spliced (frames). The
+// result is ready to write as is, alone or behind other frames — a link's
+// queue, a session's cached pull.
 //
 //3lc:noalloc
 func (fc *frameCodec) putFrame(q *frames, f frame) error {
 	m := q.mark()
 	q.b = beginFrame(q.b, f.t)
-	fc.putPayload(q, f)
-	return q.endFrame(m)
-}
-
-// putPayload appends what follows f's prefix.
-//
-//3lc:noalloc
-func (fc *frameCodec) putPayload(q *frames, f frame) {
-	if fc.v1 {
-		switch f.t {
-		case MsgHello:
-			q.b = le.AppendUint32(q.b, fc.worker)
-			return
-		case MsgPush:
-			q.b = le.AppendUint32(q.b, fc.worker)
-		}
-		q.b = le.AppendUint32(q.b, f.step)
-		q.wireSet(f.set)
-		return
-	}
 	p := q.mark()
 	q.b = fc.appendHeader(q.b, f.t, f.step)
 	switch {
@@ -211,10 +173,11 @@ func (fc *frameCodec) putPayload(q *frames, f frame) {
 		q.b = append(q.b, f.body...)
 	}
 	fc.seal(q, f.t, p)
+	return q.endFrame(m)
 }
 
-// appendHeader appends the shard header a type-t v2 frame
-// of this connection opens with.
+// appendHeader appends the shard header a type-t frame of this connection
+// opens with.
 //
 //3lc:noalloc
 func (fc *frameCodec) appendHeader(dst []byte, t MsgType, step uint32) []byte {
@@ -256,40 +219,34 @@ func (fc *frameCodec) seal(q *frames, t MsgType, m mark) {
 //3lc:decode
 func (fc *frameCodec) parseFrame(t MsgType, payload []byte, step int, replay bool) (frame, error) {
 	f := frame{t: t, raw: payload}
-	switch {
-	case fc.v1 && t == MsgPush && len(payload) >= 8:
-		f.worker, f.step, f.body = le.Uint32(payload), le.Uint32(payload[4:]), payload[8:]
-	case fc.v1 && t == MsgPull && len(payload) >= 4:
-		f.step, f.body = le.Uint32(payload), payload[4:]
-	case fc.v1 || !(wholeSet(t) || isRun(t) || t == MsgShardBye):
-		return f, fmt.Errorf("transport: unexpected type-%d frame of %d bytes (v1 connection: %v)", t, len(payload), fc.v1)
-	default:
-		if fc.resilient {
-			var err error
-			if payload, err = verifyChecksum(t, payload); err != nil {
-				return f, err
-			}
-		}
-		h, rest, err := ParseShardHeader(payload)
-		if err != nil {
+	if !wholeSet(t) && !isRun(t) && t != MsgShardBye {
+		return f, fmt.Errorf("transport: unexpected type-%d frame of %d bytes", t, len(payload))
+	}
+	if fc.resilient {
+		var err error
+		if payload, err = verifyChecksum(t, payload); err != nil {
 			return f, err
 		}
-		var want byte
-		if fc.resilient {
-			want = FlagChecksum
-		}
-		if h.Flags != want {
-			return f, fmt.Errorf("transport: type-%d frame flags %#x on a connection that negotiated %#x", t, h.Flags, want)
-		}
-		if h.Shard != fc.shard {
-			return f, fmt.Errorf("transport: frame for shard %d on a connection to shard %d", h.Shard, fc.shard)
-		}
-		f.worker, f.step = h.Worker, h.Step
-		if !wholeSet(t) && !isRun(t) && len(rest) != 0 {
-			return f, fmt.Errorf("transport: type-%d frame carries %d trailing bytes", t, len(rest))
-		}
-		f.body = rest
 	}
+	h, rest, err := ParseShardHeader(payload)
+	if err != nil {
+		return f, err
+	}
+	var want byte
+	if fc.resilient {
+		want = FlagChecksum
+	}
+	if h.Flags != want {
+		return f, fmt.Errorf("transport: type-%d frame flags %#x on a connection that negotiated %#x", t, h.Flags, want)
+	}
+	if h.Shard != fc.shard {
+		return f, fmt.Errorf("transport: frame for shard %d on a connection to shard %d", h.Shard, fc.shard)
+	}
+	f.worker, f.step = h.Worker, h.Step
+	if t == MsgShardBye && len(rest) != 0 {
+		return f, fmt.Errorf("transport: type-%d frame carries %d trailing bytes", t, len(rest))
+	}
+	f.body = rest
 	if pushSide(t) && f.worker != fc.worker {
 		return f, fmt.Errorf("transport: push id %d on worker %d's connection", f.worker, fc.worker)
 	}
@@ -300,20 +257,13 @@ func (fc *frameCodec) parseFrame(t MsgType, payload []byte, step int, replay boo
 }
 
 // parseHello turns the first frame of a connection into the codec the
-// rest of it is held to, plus the placement hash the hello vouches for
-// (v1 hellos carry none). What the endpoint makes of the claimed
-// identity is ShardServerConfig.admit's business.
+// rest of it is held to, plus the placement hash the hello vouches for.
+// What the endpoint makes of the claimed identity is
+// ShardServerConfig.admit's business.
 //
 //3lc:decode
 func parseHello(t MsgType, payload []byte) (fc frameCodec, hash uint32, err error) {
-	switch t {
-	case MsgHello:
-		if len(payload) != 4 {
-			return fc, 0, fmt.Errorf("transport: bad v1 hello (%d bytes)", len(payload))
-		}
-		return frameCodec{v1: true, worker: le.Uint32(payload)}, 0, nil
-	case MsgShardHello:
-	default:
+	if t != MsgShardHello {
 		return fc, 0, fmt.Errorf("transport: expected hello, got type %d", t)
 	}
 	if len(payload) >= 2 && payload[1]&FlagChecksum != 0 {

@@ -9,7 +9,7 @@ import "net"
 
 // Dialer opens one transport connection to addr. A nil Dialer means
 // net.Dial("tcp", addr). ShardClientConfig.Dialer and DialTimeoutDialer
-// (the v1 client) accept one; chaos.Injector.Dial satisfies the signature.
+// accept one; chaos.Injector.Dial satisfies the signature.
 type Dialer func(addr string) (net.Conn, error)
 
 // dial applies the hook, defaulting to plain TCP.

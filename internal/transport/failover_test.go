@@ -80,20 +80,62 @@ func TestResilientClientRetriesItsDial(t *testing.T) {
 	}
 }
 
+// TestRetryStreamPerWorkerAndShard: every (worker, shard) connection backs
+// off on its own jitter stream of the one configured policy, so workers
+// that lose a shard together do not redial it in lockstep, and the same
+// pair always draws the same delays.
+func TestRetryStreamPerWorkerAndShard(t *testing.T) {
+	var addrs []string
+	for range 2 {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		addrs = append(addrs, ln.Addr().String()) // the hellos wait in the backlog
+	}
+	asn := shard.ForModel(buildShardModel(), 2)
+	pol := RetryPolicy{Base: 100 * time.Millisecond, Cap: time.Second, Multiplier: 2, Jitter: 0.5, Seed: 7}
+	backoff := func(w int) [2]time.Duration {
+		c, err := DialShardedConfig(addrs, w, asn, ShardClientConfig{Retry: pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		return [2]time.Duration{c.conns[0].policy.Backoff(0), c.conns[1].policy.Backoff(0)}
+	}
+	w0, w1 := backoff(0), backoff(1)
+	if again := backoff(0); again != w0 {
+		t.Errorf("worker 0 backs off by %v, then by %v", w0, again)
+	}
+	if w0[0] == w1[0] || w0[1] == w1[1] {
+		t.Errorf("workers 0 and 1 back off in lockstep: %v and %v", w0, w1)
+	}
+	if w0[0] == w0[1] {
+		t.Errorf("worker 0 backs off from both shards by %v", w0[0])
+	}
+}
+
+// pushPuller is the whole-set exchange Client and ShardClient both offer.
+type pushPuller interface {
+	PushPull(step int, wires [][]byte) ([][]byte, error)
+	Close() error
+}
+
 // TestClientReadDeadlineSurfacesTimeout: a server that accepts a worker
 // and then goes silent must fail the blocked PushPull with a net.Error
-// timeout once the read deadline passes — not hang forever — on the v1
-// client and on the sharded one alike.
+// timeout once the read deadline passes — not hang forever — on an
+// unplaced client (DialTimeoutDialer) and on a sharded one alike.
 func TestClientReadDeadlineSurfacesTimeout(t *testing.T) {
 	to := Timeouts{Read: 100 * time.Millisecond, Write: time.Second}
 	asn := shard.ForModel(buildShardModel(), 1)
 	for _, c := range []struct {
 		name  string
-		dial  func(addr string) (Seat, error)
+		dial  func(addr string) (pushPuller, error)
 		wires [][]byte
 	}{
-		{"v1", func(addr string) (Seat, error) { return DialTimeoutDialer(addr, 0, to, nil) }, [][]byte{{0}}},
-		{"sharded", func(addr string) (Seat, error) {
+		{"unplaced", func(addr string) (pushPuller, error) { return DialTimeoutDialer(addr, 0, to, nil) }, [][]byte{{0}}},
+		{"sharded", func(addr string) (pushPuller, error) {
 			return DialShardedConfig([]string{addr}, 0, asn, ShardClientConfig{Timeouts: to})
 		}, make([][]byte, len(asn.ShardOf))},
 	} {

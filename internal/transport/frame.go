@@ -8,16 +8,15 @@
 //
 // Framing is deliberately simple and allocation-free in steady state:
 //
-//	frame  := [4B LE total payload length][1B type][payload]
-//	hello  := [4B LE workerID]
-//	push   := [4B LE workerID][4B LE step][wire set]
-//	pull   := [4B LE step][wire set]
+//	frame    := [4B LE total payload length][1B type][payload]
 //	wire set := [4B LE tensor count]{[4B LE len][len bytes]}*
 //
-// A zero-length tensor entry encodes a nil wire (a tensor the worker does
-// not push — ps.Pushes — or the local-steps scheme's non-transmitting
-// step). A connection (link, session.go) encodes frames behind their
-// prefixes into one outgoing queue and hands the socket whole flushes.
+// Every payload opens with a shard header (shard.go), whether the tier has
+// one shard or many. A zero-length tensor entry encodes a nil wire (a
+// tensor the worker does not push — ps.Pushes — or the local-steps
+// scheme's non-transmitting step). A connection (link, session.go) encodes
+// frames behind their prefixes into one outgoing queue and hands the
+// socket whole flushes.
 // A flush is one frame either way: the protocol's turn (hello, whole-set
 // push and pull), or a run — every tensor of a stream (streamed push and
 // pull) queued since the last flush, behind one shard header (see
@@ -45,12 +44,10 @@ import (
 // MsgType identifies a frame.
 type MsgType byte
 
-// Frame types.
-const (
-	MsgHello MsgType = iota + 1
-	MsgPush
-	MsgPull
-)
+// MsgPush is type byte 2, reserved (codec.go): no connection sends or
+// accepts it. The name stays only for bench/probes.go's framing probe,
+// until ROADMAP item 1C moves it.
+const MsgPush MsgType = 2
 
 // MaxFrameBytes bounds a single frame (64 MiB) to keep a corrupt or
 // malicious length prefix from exhausting memory.

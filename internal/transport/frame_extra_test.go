@@ -92,7 +92,7 @@ func TestWriteFrameLimitMatchesReadFrame(t *testing.T) {
 func TestFrameReaderReusesScratch(t *testing.T) {
 	var buf bytes.Buffer
 	WriteFrame(&buf, MsgPush, []byte{1, 1, 1, 1})
-	WriteFrame(&buf, MsgPull, []byte{2, 2, 2, 2})
+	WriteFrame(&buf, MsgShardPull, []byte{2, 2, 2, 2})
 	fr := NewFrameReader(&buf)
 	_, first, err := fr.ReadFrame()
 	if err != nil {
@@ -139,24 +139,27 @@ func TestParseWireSetIntoReuse(t *testing.T) {
 	}
 }
 
-// TestRetiredTypeBytesStayReserved: type bytes 7–9 streamed a frame per
-// tensor up to shard wire version 3, and 10 and 11 belonged to the
-// primary→replica forwarding link. None is handed out again — a peer of
-// those generations must be refused, not misread — so the bye keeps 12 and
-// the runs take 13–15; a frame of a reserved type is refused as an
-// unexpected type, and a hello of version 3 or older as an unsupported
-// version.
+// TestRetiredTypeBytesStayReserved: type bytes 1–3 were the v1 layout's
+// hello, push and pull, 7–9 streamed a frame per tensor up to shard wire
+// version 3, and 10 and 11 belonged to the primary→replica forwarding
+// link. None is handed out again — a peer of those generations must be
+// refused, not misread — so hello, push and pull keep 4–6, the bye 12 and
+// the runs 13–15; a frame of a reserved type is refused as an unexpected
+// type, and a hello of version 3 or older as an unsupported version.
 func TestRetiredTypeBytesStayReserved(t *testing.T) {
+	if MsgPush != 2 || MsgShardHello != 4 || MsgShardPush != 5 || MsgShardPull != 6 {
+		t.Fatalf("MsgPush = %d, hello, push, pull %d %d %d, want 2 and 4–6", MsgPush, MsgShardHello, MsgShardPush, MsgShardPull)
+	}
 	if MsgShardBye != 12 || MsgShardPushRun != 13 || MsgShardPushLast != 14 || MsgShardPullRun != 15 {
 		t.Fatalf("MsgShardBye = %d, runs %d %d %d, want 12 and 13–15", MsgShardBye, MsgShardPushRun, MsgShardPushLast, MsgShardPullRun)
 	}
-	for typ := MsgType(7); typ <= 11; typ++ {
+	for _, typ := range []MsgType{1, 2, 3, 7, 8, 9, 10, 11} {
 		_, _, err := parseHello(typ, nil)
 		if want := fmt.Sprintf("transport: expected hello, got type %d", typ); err == nil || err.Error() != want {
 			t.Errorf("type-%d hello: %v, want %q", typ, err, want)
 		}
 		_, err = (&frameCodec{}).parseFrame(typ, AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion}), 0, true)
-		if want := fmt.Sprintf("transport: unexpected type-%d frame of 12 bytes (v1 connection: false)", typ); err == nil || err.Error() != want {
+		if want := fmt.Sprintf("transport: unexpected type-%d frame of 12 bytes", typ); err == nil || err.Error() != want {
 			t.Errorf("type-%d frame: %v, want %q", typ, err, want)
 		}
 	}

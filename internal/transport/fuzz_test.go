@@ -58,7 +58,7 @@ func sealedRetired(fc frameCodec, t MsgType, flag byte) []byte {
 	return q.b
 }
 
-// fuzzTypes are the frame types parseFrame takes on a v2 connection.
+// fuzzTypes are the frame types parseFrame takes after a hello.
 var fuzzTypes = []MsgType{MsgShardPush, MsgShardPull, MsgShardPushRun, MsgShardPushLast,
 	MsgShardPullRun, MsgShardBye}
 
@@ -130,7 +130,7 @@ func fuzzRoundTrip(t *testing.T, sub byte, typ MsgType, body []byte) []byte {
 // connection: no panics, nothing accepted that the connection did not
 // negotiate, no hello accepted whose flags are not 0 or
 // FlagChecksum|FlagResilient — and append∘parse is the identity on every
-// frame type, the property that keeps the v2 wire format stable as it
+// frame type, the property that keeps the shard wire format stable as it
 // evolves behind the version byte. (sub's seeds run 0–3; only its low bit
 // counts.)
 func FuzzShardHeader(f *testing.F) {
@@ -154,7 +154,7 @@ func FuzzShardHeader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, sub, typ byte, data []byte) {
 		fc := fuzzCodec(sub)
 		if fr, err := fc.parseFrame(MsgType(typ), data, 7, true); err == nil {
-			if fr.t >= 7 && fr.t <= 11 {
+			if fr.t <= 3 || fr.t >= 7 && fr.t <= 11 {
 				t.Fatalf("accepted a frame of reserved type %d", fr.t)
 			}
 			if pushSide(fr.t) && fr.worker != fc.worker {
@@ -169,7 +169,7 @@ func FuzzShardHeader(f *testing.F) {
 				t.Fatalf("accepted header %+v (%v) on a connection that negotiated %+v", h, err, fc)
 			}
 		}
-		if hc, _, err := parseHello(MsgType(typ), data); err == nil && !hc.v1 {
+		if hc, _, err := parseHello(MsgType(typ), data); err == nil {
 			if h, _, _ := ParseShardHeader(data); h.Flags != 0 && h.Flags != FlagChecksum|FlagResilient || (h.Flags != 0) != hc.resilient {
 				t.Fatalf("accepted a hello with flags %#x as %+v: want 0 (plain) or %#x (resilient)", h.Flags, hc, FlagChecksum|FlagResilient)
 			}
@@ -257,7 +257,7 @@ func FuzzFrameReader(f *testing.F) {
 	_ = WriteFrame(&seed, MsgPush, []byte("hello world"))
 	_ = WriteFrame(&seed, MsgShardPush, AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion}))
 	f.Add(seed.Bytes())
-	f.Add([]byte{1, 0, 0, 0, byte(MsgHello)})
+	f.Add([]byte{1, 0, 0, 0, 1}) // reserved type 1, the v1 hello
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 1, 2, 3})
 	var retired bytes.Buffer
 	hello, push := retiredEntropyFrames()

@@ -113,22 +113,22 @@ func (c *losesPull) Read(p []byte) (int, error) {
 // TestOwnerIsSentItsView holds every way a pull reaches a worker to
 // ps.Pulls: the owner's seat receives its owner-only slots empty — a zero
 // length in a wire set or in a run's entry — and every other seat receives
-// them full, over the v2 wire, two shards, streamed, and a pull re-answered
-// to a resilient replay. A v1 seat, whose hello has no version byte to
-// refuse an owner built before ps.Pulls by, receives them full, the owner's
-// too. The workers end with bit-identical replicas: the update the owner
-// applies is the one the server relays.
+// them full, over one shard, two shards, streamed, and a pull re-answered
+// to a resilient replay. A NewServer seat, which is offered what a bare
+// StepServer offers, receives them full, the owner's too. The workers end
+// with bit-identical replicas: the update the owner applies is the one the
+// server relays.
 func TestOwnerIsSentItsView(t *testing.T) {
 	const workers, steps = 2, 5
 	for _, c := range []struct {
-		name   string
-		shards int
-		v1     bool
-		stream bool
-		ccfg   ShardClientConfig
-		replay bool // worker 0's first connection to shard 0 loses the pull of step 1
+		name      string
+		shards    int
+		newServer bool
+		stream    bool
+		ccfg      ShardClientConfig
+		replay    bool // worker 0's first connection to shard 0 loses the pull of step 1
 	}{
-		{name: "v1", shards: 1, v1: true},
+		{name: "NewServer", shards: 1, newServer: true},
 		{name: "v2", shards: 1},
 		{name: "2 shards", shards: 2},
 		{name: "streamed", shards: 1, stream: true},
@@ -149,7 +149,7 @@ func TestOwnerIsSentItsView(t *testing.T) {
 				}
 				addrs = append(addrs, ln.Addr().String())
 				var srv interface{ Serve() error }
-				if c.v1 {
+				if c.newServer {
 					srv = NewServer(ln, sub, workers, steps)
 				} else {
 					srv = NewShardServer(ln, sub, ShardServerConfig{Shard: s, NumShards: c.shards, Workers: workers, Steps: steps,
@@ -172,13 +172,10 @@ func TestOwnerIsSentItsView(t *testing.T) {
 					m.CopyParamsFrom(global)
 					wk := ps.NewWorker(w, m, cfg)
 					replicas[w] = wk
-					var cl interface {
-						PushPull(step int, wires [][]byte) ([][]byte, error)
-						Close() error
-					}
+					var cl pushPuller
 					var sc *ShardClient
 					var err error
-					if c.v1 {
+					if c.newServer {
 						cl, err = DialTimeoutDialer(addrs[0], w, Timeouts{}, nil)
 					} else {
 						ccfg := c.ccfg
@@ -250,7 +247,7 @@ func TestOwnerIsSentItsView(t *testing.T) {
 			for w := range workers {
 				for step := range steps {
 					for i, p := range params {
-						n, pulls := sent[w][step][i], ps.Pulls(w, p) || c.v1
+						n, pulls := sent[w][step][i], ps.Pulls(w, p) || c.newServer
 						if pulls == (n == 0) && ps.OwnerOnly(p) {
 							t.Errorf("step %d: worker %d was sent %d bytes of %s (want them: %v)", step, w, n, p.Name, pulls)
 						}

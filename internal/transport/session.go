@@ -97,11 +97,7 @@ func (l *link) open(d Dialer, addr string, hash uint32) error {
 		return fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
 	l.attach(c)
-	hello := MsgShardHello
-	if l.fc.v1 {
-		hello = MsgHello
-	}
-	if err := l.send(frame{t: hello, arg: hash}); err != nil {
+	if err := l.send(frame{t: MsgShardHello, arg: hash}); err != nil {
 		c.Close()
 		return err
 	}
@@ -182,7 +178,7 @@ func (l *link) send(f frame) error {
 }
 
 // write hands the socket q — whole frames, prefixes included: a flush, or
-// a pull some session encoded once for every seat of its variant — under
+// a pull some session encoded once for every seat it is owed by — under
 // one write deadline: however many frames q holds, a peer that stops
 // reading fails it within Timeouts.Write. Frames that splice nothing are
 // one Write of their bytes; otherwise q's segments go out as one
@@ -262,11 +258,9 @@ func acceptSeat(ln net.Listener, to Timeouts) (*seat, uint32, error) {
 // admit holds a parsed hello against the endpoint it arrived at.
 func (cfg *ShardServerConfig) admit(fc *frameCodec, hash uint32) error {
 	switch {
-	case fc.v1 && (cfg.NumShards != 1 || cfg.Shard != 0):
-		return fmt.Errorf("transport: v1 hello on shard %d of %d (the v1 layout addresses a single-shard tier)", cfg.Shard, cfg.NumShards)
 	case int(fc.shard) != cfg.Shard:
 		return fmt.Errorf("transport: hello for shard %d on shard %d", fc.shard, cfg.Shard)
-	case !fc.v1 && hash != cfg.AssignmentHash:
+	case hash != cfg.AssignmentHash:
 		return fmt.Errorf("transport: worker %d placement hash %#x != server %#x (divergent model layout)",
 			fc.worker, hash, cfg.AssignmentHash)
 	case int(fc.worker) >= cfg.Workers:
@@ -297,15 +291,15 @@ type session struct {
 	// pulls are the last finished step's (done) pull sets, valid until the
 	// aggregator's next FinishStep: [0] the shared one, [1] the owner's
 	// (nil: the owner is sent [0]). pullBuf[o][k] is set o's frame for
-	// codec variant k — its large wires spliced, not copied, so it is valid
-	// exactly as long as the pull — built at most once per step
-	// (pullAt[o][k] == done) by the first seat that needs it: during the
-	// broadcast, or later, when a resilient seat that lost the broadcast
-	// replays its push.
+	// plain (k 0) or resilient (k 1) seats — its large wires spliced, not
+	// copied, so it is valid exactly as long as the pull — built at most
+	// once per step (pullAt[o][k] == done) by the first seat that needs it:
+	// during the broadcast, or later, when a resilient seat that lost the
+	// broadcast replays its push.
 	pulls   [2][][]byte
 	done    int
-	pullBuf [2][pullVariants]frames
-	pullAt  [2][pullVariants]int
+	pullBuf [2][2]frames
+	pullAt  [2][2]int
 }
 
 func newSession(agg StepServer, cfg ShardServerConfig, ln net.Listener, tr *traffic) *session {
@@ -482,7 +476,7 @@ func (s *session) pushFrom(w, step int) error {
 }
 
 // readPush consumes one seat's push for step into the aggregator: a
-// single whole-set frame (v2 or v1), or a stream of runs.
+// single whole-set frame, or a stream of runs.
 // On a resilient seat a replay of the PREVIOUS step's push — the worker
 // lost that step's pull and reconnected — is answered from the retained
 // pull and consumed without re-aggregating, the dedupe half of
@@ -497,7 +491,7 @@ func (s *session) readPush(st *seat, step int) error {
 		}
 		n := len(f.raw)
 		switch f.t {
-		case MsgShardPush, MsgPush:
+		case MsgShardPush:
 			if int(f.step) != step {
 				if err := s.sendPull(st); err != nil {
 					return err
@@ -572,17 +566,11 @@ func (s *session) readStream(st *seat, step int, f frame) (int, error) {
 
 // sendPull answers one seat with the pull of the last finished step as its
 // worker is sent it (ps.Pulls: the owner's view to the owner, the shared
-// pull to everyone else): the payload of its codec variant, or — to a seat
-// that pushed streamed — runs, an owner-only slot of the owner's an empty
-// wire. Every tensor exists before the first is sent, so they are queued
+// pull to everyone else): one whole-set frame, or — to a seat that pushed
+// streamed — runs, an owner-only slot of the owner's an empty wire. Every tensor exists before the first is sent, so they are queued
 // into one run, closed and written when flushBytes have gathered and at
 // the end: the worker starts decoding after the first flush, and a shard's
 // pull costs a frame and a write per flushBytes, not per tensor.
-//
-// A v1 seat is sent the shared pull, the owner's too: a v1 hello carries no
-// version byte (ShardWireVersion), so an owner built before ps.Pulls, which
-// would add the empty wire as zero and keep its stale batch-norm weights,
-// could not be refused at it. The owner decodes the full slots as ever.
 //
 //3lc:noalloc
 func (s *session) sendPull(st *seat) error {
@@ -590,7 +578,7 @@ func (s *session) sendPull(st *seat) error {
 		return fmt.Errorf("transport: shard %d: no finished step to answer worker %d from", s.cfg.Shard, st.id)
 	}
 	o := 0
-	if st.id == ps.Owner && s.pulls[1] != nil && !st.fc.v1 {
+	if st.id == ps.Owner && s.pulls[1] != nil {
 		o = 1
 	}
 	sent := 0
@@ -611,14 +599,14 @@ func (s *session) sendPull(st *seat) error {
 			}
 		}
 	} else {
-		t, k := MsgShardPull, st.fc.variant()
-		if st.fc.v1 {
-			t = MsgPull
+		k := 0
+		if st.fc.resilient {
+			k = 1
 		}
 		q := &s.pullBuf[o][k]
 		if s.pullAt[o][k] != s.done {
 			q.reset()
-			if err := st.fc.putFrame(q, frame{t: t, step: uint32(s.done), set: s.pulls[o]}); err != nil {
+			if err := st.fc.putFrame(q, frame{t: MsgShardPull, step: uint32(s.done), set: s.pulls[o]}); err != nil {
 				return fmt.Errorf("transport: shard %d step %d pull: %w", s.cfg.Shard, s.done, err)
 			}
 			s.pullAt[o][k] = s.done

@@ -1,13 +1,13 @@
-// Sharded transport (wire format v2): workers hold one connection per
-// parameter-server shard and push/pull against all shards concurrently.
-// The v2 frames carry a versioned shard-aware header; the v1 frame types
-// (MsgHello/MsgPush/MsgPull) are untouched and served by the same session
-// engine as its degenerate case — one shard, nothing negotiated.
+// The shard wire: workers hold one connection per parameter-server shard
+// and push/pull against all shards concurrently. Every frame carries a
+// versioned shard-aware header. A single server (NewServer) is the
+// one-shard case, dialed by unplaced clients (DialTimeoutDialer): shard 0,
+// placement hash 0.
 //
 //	shard header := [1B version=5][1B flags][2B LE shard][4B LE worker][4B LE step]
-//	hello2       := header (step = 0) [4B LE assignment hash]
-//	push2        := header [wire set]
-//	pull2        := header (worker = 0) [wire set]
+//	hello        := header (step = 0) [4B LE assignment hash]
+//	push         := header [wire set]
+//	pull         := header (worker = 0) [wire set]
 //
 // (ShardWireVersion counts generations of this layout: 3 since the owner
 // is sent the empty wire in its owner-only slots, ps.Pulls; 4 since a
@@ -62,8 +62,7 @@ import (
 	"threelc/internal/shard"
 )
 
-// Sharded (v2) frame types. The numbering continues the v1 space so a
-// receiver can tell the generations apart from the type byte alone.
+// Frame types. Type bytes 1–3 are reserved (codec.go).
 const (
 	MsgShardHello MsgType = iota + 4
 	MsgShardPush
@@ -99,10 +98,8 @@ const (
 type ShardServerConfig struct {
 	// Shard is this server's shard id.
 	Shard int
-	// NumShards is the deployment's total shard count. When it is 1 (and
-	// Shard is 0), the server also accepts v1 clients: a legacy hello
-	// takes a seat like any other and its worker is answered with v1 pull
-	// frames.
+	// NumShards is the deployment's total shard count. The server reads
+	// nothing from it: the placement hash a hello vouches for covers it.
 	NumShards int
 	// Workers is the number of workers to accept.
 	Workers int
@@ -145,10 +142,16 @@ type ShardServer struct {
 // seats may do: *ps.Job takes per-tensor pushes and sends the owner its
 // view of the pull.
 func NewShardServer(ln net.Listener, agg StepServer, cfg ShardServerConfig) *ShardServer {
-	if cfg.NumShards < 1 {
-		cfg.NumShards = 1
-	}
 	return &ShardServer{agg: agg, cfg: cfg, ln: ln}
+}
+
+// NewServer serves agg to `workers` unplaced clients (DialTimeoutDialer)
+// for `steps` steps on ln: a one-shard ShardServer whose placement hash is
+// 0. It offers its seats what a StepServer alone offers, whatever else agg
+// implements: whole-set pushes only, and the shared pull to every seat,
+// the owner's too. So the bytes it moves do not depend on agg's surface.
+func NewServer(ln net.Listener, agg StepServer, workers, steps int) *ShardServer {
+	return NewShardServer(ln, struct{ StepServer }{agg}, ShardServerConfig{NumShards: 1, Workers: workers, Steps: steps})
 }
 
 // Serve seats the configured workers, runs their session for cfg.Steps
@@ -203,11 +206,10 @@ type ShardClient struct {
 }
 
 type shardConn struct {
-	link
-	addr      string      // the shard's address, the resilient reconnect target
-	policy    RetryPolicy // per-shard decorrelated backoff stream
-	pullWires [][]byte
-	dirty     bool // streamed push: tensors routed here since the last flush mark
+	Client
+	addr   string      // the shard's address, the resilient reconnect target
+	policy RetryPolicy // per-worker, per-shard decorrelated backoff stream
+	dirty  bool        // streamed push: tensors routed here since the last flush mark
 	// seen[k] marks shard-local tensor k of a streamed step: pushed, while
 	// PushPullStream routes the caller's tensors; then, cleared, pulled.
 	seen []bool
@@ -216,9 +218,11 @@ type shardConn struct {
 // DialShardedConfig connects to every shard of the tier (addrs[s] is shard
 // s's address) and registers as workerID, on plain or resilient
 // connections with I/O deadlines (see ShardClientConfig); a resilient
-// client dials each shard under its retry stream. The placement asn must
-// be the one the server tier was built with — typically shard.ForModel on
-// the worker's model replica; its hash is verified during the handshake.
+// client dials each shard under its retry stream, one per (worker, shard)
+// pair, so workers that lose a shard together do not redial in lockstep.
+// The placement asn must be the one the server tier was built with —
+// typically shard.ForModel on the worker's model replica; its hash is
+// verified during the handshake.
 func DialShardedConfig(addrs []string, workerID int, asn shard.Assignment, ccfg ShardClientConfig) (*ShardClient, error) {
 	if len(addrs) != asn.NumShards {
 		return nil, fmt.Errorf("transport: %d shard addresses for %d shards", len(addrs), asn.NumShards)
@@ -241,8 +245,8 @@ func DialShardedConfig(addrs []string, workerID int, asn shard.Assignment, ccfg 
 		}
 	}
 	for s, addr := range addrs {
-		sc := &shardConn{link: link{to: ccfg.Timeouts, fc: fc}, addr: addr, policy: ccfg.Retry.Stream(uint64(s)),
-			seen: make([]bool, len(c.idx[s]))}
+		sc := &shardConn{Client: Client{link: link{to: ccfg.Timeouts, fc: fc}}, addr: addr,
+			policy: ccfg.Retry.Stream(uint64(workerID)<<32 | uint64(s)), seen: make([]bool, len(c.idx[s]))}
 		sc.fc.shard = uint16(s)
 		if err := c.retry(sc, nil); err != nil {
 			c.Close() // closes what was dialed
@@ -331,7 +335,8 @@ func (c *ShardClient) pushPullShard(step, s int, sc *shardConn, wires [][]byte) 
 	return c.retry(sc, func() error { return c.tryPushPull(step, s, sc, wires) })
 }
 
-// tryPushPull is one push/pull attempt on the current connection.
+// tryPushPull is one push/pull attempt on the current connection: the
+// shard's slice of wires, one Client round trip.
 //
 //3lc:noalloc
 func (c *ShardClient) tryPushPull(step, s int, sc *shardConn, wires [][]byte) error {
@@ -339,17 +344,7 @@ func (c *ShardClient) tryPushPull(step, s int, sc *shardConn, wires [][]byte) er
 	for k, gi := range c.idx[s] {
 		sub[k] = wires[gi]
 	}
-	if err := sc.send(frame{t: MsgShardPush, step: uint32(step), set: sub}); err != nil {
-		return fmt.Errorf("transport: shard %d push step %d: %w", s, step, err)
-	}
-	f, err := sc.read(step, false)
-	if err != nil {
-		return fmt.Errorf("transport: shard %d pull step %d: %w", s, step, err)
-	}
-	if f.t != MsgShardPull {
-		return fmt.Errorf("transport: shard %d: expected pull, got type %d", s, f.t)
-	}
-	sc.pullWires, _, err = ParseWireSetInto(sc.pullWires, f.body)
+	_, err := sc.PushPull(step, sub)
 	return err
 }
 

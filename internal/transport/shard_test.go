@@ -366,54 +366,42 @@ func TestStreamedPushRejectsMalformedStream(t *testing.T) {
 	})
 }
 
-// TestShardServerAcceptsLegacyV1Client pins backward compatibility: a
-// 1-shard ShardServer speaks the v1 wire format with an old Client.
-func TestShardServerAcceptsLegacyV1Client(t *testing.T) {
-	const workers, steps = 2, 2
-	cfg := shardTestConfig(workers, steps)
+// TestV1HelloRefused: a connection that opens with the retired v1 hello,
+// [type 1][4B LE worker], is refused by the generic hello check — at a
+// NewServer and at a one-shard NewShardServer alike — and takes no seat.
+func TestV1HelloRefused(t *testing.T) {
+	cfg := shardTestConfig(1, 1)
 	global := buildShardModel()
 	asn := shard.ForModel(global, 1)
-	subs := mustSubServers(t, global, cfg, asn)
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewShardServer(ln, subs[0], ShardServerConfig{
-		Shard: 0, NumShards: 1, Workers: workers, Steps: steps, AssignmentHash: asn.Hash(),
-	})
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve() }()
-
-	done := make(chan struct{}, workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer func() { done <- struct{}{} }()
-			cl, err := DialTimeoutDialer(ln.Addr().String(), w, Timeouts{}, nil) // v1 client
+	for name, serve := range map[string]func(net.Listener) *ShardServer{
+		"NewServer": func(ln net.Listener) *ShardServer { return NewServer(ln, ps.NewJob(global, cfg), 1, 1) },
+		"NewShardServer": func(ln net.Listener) *ShardServer {
+			return NewShardServer(ln, mustSubServers(t, global, cfg, asn)[0],
+				ShardServerConfig{NumShards: 1, Workers: 1, Steps: 1, AssignmentHash: asn.Hash()})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
-				t.Errorf("worker %d dial: %v", w, err)
-				return
+				t.Fatal(err)
 			}
-			defer cl.Close()
-			driveWorker(t, w, steps, cfg, global, cl.PushPull)
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	if err := <-serveErr; err != nil {
-		t.Fatalf("serve: %v", err)
-	}
-
-	want := referenceWeights(t, workers, steps)
-	var got []float32
-	for _, p := range global.Params() {
-		got = append(got, p.W.Data()...)
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("weight %d differs via legacy client: %v vs %v", i, want[i], got[i])
-		}
+			defer ln.Close()
+			served := make(chan error, 1)
+			go func() { served <- serve(ln).Serve() }()
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteFrame(conn, MsgType(1), le.AppendUint32(nil, 0)); err != nil {
+				t.Fatal(err)
+			}
+			// A seated connection would be read for its push next, and fail
+			// on the hang-up instead.
+			conn.Close()
+			if err := <-served; err == nil || !strings.Contains(err.Error(), "expected hello, got type 1") {
+				t.Errorf("Serve = %v, want the v1 hello refused as an unexpected type", err)
+			}
+		})
 	}
 }
 
@@ -434,53 +422,60 @@ func (c tapConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestLegacyWireSameThroughBothFrontDoors pins the lan-f32 wire: a
-// 3-step raw-float32 v1 run puts identical bytes on the socket, both
-// directions, whether the front door is NewServer or a 1-shard
-// NewShardServer — the two are one session engine, and a v1 client must
-// not be able to tell.
-func TestLegacyWireSameThroughBothFrontDoors(t *testing.T) {
-	const steps = 3
-	cfg := shardTestConfig(1, steps)
-	cfg.Scheme, cfg.Opts = compress.SchemeNone, compress.Options{}
-	run := func(serve func(net.Listener, *ps.Job) func() error) (in, out []byte) {
+// TestNewServerBytesIgnoreAggregatorSurface: what NewServer puts on the
+// sockets, both directions and every worker's, is the same whether its
+// aggregator is a *ps.Job — which offers the owner its view of the pull
+// and per-tensor pushes — or the job behind a bare StepServer, which
+// offers neither. So an aggregator wrapped to time or trace it (as a
+// benchmark's traced pass does) moves the bytes of the one it wraps.
+func TestNewServerBytesIgnoreAggregatorSurface(t *testing.T) {
+	const workers, steps = 2, 3
+	cfg := shardTestConfig(workers, steps)
+	run := func(wrap func(*ps.Job) StepServer) (in, out [workers]bytes.Buffer) {
 		global := buildShardModel()
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		serveErr := make(chan error, 1)
-		srv := serve(ln, ps.NewJob(global, cfg))
-		go func() { serveErr <- srv() }()
-		var rx, tx bytes.Buffer
-		cl, err := DialTimeoutDialer(ln.Addr().String(), 0, Timeouts{}, func(addr string) (net.Conn, error) {
-			c, err := net.Dial("tcp", addr)
-			return tapConn{c, &rx, &tx}, err
-		})
-		if err != nil {
-			t.Fatal(err)
+		srv := NewServer(ln, wrap(ps.NewJob(global, cfg)), workers, steps)
+		go func() { serveErr <- srv.Serve() }()
+		done := make(chan struct{}, workers)
+		for w := range workers {
+			go func() {
+				defer func() { done <- struct{}{} }()
+				cl, err := DialTimeoutDialer(ln.Addr().String(), w, Timeouts{}, func(addr string) (net.Conn, error) {
+					c, err := net.Dial("tcp", addr)
+					return tapConn{c, &in[w], &out[w]}, err
+				})
+				if err != nil {
+					t.Errorf("worker %d dial: %v", w, err)
+					return
+				}
+				defer cl.Close()
+				driveWorker(t, w, steps, cfg, global, cl.PushPull)
+			}()
 		}
-		driveWorker(t, 0, steps, cfg, global, cl.PushPull)
-		cl.Close()
+		for range workers {
+			<-done
+		}
 		if err := <-serveErr; err != nil {
 			t.Fatalf("serve: %v", err)
 		}
-		return rx.Bytes(), tx.Bytes()
+		return in, out
 	}
-	in1, out1 := run(func(ln net.Listener, job *ps.Job) func() error {
-		return NewServer(ln, job, 1, steps).Serve
-	})
-	in2, out2 := run(func(ln net.Listener, job *ps.Job) func() error {
-		return NewShardServer(ln, job, ShardServerConfig{NumShards: 1, Workers: 1, Steps: steps}).Serve
-	})
-	if len(out1) == 0 || len(in1) == 0 {
-		t.Fatal("tap recorded no traffic")
-	}
-	if !bytes.Equal(out1, out2) {
-		t.Errorf("client->server bytes differ: %d via NewServer, %d via NewShardServer", len(out1), len(out2))
-	}
-	if !bytes.Equal(in1, in2) {
-		t.Errorf("server->client bytes differ: %d via NewServer, %d via NewShardServer", len(in1), len(in2))
+	in1, out1 := run(func(job *ps.Job) StepServer { return job })
+	in2, out2 := run(func(job *ps.Job) StepServer { return struct{ StepServer }{job} })
+	for w := range workers {
+		if out1[w].Len() == 0 || in1[w].Len() == 0 {
+			t.Fatalf("worker %d: tap recorded no traffic", w)
+		}
+		if !bytes.Equal(out1[w].Bytes(), out2[w].Bytes()) {
+			t.Errorf("worker %d: client->server bytes differ: %d for a *ps.Job, %d for a StepServer", w, out1[w].Len(), out2[w].Len())
+		}
+		if !bytes.Equal(in1[w].Bytes(), in2[w].Bytes()) {
+			t.Errorf("worker %d: server->client bytes differ: %d for a *ps.Job, %d for a StepServer", w, in1[w].Len(), in2[w].Len())
+		}
 	}
 }
 
@@ -595,7 +590,7 @@ func TestShardTierThroughputScalesWithShards(t *testing.T) {
 			})
 			go func() { served <- srv.Serve() }()
 		}
-		tier, err := DialTier(workers, false, func(w int) (Seat, error) { return DialShardedConfig(addrs, w, asn, ShardClientConfig{}) })
+		tier, err := DialTier(workers, false, func(w int) (*ShardClient, error) { return DialShardedConfig(addrs, w, asn, ShardClientConfig{}) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,9 +31,8 @@ func (fc *frameCodec) appendFrame(dst []byte, f frame) ([]byte, error) {
 
 // appendPayload appends what follows f's prefix to dst, every wire copied.
 func (fc *frameCodec) appendPayload(dst []byte, f frame) []byte {
-	q := frames{b: dst, flat: true}
-	fc.putPayload(&q, f)
-	return q.b
+	b, _ := fc.appendFrame(nil, f)
+	return append(dst, b[frameHeaderLen:]...)
 }
 
 // socketBytes is what a link hands the socket for q: its segments, in
@@ -58,8 +57,8 @@ func (c *recordConn) Write(p []byte) (int, error) { return c.got.Write(p) }
 var spliceSizes = []int{0, 1, flushBytes - 1, flushBytes, flushBytes + 1, 0, 3*flushBytes + 5, 2}
 
 // TestSplicedFramesMatchCopied holds every frame shape a wire can be
-// spliced into to the copied encoding: v1 push and pull, v2 whole-set push
-// and pull, plain and resilient (checksummed), and runs whose entries sit at
+// spliced into to the copied encoding: whole-set push and pull, plain and
+// resilient (checksummed), and runs whose entries sit at
 // flushBytes − 1, flushBytes and flushBytes + 1, with empty wires and
 // several spliced wires in one frame. For each, the bytes the socket is
 // handed equal appendFrame's, FrameReader parses them back into the wires
@@ -75,7 +74,6 @@ func TestSplicedFramesMatchCopied(t *testing.T) {
 			wires[i][j] = byte(rng.Intn(256))
 		}
 	}
-	v1 := frameCodec{v1: true, worker: 2}
 	plain := frameCodec{shard: 3, worker: 2}
 	summed := frameCodec{shard: 3, worker: 2, resilient: true}
 	for _, c := range []struct {
@@ -83,8 +81,6 @@ func TestSplicedFramesMatchCopied(t *testing.T) {
 		fc   frameCodec
 		f    frame
 	}{
-		{"v1 push", v1, frame{t: MsgPush, step: 7, set: wires}},
-		{"v1 pull", v1, frame{t: MsgPull, step: 7, set: wires}},
 		{"v2 push", plain, frame{t: MsgShardPush, step: 7, set: wires}},
 		{"v2 pull", plain, frame{t: MsgShardPull, step: 7, set: wires}},
 		{"v2 push, checksummed", summed, frame{t: MsgShardPush, step: 7, set: wires}},
@@ -171,27 +167,21 @@ func TestSplicedFramesMatchCopied(t *testing.T) {
 		// Never read or written: the refusal comes first.
 		half := make([]byte, MaxFrameBytes/2)
 		set := [][]byte{half, half}
-		for _, fc := range []frameCodec{v1, plain} {
+		for _, fc := range []frameCodec{plain, summed} {
 			rec := &recordConn{}
 			cc := &countConn{Conn: rec}
 			l := &link{fc: fc}
 			l.attach(cc)
-			t0 := MsgShardPush
-			if fc.v1 {
-				t0 = MsgPush
+			if err := l.send(frame{t: MsgShardPush, step: 7, set: set}); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+				t.Errorf("resilient %v: a %d-byte wire set sent: %v", fc.resilient, 2*len(half), err)
 			}
-			if err := l.send(frame{t: t0, step: 7, set: set}); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
-				t.Errorf("v1 %v: a %d-byte wire set sent: %v", fc.v1, 2*len(half), err)
-			}
-			if !fc.v1 {
-				l.entry(MsgShardPushRun, 7, 0, half)
-				l.entry(MsgShardPushRun, 7, 1, half)
-				if err := l.flush(); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
-					t.Errorf("a %d-byte run flushed: %v", 2*len(half), err)
-				}
+			l.entry(MsgShardPushRun, 7, 0, half)
+			l.entry(MsgShardPushRun, 7, 1, half)
+			if err := l.flush(); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+				t.Errorf("resilient %v: a %d-byte run flushed: %v", fc.resilient, 2*len(half), err)
 			}
 			if d := cc.snap(); d.writes != 0 || l.out.len() != 0 {
-				t.Errorf("v1 %v: %d writes, %d bytes left queued after the refusals, want none", fc.v1, d.writes, l.out.len())
+				t.Errorf("resilient %v: %d writes, %d bytes left queued after the refusals, want none", fc.resilient, d.writes, l.out.len())
 			}
 		}
 	})
@@ -200,9 +190,10 @@ func TestSplicedFramesMatchCopied(t *testing.T) {
 		// A head of 128 × 160 weights is an 80 KiB raw wire, spliced both ways.
 		x := newF32Exchange(t, func() *nn.Model { return nn.NewMLP(128, nil, 160, 1) }, 1, 1)
 		wires, _ := x.workers[0].CompressGrads()
-		push, _ := v1.appendFrame(nil, frame{t: MsgPush, set: wires})
+		fc := x.clients[0].fc
+		push, _ := fc.appendFrame(nil, frame{t: MsgShardPush, set: wires})
 		x.exchange(t)
-		pull, _ := v1.appendFrame(nil, frame{t: MsgPull, set: x.clients[0].pullWires})
+		pull, _ := fc.appendFrame(nil, frame{t: MsgShardPull, set: x.clients[0].pullWires})
 		if err := x.close(); err != nil {
 			t.Fatal(err)
 		}
@@ -217,10 +208,10 @@ func TestSplicedFramesMatchCopied(t *testing.T) {
 	})
 }
 
-// f32Exchange is the lan-f32 shape over loopback TCP: workers, each a v1
-// Client driven by its own goroutine, exchange SchemeNone wires with a
-// session — what NewServer serves, held where a test can see it once it
-// has run its steps.
+// f32Exchange is the lan-f32 shape over loopback TCP: workers, each an
+// unplaced Client driven by its own goroutine, exchange SchemeNone wires
+// with a session — what NewServer serves, held where a test can see it
+// once it has run its steps.
 type f32Exchange struct {
 	ss      *session
 	tr      traffic
@@ -232,7 +223,7 @@ type f32Exchange struct {
 	step    int
 }
 
-// newF32Exchange seats workers v1 clients of a session that runs steps
+// newF32Exchange seats workers unplaced clients of a session that runs steps
 // steps of a ps.Job over build's model, each worker's gradients filled
 // once with N(0, 0.01²).
 func newF32Exchange(t testing.TB, build func() *nn.Model, workers, steps int) *f32Exchange {
@@ -246,7 +237,7 @@ func newF32Exchange(t testing.TB, build func() *nn.Model, workers, steps int) *f
 	}
 	t.Cleanup(func() { ln.Close() })
 	x := &f32Exchange{served: make(chan error, 1), done: make(chan error, workers)}
-	x.ss = newSession(ps.NewJob(global, cfg), ShardServerConfig{NumShards: 1, Workers: workers, Steps: steps}, ln, &x.tr)
+	x.ss = newSession(struct{ StepServer }{ps.NewJob(global, cfg)}, ShardServerConfig{NumShards: 1, Workers: workers, Steps: steps}, ln, &x.tr)
 	go func() {
 		err := x.ss.fill()
 		if err == nil {
@@ -311,7 +302,7 @@ func (x *f32Exchange) close() error {
 
 // TestFloat32ExchangeCopiesNothing pins the mechanism behind the float32
 // baseline's exchange: two workers push a 1M-element SchemeNone tensor
-// through the v1 front door and are sent the pull, and no buffer of the
+// through NewServer's session and are sent the pull, and no buffer of the
 // transport holds a copy of it — every client queue and the session's
 // cached pull stay under 2·flushBytes of capacity, because the wires are
 // spliced — at 0 allocations a step once warm (not asserted under the
@@ -343,6 +334,6 @@ func TestFloat32ExchangeCopiesNothing(t *testing.T) {
 		}
 	}
 	if x.ss.pullAt[0][0] != x.step-1 {
-		t.Errorf("the v1 pull was last built at step %d, want %d", x.ss.pullAt[0][0], x.step-1)
+		t.Errorf("the plain pull was last built at step %d, want %d", x.ss.pullAt[0][0], x.step-1)
 	}
 }

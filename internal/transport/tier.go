@@ -9,17 +9,10 @@ import (
 	"threelc/internal/ps"
 )
 
-// Seat is one worker's dialed place on a serving tier: a *Client on the v1
-// front door, a *ShardClient on a shard tier.
-type Seat interface {
-	PushPull(step int, wires [][]byte) ([][]byte, error)
-	Close() error
-}
-
 // DialedTier is the ps.Tier whose aggregation runs behind connections: W
-// seats, each a worker's own Client or ShardClient. A session copies seat
-// w's wires aside (whole-set tier) or hands each to seat w's connections as
-// it is fed (streamed tier), and FinishStep returns the pull seat 0
+// seats, each a worker's own ShardClient. A session copies seat w's wires
+// aside (whole-set tier) or hands each to seat w's connections as it is
+// fed (streamed tier), and FinishStep returns the pull seat 0
 // receives. Seat 0 is the owner (ps.Owner), so that is the owner's view of
 // the pull (ps.Pulls) wherever the servers send one: its owner-only slots
 // are empty, the other seats are sent them full, and a driver completes it
@@ -56,7 +49,7 @@ var _ ps.Tier = (*DialedTier)(nil)
 // tier) or copies aside until End (whole-set tier).
 type dialedSeat struct {
 	t    *DialedTier
-	conn Seat
+	conn *ShardClient
 	open bool               // BeginPush ran this step
 	ch   chan<- IndexedWire // the open session
 	done chan struct{}      // closed when the latest session's round trip has finished
@@ -70,9 +63,9 @@ type dialedSeat struct {
 // DialTier dials `seats` seats — dial(w) opens seat w, under whatever id,
 // address and client configuration the topology gives it — and returns the
 // tier over them; a failed dial closes the seats already open. A streamed
-// tier sends per-tensor frames (PushPullStream), so its seats must be
-// ShardClients; a whole-set tier makes one PushPull round trip a seat a step.
-func DialTier(seats int, stream bool, dial func(seat int) (Seat, error)) (*DialedTier, error) {
+// tier sends runs (PushPullStream); a whole-set tier makes one PushPull
+// round trip a seat a step.
+func DialTier(seats int, stream bool, dial func(seat int) (*ShardClient, error)) (*DialedTier, error) {
 	if seats < 1 {
 		return nil, fmt.Errorf("transport: a dialed tier needs at least 1 seat, got %d", seats)
 	}
@@ -84,17 +77,9 @@ func DialTier(seats int, stream bool, dial func(seat int) (Seat, error)) (*Diale
 			return nil, fmt.Errorf("transport: dial seat %d: %w", w, err)
 		}
 		t.seats = append(t.seats, &dialedSeat{t: t, conn: conn})
-		if !stream {
-			continue
-		}
-		sc, ok := conn.(*ShardClient)
-		if !ok {
-			t.Close()
-			return nil, fmt.Errorf("transport: a streamed tier needs ShardClient seats, seat %d is a %T", w, conn)
-		}
-		if w == 0 {
-			t.seats[0].pull = make([][]byte, len(sc.asn.ShardOf))
-		}
+	}
+	if stream {
+		t.seats[0].pull = make([][]byte, len(t.seats[0].conn.asn.ShardOf))
 	}
 	return t, nil
 }
@@ -104,12 +89,7 @@ func DialTier(seats int, stream bool, dial func(seat int) (Seat, error)) (*Diale
 func (t *DialedTier) Seats() int { return len(t.seats) }
 
 // NumShards returns how many shard servers each seat is connected to.
-func (t *DialedTier) NumShards() int {
-	if sc, ok := t.seats[0].conn.(*ShardClient); ok {
-		return len(sc.conns)
-	}
-	return 1
-}
+func (t *DialedTier) NumShards() int { return len(t.seats[0].conn.conns) }
 
 // fail records the tier's first failure and wakes FinishStep.
 func (t *DialedTier) fail(err error) {
@@ -132,9 +112,8 @@ func (t *DialedTier) BeginPush(worker int) ps.PushSession {
 	// A streamed push is as deep as the model has tensors, so the compressor
 	// never blocks on the wire; a staged one is copied as it is handed over.
 	depth := 0
-	sc, _ := s.conn.(*ShardClient)
 	if t.stream {
-		depth = len(sc.asn.ShardOf)
+		depth = len(s.conn.asn.ShardOf)
 	}
 	ch, prev, done, step := make(chan IndexedWire, depth), s.done, make(chan struct{}), t.step
 	s.open, s.ch, s.done = true, ch, done
@@ -154,7 +133,7 @@ func (t *DialedTier) BeginPush(worker int) ps.PushSession {
 		default:
 		}
 		if t.stream {
-			err = sc.PushPullStream(step, ch, s.pulled)
+			err = s.conn.PushPullStream(step, ch, s.pulled)
 		} else {
 			err = s.pushPullStaged(step, ch)
 		}

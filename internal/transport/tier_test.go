@@ -1,26 +1,35 @@
 package transport
 
 import (
+	"errors"
+	"io"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"threelc/internal/ps"
+	"threelc/internal/shard"
 )
 
-// dialTestTier serves a fresh job to `seats` v1 clients for `steps` steps
-// and returns the tier dialed to it and the channel with Serve's result.
+// dialTestTier serves a fresh job on one shard to `seats` seats for `steps`
+// steps and returns the tier dialed to it and the channel with Serve's
+// result.
 func dialTestTier(t *testing.T, seats, steps int) (*DialedTier, <-chan error) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(ln, ps.NewJob(buildShardModel(), shardTestConfig(seats, steps)), seats, steps)
+	global := buildShardModel()
+	asn := shard.ForModel(global, 1)
+	srv := NewShardServer(ln, ps.NewJob(global, shardTestConfig(seats, steps)),
+		ShardServerConfig{NumShards: 1, Workers: seats, Steps: steps, AssignmentHash: asn.Hash()})
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve() }()
-	tier, err := DialTier(seats, false, func(w int) (Seat, error) { return DialTimeoutDialer(ln.Addr().String(), w, Timeouts{}, nil) })
+	tier, err := DialTier(seats, false, func(w int) (*ShardClient, error) {
+		return DialShardedConfig([]string{ln.Addr().String()}, w, asn, ShardClientConfig{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,19 +100,39 @@ func TestDialedTierHoldsNoState(t *testing.T) {
 	<-served
 }
 
-// TestDialTierStreamNeedsShardClients: a v1 client has no per-tensor
-// frames, and a seat that fails to dial closes the ones before it.
-func TestDialTierStreamNeedsShardClients(t *testing.T) {
+// TestDialTierClosesOpenSeatsOnFailure: a tier needs a seat, and a seat
+// that fails to dial closes the ones dialed before it.
+func TestDialTierClosesOpenSeatsOnFailure(t *testing.T) {
+	if _, err := DialTier(0, false, nil); err == nil {
+		t.Error("a tier of no seats was dialed")
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	_, err = DialTier(1, true, func(w int) (Seat, error) { return DialTimeoutDialer(ln.Addr().String(), w, Timeouts{}, nil) })
-	if err == nil || !strings.Contains(err.Error(), "ShardClient") {
-		t.Errorf("streamed tier over a v1 client: %v", err)
+	asn := shard.ForModel(buildShardModel(), 1)
+	hungUp := make(chan error, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err == nil {
+			defer c.Close()
+			_, err = io.Copy(io.Discard, c) // the hello, then the hang-up
+		}
+		hungUp <- err
+	}()
+	_, err = DialTier(2, false, func(w int) (*ShardClient, error) {
+		if w == 1 {
+			return nil, errors.New("no route")
+		}
+		return DialShardedConfig([]string{ln.Addr().String()}, w, asn, ShardClientConfig{})
+	})
+	if err == nil || !strings.Contains(err.Error(), "dial seat 1: no route") {
+		t.Errorf("DialTier = %v, want seat 1's dial failure", err)
 	}
-	if _, err := DialTier(0, false, nil); err == nil {
-		t.Error("a tier of no seats was dialed")
-	}
+	within(t, "seat 0's hang-up", func() {
+		if err := <-hungUp; err != nil {
+			t.Errorf("seat 0's connection: %v", err)
+		}
+	})
 }

@@ -31,14 +31,14 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, MsgHello, nil); err != nil {
+	if err := WriteFrame(&buf, MsgShardBye, nil); err != nil {
 		t.Fatal(err)
 	}
 	typ, got, err := NewFrameReader(&buf).ReadFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != MsgHello || len(got) != 0 {
+	if typ != MsgShardBye || len(got) != 0 {
 		t.Fatalf("empty frame: type %d, %d bytes", typ, len(got))
 	}
 }

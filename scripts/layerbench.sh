@@ -67,13 +67,11 @@ repeat ps 'SteadyStatePushPull(Clustered)?$' 100x
 # connection, resilient (CRC-32C checksummed) alternated with plain:
 # frame integrity must hold 0 allocs/op at parity with the bare wire
 # (gated), so it is cheap enough to leave on everywhere.
-# ...WireLegacy is the v1 client against NewServer — the plain
-# `3lc-net` and lan-f32 front door — through the same session
-# engine, and ...WireF32 the lan-f32 shape itself through it: the
+# ...WireF32 is the lan-f32 shape through NewServer's session: the
 # 1.85M-parameter MLP as raw float32, two workers, every wire of
 # 64 KiB or more spliced into its frame instead of copied.
 alternate transport 'SteadyStatePushPullWireChecksum$' transport 'SteadyStatePushPullWire$' 100x
-go test -run='^$' -bench 'SteadyStatePushPullWire(Legacy|F32)$' -benchtime 100x -benchmem ./internal/transport/
+go test -run='^$' -bench 'SteadyStatePushPullWireF32$' -benchtime 100x -benchmem ./internal/transport/
 # The per-tensor streamed exchange at the tiny-stream shape (258
 # tensors, 2 workers, 2 shards): reports writes/op (8 with the
 # compressor ahead: a run per worker, shard and direction) and
