@@ -17,7 +17,8 @@ func init() {
 // the kernel package's dispatched raw cores (kernel.AppendRaw, RawAdd,
 // RawFirstAdd) — one streaming pass each, so the baseline every ratio is
 // quoted against costs what its bytes cost; this file only frames them
-// and checks lengths.
+// and checks lengths. A worker's push of its gradient takes no pass at
+// all: RawWireOver frames the gradient's own memory.
 type noneCompressor struct {
 	shape []int
 	n     int
@@ -44,6 +45,25 @@ func (c *noneCompressor) RawWire(dst []byte) (wire, body []byte) {
 	off := len(dst) + 1
 	wire = slices.Grow(append(dst, byte(SchemeNone)), 4*c.n)[:off+4*c.n]
 	return wire, wire[off:]
+}
+
+// RawWireOver returns the float32 wire of frame's last n floats as a view
+// of frame's memory: the scheme byte, written into the byte in front of
+// them, then their little-endian bytes (kernel.RawView) — bit for bit what
+// CompressInto appends for them, without the copy, and always their
+// current values. It returns nil for a nil frame and on a host whose
+// floats are not their wire bytes; there the caller keeps the copying
+// CompressInto. Any other frame must hold at least one float in front of
+// the n. A ps.Worker pushes each float32 gradient tensor this way, over
+// the tensor's nn.Param.GFrame.
+func RawWireOver(frame []float32, n int) []byte {
+	b := kernel.RawView(frame)
+	if b == nil {
+		return nil
+	}
+	wire := b[len(b)-4*n-1:]
+	wire[0] = byte(SchemeNone)
+	return wire
 }
 
 // checkRawLen is the length check every raw decoder runs before it touches

@@ -68,7 +68,10 @@
 // checkpoints — are moved by the four raw cores of raw.go, one streaming
 // pass each; what a compressing run exempts from its codec travels as the
 // bit planes of planes.go, 64 values a block, and lands through the same
-// raw cores.
+// raw cores. A float32 worker's push moves through none of them: RawView,
+// the package's one unsafe function, views a tensor's memory as its raw
+// bytes, which on a little-endian host are its wire as they stand (it
+// returns nil on any other host, whose workers keep the copying put).
 //
 // The inner loops behind these kernels are dispatched through a
 // CPU-feature-selected registry (see dispatch.go) with two tiers per core:

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Raw float32 kernels: tensors as little-endian IEEE-754 bytes, the wire
@@ -28,6 +29,25 @@ func AppendRaw(dst []byte, src []float32) []byte {
 	rawPutCore(dst[off:], src)
 	return dst
 }
+
+// RawView returns f's memory as bytes, 4 a float, on a little-endian
+// host: exactly the bytes AppendRaw appends for f, every bit pattern
+// included, without the copy. On any other host, where a float's memory is
+// not its wire form, and for an empty f it returns nil. It is the
+// package's one use of unsafe. The view aliases f — a write to either
+// shows in the other — and keeps f's allocation alive.
+//
+//3lc:noalloc
+func RawView(f []float32) []byte {
+	if !littleEndian || len(f) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), 4*len(f))
+}
+
+// littleEndian reports that this host stores a float32 least significant
+// byte first, the raw wire's order (RawView).
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // RawGet decodes src, little-endian float32 bytes, into dst: the inverse
 // of AppendRaw, preserving every bit pattern.

@@ -114,6 +114,33 @@ func TestRawKernelsMatchScalar(t *testing.T) {
 	}
 }
 
+// TestRawViewIsAppendRaw: the view of a float slice is, byte for byte,
+// what AppendRaw appends for it — specials included, at every length from
+// 0 to 71 — and it aliases the floats, so a later write shows through. A
+// host that is not little-endian gets nil.
+func TestRawViewIsAppendRaw(t *testing.T) {
+	for n := 0; n <= 71; n++ {
+		vals := make([]float32, n)
+		for i := range vals {
+			vals[i] = math.Float32frombits(rawSpecials[(i+n)%len(rawSpecials)])
+		}
+		view := RawView(vals)
+		if !littleEndian || n == 0 {
+			if view != nil {
+				t.Fatalf("n=%d: RawView returned %d bytes, want nil (little-endian host: %v)", n, len(view), littleEndian)
+			}
+			continue
+		}
+		if want := AppendRaw(nil, vals); !bytes.Equal(view, want) {
+			t.Fatalf("n=%d: view % x, AppendRaw % x", n, view, want)
+		}
+		vals[n-1] = math.Float32frombits(0xffc00001)
+		if got := binary.LittleEndian.Uint32(view[4*n-4:]); got != 0xffc00001 {
+			t.Fatalf("n=%d: a write to the floats reads %#x through the view, want 0xffc00001", n, got)
+		}
+	}
+}
+
 // TestSGDStepRawMatchesDelta: on every tier the sweep into a Raw sink
 // leaves w and v as the sweep into a Delta sink does and writes, one byte
 // into its wire, the bytes AppendRaw makes of that sweep's delta, and

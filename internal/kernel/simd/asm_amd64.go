@@ -179,7 +179,7 @@ func SGDStepRawAsm(w, v, gs []float32, raw []byte, gscale, wd, mom, lr float32) 
 // ever touched by unaligned moves — a payload starts one scheme byte into
 // its wire and is never 4-aligned — which is also where the float/byte
 // reinterpretation lives: behind the stubs' typed pointers, with no
-// package unsafe anywhere. The byte side must hold at least 4·len(floats)
+// package unsafe in this package. The byte side must hold at least 4·len(floats)
 // bytes. All require AVX2; callers gate on Detect().AVX2.
 
 // RawPutAsm writes src to dst as little-endian float32 bytes.

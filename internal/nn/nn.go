@@ -52,11 +52,32 @@ type Param struct {
 	// training pipeline transmits uncompressed, per §5.1.
 	NoCompress bool
 
-	carry bool // G carries state between steps: ZeroGrad leaves it alone
+	carry  bool      // G carries state between steps: ZeroGrad leaves it alone
+	gFrame []float32 // G's allocation: gHeadroom floats, then G's data
 }
 
+// gHeadroom is how many floats newParam allocates in front of each G: one
+// cache line, which keeps G's data as aligned as its allocation and leaves
+// room to put a header in front of G's bytes (Param.GFrame).
+const gHeadroom = 16
+
 func newParam(name string, shape ...int) *Param {
-	return &Param{Name: name, W: tensor.New(shape...), G: tensor.New(shape...)}
+	w := tensor.New(shape...)
+	frame := make([]float32, gHeadroom+w.Len())
+	return &Param{Name: name, W: w, G: tensor.FromSlice(frame[gHeadroom:], shape...), gFrame: frame}
+}
+
+// GFrame returns G's memory with the spare floats newParam allocates in
+// front of it (gHeadroom, a cache line), so a caller can frame G's bytes
+// in place — a ps.Worker's float32 push wire is the last byte of that
+// headroom followed by G — or nil when G is not that memory: a Param built
+// as a literal, or one whose G was replaced.
+func (p *Param) GFrame() []float32 {
+	g := p.G.Data()
+	if len(g) == 0 || len(p.gFrame) != gHeadroom+len(g) || &p.gFrame[gHeadroom] != &g[0] {
+		return nil
+	}
+	return p.gFrame
 }
 
 // CarryGrad marks p's G as carrying state between steps: Model.ZeroGrad

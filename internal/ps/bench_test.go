@@ -255,6 +255,37 @@ func BenchmarkSteadyStatePushPullF32(b *testing.B) {
 	}
 }
 
+// BenchmarkWorkerCompressF32 is the worker side of the float32 baseline
+// at the end-to-end benchmark's lan-f32 shape: CompressGrads on both
+// workers of the 768-1024-1024-10 MLP (1.85M parameters). Each push wire
+// is a view of the replica's G (NewWorker), so an op copies no gradient
+// and allocates nothing; what is left is the owner's step of its
+// batch-norm tensors, whose update it pushes (ps.Pushes).
+func BenchmarkWorkerCompressF32(b *testing.B) {
+	cfg := testConfig(compress.SchemeNone, compress.Options{}, 2)
+	cfg.Parallelism = 1
+	rng := tensor.NewRNG(31)
+	workers := make([]*Worker, cfg.Workers)
+	for id := range workers {
+		m := nn.NewMLP(768, []int{1024, 1024}, 10, 1)
+		for _, p := range m.Params() {
+			tensor.FillNormal(p.G, 0.01, rng)
+		}
+		workers[id] = NewWorker(id, m, cfg)
+	}
+	step := func() {
+		for _, w := range workers {
+			w.CompressGrads()
+		}
+	}
+	step() // converge buffer capacities
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
 func steadyStep(b *testing.B, server *Job, worker *Worker) {
 	b.Helper()
 	wires, _ := worker.CompressGrads()

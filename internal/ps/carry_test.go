@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"threelc/internal/compress"
+	"threelc/internal/kernel"
 	"threelc/internal/nn"
 	"threelc/internal/tensor"
 )
@@ -128,4 +130,91 @@ func firstNonZero(v []float32) int {
 		}
 	}
 	return -1
+}
+
+// TestFloat32PushIsG holds a float32 worker's push wires to G's memory:
+// every tensor the worker pushes as its gradient is pushed as a wire whose
+// body is a view of G, the same memory, and on each of several steps the
+// wire is byte for byte the scheme byte and kernel.AppendRaw of G — through
+// CompressGrads and CompressGradsStream alike, over gradients that carry
+// −0, ±Inf and NaNs with payloads. An owner-only tensor is the owner's
+// update, a wire of its own, and the empty wire on the other worker.
+func TestFloat32PushIsG(t *testing.T) {
+	specials := []uint32{0x80000000, 0x7fc00000, 0xffc00001, 0x7f800001, 0xff800000, 0x00000001}
+	cfg := testConfig(compress.SchemeNone, compress.Options{}, 2)
+	cfg.Parallelism = 1
+	for _, mc := range []struct {
+		name  string
+		build func() *nn.Model
+	}{
+		{"mlp", func() *nn.Model { return nn.NewMLP(48, []int{64, 32}, 10, 3) }},
+		{"microresnet", func() *nn.Model {
+			return nn.NewMicroResNet(nn.MicroResNetConfig{InChannels: 3, ImageSize: 8, StageChannels: []int{4, 8}, BlocksPerStage: 1, Classes: 10, Seed: 3})
+		}},
+	} {
+		for id := range cfg.Workers {
+			t.Run(fmt.Sprintf("%s/worker%d", mc.name, id), func(t *testing.T) {
+				m := mc.build()
+				w := NewWorker(id, m, cfg)
+				rng := tensor.NewRNG(uint64(11 + id))
+				check := func(step int, how string, i int, wire []byte) {
+					t.Helper()
+					p := m.Params()[i]
+					switch {
+					case !Pushes(id, p):
+						if len(wire) != 0 {
+							t.Fatalf("step %d %s: %s, which worker %d does not push, has a %d-byte wire", step, how, p.Name, id, len(wire))
+						}
+					case OwnerOnly(p):
+						if len(wire) > 1 && &wire[1] == &kernel.RawView(p.G.Data())[0] {
+							t.Fatalf("step %d %s: the owner's update of %s is a view of its gradient", step, how, p.Name)
+						}
+					default:
+						g := kernel.RawView(p.G.Data())
+						if len(wire) != 1+len(g) || &wire[1] != &g[0] {
+							t.Fatalf("step %d %s: %s's push wire (%d bytes) does not share G's memory", step, how, p.Name, len(wire))
+						}
+						if want := append([]byte{byte(compress.SchemeNone)}, kernel.AppendRaw(nil, p.G.Data())...); !bytes.Equal(wire, want) {
+							t.Fatalf("step %d %s: %s's push wire differs from the scheme byte and AppendRaw of G", step, how, p.Name)
+						}
+					}
+				}
+				for step := 0; step < 4; step++ {
+					m.ZeroGrad()
+					for _, p := range m.Params() {
+						for j := range p.G.Data() {
+							p.G.Data()[j] = float32(rng.Norm())
+							if j%7 == step {
+								p.G.Data()[j] = math.Float32frombits(specials[(j+step)%len(specials)])
+							}
+						}
+					}
+					wires, _ := w.CompressGrads()
+					for i, wire := range wires {
+						check(step, "CompressGrads", i, wire)
+					}
+					emitted := make([][]byte, len(wires))
+					w.CompressGradsStream(func(i int, wire []byte) { emitted[i] = wire })
+					for i, wire := range emitted {
+						check(step, "CompressGradsStream", i, wire)
+					}
+				}
+			})
+		}
+	}
+
+	// A G replaced after NewWorker is not the memory the wire views: the
+	// push refuses it rather than send the old G's bytes.
+	t.Run("replaced G", func(t *testing.T) {
+		m := nn.NewMLP(48, []int{64, 32}, 10, 3)
+		w := NewWorker(0, m, cfg)
+		p := m.Params()[0]
+		p.G = tensor.New(p.G.Shape()...)
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), p.Name) {
+				t.Fatalf("CompressGrads over a replaced G: recovered %v, want a panic naming %s", r, p.Name)
+			}
+		}()
+		w.CompressGrads()
+	})
 }

@@ -84,6 +84,14 @@
 //	push encode           G's blocks that can quantize; the residual is
 //	                      written back where a digit is not zero
 //
+// Under the float32 design a tensor's push wire is G itself: newParam
+// allocates a cache line of headroom in front of G, its last byte takes
+// the scheme byte (nn.Param.GFrame, compress.RawWireOver), and the wire is
+// that byte followed by G's little-endian bytes, read by the socket write
+// as they stand (TestFloat32PushIsG). The worker's push takes no pass and
+// no buffer of its own; the wire is valid until the replica's next
+// ZeroGrad or backward pass.
+//
 // Server-side, the step is fused end to end: FinishStep's optimizer sweep
 // averages the gradient on the fly, reading only the live blocks of the
 // sum, applies the update, and folds the model delta directly into the pull
@@ -121,8 +129,10 @@
 // still compressing (see Worker.CompressGradsStream and the streamed
 // frames in internal/transport). Per-tensor ingestion in worker order is
 // byte-identical to the whole-set AddPush driver. Wire sets returned by
-// CompressGrads and FinishStep alias recycled buffers — valid until the
-// owner's next step.
+// CompressGrads and FinishStep alias their owner's memory — valid until
+// the owner's next step: FinishStep's and a compressing worker's are
+// recycled buffers, a float32 worker's are views of its replica's G,
+// rewritten by its next ZeroGrad or backward pass.
 //
 // # Jobs and push sessions
 //

@@ -73,3 +73,42 @@ func TestJobSumsIntoModelG(t *testing.T) {
 		})
 	}
 }
+
+// TestFloat32WorkerAllocatesNoWire is the memory guard of a float32
+// worker's pushes: each wire is a view of the replica's G (NewWorker), so
+// NewWorker plus two CompressGrads over the end-to-end benchmark's
+// 1.85M-parameter MLP allocate contexts and bookkeeping of a few kilobytes.
+// A worker that copied G into push wires of its own would allocate 1.125
+// model sizes of them (kernel.AppendRaw's headroom), so the worker's
+// allocations must stay under one.
+func TestFloat32WorkerAllocatesNoWire(t *testing.T) {
+	cfg := testConfig(compress.SchemeNone, compress.Options{}, 2)
+	cfg.Parallelism = 1
+	m := nn.NewMLP(768, []int{1024, 1024}, 10, 1)
+	rng := tensor.NewRNG(7)
+	for _, p := range m.Params() {
+		tensor.FillNormal(p.G, 0.01, rng)
+	}
+	modelBytes := uint64(4 * m.NumParams())
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	w := NewWorker(1, m, cfg)
+	w.CompressGrads()
+	wires, _ := w.CompressGrads()
+	runtime.ReadMemStats(&after)
+
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= modelBytes && !raceDetector {
+		t.Errorf("NewWorker and two CompressGrads allocated %.2f model sizes (%d B), want under 1: the push wires are G's memory", float64(alloc)/float64(modelBytes), alloc)
+	}
+	want := 0
+	for _, p := range m.Params() {
+		if Pushes(w.ID, p) {
+			want += 1 + 4*p.W.Len()
+		}
+	}
+	if got := WireBytes(wires); got != want {
+		t.Errorf("the push is %d bytes, want %d: a scheme byte and 4 bytes a parameter of each tensor worker %d pushes", got, want, w.ID)
+	}
+}

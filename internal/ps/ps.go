@@ -493,13 +493,14 @@ type Worker struct {
 	params    []*nn.Param
 	pushCtx   []compress.Compressor
 	preAcc    []compress.PreAccumulator // per tensor: the 3LC push context whose error buffer is params[i].G, nil elsewhere
+	raw       [][]byte                  // per tensor: the float32 push wire that is a view of params[i].G (compress.RawWireOver), nil elsewhere
 	blocks    []kernel.Blocks           // per tensor: the block maxima preAcc's pass 1 records for its encode
 	pushWires [][]byte                  // per-tensor push wire buffers, recycled across steps
 	errs      []error                   // per-tensor error slots for parallel decode, recycled
 	own       []*ownStep                // per tensor: the owner's optimizer state of an owner-only tensor (update), nil elsewhere
 	sched     *opt.SGD                  // the learning-rate schedule, for own; never stepped
 
-	// Bound method values + argument slots, mirroring Server (see there).
+	// Bound method values + argument slots, mirroring Job (see there).
 	compressFn   func(i int)
 	applyFn      func(i int)
 	pullSrc      [][]byte
@@ -518,10 +519,18 @@ type Worker struct {
 // the step's gradient into it, and compress pass 1 is a read-only |max|
 // (compressOne). At a step boundary G holds the residual a context that
 // owned its buffer would, bit for bit.
+//
+// Under float32 a tensor's push wire is a view of the replica's G in the
+// same way: the headroom newParam allocates in front of G takes the scheme
+// byte (nn.Param.GFrame, compress.RawWireOver), so the wire is G's own
+// bytes and pushing it copies nothing. The owner's update of an owner-only
+// tensor, a G built without that headroom and a host that is not
+// little-endian keep the copying context.
 func NewWorker(id int, model *nn.Model, cfg Config) *Worker {
 	w := &Worker{ID: id, Model: model, cfg: cfg, params: model.Params(), sched: opt.NewSGD(cfg.Optimizer)}
 	w.own = newOwnSteps(id, w.params)
 	w.preAcc = make([]compress.PreAccumulator, len(w.params))
+	w.raw = make([][]byte, len(w.params))
 	w.blocks = make([]kernel.Blocks, len(w.params))
 	for i, p := range w.params {
 		var ctx compress.Compressor
@@ -531,6 +540,9 @@ func NewWorker(id int, model *nn.Model, cfg Config) *Worker {
 			p.CarryGrad()
 		} else {
 			ctx = cfg.newContext(p, 0x574f524b00000000+uint64(id)<<16+uint64(i)) // "WORK"
+		}
+		if cfg.Scheme == compress.SchemeNone && !OwnerOnly(p) {
+			w.raw[i] = compress.RawWireOver(p.GFrame(), p.G.Len())
 		}
 		w.pushCtx = append(w.pushCtx, ctx)
 	}
@@ -547,8 +559,11 @@ func NewWorker(id int, model *nn.Model, cfg Config) *Worker {
 // wires plus the compression wall time. Layer tensors are compressed
 // concurrently by a bounded worker pool (each tensor has its own context,
 // so ordering never affects the bytes). The wire slices are backed by
-// worker-owned buffers recycled across steps: they are valid until the
-// next CompressGrads call on this worker.
+// worker-owned memory: a float32 tensor's wire is a view of its G (see
+// NewWorker), valid until the replica's next ZeroGrad or backward pass
+// writes G; every other wire is a buffer recycled across steps, valid
+// until the next CompressGrads call on this worker. A caller holds a wire
+// set no longer than the step that made it.
 func (w *Worker) CompressGrads() ([][]byte, time.Duration) {
 	start := time.Now()
 	parallelFor(len(w.params), w.cfg.parallelism(), w.compressFn)
@@ -559,7 +574,9 @@ func (w *Worker) CompressGrads() ([][]byte, time.Duration) {
 // leaves the empty wire there for a tensor this worker does not push: the
 // aggregate never reads it (Pushes), so it does not cross the link. A 3LC
 // tensor's G already holds e + g, so its pass 1 only reads max|G| and the
-// block maxima, and the encode leaves the residual in G. On the owner, an
+// block maxima, and the encode leaves the residual in G. A float32
+// tensor's wire is already G's bytes (NewWorker); a G replaced since
+// panics here rather than push the old one's. On the owner, an
 // owner-only tensor is stepped and its update compressed instead (update):
 // its exempt context is lossless, so the server relays the update to the
 // others as the owner computed it.
@@ -571,6 +588,13 @@ func (w *Worker) compressOne(i int) {
 	if pa := w.preAcc[i]; pa != nil {
 		blk := &w.blocks[i]
 		w.pushWires[i] = pa.CompressPreAccumulated(blk, blk.MaxAbs(p.G.Data()), w.pushWires[i][:0])
+		return
+	}
+	if wire := w.raw[i]; wire != nil {
+		if g := kernel.RawView(p.G.Data()); len(g) != len(wire)-1 || &g[0] != &wire[1] {
+			panic(fmt.Sprintf("ps: worker %d: the G of %q was replaced after NewWorker; its float32 push wire views the old one", w.ID, p.Name))
+		}
+		w.pushWires[i] = wire
 		return
 	}
 	src := p.G
@@ -587,7 +611,9 @@ func (w *Worker) compressOne(i int) {
 // overlapped push/aggregate pipeline. emit may be invoked concurrently
 // from the codec pool's goroutines (tensors finish in arbitrary order;
 // the index identifies the slot) and must not retain the wire past the
-// next CompressGrads* call. The returned full wire set and duration match
+// step: a float32 wire is G itself, so the replica's next ZeroGrad or
+// backward pass rewrites it, and every other wire is recycled by the next
+// CompressGrads* call. The returned full wire set and duration match
 // CompressGrads.
 func (w *Worker) CompressGradsStream(emit func(i int, wire []byte)) ([][]byte, time.Duration) {
 	start := time.Now()

@@ -93,10 +93,11 @@ func BenchmarkSteadyStatePushPullWireChecksum(b *testing.B) { benchWirePushPull(
 // BenchmarkSteadyStatePushPullWireF32 is the lan-f32 shape over loopback
 // TCP: the 768-1024-1024-10 MLP (1.85M parameters, 7.4 MB a wire set) as
 // SchemeNone, two workers on NewServer's session, each step both workers'
-// raw encode, push, the server's raw first add and add, its optimizer
-// sweep writing the raw pull, and the pull's two writes and raw applies.
-// The wires of both directions are spliced into their frames, so past the
-// raw encode a byte is copied only by the socket.
+// push, the server's raw first add and add, its optimizer sweep writing
+// the raw pull, and the pull's two writes and raw applies. A push wire is
+// a view of the worker's gradient (ps.NewWorker), and the wires of both
+// directions are spliced into their frames, so a byte of the exchange is
+// copied only by the socket.
 func BenchmarkSteadyStatePushPullWireF32(b *testing.B) {
 	x := newF32Exchange(b, func() *nn.Model { return nn.NewMLP(768, []int{1024, 1024}, 10, 1) }, 2, 1<<30)
 	defer x.close() // the session, mid-run, ends with the hang-up as its error

@@ -48,11 +48,12 @@ var _ ps.Tier = (*DialedTier)(nil)
 // queue of wires that the seat's round trip sends as they come (streamed
 // tier) or copies aside until End (whole-set tier).
 type dialedSeat struct {
-	t    *DialedTier
-	conn *ShardClient
-	open bool               // BeginPush ran this step
-	ch   chan<- IndexedWire // the open session
-	done chan struct{}      // closed when the latest session's round trip has finished
+	t     *DialedTier
+	conn  *ShardClient
+	open  bool               // BeginPush ran this step
+	ch    chan<- IndexedWire // the open session
+	done  chan struct{}      // closed when the latest session's round trip has finished
+	taken chan struct{}      // a whole-set session's: closed once its wires are copied aside (End)
 	// staged is the whole-set push, copied: a round trip re-sent after a
 	// reconnect reads it while the worker already compresses the next step
 	// into its own buffers.
@@ -116,7 +117,11 @@ func (t *DialedTier) BeginPush(worker int) ps.PushSession {
 		depth = len(s.conn.asn.ShardOf)
 	}
 	ch, prev, done, step := make(chan IndexedWire, depth), s.done, make(chan struct{}), t.step
-	s.open, s.ch, s.done = true, ch, done
+	var taken chan struct{}
+	if !t.stream {
+		taken = make(chan struct{})
+	}
+	s.open, s.ch, s.done, s.taken = true, ch, done, taken
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
@@ -129,13 +134,16 @@ func (t *DialedTier) BeginPush(worker int) ps.PushSession {
 		case <-t.failed:
 			for range ch { // a failed tier sends nothing more, but the feeder must not block
 			}
+			if taken != nil {
+				close(taken)
+			}
 			return
 		default:
 		}
 		if t.stream {
 			err = s.conn.PushPullStream(step, ch, s.pulled)
 		} else {
-			err = s.pushPullStaged(step, ch)
+			err = s.pushPullStaged(step, ch, taken)
 		}
 		if err != nil {
 			t.fail(err)
@@ -145,8 +153,8 @@ func (t *DialedTier) BeginPush(worker int) ps.PushSession {
 }
 
 // pushPullStaged copies the session's wires aside as they are fed and, once
-// it has ended, makes the whole-set round trip.
-func (s *dialedSeat) pushPullStaged(step int, ch <-chan IndexedWire) (err error) {
+// it has ended, closes taken and makes the whole-set round trip.
+func (s *dialedSeat) pushPullStaged(step int, ch <-chan IndexedWire, taken chan<- struct{}) (err error) {
 	for i := range s.staged {
 		s.staged[i] = s.staged[i][:0]
 	}
@@ -160,6 +168,7 @@ func (s *dialedSeat) pushPullStaged(step int, ch <-chan IndexedWire) (err error)
 		}
 		s.staged[iw.I] = append(s.staged[iw.I][:0], iw.Wire...)
 	}
+	close(taken)
 	if err == nil {
 		s.pull, err = s.conn.PushPull(step, s.staged)
 	}
@@ -190,9 +199,16 @@ func (s *dialedSeat) Tensor(i int, wire []byte) error {
 
 // End sends the push on its way without waiting for the pull: a driver that
 // ends its seats one after another must not block on a barrier the later
-// seats have yet to reach.
+// seats have yet to reach. On a whole-set tier it returns once the wires
+// are copied aside (or the tier failed): a float32 worker rewrites them.
 func (s *dialedSeat) End() error {
 	close(s.ch)
+	if s.taken != nil {
+		select {
+		case <-s.taken:
+		case <-s.t.failed:
+		}
+	}
 	return nil
 }
 

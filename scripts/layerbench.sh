@@ -55,8 +55,11 @@ go test -run='^$' -bench Packed32 -benchtime 200000x -benchmem ./internal/compre
 # ...Tiny is the steady-state round trip over ~200 tensors of at
 # most 64 elements, where the per-tensor cost is what is measured,
 # and ...F32 the float32 baseline's round trip at the end-to-end
-# model's size (two workers, every pass a raw kernel core).
-go test -run='^$' -bench 'SteadyStatePushPull(Tiny|F32)$' -benchtime 100x -benchmem ./internal/ps/
+# model's size (two workers, every server pass a raw kernel core).
+# WorkerCompressF32 is its worker side alone, both workers'
+# CompressGrads: each push wire is a view of the replica's gradient,
+# so it copies nothing (inside the zero-allocs gate).
+go test -run='^$' -bench 'SteadyStatePushPull(Tiny|F32)$|WorkerCompressF32$' -benchtime 100x -benchmem ./internal/ps/
 # The plain SteadyStatePushPull workload, alternated with its twin whose
 # pushes cluster in ~1 % of the largest tensor's blocks
 # (SteadyStatePushPullClustered: the server's gradient sum stays dead
