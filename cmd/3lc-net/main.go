@@ -14,14 +14,14 @@
 //
 //   - -shards N partitions the model's tensors across N parameter-server
 //     shards, each with its own listener; every worker holds one multiplexed
-//     connection per shard, and -stream streams each tensor on them as its
-//     compressor finishes, a run of tensors to a frame.
+//     connection per shard and streams each tensor on it as its compressor
+//     finishes, a run of tensors to a frame.
 //   - -chaos trains every registered codec twice — on an in-process server,
 //     and over TCP with internal/chaos injecting faults on every listener and
 //     dial against the full defense stack (CRC-32C frames, resilient
 //     reconnect-and-replay, seeded retry backoff) — and exits non-zero unless
 //     the two final model states are BIT-IDENTICAL for every codec and at
-//     least one fault fired. It ignores -design and excludes the other modes.
+//     least one fault fired. It ignores -design.
 package main
 
 import (
@@ -49,7 +49,7 @@ type options struct {
 	sparsity              float64
 	workers, steps, batch int
 	shards                int
-	stream, chaosSoak     bool
+	chaosSoak             bool
 	netTimeout            time.Duration
 	chaosSeed             uint64
 
@@ -65,7 +65,6 @@ func main() {
 	flag.IntVar(&o.batch, "batch", 16, "per-worker batch size")
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:0", "listen address")
 	flag.IntVar(&o.shards, "shards", 1, "parameter-server shard count; shard s listens on -addr's port + s (each shard gets its own listener; workers multiplex)")
-	flag.BoolVar(&o.stream, "stream", false, "per-tensor streamed pipeline: hand each tensor to its shard's connection as its compressor finishes (the server decode-aggregates it on arrival) and read the pull back tensor by tensor; what is queued is written as one run — one header, then per tensor a slot delta, a length and its wire — when the compressor has nothing more ready, every 64 KiB and at the end of the push")
 	flag.DurationVar(&o.netTimeout, "net-timeout", 0, "per-frame read/write deadline on worker connections (failure detector for dead servers) and write deadline on the servers' connections; 0 disables")
 	flag.BoolVar(&o.chaosSoak, "chaos", false, "chaos soak: train every codec clean (in-process) and under deterministic fault injection (over TCP with checksums + resilient reconnect) and demand bit-identical final state; ignores -design")
 	flag.Uint64Var(&o.chaosSeed, "chaos-seed", 1, "fault schedule seed for -chaos (same seed, same per-connection fault schedule)")
@@ -90,9 +89,6 @@ func main() {
 func (o *options) check() error {
 	o.shards = max(o.shards, 1)
 	if o.chaosSoak {
-		if o.stream {
-			return errors.New("-chaos is incompatible with -stream")
-		}
 		return nil
 	}
 	var err error
@@ -259,7 +255,7 @@ func (f *flatTopology) tier(global *nn.Model, psCfg ps.Config) (ps.Tier, error) 
 	if err != nil {
 		return nil, err
 	}
-	return transport.DialTier(o.workers, o.stream, func(w int) (*transport.ShardClient, error) {
+	return transport.DialTier(o.workers, func(w int) (*transport.ShardClient, error) {
 		return transport.DialShardedConfig(f.srvs.addrs, w, asn, transport.ShardClientConfig{Timeouts: o.timeouts()})
 	})
 }
@@ -272,7 +268,7 @@ func (f *flatTopology) drain() error {
 	return nil
 }
 
-// runFlat is the default mode and its -shards / -stream forms.
+// runFlat is the default mode and its -shards form.
 func runFlat(o *options) error {
 	cfg, f, err := o.flat()
 	if err != nil {
@@ -420,7 +416,7 @@ func chaosTCPRun(inj *chaos.Injector, o *options, cfg train.Config) ([]float32, 
 		// The initial handshake crosses injected connections too: a
 		// resilient client retries its dial under the same schedule.
 		ccfg := transport.ShardClientConfig{Timeouts: timeouts, Resilient: true, Retry: retryPol, Dialer: inj.Dial}
-		return transport.DialTier(o.workers, false, func(w int) (*transport.ShardClient, error) {
+		return transport.DialTier(o.workers, func(w int) (*transport.ShardClient, error) {
 			return transport.DialShardedConfig(tier.addrs, w, asn, ccfg)
 		})
 	})

@@ -38,33 +38,28 @@ import (
 // six steps' batch-norm vectors packed as gradients less packed as updates,
 // the same bytes in every topology — and the pull count does not move,
 // because the relayed update is the delta the servers used to send, byte
-// for byte. On the streamed rows three of those shorter wires also take a
-// one-byte length where they took two, so their runFraming push entry is 3
-// bytes larger than when the owner pushed gradients (983).
+// for byte. In a run three of those shorter wires also take a one-byte
+// length where they took two, so the runFraming push entry is 3 bytes
+// larger than when the owner pushed gradients (983).
 //
 // Since a streamed exchange sends a run per flush instead of a frame per
 // tensor, its tensors cost a slot delta and a length, both uvarints, where
 // they cost a 12-byte header and a 4-byte slot, and a push's end is its
 // last run instead of a 12-byte frame of its own: runFraming is what that
-// takes off the streamed rows' push and pull counts. The push's is the
-// same at one shard and two — the second shard's run header is the end
-// frame the first no longer sends. A run costs its header, so the count
-// now depends on how many flushes a push took: the streamed rows run on
-// one processor, as the benchmark does, where the compressor is usually
-// ahead of the wire and a push is one run a shard. When the compressor is
-// preempted mid-push, the idle-producer flush splits the push into one run
-// more, which costs one more 12-byte shard header: its first entry's slot
-// delta is a byte either way while a shard holds under 64 tensors. So the
+// takes off the push and pull counts. The push's is the same at one shard
+// and two — the second shard's run header is the end frame the first no
+// longer sends. Every exchange is a stream of runs, so every row takes
+// it. A run costs its header, so the count depends on how many flushes a
+// push took: where the compressor is ahead of the wire, as it usually is
+// on one processor, a push is one run a shard. When the compressor is preempted
+// mid-push, the idle-producer flush splits the push into one run more,
+// which costs one more 12-byte shard header: its first entry's slot delta
+// is a byte either way while a shard holds under 64 tensors. So the
 // servers' connections count the push runs they read (runListener), and
 // the expected push count adds a header for every run past one a push.
-//
-// The default run went through a v1 front door before it went through one
-// shard, so the "1 shard" row's counts are the v1 ones (18882, 21724) plus
-// the shard header: it replaced v1's 8-byte [worker][step] in front of a
-// push and its 4-byte [step] in front of a pull, 4 and 8 bytes more a frame
-// over 2 workers × 6 steps = 12 frames each way: 18882 + 12·4 = 18930 and
-// 21724 + 12·8 = 21820. As in the other rows, its owner is sent its own
-// view of the pull (ownerPull 1770); a v1 owner was sent the shared pull.
+// The streamed rows run on one processor, as the benchmark does, and the
+// others at the host's count, where pushes split more often: both hold the
+// same counts once the splits are added.
 func TestNonOwnersExemptBytesLeaveTheSocket(t *testing.T) {
 	const packedPush, packedPull, ownerUpdate = 1572, 1308, 318
 	topologies := []struct {
@@ -73,20 +68,21 @@ func TestNonOwnersExemptBytesLeaveTheSocket(t *testing.T) {
 		push, pull int64 // before ps.Pushes
 		ownerPull  int64
 		runFraming [2]int64 // push, pull
+		oneProc    bool
 	}{
-		{"1 shard", func(o *options) {}, 18930, 21820, 1770, [2]int64{}},
-		{"1 shard streamed", func(o *options) { o.stream = true }, 19746, 22492, 1770, [2]int64{986, 831}},
-		{"2 shards", func(o *options) { o.shards = 2 }, 19122, 22012, 1770, [2]int64{}},
-		{"2 shards streamed", func(o *options) { o.shards, o.stream = 2, true }, 19890, 22492, 1770, [2]int64{986, 687}},
+		{"1 shard", func(o *options) {}, 19746, 22492, 1770, [2]int64{986, 831}, false},
+		{"1 shard streamed", func(o *options) {}, 19746, 22492, 1770, [2]int64{986, 831}, true},
+		{"2 shards", func(o *options) { o.shards = 2 }, 19890, 22492, 1770, [2]int64{986, 687}, false},
+		{"2 shards streamed", func(o *options) { o.shards = 2 }, 19890, 22492, 1770, [2]int64{986, 687}, true},
 	}
 	for _, topo := range topologies {
 		t.Run(topo.name, func(t *testing.T) {
+			if topo.oneProc {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			}
 			o := testOptions()
 			o.workers = 2
 			topo.set(&o)
-			if o.stream {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			}
 			if err := o.check(); err != nil {
 				t.Fatal(err)
 			}
@@ -104,15 +100,13 @@ func TestNonOwnersExemptBytesLeaveTheSocket(t *testing.T) {
 			if err := f.drain(); err != nil {
 				t.Fatal(err)
 			}
-			var split int64 // runs past one a push and shard
-			if o.stream {
-				if n := len(f.global.Params()); n >= 64 {
-					t.Fatalf("the model has %d tensors; a split run's first slot delta would not be one byte", n)
-				}
-				pushes := int64(o.steps * o.workers * o.shards)
-				if split = runs.Load() - pushes; split < 0 {
-					t.Fatalf("the servers read %d push runs, want at least %d: one a push and shard", runs.Load(), pushes)
-				}
+			if n := len(f.global.Params()); n >= 64 {
+				t.Fatalf("the model has %d tensors; a split run's first slot delta would not be one byte", n)
+			}
+			pushes := int64(o.steps * o.workers * o.shards)
+			split := runs.Load() - pushes // runs past one a push and shard
+			if split < 0 {
+				t.Fatalf("the servers read %d push runs, want at least %d: one a push and shard", runs.Load(), pushes)
 			}
 			var dead int64 // what worker 1 no longer sends in a step
 			for _, p := range f.global.Params() {

@@ -2,6 +2,10 @@ package main
 
 import (
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -335,5 +339,60 @@ BenchmarkAccumulateMaxAbsKernel/scalar/1M-2    100   4000 ns/op   0 B/op   0 all
 	}
 	if v := CheckRequired(benches, "AccumulateMaxAbsKernel/asm$"); len(v) != 1 {
 		t.Errorf("-require with its end anchored matched a longer name: %v", v)
+	}
+}
+
+// benchFunc matches the declaration of a benchmark function.
+var benchFunc = regexp.MustCompile(`(?m)^func (Benchmark\w+)\(`)
+
+// TestCommittedBaselineRowsHaveProducers: every row of the committed
+// BENCH_local.json names a Benchmark function that is still in the tree,
+// and no row is recorded twice. A row of a deleted benchmark, or one that
+// two lines of scripts/layerbench.sh both measure, is a baseline that
+// either nothing regenerates or that reads two numbers. A benchmark may
+// appear under several names only as a row repeated by the script's
+// alternated runs (one name, several times) or as the script's one
+// -cpu 1,4 sweep (X and X-4, once each).
+func TestCommittedBaselineRowsHaveProducers(t *testing.T) {
+	rows, err := LoadBaseline("../../BENCH_local.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	funcs := map[string]bool{}
+	err = filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && d.Name() == ".git":
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range benchFunc.FindAllSubmatch(src, -1) {
+			funcs[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]map[string]int{} // canonical row name -> its names in the file, counted
+	for _, r := range rows {
+		fn, _, _ := strings.Cut(r.Name, "/")
+		if fn = "Benchmark" + CanonicalName(fn); !funcs[fn] {
+			t.Errorf("row %q: no func %s in the tree", r.Name, fn)
+		}
+		c := CanonicalName(r.Name)
+		if names[c] == nil {
+			names[c] = map[string]int{}
+		}
+		names[c][r.Name]++
+	}
+	for c, n := range names {
+		sweep := "Benchmark" + c
+		if len(n) > 1 && (len(n) != 2 || n[sweep] != 1 || n[sweep+"-4"] != 1) {
+			t.Errorf("row %s is recorded as %v: measured twice", c, n)
+		}
 	}
 }

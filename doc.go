@@ -44,8 +44,8 @@
 // every layer:
 //
 //	worker:   compress tensor i+1 ──┐ (CompressGradsStream)
-//	wire:     tensor i in flight ───┤ (per-tensor push frames)
-//	server:   decode-add tensor i-1 ┘ (PushSession.Tensor, on frame arrival)
+//	wire:     tensor i in flight ───┤ (a run of tensors a flush)
+//	server:   decode-add tensor i-1 ┘ (in process: PushSession.Tensor)
 //
 // There is one BSP step driver, train.Run, written against one seam,
 // ps.Tier (BeginStep / BeginPush / FinishStep + the checkpoint pair), which
@@ -55,15 +55,15 @@
 // worker-order gate ingests them during the other workers' compute, in
 // strict worker order per tensor, so the sums — and all results — are
 // byte-identical to the serial driver. Over TCP the session engine orders
-// by seat: streamed v2 runs (MsgShardPushRun) let a shard
-// decode-accumulate each tensor as its flush lands rather than after the
-// full wire set, and pulls stream back the same way
-// (ShardClient.PushPullStream). Both ends queue tensors and write when the
-// producer has nothing more ready, when 64 KiB have gathered and when the
-// stream ends; a flush is one run — one shard header, then per tensor a
-// slot delta and a length as uvarints, and its wire — so a producer ahead
-// of the wire pays one write and one header per shard, not one per
-// tensor. The staged decode-then-add aggregation is the bit-identical
+// by seat, and every push and pull is a stream of runs
+// (ShardClient.PushPullStream): both ends write when the producer has
+// nothing more ready, when 64 KiB have gathered and when the stream ends;
+// a flush is one run — one shard header, then per tensor a slot delta and
+// a length as uvarints, and its wire — so a producer ahead of the wire
+// pays one write and one header per shard, not one per tensor. A receiver
+// takes a stream whole before it applies any of it, so an exchange that
+// fails or is cut off applies nothing and a resilient client can replay
+// its push. The staged decode-then-add aggregation is the bit-identical
 // oracle internal/ps's tests hold this path to.
 //
 // The ternary wire has one zero-run spelling (see internal/encode): bytes

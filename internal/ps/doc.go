@@ -123,12 +123,14 @@
 // delta pipeline is the bit-identical reference the package's tests hold
 // this path to (TestFusedAggregateMatchesStaged); no configuration runs it.
 //
-// Pushes can be ingested per tensor (PushSession.Tensor) so drivers
-// overlap aggregation with compression and transport: the server
-// decode-adds tensor i the moment its wire exists while tensor i+1 is
-// still compressing (see Worker.CompressGradsStream and the streamed
-// frames in internal/transport). Per-tensor ingestion in worker order is
-// byte-identical to the whole-set AddPush driver. Wire sets returned by
+// In process, pushes can be ingested per tensor (PushSession.Tensor), so
+// a driver overlaps aggregation with compression: the server decode-adds
+// tensor i the moment its wire exists while tensor i+1 is still
+// compressing (see Worker.CompressGradsStream). Per-tensor ingestion in
+// worker order is byte-identical to the whole-set AddPush driver. Over a
+// network the worker streams the same tensors as runs and the server
+// receives a push whole before it hands it to AddPush (internal/transport),
+// so a push cut off mid-stream touches no sum. Wire sets returned by
 // CompressGrads and FinishStep alias their owner's memory — valid until
 // the owner's next step: FinishStep's and a compressing worker's are
 // recycled buffers, a float32 worker's are views of its replica's G,
@@ -144,8 +146,8 @@
 //     returns a PushSession fed by Set (whole wire set) or Tensor (one
 //     streamed tensor) and completed by End. AddPush(w, wires) is
 //     BeginPush(w).Set(wires) followed by End() in one call — the
-//     three-method surface (BeginStep / AddPush / FinishStep) the network
-//     front door drives.
+//     three-method surface (BeginStep / AddPush / FinishStep) a transport
+//     session drives with each push it has received whole.
 //
 // The wire, state, and determinism contracts are the same through
 // either ingestion surface.

@@ -312,7 +312,7 @@ func (s *Job) AddPush(workerID int, wires [][]byte) (time.Duration, error) {
 // that is the session End (or AddPush).
 func (s *Job) ingestSet(workerID int, wires [][]byte) (time.Duration, error) {
 	if len(wires) != len(s.params) {
-		return 0, fmt.Errorf("ps: push has %d tensors, model has %d", len(wires), len(s.params))
+		return 0, fmt.Errorf("ps: push has %d tensors, model has %d (incomplete push, or another model's)", len(wires), len(s.params))
 	}
 	start := time.Now()
 	s.pushWorkerID, s.pushSrc = workerID, wires
@@ -384,8 +384,8 @@ func (s *Job) decodeAdd(i int, wire []byte) error {
 // ingestTensor decode-accumulates a single tensor of workerID's push —
 // the per-tensor ingestion path behind the overlapped push/aggregate
 // pipeline: a driver can feed each tensor the moment its wire is
-// available (a transport frame landing, a compressor finishing) instead
-// of staging the worker's full wire set. Different tensors may be
+// available (a compressor finishing) instead of staging the worker's full
+// wire set. Different tensors may be
 // ingested concurrently; pushes of the SAME tensor must arrive in worker
 // order — per-tensor accumulation order is what keeps the aggregate
 // byte-identical to the serial whole-set driver. After a worker's last
@@ -395,13 +395,6 @@ func (s *Job) ingestTensor(workerID, i int, wire []byte) error {
 		return fmt.Errorf("ps: push tensor index %d out of range (model has %d tensors)", i, len(s.params))
 	}
 	return s.ingestOne(workerID, i, wire)
-}
-
-// NumTensors returns the number of model tensors this server owns — the
-// tensor count a per-tensor push must cover (transports use it to verify
-// stream completeness).
-func (s *Job) NumTensors() int {
-	return len(s.params)
 }
 
 // endPush advances the push count FinishStep's averaging divides by.
@@ -501,7 +494,6 @@ type Worker struct {
 	sched     *opt.SGD                  // the learning-rate schedule, for own; never stepped
 
 	// Bound method values + argument slots, mirroring Job (see there).
-	compressFn   func(i int)
 	applyFn      func(i int)
 	pullSrc      [][]byte
 	streamEmitFn func(i int, wire []byte) // argument slot for CompressGradsStream
@@ -548,7 +540,6 @@ func NewWorker(id int, model *nn.Model, cfg Config) *Worker {
 	}
 	w.pushWires = make([][]byte, len(w.params))
 	w.errs = make([]error, len(w.params))
-	w.compressFn = w.compressOne
 	w.applyFn = w.applyOne
 	w.streamFn = w.streamOne
 	return w
@@ -556,19 +547,14 @@ func NewWorker(id int, model *nn.Model, cfg Config) *Worker {
 
 // CompressGrads compresses the gradients currently held in the local
 // model's parameter tensors (set by Model.TrainStep) and returns the push
-// wires plus the compression wall time. Layer tensors are compressed
-// concurrently by a bounded worker pool (each tensor has its own context,
-// so ordering never affects the bytes). The wire slices are backed by
-// worker-owned memory: a float32 tensor's wire is a view of its G (see
-// NewWorker), valid until the replica's next ZeroGrad or backward pass
-// writes G; every other wire is a buffer recycled across steps, valid
-// until the next CompressGrads call on this worker. A caller holds a wire
-// set no longer than the step that made it.
+// wires plus the compression wall time: CompressGradsStream with an emit
+// that leaves each wire where the returned set gathers it.
 func (w *Worker) CompressGrads() ([][]byte, time.Duration) {
-	start := time.Now()
-	parallelFor(len(w.params), w.cfg.parallelism(), w.compressFn)
-	return w.pushWires, time.Since(start)
+	return w.CompressGradsStream(gathered)
 }
+
+// gathered is CompressGrads' emit: the wire is already in w.pushWires.
+func gathered(int, []byte) {}
 
 // compressOne compresses gradient tensor i into its recycled buffer, or
 // leaves the empty wire there for a tensor this worker does not push: the
@@ -604,17 +590,20 @@ func (w *Worker) compressOne(i int) {
 	w.pushWires[i] = w.pushCtx[i].CompressInto(src, w.pushWires[i][:0])
 }
 
-// CompressGradsStream compresses exactly like CompressGrads but hands
-// each tensor's wire to emit the moment it is encoded, so a driver can
-// push tensor i — frame it, enqueue it, start server-side decode-add —
-// while tensor i+1 is still compressing: the worker half of the
-// overlapped push/aggregate pipeline. emit may be invoked concurrently
-// from the codec pool's goroutines (tensors finish in arbitrary order;
-// the index identifies the slot) and must not retain the wire past the
-// step: a float32 wire is G itself, so the replica's next ZeroGrad or
-// backward pass rewrites it, and every other wire is recycled by the next
-// CompressGrads* call. The returned full wire set and duration match
-// CompressGrads.
+// CompressGradsStream compresses the gradients currently held in the
+// local model's parameter tensors (set by Model.TrainStep), handing each
+// tensor's wire to emit the moment it is encoded, so a driver can push
+// tensor i — frame it, enqueue it, send it — while tensor i+1 is still
+// compressing: the worker half of the overlapped exchange. Layer tensors
+// are compressed concurrently by a bounded worker pool (each tensor has
+// its own context, so ordering never affects the bytes), and emit may be
+// invoked concurrently from its goroutines (tensors finish in arbitrary
+// order; the index identifies the slot). It returns the full wire set and
+// the compression wall time. The wires are backed by worker-owned memory:
+// a float32 tensor's wire is a view of its G (see NewWorker), valid until
+// the replica's next ZeroGrad or backward pass writes G; every other wire
+// is a buffer recycled across steps, valid until the next compress call on
+// this worker. A caller holds a wire no longer than the step that made it.
 func (w *Worker) CompressGradsStream(emit func(i int, wire []byte)) ([][]byte, time.Duration) {
 	start := time.Now()
 	w.streamEmitFn = emit
@@ -678,11 +667,10 @@ func (w *Worker) applyTensor(i int, wire []byte) error {
 }
 
 // ApplyPullTensor decode-applies a single tensor of the pull — the
-// worker-side counterpart of PushSession.Tensor, for transports that
-// stream per-tensor pull frames: the replica applies tensor i, straight
-// from the transport's receive scratch (wire need only stay valid for the
-// call), while tensor i+1 is still in flight or waiting in the socket's
-// buffer. Different tensors may be applied concurrently.
+// worker-side counterpart of PushSession.Tensor, for a transport that
+// hands the pull over tensor by tensor (transport.ShardClient's
+// PushPullStream: wire need only stay valid for the call). Different
+// tensors may be applied concurrently.
 func (w *Worker) ApplyPullTensor(i int, wire []byte) error {
 	if i < 0 || i >= len(w.params) {
 		return fmt.Errorf("ps: pull tensor index %d out of range (model has %d tensors)", i, len(w.params))

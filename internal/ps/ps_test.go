@@ -276,7 +276,7 @@ func TestAddPushValidation(t *testing.T) {
 	if _, err := server.AddPush(0, [][]byte{{1, 2}}); err == nil {
 		t.Error("expected error for wrong tensor count")
 	}
-	for _, i := range []int{-1, server.NumTensors()} {
+	for _, i := range []int{-1, len(server.Model.Params())} {
 		if err := server.BeginPush(0).Tensor(i, []byte{1}); err == nil {
 			t.Errorf("expected error for push tensor index %d", i)
 		}

@@ -1,10 +1,10 @@
 // PushSession and Tier: the aggregation surface a step driver speaks. A
 // driver opens a session per worker per step (BeginPush), feeds it one
 // whole set (Set) or tensors as they materialize (Tensor), and completes it
-// (End). train.Run and the transport's streamed per-tensor frames push
-// through sessions. One whole-set entry point does not open one: Job.AddPush — BeginPush, Set and End in a single
-// call, the push method of transport.StepServer that a session engine
-// drives for whole-set frames.
+// (End). train.Run pushes through sessions. One whole-set entry point does
+// not open one: Job.AddPush — BeginPush, Set and End in a single call, the
+// push method of transport.StepServer that a transport session calls with
+// a push it has received whole.
 package ps
 
 import "time"

@@ -80,7 +80,7 @@ var relayTiers = map[string]struct {
 					Shard: s, NumShards: 2, Workers: workers, Steps: steps, AssignmentHash: asn.Hash()})
 				go func() { served <- srv.Serve() }()
 			}
-			return transport.DialTier(workers, true, func(w int) (*transport.ShardClient, error) {
+			return transport.DialTier(workers, func(w int) (*transport.ShardClient, error) {
 				return transport.DialShardedConfig(addrs, w, asn, transport.ShardClientConfig{})
 			})
 		}
@@ -92,7 +92,7 @@ var relayTiers = map[string]struct {
 			srv := transport.NewShardServer(ln, struct{ transport.StepServer }{wholeJob(global, cfg, sent)},
 				transport.ShardServerConfig{NumShards: 1, Workers: workers, Steps: steps, AssignmentHash: asn.Hash()})
 			go func() { served <- srv.Serve() }()
-			return transport.DialTier(workers, false, func(w int) (*transport.ShardClient, error) {
+			return transport.DialTier(workers, func(w int) (*transport.ShardClient, error) {
 				return transport.DialShardedConfig([]string{ln.Addr().String()}, w, asn, transport.ShardClientConfig{})
 			})
 		}

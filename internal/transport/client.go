@@ -2,12 +2,16 @@ package transport
 
 import "fmt"
 
-// Client is a worker's connection to one shard server: the whole-set round
-// trip every shard connection of a ShardClient makes, and, dialed alone by
+// Client is a worker's connection to one shard server: the exchange every
+// shard connection of a ShardClient makes, and, dialed alone by
 // DialTimeoutDialer, an unplaced worker's connection to a NewServer.
 type Client struct {
 	link
-	pullWires [][]byte // parsed pull set, slice headers recycled each step
+	pulled seq // the last pull received
+	// fault is the first failed write of the push in progress on a
+	// resilient connection: nothing more is written until the retry that
+	// replays the push (ShardClient.finish).
+	fault error
 }
 
 // DialTimeoutDialer connects to the server at addr through d (nil: plain
@@ -25,25 +29,90 @@ func DialTimeoutDialer(addr string, workerID int, to Timeouts, d Dialer) (*Clien
 }
 
 // PushPull sends this worker's compressed gradient wires for the given
-// step and blocks until the server's model-delta wires arrive.
-// The returned wires alias a connection-owned scratch buffer that is
-// recycled on the next PushPull call; consume (decompress) them before
+// step, one push of runs, and blocks until the server's model-delta wires
+// have all arrived. The returned wires alias connection-owned buffers that
+// are recycled on the next PushPull call; consume (decompress) them before
 // pushing again, which the BSP step loop does naturally.
 //
 //3lc:noalloc
 func (c *Client) PushPull(step int, wires [][]byte) ([][]byte, error) {
-	if err := c.send(frame{t: MsgShardPush, step: uint32(step), set: wires}); err != nil {
-		return nil, fmt.Errorf("transport: shard %d push step %d: %w", c.fc.shard, step, err)
+	defer c.reset()
+	for k, w := range wires {
+		if err := c.put(step, k, w); err != nil {
+			return nil, fmt.Errorf("transport: shard %d push step %d: %w", c.fc.shard, step, err)
+		}
 	}
-	f, err := c.read(step, false)
-	if err != nil {
-		return nil, fmt.Errorf("transport: shard %d pull step %d: %w", c.fc.shard, step, err)
+	c.out.endRun(&c.fc, MsgShardPushLast, uint32(step))
+	if err := c.pullAfter(step, len(wires)); err != nil {
+		return nil, fmt.Errorf("transport: shard %d step %d: %w", c.fc.shard, step, err)
 	}
-	if f.t != MsgShardPull {
-		return nil, fmt.Errorf("transport: shard %d: expected pull, got type %d", c.fc.shard, f.t)
+	return c.pulled.wires, nil
+}
+
+// put queues slot's wire on step's push and writes what is queued once
+// flushBytes have gathered in the open run.
+//
+//3lc:noalloc
+func (c *Client) put(step, slot int, wire []byte) error {
+	c.out.entry(&c.fc, MsgShardPushRun, uint32(step), slot, wire)
+	if c.out.open() < flushBytes {
+		return nil
 	}
-	c.pullWires, _, err = ParseWireSetInto(c.pullWires, f.body)
-	return c.pullWires, err
+	return c.flushPush()
+}
+
+// flushPush writes what is queued of the push. On a resilient connection
+// a failed write is kept as the fault, which the exchange's retry answers
+// with a redial and a replay, and the push goes on being queued.
+//
+//3lc:noalloc
+func (c *Client) flushPush() error {
+	if c.fault != nil {
+		return c.out.closeRun(&c.fc)
+	}
+	err := c.flush()
+	if err != nil && c.fc.resilient {
+		c.fault, err = err, nil
+	}
+	return err
+}
+
+// pullAfter writes what is left of step's push — on a connection just
+// re-dialed, the whole push — and receives the step's pull of n slots.
+//
+//3lc:noalloc
+func (c *Client) pullAfter(step, n int) error {
+	err := c.fault
+	c.fault = nil
+	if err == nil {
+		err = c.flush()
+	}
+	if err == nil {
+		err = c.recvPull(step, n)
+	}
+	return err
+}
+
+// recvPull reads step's pull, runs until each of n slots has arrived once,
+// into c.pulled, each run into a buffer of its own and validated as it
+// lands.
+//
+//3lc:noalloc
+func (c *Client) recvPull(step, n int) error {
+	q := &c.pulled
+	for q.reset(); q.got < n; {
+		f, err := c.read(q.next(), step, false)
+		if err == nil && f.t != MsgShardPullRun {
+			return fmt.Errorf("expected a pull run, got type %d", f.t)
+		}
+		if err == nil {
+			err = q.take(f.body, n)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Close terminates the connection.

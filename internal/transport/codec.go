@@ -37,6 +37,8 @@ const ShardWireVersion = 5
 //	versions ≤ 4   older layouts (see ShardWireVersion)
 //	types 1–3      the v1 layout, a single server's hello, push and pull
 //	               without a shard header (MsgPush, frame.go)
+//	types 5–6      a whole-set push and pull: a shard header, then a wire
+//	               set (frame.go), up to shard wire version 5
 //	flag 0x01      a job tag addressing one job of a multi-job shard tier
 //	flag 0x02      a Huffman or LZ stage over whole-set bodies, negotiated by
 //	               a fifth hello byte after the placement hash
@@ -95,26 +97,19 @@ func ParseShardHeader(src []byte) (ShardHeader, []byte, error) {
 }
 
 // frame is one message in codec terms: what a sender hands putFrame and
-// what parseFrame hands a receiver. The frame type decides which
-// fields are on the wire: hello — arg (the placement hash); whole-set
-// push/pull — set; a run — body (its entry table, see frames.entry); bye —
-// the header alone.
+// what parseFrame hands a receiver. The frame type decides which fields
+// are on the wire: hello — arg (the placement hash); a run — body (its
+// entry table, see frames.putEntry); bye — the header alone.
 type frame struct {
 	t      MsgType
-	worker uint32   // parse only: senders' ids are the codec's
-	step   uint32   // zero on hello and bye
-	arg    uint32   // placement hash (hello)
-	set    [][]byte // append only: a whole-set body, serialized straight behind the header
-	body   []byte   // a run's entry table; after parse, also a whole-set frame's wire set
-	raw    []byte   // parse only: the payload as it arrived (what is counted)
+	worker uint32 // parse only: senders' ids are the codec's
+	step   uint32 // zero on hello and bye
+	arg    uint32 // placement hash (hello)
+	body   []byte // a run's entry table
+	raw    []byte // parse only: the payload as it arrived (what is counted)
 }
 
-// wholeSet reports the v2 frame types whose body is a wire set.
-func wholeSet(t MsgType) bool {
-	return t == MsgShardPush || t == MsgShardPull
-}
-
-// isRun reports the frame types of a streamed exchange, whose body is an
+// isRun reports the frame types of a push or a pull, whose body is an
 // entry table.
 func isRun(t MsgType) bool {
 	return t == MsgShardPushRun || t == MsgShardPushLast || t == MsgShardPullRun
@@ -123,11 +118,7 @@ func isRun(t MsgType) bool {
 // pushSide reports the frame types a worker sends after its hello; their
 // headers carry the worker's id, where pull-side headers carry zero.
 func pushSide(t MsgType) bool {
-	switch t {
-	case MsgShardPush, MsgShardPushRun, MsgShardPushLast, MsgShardBye:
-		return true
-	}
-	return false
+	return t == MsgShardPushRun || t == MsgShardPushLast || t == MsgShardBye
 }
 
 // frameCodec is one connection's contract — what its hello negotiated.
@@ -143,35 +134,18 @@ type frameCodec struct {
 	resilient bool // trailer on every frame; the client may re-dial and replay
 }
 
-// streamable is the one place the per-tensor pipeline meets recovery: a
-// resilient redial's replay would need the whole tensor sequence staged,
-// so the contract covers whole-set rounds only.
-func (fc *frameCodec) streamable() error {
-	if fc.resilient {
-		return fmt.Errorf("transport: worker %d: a resilient connection cannot stream runs", fc.worker)
-	}
-	return nil
-}
-
 // putFrame appends f to q as it travels: prefix, header, body and, on a
-// resilient connection, the trailer, its large wires spliced (frames). The
-// result is ready to write as is, alone or behind other frames — a link's
-// queue, a session's cached pull.
-//
-//3lc:noalloc
+// resilient connection, the trailer. Runs that a link or a session
+// streams are built in q entry by entry instead (frames.entry).
 func (fc *frameCodec) putFrame(q *frames, f frame) error {
 	m := q.mark()
 	q.b = beginFrame(q.b, f.t)
 	p := q.mark()
 	q.b = fc.appendHeader(q.b, f.t, f.step)
-	switch {
-	case wholeSet(f.t):
-		q.wireSet(f.set)
-	case f.t == MsgShardHello:
+	if f.t == MsgShardHello {
 		q.b = le.AppendUint32(q.b, f.arg)
-	case isRun(f.t):
-		q.b = append(q.b, f.body...)
 	}
+	q.b = append(q.b, f.body...)
 	fc.seal(q, f.t, p)
 	return q.endFrame(m)
 }
@@ -219,7 +193,7 @@ func (fc *frameCodec) seal(q *frames, t MsgType, m mark) {
 //3lc:decode
 func (fc *frameCodec) parseFrame(t MsgType, payload []byte, step int, replay bool) (frame, error) {
 	f := frame{t: t, raw: payload}
-	if !wholeSet(t) && !isRun(t) && t != MsgShardBye {
+	if !isRun(t) && t != MsgShardBye {
 		return f, fmt.Errorf("transport: unexpected type-%d frame of %d bytes", t, len(payload))
 	}
 	if fc.resilient {
@@ -303,11 +277,11 @@ func parseHello(t MsgType, payload []byte) (fc frameCodec, hash uint32, err erro
 // run of ascending slots spells each in one byte. Varints are canonical —
 // no zero byte padding one out — so an entry table has one spelling.
 
-// entry appends the entry of slot's wire behind an entry for slot prev,
+// putEntry appends the entry of slot's wire behind an entry for slot prev,
 // the wire spliced if it is long (wire).
 //
 //3lc:noalloc
-func (q *frames) entry(prev, slot int, wire []byte) {
+func (q *frames) putEntry(prev, slot int, wire []byte) {
 	d := int64(slot - prev - 1)
 	q.b = binary.AppendUvarint(q.b, uint64(d<<1^d>>63))
 	q.b = binary.AppendUvarint(q.b, uint64(len(wire)))
@@ -361,34 +335,62 @@ func parseEntry(body []byte, prev, n int) (slot int, wire, rest []byte, err erro
 	return slot, rest[:l], rest[l:], nil
 }
 
-// applyRun takes one run of a stream of len(seen) slots: it validates the
-// body's whole entry table — canonical varints, lengths within the body,
-// slots in range and not seen before in this run or an earlier one of the
-// stream — marking the slots in seen, and only then hands the entries to
-// visit in wire order, so a bad run reaches no aggregator. It returns the
-// number of entries.
+// maxSlots bounds the slots a stream whose receiver does not know its
+// tensor count may address (a server's push: its aggregator holds the
+// count to the model's).
+const maxSlots = 1 << 20
+
+// seq is one stream of runs as it is received: each run read whole into a
+// buffer of its own, recycled across streams, and the stream's wires by
+// slot, aliasing those buffers. A receiver takes every run of the stream
+// before it applies any of it, so a stream that fails or is cut off
+// applies nothing.
+type seq struct {
+	bufs  [][]byte // bufs[k] holds the stream's k-th run
+	runs  int      // runs read into bufs
+	got   int      // entries taken
+	wires [][]byte // by slot; nil where no entry has arrived
+}
+
+// reset begins a new stream.
+//
+//3lc:noalloc
+func (q *seq) reset() {
+	q.runs, q.got, q.wires = 0, 0, q.wires[:0]
+}
+
+// next returns the buffer the stream's next run is read into.
+//
+//3lc:noalloc
+func (q *seq) next() *[]byte {
+	if q.runs == len(q.bufs) {
+		q.bufs = append(q.bufs, nil)
+	}
+	q.runs++
+	return &q.bufs[q.runs-1]
+}
+
+// take validates the entry table of one run of the stream — canonical
+// varints, lengths within the body, slots under n and not taken before in
+// this run or an earlier one — and records its wires. A taken slot's wire
+// is never nil, even when it is empty: it is a slice of the run's body.
 //
 //3lc:noalloc
 //3lc:decode
-func applyRun(body []byte, seen []bool, visit func(slot int, wire []byte) error) (int, error) {
-	entries := 0
-	for prev, rest := -1, body; len(rest) > 0; entries++ {
-		slot, _, next, err := parseEntry(rest, prev, len(seen))
+func (q *seq) take(body []byte, n int) error {
+	for prev, rest := -1, body; len(rest) > 0; q.got++ {
+		slot, wire, next, err := parseEntry(rest, prev, n)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		if seen[slot] {
-			return 0, fmt.Errorf("transport: run entry %d: duplicate slot %d", entries, slot)
+		for len(q.wires) <= slot {
+			q.wires = append(q.wires, nil)
 		}
-		seen[slot] = true
+		if q.wires[slot] != nil {
+			return fmt.Errorf("transport: run entry %d: duplicate slot %d", q.got, slot)
+		}
+		q.wires[slot] = wire
 		prev, rest = slot, next
 	}
-	for prev, rest := -1, body; len(rest) > 0; {
-		slot, wire, next, _ := parseEntry(rest, prev, len(seen))
-		if err := visit(slot, wire); err != nil {
-			return 0, err
-		}
-		prev, rest = slot, next
-	}
-	return entries, nil
+	return nil
 }

@@ -9,27 +9,29 @@
 // Framing is deliberately simple and allocation-free in steady state:
 //
 //	frame    := [4B LE total payload length][1B type][payload]
-//	wire set := [4B LE tensor count]{[4B LE len][len bytes]}*
 //
 // Every payload opens with a shard header (shard.go), whether the tier has
-// one shard or many. A zero-length tensor entry encodes a nil wire (a
-// tensor the worker does not push — ps.Pushes — or the local-steps
-// scheme's non-transmitting step). A connection (link, session.go) encodes
-// frames behind their prefixes into one outgoing queue and hands the
-// socket whole flushes.
-// A flush is one frame either way: the protocol's turn (hello, whole-set
-// push and pull), or a run — every tensor of a stream (streamed push and
-// pull) queued since the last flush, behind one shard header (see
-// shard.go). Runs go up to flushBytes and past it by their last tensor,
-// so frames routinely straddle the reads of the receiving side. The queue
-// copies every byte of framing and every wire under flushBytes; a wire of
-// flushBytes or more stays where its producer wrote it and is spliced in
-// at its place (frames), so past its encoder a float32 tensor is copied
-// only by the socket write.
-// FrameReader reassembles them over a buffered reader sized to one flush
-// and reuses a per-connection scratch buffer, so the receive path stops
-// allocating once the largest frame size has been seen. WriteFrame is the
+// one shard or many, and every push and pull is a stream of runs behind
+// it (shard.go). A zero-length entry is the empty wire (a tensor the
+// worker does not push — ps.Pushes — or the local-steps scheme's
+// non-transmitting step). A connection (link, session.go) encodes frames
+// behind their prefixes into one outgoing queue and hands the socket whole
+// flushes: the protocol's turn (hello, bye), or a run — every tensor of a
+// stream queued since the last flush, behind one shard header. Runs go up
+// to flushBytes and past it by their last tensor, so frames routinely
+// straddle the reads of the receiving side. The queue copies every byte of
+// framing and every wire under flushBytes; a wire of flushBytes or more
+// stays where its producer wrote it and is spliced in at its place
+// (frames), so past its encoder a float32 tensor is copied only by the
+// socket.
+// FrameReader reassembles frames over a buffered reader sized to one flush,
+// each into a buffer its caller recycles, so the receive path stops
+// allocating once the largest frames have been seen. WriteFrame is the
 // same framing for any io.Writer, outside a link.
+//
+// A wire set, [4B LE tensor count]{[4B LE len][len bytes]}*, is no frame's
+// body any more; AppendWireSet and ParseWireSetInto stay for the
+// benchmark's framing probe.
 package transport
 
 import (
@@ -74,11 +76,20 @@ const flushBytes = 64 << 10
 // the copied encoding byte for byte. A spliced wire must stay unchanged
 // until the frames are written or dropped. With flat set every wire is
 // copied, which is the copied encoding itself.
+//
+// The last frame may be a run still open (entry): more entries join it
+// until closeRun closes it.
 type frames struct {
 	b       []byte
 	splices []splice
 	spliced int  // bytes of the spliced wires
 	flat    bool // copy every wire
+	n       int  // frames closed since the last reset
+	// The run open at b's end, if any: where its prefix starts (the
+	// prefix's last byte is its type) and the slot of its last entry.
+	inRun bool
+	runAt mark
+	prev  int
 }
 
 // splice is one wire of a frames, written where b[at] begins.
@@ -105,8 +116,12 @@ func (q *frames) cut(m mark) {
 	q.b, q.splices, q.spliced = q.b[:m.at], q.splices[:m.splices], m.spliced
 }
 
-// reset drops everything queued, keeping the buffers.
-func (q *frames) reset() { q.cut(mark{}) }
+// reset drops everything queued, an open run included, keeping the
+// buffers.
+func (q *frames) reset() {
+	q.cut(mark{})
+	q.n, q.inRun = 0, false
+}
 
 // wire appends w, or splices it at its place if it is at least flushBytes
 // long.
@@ -121,16 +136,74 @@ func (q *frames) wire(w []byte) {
 	q.spliced += len(w)
 }
 
-// wireSet appends a wire set: its count, then per wire its length and the
-// wire.
+// entry queues slot's wire on the run open at q's end, or opens a type-t
+// run of fc's for step — prefix and header — if none is.
 //
 //3lc:noalloc
-func (q *frames) wireSet(wires [][]byte) {
-	q.b = le.AppendUint32(q.b, uint32(len(wires)))
-	for _, w := range wires {
-		q.b = le.AppendUint32(q.b, uint32(len(w)))
-		q.wire(w)
+func (q *frames) entry(fc *frameCodec, t MsgType, step uint32, slot int, wire []byte) {
+	q.openRun(fc, t, step)
+	q.putEntry(q.prev, slot, wire)
+	q.prev = slot
+}
+
+// endRun makes the run open on q — or a new, empty one for step — a
+// type-t run: the frame that ends its stream.
+//
+//3lc:noalloc
+func (q *frames) endRun(fc *frameCodec, t MsgType, step uint32) {
+	q.openRun(fc, t, step)
+	q.b[q.runAt.at+frameHeaderLen-1] = byte(t)
+}
+
+// openRun opens a type-t run for step behind the queued frames, unless one
+// is open already.
+//
+//3lc:noalloc
+func (q *frames) openRun(fc *frameCodec, t MsgType, step uint32) {
+	if !q.inRun {
+		q.inRun, q.runAt, q.prev = true, q.mark(), -1
+		q.b = fc.appendHeader(beginFrame(q.b, t), t, step)
 	}
+}
+
+// open is the number of bytes of the open run, 0 when none is.
+func (q *frames) open() int {
+	if !q.inRun {
+		return 0
+	}
+	return q.since(q.runAt)
+}
+
+// closeRun closes the run open on q, if any, into a frame: fc's trailer,
+// then the length prefix.
+//
+//3lc:noalloc
+func (q *frames) closeRun(fc *frameCodec) error {
+	if !q.inRun {
+		return nil
+	}
+	q.inRun = false
+	payload := q.runAt
+	payload.at += frameHeaderLen
+	fc.seal(q, MsgType(q.b[payload.at-1]), payload)
+	return q.endFrame(q.runAt)
+}
+
+// putRuns appends wires, the k-th in slot k, as one stream of fc's type-t
+// runs for step: a run is closed once flushBytes have gathered in it, and
+// at the end.
+//
+//3lc:noalloc
+func (q *frames) putRuns(fc *frameCodec, t MsgType, step uint32, wires [][]byte) error {
+	for k, w := range wires {
+		q.entry(fc, t, step, k, w)
+		if q.open() >= flushBytes || k == len(wires)-1 {
+			if err := q.closeRun(fc); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // checksum is the CRC-32C of a type-t frame's payload that begins at m and
@@ -184,6 +257,7 @@ func (q *frames) endFrame(m mark) error {
 		return fmt.Errorf("transport: frame of %d bytes exceeds limit %d", n, MaxFrameBytes)
 	}
 	le.PutUint32(q.b[m.at:], uint32(n))
+	q.n++
 	return nil
 }
 
@@ -232,11 +306,11 @@ func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 	return err
 }
 
-// FrameReader reads framed messages from one connection, reusing a single
-// scratch buffer: after the first few steps of a training run the receive
-// path performs zero allocations. The payload returned by ReadFrame
-// aliases the scratch buffer and is valid only until the next ReadFrame
-// call; callers that need the bytes longer must copy them.
+// FrameReader reads framed messages from one connection into buffers that
+// are recycled: after the first few steps of a training run the receive
+// path performs zero allocations. ReadFrame reads into the reader's own
+// scratch; ReadFrameInto into a buffer its caller keeps — a run of a push
+// or a pull, held until its whole stream has arrived.
 type FrameReader struct {
 	r   io.Reader
 	buf []byte
@@ -252,12 +326,22 @@ func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{r: r}
 }
 
-// ReadFrame reads one framed message. The returned payload is valid until
-// the next call.
+// ReadFrame reads one framed message into the reader's scratch. The
+// returned payload is valid until the next call.
 //
 //3lc:noalloc
 //3lc:decode
 func (fr *FrameReader) ReadFrame() (MsgType, []byte, error) {
+	return fr.ReadFrameInto(&fr.buf)
+}
+
+// ReadFrameInto reads one framed message into *buf, which it grows (to the
+// frame's length, exactly) when the frame does not fit. The returned
+// payload aliases *buf.
+//
+//3lc:noalloc
+//3lc:decode
+func (fr *FrameReader) ReadFrameInto(buf *[]byte) (MsgType, []byte, error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return 0, nil, err
 	}
@@ -265,25 +349,29 @@ func (fr *FrameReader) ReadFrame() (MsgType, []byte, error) {
 	if n == 0 || n > MaxFrameBytes {
 		return 0, nil, fmt.Errorf("transport: bad frame length %d", n)
 	}
-	if cap(fr.buf) < int(n) {
-		//3lc:allow noalloc grow-once scratch; steady state reuses fr.buf
-		fr.buf = make([]byte, n)
+	if cap(*buf) < int(n) {
+		//3lc:allow noalloc grow-once buffer; steady state reuses *buf
+		*buf = make([]byte, n)
 	}
-	buf := fr.buf[:n]
-	if _, err := io.ReadFull(fr.r, buf); err != nil {
+	b := (*buf)[:n]
+	if _, err := io.ReadFull(fr.r, b); err != nil {
 		return 0, nil, err
 	}
-	//3lc:allow nopanic n >= 1 enforced above and buf is fr.buf[:n]
-	return MsgType(buf[0]), buf[1:], nil
+	//3lc:allow nopanic n >= 1 enforced above and b is (*buf)[:n]
+	return MsgType(b[0]), b[1:], nil
 }
 
-// AppendWireSet serializes a set of per-tensor wire messages.
+// AppendWireSet serializes a set of per-tensor wire messages: its count,
+// then per wire its length and the wire.
 //
 //3lc:noalloc
 func AppendWireSet(dst []byte, wires [][]byte) []byte {
-	q := frames{b: dst, flat: true}
-	q.wireSet(wires)
-	return q.b
+	dst = le.AppendUint32(dst, uint32(len(wires)))
+	for _, w := range wires {
+		dst = le.AppendUint32(dst, uint32(len(w)))
+		dst = append(dst, w...)
+	}
+	return dst
 }
 
 // ParseWireSetInto deserializes a wire set into dst's backing storage

@@ -92,7 +92,7 @@ func TestWriteFrameLimitMatchesReadFrame(t *testing.T) {
 func TestFrameReaderReusesScratch(t *testing.T) {
 	var buf bytes.Buffer
 	WriteFrame(&buf, MsgPush, []byte{1, 1, 1, 1})
-	WriteFrame(&buf, MsgShardPull, []byte{2, 2, 2, 2})
+	WriteFrame(&buf, MsgShardPullRun, []byte{2, 2, 2, 2})
 	fr := NewFrameReader(&buf)
 	_, first, err := fr.ReadFrame()
 	if err != nil {
@@ -140,27 +140,31 @@ func TestParseWireSetIntoReuse(t *testing.T) {
 }
 
 // TestRetiredTypeBytesStayReserved: type bytes 1–3 were the v1 layout's
-// hello, push and pull, 7–9 streamed a frame per tensor up to shard wire
-// version 3, and 10 and 11 belonged to the primary→replica forwarding
-// link. None is handed out again — a peer of those generations must be
-// refused, not misread — so hello, push and pull keep 4–6, the bye 12 and
-// the runs 13–15; a frame of a reserved type is refused as an unexpected
-// type, and a hello of version 3 or older as an unsupported version.
+// hello, push and pull, 5 and 6 the whole-set push and pull, 7–9 streamed
+// a frame per tensor up to shard wire version 3, and 10 and 11 belonged to
+// the primary→replica forwarding link. None is handed out again — a peer
+// of those generations must be refused, not misread — so the hello keeps
+// 4, the bye 12 and the runs 13–15; a frame of a reserved type is refused
+// as an unexpected type by the one parse entry both ends read through
+// (parseFrame: a server reading a push, a worker reading a pull) and as a
+// hello, and a hello of version 3 or older as an unsupported version.
 func TestRetiredTypeBytesStayReserved(t *testing.T) {
-	if MsgPush != 2 || MsgShardHello != 4 || MsgShardPush != 5 || MsgShardPull != 6 {
-		t.Fatalf("MsgPush = %d, hello, push, pull %d %d %d, want 2 and 4–6", MsgPush, MsgShardHello, MsgShardPush, MsgShardPull)
+	if MsgPush != 2 || MsgShardHello != 4 {
+		t.Fatalf("MsgPush = %d, hello %d, want 2 and 4", MsgPush, MsgShardHello)
 	}
 	if MsgShardBye != 12 || MsgShardPushRun != 13 || MsgShardPushLast != 14 || MsgShardPullRun != 15 {
 		t.Fatalf("MsgShardBye = %d, runs %d %d %d, want 12 and 13–15", MsgShardBye, MsgShardPushRun, MsgShardPushLast, MsgShardPullRun)
 	}
-	for _, typ := range []MsgType{1, 2, 3, 7, 8, 9, 10, 11} {
+	for _, typ := range []MsgType{1, 2, 3, 5, 6, 7, 8, 9, 10, 11} {
 		_, _, err := parseHello(typ, nil)
 		if want := fmt.Sprintf("transport: expected hello, got type %d", typ); err == nil || err.Error() != want {
 			t.Errorf("type-%d hello: %v, want %q", typ, err, want)
 		}
-		_, err = (&frameCodec{}).parseFrame(typ, AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion}), 0, true)
-		if want := fmt.Sprintf("transport: unexpected type-%d frame of 12 bytes", typ); err == nil || err.Error() != want {
-			t.Errorf("type-%d frame: %v, want %q", typ, err, want)
+		for _, fc := range []frameCodec{{}, {resilient: true}} {
+			_, err = fc.parseFrame(typ, AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion}), 0, true)
+			if want := fmt.Sprintf("transport: unexpected type-%d frame of 12 bytes", typ); err == nil || err.Error() != want {
+				t.Errorf("type-%d frame on %+v: %v, want %q", typ, fc, err, want)
+			}
 		}
 	}
 	for v := byte(0); v <= 3; v++ {
@@ -184,7 +188,7 @@ func TestOwnerGradientHelloRefused(t *testing.T) {
 		t.Errorf("version-4 hello: %v, want %q", err, want)
 	}
 	push := AppendShardHeader(nil, ShardHeader{Version: 4, Worker: 1, Step: 3})
-	if _, err := (&frameCodec{}).parseFrame(MsgShardPush, push, 0, true); err == nil || err.Error() != want {
+	if _, err := (&frameCodec{}).parseFrame(MsgShardPushRun, push, 0, true); err == nil || err.Error() != want {
 		t.Errorf("version-4 push: %v, want %q", err, want)
 	}
 }
@@ -222,28 +226,43 @@ func TestHelloIsPlainOrResilient(t *testing.T) {
 	}
 }
 
+// streamFrames is what a connection of fc's queues for wires as one
+// stream of type-t runs at step 7 (frames.putRuns), ended, for a push, by
+// its last run.
+func streamFrames(t *testing.T, fc frameCodec, typ MsgType, wires [][]byte) []byte {
+	t.Helper()
+	q := frames{flat: true}
+	if err := q.putRuns(&fc, typ, 7, wires); err != nil {
+		t.Fatal(err)
+	}
+	return q.b
+}
+
 // TestPlainFramesMatchLayout pins the frames of a connection that
-// negotiates nothing to the layout the package comment documents: hello2 =
-// header + placement hash, push2 = header + wire set, pull2 = the same with
-// worker 0.
+// negotiates nothing to the layout the package comment documents: hello =
+// header + placement hash, a push's run = header + entries, a pull's the
+// same with worker 0, bye = header.
 func TestPlainFramesMatchLayout(t *testing.T) {
 	fc := frameCodec{shard: 3, worker: 2}
 	set := [][]byte{{1, 2, 3}, nil, {4}}
+	entries := appendEntry(appendEntry(appendEntry(nil, -1, 0, set[0]), 0, 1, set[1]), 1, 2, set[2])
+	hello, _ := fc.appendFrame(nil, frame{t: MsgShardHello, arg: 0xfeed})
+	bye, _ := fc.appendFrame(nil, frame{t: MsgShardBye})
 	for _, c := range []struct {
-		f    frame
-		want []byte
+		t         MsgType
+		got, want []byte
 	}{
-		{frame{t: MsgShardHello, arg: 0xfeed}, le.AppendUint32(AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Shard: 3, Worker: 2}), 0xfeed)},
-		{frame{t: MsgShardPush, step: 7, set: set}, AppendWireSet(AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Shard: 3, Worker: 2, Step: 7}), set)},
-		{frame{t: MsgShardPull, step: 7, set: set}, AppendWireSet(AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Shard: 3, Step: 7}), set)},
+		{MsgShardHello, hello, le.AppendUint32(AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Shard: 3, Worker: 2}), 0xfeed)},
+		{MsgShardPushRun, streamFrames(t, fc, MsgShardPushRun, set), append(AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Shard: 3, Worker: 2, Step: 7}), entries...)},
+		{MsgShardPullRun, streamFrames(t, fc, MsgShardPullRun, set), append(AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Shard: 3, Step: 7}), entries...)},
+		{MsgShardBye, bye, AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Shard: 3, Worker: 2})},
 	} {
 		var want bytes.Buffer
-		if err := WriteFrame(&want, c.f.t, c.want); err != nil {
+		if err := WriteFrame(&want, c.t, c.want); err != nil {
 			t.Fatal(err)
 		}
-		got, err := fc.appendFrame(nil, c.f)
-		if err != nil || !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("type-%d frame %x (%v), want %x", c.f.t, got, err, want.Bytes())
+		if !bytes.Equal(c.got, want.Bytes()) {
+			t.Errorf("type-%d frame %x, want %x", c.t, c.got, want.Bytes())
 		}
 	}
 }
@@ -257,28 +276,34 @@ func TestResilientFramesMatchLayout(t *testing.T) {
 	fc := frameCodec{shard: 3, worker: 2, resilient: true}
 	set := [][]byte{{1, 2, 3}, nil, {4}}
 	run := appendEntry(appendEntry(nil, -1, 0, set[0]), 0, 2, set[2])
+	all := appendEntry(appendEntry(appendEntry(nil, -1, 0, set[0]), 0, 1, set[1]), 1, 2, set[2])
 	hdr := func(flags byte, worker, step uint32) []byte {
 		return AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Flags: flags, Shard: 3, Worker: worker, Step: step})
 	}
-	for _, c := range []struct {
-		f       frame
-		payload []byte
-	}{
-		{frame{t: MsgShardHello, arg: 0xfeed}, le.AppendUint32(hdr(FlagChecksum|FlagResilient, 2, 0), 0xfeed)},
-		{frame{t: MsgShardPush, step: 7, set: set}, AppendWireSet(hdr(FlagChecksum, 2, 7), set)},
-		{frame{t: MsgShardPull, step: 7, set: set}, AppendWireSet(hdr(FlagChecksum, 0, 7), set)},
-		{frame{t: MsgShardPushLast, step: 7, body: run}, append(hdr(FlagChecksum, 2, 7), run...)},
-		{frame{t: MsgShardPullRun, step: 7, body: run}, append(hdr(FlagChecksum, 0, 7), run...)},
-		{frame{t: MsgShardBye}, hdr(FlagChecksum, 2, 0)},
-	} {
-		crc := crc32.Checksum(append([]byte{byte(c.f.t)}, c.payload...), crc32.MakeTable(crc32.Castagnoli))
-		var want bytes.Buffer
-		if err := WriteFrame(&want, c.f.t, le.AppendUint32(c.payload, crc)); err != nil {
+	frameOf := func(f frame) []byte {
+		b, err := fc.appendFrame(nil, f)
+		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := fc.appendFrame(nil, c.f)
-		if err != nil || !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("type-%d frame %x (%v), want %x", c.f.t, got, err, want.Bytes())
+		return b
+	}
+	for _, c := range []struct {
+		t            MsgType
+		got, payload []byte
+	}{
+		{MsgShardHello, frameOf(frame{t: MsgShardHello, arg: 0xfeed}), le.AppendUint32(hdr(FlagChecksum|FlagResilient, 2, 0), 0xfeed)},
+		{MsgShardPushRun, streamFrames(t, fc, MsgShardPushRun, set), append(hdr(FlagChecksum, 2, 7), all...)},
+		{MsgShardPullRun, streamFrames(t, fc, MsgShardPullRun, set), append(hdr(FlagChecksum, 0, 7), all...)},
+		{MsgShardPushLast, frameOf(frame{t: MsgShardPushLast, step: 7, body: run}), append(hdr(FlagChecksum, 2, 7), run...)},
+		{MsgShardBye, frameOf(frame{t: MsgShardBye}), hdr(FlagChecksum, 2, 0)},
+	} {
+		crc := crc32.Checksum(append([]byte{byte(c.t)}, c.payload...), crc32.MakeTable(crc32.Castagnoli))
+		var want bytes.Buffer
+		if err := WriteFrame(&want, c.t, le.AppendUint32(c.payload, crc)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(c.got, want.Bytes()) {
+			t.Errorf("type-%d frame %x, want %x", c.t, c.got, want.Bytes())
 		}
 	}
 }
@@ -299,8 +324,8 @@ func TestHeaderFlagsPinned(t *testing.T) {
 		if _, _, err := ParseShardHeader(h); err == nil || err.Error() != want {
 			t.Errorf("flag %#02x header: %v, want %q", flag, err, want)
 		}
-		push := AppendWireSet(h, [][]byte{{1, 2, 3}})
-		if _, err := (&frameCodec{}).parseFrame(MsgShardPush, push, 0, false); err == nil || err.Error() != want {
+		push := appendEntry(h, -1, 0, []byte{1, 2, 3})
+		if _, err := (&frameCodec{}).parseFrame(MsgShardPushRun, push, 0, false); err == nil || err.Error() != want {
 			t.Errorf("flag %#02x push: %v, want %q", flag, err, want)
 		}
 	}

@@ -40,15 +40,35 @@ func retiredEntropyFrames() (hello, push []byte) {
 	return hello, AppendWireSet(AppendShardHeader(nil, h), [][]byte{{1, 2, 3}})
 }
 
-// sealedRetired is fc's type-t frame with a reserved header flag set,
-// sealed under fc's trailer, so the refusal — not the checksum — is what
-// rejects it.
-func sealedRetired(fc frameCodec, t MsgType, flag byte) []byte {
-	fr := frame{t: t, arg: 0xfeed, set: [][]byte{{1, 2, 3}}}
-	if t != MsgShardHello {
-		fr.step = 7
+// retiredSetPayload is the payload of fc's frame of a retired whole-set
+// type, at step 7 — a push (type 5) from fc's worker, or a pull (type 6) —
+// carrying wires as a wire set: what a connection sent before every
+// exchange was a stream of runs.
+func retiredSetPayload(fc frameCodec, t MsgType, wires [][]byte) []byte {
+	h := ShardHeader{Version: ShardWireVersion, Shard: fc.shard, Step: 7}
+	if t == 5 {
+		h.Worker = fc.worker
 	}
-	p := fc.appendPayload(nil, fr)
+	if fc.resilient {
+		h.Flags = FlagChecksum
+	}
+	p := AppendWireSet(AppendShardHeader(nil, h), wires)
+	if fc.resilient {
+		p = le.AppendUint32(p, frameChecksum(t, p))
+	}
+	return p
+}
+
+// sealedRetired is fc's type-t frame — a hello, or the retired whole-set
+// push — with a reserved header flag set, sealed under fc's trailer, so
+// the refusal — not the checksum — is what rejects it.
+func sealedRetired(fc frameCodec, t MsgType, flag byte) []byte {
+	var p []byte
+	if t == MsgShardHello {
+		p = fc.appendPayload(nil, frame{t: t, arg: 0xfeed})
+	} else {
+		p = retiredSetPayload(fc, t, [][]byte{{1, 2, 3}})
+	}
 	if fc.resilient {
 		p = p[:len(p)-4]
 	}
@@ -59,8 +79,7 @@ func sealedRetired(fc frameCodec, t MsgType, flag byte) []byte {
 }
 
 // fuzzTypes are the frame types parseFrame takes after a hello.
-var fuzzTypes = []MsgType{MsgShardPush, MsgShardPull, MsgShardPushRun, MsgShardPushLast,
-	MsgShardPullRun, MsgShardBye}
+var fuzzTypes = []MsgType{MsgShardPushRun, MsgShardPushLast, MsgShardPullRun, MsgShardBye}
 
 // fuzzCodec maps sub's low bit to what a hello negotiates: a plain or a
 // resilient connection (the trailer on every frame).
@@ -74,7 +93,10 @@ func fuzzCodec(sub byte) frameCodec {
 func fuzzRoundTrip(t *testing.T, sub byte, typ MsgType, body []byte) []byte {
 	t.Helper()
 	tx, rx := fuzzCodec(sub), fuzzCodec(sub)
-	fr := frame{t: typ, step: 7, body: body, set: [][]byte{body}}
+	fr := frame{t: typ, step: 7}
+	if isRun(typ) {
+		fr.body = body
+	}
 	wire := tx.appendPayload(nil, fr)
 	f, err := rx.parseFrame(typ, wire, 7, false)
 	if err != nil {
@@ -91,11 +113,6 @@ func fuzzRoundTrip(t *testing.T, sub byte, typ MsgType, body []byte) []byte {
 	case typ == MsgShardBye:
 	case f.step != 7:
 		t.Fatalf("subset %#x type %d: step %d, want 7", sub, typ, f.step)
-	case wholeSet(typ):
-		set, n, err := ParseWireSetInto(nil, f.body)
-		if err != nil || n != len(f.body) || len(set) != 1 || !bytes.Equal(set[0], body) {
-			t.Fatalf("subset %#x type %d: wire set did not round-trip (%v)", sub, typ, err)
-		}
 	case isRun(typ):
 		if !bytes.Equal(f.body, body) {
 			t.Fatalf("subset %#x type %d: run body %x, want %x", sub, typ, f.body, body)
@@ -136,25 +153,27 @@ func fuzzRoundTrip(t *testing.T, sub byte, typ MsgType, body []byte) []byte {
 func FuzzShardHeader(f *testing.F) {
 	for sub := byte(0); sub < 4; sub++ {
 		fc := fuzzCodec(sub)
-		f.Add(sub, byte(MsgShardPush), fc.appendPayload(nil, frame{t: MsgShardPush, step: 7, set: [][]byte{{1, 2, 3}, nil}}))
+		// Reserved type 5, the whole-set push.
+		f.Add(sub, byte(5), retiredSetPayload(fc, 5, [][]byte{{1, 2, 3}, nil}))
 		f.Add(sub, byte(MsgShardHello), fc.appendPayload(nil, frame{t: MsgShardHello, arg: 0xfeed}))
 		// The reserved flags: tenant tag, entropy stage, standby seat.
-		f.Add(sub, byte(MsgShardPush), sealedRetired(fc, MsgShardPush, 0x01))
-		f.Add(sub, byte(MsgShardPush), sealedRetired(fc, MsgShardPush, 0x02))
+		f.Add(sub, byte(5), sealedRetired(fc, 5, 0x01))
+		f.Add(sub, byte(5), sealedRetired(fc, 5, 0x02))
 		f.Add(sub, byte(MsgShardHello), sealedRetired(fc, MsgShardHello, 0x01))
 		f.Add(sub, byte(MsgShardHello), sealedRetired(fc, MsgShardHello, 0x10))
 	}
 	f.Add(byte(0), byte(MsgShardPushRun), []byte{ShardWireVersion, 0, 0, 0})
 	// Reserved type 7, a frame per streamed tensor.
 	f.Add(byte(0), byte(7), append(AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion, Worker: 2, Shard: 3, Step: 7}), 0, 0, 0, 0))
-	f.Add(byte(1), byte(MsgShardPull), bytes.Repeat([]byte{0xff}, ShardHeaderLen))
+	// Reserved type 6, the whole-set pull.
+	f.Add(byte(1), byte(6), bytes.Repeat([]byte{0xff}, ShardHeaderLen))
 	hello, push := retiredEntropyFrames()
 	f.Add(byte(0), byte(MsgShardHello), hello)
-	f.Add(byte(0), byte(MsgShardPush), push)
+	f.Add(byte(0), byte(5), push)
 	f.Fuzz(func(t *testing.T, sub, typ byte, data []byte) {
 		fc := fuzzCodec(sub)
 		if fr, err := fc.parseFrame(MsgType(typ), data, 7, true); err == nil {
-			if fr.t <= 3 || fr.t >= 7 && fr.t <= 11 {
+			if fr.t <= 3 || fr.t >= 5 && fr.t <= 11 {
 				t.Fatalf("accepted a frame of reserved type %d", fr.t)
 			}
 			if pushSide(fr.t) && fr.worker != fc.worker {
@@ -178,15 +197,15 @@ func FuzzShardHeader(f *testing.F) {
 	})
 }
 
-// FuzzParseRun feeds arbitrary entry tables to applyRun, the one place a
+// FuzzParseRun feeds arbitrary entry tables to seq.take, the one place a
 // run's entries come off the wire, in a stream of up to 15 slots of which
 // an earlier run may already have delivered one. No input panics; a table
-// that is accepted re-encodes to exactly its bytes and delivers each slot
-// it names once; and a table that is refused — a truncated, overflowing
-// or padded varint, a length past the end, a slot out of range or
-// delivered twice, trailing bytes that are no entry — leaves the
-// aggregator bit-untouched: validation of the whole table comes before
-// the first entry is handed on.
+// that is accepted re-encodes to exactly its bytes and records each slot
+// it names once, as a slice of the run; and a table that is refused — a
+// truncated, overflowing or padded varint, a length past the end, a slot
+// out of range or delivered twice, trailing bytes that are no entry —
+// leaves the earlier run's slot as it was. (Nothing of a stream is applied
+// before its last run is taken, so a refusal applies nothing.)
 func FuzzParseRun(f *testing.F) {
 	entries := func(slots ...int) []byte {
 		var b []byte
@@ -209,35 +228,44 @@ func FuzzParseRun(f *testing.F) {
 	f.Add(uint8(8), uint8(0x85), entries(4, 5, 6))                                                // slot 5 was an earlier run's
 	f.Add(uint8(8), uint8(0), append(entries(0, 1), 0x00))                                        // trailing byte
 	f.Fuzz(func(t *testing.T, n, earlier uint8, body []byte) {
-		seen := make([]bool, n%16)
-		if len(seen) > 0 && earlier&0x80 != 0 {
-			seen[int(earlier&0x7f)%len(seen)] = true
+		slots := int(n % 16)
+		var q seq
+		q.reset()
+		var was []byte // the earlier run's wire, if any
+		if slots > 0 && earlier&0x80 != 0 {
+			slot := int(earlier&0x7f) % slots
+			if err := q.take(appendEntry(nil, -1, slot, []byte{0xee}), slots); err != nil {
+				t.Fatal(err)
+			}
+			was = q.wires[slot]
 		}
-		before := append([]bool(nil), seen...)
-		// The aggregator: per slot, the wires it was handed, in order.
-		var acc [16][]byte
-		var order []int
-		k, err := applyRun(body, seen, func(slot int, wire []byte) error {
-			acc[slot] = append(acc[slot], wire...)
-			order = append(order, slot)
-			return nil
-		})
+		before, got := append([][]byte(nil), q.wires...), q.got
+		err := q.take(body, slots)
 		if err != nil {
-			if len(order) != 0 {
-				t.Fatalf("refused run (%v) handed %d entries to the aggregator first", err, len(order))
+			for slot, w := range before {
+				if w != nil && !bytes.Equal(q.wires[slot], was) {
+					t.Fatalf("refused run (%v) replaced the earlier run's slot %d", err, slot)
+				}
 			}
 			return
 		}
-		if k != len(order) {
-			t.Fatalf("accepted run of %d entries reports %d", len(order), k)
-		}
 		var re []byte
-		prev := -1
-		for _, slot := range order {
-			if before[slot] || !seen[slot] {
-				t.Fatalf("slot %d delivered again, or not marked seen", slot)
+		k, prev := 0, -1
+		for rest := body; len(rest) > 0; k++ {
+			slot, wire, next, err := parseEntry(rest, prev, slots)
+			if err != nil {
+				t.Fatalf("accepted run does not parse again: %v", err)
 			}
-			re, prev = appendEntry(re, prev, slot, acc[slot]), slot
+			if slot < len(before) && before[slot] != nil {
+				t.Fatalf("slot %d delivered again", slot)
+			}
+			if len(wire) > 0 && &q.wires[slot][0] != &wire[0] || len(q.wires[slot]) != len(wire) {
+				t.Fatalf("slot %d records another wire than its entry's", slot)
+			}
+			re, prev, rest = appendEntry(re, prev, slot, wire), slot, next
+		}
+		if q.got != got+k {
+			t.Fatalf("accepted run of %d entries counts %d", k, q.got-got)
 		}
 		if !bytes.Equal(re, body) {
 			t.Fatalf("accepted run re-encodes to %x, not %x", re, body)
@@ -255,14 +283,14 @@ func FuzzParseRun(f *testing.F) {
 func FuzzFrameReader(f *testing.F) {
 	var seed bytes.Buffer
 	_ = WriteFrame(&seed, MsgPush, []byte("hello world"))
-	_ = WriteFrame(&seed, MsgShardPush, AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion}))
+	_ = WriteFrame(&seed, 5, AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion})) // reserved type 5
 	f.Add(seed.Bytes())
 	f.Add([]byte{1, 0, 0, 0, 1}) // reserved type 1, the v1 hello
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 1, 2, 3})
 	var retired bytes.Buffer
 	hello, push := retiredEntropyFrames()
 	_ = WriteFrame(&retired, MsgShardHello, hello)
-	_ = WriteFrame(&retired, MsgShardPush, push)
+	_ = WriteFrame(&retired, 5, push)
 	f.Add(retired.Bytes())
 	for sub := byte(0); sub < 2; sub++ {
 		run, _ := coalescedRun(f, fuzzCodec(sub), 0, 1, 3, 100, 17, 300)

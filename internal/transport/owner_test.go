@@ -18,10 +18,17 @@ import (
 // used to send — and the server used to count as traffic and skip — in
 // worker 1's push over a real connection, whole-set and streamed: the
 // step fails on the server with an error naming the tensor and the
-// worker instead of finishing as if nothing had been sent.
+// worker instead of finishing as if nothing had been sent. On a resilient
+// connection too: a refused push is the push's fault, not the
+// connection's, so the server does not wait for a replay it would have to
+// refuse again on top of what it had taken of the first.
 func TestServerRefusesNonOwnersBytes(t *testing.T) {
-	for _, streamed := range []bool{false, true} {
-		t.Run(fmt.Sprintf("streamed=%v", streamed), func(t *testing.T) {
+	for _, c := range []struct {
+		name                string
+		streamed, resilient bool
+	}{{"streamed=false", false, false}, {"streamed=true", true, false}, {"resilient", true, true}} {
+		streamed := c.streamed
+		t.Run(c.name, func(t *testing.T) {
 			cfg := shardTestConfig(2, 1)
 			global := buildShardModel()
 			asn := shard.ForModel(global, 1)
@@ -30,7 +37,7 @@ func TestServerRefusesNonOwnersBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 			srv := NewShardServer(ln, mustSubServers(t, global, cfg, asn)[0], ShardServerConfig{
-				NumShards: 1, Workers: 2, Steps: 1, AssignmentHash: asn.Hash(),
+				NumShards: 1, Workers: 2, Steps: 1, AssignmentHash: asn.Hash(), Resilient: c.resilient,
 			})
 			serveErr := make(chan error, 1)
 			go func() { serveErr <- srv.Serve() }()
@@ -60,7 +67,7 @@ func TestServerRefusesNonOwnersBytes(t *testing.T) {
 			for w, set := range sets {
 				go func() {
 					defer func() { done <- struct{}{} }()
-					cl, err := DialShardedConfig([]string{ln.Addr().String()}, w, asn, ShardClientConfig{})
+					cl, err := DialShardedConfig([]string{ln.Addr().String()}, w, asn, ShardClientConfig{Resilient: c.resilient})
 					if err != nil {
 						t.Error(err)
 						return
@@ -80,6 +87,7 @@ func TestServerRefusesNonOwnersBytes(t *testing.T) {
 				}()
 			}
 			err = <-serveErr
+			ln.Close() // a resilient client's redial finds no server
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", owned.Name)) || !strings.Contains(err.Error(), "worker 1 sent") {
 				t.Fatalf("Serve() = %v, want a refusal naming tensor %q and worker 1", err, owned.Name)
 			}

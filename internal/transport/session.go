@@ -15,21 +15,13 @@ import (
 )
 
 // StepServer is the aggregation surface a session drives each BSP step:
-// open the step, ingest one complete wire-set push per worker, close the
-// step and collect the shared pull. The parameter server (*ps.Job)
-// implements it.
+// open the step, hand it one worker's push once the push has arrived
+// whole, close the step and collect the shared pull. The parameter server
+// (*ps.Job) implements it.
 type StepServer interface {
 	BeginStep()
 	AddPush(workerID int, wires [][]byte) (time.Duration, error)
 	FinishStep() ([][]byte, time.Duration, error)
-}
-
-// tensorPusher is what an aggregator may offer on top of StepServer: a
-// push fed tensor by tensor, decode-accumulated as frames land. A seat
-// may stream iff its session's aggregator offers it (*ps.Job does).
-type tensorPusher interface {
-	BeginPush(workerID int) ps.PushSession
-	NumTensors() int
 }
 
 // ownerViewer is what an aggregator may offer for the pull: the last
@@ -52,41 +44,38 @@ func (t *traffic) TrafficBytes() (push, pull int64) { return t.push.Load(), t.pu
 
 // link is one framed connection and the codec its hello negotiated — the
 // unit both ends of every transport connection are built from. It owns
-// the package's write path: whole frames are queued, each behind its own
-// prefix, in out; a streamed tensor joins the run open at out's end, or
-// opens one; and the socket sees a flush at a time. out copies the framing
-// and every wire under flushBytes and splices the longer ones (frames), so
-// a link holds about a flush of bytes of its own however large the tensors
-// it sends.
+// the package's write path: a stream's tensors join the run open at the
+// end of out, or open one (frames.entry), and the socket sees a flush at a
+// time. out copies the framing and every wire under flushBytes and splices
+// the longer ones (frames), so a plain link holds about a flush of bytes
+// of its own however large the tensors it sends. A resilient client's out
+// is flat and keeps the step's push once written: a redial replays it.
 type link struct {
-	c   net.Conn
-	br  *bufio.Reader // flushBytes deep: one read drains one flush
-	fr  *FrameReader
-	to  Timeouts
-	fc  frameCodec
-	out frames // frames queued since the last flush, recycled
+	c    net.Conn
+	br   *bufio.Reader // flushBytes deep: one read drains one flush
+	fr   *FrameReader
+	to   Timeouts
+	fc   frameCodec
+	out  frames // frames queued since the last flush, recycled
+	sent int    // bytes at the front of out written on this connection (a flat out keeps them)
 	// segs is write's segment list, recycled; iov is the copy of it a
 	// net.Buffers write consumes.
 	segs, iov net.Buffers
-	// The run open at out's end, if any: where its prefix starts (the
-	// prefix's last byte is its type) and the slot of its last entry.
-	inRun bool
-	runAt mark
-	prev  int
 }
 
-// attach points l at a fresh connection, keeping its codec and scratch.
+// attach points l at a fresh connection, keeping its codec, its scratch
+// and what is queued, none of which the connection has been written yet.
 func (l *link) attach(c net.Conn) {
 	l.c = c
 	l.br = bufio.NewReaderSize(c, flushBytes)
 	l.fr = NewFrameReader(l.br)
-	l.reset()
+	l.sent = 0
 }
 
 // reset drops whatever is queued, an open run included.
 func (l *link) reset() {
 	l.out.reset()
-	l.inRun = false
+	l.sent = 0
 }
 
 // open dials addr and sends the hello l's codec describes, vouching for
@@ -104,92 +93,47 @@ func (l *link) open(d Dialer, addr string, hash uint32) error {
 	return nil
 }
 
-// entry queues one tensor of a stream: slot's wire joins the run open on
-// l, or opens a type-t run for step — prefix and header — if none is.
-// Nothing reaches the socket before flush: a caller with more tensors
-// coming pays one frame and one write for them all, and decides itself
-// when the peer must see what it has — flushBytes is the size past which
-// both streaming ends stop waiting.
-//
-//3lc:noalloc
-func (l *link) entry(t MsgType, step uint32, slot int, wire []byte) {
-	l.openRun(t, step)
-	l.out.entry(l.prev, slot, wire)
-	l.prev = slot
-}
-
-// endRun makes the run open on l — or a new, empty one for step — a
-// type-t run: the frame that ends its stream.
-//
-//3lc:noalloc
-func (l *link) endRun(t MsgType, step uint32) {
-	l.openRun(t, step)
-	l.out.b[l.runAt.at+frameHeaderLen-1] = byte(t)
-}
-
-// openRun opens a type-t run for step behind the queued frames, unless one
-// is open already.
-//
-//3lc:noalloc
-func (l *link) openRun(t MsgType, step uint32) {
-	if !l.inRun {
-		l.inRun, l.runAt, l.prev = true, l.out.mark(), -1
-		l.out.b = l.fc.appendHeader(beginFrame(l.out.b, t), t, step)
-	}
-}
-
-// closeRun closes the run open on l, if any, into a frame: the trailer
-// when negotiated, then the length prefix.
-//
-//3lc:noalloc
-func (l *link) closeRun() error {
-	if !l.inRun {
-		return nil
-	}
-	l.inRun = false
-	payload := l.runAt
-	payload.at += frameHeaderLen
-	l.fc.seal(&l.out, MsgType(l.out.b[payload.at-1]), payload)
-	return l.out.endFrame(l.runAt)
-}
-
-// flush closes the open run and writes the queued frames.
+// flush closes the open run and writes what is queued and not yet written
+// on this connection. A plain link then drops it; a flat one keeps it.
 //
 //3lc:noalloc
 func (l *link) flush() error {
-	err := l.closeRun()
-	if err == nil && l.out.len() > 0 {
-		err = l.write(&l.out)
+	err := l.out.closeRun(&l.fc)
+	if err == nil && len(l.out.b) > l.sent {
+		err = l.write(&l.out, l.sent)
 	}
-	l.out.reset()
+	if l.out.flat {
+		l.sent = len(l.out.b)
+	} else {
+		l.out.reset()
+	}
 	return err
 }
 
-// send encodes f through the codec behind the frames already queued and
-// flushes: a frame that is the protocol's turn-taking (hello, whole-set
-// push and pull, bye) goes out at once, as one Write.
-//
-//3lc:noalloc
+// send writes f on its own, ahead of anything queued: a hello or a bye,
+// the protocol's turns that carry no tensor.
 func (l *link) send(f frame) error {
-	if err := l.fc.putFrame(&l.out, f); err != nil {
+	var q frames
+	if err := l.fc.putFrame(&q, f); err != nil {
 		return err
 	}
-	return l.flush()
+	return l.write(&q, 0)
 }
 
-// write hands the socket q — whole frames, prefixes included: a flush, or
-// a pull some session encoded once for every seat it is owed by — under
-// one write deadline: however many frames q holds, a peer that stops
-// reading fails it within Timeouts.Write. Frames that splice nothing are
-// one Write of their bytes; otherwise q's segments go out as one
-// net.Buffers write, a single writev on a TCP connection and a Write per
-// segment on any other writer. A connection writes nowhere else.
+// write hands the socket q from byte from on — whole frames, prefixes
+// included: a flush, or a pull some session encoded once for every seat it
+// is owed by — under one write deadline: however many frames q holds, a
+// peer that stops reading fails it within Timeouts.Write. Frames that
+// splice nothing are one Write of their bytes; otherwise q's segments go
+// out as one net.Buffers write, a single writev on a TCP connection and a
+// Write per segment on any other writer (from is then 0: only a flat out
+// is written in parts). A connection writes nowhere else.
 //
 //3lc:noalloc
-func (l *link) write(q *frames) error {
+func (l *link) write(q *frames, from int) error {
 	l.to.beforeWrite(l.c)
 	if len(q.splices) == 0 {
-		_, err := l.c.Write(q.b)
+		_, err := l.c.Write(q.b[from:])
 		return err
 	}
 	l.iov = q.segments(l.segs[:0])
@@ -198,14 +142,13 @@ func (l *link) write(q *frames) error {
 	return err
 }
 
-// read receives one frame under the read deadline and parses it at step
-// (see frameCodec.parseFrame). The frame aliases the connection's
-// scratch and is valid until the next read.
+// read receives one frame into buf under the read deadline and parses it
+// at step (see frameCodec.parseFrame). The frame aliases buf.
 //
 //3lc:noalloc
-func (l *link) read(step int, replay bool) (frame, error) {
+func (l *link) read(buf *[]byte, step int, replay bool) (frame, error) {
 	l.to.beforeRead(l.c)
-	t, payload, err := l.fr.ReadFrame()
+	t, payload, err := l.fr.ReadFrameInto(buf)
 	if err != nil {
 		return frame{}, err
 	}
@@ -219,14 +162,12 @@ func (l *link) read(step int, replay bool) (frame, error) {
 // failure ends the endpoint.
 var errListener = errors.New("transport: listener failure")
 
-// seat is one worker's place in a session: its connection plus the
-// per-step push state.
+// seat is one worker's place in a session: its connection plus the push
+// it is receiving.
 type seat struct {
 	link
-	id       int
-	wires    [][]byte // parsed push set, slice headers recycled each step
-	seen     []bool   // per-tensor received flags of one streamed push
-	streamed bool     // this step's push arrived as runs
+	id   int
+	push seq
 }
 
 // acceptSeat takes one connection off ln and parses its hello, returning
@@ -276,12 +217,11 @@ func (cfg *ShardServerConfig) admit(fc *frameCodec, hash uint32) error {
 // and therefore the aggregator's state — is deterministic and matches
 // the in-process tier.
 type session struct {
-	cfg    ShardServerConfig
-	agg    StepServer
-	stream tensorPusher // nil: seats push whole sets only
-	view   ownerViewer  // nil: the owner is sent the shared pull
-	ln     net.Listener // where a severed resilient seat's reconnect arrives
-	tr     *traffic
+	cfg  ShardServerConfig
+	agg  StepServer
+	view ownerViewer  // nil: the owner is sent the shared pull
+	ln   net.Listener // where a severed resilient seat's reconnect arrives
+	tr   *traffic
 
 	seats []*seat // indexed by worker id; nil while severed
 	// applied[w] is the last step whose push worker w's seat aggregated
@@ -290,7 +230,7 @@ type session struct {
 
 	// pulls are the last finished step's (done) pull sets, valid until the
 	// aggregator's next FinishStep: [0] the shared one, [1] the owner's
-	// (nil: the owner is sent [0]). pullBuf[o][k] is set o's frame for
+	// (nil: the owner is sent [0]). pullBuf[o][k] is set o's runs for
 	// plain (k 0) or resilient (k 1) seats — its large wires spliced, not
 	// copied, so it is valid exactly as long as the pull — built at most
 	// once per step (pullAt[o][k] == done) by the first seat that needs it:
@@ -305,7 +245,6 @@ type session struct {
 func newSession(agg StepServer, cfg ShardServerConfig, ln net.Listener, tr *traffic) *session {
 	s := &session{cfg: cfg, agg: agg, ln: ln, tr: tr, done: -1,
 		seats: make([]*seat, cfg.Workers), applied: make([]int, cfg.Workers)}
-	s.stream, _ = agg.(tensorPusher)
 	s.view, _ = agg.(ownerViewer)
 	for i := range s.applied {
 		s.applied[i] = -1
@@ -459,8 +398,13 @@ func (s *session) reacquire(w int) error {
 	return nil
 }
 
-// pushFrom drives worker w's seat through one step's push. Any failure
-// on a resilient seat severs it and waits for the worker's
+// errRefused marks a push the aggregator refused once it had arrived
+// whole: the push's fault, not the connection's, and the aggregator may
+// hold part of it, so no replay can recover it.
+var errRefused = errors.New("push refused")
+
+// pushFrom drives worker w's seat through one step's push. A failure of
+// the connection on a resilient seat severs it and waits for the worker's
 // reconnect-and-replay instead of failing the session.
 func (s *session) pushFrom(w, step int) error {
 	for {
@@ -469,46 +413,41 @@ func (s *session) pushFrom(w, step int) error {
 				return err
 			}
 		}
-		if err := s.readPush(s.seats[w], step); err == nil || !s.sever(w) {
+		err := s.readPush(s.seats[w], step)
+		if err == nil || errors.Is(err, errRefused) || !s.sever(w) {
 			return err
 		}
 	}
 }
 
-// readPush consumes one seat's push for step into the aggregator: a
-// single whole-set frame, or a stream of runs.
-// On a resilient seat a replay of the PREVIOUS step's push — the worker
-// lost that step's pull and reconnected — is answered from the retained
-// pull and consumed without re-aggregating, the dedupe half of
-// at-most-once application, before reading on for the current push.
+// readPush consumes one seat's push for step and hands it to the
+// aggregator once it has arrived whole. On a resilient seat a replay of
+// the PREVIOUS step's push — the worker lost that step's pull and
+// reconnected — is answered from the retained pull and dropped, the
+// dedupe half of at-most-once application, before reading on for the
+// current push.
 //
 //3lc:noalloc
 func (s *session) readPush(st *seat, step int) error {
 	for {
-		f, err := st.read(step, st.fc.resilient && s.applied[st.id] == step-1)
+		replay := st.fc.resilient && s.applied[st.id] == step-1
+		st.push.reset()
+		f, err := st.read(st.push.next(), step, replay)
+		var n int
+		if err == nil {
+			n, err = s.recvPush(st, f, step, replay)
+		}
 		if err != nil {
 			return fmt.Errorf("transport: shard %d step %d push from worker %d: %w", s.cfg.Shard, step, st.id, err)
 		}
-		n := len(f.raw)
-		switch f.t {
-		case MsgShardPush:
-			if int(f.step) != step {
-				if err := s.sendPull(st); err != nil {
-					return err
-				}
-				continue // the current step's push follows on this connection
+		if int(f.step) != step {
+			if err := s.sendPull(st); err != nil {
+				return err
 			}
-			st.streamed = false
-			if st.wires, _, err = ParseWireSetInto(st.wires, f.body); err == nil {
-				_, err = s.agg.AddPush(st.id, st.wires)
-			}
-		case MsgShardPushRun, MsgShardPushLast:
-			n, err = s.readStream(st, step, f)
-		default:
-			return fmt.Errorf("transport: shard %d step %d: expected push from worker %d, got type %d", s.cfg.Shard, step, st.id, f.t)
+			continue // the current step's push follows on this connection
 		}
-		if err != nil {
-			return fmt.Errorf("transport: shard %d step %d worker %d: %w", s.cfg.Shard, step, st.id, err)
+		if _, err := s.agg.AddPush(st.id, st.push.wires); err != nil {
+			return fmt.Errorf("transport: shard %d step %d push from worker %d: %w: %w", s.cfg.Shard, step, st.id, errRefused, err)
 		}
 		s.applied[st.id] = step
 		s.tr.push.Add(int64(n))
@@ -516,107 +455,73 @@ func (s *session) readPush(st *seat, step int) error {
 	}
 }
 
-// readStream consumes a streamed push from its already-read first run to
-// its MsgShardPushLast, returning the payload bytes received. Each run's
-// entries alias the connection's frame scratch and are decode-accumulated
-// before the next read — the session never stages the full wire set.
-// Workers must send every tensor of the shard — a zero-length wire, the
-// empty wire, for a tensor the seat does not push (ps.Pushes) and for a
-// non-transmitting scheme's off step — in any order, each exactly once;
-// duplicate or missing slots are protocol errors, enforced here so a
-// malformed stream can never silently skew the aggregate, and a run is
-// validated whole before any of it is (applyRun).
-func (s *session) readStream(st *seat, step int, f frame) (int, error) {
-	if s.stream == nil {
-		return 0, fmt.Errorf("transport: streamed push to a seat that takes whole sets only (its aggregator has no per-tensor surface)")
-	}
-	if err := st.fc.streamable(); err != nil {
-		return 0, err
-	}
-	want := s.stream.NumTensors()
-	if cap(st.seen) < want {
-		st.seen = make([]bool, want)
-	}
-	st.seen = st.seen[:want]
-	clear(st.seen)
-	push := s.stream.BeginPush(st.id)
-	n, tensors := 0, 0
+// recvPush reads a push from its first run, f, already read, to its
+// MsgShardPushLast, into st.push, and returns the payload bytes received.
+// A worker sends every tensor of the shard — a zero-length wire, the empty
+// wire, for a tensor the seat does not push (ps.Pushes) and for a
+// non-transmitting scheme's off step — in any order, each exactly once:
+// a duplicate or missing slot fails the push before any of it reaches the
+// aggregator, and the aggregator refuses a push of another tensor count.
+//
+//3lc:noalloc
+func (s *session) recvPush(st *seat, f frame, step int, replay bool) (int, error) {
+	q, at, n := &st.push, f.step, 0
 	for {
-		k, err := applyRun(f.body, st.seen, push.Tensor)
-		if err != nil {
-			return 0, err
-		}
-		n, tensors = n+len(f.raw), tensors+k
-		if f.t == MsgShardPushLast {
-			break
-		}
-		if f, err = st.read(step, false); err != nil {
-			return 0, fmt.Errorf("push stream: %w", err)
-		}
 		if f.t != MsgShardPushRun && f.t != MsgShardPushLast {
 			return 0, fmt.Errorf("transport: expected a push run, got type %d", f.t)
 		}
+		if f.step != at {
+			return 0, fmt.Errorf("transport: a run of step %d in the push of step %d", f.step, at)
+		}
+		if err := q.take(f.body, maxSlots); err != nil {
+			return 0, err
+		}
+		n += len(f.raw)
+		if f.t == MsgShardPushLast {
+			break
+		}
+		var err error
+		if f, err = st.read(q.next(), step, replay); err != nil {
+			return 0, err
+		}
 	}
-	if tensors != want {
-		return 0, fmt.Errorf("transport: streamed %d of %d tensors (incomplete push)", tensors, want)
+	if q.got != len(q.wires) {
+		return 0, fmt.Errorf("transport: %d tensors up to slot %d (incomplete push)", q.got, len(q.wires)-1)
 	}
-	st.streamed = true
-	return n, push.End()
+	return n, nil
 }
 
 // sendPull answers one seat with the pull of the last finished step as its
 // worker is sent it (ps.Pulls: the owner's view to the owner, the shared
-// pull to everyone else): one whole-set frame, or — to a seat that pushed
-// streamed — runs, an owner-only slot of the owner's an empty wire. Every tensor exists before the first is sent, so they are queued
-// into one run, closed and written when flushBytes have gathered and at
-// the end: the worker starts decoding after the first flush, and a shard's
-// pull costs a frame and a write per flushBytes, not per tensor.
+// pull to everyone else; an owner-only slot of the owner's is an empty
+// wire). It is encoded once per step, view and contract, a run closed at
+// every flushBytes and at the end, and written to each seat it is owed to
+// in one write.
 //
 //3lc:noalloc
 func (s *session) sendPull(st *seat) error {
 	if s.done < 0 {
 		return fmt.Errorf("transport: shard %d: no finished step to answer worker %d from", s.cfg.Shard, st.id)
 	}
-	o := 0
+	o, k := 0, 0
 	if st.id == ps.Owner && s.pulls[1] != nil {
 		o = 1
 	}
-	sent := 0
-	if st.streamed {
-		last := len(s.pulls[o]) - 1
-		for k, wire := range s.pulls[o] {
-			st.entry(MsgShardPullRun, uint32(s.done), k, wire)
-			if k < last && st.out.len() < flushBytes {
-				continue
-			}
-			err := st.closeRun()
-			if err == nil {
-				sent += st.out.len() - frameHeaderLen
-				err = st.flush()
-			}
-			if err != nil {
-				return fmt.Errorf("transport: shard %d step %d pull to worker %d: %w", s.cfg.Shard, s.done, st.id, err)
-			}
-		}
-	} else {
-		k := 0
-		if st.fc.resilient {
-			k = 1
-		}
-		q := &s.pullBuf[o][k]
-		if s.pullAt[o][k] != s.done {
-			q.reset()
-			if err := st.fc.putFrame(q, frame{t: MsgShardPull, step: uint32(s.done), set: s.pulls[o]}); err != nil {
-				return fmt.Errorf("transport: shard %d step %d pull: %w", s.cfg.Shard, s.done, err)
-			}
-			s.pullAt[o][k] = s.done
-		}
-		if err := st.write(q); err != nil {
-			return fmt.Errorf("transport: shard %d step %d pull to worker %d: %w", s.cfg.Shard, s.done, st.id, err)
-		}
-		sent = q.len() - frameHeaderLen
+	if st.fc.resilient {
+		k = 1
 	}
-	s.tr.pull.Add(int64(sent))
+	q := &s.pullBuf[o][k]
+	if s.pullAt[o][k] != s.done {
+		q.reset()
+		if err := q.putRuns(&st.fc, MsgShardPullRun, uint32(s.done), s.pulls[o]); err != nil {
+			return fmt.Errorf("transport: shard %d step %d pull: %w", s.cfg.Shard, s.done, err)
+		}
+		s.pullAt[o][k] = s.done
+	}
+	if err := st.write(q, 0); err != nil {
+		return fmt.Errorf("transport: shard %d step %d pull to worker %d: %w", s.cfg.Shard, s.done, st.id, err)
+	}
+	s.tr.pull.Add(int64(q.len() - frameHeaderLen*q.n))
 	return nil
 }
 
@@ -647,7 +552,15 @@ func (s *session) settle(w int) error {
 		}
 		// One past the last step: the only push that parses is a replay of
 		// the final one, and only from a seat that has it aggregated.
-		f, err := st.read(s.done+1, s.applied[w] == s.done)
+		replay := s.applied[w] == s.done
+		st.push.reset()
+		f, err := st.read(st.push.next(), s.done+1, replay)
+		if err == nil && f.t != MsgShardBye {
+			if int(f.step) != s.done {
+				return fmt.Errorf("transport: shard %d: unexpected type-%d frame from worker %d after the final step", s.cfg.Shard, f.t, w)
+			}
+			_, err = s.recvPush(st, f, s.done+1, replay)
+		}
 		switch {
 		case err != nil:
 			// EOF, reset, timeout or corruption: the worker is done (the
@@ -658,12 +571,10 @@ func (s *session) settle(w int) error {
 			}
 		case f.t == MsgShardBye:
 			return nil // positive confirmation: the final pull was applied
-		case f.t == MsgShardPush && int(f.step) == s.done:
+		default:
 			if err := s.sendPull(st); err != nil && !s.sever(w) {
 				return err
 			}
-		default:
-			return fmt.Errorf("transport: shard %d: unexpected type-%d frame from worker %d after the final step", s.cfg.Shard, f.t, w)
 		}
 	}
 	return fmt.Errorf("transport: shard %d: worker %d cannot settle its final pull", s.cfg.Shard, w)

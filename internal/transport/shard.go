@@ -6,13 +6,33 @@
 //
 //	shard header := [1B version=5][1B flags][2B LE shard][4B LE worker][4B LE step]
 //	hello        := header (step = 0) [4B LE assignment hash]
-//	push         := header [wire set]
-//	pull         := header (worker = 0) [wire set]
+//	entry        := [uvarint zigzag(slot − prev − 1)][uvarint len][tensor wire]
+//	pushRun      := header {entry}                (more runs of the push follow)
+//	pushLast     := header {entry}                (the push's last run; may be empty)
+//	pullRun      := header (worker = 0) {entry}
+//	bye          := header (step = 0)
+//
+// Every push and every pull is a stream of runs: a run is one header,
+// then per tensor its shard-local slot as a delta from the run's previous
+// one (prev is −1 before a run's first entry) and its wire's length, both
+// uvarints. A push is runs ending in its pushLast; a pull is runs until
+// each of the shard's tensors has arrived once, which the worker knows
+// from its placement. A sender closes and writes a run on three occasions
+// only: flushBytes have gathered in it, its stream ends, and — on a push
+// fed tensor by tensor (PushPullStream) — the producer has nothing more
+// ready, so a producer slower than the wire still gets tensor i out before
+// tensor i+1 exists. A producer that is ahead of the wire — a burst of
+// small tensors, a single CPU, a whole set — pays one run per shard, a
+// header and about three bytes a tensor. Each receiver reads a stream's
+// runs whole, each into a buffer of its own, validates every slot exactly
+// once, and only then applies it (seq): the server hands the push to its
+// aggregator, the worker applies or returns the pull, and a stream that
+// fails or is cut off applies nothing.
 //
 // (ShardWireVersion counts generations of this layout: 3 since the owner
 // is sent the empty wire in its owner-only slots, ps.Pulls; 4 since a
-// streamed exchange sends a run per flush, below; 5 since the owner pushes
-// the update of its owner-only tensors and the servers relay it.)
+// streamed exchange sends a run per flush; 5 since the owner pushes the
+// update of its owner-only tensors and the servers relay it.)
 //
 // A connection is plain or resilient, and its hello says which. A plain
 // connection emits and accepts exactly the lines above. A resilient one
@@ -20,37 +40,10 @@
 // FlagChecksum) ends every frame, hello included, in a CRC-32C trailer,
 // [4B LE crc] (checksum.go) — last, so it covers what is on the wire,
 // header and body alike — and its client may tear down and re-dial mid-run,
-// replaying the in-flight step's push; the session dedupes replays on the
-// (worker, step) identity and re-answers missed pulls from the retained
-// pull. A hello with any other flags is refused. The values of retired
-// wire features stay reserved (codec.go).
-//
-// The streamed exchange overlaps communication with codec work: a worker
-// hands each tensor to its shard's connection the moment its compressor
-// finishes — the shard decode-accumulates tensor i while tensor i+1 is
-// still compressing or in flight — and applies the pull tensor by tensor
-// as it is read. Both ends queue tensors on their link and flush on three
-// occasions only: the producer has nothing more ready (so a producer
-// slower than the wire still gets tensor i out before tensor i+1 exists),
-// flushBytes have gathered, and the stream ends. A flush is one frame, a
-// run: one header, then per tensor its shard-local slot as a delta from
-// the run's previous one and its wire's length, both uvarints:
-//
-//	entry    := [uvarint zigzag(slot − prev − 1)][uvarint len][tensor wire]
-//	pushRun  := header {entry}                (more runs of the push follow)
-//	pushLast := header {entry}                (the push's last run; may be empty)
-//	pullRun  := header (worker = 0) {entry}
-//
-// prev is −1 before a run's first entry. A producer that is ahead of the
-// wire — a burst of small tensors, a single CPU — pays one run per shard,
-// a header and about three bytes a tensor, not a frame per tensor; the
-// server's pull, whose tensors all exist before the first is sent, pays
-// one per flushBytes. Each receiver validates a run's whole entry table
-// before any entry reaches an aggregator or the worker (applyRun).
-//
-// Whole-set and streamed workers interoperate freely on one shard: the
-// mode is per worker per step, chosen by the first push frame. A resilient
-// connection exchanges whole sets only (frameCodec.streamable).
+// replaying the in-flight step's push from its first run; the session
+// dedupes replays on the (worker, step) identity and re-answers missed
+// pulls from the retained pull. A hello with any other flags is refused.
+// The values of retired wire features stay reserved (codec.go).
 package transport
 
 import (
@@ -65,9 +58,9 @@ import (
 // Frame types. Type bytes 1–3 are reserved (codec.go).
 const (
 	MsgShardHello MsgType = iota + 4
-	MsgShardPush
-	MsgShardPull
-	// Type bytes 7–11 are reserved (codec.go).
+	// Type bytes 5–11 are reserved (codec.go).
+	_
+	_
 	_
 	_
 	_
@@ -80,17 +73,16 @@ const (
 	// closed because the final pull failed its checksum and be about to
 	// reconnect and replay.
 	MsgShardBye
-	// MsgShardPushRun carries one flush of a worker's streamed push: the
-	// header, then an entry per tensor (see frames.entry). The shard
-	// decode-accumulates its tensors as soon as the run has landed and
-	// validated; more runs of the push follow.
+	// MsgShardPushRun carries one flush of a worker's push: the header,
+	// then an entry per tensor (see frames.putEntry); more runs of the
+	// push follow.
 	MsgShardPushRun
-	// MsgShardPushLast is the last run of a streamed push, the same layout;
-	// it may hold no entry at all.
+	// MsgShardPushLast is the last run of a push, the same layout; it may
+	// hold no entry at all.
 	MsgShardPushLast
-	// MsgShardPullRun carries one flush of the pull to a worker that pushed
-	// streamed, the same layout; the worker knows its shard's tensor count
-	// and reads runs until each tensor has arrived once.
+	// MsgShardPullRun carries one flush of the pull, the same layout; the
+	// worker knows its shard's tensor count and reads runs until each
+	// tensor has arrived once.
 	MsgShardPullRun
 )
 
@@ -139,8 +131,7 @@ type ShardServer struct {
 // NewShardServer wraps agg — the ps sub-job owning this shard's tensors,
 // or an aggregator in front of one — to serve cfg.Workers workers for
 // cfg.Steps steps on ln. What agg offers beyond StepServer decides what the
-// seats may do: *ps.Job takes per-tensor pushes and sends the owner its
-// view of the pull.
+// owner's seat is sent: *ps.Job sends the owner its view of the pull.
 func NewShardServer(ln net.Listener, agg StepServer, cfg ShardServerConfig) *ShardServer {
 	return &ShardServer{agg: agg, cfg: cfg, ln: ln}
 }
@@ -148,8 +139,8 @@ func NewShardServer(ln net.Listener, agg StepServer, cfg ShardServerConfig) *Sha
 // NewServer serves agg to `workers` unplaced clients (DialTimeoutDialer)
 // for `steps` steps on ln: a one-shard ShardServer whose placement hash is
 // 0. It offers its seats what a StepServer alone offers, whatever else agg
-// implements: whole-set pushes only, and the shared pull to every seat,
-// the owner's too. So the bytes it moves do not depend on agg's surface.
+// implements: the shared pull to every seat, the owner's too. So the bytes
+// it moves do not depend on agg's surface.
 func NewServer(ln net.Listener, agg StepServer, workers, steps int) *ShardServer {
 	return NewShardServer(ln, struct{ StepServer }{agg}, ShardServerConfig{NumShards: 1, Workers: workers, Steps: steps})
 }
@@ -178,9 +169,8 @@ type ShardClientConfig struct {
 	// the client backs off per Retry, re-dials the SAME shard address,
 	// re-handshakes with FlagResilient, and replays the in-flight step's
 	// push; the server (ShardServerConfig.Resilient) dedupes the replay and
-	// re-answers the missed pull from its retained pull. Whole-set rounds
-	// only (see frameCodec.streamable). At Close the client confirms with
-	// MsgShardBye so the server can retire its seat.
+	// re-answers the missed pull from its retained pull. At Close the
+	// client confirms with MsgShardBye so the server can retire its seat.
 	Resilient bool
 	// Retry is the resilient path's backoff schedule, for the first dial as
 	// for every redial; the zero value is the retry.Policy default (4
@@ -200,9 +190,13 @@ type ShardClient struct {
 	idx   [][]int // per-shard global tensor indices, fixed at dial time
 	slot  []int   // global tensor index -> shard-local index
 	conns []*shardConn
-	pull  [][]byte // reassembled full-model pull set, recycled
-	subs  [][][]byte
+	pull  [][]byte // the last pull in full-model order, aliasing the connections' runs
 	errs  []error
+	// An exchange's shard goroutines, and whether its tensors broke
+	// PushPullStream's contract (set before the shard channels close, read
+	// by streamShard after).
+	wg, pushing sync.WaitGroup
+	abandoned   bool
 }
 
 type shardConn struct {
@@ -210,8 +204,8 @@ type shardConn struct {
 	addr   string      // the shard's address, the resilient reconnect target
 	policy RetryPolicy // per-worker, per-shard decorrelated backoff stream
 	dirty  bool        // streamed push: tensors routed here since the last flush mark
-	// seen[k] marks shard-local tensor k of a streamed step: pushed, while
-	// PushPullStream routes the caller's tensors; then, cleared, pulled.
+	// seen[k] marks shard-local tensor k pushed, while PushPullStream
+	// routes the caller's tensors.
 	seen []bool
 }
 
@@ -234,18 +228,18 @@ func DialShardedConfig(addrs []string, workerID int, asn shard.Assignment, ccfg 
 		idx:  make([][]int, asn.NumShards),
 		slot: make([]int, len(asn.ShardOf)),
 		pull: make([][]byte, len(asn.ShardOf)),
-		subs: make([][][]byte, asn.NumShards),
 		errs: make([]error, asn.NumShards),
 	}
 	for s := range c.idx {
 		c.idx[s] = asn.Tensors(s)
-		c.subs[s] = make([][]byte, len(c.idx[s]))
 		for k, gi := range c.idx[s] {
 			c.slot[gi] = k
 		}
 	}
 	for s, addr := range addrs {
-		sc := &shardConn{Client: Client{link: link{to: ccfg.Timeouts, fc: fc}}, addr: addr,
+		// A resilient connection keeps the step's push for a replay, so it
+		// copies every wire: a float32 wire is the worker's gradient.
+		sc := &shardConn{Client: Client{link: link{to: ccfg.Timeouts, fc: fc, out: frames{flat: ccfg.Resilient}}}, addr: addr,
 			policy: ccfg.Retry.Stream(uint64(workerID)<<32 | uint64(s)), seen: make([]bool, len(c.idx[s]))}
 		sc.fc.shard = uint16(s)
 		if err := c.retry(sc, nil); err != nil {
@@ -257,53 +251,69 @@ func DialShardedConfig(addrs []string, workerID int, asn shard.Assignment, ccfg 
 	return c, nil
 }
 
-// PushPull splits the worker's full-model wire set by placement, pushes
-// every shard's slice on its own connection concurrently, waits for all
-// shard pulls, and reassembles them into full-model tensor order. The
-// returned wires alias per-connection scratch recycled on the next call
-// (the same lifetime contract as Client.PushPull).
+// PushPull is the exchange of a whole set: every shard is pushed its slice
+// of the worker's full-model wire set as one stream of runs, concurrently,
+// and the shards' pulls come back in full-model tensor order. The returned
+// wires alias the connections' receive buffers, recycled on the next
+// exchange (the same lifetime contract as Client.PushPull).
 func (c *ShardClient) PushPull(step int, wires [][]byte) ([][]byte, error) {
 	if len(wires) != len(c.asn.ShardOf) {
 		return nil, fmt.Errorf("transport: push has %d tensors, placement has %d", len(wires), len(c.asn.ShardOf))
 	}
+	var err error
 	if len(c.conns) == 1 {
-		// Single-shard fast path: no goroutine fan-out, so the steady
+		// Single-shard fast path: no channel or goroutine, so the steady
 		// state stays allocation-free.
-		if err := c.pushPullShard(step, 0, c.conns[0], wires); err != nil {
-			return nil, err
-		}
+		err = c.pushPullShard(step, 0, c.conns[0], wires)
 	} else {
-		var wg sync.WaitGroup
-		for s, sc := range c.conns {
-			wg.Add(1)
-			go func(s int, sc *shardConn) {
-				defer wg.Done()
-				c.errs[s] = c.pushPullShard(step, s, sc, wires)
-			}(s, sc)
+		ch := make(chan IndexedWire, len(wires))
+		for i, w := range wires {
+			ch <- IndexedWire{I: i, Wire: w}
 		}
-		wg.Wait()
-		for _, err := range c.errs {
-			if err != nil {
-				return nil, err
-			}
-		}
+		close(ch)
+		err = c.stream(step, ch, keepPull, nil)
 	}
-	for i := range c.pull {
-		c.pull[i] = nil
-	}
-	for s, sc := range c.conns {
-		for k, gi := range c.idx[s] {
-			c.pull[gi] = sc.pullWires[k]
-		}
+	if err != nil {
+		return nil, err
 	}
 	return c.pull, nil
+}
+
+// pushPullShard is shard s's part of PushPull: its slice of wires as one
+// push, then its pull.
+//
+//3lc:noalloc
+func (c *ShardClient) pushPullShard(step, s int, sc *shardConn, wires [][]byte) error {
+	for k, gi := range c.idx[s] {
+		if err := sc.put(step, k, wires[gi]); err != nil {
+			sc.reset()
+			return fmt.Errorf("transport: shard %d push step %d: %w", s, step, err)
+		}
+	}
+	return c.finish(step, s, sc)
+}
+
+// finish ends the push queued on shard s's connection and receives the
+// step's pull into c.pull, under retry: a resilient client whose
+// connection failed at any point of the exchange redials and replays the
+// push from its first run.
+func (c *ShardClient) finish(step, s int, sc *shardConn) error {
+	defer sc.reset()
+	sc.out.endRun(&sc.fc, MsgShardPushLast, uint32(step))
+	if err := c.retry(sc, func() error { return sc.pullAfter(step, len(c.idx[s])) }); err != nil {
+		return fmt.Errorf("transport: shard %d step %d: %w", s, step, err)
+	}
+	for k, gi := range c.idx[s] {
+		c.pull[gi] = sc.pulled.wires[k]
+	}
+	return nil
 }
 
 // retry runs op on sc's connection, dialing the shard first when it has
 // none (op nil: the dial is all there is to do). On a resilient client a
 // failure is recovered in place: hang up, back off per the shard's
-// decorrelated retry stream, re-dial, re-handshake and run op again. A
-// push/pull op so replays its step's push; the server kept the seat,
+// decorrelated retry stream, re-dial, re-handshake and run op again. An
+// exchange's op so replays its step's push; the server kept the seat,
 // dedupes the replay on the (worker, step) identity and re-answers the
 // missed pull from its retained pull. The attempt budget is the policy's;
 // exhausting it surfaces the last error.
@@ -330,24 +340,6 @@ func (c *ShardClient) retry(sc *shardConn, op func() error) error {
 	}
 }
 
-// pushPullShard runs one shard's round trip of one step under retry.
-func (c *ShardClient) pushPullShard(step, s int, sc *shardConn, wires [][]byte) error {
-	return c.retry(sc, func() error { return c.tryPushPull(step, s, sc, wires) })
-}
-
-// tryPushPull is one push/pull attempt on the current connection: the
-// shard's slice of wires, one Client round trip.
-//
-//3lc:noalloc
-func (c *ShardClient) tryPushPull(step, s int, sc *shardConn, wires [][]byte) error {
-	sub := c.subs[s]
-	for k, gi := range c.idx[s] {
-		sub[k] = wires[gi]
-	}
-	_, err := sc.PushPull(step, sub)
-	return err
-}
-
 // IndexedWire is one tensor's compressed wire tagged with its global
 // tensor index, the unit of the streamed push/pull pipeline.
 type IndexedWire struct {
@@ -360,50 +352,47 @@ type IndexedWire struct {
 // routed so far is all there is for now, so the shard must not sit on it.
 const flushMark = -1
 
-// PushPullStream runs one step in streamed mode. Tensors arriving on
-// `tensors` (any order — typically straight from a concurrent compressor,
-// ps.Worker.CompressGradsStream) are queued on their owning shard's
-// connection as they arrive, so the servers decode-accumulate tensor i
-// while tensor i+1 is still compressing or in flight. A shard's queued
-// tensors are written, as one run, when `tensors` runs empty, when
-// flushBytes of them have gathered and when the push ends (see the
-// package comment): a tensor never waits for one the producer has not made
-// yet, and a producer that is ahead pays one run per shard. The caller
-// must send every tensor exactly once (an empty Wire for non-transmitting
-// schemes) and close the channel; wires must stay valid until the call
-// returns. An index out of range or sent twice fails the call before
-// anything of it is framed, and whatever fails, the call receives from
-// `tensors` until it is closed, so a producer is never left blocked on it.
+// PushPullStream runs one step with the push fed tensor by tensor.
+// Tensors arriving on `tensors` (any order — typically straight from a
+// concurrent compressor, ps.Worker.CompressGradsStream) are queued on
+// their owning shard's connection as they arrive, so the servers receive
+// tensor i while tensor i+1 is still compressing. A shard's queued tensors
+// are written, as one run, when `tensors` runs empty, when flushBytes of
+// them have gathered and when the push ends (see the package comment): a
+// tensor never waits for one the producer has not made yet, and a producer
+// that is ahead pays one run per shard. The caller must send every tensor
+// exactly once (an empty Wire for non-transmitting schemes) and close the
+// channel; wires must stay valid until the call returns. An index out of
+// range or sent twice fails the call before anything of it is framed, and
+// whatever fails, the call receives from `tensors` until it is closed, so
+// a producer is never left blocked on it.
 //
-// The pull comes back as runs: apply is invoked once per tensor —
-// concurrently across shards, and per shard straight off the connection's
-// frame scratch once its run has validated, while the kernel's receive
-// buffer takes the runs behind it. apply must be safe for concurrent calls
-// on different tensors (ps.Worker.ApplyPullTensor is); its wire argument
-// is valid only for the duration of the call.
+// Each shard's pull is received whole, then apply is invoked once per
+// tensor of it — concurrently across shards. apply must be safe for
+// concurrent calls on different tensors (ps.Worker.ApplyPullTensor is);
+// its wire argument stays valid until the next exchange.
 func (c *ShardClient) PushPullStream(step int, tensors <-chan IndexedWire, apply func(gi int, wire []byte) error) error {
-	err := c.conns[0].fc.streamable()
-	if err != nil {
-		for range tensors {
-		}
-		return err
-	}
+	return c.stream(step, tensors, apply, nil)
+}
+
+// stream is PushPullStream, closing pushed, if set, once every shard's
+// push has ended: each wire is then written, or copied into a resilient
+// connection's replay.
+func (c *ShardClient) stream(step int, tensors <-chan IndexedWire, apply func(gi int, wire []byte) error, pushed chan<- struct{}) error {
 	chans := make([]chan IndexedWire, len(c.conns))
-	// abandoned: the tensors broke the contract above, so no shard ends its
-	// push. Set before the shard channels close, read by streamShard after.
-	var abandoned bool
-	var wg sync.WaitGroup
 	for s, sc := range c.conns {
 		clear(sc.seen)
 		// Every tensor of the shard once, and at most one flush mark behind
 		// each: the router below never blocks on a shard.
 		chans[s] = make(chan IndexedWire, 2*len(c.idx[s]))
-		wg.Add(1)
+		c.wg.Add(1)
+		c.pushing.Add(1)
 		go func(s int, sc *shardConn, ch <-chan IndexedWire) {
-			defer wg.Done()
-			c.errs[s] = c.streamShard(step, s, sc, ch, &abandoned, apply)
+			defer c.wg.Done()
+			c.errs[s] = c.streamShard(step, s, sc, ch, apply)
 		}(s, sc, chans[s])
 	}
+	var err error
 	for {
 		var iw IndexedWire
 		var ok bool
@@ -438,11 +427,15 @@ func (c *ShardClient) PushPullStream(step int, tensors <-chan IndexedWire, apply
 		sc.seen[c.slot[iw.I]], sc.dirty = true, true
 		chans[s] <- iw
 	}
-	abandoned = err != nil
+	c.abandoned = err != nil
 	for _, ch := range chans {
 		close(ch)
 	}
-	wg.Wait()
+	if pushed != nil {
+		c.pushing.Wait()
+		close(pushed)
+	}
+	c.wg.Wait()
 	for _, serr := range c.errs {
 		if err == nil {
 			err = serr
@@ -453,48 +446,47 @@ func (c *ShardClient) PushPullStream(step int, tensors <-chan IndexedWire, apply
 
 // streamShard drives one shard connection through a streamed step: the
 // push — a run of the tensors routed here, flushed at each flush mark and
-// past flushBytes, its last run flushed at the end — then the pull, a run
-// at a time, each tensor applied straight off the frame scratch. The
-// kernel's receive buffer is the second slot of that decode: the server
-// wrote the runs flushBytes at a time, so the next one is already there,
-// or arriving, while this one is applied.
-func (c *ShardClient) streamShard(step, s int, sc *shardConn, ch <-chan IndexedWire, abandoned *bool, apply func(gi int, wire []byte) error) error {
-	// However the step ends, nothing queued for it is left for the next.
-	defer sc.reset()
-	for iw := range ch {
-		if iw.I != flushMark {
-			sc.entry(MsgShardPushRun, uint32(step), c.slot[iw.I], iw.Wire)
-		}
-		if iw.I == flushMark || sc.out.len() >= flushBytes {
-			if err := sc.flush(); err != nil {
-				return fmt.Errorf("transport: shard %d push step %d: %w", s, step, err)
-			}
-		}
+// past flushBytes, its last run flushed at the end — then the pull,
+// received whole (finish), then applied tensor by tensor.
+func (c *ShardClient) streamShard(step, s int, sc *shardConn, ch <-chan IndexedWire, apply func(gi int, wire []byte) error) error {
+	err := sc.route(step, ch, c.slot)
+	c.pushing.Done()
+	if err != nil {
+		sc.reset()
+		return fmt.Errorf("transport: shard %d push step %d: %w", s, step, err)
 	}
-	if *abandoned {
+	if c.abandoned {
 		// The caller broke the stream's contract; the step cannot complete
 		// and the error is PushPullStream's to report.
+		sc.reset()
 		return nil
 	}
-	sc.endRun(MsgShardPushLast, uint32(step))
-	if err := sc.flush(); err != nil {
-		return fmt.Errorf("transport: shard %d push end step %d: %w", s, step, err)
+	if err := c.finish(step, s, sc); err != nil {
+		return err
 	}
-
-	clear(sc.seen)
-	for got := 0; got < len(sc.seen); {
-		f, err := sc.read(step, false)
-		if err == nil && f.t != MsgShardPullRun {
-			err = fmt.Errorf("expected pull run, got type %d", f.t)
+	for _, gi := range c.idx[s] {
+		if err := apply(gi, c.pull[gi]); err != nil {
+			return err
 		}
-		var n int
-		if err == nil {
-			n, err = applyRun(f.body, sc.seen, func(slot int, wire []byte) error { return apply(c.idx[s][slot], wire) })
+	}
+	return nil
+}
+
+// route queues the tensors routed to sc as one push, writing what is
+// queued at each flush mark and past flushBytes (put).
+//
+//3lc:noalloc
+func (sc *shardConn) route(step int, ch <-chan IndexedWire, slot []int) error {
+	for iw := range ch {
+		var err error
+		if iw.I == flushMark {
+			err = sc.flushPush()
+		} else {
+			err = sc.put(step, slot[iw.I], iw.Wire)
 		}
 		if err != nil {
-			return fmt.Errorf("transport: shard %d pull step %d: %w", s, step, err)
+			return err
 		}
-		got += n
 	}
 	return nil
 }

@@ -223,13 +223,14 @@ func driveWorkerStream(t *testing.T, w int, steps int, cfg ps.Config, global *nn
 }
 
 // TestStreamedTCPMatchesSinglePS runs the per-tensor streamed pipeline —
-// workers 0 and 2 stream (push frames queued while later tensors still
-// compress, pull frames decode-applied off the frame scratch), worker 1
-// stays on the whole-set path on a resilient connection, under the CRC-32C
-// trailer — over a 2-shard resilient TCP tier and checks the final global
-// state is bit-identical to the in-process single server. Mixing the modes
-// and the contracts on one tier pins their interoperability: each step's
-// pull goes out in two whole-set variants and as runs.
+// workers 0 and 2 stream (push runs queued while later tensors still
+// compress, each shard's pull applied once it has arrived whole), worker 1
+// exchanges whole sets through PushPull on a resilient connection, under
+// the CRC-32C trailer — over a 2-shard resilient TCP tier and checks the
+// final global state is bit-identical to the in-process single server.
+// Mixing the entry points and the contracts on one tier pins their
+// interoperability: each step's pull goes out in a plain and a resilient
+// variant.
 func TestStreamedTCPMatchesSinglePS(t *testing.T) {
 	const workers, steps, shards = 3, 3, 2
 	cfg := shardTestConfig(workers, steps)
@@ -590,7 +591,7 @@ func TestShardTierThroughputScalesWithShards(t *testing.T) {
 			})
 			go func() { served <- srv.Serve() }()
 		}
-		tier, err := DialTier(workers, false, func(w int) (*ShardClient, error) { return DialShardedConfig(addrs, w, asn, ShardClientConfig{}) })
+		tier, err := DialTier(workers, func(w int) (*ShardClient, error) { return DialShardedConfig(addrs, w, asn, ShardClientConfig{}) })
 		if err != nil {
 			t.Fatal(err)
 		}

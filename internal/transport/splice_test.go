@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ import (
 // prev to dst, the wire copied.
 func appendEntry(dst []byte, prev, slot int, wire []byte) []byte {
 	q := frames{b: dst, flat: true}
-	q.entry(prev, slot, wire)
+	q.putEntry(prev, slot, wire)
 	return q.b
 }
 
@@ -56,15 +57,73 @@ func (c *recordConn) Write(p []byte) (int, error) { return c.got.Write(p) }
 // spliceSizes are the wire lengths on either side of the splice threshold.
 var spliceSizes = []int{0, 1, flushBytes - 1, flushBytes, flushBytes + 1, 0, 3*flushBytes + 5, 2}
 
+// pushedBytes is what a client of fc's hands the socket for wires as
+// step 7's push (Client.put, then the last run), its queue flat or
+// splicing.
+func pushedBytes(t testing.TB, fc frameCodec, wires [][]byte, flat bool) []byte {
+	t.Helper()
+	rec := &recordConn{}
+	c := &Client{link: link{fc: fc, out: frames{flat: flat}}}
+	c.attach(rec)
+	for k, w := range wires {
+		if err := c.put(7, k, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.out.endRun(&c.fc, MsgShardPushLast, 7)
+	if err := c.flush(); err != nil {
+		t.Fatal(err)
+	}
+	return rec.got.Bytes()
+}
+
+// pulledBytes is what a session of fc's hands the socket for wires as
+// step 7's pull (frames.putRuns), its cached pull flat or splicing.
+func pulledBytes(t testing.TB, fc frameCodec, wires [][]byte, flat bool) []byte {
+	t.Helper()
+	q := frames{flat: flat}
+	if err := q.putRuns(&fc, MsgShardPullRun, 7, wires); err != nil {
+		t.Fatal(err)
+	}
+	return socketBytes(&q)
+}
+
+// readStream reads the frames of b through fc as one stream of n slots,
+// each run into a buffer of its own, and returns it with the frames' types.
+func readStream(t testing.TB, fc frameCodec, b []byte, n int) (*seq, []MsgType) {
+	t.Helper()
+	fr := NewFrameReader(bytes.NewReader(b))
+	q := &seq{}
+	var types []MsgType
+	for q.reset(); ; {
+		typ, payload, err := fr.ReadFrameInto(q.next())
+		if err == io.EOF {
+			return q, types
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := fc.parseFrame(typ, payload, 7, false)
+		if err == nil {
+			err = q.take(f.body, n)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		types = append(types, typ)
+	}
+}
+
 // TestSplicedFramesMatchCopied holds every frame shape a wire can be
-// spliced into to the copied encoding: whole-set push and pull, plain and
-// resilient (checksummed), and runs whose entries sit at
-// flushBytes − 1, flushBytes and flushBytes + 1, with empty wires and
-// several spliced wires in one frame. For each, the bytes the socket is
-// handed equal appendFrame's, FrameReader parses them back into the wires
-// that were queued, a frame over MaxFrameBytes — counted with its spliced
-// bytes — is refused before anything is written, and the servers'
-// TrafficBytes count the spliced bytes of a real exchange.
+// spliced into to the copied encoding: a push's and a pull's stream of
+// runs on the shard wire, plain and resilient (checksummed), and runs
+// whose entries sit at flushBytes − 1, flushBytes and flushBytes + 1,
+// with empty wires and several spliced wires in one frame. For each, the
+// bytes the socket is handed equal the copied encoding's, FrameReader
+// parses them back into the wires that were queued, a frame over
+// MaxFrameBytes — counted with its spliced bytes — is refused before
+// anything is written, and the servers' TrafficBytes count the spliced
+// bytes of a real exchange.
 func TestSplicedFramesMatchCopied(t *testing.T) {
 	rng := tensor.NewRNG(9)
 	wires := make([][]byte, len(spliceSizes))
@@ -79,42 +138,26 @@ func TestSplicedFramesMatchCopied(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		fc   frameCodec
-		f    frame
+		send func(t testing.TB, fc frameCodec, wires [][]byte, flat bool) []byte
+		last MsgType // the stream's last frame
 	}{
-		{"v2 push", plain, frame{t: MsgShardPush, step: 7, set: wires}},
-		{"v2 pull", plain, frame{t: MsgShardPull, step: 7, set: wires}},
-		{"v2 push, checksummed", summed, frame{t: MsgShardPush, step: 7, set: wires}},
-		{"v2 pull, checksummed", summed, frame{t: MsgShardPull, step: 7, set: wires}},
+		{"v2 push", plain, pushedBytes, MsgShardPushLast},
+		{"v2 pull", plain, pulledBytes, MsgShardPullRun},
+		{"v2 push, checksummed", summed, pushedBytes, MsgShardPushLast},
+		{"v2 pull, checksummed", summed, pulledBytes, MsgShardPullRun},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			want, err := c.fc.appendFrame(nil, c.f)
-			if err != nil {
-				t.Fatal(err)
+			got, want := c.send(t, c.fc, wires, false), c.send(t, c.fc, wires, true)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("socket was handed %d bytes that are not the copied encoding's %d", len(got), len(want))
 			}
-			rec := &recordConn{}
-			l := &link{fc: c.fc}
-			l.attach(rec)
-			if err := l.send(c.f); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(rec.got.Bytes(), want) {
-				t.Fatalf("socket was handed %d bytes that are not the copied encoding's %d", rec.got.Len(), len(want))
-			}
-			typ, payload, err := NewFrameReader(&rec.got).ReadFrame()
-			if err != nil || typ != c.f.t {
-				t.Fatalf("read back type %d: %v", typ, err)
-			}
-			f, err := c.fc.parseFrame(typ, payload, 7, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := ParseWireSetInto(nil, f.body)
-			if err != nil {
-				t.Fatal(err)
+			q, types := readStream(t, c.fc, got, len(wires))
+			if len(types) < 2 || types[len(types)-1] != c.last {
+				t.Fatalf("read back types %v: want runs past flushBytes, ending in type %d", types, c.last)
 			}
 			for i := range wires {
-				if !bytes.Equal(got[i], wires[i]) {
-					t.Fatalf("wire %d: %d bytes back, want %d", i, len(got[i]), len(wires[i]))
+				if !bytes.Equal(q.wires[i], wires[i]) {
+					t.Fatalf("wire %d: %d bytes back, want %d", i, len(q.wires[i]), len(wires[i]))
 				}
 			}
 		})
@@ -122,43 +165,34 @@ func TestSplicedFramesMatchCopied(t *testing.T) {
 
 	for _, fc := range []frameCodec{plain, summed} {
 		t.Run(fmt.Sprintf("runs, checksum %v", fc.resilient), func(t *testing.T) {
-			// Every entry in one run, then the push's end: the streamed push's
+			// Every entry in one run, then the push's end: a streamed push's
 			// flush, and the copied run from a link that copies everything.
 			rec := &recordConn{}
 			l, flat := &link{fc: fc}, &link{fc: fc, out: frames{flat: true}}
 			l.attach(rec)
 			for _, q := range []*link{l, flat} {
 				for k, w := range wires {
-					q.entry(MsgShardPushRun, 7, k, w)
+					q.out.entry(&q.fc, MsgShardPushRun, 7, k, w)
 				}
-				q.endRun(MsgShardPushLast, 7)
+				q.out.endRun(&q.fc, MsgShardPushLast, 7)
 			}
 			if err := l.flush(); err != nil {
 				t.Fatal(err)
 			}
-			if err := flat.closeRun(); err != nil {
+			if err := flat.out.closeRun(&flat.fc); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(rec.got.Bytes(), flat.out.b) {
 				t.Fatalf("socket was handed %d bytes that are not the copied run's %d", rec.got.Len(), len(flat.out.b))
 			}
-			typ, payload, err := NewFrameReader(&rec.got).ReadFrame()
-			if err != nil || typ != MsgShardPushLast {
-				t.Fatalf("read back type %d: %v", typ, err)
+			q, types := readStream(t, fc, rec.got.Bytes(), len(wires))
+			if len(types) != 1 || types[0] != MsgShardPushLast || q.got != len(wires) {
+				t.Fatalf("read back types %v, %d of %d entries", types, q.got, len(wires))
 			}
-			f, err := fc.parseFrame(typ, payload, 7, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			next := 0
-			if _, err := applyRun(f.body, make([]bool, len(wires)), func(slot int, wire []byte) error {
-				if slot != next || !bytes.Equal(wire, wires[slot]) {
-					return fmt.Errorf("entry %d: slot %d, %d bytes", next, slot, len(wire))
+			for i := range wires {
+				if !bytes.Equal(q.wires[i], wires[i]) {
+					t.Fatalf("entry %d: %d bytes back, want %d", i, len(q.wires[i]), len(wires[i]))
 				}
-				next++
-				return nil
-			}); err != nil || next != len(wires) {
-				t.Fatalf("%d of %d entries back: %v", next, len(wires), err)
 			}
 		})
 	}
@@ -166,22 +200,18 @@ func TestSplicedFramesMatchCopied(t *testing.T) {
 	t.Run("MaxFrameBytes counts spliced bytes", func(t *testing.T) {
 		// Never read or written: the refusal comes first.
 		half := make([]byte, MaxFrameBytes/2)
-		set := [][]byte{half, half}
 		for _, fc := range []frameCodec{plain, summed} {
 			rec := &recordConn{}
 			cc := &countConn{Conn: rec}
 			l := &link{fc: fc}
 			l.attach(cc)
-			if err := l.send(frame{t: MsgShardPush, step: 7, set: set}); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
-				t.Errorf("resilient %v: a %d-byte wire set sent: %v", fc.resilient, 2*len(half), err)
-			}
-			l.entry(MsgShardPushRun, 7, 0, half)
-			l.entry(MsgShardPushRun, 7, 1, half)
+			l.out.entry(&l.fc, MsgShardPushRun, 7, 0, half)
+			l.out.entry(&l.fc, MsgShardPushRun, 7, 1, half)
 			if err := l.flush(); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 				t.Errorf("resilient %v: a %d-byte run flushed: %v", fc.resilient, 2*len(half), err)
 			}
 			if d := cc.snap(); d.writes != 0 || l.out.len() != 0 {
-				t.Errorf("resilient %v: %d writes, %d bytes left queued after the refusals, want none", fc.resilient, d.writes, l.out.len())
+				t.Errorf("resilient %v: %d writes, %d bytes left queued after the refusal, want none", fc.resilient, d.writes, l.out.len())
 			}
 		}
 	})
@@ -191,16 +221,17 @@ func TestSplicedFramesMatchCopied(t *testing.T) {
 		x := newF32Exchange(t, func() *nn.Model { return nn.NewMLP(128, nil, 160, 1) }, 1, 1)
 		wires, _ := x.workers[0].CompressGrads()
 		fc := x.clients[0].fc
-		push, _ := fc.appendFrame(nil, frame{t: MsgShardPush, set: wires})
+		push := pushedBytes(t, fc, wires, true)
 		x.exchange(t)
-		pull, _ := fc.appendFrame(nil, frame{t: MsgShardPull, set: x.clients[0].pullWires})
+		pull := pulledBytes(t, fc, x.clients[0].pulled.wires, true)
 		if err := x.close(); err != nil {
 			t.Fatal(err)
 		}
-		gotPush, gotPull := x.tr.TrafficBytes()
-		if gotPush != int64(len(push)-frameHeaderLen) || gotPull != int64(len(pull)-frameHeaderLen) {
-			t.Errorf("TrafficBytes %d push, %d pull; the copied frames' payloads are %d and %d",
-				gotPush, gotPull, len(push)-frameHeaderLen, len(pull)-frameHeaderLen)
+		_, pushTypes := readStream(t, fc, push, len(wires))
+		_, pullTypes := readStream(t, fc, pull, len(wires))
+		wantPush, wantPull := len(push)-frameHeaderLen*len(pushTypes), len(pull)-frameHeaderLen*len(pullTypes)
+		if gotPush, gotPull := x.tr.TrafficBytes(); gotPush != int64(wantPush) || gotPull != int64(wantPull) {
+			t.Errorf("TrafficBytes %d push, %d pull; the copied frames' payloads are %d and %d", gotPush, gotPull, wantPush, wantPull)
 		}
 		if ps.WireBytes(wires) < flushBytes {
 			t.Fatalf("a %d-byte push splices nothing", ps.WireBytes(wires))

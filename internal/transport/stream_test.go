@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"fmt"
+	"errors"
 	"io"
 	"net"
 	"runtime"
@@ -211,10 +211,11 @@ func repeat(n, v int) []int {
 // TestStreamFlushPolicyProducerAhead pins what coalescing buys: when
 // every tensor is ready before the call, a shard's push is written
 // ⌈bytes / flushBytes⌉ times — once, unless flushBytes gather first — and
-// so is the server's streamed pull. The larger model's frames are 4 KiB
-// and less against shard totals near 90 KiB, so the write that passes
-// flushBytes leaves a remainder and the two counts agree. A push that is
-// never flushed at its end hangs here; one flushed per frame over-counts.
+// the server's pull is as many runs, encoded before it is sent and written
+// in one write. The larger model's frames are 4 KiB and less against shard
+// totals near 90 KiB, so the write that passes flushBytes leaves a
+// remainder and the two counts agree. A push that is never flushed at its
+// end hangs here; one flushed per frame over-counts.
 func TestStreamFlushPolicyProducerAhead(t *testing.T) {
 	const shards = 2
 	// Raw float32 wires, so each case sizes its frames by sizing its model.
@@ -241,9 +242,13 @@ func TestStreamFlushPolicyProducerAhead(t *testing.T) {
 				for s := 0; s < shards; s++ {
 					for side, c := range []*countConn{tier.conns[0][s], tier.servers[s].conn(0)} {
 						d := c.snap().since(before[side][s])
-						if want := (d.bytes + flushBytes - 1) / flushBytes; d.writes != want || d.writes != tc.writes {
-							t.Errorf("step %d shard %d %s: %d frames, %d bytes in %d writes, want %d = ⌈bytes/%d⌉ = %d",
-								step, s, []string{"push", "pull"}[side], d.frames, d.bytes, d.writes, tc.writes, flushBytes, want)
+						writes := d.frames // the push: a write a run
+						if side == 1 {
+							writes = 1 // the pull: one write of its runs
+						}
+						if want := (d.bytes + flushBytes - 1) / flushBytes; d.frames != want || d.frames != tc.writes || d.writes != writes {
+							t.Errorf("step %d shard %d %s: %d frames, %d bytes in %d writes, want %d = ⌈bytes/%d⌉ = %d frames in %d writes",
+								step, s, []string{"push", "pull"}[side], d.frames, d.bytes, d.writes, tc.writes, flushBytes, want, writes)
 						}
 					}
 				}
@@ -252,100 +257,154 @@ func TestStreamFlushPolicyProducerAhead(t *testing.T) {
 	}
 }
 
-// ingestSignal is an aggregator of the test's own around a shard's job:
-// it reports every tensor the job has ingested.
-type ingestSignal struct {
-	*ps.Job
-	ingested chan<- int
+// cutter cuts one worker's connections where a test asks, through the
+// Dialer hook: the write that begins step push's push is cut in half and
+// the connection closed under it, and once step pull's push is written,
+// the next read hands on half of what arrived and closes the connection.
+// Each cut happens once; the redialed connections pass clean.
+type cutter struct {
+	push, pull int // the steps
+	mu         sync.Mutex
+	pushCut    bool
+	pullArmed  bool
+	pullCut    bool
 }
 
-type signalPush struct {
-	ps.PushSession
-	ingested chan<- int
+func (c *cutter) dial(addr string) (net.Conn, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return &cutConn{Conn: conn, c: c}, nil
 }
 
-func (a ingestSignal) BeginPush(worker int) ps.PushSession {
-	return signalPush{a.Job.BeginPush(worker), a.ingested}
+// cutConn is one connection of a cutter's. A link writes whole frames, so
+// a write that is a run begins with its prefix and shard header.
+type cutConn struct {
+	net.Conn
+	c *cutter
 }
 
-func (p signalPush) Tensor(i int, wire []byte) error {
-	err := p.PushSession.Tensor(i, wire)
-	p.ingested <- i
-	return err
+func (cc *cutConn) Write(p []byte) (int, error) {
+	step := -1
+	if len(p) >= frameHeaderLen+ShardHeaderLen && isRun(MsgType(p[frameHeaderLen-1])) {
+		step = int(le.Uint32(p[frameHeaderLen+8:]))
+	}
+	c := cc.c
+	c.mu.Lock()
+	cut := step == c.push && !c.pushCut
+	c.pushCut = c.pushCut || cut
+	c.pullArmed = c.pullArmed || step == c.pull && !c.pullCut
+	c.mu.Unlock()
+	if !cut {
+		return cc.Conn.Write(p)
+	}
+	n, _ := cc.Conn.Write(p[:len(p)/2])
+	cc.Conn.Close()
+	return n, errors.New("cut mid-push")
 }
 
-// TestResilientStreamRefused: a resilient connection exchanges whole sets
-// only (frameCodec.streamable), and both ends hold to it. On the client,
-// PushPullStream fails with the refusal before a frame is written and
-// still drains the producer's channel; on the server, readStream refuses a
-// resilient seat's run before any entry reaches the aggregator — before
-// the push is even begun.
-func TestResilientStreamRefused(t *testing.T) {
-	const want = "transport: worker 0: a resilient connection cannot stream runs"
-	t.Run("client", func(t *testing.T) {
-		tier := newStreamTier(t, buildShardModel, shardTestConfig(1, 1024), 2, ShardClientConfig{Resilient: true}, nil)
-		wk, cl := tier.workers[0], tier.clients[0]
-		var before []wrote
-		for _, c := range tier.conns[0] {
-			before = append(before, c.snap())
+func (cc *cutConn) Read(p []byte) (int, error) {
+	n, err := cc.Conn.Read(p)
+	c := cc.c
+	c.mu.Lock()
+	cut := n > 1 && c.pullArmed && !c.pullCut
+	c.pullCut = c.pullCut || cut
+	c.mu.Unlock()
+	if !cut {
+		return n, err
+	}
+	cc.Conn.Close()
+	return n / 2, nil
+}
+
+// TestResilientStreamSurvivesCuts: resilient × streamed. Two workers
+// stream to a 2-shard resilient tier, and worker 0's connection is cut
+// once mid-push — half a run written, the connection closed — and once
+// mid-pull — half the pull read. Each time the client redials and replays
+// the step's push from its first run, the server drops what it had of the
+// cut push (nothing of it was applied) or answers the replay of a push it
+// applied from the retained pull, and the worker applies the pull it
+// receives whole, once. The cuts come at steps 1 and 2 of 4, so a push or
+// a pull applied twice, or not at all, changes the steps after it: the
+// final global weights must be the single server's, bit for bit.
+func TestResilientStreamSurvivesCuts(t *testing.T) {
+	const workers, steps, shards = 2, 4, 2
+	cfg := shardTestConfig(workers, steps)
+	global := buildShardModel()
+	asn := shard.ForModel(global, shards)
+	subs := mustSubServers(t, global, cfg, asn)
+	addrs := make([]string, shards)
+	serveErr := make(chan error, shards)
+	for s := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
 		}
-		wires, _ := wk.CompressGrads()
-		ch := make(chan IndexedWire, len(wires))
-		for i, wire := range wires {
-			ch <- IndexedWire{I: i, Wire: wire}
-		}
-		close(ch)
-		if err := cl.PushPullStream(0, ch, wk.ApplyPullTensor); err == nil || err.Error() != want {
-			t.Fatalf("PushPullStream = %v, want %q", err, want)
-		}
-		if len(ch) != 0 {
-			t.Errorf("%d of %d tensors left in the producer's channel", len(ch), len(wires))
-		}
-		for s, c := range tier.conns[0] {
-			if d := c.snap().since(before[s]); d.writes != 0 {
-				t.Errorf("shard %d: %d writes of %d bytes after the refusal", s, d.writes, d.bytes)
+		addrs[s] = ln.Addr().String()
+		srv := NewShardServer(ln, subs[s], ShardServerConfig{
+			Shard: s, NumShards: shards, Workers: workers, Steps: steps, AssignmentHash: asn.Hash(), Resilient: true,
+		})
+		go func() { serveErr <- srv.Serve() }()
+	}
+	cuts := &cutter{push: 1, pull: 2}
+	pol := RetryPolicy{MaxAttempts: 4, Base: 5 * time.Millisecond, Cap: 50 * time.Millisecond, Multiplier: 2}
+	done := make(chan struct{}, workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer func() { done <- struct{}{} }()
+			ccfg := ShardClientConfig{Resilient: true, Retry: pol}
+			if w == 0 {
+				ccfg.Dialer = cuts.dial
 			}
+			cl, err := DialShardedConfig(addrs, w, shard.ForModel(buildShardModel(), shards), ccfg)
+			if err != nil {
+				t.Errorf("worker %d dial: %v", w, err)
+				return
+			}
+			defer cl.Close()
+			driveWorkerStream(t, w, steps, cfg, global, cl)
+		}(w)
+	}
+	for w := 0; w < workers; w++ {
+		<-done
+	}
+	for s := 0; s < shards; s++ {
+		if err := <-serveErr; err != nil {
+			t.Fatalf("shard serve: %v", err)
 		}
-	})
-	t.Run("server", func(t *testing.T) {
-		global := buildShardModel()
-		cfg := shardTestConfig(1, 1)
-		agg := &beginCounter{Job: mustSubServers(t, global, cfg, shard.ForModel(global, 1))[0]}
-		s := newSession(agg, ShardServerConfig{NumShards: 1, Workers: 1, Steps: 1, Resilient: true}, nil, &traffic{})
-		st := &seat{link: link{fc: frameCodec{resilient: true}}}
-		run := frame{t: MsgShardPushLast, body: appendEntry(nil, -1, 0, []byte{byte(compress.SchemeNone)})}
-		if _, err := s.readStream(st, 0, run); err == nil || err.Error() != want {
-			t.Fatalf("readStream = %v, want %q", err, want)
+	}
+	if !cuts.pushCut || !cuts.pullCut {
+		t.Fatalf("cut mid-push %v, mid-pull %v: the test proved nothing", cuts.pushCut, cuts.pullCut)
+	}
+	want := referenceWeights(t, workers, steps)
+	var got []float32
+	for _, p := range global.Params() {
+		got = append(got, p.W.Data()...)
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("weight %d differs: single %v cut resilient stream %v", i, want[i], got[i])
 		}
-		if agg.begun != 0 {
-			t.Errorf("the refused run began %d pushes on the aggregator", agg.begun)
-		}
-	})
-}
-
-// beginCounter counts the pushes a session begins on its job.
-type beginCounter struct {
-	*ps.Job
-	begun int
-}
-
-func (a *beginCounter) BeginPush(worker int) ps.PushSession {
-	a.begun++
-	return a.Job.BeginPush(worker)
+	}
 }
 
 // TestStreamFlushOnIdleProducer is the other half of the policy: a
-// producer that makes tensor i+1 only once the server has ingested tensor
-// i must never find a tensor withheld for company. Flush-on-idle removed,
-// tensor 0 waits in the link's buffer for a tensor that is waiting for it,
-// and the step times out. What the policy costs such a producer is a run
-// of one tensor per write — a header and the tensor's entry — and the
-// push's empty last run at its end.
+// producer that makes tensor i+1 only once the socket has been handed
+// tensor i must never find a tensor withheld for company. Flush-on-idle
+// removed, tensor 0 waits in the link's buffer for a tensor that is
+// waiting for it, and the step times out. What the policy costs such a
+// producer is a run of one tensor per write — a header and the tensor's
+// entry — and the push's empty last run at its end.
 func TestStreamFlushOnIdleProducer(t *testing.T) {
-	ingested := make(chan int)
-	tier := newStreamTier(t, buildShardModel, shardTestConfig(1, 1024), 2, ShardClientConfig{},
-		func(j *ps.Job) StepServer { return ingestSignal{j, ingested} })
+	tier := newStreamTier(t, buildShardModel, shardTestConfig(1, 1024), 2, ShardClientConfig{}, nil)
 	wk, cl := tier.workers[0], tier.clients[0]
+	written := func() (n int64) {
+		for _, c := range tier.conns[0] {
+			n += c.snap().writes
+		}
+		return n
+	}
 	for step := 0; step < 2; step++ {
 		var before [2]wrote
 		for s, c := range tier.conns[0] {
@@ -355,16 +414,21 @@ func TestStreamFlushOnIdleProducer(t *testing.T) {
 		ch := make(chan IndexedWire)
 		done := make(chan error, 1)
 		go func() { done <- cl.PushPullStream(step, ch, wk.ApplyPullTensor) }()
-		fail := time.After(10 * time.Second)
+		deadline := time.Now().Add(10 * time.Second)
 		var want [2]wrote
 		for i, wire := range wires {
+			n := written()
 			ch <- IndexedWire{I: i, Wire: wire}
-			select {
-			case <-ingested:
-			case err := <-done:
-				t.Fatalf("step %d: exchange ended at tensor %d: %v", step, i, err)
-			case <-fail:
-				t.Fatalf("step %d: tensor %d was handed over but never reached the server", step, i)
+			for written() == n {
+				select {
+				case err := <-done:
+					t.Fatalf("step %d: exchange ended at tensor %d: %v", step, i, err)
+				default:
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("step %d: tensor %d was handed over but never written", step, i)
+				}
+				runtime.Gosched()
 			}
 			s := cl.asn.ShardOf[i]
 			want[s].writes++
@@ -658,22 +722,22 @@ func TestPushPullStreamEnforcesItsContract(t *testing.T) {
 }
 
 // TestLinkWritesPerFlush pins the link's write path at both ends of the
-// size range: a sent frame, and a run of queued tensors however far past
-// flushBytes it goes, are each one flush, and the socket is handed the
-// copied encoding byte for byte. With 1 000-byte wires a flush is one
-// Write. A 2 MiB wire is spliced, not copied, and the flush goes out as
-// one net.Buffers write: a single writev on a TCP connection, and on a
-// plain writer, as here, a Write per segment — 1 + 2·splices, since every
-// spliced wire here has bytes behind it in its flush. None of it
-// allocates once the buffers have grown, which the race detector's own
-// allocations hide.
+// size range: a run of queued tensors, however far past flushBytes it
+// goes, is one flush, and the socket is handed the copied encoding byte
+// for byte. With 1 000-byte wires a flush is one Write. A 2 MiB wire is
+// spliced, not copied, and the flush goes out as one net.Buffers write: a
+// single writev on a TCP connection, and on a plain writer, as here, a
+// Write per segment — 1 + 2·splices, since every spliced wire here has
+// bytes behind it in its flush. None of it allocates once the buffers have
+// grown, which the race detector's own allocations hide. A frame sent on
+// its own, a hello or a bye, is one Write.
 func TestLinkWritesPerFlush(t *testing.T) {
 	for _, tc := range []struct {
-		size          int
-		send, flushes int64 // writes
+		size    int
+		flushes int64 // writes
 	}{
-		{1000, 1, 1},
-		{2 << 20, 1 + 2*1, 1 + 2*3},
+		{1000, 1},
+		{2 << 20, 1 + 2*3},
 	} {
 		rec := &recordConn{}
 		cc := &countConn{Conn: rec}
@@ -683,50 +747,46 @@ func TestLinkWritesPerFlush(t *testing.T) {
 		for i := range wire {
 			wire[i] = byte(7 * i)
 		}
-		set := [][]byte{wire, {1}}
 		tail := []byte{2, 3}
 		queueRun := func(l *link) {
 			for k := 0; k < 3; k++ {
-				l.entry(MsgShardPushRun, 1, k, wire)
+				l.out.entry(&l.fc, MsgShardPushRun, 1, k, wire)
 			}
-			l.entry(MsgShardPushRun, 1, 3, tail)
+			l.out.entry(&l.fc, MsgShardPushRun, 1, 3, tail)
 		}
-		// The copied encoding of a round: the frame, then the run.
-		want, err := l.fc.appendFrame(nil, frame{t: MsgShardPush, step: 1, set: set})
-		if err != nil {
-			t.Fatal(err)
-		}
+		// The copied encoding of the run.
 		flat := &link{out: frames{flat: true}}
 		queueRun(flat)
-		if err := flat.closeRun(); err != nil {
+		if err := flat.out.closeRun(&flat.fc); err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, flat.out.b...)
 
-		var send, flush wrote
+		var flush wrote
 		round := func() {
 			rec.got.Reset()
 			before := cc.snap()
-			if err := l.send(frame{t: MsgShardPush, step: 1, set: set}); err != nil {
-				t.Fatal(err)
-			}
-			mid := cc.snap()
 			queueRun(l)
 			if err := l.flush(); err != nil {
 				t.Fatal(err)
 			}
-			send, flush = mid.since(before), cc.snap().since(mid)
+			flush = cc.snap().since(before)
 		}
 		round()
-		if send.writes != tc.send || flush.writes != tc.flushes {
-			t.Errorf("%d-byte wires: a send took %d writes and a flush of a four-tensor run %d, want %d and %d",
-				tc.size, send.writes, flush.writes, tc.send, tc.flushes)
+		if flush.writes != tc.flushes {
+			t.Errorf("%d-byte wires: a flush of a four-tensor run took %d writes, want %d", tc.size, flush.writes, tc.flushes)
 		}
-		if !bytes.Equal(rec.got.Bytes(), want) {
-			t.Errorf("%d-byte wires: the socket was handed %d bytes that are not the copied encoding's %d", tc.size, rec.got.Len(), len(want))
+		if !bytes.Equal(rec.got.Bytes(), flat.out.b) {
+			t.Errorf("%d-byte wires: the socket was handed %d bytes that are not the copied encoding's %d", tc.size, rec.got.Len(), len(flat.out.b))
 		}
 		if allocs := testing.AllocsPerRun(10, round); allocs != 0 && !raceDetector {
-			t.Errorf("%d-byte wires: %v allocs per send + flush, want 0", tc.size, allocs)
+			t.Errorf("%d-byte wires: %v allocs per flush, want 0", tc.size, allocs)
+		}
+		before := cc.snap()
+		if err := l.send(frame{t: MsgShardBye}); err != nil {
+			t.Fatal(err)
+		}
+		if d := cc.snap().since(before); d.writes != 1 || d.frames != 1 {
+			t.Errorf("a bye took %d writes of %d frames, want 1 of 1", d.writes, d.frames)
 		}
 	}
 }
@@ -761,30 +821,29 @@ func readAll(r io.Reader) (types []MsgType, payloads [][]byte, err error) {
 }
 
 // coalescedRun is what a streamed push's flushes look like back to back:
-// tensors with wires of the given sizes queued on a link through fc, their
-// run closed whenever flushBytes have gathered and the last one the push's
+// tensors with wires of the given sizes queued through fc, their run
+// closed whenever flushBytes have gathered and the last one the push's
 // end. It returns the frames and how many there are.
-func coalescedRun(t testing.TB, fc frameCodec, sizes ...int) (run []byte, frames int) {
+func coalescedRun(t testing.TB, fc frameCodec, sizes ...int) (run []byte, n int) {
 	rng := tensor.NewRNG(5)
-	l := &link{fc: fc}
+	var q frames
 	for k, size := range sizes {
 		wire := make([]byte, size)
 		for i := range wire {
 			wire[i] = byte(rng.Intn(256))
 		}
-		l.entry(MsgShardPushRun, 7, k, wire)
-		if l.out.since(l.runAt) >= flushBytes {
-			if err := l.closeRun(); err != nil {
+		q.entry(&fc, MsgShardPushRun, 7, k, wire)
+		if q.open() >= flushBytes {
+			if err := q.closeRun(&fc); err != nil {
 				t.Fatal(err)
 			}
-			frames++
 		}
 	}
-	l.endRun(MsgShardPushLast, 7)
-	if err := l.closeRun(); err != nil {
+	q.endRun(&fc, MsgShardPushLast, 7)
+	if err := q.closeRun(&fc); err != nil {
 		t.Fatal(err)
 	}
-	return socketBytes(&l.out), frames + 1
+	return socketBytes(&q), q.n
 }
 
 // TestFrameReaderCoalescedRunAnyChunking: runs go past flushBytes and sit
@@ -805,25 +864,24 @@ func TestFrameReaderCoalescedRunAnyChunking(t *testing.T) {
 		if err != io.EOF || len(wantT) != frames {
 			t.Fatalf("whole buffer: %d of %d frames, then %v", len(wantT), frames, err)
 		}
-		seen := make([]bool, len(sizes))
-		next := 0
+		var q seq
+		q.reset()
 		for k, p := range wantP {
 			f, err := fc.parseFrame(wantT[k], p, 7, false)
 			if last := k == frames-1; err != nil || (f.t == MsgShardPushLast) != last {
 				t.Fatalf("frame %d of %d: type %d, %v", k, frames, wantT[k], err)
 			}
-			if _, err := applyRun(f.body, seen, func(slot int, wire []byte) error {
-				if slot != next || len(wire) != sizes[slot] {
-					return fmt.Errorf("entry %d: slot %d of %d bytes, want %d bytes", next, slot, len(wire), sizes[next])
-				}
-				next++
-				return nil
-			}); err != nil {
+			if err := q.take(f.body, len(sizes)); err != nil {
 				t.Fatalf("run %d: %v", k, err)
 			}
 		}
-		if next != len(sizes) {
-			t.Fatalf("the runs gave back %d of %d tensors", next, len(sizes))
+		if q.got != len(sizes) {
+			t.Fatalf("the runs gave back %d of %d tensors", q.got, len(sizes))
+		}
+		for slot, wire := range q.wires {
+			if len(wire) != sizes[slot] {
+				t.Fatalf("slot %d: %d bytes, want %d", slot, len(wire), sizes[slot])
+			}
 		}
 		rng := tensor.NewRNG(11)
 		for _, most := range []int{0, 7, 1500, flushBytes, 3 * flushBytes} {

@@ -10,32 +10,31 @@ import (
 )
 
 // DialedTier is the ps.Tier whose aggregation runs behind connections: W
-// seats, each a worker's own ShardClient. A session copies seat w's wires
-// aside (whole-set tier) or hands each to seat w's connections as it is
-// fed (streamed tier), and FinishStep returns the pull seat 0
-// receives. Seat 0 is the owner (ps.Owner), so that is the owner's view of
-// the pull (ps.Pulls) wherever the servers send one: its owner-only slots
-// are empty, the other seats are sent them full, and a driver completes it
-// for the other workers with the owner's own pushes, which the servers
-// relay there (train.Run does, with ps.Worker.Complete). The sessions of a step may be fed from W goroutines
+// seats, each a worker's own ShardClient. A session hands each wire to seat
+// w's connections as it is fed (ShardClient.PushPullStream), and
+// FinishStep returns the pull seat 0 receives. Seat 0 is the owner
+// (ps.Owner), so that is the owner's view of the pull (ps.Pulls) wherever
+// the servers send one: its owner-only slots are empty, the other seats are
+// sent them full, and a driver completes it for the other workers with the
+// owner's own pushes, which the servers relay there (train.Run does, with
+// ps.Worker.Complete). The sessions of a step may be fed from W goroutines
 // at once: the serving session engine reads pushes in seat order, so seat
 // w's bytes never wait behind seat w−1's compressor. The tier holds no
 // training state (the servers own optimizer and pull contexts), and the
 // servers' barrier waits for every seat, so a step must push all of them.
 //
 // FinishStep does not wait for the other seats' copies of the pull. It
-// could not: a seat that lost its connection mid-step (a killed primary, a
-// resilient redial) is re-answered when the session next reads that seat,
-// which is after seat 0 has pushed the following step — which is why the
-// pull kept is seat 0's and not a full one. So a seat's round trip may still
-// be in flight one step later — never two: the barrier for step s+1 needs
-// the push that seat sends only once its round trip of step s is done — and
-// its next one queues behind it.
+// could not: a seat that lost its connection mid-step (a resilient redial)
+// is re-answered when the session next reads that seat, which is after
+// seat 0 has pushed the following step — which is why the pull kept is
+// seat 0's. So a seat's round trip may still be in flight one step later —
+// never two: the barrier for step s+1 needs the push that seat sends only
+// once its round trip of step s is done — and its next one queues behind
+// it.
 type DialedTier struct {
-	seats  []*dialedSeat
-	stream bool
-	step   int
-	wg     sync.WaitGroup // round trips started and not finished
+	seats []*dialedSeat
+	step  int
+	wg    sync.WaitGroup // round trips started and not finished
 
 	failed   chan struct{} // closed by the first round trip that fails
 	failOnce sync.Once
@@ -45,32 +44,24 @@ type DialedTier struct {
 var _ ps.Tier = (*DialedTier)(nil)
 
 // dialedSeat is one seat and, recycled every step, its push session: a
-// queue of wires that the seat's round trip sends as they come (streamed
-// tier) or copies aside until End (whole-set tier).
+// queue of wires that the seat's round trip sends as they come.
 type dialedSeat struct {
-	t     *DialedTier
-	conn  *ShardClient
-	open  bool               // BeginPush ran this step
-	ch    chan<- IndexedWire // the open session
-	done  chan struct{}      // closed when the latest session's round trip has finished
-	taken chan struct{}      // a whole-set session's: closed once its wires are copied aside (End)
-	// staged is the whole-set push, copied: a round trip re-sent after a
-	// reconnect reads it while the worker already compresses the next step
-	// into its own buffers.
-	staged [][]byte
-	pull   [][]byte // a streamed tier keeps only seat 0's, the owner's (non-nil there)
+	t      *DialedTier
+	conn   *ShardClient
+	open   bool               // BeginPush ran this step
+	ch     chan<- IndexedWire // the open session
+	done   chan struct{}      // closed when the latest session's round trip has finished
+	pushed chan struct{}      // closed once the latest session's wires are written or copied
 }
 
 // DialTier dials `seats` seats — dial(w) opens seat w, under whatever id,
 // address and client configuration the topology gives it — and returns the
-// tier over them; a failed dial closes the seats already open. A streamed
-// tier sends runs (PushPullStream); a whole-set tier makes one PushPull
-// round trip a seat a step.
-func DialTier(seats int, stream bool, dial func(seat int) (*ShardClient, error)) (*DialedTier, error) {
+// tier over them; a failed dial closes the seats already open.
+func DialTier(seats int, dial func(seat int) (*ShardClient, error)) (*DialedTier, error) {
 	if seats < 1 {
 		return nil, fmt.Errorf("transport: a dialed tier needs at least 1 seat, got %d", seats)
 	}
-	t := &DialedTier{stream: stream, failed: make(chan struct{})}
+	t := &DialedTier{failed: make(chan struct{})}
 	for w := 0; w < seats; w++ {
 		conn, err := dial(w)
 		if err != nil {
@@ -78,9 +69,6 @@ func DialTier(seats int, stream bool, dial func(seat int) (*ShardClient, error))
 			return nil, fmt.Errorf("transport: dial seat %d: %w", w, err)
 		}
 		t.seats = append(t.seats, &dialedSeat{t: t, conn: conn})
-	}
-	if stream {
-		t.seats[0].pull = make([][]byte, len(t.seats[0].conn.asn.ShardOf))
 	}
 	return t, nil
 }
@@ -106,22 +94,14 @@ func (t *DialedTier) BeginStep() {}
 // BeginPush opens seat worker's push for the step and starts its round
 // trip, behind the seat's previous one; call it before FinishStep, from the
 // goroutine that calls that. The session's methods may then be called from
-// any one goroutine, and Tensor from several. Wires must stay valid until
-// FinishStep returns.
+// any one goroutine, and Tensor from several.
 func (t *DialedTier) BeginPush(worker int) ps.PushSession {
 	s := t.seats[worker]
-	// A streamed push is as deep as the model has tensors, so the compressor
-	// never blocks on the wire; a staged one is copied as it is handed over.
-	depth := 0
-	if t.stream {
-		depth = len(s.conn.asn.ShardOf)
-	}
-	ch, prev, done, step := make(chan IndexedWire, depth), s.done, make(chan struct{}), t.step
-	var taken chan struct{}
-	if !t.stream {
-		taken = make(chan struct{})
-	}
-	s.open, s.ch, s.done, s.taken = true, ch, done, taken
+	// As deep as the model has tensors, so the compressor never blocks on
+	// the wire.
+	ch, prev, step := make(chan IndexedWire, len(s.conn.asn.ShardOf)), s.done, t.step
+	done, pushed := make(chan struct{}), make(chan struct{})
+	s.open, s.ch, s.done, s.pushed = true, ch, done, pushed
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
@@ -129,61 +109,25 @@ func (t *DialedTier) BeginPush(worker int) ps.PushSession {
 		if prev != nil {
 			<-prev
 		}
-		var err error
 		select {
 		case <-t.failed:
+			close(pushed)
 			for range ch { // a failed tier sends nothing more, but the feeder must not block
-			}
-			if taken != nil {
-				close(taken)
 			}
 			return
 		default:
 		}
-		if t.stream {
-			err = s.conn.PushPullStream(step, ch, s.pulled)
-		} else {
-			err = s.pushPullStaged(step, ch, taken)
-		}
-		if err != nil {
+		// Every seat's pull stays in its client's buffers; FinishStep
+		// returns seat 0's.
+		if err := s.conn.stream(step, ch, keepPull, pushed); err != nil {
 			t.fail(err)
 		}
 	}()
 	return s
 }
 
-// pushPullStaged copies the session's wires aside as they are fed and, once
-// it has ended, closes taken and makes the whole-set round trip.
-func (s *dialedSeat) pushPullStaged(step int, ch <-chan IndexedWire, taken chan<- struct{}) (err error) {
-	for i := range s.staged {
-		s.staged[i] = s.staged[i][:0]
-	}
-	for iw := range ch {
-		if iw.I < 0 {
-			err = fmt.Errorf("transport: push tensor index %d out of range", iw.I)
-			continue
-		}
-		for iw.I >= len(s.staged) {
-			s.staged = append(s.staged, nil)
-		}
-		s.staged[iw.I] = append(s.staged[iw.I][:0], iw.Wire...)
-	}
-	close(taken)
-	if err == nil {
-		s.pull, err = s.conn.PushPull(step, s.staged)
-	}
-	return err
-}
-
-// pulled takes one tensor of a streamed pull off the connection's scratch:
-// seat 0 copies it out, the other seats' copies — the same, but for the
-// owner-only slots seat 0 is sent empty — are dropped.
-func (s *dialedSeat) pulled(gi int, wire []byte) error {
-	if s.pull != nil {
-		s.pull[gi] = append(s.pull[gi][:0], wire...)
-	}
-	return nil
-}
+// keepPull leaves a pulled tensor where it was received.
+func keepPull(int, []byte) error { return nil }
 
 func (s *dialedSeat) Set(wires [][]byte) error {
 	for i, w := range wires {
@@ -199,25 +143,23 @@ func (s *dialedSeat) Tensor(i int, wire []byte) error {
 
 // End sends the push on its way without waiting for the pull: a driver that
 // ends its seats one after another must not block on a barrier the later
-// seats have yet to reach. On a whole-set tier it returns once the wires
-// are copied aside (or the tier failed): a float32 worker rewrites them.
+// seats have yet to reach. It returns once the wires are written, or copied
+// for a replay (or the tier failed): a float32 worker rewrites them.
 func (s *dialedSeat) End() error {
 	close(s.ch)
-	if s.taken != nil {
-		select {
-		case <-s.taken:
-		case <-s.t.failed:
-		}
+	select {
+	case <-s.pushed:
+	case <-s.t.failed:
 	}
 	return nil
 }
 
 // FinishStep waits for seat 0's round trip and returns its pull — the
-// owner's — valid until seat 0's next session ends. The duration is zero: the tier's
-// codec time is spent on the servers, out of sight. The first failure of
-// any seat's round trip fails the step and every later one, and a step in
-// which some seat opened no push fails at once — the servers' barrier would
-// wait for that seat forever.
+// owner's — valid until seat 0's next session ends. The duration is zero:
+// the tier's codec time is spent on the servers, out of sight. The first
+// failure of any seat's round trip fails the step and every later one, and
+// a step in which some seat opened no push fails at once — the servers'
+// barrier would wait for that seat forever.
 func (t *DialedTier) FinishStep() ([][]byte, time.Duration, error) {
 	for w, s := range t.seats {
 		if !s.open {
@@ -235,7 +177,7 @@ func (t *DialedTier) FinishStep() ([][]byte, time.Duration, error) {
 	default:
 	}
 	t.step++
-	return t.seats[0].pull, 0, nil
+	return t.seats[0].conn.pull, 0, nil
 }
 
 // AppendState appends nothing: the tier holds no training state.

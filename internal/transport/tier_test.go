@@ -27,7 +27,7 @@ func dialTestTier(t *testing.T, seats, steps int) (*DialedTier, <-chan error) {
 		ShardServerConfig{NumShards: 1, Workers: seats, Steps: steps, AssignmentHash: asn.Hash()})
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve() }()
-	tier, err := DialTier(seats, false, func(w int) (*ShardClient, error) {
+	tier, err := DialTier(seats, func(w int) (*ShardClient, error) {
 		return DialShardedConfig([]string{ln.Addr().String()}, w, asn, ShardClientConfig{})
 	})
 	if err != nil {
@@ -103,7 +103,7 @@ func TestDialedTierHoldsNoState(t *testing.T) {
 // TestDialTierClosesOpenSeatsOnFailure: a tier needs a seat, and a seat
 // that fails to dial closes the ones dialed before it.
 func TestDialTierClosesOpenSeatsOnFailure(t *testing.T) {
-	if _, err := DialTier(0, false, nil); err == nil {
+	if _, err := DialTier(0, nil); err == nil {
 		t.Error("a tier of no seats was dialed")
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -121,7 +121,7 @@ func TestDialTierClosesOpenSeatsOnFailure(t *testing.T) {
 		}
 		hungUp <- err
 	}()
-	_, err = DialTier(2, false, func(w int) (*ShardClient, error) {
+	_, err = DialTier(2, func(w int) (*ShardClient, error) {
 		if w == 1 {
 			return nil, errors.New("no route")
 		}

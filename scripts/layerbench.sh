@@ -92,8 +92,10 @@ go test -run='^$' -bench 'SteadyStatePushPullWireF32$' -benchtime 100x -benchmem
 go test -run='^$' -bench 'StreamedPushPullWire' -benchtime 100x -benchmem ./internal/transport/
 # Fused kernels under -cpu 1,4: the serial kernels must stay
 # zero-alloc at every GOMAXPROCS, and the staged-vs-fused ratios
-# (compress, decompress, and decode-accumulate) are gated.
-go test -run='^$' -bench 'FusedCompress/|FusedDecompress/|StagedCompress/|StagedDecompress/|DecodeAdd/|DecodeThenAdd/' -benchtime 20x -cpu 1,4 -benchmem ./internal/kernel/
+# (compress, decompress, and decode-accumulate) are gated. DecodeAdd
+# is anchored: the kernel tiers' DecodeAddKernel rows are the next
+# line's.
+go test -run='^$' -bench 'FusedCompress/|FusedDecompress/|StagedCompress/|StagedDecompress/|DecodeAdd$/|DecodeThenAdd/' -benchtime 20x -cpu 1,4 -benchmem ./internal/kernel/
 # Kernel dispatch tiers: the same encode / decode-add /
 # accumulate / fused-SGD sweep / raw float32 put and add on every
 # available tier, gated against the scalar reference
