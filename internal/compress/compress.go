@@ -168,8 +168,10 @@ type Compressor interface {
 // value into AccData as it computes it, reduces max|AccData| with exactly
 // the kernel's accumulate-max semantics (bit-masked |·|, ascending-index
 // max) and records the block maxima in a kernel.Blocks record — in the
-// same sweep (kernel.Blocks.SGDStep into an Acc sink does all three) or,
-// after the adds, in one read-only sweep (kernel.Blocks.MaxAbs) — and
+// same sweep (kernel.Blocks.SGDStep into an Acc sink does all three), a
+// span at a time as each span of the buffer becomes final
+// (kernel.Blocks.MaxAbsSpan: a Linear's backward, row by row) or, after
+// the adds, in one read-only sweep (kernel.Blocks.MaxAbs) — and
 // hands the record and the reduction to CompressPreAccumulated, which
 // performs only the encode pass, skipping the blocks the record shows
 // cannot quantize.

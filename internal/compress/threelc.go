@@ -97,7 +97,9 @@ func newThreeLCCompressor(shape []int, sparsity float64, zeroRun bool, acc *tens
 // itself: the one allocation of a tensor whose owner forms e + g in place.
 // buf is zeroed here, so the context starts at e = 0. The context is a
 // PreAccumulator whose AccData is buf's memory: its owner adds each step's
-// state change into buf, reduces max|buf| (kernel.Blocks.MaxAbs) and calls
+// state change into buf, reduces max|buf| with the block maxima — as it
+// writes buf (kernel.Blocks.MaxAbsSpan, a Linear's backward) or in one
+// read-only sweep after (kernel.Blocks.MaxAbs) — and calls
 // CompressPreAccumulated, which leaves the residual in buf. CompressInto
 // folds its input into buf as any 3LC context does, so it must not be
 // handed buf itself. A ps.Worker builds its 3LC push contexts over its

@@ -8,7 +8,10 @@ package kernel
 // lan-3lc's pulls (4.1 % of 320-element blocks visited, 13.3 % of
 // 2560-element ones) but pay a core call and a compaction per block, which
 // larger ones save on the dense and clustered encode rows; lan-3lc's
-// exchange did not tell them apart, and read lowest at 1280.
+// exchange did not tell them apart, and read lowest at 1280. It need not
+// divide a layer's rows: a backward that records row by row
+// (MaxAbsSpan) splits a row where a block ends, as the 768- and
+// 1024-wide rows of the end-to-end MLP are split.
 const BlockElems = 1280
 
 // Blocks is the per-block record of one tensor: for each BlockElems-element
@@ -19,8 +22,11 @@ const BlockElems = 1280
 // into and whose max describes the pull's error-accumulation buffer the
 // optimizer sweep folds the model delta into.
 //
-// The max. Pass 1 (AccumulateMaxAbs, SGDStep into an accumulation buffer)
-// records max|buf| of every block as it reduces the tensor's max, and
+// The max. Pass 1 (AccumulateMaxAbs, SGDStep into an accumulation buffer,
+// MaxAbs over a buffer that already holds its sum, or MaxAbsSpan span by
+// span as a producer finishes writing each — a Linear's backward, so a
+// worker's push re-reads nothing) records max|buf| of every block as it
+// reduces the tensor's max, and
 // pass 2 (EncodeTernary) skips every block whose max is under the
 // quantizer's threshold: such a block quantizes to zero digits and keeps
 // its residual (v − M·0 = v while M is finite), so its groups join the

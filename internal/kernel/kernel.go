@@ -13,8 +13,10 @@
 //	                            also records each 1 280-element block's
 //	                            max|buf| in its Blocks record. A worker's
 //	                            3LC tensor, whose backward already added
-//	                            g into e, runs the read-only Blocks.MaxAbs
-//	                            instead
+//	                            g into e, has it taken by a Linear's
+//	                            backward row by row as each row is final
+//	                            (Blocks.MaxAbsSpan), or else by the
+//	                            read-only Blocks.MaxAbs
 //	pass 2  EncodeTernary       quantize → local-dequantize → residual →
 //	                            quartic-pack → zero-run-emit in one loop
 //	                            that writes wire bytes directly; skips every
@@ -190,7 +192,8 @@ func MaxAbs(data []float32) float32 {
 
 // MaxAbs is the read-only compress pass 1 of a buffer that already holds
 // e + g — a worker's gradient tensor that is its 3LC error buffer, which
-// backward added the step's gradient into: it returns max|buf| and records
+// backward added the step's gradient into without recording it
+// (MaxAbsSpan): it returns max|buf| and records
 // each block's max|buf| in x, exactly what AccumulateMaxAbs would return
 // and record after folding the same sum into buf, without writing a
 // float. A nil x records nothing.
@@ -209,6 +212,36 @@ func (x *Blocks) MaxAbs(buf []float32) float32 {
 		if bm > m {
 			m = bm
 		}
+	}
+	return m
+}
+
+// MaxAbsSpan is compress pass 1 of buf taken a span at a time, by the
+// producer that has just written buf[lo:hi] and reads it again while it is
+// in cache — a layer's backward, as each row of a weight gradient becomes
+// final: it folds max|buf[lo:hi]| into the block maxima of x, a block's
+// entry starting afresh at the span holding the block's first element, and
+// returns m folded with the span's max. Spans taken in order from element
+// 0, with m = 0 at the first, to len(buf) leave x recording what MaxAbs(buf)
+// records and return what it returns, bit for bit: each core masks the
+// sign bit and drops NaN, so a max is the same however the spans split
+// it. The spans are the producer's writes, not another sweep: no pass is
+// hooked.
+//
+//3lc:noalloc
+func (x *Blocks) MaxAbsSpan(buf []float32, lo, hi int, m float32) float32 {
+	idx := x.record(len(buf))
+	for lo < hi {
+		b := lo / BlockElems
+		e := min((b+1)*BlockElems, hi)
+		bm := maxCore(buf[lo:e])
+		if lo == b*BlockElems || bm > idx[b] {
+			idx[b] = bm
+		}
+		if bm > m {
+			m = bm
+		}
+		lo = e
 	}
 	return m
 }

@@ -72,6 +72,12 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // tile of partial sums — and dx, summed over the outputs in ascending
 // order, is folded in the same loop.
 //
+// When the weight's G is asked for its block maxima (Param.RecordMax),
+// each row of G is folded into them once it is final — after its four
+// samples' register pass or its last tile, and for an output whose every
+// sample's dout is 0 too, whose row keeps the residual — so compress
+// pass 1 reads the row while it is in cache instead of sweeping G again.
+//
 //3lc:noalloc
 func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	n := l.x.Shape()[0]
@@ -82,6 +88,8 @@ func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	dd, dxd := dout.Data(), dx.Data()
 	l.rows = grow(l.rows, n)
 	var tile [256]float32
+	rec, gmax := l.Weight.rec, float32(0)
+	l.Weight.fresh = false // until every row is recorded
 	for o := 0; o < l.out; o++ {
 		rows := l.rows[:0]
 		var bsum float32
@@ -95,25 +103,31 @@ func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		gw, w := gd[o*l.in:(o+1)*l.in], wd[o*l.in:(o+1)*l.in]
 		if len(rows) == 4 {
 			l.fold4(nil, gw, w, dd, o, rows, 0)
-			continue
-		}
-		for lo := 0; lo < l.in; lo += len(tile) {
-			part := tile[:min(len(tile), l.in-lo)]
-			clear(part)
-			k := 0
-			for ; k+4 <= len(rows); k += 4 {
-				l.fold4(part, nil, w, dd, o, rows[k:k+4], lo)
-			}
-			for _, r := range rows[k:] {
-				g := dd[r*l.out+o]
-				x, d := xd[r*l.in+lo:][:len(part)], dxd[r*l.in+lo:][:len(part)]
-				for j, wv := range w[lo:][:len(part)] {
-					part[j] += g * x[j]
-					d[j] += g * wv
+		} else {
+			for lo := 0; lo < l.in; lo += len(tile) {
+				part := tile[:min(len(tile), l.in-lo)]
+				clear(part)
+				k := 0
+				for ; k+4 <= len(rows); k += 4 {
+					l.fold4(part, nil, w, dd, o, rows[k:k+4], lo)
 				}
+				for _, r := range rows[k:] {
+					g := dd[r*l.out+o]
+					x, d := xd[r*l.in+lo:][:len(part)], dxd[r*l.in+lo:][:len(part)]
+					for j, wv := range w[lo:][:len(part)] {
+						part[j] += g * x[j]
+						d[j] += g * wv
+					}
+				}
+				addInto(gw[lo:], part)
 			}
-			addInto(gw[lo:], part)
 		}
+		if rec != nil { // gw is final
+			gmax = rec.MaxAbsSpan(gd, o*l.in, (o+1)*l.in, gmax)
+		}
+	}
+	if rec != nil {
+		l.Weight.recMax, l.Weight.fresh = gmax, true
 	}
 	return dx
 }

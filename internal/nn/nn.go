@@ -28,6 +28,7 @@ package nn
 import (
 	"fmt"
 
+	"threelc/internal/kernel"
 	"threelc/internal/tensor"
 )
 
@@ -52,8 +53,11 @@ type Param struct {
 	// training pipeline transmits uncompressed, per §5.1.
 	NoCompress bool
 
-	carry  bool      // G carries state between steps: ZeroGrad leaves it alone
-	gFrame []float32 // G's allocation: gHeadroom floats, then G's data
+	carry  bool           // G carries state between steps: ZeroGrad leaves it alone
+	gFrame []float32      // G's allocation: gHeadroom floats, then G's data
+	rec    *kernel.Blocks // where a recording Backward leaves G's block maxima (RecordMax), nil when none is asked for
+	recMax float32        // max|G| as that Backward reduced it
+	fresh  bool           // rec and recMax describe G as it stands: the last write to G was a recording Backward
 }
 
 // gHeadroom is how many floats newParam allocates in front of each G: one
@@ -87,14 +91,44 @@ func (p *Param) GFrame() []float32 {
 // quantizer's input — and nothing else calls it.
 func (p *Param) CarryGrad() { p.carry = true }
 
+// RecordMax asks p's layer to take compress pass 1 of G as its Backward
+// writes G: each row, once final and while it is in cache, has its max|G|
+// folded into x's block maxima (kernel.Blocks.MaxAbsSpan), and TakeMax
+// hands back max|G|. Linear records its weight; every other Param records
+// nothing, and its TakeMax reports false. A ps.Worker asks it of each G
+// that is its 3LC push context's error buffer.
+func (p *Param) RecordMax(x *kernel.Blocks) { p.rec, p.fresh = x, false }
+
+// TakeMax returns max|G| and true when the last write to G was a Backward
+// that recorded all of G into x (RecordMax): x then holds the block maxima
+// x.MaxAbs(G) would record, and the max is what it would return, bit for
+// bit. It consumes the record: until the next recording Backward it
+// reports false, and the caller reduces G itself.
+func (p *Param) TakeMax(x *kernel.Blocks) (float32, bool) {
+	if !p.fresh || p.rec != x {
+		return 0, false
+	}
+	p.fresh = false
+	return p.recMax, true
+}
+
+// ForgetMax marks G's recorded maxima stale. Whatever writes G outside a
+// layer's Backward, between a recording Backward and TakeMax, calls it —
+// Model.ZeroGrad does, and so does a ps.Worker's RestoreState — so that
+// TakeMax never returns the maxima of a G that has changed since.
+func (p *Param) ForgetMax() { p.fresh = false }
+
 // Layer is one differentiable module. Forward computes outputs from
 // inputs; Backward consumes d(loss)/d(output) and returns d(loss)/d(input),
 // adding each parameter element's batch gradient to its G with a single
 // add — a sum formed from +0 first — so a G that carries state between
 // steps (Param.CarryGrad) ends at its old value plus exactly the gradient
-// a zeroed G would hold. Layers cache whatever
-// they need between Forward and Backward, so a layer instance processes
-// one batch at a time.
+// a zeroed G would hold. A layer may also take compress pass 1 of a G
+// that asks for it (Param.RecordMax) as it writes G, and then must record
+// all of G in that Backward; Linear does, every other layer records
+// nothing and its Params' consumers reduce G themselves. Layers cache
+// whatever they need between Forward and Backward, so a layer instance
+// processes one batch at a time.
 //
 // Both methods return a tensor the layer owns: Forward's output is valid
 // until the layer's next Forward, Backward's until its next Backward. A
@@ -200,9 +234,11 @@ func (m *Model) NumParams() int {
 }
 
 // ZeroGrad clears every parameter gradient but those that carry state
-// between steps (Param.CarryGrad).
+// between steps (Param.CarryGrad), and marks every recorded max stale
+// (Param.ForgetMax), so a G written by hand after it is reduced afresh.
 func (m *Model) ZeroGrad() {
 	for _, p := range m.Params() {
+		p.ForgetMax()
 		if !p.carry {
 			p.G.Zero()
 		}

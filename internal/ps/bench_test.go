@@ -300,3 +300,35 @@ func steadyStep(b *testing.B, server *Job, worker *Worker) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkWorkerStep3LC is the worker side of a 3LC step at the
+// end-to-end benchmark's lan-3lc shape: TrainStep and CompressGrads on
+// both workers of the 768-1024-1024-10 MLP (1.85M parameters, batch 4,
+// s = 1.75 with zero-run encoding). Each Linear weight's backward records
+// its block maxima as it writes G (nn.Param.RecordMax), so the push's
+// pass 1 reads nothing and the encode visits only the blocks that can
+// quantize; an op allocates nothing.
+func BenchmarkWorkerStep3LC(b *testing.B) {
+	cfg := testConfig(compress.SchemeThreeLC, compress.Options{Sparsity: 1.75, ZeroRun: true}, 2)
+	cfg.Parallelism, cfg.MinCompressElems = 1, 256
+	rng := tensor.NewRNG(33)
+	x := tensor.New(4, 768)
+	tensor.FillNormal(x, 1, rng)
+	labels := []int{0, 3, 7, 9}
+	workers := make([]*Worker, cfg.Workers)
+	for id := range workers {
+		workers[id] = NewWorker(id, nn.NewMLP(768, []int{1024, 1024}, 10, 1), cfg)
+	}
+	step := func() {
+		for _, w := range workers {
+			w.Model.TrainStep(x, labels)
+			w.CompressGrads()
+		}
+	}
+	step() // converge workspaces and buffer capacities
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}

@@ -70,17 +70,24 @@
 // error buffer (compress.NewThreeLCOver, nn.Param.CarryGrad; NewWorker
 // zeroes it): G carries the residual e between steps, every layer's
 // backward adds its batch gradient into it with one add per element, and
-// compress pass 1 shrinks to a read-only |max| that records the block
-// maxima (kernel.Blocks.MaxAbs, then compress.PreAccumulator's encode) —
-// the mirror of the server's fused pull. Forming e + g thus costs no
-// stream of its own, and a worker holds one model-sized buffer per 3LC
-// tensor, not two. Wires and residuals are bit-identical to a context
-// that owns its buffer fed a zeroed G (TestWorkerGIsErrorBuffer). Per step
-// and tensor, the worker's passes are:
+// compress pass 1 — max|G| and the block maxima compress.PreAccumulator's
+// encode consults — is folded into the backward that writes G: a Linear
+// reads each row of its weight's G once the row is final, while it is in
+// cache (nn.Param.RecordMax, kernel.Blocks.MaxAbsSpan), the mirror of the
+// server's fused pull. A G no backward recorded — a convolution's, a bias,
+// one written since (nn.Param.ForgetMax) — takes the read-only
+// kernel.Blocks.MaxAbs instead (TestRecordedPassOneMatchesMaxAbs,
+// TestStaleRecordIsNotEncoded). Forming e + g and reducing it thus cost no
+// stream of their own, and a worker holds one model-sized buffer per 3LC
+// tensor, not two. Wires and residuals are bit-identical to a context that
+// owns its buffer fed a zeroed G (TestWorkerGIsErrorBuffer). Per step and
+// tensor, the worker's passes are:
 //
 //	pass                  reads / writes of tensor memory
-//	backward              G, one add per element: e + g
-//	pass 1 (|max|)        G whole, read only
+//	backward              G, one add per element: e + g; a Linear weight's
+//	                      rows re-read from cache for their |max|
+//	pass 1 (|max|)        none for a Linear weight; G whole, read only,
+//	                      for any tensor no backward recorded
 //	push encode           G's blocks that can quantize; the residual is
 //	                      written back where a digit is not zero
 //

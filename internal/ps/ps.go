@@ -508,7 +508,9 @@ type Worker struct {
 // buffer is the replica's own G (compress.NewThreeLCOver), zeroed here, so
 // the worker starts at e = 0 and keeps no second model-sized buffer: G
 // carries the residual between steps (nn.Param.CarryGrad), backward adds
-// the step's gradient into it, and compress pass 1 is a read-only |max|
+// the step's gradient into it, and compress pass 1 is the block maxima a
+// Linear's backward records row by row as it writes G
+// (nn.Param.RecordMax), or a read-only |max| where nothing recorded
 // (compressOne). At a step boundary G holds the residual a context that
 // owned its buffer would, bit for bit.
 //
@@ -530,6 +532,7 @@ func NewWorker(id int, model *nn.Model, cfg Config) *Worker {
 			ctx = compress.NewThreeLCOver(p.G, cfg.Opts)
 			w.preAcc[i] = ctx.(compress.PreAccumulator)
 			p.CarryGrad()
+			p.RecordMax(&w.blocks[i])
 		} else {
 			ctx = cfg.newContext(p, 0x574f524b00000000+uint64(id)<<16+uint64(i)) // "WORK"
 		}
@@ -559,8 +562,10 @@ func gathered(int, []byte) {}
 // compressOne compresses gradient tensor i into its recycled buffer, or
 // leaves the empty wire there for a tensor this worker does not push: the
 // aggregate never reads it (Pushes), so it does not cross the link. A 3LC
-// tensor's G already holds e + g, so its pass 1 only reads max|G| and the
-// block maxima, and the encode leaves the residual in G. A float32
+// tensor's G already holds e + g, and its pass 1 is what the backward that
+// wrote G recorded (nn.Param.TakeMax) — or, where no fresh record exists (a
+// layer that does not record, a G written since), a read-only sweep of
+// max|G| and the block maxima; the encode leaves the residual in G. A float32
 // tensor's wire is already G's bytes (NewWorker); a G replaced since
 // panics here rather than push the old one's. On the owner, an
 // owner-only tensor is stepped and its update compressed instead (update):
@@ -573,7 +578,11 @@ func (w *Worker) compressOne(i int) {
 	}
 	if pa := w.preAcc[i]; pa != nil {
 		blk := &w.blocks[i]
-		w.pushWires[i] = pa.CompressPreAccumulated(blk, blk.MaxAbs(p.G.Data()), w.pushWires[i][:0])
+		m, ok := p.TakeMax(blk)
+		if !ok {
+			m = blk.MaxAbs(p.G.Data())
+		}
+		w.pushWires[i] = pa.CompressPreAccumulated(blk, m, w.pushWires[i][:0])
 		return
 	}
 	if wire := w.raw[i]; wire != nil {

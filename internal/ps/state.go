@@ -146,8 +146,12 @@ func (w *Worker) AppendState(dst []byte) []byte {
 }
 
 // RestoreState restores state captured by AppendState on a worker with
-// the same configuration.
+// the same configuration. A 3LC context's residual lands in G, so the
+// maxima a backward recorded there are stale (nn.Param.ForgetMax).
 func (w *Worker) RestoreState(src []byte) error {
+	for _, p := range w.params {
+		p.ForgetMax()
+	}
 	rest, err := restoreCtxStates(src, w.pushCtx)
 	if err != nil {
 		return err

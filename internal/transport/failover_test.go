@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"threelc/internal/ps"
 	"threelc/internal/shard"
+	"threelc/internal/tensor"
 )
 
 // TestDialShardedUnreachableShardReturnsError: a dead shard address at
@@ -77,6 +79,70 @@ func TestResilientClientRetriesItsDial(t *testing.T) {
 				t.Errorf("dial: %v, want the spent retry budget named", err)
 			}
 		})
+	}
+}
+
+// TestRedialAfterServeIsRefused: Serve closes its listener when the
+// session ends, so a resilient client whose connection breaks after that —
+// here, the next step's exchange, which the ended server hangs up on —
+// redials into a refusal and fails within its retry policy. A listener
+// left open would take the redial into its backlog, where the client would
+// wait with no deadline for a pull no one sends.
+func TestRedialAfterServeIsRefused(t *testing.T) {
+	cfg := shardTestConfig(1, 1)
+	global := buildShardModel()
+	asn := shard.ForModel(global, 1)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewShardServer(ln, mustSubServers(t, global, cfg, asn)[0], ShardServerConfig{
+		Workers: 1, Steps: 1, AssignmentHash: asn.Hash(), Resilient: true,
+		Timeouts: Timeouts{Read: 100 * time.Millisecond}, // the settle window after the last step
+	})
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve() }()
+
+	m := buildShardModel()
+	m.CopyParamsFrom(global)
+	wk := ps.NewWorker(0, m, cfg)
+	fixedGrads(m, tensor.NewRNG(5))
+	set, _ := wk.CompressGrads()
+	dials := 0
+	cl, err := DialShardedConfig([]string{ln.Addr().String()}, 0, asn, ShardClientConfig{
+		Resilient: true,
+		Retry:     RetryPolicy{MaxAttempts: 3, Base: time.Millisecond},
+		Dialer: func(addr string) (net.Conn, error) {
+			dials++
+			return net.Dial("tcp", addr)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.PushPull(0, set); err != nil {
+		t.Fatalf("step 0: %v", err)
+	}
+	if err := <-serveErr; err != nil { // no bye: the worker is presumed done once the window lapses
+		t.Fatalf("Serve: %v", err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := cl.PushPull(1, set)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("step 1 succeeded with no server")
+		}
+		if dials < 2 {
+			t.Errorf("%d dials, want the step's failure redialed", dials)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the redial after Serve returned hangs")
 	}
 }
 

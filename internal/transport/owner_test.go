@@ -87,7 +87,6 @@ func TestServerRefusesNonOwnersBytes(t *testing.T) {
 				}()
 			}
 			err = <-serveErr
-			ln.Close() // a resilient client's redial finds no server
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", owned.Name)) || !strings.Contains(err.Error(), "worker 1 sent") {
 				t.Fatalf("Serve() = %v, want a refusal naming tensor %q and worker 1", err, owned.Name)
 			}

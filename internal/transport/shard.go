@@ -146,8 +146,12 @@ func NewServer(ln net.Listener, agg StepServer, workers, steps int) *ShardServer
 }
 
 // Serve seats the configured workers, runs their session for cfg.Steps
-// steps, and closes the connections.
+// steps, and closes the connections and the listener: a resilient client
+// that redials once the session is over is refused, and fails within its
+// retry policy, instead of connecting into a backlog no one accepts from
+// and waiting for a pull no one sends.
 func (s *ShardServer) Serve() error {
+	defer s.ln.Close()
 	ss := newSession(s.agg, s.cfg, s.ln, &s.traffic)
 	defer ss.close()
 	if err := ss.fill(); err != nil {

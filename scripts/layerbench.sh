@@ -60,6 +60,11 @@ go test -run='^$' -bench Packed32 -benchtime 200000x -benchmem ./internal/compre
 # CompressGrads: each push wire is a view of the replica's gradient,
 # so it copies nothing (inside the zero-allocs gate).
 go test -run='^$' -bench 'SteadyStatePushPull(Tiny|F32)$|WorkerCompressF32$' -benchtime 100x -benchmem ./internal/ps/
+# WorkerStep3LC is the worker side of a lan-3lc step, both workers'
+# TrainStep and CompressGrads: each Linear weight's backward records
+# compress pass 1 as it writes G, so the push re-reads no gradient
+# (inside the zero-allocs gate). ~30 ms an op, hence 20.
+go test -run='^$' -bench 'WorkerStep3LC$' -benchtime 20x -benchmem ./internal/ps/
 # The plain SteadyStatePushPull workload, alternated with its twin whose
 # pushes cluster in ~1 % of the largest tensor's blocks
 # (SteadyStatePushPullClustered: the server's gradient sum stays dead
