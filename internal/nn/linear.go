@@ -35,6 +35,14 @@ func NewLinear(name string, in, out int, rng *tensor.RNG) *Linear {
 
 // Forward computes y[n,o] = sum_i x[n,i] * W[o,i] + b[o].
 //
+// Each y[n,o] is one chain: a sum formed from +0 by adding x[n,i]*W[o,i]
+// in ascending i, then b[o] added once the chain ends — so its bits do not
+// depend on the batch size or on which samples share a pass. The walk is
+// output-major: for output o it reads W's row once for the whole batch,
+// four samples at a time, whose four chains run side by side (one load of
+// W[o,i] feeds four independent adds); the last n mod 4 samples run one
+// chain each.
+//
 //3lc:noalloc
 func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	shape := x.Shape()
@@ -45,16 +53,30 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.x = x
 	y := l.y.Resize(n, l.out)
 	xd, wd, bd, yd := x.Data(), l.Weight.W.Data(), l.Bias.W.Data(), y.Data()
-	for r := 0; r < n; r++ {
-		xrow := xd[r*l.in : (r+1)*l.in]
-		yrow := yd[r*l.out : (r+1)*l.out]
-		for o := 0; o < l.out; o++ {
-			wrow := wd[o*l.in : (o+1)*l.in]
+	for o := 0; o < l.out; o++ {
+		wrow, b := wd[o*l.in:(o+1)*l.in], bd[o]
+		r := 0
+		for ; r+4 <= n; r += 4 {
+			x0, x1 := xd[r*l.in:][:len(wrow)], xd[(r+1)*l.in:][:len(wrow)]
+			x2, x3 := xd[(r+2)*l.in:][:len(wrow)], xd[(r+3)*l.in:][:len(wrow)]
+			var s0, s1, s2, s3 float32
+			for i, wv := range wrow {
+				s0 += x0[i] * wv
+				s1 += x1[i] * wv
+				s2 += x2[i] * wv
+				s3 += x3[i] * wv
+			}
+			yd[r*l.out+o] = s0 + b
+			yd[(r+1)*l.out+o] = s1 + b
+			yd[(r+2)*l.out+o] = s2 + b
+			yd[(r+3)*l.out+o] = s3 + b
+		}
+		for ; r < n; r++ {
 			var s float32
-			for i, xv := range xrow {
+			for i, xv := range xd[r*l.in:][:len(wrow)] {
 				s += xv * wrow[i]
 			}
-			yrow[o] = s + bd[o]
+			yd[r*l.out+o] = s + b
 		}
 	}
 	return y

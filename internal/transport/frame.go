@@ -335,9 +335,11 @@ func (fr *FrameReader) ReadFrame() (MsgType, []byte, error) {
 	return fr.ReadFrameInto(&fr.buf)
 }
 
-// ReadFrameInto reads one framed message into *buf, which it grows (to the
-// frame's length, exactly) when the frame does not fit. The returned
-// payload aliases *buf.
+// ReadFrameInto reads one framed message into *buf. A frame that does not
+// fit grows *buf to the larger of its length and twice the old capacity
+// (at most MaxFrameBytes), so a connection whose frames lengthen as
+// training goes on reallocates a logarithmic number of times, not once per
+// new longest frame. The returned payload aliases *buf.
 //
 //3lc:noalloc
 //3lc:decode
@@ -350,8 +352,8 @@ func (fr *FrameReader) ReadFrameInto(buf *[]byte) (MsgType, []byte, error) {
 		return 0, nil, fmt.Errorf("transport: bad frame length %d", n)
 	}
 	if cap(*buf) < int(n) {
-		//3lc:allow noalloc grow-once buffer; steady state reuses *buf
-		*buf = make([]byte, n)
+		//3lc:allow noalloc geometric growth; steady state reuses *buf
+		*buf = make([]byte, max(int(n), min(2*cap(*buf), MaxFrameBytes)))
 	}
 	b := (*buf)[:n]
 	if _, err := io.ReadFull(fr.r, b); err != nil {

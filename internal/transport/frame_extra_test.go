@@ -113,6 +113,42 @@ func TestFrameReaderReusesScratch(t *testing.T) {
 	}
 }
 
+// TestFrameBufferGrowsGeometrically feeds one reader frames of strictly
+// increasing length, as a 3LC run's wires lengthen over training: the
+// buffer must double as it grows, reallocating O(log n) times over the
+// stream — not once per new longest frame — and every payload must read
+// back whole.
+func TestFrameBufferGrowsGeometrically(t *testing.T) {
+	const frames, first = 1000, 16
+	var stream bytes.Buffer
+	for k := 0; k < frames; k++ {
+		payload := bytes.Repeat([]byte{byte(k)}, first+k)
+		if err := WriteFrame(&stream, MsgPush, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := NewFrameReader(&stream)
+	var buf []byte
+	grows := 0
+	for k := 0; k < frames; k++ {
+		before := cap(buf)
+		_, payload, err := fr.ReadFrameInto(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(payload) != first+k || payload[0] != byte(k) || payload[len(payload)-1] != byte(k) {
+			t.Fatalf("frame %d: payload of %d bytes, want %d of byte %d", k, len(payload), first+k, byte(k))
+		}
+		if cap(buf) != before {
+			grows++
+		}
+	}
+	// Doubling from the first frame's 17 bytes to the last's 1 016: 7.
+	if limit := 8; grows > limit {
+		t.Errorf("%d frames of increasing length reallocated the buffer %d times, want at most %d", frames, grows, limit)
+	}
+}
+
 func TestParseWireSetIntoReuse(t *testing.T) {
 	wires := [][]byte{{1, 2, 3}, nil, {4, 5}}
 	enc := AppendWireSet(nil, wires)

@@ -11,15 +11,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Two gates compare two rows whose ratio sits near its floor on a host
+# Four gates compare two rows whose ratio sits near its floor on a host
 # that flips between speed states mid-run (the checksummed vs the plain
 # TCP round trip, the clustered steady-state round trip vs the Gaussian
-# one): each pair runs back to back five times from test binaries built
-# once, and benchcheck -speedup reads lines that alternate as pairs and
-# gates the median of their ratios, not best against best.
+# one, the asm vs the scalar delta SGD sweep, the batched vs the serial
+# Linear forward): each pair runs back to back five times from test
+# binaries built once, and benchcheck -speedup reads lines that alternate
+# as pairs and gates the median of their ratios, not best against best.
 bin="$(mktemp -d)"
 trap 'rm -rf "$bin"' EXIT
-for pkg in ps transport; do
+for pkg in ps transport kernel nn; do
 	go test -c -o "$bin/$pkg.test" "./internal/$pkg/"
 done
 # repeat PKG BENCH BENCHTIME: five runs of one binary; a BENCH matching two
@@ -123,8 +124,12 @@ go test -run='^$' -bench 'FusedCompress/|FusedDecompress/|StagedCompress/|Staged
 # The read-only |max| (MaxAbsKernel: pass 1 of a worker's 3LC tensor,
 # whose gradient tensor already holds e + g, and of the stochastic and
 # int8 codecs) runs cache-cold too, recording block maxima; its asm row
-# is gated against the scalar one.
-go test -run='^$' -bench 'EncodeTernaryKernel|DecodeAddKernel|AccumulateMaxAbsKernel|MaxAbsKernel|FusedSGDStepKernel|RawAddKernel|RawPutKernel' -benchtime 20x -benchmem ./internal/kernel/
+# is gated against the scalar one. The delta SGD sweep's tier rows sit
+# on the memory stream, near their 1.1 floor, so they run apart from
+# the sweep's other rows, as alternated pairs.
+go test -run='^$' -bench 'EncodeTernaryKernel|DecodeAddKernel|AccumulateMaxAbsKernel|MaxAbsKernel|RawAddKernel|RawPutKernel' -benchtime 20x -benchmem ./internal/kernel/
+go test -run='^$' -bench 'FusedSGDStepKernel//(1M|raw|clustered)$' -benchtime 20x -benchmem ./internal/kernel/
+repeat kernel 'FusedSGDStepKernel//delta$' 20x
 # One warm forward and backward pass of the end-to-end model's MLP
 # (768 -> 1024 -> 1024 -> 10, batch 4), of tiny-stream's (768 -> 64
 # hidden layers of 48 -> 10), where a per-row cost in a 48-wide
@@ -132,6 +137,11 @@ go test -run='^$' -bench 'EncodeTernaryKernel|DecodeAddKernel|AccumulateMaxAbsKe
 # returns tensors from its own workspace, so the training step is
 # inside the zero-allocs gate.
 go test -run='^$' -bench TrainStep -benchtime 20x -benchmem ./internal/nn/
+# The forward of that MLP's two large layers at batch 4: Linear.Forward,
+# which reads each weight row once for the four samples, alternated
+# with the chain-per-sample reference, which streams the weights once
+# per sample (same bits, gated at 2x; inside the zero-allocs gate).
+repeat nn 'LinearForward/(batch4|serial)$' 100x
 # One warm evaluation of 300 rows (the end-to-end benchmark's held-out
 # set) on the same two models, walked 32 rows at a time through the
 # same workspaces: inside the zero-allocs gate as well. About a second
