@@ -86,9 +86,8 @@ func trajectoryOf(res *train.Result, global *nn.Model) trajectory {
 // sent a seat's push under another seat, dropped one or sent one twice
 // would change a gradient sum (or hang the servers' barrier) and with it
 // every later bit. Every exchange is a stream of runs; the streamed row
-// pins it to one processor, as the benchmark runs, where the compressor is
-// usually ahead of the wire and a push is one run a shard, while the other
-// rows let the idle-producer flush split pushes into more runs.
+// pins it to one processor, as the benchmark runs, and the other rows run
+// at the host's count.
 func TestDialedTiersMatchInProcess(t *testing.T) { dialedMatchesInProcess(t, 3) }
 
 // TestTwoSeatDialedTiersMatchInProcess is the oracle at two seats: the

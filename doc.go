@@ -56,11 +56,11 @@
 // strict worker order per tensor, so the sums — and all results — are
 // byte-identical to the serial driver. Over TCP the session engine orders
 // by seat, and every push and pull is a stream of runs
-// (ShardClient.PushPullStream): both ends write when the producer has
-// nothing more ready, when 64 KiB have gathered and when the stream ends;
-// a flush is one run — one shard header, then per tensor a slot delta and
-// a length as uvarints, and its wire — so a producer ahead of the wire
-// pays one write and one header per shard, not one per tensor. A receiver
+// (ShardClient.PushPullStream): both ends write when 64 KiB have gathered
+// and when the stream ends, never on timing; a flush is one run — one
+// shard header, then per tensor a slot delta and a length as uvarints,
+// and its wire — so a push pays one write and one header per shard and
+// 64 KiB, not one per tensor, however its compressor is paced. A receiver
 // takes a stream whole before it applies any of it, so an exchange that
 // fails or is cut off applies nothing and a resilient client can replay
 // its push. The staged decode-then-add aggregation is the bit-identical

@@ -62,7 +62,6 @@ var _ Tier = (*Job)(nil)
 type pushSession struct {
 	j      *Job
 	worker int
-	dur    time.Duration
 }
 
 // BeginPush opens workerID's push session for the current step. The
@@ -74,13 +73,11 @@ func (s *Job) BeginPush(workerID int) PushSession {
 	}
 	se := &s.sessions[workerID]
 	se.worker = workerID
-	se.dur = 0
 	return se
 }
 
 func (p *pushSession) Set(wires [][]byte) error {
-	d, err := p.j.ingestSet(p.worker, wires)
-	p.dur += d
+	_, err := p.j.ingestSet(p.worker, wires)
 	return err
 }
 

@@ -117,8 +117,8 @@ func BenchmarkSteadyStatePushPullWireF32(b *testing.B) {
 // → 10), two workers streaming to two shards over loopback TCP, each step
 // CompressGradsStream → PushPullStream → ApplyPullTensor. Beside the time
 // it reports, from counting connections on both ends, writes/op — what
-// the flush policy made of the step, 8 with the producer ahead: a run per
-// worker, shard and direction — and framing-gain: what the frame-per-tensor
+// the flush policy made of the step, exactly 8 however the compressor is
+// paced: a run per worker, shard and direction — and framing-gain: what the frame-per-tensor
 // layout of shard wire version 3 would have framed the step's 1 032
 // tensors with (21 bytes a tensor — prefix, header and slot — and a
 // 17-byte end a push) over what the sockets carry beyond the tensors'

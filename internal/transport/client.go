@@ -10,7 +10,7 @@ type Client struct {
 	pulled seq // the last pull received
 	// fault is the first failed write of the push in progress on a
 	// resilient connection: nothing more is written until the retry that
-	// replays the push (ShardClient.finish).
+	// replays the push (ShardClient.pullShard).
 	fault error
 }
 

@@ -17,9 +17,11 @@
 // non-transmitting step). A connection (link, session.go) encodes frames
 // behind their prefixes into one outgoing queue and hands the socket whole
 // flushes: the protocol's turn (hello, bye), or a run — every tensor of a
-// stream queued since the last flush, behind one shard header. Runs go up
-// to flushBytes and past it by their last tensor, so frames routinely
-// straddle the reads of the receiving side. The queue copies every byte of
+// stream queued since the last flush, behind one shard header. A run is
+// flushed once flushBytes have gathered in it and at the end of its
+// stream, and at no other time, so runs go up to flushBytes and past it by
+// their last tensor, and frames routinely straddle the reads of the
+// receiving side. The queue copies every byte of
 // framing and every wire under flushBytes; a wire of flushBytes or more
 // stays where its producer wrote it and is spliced in at its place
 // (frames), so past its encoder a float32 tensor is copied only by the

@@ -17,17 +17,15 @@
 // one (prev is −1 before a run's first entry) and its wire's length, both
 // uvarints. A push is runs ending in its pushLast; a pull is runs until
 // each of the shard's tensors has arrived once, which the worker knows
-// from its placement. A sender closes and writes a run on three occasions
-// only: flushBytes have gathered in it, its stream ends, and — on a push
-// fed tensor by tensor (PushPullStream) — the producer has nothing more
-// ready, so a producer slower than the wire still gets tensor i out before
-// tensor i+1 exists. A producer that is ahead of the wire — a burst of
-// small tensors, a single CPU, a whole set — pays one run per shard, a
-// header and about three bytes a tensor. Each receiver reads a stream's
-// runs whole, each into a buffer of its own, validates every slot exactly
-// once, and only then applies it (seq): the server hands the push to its
-// aggregator, the worker applies or returns the pull, and a stream that
-// fails or is cut off applies nothing.
+// from its placement. A sender closes and writes a run on two occasions
+// only: flushBytes have gathered in it, and its stream ends. So where a
+// stream splits into runs depends on its sequence of wires alone, never on
+// how fast its producer made them: a push of small tensors is one run a
+// shard, a header and about three bytes a tensor. Each receiver reads a
+// stream's runs whole, each into a buffer of its own, validates every slot
+// exactly once, and only then applies it (seq): the server hands the push
+// to its aggregator, the worker applies or returns the pull, and a stream
+// that fails or is cut off applies nothing.
 //
 // (ShardWireVersion counts generations of this layout: 3 since the owner
 // is sent the empty wire in its owner-only slots, ps.Pulls; 4 since a
@@ -187,7 +185,9 @@ type ShardClientConfig struct {
 }
 
 // ShardClient is a worker's multiplexed view of the sharded tier: one
-// connection per shard, pushed to and pulled from concurrently.
+// connection per shard. An exchange queues the push on its shards'
+// connections from the calling goroutine (push, endPush) and receives the
+// shards' pulls concurrently (pullAll).
 type ShardClient struct {
 	asn   shard.Assignment
 	ccfg  ShardClientConfig
@@ -195,22 +195,14 @@ type ShardClient struct {
 	slot  []int   // global tensor index -> shard-local index
 	conns []*shardConn
 	pull  [][]byte // the last pull in full-model order, aliasing the connections' runs
-	errs  []error
-	// An exchange's shard goroutines, and whether its tensors broke
-	// PushPullStream's contract (set before the shard channels close, read
-	// by streamShard after).
-	wg, pushing sync.WaitGroup
-	abandoned   bool
+	errs  []error  // pullAll's per-shard outcome
 }
 
 type shardConn struct {
 	Client
 	addr   string      // the shard's address, the resilient reconnect target
 	policy RetryPolicy // per-worker, per-shard decorrelated backoff stream
-	dirty  bool        // streamed push: tensors routed here since the last flush mark
-	// seen[k] marks shard-local tensor k pushed, while PushPullStream
-	// routes the caller's tensors.
-	seen []bool
+	seen   []bool      // seen[k]: shard-local tensor k is pushed in the exchange in progress
 }
 
 // DialShardedConfig connects to every shard of the tier (addrs[s] is shard
@@ -256,59 +248,125 @@ func DialShardedConfig(addrs []string, workerID int, asn shard.Assignment, ccfg 
 }
 
 // PushPull is the exchange of a whole set: every shard is pushed its slice
-// of the worker's full-model wire set as one stream of runs, concurrently,
-// and the shards' pulls come back in full-model tensor order. The returned
-// wires alias the connections' receive buffers, recycled on the next
-// exchange (the same lifetime contract as Client.PushPull).
+// of the worker's full-model wire set as one stream of runs, and the
+// shards' pulls come back in full-model tensor order. The returned wires
+// alias the connections' receive buffers, recycled on the next exchange
+// (the same lifetime contract as Client.PushPull).
 func (c *ShardClient) PushPull(step int, wires [][]byte) ([][]byte, error) {
 	if len(wires) != len(c.asn.ShardOf) {
 		return nil, fmt.Errorf("transport: push has %d tensors, placement has %d", len(wires), len(c.asn.ShardOf))
 	}
 	var err error
-	if len(c.conns) == 1 {
-		// Single-shard fast path: no channel or goroutine, so the steady
-		// state stays allocation-free.
-		err = c.pushPullShard(step, 0, c.conns[0], wires)
-	} else {
-		ch := make(chan IndexedWire, len(wires))
-		for i, w := range wires {
-			ch <- IndexedWire{I: i, Wire: w}
+	for gi, w := range wires {
+		if err = c.push(step, gi, w); err != nil {
+			break
 		}
-		close(ch)
-		err = c.stream(step, ch, keepPull, nil)
 	}
-	if err != nil {
+	if err = c.finish(step, err, keepPull, nil); err != nil {
 		return nil, err
 	}
 	return c.pull, nil
 }
 
-// pushPullShard is shard s's part of PushPull: its slice of wires as one
-// push, then its pull.
+// push checks global tensor gi against the placement and the exchange's
+// earlier tensors, then queues its wire on its shard's connection, which
+// writes the open run once flushBytes have gathered (Client.put).
 //
 //3lc:noalloc
-func (c *ShardClient) pushPullShard(step, s int, sc *shardConn, wires [][]byte) error {
-	for k, gi := range c.idx[s] {
-		if err := sc.put(step, k, wires[gi]); err != nil {
-			sc.reset()
+func (c *ShardClient) push(step, gi int, wire []byte) error {
+	if gi < 0 || gi >= len(c.slot) {
+		return fmt.Errorf("transport: streamed tensor index %d out of range (placement has %d tensors)", gi, len(c.slot))
+	}
+	s, k := c.asn.ShardOf[gi], c.slot[gi]
+	sc := c.conns[s]
+	if sc.seen[k] {
+		return fmt.Errorf("transport: tensor %d streamed twice in step %d", gi, step)
+	}
+	sc.seen[k] = true
+	if err := sc.put(step, k, wire); err != nil {
+		return fmt.Errorf("transport: shard %d push step %d: %w", s, step, err)
+	}
+	return nil
+}
+
+// endPush ends step's push on every shard: its last run, written. A
+// resilient connection keeps a failed write as its fault (flushPush),
+// which pullAll's retry answers with a redial and a replay.
+//
+//3lc:noalloc
+func (c *ShardClient) endPush(step int) error {
+	for s, sc := range c.conns {
+		sc.out.endRun(&sc.fc, MsgShardPushLast, uint32(step))
+		if err := sc.flushPush(); err != nil {
 			return fmt.Errorf("transport: shard %d push step %d: %w", s, step, err)
 		}
 	}
-	return c.finish(step, s, sc)
+	return nil
 }
 
-// finish ends the push queued on shard s's connection and receives the
-// step's pull into c.pull, under retry: a resilient client whose
-// connection failed at any point of the exchange redials and replays the
-// push from its first run.
-func (c *ShardClient) finish(step, s int, sc *shardConn) error {
-	defer sc.reset()
-	sc.out.endRun(&sc.fc, MsgShardPushLast, uint32(step))
+// finish completes an exchange whose push went as far as err says: ends
+// the push, closes pushed, if set — every wire is then written, or copied
+// into a resilient connection's replay — and receives the pull, and then
+// drops what the push left queued. A push that failed (err) is dropped
+// unended, with nothing received.
+func (c *ShardClient) finish(step int, err error, apply func(gi int, wire []byte) error, pushed chan<- struct{}) error {
+	if err == nil {
+		err = c.endPush(step)
+	}
+	if pushed != nil {
+		close(pushed)
+	}
+	if err == nil {
+		err = c.pullAll(step, apply)
+	}
+	for _, sc := range c.conns {
+		sc.reset()
+		clear(sc.seen)
+	}
+	return err
+}
+
+// pullAll receives step's pull from every shard and applies it, tensor by
+// tensor, once it has arrived whole. Shards 1…N−1 are received on
+// goroutines of their own while the caller receives shard 0, then joins
+// them: one shard's redial backoff must not use up another server's
+// reacquire window. One shard spawns nothing, so the one-shard exchange
+// allocates nothing.
+func (c *ShardClient) pullAll(step int, apply func(gi int, wire []byte) error) error {
+	if len(c.conns) == 1 {
+		return c.pullShard(step, 0, apply)
+	}
+	var wg sync.WaitGroup
+	wg.Add(len(c.conns) - 1)
+	for s := 1; s < len(c.conns); s++ {
+		go func() {
+			defer wg.Done()
+			c.errs[s] = c.pullShard(step, s, apply)
+		}()
+	}
+	err := c.pullShard(step, 0, apply)
+	wg.Wait()
+	for _, serr := range c.errs[1:] {
+		if err == nil {
+			err = serr
+		}
+	}
+	return err
+}
+
+// pullShard receives shard s's pull of step into c.pull under retry — a
+// resilient client whose connection failed at any point of the exchange
+// redials and replays the push from its first run — and applies it.
+func (c *ShardClient) pullShard(step, s int, apply func(gi int, wire []byte) error) error {
+	sc := c.conns[s]
 	if err := c.retry(sc, func() error { return sc.pullAfter(step, len(c.idx[s])) }); err != nil {
 		return fmt.Errorf("transport: shard %d step %d: %w", s, step, err)
 	}
 	for k, gi := range c.idx[s] {
 		c.pull[gi] = sc.pulled.wires[k]
+		if err := apply(gi, c.pull[gi]); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -351,20 +409,13 @@ type IndexedWire struct {
 	Wire []byte
 }
 
-// flushMark is the tensor index PushPullStream sends down a shard's
-// channel when the caller's tensor channel has run empty: everything
-// routed so far is all there is for now, so the shard must not sit on it.
-const flushMark = -1
-
 // PushPullStream runs one step with the push fed tensor by tensor.
 // Tensors arriving on `tensors` (any order — typically straight from a
 // concurrent compressor, ps.Worker.CompressGradsStream) are queued on
-// their owning shard's connection as they arrive, so the servers receive
-// tensor i while tensor i+1 is still compressing. A shard's queued tensors
-// are written, as one run, when `tensors` runs empty, when flushBytes of
-// them have gathered and when the push ends (see the package comment): a
-// tensor never waits for one the producer has not made yet, and a producer
-// that is ahead pays one run per shard. The caller must send every tensor
+// their owning shard's connection as they arrive, and a shard's queued
+// tensors are written, as one run, when flushBytes of them have gathered
+// and when the push ends (see the package comment): the runs are the same
+// however the producer is paced. The caller must send every tensor
 // exactly once (an empty Wire for non-transmitting schemes) and close the
 // channel; wires must stay valid until the call returns. An index out of
 // range or sent twice fails the call before anything of it is framed, and
@@ -383,116 +434,13 @@ func (c *ShardClient) PushPullStream(step int, tensors <-chan IndexedWire, apply
 // push has ended: each wire is then written, or copied into a resilient
 // connection's replay.
 func (c *ShardClient) stream(step int, tensors <-chan IndexedWire, apply func(gi int, wire []byte) error, pushed chan<- struct{}) error {
-	chans := make([]chan IndexedWire, len(c.conns))
-	for s, sc := range c.conns {
-		clear(sc.seen)
-		// Every tensor of the shard once, and at most one flush mark behind
-		// each: the router below never blocks on a shard.
-		chans[s] = make(chan IndexedWire, 2*len(c.idx[s]))
-		c.wg.Add(1)
-		c.pushing.Add(1)
-		go func(s int, sc *shardConn, ch <-chan IndexedWire) {
-			defer c.wg.Done()
-			c.errs[s] = c.streamShard(step, s, sc, ch, apply)
-		}(s, sc, chans[s])
-	}
 	var err error
-	for {
-		var iw IndexedWire
-		var ok bool
-		select {
-		case iw, ok = <-tensors:
-		default:
-			// The producer is behind: flush what each shard holds, then wait.
-			for s, sc := range c.conns {
-				if sc.dirty {
-					sc.dirty = false
-					chans[s] <- IndexedWire{I: flushMark}
-				}
-			}
-			iw, ok = <-tensors
-		}
-		if !ok {
-			break
-		}
-		if err != nil {
-			continue // failed: only keeping the producer from blocking
-		}
-		if iw.I < 0 || iw.I >= len(c.slot) {
-			err = fmt.Errorf("transport: streamed tensor index %d out of range (placement has %d tensors)", iw.I, len(c.slot))
-			continue
-		}
-		s := c.asn.ShardOf[iw.I]
-		sc := c.conns[s]
-		if sc.seen[c.slot[iw.I]] {
-			err = fmt.Errorf("transport: tensor %d streamed twice in step %d", iw.I, step)
-			continue
-		}
-		sc.seen[c.slot[iw.I]], sc.dirty = true, true
-		chans[s] <- iw
-	}
-	c.abandoned = err != nil
-	for _, ch := range chans {
-		close(ch)
-	}
-	if pushed != nil {
-		c.pushing.Wait()
-		close(pushed)
-	}
-	c.wg.Wait()
-	for _, serr := range c.errs {
-		if err == nil {
-			err = serr
+	for iw := range tensors {
+		if err == nil { // once failed, only keeping the producer from blocking
+			err = c.push(step, iw.I, iw.Wire)
 		}
 	}
-	return err
-}
-
-// streamShard drives one shard connection through a streamed step: the
-// push — a run of the tensors routed here, flushed at each flush mark and
-// past flushBytes, its last run flushed at the end — then the pull,
-// received whole (finish), then applied tensor by tensor.
-func (c *ShardClient) streamShard(step, s int, sc *shardConn, ch <-chan IndexedWire, apply func(gi int, wire []byte) error) error {
-	err := sc.route(step, ch, c.slot)
-	c.pushing.Done()
-	if err != nil {
-		sc.reset()
-		return fmt.Errorf("transport: shard %d push step %d: %w", s, step, err)
-	}
-	if c.abandoned {
-		// The caller broke the stream's contract; the step cannot complete
-		// and the error is PushPullStream's to report.
-		sc.reset()
-		return nil
-	}
-	if err := c.finish(step, s, sc); err != nil {
-		return err
-	}
-	for _, gi := range c.idx[s] {
-		if err := apply(gi, c.pull[gi]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// route queues the tensors routed to sc as one push, writing what is
-// queued at each flush mark and past flushBytes (put).
-//
-//3lc:noalloc
-func (sc *shardConn) route(step int, ch <-chan IndexedWire, slot []int) error {
-	for iw := range ch {
-		var err error
-		if iw.I == flushMark {
-			err = sc.flushPush()
-		} else {
-			err = sc.put(step, slot[iw.I], iw.Wire)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.finish(step, err, apply, pushed)
 }
 
 // Close terminates all shard connections. A resilient client first

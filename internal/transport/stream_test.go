@@ -389,63 +389,74 @@ func TestResilientStreamSurvivesCuts(t *testing.T) {
 	}
 }
 
-// TestStreamFlushOnIdleProducer is the other half of the policy: a
-// producer that makes tensor i+1 only once the socket has been handed
-// tensor i must never find a tensor withheld for company. Flush-on-idle
-// removed, tensor 0 waits in the link's buffer for a tensor that is
-// waiting for it, and the step times out. What the policy costs such a
-// producer is a run of one tensor per write — a header and the tensor's
-// entry — and the push's empty last run at its end.
-func TestStreamFlushOnIdleProducer(t *testing.T) {
-	tier := newStreamTier(t, buildShardModel, shardTestConfig(1, 1024), 2, ShardClientConfig{}, nil)
-	wk, cl := tier.workers[0], tier.clients[0]
-	written := func() (n int64) {
-		for _, c := range tier.conns[0] {
-			n += c.snap().writes
-		}
-		return n
-	}
-	for step := 0; step < 2; step++ {
-		var before [2]wrote
-		for s, c := range tier.conns[0] {
-			before[s] = c.snap()
-		}
-		wires, _ := wk.CompressGrads()
-		ch := make(chan IndexedWire)
-		done := make(chan error, 1)
-		go func() { done <- cl.PushPullStream(step, ch, wk.ApplyPullTensor) }()
-		deadline := time.Now().Add(10 * time.Second)
-		var want [2]wrote
-		for i, wire := range wires {
-			n := written()
-			ch <- IndexedWire{I: i, Wire: wire}
-			for written() == n {
-				select {
-				case err := <-done:
-					t.Fatalf("step %d: exchange ended at tensor %d: %v", step, i, err)
-				default:
+// TestStreamRunsIndependentOfProducerPace is the other half of the
+// policy: where a push splits into runs depends on its sequence of wires
+// alone. A producer that hands over one tensor at a time and yields before
+// the next — never waiting for the socket, so an exchange that wrote
+// whenever it found the producer idle would write a run a tensor — leaves
+// each shard the frames, bytes and writes that a producer ahead of the
+// wire leaves: one run, or as many as flushBytes close. Raw float32 wires
+// keep every step's wires the same lengths, so the steps compare byte for
+// byte.
+func TestStreamRunsIndependentOfProducerPace(t *testing.T) {
+	const shards = 2
+	cfg := shardTestConfig(1, 1024)
+	cfg.Scheme, cfg.Opts = compress.SchemeNone, compress.Options{}
+	for _, tc := range []struct {
+		name   string
+		hidden []int
+		runs   int64
+	}{
+		{"one run", []int{16, 10}, 1},
+		{"flushBytes gather", repeat(40, 32), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tier := newStreamTier(t, func() *nn.Model { return nn.NewMLP(32, tc.hidden, 4, 7) },
+				cfg, shards, ShardClientConfig{}, nil)
+			wk, cl := tier.workers[0], tier.clients[0]
+			var ahead [shards]wrote
+			for step := 0; step < 4; step++ {
+				paced := step%2 == 1
+				var before [shards]wrote
+				for s, c := range tier.conns[0] {
+					before[s] = c.snap()
 				}
-				if time.Now().After(deadline) {
-					t.Fatalf("step %d: tensor %d was handed over but never written", step, i)
+				wires, _ := wk.CompressGrads()
+				var ch chan IndexedWire
+				feed := func() {
+					for i, wire := range wires {
+						ch <- IndexedWire{I: i, Wire: wire}
+						if paced {
+							runtime.Gosched()
+						}
+					}
+					close(ch)
 				}
-				runtime.Gosched()
+				if paced {
+					ch = make(chan IndexedWire)
+					go feed()
+				} else {
+					ch = make(chan IndexedWire, len(wires))
+					feed()
+				}
+				if err := cl.PushPullStream(step, ch, wk.ApplyPullTensor); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				tier.backwards[0]()
+				for s, c := range tier.conns[0] {
+					d := c.snap().since(before[s])
+					if d.frames != tc.runs || d.writes != tc.runs {
+						t.Errorf("step %d (paced %v) shard %d: %d frames in %d writes, want %d runs a write",
+							step, paced, s, d.frames, d.writes, tc.runs)
+					}
+					if step == 0 {
+						ahead[s] = d
+					} else if d != ahead[s] {
+						t.Errorf("step %d (paced %v) shard %d wrote %+v, the producer ahead %+v", step, paced, s, d, ahead[s])
+					}
+				}
 			}
-			s := cl.asn.ShardOf[i]
-			want[s].writes++
-			want[s].bytes += int64(frameHeaderLen + ShardHeaderLen + len(appendEntry(nil, -1, cl.slot[i], wire)))
-		}
-		close(ch)
-		if err := <-done; err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		for s, c := range tier.conns[0] {
-			want[s].writes++ // the push's empty last run
-			want[s].bytes += frameHeaderLen + ShardHeaderLen
-			if d := c.snap().since(before[s]); d.frames != want[s].writes || d.writes != want[s].writes || d.bytes != want[s].bytes {
-				t.Errorf("step %d shard %d: %d frames, %d bytes in %d writes; want a run of one tensor a write: %d, %d in %d",
-					step, s, d.frames, d.bytes, d.writes, want[s].writes, want[s].bytes, want[s].writes)
-			}
-		}
+		})
 	}
 }
 
@@ -564,8 +575,8 @@ func TestRunFramingBytes(t *testing.T) {
 }
 
 // TestStreamedStepAllocsIndependentOfTensorCount: a streamed step's
-// allocations are the call's fixed set-up (its channels, goroutines and
-// the caller's own channel), not a function of how many tensors it
+// allocations are fixed set-up (the pull's goroutine for the second shard
+// and the caller's own channel), not a function of how many tensors it
 // carries — 18 or 258.
 func TestStreamedStepAllocsIndependentOfTensorCount(t *testing.T) {
 	allocs := func(hidden int) float64 {
@@ -653,12 +664,12 @@ func TestStreamedWriteDeadlinePerFlush(t *testing.T) {
 
 // TestPushPullStreamEnforcesItsContract: an index outside the placement
 // or sent twice fails the call on the client, before any of it is framed
-// — the shards see the tensors sent ahead of it and nothing else, not
-// even an end of push — and the call still drains the channel, so a
-// producer blocked handing over its next tensor is released. A producer
-// that is ahead (the channel filled before the call) has tensor 0 still
-// queued when the bad index arrives: it is dropped with the step, not
-// left on the link for the next one.
+// — the shards see nothing of the step, not even an end of push: its
+// tensors are under flushBytes — and the call still drains the channel,
+// so a producer blocked handing over its next tensor is released. Tensor
+// 0, queued when the bad index arrives, is dropped with the step, not left
+// on the link for the next one, whether the producer was ahead (the
+// channel filled before the call) or not.
 func TestPushPullStreamEnforcesItsContract(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -679,9 +690,9 @@ func TestPushPullStreamEnforcesItsContract(t *testing.T) {
 			for _, c := range tier.conns[0] {
 				before = append(before, c.snap())
 			}
-			ch, want := make(chan IndexedWire), int64(1)
+			ch := make(chan IndexedWire)
 			if tc.ahead {
-				ch, want = make(chan IndexedWire, len(wires)+1), 0
+				ch = make(chan IndexedWire, len(wires)+1)
 			}
 			produced := make(chan struct{})
 			go func() {
@@ -709,8 +720,8 @@ func TestPushPullStreamEnforcesItsContract(t *testing.T) {
 			for s, c := range tier.conns[0] {
 				frames += c.snap().since(before[s]).frames
 			}
-			if frames != want {
-				t.Errorf("%d frames reached the wire, want %d (tensor 0, if flushed before the bad index)", frames, want)
+			if frames != 0 {
+				t.Errorf("%d frames reached the wire, want none", frames)
 			}
 			for s, sc := range cl.conns {
 				if sc.out.len() != 0 {

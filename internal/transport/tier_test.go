@@ -77,9 +77,9 @@ func TestDialedTierMissingSeatFailsFast(t *testing.T) {
 		}
 		tier.Close()
 	})
-	within(t, "the server of the abandoned run", func() {
+	within(t, "the server of the run its workers left", func() {
 		if err := <-served; err == nil {
-			t.Error("Serve finished a run its workers abandoned")
+			t.Error("Serve finished a run its workers left unfinished")
 		}
 	})
 }
