@@ -174,10 +174,10 @@ func (t *servers) serve(ln net.Listener, srv *transport.ShardServer) {
 }
 
 // serveShards serves model from one transport.ShardServer per shard of
-// asn, each over its own sub-job under cfg (shard.SubServers divides cfg's
-// pool budget among the shards) and its own copy of base, whose
-// Shard, NumShards and AssignmentHash are filled in here. open returns
-// shard s's listener, wrapped and announced as the mode wants.
+// asn, each over its own sub-job under cfg (shard.SubServers) and its own
+// copy of base, whose Shard, NumShards and AssignmentHash are filled in
+// here. open returns shard s's listener, wrapped and announced as the mode
+// wants.
 func serveShards(model *nn.Model, asn shard.Assignment, cfg ps.Config, base transport.ShardServerConfig,
 	open func(s int) net.Listener) (*servers, error) {
 	subs, err := shard.SubServers(model, cfg, asn)

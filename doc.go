@@ -84,13 +84,16 @@
 // every block whose max is under the quantizer threshold, so where
 // non-zero digits cluster — a large layer's gradients and deltas — the
 // encode reads only the few blocks that can quantize. Every kernel runs on
-// the calling goroutine: a node's parallelism is its per-tensor pool
-// (ps.Config.Parallelism), never a tensor split across cores. The staged
+// the calling goroutine, and so does a node's codec work: package ps
+// compresses, aggregates and applies its tensors one after another, never
+// on a pool and never a tensor split across cores. The staged
 // primitives in internal/quant and internal/encode remain the
 // bit-identical reference, pinned by differential tests and
 // FuzzFusedVsStaged. In steady state a full push/pull codec round trip
-// performs zero heap allocations at any GOMAXPROCS (see the -benchmem
-// benchmarks in internal/compress, internal/kernel, and internal/ps).
+// performs zero heap allocations at any GOMAXPROCS
+// (ps.TestExchangeAllocatesNothingAtAnyGOMAXPROCS runs it at 4; the
+// -benchmem benchmarks in internal/compress, internal/kernel, and
+// internal/ps run at the host's).
 //
 // The implementation lives under internal/:
 //
@@ -112,8 +115,8 @@
 //	internal/opt         momentum SGD + cosine decay + warmup
 //	internal/netsim      bandwidth-emulating virtual cluster
 //	internal/ps          parameter-server runtime (push/pull, shared pulls,
-//	                     recycled wire buffers, a bounded per-tensor pool,
-//	                     param-subset sub-servers for sharding)
+//	                     recycled wire buffers, codec work on the calling
+//	                     goroutine, param-subset sub-servers for sharding)
 //	internal/shard       sharded parameter-server tier: deterministic
 //	                     tensor→shard placement (size-balanced bin
 //	                     packing) and the shard servers' sub-jobs

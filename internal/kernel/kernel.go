@@ -51,9 +51,9 @@
 // reference implementation and for callers that need the intermediate
 // representations.
 //
-// Every kernel runs on the calling goroutine. Parallelism lives one level
-// up, across tensors (package ps runs a node's per-tensor contexts on a
-// pool), so a tensor's codec is one goroutine's sequential sweep.
+// Every kernel runs on the calling goroutine, and so does a node's codec
+// work one level up (package ps runs its tensors one after another), so a
+// tensor's codec is one goroutine's sequential sweep.
 //
 // The aggregation side adds a fourth kernel, DecodeTernaryAdd (dst += M·q
 // in one pass over the wire bytes and the non-zero groups: zero runs skip

@@ -2,7 +2,6 @@ package ps
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"time"
 
@@ -225,12 +224,11 @@ func assertSameState(t *testing.T, got, want [][]float32, label string) {
 	}
 }
 
-// TestCompressGradsStreamMatches pins the streaming compressor: the
-// emitted (index, wire) pairs must cover every tensor exactly once and
-// byte-match the whole-set CompressGrads output of an identical worker.
+// TestCompressGradsStreamMatches pins the streaming compressor: emit
+// sees every tensor once, in index order 0…n−1, and each emitted wire
+// byte-matches the whole-set CompressGrads output of an identical worker.
 func TestCompressGradsStreamMatches(t *testing.T) {
 	cfg := testConfig(compress.SchemeThreeLC, compress.Options{Sparsity: 1.5, ZeroRun: true}, 1)
-	cfg.Parallelism = 4
 	mk := func() *Worker {
 		m := testModel(3)
 		return NewWorker(0, m, cfg)
@@ -245,20 +243,17 @@ func TestCompressGradsStreamMatches(t *testing.T) {
 		b.Model.TrainStep(x, labels)
 		want, _ := a.CompressGrads()
 
-		got := make([][]byte, len(want))
-		var mu sync.Mutex
+		var got [][]byte
 		_, _ = b.CompressGradsStream(func(i int, wire []byte) {
-			mu.Lock()
-			defer mu.Unlock()
-			if got[i] != nil {
-				t.Errorf("tensor %d emitted twice", i)
+			if i != len(got) {
+				t.Fatalf("step %d: emit saw tensor %d after %d tensors, want them in index order", step, i, len(got))
 			}
-			got[i] = append([]byte(nil), wire...)
+			got = append(got, append([]byte(nil), wire...))
 		})
+		if len(got) != len(want) {
+			t.Fatalf("step %d: %d tensors emitted, want %d", step, len(got), len(want))
+		}
 		for i := range want {
-			if got[i] == nil {
-				t.Fatalf("step %d: tensor %d never emitted", step, i)
-			}
 			if string(got[i]) != string(want[i]) {
 				t.Fatalf("step %d: streamed wire %d differs from CompressGrads", step, i)
 			}

@@ -1,7 +1,6 @@
 package ps
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"threelc/internal/compress"
@@ -9,91 +8,6 @@ import (
 	"threelc/internal/nn"
 	"threelc/internal/tensor"
 )
-
-func TestParallelFor(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 8} {
-		for _, n := range []int{0, 1, 7, 100} {
-			var hits atomic.Int64
-			seen := make([]atomic.Bool, n)
-			parallelFor(n, workers, func(i int) {
-				hits.Add(1)
-				if seen[i].Swap(true) {
-					t.Errorf("workers=%d n=%d: index %d visited twice", workers, n, i)
-				}
-			})
-			if int(hits.Load()) != n {
-				t.Errorf("workers=%d n=%d: %d calls", workers, n, hits.Load())
-			}
-		}
-	}
-}
-
-// TestParallelismMatchesSerial pins the determinism contract of the
-// parallel codec fan-out: a run with Parallelism 8 must produce byte-for-
-// byte the same push and pull wires as Parallelism 1, because every tensor
-// owns its context and its output slot.
-func TestParallelismMatchesSerial(t *testing.T) {
-	mkPair := func(par int) (*Job, *Worker) {
-		cfg := testConfig(compress.SchemeThreeLC, compress.Options{Sparsity: 1.5, ZeroRun: true}, 1)
-		cfg.Parallelism = par
-		global := testModel(1)
-		server := NewJob(global, cfg)
-		m := testModel(1)
-		m.CopyParamsFrom(global)
-		return server, NewWorker(0, m, cfg)
-	}
-	sSerial, wSerial := mkPair(1)
-	sPar, wPar := mkPair(8)
-
-	rng := tensor.NewRNG(21)
-	x := tensor.New(5, 8)
-	tensor.FillNormal(x, 1, rng)
-	labels := []int{0, 1, 2, 0, 1}
-
-	for step := 0; step < 4; step++ {
-		wSerial.Model.TrainStep(x, labels)
-		wPar.Model.TrainStep(x, labels)
-
-		wiresSerial, _ := wSerial.CompressGrads()
-		wiresPar, _ := wPar.CompressGrads()
-		if len(wiresSerial) != len(wiresPar) {
-			t.Fatal("wire count mismatch")
-		}
-		for i := range wiresSerial {
-			if string(wiresSerial[i]) != string(wiresPar[i]) {
-				t.Fatalf("step %d: push wire %d differs between serial and parallel", step, i)
-			}
-		}
-
-		sSerial.BeginStep()
-		sPar.BeginStep()
-		if _, err := sSerial.AddPush(0, wiresSerial); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sPar.AddPush(0, wiresPar); err != nil {
-			t.Fatal(err)
-		}
-		pullSerial, _, err := sSerial.FinishStep()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pullPar, _, err := sPar.FinishStep()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range pullSerial {
-			if string(pullSerial[i]) != string(pullPar[i]) {
-				t.Fatalf("step %d: pull wire %d differs between serial and parallel", step, i)
-			}
-		}
-		if _, err := wSerial.ApplyPull(pullSerial); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := wPar.ApplyPull(pullPar); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
 
 // benchModel is sized so the codec hot path dominates the measurement
 // (largest tensor ~200k elements, ResNet-convlayer scale) instead of the
@@ -116,9 +30,7 @@ func tinyModel(seed uint64) *nn.Model {
 // benchSteadyStatePushPull measures one full codec round trip of the
 // parameter-server hot path — worker compress, server decode+aggregate,
 // server update+shared-pull compress, worker apply — with all buffers
-// recycled, in the serial configuration: it must show 0 allocs/op under
-// -benchmem (the parallel pool's goroutine spawns are the only allocs
-// otherwise). The worker is the owner, so it applies the pull it is sent
+// recycled: it must show 0 allocs/op under -benchmem. The worker is the owner, so it applies the pull it is sent
 // (Job.OwnerPull) and takes the step of its owner-only tensors itself.
 // fill draws each gradient once; every step hands the worker the same one
 // as a backward pass would — ZeroGrad, then an add into G — so a 3LC
@@ -126,7 +38,6 @@ func tinyModel(seed uint64) *nn.Model {
 // add is backward's work, not the codec's, and runs with the timer off.
 func benchSteadyStatePushPull(b *testing.B, model func(seed uint64) *nn.Model, fill func(g *tensor.Tensor, rng *tensor.RNG)) {
 	cfg := testConfig(compress.SchemeThreeLC, compress.Options{Sparsity: 1.75, ZeroRun: true}, 1)
-	cfg.Parallelism = 1
 	global := model(1)
 	server := NewJob(global, cfg)
 	m := model(1)
@@ -213,7 +124,6 @@ func BenchmarkSteadyStatePushPullTiny(b *testing.B) {
 // step, every one a kernel raw core.
 func BenchmarkSteadyStatePushPullF32(b *testing.B) {
 	cfg := testConfig(compress.SchemeNone, compress.Options{}, 2)
-	cfg.Parallelism = 1
 	global := nn.NewMLP(768, []int{1024, 1024}, 10, 1)
 	server := NewJob(global, cfg)
 	workers := make([]*Worker, cfg.Workers)
@@ -263,7 +173,6 @@ func BenchmarkSteadyStatePushPullF32(b *testing.B) {
 // batch-norm tensors, whose update it pushes (ps.Pushes).
 func BenchmarkWorkerCompressF32(b *testing.B) {
 	cfg := testConfig(compress.SchemeNone, compress.Options{}, 2)
-	cfg.Parallelism = 1
 	rng := tensor.NewRNG(31)
 	workers := make([]*Worker, cfg.Workers)
 	for id := range workers {
@@ -310,7 +219,7 @@ func steadyStep(b *testing.B, server *Job, worker *Worker) {
 // quantize; an op allocates nothing.
 func BenchmarkWorkerStep3LC(b *testing.B) {
 	cfg := testConfig(compress.SchemeThreeLC, compress.Options{Sparsity: 1.75, ZeroRun: true}, 2)
-	cfg.Parallelism, cfg.MinCompressElems = 1, 256
+	cfg.MinCompressElems = 256
 	rng := tensor.NewRNG(33)
 	x := tensor.New(4, 768)
 	tensor.FillNormal(x, 1, rng)

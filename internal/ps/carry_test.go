@@ -142,7 +142,6 @@ func firstNonZero(v []float32) int {
 func TestFloat32PushIsG(t *testing.T) {
 	specials := []uint32{0x80000000, 0x7fc00000, 0xffc00001, 0x7f800001, 0xff800000, 0x00000001}
 	cfg := testConfig(compress.SchemeNone, compress.Options{}, 2)
-	cfg.Parallelism = 1
 	for _, mc := range []struct {
 		name  string
 		build func() *nn.Model

@@ -43,12 +43,14 @@
 //     the update and all pulls after it, the synchronous mode the paper
 //     evaluates.
 //
-// The codec hot path is allocation-free in steady state: workers and the
-// server recycle per-tensor wire buffers across steps through the
-// append-style compress.CompressInto API, and layer tensors are
-// compressed/decompressed concurrently by a bounded worker pool
-// (Config.Parallelism), the only parallelism in a node's codec work. Per
-// tensor, the ternary codecs run on one goroutine, on the fused
+// The codec hot path is allocation-free in steady state at any GOMAXPROCS
+// (TestExchangeAllocatesNothingAtAnyGOMAXPROCS): workers and the server
+// recycle per-tensor wire buffers across steps through the append-style
+// compress.CompressInto API, and a node's codec work runs on the calling
+// goroutine, one tensor after another — each whole-set entry (AddPush,
+// FinishStep's pull pack, CompressGradsStream, ApplyPull) is a loop over
+// its per-tensor step that stops at the first tensor that fails. The
+// ternary codecs run on the fused
 // kernels of internal/kernel — two passes over tensor memory to compress,
 // the second reading only the blocks whose recorded |max| can quantize to
 // a non-zero digit (kernel.Blocks: where digits cluster, as on the

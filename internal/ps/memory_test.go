@@ -28,7 +28,6 @@ func TestJobSumsIntoModelG(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := testConfig(c.scheme, c.opts, 2)
-			cfg.Parallelism = 1
 			global := nn.NewMLP(768, []int{1024, 1024}, 10, 1)
 			rng := tensor.NewRNG(7)
 			pushes := make([][][]byte, cfg.Workers)
@@ -83,7 +82,6 @@ func TestJobSumsIntoModelG(t *testing.T) {
 // allocations must stay under one.
 func TestFloat32WorkerAllocatesNoWire(t *testing.T) {
 	cfg := testConfig(compress.SchemeNone, compress.Options{}, 2)
-	cfg.Parallelism = 1
 	m := nn.NewMLP(768, []int{1024, 1024}, 10, 1)
 	rng := tensor.NewRNG(7)
 	for _, p := range m.Params() {
@@ -110,5 +108,57 @@ func TestFloat32WorkerAllocatesNoWire(t *testing.T) {
 	}
 	if got := WireBytes(wires); got != want {
 		t.Errorf("the push is %d bytes, want %d: a scheme byte and 4 bytes a parameter of each tensor worker %d pushes", got, want, w.ID)
+	}
+}
+
+// TestExchangeAllocatesNothingAtAnyGOMAXPROCS is the allocation guard of a
+// node's codec work where the cores are many: at GOMAXPROCS 4, with the
+// default Config, a warm step of the owner's CompressGrads, the job's
+// AddPush and FinishStep and the owner's ApplyPull allocates nothing, under
+// every design. testing.AllocsPerRun would pin GOMAXPROCS to 1, so the
+// steps are counted with runtime.ReadMemStats; the backward that fills G
+// runs outside the count.
+func TestExchangeAllocatesNothingAtAnyGOMAXPROCS(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's runtime allocates on its own")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	x := tensor.New(5, 8)
+	tensor.FillNormal(x, 1, tensor.NewRNG(21))
+	labels := []int{0, 1, 2, 0, 1}
+	for _, sc := range designs {
+		t.Run(sc.name, func(t *testing.T) {
+			cfg := testConfig(sc.s, sc.o, 1)
+			global := testModel(1)
+			job := NewJob(global, cfg)
+			m := testModel(1)
+			m.CopyParamsFrom(global)
+			w := NewWorker(Owner, m, cfg)
+			var before, after runtime.MemStats
+			var mallocs uint64
+			const warm, steps = 3, 10
+			for step := range warm + steps {
+				w.Model.TrainStep(x, labels)
+				runtime.ReadMemStats(&before)
+				wires, _ := w.CompressGrads()
+				job.BeginStep()
+				if _, err := job.AddPush(w.ID, wires); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := job.FinishStep(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := w.ApplyPull(job.OwnerPull()); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				if step >= warm {
+					mallocs += after.Mallocs - before.Mallocs
+				}
+			}
+			if mallocs != 0 {
+				t.Errorf("a warm step allocates %.1f objects at GOMAXPROCS %d, want 0", float64(mallocs)/steps, runtime.GOMAXPROCS(0))
+			}
+		})
 	}
 }

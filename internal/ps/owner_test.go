@@ -505,7 +505,6 @@ func TestServerDoesNotStepOwnerOnlyTensors(t *testing.T) {
 	}
 	for _, sc := range designs {
 		cfg := testConfig(sc.s, sc.o, 2)
-		cfg.Parallelism = 1 // the hook counts on one goroutine
 		global := testModel(1)
 		job := NewJob(global, cfg)
 		var ws []*Worker

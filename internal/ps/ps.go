@@ -2,9 +2,6 @@ package ps
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"threelc/internal/compress"
@@ -27,76 +24,11 @@ type Config struct {
 	// layers because "avoiding computation overhead far outweighs
 	// compacting already small tensors".
 	MinCompressElems int
-	// Parallelism bounds the worker pool that compresses / decompresses a
-	// node's layer tensors concurrently (contexts are per-tensor, so
-	// per-tensor fan-out is safe). It is the only parallelism in a node's
-	// codec work: each tensor's codec runs on one goroutine. Zero means
-	// GOMAXPROCS; 1 forces the serial path.
+	// Parallelism is ignored: a node's codec work runs on the calling
+	// goroutine, one tensor after another.
 	Parallelism int
 	// Optimizer configures the server-side SGD.
 	Optimizer opt.SGDConfig
-}
-
-// parallelism resolves the per-tensor pool's size.
-func (c Config) parallelism() int {
-	if c.Parallelism > 0 {
-		return c.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SplitAcross returns c with its pool budget divided among n nodes that
-// serve concurrently — the shards of one tier — so the tier as a whole
-// stays within the budget of one.
-func (c Config) SplitAcross(n int) Config {
-	c.Parallelism = max(c.parallelism()/n, 1)
-	return c
-}
-
-// spawnHook, when non-nil, is called once per goroutine parallelFor
-// spawns — the scheduling test double for the caller-runs-too pool shape.
-// Production code must leave it nil.
-var spawnHook func()
-
-// parallelFor runs fn(i) for i in [0, n) on up to `workers` goroutines — a
-// bounded pool fed by an atomic counter, so uneven per-tensor costs (one
-// conv layer dwarfing the biases) balance dynamically. workers <= 1 runs
-// serially on the caller's goroutine with zero spawns; otherwise workers-1
-// goroutines are spawned and the caller joins the pool itself instead of
-// idling in Wait.
-func parallelFor(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	loop := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			fn(i)
-		}
-	}
-	wg.Add(workers - 1)
-	for g := 0; g < workers-1; g++ {
-		if spawnHook != nil {
-			spawnHook()
-		}
-		go func() {
-			defer wg.Done()
-			loop()
-		}()
-	}
-	loop()
-	wg.Wait()
 }
 
 // Compresses is the paper's small-tensor exemption (§5.1), the one
@@ -138,7 +70,6 @@ func (c Config) newContext(p *nn.Param, seed uint64) compress.Compressor {
 type Job struct {
 	Model *nn.Model
 
-	cfg       Config
 	optimizer *opt.SGD
 	params    []*nn.Param
 	pullCtx   []compress.Compressor     // per tensor: the pull's compression context, nil where the job relays the owner's update
@@ -146,22 +77,16 @@ type Job struct {
 	delta     []*tensor.Tensor          // per tensor: the model delta, where a lossy pull context without an accumulate pass takes one (nil elsewhere)
 	pullWires [][]byte                  // per-tensor pull wire buffers, recycled across steps
 	ownerPull [][]byte                  // pullWires as the owner is sent them (OwnerPull), recycled
-	errs      []error                   // per-tensor error slots for parallel decode, recycled
 	pushed    []bool                    // per-tensor: a push reached it this step
 	preAcc    []compress.PreAccumulator // pull contexts with a fusable accumulate pass (nil slots otherwise)
 	raw       []compress.RawWriter      // pull contexts whose wire the optimizer sweep writes (nil slots otherwise)
 	accMax    []float32                 // per-tensor max|acc| from the fused optimizer sweep
 	pushes    int
 
-	// Bound once at construction so the parallelFor call sites pass a
-	// stored func value instead of a closure literal — closure allocation
-	// is the last per-step heap traffic on an otherwise zero-alloc path.
-	addPushFn    func(i int)
-	pullPackFn   func(i int)
-	stepForFn    func(i int) ([]float32, float32, *kernel.Blocks, kernel.Sink)
-	inv          float32  // averaging scale of the step being finished
-	pushWorkerID int      // argument slot for addPushFn
-	pushSrc      [][]byte // argument slot for addPushFn
+	// Bound once at construction so FinishStep hands the optimizer a
+	// stored func value instead of a method value, which allocates.
+	stepForFn func(i int) ([]float32, float32, *kernel.Blocks, kernel.Sink)
+	inv       float32 // averaging scale of the step being finished
 
 	// Per-worker push sessions, recycled across steps so BeginPush stays
 	// allocation-free in steady state (grown on first contact with a
@@ -197,7 +122,6 @@ func NewSubJob(params []*nn.Param, globalIdx []int, cfg Config) *Job {
 // mapping (full-model job).
 func newJob(params []*nn.Param, globalIdx []int, cfg Config) *Job {
 	s := &Job{
-		cfg:       cfg,
 		optimizer: opt.NewSGD(cfg.Optimizer),
 		params:    params,
 	}
@@ -215,7 +139,6 @@ func newJob(params []*nn.Param, globalIdx []int, cfg Config) *Job {
 	s.blocks = make([]kernel.Blocks, len(s.params))
 	s.pushed = make([]bool, len(s.params))
 	s.pullWires = make([][]byte, len(s.params))
-	s.errs = make([]error, len(s.params))
 	s.preAcc = make([]compress.PreAccumulator, len(s.params))
 	s.raw = make([]compress.RawWriter, len(s.params))
 	s.delta = make([]*tensor.Tensor, len(s.params))
@@ -231,8 +154,6 @@ func newJob(params []*nn.Param, globalIdx []int, cfg Config) *Job {
 			s.delta[i] = tensor.New(params[i].W.Shape()...)
 		}
 	}
-	s.addPushFn = s.addPushOne
-	s.pullPackFn = s.pullPackOne
 	s.stepForFn = s.stepFor
 	workers := cfg.Workers
 	if workers < 1 {
@@ -293,6 +214,8 @@ func (s *Job) BeginStep() {
 // AddPush decode-accumulates one worker's whole-set gradient push and
 // completes it — BeginPush, Set, End in one call, and the push method of
 // transport.StepServer. It returns the decompression wall time.
+//
+//3lc:noalloc
 func (s *Job) AddPush(workerID int, wires [][]byte) (time.Duration, error) {
 	d, err := s.ingestSet(workerID, wires)
 	if err != nil {
@@ -302,34 +225,27 @@ func (s *Job) AddPush(workerID int, wires [][]byte) (time.Duration, error) {
 	return d, nil
 }
 
-// ingestSet decode-accumulates one worker's whole-set push, fanning out
-// across layer tensors (each tensor owns its gradient-sum buffer, so
-// per-tensor parallelism is safe). Each tensor runs the fused
+// ingestSet decode-accumulates one worker's whole-set push, tensor by
+// tensor in index order (ingestOne). Each tensor runs the fused
 // decode-accumulate — one LUT-driven pass that adds M·q straight into the
 // aggregation buffer, no intermediate decode tensor. An owner-only tensor
 // (batch norm) is taken from its owner; every other worker's slot for it
-// must hold the empty wire (Pushes). It does NOT advance the push count —
-// that is the session End (or AddPush).
+// must hold the empty wire (Pushes). The first tensor that fails stops the
+// push: its error is returned, and later tensors are not read. It does NOT
+// advance the push count — that is the session End (or AddPush).
+//
+//3lc:noalloc
 func (s *Job) ingestSet(workerID int, wires [][]byte) (time.Duration, error) {
 	if len(wires) != len(s.params) {
 		return 0, fmt.Errorf("ps: push has %d tensors, model has %d (incomplete push, or another model's)", len(wires), len(s.params))
 	}
 	start := time.Now()
-	s.pushWorkerID, s.pushSrc = workerID, wires
-	parallelFor(len(s.params), s.cfg.parallelism(), s.addPushFn)
-	s.pushSrc = nil
-	for _, err := range s.errs {
-		if err != nil {
+	for i, wire := range wires {
+		if err := s.ingestOne(workerID, i, wire); err != nil {
 			return 0, err
 		}
 	}
 	return time.Since(start), nil
-}
-
-// addPushOne decode-accumulates tensor i of the push staged in
-// pushWorkerID/pushSrc.
-func (s *Job) addPushOne(i int) {
-	s.errs[i] = s.ingestOne(s.pushWorkerID, i, s.pushSrc[i])
 }
 
 // ingestOne is what either ingestion path does with workerID's wire for
@@ -411,6 +327,8 @@ func (s *Job) endPush() {
 // backed by server-owned buffers recycled across steps: they are valid
 // until the next FinishStep, and callers that keep them longer must copy
 // the bytes.
+//
+//3lc:noalloc
 func (s *Job) FinishStep() ([][]byte, time.Duration, error) {
 	if s.pushes == 0 {
 		return nil, 0, fmt.Errorf("ps: FinishStep with no pushes")
@@ -437,13 +355,12 @@ func (s *Job) FinishStep() ([][]byte, time.Duration, error) {
 	s.optimizer.ApplyFusedStep(s.params, s.stepForFn, s.accMax)
 
 	// Shared pull compression: one wire per tensor for all workers, built
-	// once into recycled per-tensor buffers (§3, Figure 2b) by the bounded
-	// worker pool. The returned slices are valid until the next FinishStep
+	// once into recycled per-tensor buffers (§3, Figure 2b), in index
+	// order. The returned slices are valid until the next FinishStep
 	// call; callers that retain pulls across steps must copy them.
 	start := time.Now()
-	parallelFor(len(s.params), s.cfg.parallelism(), s.pullPackFn)
-	for _, err := range s.errs {
-		if err != nil {
+	for i := range s.params {
+		if err := s.pullPackOne(i); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -455,19 +372,18 @@ func (s *Job) FinishStep() ([][]byte, time.Duration, error) {
 // already absorbed, nothing for a raw wire the sweep wrote, the full
 // CompressInto otherwise. The pull of an owner-only tensor is the update
 // its owner pushed (ingestOne), which is added to the global model here.
-func (s *Job) pullPackOne(i int) {
-	var err error
+func (s *Job) pullPackOne(i int) error {
 	switch {
 	case OwnerOnly(s.params[i]):
-		if err = compress.DecompressAddInto(s.pullWires[i], s.params[i].W, 0); err != nil {
-			err = fmt.Errorf("ps: relay tensor %q: %w", s.params[i].Name, err)
+		if err := compress.DecompressAddInto(s.pullWires[i], s.params[i].W, 0); err != nil {
+			return fmt.Errorf("ps: relay tensor %q: %w", s.params[i].Name, err)
 		}
 	case s.preAcc[i] != nil:
 		s.pullWires[i] = s.preAcc[i].CompressPreAccumulated(&s.blocks[i], s.accMax[i], s.pullWires[i][:0])
 	case s.delta[i] != nil:
 		s.pullWires[i] = s.pullCtx[i].CompressInto(s.delta[i], s.pullWires[i][:0])
 	}
-	s.errs[i] = err
+	return nil
 }
 
 // Step returns the number of optimizer updates applied.
@@ -489,15 +405,8 @@ type Worker struct {
 	raw       [][]byte                  // per tensor: the float32 push wire that is a view of params[i].G (compress.RawWireOver), nil elsewhere
 	blocks    []kernel.Blocks           // per tensor: the block maxima preAcc's pass 1 records for its encode
 	pushWires [][]byte                  // per-tensor push wire buffers, recycled across steps
-	errs      []error                   // per-tensor error slots for parallel decode, recycled
 	own       []*ownStep                // per tensor: the owner's optimizer state of an owner-only tensor (update), nil elsewhere
 	sched     *opt.SGD                  // the learning-rate schedule, for own; never stepped
-
-	// Bound method values + argument slots, mirroring Job (see there).
-	applyFn      func(i int)
-	pullSrc      [][]byte
-	streamEmitFn func(i int, wire []byte) // argument slot for CompressGradsStream
-	streamFn     func(i int)
 }
 
 // NewWorker wraps a local model replica (which must start identical to the
@@ -542,9 +451,6 @@ func NewWorker(id int, model *nn.Model, cfg Config) *Worker {
 		w.pushCtx = append(w.pushCtx, ctx)
 	}
 	w.pushWires = make([][]byte, len(w.params))
-	w.errs = make([]error, len(w.params))
-	w.applyFn = w.applyOne
-	w.streamFn = w.streamOne
 	return w
 }
 
@@ -600,57 +506,46 @@ func (w *Worker) compressOne(i int) {
 }
 
 // CompressGradsStream compresses the gradients currently held in the
-// local model's parameter tensors (set by Model.TrainStep), handing each
-// tensor's wire to emit the moment it is encoded, so a driver can push
-// tensor i — frame it, enqueue it, send it — while tensor i+1 is still
-// compressing: the worker half of the overlapped exchange. Layer tensors
-// are compressed concurrently by a bounded worker pool (each tensor has
-// its own context, so ordering never affects the bytes), and emit may be
-// invoked concurrently from its goroutines (tensors finish in arbitrary
-// order; the index identifies the slot). It returns the full wire set and
-// the compression wall time. The wires are backed by worker-owned memory:
-// a float32 tensor's wire is a view of its G (see NewWorker), valid until
-// the replica's next ZeroGrad or backward pass writes G; every other wire
-// is a buffer recycled across steps, valid until the next compress call on
-// this worker. A caller holds a wire no longer than the step that made it.
+// local model's parameter tensors (set by Model.TrainStep), on the calling
+// goroutine in index order, handing each tensor's wire to emit the moment
+// it is encoded, so a driver can push tensor i — frame it, enqueue it,
+// send it — before tensor i+1 is compressed: the worker half of the
+// overlapped exchange. emit sees indices 0…n−1 in order, one call at a
+// time. It returns the full wire set and the compression wall time. The
+// wires are backed by worker-owned memory: a float32 tensor's wire is a
+// view of its G (see NewWorker), valid until the replica's next ZeroGrad
+// or backward pass writes G; every other wire is a buffer recycled across
+// steps, valid until the next compress call on this worker. A caller holds
+// a wire no longer than the step that made it.
+//
+//3lc:noalloc
 func (w *Worker) CompressGradsStream(emit func(i int, wire []byte)) ([][]byte, time.Duration) {
 	start := time.Now()
-	w.streamEmitFn = emit
-	parallelFor(len(w.params), w.cfg.parallelism(), w.streamFn)
-	w.streamEmitFn = nil
+	for i := range w.params {
+		w.compressOne(i)
+		emit(i, w.pushWires[i])
+	}
 	return w.pushWires, time.Since(start)
 }
 
-// streamOne is compressOne plus the emission of tensor i's wire.
-func (w *Worker) streamOne(i int) {
-	w.compressOne(i)
-	w.streamEmitFn(i, w.pushWires[i])
-}
-
 // ApplyPull decompresses the model-delta wires the worker is sent (Pulls)
-// and applies them to the local replica, fanning out across layer tensors.
-// It returns the decompression wall time.
+// and applies them to the local replica, tensor by tensor in index order
+// (applyTensor): the fused decode-accumulate adds M·q straight into each
+// weight tensor in one pass. The first tensor that fails stops the apply
+// and its error is returned. It returns the decompression wall time.
+//
+//3lc:noalloc
 func (w *Worker) ApplyPull(wires [][]byte) (time.Duration, error) {
 	if len(wires) != len(w.params) {
 		return 0, fmt.Errorf("ps: pull has %d tensors, model has %d", len(wires), len(w.params))
 	}
 	start := time.Now()
-	w.pullSrc = wires
-	parallelFor(len(w.params), w.cfg.parallelism(), w.applyFn)
-	w.pullSrc = nil
-	for _, err := range w.errs {
-		if err != nil {
+	for i, wire := range wires {
+		if err := w.applyTensor(i, wire); err != nil {
 			return 0, err
 		}
 	}
 	return time.Since(start), nil
-}
-
-// applyOne decode-applies pull tensor i of the staged wire set to the
-// replica: the fused decode-accumulate adds M·q straight into the weight
-// tensor in one pass.
-func (w *Worker) applyOne(i int) {
-	w.errs[i] = w.applyTensor(i, w.pullSrc[i])
 }
 
 // applyTensor decode-applies one pull wire into weight tensor i. On the

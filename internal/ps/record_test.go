@@ -15,7 +15,7 @@ import (
 // zero-run encoding, the training driver's exemption size, one goroutine.
 func threeLCConfig() Config {
 	cfg := testConfig(compress.SchemeThreeLC, compress.Options{Sparsity: 1.75, ZeroRun: true}, 1)
-	cfg.Parallelism, cfg.MinCompressElems = 1, 256
+	cfg.MinCompressElems = 256
 	return cfg
 }
 

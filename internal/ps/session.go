@@ -39,9 +39,7 @@ type Tier interface {
 //
 // Sessions are recycled per (job, worker) — they are valid until the
 // owning job's next BeginPush for the same worker — and a session's
-// methods must be called from the job's single aggregation driver
-// (different tensors of one session may still decode concurrently
-// underneath).
+// methods must be called from the job's single aggregation driver.
 type PushSession interface {
 	// Set ingests the worker's full wire set (one wire per model tensor).
 	Set(wires [][]byte) error

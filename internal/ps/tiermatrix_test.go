@@ -38,7 +38,6 @@ func TestAllSchemesBitIdenticalAcrossKernelTiers(t *testing.T) {
 	for _, sc := range designs {
 		t.Run(sc.name, func(t *testing.T) {
 			cfg := testConfig(sc.s, sc.o, 2)
-			cfg.Parallelism = 2
 			var ref [][]float32
 			for _, tier := range tiers {
 				kernel.SetTier(tier)

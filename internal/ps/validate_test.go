@@ -46,7 +46,6 @@ func TestPushValidatedBeforeItIsApplied(t *testing.T) {
 		Opts:             compress.Options{Sparsity: 1.5, ZeroRun: true},
 		Workers:          1,
 		MinCompressElems: 1,
-		Parallelism:      1,
 		Optimizer:        opt.DefaultSGDConfig(1, 1),
 	}
 	build := func() *nn.Model { return nn.NewMLP(12, []int{16}, 4, 7) }

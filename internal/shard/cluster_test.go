@@ -40,7 +40,7 @@ func TestAllCodecsCoverRegistry(t *testing.T) {
 	// puts it on a sharded tier's wires, which is looked at, not assumed
 	// (TestShardedEquivalentToSinglePS holds every codec to the same).
 	c := allCodecs[2]
-	cfg := ps.Config{Scheme: c.s, Opts: c.o, Workers: 2, MinCompressElems: 1, Parallelism: 1, Optimizer: opt.DefaultSGDConfig(2, 2)}
+	cfg := ps.Config{Scheme: c.s, Opts: c.o, Workers: 2, MinCompressElems: 1, Optimizer: opt.DefaultSGDConfig(2, 2)}
 	pulls, _ := runPS(t, cfg, 2, 2, func(g *nn.Model) stepServer { return newRouter(t, g, cfg, 2) })
 	covered[compress.SchemePacked32] = packedWires(pulls) > 0
 	for _, s := range compress.RegisteredSchemes() {
@@ -258,7 +258,6 @@ func TestShardedEquivalentToSinglePS(t *testing.T) {
 					Opts:             codec.o,
 					Workers:          workers,
 					MinCompressElems: 1,
-					Parallelism:      1,
 					Optimizer:        opt.DefaultSGDConfig(workers, steps),
 				}
 				singlePulls, singleW := runPS(t, cfg, steps, workers, func(g *nn.Model) stepServer {
@@ -343,7 +342,6 @@ func TestClusterPerTensorPushEquivalent(t *testing.T) {
 				Opts:             c.o,
 				Workers:          workers,
 				MinCompressElems: 1,
-				Parallelism:      1,
 				Optimizer:        opt.DefaultSGDConfig(workers, steps),
 			}
 			wholePulls, wholeW := runPSHidden(t, cfg, steps, workers, r.hidden, func(g *nn.Model) stepServer {
@@ -377,7 +375,6 @@ func TestClusterMoreShardsThanTensors(t *testing.T) {
 		Opts:             compress.Options{Sparsity: 1.5, ZeroRun: true},
 		Workers:          2,
 		MinCompressElems: 1,
-		Parallelism:      1,
 		Optimizer:        opt.DefaultSGDConfig(2, 3),
 	}
 	_, singleW := runPS(t, cfg, 3, 2, func(g *nn.Model) stepServer { return ps.NewJob(g, cfg) })

@@ -22,17 +22,13 @@ func ForModel(model *nn.Model, shards int) Assignment {
 }
 
 // SubServers builds one ps sub-job per shard over model under the given
-// placement — what each shard's transport.ShardServer serves. The shards
-// serve concurrently, so psCfg's pool budget is divided among them
-// (ps.Config.SplitAcross): the tier as a whole stays within the budget of
-// one server. An assignment that does not cover the model's tensors is an
-// error.
+// placement — what each shard's transport.ShardServer serves. An
+// assignment that does not cover the model's tensors is an error.
 func SubServers(model *nn.Model, psCfg ps.Config, asn Assignment) ([]*ps.Job, error) {
 	params := model.Params()
 	if err := asn.Validate(len(params)); err != nil {
 		return nil, fmt.Errorf("shard: build sub-servers: %w", err)
 	}
-	psCfg = psCfg.SplitAcross(asn.NumShards)
 	out := make([]*ps.Job, asn.NumShards)
 	for s := range out {
 		idx := asn.Tensors(s)

@@ -3,7 +3,6 @@ package train
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"time"
 
@@ -59,6 +58,10 @@ func (cfg *Config) validate() error {
 	switch {
 	case cfg.Workers < 1:
 		return fmt.Errorf("train: need at least 1 worker, got %d", cfg.Workers)
+	case cfg.BatchPerWorker < 1:
+		return fmt.Errorf("train: need a batch of at least 1 example per worker, got %d", cfg.BatchPerWorker)
+	case cfg.Steps < 0:
+		return fmt.Errorf("train: need a step count of at least 0, got %d", cfg.Steps)
 	case cfg.BuildModel == nil:
 		return fmt.Errorf("train: BuildModel is required")
 	}
@@ -94,26 +97,18 @@ func newRun(cfg Config) (_ *run, err error) {
 		optCfg.Workers = cfg.Workers
 		optCfg.TotalSteps = cfg.Steps
 	}
-	// The server's decode/aggregate and pull-compress phases run alone —
-	// every worker goroutine is parked at the BSP barrier — so the server
-	// keeps the full GOMAXPROCS budget (Parallelism 0); dividing it would
-	// idle cores on the measured codec critical path.
-	serverCfg := ps.Config{
+	psCfg := ps.Config{
 		Scheme:           cfg.Design.Scheme,
 		Opts:             cfg.Design.Opts,
 		Workers:          cfg.Workers,
 		MinCompressElems: MinCompressElems,
 		Optimizer:        optCfg,
 	}
-	tierShards, err := r.buildTier(serverCfg)
+	tierShards, err := r.buildTier(psCfg)
 	if err != nil {
 		return nil, err
 	}
 
-	// All workers run their codec phases on concurrent goroutines, so they
-	// divide the cores among them instead of each claiming GOMAXPROCS.
-	psCfg := serverCfg
-	psCfg.Parallelism = max(runtime.GOMAXPROCS(0)/cfg.Workers, 1)
 	r.workers = make([]*ps.Worker, cfg.Workers)
 	r.rngs = make([]*tensor.RNG, cfg.Workers)
 	r.shards = make([][]int, cfg.Workers)
@@ -281,11 +276,9 @@ func (r *run) workerPush(step, w int, push ps.PushSession) (err error) {
 	if w == 0 && r.cfg.OnGradients != nil {
 		r.cfg.OnGradients(step, wk.Model.Params())
 	}
-	// emit runs on the compressor pool's goroutines.
-	var once sync.Once
 	out.wires, out.compDur = wk.CompressGradsStream(func(i int, wire []byte) {
-		if e := push.Tensor(i, wire); e != nil {
-			once.Do(func() { err = e })
+		if e := push.Tensor(i, wire); e != nil && err == nil {
+			err = e
 		}
 	})
 	return err

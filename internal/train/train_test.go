@@ -196,16 +196,28 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
+// TestRunValidation: Run refuses, before it builds anything, a config no
+// tier can run — one that would otherwise panic in a worker (a negative
+// batch), train on nothing (an empty batch's loss is NaN) or return having
+// run no step.
 func TestRunValidation(t *testing.T) {
-	cfg := tinyConfig(Design{Name: "x", Scheme: compress.SchemeNone}, 5)
-	cfg.Workers = 0
-	if _, err := Run(cfg); err == nil {
-		t.Error("expected error for 0 workers")
-	}
-	cfg = tinyConfig(Design{Name: "x", Scheme: compress.SchemeNone}, 5)
-	cfg.BuildModel = nil
-	if _, err := Run(cfg); err == nil {
-		t.Error("expected error for nil BuildModel")
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"no workers", func(c *Config) { c.Workers = 0 }},
+		{"nil BuildModel", func(c *Config) { c.BuildModel = nil }},
+		{"empty batch", func(c *Config) { c.BatchPerWorker = 0 }},
+		{"negative steps", func(c *Config) { c.Steps = -1 }},
+		{"negative batch", func(c *Config) { c.BatchPerWorker = -3 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tinyConfig(Design{Name: "x", Scheme: compress.SchemeNone}, 5)
+			tc.edit(&cfg)
+			if _, err := Run(cfg); err == nil {
+				t.Error("Run accepted the config")
+			}
+		})
 	}
 }
 

@@ -28,7 +28,6 @@ func benchWirePushPull(b *testing.B, resilient bool) {
 		Opts:             compress.Options{Sparsity: 1.75, ZeroRun: true},
 		Workers:          1,
 		MinCompressElems: 1,
-		Parallelism:      1,
 		Optimizer:        opt.DefaultSGDConfig(1, 1024),
 	}
 	global := nn.NewMLP(784, []int{256}, 10, 7)

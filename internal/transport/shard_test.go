@@ -23,7 +23,6 @@ func shardTestConfig(workers, steps int) ps.Config {
 		Opts:             compress.Options{Sparsity: 1.5, ZeroRun: true},
 		Workers:          workers,
 		MinCompressElems: 1,
-		Parallelism:      1,
 		Optimizer:        opt.DefaultSGDConfig(workers, steps),
 	}
 }
@@ -573,7 +572,6 @@ func TestShardTierThroughputScalesWithShards(t *testing.T) {
 			Opts:             compress.Options{Sparsity: 1.75, ZeroRun: true},
 			Workers:          workers,
 			MinCompressElems: 1,
-			Parallelism:      1,
 			Optimizer:        opt.DefaultSGDConfig(workers, warmup+steps),
 		}
 		global := build()

@@ -267,7 +267,6 @@ func TestTCPAllCodecsMatchInProcess(t *testing.T) {
 				Opts:             codec.o,
 				Workers:          workers,
 				MinCompressElems: 1,
-				Parallelism:      1,
 				Optimizer:        opt.DefaultSGDConfig(workers, steps),
 			}
 			type batch struct {
