@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"threelc/internal/checkpoint"
@@ -44,6 +45,10 @@ func main() {
 		resumeFrom = flag.String("resume", "", "resume from a full-state checkpoint written by an identical configuration (see 3lc-ckpt -state)")
 	)
 	flag.Parse()
+	if !(*bandwidth > 0 && *bandwidth < math.Inf(1)) { // NaN and +Inf too: neither prices a link
+		fmt.Fprintf(os.Stderr, "3lc-train: -bandwidth must be a positive, finite rate in bits/sec, got %v\n", *bandwidth)
+		os.Exit(2)
+	}
 
 	design, err := train.ParseDesign(*designName, *sparsity, *noZRE)
 	if err != nil {

@@ -40,22 +40,23 @@
 // max|acc| and recording the block maxima in the same record, so average →
 // update → delta → compress pass 1 collapse into one pass per tensor.
 //
-// The push/aggregate pipeline is overlapped at tensor granularity across
-// every layer:
+// Over sockets the push is overlapped with compression at tensor
+// granularity:
 //
 //	worker:   compress tensor i+1 ──┐ (CompressGradsStream)
-//	wire:     tensor i in flight ───┤ (a run of tensors a flush)
-//	server:   decode-add tensor i-1 ┘ (in process: PushSession.Tensor)
+//	wire:     tensor i in flight ───┘ (a run of tensors a flush)
+//	server:   decode-add each push once it has arrived whole, in worker order
 //
 // There is one BSP step driver, train.Run, written against one seam,
 // ps.Tier (BeginStep / BeginPush / FinishStep + the checkpoint pair), which
 // ps.Job and transport.DialedTier implement; cmd/3lc-net is flags →
-// listeners → train.Run with a Tier hook that dials them. Each accepted worker feeds its tensors to its push session the
-// moment they are compressed. In front of an in-process tier a
-// worker-order gate ingests them during the other workers' compute, in
-// strict worker order per tensor, so the sums — and all results — are
-// byte-identical to the serial driver. Over TCP the session engine orders
-// by seat, and every push and pull is a stream of runs
+// listeners → train.Run with a Tier hook that dials them. Over a dialed
+// tier each worker feeds its tensors to its push session the moment they
+// are compressed. An in-process tier has no wire to overlap: Run joins the
+// workers, then feeds it each worker's whole push on its own goroutine, in
+// worker order — the order a shard server's session aggregates in — so the
+// sums, and all results, are bit-identical to the served ones. Over TCP the
+// session engine orders by seat, and every push and pull is a stream of runs
 // (ShardClient.PushPullStream): both ends write when 64 KiB have gathered
 // and when the stream ends, never on timing; a flush is one run — one
 // shard header, then per tensor a slot delta and a length as uvarints,

@@ -122,8 +122,8 @@ func (c *threeLCCompressor) Name() string {
 // with the |max| reduction (step 1 of Fig. 3 + Eq. 1), pass 2 fuses
 // quantize → local-dequantize → residual-update → quartic-pack →
 // zero-run-emit (steps 2, a, b, 3, 4), appending the wire message to dst.
-// Both passes run on the calling goroutine; a node runs its tensors'
-// contexts concurrently instead (package ps).
+// Both passes run on the calling goroutine, and so does a node's loop over
+// its tensors' contexts (package ps).
 //
 //3lc:noalloc
 func (c *threeLCCompressor) CompressInto(in *tensor.Tensor, dst []byte) []byte {

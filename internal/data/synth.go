@@ -136,41 +136,26 @@ func normalize(t *tensor.Tensor) {
 // Len returns the number of examples.
 func (ds *Dataset) Len() int { return len(ds.Images) }
 
-// Batch assembles examples at the given indices into one [N, C, H, W]
-// tensor plus labels. If augment is non-nil it is applied per example.
+// Batch assembles examples at the given indices into one new [N, C, H, W]
+// tensor plus labels: BatchInto into fresh buffers.
 func (ds *Dataset) Batch(idx []int, augment func(src, dst *tensor.Tensor, r *tensor.RNG), rng *tensor.RNG) (*tensor.Tensor, []int) {
-	x := tensor.New(len(idx), ds.C, ds.H, ds.W)
-	labels := make([]int, len(idx))
-	var scratch *tensor.Tensor
-	if augment != nil {
-		scratch = tensor.New(ds.C, ds.H, ds.W)
-	}
-	per := ds.C * ds.H * ds.W
-	xd := x.Data()
-	for i, id := range idx {
-		src := ds.example(id)
-		if augment != nil {
-			augment(src, scratch, rng)
-			src = scratch
-		}
-		copy(xd[i*per:(i+1)*per], src.Data())
-		labels[i] = ds.Labels[id]
-	}
-	return x, labels
+	x := new(tensor.Tensor)
+	return x, ds.BatchInto(x, nil, idx, false, augment, rng)
 }
 
-// FlatBatch is Batch but reshaped to [N, C*H*W] for MLP models.
+// FlatBatch is Batch at [N, C*H*W], for MLP models.
 func (ds *Dataset) FlatBatch(idx []int, augment func(src, dst *tensor.Tensor, r *tensor.RNG), rng *tensor.RNG) (*tensor.Tensor, []int) {
-	x, labels := ds.Batch(idx, augment, rng)
-	n := x.Shape()[0]
-	return x.Reshape(n, ds.C*ds.H*ds.W), labels
+	x := new(tensor.Tensor)
+	return x, ds.BatchInto(x, nil, idx, true, augment, rng)
 }
 
-// BatchInto is Batch without augmentation into buffers the caller keeps
-// across batches: x is re-viewed at [N, C, H, W], or at [N, C*H*W] when
-// flat (tensor.Resize), and labels re-sliced to N, each grown only when idx
-// needs more room than it has. It returns the labels.
-func (ds *Dataset) BatchInto(x *tensor.Tensor, labels, idx []int, flat bool) []int {
+// BatchInto assembles examples at the given indices into buffers the
+// caller keeps across batches: x is re-viewed at [N, C, H, W], or at
+// [N, C*H*W] when flat (tensor.Resize), and labels re-sliced to N, each
+// grown only when idx needs more room than it has. If augment is non-nil
+// it writes each example straight into its row of x — dst is a one-row
+// view of x — drawing from rng. It returns the labels.
+func (ds *Dataset) BatchInto(x *tensor.Tensor, labels, idx []int, flat bool, augment func(src, dst *tensor.Tensor, r *tensor.RNG), rng *tensor.RNG) []int {
 	per := ds.C * ds.H * ds.W
 	if flat {
 		x.Resize(len(idx), per)
@@ -181,9 +166,17 @@ func (ds *Dataset) BatchInto(x *tensor.Tensor, labels, idx []int, flat bool) []i
 		labels = make([]int, len(idx))
 	}
 	labels = labels[:len(idx)]
+	var row *tensor.Tensor
+	if augment != nil {
+		row = new(tensor.Tensor)
+	}
 	xd := x.Data()
 	for i, id := range idx {
-		copy(xd[i*per:(i+1)*per], ds.example(id).Data())
+		if augment != nil {
+			augment(ds.example(id), row.ViewRows(x, i, i+1), rng)
+		} else {
+			copy(xd[i*per:(i+1)*per], ds.example(id).Data())
+		}
 		labels[i] = ds.Labels[id]
 	}
 	return labels

@@ -297,15 +297,12 @@ func (s *Job) decodeAdd(i int, wire []byte) error {
 	return compress.DecompressAddLive(wire, s.params[i].G, &s.blocks[i])
 }
 
-// ingestTensor decode-accumulates a single tensor of workerID's push —
-// the per-tensor ingestion path behind the overlapped push/aggregate
-// pipeline: a driver can feed each tensor the moment its wire is
-// available (a compressor finishing) instead of staging the worker's full
-// wire set. Different tensors may be
-// ingested concurrently; pushes of the SAME tensor must arrive in worker
-// order — per-tensor accumulation order is what keeps the aggregate
-// byte-identical to the serial whole-set driver. After a worker's last
-// tensor, the session End must run exactly once.
+// ingestTensor decode-accumulates a single tensor of workerID's push, the
+// path behind PushSession.Tensor. It runs on the job's one driver
+// goroutine (Tier), like every Job method; pushes of the SAME tensor must
+// arrive in worker order — per-tensor accumulation order is what keeps the
+// aggregate byte-identical to the whole-set driver (AddPush). After a
+// worker's last tensor, the session End must run exactly once.
 func (s *Job) ingestTensor(workerID, i int, wire []byte) error {
 	if i < 0 || i >= len(s.params) {
 		return fmt.Errorf("ps: push tensor index %d out of range (model has %d tensors)", i, len(s.params))

@@ -17,9 +17,11 @@ import "time"
 // FinishStep, which averages what was pushed, applies the optimizer and returns the
 // shared pull — or, from a dialed tier, the one its owner's seat was sent,
 // less the owner-only slots (Pulls) — aliasing tier-owned buffers, valid
-// until the next FinishStep, with the tier's codec wall time. A Job is
-// driven by one goroutine, in worker order (see PushSession); a dialed tier
-// takes every seat's push concurrently.
+// until the next FinishStep, with the tier's codec wall time. A Job has one
+// driver goroutine: every call on it and on its sessions is made from that
+// one, and each tensor receives its pushes in worker order (see
+// PushSession). A dialed tier's sessions may each be fed from a goroutine
+// of their own.
 type Tier interface {
 	BeginStep()
 	BeginPush(worker int) PushSession
@@ -38,8 +40,8 @@ type Tier interface {
 // step's averaging divides by.
 //
 // Sessions are recycled per (job, worker) — they are valid until the
-// owning job's next BeginPush for the same worker — and a session's
-// methods must be called from the job's single aggregation driver.
+// owning job's next BeginPush for the same worker — and a Job session's
+// methods are called from the job's one driver goroutine (Tier).
 type PushSession interface {
 	// Set ingests the worker's full wire set (one wire per model tensor).
 	Set(wires [][]byte) error

@@ -23,10 +23,11 @@ type run struct {
 	trainSet, testSet *data.Dataset
 	augment           func(src, dst *tensor.Tensor, r *tensor.RNG)
 
-	global *nn.Model
-	tier   ps.Tier   // what the steps drive: a dialed tier as is, any other behind inOrder
-	dialed bool      // tier is dialed: its pull is seat 0's, the owner's
-	closer io.Closer // the built tier, if it wants closing
+	global   *nn.Model
+	tier     ps.Tier
+	dialed   bool             // tier is dialed: its pull is seat 0's, the owner's
+	sessions []ps.PushSession // a dialed tier's push sessions, reopened every step
+	closer   io.Closer        // the built tier, if it wants closing
 
 	workers      []*ps.Worker
 	rngs         []*tensor.RNG // per-worker batch samplers
@@ -41,8 +42,13 @@ type run struct {
 	startStep int
 }
 
-// workerOut is what one worker's goroutines leave behind in a step.
+// workerOut is what one worker's goroutine leaves behind in a step, and
+// the buffers its batch is assembled into, kept across steps.
 type workerOut struct {
+	idx    []int
+	x      tensor.Tensor
+	labels []int
+
 	wires    [][]byte
 	loss     float64
 	compDur  time.Duration
@@ -64,6 +70,8 @@ func (cfg *Config) validate() error {
 		return fmt.Errorf("train: need a step count of at least 0, got %d", cfg.Steps)
 	case cfg.BuildModel == nil:
 		return fmt.Errorf("train: BuildModel is required")
+	case cfg.CheckpointPath != "" && cfg.CheckpointEvery < 1:
+		return fmt.Errorf("train: CheckpointPath needs a CheckpointEvery of at least 1 step, got %d", cfg.CheckpointEvery)
 	}
 	return nil
 }
@@ -117,6 +125,7 @@ func newRun(cfg Config) (_ *run, err error) {
 		m.CopyParamsFrom(r.global)
 		r.workers[w] = ps.NewWorker(w, m, psCfg)
 		r.rngs[w] = tensor.NewRNG(cfg.Seed + 1000*uint64(w) + 7)
+		r.outs[w].idx = make([]int, cfg.BatchPerWorker)
 		for i := w; i < r.trainSet.Len(); i += cfg.Workers {
 			r.shards[w] = append(r.shards[w], i)
 		}
@@ -170,9 +179,9 @@ func newRun(cfg Config) (_ *run, err error) {
 	return r, nil
 }
 
-// buildTier builds the run's tier — the hook's, or one ps.Job — and puts
-// every in-process tier behind the worker-order gate. It returns the tier's
-// shard count.
+// buildTier builds the run's tier — the hook's, or one ps.Job — and, for a
+// dialed tier, the slice its sessions are opened into. It returns the
+// tier's shard count.
 func (r *run) buildTier(serverCfg ps.Config) (int, error) {
 	cfg := &r.cfg
 	build := cfg.Tier
@@ -183,6 +192,7 @@ func (r *run) buildTier(serverCfg ps.Config) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	r.tier = tier
 	r.closer, _ = tier.(io.Closer)
 	shards := 1
 	if s, ok := tier.(interface{ NumShards() int }); ok {
@@ -195,10 +205,8 @@ func (r *run) buildTier(serverCfg ps.Config) (int, error) {
 		case cfg.CheckpointPath != "" || cfg.ResumeFrom != "":
 			return 0, fmt.Errorf("train: a dialed tier holds no state: CheckpointPath and ResumeFrom need an in-process tier")
 		}
-		r.tier, r.dialed = tier, true
-		return shards, nil
+		r.dialed, r.sessions = true, make([]ps.PushSession, cfg.Workers)
 	}
-	r.tier = &inOrder{Tier: tier, tensors: len(r.global.Params())}
 	return shards, nil
 }
 
@@ -211,30 +219,54 @@ func (r *run) close() {
 }
 
 // computePush is the step's first half: every worker trains on a batch and
-// compresses, feeding its tensors to its push session as they are
-// compressed, while the tier's FinishStep, on this goroutine, returns the
-// shared pull once the sessions have ended. They are opened here, in worker
-// order, before any worker starts: the order an in-process tier's gate
-// (inOrder) aggregates in; a dialed tier takes the pushes as they come.
+// compresses, the tier takes every push, and FinishStep returns the shared
+// pull. A dialed tier's sessions are opened here, in worker order, before
+// any worker starts, and fed as each worker compresses: its frames have a
+// wire to overlap. An in-process tier takes each worker's whole push after
+// the join (ingest).
 func (r *run) computePush(step int) ([][]byte, time.Duration, error) {
 	r.tier.BeginStep()
-	sessions := make([]ps.PushSession, r.cfg.Workers)
-	for w := range sessions {
-		sessions[w] = r.tier.BeginPush(w)
+	for w := range r.sessions {
+		r.sessions[w] = r.tier.BeginPush(w)
 	}
-	clear(r.outs)
-	wait := r.goAll(func(w int) error { return r.workerPush(step, w, sessions[w]) })
+	if err := r.goAll(func(w int) error { return r.workerPush(step, w) }); err != nil {
+		return nil, 0, err
+	}
+	ingestDur, err := r.ingest()
+	if err != nil {
+		return nil, 0, err
+	}
 	pull, serverDur, err := r.tier.FinishStep()
-	// A worker's own failure explains whatever the tier made of its push.
-	if werr := wait(); werr != nil {
-		return nil, 0, werr
-	}
-	return pull, serverDur, err
+	return pull, ingestDur + serverDur, err
 }
 
-// goAll starts fn(w) on its own goroutine for every worker and returns the
-// wait that joins them and reports the first failure.
-func (r *run) goAll(fn func(w int) error) (wait func() error) {
+// ingest feeds an in-process tier the step's pushes on this goroutine, each
+// worker's whole and in worker order — the order a shard server's session
+// aggregates in, which is what keeps every tensor's sum bit-identical — and
+// returns the time it took, the tier's decode of the pushes. A dialed tier
+// was fed as the workers compressed.
+func (r *run) ingest() (time.Duration, error) {
+	if r.dialed {
+		return 0, nil
+	}
+	start := time.Now()
+	for w := range r.outs {
+		push := r.tier.BeginPush(w)
+		for i, wire := range r.outs[w].wires {
+			if err := push.Tensor(i, wire); err != nil {
+				return 0, err
+			}
+		}
+		if err := push.End(); err != nil {
+			return 0, err
+		}
+	}
+	return time.Since(start), nil
+}
+
+// goAll runs fn(w) on its own goroutine for every worker, joins them and
+// returns the first failure.
+func (r *run) goAll(fn func(w int) error) error {
 	errs := make([]error, len(r.workers))
 	var wg sync.WaitGroup
 	for w := range r.workers {
@@ -244,43 +276,43 @@ func (r *run) goAll(fn func(w int) error) (wait func() error) {
 			errs[w] = fn(w)
 		}()
 	}
-	return func() error {
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
-		return nil
 	}
+	return nil
 }
 
-// workerPush is worker w's half of computePush. However it ends, the
-// session is ended: the tier's FinishStep waits for that.
-func (r *run) workerPush(step, w int, push ps.PushSession) (err error) {
+// workerPush is worker w's half of computePush: it assembles a batch into
+// its kept buffers, trains on it and compresses. Over a dialed tier it
+// feeds each tensor to its session as it is compressed, then ends the
+// session.
+func (r *run) workerPush(step, w int) error {
 	wk, out := r.workers[w], &r.outs[w]
-	defer func() {
-		if e := push.End(); err == nil {
-			err = e
-		}
-	}()
-	idx := make([]int, r.cfg.BatchPerWorker)
-	for i := range idx {
-		idx[i] = r.shards[w][r.rngs[w].Intn(len(r.shards[w]))]
+	for i := range out.idx {
+		out.idx[i] = r.shards[w][r.rngs[w].Intn(len(r.shards[w]))]
 	}
-	batch := r.trainSet.Batch
-	if r.cfg.FlatInput {
-		batch = r.trainSet.FlatBatch
-	}
-	out.loss = wk.Model.TrainStep(batch(idx, r.augment, r.rngs[w]))
+	out.labels = r.trainSet.BatchInto(&out.x, out.labels, out.idx, r.cfg.FlatInput, r.augment, r.rngs[w])
+	out.loss = wk.Model.TrainStep(&out.x, out.labels)
 	if w == 0 && r.cfg.OnGradients != nil {
 		r.cfg.OnGradients(step, wk.Model.Params())
 	}
+	if !r.dialed {
+		out.wires, out.compDur = wk.CompressGrads()
+		return nil
+	}
+	push := r.sessions[w]
+	var err error
 	out.wires, out.compDur = wk.CompressGradsStream(func(i int, wire []byte) {
 		if e := push.Tensor(i, wire); e != nil && err == nil {
 			err = e
 		}
 	})
+	if e := push.End(); err == nil {
+		err = e
+	}
 	return err
 }
 
@@ -312,17 +344,17 @@ func (r *run) applyPull(pull [][]byte) error {
 			return fmt.Errorf("train: worker %d pull apply: %w", w, err)
 		}
 		return nil
-	})()
+	})
 }
 
 // record books the finished step: its bytes, its codec critical path, its
 // loss, and — every EvalEvery steps — an evaluation.
 func (r *run) record(step int, pull [][]byte, serverDur time.Duration) {
 	cfg, res := &r.cfg, r.res
-	pushBytes := make([]int, cfg.Workers)
+	var pushBytes int
 	var compPush, paper float64
 	for w := range r.workers {
-		pushBytes[w] = ps.WireBytes(r.outs[w].wires)
+		pushBytes += ps.WireBytes(r.outs[w].wires)
 		for i, wire := range r.outs[w].wires {
 			if r.compressible[i] {
 				compPush += float64(len(wire))
@@ -333,7 +365,6 @@ func (r *run) record(step int, pull [][]byte, serverDur time.Duration) {
 	compPush /= float64(cfg.Workers)
 	paper /= float64(cfg.Workers)
 
-	pullBytes := make([]int, cfg.Workers)
 	var compPull float64
 	for i, wire := range pull {
 		if r.compressible[i] {
@@ -341,11 +372,8 @@ func (r *run) record(step int, pull [][]byte, serverDur time.Duration) {
 			paper += float64(compress.PaperWireLen(wire))
 		}
 	}
-	full := ps.WireBytes(r.fullPull)
-	for w := range pullBytes {
-		pullBytes[w] = full
-	}
-	pullBytes[ps.Owner] = ps.WireBytes(r.ownerPull)
+	// The owner is sent its own view; every other worker the full pull.
+	pullBytes := ps.WireBytes(r.ownerPull) + (cfg.Workers-1)*ps.WireBytes(r.fullPull)
 
 	// Codec critical path: slowest worker compress + the tier's decode of
 	// all pushes and pull compress (zero over a dialed tier, whose servers
@@ -360,7 +388,7 @@ func (r *run) record(step int, pull [][]byte, serverDur time.Duration) {
 	meanLoss /= float64(cfg.Workers)
 	codec := (maxComp + serverDur + maxApply).Seconds()
 
-	sr := StepRecord{Step: step, Loss: meanLoss, PushBytes: sum(pushBytes), PullBytes: sum(pullBytes),
+	sr := StepRecord{Step: step, Loss: meanLoss, PushBytes: pushBytes, PullBytes: pullBytes,
 		CompPushBytes: compPush, CompPullBytes: compPull, CodecSec: codec}
 	res.TotalPushBytes += int64(sr.PushBytes)
 	res.TotalPullBytes += int64(sr.PullBytes)
@@ -388,7 +416,7 @@ func (r *run) evaluate() float64 {
 // following steps' compute.
 func (r *run) checkpoint(step int) error {
 	cfg := &r.cfg
-	if cfg.CheckpointPath == "" || cfg.CheckpointEvery <= 0 || (step+1)%cfg.CheckpointEvery != 0 {
+	if cfg.CheckpointPath == "" || (step+1)%cfg.CheckpointEvery != 0 {
 		return nil
 	}
 	st, err := r.capture(step + 1)

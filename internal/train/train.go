@@ -99,10 +99,13 @@ type Config struct {
 	// Close() error — the tier is closed when Run returns; NumShards() int —
 	// how many server NICs the model is spread over (Result.Shards,
 	// netsim.Params.Servers; 1 when absent); and Seats() int — the tier is
-	// dialed: one seat per worker, fed with no worker-order gate, whose pull
-	// is the one seat 0 — the owner — was sent, which the owner completes
-	// for the other workers with its own pushes (ps.Worker.Complete). It holds
-	// no state, so CheckpointPath and ResumeFrom are refused, and
+	// dialed: one seat per worker, its session opened before the workers
+	// start and fed as the worker compresses (an in-process tier takes
+	// each worker's whole push after the step's compute, in worker order),
+	// whose pull is the one seat 0 — the owner — was sent, which the owner
+	// completes for the other workers with its own pushes
+	// (ps.Worker.Complete). It holds no state, so CheckpointPath and
+	// ResumeFrom are refused, and
 	// FinalAccuracy / Evals read the global model the hook was handed, so its servers
 	// must aggregate into that.
 	Tier func(global *nn.Model, cfg ps.Config) (ps.Tier, error)
@@ -258,14 +261,6 @@ func Run(cfg Config) (*Result, error) {
 	return r.finish()
 }
 
-func sum(xs []int) int {
-	t := 0
-	for _, x := range xs {
-		t += x
-	}
-	return t
-}
-
 // Evaluate is model's top-1 accuracy over ds, 0 for an empty set: it
 // walks ds nn.EvalRows examples at a time, each chunk assembled into one
 // reused buffer ([N, C*H*W] when flat) and scored by model.Correct, so it
@@ -283,7 +278,7 @@ func Evaluate(model *nn.Model, ds *data.Dataset, flat bool) float64 {
 		for i := start; i < start+nn.EvalRows && i < ds.Len(); i++ {
 			idx = append(idx, i)
 		}
-		labels = ds.BatchInto(&x, labels, idx, flat)
+		labels = ds.BatchInto(&x, labels, idx, flat, nil, nil)
 		correct += model.Correct(&x, labels)
 	}
 	return float64(correct) / float64(ds.Len())

@@ -2,6 +2,7 @@ package train
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 
 	"threelc/internal/compress"
@@ -210,10 +211,16 @@ func TestRunValidation(t *testing.T) {
 		{"empty batch", func(c *Config) { c.BatchPerWorker = 0 }},
 		{"negative steps", func(c *Config) { c.Steps = -1 }},
 		{"negative batch", func(c *Config) { c.BatchPerWorker = -3 }},
+		// A run that asked for checkpoints must write them.
+		{"checkpoint every 0 steps", func(c *Config) { c.CheckpointPath, c.CheckpointEvery = "ck", 0 }},
+		{"checkpoint every -1 steps", func(c *Config) { c.CheckpointPath, c.CheckpointEvery = "ck", -1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tinyConfig(Design{Name: "x", Scheme: compress.SchemeNone}, 5)
 			tc.edit(&cfg)
+			if cfg.CheckpointPath != "" {
+				cfg.CheckpointPath = filepath.Join(t.TempDir(), cfg.CheckpointPath)
+			}
 			if _, err := Run(cfg); err == nil {
 				t.Error("Run accepted the config")
 			}
