@@ -55,7 +55,8 @@ func (c *noneCompressor) RawWire(dst []byte) (wire, body []byte) {
 // floats are not their wire bytes; there the caller keeps the copying
 // CompressInto. Any other frame must hold at least one float in front of
 // the n. A ps.Worker pushes each float32 gradient tensor this way, over
-// the tensor's nn.Param.GFrame.
+// the tensor's nn.Param.GFrame, and a ps.Job's optimizer sweep writes each
+// float32 pull into the sum it reads, framed the same way.
 func RawWireOver(frame []float32, n int) []byte {
 	b := kernel.RawView(frame)
 	if b == nil {

@@ -144,7 +144,9 @@ func TestRawViewIsAppendRaw(t *testing.T) {
 // TestSGDStepRawMatchesDelta: on every tier the sweep into a Raw sink
 // leaves w and v as the sweep into a Delta sink does and writes, one byte
 // into its wire, the bytes AppendRaw makes of that sweep's delta, and
-// nothing outside them — at every length from 0 to 67 (each 8 / 1 tail of the asm
+// nothing outside them; so does the sweep into a Raw sink that is gs's own
+// bytes (RawView), which writes each delta over the element it read —
+// at every length from 0 to 67 (each 8 / 1 tail of the asm
 // loop) and at 1M, over inputs that carry ±0, NaN and ±Inf, and at 1M
 // once more through a record whose every third block is live.
 func TestSGDStepRawMatchesDelta(t *testing.T) {
@@ -184,6 +186,25 @@ func TestSGDStepRawMatchesDelta(t *testing.T) {
 			}
 			if i, ok := bitsEqual(rv, dv); !ok {
 				t.Fatalf("tier %v n=%d: v differs from the delta sweep's at %d", tier, n, i)
+			}
+			// The Raw sink over gs's own bytes, as a float32 job's pull is
+			// its gradient sum: the same bytes, in place of the sum.
+			aw, av, ag := append([]float32(nil), w...), append([]float32(nil), v...), append([]float32(nil), gs...)
+			if over := RawView(ag); over != nil {
+				live.SGDStep(aw, av, ag, Sink{Raw: over}, 0.5, 1e-4, 0.9, 0.0004)
+				if !bytes.Equal(over, want[1:1+4*n]) {
+					i := 0
+					for over[i] == want[1+i] {
+						i++
+					}
+					t.Fatalf("tier %v n=%d live=%v: the sweep over its own sum wrote %x at byte %d, AppendRaw of the delta sweep %x", tier, n, live != nil, over[i], i, want[1+i])
+				}
+				if i, ok := bitsEqual(aw, dw); !ok {
+					t.Fatalf("tier %v n=%d: w of the sweep over its own sum differs from the delta sweep's at %d", tier, n, i)
+				}
+				if i, ok := bitsEqual(av, dv); !ok {
+					t.Fatalf("tier %v n=%d: v of the sweep over its own sum differs from the delta sweep's at %d", tier, n, i)
+				}
 			}
 		})
 	}

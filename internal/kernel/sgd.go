@@ -11,8 +11,9 @@ import (
 // folded into (a pull's compress pass 1, absorbed); Raw, a raw float32
 // wire's body, 4 bytes an element, written with the delta's little-endian
 // bits — AppendRaw of the delta, byte for byte, so no delta tensor exists
-// (it may start at any byte: a body starts one scheme byte into its wire);
-// or Delta, where it is stored. Raw and Delta are only written.
+// (it may start at any byte: a body starts one scheme byte into its wire,
+// and it may be the gradient's own memory: see SGDStep); or Delta, where it
+// is stored. Raw and Delta are only written.
 type Sink struct {
 	Acc   []float32
 	Raw   []byte
@@ -54,6 +55,12 @@ func (to Sink) covers(n int) bool {
 // bit-identical across tiers up to NaN payloads and the returned maximum
 // and the record exactly (NaN never wins them). w, v, gs and the sink
 // must hold the same number of elements.
+//
+// A Raw sink may be gs's own bytes (RawView(gs)): every tier reads an
+// element of gs before it stores that element's delta, in the same 4
+// bytes, and stores nothing ahead of what it has read, so the sink ends
+// holding the bytes it would over a buffer of its own, and gs its delta.
+// A parameter server's float32 pull is its gradient sum this way.
 //
 //3lc:noalloc
 func (x *Blocks) SGDStep(w, v, gs []float32, to Sink, gscale, wd, mom, lr float32) float32 {

@@ -69,7 +69,8 @@ func velocityOf(o *opt.SGD, n int) []float32 {
 //     so must opt.ApplyFusedStep, which drives it as the parameter server
 //     does and must not touch p.G; into a Raw sink (one byte into its
 //     wire) it must leave the same weights and velocity and write the
-//     bytes AppendRaw makes of that delta.
+//     bytes AppendRaw makes of that delta, and into a Raw sink that is
+//     gs's own bytes it must write those bytes over gs.
 func FuzzFusedSGDStep(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0, 0, 0x80, 0x3f}, 16), uint32(0x3f000000), uint32(0x38d1b717), uint32(0x3f666666), uint32(0x3d23d70a))
 	f.Add(bytes.Repeat([]byte{0, 0, 0xc0, 0x7f, 0, 0, 0, 0x80, 1, 0, 0, 0}, 11), uint32(0x3f800000), uint32(0), uint32(0), uint32(0x3f800000)) // NaN, −0, denormal
@@ -155,6 +156,14 @@ func FuzzFusedSGDStep(f *testing.F) {
 				x.SGDStep(rw[0], rw[1], rw[2], kernel.Sink{Raw: wire[1:]}, gscale, wd, mom, lr)
 				if want := kernel.AppendRaw([]byte{0}, got[3]); !bytes.Equal(wire, want) {
 					t.Fatalf("tier %v n=%d recorded=%v: Raw sink got % x, AppendRaw of the Delta sink's delta % x", tier, n, x != nil, wire, want)
+				}
+				// The Raw sink over gs's own bytes: the same wire body.
+				al := clone()
+				if over := kernel.RawView(al[2]); over != nil {
+					x.SGDStep(al[0], al[1], al[2], kernel.Sink{Raw: over}, gscale, wd, mom, lr)
+					if !bytes.Equal(over, wire[1:]) {
+						t.Fatalf("tier %v n=%d recorded=%v: Raw sink over gs got % x, over a buffer of its own % x", tier, n, x != nil, over, wire[1:])
+					}
 				}
 				for _, c := range []struct {
 					name      string

@@ -73,9 +73,10 @@ func newParam(name string, shape ...int) *Param {
 
 // GFrame returns G's memory with the spare floats newParam allocates in
 // front of it (gHeadroom, a cache line), so a caller can frame G's bytes
-// in place — a ps.Worker's float32 push wire is the last byte of that
-// headroom followed by G — or nil when G is not that memory: a Param built
-// as a literal, or one whose G was replaced.
+// in place — a ps.Worker's float32 push wire, and a ps.Job's float32 pull
+// over its gradient sum, is the last byte of that headroom followed by G —
+// or nil when G is not that memory: a Param built as a literal, or one
+// whose G was replaced.
 func (p *Param) GFrame() []float32 {
 	g := p.G.Data()
 	if len(g) == 0 || len(p.gFrame) != gHeadroom+len(g) || &p.gFrame[gHeadroom] != &g[0] {

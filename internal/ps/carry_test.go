@@ -217,3 +217,98 @@ func TestFloat32PushIsG(t *testing.T) {
 		w.CompressGrads()
 	})
 }
+
+// TestFloat32PullIsSum holds a float32 job's pull wires to its gradient
+// sums' memory: every tensor the job steps is pulled as a wire whose body
+// is a view of that tensor's G, the sum the sweep has just read, and on
+// each of four steps the wire is byte for byte the one a twin job writes
+// through the copying RawWire path — a twin whose Params have no frame in
+// front of G (nn.Param.GFrame is nil), which is what keeps that path — and
+// the two global models stay bit-identical. The pushes carry −0, ±Inf and
+// NaNs with payloads, over the end-to-end benchmark's 1.85M-parameter MLP
+// and a MicroResNet, whose batch-norm pulls are the owner's relayed
+// updates, copied.
+func TestFloat32PullIsSum(t *testing.T) {
+	specials := []uint32{0x80000000, 0x7fc00000, 0xffc00001, 0x7f800001, 0x7f800000, 0xff800000, 0x00000001}
+	cfg := testConfig(compress.SchemeNone, compress.Options{}, 2)
+	for _, mc := range []struct {
+		name  string
+		build func() *nn.Model
+	}{
+		{"mlp", func() *nn.Model { return nn.NewMLP(768, []int{1024, 1024}, 10, 1) }},
+		{"microresnet", func() *nn.Model {
+			return nn.NewMicroResNet(nn.MicroResNetConfig{InChannels: 3, ImageSize: 8, StageChannels: []int{4, 8}, BlocksPerStage: 1, Classes: 10, Seed: 3})
+		}},
+	} {
+		t.Run(mc.name, func(t *testing.T) {
+			global, twin := mc.build(), mc.build()
+			twin.CopyParamsFrom(global)
+			for _, p := range twin.Params() {
+				p.G = tensor.New(p.G.Shape()...)
+				if p.GFrame() != nil {
+					t.Fatalf("%s: a replaced G still has its frame", p.Name)
+				}
+			}
+			job, copying := NewJob(global, cfg), NewJob(twin, cfg)
+			workers := make([]*Worker, cfg.Workers)
+			for id := range workers {
+				m := mc.build()
+				m.CopyParamsFrom(global)
+				workers[id] = NewWorker(id, m, cfg)
+			}
+			rng := tensor.NewRNG(17)
+			for step := 0; step < 4; step++ {
+				job.BeginStep()
+				copying.BeginStep()
+				for _, w := range workers {
+					w.Model.ZeroGrad()
+					for _, p := range w.Model.Params() {
+						g := p.G.Data()
+						for j := range g {
+							g[j] = float32(rng.Norm()) * 0.01
+							if j%11 == step+w.ID {
+								g[j] = math.Float32frombits(specials[(j/11+step)%len(specials)])
+							}
+						}
+					}
+					wires, _ := w.CompressGrads()
+					for _, j := range []*Job{job, copying} {
+						if _, err := j.AddPush(w.ID, wires); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				pull, _, err := job.FinishStep()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, err := copying.FinishStep()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, p := range global.Params() {
+					wire := pull[i]
+					g := kernel.RawView(p.G.Data())
+					shares := len(wire) == 1+len(g) && &wire[1] == &g[0]
+					if shares == OwnerOnly(p) {
+						t.Fatalf("step %d: %s's pull wire shares its sum's memory: %v (owner-only: %v)", step, p.Name, shares, OwnerOnly(p))
+					}
+					if c := want[i]; len(c) > 1 && &c[1] == &kernel.RawView(twin.Params()[i].G.Data())[0] {
+						t.Fatalf("step %d: %s's pull wire shares the memory of a G with no frame", step, p.Name)
+					}
+					if !bytes.Equal(wire, want[i]) {
+						t.Fatalf("step %d: %s's pull wire differs from the copying path's", step, p.Name)
+					}
+				}
+			}
+			for i, p := range global.Params() {
+				got, want := p.W.Data(), twin.Params()[i].W.Data()
+				for k := range got {
+					if math.Float32bits(got[k]) != math.Float32bits(want[k]) {
+						t.Fatalf("%s[%d] = %#x, the copying job's %#x", p.Name, k, math.Float32bits(got[k]), math.Float32bits(want[k]))
+					}
+				}
+			}
+		})
+	}
+}

@@ -109,9 +109,13 @@
 // Acc sink + compress.PreAccumulator), so compress pass 1 never runs as
 // its own sweep and the pull's encode, consulting that record, skips as
 // the push's does. Under the float32 design the sweep writes the pull
-// wire itself: a raw pull context appends its header and the sweep fills
-// the body with the delta's bits (compress.RawWriter + a Raw sink), so no
-// delta tensor exists and the pull is never re-encoded. Per step and tensor, the server's passes are:
+// wire itself, over the gradient sum it reads: the wire is the scheme byte
+// in G's headroom, as a worker's push is, then G's bytes, and the sweep
+// stores each element's delta over the sum element it has just read
+// (compress.RawWriter + a Raw sink that is G's own bytes, gWire), so no
+// delta tensor and no pull buffer exist and the pull is never re-encoded.
+// The sum is dead until the next step's first push, which is when the
+// pull stops being valid (TestFloat32PullIsSum). Per step and tensor, the server's passes are:
 //
 //	pass                  reads / writes of tensor memory
 //	BeginStep             none (the record's epoch moves)
@@ -119,8 +123,8 @@
 //	                      on the step's first landing); all of the sum for
 //	                      a raw or packed wire or a non-finite scale
 //	optimizer sweep       w and v whole; the sum's live blocks only; the
-//	                      pull's buffer whole (3LC) or the raw pull wire's
-//	                      body, written (float32)
+//	                      pull's buffer whole (3LC), or the sum whole,
+//	                      overwritten with the raw pull's body (float32)
 //	pull encode           the buffer's blocks that can quantize (3LC);
 //	                      none (float32)
 //
@@ -139,11 +143,15 @@
 // worker order is byte-identical to the whole-set AddPush driver. Over a
 // network the worker streams the same tensors as runs and the server
 // receives a push whole before it hands it to AddPush (internal/transport),
-// so a push cut off mid-stream touches no sum. Wire sets returned by
-// CompressGrads and FinishStep alias their owner's memory — valid until
-// the owner's next step: FinishStep's and a compressing worker's are
-// recycled buffers, a float32 worker's are views of its replica's G,
-// rewritten by its next ZeroGrad or backward pass.
+// so a push cut off mid-stream touches no sum. The wires AddPush is handed
+// need stay valid only during the call: a server receives every worker's
+// push into one buffer, and the job copies what it keeps (an owner's
+// relayed update). Wire sets returned by CompressGrads and FinishStep
+// alias their owner's memory — valid until the owner's next step: a
+// compressing worker's and a lossy pull's are recycled buffers, a float32
+// worker's are views of its replica's G, rewritten by its next ZeroGrad or
+// backward pass, and a float32 pull is the job's sums, rewritten by the
+// next push that reaches the job.
 //
 // # Jobs and push sessions
 //

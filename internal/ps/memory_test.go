@@ -2,6 +2,7 @@ package ps
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"threelc/internal/compress"
@@ -13,10 +14,11 @@ import (
 // tensor i's sum is the served model's params[i].G, not a buffer of the
 // job's own. NewJob plus one step over the end-to-end benchmark's
 // 1.85M-parameter MLP allocate a model's worth of pull state (3LC's error
-// buffers; under float32 the raw pull wires) and a model's worth of
-// optimizer velocity, plus wires and bookkeeping of a few kilobytes; a
-// private sum would add a third model's worth, so the job's allocations
-// must stay under three.
+// buffers; under float32 none, the pull wires being the sums:
+// TestFloat32JobAllocatesNoPullWire) and a model's worth of optimizer
+// velocity, plus wires and bookkeeping of a few kilobytes; a private sum
+// would add a third model's worth, so the job's allocations must stay
+// under three.
 func TestJobSumsIntoModelG(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -111,6 +113,50 @@ func TestFloat32WorkerAllocatesNoWire(t *testing.T) {
 	}
 }
 
+// TestFloat32JobAllocatesNoPullWire is the memory guard of a float32
+// job's pulls: each wire is a view of the tensor's gradient sum (stepFor),
+// so NewJob plus two steps over the end-to-end benchmark's 1.85M-parameter
+// MLP allocate the optimizer's velocity, one model size, made by the first
+// sweep, and bookkeeping of a few kilobytes. A job that wrote the pull into
+// wire buffers of its own would allocate another model size of them (2.00
+// in all), so the job's allocations must stay under one and a half.
+func TestFloat32JobAllocatesNoPullWire(t *testing.T) {
+	cfg := testConfig(compress.SchemeNone, compress.Options{}, 2)
+	global := nn.NewMLP(768, []int{1024, 1024}, 10, 1)
+	rng := tensor.NewRNG(7)
+	pushes := make([][][]byte, cfg.Workers)
+	for id := range pushes {
+		m := nn.NewMLP(768, []int{1024, 1024}, 10, 1)
+		m.CopyParamsFrom(global)
+		for _, p := range m.Params() {
+			tensor.FillNormal(p.G, 0.01, rng)
+		}
+		pushes[id], _ = NewWorker(id, m, cfg).CompressGrads()
+	}
+	modelBytes := uint64(4 * global.NumParams())
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	job := NewJob(global, cfg)
+	for range 2 {
+		job.BeginStep()
+		for id, wires := range pushes {
+			if _, err := job.AddPush(id, wires); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := job.FinishStep(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= modelBytes*3/2 && !raceDetector {
+		t.Errorf("NewJob and two steps allocated %.2f model sizes (%d B), want under 1.5: the velocity and no pull wires, which are the sums' memory", float64(alloc)/float64(modelBytes), alloc)
+	}
+}
+
 // TestExchangeAllocatesNothingAtAnyGOMAXPROCS is the allocation guard of a
 // node's codec work where the cores are many: at GOMAXPROCS 4, with the
 // default Config, a warm step of the owner's CompressGrads, the job's
@@ -118,6 +164,15 @@ func TestFloat32WorkerAllocatesNoWire(t *testing.T) {
 // every design. testing.AllocsPerRun would pin GOMAXPROCS to 1, so the
 // steps are counted with runtime.ReadMemStats; the backward that fills G
 // runs outside the count.
+//
+// ReadMemStats counts the whole process's mallocs, and a collection
+// allocates on goroutines of the runtime's own: a mark worker takes a
+// sudog in gcMarkDone, and a cycle's start wakes the unique package's map
+// cleanup, which a test binary that links net runs (this one does not:
+// the session tests live in internal/transport). Under contention a cycle
+// the setup started can still be marking inside a window, so each design's
+// steps run with the collector off, after a collection that finishes the
+// setup's garbage.
 func TestExchangeAllocatesNothingAtAnyGOMAXPROCS(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's runtime allocates on its own")
@@ -134,6 +189,8 @@ func TestExchangeAllocatesNothingAtAnyGOMAXPROCS(t *testing.T) {
 			m := testModel(1)
 			m.CopyParamsFrom(global)
 			w := NewWorker(Owner, m, cfg)
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			runtime.GC()
 			var before, after runtime.MemStats
 			var mallocs uint64
 			const warm, steps = 3, 10

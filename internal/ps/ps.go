@@ -75,11 +75,11 @@ type Job struct {
 	pullCtx   []compress.Compressor     // per tensor: the pull's compression context, nil where the job relays the owner's update
 	blocks    []kernel.Blocks           // per tensor: which blocks of params[i].G, the gradient sum, this step's pushes reached, and the block maxima of the pull's error buffer
 	delta     []*tensor.Tensor          // per tensor: the model delta, where a lossy pull context without an accumulate pass takes one (nil elsewhere)
-	pullWires [][]byte                  // per-tensor pull wire buffers, recycled across steps
+	pullWires [][]byte                  // per-tensor pull wires: recycled buffers, or a view of the sum (a float32 pull, gWire)
 	ownerPull [][]byte                  // pullWires as the owner is sent them (OwnerPull), recycled
 	pushed    []bool                    // per-tensor: a push reached it this step
 	preAcc    []compress.PreAccumulator // pull contexts with a fusable accumulate pass (nil slots otherwise)
-	raw       []compress.RawWriter      // pull contexts whose wire the optimizer sweep writes (nil slots otherwise)
+	raw       []compress.RawWriter      // pull contexts whose wire the optimizer sweep writes, over the sum where it can (nil slots otherwise)
 	accMax    []float32                 // per-tensor max|acc| from the fused optimizer sweep
 	pushes    int
 
@@ -174,11 +174,17 @@ func newJob(params []*nn.Param, globalIdx []int, cfg Config) *Job {
 // context's error-accumulation buffer where its compress pass 1 can absorb
 // the write (compress.PreAccumulator: the record takes the block maxima
 // the pull pack's encode consults); the pull wire's body where the wire is
-// the raw delta (compress.RawWriter: the context appends the header here,
-// and the pull pack has nothing left to do); the delta tensor the pull
-// pack compresses otherwise.
+// the raw delta (compress.RawWriter), and the pull pack has nothing left
+// to do; the delta tensor the pull pack compresses otherwise.
+//
+// A raw pull wire is the sum's own memory (gWire): the sweep reads each
+// element of the sum before it stores that element's delta over it
+// (kernel.Blocks.SGDStep), and the sum is dead until the next push. Where
+// G has no frame to put the scheme byte in, or the host's floats are not
+// their wire bytes, the context appends the wire to a buffer of the job's.
 func (s *Job) stepFor(i int) ([]float32, float32, *kernel.Blocks, kernel.Sink) {
-	if OwnerOnly(s.params[i]) {
+	p := s.params[i]
+	if OwnerOnly(p) {
 		return nil, 0, nil, kernel.Sink{}
 	}
 	var to kernel.Sink
@@ -186,11 +192,26 @@ func (s *Job) stepFor(i int) ([]float32, float32, *kernel.Blocks, kernel.Sink) {
 	case s.preAcc[i] != nil:
 		to.Acc = s.preAcc[i].AccData()
 	case s.raw[i] != nil:
-		s.pullWires[i], to.Raw = s.raw[i].RawWire(s.pullWires[i][:0])
+		if wire := gWire(p); wire != nil {
+			s.pullWires[i], to.Raw = wire, wire[1:]
+		} else {
+			s.pullWires[i], to.Raw = s.raw[i].RawWire(s.pullWires[i][:0])
+		}
 	default:
 		to.Delta = s.delta[i].Data()
 	}
-	return s.params[i].G.Data(), s.inv, &s.blocks[i], to
+	return p.G.Data(), s.inv, &s.blocks[i], to
+}
+
+// gWire is the float32 wire over p's G, the one place a node decides
+// whether a raw wire copies: the scheme byte in the last byte of the
+// headroom in front of G, then G's own bytes (nn.Param.GFrame,
+// compress.RawWireOver). It is nil where G is not that memory or the
+// host's floats are not their wire bytes; the caller then keeps its
+// copying context. A worker's float32 push is its G this way (NewWorker),
+// and a job's float32 pull the sum the sweep has just read (stepFor).
+func gWire(p *nn.Param) []byte {
+	return compress.RawWireOver(p.GFrame(), p.G.Len())
 }
 
 // BeginStep resets gradient aggregation for a new training step without
@@ -213,7 +234,10 @@ func (s *Job) BeginStep() {
 
 // AddPush decode-accumulates one worker's whole-set gradient push and
 // completes it — BeginPush, Set, End in one call, and the push method of
-// transport.StepServer. It returns the decompression wall time.
+// transport.StepServer. It returns the decompression wall time. The
+// wires need stay valid only during the call: what the job keeps of them,
+// an owner's relayed update, it copies (ingestOne). The first push of a
+// step ends the last step's float32 pull (FinishStep).
 //
 //3lc:noalloc
 func (s *Job) AddPush(workerID int, wires [][]byte) (time.Duration, error) {
@@ -321,8 +345,11 @@ func (s *Job) endPush() {
 // (OwnerPull) — plus the server-side codec wall time. An owner-only
 // tensor is not stepped: its update, the owner's push, is added to the
 // global model as every worker adds it, and relayed. The wire slices are
-// backed by server-owned buffers recycled across steps: they are valid
-// until the next FinishStep, and callers that keep them longer must copy
+// backed by the job's memory: a float32 pull wire is the tensor's gradient
+// sum, which the sweep overwrote with the delta (stepFor), so it is valid
+// until the next push reaches the job (AddPush, or a session's Set or
+// Tensor); every other wire is a buffer recycled across steps, valid
+// until the next FinishStep. Callers that keep a pull longer must copy
 // the bytes.
 //
 //3lc:noalloc
@@ -353,8 +380,8 @@ func (s *Job) FinishStep() ([][]byte, time.Duration, error) {
 
 	// Shared pull compression: one wire per tensor for all workers, built
 	// once into recycled per-tensor buffers (§3, Figure 2b), in index
-	// order. The returned slices are valid until the next FinishStep
-	// call; callers that retain pulls across steps must copy them.
+	// order. The returned slices are valid as the doc above says; callers
+	// that retain pulls across pushes must copy them.
 	start := time.Now()
 	for i := range s.params {
 		if err := s.pullPackOne(i); err != nil {
@@ -399,7 +426,7 @@ type Worker struct {
 	params    []*nn.Param
 	pushCtx   []compress.Compressor
 	preAcc    []compress.PreAccumulator // per tensor: the 3LC push context whose error buffer is params[i].G, nil elsewhere
-	raw       [][]byte                  // per tensor: the float32 push wire that is a view of params[i].G (compress.RawWireOver), nil elsewhere
+	raw       [][]byte                  // per tensor: the float32 push wire that is a view of params[i].G (gWire), nil elsewhere
 	blocks    []kernel.Blocks           // per tensor: the block maxima preAcc's pass 1 records for its encode
 	pushWires [][]byte                  // per-tensor push wire buffers, recycled across steps
 	own       []*ownStep                // per tensor: the owner's optimizer state of an owner-only tensor (update), nil elsewhere
@@ -443,7 +470,7 @@ func NewWorker(id int, model *nn.Model, cfg Config) *Worker {
 			ctx = cfg.newContext(p, 0x574f524b00000000+uint64(id)<<16+uint64(i)) // "WORK"
 		}
 		if cfg.Scheme == compress.SchemeNone && !OwnerOnly(p) {
-			w.raw[i] = compress.RawWireOver(p.GFrame(), p.G.Len())
+			w.raw[i] = gWire(p)
 		}
 		w.pushCtx = append(w.pushCtx, ctx)
 	}

@@ -16,8 +16,10 @@ import "time"
 // else. A step is BeginStep, one BeginPush session per pushing worker, then
 // FinishStep, which averages what was pushed, applies the optimizer and returns the
 // shared pull — or, from a dialed tier, the one its owner's seat was sent,
-// less the owner-only slots (Pulls) — aliasing tier-owned buffers, valid
-// until the next FinishStep, with the tier's codec wall time. A Job has one
+// less the owner-only slots (Pulls) — aliasing tier-owned memory, with the
+// tier's codec wall time. A Job's pull is valid until the next push
+// reaches it (a float32 pull wire is its gradient sum, Job.FinishStep), a
+// dialed tier's until its next FinishStep. A Job has one
 // driver goroutine: every call on it and on its sessions is made from that
 // one, and each tensor receives its pushes in worker order (see
 // PushSession). A dialed tier's sessions may each be fed from a goroutine

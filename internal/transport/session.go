@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -17,7 +18,11 @@ import (
 // StepServer is the aggregation surface a session drives each BSP step:
 // open the step, hand it one worker's push once the push has arrived
 // whole, close the step and collect the shared pull. The parameter server
-// (*ps.Job) implements it.
+// (*ps.Job) implements it. The wires AddPush is handed are valid only
+// during the call: every seat's push is received into one buffer, so an
+// aggregator copies what it keeps. The pull FinishStep returns must stay
+// valid until the next AddPush: a float32 job's raw pull is its gradient
+// sum's memory, which the next push overwrites.
 type StepServer interface {
 	BeginStep()
 	AddPush(workerID int, wires [][]byte) (time.Duration, error)
@@ -162,12 +167,11 @@ func (l *link) read(buf *[]byte, step int, replay bool) (frame, error) {
 // failure ends the endpoint.
 var errListener = errors.New("transport: listener failure")
 
-// seat is one worker's place in a session: its connection plus the push
-// it is receiving.
+// seat is one worker's place in a session: its connection. The push it
+// sends is received into the session's one push buffer.
 type seat struct {
 	link
-	id   int
-	push seq
+	id int
 }
 
 // acceptSeat takes one connection off ln and parses its hello, returning
@@ -224,19 +228,27 @@ type session struct {
 	tr   *traffic
 
 	seats []*seat // indexed by worker id; nil while severed
+	// push is the one buffer every seat's push is received into: a seat's
+	// push is read whole and handed to AddPush before the next seat is
+	// read, and the aggregator keeps none of it past the call.
+	push seq
 	// applied[w] is the last step whose push worker w's seat aggregated
 	// (-1 before the first): the dedupe identity for replayed pushes.
 	applied []int
 
-	// pulls are the last finished step's (done) pull sets, valid until the
-	// aggregator's next FinishStep: [0] the shared one, [1] the owner's
-	// (nil: the owner is sent [0]). pullBuf[o][k] is set o's runs for
-	// plain (k 0) or resilient (k 1) seats — its large wires spliced, not
-	// copied, so it is valid exactly as long as the pull — built at most
-	// once per step (pullAt[o][k] == done) by the first seat that needs it:
-	// during the broadcast, or later, when a resilient seat that lost the
-	// broadcast replays its push.
+	// pulls are the last finished step's (done) pull sets: [0] the shared
+	// one, [1] the owner's (nil: the owner is sent [0]). The aggregator's
+	// are valid only until the next push reaches it (StepServer), which is
+	// as long as a plain seat needs them; a resilient session answers a
+	// seat that lost the broadcast when it replays its push, after other
+	// seats' pushes of the next step, so it sends copies (kept).
+	// pullBuf[o][k] is set o's runs for plain (k 0) or resilient (k 1)
+	// seats — its large wires spliced, not copied, so it is valid exactly
+	// as long as the pull — built at most once per step (pullAt[o][k] ==
+	// done) by the first seat that needs it: during the broadcast, or
+	// later, when a resilient seat replays its push.
 	pulls   [2][][]byte
+	kept    [2][][]byte // a resilient session's copies of pulls, recycled
 	done    int
 	pullBuf [2][2]frames
 	pullAt  [2][2]int
@@ -321,6 +333,9 @@ func (s *session) run() error {
 		if s.view != nil {
 			s.pulls[1] = s.view.OwnerPull()
 		}
+		if s.cfg.Resilient {
+			s.keep()
+		}
 		for w, st := range s.seats {
 			if st == nil {
 				continue // severed during this step: its replay is re-answered
@@ -336,6 +351,24 @@ func (s *session) run() error {
 		}
 	}
 	return nil
+}
+
+// keep points pulls at copies of themselves in kept, for the replays a
+// resilient session answers after the next push has reached the
+// aggregator.
+//
+//3lc:noalloc
+func (s *session) keep() {
+	for o, pull := range s.pulls {
+		if pull == nil {
+			continue
+		}
+		k := slices.Grow(s.kept[o][:0], len(pull))[:len(pull)]
+		for i, wire := range pull {
+			k[i] = append(k[i][:0], wire...)
+		}
+		s.kept[o], s.pulls[o] = k, k
+	}
 }
 
 // sever tears down seat w after a failure if the seat can recover
@@ -431,8 +464,8 @@ func (s *session) pushFrom(w, step int) error {
 func (s *session) readPush(st *seat, step int) error {
 	for {
 		replay := st.fc.resilient && s.applied[st.id] == step-1
-		st.push.reset()
-		f, err := st.read(st.push.next(), step, replay)
+		s.push.reset()
+		f, err := st.read(s.push.next(), step, replay)
 		var n int
 		if err == nil {
 			n, err = s.recvPush(st, f, step, replay)
@@ -446,7 +479,7 @@ func (s *session) readPush(st *seat, step int) error {
 			}
 			continue // the current step's push follows on this connection
 		}
-		if _, err := s.agg.AddPush(st.id, st.push.wires); err != nil {
+		if _, err := s.agg.AddPush(st.id, s.push.wires); err != nil {
 			return fmt.Errorf("transport: shard %d step %d push from worker %d: %w: %w", s.cfg.Shard, step, st.id, errRefused, err)
 		}
 		s.applied[st.id] = step
@@ -456,7 +489,7 @@ func (s *session) readPush(st *seat, step int) error {
 }
 
 // recvPush reads a push from its first run, f, already read, to its
-// MsgShardPushLast, into st.push, and returns the payload bytes received.
+// MsgShardPushLast, into s.push, and returns the payload bytes received.
 // A worker sends every tensor of the shard — a zero-length wire, the empty
 // wire, for a tensor the seat does not push (ps.Pushes) and for a
 // non-transmitting scheme's off step — in any order, each exactly once:
@@ -465,7 +498,7 @@ func (s *session) readPush(st *seat, step int) error {
 //
 //3lc:noalloc
 func (s *session) recvPush(st *seat, f frame, step int, replay bool) (int, error) {
-	q, at, n := &st.push, f.step, 0
+	q, at, n := &s.push, f.step, 0
 	for {
 		if f.t != MsgShardPushRun && f.t != MsgShardPushLast {
 			return 0, fmt.Errorf("transport: expected a push run, got type %d", f.t)
@@ -553,8 +586,8 @@ func (s *session) settle(w int) error {
 		// One past the last step: the only push that parses is a replay of
 		// the final one, and only from a seat that has it aggregated.
 		replay := s.applied[w] == s.done
-		st.push.reset()
-		f, err := st.read(st.push.next(), s.done+1, replay)
+		s.push.reset()
+		f, err := st.read(s.push.next(), s.done+1, replay)
 		if err == nil && f.t != MsgShardBye {
 			if int(f.step) != s.done {
 				return fmt.Errorf("transport: shard %d: unexpected type-%d frame from worker %d after the final step", s.cfg.Shard, f.t, w)

@@ -25,7 +25,9 @@
 // stream's runs whole, each into a buffer of its own, validates every slot
 // exactly once, and only then applies it (seq): the server hands the push
 // to its aggregator, the worker applies or returns the pull, and a stream
-// that fails or is cut off applies nothing.
+// that fails or is cut off applies nothing. A server receives every
+// seat's push into one seq, since it hands each to its aggregator before
+// it reads the next.
 //
 // (ShardWireVersion counts generations of this layout: 3 since the owner
 // is sent the empty wire in its owner-only slots, ps.Pulls; 4 since a

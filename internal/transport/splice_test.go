@@ -2,15 +2,20 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"threelc/internal/compress"
 	"threelc/internal/nn"
 	"threelc/internal/ps"
+	"threelc/internal/shard"
 	"threelc/internal/tensor"
 )
 
@@ -366,5 +371,183 @@ func TestFloat32ExchangeCopiesNothing(t *testing.T) {
 	}
 	if x.ss.pullAt[0][0] != x.step-1 {
 		t.Errorf("the plain pull was last built at step %d, want %d", x.ss.pullAt[0][0], x.step-1)
+	}
+}
+
+// recvHeld is the heap a session's push receive path holds: the in-use
+// bytes of every allocation made under readPush, recvPush or settle, as of
+// a fresh collection. runtime.MemProfileRate must be 1 since before the
+// session's first push, which makes the profile exact.
+func recvHeld(t *testing.T) int64 {
+	t.Helper()
+	runtime.GC()
+	runtime.GC() // the profile is as of the last completed cycle
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, ok := runtime.MemProfile(recs, true)
+	if !ok {
+		t.Fatal("the memory profile outgrew its buffer")
+	}
+	var held int64
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for more := true; more; {
+			var f runtime.Frame
+			f, more = frames.Next()
+			name, recv := strings.CutPrefix(f.Function, "threelc/internal/transport.(*session).")
+			if recv && (name == "readPush" || name == "recvPush" || name == "settle") {
+				held += r.InUseBytes()
+				break
+			}
+		}
+	}
+	return held
+}
+
+// TestSessionHoldsOnePushBuffer: a session receives every seat's push into
+// one buffer, since it hands each push to the aggregator before it reads
+// the next seat's. Four float32 workers push a 513 KB wire set a step, and
+// after the warm steps what the session's receive path holds is one push,
+// not one a seat.
+func TestSessionHoldsOnePushBuffer(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	const workers, steps = 4, 4
+	x := newF32Exchange(t, func() *nn.Model { return nn.NewMLP(512, nil, 256, 1) }, workers, steps)
+	for range steps {
+		x.exchange(t)
+	}
+	held := recvHeld(t)
+	wires, _ := x.workers[0].CompressGrads()
+	push := int64(ps.WireBytes(wires))
+	if err := x.close(); err != nil {
+		t.Fatal(err)
+	}
+	if held < push || held >= 2*push {
+		t.Errorf("the session's push receive path holds %d B (%.2f pushes of %d B) with %d seats, want one push", held, float64(held)/float64(push), push, workers)
+	}
+}
+
+// dropsPull is a connection whose first read after the test arms it
+// closes it and fails: its client loses the pull of the step that read was
+// for and, being resilient, redials and replays that step's push.
+type dropsPull struct {
+	net.Conn
+	armed *atomic.Bool
+}
+
+func (c dropsPull) Read(p []byte) (int, error) {
+	if c.armed.CompareAndSwap(true, false) {
+		c.Conn.Close()
+		return 0, errors.New("dropsPull: the pull is lost")
+	}
+	return c.Conn.Read(p)
+}
+
+// TestResilientReplayAfterNextPushGetsItsPull: a float32 job's pull is
+// its gradient sums' memory, which the next push overwrites, so a
+// resilient session answers replays from a copy. Worker 1 loses the pull
+// of step 1 and replays that push; the session reads it only after worker
+// 0's push of step 2 has reached the job (seats are read in worker order),
+// and worker 1 must be sent step 1's pull bit for bit — the pull worker 0
+// was sent, on every slot both are sent, with a weight slot large enough
+// to be spliced (flushBytes) — and end with worker 0's replica.
+func TestResilientReplayAfterNextPushGetsItsPull(t *testing.T) {
+	const workers, steps, lost = 2, 3, 1
+	cfg := shardTestConfig(workers, steps)
+	cfg.Scheme, cfg.Opts = compress.SchemeNone, compress.Options{}
+	build := func() *nn.Model { return nn.NewMLP(256, []int{128}, 10, 1) }
+	global := build()
+	if w := 1 + 4*global.Params()[0].W.Len(); w < flushBytes {
+		t.Fatalf("a %d-byte weight wire is not spliced", w)
+	}
+	asn := shard.ForModel(global, 1)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	srv := NewShardServer(ln, ps.NewJob(global, cfg), ShardServerConfig{NumShards: 1, Workers: workers, Steps: steps,
+		AssignmentHash: asn.Hash(), Timeouts: Timeouts{Read: 30 * time.Second}, Resilient: true})
+	go func() { served <- srv.Serve() }()
+
+	var armed atomic.Bool
+	var dials atomic.Int32
+	pol := RetryPolicy{MaxAttempts: 4, Base: 5 * time.Millisecond, Cap: 50 * time.Millisecond, Multiplier: 2}
+	got := make([][][]byte, workers) // got[w][step]: the pull worker w applied, copied
+	replicas := make([]*ps.Worker, workers)
+	done := make(chan error, workers)
+	for w := range workers {
+		m := build()
+		m.CopyParamsFrom(global)
+		replicas[w] = ps.NewWorker(w, m, cfg)
+		ccfg := ShardClientConfig{Resilient: true, Retry: pol, Timeouts: Timeouts{Read: 30 * time.Second}}
+		if w == 1 {
+			ccfg.Dialer = func(addr string) (net.Conn, error) {
+				dials.Add(1)
+				c, err := net.Dial("tcp", addr)
+				if err != nil {
+					return nil, err
+				}
+				return dropsPull{Conn: c, armed: &armed}, nil
+			}
+		}
+		go func() {
+			done <- func() error {
+				cl, err := DialShardedConfig([]string{ln.Addr().String()}, w, asn, ccfg)
+				if err != nil {
+					return err
+				}
+				defer cl.Close()
+				wk, rng := replicas[w], tensor.NewRNG(41+uint64(w))
+				for step := range steps {
+					m.ZeroGrad()
+					for _, p := range m.Params() {
+						tensor.FillNormal(p.G, 0.01, rng)
+					}
+					wires, _ := wk.CompressGrads()
+					if w == 1 && step == lost {
+						armed.Store(true)
+					}
+					pull, err := cl.PushPull(step, wires)
+					if err != nil {
+						return fmt.Errorf("worker %d step %d: %w", w, step, err)
+					}
+					for _, wire := range pull {
+						got[w] = append(got[w], bytes.Clone(wire))
+					}
+					if _, err := wk.ApplyPull(pull); err != nil {
+						return fmt.Errorf("worker %d step %d: %w", w, step, err)
+					}
+				}
+				return nil
+			}()
+		}()
+	}
+	for range workers {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	if armed.Load() || dials.Load() < 2 {
+		t.Fatalf("worker 1 dialed %d times with the cut armed: %v: no replay", dials.Load(), armed.Load())
+	}
+	params := global.Params()
+	for step := range steps {
+		for i, p := range params {
+			k := step*len(params) + i
+			if ps.Pulls(ps.Owner, p) && !bytes.Equal(got[1][k], got[0][k]) {
+				t.Errorf("step %d: worker 1 was sent %d bytes of %s that differ from worker 0's %d", step, len(got[1][k]), p.Name, len(got[0][k]))
+			}
+		}
+	}
+	want := replicas[1].Model.Params()
+	for i, p := range replicas[ps.Owner].Model.Params() {
+		if !p.W.Equal(want[i].W) {
+			t.Errorf("the owner's replica of %s differs from worker 1's", p.Name)
+		}
 	}
 }

@@ -1,4 +1,4 @@
-package ps_test
+package transport
 
 import (
 	"encoding/binary"
@@ -6,20 +6,27 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"threelc/internal/compress"
 	"threelc/internal/nn"
 	"threelc/internal/opt"
 	"threelc/internal/ps"
 	"threelc/internal/tensor"
-	"threelc/internal/transport"
 )
 
 // sumSnapshot is a served job that keeps, at each BeginStep, the bits of
-// every gradient sum as BeginStep left them.
+// every gradient sum as BeginStep left them, and counts the pushes the
+// session hands it.
 type sumSnapshot struct {
 	*ps.Job
-	sums [][]uint32
+	sums   [][]uint32
+	pushes int
+}
+
+func (j *sumSnapshot) AddPush(workerID int, wires [][]byte) (time.Duration, error) {
+	j.pushes++
+	return j.Job.AddPush(workerID, wires)
 }
 
 func (j *sumSnapshot) BeginStep() {
@@ -37,9 +44,9 @@ func (j *sumSnapshot) BeginStep() {
 // TestPushValidatedBeforeItIsApplied: a server receives a push whole
 // before its aggregator sees any of it. A plain worker sends a valid first
 // run — a real wire for slot 0 — and a second run that names slot 0
-// again. Serve fails on the duplicate, and every gradient sum of the job
-// and its block record are as BeginStep left them: run 1 was taken, not
-// applied.
+// again. Serve fails on the duplicate, the job was handed no push, and
+// every gradient sum of the job is as BeginStep left it: run 1 was taken,
+// not applied.
 func TestPushValidatedBeforeItIsApplied(t *testing.T) {
 	cfg := ps.Config{
 		Scheme:           compress.SchemeThreeLC,
@@ -57,7 +64,7 @@ func TestPushValidatedBeforeItIsApplied(t *testing.T) {
 	}
 	defer ln.Close()
 	served := make(chan error, 1)
-	srv := transport.NewShardServer(ln, job, transport.ShardServerConfig{NumShards: 1, Workers: 1, Steps: 1})
+	srv := NewShardServer(ln, job, ShardServerConfig{NumShards: 1, Workers: 1, Steps: 1})
 	go func() { served <- srv.Serve() }()
 
 	m := build()
@@ -73,7 +80,7 @@ func TestPushValidatedBeforeItIsApplied(t *testing.T) {
 	// run is a run of worker 0's push at step 0 whose one entry is slot 0's
 	// wire: slot delta 0, the length, the wire.
 	run := func() []byte {
-		b := transport.AppendShardHeader(nil, transport.ShardHeader{Version: transport.ShardWireVersion})
+		b := AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion})
 		b = binary.AppendUvarint(append(b, 0), uint64(len(wires[0])))
 		return append(b, wires[0]...)
 	}
@@ -82,12 +89,12 @@ func TestPushValidatedBeforeItIsApplied(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	hello := binary.LittleEndian.AppendUint32(transport.AppendShardHeader(nil, transport.ShardHeader{Version: transport.ShardWireVersion}), 0)
+	hello := binary.LittleEndian.AppendUint32(AppendShardHeader(nil, ShardHeader{Version: ShardWireVersion}), 0)
 	for _, f := range []struct {
-		t       transport.MsgType
+		t       MsgType
 		payload []byte
-	}{{transport.MsgShardHello, hello}, {transport.MsgShardPushRun, run()}, {transport.MsgShardPushLast, run()}} {
-		if err := transport.WriteFrame(c, f.t, f.payload); err != nil {
+	}{{MsgShardHello, hello}, {MsgShardPushRun, run()}, {MsgShardPushLast, run()}} {
+		if err := WriteFrame(c, f.t, f.payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,10 +104,10 @@ func TestPushValidatedBeforeItIsApplied(t *testing.T) {
 	if len(job.sums) == 0 {
 		t.Fatal("the session began no step")
 	}
+	if job.pushes != 0 {
+		t.Errorf("the session handed the job %d pushes", job.pushes)
+	}
 	for i, p := range global.Params() {
-		if !job.Untouched(i) {
-			t.Errorf("tensor %q: a push reached its sum", p.Name)
-		}
 		for k, v := range p.G.Data() {
 			if math.Float32bits(v) != job.sums[i][k] {
 				t.Fatalf("tensor %q: sum element %d changed after BeginStep", p.Name, k)
